@@ -44,37 +44,6 @@ fn bench(invocation: &cli::Invocation) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Compares two `BENCH.json` snapshots; non-zero exit on regression so
-/// `scripts/ci.sh` can gate on it.
-fn bench_compare(invocation: &cli::Invocation) -> ExitCode {
-    let load = |path: &std::path::Path| BenchSnapshot::read(path);
-    let base = invocation.input.as_deref().expect("parser guarantees BASE.json");
-    let new = invocation.input2.as_deref().expect("parser guarantees NEW.json");
-    let (base, new) = match (load(base), load(new)) {
-        (Ok(b), Ok(n)) => (b, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match perf::compare(&base, &new, invocation.threshold) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    if report.has_regression() {
-        eprintln!(
-            "perf regression: at least one kernel slowed down beyond {:.0} % and its noise band",
-            invocation.threshold * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 /// Writes `text` to `path`, creating parent directories.
 fn write_html(path: &std::path::Path, text: String) -> ExitCode {
     if let Some(dir) = path.parent() {
@@ -296,7 +265,6 @@ fn main() -> ExitCode {
     match invocation.command {
         Command::TelemetryReport => return telemetry_report(&invocation),
         Command::Bench => return bench(&invocation),
-        Command::BenchCompare => return bench_compare(&invocation),
         Command::BenchHistoryAppend | Command::BenchHistoryReport | Command::BenchHistoryGate => {
             return bench_history(&invocation)
         }
@@ -373,7 +341,6 @@ fn main() -> ExitCode {
         }
         Command::TelemetryReport
         | Command::Bench
-        | Command::BenchCompare
         | Command::BenchHistoryAppend
         | Command::BenchHistoryReport
         | Command::BenchHistoryGate

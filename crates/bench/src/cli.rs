@@ -42,9 +42,6 @@ pub enum Command {
     TelemetryReport,
     /// Perf snapshot: run the seeded kernel suite, write `BENCH.json`.
     Bench,
-    /// Noise-aware comparison of two `BENCH.json` snapshots (the CI
-    /// regression gate).
-    BenchCompare,
     /// Append a `BENCH.json` snapshot to `BENCH_HISTORY.jsonl`.
     BenchHistoryAppend,
     /// Per-kernel trend tables/charts over the snapshot history.
@@ -71,7 +68,6 @@ impl Command {
             self,
             Command::TelemetryReport
                 | Command::Bench
-                | Command::BenchCompare
                 | Command::BenchHistoryAppend
                 | Command::BenchHistoryReport
                 | Command::BenchHistoryGate
@@ -102,22 +98,17 @@ pub struct Invocation {
     /// What to run.
     pub command: Command,
     /// First input file: the run log for [`Command::TelemetryReport`]
-    /// and [`Command::Dashboard`], the baseline snapshot for
-    /// [`Command::BenchCompare`], the snapshot for
+    /// and [`Command::Dashboard`], the snapshot for
     /// [`Command::BenchHistoryAppend`] / [`Command::BenchHistoryGate`].
     pub input: Option<PathBuf>,
-    /// Second input file: the new snapshot for
-    /// [`Command::BenchCompare`].
-    pub input2: Option<PathBuf>,
     /// Every input file, in order — [`Command::Dashboard`] accepts two
     /// or more run logs for the multi-run overlay mode.
     /// `inputs[0] == input` whenever both are set.
     pub inputs: Vec<PathBuf>,
     /// Event kinds that must appear in the log (`--require`).
     pub require: Vec<String>,
-    /// Relative slowdown tolerance for [`Command::BenchCompare`] and
-    /// [`Command::BenchHistoryGate`] (`--threshold PCT`, as a
-    /// fraction: 0.25 = 25 %).
+    /// Relative slowdown tolerance for [`Command::BenchHistoryGate`]
+    /// (`--threshold PCT`, as a fraction: 0.25 = 25 %).
     pub threshold: f64,
     /// HTML output file for [`Command::Dashboard`] and
     /// [`Command::BenchHistoryReport`] (`--html`).
@@ -137,8 +128,7 @@ pub struct Invocation {
     pub resume: bool,
 }
 
-/// Default `--threshold` for `bench-compare` and `bench-history gate`:
-/// 25 % — generous because the CI gate compares quick runs taken
+/// Default `--threshold` for `bench-history gate`: 25 % — generous because the CI gate compares quick runs taken
 /// seconds apart on a shared machine.
 pub const DEFAULT_COMPARE_THRESHOLD: f64 = 0.25;
 
@@ -188,7 +178,6 @@ pub const USAGE: &str = "usage: experiments [--quick] [--out DIR] \
 <fig2|fig3|fig4|fig5|fig6|fig7|headline|regret|rounding|stepsize|aggregation|oracle|fairness|bandwidth|dropout|replicate|all>\n\
        experiments telemetry-report FILE [--require kind1,kind2,...]\n\
        experiments bench [--quick] [--out FILE.json|DIR]  (incl. scale/ kernels: 10k tier quick, +100k/1m paper)\n\
-       experiments bench-compare BASE.json NEW.json [--threshold PCT]\n\
        experiments bench-history append SNAP.json [--history FILE]\n\
        experiments bench-history report [--history FILE] [--html FILE.html]\n\
        experiments bench-history gate NEW.json [--history FILE] [--window K] [--threshold PCT]\n\
@@ -204,7 +193,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation, Stri
     let mut out_dir = PathBuf::from("results");
     let mut command: Option<Command> = None;
     let mut input: Option<PathBuf> = None;
-    let mut input2: Option<PathBuf> = None;
     let mut require: Vec<String> = Vec::new();
     let mut threshold = DEFAULT_COMPARE_THRESHOLD;
     let mut threshold_given = false;
@@ -307,7 +295,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation, Stri
                     "all" => Command::All,
                     "telemetry-report" => Command::TelemetryReport,
                     "bench" => Command::Bench,
-                    "bench-compare" => Command::BenchCompare,
                     "dashboard" => Command::Dashboard,
                     "trace-report" => Command::TraceReport,
                     unknown => return Err(format!("unknown experiment: {unknown}")),
@@ -320,15 +307,11 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation, Stri
                 if matches!(
                     command,
                     Some(Command::TelemetryReport)
-                        | Some(Command::BenchCompare)
                         | Some(Command::BenchHistoryAppend)
                         | Some(Command::BenchHistoryGate)
                 ) && input.is_none() =>
             {
                 input = Some(PathBuf::from(other));
-            }
-            other if command == Some(Command::BenchCompare) && input2.is_none() => {
-                input2 = Some(PathBuf::from(other));
             }
             other => return Err(format!("unexpected argument: {other}")),
         }
@@ -356,9 +339,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation, Stri
     if command == Command::TelemetryReport && input.is_none() {
         return Err("telemetry-report requires a JSONL run-log file".to_string());
     }
-    if command == Command::BenchCompare && (input.is_none() || input2.is_none()) {
-        return Err("bench-compare requires BASE.json and NEW.json".to_string());
-    }
     if command == Command::BenchHistoryAppend && input.is_none() {
         return Err("bench-history append requires a BENCH.json snapshot".to_string());
     }
@@ -368,8 +348,8 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation, Stri
     if command != Command::TelemetryReport && !require.is_empty() {
         return Err("--require only applies to telemetry-report".to_string());
     }
-    if threshold_given && !matches!(command, Command::BenchCompare | Command::BenchHistoryGate) {
-        return Err("--threshold only applies to bench-compare and bench-history gate".to_string());
+    if threshold_given && command != Command::BenchHistoryGate {
+        return Err("--threshold only applies to bench-history gate".to_string());
     }
     if html.is_some()
         && !matches!(
@@ -395,7 +375,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation, Stri
         out_dir,
         command,
         input,
-        input2,
         inputs,
         require,
         threshold,
@@ -546,33 +525,16 @@ mod tests {
     }
 
     #[test]
-    fn bench_compare_takes_two_snapshots_and_a_threshold() {
-        let inv = parse(args(&["bench-compare", "a.json", "b.json"])).unwrap();
-        assert_eq!(inv.command, Command::BenchCompare);
-        assert_eq!(inv.input, Some(PathBuf::from("a.json")));
-        assert_eq!(inv.input2, Some(PathBuf::from("b.json")));
-        assert_eq!(inv.threshold, DEFAULT_COMPARE_THRESHOLD);
-        let inv = parse(args(&["bench-compare", "a.json", "b.json", "--threshold", "40"])).unwrap();
-        assert!((inv.threshold - 0.40).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bench_compare_rejects_bad_shapes() {
-        assert!(parse(args(&["bench-compare", "a.json"]))
-            .unwrap_err()
-            .contains("requires BASE.json and NEW.json"));
-        assert!(parse(args(&["bench-compare", "a.json", "b.json", "c.json"]))
-            .unwrap_err()
-            .contains("unexpected"));
-        assert!(parse(args(&["bench-compare", "a.json", "b.json", "--threshold", "x"]))
+    fn threshold_rejects_bad_values_and_foreign_commands() {
+        assert!(parse(args(&["bench-history", "gate", "a.json", "--threshold", "x"]))
             .unwrap_err()
             .contains("not a number"));
-        assert!(parse(args(&["bench-compare", "a.json", "b.json", "--threshold", "-5"]))
+        assert!(parse(args(&["bench-history", "gate", "a.json", "--threshold", "-5"]))
             .unwrap_err()
             .contains("positive percentage"));
         assert!(parse(args(&["fig2", "--threshold", "10"]))
             .unwrap_err()
-            .contains("only applies to bench-compare"));
+            .contains("only applies to bench-history gate"));
     }
 
     #[test]
@@ -676,14 +638,11 @@ mod tests {
         assert!(parse(args(&["fig2", "--history", "h.jsonl"]))
             .unwrap_err()
             .contains("only applies to the bench-history actions"));
-        assert!(parse(args(&["bench-compare", "a.json", "b.json", "--history", "h"]))
-            .unwrap_err()
-            .contains("only applies to the bench-history actions"));
-        // --threshold grew a second home; the old rejection still holds
-        // elsewhere, and --html now also serves the trend report.
+        // --threshold belongs to the gate alone, and --html also serves
+        // the trend report.
         assert!(parse(args(&["bench-history", "append", "a.json", "--threshold", "10"]))
             .unwrap_err()
-            .contains("only applies to bench-compare and bench-history gate"));
+            .contains("only applies to bench-history gate"));
         assert!(parse(args(&["bench-history", "gate", "a.json", "--html", "x.html"]))
             .unwrap_err()
             .contains("only applies to dashboard, trace-report, and bench-history report"));
@@ -726,7 +685,6 @@ mod tests {
     fn cache_flags_are_rejected_for_observatory_commands() {
         for cmd in [
             &["bench"][..],
-            &["bench-compare", "a.json", "b.json"],
             &["bench-history", "append", "a.json"],
             &["bench-history", "report"],
             &["bench-history", "gate", "a.json"],

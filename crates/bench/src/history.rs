@@ -17,6 +17,7 @@ use std::io;
 use std::path::Path;
 
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
+use fedl_telemetry::dashboard::{escape, html_page, svg_open};
 
 use crate::perf::{self, BenchSnapshot, CompareReport, KernelStats};
 use crate::timing;
@@ -316,9 +317,9 @@ impl GateReport {
 
 /// Gates `new` against the rolling baseline of its fingerprint:
 /// median of the last `window` compatible entries, compared with the
-/// same noise-aware rule as `bench-compare`
-/// ([`perf::compare`]: regression ⇔ mean slowdown beyond `threshold`
-/// *and* disjoint mean±2σ bands). No compatible history — empty file,
+/// noise-aware rule of [`perf::compare`] (regression ⇔ mean slowdown
+/// beyond `threshold` *and* disjoint mean±2σ bands). No compatible
+/// history — empty file,
 /// corrupt file, new machine, bumped schema — passes with a warning:
 /// a gate that fails on its own cold start would just be deleted.
 pub fn gate(
@@ -374,10 +375,6 @@ fn sanitize_id(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
         .collect()
-}
-
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
 }
 
 /// Groups history entries by fingerprint, preserving first-appearance
@@ -457,11 +454,7 @@ pub fn render_trend_table(history: &BenchHistory, window: usize) -> String {
 /// One kernel's trend chart: mean over entry index as a polyline, the
 /// mean±2σ noise band as a translucent polygon behind it.
 fn trend_chart(id: &str, title: &str, series: &[(f64, f64)]) -> String {
-    let w = M_LEFT + PLOT_W + M_RIGHT;
-    let h = M_TOP + PLOT_H + M_BOTTOM;
-    let mut out = format!(
-        r#"<svg id="{id}" viewBox="0 0 {w} {h}" width="{w}" height="{h}" xmlns="http://www.w3.org/2000/svg">"#
-    );
+    let mut out = svg_open(id, M_LEFT + PLOT_W + M_RIGHT, M_TOP + PLOT_H + M_BOTTOM);
     let finite: Vec<(usize, f64, f64)> = series
         .iter()
         .enumerate()
@@ -595,18 +588,7 @@ pub fn render_trend_html(history: &BenchHistory) -> String {
             ));
         }
     }
-    format!(
-        "<!doctype html><html><head><meta charset=\"utf-8\">\
-         <title>FedL bench history</title><style>\
-         body{{font-family:system-ui,sans-serif;max-width:720px;margin:2rem auto;color:#111}}\
-         h2{{font-size:1rem;margin:1.2rem 0 0.3rem}}\
-         .frame{{fill:none;stroke:#9ca3af;stroke-width:1}}\
-         .tick{{font-size:10px;fill:#6b7280}}\
-         .title{{font-size:11px;fill:#374151}}\
-         .empty{{font-size:12px;fill:#6b7280}}\
-         .warn{{color:#b45309}}\
-         </style></head><body><h1>FedL bench history</h1>{body}</body></html>"
-    )
+    html_page("FedL bench history", "FedL bench history", &body)
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@
 //! * [`timing`] — the measured-iterations micro-benchmark harness used
 //!   by the `benches/` targets (offline replacement for criterion);
 //! * [`perf`] — the `experiments bench` perf-snapshot suite
-//!   (`BENCH.json`) and the `bench-compare` noise-aware regression gate
-//!   (DESIGN.md row **S13**, docs/OBSERVATORY.md);
+//!   (`BENCH.json`) and the noise-aware snapshot comparison the
+//!   history gate applies (DESIGN.md row **S13**, docs/OBSERVATORY.md);
 //! * [`history`] — the `experiments bench-history` longitudinal layer:
 //!   `BENCH_HISTORY.jsonl` snapshot storage, the rolling-baseline
 //!   (median-of-last-K) CI gate, and per-kernel trend reports with

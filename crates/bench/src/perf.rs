@@ -1,5 +1,5 @@
 //! Perf snapshots and cross-run regression gating — the repo's
-//! benchmark trajectory (`experiments bench` / `bench-compare`,
+//! benchmark trajectory (`experiments bench` / `bench-history gate`,
 //! DESIGN.md row **S13**, schema in docs/OBSERVATORY.md).
 //!
 //! [`run_suite`] times a fixed, seeded set of micro- and macro-kernels
@@ -26,7 +26,7 @@ use crate::profile::Profile;
 use crate::timing::{self, measure_with_budget, Measurement};
 
 /// Version of the `BENCH.json` schema. Bump when kernel names, fields,
-/// or measurement semantics change; `bench-compare` refuses to compare
+/// or measurement semantics change; [`compare`] refuses to compare
 /// snapshots across versions. v2 added the `scale/` kernel family
 /// (columnar scheduler passes at the 10k/100k/1M tiers, docs/SCALE.md);
 /// v3 added the `serve/` family (cohort selection through the framed

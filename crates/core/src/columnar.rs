@@ -97,33 +97,10 @@ pub fn scale_context(
     min_participants: usize,
     seed: u64,
 ) -> Option<EpochContext> {
-    let available = now.available_ids();
-    if available.is_empty() {
-        return None;
-    }
-    let k = available.len();
-    let share = min_participants.max(1);
-
-    let mut costs = vec![0.0f64; k];
-    par_zip_chunks(&mut costs, 1, &available, 1, |_, c, id| c[0] = now.cost[id[0]]);
-    let mut volumes = vec![0usize; k];
-    par_zip_chunks(&mut volumes, 1, &available, 1, |_, d, id| {
-        d[0] = now.data_volume[id[0]] as usize;
-    });
-
-    Some(EpochContext {
-        epoch: now.epoch,
-        num_clients: cols.len(),
-        latency_hint: nominal_latency(cols, hint, latency, share, &available),
-        true_latency: nominal_latency(cols, now, latency, share, &available),
-        loss_hint: vec![(10.0f64).ln(); k],
-        available,
-        costs,
-        data_volumes: volumes,
-        remaining_budget,
-        min_participants,
-        seed,
-    })
+    // The whole population is the one-shard case of the distributed
+    // split below: one assembly path, one set of bits.
+    let part = scale_context_part(cols, hint, now, latency, min_participants, 0..cols.len());
+    assemble_context(cols.len(), vec![part], remaining_budget, min_participants, seed)
 }
 
 /// One shard's contribution to an [`EpochContext`] — the unit a
@@ -200,41 +177,36 @@ pub fn scale_context_part(
 /// order (shards delivered out of order).
 pub fn assemble_context(
     num_clients: usize,
-    parts: &[ContextPart],
+    parts: Vec<ContextPart>,
     remaining_budget: f64,
     min_participants: usize,
     seed: u64,
 ) -> Option<EpochContext> {
-    let epoch = parts.first().map_or(0, |p| p.epoch);
-    let mut available = Vec::new();
-    let mut costs = Vec::new();
-    let mut latency_hint = Vec::new();
-    let mut true_latency = Vec::new();
-    let mut data_volumes = Vec::new();
+    let mut parts = parts.into_iter();
+    let mut all = parts.next()?;
     for part in parts {
-        assert_eq!(part.epoch, epoch, "context parts span different epochs");
-        if let (Some(&last), Some(&first)) = (available.last(), part.available.first()) {
+        assert_eq!(part.epoch, all.epoch, "context parts span different epochs");
+        if let (Some(&last), Some(&first)) = (all.available.last(), part.available.first()) {
             assert!(last < first, "context parts delivered out of shard order");
         }
-        available.extend_from_slice(&part.available);
-        costs.extend_from_slice(&part.costs);
-        latency_hint.extend_from_slice(&part.latency_hint);
-        true_latency.extend_from_slice(&part.true_latency);
-        data_volumes.extend_from_slice(&part.data_volumes);
+        all.available.extend(part.available);
+        all.costs.extend(part.costs);
+        all.latency_hint.extend(part.latency_hint);
+        all.true_latency.extend(part.true_latency);
+        all.data_volumes.extend(part.data_volumes);
     }
-    if available.is_empty() {
+    if all.available.is_empty() {
         return None;
     }
-    let k = available.len();
     Some(EpochContext {
-        epoch,
+        epoch: all.epoch,
         num_clients,
-        latency_hint,
-        true_latency,
-        loss_hint: vec![(10.0f64).ln(); k],
-        available,
-        costs,
-        data_volumes,
+        loss_hint: vec![(10.0f64).ln(); all.available.len()],
+        available: all.available,
+        costs: all.costs,
+        data_volumes: all.data_volumes,
+        latency_hint: all.latency_hint,
+        true_latency: all.true_latency,
         remaining_budget,
         min_participants,
         seed,
@@ -335,7 +307,7 @@ mod tests {
                         scale_context_part(&cols, &hint, &now, &latency, 5, shard)
                     })
                     .collect();
-                let got = assemble_context(cols.len(), &parts, 400.0, 5, config.seed).unwrap();
+                let got = assemble_context(cols.len(), parts, 400.0, 5, config.seed).unwrap();
                 assert_eq!(got.available, want.available);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got.costs), bits(&want.costs));

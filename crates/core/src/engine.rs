@@ -1,0 +1,413 @@
+//! The epoch engine: the one owner of paper Alg. 1's loop contract.
+//!
+//! Alg. 1 is a single loop — while `C ≥ 0`: solve (8) → Alg. 2 RDCS →
+//! train → pay → dual update (9). Its drivers (the experiment runner,
+//! the served coordinator, the distributed coordinator, the in-process
+//! reference run) differ only in where the epoch's context comes from
+//! and how the training feedback arrives; the bookkeeping in between
+//! lives here, behind a two-state machine:
+//!
+//! ```text
+//!           select(Some(ctx))                     settle(report)
+//!   idle ──────────────────────────► pending ─────────────────────────► idle
+//!    │   policy.select → sanitize →          charge ledger → policy.observe
+//!    │   floor-n fallback → clamp l_t        → cursor += 1
+//!    └─ select(None): nobody available, the epoch passes, cursor += 1
+//! ```
+//!
+//! Out-of-order calls are typed [`EngineError`]s, never panics, so a
+//! long-running service can refuse a bad request and carry on.
+
+use std::fmt;
+
+use fedl_json::{obj, read_field, ToJson, Value};
+use fedl_sim::{BudgetLedger, EpochReport};
+use fedl_telemetry::Telemetry;
+
+use crate::policy::{EpochContext, SelectionPolicy};
+
+/// Why the engine refused a call.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EngineError {
+    /// `settle` with no selection awaiting its outcome.
+    NothingPending,
+    /// `select` or `snapshot` while `epoch`'s selection awaits its
+    /// outcome.
+    SelectionPending {
+        /// The open epoch.
+        epoch: usize,
+    },
+    /// `select` after the budget ran out (Alg. 1's `while C ≥ 0` ended).
+    Exhausted,
+    /// A checkpoint payload does not hold valid engine fields.
+    Schema(fedl_json::Error),
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::NothingPending => write!(f, "no selection is awaiting an outcome"),
+            EngineError::SelectionPending { epoch } => {
+                write!(f, "epoch {epoch} is selected and awaiting its outcome")
+            }
+            EngineError::Exhausted => write!(f, "the budget is exhausted"),
+            EngineError::Schema(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<fedl_json::Error> for EngineError {
+    fn from(e: fedl_json::Error) -> Self {
+        EngineError::Schema(e)
+    }
+}
+
+/// Post-selection hygiene for a raw policy decision: drop ids outside
+/// the availability set, sort, dedup, fall back to the floor-`n` first
+/// available clients when nothing survives, and clamp `l_t` to
+/// `1..=50`. Policy bugs must not crash a driver; the per-policy tests
+/// assert they don't happen.
+pub fn sanitize_decision(
+    ctx: &EpochContext,
+    mut cohort: Vec<usize>,
+    iterations: usize,
+) -> (Vec<usize>, usize) {
+    cohort.retain(|id| ctx.available.contains(id));
+    cohort.sort_unstable();
+    cohort.dedup();
+    if cohort.is_empty() {
+        cohort = ctx.available.iter().copied().take(ctx.effective_n()).collect();
+    }
+    (cohort, iterations.clamp(1, 50))
+}
+
+/// What [`EpochEngine::select`] committed to, held until
+/// [`EpochEngine::settle`] closes the epoch.
+#[derive(Debug, Clone)]
+pub struct PendingEpoch {
+    /// The context the policy selected under.
+    pub ctx: EpochContext,
+    /// The sanitized cohort.
+    pub cohort: Vec<usize>,
+    /// The clamped iteration count `l_t`.
+    pub iterations: usize,
+}
+
+/// Policy + budget ledger + epoch cursor + pending selection: the state
+/// Alg. 1 threads through its loop, and the only code that charges the
+/// ledger or calls the policy.
+pub struct EpochEngine {
+    policy: Box<dyn SelectionPolicy>,
+    ledger: BudgetLedger,
+    /// Kept so a restored ledger reports through the same handle.
+    telemetry: Telemetry,
+    next_epoch: usize,
+    pending: Option<PendingEpoch>,
+}
+
+impl EpochEngine {
+    /// An engine at epoch 0 driving `policy` against budget `C`.
+    ///
+    /// # Panics
+    /// Panics on a non-positive budget, like [`BudgetLedger::new`].
+    pub fn new(policy: Box<dyn SelectionPolicy>, budget: f64) -> Self {
+        let ledger = BudgetLedger::new(budget);
+        Self { policy, ledger, telemetry: Telemetry::disabled(), next_epoch: 0, pending: None }
+    }
+
+    /// Routes the ledger's events and `budget.*` metrics to `telemetry`.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.ledger.set_telemetry(telemetry.clone());
+        self.telemetry = telemetry;
+    }
+
+    /// The policy being driven.
+    pub fn policy(&self) -> &dyn SelectionPolicy {
+        self.policy.as_ref()
+    }
+
+    /// The budget ledger (read-only: only [`Self::settle`] charges it).
+    pub fn ledger(&self) -> &BudgetLedger {
+        &self.ledger
+    }
+
+    /// Remaining long-term budget.
+    pub fn remaining(&self) -> f64 {
+        self.ledger.remaining()
+    }
+
+    /// `true` once the budget is gone (Alg. 1 stops).
+    pub fn exhausted(&self) -> bool {
+        self.ledger.exhausted()
+    }
+
+    /// The epoch the next `select` decides, or the one awaiting `settle`.
+    pub fn next_epoch(&self) -> usize {
+        self.next_epoch
+    }
+
+    /// The selection awaiting its outcome, if any.
+    pub fn pending(&self) -> Option<&PendingEpoch> {
+        self.pending.as_ref()
+    }
+
+    /// Decides the current epoch. `None` means nobody is available: the
+    /// epoch passes untrained and the cursor advances. Otherwise the
+    /// policy selects under `ctx`, the decision is sanitized and held as
+    /// [`Self::pending`]; the returned pair is the cohort and `l_t`.
+    pub fn select(
+        &mut self,
+        ctx: Option<EpochContext>,
+    ) -> Result<Option<(Vec<usize>, usize)>, EngineError> {
+        if let Some(pending) = &self.pending {
+            return Err(EngineError::SelectionPending { epoch: pending.ctx.epoch });
+        }
+        if self.exhausted() {
+            return Err(EngineError::Exhausted);
+        }
+        let Some(ctx) = ctx else {
+            self.next_epoch += 1;
+            return Ok(None);
+        };
+        let decision = self.policy.select(&ctx);
+        let (cohort, iterations) = sanitize_decision(&ctx, decision.cohort, decision.iterations);
+        self.pending = Some(PendingEpoch { ctx, cohort: cohort.clone(), iterations });
+        Ok(Some((cohort, iterations)))
+    }
+
+    /// Closes the pending epoch with its realized outcome: charge the
+    /// ledger, feed the policy, advance the cursor. Returns the context
+    /// the epoch was selected under (for drivers that log estimated
+    /// against realized columns).
+    pub fn settle(&mut self, report: &EpochReport) -> Result<EpochContext, EngineError> {
+        let pending = self.pending.take().ok_or(EngineError::NothingPending)?;
+        self.ledger.charge(report.cost);
+        self.policy.observe(&pending.ctx, report);
+        self.next_epoch += 1;
+        Ok(pending.ctx)
+    }
+
+    /// The three checkpoint fields the engine owns — `next_epoch`,
+    /// `ledger{initial,charges}`, `policy_state` — for the driver to
+    /// place in its payload (docs/CHECKPOINT.md). Refused mid-epoch: a
+    /// pending selection's fractional decision is in no snapshot, so
+    /// only epoch boundaries restore bit-identically.
+    pub fn snapshot(&self) -> Result<[(&'static str, Value); 3], EngineError> {
+        if let Some(pending) = &self.pending {
+            return Err(EngineError::SelectionPending { epoch: pending.ctx.epoch });
+        }
+        let ledger = obj(vec![
+            ("initial", self.ledger.initial().to_json_value()),
+            ("charges", self.ledger.history().to_vec().to_json_value()),
+        ]);
+        Ok([
+            ("next_epoch", self.next_epoch.to_json_value()),
+            ("ledger", ledger),
+            ("policy_state", self.policy.snapshot_state()),
+        ])
+    }
+
+    /// Restores the fields [`Self::snapshot`] wrote from a checkpoint
+    /// `payload` holding them, into an engine built with the same policy
+    /// kind and configuration (the drivers' fingerprints guarantee it).
+    /// After an error the engine may be half-restored: discard it.
+    pub fn restore(&mut self, payload: &Value) -> Result<(), EngineError> {
+        let next_epoch = read_field(payload, "next_epoch")?;
+        let saved = payload.field("ledger")?;
+        let mut ledger =
+            BudgetLedger::restore(read_field(saved, "initial")?, read_field(saved, "charges")?)
+                .map_err(|e| fedl_json::Error::msg(e.to_string()))?;
+        ledger.set_telemetry(self.telemetry.clone());
+        self.policy.restore_state(payload.field("policy_state")?)?;
+        self.ledger = ledger;
+        self.next_epoch = next_epoch;
+        self.pending = None;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::test_util::ctx;
+    use crate::policy::{PolicyKind, SelectionDecision};
+    use crate::FedLConfig;
+
+    /// Answers every epoch with one fixed, possibly broken decision.
+    struct Scripted(SelectionDecision);
+
+    impl SelectionPolicy for Scripted {
+        fn name(&self) -> &'static str {
+            "Scripted"
+        }
+
+        fn select(&mut self, _ctx: &EpochContext) -> SelectionDecision {
+            self.0.clone()
+        }
+    }
+
+    fn scripted(cohort: Vec<usize>, iterations: usize, budget: f64) -> EpochEngine {
+        EpochEngine::new(Box::new(Scripted(SelectionDecision { cohort, iterations })), budget)
+    }
+
+    /// Deterministic feedback for `cohort`, priced from `ctx`.
+    fn report_for(ctx: &EpochContext, cohort: &[usize], iterations: usize) -> EpochReport {
+        let slot = |k: usize| ctx.available.iter().position(|&a| a == k).unwrap();
+        let t = ctx.epoch as f32;
+        EpochReport {
+            epoch: ctx.epoch,
+            cohort: cohort.to_vec(),
+            iterations,
+            latency_secs: iterations as f64,
+            per_client_iter_latency: cohort.iter().map(|&k| ctx.true_latency[slot(k)]).collect(),
+            cost: cohort.iter().map(|&k| ctx.costs[slot(k)]).sum(),
+            eta_hats: cohort.iter().map(|&k| 0.1 + 0.8 / (1.0 + k as f32 + t)).collect(),
+            global_loss_all: 2.0 / (1.0 + ctx.epoch as f64),
+            global_loss_selected: 2.0 / (1.0 + ctx.epoch as f64),
+            grad_dot_delta: cohort.iter().map(|&k| -0.5 / (1.0 + k as f32)).collect(),
+            local_losses: cohort.iter().map(|&k| 2.0 / (1.0 + t + k as f32)).collect(),
+            failed: Vec::new(),
+        }
+    }
+
+    fn settle_pending(engine: &mut EpochEngine) {
+        let p = engine.pending().expect("a selection is pending").clone();
+        engine.settle(&report_for(&p.ctx, &p.cohort, p.iterations)).unwrap();
+    }
+
+    #[test]
+    fn out_of_order_calls_are_typed_errors_never_panics() {
+        let c = ctx(vec![0, 1, 2], vec![1.0, 2.0, 3.0], 4.0, 2);
+        let mut engine = scripted(vec![0, 1], 3, 4.0);
+        let stray = report_for(&c, &[0], 1);
+        assert_eq!(engine.settle(&stray).unwrap_err(), EngineError::NothingPending);
+        assert!(engine.snapshot().is_ok(), "an idle engine snapshots");
+
+        assert_eq!(engine.select(Some(c.clone())).unwrap(), Some((vec![0, 1], 3)));
+        let pending = EngineError::SelectionPending { epoch: 0 };
+        assert_eq!(engine.select(Some(c.clone())).unwrap_err(), pending, "second select");
+        assert_eq!(engine.select(None).unwrap_err(), pending);
+        assert_eq!(engine.snapshot().unwrap_err(), pending, "mid-epoch snapshot");
+
+        settle_pending(&mut engine);
+        assert_eq!((engine.next_epoch(), engine.ledger().epochs()), (1, 1));
+        // Nobody available: the epoch passes and the cursor advances.
+        assert_eq!(engine.select(None).unwrap(), None);
+        assert_eq!(engine.next_epoch(), 2);
+        // The final epoch may overshoot (Alg. 1); after it, the loop ends.
+        engine.select(Some(EpochContext { epoch: 2, ..c.clone() })).unwrap();
+        settle_pending(&mut engine);
+        assert!(engine.exhausted());
+        let after = Some(EpochContext { epoch: 3, ..c });
+        assert_eq!(engine.select(after).unwrap_err(), EngineError::Exhausted);
+    }
+
+    #[test]
+    fn bad_policy_answers_are_sanitized() {
+        // (raw cohort, raw iterations) → (served cohort, served iterations)
+        // over availability {1, 3, 5, 8} with floor n = 2.
+        let cases: [(Vec<usize>, usize, Vec<usize>, usize); 6] = [
+            (vec![5, 1, 1, 9, 3], 4, vec![1, 3, 5], 4),
+            (vec![], 4, vec![1, 3], 4),
+            (vec![0, 2, 9], 4, vec![1, 3], 4),
+            (vec![8, 8, 8], 0, vec![8], 1),
+            (vec![3], 51, vec![3], 50),
+            (vec![5, 3], usize::MAX, vec![3, 5], 50),
+        ];
+        for (raw, raw_iters, want, want_iters) in cases {
+            let c = ctx(vec![1, 3, 5, 8], vec![1.0; 4], 100.0, 2);
+            let mut engine = scripted(raw.clone(), raw_iters, 100.0);
+            let served = engine.select(Some(c)).unwrap().unwrap();
+            assert_eq!(served, (want, want_iters), "raw decision {raw:?} × {raw_iters}");
+        }
+    }
+
+    fn kinds() -> impl Iterator<Item = PolicyKind> {
+        [PolicyKind::Oracle].into_iter().chain(PolicyKind::ALL)
+    }
+    const CLIENTS: usize = 12;
+    const BUDGET: f64 = 1e5;
+    const FLOOR: usize = 3;
+
+    fn engine_for(kind: PolicyKind) -> EpochEngine {
+        EpochEngine::new(kind.build(CLIENTS, BUDGET, FLOOR, FedLConfig::default()), BUDGET)
+    }
+
+    /// Runs `epochs` more epochs over a churning population (a fifth of
+    /// the clients away each epoch, everyone away every seventh),
+    /// returning what each epoch selected.
+    fn drive(engine: &mut EpochEngine, epochs: usize) -> Vec<Option<(Vec<usize>, usize)>> {
+        (0..epochs)
+            .map(|_| {
+                let epoch = engine.next_epoch();
+                let available: Vec<usize> =
+                    (0..CLIENTS).filter(|k| epoch % 7 != 6 && (k + epoch) % 5 != 4).collect();
+                let context = (!available.is_empty()).then(|| {
+                    let costs = available.iter().map(|&k| 1.0 + ((k * 7 + epoch) % 11) as f64);
+                    let mut c = ctx(available.clone(), costs.collect(), engine.remaining(), FLOOR);
+                    c.epoch = epoch;
+                    c.num_clients = CLIENTS;
+                    c
+                });
+                let selected = engine.select(context).unwrap();
+                if selected.is_some() {
+                    settle_pending(engine);
+                }
+                selected
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ledger_is_conserved_and_charged_once_per_trained_epoch() {
+        for kind in kinds() {
+            let mut engine = engine_for(kind);
+            let selections = drive(&mut engine, 30);
+            assert_eq!(engine.next_epoch(), 30, "{kind:?}: skipped epochs advance the cursor too");
+            let trained = selections.iter().flatten().count();
+            assert_eq!(trained, 26, "{kind:?}: every seventh epoch has nobody available");
+            let ledger = engine.ledger();
+            assert_eq!(ledger.epochs(), trained, "{kind:?}: one charge per trained epoch");
+            let charged: f64 = ledger.history().iter().sum();
+            assert_eq!(charged.to_bits(), ledger.spent().to_bits(), "{kind:?}");
+            let remaining = ledger.initial() - charged;
+            assert_eq!(remaining.to_bits(), ledger.remaining().to_bits(), "{kind:?}");
+            for (cohort, iterations) in selections.iter().flatten() {
+                assert!(!cohort.is_empty() && (1..=50).contains(iterations), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_restore_continues_bit_for_bit() {
+        let payload = |engine: &EpochEngine| obj(engine.snapshot().unwrap());
+        for kind in kinds() {
+            let mut uninterrupted = engine_for(kind);
+            let full = drive(&mut uninterrupted, 10);
+
+            let mut first = engine_for(kind);
+            let mut halves = drive(&mut first, 5);
+            let checkpoint = payload(&first);
+            drop(first);
+            let mut second = engine_for(kind);
+            second.restore(&checkpoint).unwrap();
+            assert_eq!(second.next_epoch(), 5);
+            halves.extend(drive(&mut second, 5));
+
+            assert_eq!(halves, full, "{kind:?}: resumed selections diverged");
+            let (resumed, whole) = (payload(&second).to_json(), payload(&uninterrupted).to_json());
+            assert_eq!(resumed, whole, "{kind:?}: resumed engine state diverged");
+
+            // A payload missing a field, or carrying a poisoned ledger,
+            // is a typed refusal.
+            let fields = second.snapshot().unwrap();
+            let partial = obj(fields[..2].to_vec());
+            assert!(matches!(second.restore(&partial), Err(EngineError::Schema(_))));
+            let bad = obj(vec![("initial", Value::Float(BUDGET)), ("charges", vec![-1.0].into())]);
+            let poisoned = obj([fields[0].clone(), ("ledger", bad), fields[2].clone()]);
+            assert!(matches!(second.restore(&poisoned), Err(EngineError::Schema(_))));
+        }
+    }
+}

@@ -10,7 +10,7 @@ use crate::objective::{FracDecision, OneShot};
 use crate::online::{OnlineLearner, StepSizes};
 use crate::policy::{EpochContext, SelectionDecision, SelectionPolicy};
 use crate::regret::RegretTracker;
-use crate::rounding;
+use crate::rounding::{self, RdcsScratch};
 use crate::snapshot;
 
 /// FedL hyper-parameters.
@@ -88,8 +88,13 @@ pub struct FedLPolicy {
     track_regret: bool,
     rng: Xoshiro256pp,
     independent_rounding: bool,
-    /// `(problem, fractional decision)` awaiting the epoch's outcome.
-    pending: Option<(OneShot, FracDecision)>,
+    /// The epoch's problem, rebuilt in place by `select`, read by `observe`.
+    problem: OneShot,
+    /// Rounding scratch and output, reused across epochs (never serialized).
+    rdcs: RdcsScratch,
+    selected: Vec<usize>,
+    /// The fractional decision awaiting the epoch's outcome.
+    pending: Option<FracDecision>,
 }
 
 impl FedLPolicy {
@@ -119,12 +124,21 @@ impl FedLPolicy {
         let prior_x = (min_participants as f64 / num_clients.max(1) as f64).clamp(0.02, 0.5);
         let learner = OnlineLearner::new(num_clients, steps, config.theta, config.rho_max, prior_x)
             .with_fairness(config.fairness_weight);
+        Self::around(learner, num_clients, config.independent_rounding)
+    }
+
+    /// A policy around `learner` with a fresh tracker, rounding stream
+    /// and buffers.
+    fn around(learner: OnlineLearner, num_clients: usize, independent_rounding: bool) -> Self {
         Self {
             learner,
             tracker: RegretTracker::new(num_clients),
             track_regret: true,
             rng: Xoshiro256pp::seed_from_u64(derive_seed(0xFED1, num_clients as u64)),
-            independent_rounding: config.independent_rounding,
+            independent_rounding,
+            problem: OneShot::default(),
+            rdcs: RdcsScratch::new(),
+            selected: Vec::new(),
             pending: None,
         }
     }
@@ -170,14 +184,7 @@ impl FedLPolicy {
                 learner.state().len()
             )));
         }
-        Ok(Self {
-            learner,
-            tracker: RegretTracker::new(num_clients),
-            track_regret: true,
-            rng: Xoshiro256pp::seed_from_u64(derive_seed(0xFED1, num_clients as u64)),
-            independent_rounding: false,
-            pending: None,
-        })
+        Ok(Self::around(learner, num_clients, false))
     }
 }
 
@@ -187,37 +194,35 @@ impl SelectionPolicy for FedLPolicy {
     }
 
     fn select(&mut self, ctx: &EpochContext) -> SelectionDecision {
-        ctx.validate();
-        let problem = self.learner.build_problem(ctx);
-        let frac = self.learner.decide(ctx, &problem);
+        self.learner.build_problem_into(ctx, &mut self.problem);
+        let frac = self.learner.decide(ctx, &self.problem);
 
         // Round the fractional selection (Alg. 2), then repair the
         // constraints rounding cannot preserve (budget heterogeneity).
         let mut x = frac.x.clone();
-        let selected_pos = if self.independent_rounding {
-            rounding::independent(&mut x, &mut self.rng)
+        if self.independent_rounding {
+            self.selected = rounding::independent(&mut x, &mut self.rng);
         } else {
-            rounding::rdcs(&mut x, &mut self.rng)
-        };
-        let mut selected = selected_pos;
+            rounding::rdcs_with(&mut x, &mut self.rng, &mut self.rdcs, &mut self.selected);
+        }
         rounding::repair(
-            &mut selected,
-            &problem.costs,
-            problem.effective_n(),
+            &mut self.selected,
+            &self.problem.costs,
+            self.problem.effective_n(),
             ctx.remaining_budget,
         );
-        let cohort: Vec<usize> = selected.iter().map(|&pos| ctx.available[pos]).collect();
+        let cohort: Vec<usize> = self.selected.iter().map(|&pos| ctx.available[pos]).collect();
         let iterations = frac.iterations();
-        self.pending = Some((problem, frac));
+        self.pending = Some(frac);
         SelectionDecision { cohort, iterations }
     }
 
     fn observe(&mut self, ctx: &EpochContext, report: &EpochReport) {
-        let (problem, frac) = self.pending.take().expect("observe without a preceding select");
+        let frac = self.pending.take().expect("observe without a preceding select");
         if self.track_regret {
-            self.tracker.record(&problem, &frac, report);
+            self.tracker.record(&self.problem, &frac, report);
         }
-        self.learner.observe(ctx, report, &frac, &problem);
+        self.learner.observe(ctx, report, &frac, &self.problem);
     }
 
     fn regret_tracker(&self) -> Option<&RegretTracker> {
@@ -232,13 +237,10 @@ impl SelectionPolicy for FedLPolicy {
     /// the learner), this captures *everything* that feeds future
     /// decisions — learner, regret tracker, the RDCS rounding RNG's
     /// exact stream position, and the rounding mode — so a restored run
-    /// is bit-identical to an uninterrupted one.
-    ///
-    /// # Panics
-    /// Panics when called between a `select` and its `observe`; the
-    /// runner only checkpoints at epoch boundaries.
+    /// is bit-identical to an uninterrupted one. The decision held between
+    /// `select` and `observe` is not captured, which is why
+    /// [`crate::engine::EpochEngine::snapshot`] refuses mid-epoch.
     fn snapshot_state(&self) -> Value {
-        assert!(self.pending.is_none(), "FedL snapshot mid-epoch: select() is awaiting observe()");
         obj(vec![
             ("learner", self.learner.to_json_value()),
             ("tracker", self.tracker.to_json_value()),

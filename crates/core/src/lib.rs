@@ -21,9 +21,11 @@
 //!
 //! [`regret`] implements the paper's §5 accounting (dynamic regret and
 //! dynamic fit against per-epoch hindsight comparators), [`baselines`]
-//! the three comparison policies (FedAvg, FedCS, Pow-d), and [`runner`]
-//! the experiment loop that drives any [`policy::SelectionPolicy`]
-//! against a [`fedl_sim::EdgeEnvironment`] until the budget is gone.
+//! the three comparison policies (FedAvg, FedCS, Pow-d), [`engine`] the
+//! one select → settle state machine every driver of Alg. 1's loop runs
+//! (policy, budget ledger, epoch cursor, checkpoint fields), and
+//! [`runner`] the experiment loop that drives it against a
+//! [`fedl_sim::EdgeEnvironment`] until the budget is gone.
 //!
 //! The runner accepts a [`fedl_telemetry::Telemetry`] handle via
 //! [`runner::ExperimentRunner::with_telemetry`]: an enabled handle
@@ -40,6 +42,7 @@
 
 pub mod baselines;
 pub mod columnar;
+pub mod engine;
 pub mod fedl;
 pub mod objective;
 pub mod online;
@@ -50,6 +53,7 @@ pub mod runner;
 pub mod snapshot;
 pub mod state;
 
+pub use engine::{EngineError, EpochEngine};
 pub use fedl::{FedLConfig, FedLPolicy};
 pub use policy::{EpochContext, PolicyKind, SelectionDecision, SelectionPolicy};
 pub use runner::{ExperimentRunner, ResumeError, RunOutcome, ScenarioConfig, ScenarioError};

@@ -203,6 +203,17 @@ impl PolicyKind {
             PolicyKind::Oracle => "Oracle",
         }
     }
+
+    /// The kind a label names — the inverse of [`Self::label`], ignoring
+    /// case and hyphens (so the CLI spellings `fedl` and `powd` and the
+    /// wire's `FedL` and `Pow-d` all resolve).
+    pub fn from_label(label: &str) -> Option<Self> {
+        let key = |s: &str| s.replace('-', "").to_ascii_lowercase();
+        let want = key(label);
+        [Self::FedL, Self::FedAvg, Self::FedCS, Self::PowD, Self::Oracle]
+            .into_iter()
+            .find(|kind| key(kind.label()) == want)
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +266,16 @@ mod tests {
             let p = kind.build(10, 100.0, 3, FedLConfig::default());
             assert_eq!(p.name(), kind.label());
         }
+    }
+
+    #[test]
+    fn labels_round_trip_in_every_spelling() {
+        for kind in [PolicyKind::Oracle].into_iter().chain(PolicyKind::ALL) {
+            assert_eq!(PolicyKind::from_label(kind.label()), Some(kind));
+            assert_eq!(PolicyKind::from_label(&kind.label().to_lowercase()), Some(kind));
+        }
+        assert_eq!(PolicyKind::from_label("powd"), Some(PolicyKind::PowD));
+        assert_eq!(PolicyKind::from_label("magic"), None);
     }
 
     #[test]

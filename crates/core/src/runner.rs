@@ -17,6 +17,8 @@ use fedl_sim::{BudgetLedger, EdgeEnvironment, EnvConfig, SimError};
 use fedl_store::{content_address, read_envelope, write_envelope, StoreError};
 use fedl_telemetry::Telemetry;
 
+use crate::columnar::scale_context;
+use crate::engine::{EngineError, EpochEngine};
 use crate::fedl::FedLConfig;
 use crate::policy::{EpochContext, PolicyKind, SelectionPolicy};
 
@@ -143,6 +145,12 @@ impl From<ScenarioError> for ResumeError {
 impl From<fedl_json::Error> for ResumeError {
     fn from(e: fedl_json::Error) -> Self {
         ResumeError::Schema(e)
+    }
+}
+
+impl From<EngineError> for ResumeError {
+    fn from(e: EngineError) -> Self {
+        ResumeError::Schema(fedl_json::Error::msg(e.to_string()))
     }
 }
 
@@ -520,8 +528,8 @@ impl RunOutcome {
 pub struct ExperimentRunner {
     scenario: ScenarioConfig,
     env: EdgeEnvironment,
-    policy: Box<dyn SelectionPolicy>,
-    ledger: BudgetLedger,
+    /// Policy, budget ledger, epoch cursor and pending selection.
+    engine: EpochEngine,
     /// Last-known local loss per client (Pow-d hint; ln 10 ≈ the
     /// untrained 10-class loss).
     loss_hints: Vec<f64>,
@@ -533,8 +541,6 @@ pub struct ExperimentRunner {
     records: Vec<EpochRecord>,
     /// Cumulative simulated training time.
     sim_time: f64,
-    /// The next epoch `run()` will execute.
-    next_epoch: usize,
     /// `Some((n, path))` = snapshot to `path` every `n` epochs.
     checkpoint: Option<(usize, PathBuf)>,
     /// Set by [`Self::resume_from`] so `run()` can report the restore.
@@ -572,19 +578,17 @@ impl ExperimentRunner {
         env: EdgeEnvironment,
         policy: Box<dyn SelectionPolicy>,
     ) -> Self {
-        let ledger = BudgetLedger::new(scenario.budget);
+        let engine = EpochEngine::new(policy, scenario.budget);
         let loss_hints = vec![(10.0f64).ln(); scenario.env.num_clients];
         Self {
             scenario,
             env,
-            policy,
-            ledger,
+            engine,
             loss_hints,
             trace: RunTrace::new(),
             telemetry: Telemetry::disabled(),
             records: Vec::new(),
             sim_time: 0.0,
-            next_epoch: 0,
             checkpoint: None,
             restored_from_epoch: None,
         }
@@ -623,20 +627,17 @@ impl ExperimentRunner {
     pub fn save_checkpoint(&self, path: &Path) -> Result<(), StoreError> {
         let trace_events =
             Value::Arr(self.trace.events().iter().map(ToJson::to_json_value).collect());
+        let policy_name = self.engine.policy().name();
+        let [next_epoch, ledger, policy_state] =
+            self.engine.snapshot().expect("`step` settles every epoch it selects");
         let payload = obj(vec![
-            ("fingerprint", Value::Str(Self::fingerprint(&self.scenario, self.policy.name()))),
-            ("policy", Value::from(self.policy.name())),
-            ("next_epoch", self.next_epoch.to_json_value()),
+            ("fingerprint", Value::Str(Self::fingerprint(&self.scenario, policy_name))),
+            ("policy", Value::from(policy_name)),
+            next_epoch,
             ("sim_time", self.sim_time.to_json_value()),
             ("records", self.records.to_json_value()),
             ("loss_hints", self.loss_hints.to_json_value()),
-            (
-                "ledger",
-                obj(vec![
-                    ("initial", self.ledger.initial().to_json_value()),
-                    ("charges", self.ledger.history().to_vec().to_json_value()),
-                ]),
-            ),
+            ledger,
             (
                 "server",
                 obj(vec![
@@ -644,7 +645,7 @@ impl ExperimentRunner {
                     ("j_agg", self.env.server().j_agg().to_json_value()),
                 ]),
             ),
-            ("policy_state", self.policy.snapshot_state()),
+            policy_state,
             ("trace", trace_events),
         ]);
         write_envelope(path, CHECKPOINT_KIND, &payload)?;
@@ -652,7 +653,7 @@ impl ExperimentRunner {
             "checkpoint.saved",
             vec![
                 ("path", Value::Str(path.display().to_string())),
-                ("next_epoch", Value::from(self.next_epoch)),
+                ("next_epoch", Value::from(self.engine.next_epoch())),
             ],
         );
         self.telemetry.counter("checkpoint.saved").incr();
@@ -672,12 +673,12 @@ impl ExperimentRunner {
     ) -> Result<Self, ResumeError> {
         let payload = read_envelope(path, CHECKPOINT_KIND)?;
         let mut runner = Self::try_new(scenario, kind)?;
-        let expected = Self::fingerprint(&runner.scenario, runner.policy.name());
+        let expected = Self::fingerprint(&runner.scenario, runner.engine.policy().name());
         let found: String = read_field(&payload, "fingerprint")?;
         if found != expected {
             return Err(ResumeError::Fingerprint { expected, found });
         }
-        runner.next_epoch = read_field(&payload, "next_epoch")?;
+        runner.engine.restore(&payload)?;
         runner.sim_time = read_field(&payload, "sim_time")?;
         runner.records = read_field(&payload, "records")?;
         runner.loss_hints = read_field(&payload, "loss_hints")?;
@@ -688,21 +689,14 @@ impl ExperimentRunner {
                 runner.scenario.env.num_clients
             ))));
         }
-        let ledger_v = payload.field("ledger")?;
-        runner.ledger = BudgetLedger::restore(
-            read_field(ledger_v, "initial")?,
-            read_field(ledger_v, "charges")?,
-        )
-        .map_err(|e| ResumeError::Scenario(ScenarioError::Env(e)))?;
         let server_v = payload.field("server")?;
         let model: ParamSet = read_field(server_v, "model")?;
         let j_agg: ParamSet = read_field(server_v, "j_agg")?;
         runner.env.server_mut().set_model_params(model);
         runner.env.server_mut().set_j_agg(j_agg);
-        runner.policy.restore_state(payload.field("policy_state")?)?;
         let events: Vec<EpochEvent> = read_field(&payload, "trace")?;
         runner.trace = RunTrace::from_events(events);
-        runner.restored_from_epoch = Some(runner.next_epoch);
+        runner.restored_from_epoch = Some(runner.engine.next_epoch());
         Ok(runner)
     }
 
@@ -713,7 +707,7 @@ impl ExperimentRunner {
     /// and the budget ledger (→ `ledger` events, `budget.*` metrics).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.env.set_telemetry(telemetry.clone());
-        self.ledger.set_telemetry(telemetry.clone());
+        self.engine.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
         self
     }
@@ -730,43 +724,28 @@ impl ExperimentRunner {
 
     /// The policy being driven.
     pub fn policy(&self) -> &dyn SelectionPolicy {
-        self.policy.as_ref()
+        self.engine.policy()
     }
 
+    /// The epoch-`t` decision context from the environment's columns:
+    /// latency estimates from the previous epoch's channel state (epoch
+    /// 0 uses its own), loss hints from each client's last report.
     fn context_for(&self, epoch: usize) -> Option<EpochContext> {
-        let views = self.env.views(epoch);
-        let available: Vec<usize> = views.iter().filter(|v| v.available).map(|v| v.id).collect();
-        if available.is_empty() {
-            return None;
+        let now = self.env.epoch_columns(epoch);
+        let hint = (epoch > 0).then(|| self.env.epoch_columns(epoch - 1));
+        let mut ctx = scale_context(
+            self.env.columns(),
+            hint.as_ref().unwrap_or(&now),
+            &now,
+            self.env.latency_model(),
+            self.engine.remaining(),
+            self.scenario.min_participants,
+            self.scenario.env.seed,
+        )?;
+        for (hint, &k) in ctx.loss_hint.iter_mut().zip(&ctx.available) {
+            *hint = self.loss_hints[k];
         }
-        let costs: Vec<f64> = available.iter().map(|&k| views[k].cost).collect();
-        let data_volumes: Vec<usize> = available.iter().map(|&k| views[k].data_volume).collect();
-        // Latency estimates from the previous epoch's channel state
-        // (epoch 0 uses its own state as the prior), under a nominal
-        // FDMA share of n.
-        let hint_epoch = epoch.saturating_sub(1);
-        let latency_hint = self.env.latency_with_share(
-            hint_epoch,
-            &available,
-            self.scenario.min_participants.max(1),
-        );
-        let loss_hint: Vec<f64> = available.iter().map(|&k| self.loss_hints[k]).collect();
-        // Current-epoch realized latencies: oracle-only 1-lookahead data.
-        let true_latency =
-            self.env.latency_with_share(epoch, &available, self.scenario.min_participants.max(1));
-        Some(EpochContext {
-            epoch,
-            num_clients: self.scenario.env.num_clients,
-            available,
-            costs,
-            data_volumes,
-            latency_hint,
-            loss_hint,
-            true_latency,
-            remaining_budget: self.ledger.remaining(),
-            min_participants: self.scenario.min_participants,
-            seed: self.scenario.env.seed,
-        })
+        Some(ctx)
     }
 
     /// Runs the experiment to budget exhaustion (or the epoch cap) and
@@ -777,7 +756,7 @@ impl ExperimentRunner {
             "run_start",
             vec![
                 ("schema_version", Value::from(fedl_telemetry::RUN_LOG_SCHEMA_VERSION as usize)),
-                ("policy", Value::from(self.policy.name())),
+                ("policy", Value::from(self.engine.policy().name())),
                 ("budget", Value::Float(self.scenario.budget)),
                 ("num_clients", Value::from(self.scenario.env.num_clients)),
                 ("min_participants", Value::from(self.scenario.min_participants)),
@@ -797,7 +776,7 @@ impl ExperimentRunner {
         }
         while self.step() {}
         let outcome = RunOutcome {
-            policy: self.policy.name().to_string(),
+            policy: self.engine.policy().name().to_string(),
             budget: self.scenario.budget,
             epochs: self.records.clone(),
         };
@@ -805,7 +784,7 @@ impl ExperimentRunner {
             "run_end",
             vec![
                 ("epochs", Value::from(outcome.epochs.len())),
-                ("spent", Value::Float(self.ledger.spent())),
+                ("spent", Value::Float(self.engine.ledger().spent())),
                 ("sim_time", Value::Float(outcome.total_sim_time())),
                 ("final_accuracy", Value::Float(outcome.final_accuracy())),
             ],
@@ -823,30 +802,25 @@ impl ExperimentRunner {
     /// boundary and later continue it from a snapshot
     /// ([`Self::save_checkpoint`] / [`Self::resume_from`]).
     pub fn step(&mut self) -> bool {
-        if self.ledger.exhausted() || self.next_epoch >= self.scenario.max_epochs {
+        let epoch = self.engine.next_epoch();
+        if self.engine.exhausted() || epoch >= self.scenario.max_epochs {
             return false;
         }
-        let epoch = self.next_epoch;
         let epoch_span = self.telemetry.span("epoch");
         let select_span = epoch_span.child("select");
-        if let Some(ctx) = self.context_for(epoch) {
-            let mut decision = self.policy.select(&ctx);
-            sanitize_decision(&mut decision.cohort, &ctx.available);
-            if decision.cohort.is_empty() {
-                // Defensive fallback: the floor-n cheapest clients.
-                decision.cohort = ctx.available.iter().copied().take(ctx.effective_n()).collect();
-            }
+        let selected = self
+            .engine
+            .select(self.context_for(epoch))
+            .expect("the engine is idle and within budget between steps");
+        if let Some((cohort, iterations)) = selected {
             drop(select_span);
-            self.emit_select_event(epoch, &decision.cohort);
-            let iterations = decision.iterations.clamp(1, 50);
-            let report =
-                self.env.run_epoch_in(epoch, &decision.cohort, iterations, Some(&epoch_span));
-            self.ledger.charge(report.cost);
-            self.trace.record(&report, self.ledger.remaining());
+            self.emit_select_event(epoch, &cohort);
+            let report = self.env.run_epoch_in(epoch, &cohort, iterations, Some(&epoch_span));
+            let ctx = self.engine.settle(&report).expect("selected above");
+            self.trace.record(&report, self.engine.remaining());
             for (slot, &k) in report.cohort.iter().enumerate() {
                 self.loss_hints[k] = report.local_losses[slot] as f64;
             }
-            self.policy.observe(&ctx, &report);
             self.sim_time += report.latency_secs;
             let evaluate_span = epoch_span.child("evaluate");
             let accuracy = self.env.test_accuracy();
@@ -858,7 +832,7 @@ impl ExperimentRunner {
                 cohort_size: report.cohort.len(),
                 iterations,
                 sim_time: self.sim_time,
-                spent: self.ledger.spent(),
+                spent: self.engine.ledger().spent(),
                 accuracy,
                 test_loss,
                 global_loss: report.global_loss_all,
@@ -870,9 +844,8 @@ impl ExperimentRunner {
             select_span.cancel();
             epoch_span.cancel();
         }
-        self.next_epoch += 1;
         self.maybe_checkpoint();
-        !self.ledger.exhausted() && self.next_epoch < self.scenario.max_epochs
+        !self.engine.exhausted() && self.engine.next_epoch() < self.scenario.max_epochs
     }
 
     /// Saves a snapshot when an interval is configured and the epoch
@@ -885,7 +858,7 @@ impl ExperimentRunner {
         let Some((every, path)) = self.checkpoint.clone() else {
             return;
         };
-        if self.next_epoch % every != 0 {
+        if self.engine.next_epoch() % every != 0 {
             return;
         }
         if let Err(e) = self.save_checkpoint(&path) {
@@ -909,8 +882,9 @@ impl ExperimentRunner {
         if !self.telemetry.enabled() {
             return;
         }
+        let policy = self.engine.policy();
         let estimates: Vec<f64> =
-            cohort.iter().map(|&k| self.policy.client_estimate(k).unwrap_or(f64::NAN)).collect();
+            cohort.iter().map(|&k| policy.client_estimate(k).unwrap_or(f64::NAN)).collect();
         self.telemetry.emit(
             "select",
             vec![
@@ -949,7 +923,8 @@ impl ExperimentRunner {
                     .map_or(f64::NAN, |slot| ctx.latency_hint[slot])
             })
             .collect();
-        let (regret, fit) = self.policy.regret_tracker().map_or((f64::NAN, f64::NAN), |t| {
+        let tracker = self.engine.policy().regret_tracker();
+        let (regret, fit) = tracker.map_or((f64::NAN, f64::NAN), |t| {
             (
                 t.cumulative_regret().last().copied().unwrap_or(f64::NAN),
                 t.fit().last().copied().unwrap_or(f64::NAN),
@@ -964,7 +939,7 @@ impl ExperimentRunner {
                 ("failed", report.failed.clone().to_json_value()),
                 ("iterations", Value::from(iterations)),
                 ("cost", Value::Float(report.cost)),
-                ("budget_remaining", Value::Float(self.ledger.remaining())),
+                ("budget_remaining", Value::Float(self.engine.remaining())),
                 ("latency_secs", Value::Float(report.latency_secs)),
                 ("est_iter_latency", est_latency.to_json_value()),
                 ("realized_iter_latency", report.per_client_iter_latency.clone().to_json_value()),
@@ -979,14 +954,6 @@ impl ExperimentRunner {
         self.telemetry.gauge("run.accuracy").set(accuracy);
         self.telemetry.histogram("run.epoch_cost").record(report.cost);
     }
-}
-
-/// Drops out-of-availability ids and duplicates (policy bugs must not
-/// crash the simulator; the per-policy tests assert they don't happen).
-fn sanitize_decision(cohort: &mut Vec<usize>, available: &[usize]) {
-    cohort.retain(|id| available.contains(id));
-    cohort.sort_unstable();
-    cohort.dedup();
 }
 
 #[cfg(test)]
@@ -1082,13 +1049,6 @@ mod tests {
         let mut s = ScenarioConfig::small_fmnist_cnn(4, 50.0, 2);
         s.dim_override = Some(64); // contradicts the (1,16,16) shape
         let _ = s.build_env();
-    }
-
-    #[test]
-    fn sanitize_removes_bad_ids() {
-        let mut cohort = vec![5, 1, 1, 9, 3];
-        sanitize_decision(&mut cohort, &[1, 3, 5]);
-        assert_eq!(cohort, vec![1, 3, 5]);
     }
 
     #[test]

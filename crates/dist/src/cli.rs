@@ -2,23 +2,24 @@
 //! `experiments dist-worker` (the bench binary routes both subcommands
 //! here; see docs/DIST.md for usage).
 
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
-use fedl_serve::cli::parse_policy;
+use fedl_serve::cli::{
+    bind, connect, flag_value, parse_value, parse_with, serve_listener, write_selections,
+};
 use fedl_serve::proto::{
     decode_frame_traced, encode_frame, encode_frame_traced, Message, ProtocolError,
     PROTOCOL_VERSION,
 };
+use fedl_serve::reference_run;
 use fedl_serve::transport::{FrameTransport, TcpTransport};
-use fedl_serve::{reference_run, SelectionRecord, ServeConfig, ServeExit};
 use fedl_telemetry::Telemetry;
 
 use crate::coordinator::{Coordinator, DistOptions, ShardWorker, WorkerLink};
 use crate::shard::shard_ranges;
-use crate::worker::{run_worker, WorkerState};
+use crate::worker::WorkerState;
 
 /// Usage text for both subcommands.
 pub const USAGE: &str = "\
@@ -62,146 +63,36 @@ dist-worker options:
   --io-timeout SECS       per-call socket deadline (default: none)
 ";
 
+/// The serve-family flags (scenario, I/O, `--addr`, `--shutdown`, …)
+/// plus the dist coordinator's own.
 #[derive(Debug)]
 struct Parsed {
-    config: ServeConfig,
-    // dist
+    shared: fedl_serve::cli::Parsed,
     workers: usize,
     worker_addrs: Vec<String>,
-    epochs: usize,
-    out: Option<PathBuf>,
-    verify_reference: bool,
-    io_timeout: Option<Duration>,
     max_resets: usize,
-    telemetry: Option<PathBuf>,
-    shutdown_remote: bool,
     stats_addr: Option<String>,
     stats_port_file: Option<PathBuf>,
-    // dist-worker
-    addr: Option<String>,
-    port_file: Option<PathBuf>,
-    checkpoint: Option<PathBuf>,
-    resume: bool,
 }
 
 fn parse(args: &[String], default_timeout: Option<Duration>) -> Result<Parsed, String> {
-    let mut clients = 100usize;
-    let mut seed = 7u64;
-    let mut budget = 500.0f64;
-    let mut min_participants = 3usize;
-    let mut policy = fedl_core::policy::PolicyKind::FedL;
     let mut workers = 2usize;
     let mut worker_addrs = Vec::new();
-    let mut epochs = 10usize;
-    let mut out = None;
-    let mut verify_reference = false;
-    let mut io_timeout = default_timeout;
     let mut max_resets = 2usize;
-    let mut telemetry = None;
-    let mut shutdown_remote = false;
     let mut stats_addr = None;
     let mut stats_port_file = None;
-    let mut addr = None;
-    let mut port_file = None;
-    let mut checkpoint = None;
-    let mut resume = false;
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--clients" => {
-                clients = value("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?
-            }
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--budget" => {
-                budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?
-            }
-            "--min-participants" => {
-                min_participants = value("--min-participants")?
-                    .parse()
-                    .map_err(|e| format!("--min-participants: {e}"))?
-            }
-            "--policy" => policy = parse_policy(value("--policy")?)?,
-            "--workers" => {
-                workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?
-            }
-            "--worker-addr" => worker_addrs.push(value("--worker-addr")?.clone()),
-            "--epochs" => {
-                epochs = value("--epochs")?.parse().map_err(|e| format!("--epochs: {e}"))?
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--verify-reference" => verify_reference = true,
-            "--io-timeout" => {
-                let secs: f64 =
-                    value("--io-timeout")?.parse().map_err(|e| format!("--io-timeout: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--io-timeout must be a positive number of seconds".into());
-                }
-                io_timeout = Some(Duration::from_secs_f64(secs));
-            }
-            "--max-resets" => {
-                max_resets =
-                    value("--max-resets")?.parse().map_err(|e| format!("--max-resets: {e}"))?
-            }
-            "--telemetry" => telemetry = Some(PathBuf::from(value("--telemetry")?)),
-            "--shutdown" => shutdown_remote = true,
-            "--stats-addr" => stats_addr = Some(value("--stats-addr")?.clone()),
-            "--stats-port-file" => {
-                stats_port_file = Some(PathBuf::from(value("--stats-port-file")?))
-            }
-            "--addr" => addr = Some(value("--addr")?.clone()),
-            "--port-file" => port_file = Some(PathBuf::from(value("--port-file")?)),
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
-            "--resume" => resume = true,
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
+    let shared = parse_with(args, USAGE, default_timeout, |flag, rest| {
+        match flag {
+            "--workers" => workers = parse_value(flag, rest)?,
+            "--worker-addr" => worker_addrs.push(flag_value(flag, rest)?.clone()),
+            "--max-resets" => max_resets = parse_value(flag, rest)?,
+            "--stats-addr" => stats_addr = Some(flag_value(flag, rest)?.clone()),
+            "--stats-port-file" => stats_port_file = Some(PathBuf::from(flag_value(flag, rest)?)),
+            _ => return Ok(false),
         }
-    }
-    if clients == 0 {
-        return Err("--clients must be positive".into());
-    }
-    Ok(Parsed {
-        config: ServeConfig::new(clients, seed, budget, min_participants, policy),
-        workers,
-        worker_addrs,
-        epochs,
-        out,
-        verify_reference,
-        io_timeout,
-        max_resets,
-        telemetry,
-        shutdown_remote,
-        stats_addr,
-        stats_port_file,
-        addr,
-        port_file,
-        checkpoint,
-        resume,
-    })
-}
-
-fn open_telemetry(path: &Option<PathBuf>) -> Result<Telemetry, String> {
-    match path {
-        Some(path) => Telemetry::to_file(path)
-            .map_err(|e| format!("cannot open telemetry log {}: {e}", path.display())),
-        None => Ok(Telemetry::disabled()),
-    }
-}
-
-fn connect_retry(addr: &str, attempts: usize) -> Result<TcpStream, String> {
-    let mut last = String::new();
-    for _ in 0..attempts.max(1) {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                last = e.to_string();
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-    Err(format!("cannot connect to {addr} after {attempts} attempts: {last}"))
+        Ok(true)
+    })?;
+    Ok(Parsed { shared, workers, worker_addrs, max_resets, stats_addr, stats_port_file })
 }
 
 /// Shared TCP half of both worker link kinds. Frames pass through the
@@ -317,7 +208,7 @@ impl ProcessWorker {
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        let stream = connect_retry(&format!("127.0.0.1:{port}"), 50)?;
+        let stream = connect(&format!("127.0.0.1:{port}"), 50)?;
         self.link.transport = Some(TcpTransport::with_timeout(stream, self.io_timeout));
         Ok(())
     }
@@ -382,7 +273,7 @@ impl WorkerLink for RemoteWorker {
 
     fn reset(&mut self) -> Result<(), String> {
         self.link.transport = None;
-        let stream = connect_retry(&self.addr, 50)?;
+        let stream = connect(&self.addr, 50)?;
         self.link.transport = Some(TcpTransport::with_timeout(stream, self.io_timeout));
         Ok(())
     }
@@ -405,14 +296,7 @@ fn start_stats_listener(
     port_file: Option<&Path>,
     telemetry: Telemetry,
 ) -> Result<(), String> {
-    let listener =
-        TcpListener::bind(addr).map_err(|e| format!("cannot bind stats listener {addr}: {e}"))?;
-    let local = listener.local_addr().map_err(|e| e.to_string())?;
-    if let Some(port_file) = port_file {
-        fedl_store::write_atomic(port_file, &local.port().to_string())
-            .map_err(|e| format!("cannot write {}: {e}", port_file.display()))?;
-    }
-    eprintln!("fedl-dist stats: listening on {local}");
+    let listener = bind("fedl-dist stats", addr, port_file)?;
     std::thread::spawn(move || {
         for incoming in listener.incoming() {
             let Ok(stream) = incoming else { continue };
@@ -442,16 +326,6 @@ fn start_stats_listener(
     Ok(())
 }
 
-fn write_selections(path: &Path, records: &[SelectionRecord]) -> Result<(), String> {
-    let mut text = String::new();
-    for record in records {
-        text.push_str(&record.to_json_line());
-        text.push('\n');
-    }
-    fedl_store::write_atomic(path, &text)
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
 /// `experiments dist`: spawn/connect the workers, shard the population,
 /// drive the distributed epoch loop, and (optionally) verify the
 /// outcome against the in-process reference. `--workers 0` with no
@@ -459,31 +333,31 @@ fn write_selections(path: &Path, records: &[SelectionRecord]) -> Result<(), Stri
 /// `--out` artifact — the comparison base for the `dist` CI stage.
 pub fn run_dist(args: &[String]) -> Result<(), String> {
     let parsed = parse(args, Some(Duration::from_secs(30)))?;
-    let telemetry = open_telemetry(&parsed.telemetry)?;
+    let telemetry = parsed.shared.open_telemetry()?;
     if let Some(stats_addr) = &parsed.stats_addr {
         start_stats_listener(stats_addr, parsed.stats_port_file.as_deref(), telemetry.clone())?;
     }
     let total = parsed.workers + parsed.worker_addrs.len();
     if total == 0 {
-        let records = reference_run(&parsed.config, parsed.epochs);
+        let records = reference_run(&parsed.shared.config, parsed.shared.epochs);
         println!(
             "dist reference: {} epochs over {} clients (single process)",
             records.len(),
-            parsed.config.env.num_clients,
+            parsed.shared.config.env.num_clients,
         );
-        if let Some(out) = &parsed.out {
+        if let Some(out) = &parsed.shared.out {
             write_selections(out, &records)?;
             println!("wrote selections: {}", out.display());
         }
         return Ok(());
     }
-    if total > parsed.config.env.num_clients {
+    if total > parsed.shared.config.env.num_clients {
         return Err(format!(
             "{total} workers for {} clients: every shard must own at least one client",
-            parsed.config.env.num_clients
+            parsed.shared.config.env.num_clients
         ));
     }
-    let shards = shard_ranges(parsed.config.env.num_clients, total);
+    let shards = shard_ranges(parsed.shared.config.env.num_clients, total);
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate this binary: {e}"))?;
     let scratch = std::env::temp_dir().join(format!("fedl-dist-{}", std::process::id()));
     std::fs::create_dir_all(&scratch)
@@ -491,26 +365,28 @@ pub fn run_dist(args: &[String]) -> Result<(), String> {
     let mut workers: Vec<ShardWorker> = Vec::with_capacity(total);
     for (i, shard) in shards.iter().enumerate() {
         let link: Box<dyn WorkerLink> = if i < parsed.workers {
-            let worker_log = parsed.telemetry.as_deref().map(|base| worker_telemetry_path(base, i));
+            let worker_log =
+                parsed.shared.telemetry.as_deref().map(|base| worker_telemetry_path(base, i));
             Box::new(ProcessWorker::spawn(
                 exe.clone(),
                 scratch.clone(),
                 i,
-                parsed.io_timeout,
+                parsed.shared.io_timeout,
                 worker_log,
                 telemetry.clone(),
             )?)
         } else {
             let addr = parsed.worker_addrs[i - parsed.workers].clone();
-            Box::new(RemoteWorker::connect(addr, parsed.io_timeout, telemetry.clone())?)
+            Box::new(RemoteWorker::connect(addr, parsed.shared.io_timeout, telemetry.clone())?)
         };
         workers.push(ShardWorker { shard: shard.clone(), link });
     }
-    let mut coordinator = Coordinator::new(parsed.config.clone(), workers, telemetry.clone())?;
-    let opts = DistOptions { epochs: parsed.epochs, max_resets: parsed.max_resets };
+    let mut coordinator =
+        Coordinator::new(parsed.shared.config.clone(), workers, telemetry.clone())?;
+    let opts = DistOptions { epochs: parsed.shared.epochs, max_resets: parsed.max_resets };
     let report = coordinator.run(&opts)?;
     for i in 0..total {
-        if i < parsed.workers || parsed.shutdown_remote {
+        if i < parsed.workers || parsed.shared.shutdown {
             coordinator.shutdown_worker(i);
         }
     }
@@ -527,12 +403,12 @@ pub fn run_dist(args: &[String]) -> Result<(), String> {
         report.recoveries,
         if report.done { " (budget exhausted)" } else { "" },
     );
-    if let Some(out) = &parsed.out {
+    if let Some(out) = &parsed.shared.out {
         write_selections(out, &report.selections)?;
         println!("wrote selections: {}", out.display());
     }
-    if parsed.verify_reference {
-        let reference = reference_run(&parsed.config, parsed.epochs);
+    if parsed.shared.verify_reference {
+        let reference = reference_run(&parsed.shared.config, parsed.shared.epochs);
         if report.selections != reference {
             return Err(format!(
                 "distributed selections diverge from the in-process reference \
@@ -548,49 +424,34 @@ pub fn run_dist(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+const WORKER: &str = "fedl-dist worker";
+
 /// `experiments dist-worker`: bind, publish the port, then serve shard
 /// requests over sequential connections until a `Shutdown` arrives.
 pub fn run_dist_worker(args: &[String]) -> Result<(), String> {
     let parsed = parse(args, None)?;
-    let addr = parsed.addr.ok_or_else(|| format!("--addr is required\n\n{USAGE}"))?;
-    let telemetry = open_telemetry(&parsed.telemetry)?;
-    let mut state = if parsed.resume {
+    let addr = parsed.shared.addr()?;
+    let telemetry = parsed.shared.open_telemetry()?;
+    let mut state = if parsed.shared.resume {
         let path = parsed
+            .shared
             .checkpoint
             .as_deref()
             .ok_or_else(|| "--resume requires --checkpoint FILE".to_string())?;
         WorkerState::resume(telemetry, path)?
     } else {
         let state = WorkerState::new(telemetry);
-        match &parsed.checkpoint {
+        match &parsed.shared.checkpoint {
             Some(path) => state.with_checkpoint(path),
             None => state,
         }
     };
-    let listener = TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    let local = listener.local_addr().map_err(|e| e.to_string())?;
-    if let Some(port_file) = &parsed.port_file {
-        fedl_store::write_atomic(port_file, &local.port().to_string())
-            .map_err(|e| format!("cannot write {}: {e}", port_file.display()))?;
-    }
-    eprintln!("fedl-dist worker: listening on {local}");
-    for incoming in listener.incoming() {
-        let stream = incoming.map_err(|e| format!("accept failed: {e}"))?;
-        let mut transport = TcpTransport::with_timeout(stream, parsed.io_timeout);
-        match run_worker(&mut transport, &mut state) {
-            Ok(ServeExit::Shutdown) => {
-                eprintln!("fedl-dist worker: shutdown");
-                return Ok(());
-            }
-            Ok(ServeExit::PeerClosed) => continue,
-            Err(err) => {
-                // One desynced connection; the worker is stateless per
-                // request, keep accepting (the coordinator reconnects).
-                eprintln!("fedl-dist worker: connection dropped: {err}");
-                continue;
-            }
-        }
-    }
+    let listener = bind(WORKER, addr, parsed.shared.port_file.as_deref())?;
+    // The worker is stateless per request: a desynced connection is
+    // dropped and the coordinator reconnects.
+    let (handle, malformed) = (WorkerState::handle_frame, WorkerState::note_malformed);
+    serve_listener(WORKER, &listener, parsed.shared.io_timeout, &mut state, handle, malformed)?;
+    eprintln!("{WORKER}: shutdown");
     Ok(())
 }
 
@@ -626,12 +487,12 @@ mod tests {
             Some(Duration::from_secs(30)),
         )
         .unwrap();
-        assert_eq!(p.config.env.num_clients, 40);
-        assert_eq!(p.config.env.seed, 11);
+        assert_eq!(p.shared.config.env.num_clients, 40);
+        assert_eq!(p.shared.config.env.seed, 11);
         assert_eq!(p.workers, 4);
         assert_eq!(p.worker_addrs, vec!["10.0.0.5:4000", "10.0.0.6:4000"]);
-        assert_eq!(p.epochs, 12);
-        assert_eq!(p.io_timeout, Some(Duration::from_secs(5)));
+        assert_eq!(p.shared.epochs, 12);
+        assert_eq!(p.shared.io_timeout, Some(Duration::from_secs(5)));
         assert_eq!(p.max_resets, 3);
     }
 

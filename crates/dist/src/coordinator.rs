@@ -1,12 +1,13 @@
-//! The distributed coordinator: owns the policy, the budget ledger,
-//! and the epoch loop; workers own only their shard of the population.
+//! The distributed coordinator: drives the epoch engine (policy, budget
+//! ledger, cursor) and the gather/merge loop around it; workers own
+//! only their shard of the population.
 //!
 //! Per epoch the coordinator broadcasts [`Message::ShardContext`] to
 //! every worker, concatenates the returned
 //! [`fedl_core::columnar::ContextPart`]s **in fixed shard order**
 //! (contiguous shards + ascending in-shard ids = global ascending
 //! order), and assembles the exact [`EpochContext`](fedl_core::EpochContext) a single process
-//! would build. The policy then selects; the cohort is split back into
+//! would build. The engine then selects; the cohort is split back into
 //! per-shard member lists for [`Message::ShardTrain`], and the returned
 //! per-member feedback columns are concatenated — again in shard order
 //! — before one shared scalar combination
@@ -26,13 +27,12 @@ use std::ops::Range;
 use std::time::Instant;
 
 use fedl_core::columnar::{assemble_context, ContextPart};
-use fedl_core::policy::SelectionPolicy;
+use fedl_core::engine::EpochEngine;
 use fedl_json::Value;
 use fedl_serve::proto::{
-    decode_frame, encode_frame, version_accepted, Message, ProtocolError, Trace, PROTOCOL_VERSION,
+    decode_frame, encode_frame, Message, ProtocolError, Trace, PROTOCOL_VERSION,
 };
-use fedl_serve::{combine_feedback, sanitize_decision, SelectionRecord, ServeConfig};
-use fedl_sim::BudgetLedger;
+use fedl_serve::{combine_feedback, SelectionRecord, ServeConfig};
 use fedl_telemetry::{SpanContext, Telemetry};
 
 use crate::shard::members_in;
@@ -141,8 +141,6 @@ pub struct DistReport {
 pub struct Coordinator {
     config: ServeConfig,
     workers: Vec<ShardWorker>,
-    policy: Box<dyn SelectionPolicy>,
-    ledger: BudgetLedger,
     telemetry: Telemetry,
     max_resets: usize,
     recoveries: usize,
@@ -150,7 +148,7 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Validates the shard layout (contiguous, ascending, covering the
-    /// population exactly) and builds the policy + ledger.
+    /// population exactly).
     pub fn new(
         config: ServeConfig,
         workers: Vec<ShardWorker>,
@@ -176,18 +174,6 @@ impl Coordinator {
                 config.env.num_clients
             ));
         }
-        // `build_untracked`: the regret tracker's hindsight solve costs
-        // more than the epoch itself at 100k+ clients, and the dist
-        // layer never plots regret curves. Selections are bit-identical
-        // to the tracked build's.
-        let policy = config.policy.build_untracked(
-            config.env.num_clients,
-            config.budget,
-            config.min_participants,
-            config.fedl,
-        );
-        let mut ledger = BudgetLedger::new(config.budget);
-        ledger.set_telemetry(telemetry.clone());
         telemetry.emit(
             "dist.start",
             vec![
@@ -200,8 +186,6 @@ impl Coordinator {
         Ok(Self {
             config,
             workers,
-            policy,
-            ledger,
             telemetry,
             max_resets: DistOptions::default().max_resets,
             recoveries: 0,
@@ -234,7 +218,7 @@ impl Coordinator {
         let hello =
             Message::Hello { protocol_version: PROTOCOL_VERSION, node: "fedl-dist".to_string() };
         match self.rpc(i, &hello).map_err(|e| format!("worker {i} handshake: {e}"))? {
-            Message::Hello { protocol_version, .. } if version_accepted(protocol_version) => {}
+            Message::Hello { protocol_version: PROTOCOL_VERSION, .. } => {}
             Message::Hello { protocol_version, .. } => {
                 return Err(format!(
                     "worker {i} speaks protocol v{protocol_version}, this coordinator v{PROTOCOL_VERSION}"
@@ -360,7 +344,8 @@ impl Coordinator {
         result
     }
 
-    /// Drives the distributed epoch loop. The returned selections are
+    /// Drives one distributed run — a fresh epoch engine from epoch 0 —
+    /// for `opts.epochs` epochs. The returned selections are
     /// bit-identical to `fedl_serve::reference_run` over the same
     /// config for any worker count — the tentpole contract, pinned by
     /// the crate's determinism tests and the `dist` CI stage.
@@ -369,12 +354,24 @@ impl Coordinator {
         for i in 0..self.workers.len() {
             self.handshake(i)?;
         }
+        // `build_untracked`: the regret tracker's hindsight solve costs
+        // more than the epoch itself at 100k+ clients, and the dist
+        // layer never plots regret curves. Selections are bit-identical
+        // to the tracked build's.
+        let policy = self.config.policy.build_untracked(
+            self.config.env.num_clients,
+            self.config.budget,
+            self.config.min_participants,
+            self.config.fedl,
+        );
+        let mut engine = EpochEngine::new(policy, self.config.budget);
+        engine.set_telemetry(self.telemetry.clone());
         let num_clients = self.config.env.num_clients;
         let mut records = Vec::with_capacity(opts.epochs);
         let mut done = false;
         let started = Instant::now();
         for epoch in 0..opts.epochs {
-            if self.ledger.exhausted() {
+            if engine.exhausted() {
                 done = true;
                 break;
             }
@@ -395,22 +392,20 @@ impl Coordinator {
             let merge_span = epoch_span.child("dist.merge");
             let ctx = assemble_context(
                 num_clients,
-                &parts,
-                self.ledger.remaining(),
+                parts,
+                engine.remaining(),
                 self.config.min_participants,
                 self.config.env.seed,
             );
             drop(merge_span);
-            let Some(ctx) = ctx else {
+            let selected = engine.select(ctx).map_err(|e| e.to_string())?;
+            let Some((cohort, iterations)) = selected else {
                 // Nobody available anywhere: the epoch passes untrained,
                 // exactly like the reference run.
                 records.push(SelectionRecord { epoch, cohort: Vec::new(), iterations: 0 });
                 self.telemetry.emit("dist.epoch_skipped", vec![("epoch", Value::from(epoch))]);
                 continue;
             };
-            let decision = self.policy.select(&ctx);
-            let (cohort, iterations) =
-                sanitize_decision(&ctx, decision.cohort, decision.iterations);
             let replies =
                 self.gather("dist.train", epoch, parent, &|shard| Message::ShardTrain {
                     epoch,
@@ -444,8 +439,9 @@ impl Coordinator {
                 local_losses,
             );
             drop(merge_span);
-            self.ledger.charge(synth.cost);
-            self.policy.observe(&ctx, &synth.to_report(epoch, &cohort, iterations));
+            engine
+                .settle(&synth.to_report(epoch, &cohort, iterations))
+                .map_err(|e| e.to_string())?;
             self.telemetry.counter("dist.selections").incr();
             self.telemetry.emit(
                 "dist.epoch",
@@ -454,7 +450,7 @@ impl Coordinator {
                     ("cohort_size", Value::from(cohort.len())),
                     ("iterations", Value::from(iterations)),
                     ("cost", Value::Float(synth.cost)),
-                    ("remaining", Value::Float(self.ledger.remaining())),
+                    ("remaining", Value::Float(engine.remaining())),
                 ],
             );
             records.push(SelectionRecord { epoch, cohort, iterations });

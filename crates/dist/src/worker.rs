@@ -21,15 +21,15 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use fedl_core::columnar::{nominal_latency, scale_context_part};
+use fedl_core::policy::PolicyKind;
 use fedl_json::{obj, read_field, Value};
 use fedl_net::{ChannelModel, LatencyModel};
-use fedl_serve::cli::parse_policy;
 use fedl_serve::proto::{
-    decode_frame_traced, encode_frame, encode_frame_traced, version_accepted, Message,
-    ProtocolError, Trace, PROTOCOL_VERSION,
+    answer_hello, decode_frame_traced, encode_frame_traced, Message, ProtocolError, Trace,
+    PROTOCOL_VERSION,
 };
 use fedl_serve::transport::FrameTransport;
-use fedl_serve::{synth_learning_signals, Control, ServeConfig, ServeExit};
+use fedl_serve::{serve_frames, synth_learning_signals, Control, ServeConfig, ServeExit};
 use fedl_sim::{ClientColumns, EpochColumns, EpochRealizeScratch};
 use fedl_store::{read_envelope, write_envelope};
 use fedl_telemetry::Telemetry;
@@ -168,7 +168,7 @@ impl WorkerState {
 
     /// Opens a shard-request span under the coordinator's epoch span
     /// when the request carried a trace context; a missing context
-    /// (v2 peer, tracing disabled) still gets a local span, and a
+    /// (tracing disabled) still gets a local span, and a
     /// malformed one is counted, dropped, and never refuses the
     /// request — trace fields are observability metadata only.
     fn adopt_span(&self, name: &'static str, epoch: usize, trace: Trace) -> fedl_telemetry::Span {
@@ -180,7 +180,7 @@ impl WorkerState {
         span
     }
 
-    fn note_malformed(&mut self, err: &ProtocolError) {
+    pub(crate) fn note_malformed(&mut self, err: &ProtocolError) {
         self.telemetry.counter("dist.worker_malformed_frames").incr();
         self.telemetry.emit(
             "dist.worker_malformed_frame",
@@ -197,20 +197,20 @@ impl WorkerState {
     ///
     /// Besides the `proto.*` wire histograms recorded by the traced
     /// codec, every frame leaves a `dist.worker_frame` event carrying
-    /// its type, sizes, and per-direction codec nanoseconds — the raw
-    /// material for the trace report's wire-time attribution.
+    /// its wire type tag, sizes, and per-direction codec nanoseconds —
+    /// the raw material for the trace report's wire-time attribution.
     pub fn handle_frame(&mut self, frame: &[u8]) -> (Vec<u8>, Control) {
         let (decoded, decode_ns) = decode_frame_traced(frame, &self.telemetry);
         let (reply, control, kind, epoch) = match decoded {
             Ok(msg) => {
-                let kind = type_name(&msg);
+                let kind = msg.type_tag();
                 let epoch = frame_epoch(&msg);
                 let (reply, control) = self.handle_message(msg);
                 (reply, control, kind, epoch)
             }
             Err(err) => {
                 self.note_malformed(&err);
-                (err.to_wire(), Control::Continue, "Malformed", None)
+                (err.to_wire(), Control::Continue, "malformed", None)
             }
         };
         let (bytes, encode_ns) = encode_frame_traced(&reply, &self.telemetry);
@@ -232,18 +232,10 @@ impl WorkerState {
     pub fn handle_message(&mut self, msg: Message) -> (Message, Control) {
         match msg {
             Message::Hello { protocol_version, node: _ } => {
-                if !version_accepted(protocol_version) {
-                    let err =
-                        ProtocolError::Version { ours: PROTOCOL_VERSION, theirs: protocol_version };
-                    return self.refuse(err);
+                match answer_hello(protocol_version, "fedl-dist-worker") {
+                    Ok(hello) => (hello, Control::Continue),
+                    Err(err) => self.refuse(err),
                 }
-                (
-                    Message::Hello {
-                        protocol_version: PROTOCOL_VERSION,
-                        node: "fedl-dist-worker".to_string(),
-                    },
-                    Control::Continue,
-                )
             }
             Message::ShardAssign {
                 clients,
@@ -298,7 +290,7 @@ impl WorkerState {
                 let err = ProtocolError::UnexpectedMessage {
                     detail: format!(
                         "a dist worker serves only shard messages, got {:?}",
-                        type_name(&other)
+                        other.type_tag()
                     ),
                 };
                 self.refuse(err)
@@ -325,9 +317,10 @@ impl WorkerState {
             };
             return self.refuse(err);
         }
-        let policy = match parse_policy(policy) {
-            Ok(kind) => kind,
-            Err(detail) => return self.refuse(ProtocolError::Schema { detail }),
+        let Some(policy) = PolicyKind::from_label(policy) else {
+            return self.refuse(ProtocolError::Schema {
+                detail: format!("unknown policy label {policy:?}"),
+            });
         };
         let config = ServeConfig::new(clients, seed, budget, min_participants, policy);
         let fingerprint = config.fingerprint();
@@ -407,7 +400,7 @@ impl WorkerState {
         );
         // 0-lookahead hints from the previous epoch's realization
         // (epoch 0 hints from its own — re-realized rather than cloned,
-        // identical bits either way), exactly like `select_for_epoch`.
+        // identical bits either way), exactly like `context_for_epoch`.
         a.cols.epoch_columns_partial_into(
             epoch.saturating_sub(1),
             &a.config.env,
@@ -503,28 +496,6 @@ impl WorkerState {
     }
 }
 
-fn type_name(msg: &Message) -> &'static str {
-    match msg {
-        Message::Hello { .. } => "Hello",
-        Message::ClientJoin { .. } => "ClientJoin",
-        Message::ClientLeave { .. } => "ClientLeave",
-        Message::SelectCohort { .. } => "SelectCohort",
-        Message::Cohort { .. } => "Cohort",
-        Message::TrainResult { .. } => "TrainResult",
-        Message::Snapshot { .. } => "Snapshot",
-        Message::Shutdown => "Shutdown",
-        Message::ShardAssign { .. } => "ShardAssign",
-        Message::ShardReady { .. } => "ShardReady",
-        Message::ShardContext { .. } => "ShardContext",
-        Message::ShardContextPart { .. } => "ShardContextPart",
-        Message::ShardTrain { .. } => "ShardTrain",
-        Message::ShardTrainPart { .. } => "ShardTrainPart",
-        Message::Stats => "Stats",
-        Message::StatsSnapshot { .. } => "StatsSnapshot",
-        Message::Error { .. } => "Error",
-    }
-}
-
 /// The epoch a message is about, when it names one — used to tag
 /// per-frame wire events so codec time can be charged to an epoch.
 fn frame_epoch(msg: &Message) -> Option<usize> {
@@ -540,35 +511,18 @@ fn frame_epoch(msg: &Message) -> Option<usize> {
     }
 }
 
-/// Serves one coordinator connection until shutdown, clean close, or a
-/// framing error (reported to the peer best-effort, then surfaced).
+/// Serves one coordinator connection against `state`
+/// ([`fedl_serve::serve_frames`], the server's own connection loop).
 pub fn run_worker(
     transport: &mut dyn FrameTransport,
     state: &mut WorkerState,
 ) -> Result<ServeExit, ProtocolError> {
-    loop {
-        match transport.recv() {
-            Ok(Some(frame)) => {
-                let (reply, control) = state.handle_frame(&frame);
-                transport.send(&reply)?;
-                if control == Control::Shutdown {
-                    return Ok(ServeExit::Shutdown);
-                }
-            }
-            Ok(None) => return Ok(ServeExit::PeerClosed),
-            Err(err) => {
-                state.note_malformed(&err);
-                let _ = transport.send(&encode_frame(&err.to_wire()));
-                return Err(err);
-            }
-        }
-    }
+    serve_frames(transport, state, WorkerState::handle_frame, WorkerState::note_malformed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedl_core::policy::PolicyKind;
 
     fn assign_msg(clients: usize, seed: u64, shard: Range<usize>) -> Message {
         Message::ShardAssign {
@@ -674,12 +628,12 @@ mod tests {
             shard_end: 10,
         });
         expect_code(reply, "schema");
-        // Version skew.
-        let (reply, _) = w.handle_message(Message::Hello {
-            protocol_version: PROTOCOL_VERSION + 1,
-            node: "old".to_string(),
-        });
-        expect_code(reply, "version");
+        // Version skew, either way: no window for older builds.
+        for protocol_version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let (reply, _) =
+                w.handle_message(Message::Hello { protocol_version, node: "skewed".to_string() });
+            expect_code(reply, "version");
+        }
         // Out-of-shard cohort members.
         w.handle_message(assign_msg(20, 7, 0..10));
         let (reply, _) = w.handle_message(Message::ShardTrain {

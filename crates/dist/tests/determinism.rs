@@ -258,15 +258,14 @@ fn unrecoverable_worker_death_is_a_typed_error_not_a_hang() {
     assert!(err.contains("unrecoverable"), "error should say recovery was exhausted: {err}");
 }
 
-/// Simulates a protocol-v2 peer on the wire: outgoing shard requests
-/// lose their trace fields (v2 frames never carry them) and the
-/// worker's hello is rewritten to advertise version 2. Selections must
-/// not notice — tracing is observability metadata, never an input.
-struct V2PeerLink {
+/// Strips the trace fields off every outgoing shard request, as a
+/// sender with tracing off would encode them. Selections must not
+/// notice — tracing is observability metadata, never an input.
+struct UntracedLink {
     inner: ThreadWorker,
 }
 
-impl WorkerLink for V2PeerLink {
+impl WorkerLink for UntracedLink {
     fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
         let stripped = match msg.clone() {
             Message::ShardContext { epoch, .. } => {
@@ -281,10 +280,7 @@ impl WorkerLink for V2PeerLink {
     }
 
     fn recv_reply(&mut self) -> Result<Message, ProtocolError> {
-        match self.inner.recv_reply()? {
-            Message::Hello { node, .. } => Ok(Message::Hello { protocol_version: 2, node }),
-            other => Ok(other),
-        }
+        self.inner.recv_reply()
     }
 
     fn reset(&mut self) -> Result<(), String> {
@@ -293,7 +289,7 @@ impl WorkerLink for V2PeerLink {
 }
 
 #[test]
-fn tracing_and_v2_peers_never_change_a_selection_byte() {
+fn tracing_never_changes_a_selection_byte() {
     let config = config();
     let epochs = 8;
     let reference = to_jsonl(&reference_run(&config, epochs));
@@ -322,12 +318,12 @@ fn tracing_and_v2_peers_never_change_a_selection_byte() {
         "the traced run must actually have emitted epoch spans"
     );
 
-    // A v2 peer that never sees trace fields selects identically too.
+    // Workers that never see trace fields select identically too.
     let workers: Vec<ShardWorker> = shard_ranges(config.env.num_clients, 2)
         .into_iter()
         .map(|shard| ShardWorker {
             shard,
-            link: Box::new(V2PeerLink {
+            link: Box::new(UntracedLink {
                 inner: ThreadWorker::spawn(Box::new(|| WorkerState::new(Telemetry::disabled()))),
             }),
         })
@@ -335,7 +331,7 @@ fn tracing_and_v2_peers_never_change_a_selection_byte() {
     assert_eq!(
         to_jsonl(&run(&config, workers, epochs).selections),
         reference,
-        "a v2 peer (no trace fields on the wire) must select identically"
+        "no trace fields on the wire must select identically"
     );
 }
 

@@ -3,16 +3,17 @@
 //! here; see docs/SERVE.md for usage).
 
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::slice::Iter;
 use std::time::Duration;
 
 use fedl_core::policy::PolicyKind;
 use fedl_json::Value;
 use fedl_telemetry::Telemetry;
 
-use crate::loadgen::{reference_run, run_loadgen, LoadgenOptions};
-use crate::proto::{decode_frame, encode_frame, Message};
-use crate::server::{serve_connection, ServeConfig, ServeExit, ServerState};
+use crate::loadgen::{reference_run, run_loadgen, LoadgenOptions, SelectionRecord};
+use crate::proto::{decode_frame, encode_frame, Message, ProtocolError};
+use crate::server::{serve_frames, Control, ServeConfig, ServeExit, ServerState};
 use crate::transport::{FrameTransport, TcpTransport};
 
 /// Usage text for the serve-family subcommands.
@@ -53,156 +54,181 @@ stats options:
 
 /// Parses a policy label as the serve/loadgen/dist CLIs spell them.
 pub fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "fedl" => Ok(PolicyKind::FedL),
-        "fedavg" => Ok(PolicyKind::FedAvg),
-        "fedcs" => Ok(PolicyKind::FedCS),
-        "powd" | "pow-d" => Ok(PolicyKind::PowD),
-        "oracle" => Ok(PolicyKind::Oracle),
-        other => Err(format!("unknown policy {other:?} (fedl|fedavg|fedcs|powd|oracle)")),
+    PolicyKind::from_label(s)
+        .ok_or_else(|| format!("unknown policy {s:?} (fedl|fedavg|fedcs|powd|oracle)"))
+}
+
+/// The value following `flag`.
+pub fn flag_value<'a>(flag: &str, rest: &mut Iter<'a, String>) -> Result<&'a String, String> {
+    rest.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value following `flag`, parsed.
+pub fn parse_value<T>(flag: &str, rest: &mut Iter<'_, String>) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flag_value(flag, rest)?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The parsed flags of a serve-family subcommand, one field per flag of
+/// the same name. The dist family shares the scenario and I/O flags by
+/// parsing through [`parse_with`] too, so the nodes of a deployment
+/// cannot drift apart on a default.
+#[derive(Debug)]
+#[allow(missing_docs)]
+pub struct Parsed {
+    pub addr: Option<String>,
+    /// The deployment the scenario flags describe.
+    pub config: ServeConfig,
+    pub checkpoint: Option<PathBuf>,
+    pub checkpoint_every: usize,
+    pub resume: bool,
+    pub telemetry: Option<PathBuf>,
+    pub port_file: Option<PathBuf>,
+    pub epochs: usize,
+    pub start_epoch: usize,
+    pub out: Option<PathBuf>,
+    pub verify_reference: bool,
+    pub shutdown: bool,
+    pub connect_retries: usize,
+    pub io_timeout: Option<Duration>,
+    pub json: bool,
+}
+
+impl Parsed {
+    /// The required `--addr`.
+    pub fn addr(&self) -> Result<&str, String> {
+        self.addr.as_deref().ok_or_else(|| "--addr is required".to_string())
+    }
+
+    /// The `--telemetry` run log, or a disabled handle without one.
+    pub fn open_telemetry(&self) -> Result<Telemetry, String> {
+        match &self.telemetry {
+            Some(path) => Telemetry::to_file(path)
+                .map_err(|e| format!("cannot open telemetry log {}: {e}", path.display())),
+            None => Ok(Telemetry::disabled()),
+        }
     }
 }
 
-/// Flags shared by both subcommands plus each side's extras.
-#[derive(Debug)]
-struct Parsed {
-    addr: String,
-    config: ServeConfig,
-    // serve
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
-    resume: bool,
-    telemetry: Option<PathBuf>,
-    port_file: Option<PathBuf>,
-    // loadgen
-    epochs: usize,
-    start_epoch: usize,
-    out: Option<PathBuf>,
-    verify_reference: bool,
-    shutdown: bool,
-    connect_retries: usize,
+/// Parses `args`. `io_timeout` is the subcommand's default deadline;
+/// `extra` is offered every flag this grammar does not know (and the
+/// rest of the arguments, to take a value from) and answers whether it
+/// was the caller's own.
+pub fn parse_with(
+    args: &[String],
+    usage: &str,
     io_timeout: Option<Duration>,
-    // stats
-    json: bool,
-}
-
-fn parse(args: &[String]) -> Result<Parsed, String> {
-    let mut addr = None;
-    let mut clients = 100usize;
-    let mut seed = 7u64;
-    let mut budget = 500.0f64;
-    let mut min_participants = 3usize;
+    mut extra: impl FnMut(&str, &mut Iter<'_, String>) -> Result<bool, String>,
+) -> Result<Parsed, String> {
+    let (mut clients, mut seed, mut budget, mut min_participants) = (100usize, 7u64, 500.0, 3usize);
     let mut policy = PolicyKind::FedL;
-    let mut checkpoint = None;
-    let mut checkpoint_every = 1usize;
-    let mut resume = false;
-    let mut telemetry = None;
-    let mut port_file = None;
-    let mut epochs = 10usize;
-    let mut start_epoch = 0usize;
-    let mut out = None;
-    let mut verify_reference = false;
-    let mut shutdown = false;
-    let mut connect_retries = 50usize;
-    let mut io_timeout = None;
-    let mut json = false;
-
+    let mut p = Parsed {
+        addr: None,
+        config: ServeConfig::new(clients, seed, budget, min_participants, policy),
+        checkpoint: None,
+        checkpoint_every: 1,
+        resume: false,
+        telemetry: None,
+        port_file: None,
+        epochs: 10,
+        start_epoch: 0,
+        out: None,
+        verify_reference: false,
+        shutdown: false,
+        connect_retries: 50,
+        io_timeout,
+        json: false,
+    };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => addr = Some(value("--addr")?.clone()),
-            "--clients" => {
-                clients = value("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?
-            }
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--budget" => {
-                budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?
-            }
-            "--min-participants" => {
-                min_participants = value("--min-participants")?
-                    .parse()
-                    .map_err(|e| format!("--min-participants: {e}"))?
-            }
-            "--policy" => policy = parse_policy(value("--policy")?)?,
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
-            "--checkpoint-every" => {
-                checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
-            }
-            "--resume" => resume = true,
-            "--telemetry" => telemetry = Some(PathBuf::from(value("--telemetry")?)),
-            "--port-file" => port_file = Some(PathBuf::from(value("--port-file")?)),
-            "--epochs" => {
-                epochs = value("--epochs")?.parse().map_err(|e| format!("--epochs: {e}"))?
-            }
-            "--start-epoch" => {
-                start_epoch =
-                    value("--start-epoch")?.parse().map_err(|e| format!("--start-epoch: {e}"))?
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--verify-reference" => verify_reference = true,
-            "--shutdown" => shutdown = true,
-            "--json" => json = true,
-            "--connect-retries" => {
-                connect_retries = value("--connect-retries")?
-                    .parse()
-                    .map_err(|e| format!("--connect-retries: {e}"))?
-            }
+        let flag = flag.as_str();
+        match flag {
+            "--addr" => p.addr = Some(flag_value(flag, &mut it)?.clone()),
+            "--clients" => clients = parse_value(flag, &mut it)?,
+            "--seed" => seed = parse_value(flag, &mut it)?,
+            "--budget" => budget = parse_value(flag, &mut it)?,
+            "--min-participants" => min_participants = parse_value(flag, &mut it)?,
+            "--policy" => policy = parse_policy(flag_value(flag, &mut it)?)?,
+            "--checkpoint" => p.checkpoint = Some(PathBuf::from(flag_value(flag, &mut it)?)),
+            "--checkpoint-every" => p.checkpoint_every = parse_value(flag, &mut it)?,
+            "--resume" => p.resume = true,
+            "--telemetry" => p.telemetry = Some(PathBuf::from(flag_value(flag, &mut it)?)),
+            "--port-file" => p.port_file = Some(PathBuf::from(flag_value(flag, &mut it)?)),
+            "--epochs" => p.epochs = parse_value(flag, &mut it)?,
+            "--start-epoch" => p.start_epoch = parse_value(flag, &mut it)?,
+            "--out" => p.out = Some(PathBuf::from(flag_value(flag, &mut it)?)),
+            "--verify-reference" => p.verify_reference = true,
+            "--shutdown" => p.shutdown = true,
+            "--json" => p.json = true,
+            "--connect-retries" => p.connect_retries = parse_value(flag, &mut it)?,
             "--io-timeout" => {
-                let secs: f64 =
-                    value("--io-timeout")?.parse().map_err(|e| format!("--io-timeout: {e}"))?;
+                let secs: f64 = parse_value(flag, &mut it)?;
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--io-timeout must be a positive number of seconds".into());
                 }
-                io_timeout = Some(Duration::from_secs_f64(secs));
+                p.io_timeout = Some(Duration::from_secs_f64(secs));
             }
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
+            other if extra(other, &mut it)? => {}
+            other => return Err(format!("unknown flag {other:?}\n\n{usage}")),
         }
     }
     if clients == 0 {
         return Err("--clients must be positive".into());
     }
-    Ok(Parsed {
-        addr: addr.ok_or_else(|| format!("--addr is required\n\n{USAGE}"))?,
-        config: ServeConfig::new(clients, seed, budget, min_participants, policy),
-        checkpoint,
-        checkpoint_every,
-        resume,
-        telemetry,
-        port_file,
-        epochs,
-        start_epoch,
-        out,
-        verify_reference,
-        shutdown,
-        connect_retries,
-        io_timeout,
-        json,
-    })
+    p.config = ServeConfig::new(clients, seed, budget, min_participants, policy);
+    Ok(p)
+}
+
+fn parse(args: &[String]) -> Result<Parsed, String> {
+    parse_with(args, USAGE, None, |_, _| Ok(false))
+}
+
+/// Binds `addr` for node `who` and publishes the bound port to
+/// `port_file` — atomically (tmp + rename), so a watcher polling the
+/// path never reads a half-written port number.
+pub fn bind(who: &str, addr: &str, port_file: Option<&Path>) -> Result<TcpListener, String> {
+    let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let local = listener.local_addr().map_err(|e| e.to_string())?;
+    if let Some(port_file) = port_file {
+        fedl_store::write_atomic(port_file, &local.port().to_string())
+            .map_err(|e| format!("cannot write {}: {e}", port_file.display()))?;
+    }
+    eprintln!("{who}: listening on {local}");
+    Ok(listener)
+}
+
+/// Serves `listener`'s connections one after another until one asks for
+/// shutdown. A connection that desyncs is dropped and the next accepted:
+/// the frame-driven state is still consistent, and the peer reconnects.
+pub fn serve_listener<S>(
+    who: &str,
+    listener: &TcpListener,
+    io_timeout: Option<Duration>,
+    state: &mut S,
+    handle: fn(&mut S, &[u8]) -> (Vec<u8>, Control),
+    malformed: fn(&mut S, &ProtocolError),
+) -> Result<(), String> {
+    for incoming in listener.incoming() {
+        let stream = incoming.map_err(|e| format!("accept failed: {e}"))?;
+        let mut transport = TcpTransport::with_timeout(stream, io_timeout);
+        match serve_frames(&mut transport, state, handle, malformed) {
+            Ok(ServeExit::Shutdown) => break,
+            Ok(ServeExit::PeerClosed) => {}
+            Err(err) => eprintln!("{who}: connection dropped: {err}"),
+        }
+    }
+    Ok(())
 }
 
 /// `experiments serve`: bind, (optionally) resume from a checkpoint,
 /// then serve connections until a `Shutdown` message arrives.
 pub fn run_serve(args: &[String]) -> Result<(), String> {
     let parsed = parse(args)?;
-    let telemetry = match &parsed.telemetry {
-        Some(path) => Telemetry::to_file(path)
-            .map_err(|e| format!("cannot open telemetry log {}: {e}", path.display()))?,
-        None => Telemetry::disabled(),
-    };
-    let listener =
-        TcpListener::bind(&parsed.addr).map_err(|e| format!("cannot bind {}: {e}", parsed.addr))?;
-    let local = listener.local_addr().map_err(|e| e.to_string())?;
-    if let Some(port_file) = &parsed.port_file {
-        // Atomic (tmp + rename): a watcher polling the path never reads
-        // a half-written port number.
-        fedl_store::write_atomic(port_file, &local.port().to_string())
-            .map_err(|e| format!("cannot write {}: {e}", port_file.display()))?;
-    }
+    let telemetry = parsed.open_telemetry()?;
+    let listener = bind("fedl-serve", parsed.addr()?, parsed.port_file.as_deref())?;
     let mut state = if parsed.resume {
         let path = parsed
             .checkpoint
@@ -217,37 +243,25 @@ pub fn run_serve(args: &[String]) -> Result<(), String> {
         state = state.with_checkpoint(path, parsed.checkpoint_every);
     }
     eprintln!(
-        "fedl-serve: listening on {local} ({} clients, budget {}, policy {}, epoch {})",
+        "fedl-serve: {} clients, budget {}, policy {}, epoch {}",
         parsed.config.env.num_clients,
         parsed.config.budget,
         parsed.config.policy.label(),
         state.next_epoch(),
     );
-    for incoming in listener.incoming() {
-        let stream = incoming.map_err(|e| format!("accept failed: {e}"))?;
-        let mut transport = TcpTransport::with_timeout(stream, parsed.io_timeout);
-        match serve_connection(&mut transport, &mut state) {
-            Ok(ServeExit::Shutdown) => {
-                eprintln!(
-                    "fedl-serve: shutdown at epoch {} after {} selections",
-                    state.next_epoch(),
-                    state.selections(),
-                );
-                return Ok(());
-            }
-            Ok(ServeExit::PeerClosed) => continue,
-            Err(err) => {
-                // Framing desync on one connection; the server state is
-                // still consistent, keep accepting.
-                eprintln!("fedl-serve: connection dropped: {err}");
-                continue;
-            }
-        }
-    }
+    let (handle, malformed) = (ServerState::handle_frame, ServerState::note_malformed);
+    serve_listener("fedl-serve", &listener, parsed.io_timeout, &mut state, handle, malformed)?;
+    eprintln!(
+        "fedl-serve: shutdown at epoch {} after {} selections",
+        state.next_epoch(),
+        state.selections(),
+    );
     Ok(())
 }
 
-fn connect(addr: &str, retries: usize) -> Result<TcpStream, String> {
+/// Connects to `addr`, retrying every 100 ms up to `retries` times (the
+/// peer may still be binding its listener).
+pub fn connect(addr: &str, retries: usize) -> Result<TcpStream, String> {
     let mut last = String::new();
     for _ in 0..retries.max(1) {
         match TcpStream::connect(addr) {
@@ -261,12 +275,24 @@ fn connect(addr: &str, retries: usize) -> Result<TcpStream, String> {
     Err(format!("cannot connect to {addr} after {retries} attempts: {last}"))
 }
 
+/// Writes selections as JSONL, one line per epoch (the `--out` artifact
+/// the CI stages byte-compare).
+pub fn write_selections(path: &Path, records: &[SelectionRecord]) -> Result<(), String> {
+    let mut text = String::new();
+    for record in records {
+        text.push_str(&record.to_json_line());
+        text.push('\n');
+    }
+    fedl_store::write_atomic(path, &text)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 /// `experiments loadgen`: connect (with retry), replay the population,
 /// report sustained selections/sec, and optionally verify the served
 /// selections against the in-process reference.
 pub fn run_loadgen_cli(args: &[String]) -> Result<(), String> {
     let parsed = parse(args)?;
-    let stream = connect(&parsed.addr, parsed.connect_retries)?;
+    let stream = connect(parsed.addr()?, parsed.connect_retries)?;
     let mut transport = TcpTransport::with_timeout(stream, parsed.io_timeout);
     let opts = LoadgenOptions {
         epochs: parsed.epochs,
@@ -284,12 +310,7 @@ pub fn run_loadgen_cli(args: &[String]) -> Result<(), String> {
         if report.done { " (budget exhausted)" } else { "" },
     );
     if let Some(out) = &parsed.out {
-        let mut text = String::new();
-        for record in &report.selections {
-            text.push_str(&record.to_json_line());
-            text.push('\n');
-        }
-        std::fs::write(out, text).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+        write_selections(out, &report.selections)?;
         println!("wrote selections: {}", out.display());
     }
     if parsed.verify_reference {
@@ -314,7 +335,8 @@ pub fn run_loadgen_cli(args: &[String]) -> Result<(), String> {
 /// restarting or otherwise disturbing it.
 pub fn run_stats(args: &[String]) -> Result<(), String> {
     let parsed = parse(args)?;
-    let stream = connect(&parsed.addr, parsed.connect_retries)?;
+    let addr = parsed.addr()?;
+    let stream = connect(addr, parsed.connect_retries)?;
     let io_timeout = parsed.io_timeout.or(Some(Duration::from_secs(10)));
     let mut transport = TcpTransport::with_timeout(stream, io_timeout);
     transport.send(&encode_frame(&Message::Stats)).map_err(|e| format!("stats: {e}"))?;
@@ -332,7 +354,7 @@ pub fn run_stats(args: &[String]) -> Result<(), String> {
     if parsed.json {
         println!("{}", registry.to_json());
     } else {
-        print!("{}", render_stats(&parsed.addr, &registry));
+        print!("{}", render_stats(addr, &registry));
     }
     Ok(())
 }
@@ -462,7 +484,7 @@ mod tests {
 
     #[test]
     fn missing_addr_and_unknown_flags_are_errors() {
-        assert!(parse(&strs(&["--clients", "10"])).unwrap_err().contains("--addr"));
+        assert!(parse(&strs(&["--clients", "10"])).unwrap().addr().unwrap_err().contains("--addr"));
         assert!(parse(&strs(&["--addr", "x", "--bogus"])).unwrap_err().contains("--bogus"));
         assert!(parse(&strs(&["--addr", "x", "--policy", "magic"]))
             .unwrap_err()

@@ -46,18 +46,20 @@ pub mod proto;
 pub mod server;
 pub mod transport;
 
+/// The post-selection hygiene every driver shares — defined once, in
+/// the epoch engine.
+pub use fedl_core::engine::sanitize_decision;
 pub use loadgen::{
     combine_feedback, reference_run, run_loadgen, synth_learning_signals, synth_train_result,
     LoadgenOptions, LoadgenReport, SelectionRecord,
 };
 pub use proto::{
-    decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, version_accepted,
-    Message, ProtocolError, Trace, FRAME_KIND, MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    answer_hello, decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, Message,
+    ProtocolError, Trace, FRAME_KIND, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{
-    sanitize_decision, select_for_epoch, serve_connection, Control, ServeConfig, ServeError,
-    ServeExit, ServerState, SERVE_CHECKPOINT_KIND, SERVE_SNAPSHOT_SCHEMA_VERSION,
+    context_for_epoch, serve_connection, serve_frames, Control, ServeConfig, ServeError, ServeExit,
+    ServerState, SERVE_CHECKPOINT_KIND, SERVE_SNAPSHOT_SCHEMA_VERSION,
 };
 pub use transport::{
     read_frame, write_frame, DuplexTransport, FrameTransport, InProcessTransport, TcpTransport,

@@ -16,15 +16,15 @@
 use std::time::Instant;
 
 use fedl_core::columnar::nominal_latency;
+use fedl_core::engine::EpochEngine;
 use fedl_json::{obj, Value};
 use fedl_linalg::par::det_sum;
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_net::{ChannelModel, LatencyModel};
-use fedl_sim::{BudgetLedger, ClientColumns, EpochReport};
-use fedl_telemetry::Telemetry;
+use fedl_sim::{ClientColumns, EpochReport};
 
 use crate::proto::{decode_frame, encode_frame, Message, ProtocolError, PROTOCOL_VERSION};
-use crate::server::{select_for_epoch, ServeConfig};
+use crate::server::{context_for_epoch, ServeConfig};
 use crate::transport::FrameTransport;
 
 /// One served (or reference) selection, the unit the determinism
@@ -250,6 +250,16 @@ fn rpc(transport: &mut dyn FrameTransport, msg: &Message) -> Result<Message, Pro
     }
 }
 
+/// The server's `Snapshot` acknowledgement of a `what` request.
+fn expect_ack(reply: Message, what: &str) -> Result<(), ProtocolError> {
+    match reply {
+        Message::Snapshot { .. } => Ok(()),
+        other => Err(ProtocolError::UnexpectedMessage {
+            detail: format!("expected Snapshot {what} ack, got {other:?}"),
+        }),
+    }
+}
+
 /// Replays the scenario's client population against a server:
 /// handshake, join everyone, then drive `opts.epochs` selection epochs
 /// with deterministic synthetic training feedback.
@@ -262,8 +272,7 @@ pub fn run_loadgen(
         transport,
         &Message::Hello { protocol_version: PROTOCOL_VERSION, node: "loadgen".to_string() },
     )? {
-        Message::Hello { protocol_version, .. }
-            if crate::proto::version_accepted(protocol_version) => {}
+        Message::Hello { protocol_version: PROTOCOL_VERSION, .. } => {}
         Message::Hello { protocol_version, .. } => {
             return Err(ProtocolError::Version { ours: PROTOCOL_VERSION, theirs: protocol_version })
         }
@@ -277,14 +286,7 @@ pub fn run_loadgen(
     let latency = config.latency_model();
     let cols = ClientColumns::build(&config.env, &channel);
     for client in 0..config.env.num_clients {
-        match rpc(transport, &Message::ClientJoin { client })? {
-            Message::Snapshot { .. } => {}
-            other => {
-                return Err(ProtocolError::UnexpectedMessage {
-                    detail: format!("expected Snapshot join ack, got {other:?}"),
-                })
-            }
-        }
+        expect_ack(rpc(transport, &Message::ClientJoin { client })?, "join")?;
     }
     let mut selections = Vec::with_capacity(opts.epochs);
     let mut done = false;
@@ -310,26 +312,12 @@ pub fn run_loadgen(
         }
         let synth =
             synth_train_result(&cols, config, &channel, &latency, epoch, &cohort, iterations);
-        match rpc(transport, &synth.to_message(epoch, &cohort, iterations))? {
-            Message::Snapshot { .. } => {}
-            other => {
-                return Err(ProtocolError::UnexpectedMessage {
-                    detail: format!("expected Snapshot train ack, got {other:?}"),
-                })
-            }
-        }
+        expect_ack(rpc(transport, &synth.to_message(epoch, &cohort, iterations))?, "train")?;
         selections.push(SelectionRecord { epoch, cohort, iterations });
     }
     let elapsed_secs = started.elapsed().as_secs_f64();
     if opts.shutdown {
-        match rpc(transport, &Message::Shutdown)? {
-            Message::Snapshot { .. } => {}
-            other => {
-                return Err(ProtocolError::UnexpectedMessage {
-                    detail: format!("expected Snapshot shutdown ack, got {other:?}"),
-                })
-            }
-        }
+        expect_ack(rpc(transport, &Message::Shutdown)?, "shutdown")?;
     }
     Ok(LoadgenReport { selections, clients: config.env.num_clients, elapsed_secs, done })
 }
@@ -344,37 +332,36 @@ pub fn reference_run(config: &ServeConfig, epochs: usize) -> Vec<SelectionRecord
     let cols = ClientColumns::build(&config.env, &channel);
     // Untracked build: regret accounting never feeds back into
     // selections, and the reference exists only to pin selection bytes.
-    let mut policy = config.policy.build_untracked(
+    let policy = config.policy.build_untracked(
         config.env.num_clients,
         config.budget,
         config.min_participants,
         config.fedl,
     );
-    let mut ledger = BudgetLedger::new(config.budget);
-    ledger.set_telemetry(Telemetry::disabled());
+    let mut engine = EpochEngine::new(policy, config.budget);
     let registered = vec![true; config.env.num_clients];
     let mut records = Vec::with_capacity(epochs);
     for epoch in 0..epochs {
-        if ledger.exhausted() {
+        if engine.exhausted() {
             break;
         }
-        let Some((ctx, cohort, iterations)) = select_for_epoch(
+        let ctx = context_for_epoch(
             &cols,
             config,
             &channel,
             &latency,
             &registered,
-            ledger.remaining(),
-            policy.as_mut(),
+            engine.remaining(),
             epoch,
-        ) else {
+        );
+        let selected = engine.select(ctx).expect("the loop settles every epoch it selects");
+        let Some((cohort, iterations)) = selected else {
             records.push(SelectionRecord { epoch, cohort: Vec::new(), iterations: 0 });
             continue;
         };
         let synth =
             synth_train_result(&cols, config, &channel, &latency, epoch, &cohort, iterations);
-        ledger.charge(synth.cost);
-        policy.observe(&ctx, &synth.to_report(epoch, &cohort, iterations));
+        engine.settle(&synth.to_report(epoch, &cohort, iterations)).expect("selected just above");
         records.push(SelectionRecord { epoch, cohort, iterations });
     }
     records
@@ -386,6 +373,7 @@ mod tests {
     use crate::server::ServerState;
     use crate::transport::InProcessTransport;
     use fedl_core::policy::PolicyKind;
+    use fedl_telemetry::Telemetry;
 
     #[test]
     fn served_selections_match_the_reference_bit_for_bit() {

@@ -19,32 +19,25 @@ use fedl_store::{decode_envelope, encode_envelope, StoreError};
 use fedl_telemetry::{SpanContext, Telemetry};
 
 /// Version of the message schema; both sides send it in [`Message::Hello`]
-/// and refuse peers outside [`MIN_PROTOCOL_VERSION`]`..=`this with
+/// and refuse a peer that advertises any other with
 /// [`ProtocolError::Version`].
 ///
-/// v2 added the `Shard*` message kinds that carry `fedl-dist` shard
-/// assignments and shard partials between a distributed coordinator and
-/// its workers (docs/DIST.md). A v1 peer never sent or accepted those
-/// kinds, so the bump refuses the pairing at the handshake instead of
-/// failing mid-epoch on an unknown message.
-///
-/// v3 added *optional* trace-context fields (`trace_id`/`span_id`) on
-/// the request messages that start remote work
-/// ([`Message::SelectCohort`], [`Message::ShardContext`],
-/// [`Message::ShardTrain`]), the [`Message::Stats`] /
-/// [`Message::StatsSnapshot`] live-metrics pair, and nothing else —
-/// every v2 message still parses unchanged, so v2 peers are accepted
-/// (their requests simply carry no trace context and their spans stay
-/// unlinked; see docs/TELEMETRY.md).
+/// v2 added the `Shard*` message kinds spoken between a `fedl-dist`
+/// coordinator and its workers (docs/DIST.md); v3 added *optional*
+/// trace-context fields (`trace_id`/`span_id`) on the requests that
+/// start remote work and the [`Message::Stats`] /
+/// [`Message::StatsSnapshot`] live-metrics pair. Every node is built
+/// from this repository, so there is no window for older peers; a
+/// request without trace fields is still valid v3 (docs/TELEMETRY.md).
 pub const PROTOCOL_VERSION: u32 = 3;
 
-/// Oldest peer version this build still pairs with. v2 omitted only
-/// additive, optional features, so it remains wire-compatible.
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
-
-/// Whether a peer's advertised version can be served by this build.
-pub fn version_accepted(theirs: u32) -> bool {
-    (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&theirs)
+/// The listening side of the handshake: echoes a [`Message::Hello`]
+/// signed `node` to a peer on our version, refuses any other.
+pub fn answer_hello(theirs: u32, node: &str) -> Result<Message, ProtocolError> {
+    if theirs != PROTOCOL_VERSION {
+        return Err(ProtocolError::Version { ours: PROTOCOL_VERSION, theirs });
+    }
+    Ok(Message::Hello { protocol_version: PROTOCOL_VERSION, node: node.to_string() })
 }
 
 /// Envelope kind tag carried by every frame.
@@ -55,9 +48,9 @@ pub const FRAME_KIND: &str = "serve-msg";
 /// than an allocation request — million-client cohorts fit comfortably.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
-/// Trace context riding on a request message (v3+). Optional on the
-/// wire: both fields present and valid hex parse to
-/// [`Trace::Context`]; both absent (a v2 peer, or tracing disabled) is
+/// Trace context riding on a request message. Optional on the wire:
+/// both fields present and valid hex parse to [`Trace::Context`]; both
+/// absent (tracing disabled, or a sender with nothing to link) is
 /// [`Trace::Absent`]; anything else — one field missing, non-hex
 /// garbage, overlong digits — is [`Trace::Invalid`], which the
 /// receiver counts (`proto.bad_trace_ids`) and otherwise treats as
@@ -106,7 +99,7 @@ impl Trace {
         }
     }
 
-    /// Lenient parse: absence is normal (v2 peer), garbage is
+    /// Lenient parse: absence is normal (tracing off), garbage is
     /// [`Trace::Invalid`], never an error — a bad trace id must not
     /// fail the request it rides on.
     fn decode_from(v: &Value) -> Trace {
@@ -322,7 +315,8 @@ pub enum Message {
 }
 
 impl Message {
-    fn type_tag(&self) -> &'static str {
+    /// The wire `type` tag of this message kind.
+    pub fn type_tag(&self) -> &'static str {
         match self {
             Message::Hello { .. } => "hello",
             Message::ClientJoin { .. } => "client_join",
@@ -895,10 +889,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_messages_without_trace_fields_parse_as_absent() {
-        // A v2 peer encodes select_cohort/shard_context/shard_train
-        // with no trace fields at all — exactly what Trace::Absent
-        // produces, so the old wire form round-trips unchanged.
+    fn messages_without_trace_fields_parse_as_absent() {
+        // A sender with tracing off encodes select_cohort/shard_context/
+        // shard_train with no trace fields at all (`run_loadgen` does) —
+        // exactly what Trace::Absent produces.
         for (tag, extra) in [
             ("select_cohort", vec![]),
             ("shard_context", vec![]),
@@ -907,7 +901,7 @@ mod tests {
             let mut fields = vec![("type", Value::from(tag)), ("epoch", Value::Int(5))];
             fields.extend(extra);
             let text = fedl_store::encode_envelope(FRAME_KIND, &obj(fields));
-            let msg = decode_frame(text.as_bytes()).expect("v2 shape should decode");
+            let msg = decode_frame(text.as_bytes()).expect("untraced shape should decode");
             let trace = match msg {
                 Message::SelectCohort { trace, .. }
                 | Message::ShardContext { trace, .. }
@@ -997,11 +991,16 @@ mod tests {
     }
 
     #[test]
-    fn version_window_accepts_v2_refuses_v1_and_v4() {
-        assert!(version_accepted(PROTOCOL_VERSION));
-        assert!(version_accepted(MIN_PROTOCOL_VERSION));
-        assert!(!version_accepted(MIN_PROTOCOL_VERSION - 1));
-        assert!(!version_accepted(PROTOCOL_VERSION + 1));
+    fn hello_refuses_everything_but_the_current_version() {
+        for theirs in [0, 1, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, u32::MAX] {
+            let err = answer_hello(theirs, "node").unwrap_err();
+            assert_eq!(err, ProtocolError::Version { ours: PROTOCOL_VERSION, theirs });
+        }
+        let hello = answer_hello(PROTOCOL_VERSION, "node").unwrap();
+        assert_eq!(
+            hello,
+            Message::Hello { protocol_version: PROTOCOL_VERSION, node: "node".into() }
+        );
     }
 
     #[test]

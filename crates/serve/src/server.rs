@@ -1,14 +1,15 @@
-//! The coordinator: a single-threaded event loop owning the policy,
-//! the ledger, and the client registry, driven entirely by protocol
-//! frames (DESIGN.md row S15, docs/SERVE.md).
+//! The coordinator: a single-threaded event loop owning the epoch
+//! engine (policy, ledger, epoch cursor) and the client registry,
+//! driven entirely by protocol frames (DESIGN.md row S15,
+//! docs/SERVE.md).
 //!
 //! Epoch flow per selection: `SelectCohort{t}` realizes the columnar
 //! population at epoch `t`, masks availability by the live registry,
 //! builds the same [`EpochContext`] the scale path does
-//! (`fedl_core::columnar::scale_context`), runs the policy's sharded
-//! scoring + RDCS rounding, and answers with the cohort. The matching
-//! `TrainResult{t}` charges the ledger and feeds `observe`, closing the
-//! epoch. Because every input is either a pure function of
+//! (`fedl_core::columnar::scale_context`), has the engine select, and
+//! answers with the cohort. The matching `TrainResult{t}` is validated
+//! here — where the wire input arrives — and settles the engine,
+//! closing the epoch. Because every input is either a pure function of
 //! `(config, epoch)` or carried in a frame, the whole server is a
 //! deterministic state machine — which is what makes the checkpoint /
 //! restart bit-identity contract testable.
@@ -16,17 +17,18 @@
 use std::path::{Path, PathBuf};
 
 use fedl_core::columnar::scale_context;
-use fedl_core::policy::{EpochContext, PolicyKind, SelectionPolicy};
+use fedl_core::engine::{EngineError, EpochEngine};
+use fedl_core::policy::{EpochContext, PolicyKind};
 use fedl_core::FedLConfig;
 use fedl_json::{obj, read_field, ToJson, Value};
 use fedl_net::{ChannelModel, LatencyModel};
-use fedl_sim::{BudgetLedger, ClientColumns, EnvConfig, EpochColumns, EpochReport};
+use fedl_sim::{ClientColumns, EnvConfig, EpochColumns, EpochReport};
 use fedl_store::{content_address, read_envelope, write_envelope, StoreError};
 use fedl_telemetry::Telemetry;
 
 use crate::proto::{
-    decode_frame_traced, encode_frame, encode_frame_traced, version_accepted, Message,
-    ProtocolError, Trace, PROTOCOL_VERSION,
+    answer_hello, decode_frame_traced, encode_frame, encode_frame_traced, Message, ProtocolError,
+    Trace,
 };
 use crate::transport::FrameTransport;
 
@@ -96,21 +98,19 @@ impl ServeConfig {
 }
 
 /// Builds epoch `t`'s decision context from columns, masking
-/// availability by the live registry, and runs the policy — shared by
-/// the server and the in-process reference driver so "bit-identical to
-/// in-process" compares protocol plumbing, not reimplemented math.
-/// Returns `None` when no registered client is available this epoch.
-#[allow(clippy::too_many_arguments)]
-pub fn select_for_epoch(
+/// availability by the live registry — shared by the server and the
+/// in-process reference driver so "bit-identical to in-process" compares
+/// protocol plumbing, not reimplemented math. Returns `None` when no
+/// registered client is available this epoch.
+pub fn context_for_epoch(
     cols: &ClientColumns,
     config: &ServeConfig,
     channel: &ChannelModel,
     latency: &LatencyModel,
     registered: &[bool],
     remaining_budget: f64,
-    policy: &mut dyn SelectionPolicy,
     epoch: usize,
-) -> Option<(EpochContext, Vec<usize>, usize)> {
+) -> Option<EpochContext> {
     let mut now = cols.epoch_columns(epoch, &config.env, channel);
     for (avail, &reg) in now.available.iter_mut().zip(registered) {
         *avail &= reg;
@@ -119,7 +119,7 @@ pub fn select_for_epoch(
     // realization (epoch 0 hints from its own), exactly like the runner.
     let hint: EpochColumns =
         if epoch == 0 { now.clone() } else { cols.epoch_columns(epoch - 1, &config.env, channel) };
-    let ctx = scale_context(
+    scale_context(
         cols,
         &hint,
         &now,
@@ -127,33 +127,7 @@ pub fn select_for_epoch(
         remaining_budget,
         config.min_participants,
         config.env.seed,
-    )?;
-    let decision = policy.select(&ctx);
-    let (cohort, iterations) = sanitize_decision(&ctx, decision.cohort, decision.iterations);
-    Some((ctx, cohort, iterations))
-}
-
-/// Applies the server's post-selection hygiene to a raw policy decision:
-/// drop ids outside the availability set, sort, dedup, fall back to the
-/// floor-`n` first available clients when nothing survives, and clamp
-/// the iteration count to `1..=50`. Factored out so every driver of a
-/// policy over an [`EpochContext`] — this server, the reference run,
-/// and the `fedl-dist` coordinator — shares one pipeline and therefore
-/// one set of bits.
-pub fn sanitize_decision(
-    ctx: &EpochContext,
-    mut cohort: Vec<usize>,
-    iterations: usize,
-) -> (Vec<usize>, usize) {
-    cohort.retain(|id| ctx.available.contains(id));
-    cohort.sort_unstable();
-    cohort.dedup();
-    if cohort.is_empty() {
-        // Defensive fallback, mirroring the runner: the floor-n first
-        // available clients.
-        cohort = ctx.available.iter().copied().take(ctx.effective_n()).collect();
-    }
-    (cohort, iterations.clamp(1, 50))
+    )
 }
 
 /// What a handled frame asks the connection loop to do next.
@@ -194,6 +168,9 @@ pub enum ServeError {
         /// Version found in the payload.
         found: u32,
     },
+    /// The epoch engine refused: malformed checkpoint fields, or a
+    /// snapshot asked for while a selection awaits its `TrainResult`.
+    Engine(EngineError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -209,6 +186,7 @@ impl std::fmt::Display for ServeError {
                 f,
                 "checkpoint schema v{found} unsupported (this build reads v{SERVE_SNAPSHOT_SCHEMA_VERSION})"
             ),
+            ServeError::Engine(e) => write!(f, "checkpoint refused by the epoch engine: {e}"),
         }
     }
 }
@@ -221,27 +199,24 @@ impl From<StoreError> for ServeError {
     }
 }
 
-struct PendingEpoch {
-    ctx: EpochContext,
-    cohort: Vec<usize>,
-    iterations: usize,
+impl From<EngineError> for ServeError {
+    fn from(e: EngineError) -> Self {
+        ServeError::Engine(e)
+    }
 }
 
-/// The coordinator's full state: population columns, live registry,
-/// policy, ledger, and epoch cursor. One instance serves any number of
-/// sequential connections; [`Self::handle_frame`] is the entire event
-/// loop body.
+/// The coordinator's full state: population columns, live registry, and
+/// the epoch engine (policy, ledger, epoch cursor, pending selection).
+/// One instance serves any number of sequential connections;
+/// [`Self::handle_frame`] is the entire event loop body.
 pub struct ServerState {
     config: ServeConfig,
     channel: ChannelModel,
     latency: LatencyModel,
     cols: ClientColumns,
-    policy: Box<dyn SelectionPolicy>,
-    ledger: BudgetLedger,
+    engine: EpochEngine,
     registered: Vec<bool>,
-    next_epoch: usize,
     selections: usize,
-    pending: Option<PendingEpoch>,
     telemetry: Telemetry,
     checkpoint: Option<(PathBuf, usize)>,
 }
@@ -258,8 +233,8 @@ impl ServerState {
             config.min_participants,
             config.fedl,
         );
-        let mut ledger = BudgetLedger::new(config.budget);
-        ledger.set_telemetry(telemetry.clone());
+        let mut engine = EpochEngine::new(policy, config.budget);
+        engine.set_telemetry(telemetry.clone());
         let registered = vec![false; config.env.num_clients];
         telemetry.emit(
             "serve.start",
@@ -275,12 +250,9 @@ impl ServerState {
             channel,
             latency,
             cols,
-            policy,
-            ledger,
+            engine,
             registered,
-            next_epoch: 0,
             selections: 0,
-            pending: None,
             telemetry,
             checkpoint: None,
         }
@@ -316,7 +288,7 @@ impl ServerState {
             return Err(ServeError::Fingerprint { expected, found });
         }
         let mut server = Self::new(config, telemetry);
-        server.next_epoch = read_field(&payload, "next_epoch").map_err(schema)?;
+        server.engine.restore(&payload)?;
         server.selections = read_field(&payload, "selections").map_err(schema)?;
         let joined: Vec<usize> = read_field(&payload, "registered").map_err(schema)?;
         for id in joined {
@@ -325,61 +297,39 @@ impl ServerState {
             }
             server.registered[id] = true;
         }
-        let ledger = payload.field("ledger").map_err(schema)?;
-        let initial: f64 = read_field(ledger, "initial").map_err(schema)?;
-        let charges: Vec<f64> = read_field(ledger, "charges").map_err(schema)?;
-        let mut restored = BudgetLedger::restore(initial, charges)
-            .map_err(|e| ServeError::Schema(e.to_string()))?;
-        restored.set_telemetry(server.telemetry.clone());
-        server.ledger = restored;
-        let policy_state = payload.field("policy_state").map_err(schema)?;
-        server.policy.restore_state(policy_state).map_err(schema)?;
         server.telemetry.emit(
             "serve.checkpoint_restored",
             vec![
                 ("path", Value::from(path.display().to_string())),
-                ("next_epoch", Value::from(server.next_epoch)),
+                ("next_epoch", Value::from(server.next_epoch())),
             ],
         );
         Ok(server)
     }
 
     /// Writes the full server state (registry, ledger, epoch cursor,
-    /// policy internals including RNG streams) to `path`.
-    ///
-    /// # Panics
-    /// Panics if a selection is awaiting its `TrainResult`; the server
-    /// only checkpoints at epoch boundaries.
+    /// policy internals including RNG streams) to `path`. Refused with
+    /// [`ServeError::Engine`] while a selection is awaiting its
+    /// `TrainResult`: the server only checkpoints at epoch boundaries.
     pub fn save_checkpoint(&self, path: &Path) -> Result<(), ServeError> {
-        assert!(self.pending.is_none(), "serve checkpoint mid-epoch: awaiting TrainResult");
+        let [next_epoch, ledger, policy_state] = self.engine.snapshot()?;
         let joined: Vec<usize> =
             self.registered.iter().enumerate().filter(|(_, &r)| r).map(|(k, _)| k).collect();
         let payload = obj(vec![
             ("schema_version", Value::from(SERVE_SNAPSHOT_SCHEMA_VERSION as usize)),
             ("fingerprint", Value::from(self.config.fingerprint())),
-            ("next_epoch", Value::from(self.next_epoch)),
+            next_epoch,
             ("selections", Value::from(self.selections)),
             ("registered", Value::Arr(joined.into_iter().map(Value::from).collect())),
-            (
-                "ledger",
-                obj(vec![
-                    ("initial", Value::Float(self.ledger.initial())),
-                    (
-                        "charges",
-                        Value::Arr(
-                            self.ledger.history().iter().map(|&c| Value::Float(c)).collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("policy_state", self.policy.snapshot_state()),
+            ledger,
+            policy_state,
         ]);
         write_envelope(path, SERVE_CHECKPOINT_KIND, &payload)?;
         self.telemetry.emit(
             "serve.checkpoint_saved",
             vec![
                 ("path", Value::from(path.display().to_string())),
-                ("next_epoch", Value::from(self.next_epoch)),
+                ("next_epoch", Value::from(self.next_epoch())),
             ],
         );
         Ok(())
@@ -387,7 +337,7 @@ impl ServerState {
 
     /// The server's next epoch index.
     pub fn next_epoch(&self) -> usize {
-        self.next_epoch
+        self.engine.next_epoch()
     }
 
     /// Number of currently registered clients.
@@ -409,10 +359,7 @@ impl ServerState {
         let (decoded, _decode_ns) = decode_frame_traced(frame, &self.telemetry);
         let (reply, control) = match decoded {
             Ok(msg) => self.handle_message(msg),
-            Err(err) => {
-                self.note_malformed(&err);
-                (err.to_wire(), Control::Continue)
-            }
+            Err(err) => self.refuse(err),
         };
         self.telemetry.counter("serve.frames_out").incr();
         let (bytes, _encode_ns) = encode_frame_traced(&reply, &self.telemetry);
@@ -428,19 +375,23 @@ impl ServerState {
         );
     }
 
+    /// Records `err` and answers it on the wire; the connection stays up.
+    fn refuse(&mut self, err: ProtocolError) -> (Message, Control) {
+        self.note_malformed(&err);
+        (err.to_wire(), Control::Continue)
+    }
+
     /// Count of malformed frames seen (from the telemetry counter).
     pub fn malformed_frames(&self) -> u64 {
         self.telemetry.counter("serve.malformed_frames").value()
     }
 
-    /// Advances the epoch cursor and writes the periodic checkpoint
-    /// when the new boundary is a `--checkpoint-every` multiple — the
-    /// single path for closing an epoch, whether it trained or was
-    /// skipped for lack of available clients.
-    fn advance_epoch(&mut self) {
-        self.next_epoch += 1;
+    /// Writes the periodic checkpoint when the boundary just reached is
+    /// a `--checkpoint-every` multiple — called after every closed
+    /// epoch, whether it trained or was skipped for lack of clients.
+    fn checkpoint_at_boundary(&mut self) {
         if let Some((path, every)) = self.checkpoint.clone() {
-            if self.next_epoch.is_multiple_of(every) {
+            if self.next_epoch().is_multiple_of(every) {
                 if let Err(e) = self.save_checkpoint(&path) {
                     eprintln!("fedl-serve: checkpoint failed: {e}");
                 }
@@ -450,11 +401,11 @@ impl ServerState {
 
     fn snapshot_reply(&self) -> Message {
         Message::Snapshot {
-            epoch: self.next_epoch,
+            epoch: self.next_epoch(),
             registered: self.registered_count(),
             selections: self.selections,
-            budget_remaining: self.ledger.remaining(),
-            policy: self.policy.name().to_string(),
+            budget_remaining: self.engine.remaining(),
+            policy: self.engine.policy().name().to_string(),
         }
     }
 
@@ -462,49 +413,13 @@ impl ServerState {
     pub fn handle_message(&mut self, msg: Message) -> (Message, Control) {
         match msg {
             Message::Hello { protocol_version, node: _ } => {
-                if !version_accepted(protocol_version) {
-                    let err =
-                        ProtocolError::Version { ours: PROTOCOL_VERSION, theirs: protocol_version };
-                    self.note_malformed(&err);
-                    return (err.to_wire(), Control::Continue);
+                match answer_hello(protocol_version, "fedl-serve") {
+                    Ok(hello) => (hello, Control::Continue),
+                    Err(err) => self.refuse(err),
                 }
-                (
-                    Message::Hello {
-                        protocol_version: PROTOCOL_VERSION,
-                        node: "fedl-serve".to_string(),
-                    },
-                    Control::Continue,
-                )
             }
-            Message::ClientJoin { client } => {
-                if client >= self.registered.len() {
-                    let err =
-                        ProtocolError::UnknownClient { client, population: self.registered.len() };
-                    self.note_malformed(&err);
-                    return (err.to_wire(), Control::Continue);
-                }
-                if !self.registered[client] {
-                    self.registered[client] = true;
-                    self.telemetry.counter("serve.joins").incr();
-                    self.telemetry.emit("serve.client_join", vec![("client", Value::from(client))]);
-                }
-                (self.snapshot_reply(), Control::Continue)
-            }
-            Message::ClientLeave { client } => {
-                if client >= self.registered.len() {
-                    let err =
-                        ProtocolError::UnknownClient { client, population: self.registered.len() };
-                    self.note_malformed(&err);
-                    return (err.to_wire(), Control::Continue);
-                }
-                if self.registered[client] {
-                    self.registered[client] = false;
-                    self.telemetry.counter("serve.leaves").incr();
-                    self.telemetry
-                        .emit("serve.client_leave", vec![("client", Value::from(client))]);
-                }
-                (self.snapshot_reply(), Control::Continue)
-            }
+            Message::ClientJoin { client } => self.set_registered(client, true),
+            Message::ClientLeave { client } => self.set_registered(client, false),
             Message::SelectCohort { epoch, trace } => self.handle_select(epoch, trace),
             Message::TrainResult {
                 epoch,
@@ -517,7 +432,7 @@ impl ServerState {
                 global_loss,
                 grad_dot_delta,
                 local_losses,
-            } => self.handle_train_result(
+            } => self.handle_train_result(EpochReport {
                 epoch,
                 cohort,
                 iterations,
@@ -525,10 +440,12 @@ impl ServerState {
                 per_client_iter_latency,
                 cost,
                 eta_hats,
-                global_loss,
+                global_loss_all: global_loss,
+                global_loss_selected: global_loss,
                 grad_dot_delta,
                 local_losses,
-            ),
+                failed: Vec::new(),
+            }),
             Message::Snapshot { .. } => (self.snapshot_reply(), Control::Continue),
             Message::Stats => {
                 self.telemetry.counter("serve.stats_requests").incr();
@@ -539,7 +456,7 @@ impl ServerState {
             }
             Message::Shutdown => {
                 if let Some((path, _)) = self.checkpoint.clone() {
-                    if self.pending.is_none() {
+                    if self.engine.pending().is_none() {
                         if let Err(e) = self.save_checkpoint(&path) {
                             eprintln!("fedl-serve: shutdown checkpoint failed: {e}");
                         }
@@ -549,12 +466,12 @@ impl ServerState {
                         // never believes unsaved state was persisted.
                         eprintln!(
                             "fedl-serve: shutdown checkpoint skipped: epoch {} is awaiting its TrainResult",
-                            self.next_epoch
+                            self.next_epoch()
                         );
                         self.telemetry.emit(
                             "serve.checkpoint_skipped",
                             vec![
-                                ("epoch", Value::from(self.next_epoch)),
+                                ("epoch", Value::from(self.next_epoch())),
                                 ("reason", Value::from("awaiting-train-result")),
                             ],
                         );
@@ -563,7 +480,7 @@ impl ServerState {
                 self.telemetry.emit(
                     "serve.shutdown",
                     vec![
-                        ("epoch", Value::from(self.next_epoch)),
+                        ("epoch", Value::from(self.next_epoch())),
                         ("selections", Value::from(self.selections)),
                     ],
                 );
@@ -572,13 +489,10 @@ impl ServerState {
                 (self.snapshot_reply(), Control::Shutdown)
             }
             // Server-only replies arriving as requests are protocol misuse.
-            Message::Cohort { .. } | Message::StatsSnapshot { .. } | Message::Error { .. } => {
-                let err = ProtocolError::UnexpectedMessage {
+            Message::Cohort { .. } | Message::StatsSnapshot { .. } | Message::Error { .. } => self
+                .refuse(ProtocolError::UnexpectedMessage {
                     detail: "reply-only message sent as a request".to_string(),
-                };
-                self.note_malformed(&err);
-                (err.to_wire(), Control::Continue)
-            }
+                }),
             // The Shard* family belongs to the fedl-dist coordinator ↔
             // worker pairing (docs/DIST.md); the federation server is
             // neither side of it.
@@ -587,15 +501,29 @@ impl ServerState {
             | Message::ShardContext { .. }
             | Message::ShardContextPart { .. }
             | Message::ShardTrain { .. }
-            | Message::ShardTrainPart { .. } => {
-                let err = ProtocolError::UnexpectedMessage {
-                    detail: "shard messages are for dist workers, not the federation server"
-                        .to_string(),
-                };
-                self.note_malformed(&err);
-                (err.to_wire(), Control::Continue)
-            }
+            | Message::ShardTrainPart { .. } => self.refuse(ProtocolError::UnexpectedMessage {
+                detail: "shard messages are for dist workers, not the federation server"
+                    .to_string(),
+            }),
         }
+    }
+
+    /// Joins (`present`) or removes `client`; idempotent either way.
+    fn set_registered(&mut self, client: usize, present: bool) -> (Message, Control) {
+        if client >= self.registered.len() {
+            let population = self.registered.len();
+            return self.refuse(ProtocolError::UnknownClient { client, population });
+        }
+        if self.registered[client] != present {
+            self.registered[client] = present;
+            let (counter, event) = match present {
+                true => ("serve.joins", "serve.client_join"),
+                false => ("serve.leaves", "serve.client_leave"),
+            };
+            self.telemetry.counter(counter).incr();
+            self.telemetry.emit(event, vec![("client", Value::from(client))]);
+        }
+        (self.snapshot_reply(), Control::Continue)
     }
 
     fn handle_select(&mut self, epoch: usize, trace: Trace) -> (Message, Control) {
@@ -604,19 +532,16 @@ impl ServerState {
             // on — selection must not depend on observability metadata.
             self.telemetry.counter("proto.bad_trace_ids").incr();
         }
-        if epoch != self.next_epoch {
-            let err = ProtocolError::BadEpoch { expected: self.next_epoch, got: epoch };
-            self.note_malformed(&err);
-            return (err.to_wire(), Control::Continue);
+        if epoch != self.next_epoch() {
+            return self
+                .refuse(ProtocolError::BadEpoch { expected: self.next_epoch(), got: epoch });
         }
-        if self.pending.is_some() {
-            let err = ProtocolError::UnexpectedMessage {
+        if self.engine.pending().is_some() {
+            return self.refuse(ProtocolError::UnexpectedMessage {
                 detail: format!("epoch {epoch} already selected; send its TrainResult first"),
-            };
-            self.note_malformed(&err);
-            return (err.to_wire(), Control::Continue);
+            });
         }
-        if self.ledger.exhausted() {
+        if self.engine.exhausted() {
             return (
                 Message::Cohort { epoch, cohort: Vec::new(), iterations: 0, done: true },
                 Control::Continue,
@@ -624,21 +549,23 @@ impl ServerState {
         }
         let mut span = self.telemetry.span_in("serve.select", trace.to_context());
         span.field("epoch", Value::from(epoch));
-        let selected = select_for_epoch(
+        let ctx = context_for_epoch(
             &self.cols,
             &self.config,
             &self.channel,
             &self.latency,
             &self.registered,
-            self.ledger.remaining(),
-            self.policy.as_mut(),
+            self.engine.remaining(),
             epoch,
         );
+        let available = ctx.as_ref().map_or(0, |ctx| ctx.available.len());
+        let selected =
+            self.engine.select(ctx).expect("epoch, idleness and budget were checked above");
         drop(span);
-        let Some((ctx, cohort, iterations)) = selected else {
+        let Some((cohort, iterations)) = selected else {
             // Nobody available: the epoch passes with no training, same
             // as the runner skipping it.
-            self.advance_epoch();
+            self.checkpoint_at_boundary();
             return (
                 Message::Cohort { epoch, cohort: Vec::new(), iterations: 0, done: false },
                 Control::Continue,
@@ -651,96 +578,61 @@ impl ServerState {
                 ("epoch", Value::from(epoch)),
                 ("cohort_size", Value::from(cohort.len())),
                 ("iterations", Value::from(iterations)),
-                ("available", Value::from(ctx.available.len())),
+                ("available", Value::from(available)),
             ],
         );
-        let reply = Message::Cohort { epoch, cohort: cohort.clone(), iterations, done: false };
-        self.pending = Some(PendingEpoch { ctx, cohort, iterations });
-        (reply, Control::Continue)
+        (Message::Cohort { epoch, cohort, iterations, done: false }, Control::Continue)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_train_result(
-        &mut self,
-        epoch: usize,
-        cohort: Vec<usize>,
-        iterations: usize,
-        latency_secs: f64,
-        per_client_iter_latency: Vec<f64>,
-        cost: f64,
-        eta_hats: Vec<f32>,
-        global_loss: f64,
-        grad_dot_delta: Vec<f32>,
-        local_losses: Vec<f32>,
-    ) -> (Message, Control) {
-        let Some(pending) = self.pending.as_ref() else {
-            let err = ProtocolError::UnexpectedMessage {
+    /// Validates a `TrainResult` (as the report it describes) against the
+    /// pending selection, then settles the engine with it.
+    fn handle_train_result(&mut self, report: EpochReport) -> (Message, Control) {
+        let epoch = report.epoch;
+        let Some(pending) = self.engine.pending() else {
+            return self.refuse(ProtocolError::UnexpectedMessage {
                 detail: format!("TrainResult for epoch {epoch} with no selection pending"),
-            };
-            self.note_malformed(&err);
-            return (err.to_wire(), Control::Continue);
+            });
         };
         if epoch != pending.ctx.epoch {
-            let err = ProtocolError::BadEpoch { expected: pending.ctx.epoch, got: epoch };
-            self.note_malformed(&err);
-            return (err.to_wire(), Control::Continue);
+            return self
+                .refuse(ProtocolError::BadEpoch { expected: pending.ctx.epoch, got: epoch });
         }
         let aligned = [
-            per_client_iter_latency.len(),
-            eta_hats.len(),
-            grad_dot_delta.len(),
-            local_losses.len(),
+            report.per_client_iter_latency.len(),
+            report.eta_hats.len(),
+            report.grad_dot_delta.len(),
+            report.local_losses.len(),
         ]
         .iter()
-        .all(|&n| n == cohort.len());
-        if cohort != pending.cohort || iterations != pending.iterations || !aligned {
-            let err = ProtocolError::UnexpectedMessage {
+        .all(|&n| n == report.cohort.len());
+        if report.cohort != pending.cohort || report.iterations != pending.iterations || !aligned {
+            return self.refuse(ProtocolError::UnexpectedMessage {
                 detail: format!(
                     "TrainResult cohort does not match the served selection for epoch {epoch}"
                 ),
-            };
-            self.note_malformed(&err);
-            return (err.to_wire(), Control::Continue);
+            });
         }
         // Feedback flows straight into the ledger (which refuses
         // negative/NaN charges by panicking) and the policy's internal
         // state; a frame must never be able to reach either with
         // non-finite numbers, so refuse them here with a typed error.
-        let finite = cost.is_finite()
-            && cost >= 0.0
-            && latency_secs.is_finite()
-            && latency_secs >= 0.0
-            && global_loss.is_finite()
-            && per_client_iter_latency.iter().all(|t| t.is_finite() && *t >= 0.0)
-            && eta_hats.iter().all(|x| x.is_finite())
-            && grad_dot_delta.iter().all(|x| x.is_finite())
-            && local_losses.iter().all(|x| x.is_finite());
+        let finite = report.cost.is_finite()
+            && report.cost >= 0.0
+            && report.latency_secs.is_finite()
+            && report.latency_secs >= 0.0
+            && report.global_loss_all.is_finite()
+            && report.per_client_iter_latency.iter().all(|t| t.is_finite() && *t >= 0.0)
+            && report.eta_hats.iter().all(|x| x.is_finite())
+            && report.grad_dot_delta.iter().all(|x| x.is_finite())
+            && report.local_losses.iter().all(|x| x.is_finite());
         if !finite {
-            let err = ProtocolError::UnexpectedMessage {
+            return self.refuse(ProtocolError::UnexpectedMessage {
                 detail: format!(
                     "TrainResult for epoch {epoch} carries non-finite or negative feedback"
                 ),
-            };
-            self.note_malformed(&err);
-            return (err.to_wire(), Control::Continue);
+            });
         }
-        let pending = self.pending.take().expect("checked above");
-        let report = EpochReport {
-            epoch,
-            cohort,
-            iterations,
-            latency_secs,
-            per_client_iter_latency,
-            cost,
-            eta_hats,
-            global_loss_all: global_loss,
-            global_loss_selected: global_loss,
-            grad_dot_delta,
-            local_losses,
-            failed: Vec::new(),
-        };
-        self.ledger.charge(report.cost);
-        self.policy.observe(&pending.ctx, &report);
+        self.engine.settle(&report).expect("a selection for this epoch is pending: checked above");
         self.selections += 1;
         self.telemetry.counter("serve.train_results").incr();
         self.telemetry.emit(
@@ -748,25 +640,28 @@ impl ServerState {
             vec![
                 ("epoch", Value::from(epoch)),
                 ("cost", Value::Float(report.cost)),
-                ("remaining", Value::Float(self.ledger.remaining())),
+                ("remaining", Value::Float(self.engine.remaining())),
             ],
         );
-        self.advance_epoch();
+        self.checkpoint_at_boundary();
         (self.snapshot_reply(), Control::Continue)
     }
 }
 
-/// Serves one connection until shutdown, clean close, or a framing
-/// error that desynchronizes the stream (the error is reported to the
-/// peer on a best-effort basis, then surfaced to the caller).
-pub fn serve_connection(
+/// The connection loop of every frame-driven state machine (this server,
+/// the `fedl-dist` shard worker): answer frames through `handle` until
+/// shutdown, clean close, or a framing error that desynchronizes the
+/// stream (counted, reported to the peer best-effort, then surfaced).
+pub fn serve_frames<S>(
     transport: &mut dyn FrameTransport,
-    state: &mut ServerState,
+    state: &mut S,
+    handle: fn(&mut S, &[u8]) -> (Vec<u8>, Control),
+    malformed: fn(&mut S, &ProtocolError),
 ) -> Result<ServeExit, ProtocolError> {
     loop {
         match transport.recv() {
             Ok(Some(frame)) => {
-                let (reply, control) = state.handle_frame(&frame);
+                let (reply, control) = handle(state, &frame);
                 transport.send(&reply)?;
                 if control == Control::Shutdown {
                     return Ok(ServeExit::Shutdown);
@@ -774,12 +669,20 @@ pub fn serve_connection(
             }
             Ok(None) => return Ok(ServeExit::PeerClosed),
             Err(err) => {
-                state.note_malformed(&err);
+                malformed(state, &err);
                 let _ = transport.send(&encode_frame(&err.to_wire()));
                 return Err(err);
             }
         }
     }
+}
+
+/// Serves one connection against `state` ([`serve_frames`]).
+pub fn serve_connection(
+    transport: &mut dyn FrameTransport,
+    state: &mut ServerState,
+) -> Result<ServeExit, ProtocolError> {
+    serve_frames(transport, state, ServerState::handle_frame, ServerState::note_malformed)
 }
 
 #[cfg(test)]

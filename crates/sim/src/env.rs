@@ -159,6 +159,11 @@ impl EdgeEnvironment {
         &self.columns
     }
 
+    /// The latency model behind every latency this environment reports.
+    pub fn latency_model(&self) -> &LatencyModel {
+        &self.latency
+    }
+
     /// Realizes epoch `t` for the whole population as columns — the
     /// scale path: dense parallel kernel passes, no per-client structs.
     /// Deterministic in the environment seed and bit-identical to

@@ -55,18 +55,6 @@ impl DykstraIntersection {
         Self { sets, max_sweeps: 5000, tol: 1e-10 }
     }
 
-    /// Overrides the sweep budget (default 5000).
-    pub fn with_max_sweeps(mut self, max_sweeps: usize) -> Self {
-        self.max_sweeps = max_sweeps.max(1);
-        self
-    }
-
-    /// Overrides the per-sweep movement tolerance (default 1e-10).
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol.max(0.0);
-        self
-    }
-
     /// Number of member sets.
     pub fn num_sets(&self) -> usize {
         self.sets.len()

@@ -45,9 +45,14 @@ const HEAT_MAX_COLS: usize = 120;
 /// runs than colors are overlaid.
 const SERIES_COLORS: [&str; 6] = ["#dc2626", "#2563eb", "#059669", "#7c3aed", "#d97706", "#0891b2"];
 
-fn svg_open(id: &str) -> String {
-    let w = M_LEFT + PLOT_W + M_RIGHT;
-    let h = M_TOP + PLOT_H + M_BOTTOM;
+/// Full panel size: plot area plus margins.
+const PANEL_W: f64 = M_LEFT + PLOT_W + M_RIGHT;
+const PANEL_H: f64 = M_TOP + PLOT_H + M_BOTTOM;
+
+/// The opening tag of a self-contained inline-SVG panel `w`×`h` pixels
+/// — shared by every HTML report in the workspace (this dashboard, the
+/// trace report, the bench-history trend report).
+pub fn svg_open(id: &str, w: f64, h: f64) -> String {
     format!(
         r#"<svg id="{id}" viewBox="0 0 {w} {h}" width="{w}" height="{h}" xmlns="http://www.w3.org/2000/svg">"#
     )
@@ -73,7 +78,7 @@ fn line_chart(id: &str, color: &str, points: &[(f64, f64)]) -> String {
     if pts.len() < 2 {
         return format!(
             "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no data</text></svg>",
-            svg_open(id),
+            svg_open(id, PANEL_W, PANEL_H),
             M_LEFT + PLOT_W / 2.0,
             M_TOP + PLOT_H / 2.0
         );
@@ -96,7 +101,7 @@ fn line_chart(id: &str, color: &str, points: &[(f64, f64)]) -> String {
     let sy = |y: f64| M_TOP + (1.0 - (y - y_min) / (y_max - y_min)) * PLOT_H;
     let path: Vec<String> =
         pts.iter().map(|&(x, y)| format!("{:.1},{:.1}", sx(x), sy(y))).collect();
-    let mut out = svg_open(id);
+    let mut out = svg_open(id, PANEL_W, PANEL_H);
     // Frame + the polyline + min/max tick labels on both axes.
     out.push_str(&format!(
         r#"<rect x="{M_LEFT}" y="{M_TOP}" width="{PLOT_W}" height="{PLOT_H}" class="frame"/>"#
@@ -161,7 +166,7 @@ fn multi_line_chart(id: &str, series: &[Series<'_>]) -> String {
             (label.clone(), *color, finite)
         })
         .collect();
-    let mut out = svg_open(id);
+    let mut out = svg_open(id, PANEL_W, PANEL_H);
     if !cleaned.iter().any(|(_, _, pts)| pts.len() >= 2) {
         out.push_str(&format!(
             "<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no data</text></svg>",
@@ -420,21 +425,7 @@ pub fn render_overlay_html(runs: &[(String, RunLog)]) -> Result<String, String> 
         ));
     }
     body.push_str("</tbody></table></section>");
-    Ok(format!(
-        "<!doctype html><html><head><meta charset=\"utf-8\">\
-         <title>FedL run overlay</title><style>\
-         body{{font-family:system-ui,sans-serif;max-width:720px;margin:2rem auto;color:#111}}\
-         h2{{font-size:1rem;margin:1.2rem 0 0.3rem}}\
-         .frame{{fill:none;stroke:#9ca3af;stroke-width:1}}\
-         .tick{{font-size:10px;fill:#6b7280}}\
-         .legend{{font-size:10px;fill:#374151}}\
-         .empty{{font-size:12px;fill:#6b7280}}\
-         .warn{{color:#b45309}}\
-         table{{border-collapse:collapse;font-size:0.85rem}}\
-         th,td{{border:1px solid #d1d5db;padding:2px 8px;text-align:right}}\
-         </style></head><body><h1>FedL run overlay — {} runs</h1>{body}</body></html>",
-        runs.len()
-    ))
+    Ok(html_page("FedL run overlay", &format!("FedL run overlay — {} runs", runs.len()), &body))
 }
 
 /// The client × epoch selection-frequency heatmap. Rows are clients in
@@ -456,7 +447,7 @@ fn selection_heatmap(log: &RunLog) -> String {
     if selections.is_empty() {
         return format!(
             "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no select events</text></svg>",
-            svg_open("selection-heatmap"),
+            svg_open("selection-heatmap", PANEL_W, PANEL_H),
             M_LEFT + PLOT_W / 2.0,
             M_TOP + PLOT_H / 2.0
         );
@@ -482,7 +473,7 @@ fn selection_heatmap(log: &RunLog) -> String {
     }
     let cell_w = PLOT_W / n_cols as f64;
     let cell_h = PLOT_H / rows.len() as f64;
-    let mut out = svg_open("selection-heatmap");
+    let mut out = svg_open("selection-heatmap", PANEL_W, PANEL_H);
     out.push_str(&format!(
         r#"<rect x="{M_LEFT}" y="{M_TOP}" width="{PLOT_W}" height="{PLOT_H}" class="frame"/>"#
     ));
@@ -536,14 +527,14 @@ fn phase_breakdown(log: &RunLog) -> String {
     if stats.is_empty() {
         return format!(
             "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no span events</text></svg>",
-            svg_open("phase-breakdown"),
+            svg_open("phase-breakdown", PANEL_W, PANEL_H),
             M_LEFT + PLOT_W / 2.0,
             M_TOP + PLOT_H / 2.0
         );
     }
     let max_total = stats.iter().map(|s| s.total_secs).fold(0.0f64, f64::max).max(1e-12);
     let bar_h = (PLOT_H / stats.len() as f64).min(28.0);
-    let mut out = svg_open("phase-breakdown");
+    let mut out = svg_open("phase-breakdown", PANEL_W, PANEL_H);
     for (i, s) in stats.iter().enumerate() {
         let y = M_TOP + i as f64 * bar_h;
         let w = s.total_secs / max_total * PLOT_W;
@@ -600,7 +591,30 @@ fn client_table(log: &RunLog) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
+/// Wraps `body` into a self-contained HTML document (inline stylesheet,
+/// no scripts, no external assets) — the one page scaffold of every
+/// report in the workspace.
+pub fn html_page(title: &str, heading: &str, body: &str) -> String {
+    format!(
+        "<!doctype html><html><head><meta charset=\"utf-8\">\
+         <title>{title}</title><style>\
+         body{{font-family:system-ui,sans-serif;max-width:720px;margin:2rem auto;color:#111}}\
+         h2{{font-size:1rem;margin:1.2rem 0 0.3rem}}\
+         .frame{{fill:none;stroke:#9ca3af;stroke-width:1}}\
+         .tick{{font-size:10px;fill:#6b7280}}\
+         .legend{{font-size:10px;fill:#374151}}\
+         .title{{font-size:11px;fill:#374151}}\
+         .empty{{font-size:12px;fill:#6b7280}}\
+         .warn{{color:#b45309}}\
+         .swatch{{display:inline-block;width:10px;height:10px;margin-right:4px}}\
+         table{{border-collapse:collapse;font-size:0.85rem}}\
+         th,td{{border:1px solid #d1d5db;padding:2px 8px;text-align:right}}\
+         </style></head><body><h1>{heading}</h1>{body}</body></html>"
+    )
+}
+
+/// Escapes text for an HTML/SVG text node.
+pub fn escape(s: &str) -> String {
     s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
 }
 
@@ -629,19 +643,7 @@ pub fn render_html(log: &RunLog) -> String {
         "<section><h2>Per-client attribution</h2>{}</section>",
         client_table(log)
     ));
-    format!(
-        "<!doctype html><html><head><meta charset=\"utf-8\">\
-         <title>FedL run dashboard</title><style>\
-         body{{font-family:system-ui,sans-serif;max-width:720px;margin:2rem auto;color:#111}}\
-         h2{{font-size:1rem;margin:1.2rem 0 0.3rem}}\
-         .frame{{fill:none;stroke:#9ca3af;stroke-width:1}}\
-         .tick{{font-size:10px;fill:#6b7280}}\
-         .empty{{font-size:12px;fill:#6b7280}}\
-         .warn{{color:#b45309}}\
-         table{{border-collapse:collapse;font-size:0.85rem}}\
-         th,td{{border:1px solid #d1d5db;padding:2px 8px;text-align:right}}\
-         </style></head><body><h1>FedL run dashboard</h1>{body}</body></html>"
-    )
+    html_page("FedL run dashboard", "FedL run dashboard", &body)
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 
 use fedl_json::Value;
 
+use crate::dashboard::{escape, html_page, svg_open};
 use crate::report::{fmt_secs, RunLog};
 use crate::SpanContext;
 
@@ -349,18 +350,10 @@ pub fn render_trace_report(runs: &[(String, RunLog)]) -> Result<String, String> 
     Ok(out)
 }
 
-fn svg_open(id: &str) -> String {
-    let w = M_LEFT + PLOT_W + M_RIGHT;
-    let h = M_TOP + PLOT_H + M_BOTTOM;
-    format!(
-        r#"<svg id="{id}" viewBox="0 0 {w} {h}" width="{w}" height="{h}" xmlns="http://www.w3.org/2000/svg">"#
-    )
-}
-
 fn empty_panel(id: &str, note: &str) -> String {
     format!(
         "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">{note}</text></svg>",
-        svg_open(id),
+        svg_open(id, M_LEFT + PLOT_W + M_RIGHT, M_TOP + PLOT_H + M_BOTTOM),
         M_LEFT + PLOT_W / 2.0,
         M_TOP + PLOT_H / 2.0
     )
@@ -391,7 +384,7 @@ fn stacked_bars(id: &str, rows: &[(String, Vec<(f64, &str)>)]) -> String {
         .fold(0.0, f64::max)
         .max(1e-12);
     let bar_h = (PLOT_H / shown.len() as f64).min(22.0);
-    let mut out = svg_open(id);
+    let mut out = svg_open(id, M_LEFT + PLOT_W + M_RIGHT, M_TOP + PLOT_H + M_BOTTOM);
     for (i, (label, segs)) in shown.iter().enumerate() {
         let y = M_TOP + i as f64 * bar_h;
         let mut x = M_LEFT;
@@ -430,10 +423,6 @@ fn stacked_bars(id: &str, rows: &[(String, Vec<(f64, &str)>)]) -> String {
     }
     out.push_str("</svg>");
     out
-}
-
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
 }
 
 /// Renders the self-contained HTML trace report: the same parse
@@ -519,19 +508,8 @@ pub fn render_trace_html(runs: &[(String, RunLog)]) -> Result<String, String> {
         ));
     }
     body.push_str("</tbody></table></section>");
-    Ok(format!(
-        "<!doctype html><html><head><meta charset=\"utf-8\">\
-         <title>FedL distributed trace</title><style>\
-         body{{font-family:system-ui,sans-serif;max-width:720px;margin:2rem auto;color:#111}}\
-         h2{{font-size:1rem;margin:1.2rem 0 0.3rem}}\
-         .tick{{font-size:10px;fill:#6b7280}}\
-         .empty{{font-size:12px;fill:#6b7280}}\
-         .swatch{{display:inline-block;width:10px;height:10px;margin-right:4px}}\
-         table{{border-collapse:collapse;font-size:0.85rem}}\
-         th,td{{border:1px solid #d1d5db;padding:2px 8px;text-align:right}}\
-         </style></head><body><h1>FedL distributed trace — {} log(s)</h1>{body}</body></html>",
-        model.inputs.len()
-    ))
+    let heading = format!("FedL distributed trace — {} log(s)", model.inputs.len());
+    Ok(html_page("FedL distributed trace", &heading, &body))
 }
 
 #[cfg(test)]
@@ -564,7 +542,7 @@ mod tests {
                 wtel.emit(
                     "dist.worker_frame",
                     vec![
-                        ("type", Value::from("ShardContext")),
+                        ("type", Value::from("shard_context")),
                         ("epoch", Value::from(epoch)),
                         ("decode_ns", Value::Int(10_000)),
                         ("encode_ns", Value::Int(20_000)),

@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(build test doc fmt clippy telemetry checkpoint cache bench-gate bench-history perf scale serve dist trace dashboard overlay)
+STAGES=(build test benchmark-api doc fmt clippy telemetry checkpoint cache bench-history perf scale serve dist trace dashboard overlay)
 
 run_exp() {
     cargo run --release --offline -p fedl-bench --bin experiments -- "$@"
@@ -69,6 +69,15 @@ stage_build() {
 
 stage_test() {
     cargo test -q --offline --workspace
+}
+
+# The repo benchmark (BENCHMARK.json, benchmark/) is a package of its
+# own that compiles against the workspace's public API. Building and
+# testing it here means a PR that deletes or renames something the
+# harness pinned learns so in CI, not from the benchmark driver.
+stage_benchmark_api() {
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
 stage_doc() {
@@ -131,19 +140,6 @@ stage_cache() {
     rm -rf "$out"
 }
 
-# Perf snapshot + pairwise regression gate (docs/OBSERVATORY.md): two
-# quick snapshots taken back-to-back on the same machine must compare
-# clean — the noise-aware gate exists precisely so this stage is not
-# flaky.
-stage_bench_gate() {
-    local out=target/ci_bench_stage
-    rm -rf "$out"
-    run_exp bench --quick --out "$out/BENCH_base.json" > /dev/null
-    run_exp bench --quick --out "$out/BENCH_new.json" > /dev/null
-    run_exp bench-compare "$out/BENCH_base.json" "$out/BENCH_new.json"
-    rm -rf "$out"
-}
-
 # Benchmark history round-trip (docs/OBSERVATORY.md): append two quick
 # snapshots to a fresh history file, gate the second against the rolling
 # baseline (must pass clean — same machine, back to back), and render
@@ -165,8 +161,8 @@ stage_bench_history() {
 
 # Hot-kernel perf gate (docs/PERF.md): take a fresh quick snapshot at
 # the *persistent* history path, append it, and gate it against the
-# rolling per-machine baseline. Unlike bench-gate/bench-history (which
-# use throwaway files to test the tooling itself), this stage carries
+# rolling per-machine baseline. Unlike bench-history (which uses
+# throwaway files to test the tooling itself), this stage carries
 # perf state across CI runs: an integer-factor regression in any hot
 # kernel fails CI here with a non-zero exit from the gate subcommand.
 # The snapshot lands at results/BENCH.json so the workflow can upload
