@@ -1,278 +1,144 @@
-//! CLI over the figure/ablation entry points. See [`fedl_bench::cli`]
-//! for the grammar; this binary only dispatches.
+//! The `experiments` binary: the command table and its handlers.
+//! [`fedl_bench::cli`] derives parsing, per-command flag rejection and
+//! the usage text from the table.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fedl_bench::cli::{self, Command};
+use fedl_bench::cli::{self, Args, Command, Flag};
 use fedl_bench::experiments;
 use fedl_bench::harness::RunCache;
 use fedl_bench::history::{self, BenchHistory, HistoryEntry};
 use fedl_bench::perf::{self, BenchSnapshot};
-use fedl_data::synth::TaskKind;
-use fedl_telemetry::{dashboard, log_line, RunLog, Telemetry};
+use fedl_bench::profile::Profile;
+use fedl_data::synth::TaskKind::{CifarLike, FmnistLike};
+use fedl_telemetry::{dashboard, log_line, trace, Report, RunLog, Telemetry};
 
-/// Loads a JSONL run log, prints the per-phase timing report, and fails
-/// when any `--require`d event kind is absent.
-fn telemetry_report(invocation: &cli::Invocation) -> ExitCode {
-    let path = invocation.input.as_deref().expect("parser guarantees a file");
-    let log = match RunLog::read(path) {
-        Ok(log) => log,
-        Err(err) => {
-            eprintln!("failed to load run log {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", log.render_report());
-    let required: Vec<&str> = invocation.require.iter().map(String::as_str).collect();
-    let missing = log.missing_kinds(&required);
-    if !missing.is_empty() {
-        eprintln!("run log is missing required event kinds: {}", missing.join(", "));
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+const QUICK: Flag = Flag { name: "--quick", value: None };
+const OUT: Flag = Flag { name: "--out", value: Some("DIR") };
+const CACHE_DIR: Flag = Flag { name: "--cache-dir", value: Some("DIR") };
+const RESUME: Flag = Flag { name: "--resume", value: None };
+const REQUIRE: Flag = Flag { name: "--require", value: Some("kind1,kind2,...") };
+const HTML: Flag = Flag { name: "--html", value: Some("FILE.html") };
+const HISTORY: Flag = Flag { name: "--history", value: Some("FILE") };
+
+type Handler = fn(&Args) -> Result<(), String>;
+/// Run logs labelled by file stem.
+type Runs = [(String, RunLog)];
+
+/// A paper figure, headline table or study: one row of the table.
+const fn figure(names: &'static [&'static str], run: Handler) -> Command {
+    let flags: &[&Flag] = &[&QUICK, &OUT, &CACHE_DIR, &RESUME];
+    Command { names, positionals: &[], flags: Some(flags), note: "", run }
 }
 
-/// Runs the perf-snapshot suite and writes `BENCH.json`.
-fn bench(invocation: &cli::Invocation) -> ExitCode {
-    let snapshot = perf::run_suite(invocation.profile);
-    let path = invocation.bench_snapshot_path();
-    if let Err(err) = snapshot.write(&path) {
-        eprintln!("failed to write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-    log_line!("wrote perf snapshot: {} ({} kernels)", path.display(), snapshot.kernels.len());
-    ExitCode::SUCCESS
+/// A subcommand of `fedl-serve` / `fedl-dist`, which parse their own flags.
+const fn service(name: &'static [&'static str], note: &'static str, run: Handler) -> Command {
+    Command { names: name, positionals: &[], flags: None, note, run }
 }
 
-/// Writes `text` to `path`, creating parent directories.
-fn write_html(path: &std::path::Path, text: String) -> ExitCode {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                eprintln!("failed to create {}: {err}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(err) = std::fs::write(path, text) {
-        eprintln!("failed to write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+static COMMANDS: &[Command] = &[
+    figure(&["fig2", "fig4"], |a| {
+        figures(a, |p, out, cache| experiments::fig_time_and_round(p, FmnistLike, out, cache))
+    }),
+    figure(&["fig3", "fig5"], |a| {
+        figures(a, |p, out, cache| experiments::fig_time_and_round(p, CifarLike, out, cache))
+    }),
+    figure(&["fig6"], |a| figures(a, |p, o, c| experiments::fig_budget(p, FmnistLike, o, c))),
+    figure(&["fig7"], |a| figures(a, |p, o, c| experiments::fig_budget(p, CifarLike, o, c))),
+    figure(&["headline"], |a| figures(a, experiments::headline)),
+    figure(&["regret"], |a| figures(a, |profile, out, _| experiments::regret(profile, out))),
+    figure(&["rounding"], |a| figures(a, |p, _, _| experiments::rounding_ablation(p))),
+    figure(&["stepsize"], |a| figures(a, |p, _, _| experiments::stepsize_ablation(p))),
+    figure(&["aggregation"], |a| figures(a, |p, _, _| experiments::aggregation_ablation(p))),
+    figure(&["oracle"], |a| figures(a, |p, _, _| experiments::oracle_comparison(p))),
+    figure(&["fairness"], |a| figures(a, |p, _, _| experiments::fairness_study(p))),
+    figure(&["bandwidth"], |a| figures(a, |p, _, _| experiments::bandwidth_study(p))),
+    figure(&["dropout"], |a| figures(a, |p, _, _| experiments::dropout_study(p))),
+    figure(&["replicate"], |a| figures(a, |p, _, _| experiments::replication_study(p))),
+    figure(&["all"], |a| figures(a, everything)),
+    Command {
+        names: &["telemetry-report"],
+        positionals: &["FILE"],
+        flags: Some(&[&REQUIRE]),
+        note: "",
+        run: telemetry_report,
+    },
+    Command {
+        names: &["bench"],
+        positionals: &[],
+        flags: Some(&[&QUICK, &OUT]),
+        note: "--out FILE.json names the snapshot itself; \
+               incl. scale/ kernels: 10k tier quick, +100k/1m paper",
+        run: bench,
+    },
+    Command {
+        names: &["bench-history append"],
+        positionals: &["SNAP.json"],
+        flags: Some(&[&HISTORY]),
+        note: "",
+        run: history_append,
+    },
+    Command {
+        names: &["bench-history report"],
+        positionals: &[],
+        flags: Some(&[&HISTORY, &HTML]),
+        note: "",
+        run: history_report,
+    },
+    Command {
+        names: &["bench-history gate"],
+        positionals: &["NEW.json"],
+        flags: Some(&[&HISTORY]),
+        note: "",
+        run: history_gate,
+    },
+    Command {
+        names: &["dashboard"],
+        positionals: &["RUN.jsonl", "[RUN2.jsonl ...]"],
+        flags: Some(&[&HTML]),
+        note: "two or more logs: per-policy overlay",
+        run: |a| {
+            observe(a, "dashboard", |runs| match runs {
+                [(_, log)] => Ok(dashboard::single(log)),
+                runs => dashboard::overlay(runs),
+            })
+        },
+    },
+    Command {
+        names: &["trace-report"],
+        positionals: &["COORD.jsonl", "[WORKER.jsonl ...]"],
+        flags: Some(&[&HTML]),
+        note: "",
+        run: |a| observe(a, "trace report", trace::report),
+    },
+    service(&["stats"], "live registry snapshot from a coordinator: --addr HOST:PORT", |a| {
+        serve(fedl_serve::cli::run_stats, a)
+    }),
+    service(&["serve"], "federation service: --addr HOST:PORT; see docs/SERVE.md", |a| {
+        serve(fedl_serve::cli::run_serve, a)
+    }),
+    service(&["loadgen"], "replay clients against a server: --addr HOST:PORT", |a| {
+        serve(fedl_serve::cli::run_loadgen_cli, a)
+    }),
+    service(&["dist"], "sharded federation over worker processes; see docs/DIST.md", |a| {
+        serve(fedl_dist::cli::run_dist, a)
+    }),
+    service(&["dist-worker"], "serve one population shard: --addr HOST:PORT", |a| {
+        serve(fedl_dist::cli::run_dist_worker, a)
+    }),
+];
+
+/// Runs a service subcommand on the rest of the command line.
+fn serve(run: fn(&[String]) -> Result<(), String>, args: &Args) -> Result<(), String> {
+    run(&args.positionals)
 }
 
-/// Renders the per-client attribution dashboard (ASCII, plus a
-/// self-contained HTML file with `--html`). Two or more run logs
-/// switch to the multi-run overlay mode: per-policy summary table,
-/// overlaid regret curves and budget burn-down.
-fn dashboard(invocation: &cli::Invocation) -> ExitCode {
-    let mut runs: Vec<(String, RunLog)> = Vec::new();
-    for path in &invocation.inputs {
-        let log = match RunLog::read(path) {
-            Ok(log) => log,
-            Err(err) => {
-                eprintln!("failed to load run log {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let stem = path
-            .file_stem()
-            .map_or_else(|| path.display().to_string(), |s| s.to_string_lossy().into_owned());
-        runs.push((stem, log));
-    }
-    let html = if runs.len() == 1 {
-        let (_, log) = &runs[0];
-        print!("{}", log.render_client_table());
-        dashboard::render_html(log)
-    } else {
-        match dashboard::render_overlay_table(&runs) {
-            Ok(table) => print!("{table}"),
-            Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match dashboard::render_overlay_html(&runs) {
-            Ok(html) => html,
-            Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    if let Some(html_path) = &invocation.html {
-        if write_html(html_path, html) == ExitCode::FAILURE {
-            return ExitCode::FAILURE;
-        }
-        log_line!("wrote dashboard: {}", html_path.display());
-    }
-    ExitCode::SUCCESS
-}
-
-/// Merges a coordinator run log with its per-worker sibling logs into
-/// one causally-ordered cross-process trace: linkage rate, per-epoch
-/// waterfall, and critical-path attribution (ASCII, plus a
-/// self-contained HTML file with `--html`).
-fn trace_report(invocation: &cli::Invocation) -> ExitCode {
-    let mut runs: Vec<(String, RunLog)> = Vec::new();
-    for path in &invocation.inputs {
-        let log = match RunLog::read(path) {
-            Ok(log) => log,
-            Err(err) => {
-                eprintln!("failed to load run log {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let stem = path
-            .file_stem()
-            .map_or_else(|| path.display().to_string(), |s| s.to_string_lossy().into_owned());
-        runs.push((stem, log));
-    }
-    match fedl_telemetry::render_trace_report(&runs) {
-        Ok(text) => print!("{text}"),
-        Err(err) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(html_path) = &invocation.html {
-        let html = match fedl_telemetry::render_trace_html(&runs) {
-            Ok(html) => html,
-            Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if write_html(html_path, html) == ExitCode::FAILURE {
-            return ExitCode::FAILURE;
-        }
-        log_line!("wrote trace report: {}", html_path.display());
-    }
-    ExitCode::SUCCESS
-}
-
-/// The `bench-history` actions: append a snapshot to the history file,
-/// render the trend report, or gate a snapshot against the rolling
-/// baseline (docs/OBSERVATORY.md).
-fn bench_history(invocation: &cli::Invocation) -> ExitCode {
-    let history_path = invocation.history_path();
-    match invocation.command {
-        Command::BenchHistoryAppend => {
-            let snap_path = invocation.input.as_deref().expect("parser guarantees a snapshot");
-            let snapshot = match BenchSnapshot::read(snap_path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let entry = HistoryEntry::capture(snapshot);
-            if let Err(err) = BenchHistory::append(&history_path, &entry) {
-                eprintln!("failed to append to {}: {err}", history_path.display());
-                return ExitCode::FAILURE;
-            }
-            log_line!(
-                "appended snapshot ({} kernels, {}, commit {}) to {}",
-                entry.snapshot.kernels.len(),
-                entry.fingerprint,
-                entry.commit,
-                history_path.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Command::BenchHistoryReport => {
-            let history = match BenchHistory::load(&history_path) {
-                Ok(h) => h,
-                Err(err) => {
-                    eprintln!("failed to read {}: {err}", history_path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            print!("{}", history::render_trend_table(&history, history::DEFAULT_BASELINE_WINDOW));
-            if let Some(html_path) = &invocation.html {
-                let html = history::render_trend_html(&history);
-                if write_html(html_path, html) == ExitCode::FAILURE {
-                    return ExitCode::FAILURE;
-                }
-                log_line!("wrote trend report: {}", html_path.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Command::BenchHistoryGate => {
-            let snap_path = invocation.input.as_deref().expect("parser guarantees a snapshot");
-            let snapshot = match BenchSnapshot::read(snap_path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let history = match BenchHistory::load(&history_path) {
-                Ok(h) => h,
-                Err(err) => {
-                    eprintln!("failed to read {}: {err}", history_path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let report =
-                history::gate(&history, &snapshot, invocation.window, invocation.threshold);
-            print!("{}", report.render());
-            if report.passes() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "perf regression: at least one kernel slowed down beyond {:.0} % and \
-                     its noise band vs the rolling baseline",
-                    invocation.threshold * 100.0
-                );
-                ExitCode::FAILURE
-            }
-        }
-        _ => unreachable!("bench_history only handles the bench-history actions"),
-    }
-}
-
-/// Maps a service subcommand result onto an exit code.
-fn service_exit(result: Result<(), String>) -> ExitCode {
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The federation service has its own flag grammar (fedl-serve);
-    // route its subcommands before the figure-CLI parser.
-    match args.first().map(String::as_str) {
-        Some("serve") => return service_exit(fedl_serve::cli::run_serve(&args[1..])),
-        Some("loadgen") => return service_exit(fedl_serve::cli::run_loadgen_cli(&args[1..])),
-        Some("dist") => return service_exit(fedl_dist::cli::run_dist(&args[1..])),
-        Some("dist-worker") => return service_exit(fedl_dist::cli::run_dist_worker(&args[1..])),
-        Some("stats") => return service_exit(fedl_serve::cli::run_stats(&args[1..])),
-        _ => {}
-    }
-    let invocation = match cli::parse(args) {
-        Ok(inv) => inv,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match invocation.command {
-        Command::TelemetryReport => return telemetry_report(&invocation),
-        Command::Bench => return bench(&invocation),
-        Command::BenchHistoryAppend | Command::BenchHistoryReport | Command::BenchHistoryGate => {
-            return bench_history(&invocation)
-        }
-        Command::Dashboard => return dashboard(&invocation),
-        Command::TraceReport => return trace_report(&invocation),
-        _ => {}
-    }
-    let (profile, out_dir) = (invocation.profile, invocation.out_dir.clone());
+/// Runs a figure/study entry point at the profile, output directory
+/// and result cache the flags select.
+fn figures<R>(args: &Args, run: fn(Profile, &Path, Option<&RunCache>) -> R) -> Result<(), String> {
+    let profile = if args.has(&QUICK) { Profile::Quick } else { Profile::Paper };
+    let out_dir = PathBuf::from(args.value(&OUT).unwrap_or("results"));
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     log_line!(
         "profile: {:?} (M={}, n={}), output: {}",
@@ -281,77 +147,253 @@ fn main() -> ExitCode {
         profile.min_participants(),
         out_dir.display()
     );
-
-    // The result cache (--cache-dir/--resume): completed figure cells
-    // are served from disk, with cache.hit/cache.miss telemetry
-    // streamed to <out_dir>/cache_run.jsonl for telemetry-report.
-    let cache_telemetry = invocation.effective_cache_dir().map(|dir| {
+    // Completed figure cells are served from the result cache, with
+    // cache.hit/cache.miss telemetry streamed to <out>/cache_run.jsonl
+    // for telemetry-report.
+    let cache_telemetry = cache_dir(args, &out_dir).map(|dir| {
         let tel = Telemetry::to_file(out_dir.join("cache_run.jsonl"))
             .expect("create cache telemetry log");
         let cache = RunCache::open(&dir).expect("open result cache").with_telemetry(tel.clone());
         log_line!("result cache: {}", cache.dir().display());
         (cache, tel)
     });
-    let cache = cache_telemetry.as_ref().map(|(c, _)| c);
-
-    match invocation.command {
-        Command::FigFmnist => {
-            experiments::fig_time_and_round(profile, TaskKind::FmnistLike, &out_dir, cache);
-        }
-        Command::FigCifar => {
-            experiments::fig_time_and_round(profile, TaskKind::CifarLike, &out_dir, cache);
-        }
-        Command::Fig6 => {
-            experiments::fig_budget(profile, TaskKind::FmnistLike, &out_dir, cache);
-        }
-        Command::Fig7 => {
-            experiments::fig_budget(profile, TaskKind::CifarLike, &out_dir, cache);
-        }
-        Command::Headline => experiments::headline(profile, &out_dir, cache),
-        Command::Regret => experiments::regret(profile, &out_dir),
-        Command::Rounding => experiments::rounding_ablation(profile),
-        Command::Stepsize => experiments::stepsize_ablation(profile),
-        Command::Aggregation => experiments::aggregation_ablation(profile),
-        Command::Oracle => experiments::oracle_comparison(profile),
-        Command::Fairness => experiments::fairness_study(profile),
-        Command::Bandwidth => experiments::bandwidth_study(profile),
-        Command::Dropout => experiments::dropout_study(profile),
-        Command::Replicate => experiments::replication_study(profile),
-        Command::All => {
-            let mut results =
-                experiments::fig_time_and_round(profile, TaskKind::FmnistLike, &out_dir, cache);
-            results.extend(experiments::fig_time_and_round(
-                profile,
-                TaskKind::CifarLike,
-                &out_dir,
-                cache,
-            ));
-            experiments::headline_from(&results, &out_dir);
-            experiments::fig_budget(profile, TaskKind::FmnistLike, &out_dir, cache);
-            experiments::fig_budget(profile, TaskKind::CifarLike, &out_dir, cache);
-            experiments::regret(profile, &out_dir);
-            experiments::rounding_ablation(profile);
-            experiments::stepsize_ablation(profile);
-            experiments::aggregation_ablation(profile);
-            experiments::oracle_comparison(profile);
-            experiments::fairness_study(profile);
-            experiments::bandwidth_study(profile);
-            experiments::dropout_study(profile);
-            experiments::replication_study(profile);
-        }
-        Command::TelemetryReport
-        | Command::Bench
-        | Command::BenchHistoryAppend
-        | Command::BenchHistoryReport
-        | Command::BenchHistoryGate
-        | Command::Dashboard
-        | Command::TraceReport => {
-            unreachable!("dispatched before the experiment match")
-        }
-    }
+    run(profile, &out_dir, cache_telemetry.as_ref().map(|(c, _)| c));
     if let Some((_, tel)) = &cache_telemetry {
         tel.emit_metrics();
         tel.flush();
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// The result cache is on iff `--cache-dir` or `--resume` was given;
+/// `--resume` alone puts it at `<out>/cache`.
+fn cache_dir(args: &Args, out_dir: &Path) -> Option<PathBuf> {
+    match args.value(&CACHE_DIR) {
+        Some(dir) => Some(PathBuf::from(dir)),
+        None => args.has(&RESUME).then(|| out_dir.join("cache")),
+    }
+}
+
+/// Every figure and study, reusing figs 2–5's runs for the headline.
+fn everything(profile: Profile, out_dir: &Path, cache: Option<&RunCache>) {
+    let mut results = experiments::fig_time_and_round(profile, FmnistLike, out_dir, cache);
+    results.extend(experiments::fig_time_and_round(profile, CifarLike, out_dir, cache));
+    experiments::headline_from(&results, out_dir);
+    experiments::fig_budget(profile, FmnistLike, out_dir, cache);
+    experiments::fig_budget(profile, CifarLike, out_dir, cache);
+    experiments::regret(profile, out_dir);
+    experiments::rounding_ablation(profile);
+    experiments::stepsize_ablation(profile);
+    experiments::aggregation_ablation(profile);
+    experiments::oracle_comparison(profile);
+    experiments::fairness_study(profile);
+    experiments::bandwidth_study(profile);
+    experiments::dropout_study(profile);
+    experiments::replication_study(profile);
+}
+
+/// Loads every run log the command line names, labelled by file stem.
+fn load_logs(args: &Args) -> Result<Vec<(String, RunLog)>, String> {
+    args.positionals
+        .iter()
+        .map(|arg| {
+            let path = Path::new(arg);
+            let log = RunLog::read(path)
+                .map_err(|err| format!("failed to load run log {}: {err}", path.display()))?;
+            let stem = path.file_stem().map_or(arg.clone(), |s| s.to_string_lossy().into_owned());
+            Ok((stem, log))
+        })
+        .collect()
+}
+
+/// Prints a report and, with `--html`, writes its page (creating
+/// parent directories).
+fn publish(report: &Report, args: &Args, what: &str) -> Result<(), String> {
+    print!("{}", report.text());
+    let Some(path) = args.value(&HTML).map(Path::new) else { return Ok(()) };
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)
+            .map_err(|err| format!("failed to create {}: {err}", dir.display()))?;
+    }
+    std::fs::write(path, report.html())
+        .map_err(|err| format!("failed to write {}: {err}", path.display()))?;
+    log_line!("wrote {what}: {}", path.display());
+    Ok(())
+}
+
+/// Loads the named run logs, builds `build`'s report over them and
+/// publishes it.
+fn observe(
+    args: &Args,
+    what: &str,
+    build: fn(&Runs) -> Result<Report, String>,
+) -> Result<(), String> {
+    publish(&build(&load_logs(args)?)?, args, what)
+}
+
+/// Prints the event-kind and per-phase timing report of one run log,
+/// and fails when any `--require`d event kind is absent.
+fn telemetry_report(args: &Args) -> Result<(), String> {
+    let (_, log) = &load_logs(args)?[0];
+    print!("{}", log.report().text());
+    let required: Vec<&str> =
+        args.values(&REQUIRE).flat_map(|list| list.split(',')).filter(|k| !k.is_empty()).collect();
+    let missing = log.missing_kinds(&required);
+    if missing.is_empty() {
+        return Ok(());
+    }
+    Err(format!("run log is missing required event kinds: {}", missing.join(", ")))
+}
+
+/// Where `bench` writes its snapshot: `--out` names the file directly
+/// when it ends in `.json`, otherwise it is a directory and the
+/// snapshot lands at `<out>/BENCH.json`.
+fn snapshot_path(out: &Path) -> PathBuf {
+    if out.extension().is_some_and(|e| e == "json") {
+        out.to_path_buf()
+    } else {
+        out.join("BENCH.json")
+    }
+}
+
+/// Runs the perf-snapshot suite and writes `BENCH.json`.
+fn bench(args: &Args) -> Result<(), String> {
+    let profile = if args.has(&QUICK) { Profile::Quick } else { Profile::Paper };
+    let snapshot = perf::run_suite(profile);
+    let path = snapshot_path(Path::new(args.value(&OUT).unwrap_or("results")));
+    snapshot.write(&path).map_err(|err| format!("failed to write {}: {err}", path.display()))?;
+    log_line!("wrote perf snapshot: {} ({} kernels)", path.display(), snapshot.kernels.len());
+    Ok(())
+}
+
+/// The history file the `bench-history` actions operate on.
+fn history_path(args: &Args) -> PathBuf {
+    PathBuf::from(args.value(&HISTORY).unwrap_or(history::DEFAULT_HISTORY_PATH))
+}
+
+fn load_history(args: &Args) -> Result<BenchHistory, String> {
+    let path = history_path(args);
+    BenchHistory::load(&path).map_err(|err| format!("failed to read {}: {err}", path.display()))
+}
+
+/// Appends a snapshot to the history file.
+fn history_append(args: &Args) -> Result<(), String> {
+    let entry = HistoryEntry::capture(BenchSnapshot::read(Path::new(&args.positionals[0]))?);
+    let path = history_path(args);
+    BenchHistory::append(&path, &entry)
+        .map_err(|err| format!("failed to append to {}: {err}", path.display()))?;
+    log_line!(
+        "appended snapshot ({} kernels, {}, commit {}) to {}",
+        entry.snapshot.kernels.len(),
+        entry.fingerprint,
+        entry.commit,
+        path.display()
+    );
+    Ok(())
+}
+
+/// Prints the per-kernel trend tables (and writes the trend charts).
+fn history_report(args: &Args) -> Result<(), String> {
+    let report = history::trend(&load_history(args)?, history::DEFAULT_BASELINE_WINDOW);
+    publish(&report, args, "trend report")
+}
+
+/// Gates a snapshot against the rolling baseline of its fingerprint.
+fn history_gate(args: &Args) -> Result<(), String> {
+    let snapshot = BenchSnapshot::read(Path::new(&args.positionals[0]))?;
+    let threshold = history::DEFAULT_COMPARE_THRESHOLD;
+    let verdict =
+        history::gate(&load_history(args)?, &snapshot, history::DEFAULT_BASELINE_WINDOW, threshold);
+    print!("{}", verdict.report().text());
+    if verdict.passes() {
+        return Ok(());
+    }
+    Err(format!(
+        "perf regression: at least one kernel slowed down beyond {:.0} % and \
+         its noise band vs the rolling baseline",
+        threshold * 100.0
+    ))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match cli::parse(COMMANDS, &args).and_then(|(command, args)| (command.run)(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn every_command_is_in_the_usage_and_refuses_the_flags_it_does_not_list() {
+        let usage = cli::usage(COMMANDS);
+        for command in COMMANDS {
+            for name in command.names {
+                assert!(usage.contains(name), "{name} missing from:\n{usage}");
+            }
+            let Some(accepted) = command.flags else { continue };
+            // The shortest valid line: the name and its required positionals.
+            let mut minimal = line(&command.names[0].split(' ').collect::<Vec<_>>());
+            minimal.extend(
+                command.positionals.iter().filter(|p| !p.starts_with('[')).map(|p| p.to_string()),
+            );
+            let name = command.names[0];
+            assert!(cli::parse(COMMANDS, &minimal).is_ok(), "{name}");
+            for flag in [&QUICK, &OUT, &CACHE_DIR, &RESUME, &REQUIRE, &HTML, &HISTORY] {
+                let mut with = minimal.clone();
+                with.push(flag.name.to_string());
+                with.extend(flag.value.map(|_| "value".to_string()));
+                let listed = accepted.iter().any(|a| a.name == flag.name);
+                match cli::parse(COMMANDS, &with) {
+                    Ok((_, args)) => assert!(listed && args.has(flag), "{name} took {}", flag.name),
+                    Err(e) => {
+                        assert!(!listed, "{name} refused {}: {e}", flag.name);
+                        assert!(e.contains("is not an option of"), "{e}");
+                    }
+                }
+            }
+            for removed in ["--no-cache", "--window", "--threshold"] {
+                let mut with = minimal.clone();
+                with.push(removed.to_string());
+                let err = cli::parse(COMMANDS, &with).err().unwrap_or_default();
+                assert!(
+                    err.contains(&format!("unknown flag {removed}")),
+                    "{name} {removed}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cache_is_on_only_when_asked_for() {
+        let parsed = |words: &[&str]| cli::parse(COMMANDS, &line(words)).unwrap().1;
+        let out = Path::new("/tmp/r");
+        assert_eq!(cache_dir(&parsed(&["fig2"]), out), None);
+        assert_eq!(cache_dir(&parsed(&["--resume", "fig6"]), out), Some(out.join("cache")));
+        for words in
+            [&["--cache-dir", "/tmp/c", "fig6"][..], &["--resume", "--cache-dir", "/tmp/c", "all"]]
+        {
+            assert_eq!(cache_dir(&parsed(words), out), Some(PathBuf::from("/tmp/c")), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn bench_resolves_out_to_file_or_directory() {
+        assert_eq!(snapshot_path(Path::new("results")), PathBuf::from("results/BENCH.json"));
+        // --out ending in .json names the snapshot file itself...
+        let named = Path::new("results/BENCH_quick.json");
+        assert_eq!(snapshot_path(named), named);
+        // ...anything else is a directory.
+        assert_eq!(snapshot_path(Path::new("/tmp/perf")), PathBuf::from("/tmp/perf/BENCH.json"));
+    }
 }

@@ -10,7 +10,7 @@ use fedl_core::runner::ExperimentRunner;
 use fedl_data::synth::TaskKind;
 use fedl_telemetry::log_line;
 
-use crate::harness::{run_budget_sweep_cached, run_policy_matrix_cached, CellResult, RunCache};
+use crate::harness::{run_budget_sweep, run_policy_matrix, CellResult, RunCache};
 use crate::profile::{accuracy_targets, Profile};
 use crate::report;
 
@@ -43,7 +43,7 @@ pub fn fig_time_and_round(
         TaskKind::CifarLike => (3, 5),
     };
     for iid in [true, false] {
-        let results = run_policy_matrix_cached(profile, task, iid, budget, FIGURE_SEED, cache);
+        let results = run_policy_matrix(profile, task, iid, budget, FIGURE_SEED, cache);
         let dist = if iid { "IID" } else { "Non-IID" };
         let max_t = results.iter().map(|r| r.outcome.total_sim_time()).fold(0.0f64, f64::max);
         let times = [max_t * 0.25, max_t * 0.5, max_t];
@@ -100,7 +100,7 @@ pub fn fig_budget(
     let budgets = profile.budget_grid();
     let mut all = Vec::new();
     for iid in [true, false] {
-        let results = run_budget_sweep_cached(profile, task, iid, FIGURE_SEED, cache);
+        let results = run_budget_sweep(profile, task, iid, FIGURE_SEED, cache);
         let dist = if iid { "IID" } else { "Non-IID" };
         report::print_budget_table(
             &format!("Fig {fig} — {} {dist}: loss vs budget", task_name(task)),
@@ -122,7 +122,7 @@ pub fn headline(profile: Profile, out_dir: &Path, cache: Option<&RunCache>) {
     let mut all = Vec::new();
     for task in [TaskKind::FmnistLike, TaskKind::CifarLike] {
         for iid in [true, false] {
-            all.extend(run_policy_matrix_cached(
+            all.extend(run_policy_matrix(
                 profile,
                 task,
                 iid,

@@ -134,19 +134,10 @@ pub struct CellResult {
     pub outcome: RunOutcome,
 }
 
-/// Runs one scenario/policy pair.
-pub fn run_cell(scenario: ScenarioConfig, cell: Cell) -> CellResult {
-    run_cell_cached(scenario, cell, None)
-}
-
 /// Runs one scenario/policy pair, consulting `cache` first when given.
 /// A hit returns the stored [`RunOutcome`] without building the
 /// environment; a miss runs fresh and stores the result.
-pub fn run_cell_cached(
-    scenario: ScenarioConfig,
-    cell: Cell,
-    cache: Option<&RunCache>,
-) -> CellResult {
+pub fn run_cell(scenario: ScenarioConfig, cell: Cell, cache: Option<&RunCache>) -> CellResult {
     if let Some(cache) = cache {
         if let Some(outcome) = cache.get(&scenario, cell.policy.label()) {
             return CellResult { cell, outcome };
@@ -168,32 +159,16 @@ pub fn run_policy_matrix(
     iid: bool,
     budget: f64,
     seed: u64,
-) -> Vec<CellResult> {
-    run_policy_matrix_cached(profile, task, iid, budget, seed, None)
-}
-
-/// [`run_policy_matrix`] with an optional result cache.
-pub fn run_policy_matrix_cached(
-    profile: Profile,
-    task: TaskKind,
-    iid: bool,
-    budget: f64,
-    seed: u64,
     cache: Option<&RunCache>,
 ) -> Vec<CellResult> {
     par_map(&PolicyKind::ALL, |&policy| {
         let scenario = profile.scenario(task, iid, budget, seed);
-        run_cell_cached(scenario, Cell { task, iid, policy, budget }, cache)
+        run_cell(scenario, Cell { task, iid, policy, budget }, cache)
     })
 }
 
 /// Runs the full budget grid for `(task, iid)` across all policies.
-pub fn run_budget_sweep(profile: Profile, task: TaskKind, iid: bool, seed: u64) -> Vec<CellResult> {
-    run_budget_sweep_cached(profile, task, iid, seed, None)
-}
-
-/// [`run_budget_sweep`] with an optional result cache.
-pub fn run_budget_sweep_cached(
+pub fn run_budget_sweep(
     profile: Profile,
     task: TaskKind,
     iid: bool,
@@ -205,7 +180,7 @@ pub fn run_budget_sweep_cached(
         grid.iter().flat_map(|&b| PolicyKind::ALL.iter().map(move |&p| (b, p))).collect();
     par_map(&cells, |&(budget, policy)| {
         let scenario = profile.scenario(task, iid, budget, seed);
-        run_cell_cached(scenario, Cell { task, iid, policy, budget }, cache)
+        run_cell(scenario, Cell { task, iid, policy, budget }, cache)
     })
 }
 
@@ -265,7 +240,7 @@ pub fn run_replicated(
 ) -> Vec<ReplicationSummary> {
     assert!(!seeds.is_empty(), "need at least one seed");
     let all: Vec<Vec<CellResult>> =
-        par_map(seeds, |&seed| run_policy_matrix(profile, task, iid, budget, seed));
+        par_map(seeds, |&seed| run_policy_matrix(profile, task, iid, budget, seed, None));
     PolicyKind::ALL
         .iter()
         .map(|&policy| {
@@ -347,8 +322,8 @@ mod tests {
         // in (profile scenario, policy, seed), so re-running the same
         // cell must reproduce the outcome bit-for-bit — which is what
         // makes serving it from the result cache sound.
-        let a = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 11);
-        let b = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 11);
+        let a = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 11, None);
+        let b = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 11, None);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.outcome, y.outcome, "{:?} diverged across reruns", x.cell.policy);
@@ -361,37 +336,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let (tel, _handle) = Telemetry::in_memory();
         let cache = RunCache::open(&dir).unwrap().with_telemetry(tel.clone());
-        let cold = run_policy_matrix_cached(
-            Profile::Quick,
-            TaskKind::FmnistLike,
-            true,
-            250.0,
-            5,
-            Some(&cache),
-        );
+        let cold =
+            run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 5, Some(&cache));
         assert_eq!(tel.counter("cache.miss").value(), 4);
         assert_eq!(tel.counter("cache.hit").value(), 0);
-        let warm = run_policy_matrix_cached(
-            Profile::Quick,
-            TaskKind::FmnistLike,
-            true,
-            250.0,
-            5,
-            Some(&cache),
-        );
+        let warm =
+            run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 5, Some(&cache));
         assert_eq!(tel.counter("cache.hit").value(), 4);
         for (x, y) in cold.iter().zip(&warm) {
             assert_eq!(x.outcome, y.outcome);
         }
         // A different seed is a different key: all misses again.
-        run_policy_matrix_cached(
-            Profile::Quick,
-            TaskKind::FmnistLike,
-            true,
-            250.0,
-            6,
-            Some(&cache),
-        );
+        run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 6, Some(&cache));
         assert_eq!(tel.counter("cache.miss").value(), 8);
     }
 
@@ -408,7 +364,7 @@ mod tests {
             policy: PolicyKind::FedAvg,
             budget: 250.0,
         };
-        let first = run_cell_cached(scenario.clone(), cell.clone(), Some(&cache));
+        let first = run_cell(scenario.clone(), cell.clone(), Some(&cache));
         // Damage the single entry on disk.
         let entry = std::fs::read_dir(cache.dir())
             .unwrap()
@@ -417,7 +373,7 @@ mod tests {
             .expect("one cache entry written")
             .path();
         std::fs::write(&entry, "fedl-store v1 kind=cache-entry crc=0000000000000000\n{}").unwrap();
-        let again = run_cell_cached(scenario, cell, Some(&cache));
+        let again = run_cell(scenario, cell, Some(&cache));
         // The damaged entry read as a miss (not a crash), the run
         // reproduced the outcome, and the entry was repaired.
         assert_eq!(tel.counter("cache.miss").value(), 2);
@@ -427,7 +383,7 @@ mod tests {
 
     #[test]
     fn quick_matrix_runs_all_policies() {
-        let results = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 300.0, 3);
+        let results = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 300.0, 3, None);
         assert_eq!(results.len(), 4);
         for r in &results {
             assert!(!r.outcome.epochs.is_empty(), "{:?} ran nothing", r.cell.policy);

@@ -17,7 +17,7 @@ use std::io;
 use std::path::Path;
 
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
-use fedl_telemetry::dashboard::{escape, html_page, svg_open};
+use fedl_telemetry::render::{self, Block, Col, Report, Series};
 
 use crate::perf::{self, BenchSnapshot, CompareReport, KernelStats};
 use crate::timing;
@@ -30,6 +30,14 @@ pub const HISTORY_SCHEMA_VERSION: u32 = 1;
 /// Default `K` for the rolling baseline: the median of the last 5
 /// compatible entries.
 pub const DEFAULT_BASELINE_WINDOW: usize = 5;
+
+/// The gate's relative slowdown tolerance: 25 % — generous because the
+/// CI gate compares quick runs taken seconds apart on a shared machine.
+pub const DEFAULT_COMPARE_THRESHOLD: f64 = 0.25;
+
+/// Default `--history` file for the `bench-history` actions. Lives
+/// under `results/` so the standard `.gitignore` globs cover it.
+pub const DEFAULT_HISTORY_PATH: &str = "results/BENCH_HISTORY.jsonl";
 
 /// One line of `BENCH_HISTORY.jsonl`: a perf snapshot plus the context
 /// needed to decide which other entries it may be compared against.
@@ -290,29 +298,34 @@ impl GateReport {
         self.compare.as_ref().is_none_or(|c| !c.has_regression())
     }
 
-    /// Human-readable rendering (warnings, then the comparison table).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
+    /// The `bench-history gate` report: warnings, then the per-kernel
+    /// comparison table.
+    pub fn report(&self) -> Report {
+        let mut report = Report::new("FedL bench gate");
         for w in &self.warnings {
-            out.push_str(&format!("warning: {w}\n"));
+            report.note(format!("warning: {w}"));
         }
         match &self.compare {
-            None => out.push_str(&format!(
-                "no baseline for fingerprint {} — gate passes with warning\n",
+            None => report.note(format!(
+                "no baseline for fingerprint {} — gate passes with warning",
                 self.fingerprint
             )),
             Some(c) => {
-                out.push_str(&format!(
-                    "rolling baseline: median of {} entr{} for {}\n",
-                    self.baseline_entries,
-                    if self.baseline_entries == 1 { "y" } else { "ies" },
+                report.note(format!(
+                    "rolling baseline: median of {} for {}",
+                    entries(self.baseline_entries),
                     self.fingerprint
                 ));
-                out.push_str(&c.render());
+                report.blocks.push(Block::Table(c.table()));
             }
         }
-        out
+        report
     }
+}
+
+/// `1 entry` / `N entries`.
+fn entries(n: usize) -> String {
+    format!("{n} entr{}", if n == 1 { "y" } else { "ies" })
 }
 
 /// Gates `new` against the rolling baseline of its fingerprint:
@@ -337,9 +350,8 @@ pub fn gate(
         warnings.push("history holds no entries".to_string());
     } else if history.compatible(&fingerprint).is_empty() {
         warnings.push(format!(
-            "history holds {} entr{} but none matches fingerprint {fingerprint}",
-            history.entries.len(),
-            if history.entries.len() == 1 { "y" } else { "ies" },
+            "history holds {} but none matches fingerprint {fingerprint}",
+            entries(history.entries.len()),
         ));
     }
     let Some(baseline) = history.rolling_baseline(&fingerprint, window) else {
@@ -363,14 +375,6 @@ pub fn gate(
 
 // ── trend report ────────────────────────────────────────────────────
 
-/// Trend chart geometry (pixels), mirroring the dashboard's layout.
-const PLOT_W: f64 = 560.0;
-const PLOT_H: f64 = 140.0;
-const M_LEFT: f64 = 80.0;
-const M_TOP: f64 = 10.0;
-const M_RIGHT: f64 = 10.0;
-const M_BOTTOM: f64 = 26.0;
-
 fn sanitize_id(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
@@ -390,205 +394,76 @@ fn fingerprint_groups(history: &BenchHistory) -> Vec<(String, Vec<&HistoryEntry>
     groups
 }
 
-/// The per-kernel trend table: one section per fingerprint group, one
-/// row per kernel with first/last/median means and the drift ratio of
-/// the newest entry against the K-window median.
-pub fn render_trend_table(history: &BenchHistory, window: usize) -> String {
-    let mut out = String::new();
+/// The `bench-history report` report. Per fingerprint group: the trend
+/// table — one row per kernel with first/last/median means and the
+/// drift ratio of the newest entry against the `window` median — and
+/// one panel per kernel of the newest entry (`id="trend-<kernel>"`, or
+/// `trend-g<i>-<kernel>` when several fingerprints share the file)
+/// charting the mean over runs with its ±2σ noise band.
+pub fn trend(history: &BenchHistory, window: usize) -> Report {
+    let mut report = Report::new("FedL bench history");
     if history.skipped_lines() > 0 {
-        out.push_str(&format!("skipped {} malformed history line(s)\n", history.skipped_lines()));
+        report.warn(format!("skipped {} malformed history line(s)", history.skipped_lines()));
     }
     let groups = fingerprint_groups(history);
     if groups.is_empty() {
-        out.push_str("history holds no entries — nothing to report\n");
-        return out;
+        report.note("history holds no entries — nothing to report");
     }
-    for (fp, entries) in &groups {
-        let commits: Vec<&str> = entries.iter().map(|e| e.commit.as_str()).collect();
-        out.push_str(&format!(
-            "── {} — {} entr{} ({}) ──\n",
-            fp,
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" },
-            commits.join(" → ")
-        ));
-        out.push_str(&format!(
-            "{:<34} {:>5} {:>12} {:>12} {:>12} {:>12}\n",
-            "kernel", "runs", "first", "last", "median(K)", "last/median"
-        ));
-        let newest = entries.last().expect("group is non-empty");
+    for (gi, (fp, group)) in groups.iter().enumerate() {
+        let commits: Vec<&str> = group.iter().map(|e| e.commit.as_str()).collect();
+        let title = format!("{fp} — {} ({})", entries(group.len()), commits.join(" → "));
+        report.ascii(format!("── {title} ──\n"));
+        let newest = group.last().expect("group is non-empty");
         let mut names: Vec<&str> =
             newest.snapshot.kernels.iter().map(|k| k.name.as_str()).collect();
-        for e in entries {
-            for k in &e.snapshot.kernels {
-                if !names.contains(&k.name.as_str()) {
-                    names.push(&k.name);
-                }
+        for k in group.iter().flat_map(|e| &e.snapshot.kernels) {
+            if !names.contains(&k.name.as_str()) {
+                names.push(&k.name);
             }
         }
-        for name in names {
-            let series: Vec<&KernelStats> =
-                entries.iter().filter_map(|e| e.snapshot.kernel(name)).collect();
-            let tail_median = median(series.iter().rev().take(window.max(1)).map(|k| k.mean_ns));
-            let first = series.first().expect("kernel appears at least once");
-            let last = series.last().expect("kernel appears at least once");
-            let ratio = if tail_median > 0.0 {
-                format!("{:.2}×", last.mean_ns / tail_median)
-            } else {
-                "—".to_string()
-            };
-            out.push_str(&format!(
-                "{:<34} {:>5} {:>12} {:>12} {:>12} {:>12}\n",
-                name,
-                series.len(),
-                timing::fmt_ns(first.mean_ns),
-                timing::fmt_ns(last.mean_ns),
-                timing::fmt_ns(tail_median),
-                ratio
-            ));
-        }
-    }
-    out
-}
-
-/// One kernel's trend chart: mean over entry index as a polyline, the
-/// mean±2σ noise band as a translucent polygon behind it.
-fn trend_chart(id: &str, title: &str, series: &[(f64, f64)]) -> String {
-    let mut out = svg_open(id, M_LEFT + PLOT_W + M_RIGHT, M_TOP + PLOT_H + M_BOTTOM);
-    let finite: Vec<(usize, f64, f64)> = series
-        .iter()
-        .enumerate()
-        .filter(|(_, (m, s))| m.is_finite() && s.is_finite())
-        .map(|(i, &(m, s))| (i, m, s))
-        .collect();
-    if finite.is_empty() {
-        out.push_str(&format!(
-            r#"<text x="{}" y="{}" text-anchor="middle" class="empty">no data</text></svg>"#,
-            M_LEFT + PLOT_W / 2.0,
-            M_TOP + PLOT_H / 2.0
-        ));
-        return out;
-    }
-    let y_min = finite.iter().map(|&(_, m, s)| m - 2.0 * s).fold(f64::INFINITY, f64::min);
-    let y_max = finite.iter().map(|&(_, m, s)| m + 2.0 * s).fold(f64::NEG_INFINITY, f64::max);
-    let (y_min, y_max) = if y_max > y_min { (y_min, y_max) } else { (y_min - 1.0, y_max + 1.0) };
-    let x_max = (series.len().max(2) - 1) as f64;
-    let sx = |i: usize| M_LEFT + i as f64 / x_max * PLOT_W;
-    let sy = |y: f64| M_TOP + (1.0 - (y - y_min) / (y_max - y_min)) * PLOT_H;
-    out.push_str(&format!(
-        r#"<rect x="{M_LEFT}" y="{M_TOP}" width="{PLOT_W}" height="{PLOT_H}" class="frame"/>"#
-    ));
-    // ±2σ band: upper edge left→right, lower edge right→left.
-    if finite.len() >= 2 {
-        let upper: Vec<String> = finite
+        let rows = names
             .iter()
-            .map(|&(i, m, s)| format!("{:.1},{:.1}", sx(i), sy(m + 2.0 * s)))
+            .map(|name| {
+                let series: Vec<&KernelStats> =
+                    group.iter().filter_map(|e| e.snapshot.kernel(name)).collect();
+                let tail_median =
+                    median(series.iter().rev().take(window.max(1)).map(|k| k.mean_ns));
+                let first = series.first().expect("kernel appears at least once");
+                let last = series.last().expect("kernel appears at least once");
+                vec![
+                    name.to_string(),
+                    series.len().to_string(),
+                    timing::fmt_ns(first.mean_ns),
+                    timing::fmt_ns(last.mean_ns),
+                    timing::fmt_ns(tail_median),
+                    if tail_median > 0.0 {
+                        format!("{:.2}×", last.mean_ns / tail_median)
+                    } else {
+                        "—".to_string()
+                    },
+                ]
+            })
             .collect();
-        let lower: Vec<String> = finite
-            .iter()
-            .rev()
-            .map(|&(i, m, s)| format!("{:.1},{:.1}", sx(i), sy(m - 2.0 * s)))
-            .collect();
-        out.push_str(&format!(
-            r##"<polygon fill="#2563eb" fill-opacity="0.15" stroke="none" points="{} {}"/>"##,
-            upper.join(" "),
-            lower.join(" ")
-        ));
-    }
-    if finite.len() >= 2 {
-        let path: Vec<String> =
-            finite.iter().map(|&(i, m, _)| format!("{:.1},{:.1}", sx(i), sy(m))).collect();
-        out.push_str(&format!(
-            r##"<polyline fill="none" stroke="#2563eb" stroke-width="1.5" points="{}"/>"##,
-            path.join(" ")
-        ));
-    }
-    for &(i, m, _) in &finite {
-        out.push_str(&format!(
-            r##"<circle cx="{:.1}" cy="{:.1}" r="2.5" fill="#2563eb"/>"##,
-            sx(i),
-            sy(m)
-        ));
-    }
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT - 4.0,
-        M_TOP + 10.0,
-        timing::fmt_ns(y_max)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT - 4.0,
-        M_TOP + PLOT_H,
-        timing::fmt_ns(y_min)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{M_LEFT}" y="{:.1}" class="tick">run 0</text>"#,
-        M_TOP + PLOT_H + 16.0
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">run {}</text>"#,
-        M_LEFT + PLOT_W,
-        M_TOP + PLOT_H + 16.0,
-        series.len() - 1
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" class="title">{}</text>"#,
-        M_LEFT + 6.0,
-        M_TOP + 14.0,
-        escape(title)
-    ));
-    out.push_str("</svg>");
-    out
-}
-
-/// Renders the self-contained HTML trend report: per fingerprint
-/// group, one inline-SVG chart per kernel (`id="trend-<kernel>"`, or
-/// `trend-g<i>-<kernel>` when several fingerprints share the file)
-/// showing the mean trend line over runs with its ±2σ noise band.
-/// No scripts, no external assets — same contract as the dashboard.
-pub fn render_trend_html(history: &BenchHistory) -> String {
-    let mut body = String::new();
-    if history.skipped_lines() > 0 {
-        body.push_str(&format!(
-            "<p class=\"warn\">skipped {} malformed history line(s)</p>",
-            history.skipped_lines()
-        ));
-    }
-    let groups = fingerprint_groups(history);
-    if groups.is_empty() {
-        body.push_str("<p>history holds no entries — nothing to chart</p>");
-    }
-    let multi = groups.len() > 1;
-    for (gi, (fp, entries)) in groups.iter().enumerate() {
-        body.push_str(&format!(
-            "<h2>{} — {} entr{}</h2>",
-            escape(fp),
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" }
-        ));
-        let newest = entries.last().expect("group is non-empty");
+        let mut cols = vec![Col::left("kernel", 34), Col::right("runs", 5)];
+        cols.extend(["first", "last", "median(K)", "last/median"].map(|h| Col::right(h, 12)));
+        report.table(&title, cols, rows);
         for kernel in &newest.snapshot.kernels {
-            let series: Vec<(f64, f64)> = entries
+            let points = group
                 .iter()
-                .map(|e| {
-                    e.snapshot
-                        .kernel(&kernel.name)
-                        .map_or((f64::NAN, f64::NAN), |k| (k.mean_ns, k.std_ns))
+                .enumerate()
+                .map(|(run, e)| match e.snapshot.kernel(&kernel.name) {
+                    Some(k) => (run as f64, k.mean_ns, 2.0 * k.std_ns),
+                    None => (run as f64, f64::NAN, f64::NAN),
                 })
                 .collect();
-            let id = if multi {
-                format!("trend-g{gi}-{}", sanitize_id(&kernel.name))
-            } else {
-                format!("trend-{}", sanitize_id(&kernel.name))
-            };
-            body.push_str(&format!(
-                "<section>{}</section>",
-                trend_chart(&id, &kernel.name, &series)
-            ));
+            let series = [Series { label: String::new(), color: "#2563eb", points, markers: true }];
+            let group_tag = if groups.len() > 1 { format!("g{gi}-") } else { String::new() };
+            let id = format!("trend-{group_tag}{}", sanitize_id(&kernel.name));
+            let svg = render::lines(&id, &series, |run| format!("run {run:.0}"), timing::fmt_ns);
+            report.panel(&*kernel.name, svg);
         }
     }
-    html_page("FedL bench history", "FedL bench history", &body)
+    report
 }
 
 #[cfg(test)]
@@ -692,14 +567,14 @@ mod tests {
         // Clean: within noise of the 1000 median.
         let clean = snapshot(vec![stats("a", 1005.0, 10.0)]);
         let report = gate(&h, &clean, DEFAULT_BASELINE_WINDOW, 0.25);
-        assert!(report.passes(), "{}", report.render());
+        assert!(report.passes(), "{}", report.report().text());
         assert_eq!(report.baseline_entries, 3);
         // Regressed: mean inflated 2× with tight bands — both the
         // threshold and the band-separation condition trip.
         let regressed = snapshot(vec![stats("a", 2000.0, 10.0)]);
         let report = gate(&h, &regressed, DEFAULT_BASELINE_WINDOW, 0.25);
         assert!(!report.passes());
-        assert!(report.render().contains("REGRESSED"));
+        assert!(report.report().text().contains("REGRESSED"));
     }
 
     #[test]
@@ -722,13 +597,13 @@ mod tests {
         let report = gate(&BenchHistory::empty(), &new, 5, 0.25);
         assert!(report.passes());
         assert!(report.compare.is_none());
-        assert!(report.render().contains("gate passes with warning"));
+        assert!(report.report().text().contains("gate passes with warning"));
         // Fully corrupt: every line skipped.
         let corrupt = BenchHistory::parse("not json\n{\"half\":\n");
         assert_eq!(corrupt.skipped_lines(), 2);
         let report = gate(&corrupt, &new, 5, 0.25);
         assert!(report.passes());
-        assert!(report.render().contains("malformed history line"));
+        assert!(report.report().text().contains("malformed history line"));
     }
 
     #[test]
@@ -741,7 +616,7 @@ mod tests {
         let new = snapshot(vec![stats("a", 1000.0, 10.0)]);
         let report = gate(&h, &new, 5, 0.25);
         assert!(report.passes());
-        assert!(report.render().contains("none matches fingerprint"));
+        assert!(report.report().text().contains("none matches fingerprint"));
     }
 
     #[test]
@@ -757,13 +632,13 @@ mod tests {
     #[test]
     fn trend_table_reports_per_kernel_drift() {
         let h = history_of(vec![entry(1000.0, 10.0), entry(2000.0, 10.0)]);
-        let table = render_trend_table(&h, DEFAULT_BASELINE_WINDOW);
+        let table = trend(&h, DEFAULT_BASELINE_WINDOW).text();
         assert!(table.contains("kernel"));
         assert!(table.contains('a'));
         assert!(table.contains("abc123 → abc123"), "commit provenance: {table}");
         assert!(table.contains("1.33×"), "2000/median(1500): {table}");
         // Empty history renders an explanation, not a panic.
-        assert!(render_trend_table(&BenchHistory::empty(), 5).contains("nothing to report"));
+        assert!(trend(&BenchHistory::empty(), 5).text().contains("nothing to report"));
     }
 
     #[test]
@@ -778,7 +653,7 @@ mod tests {
             ]),
         };
         let h = history_of(vec![mk(1000.0), mk(1100.0), mk(1050.0)]);
-        let html = render_trend_html(&h);
+        let html = trend(&h, DEFAULT_BASELINE_WINDOW).html();
         assert!(html.contains("<svg id=\"trend-gemm-square-48\""));
         assert!(html.contains("<svg id=\"trend-core-ucb-score-update-64\""));
         assert!(html.contains("polygon"), "±2σ band present");
@@ -791,7 +666,7 @@ mod tests {
         let mut other = mk(500.0);
         other.fingerprint = "elsewhere/t8/quick/bench-v1".to_string();
         let mixed = history_of(vec![mk(1000.0), other]);
-        let html = render_trend_html(&mixed);
+        let html = trend(&mixed, DEFAULT_BASELINE_WINDOW).html();
         assert!(html.contains("<svg id=\"trend-g0-gemm-square-48\""));
         assert!(html.contains("<svg id=\"trend-g1-gemm-square-48\""));
     }

@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
 use fedl_telemetry::log_line;
+use fedl_telemetry::render::{Col, Table};
 
 use crate::profile::Profile;
 use crate::timing::{self, measure_with_budget, Measurement};
@@ -561,29 +562,35 @@ impl CompareReport {
         self.rows.iter().any(|r| r.verdict == Verdict::Regressed)
     }
 
-    /// The fixed-width per-kernel table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<34} {:>22} {:>22} {:>7}  {}\n",
-            "kernel", "base mean±std", "new mean±std", "ratio", "verdict"
-        ));
-        for row in &self.rows {
-            let fmt_side = |s: &Option<KernelStats>| match s {
-                Some(k) => format!("{}±{}", timing::fmt_ns(k.mean_ns), timing::fmt_ns(k.std_ns)),
-                None => "—".to_string(),
-            };
-            let ratio = row.ratio.map_or("—".to_string(), |r| format!("{r:.2}×"));
-            out.push_str(&format!(
-                "{:<34} {:>22} {:>22} {:>7}  {}\n",
-                row.name,
-                fmt_side(&row.base),
-                fmt_side(&row.new),
-                ratio,
-                row.verdict.label()
-            ));
+    /// The per-kernel comparison table.
+    pub fn table(&self) -> Table {
+        let side = |s: &Option<KernelStats>| match s {
+            Some(k) => format!("{}±{}", timing::fmt_ns(k.mean_ns), timing::fmt_ns(k.std_ns)),
+            None => "—".to_string(),
+        };
+        Table {
+            title: "Per-kernel comparison".to_string(),
+            cols: vec![
+                Col::left("kernel", 34),
+                Col::right("base mean±std", 22),
+                Col::right("new mean±std", 22),
+                Col::right("ratio", 7),
+                Col::left("verdict", 0).pad(1),
+            ],
+            rows: self
+                .rows
+                .iter()
+                .map(|row| {
+                    vec![
+                        row.name.clone(),
+                        side(&row.base),
+                        side(&row.new),
+                        row.ratio.map_or("—".to_string(), |r| format!("{r:.2}×")),
+                        row.verdict.label().to_string(),
+                    ]
+                })
+                .collect(),
         }
-        out
     }
 }
 
@@ -729,7 +736,7 @@ mod tests {
             report.rows.iter().map(|r| (r.name.clone(), r.verdict)).collect();
         assert!(verdicts.contains(&("gone".to_string(), Verdict::OnlyBase)));
         assert!(verdicts.contains(&("fresh".to_string(), Verdict::OnlyNew)));
-        let table = report.render();
+        let table = report.table().text();
         assert!(table.contains("only-base") && table.contains("only-new"));
     }
 

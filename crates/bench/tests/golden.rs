@@ -1,10 +1,12 @@
 //! Golden text of the bench-history reports over a fixed hand-written
 //! history file: the trend table and the gate verdict must not move by
 //! a byte (expected strings captured at the commit before the report
-//! model was introduced).
+//! model was introduced). And, over every report of the observatory:
+//! a table's text and HTML renderings carry the same cells.
 
 use fedl_bench::history::{self, BenchHistory, DEFAULT_BASELINE_WINDOW};
 use fedl_bench::perf::BenchSnapshot;
+use fedl_telemetry::{dashboard, trace, Report, RunLog};
 
 const HISTORY: &str = include_str!("golden/history.jsonl");
 
@@ -14,10 +16,9 @@ fn assert_golden(name: &str, actual: &str, expected: &str) {
 
 #[test]
 fn trend_table_text_is_pinned() {
-    let table = history::render_trend_table(&BenchHistory::parse(HISTORY), DEFAULT_BASELINE_WINDOW);
+    let table = history::trend(&BenchHistory::parse(HISTORY), DEFAULT_BASELINE_WINDOW).text();
     assert_golden("trend table", &table, include_str!("golden/trend.txt"));
-    let empty =
-        history::render_trend_table(&BenchHistory::parse("torn\n"), DEFAULT_BASELINE_WINDOW);
+    let empty = history::trend(&BenchHistory::parse("torn\n"), DEFAULT_BASELINE_WINDOW).text();
     assert_eq!(
         empty,
         "skipped 1 malformed history line(s)\nhistory holds no entries — nothing to report\n"
@@ -36,6 +37,68 @@ fn gate_text_is_pinned() {
     let local = BenchHistory::parse(&before.replace("testos-x86_64/t2/quick/bench-v4", &here));
     let report = history::gate(&local, &newest, DEFAULT_BASELINE_WINDOW, 0.25);
     assert!(!report.passes(), "gemm doubled against the median");
-    let text = report.render().replace(&here, "testos-x86_64/t2/quick/bench-v4");
+    let text = report.report().text().replace(&here, "testos-x86_64/t2/quick/bench-v4");
     assert_golden("gate report", &text, include_str!("golden/gate.txt"));
+}
+
+/// The cells between `<tag>` and `</tag>`, in order.
+fn cells<'a>(html: &'a str, tag: &str) -> Vec<&'a str> {
+    let (open, close) = (format!("<{tag}>"), format!("</{tag}>"));
+    html.split(&open).skip(1).map(|rest| rest.split(&close).next().unwrap()).collect()
+}
+
+#[test]
+fn every_table_carries_the_same_cells_as_text_and_as_html() {
+    let log = |text: &str| RunLog::parse(text);
+    let fedl = || log(include_str!("../../telemetry/tests/golden/run_fedl.jsonl"));
+    let fedavg = || log(include_str!("../../telemetry/tests/golden/run_fedavg.jsonl"));
+    let runs = vec![("a".to_string(), fedl()), ("b".to_string(), fedavg())];
+    let traces = vec![
+        ("coord".to_string(), log(include_str!("../../telemetry/tests/golden/trace_coord.jsonl"))),
+        ("w0".to_string(), log(include_str!("../../telemetry/tests/golden/trace_worker0.jsonl"))),
+        ("w1".to_string(), log(include_str!("../../telemetry/tests/golden/trace_worker1.jsonl"))),
+    ];
+    let history = BenchHistory::parse(HISTORY);
+    let newest = history.entries().last().unwrap().snapshot.clone();
+    let mut comparable = history.entries()[0].clone();
+    comparable.fingerprint = history::fingerprint_of(&newest);
+    let baseline = BenchHistory::parse(&(fedl_json::ToJson::to_json_value(&comparable).to_json()));
+    let reports: Vec<Report> = vec![
+        fedl().report(),
+        dashboard::single(&fedl()),
+        dashboard::overlay(&runs).unwrap(),
+        trace::report(&traces).unwrap(),
+        history::trend(&history, DEFAULT_BASELINE_WINDOW),
+        history::gate(&baseline, &newest, DEFAULT_BASELINE_WINDOW, 0.25).report(),
+    ];
+    let squash = |cells: &mut dyn Iterator<Item = &str>| -> String {
+        cells.flat_map(str::split_whitespace).collect()
+    };
+    let mut tables = 0;
+    for report in &reports {
+        for table in report.tables() {
+            tables += 1;
+            let (text, html) = (table.text(), table.html());
+            assert!(
+                report.text().contains(&text) && report.html().contains(&html),
+                "{}",
+                table.title
+            );
+            // HTML: exactly the model's cells, in order.
+            let heads: Vec<&str> = table.cols.iter().map(|c| c.head).collect();
+            assert_eq!(cells(&html, "th"), heads, "{}", table.title);
+            let flat: Vec<&str> = table.rows.iter().flatten().map(String::as_str).collect();
+            assert_eq!(cells(&html, "td"), flat, "{}", table.title);
+            // Text: the same cells, row by row, only spaced out.
+            let mut expected: Vec<String> =
+                table.rows.iter().map(|r| squash(&mut r.iter().map(String::as_str))).collect();
+            if heads.iter().any(|h| !h.is_empty()) {
+                expected.insert(0, squash(&mut heads.iter().copied()));
+            }
+            let lines: Vec<String> =
+                text.lines().map(|l| squash(&mut std::iter::once(l))).collect();
+            assert_eq!(lines, expected, "{}", table.title);
+        }
+    }
+    assert_eq!(tables, 8, "kinds + phases, clients, overlay, critical path, 2 trend groups, gate");
 }

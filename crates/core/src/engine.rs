@@ -380,6 +380,11 @@ mod tests {
         }
     }
 
+    fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Obj(pairs) = v else { panic!("not an object") };
+        &mut pairs.iter_mut().find(|(k, _)| k == key).expect("field present").1
+    }
+
     #[test]
     fn snapshot_restore_continues_bit_for_bit() {
         let payload = |engine: &EpochEngine| obj(engine.snapshot().unwrap());
@@ -408,6 +413,28 @@ mod tests {
             let bad = obj(vec![("initial", Value::Float(BUDGET)), ("charges", vec![-1.0].into())]);
             let poisoned = obj([fields[0].clone(), ("ledger", bad), fields[2].clone()]);
             assert!(matches!(second.restore(&poisoned), Err(EngineError::Schema(_))));
+            // So is a FedL state of the wrong arity or sign, which would
+            // otherwise restore cleanly and panic an epoch later.
+            if kind != PolicyKind::FedL {
+                continue;
+            }
+            let mu = |values: Vec<f64>| (["learner", "mu"], Value::from(values));
+            for (path, value) in [
+                mu(vec![0.0; CLIENTS - 1]),
+                mu(vec![0.0; CLIENTS + 1]),
+                mu([vec![0.0; CLIENTS - 1], vec![-1.0]].concat()),
+                mu([vec![0.0; CLIENTS - 1], vec![f64::NAN]].concat()),
+                (["learner", "mu0"], Value::Float(-0.5)),
+                (["tracker", "h_cum"], vec![0.0; CLIENTS].into()),
+                (["tracker", "h_cum"], vec![f64::INFINITY; CLIENTS + 1].into()),
+            ] {
+                let mut state = fields[2].1.clone();
+                *field_mut(field_mut(&mut state, path[0]), path[1]) = value;
+                let skewed = obj([fields[0].clone(), fields[1].clone(), ("policy_state", state)]);
+                let refused = second.restore(&skewed);
+                assert!(matches!(refused, Err(EngineError::Schema(_))), "{path:?}: {refused:?}");
+            }
+            second.restore(&obj(fields)).expect("the untouched payload still restores");
         }
     }
 }

@@ -124,18 +124,12 @@ impl FedLPolicy {
         let prior_x = (min_participants as f64 / num_clients.max(1) as f64).clamp(0.02, 0.5);
         let learner = OnlineLearner::new(num_clients, steps, config.theta, config.rho_max, prior_x)
             .with_fairness(config.fairness_weight);
-        Self::around(learner, num_clients, config.independent_rounding)
-    }
-
-    /// A policy around `learner` with a fresh tracker, rounding stream
-    /// and buffers.
-    fn around(learner: OnlineLearner, num_clients: usize, independent_rounding: bool) -> Self {
         Self {
             learner,
             tracker: RegretTracker::new(num_clients),
             track_regret: true,
             rng: Xoshiro256pp::seed_from_u64(derive_seed(0xFED1, num_clients as u64)),
-            independent_rounding,
+            independent_rounding: config.independent_rounding,
             problem: OneShot::default(),
             rdcs: RdcsScratch::new(),
             selected: Vec::new(),
@@ -163,28 +157,6 @@ impl FedLPolicy {
     /// The online learner (exposed for theory-validation benches).
     pub fn learner(&self) -> &OnlineLearner {
         &self.learner
-    }
-
-    /// Serializes the learner state for checkpointing. The rounding RNG
-    /// and the regret tracker are *not* part of the snapshot: restoring
-    /// resumes the learned estimates and multipliers exactly, with a
-    /// fresh randomization stream and a fresh tracker.
-    pub fn checkpoint(&self) -> String {
-        self.learner.to_json()
-    }
-
-    /// Restores a policy from a [`FedLPolicy::checkpoint`] snapshot.
-    ///
-    /// `num_clients` must match the checkpointed federation size.
-    pub fn restore(snapshot: &str, num_clients: usize) -> Result<Self, fedl_json::Error> {
-        let learner = OnlineLearner::from_json(snapshot)?;
-        if learner.state().len() != num_clients {
-            return Err(fedl_json::Error::msg(format!(
-                "checkpoint is for {} clients, not {num_clients}",
-                learner.state().len()
-            )));
-        }
-        Ok(Self::around(learner, num_clients, false))
     }
 }
 
@@ -233,11 +205,10 @@ impl SelectionPolicy for FedLPolicy {
         self.learner.state().stats(client).map(|s| s.eta)
     }
 
-    /// Unlike the legacy [`FedLPolicy::checkpoint`] (which keeps only
-    /// the learner), this captures *everything* that feeds future
-    /// decisions — learner, regret tracker, the RDCS rounding RNG's
-    /// exact stream position, and the rounding mode — so a restored run
-    /// is bit-identical to an uninterrupted one. The decision held between
+    /// Captures *everything* that feeds future decisions — learner,
+    /// regret tracker, the RDCS rounding RNG's exact stream position,
+    /// and the rounding mode — so a restored run is bit-identical to an
+    /// uninterrupted one. The decision held between
     /// `select` and `observe` is not captured, which is why
     /// [`crate::engine::EpochEngine::snapshot`] refuses mid-epoch.
     fn snapshot_state(&self) -> Value {
@@ -249,17 +220,32 @@ impl SelectionPolicy for FedLPolicy {
         ])
     }
 
+    /// Refuses a snapshot that does not fit this federation — a learner,
+    /// multiplier vector or constraint-sum vector of another size, or a
+    /// negative or non-finite multiplier — before it can index out of
+    /// bounds or trip the solver's asserts epochs later.
     fn restore_state(&mut self, state: &Value) -> Result<(), fedl_json::Error> {
+        let m = self.learner.state().len();
         let learner: OnlineLearner = read_field(state, "learner")?;
-        if learner.state().len() != self.learner.state().len() {
+        let tracker: RegretTracker = read_field(state, "tracker")?;
+        let (mu0, mu) = learner.multipliers();
+        let sums = tracker.constraint_sums();
+        if learner.state().len() != m || mu.len() != m || sums.len() != m + 1 {
             return Err(fedl_json::Error::msg(format!(
-                "checkpoint is for {} clients, not {}",
+                "checkpoint is for {} clients ({} multipliers, {} constraint sums), not {m}",
                 learner.state().len(),
-                self.learner.state().len()
+                mu.len(),
+                sums.len()
             )));
         }
+        if !mu.iter().chain([&mu0]).all(|v| v.is_finite() && *v >= 0.0) {
+            return Err(fedl_json::Error::msg("checkpoint carries a negative or non-finite μ"));
+        }
+        if !sums.iter().all(|v| v.is_finite()) {
+            return Err(fedl_json::Error::msg("checkpoint carries a non-finite constraint sum"));
+        }
         self.learner = learner;
-        self.tracker = read_field(state, "tracker")?;
+        self.tracker = tracker;
         self.rng = snapshot::rng_from_json(state.field("rng")?)?;
         self.independent_rounding = read_field(state, "independent_rounding")?;
         self.pending = None;

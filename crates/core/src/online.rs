@@ -140,17 +140,6 @@ impl OnlineLearner {
         self
     }
 
-    /// Serializes the complete learner state (per-client memory,
-    /// multipliers, step sizes) for checkpointing a long FL campaign.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_json()
-    }
-
-    /// Restores a learner from a [`OnlineLearner::to_json`] snapshot.
-    pub fn from_json(snapshot: &str) -> Result<Self, fedl_json::Error> {
-        Self::from_json_value(&Value::parse(snapshot)?)
-    }
-
     /// Current multipliers `(μ⁰, μ^k)` — exposed for the boundedness
     /// check of Lemma 2 in tests/benches.
     pub fn multipliers(&self) -> (f64, &[f64]) {

@@ -94,6 +94,12 @@ impl RegretTracker {
         &self.f_online
     }
 
+    /// Running constraint sums `Σ_{≤t} h`: the global constraint, then
+    /// one slot per client id.
+    pub fn constraint_sums(&self) -> &[f64] {
+        &self.h_cum
+    }
+
     /// Per-epoch hindsight optima.
     pub fn f_hindsight(&self) -> &[f64] {
         &self.f_hindsight

@@ -15,6 +15,7 @@ use fedl_core::online::{OnlineLearner, StepSizes};
 use fedl_core::policy::EpochContext;
 use fedl_core::rounding;
 use fedl_core::{FedLConfig, PolicyKind};
+use fedl_json::{FromJson, ToJson, Value};
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_net::{ChannelModel, LatencyModel};
 use fedl_sim::{ClientColumns, ClientProfile, EnvConfig, EpochClientView, EpochReport, ScaleTier};
@@ -260,9 +261,10 @@ fn learner_snapshot_round_trips_at_10k() {
     let frac = fedl_core::objective::FracDecision { x: vec![0.1; ctx.available.len()], rho: 2.0 };
     learner.observe(&ctx, &report, &frac, &problem);
 
-    let snapshot = learner.to_json();
-    let restored = OnlineLearner::from_json(&snapshot).expect("snapshot must parse");
-    assert_eq!(restored.to_json(), snapshot, "round-trip must be byte-stable");
+    let snapshot = learner.to_json_value().to_json();
+    let restored = OnlineLearner::from_json_value(&Value::parse(&snapshot).unwrap())
+        .expect("snapshot must parse");
+    assert_eq!(restored.to_json_value().to_json(), snapshot, "round-trip must be byte-stable");
     assert_eq!(restored.multipliers().0.to_bits(), learner.multipliers().0.to_bits());
     assert_eq!(restored.state().len(), m);
 }

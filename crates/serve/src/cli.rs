@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use fedl_core::policy::PolicyKind;
 use fedl_json::Value;
-use fedl_telemetry::Telemetry;
+use fedl_telemetry::{Report, Telemetry};
 
 use crate::loadgen::{reference_run, run_loadgen, LoadgenOptions, SelectionRecord};
 use crate::proto::{decode_frame, encode_frame, Message, ProtocolError};
@@ -354,27 +354,27 @@ pub fn run_stats(args: &[String]) -> Result<(), String> {
     if parsed.json {
         println!("{}", registry.to_json());
     } else {
-        print!("{}", render_stats(addr, &registry));
+        print!("{}", stats_report(addr, &registry).text());
     }
     Ok(())
 }
 
-/// The human-readable `experiments stats` layout: counters and gauges
-/// one per line, histograms as count/mean/p50/p90/p99 summaries.
-fn render_stats(addr: &str, registry: &Value) -> String {
-    let mut out = format!("live stats from {addr}\n");
-    let section = |v: Option<&Value>| -> Vec<(String, Value)> {
-        match v {
-            Some(Value::Obj(pairs)) => pairs.clone(),
-            _ => Vec::new(),
+/// The `experiments stats` report: counters and gauges one per line,
+/// histograms as count/mean/p50/p90/p99 summaries.
+fn stats_report(addr: &str, registry: &Value) -> Report {
+    let mut report = Report::new(format!("live stats from {addr}"));
+    report.note(format!("live stats from {addr}"));
+    let section = |name: &str| -> &[(String, Value)] {
+        match registry.get(name) {
+            Some(Value::Obj(pairs)) => pairs,
+            _ => &[],
         }
     };
-    let counters = section(registry.get("counters"));
-    let gauges = section(registry.get("gauges"));
-    let histograms = section(registry.get("histograms"));
+    let (counters, gauges, histograms) =
+        (section("counters"), section("gauges"), section("histograms"));
     if counters.is_empty() && gauges.is_empty() && histograms.is_empty() {
-        out.push_str("  (registry is empty — was the coordinator started with telemetry?)\n");
-        return out;
+        report.note("  (registry is empty — was the coordinator started with telemetry?)");
+        return report;
     }
     let num = |v: &Value, key: &str| -> String {
         match v.get(key) {
@@ -384,25 +384,25 @@ fn render_stats(addr: &str, registry: &Value) -> String {
         }
     };
     if !counters.is_empty() {
-        out.push_str("counters:\n");
-        for (name, value) in &counters {
-            out.push_str(&format!("  {name} = {}\n", value.as_i64().unwrap_or(0)));
+        report.note("counters:");
+        for (name, value) in counters {
+            report.note(format!("  {name} = {}", value.as_i64().unwrap_or(0)));
         }
     }
     if !gauges.is_empty() {
-        out.push_str("gauges:\n");
-        for (name, value) in &gauges {
+        report.note("gauges:");
+        for (name, value) in gauges {
             match value {
-                Value::Float(f) => out.push_str(&format!("  {name} = {f}\n")),
-                other => out.push_str(&format!("  {name} = {}\n", other.to_json())),
+                Value::Float(f) => report.note(format!("  {name} = {f}")),
+                other => report.note(format!("  {name} = {}", other.to_json())),
             }
         }
     }
     if !histograms.is_empty() {
-        out.push_str("histograms:\n");
-        for (name, summary) in &histograms {
-            out.push_str(&format!(
-                "  {name}: count {} mean {} p50 {} p90 {} p99 {}\n",
+        report.note("histograms:");
+        for (name, summary) in histograms {
+            report.note(format!(
+                "  {name}: count {} mean {} p50 {} p90 {} p99 {}",
                 num(summary, "count"),
                 num(summary, "mean"),
                 num(summary, "p50"),
@@ -411,7 +411,7 @@ fn render_stats(addr: &str, registry: &Value) -> String {
             ));
         }
     }
-    out
+    report
 }
 
 #[cfg(test)]
@@ -431,12 +431,12 @@ mod tests {
             tel.histogram("proto.frame_bytes").record(i as f64);
         }
         let _ = sink;
-        let text = render_stats("127.0.0.1:9", &tel.registry_snapshot());
+        let text = stats_report("127.0.0.1:9", &tel.registry_snapshot()).text();
         assert!(text.contains("serve.selections = 4"), "{text}");
         assert!(text.contains("budget.remaining = 123.5"), "{text}");
         assert!(text.contains("proto.frame_bytes: count 100"), "{text}");
         assert!(text.contains("p99"), "{text}");
-        let empty = render_stats("x", &Telemetry::disabled().registry_snapshot());
+        let empty = stats_report("x", &Telemetry::disabled().registry_snapshot()).text();
         assert!(empty.contains("registry is empty"), "{empty}");
     }
 

@@ -167,7 +167,7 @@ impl EdgeEnvironment {
     /// Realizes epoch `t` for the whole population as columns — the
     /// scale path: dense parallel kernel passes, no per-client structs.
     /// Deterministic in the environment seed and bit-identical to
-    /// [`EdgeEnvironment::views_reference`].
+    /// realizing each client through [`ClientProfile::epoch_view`].
     pub fn epoch_columns(&self, epoch: usize) -> EpochColumns {
         self.columns.epoch_columns(epoch, &self.config, &self.channel)
     }
@@ -177,13 +177,6 @@ impl EdgeEnvironment {
     /// environment seed. Realized through the columnar path.
     pub fn views(&self, epoch: usize) -> Vec<EpochClientView> {
         self.epoch_columns(epoch).views(&self.columns)
-    }
-
-    /// The retained per-client scalar realization (the pre-columnar
-    /// `views` implementation, kept as the determinism reference for
-    /// the parity tests — docs/SCALE.md).
-    pub fn views_reference(&self, epoch: usize) -> Vec<EpochClientView> {
-        self.clients.iter().map(|c| c.epoch_view(epoch, &self.config, &self.channel)).collect()
     }
 
     /// Ids of the clients available at epoch `t` (`E_t`).

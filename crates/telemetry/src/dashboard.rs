@@ -1,10 +1,9 @@
-//! Self-contained HTML dashboard for a telemetry run log.
+//! The run dashboard: one run's attribution, or several runs overlaid.
 //!
-//! [`render_html`] turns a parsed [`RunLog`] into a single HTML file
-//! with **no external assets** — styles are inline and every chart is
-//! an inline SVG — so the file can be attached to a CI run or mailed
-//! around and still render. Four panels (each with a stable `id` that
-//! `scripts/ci.sh` asserts on):
+//! [`single`] turns a parsed [`RunLog`] into a [`Report`] whose text is
+//! the per-client attribution table `experiments dashboard` prints
+//! ([`RunLog::client_usage`]) and whose HTML page adds four panels
+//! (each with a stable `id` that `scripts/ci.sh` asserts on):
 //!
 //! * `regret-curve` — cumulative regret vs epoch (`epoch.regret`);
 //! * `budget-burndown` — remaining budget vs epoch
@@ -13,241 +12,40 @@
 //!   (`select.cohort`);
 //! * `phase-breakdown` — total seconds per phase (`span` events).
 //!
-//! Below the charts sits the same per-client attribution table the
-//! `experiments dashboard` subcommand prints as ASCII
-//! ([`RunLog::client_usage`]).
+//! [`overlay`] is the **multi-run** mode: given two or more run logs
+//! (one per policy, identical seeds — the paper's §6 comparison
+//! protocol), it aligns the runs by epoch and overlays their regret
+//! curves (`regret-overlay`) and budget burn-down (`budget-overlay`)
+//! in one panel each, with a legend, above a per-policy summary table.
+//! Logs with mismatched `run_start.schema_version` stamps are refused.
 //!
-//! [`render_overlay_html`] is the **multi-run** mode: given two or
-//! more run logs (one per policy, identical seeds — the paper's §6
-//! comparison protocol), it aligns the runs by epoch and overlays
-//! their regret curves (`regret-overlay`) and budget burn-down
-//! (`budget-overlay`) in one SVG each, with a legend, plus a
-//! per-policy summary table. Logs with mismatched
-//! `run_start.schema_version` stamps are refused.
+//! Both only walk the log and fill the model; [`crate::render`] lays
+//! the text and the page out.
 
 use fedl_json::Value;
 
-use crate::report::RunLog;
+use crate::render::{self, fmt_tick, Bar, Col, Report, Series, SERIES_COLORS};
+use crate::report::{fmt_secs, ClientUsage, RunLog};
 
-/// Chart plot-area geometry (pixels).
-const PLOT_W: f64 = 560.0;
-const PLOT_H: f64 = 200.0;
-/// Margins: left for y tick labels, bottom for x tick labels.
-const M_LEFT: f64 = 70.0;
-const M_TOP: f64 = 10.0;
-const M_RIGHT: f64 = 10.0;
-const M_BOTTOM: f64 = 30.0;
 /// Heatmap caps: more rows/columns than this are bucketed so the SVG
 /// stays small no matter how long the campaign ran.
 const HEAT_MAX_ROWS: usize = 64;
 const HEAT_MAX_COLS: usize = 120;
-/// Series colors for the multi-run overlay charts, cycled when more
-/// runs than colors are overlaid.
-const SERIES_COLORS: [&str; 6] = ["#dc2626", "#2563eb", "#059669", "#7c3aed", "#d97706", "#0891b2"];
 
-/// Full panel size: plot area plus margins.
-const PANEL_W: f64 = M_LEFT + PLOT_W + M_RIGHT;
-const PANEL_H: f64 = M_TOP + PLOT_H + M_BOTTOM;
-
-/// The opening tag of a self-contained inline-SVG panel `w`×`h` pixels
-/// — shared by every HTML report in the workspace (this dashboard, the
-/// trace report, the bench-history trend report).
-pub fn svg_open(id: &str, w: f64, h: f64) -> String {
-    format!(
-        r#"<svg id="{id}" viewBox="0 0 {w} {h}" width="{w}" height="{h}" xmlns="http://www.w3.org/2000/svg">"#
-    )
+/// The `epoch` events of a log.
+fn epochs(log: &RunLog) -> impl DoubleEndedIterator<Item = &Value> {
+    log.events().iter().filter(|e| e.get("kind").and_then(Value::as_str) == Some("epoch"))
 }
 
-fn fmt_tick(v: f64) -> String {
-    if v == 0.0 {
-        "0".to_string()
-    } else if v.abs() >= 1000.0 {
-        format!("{:.0}", v)
-    } else if v.abs() >= 1.0 {
-        format!("{v:.2}")
-    } else {
-        format!("{v:.4}")
-    }
-}
-
-/// A line chart over `(x, y)` points (non-finite points dropped).
-/// Returns a placeholder panel when fewer than two finite points exist.
-fn line_chart(id: &str, color: &str, points: &[(f64, f64)]) -> String {
-    let pts: Vec<(f64, f64)> =
-        points.iter().copied().filter(|(x, y)| x.is_finite() && y.is_finite()).collect();
-    if pts.len() < 2 {
-        return format!(
-            "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no data</text></svg>",
-            svg_open(id, PANEL_W, PANEL_H),
-            M_LEFT + PLOT_W / 2.0,
-            M_TOP + PLOT_H / 2.0
-        );
-    }
-    let (mut x_min, mut x_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut y_min, mut y_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &(x, y) in &pts {
-        x_min = x_min.min(x);
-        x_max = x_max.max(x);
-        y_min = y_min.min(y);
-        y_max = y_max.max(y);
-    }
-    if x_max == x_min {
-        x_max = x_min + 1.0;
-    }
-    if y_max == y_min {
-        y_max = y_min + 1.0;
-    }
-    let sx = |x: f64| M_LEFT + (x - x_min) / (x_max - x_min) * PLOT_W;
-    let sy = |y: f64| M_TOP + (1.0 - (y - y_min) / (y_max - y_min)) * PLOT_H;
-    let path: Vec<String> =
-        pts.iter().map(|&(x, y)| format!("{:.1},{:.1}", sx(x), sy(y))).collect();
-    let mut out = svg_open(id, PANEL_W, PANEL_H);
-    // Frame + the polyline + min/max tick labels on both axes.
-    out.push_str(&format!(
-        r#"<rect x="{M_LEFT}" y="{M_TOP}" width="{PLOT_W}" height="{PLOT_H}" class="frame"/>"#
-    ));
-    out.push_str(&format!(
-        r#"<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{}"/>"#,
-        path.join(" ")
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT - 4.0,
-        M_TOP + 10.0,
-        fmt_tick(y_max)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT - 4.0,
-        M_TOP + PLOT_H,
-        fmt_tick(y_min)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{M_LEFT}" y="{:.1}" class="tick">{}</text>"#,
-        M_TOP + PLOT_H + 16.0,
-        fmt_tick(x_min)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT + PLOT_W,
-        M_TOP + PLOT_H + 16.0,
-        fmt_tick(x_max)
-    ));
-    out.push_str("</svg>");
-    out
-}
-
-/// Pulls `(epoch, field)` series from the `epoch` events.
-fn epoch_series(log: &RunLog, field: &str) -> Vec<(f64, f64)> {
-    log.events()
-        .iter()
-        .filter(|e| e.get("kind").and_then(Value::as_str) == Some("epoch"))
+/// One run's `(epoch, field)` curve from its `epoch` events.
+fn epoch_series(log: &RunLog, field: &str, label: &str, color: &'static str) -> Series {
+    let points = epochs(log)
         .filter_map(|e| {
-            let x = e.get("epoch")?.as_f64()?;
             let y = e.get(field).and_then(Value::as_f64).unwrap_or(f64::NAN);
-            Some((x, y))
-        })
-        .collect()
-}
-
-/// One overlay series: display label, stroke color, `(x, y)` points.
-type Series<'a> = (String, &'a str, Vec<(f64, f64)>);
-
-/// A multi-series line chart with a legend — the overlay-mode panel.
-/// Series with fewer than two finite points contribute only their
-/// legend entry; a chart with no drawable series renders a
-/// placeholder.
-fn multi_line_chart(id: &str, series: &[Series<'_>]) -> String {
-    let cleaned: Vec<Series<'_>> = series
-        .iter()
-        .map(|(label, color, pts)| {
-            let finite: Vec<(f64, f64)> =
-                pts.iter().copied().filter(|(x, y)| x.is_finite() && y.is_finite()).collect();
-            (label.clone(), *color, finite)
+            Some((e.get("epoch")?.as_f64()?, y, 0.0))
         })
         .collect();
-    let mut out = svg_open(id, PANEL_W, PANEL_H);
-    if !cleaned.iter().any(|(_, _, pts)| pts.len() >= 2) {
-        out.push_str(&format!(
-            "<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no data</text></svg>",
-            M_LEFT + PLOT_W / 2.0,
-            M_TOP + PLOT_H / 2.0
-        ));
-        return out;
-    }
-    let (mut x_min, mut x_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut y_min, mut y_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for (_, _, pts) in &cleaned {
-        for &(x, y) in pts {
-            x_min = x_min.min(x);
-            x_max = x_max.max(x);
-            y_min = y_min.min(y);
-            y_max = y_max.max(y);
-        }
-    }
-    if x_max == x_min {
-        x_max = x_min + 1.0;
-    }
-    if y_max == y_min {
-        y_max = y_min + 1.0;
-    }
-    let sx = |x: f64| M_LEFT + (x - x_min) / (x_max - x_min) * PLOT_W;
-    let sy = |y: f64| M_TOP + (1.0 - (y - y_min) / (y_max - y_min)) * PLOT_H;
-    out.push_str(&format!(
-        r#"<rect x="{M_LEFT}" y="{M_TOP}" width="{PLOT_W}" height="{PLOT_H}" class="frame"/>"#
-    ));
-    for (_, color, pts) in &cleaned {
-        if pts.len() < 2 {
-            continue;
-        }
-        let path: Vec<String> =
-            pts.iter().map(|&(x, y)| format!("{:.1},{:.1}", sx(x), sy(y))).collect();
-        out.push_str(&format!(
-            r#"<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{}"/>"#,
-            path.join(" ")
-        ));
-    }
-    // Legend: swatch + label per series, top-right inside the frame.
-    for (i, (label, color, _)) in cleaned.iter().enumerate() {
-        let y = M_TOP + 8.0 + 14.0 * i as f64;
-        out.push_str(&format!(
-            r#"<rect x="{:.1}" y="{:.1}" width="10" height="3" fill="{color}"/>"#,
-            M_LEFT + PLOT_W - 120.0,
-            y,
-        ));
-        out.push_str(&format!(
-            r#"<text x="{:.1}" y="{:.1}" class="legend">{}</text>"#,
-            M_LEFT + PLOT_W - 106.0,
-            y + 4.0,
-            escape(label)
-        ));
-    }
-    // Axis extent ticks, as in the single-run charts.
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT - 4.0,
-        M_TOP + 10.0,
-        fmt_tick(y_max)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT - 4.0,
-        M_TOP + PLOT_H,
-        fmt_tick(y_min)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{M_LEFT}" y="{:.1}" class="tick">{}</text>"#,
-        M_TOP + PLOT_H + 16.0,
-        fmt_tick(x_min)
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-        M_LEFT + PLOT_W,
-        M_TOP + PLOT_H + 16.0,
-        fmt_tick(x_max)
-    ));
-    out.push_str("</svg>");
-    out
+    Series { label: label.to_string(), color, points, markers: false }
 }
 
 /// Refuses to overlay logs whose `run_start.schema_version` stamps
@@ -293,147 +91,77 @@ fn overlay_labels(runs: &[(String, RunLog)]) -> Vec<String> {
     labels
 }
 
-/// Per-run summary metrics for the overlay table.
-struct OverlaySummary {
-    epochs: usize,
-    final_loss: Option<f64>,
-    total_paid: f64,
-    selections: usize,
-    failures: usize,
-}
-
-fn overlay_summary(log: &RunLog) -> OverlaySummary {
-    let epochs = log
-        .events()
-        .iter()
-        .filter(|e| e.get("kind").and_then(Value::as_str) == Some("epoch"))
-        .count();
-    let final_loss = log
-        .events()
-        .iter()
-        .filter(|e| e.get("kind").and_then(Value::as_str) == Some("epoch"))
-        .filter_map(|e| {
-            e.get("global_loss")
-                .and_then(Value::as_f64)
-                .or_else(|| e.get("test_loss").and_then(Value::as_f64))
-        })
-        .next_back();
-    let usage = log.client_usage();
-    OverlaySummary {
-        epochs,
-        final_loss,
-        total_paid: usage.iter().map(|u| u.payment).sum(),
-        selections: usage.iter().map(|u| u.selections).sum(),
-        failures: usage.iter().map(|u| u.failures).sum(),
-    }
-}
-
-/// The overlay-mode ASCII summary: one row per run (policy), with the
-/// same columns as the HTML summary table.
-pub fn render_overlay_table(runs: &[(String, RunLog)]) -> Result<String, String> {
+/// The multi-run overlay: a warning per damaged log, the runs' regret
+/// curves in one panel (`regret-overlay`) and their budget burn-down in
+/// another (`budget-overlay`), each with a per-policy legend, and the
+/// per-policy summary table. Errs when the logs' schema versions differ.
+pub fn overlay(runs: &[(String, RunLog)]) -> Result<Report, String> {
     check_overlay_schemas(runs)?;
     let labels = overlay_labels(runs);
-    let mut out = String::new();
-    for ((_, log), label) in runs.iter().zip(&labels) {
-        if log.skipped_lines() > 0 {
-            out.push_str(&format!("{label}: skipped {} malformed line(s)\n", log.skipped_lines()));
-        }
+    let logs = || runs.iter().map(|(_, log)| log).zip(&labels);
+    let mut report = Report::new(format!("FedL run overlay — {} runs", runs.len()));
+    for (log, label) in logs().filter(|(log, _)| log.skipped_lines() > 0) {
+        report.warn(format!("{label}: skipped {} malformed line(s)", log.skipped_lines()));
     }
-    out.push_str(&format!(
-        "{:<14} {:>7} {:>12} {:>12} {:>10} {:>9} {:>10}\n",
-        "policy", "epochs", "final loss", "total paid", "selected", "dropouts", "drop rate"
-    ));
-    for ((_, log), label) in runs.iter().zip(&labels) {
-        let s = overlay_summary(log);
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>12} {:>12.2} {:>10} {:>9} {:>10}\n",
-            label,
-            s.epochs,
-            s.final_loss.map_or("—".to_string(), |l| format!("{l:.4}")),
-            s.total_paid,
-            s.selections,
-            s.failures,
-            if s.selections > 0 {
-                format!("{:.1}%", 100.0 * s.failures as f64 / s.selections as f64)
-            } else {
-                "—".to_string()
-            },
-        ));
-    }
-    Ok(out)
-}
-
-/// Renders the multi-run overlay dashboard: runs aligned by epoch,
-/// regret curves overlaid in one SVG (`regret-overlay`), budget
-/// burn-down in another (`budget-overlay`), each with a per-policy
-/// legend, above a per-policy summary table. Same self-containment
-/// contract as [`render_html`]. Errs when the logs' schema versions
-/// differ.
-pub fn render_overlay_html(runs: &[(String, RunLog)]) -> Result<String, String> {
-    check_overlay_schemas(runs)?;
-    let labels = overlay_labels(runs);
-    let series_for = |field: &str| -> Vec<Series<'static>> {
-        runs.iter()
-            .zip(&labels)
-            .enumerate()
-            .map(|(i, ((_, log), label))| {
-                (label.clone(), SERIES_COLORS[i % SERIES_COLORS.len()], epoch_series(log, field))
-            })
-            .collect()
-    };
-    let mut body = String::new();
-    for ((_, log), label) in runs.iter().zip(&labels) {
-        if log.skipped_lines() > 0 {
-            body.push_str(&format!(
-                "<p class=\"warn\">{}: skipped {} malformed line(s)</p>",
-                escape(label),
-                log.skipped_lines()
-            ));
-        }
-    }
-    for (title, chart) in [
-        ("Cumulative regret (overlay)", multi_line_chart("regret-overlay", &series_for("regret"))),
-        (
-            "Budget burn-down (overlay)",
-            multi_line_chart("budget-overlay", &series_for("budget_remaining")),
-        ),
+    for (title, id, field) in [
+        ("Cumulative regret (overlay)", "regret-overlay", "regret"),
+        ("Budget burn-down (overlay)", "budget-overlay", "budget_remaining"),
     ] {
-        body.push_str(&format!("<section><h2>{title}</h2>{chart}</section>"));
+        let series: Vec<Series> = logs()
+            .zip(SERIES_COLORS.into_iter().cycle())
+            .map(|((log, label), color)| epoch_series(log, field, label, color))
+            .collect();
+        report.panel(title, render::lines(id, &series, fmt_tick, fmt_tick));
     }
-    // Per-policy summary table.
-    body.push_str(
-        "<section><h2>Per-policy summary</h2><table><thead><tr><th>policy</th>\
-         <th>epochs</th><th>final loss</th><th>total paid</th><th>selected</th>\
-         <th>dropouts</th><th>drop rate</th></tr></thead><tbody>",
+    let dash = || "—".to_string();
+    let rows = logs()
+        .map(|(log, label)| {
+            let final_loss = epochs(log)
+                .filter_map(|e| {
+                    e.get("global_loss")
+                        .and_then(Value::as_f64)
+                        .or_else(|| e.get("test_loss").and_then(Value::as_f64))
+                })
+                .next_back();
+            let usage = log.client_usage();
+            let selections: usize = usage.iter().map(|u| u.selections).sum();
+            let failures: usize = usage.iter().map(|u| u.failures).sum();
+            vec![
+                label.clone(),
+                epochs(log).count().to_string(),
+                final_loss.map_or_else(dash, |l| format!("{l:.4}")),
+                format!("{:.2}", usage.iter().map(|u| u.payment).sum::<f64>()),
+                selections.to_string(),
+                failures.to_string(),
+                if selections > 0 {
+                    format!("{:.1}%", 100.0 * failures as f64 / selections as f64)
+                } else {
+                    dash()
+                },
+            ]
+        })
+        .collect();
+    report.table(
+        "Per-policy summary",
+        vec![
+            Col::left("policy", 14),
+            Col::right("epochs", 7),
+            Col::right("final loss", 12),
+            Col::right("total paid", 12),
+            Col::right("selected", 10),
+            Col::right("dropouts", 9),
+            Col::right("drop rate", 10),
+        ],
+        rows,
     );
-    for ((_, log), label) in runs.iter().zip(&labels) {
-        let s = overlay_summary(log);
-        body.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{:.2}</td><td>{}</td>\
-             <td>{}</td><td>{}</td></tr>",
-            escape(label),
-            s.epochs,
-            s.final_loss.map_or("—".to_string(), |l| format!("{l:.4}")),
-            s.total_paid,
-            s.selections,
-            s.failures,
-            if s.selections > 0 {
-                format!("{:.1}%", 100.0 * s.failures as f64 / s.selections as f64)
-            } else {
-                "—".to_string()
-            },
-        ));
-    }
-    body.push_str("</tbody></table></section>");
-    Ok(html_page("FedL run overlay", &format!("FedL run overlay — {} runs", runs.len()), &body))
+    Ok(report)
 }
 
 /// The client × epoch selection-frequency heatmap. Rows are clients in
 /// attribution (payment-descending) order, columns are epoch buckets;
 /// cell intensity is the fraction of the bucket's epochs in which the
 /// client was selected.
-fn selection_heatmap(log: &RunLog) -> String {
-    // (epoch, cohort) pairs from the select events.
+fn selection_heatmap(log: &RunLog, usage: &[ClientUsage]) -> String {
     let selections: Vec<(usize, Vec<usize>)> = log
         .events()
         .iter()
@@ -444,206 +172,103 @@ fn selection_heatmap(log: &RunLog) -> String {
             Some((epoch, cohort))
         })
         .collect();
-    if selections.is_empty() {
-        return format!(
-            "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no select events</text></svg>",
-            svg_open("selection-heatmap", PANEL_W, PANEL_H),
-            M_LEFT + PLOT_W / 2.0,
-            M_TOP + PLOT_H / 2.0
-        );
-    }
     let max_epoch = selections.iter().map(|(e, _)| *e).max().unwrap_or(0);
     let n_cols = (max_epoch + 1).min(HEAT_MAX_COLS);
     let epochs_per_col = (max_epoch + 1).div_ceil(n_cols);
-    let rows: Vec<usize> =
-        log.client_usage().iter().map(|u| u.client).take(HEAT_MAX_ROWS).collect();
-    let truncated = log.client_usage().len() > rows.len();
-    let row_of = |k: usize| rows.iter().position(|&r| r == k);
-
-    // counts[row][col] = number of selections; denominator is the
-    // bucket width in epochs.
-    let mut counts = vec![vec![0usize; n_cols]; rows.len()];
+    let rows: Vec<usize> = usage.iter().map(|u| u.client).take(HEAT_MAX_ROWS).collect();
+    // cells[row][col] = selections in the bucket / the bucket's epochs.
+    let mut cells = vec![vec![0.0; n_cols]; rows.len()];
     for (epoch, cohort) in &selections {
         let col = (epoch / epochs_per_col).min(n_cols - 1);
-        for &k in cohort {
-            if let Some(row) = row_of(k) {
-                counts[row][col] += 1;
-            }
-        }
-    }
-    let cell_w = PLOT_W / n_cols as f64;
-    let cell_h = PLOT_H / rows.len() as f64;
-    let mut out = svg_open("selection-heatmap", PANEL_W, PANEL_H);
-    out.push_str(&format!(
-        r#"<rect x="{M_LEFT}" y="{M_TOP}" width="{PLOT_W}" height="{PLOT_H}" class="frame"/>"#
-    ));
-    for (row, row_counts) in counts.iter().enumerate() {
-        for (col, &count) in row_counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let opacity = (count as f64 / epochs_per_col as f64).min(1.0);
-            out.push_str(&format!(
-                r##"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="#2563eb" fill-opacity="{opacity:.2}"/>"##,
-                M_LEFT + col as f64 * cell_w,
-                M_TOP + row as f64 * cell_h,
-                cell_w.max(1.0),
-                cell_h.max(1.0),
-            ));
+        for row in cohort.iter().filter_map(|k| rows.iter().position(|r| r == k)) {
+            cells[row][col] += 1.0 / epochs_per_col as f64;
         }
     }
     // Row labels: first and last client id shown (rows follow the
     // attribution table order).
-    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
-        out.push_str(&format!(
-            r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">k={first}</text>"#,
-            M_LEFT - 4.0,
-            M_TOP + 10.0
-        ));
-        out.push_str(&format!(
-            r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">k={last}{}</text>"#,
-            M_LEFT - 4.0,
-            M_TOP + PLOT_H,
-            if truncated { "…" } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        r#"<text x="{M_LEFT}" y="{:.1}" class="tick">epoch 0</text>"#,
-        M_TOP + PLOT_H + 16.0
-    ));
-    out.push_str(&format!(
-        r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{max_epoch}</text>"#,
-        M_LEFT + PLOT_W,
-        M_TOP + PLOT_H + 16.0
-    ));
-    out.push_str("</svg>");
-    out
-}
-
-/// Horizontal bars of total seconds per phase (descending, as in the
-/// `telemetry-report` table).
-fn phase_breakdown(log: &RunLog) -> String {
-    let stats = log.phase_stats();
-    if stats.is_empty() {
-        return format!(
-            "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">no span events</text></svg>",
-            svg_open("phase-breakdown", PANEL_W, PANEL_H),
-            M_LEFT + PLOT_W / 2.0,
-            M_TOP + PLOT_H / 2.0
-        );
-    }
-    let max_total = stats.iter().map(|s| s.total_secs).fold(0.0f64, f64::max).max(1e-12);
-    let bar_h = (PLOT_H / stats.len() as f64).min(28.0);
-    let mut out = svg_open("phase-breakdown", PANEL_W, PANEL_H);
-    for (i, s) in stats.iter().enumerate() {
-        let y = M_TOP + i as f64 * bar_h;
-        let w = s.total_secs / max_total * PLOT_W;
-        out.push_str(&format!(
-            r##"<rect x="{M_LEFT}" y="{:.1}" width="{:.1}" height="{:.1}" fill="#059669"/>"##,
-            y + 2.0,
-            w.max(1.0),
-            bar_h - 4.0,
-        ));
-        out.push_str(&format!(
-            r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-            M_LEFT - 4.0,
-            y + bar_h / 2.0 + 4.0,
-            escape(&s.name)
-        ));
-        out.push_str(&format!(
-            r#"<text x="{:.1}" y="{:.1}" class="tick">{:.3}s ×{}</text>"#,
-            M_LEFT + w.max(1.0) + 6.0,
-            y + bar_h / 2.0 + 4.0,
-            s.total_secs,
-            s.count
-        ));
-    }
-    out.push_str("</svg>");
-    out
-}
-
-/// The per-client attribution table as HTML rows.
-fn client_table(log: &RunLog) -> String {
-    let usage = log.client_usage();
-    if usage.is_empty() {
-        return "<p>no select/train events in log — nothing to attribute</p>".to_string();
-    }
-    let mut out = String::from(
-        "<table><thead><tr><th>client</th><th>selected</th><th>failed</th>\
-         <th>paid</th><th>busy&nbsp;s</th><th>compute&nbsp;s</th>\
-         <th>upload&nbsp;s</th><th>est</th></tr></thead><tbody>",
-    );
-    for u in &usage {
-        let est = u.last_estimate.map_or("—".to_string(), |e| format!("{e:.4}"));
-        out.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{:.2}</td>\
-             <td>{:.3}</td><td>{:.3}</td><td>{:.3}</td><td>{est}</td></tr>",
-            u.client,
-            u.selections,
-            u.failures,
-            u.payment,
-            u.total_secs,
-            u.compute_secs,
-            u.upload_secs,
-        ));
-    }
-    out.push_str("</tbody></table>");
-    out
-}
-
-/// Wraps `body` into a self-contained HTML document (inline stylesheet,
-/// no scripts, no external assets) — the one page scaffold of every
-/// report in the workspace.
-pub fn html_page(title: &str, heading: &str, body: &str) -> String {
-    format!(
-        "<!doctype html><html><head><meta charset=\"utf-8\">\
-         <title>{title}</title><style>\
-         body{{font-family:system-ui,sans-serif;max-width:720px;margin:2rem auto;color:#111}}\
-         h2{{font-size:1rem;margin:1.2rem 0 0.3rem}}\
-         .frame{{fill:none;stroke:#9ca3af;stroke-width:1}}\
-         .tick{{font-size:10px;fill:#6b7280}}\
-         .legend{{font-size:10px;fill:#374151}}\
-         .title{{font-size:11px;fill:#374151}}\
-         .empty{{font-size:12px;fill:#6b7280}}\
-         .warn{{color:#b45309}}\
-         .swatch{{display:inline-block;width:10px;height:10px;margin-right:4px}}\
-         table{{border-collapse:collapse;font-size:0.85rem}}\
-         th,td{{border:1px solid #d1d5db;padding:2px 8px;text-align:right}}\
-         </style></head><body><h1>{heading}</h1>{body}</body></html>"
+    let first = rows.first().map_or(String::new(), |k| format!("k={k}"));
+    let truncated = if usage.len() > rows.len() { "…" } else { "" };
+    let last = rows.last().map_or(String::new(), |k| format!("k={k}{truncated}"));
+    render::heatmap(
+        "selection-heatmap",
+        &cells,
+        [&first, &last],
+        ["epoch 0", &max_epoch.to_string()],
     )
 }
 
-/// Escapes text for an HTML/SVG text node.
-pub fn escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
-}
-
-/// Renders the complete self-contained dashboard document.
-pub fn render_html(log: &RunLog) -> String {
-    let mut body = String::new();
+/// One run's dashboard: the four panels above the per-client
+/// attribution table (clients by rent paid, descending).
+pub fn single(log: &RunLog) -> Report {
+    let mut report = Report::new("FedL run dashboard");
+    // Always present, even at zero, so multi-log output lines up with
+    // `experiments trace-report`'s per-input summaries.
+    let skipped = format!("skipped {} malformed line(s)", log.skipped_lines());
     if log.skipped_lines() > 0 {
-        body.push_str(&format!(
-            "<p class=\"warn\">skipped {} malformed line(s) while parsing the log</p>",
-            log.skipped_lines()
-        ));
+        report.warn(skipped);
+    } else {
+        report.note(skipped);
     }
-    body.push_str(&format!("<p>{} events</p>", log.events().len()));
-    for (title, chart) in [
-        ("Cumulative regret", line_chart("regret-curve", "#dc2626", &epoch_series(log, "regret"))),
-        (
-            "Budget burn-down",
-            line_chart("budget-burndown", "#7c3aed", &epoch_series(log, "budget_remaining")),
-        ),
-        ("Client-selection frequency", selection_heatmap(log)),
-        ("Phase-time breakdown", phase_breakdown(log)),
+    for (title, id, color, field) in [
+        ("Cumulative regret", "regret-curve", "#dc2626", "regret"),
+        ("Budget burn-down", "budget-burndown", "#7c3aed", "budget_remaining"),
     ] {
-        body.push_str(&format!("<section><h2>{title}</h2>{chart}</section>"));
+        let series = [epoch_series(log, field, "", color)];
+        report.panel(title, render::lines(id, &series, fmt_tick, fmt_tick));
     }
-    body.push_str(&format!(
-        "<section><h2>Per-client attribution</h2>{}</section>",
-        client_table(log)
+    let usage = log.client_usage();
+    report.panel("Client-selection frequency", selection_heatmap(log, &usage));
+    // Total seconds per phase, descending as in `telemetry-report`.
+    let phases: Vec<Bar> = log
+        .phase_stats()
+        .iter()
+        .map(|s| Bar {
+            label: s.name.clone(),
+            segments: vec![(s.total_secs, "#059669")],
+            value: format!("{:.3}s ×{}", s.total_secs, s.count),
+        })
+        .collect();
+    report.panel("Phase-time breakdown", render::bars("phase-breakdown", &phases, &[]));
+
+    if usage.is_empty() {
+        report.note("no select/train events in log — nothing to attribute");
+        return report;
+    }
+    report.note(format!(
+        "per-client attribution: {} clients, {:.2} paid",
+        usage.len(),
+        usage.iter().map(|u| u.payment).sum::<f64>()
     ));
-    html_page("FedL run dashboard", "FedL run dashboard", &body)
+    let rows = usage
+        .iter()
+        .map(|u| {
+            vec![
+                u.client.to_string(),
+                u.selections.to_string(),
+                u.failures.to_string(),
+                format!("{:.2}", u.payment),
+                fmt_secs(u.total_secs),
+                fmt_secs(u.compute_secs),
+                fmt_secs(u.upload_secs),
+                u.last_estimate.map_or("—".to_string(), |e| format!("{e:.4}")),
+            ]
+        })
+        .collect();
+    report.table(
+        "Per-client attribution",
+        vec![
+            Col::right("client", 7),
+            Col::right("selected", 9),
+            Col::right("failed", 7),
+            Col::right("paid", 10),
+            Col::right("busy", 12),
+            Col::right("compute", 12),
+            Col::right("upload", 12),
+            Col::right("est", 10),
+        ],
+        rows,
+    );
+    report
 }
 
 #[cfg(test)]
@@ -687,7 +312,7 @@ mod tests {
 
     #[test]
     fn dashboard_contains_all_four_charts_and_the_table() {
-        let html = render_html(&demo_log());
+        let html = single(&demo_log()).html();
         for id in ["regret-curve", "budget-burndown", "selection-heatmap", "phase-breakdown"] {
             assert!(html.contains(&format!("<svg id=\"{id}\"")), "missing chart {id}");
         }
@@ -708,7 +333,7 @@ mod tests {
 
     #[test]
     fn empty_log_renders_placeholders_not_panics() {
-        let html = render_html(&RunLog::parse(""));
+        let html = single(&RunLog::parse("")).html();
         for id in ["regret-curve", "budget-burndown", "selection-heatmap", "phase-breakdown"] {
             assert!(html.contains(&format!("<svg id=\"{id}\"")), "missing chart {id}");
         }
@@ -758,7 +383,7 @@ mod tests {
             ("a_run".to_string(), policy_log("FedL", Some(1), 0.5)),
             ("b_run".to_string(), policy_log("FedAvg", Some(1), 1.5)),
         ];
-        let html = render_overlay_html(&runs).unwrap();
+        let html = overlay(&runs).unwrap().html();
         for id in ["regret-overlay", "budget-overlay"] {
             assert!(html.contains(&format!("<svg id=\"{id}\"")), "missing chart {id}");
         }
@@ -786,23 +411,22 @@ mod tests {
             ("a".to_string(), policy_log("FedL", Some(1), 0.5)),
             ("b".to_string(), policy_log("FedAvg", Some(2), 1.5)),
         ];
-        let err = render_overlay_html(&runs).unwrap_err();
+        let err = overlay(&runs).unwrap_err();
         assert!(err.contains("mismatched schema versions"), "{err}");
         assert!(err.contains("a: v1") && err.contains("b: v2"), "{err}");
-        assert!(render_overlay_table(&runs).is_err());
         // A stamped log never overlays a legacy (unstamped) one either.
         let runs = vec![
             ("a".to_string(), policy_log("FedL", Some(1), 0.5)),
             ("b".to_string(), policy_log("FedAvg", None, 1.5)),
         ];
-        let err = render_overlay_html(&runs).unwrap_err();
+        let err = overlay(&runs).unwrap_err();
         assert!(err.contains("b: legacy (no stamp)"), "{err}");
         // Two legacy logs still overlay.
         let runs = vec![
             ("a".to_string(), policy_log("FedL", None, 0.5)),
             ("b".to_string(), policy_log("FedAvg", None, 1.5)),
         ];
-        assert!(render_overlay_html(&runs).is_ok());
+        assert!(overlay(&runs).is_ok());
     }
 
     #[test]
@@ -811,7 +435,7 @@ mod tests {
             ("x".to_string(), policy_log("FedL", Some(1), 0.5)),
             ("y".to_string(), policy_log("FedL", Some(1), 1.5)),
         ];
-        let table = render_overlay_table(&runs).unwrap();
+        let table = overlay(&runs).unwrap().text();
         assert!(table.contains("policy"), "{table}");
         assert!(table.contains("FedL") && table.contains("FedL #2"), "{table}");
         // 5 epochs, 5 selections, 0 dropouts, 10.00 paid.
@@ -840,7 +464,7 @@ mod tests {
             ));
             text.push('\n');
         }
-        let html = render_html(&RunLog::parse(&text));
+        let html = single(&RunLog::parse(&text)).html();
         let cells = html.matches("fill=\"#2563eb\"").count();
         assert!(cells <= HEAT_MAX_ROWS * HEAT_MAX_COLS, "{cells} cells");
         assert!(html.contains("…"), "row truncation must be visible");

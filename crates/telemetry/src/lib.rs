@@ -54,6 +54,7 @@ pub mod dashboard;
 pub mod event;
 pub mod logging;
 pub mod metrics;
+pub mod render;
 pub mod report;
 mod span;
 pub mod trace;
@@ -75,9 +76,10 @@ pub const RUN_LOG_SCHEMA_VERSION: u32 = 1;
 
 pub use event::{EventSink, FileSink, MemoryHandle, MemorySink};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use render::Report;
 pub use report::{ClientUsage, PhaseStats, RunLog};
 pub use span::{Span, SpanContext};
-pub use trace::{merge_traces, render_trace_html, render_trace_report, TraceModel};
+pub use trace::{merge_traces, TraceModel};
 
 use metrics::lock;
 

@@ -14,6 +14,8 @@ use std::path::Path;
 
 use fedl_json::Value;
 
+use crate::render::{Col, Report};
+
 /// A parsed telemetry event stream.
 #[derive(Debug, Clone)]
 pub struct RunLog {
@@ -282,78 +284,38 @@ impl RunLog {
         usage
     }
 
-    /// Renders the per-client attribution table (the `experiments
-    /// dashboard` ASCII output).
-    pub fn render_client_table(&self) -> String {
-        let usage = self.client_usage();
-        let mut out = String::new();
-        // Always printed, even at zero, so multi-log output lines up
+    /// The `experiments telemetry-report` report: event-kind counts
+    /// followed by the per-phase timing table.
+    pub fn report(&self) -> Report {
+        let mut report = Report::new("FedL run log");
+        report.note(format!("events: {}", self.events.len()));
+        // Always present, even at zero, so multi-log output lines up
         // with `experiments trace-report`'s per-input summaries.
-        out.push_str(&format!("skipped {} malformed line(s)\n", self.skipped));
-        if usage.is_empty() {
-            out.push_str("no select/train events in log — nothing to attribute\n");
-            return out;
-        }
-        let total_paid: f64 = usage.iter().map(|u| u.payment).sum();
-        out.push_str(&format!(
-            "per-client attribution: {} clients, {:.2} paid\n",
-            usage.len(),
-            total_paid
-        ));
-        out.push_str(&format!(
-            "{:>7} {:>9} {:>7} {:>10} {:>12} {:>12} {:>12} {:>10}\n",
-            "client", "selected", "failed", "paid", "busy", "compute", "upload", "est"
-        ));
-        for u in &usage {
-            let est = u.last_estimate.map_or("—".to_string(), |e| format!("{e:.4}"));
-            out.push_str(&format!(
-                "{:>7} {:>9} {:>7} {:>10.2} {:>12} {:>12} {:>12} {:>10}\n",
-                u.client,
-                u.selections,
-                u.failures,
-                u.payment,
-                fmt_secs(u.total_secs),
-                fmt_secs(u.compute_secs),
-                fmt_secs(u.upload_secs),
-                est,
-            ));
-        }
-        out
-    }
-
-    /// Renders the human-readable report: event-kind counts followed by
-    /// the per-phase timing table.
-    pub fn render_report(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("events: {}\n", self.events.len()));
-        // Always printed, even at zero, so multi-log output lines up
-        // with `experiments trace-report`'s per-input summaries.
-        out.push_str(&format!("skipped {} malformed line(s)\n", self.skipped));
-        for (kind, count) in self.kind_counts() {
-            out.push_str(&format!("  {kind:<12} {count:>6}\n"));
-        }
+        report.note(format!("skipped {} malformed line(s)", self.skipped));
+        let kinds = self.kind_counts();
+        report.table(
+            "Event kinds",
+            vec![Col::left("", 12).pad(2), Col::right("", 6)],
+            kinds.into_iter().map(|(kind, count)| vec![kind, count.to_string()]).collect(),
+        );
         let stats = self.phase_stats();
         if stats.is_empty() {
-            out.push_str("no span events in log\n");
-            return out;
+            report.note("no span events in log");
+            return report;
         }
-        out.push_str(&format!(
-            "\n{:<14} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-            "phase", "count", "total", "p50", "p90", "p99", "max"
-        ));
-        for s in &stats {
-            out.push_str(&format!(
-                "{:<14} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-                s.name,
-                s.count,
-                fmt_secs(s.total_secs),
-                fmt_secs(s.p50),
-                fmt_secs(s.p90),
-                fmt_secs(s.p99),
-                fmt_secs(s.max),
-            ));
-        }
-        out
+        report.ascii("\n");
+        let rows = stats
+            .iter()
+            .map(|s| {
+                let mut row = vec![s.name.clone(), s.count.to_string()];
+                row.extend([s.total_secs, s.p50, s.p90, s.p99, s.max].map(fmt_secs));
+                row
+            })
+            .collect();
+        let mut cols = vec![Col::left("phase", 14), Col::right("count", 7)];
+        cols.extend(["total", "p50", "p90", "p99", "max"].map(|head| Col::right(head, 12)));
+        report.table("Phase timing", cols, rows);
+        report
     }
 }
 
@@ -435,7 +397,7 @@ mod tests {
     fn report_renders_counts_and_table() {
         let text = format!("{}\n{}\n", span_line("epoch", 1.5), span_line("epoch", 0.5));
         let log = RunLog::parse(&text);
-        let report = log.render_report();
+        let report = log.report().text();
         assert!(report.contains("events: 2"));
         assert!(report.contains("span"));
         assert!(report.contains("epoch"));
@@ -447,8 +409,8 @@ mod tests {
         let log = RunLog::parse("{\"kind\":\"x\"}\nnot json\n{\"kind\":\"y\"}\n");
         assert_eq!(log.events().len(), 2, "good lines around the bad one survive");
         assert_eq!(log.skipped_lines(), 1);
-        assert!(log.render_report().contains("skipped 1 malformed line"));
-        assert!(log.render_client_table().contains("skipped 1 malformed line"));
+        assert!(log.report().text().contains("skipped 1 malformed line"));
+        assert!(crate::dashboard::single(&log).text().contains("skipped 1 malformed line"));
     }
 
     #[test]
@@ -506,7 +468,7 @@ mod tests {
         assert!((three.upload_secs - 0.4).abs() < 1e-12);
         assert_eq!(three.last_estimate, Some(0.25));
 
-        let table = log.render_client_table();
+        let table = crate::dashboard::single(&log).text();
         assert!(table.contains("per-client attribution: 2 clients"));
         assert!(table.contains("0.2500"), "estimate column: {table}");
     }
@@ -537,6 +499,6 @@ mod tests {
     fn empty_log_renders_an_explanation() {
         let log = RunLog::parse("");
         assert!(log.client_usage().is_empty());
-        assert!(log.render_client_table().contains("nothing to attribute"));
+        assert!(crate::dashboard::single(&log).text().contains("nothing to attribute"));
     }
 }

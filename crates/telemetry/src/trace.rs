@@ -10,11 +10,10 @@
 //! coordinator's `dist.epoch` span for the same epoch.
 //!
 //! [`merge_traces`] resolves those links into one causally-ordered
-//! per-epoch timeline; [`render_trace_report`] prints it as ASCII
-//! (waterfall + critical-path attribution) and [`render_trace_html`]
-//! as a self-contained HTML document with two inline-SVG panels
-//! (`trace-waterfall`, `trace-critical-path`) in the `experiments
-//! dashboard` idiom. This is what `experiments trace-report` runs.
+//! per-epoch timeline; [`report`] fills the [`Report`] `experiments
+//! trace-report` prints as text (ASCII waterfall + critical-path
+//! attribution) and writes as a self-contained page with two panels
+//! (`trace-waterfall`, `trace-critical-path`).
 //!
 //! The critical-path split answers "which worker gated this epoch, and
 //! where did the wait go": per epoch the coordinator's per-worker wait
@@ -28,21 +27,10 @@ use std::collections::BTreeMap;
 
 use fedl_json::Value;
 
-use crate::dashboard::{escape, html_page, svg_open};
+use crate::render::{self, Bar, Col, Report};
 use crate::report::{fmt_secs, RunLog};
 use crate::SpanContext;
 
-/// Chart plot-area geometry (pixels) — the dashboard's layout, carried
-/// privately so the two modules can evolve independently.
-const PLOT_W: f64 = 560.0;
-const PLOT_H: f64 = 200.0;
-const M_LEFT: f64 = 70.0;
-const M_TOP: f64 = 10.0;
-const M_RIGHT: f64 = 10.0;
-const M_BOTTOM: f64 = 30.0;
-/// Epoch rows drawn per SVG panel; later epochs are dropped with a
-/// visible note so the file stays bounded for long campaigns.
-const MAX_EPOCH_ROWS: usize = 24;
 /// Segment colors: realize, encode, wire, decode, merge.
 const SEGMENT_COLORS: [&str; 5] = ["#2563eb", "#059669", "#9ca3af", "#d97706", "#7c3aed"];
 const SEGMENT_NAMES: [&str; 5] = ["realize", "encode", "wire", "decode", "merge"];
@@ -284,33 +272,40 @@ fn ascii_bar(share: f64) -> String {
     format!("[{}{}]", "#".repeat(filled), " ".repeat(cells - filled))
 }
 
-/// Renders the ASCII trace report: per-input parse summaries (always,
-/// including zero-skip inputs), the linkage line, the per-epoch
-/// waterfall, and the critical-path attribution table.
-pub fn render_trace_report(runs: &[(String, RunLog)]) -> Result<String, String> {
+/// The `experiments trace-report` report: per-input parse summaries
+/// (always, including zero-skip inputs), the linkage line, the
+/// per-epoch waterfall — ASCII in text, the `trace-waterfall` panel
+/// (per-worker realize share in blue, the rest of its wait grey) on the
+/// page — the `trace-critical-path` panel (the gate's five-way split)
+/// and the critical-path attribution table.
+pub fn report(runs: &[(String, RunLog)]) -> Result<Report, String> {
     let model = merge_traces(runs)?;
-    let mut out = format!(
-        "cross-process trace: 1 coordinator + {} worker log(s)\n",
+    let mut report = Report::new(format!("FedL distributed trace — {} log(s)", model.inputs.len()));
+    report.note(format!(
+        "cross-process trace: 1 coordinator + {} worker log(s)",
         model.inputs.len().saturating_sub(1)
-    );
+    ));
     for input in &model.inputs {
-        out.push_str(&format!(
-            "  {}: {} events, skipped {} malformed line(s)\n",
+        report.note(format!(
+            "  {}: {} events, skipped {} malformed line(s)",
             input.label, input.events, input.skipped
         ));
     }
-    out.push_str(&model.linkage_line());
-    out.push('\n');
+    report.note(model.linkage_line());
     if model.epochs.is_empty() {
-        out.push_str("no dist.epoch spans in the coordinator log — nothing to trace\n");
-        return Ok(out);
+        report.note("no dist.epoch spans in the coordinator log — nothing to trace");
+        return Ok(report);
     }
-    out.push_str("\nper-epoch waterfall (bar = share of the epoch's wall time):\n");
+
+    let mut waterfall =
+        "\nper-epoch waterfall (bar = share of the epoch's wall time):\n".to_string();
+    let mut waterfall_bars = Vec::new();
     for e in &model.epochs {
         let total = e.total_secs.max(1e-12);
-        out.push_str(&format!("epoch {:>3}  total {}\n", e.epoch, fmt_secs(e.total_secs)));
+        waterfall.push_str(&format!("epoch {:>3}  total {}\n", e.epoch, fmt_secs(e.total_secs)));
+        let mut segments = Vec::new();
         for (w, we) in e.workers.iter().enumerate() {
-            out.push_str(&format!(
+            waterfall.push_str(&format!(
                 "  worker {w} {} wait {} (realize {}, codec {}, wire {})\n",
                 ascii_bar(we.wait() / total),
                 fmt_secs(we.wait()),
@@ -318,198 +313,52 @@ pub fn render_trace_report(runs: &[(String, RunLog)]) -> Result<String, String> 
                 fmt_secs(we.encode_secs + we.decode_secs),
                 fmt_secs(we.wire_secs()),
             ));
+            segments.push((we.realize_secs, SEGMENT_COLORS[0]));
+            segments.push((we.wire_secs() + we.encode_secs + we.decode_secs, SEGMENT_COLORS[2]));
         }
-        out.push_str(&format!(
+        waterfall.push_str(&format!(
             "  merge    {} {}\n",
             ascii_bar(e.merge_secs / total),
             fmt_secs(e.merge_secs)
         ));
+        segments.push((e.merge_secs, SEGMENT_COLORS[4]));
+        waterfall_bars.push(bar(format!("epoch {}", e.epoch), segments));
     }
-    out.push_str(&format!(
-        "\ncritical-path attribution (gating worker per epoch):\n\
-         {:>6} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-        "epoch", "gate", "wait", "realize", "encode", "wire", "decode", "merge"
-    ));
+    report.ascii(waterfall);
+    report.panel("Per-epoch waterfall", render::bars("trace-waterfall", &waterfall_bars, &[]));
+
+    let mut critical_bars = Vec::new();
+    let mut rows = Vec::new();
     for e in &model.epochs {
-        let (gate, w) = match e.gate() {
-            Some(i) => (format!("worker-{i}"), e.workers[i].clone()),
-            None => ("—".to_string(), WorkerEpoch::default()),
+        let (gate, short, w) = match e.gate() {
+            Some(i) => (format!("worker-{i}"), format!("w{i}"), e.workers[i].clone()),
+            None => ("—".to_string(), "—".to_string(), WorkerEpoch::default()),
         };
-        out.push_str(&format!(
-            "{:>6} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-            e.epoch,
-            gate,
-            fmt_secs(w.wait()),
-            fmt_secs(w.realize_secs),
-            fmt_secs(w.encode_secs),
-            fmt_secs(w.wire_secs()),
-            fmt_secs(w.decode_secs),
-            fmt_secs(e.merge_secs),
+        let split = [w.realize_secs, w.encode_secs, w.wire_secs(), w.decode_secs, e.merge_secs];
+        critical_bars.push(bar(
+            format!("epoch {} ({short})", e.epoch),
+            split.into_iter().zip(SEGMENT_COLORS).collect(),
         ));
+        let mut row = vec![e.epoch.to_string(), gate, fmt_secs(w.wait())];
+        row.extend(split.map(fmt_secs));
+        rows.push(row);
     }
-    Ok(out)
-}
-
-fn empty_panel(id: &str, note: &str) -> String {
-    format!(
-        "{}<text x=\"{}\" y=\"{}\" text-anchor=\"middle\" class=\"empty\">{note}</text></svg>",
-        svg_open(id, M_LEFT + PLOT_W + M_RIGHT, M_TOP + PLOT_H + M_BOTTOM),
-        M_LEFT + PLOT_W / 2.0,
-        M_TOP + PLOT_H / 2.0
-    )
-}
-
-/// The five-way split of one epoch's critical path, in
-/// [`SEGMENT_NAMES`] order.
-fn gate_segments(e: &EpochTrace) -> [f64; 5] {
-    let w = match e.gate() {
-        Some(i) => e.workers[i].clone(),
-        None => WorkerEpoch::default(),
-    };
-    [w.realize_secs, w.encode_secs, w.wire_secs(), w.decode_secs, e.merge_secs]
-}
-
-/// Stacked horizontal bars, one row per epoch: the `trace-waterfall`
-/// panel stacks every worker's wait (worker share in blue, residual
-/// grey); the `trace-critical-path` panel stacks the gate's five-way
-/// split. Both share this renderer, differing only in the segments.
-fn stacked_bars(id: &str, rows: &[(String, Vec<(f64, &str)>)]) -> String {
-    if rows.is_empty() || !rows.iter().any(|(_, segs)| segs.iter().any(|(v, _)| *v > 0.0)) {
-        return empty_panel(id, "no trace data");
-    }
-    let shown = &rows[..rows.len().min(MAX_EPOCH_ROWS)];
-    let max_total: f64 = shown
-        .iter()
-        .map(|(_, segs)| segs.iter().map(|(v, _)| v).sum::<f64>())
-        .fold(0.0, f64::max)
-        .max(1e-12);
-    let bar_h = (PLOT_H / shown.len() as f64).min(22.0);
-    let mut out = svg_open(id, M_LEFT + PLOT_W + M_RIGHT, M_TOP + PLOT_H + M_BOTTOM);
-    for (i, (label, segs)) in shown.iter().enumerate() {
-        let y = M_TOP + i as f64 * bar_h;
-        let mut x = M_LEFT;
-        for (value, color) in segs {
-            if *value <= 0.0 {
-                continue;
-            }
-            let w = value / max_total * PLOT_W;
-            out.push_str(&format!(
-                r#"<rect x="{x:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{color}"/>"#,
-                y + 2.0,
-                w.max(0.5),
-                bar_h - 4.0,
-            ));
-            x += w.max(0.5);
-        }
-        out.push_str(&format!(
-            r#"<text x="{:.1}" y="{:.1}" text-anchor="end" class="tick">{}</text>"#,
-            M_LEFT - 4.0,
-            y + bar_h / 2.0 + 4.0,
-            escape(label)
-        ));
-        out.push_str(&format!(
-            r#"<text x="{:.1}" y="{:.1}" class="tick">{}</text>"#,
-            x + 6.0,
-            y + bar_h / 2.0 + 4.0,
-            fmt_secs(segs.iter().map(|(v, _)| v).sum()),
-        ));
-    }
-    if rows.len() > shown.len() {
-        out.push_str(&format!(
-            r#"<text x="{M_LEFT}" y="{:.1}" class="tick">… {} more epoch(s) not drawn</text>"#,
-            M_TOP + PLOT_H + 16.0,
-            rows.len() - shown.len()
-        ));
-    }
-    out.push_str("</svg>");
-    out
-}
-
-/// Renders the self-contained HTML trace report: the same parse
-/// summaries and linkage line as the ASCII report, the
-/// `trace-waterfall` panel (per-epoch per-worker wait, realize share
-/// in blue), the `trace-critical-path` panel (the gate's five-way
-/// split with a legend), and the attribution table. No external
-/// assets, same contract as the dashboard.
-pub fn render_trace_html(runs: &[(String, RunLog)]) -> Result<String, String> {
-    let model = merge_traces(runs)?;
-    let mut body = String::new();
-    body.push_str("<ul>");
-    for input in &model.inputs {
-        body.push_str(&format!(
-            "<li>{}: {} events, skipped {} malformed line(s)</li>",
-            escape(&input.label),
-            input.events,
-            input.skipped
-        ));
-    }
-    body.push_str("</ul>");
-    body.push_str(&format!("<p>{}</p>", model.linkage_line()));
-
-    let waterfall_rows: Vec<(String, Vec<(f64, &str)>)> = model
-        .epochs
-        .iter()
-        .map(|e| {
-            let mut segs: Vec<(f64, &str)> = Vec::new();
-            for we in &e.workers {
-                segs.push((we.realize_secs, SEGMENT_COLORS[0]));
-                segs.push((we.wire_secs() + we.encode_secs + we.decode_secs, SEGMENT_COLORS[2]));
-            }
-            segs.push((e.merge_secs, SEGMENT_COLORS[4]));
-            (format!("epoch {}", e.epoch), segs)
-        })
-        .collect();
-    let critical_rows: Vec<(String, Vec<(f64, &str)>)> = model
-        .epochs
-        .iter()
-        .map(|e| {
-            let segs =
-                gate_segments(e).into_iter().zip(SEGMENT_COLORS).collect::<Vec<(f64, &str)>>();
-            let gate = e.gate().map_or("—".to_string(), |i| format!("w{i}"));
-            (format!("epoch {} ({gate})", e.epoch), segs)
-        })
-        .collect();
-    let legend: String = SEGMENT_NAMES
-        .iter()
-        .zip(SEGMENT_COLORS)
-        .map(|(name, color)| {
-            format!("<span class=\"swatch\" style=\"background:{color}\"></span>{name}&nbsp;&nbsp;")
-        })
-        .collect();
-    body.push_str(&format!(
-        "<section><h2>Per-epoch waterfall</h2>{}</section>",
-        stacked_bars("trace-waterfall", &waterfall_rows)
-    ));
-    body.push_str(&format!(
-        "<section><h2>Critical path (gating worker per epoch)</h2><p>{legend}</p>{}</section>",
-        stacked_bars("trace-critical-path", &critical_rows)
-    ));
-    body.push_str(
-        "<section><h2>Critical-path attribution</h2><table><thead><tr><th>epoch</th>\
-         <th>gate</th><th>wait</th><th>realize</th><th>encode</th><th>wire</th>\
-         <th>decode</th><th>merge</th></tr></thead><tbody>",
+    report.ascii("\ncritical-path attribution (gating worker per epoch):\n");
+    let legend: Vec<(&str, &str)> = SEGMENT_NAMES.into_iter().zip(SEGMENT_COLORS).collect();
+    report.panel(
+        "Critical path (gating worker per epoch)",
+        render::bars("trace-critical-path", &critical_bars, &legend),
     );
-    for e in &model.epochs {
-        let (gate, w) = match e.gate() {
-            Some(i) => (format!("worker-{i}"), e.workers[i].clone()),
-            None => ("—".to_string(), WorkerEpoch::default()),
-        };
-        body.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td></tr>",
-            e.epoch,
-            gate,
-            fmt_secs(w.wait()),
-            fmt_secs(w.realize_secs),
-            fmt_secs(w.encode_secs),
-            fmt_secs(w.wire_secs()),
-            fmt_secs(w.decode_secs),
-            fmt_secs(e.merge_secs),
-        ));
-    }
-    body.push_str("</tbody></table></section>");
-    let heading = format!("FedL distributed trace — {} log(s)", model.inputs.len());
-    Ok(html_page("FedL distributed trace", &heading, &body))
+    let mut cols = vec![Col::right("epoch", 6), Col::right("gate", 9), Col::right("wait", 10)];
+    cols.extend(SEGMENT_NAMES.map(|name| Col::right(name, 10)));
+    report.table("Critical-path attribution", cols, rows);
+    Ok(report)
+}
+
+/// One bar row annotated with its total.
+fn bar(label: String, segments: Vec<(f64, &'static str)>) -> Bar {
+    let value = fmt_secs(segments.iter().map(|(v, _)| v).sum());
+    Bar { label, segments, value }
 }
 
 #[cfg(test)]
@@ -601,7 +450,7 @@ mod tests {
     #[test]
     fn ascii_report_prints_every_input_and_the_tables() {
         let runs = simulated_logs(2);
-        let text = render_trace_report(&runs).unwrap();
+        let text = report(&runs).unwrap().text();
         for label in ["coord:", "coord.worker-0:", "coord.worker-1:"] {
             assert!(text.contains(label), "missing input summary {label}: {text}");
         }
@@ -617,7 +466,7 @@ mod tests {
     #[test]
     fn html_report_is_self_contained_with_both_panels() {
         let runs = simulated_logs(2);
-        let html = render_trace_html(&runs).unwrap();
+        let html = report(&runs).unwrap().html();
         for id in ["trace-waterfall", "trace-critical-path"] {
             assert!(html.contains(&format!("<svg id=\"{id}\"")), "missing panel {id}");
         }
@@ -637,7 +486,7 @@ mod tests {
         assert!(merge_traces(&[]).is_err());
         // A coordinator log with no spans at all.
         let runs = vec![("empty".to_string(), RunLog::parse(""))];
-        let text = render_trace_report(&runs).unwrap();
+        let text = report(&runs).unwrap().text();
         assert!(text.contains("nothing to trace"), "{text}");
         assert!(text.contains("worker span linkage: 0/0 resolved (100%)"), "{text}");
         // Malformed lines are counted per input, never fatal.
@@ -645,7 +494,7 @@ mod tests {
             ("coord".to_string(), RunLog::parse("{\"kind\":\"span\"}\nnot json\n")),
             ("w".to_string(), RunLog::parse("also not json\n")),
         ];
-        let text = render_trace_report(&runs).unwrap();
+        let text = report(&runs).unwrap().text();
         assert!(text.contains("coord: 1 events, skipped 1 malformed line(s)"), "{text}");
         assert!(text.contains("w: 0 events, skipped 1 malformed line(s)"), "{text}");
     }

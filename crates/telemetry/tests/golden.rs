@@ -4,7 +4,7 @@
 //! byte (expected strings captured at the commit before the report
 //! model was introduced).
 
-use fedl_telemetry::{dashboard, render_trace_report, RunLog};
+use fedl_telemetry::{dashboard, trace, RunLog};
 
 fn assert_golden(name: &str, actual: &str, expected: &str) {
     assert!(actual == expected, "{name} moved.\n--- expected\n{expected}\n--- actual\n{actual}");
@@ -20,17 +20,17 @@ const IDLE: &str = include_str!("golden/run_idle.jsonl");
 
 #[test]
 fn telemetry_report_text_is_pinned() {
-    assert_golden("report", &log(FEDL).render_report(), include_str!("golden/report.txt"));
-    let spanless = log(FEDAVG).render_report();
+    assert_golden("report", &log(FEDL).report().text(), include_str!("golden/report.txt"));
+    let spanless = log(FEDAVG).report().text();
     assert_golden("report without spans", &spanless, include_str!("golden/report_spanless.txt"));
 }
 
 #[test]
 fn client_table_text_is_pinned() {
-    let table = log(FEDL).render_client_table();
+    let table = dashboard::single(&log(FEDL)).text();
     assert_golden("client table", &table, include_str!("golden/clients.txt"));
     assert_eq!(
-        log(IDLE).render_client_table(),
+        dashboard::single(&log(IDLE)).text(),
         "skipped 1 malformed line(s)\nno select/train events in log — nothing to attribute\n"
     );
 }
@@ -42,7 +42,7 @@ fn overlay_table_text_is_pinned() {
         ("b".to_string(), log(FEDAVG)),
         ("c".to_string(), log(IDLE)),
     ];
-    let table = dashboard::render_overlay_table(&runs).unwrap();
+    let table = dashboard::overlay(&runs).unwrap().text();
     assert_golden("overlay table", &table, include_str!("golden/overlay.txt"));
 }
 
@@ -53,9 +53,9 @@ fn trace_report_text_is_pinned() {
         ("coord.worker-0".to_string(), log(include_str!("golden/trace_worker0.jsonl"))),
         ("coord.worker-1".to_string(), log(include_str!("golden/trace_worker1.jsonl"))),
     ];
-    let text = render_trace_report(&runs).unwrap();
+    let text = trace::report(&runs).unwrap().text();
     assert_golden("trace report", &text, include_str!("golden/trace.txt"));
-    let text = render_trace_report(&[("run".to_string(), log(FEDL))]).unwrap();
+    let text = trace::report(&[("run".to_string(), log(FEDL))]).unwrap().text();
     assert_golden(
         "trace report without dist spans",
         &text,

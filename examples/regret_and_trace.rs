@@ -69,5 +69,5 @@ fn main() {
     // ── Per-phase timing from the JSONL run log ──
     let log = RunLog::read(RUN_LOG).expect("read back run log");
     println!("\nrun log: {RUN_LOG}");
-    print!("{}", log.render_report());
+    print!("{}", log.report().text());
 }

@@ -58,5 +58,5 @@ fn main() {
     println!("verified: served selections match the in-process reference bit-for-bit\n");
 
     let log = RunLog::read(&log_path).expect("read run log");
-    print!("{}", log.render_report());
+    print!("{}", log.report().text());
 }

@@ -140,18 +140,28 @@ stage_cache() {
     rm -rf "$out"
 }
 
-# Benchmark history round-trip (docs/OBSERVATORY.md): append two quick
-# snapshots to a fresh history file, gate the second against the rolling
-# baseline (must pass clean — same machine, back to back), and render
-# the trend report, whose HTML must contain a trend chart per kernel.
+# Benchmark history round-trip (docs/OBSERVATORY.md): take two quick
+# snapshots, append the first to a fresh history file, gate the second
+# against it and append it only on a pass, so a snapshot is never part
+# of the baseline it is judged against. Both snapshots time the same
+# binary seconds apart, so a REGRESSED verdict here is the shared host
+# changing speed between them, not the code: the pair is re-measured, and
+# only three such verdicts in a row fail the stage. The trend report's
+# HTML must contain a trend chart per kernel.
 stage_bench_history() {
-    local out=target/ci_bench_history
-    rm -rf "$out"
-    run_exp bench --quick --out "$out/s1.json" > /dev/null
-    run_exp bench --quick --out "$out/s2.json" > /dev/null
-    run_exp bench-history append "$out/s1.json" --history "$out/BENCH_HISTORY.jsonl"
+    local out=target/ci_bench_history attempt
+    for attempt in 1 2 3; do
+        rm -rf "$out"
+        run_exp bench --quick --out "$out/s1.json" > /dev/null
+        run_exp bench --quick --out "$out/s2.json" > /dev/null
+        run_exp bench-history append "$out/s1.json" --history "$out/BENCH_HISTORY.jsonl"
+        if run_exp bench-history gate "$out/s2.json" --history "$out/BENCH_HISTORY.jsonl"; then
+            break
+        fi
+        [ "$attempt" -lt 3 ] || { echo "same-binary gate failed three times" >&2; exit 1; }
+        echo "same-binary snapshots differ (host noise); re-measuring" >&2
+    done
     run_exp bench-history append "$out/s2.json" --history "$out/BENCH_HISTORY.jsonl"
-    run_exp bench-history gate "$out/s2.json" --history "$out/BENCH_HISTORY.jsonl"
     run_exp bench-history report --history "$out/BENCH_HISTORY.jsonl" \
         --html "$out/trend.html" > /dev/null
     grep -q 'svg id="trend-' "$out/trend.html" \
@@ -159,37 +169,38 @@ stage_bench_history() {
     rm -rf "$out"
 }
 
-# Hot-kernel perf gate (docs/PERF.md): take a fresh quick snapshot at
-# the *persistent* history path, append it, and gate it against the
-# rolling per-machine baseline. Unlike bench-history (which uses
-# throwaway files to test the tooling itself), this stage carries
-# perf state across CI runs: an integer-factor regression in any hot
-# kernel fails CI here with a non-zero exit from the gate subcommand.
-# The snapshot lands at results/BENCH.json so the workflow can upload
-# it as an artifact next to the stage ledger.
+# Hot-kernel perf gate (docs/PERF.md): take a fresh quick snapshot and
+# gate it against the rolling per-machine baseline at the *persistent*
+# history path; only a snapshot that passes is appended, so a regressed
+# run never sits in its own baseline or in any later window. Unlike
+# bench-history (which uses throwaway files to test the tooling itself),
+# this stage carries perf state across CI runs: an integer-factor
+# regression in any hot kernel fails CI here with a non-zero exit from
+# the gate subcommand. The snapshot lands at results/BENCH.json so the
+# workflow can upload it as an artifact next to the stage ledger.
 stage_perf() {
     mkdir -p results
     run_exp bench --quick --out results/BENCH.json > /dev/null
-    run_exp bench-history append results/BENCH.json --history results/BENCH_HISTORY.jsonl
     run_exp bench-history gate results/BENCH.json --history results/BENCH_HISTORY.jsonl
+    run_exp bench-history append results/BENCH.json --history results/BENCH_HISTORY.jsonl
     CI_STAGE_NOTE="results/BENCH.json"
 }
 
-# Columnar scale tier (docs/SCALE.md): the quick suite must measure the
-# 10k-tier scheduler kernels, and the snapshot must round-trip through
-# the bench-history append + gate pipeline on a fresh history file (the
-# v2 schema fingerprint starts its own rolling baseline).
-stage_scale() {
-    local out=target/ci_scale_stage
-    rm -rf "$out"
-    run_exp bench --quick --out "$out/BENCH.json" > /dev/null
-    for kernel in scale/score_update_10k scale/rounding_10k; do
-        grep -q "\"$kernel\"" "$out/BENCH.json" \
+# The quick snapshot `perf` wrote must carry the named kernels; a stage
+# run on its own takes the snapshot first.
+require_kernels() {
+    [ -f results/BENCH.json ] || run_exp bench --quick --out results/BENCH.json > /dev/null
+    local kernel
+    for kernel in "$@"; do
+        grep -q "\"$kernel\"" results/BENCH.json \
             || { echo "quick snapshot is missing the $kernel kernel" >&2; exit 1; }
     done
-    run_exp bench-history append "$out/BENCH.json" --history "$out/BENCH_HISTORY.jsonl"
-    run_exp bench-history gate "$out/BENCH.json" --history "$out/BENCH_HISTORY.jsonl"
-    rm -rf "$out"
+}
+
+# Columnar scale tier (docs/SCALE.md): the quick suite must measure the
+# 10k-tier scheduler kernels.
+stage_scale() {
+    require_kernels scale/score_update_10k scale/rounding_10k
 }
 
 # Federation service (docs/SERVE.md): a real loadgen round-trip over
@@ -242,19 +253,15 @@ stage_serve() {
         || { echo "restarted server diverged from the uninterrupted run" >&2; exit 1; }
 
     # The service-path kernel must be in the quick perf snapshot.
-    run_exp bench --quick --out "$out/BENCH.json" > /dev/null
-    grep -q '"serve/select_1k"' "$out/BENCH.json" \
-        || { echo "quick snapshot is missing the serve/select_1k kernel" >&2; exit 1; }
+    require_kernels serve/select_1k
     rm -rf "$out"
 }
 
 # Distributed execution (docs/DIST.md): a real 2-worker run over
 # spawned worker processes must produce selections byte-identical to
 # the single-process reference (--workers 0 writes the reference
-# artifact through the same JSONL path), the quick perf snapshot must
-# carry the dist/epoch_100k kernel, and the snapshot must round-trip
-# through the bench-history append + gate pipeline (the v4 schema
-# fingerprint starts its own rolling baseline).
+# artifact through the same JSONL path), and the quick perf snapshot
+# must carry the dist/epoch_100k kernel.
 stage_dist() {
     local out=target/ci_dist_stage
     rm -rf "$out"
@@ -267,11 +274,7 @@ stage_dist() {
     cmp "$out/dist.jsonl" "$out/reference.jsonl" \
         || { echo "2-worker dist run diverged from the single-process reference" >&2; exit 1; }
 
-    run_exp bench --quick --out "$out/BENCH.json" > /dev/null
-    grep -q '"dist/epoch_100k"' "$out/BENCH.json" \
-        || { echo "quick snapshot is missing the dist/epoch_100k kernel" >&2; exit 1; }
-    run_exp bench-history append "$out/BENCH.json" --history "$out/BENCH_HISTORY.jsonl"
-    run_exp bench-history gate "$out/BENCH.json" --history "$out/BENCH_HISTORY.jsonl"
+    require_kernels dist/epoch_100k
     rm -rf "$out"
 }
 

@@ -1,11 +1,18 @@
-//! Integration test of learner-state checkpointing: a restored FedL
-//! policy must continue from exactly the learned estimates and
-//! multipliers of the original.
+//! Integration test of policy-state checkpointing: a freshly built FedL
+//! policy restored from another's `snapshot_state` must continue from
+//! exactly the learned estimates and multipliers of the original.
 
 use fedl::core::fedl::{FedLConfig, FedLPolicy};
 use fedl::core::policy::{EpochContext, SelectionPolicy};
 use fedl::prelude::*;
 use fedl::sim::EdgeEnvironment;
+
+/// A fresh policy for `num_clients` clients restored from `original`.
+fn restored_from(original: &FedLPolicy, num_clients: usize) -> Result<FedLPolicy, String> {
+    let mut fresh = FedLPolicy::new(FedLConfig::default(), num_clients, 350.0, 3);
+    fresh.restore_state(&original.snapshot_state()).map_err(|e| e.to_string())?;
+    Ok(fresh)
+}
 
 fn context_for(env: &EdgeEnvironment, epoch: usize, budget: f64) -> Option<EpochContext> {
     let views = env.views(epoch);
@@ -57,14 +64,12 @@ fn checkpoint_round_trips_learner_state() {
     let mut original = FedLPolicy::new(FedLConfig::default(), 10, 350.0, 3);
     drive(&mut original, &mut env, 12);
 
-    let snapshot = original.checkpoint();
+    let snapshot = original.snapshot_state().to_json();
     assert!(snapshot.contains("mu0"), "snapshot should carry multipliers");
-    let restored = FedLPolicy::restore(&snapshot, 10).expect("valid snapshot");
+    let restored = restored_from(&original, 10).expect("valid snapshot");
 
     // Learned state must match exactly.
-    // JSON round-trips floats to within an ULP (shortest-representation
-    // printing), so compare with a tight relative tolerance.
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
+    let close = |a: f64, b: f64| a.to_bits() == b.to_bits();
     let (mu0_a, mu_a) = original.learner().multipliers();
     let (mu0_b, mu_b) = restored.learner().multipliers();
     assert!(close(mu0_a, mu0_b));
@@ -95,29 +100,36 @@ fn restored_policy_continues_with_identical_estimates() {
     let mut env = scenario.build_env();
     let mut original = FedLPolicy::new(FedLConfig::default(), 10, 350.0, 3);
     drive(&mut original, &mut env, 8);
-    let restored = FedLPolicy::restore(&original.checkpoint(), 10).unwrap();
+    let mut restored = restored_from(&original, 10).unwrap();
     // Compare remembered per-client latency estimates directly.
     for k in 0..10 {
         let a = original.learner().state().stats(k).map(|s| s.tau);
         let b = restored.learner().state().stats(k).map(|s| s.tau);
-        match (a, b) {
-            (None, None) => {}
-            (Some(x), Some(y)) => {
-                assert!((x - y).abs() <= 1e-12 * (1.0 + x.abs()), "{x} vs {y}")
-            }
-            other => panic!("presence diverged: {other:?}"),
-        }
+        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "client {k} estimate diverged");
+    }
+    // And both copies, given the same contexts, decide identically from here on.
+    for t in 8..12 {
+        let Some(ctx) = context_for(&env, t, 100.0) else { continue };
+        let (a, b) = (original.select(&ctx), restored.select(&ctx));
+        assert_eq!((a.cohort.clone(), a.iterations), (b.cohort, b.iterations), "epoch {t}");
+        let report = env.run_epoch(t, &a.cohort, a.iterations.clamp(1, 10));
+        original.observe(&ctx, &report);
+        restored.observe(&ctx, &report);
     }
 }
 
 #[test]
 fn restore_rejects_wrong_federation_size() {
     let policy = FedLPolicy::new(FedLConfig::default(), 6, 100.0, 2);
-    let snapshot = policy.checkpoint();
-    assert!(FedLPolicy::restore(&snapshot, 12).is_err(), "size mismatch must be rejected");
+    assert!(restored_from(&policy, 12).is_err(), "size mismatch must be rejected");
 }
 
 #[test]
 fn restore_rejects_garbage() {
-    assert!(FedLPolicy::restore("not a snapshot", 4).is_err());
+    // Another policy's state is not a FedL snapshot.
+    let mut policy = FedLPolicy::new(FedLConfig::default(), 4, 100.0, 2);
+    for foreign in [PolicyKind::FedAvg, PolicyKind::PowD] {
+        let state = foreign.build(4, 100.0, 2, FedLConfig::default()).snapshot_state();
+        assert!(policy.restore_state(&state).is_err(), "{foreign:?} state must be rejected");
+    }
 }
