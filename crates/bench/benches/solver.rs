@@ -4,7 +4,7 @@
 use fedl_bench::timing::{bench, group};
 use fedl_core::objective::{FracDecision, OneShot};
 use fedl_linalg::rng::{rng_for, Rng};
-use fedl_solver::{BoxHalfspace, BoxSet, DykstraIntersection, Halfspace, Project};
+use fedl_solver::SelectionPolytope;
 
 fn problem(k: usize, seed: u64) -> OneShot {
     let mut rng = rng_for(seed, k as u64);
@@ -25,26 +25,22 @@ fn problem(k: usize, seed: u64) -> OneShot {
 
 fn bench_projections() {
     group("projection");
-    for &k in &[16usize, 64, 128] {
-        let exact =
-            BoxHalfspace::new(BoxSet::unit(k), Halfspace::new(vec![1.0; k], k as f64 / 3.0));
-        let dyk = DykstraIntersection::new(vec![
-            Box::new(BoxSet::unit(k)),
-            Box::new(Halfspace::new(vec![1.0; k], k as f64 / 3.0)),
-            Box::new(Halfspace::at_least(vec![1.0; k], 2.0)),
-        ]);
+    for &k in &[16usize, 64, 128, 1024] {
         let mut rng = rng_for(3, k as u64);
+        let costs: Vec<f64> = (0..k).map(|_| rng.gen_range(0.1..12.0)).collect();
         let v: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..2.0)).collect();
-        bench(&format!("box_halfspace_exact/{k}"), || {
-            let mut x = v.clone();
-            exact.project(&mut x);
-            std::hint::black_box(x)
-        });
-        bench(&format!("dykstra_3set/{k}"), || {
-            let mut x = v.clone();
-            dyk.project(&mut x);
-            std::hint::black_box(x)
-        });
+        let n = (k / 8).max(2);
+        let mut sorted = Vec::new();
+        // A budget nothing reaches (participation row at most) and one a
+        // third of what the point would spend (both rows in play).
+        for (label, budget) in [("loose", 1e9), ("tight", 2.0 * k as f64)] {
+            let set = SelectionPolytope::new(&costs, n, budget, 10.0, &mut sorted);
+            bench(&format!("polytope_{label}/{k}"), || {
+                let mut x = v.clone();
+                set.project_selection(&mut x);
+                std::hint::black_box(x)
+            });
+        }
     }
 }
 

@@ -349,6 +349,10 @@ mod tests {
         // A different seed is a different key: all misses again.
         run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 6, Some(&cache));
         assert_eq!(tel.counter("cache.miss").value(), 8);
+        // So is a different snapshot schema version: an entry written
+        // before a bit-changing solver rewrite must miss, not stand in.
+        let key = RunCache::cell_key(&ScenarioConfig::small_fmnist(4, 10.0, 2), "FedL");
+        assert!(key.starts_with(&format!("fedl-cell v{SNAPSHOT_SCHEMA_VERSION}\n")), "{key}");
     }
 
     #[test]

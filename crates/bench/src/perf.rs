@@ -33,8 +33,12 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// v3 added the `serve/` family (cohort selection through the framed
 /// service protocol, docs/SERVE.md); v4 added the `dist/` family (a
 /// full coordinator epoch over a sharded 100k population through the
-/// worker protocol, docs/DIST.md).
-pub const BENCH_SCHEMA_VERSION: u32 = 4;
+/// worker protocol, docs/DIST.md); v5 added the `solve/` family (the
+/// polytope projection and the one-shot solve at 64/1k/10k clients and at
+/// the exhaustion tail, docs/PERF.md) and, with the solve rewritten, moved
+/// what `core/ucb_score_update_*`, `serve/select_1k` and
+/// `epoch/full_quick_epoch` cost.
+pub const BENCH_SCHEMA_VERSION: u32 = 5;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -302,6 +306,118 @@ fn suite_score_update(kernels: &mut Vec<KernelStats>, budget: Duration, profile:
     });
 }
 
+/// The one-shot solve of eq. (8) (S6, docs/PERF.md "the solve"): one
+/// projection onto a 1k-client feasible set from a point outside it;
+/// `OneShot::descend` at 64 / 1k / 10k available clients from a cold
+/// anchor (every client at the `n/K` prior, ρ = 1) and from a warm one
+/// (the previous optimum); and the exhaustion tail — the last three
+/// instances FedL poses on `small_fmnist(100, 4 500, 10)` seed 3, from
+/// their own anchors, where the budget row binds and the feasible set is
+/// thinnest. The sized problems draw their coefficients from the §6.1
+/// ranges with a tenth of the clients required, a loose budget, and a
+/// multiplier on one local constraint in sixteen, which is the shape a
+/// mid-run epoch has.
+fn suite_solve(kernels: &mut Vec<KernelStats>, budget: Duration) {
+    use fedl_core::objective::{FracDecision, OneShot};
+    use fedl_linalg::rng::{rng_for, Rng};
+    use fedl_solver::Project;
+
+    let sized = |k: usize| {
+        let mut rng = rng_for(0xBEC, k as u64);
+        let problem = OneShot {
+            ids: (0..k).collect(),
+            tau: (0..k).map(|_| rng.gen_range(0.01..2.0)).collect(),
+            costs: (0..k).map(|_| rng.gen_range(0.1..12.0)).collect(),
+            eta: (0..k).map(|_| rng.gen_range(0.1..0.9)).collect(),
+            g: (0..k).map(|_| rng.gen_range(-1.0..0.1)).collect(),
+            bonus: vec![0.0; k],
+            loss_all: 1.8,
+            theta: 1.0,
+            min_participants: (k / 10).max(2),
+            budget: 1.0e9,
+            rho_max: 10.0,
+        };
+        let mu: Vec<f64> = std::iter::once(1.5)
+            .chain((0..k).map(|i| if i % 16 == 0 { 0.4 } else { 0.0 }))
+            .collect();
+        (problem, mu, 0.1)
+    };
+    let cold = |p: &OneShot| {
+        let k = p.ids.len();
+        FracDecision { x: vec![(p.effective_n() as f64 / k as f64).clamp(0.02, 0.5); k], rho: 1.0 }
+    };
+
+    for (k, label) in [(64usize, "64"), (1_000, "1k"), (10_000, "10k")] {
+        let (problem, mu, beta) = sized(k);
+        let anchor = cold(&problem);
+        let optimum = problem.descend(&anchor, &mu, beta);
+        if k == 1_000 {
+            let set = problem.feasible_set();
+            let outside: Vec<f64> = optimum
+                .x
+                .iter()
+                .map(|x| 1.5 * x + 0.1)
+                .chain(std::iter::once(optimum.rho + 1.0))
+                .collect();
+            let mut z = outside.clone();
+            measure_kernel(kernels, budget, "solve/project_1k", || {
+                z.copy_from_slice(&outside);
+                set.project(std::hint::black_box(&mut z));
+                z[0]
+            });
+        }
+        measure_kernel(kernels, budget, &format!("solve/descend_{label}"), || {
+            std::hint::black_box(problem.descend(std::hint::black_box(&anchor), &mu, beta))
+        });
+        measure_kernel(kernels, budget, &format!("solve/descend_{label}_warm"), || {
+            std::hint::black_box(problem.descend(std::hint::black_box(&optimum), &mu, beta))
+        });
+    }
+
+    let tail = exhaustion_tail();
+    measure_kernel(kernels, budget, "solve/descend_tail", || {
+        for p in &tail {
+            std::hint::black_box(p.problem.descend(&p.anchor, &p.mu, p.beta));
+        }
+    });
+}
+
+/// The last three instances of eq. (8) FedL poses when
+/// `small_fmnist(100, 4 500, 10)` seed 3 runs to exhaustion: a
+/// deterministic function of the code, rebuilt at bench start.
+fn exhaustion_tail() -> Vec<fedl_core::Posed> {
+    use fedl_core::policy::{EpochContext, SelectionDecision, SelectionPolicy};
+    use fedl_core::runner::{ExperimentRunner, ScenarioConfig};
+    use fedl_core::{FedLPolicy, Posed};
+    use std::sync::{Arc, Mutex};
+
+    struct Capture(FedLPolicy, Arc<Mutex<Vec<Posed>>>);
+    impl SelectionPolicy for Capture {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn select(&mut self, ctx: &EpochContext) -> SelectionDecision {
+            let decision = self.0.select(ctx);
+            self.1.lock().expect("single-threaded").push(self.0.posed());
+            decision
+        }
+        fn observe(&mut self, ctx: &EpochContext, report: &fedl_sim::EpochReport) {
+            self.0.observe(ctx, report);
+        }
+    }
+
+    let scenario = ScenarioConfig::small_fmnist(100, 4_500.0, 10).with_seed(3);
+    let posed = Arc::new(Mutex::new(Vec::new()));
+    // Untracked: the tracker never feeds back into decisions.
+    let policy = FedLPolicy::new(scenario.fedl, 100, scenario.budget, 10).without_regret_tracking();
+    let env = scenario.build_env();
+    let mut runner =
+        ExperimentRunner::with_policy(scenario, env, Box::new(Capture(policy, posed.clone())));
+    while runner.step() {}
+    let mut posed = std::mem::take(&mut *posed.lock().expect("single-threaded"));
+    posed.split_off(posed.len() - 3)
+}
+
 /// The columnar scheduler at scale-tier populations (docs/SCALE.md):
 /// one full FedL score update — dense problem assembly from the
 /// population/epoch columns plus the realized-epoch fold-back,
@@ -491,6 +607,7 @@ pub fn run_suite(profile: Profile) -> BenchSnapshot {
     suite_dane(&mut kernels, budget, profile);
     suite_rounding(&mut kernels, budget, profile);
     suite_score_update(&mut kernels, budget, profile);
+    suite_solve(&mut kernels, budget);
     suite_scale(&mut kernels, budget, profile);
     suite_serve(&mut kernels, budget);
     suite_dist(&mut kernels, budget);

@@ -117,9 +117,11 @@ impl EpochEngine {
         Self { policy, ledger, telemetry: Telemetry::disabled(), next_epoch: 0, pending: None }
     }
 
-    /// Routes the ledger's events and `budget.*` metrics to `telemetry`.
+    /// Routes the ledger's events and `budget.*` metrics, and the
+    /// policy's own metrics, to `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.ledger.set_telemetry(telemetry.clone());
+        self.policy.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 

@@ -5,6 +5,7 @@
 use fedl_json::{obj, read_field, ToJson, Value};
 use fedl_linalg::rng::{derive_seed, Xoshiro256pp};
 use fedl_sim::EpochReport;
+use fedl_telemetry::Telemetry;
 
 use crate::objective::{FracDecision, OneShot};
 use crate::online::{OnlineLearner, StepSizes};
@@ -95,6 +96,9 @@ pub struct FedLPolicy {
     selected: Vec<usize>,
     /// The fractional decision awaiting the epoch's outcome.
     pending: Option<FracDecision>,
+    /// Where each solve's outcome is reported (disabled unless a driver
+    /// hands one over through `set_telemetry`).
+    telemetry: Telemetry,
 }
 
 impl FedLPolicy {
@@ -134,6 +138,7 @@ impl FedLPolicy {
             rdcs: RdcsScratch::new(),
             selected: Vec::new(),
             pending: None,
+            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -158,6 +163,42 @@ impl FedLPolicy {
     pub fn learner(&self) -> &OnlineLearner {
         &self.learner
     }
+
+    /// The instance of eq. (8) the last `select` solved. Valid until the
+    /// epoch's `observe` moves the anchor and the multipliers.
+    pub fn posed(&self) -> Posed {
+        let ids = &self.problem.ids;
+        let (mu0, mu_all) = self.learner.multipliers();
+        let state = self.learner.state();
+        Posed {
+            problem: self.problem.clone(),
+            anchor: FracDecision {
+                x: ids.iter().map(|&k| state.columns().last_x[k]).collect(),
+                rho: state.last_rho,
+            },
+            mu: std::iter::once(mu0).chain(ids.iter().map(|&k| mu_all[k])).collect(),
+            beta: self.learner.steps().beta,
+        }
+    }
+
+    /// The fractional decision awaiting its epoch's outcome, if any.
+    pub fn pending(&self) -> Option<&FracDecision> {
+        self.pending.as_ref()
+    }
+}
+
+/// One instance of eq. (8) as FedL posed it: what a bench or a test
+/// needs to solve it again (`problem.descend(&anchor, &mu, beta)`).
+#[derive(Debug, Clone)]
+pub struct Posed {
+    /// The epoch's coefficients and feasible set.
+    pub problem: OneShot,
+    /// The previous fractional decision the step is anchored at.
+    pub anchor: FracDecision,
+    /// `[μ⁰, μ^k…]` aligned with the problem's ids.
+    pub mu: Vec<f64>,
+    /// The primal step size β.
+    pub beta: f64,
 }
 
 impl SelectionPolicy for FedLPolicy {
@@ -168,6 +209,16 @@ impl SelectionPolicy for FedLPolicy {
     fn select(&mut self, ctx: &EpochContext) -> SelectionDecision {
         self.learner.build_problem_into(ctx, &mut self.problem);
         let frac = self.learner.decide(ctx, &self.problem);
+        if self.telemetry.enabled() {
+            let solve = self.learner.last_solve();
+            self.telemetry.histogram("core.solve.projections").record(solve.projections as f64);
+            if solve.budget_relaxed {
+                self.telemetry.counter("core.solve.budget_relaxed").incr();
+            }
+            if !solve.convex {
+                self.telemetry.counter("core.solve.nonconvex").incr();
+            }
+        }
 
         // Round the fractional selection (Alg. 2), then repair the
         // constraints rounding cannot preserve (budget heterogeneity).
@@ -195,6 +246,11 @@ impl SelectionPolicy for FedLPolicy {
             self.tracker.record(&self.problem, &frac, report);
         }
         self.learner.observe(ctx, report, &frac, &self.problem);
+        self.learner.recycle(frac);
+    }
+
+    fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
     }
 
     fn regret_tracker(&self) -> Option<&RegretTracker> {

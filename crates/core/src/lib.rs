@@ -54,6 +54,6 @@ pub mod snapshot;
 pub mod state;
 
 pub use engine::{EngineError, EpochEngine};
-pub use fedl::{FedLConfig, FedLPolicy};
+pub use fedl::{FedLConfig, FedLPolicy, Posed};
 pub use policy::{EpochContext, PolicyKind, SelectionDecision, SelectionPolicy};
 pub use runner::{ExperimentRunner, ResumeError, RunOutcome, ScenarioConfig, ScenarioError};

@@ -10,7 +10,7 @@
 //! all sharded via `fedl_linalg::par` with per-element arithmetic
 //! identical to the scalar path, so results are bit-for-bit unchanged.
 
-use crate::objective::{FracDecision, OneShot};
+use crate::objective::{locator, FracDecision, OneShot, SolveOutcome, SolveScratch};
 use crate::policy::EpochContext;
 use crate::state::LearnerState;
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
@@ -38,6 +38,11 @@ struct LearnerScratch {
     anchor_x: Vec<f64>,
     /// Gathered multipliers `[μ⁰, μ^k…]` for the available clients.
     mu_gather: Vec<f64>,
+    /// Buffers of the one-shot solve.
+    solve: SolveScratch,
+    /// A spent decision's buffer for the next [`OnlineLearner::decide`]
+    /// to fill (see [`OnlineLearner::recycle`]).
+    spare_x: Vec<f64>,
     /// Observed-constraint copy of the decision problem.
     observed: OneShot,
     /// Observed constraint vector `h_t(Φ̃_t)`.
@@ -102,6 +107,9 @@ pub struct OnlineLearner {
     /// rarely-selected clients a standing objective discount — the
     /// paper's stated future-work direction).
     fairness_weight: f64,
+    /// What the last [`OnlineLearner::decide`]'s solve did (diagnostic,
+    /// not logical state; not serialized).
+    last_solve: SolveOutcome,
     /// Reusable per-epoch buffers (not logical state; not serialized).
     scratch: LearnerScratch,
 }
@@ -128,6 +136,7 @@ impl OnlineLearner {
             theta,
             rho_max,
             fairness_weight: 0.0,
+            last_solve: SolveOutcome::default(),
             scratch: LearnerScratch::default(),
         }
     }
@@ -154,6 +163,20 @@ impl OnlineLearner {
     /// Per-client observation memory.
     pub fn state(&self) -> &LearnerState {
         &self.state
+    }
+
+    /// What the most recent [`OnlineLearner::decide`] cost and where it
+    /// ended: projections spent, whether (8) was convex, which rows were
+    /// tight, whether the budget had to be relaxed. All zeros before the
+    /// first decision.
+    pub fn last_solve(&self) -> SolveOutcome {
+        self.last_solve
+    }
+
+    /// Hands a spent decision back so that the next
+    /// [`OnlineLearner::decide`] fills its buffer instead of allocating.
+    pub fn recycle(&mut self, spent: FracDecision) {
+        self.scratch.spare_x = spent.x;
     }
 
     /// Assembles the one-shot problem for this epoch from current prices
@@ -251,7 +274,16 @@ impl OnlineLearner {
         par_zip_chunks_grained(&mut mu[1..], 1, &ctx.available, 1, COLUMN_GRAIN, |_, o, id| {
             o[0] = mu_col[id[0]]
         });
-        problem.descend_from(anchor_x, self.state.last_rho, mu, self.steps.beta)
+        let mut frac = FracDecision { x: std::mem::take(&mut self.scratch.spare_x), rho: 1.0 };
+        self.last_solve = problem.solve(
+            anchor_x,
+            self.state.last_rho,
+            mu,
+            self.steps.beta,
+            &mut self.scratch.solve,
+            &mut frac,
+        );
+        frac
     }
 
     /// Observation + dual ascent (paper eq. (9)): fold the realized epoch
@@ -265,17 +297,7 @@ impl OnlineLearner {
         problem: &OneShot,
     ) {
         assert_eq!(frac.x.len(), ctx.available.len(), "decision arity");
-        // Position of client k within `available`. The runner builds the
-        // list ascending, so binary search covers the hot path; the
-        // linear fallback keeps arbitrary orders correct.
-        let sorted = ctx.available.windows(2).all(|w| w[0] < w[1]);
-        let pos_of = |k: usize| {
-            if sorted {
-                ctx.available.binary_search(&k).ok()
-            } else {
-                ctx.available.iter().position(|&a| a == k)
-            }
-        };
+        let pos_of = locator(&ctx.available);
         // Update per-client memory from the realized cohort outcomes.
         for (slot, &k) in report.cohort.iter().enumerate() {
             let tau = report.per_client_iter_latency[slot];
@@ -358,6 +380,7 @@ impl FromJson for OnlineLearner {
             theta: read_field(v, "theta")?,
             rho_max: read_field(v, "rho_max")?,
             fairness_weight: read_field(v, "fairness_weight")?,
+            last_solve: SolveOutcome::default(),
             scratch: LearnerScratch::default(),
         })
     }

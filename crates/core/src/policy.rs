@@ -83,6 +83,11 @@ pub trait SelectionPolicy: Send {
     /// Feeds back the realized outcome of the epoch this policy chose.
     fn observe(&mut self, _ctx: &EpochContext, _report: &EpochReport) {}
 
+    /// Hands the policy the run's telemetry handle, for policies that
+    /// report about their own decisions (FedL: the `core.solve.*`
+    /// metrics of docs/TELEMETRY.md). Never changes a decision.
+    fn set_telemetry(&mut self, _telemetry: fedl_telemetry::Telemetry) {}
+
     /// The dynamic regret/fit tracker, for policies that maintain one
     /// (FedL does; the baselines return `None`). Used by the
     /// theory-validation benches.

@@ -11,7 +11,7 @@
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
 use fedl_solver::{minimize, PgdOptions};
 
-use crate::objective::{FracDecision, OneShot};
+use crate::objective::{locator, FracDecision, OneShot};
 use fedl_sim::EpochReport;
 
 /// Penalty weight used when the hindsight comparator must respect the
@@ -29,6 +29,11 @@ pub struct RegretTracker {
     h_cum: Vec<f64>,
     fit_curve: Vec<f64>,
     regret_curve: Vec<f64>,
+    /// The epoch's problem with realized values in place of estimates,
+    /// and its constraint vector: buffers reused across epochs (never
+    /// serialized).
+    observed: OneShot,
+    h: Vec<f64>,
 }
 
 impl RegretTracker {
@@ -40,6 +45,8 @@ impl RegretTracker {
             h_cum: vec![0.0; num_clients + 1],
             fit_curve: Vec::new(),
             regret_curve: Vec::new(),
+            observed: OneShot::default(),
+            h: Vec::new(),
         }
     }
 
@@ -52,10 +59,12 @@ impl RegretTracker {
     /// decision taken, and the realized outcome.
     pub fn record(&mut self, problem: &OneShot, frac: &FracDecision, report: &EpochReport) {
         // Observed problem: replace estimates with realized values.
-        let mut observed = problem.clone();
+        let observed = &mut self.observed;
+        observed.copy_from(problem);
         observed.loss_all = report.global_loss_all;
+        let pos_of = locator(&problem.ids);
         for (slot, &k) in report.cohort.iter().enumerate() {
-            if let Some(pos) = observed.ids.iter().position(|&id| id == k) {
+            if let Some(pos) = pos_of(k) {
                 observed.eta[pos] = report.eta_hats[slot] as f64;
                 observed.g[pos] = report.grad_dot_delta[slot] as f64;
                 observed.tau[pos] = report.per_client_iter_latency[slot];
@@ -63,14 +72,15 @@ impl RegretTracker {
         }
 
         let f_t = observed.f_value(&frac.x, frac.rho);
-        let star = hindsight_optimum(&observed);
+        let star = hindsight_optimum(observed);
         let f_star = observed.f_value(&star.x, star.rho);
         self.f_online.push(f_t);
         self.f_hindsight.push(f_star);
         let cum_regret = self.regret_curve.last().copied().unwrap_or(0.0) + (f_t - f_star);
         self.regret_curve.push(cum_regret);
 
-        let h = observed.h_value(&frac.x, frac.rho);
+        let h = &mut self.h;
+        observed.h_value_into(&frac.x, frac.rho, h);
         self.h_cum[0] += h[0];
         for (pos, &k) in observed.ids.iter().enumerate() {
             self.h_cum[1 + k] += h[1 + pos];
@@ -126,6 +136,8 @@ impl FromJson for RegretTracker {
             h_cum: read_field(v, "h_cum")?,
             fit_curve: read_field(v, "fit_curve")?,
             regret_curve: read_field(v, "regret_curve")?,
+            observed: OneShot::default(),
+            h: Vec::new(),
         })
     }
 }
@@ -189,10 +201,7 @@ pub fn hindsight_optimum(observed: &OneShot) -> FracDecision {
         .map(|z0| minimize(objective, gradient, &set, &z0, &opts))
         .min_by(|a, b| a.objective.partial_cmp(&b.objective).expect("finite objectives"))
         .expect("at least one start");
-    // Clamp the box part exactly; razor-thin budget sets can leave
-    // micro-violations of the halfspaces (see OneShot::descend).
-    let x = res.x[..k].iter().map(|&v| v.clamp(0.0, 1.0)).collect();
-    FracDecision { x, rho: res.x[k].clamp(1.0, observed.rho_max) }
+    FracDecision { x: res.x[..k].to_vec(), rho: res.x[k] }
 }
 
 #[cfg(test)]

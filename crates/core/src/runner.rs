@@ -26,8 +26,11 @@ use crate::policy::{EpochContext, PolicyKind, SelectionPolicy};
 /// canonical scenario serialization or the checkpoint payload layout
 /// changes, so stale snapshots are rejected and stale cache entries
 /// miss instead of resurrecting results under a different contract
-/// (docs/CHECKPOINT.md).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+/// (docs/CHECKPOINT.md). v2: FedL's one-shot solve returns the exact
+/// minimiser of eq. (8), so its decisions differ in their late digits
+/// from v1's — a v1 checkpoint or cache entry would continue or stand in
+/// for a different trajectory.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// Envelope kind tag for run checkpoints.
 const CHECKPOINT_KIND: &str = "checkpoint";
@@ -1144,6 +1147,20 @@ mod tests {
         // Different scenario (seed) → fingerprint mismatch.
         let reseeded = checkpoint_scenario().with_seed(99);
         match ExperimentRunner::resume_from(reseeded, PolicyKind::FedAvg, &path).err() {
+            Some(ResumeError::Fingerprint { .. }) => {}
+            other => panic!("expected fingerprint error, got {other:?}"),
+        }
+        // The same run checkpointed by the previous schema version (same
+        // payload, fingerprint text "fedl-snapshot v1 …") → fingerprint
+        // mismatch: v1's FedL decided differently, so its state must not
+        // be continued.
+        let stale = dir.join("stale.fedlstore");
+        let mut payload = read_envelope(&path, CHECKPOINT_KIND).unwrap();
+        let Value::Obj(fields) = &mut payload else { panic!("checkpoint payload is an object") };
+        let text = format!("fedl-snapshot v1\npolicy=FedAvg\n{}", s.canonical_json());
+        fields[0] = ("fingerprint".to_string(), Value::Str(content_address(text.as_bytes())));
+        write_envelope(&stale, CHECKPOINT_KIND, &payload).unwrap();
+        match ExperimentRunner::resume_from(s.clone(), PolicyKind::FedAvg, &stale).err() {
             Some(ResumeError::Fingerprint { .. }) => {}
             other => panic!("expected fingerprint error, got {other:?}"),
         }

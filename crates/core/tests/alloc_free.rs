@@ -1,6 +1,7 @@
 //! Zero-steady-state-allocation regression tests for the scheduler hot
-//! loops: RDCS dependent rounding and the columnar UCB score-update
-//! assembly (`build_problem_into` + `h_value_into`). Installs the
+//! loops: RDCS dependent rounding, the columnar UCB score-update
+//! assembly (`build_problem_into` + `h_value_into`) and the one-shot
+//! solve behind `decide`. Installs the
 //! counting allocator as this binary's global allocator; once the
 //! reusable scratch structures are warm, the measured regions must not
 //! touch the heap.
@@ -91,4 +92,21 @@ fn scheduler_hot_loops_are_allocation_free_once_warm() {
     });
     assert_eq!(problem.ids.len(), m);
     assert!(!h.is_empty());
+
+    // --- The one-shot solve (`decide`) ----------------------------------
+    // Loose, binding and unaffordable budgets: the participation row
+    // alone, both rows, and the relaxed cheapest-n face.
+    let mut ctx = ctx;
+    let spent = learner.decide(&ctx, &problem); // warm
+    learner.recycle(spent);
+    assert_allocation_free("one-shot solve", || {
+        for budget in [10_000.0, 30.0, 1.0] {
+            ctx.remaining_budget = budget;
+            learner.build_problem_into(&ctx, &mut problem);
+            let frac = learner.decide(&ctx, &problem);
+            assert_eq!(frac.x.len(), m);
+            learner.recycle(frac);
+        }
+    });
+    assert!(learner.last_solve().budget_relaxed, "budget 1 cannot cover the cheapest 8");
 }

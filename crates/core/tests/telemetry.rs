@@ -144,6 +144,11 @@ fn full_run_emits_complete_event_stream() {
         assert!(h.get("count").unwrap().as_i64().unwrap() > 0, "{name}");
         assert!(h.get("p50").unwrap().as_f64().is_some(), "{name}");
     }
+    // FedL reports every decision's solve: one sample per epoch, within
+    // the scan-and-refine projection cap.
+    let solve = histograms.get("core.solve.projections").expect("FedL forwards its SolveOutcome");
+    assert_eq!(solve.get("count").unwrap().as_i64(), Some(n as i64));
+    assert!(solve.get("max").unwrap().as_f64().unwrap() <= 256.0);
 }
 
 #[test]

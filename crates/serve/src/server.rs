@@ -36,8 +36,10 @@ use crate::transport::FrameTransport;
 pub const SERVE_CHECKPOINT_KIND: &str = "serve-checkpoint";
 
 /// Version of the checkpoint payload layout; bump on incompatible
-/// change so stale files fail loud.
-pub const SERVE_SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+/// change so stale files fail loud. v2: same payload, but FedL's
+/// decisions moved with the exact one-shot solve, so a v1 checkpoint must
+/// be refused rather than resumed into a different trajectory.
+pub const SERVE_SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// The deployment a server coordinates: the seeded client population
 /// plus the selection problem (budget, floor, policy). Loadgen and

@@ -9,18 +9,18 @@
 //!
 //! * a box `x ∈ [0, 1]^K`, `ρ ∈ [1, ρ_max]`;
 //! * the participation halfspace `Σ x_k ≥ n` (constraint (3b)/(6b));
-//! * the budget halfspace `Σ c_k x_k ≤ C_remaining` (constraint (3a)/(6a)).
+//! * the budget halfspace `Σ c_k x_k ≤ C_remaining` (constraint (3a)/(6a));
 //!
-//! This crate therefore replaces the interior-point dependency with a
-//! from-scratch projected-gradient solver:
+//! and for a fixed ρ the descent objective of eq. (8) is separable in x,
+//! so its minimiser is one Euclidean projection onto that region. This
+//! crate therefore replaces the interior-point dependency with:
 //!
-//! * [`projection`] — exact Euclidean projections onto the primitive sets,
-//!   including the box∩halfspace intersection via Lagrangian bisection;
-//! * [`dykstra`] — Dykstra's alternating-projection algorithm for
-//!   intersections of several sets (converges to the exact projection,
-//!   unlike naive alternating projection);
-//! * [`pgd`] — projected gradient descent with optional Armijo
-//!   backtracking, the driver used once per epoch by `fedl-core`.
+//! * [`polytope`] — the exact projection onto `box ∩ {Σx ≥ n} ∩ {Σc·x ≤ C}`
+//!   by two nested scalar root finds on its KKT multipliers, which
+//!   `fedl-core` wraps in a one-dimensional search over ρ;
+//! * [`projection`] — the [`Project`] interface and the plain box;
+//! * [`pgd`] — projected gradient descent with Armijo backtracking, kept
+//!   for the hindsight comparator's penalised objective.
 //!
 //! Everything is `f64`: the decision problem is small, so precision is
 //! cheap and keeps the regret accounting clean.
@@ -30,13 +30,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod dykstra;
 pub mod pgd;
+pub mod polytope;
 pub mod projection;
 
-pub use dykstra::DykstraIntersection;
 pub use pgd::{minimize, PgdOptions, PgdResult};
-pub use projection::{BoxHalfspace, BoxSet, Halfspace, Project};
+pub use polytope::{Multipliers, SelectionPolytope};
+pub use projection::{BoxSet, Project};
 
 #[cfg(test)]
 mod tests {
@@ -47,15 +47,8 @@ mod tests {
     #[test]
     fn quadratic_over_fedl_shaped_set() {
         // 4 clients + rho: box [0,1]^4 x [1,8], sum(x) >= 2, cost <= 3.
-        let boxset = BoxSet::new(vec![0.0, 0.0, 0.0, 0.0, 1.0], vec![1.0, 1.0, 1.0, 1.0, 8.0]);
-        // sum of x over first 4 coords >= 2  <=>  -sum(x) <= -2
-        let participation = Halfspace::new(vec![-1.0, -1.0, -1.0, -1.0, 0.0], -2.0);
-        let costs = Halfspace::new(vec![1.0, 2.0, 0.5, 0.25, 0.0], 3.0);
-        let set = DykstraIntersection::new(vec![
-            Box::new(boxset),
-            Box::new(participation),
-            Box::new(costs),
-        ]);
+        let costs = [1.0, 2.0, 0.5, 0.25];
+        let set = SelectionPolytope::new(&costs, 2, 3.0, 8.0, &mut Vec::new());
 
         let target = vec![1.0, 1.0, 1.0, 1.0, 0.0];
         let f = |z: &[f64]| fedl_linalg::dvec::dist_sq(z, &target);

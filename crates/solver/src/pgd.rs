@@ -1,11 +1,8 @@
 //! Projected gradient descent with Armijo backtracking.
 //!
-//! The driver `fedl-core` uses once per epoch to solve the modified
-//! descent step (paper eq. (8)). The objective there is the linearized
-//! Lagrangian plus a `‖Φ − Φₜ‖²/(2β)` proximal term, i.e. strongly convex
-//! with an easily bounded curvature, so plain PGD with backtracking
-//! converges linearly and a few hundred iterations reach optimizer noise
-//! well below the rounding granularity that follows.
+//! The driver of `fedl-core`'s hindsight comparator, which descends a
+//! penalised objective that has no closed-form inner solve. (The online
+//! descent step, paper eq. (8), does: see [`crate::polytope`].)
 
 use crate::projection::Project;
 
@@ -124,7 +121,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::projection::{BoxSet, Halfspace, Project};
+    use crate::polytope::SelectionPolytope;
+    use crate::projection::{BoxSet, Project};
     use fedl_linalg::approx_eq_f64;
 
     #[test]
@@ -161,15 +159,17 @@ mod tests {
     }
 
     #[test]
-    fn halfspace_constraint_binds() {
-        // min x² + y² s.t. x + y >= 1 -> (0.5, 0.5).
-        let set = Halfspace::at_least(vec![1.0, 1.0], 1.0);
-        let f = |x: &[f64]| x[0] * x[0] + x[1] * x[1];
-        let g = |x: &[f64], out: &mut [f64]| {
-            out[0] = 2.0 * x[0];
-            out[1] = 2.0 * x[1];
+    fn participation_row_binds() {
+        // min x² + y² s.t. x + y >= 1 -> (0.5, 0.5); ρ rides along at 1.
+        let costs = [1.0, 1.0];
+        let set = SelectionPolytope::new(&costs, 1, 10.0, 4.0, &mut Vec::new());
+        let f = |z: &[f64]| z[0] * z[0] + z[1] * z[1];
+        let g = |z: &[f64], out: &mut [f64]| {
+            out[0] = 2.0 * z[0];
+            out[1] = 2.0 * z[1];
+            out[2] = 0.0;
         };
-        let res = minimize(f, g, &set, &[3.0, -1.0], &PgdOptions::default());
+        let res = minimize(f, g, &set, &[3.0, -1.0, 1.0], &PgdOptions::default());
         assert!(approx_eq_f64(res.x[0], 0.5, 1e-6), "{:?}", res.x);
         assert!(approx_eq_f64(res.x[1], 0.5, 1e-6), "{:?}", res.x);
     }

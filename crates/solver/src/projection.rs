@@ -1,14 +1,13 @@
-//! Exact Euclidean projections onto the primitive convex sets that make up
-//! FedL's per-epoch feasible region.
+//! The projection interface [`crate::pgd::minimize`] descends over, and
+//! the axis-aligned box.
 
 use fedl_linalg::dvec;
 
 /// A closed convex set that supports Euclidean projection and membership
 /// testing.
 ///
-/// `project` must return the *exact* nearest point for the primitive sets
-/// in this module; composite sets (see [`crate::DykstraIntersection`])
-/// converge to it iteratively.
+/// `project` must return the *exact* nearest point: projected gradient
+/// descent inherits its convergence guarantees from that.
 pub trait Project: Send + Sync {
     /// Projects `v` onto the set in place.
     fn project(&self, v: &mut [f64]);
@@ -73,142 +72,9 @@ impl Project for BoxSet {
     }
 }
 
-/// Halfspace `{ v : a·v ≤ b }`.
-///
-/// A `≥` constraint is expressed by negating both sides (see
-/// [`Halfspace::at_least`]).
-#[derive(Debug, Clone)]
-pub struct Halfspace {
-    a: Vec<f64>,
-    b: f64,
-    a_norm_sq: f64,
-}
-
-impl Halfspace {
-    /// Creates `{ v : a·v ≤ b }`; panics if `a` is the zero vector (the
-    /// set would be everything or nothing).
-    pub fn new(a: Vec<f64>, b: f64) -> Self {
-        let a_norm_sq = dvec::dot(&a, &a);
-        assert!(a_norm_sq > 0.0, "halfspace normal must be non-zero");
-        Self { a, b, a_norm_sq }
-    }
-
-    /// Convenience constructor for `a·v ≥ b`, stored as `(-a)·v ≤ -b`.
-    pub fn at_least(a: Vec<f64>, b: f64) -> Self {
-        Self::new(a.into_iter().map(|x| -x).collect(), -b)
-    }
-
-    /// Signed violation `a·v − b` (positive ⇒ outside).
-    pub fn violation(&self, v: &[f64]) -> f64 {
-        dvec::dot(&self.a, v) - self.b
-    }
-}
-
-impl Project for Halfspace {
-    fn project(&self, v: &mut [f64]) {
-        let excess = self.violation(v);
-        if excess > 0.0 {
-            dvec::axpy(v, -excess / self.a_norm_sq, &self.a);
-        }
-    }
-
-    fn contains(&self, v: &[f64], tol: f64) -> bool {
-        self.violation(v) <= tol * (1.0 + self.b.abs())
-    }
-
-    fn dim(&self) -> usize {
-        self.a.len()
-    }
-}
-
-/// Exact projection onto `{ lo ≤ v ≤ hi } ∩ { a·v ≤ b }` via Lagrangian
-/// bisection.
-///
-/// The KKT conditions give the projection as
-/// `clamp(v − λ·a, lo, hi)` for the smallest `λ ≥ 0` that satisfies the
-/// halfspace. The map `λ ↦ a·clamp(v − λ·a)` is non-increasing (each
-/// coordinate contributes `−aᵢ²` where unclamped), so bisection on λ finds
-/// the root to machine-level accuracy in ~60 iterations.
-///
-/// This is the set FedL projects onto most often (selection fractions in
-/// the unit box intersected with either the participation or the budget
-/// constraint), so having the *exact* two-set projection keeps Dykstra's
-/// outer loop short.
-#[derive(Debug, Clone)]
-pub struct BoxHalfspace {
-    boxset: BoxSet,
-    half: Halfspace,
-}
-
-impl BoxHalfspace {
-    /// Creates the intersection; panics on dimension mismatch.
-    pub fn new(boxset: BoxSet, half: Halfspace) -> Self {
-        assert_eq!(boxset.dim(), half.dim(), "box/halfspace dimension mismatch");
-        Self { boxset, half }
-    }
-
-    fn clamped_violation(&self, v: &[f64], lambda: f64, scratch: &mut Vec<f64>) -> f64 {
-        scratch.clear();
-        scratch.extend_from_slice(v);
-        dvec::axpy(scratch, -lambda, &self.half.a);
-        self.boxset.project(scratch);
-        self.half.violation(scratch)
-    }
-}
-
-impl Project for BoxHalfspace {
-    fn project(&self, v: &mut [f64]) {
-        // Fast path: clamping alone may already satisfy the halfspace.
-        let mut scratch = v.to_vec();
-        self.boxset.project(&mut scratch);
-        if self.half.violation(&scratch) <= 0.0 {
-            v.copy_from_slice(&scratch);
-            return;
-        }
-        // Bracket λ: violation(0) > 0; grow hi until violation(hi) <= 0.
-        // If even λ → ∞ cannot satisfy it the sets are disjoint, which is a
-        // caller bug (the feasible region must be non-empty); we then
-        // return the closest box point at the bracket limit.
-        let mut lo = 0.0f64;
-        let mut hi = 1.0f64;
-        let mut tries = 0;
-        while self.clamped_violation(v, hi, &mut scratch) > 0.0 {
-            lo = hi;
-            hi *= 2.0;
-            tries += 1;
-            if tries > 80 {
-                // Disjoint (or numerically so): take the box point that
-                // minimizes the halfspace violation.
-                let _ = self.clamped_violation(v, hi, &mut scratch);
-                v.copy_from_slice(&scratch);
-                return;
-            }
-        }
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if self.clamped_violation(v, mid, &mut scratch) > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let _ = self.clamped_violation(v, hi, &mut scratch);
-        v.copy_from_slice(&scratch);
-    }
-
-    fn contains(&self, v: &[f64], tol: f64) -> bool {
-        self.boxset.contains(v, tol) && self.half.contains(v, tol)
-    }
-
-    fn dim(&self) -> usize {
-        self.boxset.dim()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedl_linalg::approx_eq_f64;
 
     #[test]
     fn box_projection_clamps() {
@@ -223,90 +89,5 @@ mod tests {
     #[should_panic(expected = "empty box")]
     fn box_rejects_inverted_bounds() {
         let _ = BoxSet::new(vec![1.0], vec![0.0]);
-    }
-
-    #[test]
-    fn halfspace_projection_is_orthogonal() {
-        let h = Halfspace::new(vec![1.0, 1.0], 1.0);
-        let mut v = vec![1.0, 1.0]; // violation = 1
-        h.project(&mut v);
-        // Projection of (1,1) onto x+y<=1 is (0.5, 0.5).
-        assert!(approx_eq_f64(v[0], 0.5, 1e-12));
-        assert!(approx_eq_f64(v[1], 0.5, 1e-12));
-        assert!(h.contains(&v, 1e-9));
-    }
-
-    #[test]
-    fn halfspace_noop_inside() {
-        let h = Halfspace::new(vec![1.0, 0.0], 2.0);
-        let mut v = vec![1.0, 7.0];
-        h.project(&mut v);
-        assert_eq!(v, vec![1.0, 7.0]);
-    }
-
-    #[test]
-    fn at_least_flips_direction() {
-        let h = Halfspace::at_least(vec![1.0, 1.0], 1.0); // x+y >= 1
-        assert!(h.contains(&[0.6, 0.6], 1e-9));
-        assert!(!h.contains(&[0.2, 0.2], 1e-9));
-        let mut v = vec![0.0, 0.0];
-        h.project(&mut v);
-        assert!(approx_eq_f64(v[0] + v[1], 1.0, 1e-9));
-    }
-
-    #[test]
-    fn box_halfspace_exact_on_known_case() {
-        // Project (1,1) onto [0,1]^2 ∩ {x+y <= 1}: expect (0.5, 0.5).
-        let set = BoxHalfspace::new(BoxSet::unit(2), Halfspace::new(vec![1.0, 1.0], 1.0));
-        let mut v = vec![1.0, 1.0];
-        set.project(&mut v);
-        assert!(approx_eq_f64(v[0], 0.5, 1e-9), "{v:?}");
-        assert!(approx_eq_f64(v[1], 0.5, 1e-9), "{v:?}");
-    }
-
-    #[test]
-    fn box_halfspace_where_clamping_binds() {
-        // Project (3, 0.2) onto [0,1]^2 ∩ {x+y <= 1}. Plain halfspace
-        // projection would give (1.9, -0.9) -> clamping alone is wrong;
-        // the true answer has x at its upper bound harmony with λ.
-        let set = BoxHalfspace::new(BoxSet::unit(2), Halfspace::new(vec![1.0, 1.0], 1.0));
-        let mut v = vec![3.0, 0.2];
-        set.project(&mut v);
-        assert!(set.contains(&v, 1e-8), "{v:?}");
-        // Optimality check against a fine grid search.
-        let mut best = (f64::INFINITY, vec![0.0, 0.0]);
-        let n = 400;
-        for i in 0..=n {
-            for j in 0..=n {
-                let x = i as f64 / n as f64;
-                let y = j as f64 / n as f64;
-                if x + y <= 1.0 + 1e-12 {
-                    let d = (x - 3.0f64).powi(2) + (y - 0.2f64).powi(2);
-                    if d < best.0 {
-                        best = (d, vec![x, y]);
-                    }
-                }
-            }
-        }
-        let d_sol = (v[0] - 3.0f64).powi(2) + (v[1] - 0.2f64).powi(2);
-        assert!(d_sol <= best.0 + 1e-4, "solver {d_sol} vs grid {}", best.0);
-    }
-
-    #[test]
-    fn box_halfspace_noop_when_feasible() {
-        let set = BoxHalfspace::new(BoxSet::unit(2), Halfspace::new(vec![1.0, 1.0], 1.5));
-        let mut v = vec![0.25, 0.5];
-        set.project(&mut v);
-        assert_eq!(v, vec![0.25, 0.5]);
-    }
-
-    #[test]
-    fn box_halfspace_disjoint_falls_back_to_box() {
-        // Box [0,1]^2 cannot satisfy x+y <= -1: expect the closest box
-        // point to the halfspace (origin) rather than a panic/hang.
-        let set = BoxHalfspace::new(BoxSet::unit(2), Halfspace::new(vec![1.0, 1.0], -1.0));
-        let mut v = vec![0.9, 0.9];
-        set.project(&mut v);
-        assert!(v[0].abs() < 1e-6 && v[1].abs() < 1e-6, "{v:?}");
     }
 }

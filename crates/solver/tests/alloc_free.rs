@@ -1,15 +1,14 @@
-//! Zero-steady-state-allocation regression test for the Dykstra
-//! projection — the inner loop of every PGD descent step in the FedL
-//! score update. After the thread-local scratch is warmed by a first
-//! projection, repeated projections (and therefore the entire PGD
-//! iteration loop, which allocates nothing else per iteration) must not
-//! touch the heap.
+//! Zero-allocation regression test for the selection-polytope projection
+//! — the inner loop of every one-shot solve and of every PGD step of the
+//! hindsight comparator. Building the set over a reused scratch vector and
+//! projecting onto it, with either row or both active, must not touch the
+//! heap.
 //!
 //! Kept to a single `#[test]` so no sibling test can allocate
 //! concurrently while the measured region runs.
 
 use fedl_linalg::alloc_counter::CountingAllocator;
-use fedl_solver::{BoxSet, DykstraIntersection, Halfspace, Project};
+use fedl_solver::{Project, SelectionPolytope};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -32,30 +31,22 @@ fn assert_allocation_free(what: &str, mut run: impl FnMut()) {
 }
 
 #[test]
-fn dykstra_projection_is_allocation_free_once_warm() {
-    fedl_linalg::par::force_max_threads(1);
+fn polytope_projection_is_allocation_free() {
     let n = 64;
-    let proj = DykstraIntersection::new(vec![
-        Box::new(BoxSet::unit(n)),
-        Box::new(Halfspace::new(vec![1.0; n], 8.0)),
-    ]);
-    let mut v = vec![0.0f64; n];
+    let costs: Vec<f64> = (0..n).map(|i| 0.5 + (i % 11) as f64).collect();
+    let mut sorted = Vec::with_capacity(n);
+    let mut v = vec![0.0f64; n + 1];
 
-    // Warm-up sizes the thread-local correction buffers.
-    for (i, x) in v.iter_mut().enumerate() {
-        *x = (i as f64 / 7.0).sin();
-    }
-    proj.project(&mut v);
-
-    assert_allocation_free("Dykstra projection", || {
-        for round in 0..10u32 {
+    assert_allocation_free("polytope projection", || {
+        // Loose budget (participation row only), tight (both rows), and
+        // below the cheapest-n floor (relaxed to the face).
+        for (round, budget) in [1e6, 60.0, 1.0].into_iter().cycle().take(12).enumerate() {
+            let set = SelectionPolytope::new(&costs, 8, budget, 10.0, &mut sorted);
             for (i, x) in v.iter_mut().enumerate() {
-                *x = ((i as u32 + round) as f64 / 5.0).cos();
+                *x = ((i + round) as f64 / 5.0).cos();
             }
-            proj.project(&mut v);
+            set.project(&mut v);
+            assert!(set.contains(&v, 1e-9));
         }
     });
-    // The projection still lands in the feasible set.
-    assert!(v.iter().all(|&x| (-1e-9..=1.0 + 1e-9).contains(&x)));
-    assert!(v.iter().sum::<f64>() <= 8.0 + 1e-6);
 }

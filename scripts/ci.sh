@@ -183,6 +183,10 @@ stage_perf() {
     run_exp bench --quick --out results/BENCH.json > /dev/null
     run_exp bench-history gate results/BENCH.json --history results/BENCH_HISTORY.jsonl
     run_exp bench-history append results/BENCH.json --history results/BENCH_HISTORY.jsonl
+    # The one-shot solve's kernels (docs/PERF.md, "the solve") are what
+    # the gate above watches for the layer every FedL decision runs.
+    require_kernels solve/project_1k solve/descend_64 solve/descend_1k solve/descend_10k \
+        solve/descend_10k_warm solve/descend_tail
     CI_STAGE_NOTE="results/BENCH.json"
 }
 
@@ -198,9 +202,10 @@ require_kernels() {
 }
 
 # Columnar scale tier (docs/SCALE.md): the quick suite must measure the
-# 10k-tier scheduler kernels.
+# 10k-tier scheduler kernels — and the 10k solve, which the scale/
+# kernels leave out and which used to cost ~14x everything they time.
 stage_scale() {
-    require_kernels scale/score_update_10k scale/rounding_10k
+    require_kernels scale/score_update_10k scale/rounding_10k solve/descend_10k
 }
 
 # Federation service (docs/SERVE.md): a real loadgen round-trip over

@@ -1,0 +1,178 @@
+//! FedL driven to budget exhaustion — the regime no other test or
+//! benchmark workload reaches. In the last epochs the budget row of
+//! eq. (8) binds, then cannot be met at all and is relaxed to the
+//! cheapest-`n` sum: the old PGD + Dykstra solve spent seconds there and
+//! could return `Σx < n`. Two runs end at the ledger's line, one through
+//! `ExperimentRunner` and one over the served reference loop, and on
+//! every epoch the fractional decision is feasible, the cohort is never
+//! short, and the solve stays within a fixed number of projections (a
+//! count, so a slow host cannot fail it). On the served run's instances
+//! the exact solve is also never worse than the old solver, kept as an
+//! oracle under `crates/core/tests/oracle`.
+
+#[path = "../crates/core/tests/oracle/mod.rs"]
+mod oracle;
+
+use std::sync::{Arc, Mutex};
+
+use fedl::core::engine::{EngineError, EpochEngine};
+use fedl::core::fedl::{FedLPolicy, Posed};
+use fedl::core::objective::{FracDecision, SolveOutcome};
+use fedl::core::policy::{EpochContext, SelectionDecision, SelectionPolicy};
+use fedl::net::ChannelModel;
+use fedl::prelude::*;
+use fedl::serve::{context_for_epoch, reference_run, synth_train_result};
+use fedl::sim::{ClientColumns, EpochReport};
+
+/// What FedL posed, decided and reported on one epoch.
+struct Seen {
+    posed: Posed,
+    frac: FracDecision,
+    solve: SolveOutcome,
+    cohort: Vec<usize>,
+}
+
+/// FedL with every epoch's instance, decision and solve outcome kept.
+struct Watched(FedLPolicy, Arc<Mutex<Vec<Seen>>>);
+
+impl SelectionPolicy for Watched {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn select(&mut self, ctx: &EpochContext) -> SelectionDecision {
+        let decision = self.0.select(ctx);
+        self.1.lock().expect("single-threaded").push(Seen {
+            posed: self.0.posed(),
+            frac: self.0.pending().expect("select leaves its decision pending").clone(),
+            solve: self.0.learner().last_solve(),
+            cohort: decision.cohort.clone(),
+        });
+        decision
+    }
+
+    fn observe(&mut self, ctx: &EpochContext, report: &EpochReport) {
+        self.0.observe(ctx, report);
+    }
+}
+
+fn watched(
+    fedl: FedLConfig,
+    clients: usize,
+    budget: f64,
+    n: usize,
+) -> (Watched, Arc<Mutex<Vec<Seen>>>) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let policy = FedLPolicy::new(fedl, clients, budget, n).without_regret_tracking();
+    (Watched(policy, seen.clone()), seen)
+}
+
+/// The per-epoch contract, and that the run saw the regimes it is for.
+fn check_every_epoch(seen: &[Seen], n: usize) {
+    assert!(!seen.is_empty());
+    for (epoch, s) in seen.iter().enumerate() {
+        let problem = &s.posed.problem;
+        let set = problem.feasible_set();
+        let floor = n.min(problem.ids.len());
+        let sum: f64 = s.frac.x.iter().sum();
+        let spend: f64 = s.frac.x.iter().zip(&problem.costs).map(|(x, c)| x * c).sum();
+        assert!(
+            s.frac.x.iter().all(|&x| (0.0..=1.0).contains(&x)),
+            "epoch {epoch}: x outside the box"
+        );
+        assert!(sum >= floor as f64 - 1e-9, "epoch {epoch}: Σx = {sum} < {floor}");
+        assert!(spend <= set.cap() + 1e-9, "epoch {epoch}: Σc·x = {spend} > cap {}", set.cap());
+        assert!(s.cohort.len() >= floor, "epoch {epoch}: cohort {} < {floor}", s.cohort.len());
+        let cap = if s.solve.convex { 64 } else { 256 };
+        assert!(s.solve.projections <= cap, "epoch {epoch}: {:?}", s.solve);
+    }
+    let last = &seen[seen.len() - 1];
+    assert!(last.solve.active.budget, "the budget row never bound: {:?}", last.solve);
+}
+
+#[test]
+fn runner_reaches_the_ledger_line_with_every_decision_feasible() {
+    let scenario = ScenarioConfig::small_fmnist(100, 4_500.0, 10).with_seed(3);
+    let (policy, seen) = watched(scenario.fedl, 100, scenario.budget, 10);
+    let env = scenario.build_env();
+    let (budget, cap) = (scenario.budget, scenario.max_epochs);
+    let mut runner = ExperimentRunner::with_policy(scenario, env, Box::new(policy));
+    let outcome = runner.run();
+    assert!(outcome.epochs.len() < cap, "the epoch cap, not the budget, ended the run");
+    let spent = outcome.epochs.last().expect("at least one epoch").spent;
+    assert!(spent >= budget, "run stopped at {spent} of {budget}");
+    assert!(!runner.step(), "an exhausted runner must refuse another epoch");
+    check_every_epoch(&seen.lock().expect("single-threaded"), 10);
+}
+
+#[test]
+fn served_reference_ends_by_a_typed_exhausted_and_never_loses_to_the_old_solver() {
+    let config = ServeConfig::new(1000, 9, 20_000.0, 100, PolicyKind::FedL);
+    let (policy, seen) = watched(config.fedl, 1000, config.budget, 100);
+
+    // `reference_run`'s loop, around the watched policy.
+    let channel = ChannelModel::default();
+    let latency = config.latency_model();
+    let cols = ClientColumns::build(&config.env, &channel);
+    let mut engine = EpochEngine::new(Box::new(policy), config.budget);
+    let registered = vec![true; config.env.num_clients];
+    let context = |engine: &EpochEngine, epoch| {
+        context_for_epoch(
+            &cols,
+            &config,
+            &channel,
+            &latency,
+            &registered,
+            engine.remaining(),
+            epoch,
+        )
+    };
+    let mut selections = Vec::new();
+    let mut epoch = 0;
+    while !engine.exhausted() {
+        assert!(epoch < 60, "budget 20 000 must be gone within 60 epochs");
+        let selected = engine.select(context(&engine, epoch)).expect("idle and within budget");
+        if let Some((cohort, iterations)) = selected {
+            let synth =
+                synth_train_result(&cols, &config, &channel, &latency, epoch, &cohort, iterations);
+            engine.settle(&synth.to_report(epoch, &cohort, iterations)).expect("selected above");
+            selections.push((epoch, cohort, iterations));
+        }
+        epoch += 1;
+    }
+    assert_eq!(engine.select(context(&engine, epoch)), Err(EngineError::Exhausted));
+    assert!(engine.remaining() <= 0.0);
+    // The loop above is the reference, not a cousin of it.
+    let reference = reference_run(&config, 60);
+    let reference: Vec<_> = reference
+        .into_iter()
+        .filter(|r| !r.cohort.is_empty())
+        .map(|r| (r.epoch, r.cohort, r.iterations))
+        .collect();
+    assert_eq!(selections, reference);
+
+    let seen = seen.lock().expect("single-threaded");
+    check_every_epoch(&seen, 100);
+
+    // Never worse than PGD over Dykstra wherever that lands in the set:
+    // a spread of mid-run instances and the last three, where it is at
+    // its slowest and least feasible.
+    let picks = (0..seen.len() - 3).step_by(8).chain(seen.len() - 3..seen.len());
+    let mut compared = 0;
+    for i in picks {
+        let Posed { problem, anchor, mu, beta } = &seen[i].posed;
+        let (old, _) = oracle::descend_pgd(problem, &anchor.x, anchor.rho, mu, *beta);
+        if !oracle::feasible(problem, &old, 1e-9) {
+            continue;
+        }
+        compared += 1;
+        let old = oracle::nearest_feasible(problem, &old);
+        let objective = |at: &FracDecision| {
+            problem.descent_objective(&anchor.x, anchor.rho, mu, *beta, &at.x, at.rho)
+        };
+        let (f_new, f_old) = (objective(&seen[i].frac), objective(&old));
+        assert!(f_new <= f_old + 1e-9, "epoch {i}: exact {f_new} vs PGD {f_old}");
+        assert_eq!(seen[i].solve.objective, f_new);
+    }
+    assert!(compared >= 3, "PGD was feasible on only {compared} of the compared instances");
+}

@@ -87,10 +87,13 @@ fn regret_rate_stays_bounded() {
     // consequence of a healthy learner is that the late-run rate stays
     // within a constant band of the early rate. A broken learner (e.g. a
     // multiplier runaway or a divergent descent step) shows up as the
-    // late rate exploding past that band; across a 20-seed calibration
-    // sweep the late/early rates stay within [~0.5x, ~2.5x] of each
-    // other, so the 1.5x + 4.0 envelope below has ample slack while
-    // still catching super-linear blow-up.
+    // late rate exploding past that band. Calibrated once per solver: with
+    // the exact one-shot solve a 20-seed sweep (29, 1–19) gives early
+    // rates in [-1.8, 5.7] and late rates in [0.8, 9.3] — this seed is
+    // the sweep's highest late rate, 9.27 against an early 2.61 — so the
+    // 1.5x + 7.0 envelope below holds every seed while still catching
+    // super-linear blow-up (a runaway multiplier puts the late rate in
+    // the hundreds).
     let scenario = ScenarioConfig::small_fmnist(10, 2500.0, 3).with_seed(29);
     let env = scenario.build_env();
     let policy = Box::new(FedLPolicy::new(FedLConfig::default(), 10, 2500.0, 3));
@@ -105,7 +108,7 @@ fn regret_rate_stays_bounded() {
     // The online player often runs negative regret early (it trades fit
     // for objective; see EXPERIMENTS.md), hence the `.max(0.0)`.
     assert!(
-        late_rate <= early_rate.max(0.0) * 1.5 + 4.0,
+        late_rate <= early_rate.max(0.0) * 1.5 + 7.0,
         "per-epoch regret blew up: early {early_rate:.4} late {late_rate:.4}"
     );
     // And the plateau itself must be finite and modest: cumulative
