@@ -2,8 +2,14 @@
 //! independent) across cohort sizes.
 
 use fedl_bench::timing::{bench, group};
-use fedl_core::rounding;
+use fedl_core::rounding::{self, RdcsScratch};
 use fedl_linalg::rng::{rng_for, Rng};
+
+fn rdcs(x: &mut [f64], rng: &mut impl Rng) -> Vec<usize> {
+    let mut selected = Vec::new();
+    rounding::rdcs_with(x, rng, &mut RdcsScratch::new(), &mut selected);
+    selected
+}
 
 fn bench_rounding() {
     group("rounding");
@@ -13,7 +19,7 @@ fn bench_rounding() {
         let mut rng = rng_for(12, k as u64);
         bench(&format!("rdcs/{k}"), || {
             let mut x = x0.clone();
-            std::hint::black_box(rounding::rdcs(&mut x, &mut rng))
+            std::hint::black_box(rdcs(&mut x, &mut rng))
         });
         let mut rng = rng_for(13, k as u64);
         bench(&format!("independent/{k}"), || {

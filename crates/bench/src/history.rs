@@ -649,13 +649,13 @@ mod tests {
             commit: "c".to_string(),
             snapshot: snapshot(vec![
                 stats("gemm/square_48", m, 20.0),
-                stats("core/ucb_score_update_64", m / 2.0, 5.0),
+                stats("core/decide_observe_64", m / 2.0, 5.0),
             ]),
         };
         let h = history_of(vec![mk(1000.0), mk(1100.0), mk(1050.0)]);
         let html = trend(&h, DEFAULT_BASELINE_WINDOW).html();
         assert!(html.contains("<svg id=\"trend-gemm-square-48\""));
-        assert!(html.contains("<svg id=\"trend-core-ucb-score-update-64\""));
+        assert!(html.contains("<svg id=\"trend-core-decide-observe-64\""));
         assert!(html.contains("polygon"), "±2σ band present");
         assert!(html.contains("polyline"), "trend line present");
         // Self-contained: no scripts or external assets.

@@ -2,17 +2,15 @@
 //! benchmark trajectory (`experiments bench` / `bench-history gate`,
 //! DESIGN.md row **S13**, schema in docs/OBSERVATORY.md).
 //!
-//! [`run_suite`] times a fixed, seeded set of micro- and macro-kernels
-//! — GEMM and softmax (S1), a DANE local solve (S2), RDCS dependent
-//! rounding (S5/S6), the FedL online-learner score update, the columnar
-//! scheduler at the 10k/100k/1M scale tiers (docs/SCALE.md), a
-//! 1k-cohort selection through the framed service protocol
-//! (docs/SERVE.md), a sharded 100k distributed epoch through the
-//! coordinator/worker protocol (docs/DIST.md), and one
-//! full quick-profile federated epoch end-to-end — on the in-tree
-//! [`crate::timing`] harness, and packages the per-kernel statistics
-//! into a [`BenchSnapshot`] serialisable to `BENCH.json` via
-//! `fedl-json`. [`compare`] loads two snapshots and applies a
+//! [`run_suite`] times a fixed, seeded set of micro-kernels — GEMM and
+//! softmax (S1), a DANE local solve (S2), RDCS dependent rounding
+//! (S5/S6), one FedL decision (build → decide → observe), the one-shot
+//! solve, and the columnar scheduler at the 10k/100k/1M scale tiers
+//! (docs/SCALE.md) — on the in-tree [`crate::timing`] harness, and
+//! packages the per-kernel statistics into a [`BenchSnapshot`]
+//! serialisable to `BENCH.json` via `fedl-json`. End-to-end paths (a
+//! training epoch, a served round, a distributed epoch) are measured by
+//! the repo benchmark (`benchmark/`, `BENCHMARK.json`), not here. [`compare`] loads two snapshots and applies a
 //! noise-aware slowdown test so `scripts/ci.sh` can gate on perf
 //! regressions.
 
@@ -37,8 +35,12 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// polytope projection and the one-shot solve at 64/1k/10k clients and at
 /// the exhaustion tail, docs/PERF.md) and, with the solve rewritten, moved
 /// what `core/ucb_score_update_*`, `serve/select_1k` and
-/// `epoch/full_quick_epoch` cost.
-pub const BENCH_SCHEMA_VERSION: u32 = 5;
+/// `epoch/full_quick_epoch` cost; v6 dropped the end-to-end kernels
+/// `serve/select_1k`, `dist/epoch_100k` and `epoch/full_quick_epoch` (the
+/// repo benchmark's workloads measure those paths) and renamed
+/// `core/ucb_score_update_*` to `core/decide_observe_*`, which is what it
+/// times.
+pub const BENCH_SCHEMA_VERSION: u32 = 6;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -239,7 +241,6 @@ fn suite_dane(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile
 
 /// RDCS dependent rounding over a seeded fractional vector (S5/S6).
 fn suite_rounding(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile) {
-    use fedl_core::rounding;
     use fedl_linalg::rng::rng_for;
     use fedl_linalg::rng::Rng;
 
@@ -252,14 +253,29 @@ fn suite_rounding(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Pro
     let mut rng = rng_for(0xBE6, k as u64);
     measure_kernel(kernels, budget, &format!("core/rdcs_round_{k}"), || {
         let mut x = x0.clone();
-        std::hint::black_box(rounding::rdcs(&mut x, &mut rng))
+        std::hint::black_box(rdcs(&mut x, &mut rng))
     });
 }
 
-/// The FedL online-learner score update: assemble the one-shot problem
-/// from the per-client estimates, take the descent step, and fold a
-/// realized epoch back into the EMA memory and dual multipliers.
-fn suite_score_update(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile) {
+fn rdcs(x: &mut [f64], rng: &mut impl fedl_linalg::rng::Rng) -> Vec<usize> {
+    let mut selected = Vec::new();
+    fedl_core::rounding::rdcs_with(x, rng, &mut Default::default(), &mut selected);
+    selected
+}
+
+fn fresh_problem(
+    learner: &mut fedl_core::online::OnlineLearner,
+    ctx: &fedl_core::EpochContext,
+) -> fedl_core::objective::OneShot {
+    let mut problem = Default::default();
+    learner.build_problem_into(ctx, &mut problem);
+    problem
+}
+
+/// One FedL decision at `K = M`: assemble the one-shot problem from the
+/// per-client estimates, solve it, and fold a realized epoch back into
+/// the EMA memory and dual multipliers.
+fn suite_decide_observe(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile) {
     use fedl_core::online::{OnlineLearner, StepSizes};
     use fedl_core::policy::EpochContext;
     use fedl_sim::EpochReport;
@@ -298,8 +314,8 @@ fn suite_score_update(kernels: &mut Vec<KernelStats>, budget: Duration, profile:
         failed: vec![],
     };
     let mut learner = OnlineLearner::new(m, StepSizes::fixed(0.3, 0.3), 1.0, 10.0, 0.1);
-    measure_kernel(kernels, budget, &format!("core/ucb_score_update_{m}"), || {
-        let problem = learner.build_problem(&ctx);
+    measure_kernel(kernels, budget, &format!("core/decide_observe_{m}"), || {
+        let problem = fresh_problem(&mut learner, &ctx);
         let frac = learner.decide(&ctx, &problem);
         learner.observe(&ctx, &report, &frac, &problem);
         std::hint::black_box(frac.rho)
@@ -429,7 +445,6 @@ fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profil
     use fedl_core::columnar::scale_context;
     use fedl_core::objective::FracDecision;
     use fedl_core::online::{OnlineLearner, StepSizes};
-    use fedl_core::rounding;
     use fedl_linalg::rng::{rng_for, Rng};
     use fedl_net::{ChannelModel, LatencyModel};
     use fedl_sim::{
@@ -472,7 +487,7 @@ fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profil
         let mut learner = OnlineLearner::new(m, StepSizes::fixed(0.3, 0.3), 1.0, 10.0, 0.1);
         let label = tier.label();
         measure_kernel(kernels, budget, &format!("scale/score_update_{label}"), || {
-            let problem = learner.build_problem(&ctx);
+            let problem = fresh_problem(&mut learner, &ctx);
             learner.observe(&ctx, &report, &frac, &problem);
             std::hint::black_box(learner.multipliers().0)
         });
@@ -482,116 +497,29 @@ fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profil
         let mut rng = rng_for(0xBEB, m as u64);
         measure_kernel(kernels, budget, &format!("scale/rounding_{label}"), || {
             let mut x = x0.clone();
-            std::hint::black_box(rounding::rdcs(&mut x, &mut rng))
+            std::hint::black_box(rdcs(&mut x, &mut rng))
         });
 
-        // The allocation-free time-axis realization (the serve/dist
-        // per-epoch front door); the warm scratch keeps steady-state
-        // iterations heap-free, so this measures draws, not malloc.
+        // The allocation-free time-axis realization (what a
+        // `Population` does once per epoch); the warm scratch keeps
+        // steady-state iterations heap-free, so this measures draws,
+        // not malloc.
         let mut scratch = EpochRealizeScratch::new();
         let mut realized = EpochColumns::default();
         let mut epoch = 0usize;
         measure_kernel(kernels, budget, &format!("scale/epoch_realize_{label}"), || {
             epoch += 1;
-            cols.epoch_columns_into(epoch, &config, &channel, &mut scratch, &mut realized);
+            cols.epoch_columns_partial_into(
+                epoch,
+                &config,
+                &channel,
+                0..m,
+                &mut scratch,
+                &mut realized,
+            );
             std::hint::black_box(realized.cost[m - 1])
         });
     }
-}
-
-/// One full quick-profile federated epoch end-to-end: selection, local
-/// DANE solves, aggregation, payment, and evaluation — the unit of work
-/// every figure multiplies by hundreds. Always measured at quick scale
-/// so the macro-kernel stays comparable across profiles.
-fn suite_epoch(kernels: &mut Vec<KernelStats>, budget: Duration) {
-    use fedl_core::policy::PolicyKind;
-    use fedl_core::runner::{ExperimentRunner, ScenarioConfig};
-
-    let mut s = ScenarioConfig::small_fmnist(20, 1.0e12, 4).with_seed(0xBE8);
-    s.train_size = 1000;
-    s.test_size = 200;
-    s.max_epochs = usize::MAX / 2;
-    let mut runner = ExperimentRunner::new(s, PolicyKind::FedL);
-    measure_kernel(kernels, budget, "epoch/full_quick_epoch", || {
-        std::hint::black_box(runner.step())
-    });
-}
-
-/// The service path (S15): a 1k-client cohort selection driven through
-/// the full framed protocol — encode request, envelope-verify + decode
-/// on the server, sharded scoring + RDCS rounding, encode the cohort
-/// reply, then the synthesized `TrainResult` closing the epoch. What
-/// `experiments loadgen` measures end-to-end over TCP, minus sockets.
-fn suite_serve(kernels: &mut Vec<KernelStats>, budget: Duration) {
-    use fedl_core::policy::PolicyKind;
-    use fedl_net::ChannelModel;
-    use fedl_serve::{decode_frame, encode_frame, Message, ServeConfig, ServerState};
-    use fedl_sim::ClientColumns;
-    use fedl_telemetry::Telemetry;
-
-    let config = ServeConfig::new(1000, 0xE55, 1.0e15, 8, PolicyKind::FedL);
-    let mut server = ServerState::new(config.clone(), Telemetry::disabled());
-    for client in 0..config.env.num_clients {
-        server.handle_message(Message::ClientJoin { client });
-    }
-    let channel = ChannelModel::default();
-    let latency = config.latency_model();
-    let cols = ClientColumns::build(&config.env, &channel);
-    measure_kernel(kernels, budget, "serve/select_1k", || {
-        let epoch = server.next_epoch();
-        let (reply, _) = server.handle_frame(&encode_frame(&Message::SelectCohort {
-            epoch,
-            trace: fedl_serve::Trace::Absent,
-        }));
-        let Ok(Message::Cohort { cohort, iterations, .. }) = decode_frame(&reply) else {
-            panic!("serve/select_1k: server refused the selection request");
-        };
-        if !cohort.is_empty() {
-            let synth = fedl_serve::synth_train_result(
-                &cols, &config, &channel, &latency, epoch, &cohort, iterations,
-            );
-            let (ack, _) =
-                server.handle_frame(&encode_frame(&synth.to_message(epoch, &cohort, iterations)));
-            std::hint::black_box(ack);
-        }
-    });
-}
-
-/// The distributed execution layer (S16): one full coordinator epoch
-/// over a 100k-client population sharded across two in-process workers
-/// — per-shard partial context realization, framed encode →
-/// envelope-verify → decode on every exchange, the fixed-shard-order
-/// merge, selection, and the training-feedback fold. What
-/// `experiments dist` measures end-to-end over TCP, minus sockets
-/// (docs/DIST.md). Driven under the FedAvg policy so the measured work
-/// is the distributed layer itself; the FedL solver's population
-/// scaling has its own `scale/` kernels.
-fn suite_dist(kernels: &mut Vec<KernelStats>, budget: Duration) {
-    use fedl_core::policy::PolicyKind;
-    use fedl_dist::{
-        shard_ranges, Coordinator, DistOptions, LocalWorkerLink, ShardWorker, WorkerState,
-    };
-    use fedl_serve::ServeConfig;
-    use fedl_telemetry::Telemetry;
-
-    let config = ServeConfig::new(100_000, 0xD157, 1.0e15, 64, PolicyKind::FedAvg);
-    let workers: Vec<ShardWorker> = shard_ranges(config.env.num_clients, 2)
-        .into_iter()
-        .map(|shard| ShardWorker {
-            shard,
-            link: Box::new(LocalWorkerLink::new(WorkerState::new(Telemetry::disabled()))),
-        })
-        .collect();
-    let mut coordinator = Coordinator::new(config, workers, Telemetry::disabled())
-        .expect("two contiguous shards cover the population");
-    // Each iteration re-drives epoch 0: the handshake is an (answered
-    // in-place) reassignment of the shard the workers already hold, so
-    // the measured work is the epoch itself.
-    let opts = DistOptions { epochs: 1, ..Default::default() };
-    measure_kernel(kernels, budget, "dist/epoch_100k", || {
-        let report = coordinator.run(&opts).expect("an in-process dist epoch cannot fail");
-        std::hint::black_box(report.selections.len())
-    });
 }
 
 /// Runs the whole seeded suite and packages the snapshot.
@@ -606,12 +534,9 @@ pub fn run_suite(profile: Profile) -> BenchSnapshot {
     suite_linalg(&mut kernels, budget, profile);
     suite_dane(&mut kernels, budget, profile);
     suite_rounding(&mut kernels, budget, profile);
-    suite_score_update(&mut kernels, budget, profile);
+    suite_decide_observe(&mut kernels, budget, profile);
     suite_solve(&mut kernels, budget);
     suite_scale(&mut kernels, budget, profile);
-    suite_serve(&mut kernels, budget);
-    suite_dist(&mut kernels, budget);
-    suite_epoch(&mut kernels, budget);
     BenchSnapshot {
         schema_version: BENCH_SCHEMA_VERSION,
         profile: profile_name.to_string(),
@@ -878,11 +803,9 @@ mod tests {
             "linalg/softmax",
             "ml/dane",
             "core/rdcs",
-            "core/ucb",
+            "core/decide_observe",
+            "solve/",
             "scale/",
-            "serve/",
-            "dist/",
-            "epoch/",
         ] {
             assert!(
                 snap.kernels.iter().any(|k| k.name.starts_with(prefix)),

@@ -1,69 +1,65 @@
-//! Compute-only bridge from the simulator's columnar population to the
-//! policy-facing [`EpochContext`] — the million-client scale path
-//! (docs/SCALE.md).
+//! The bridge from the simulator's columnar population to the
+//! policy-facing [`EpochContext`] (docs/SCALE.md).
 //!
-//! The experiment runner builds its contexts through a full
-//! [`fedl_sim::EdgeEnvironment`] (datasets, partitions, a seated model).
-//! At 10⁵–10⁶ clients that apparatus is dead weight for the *scheduler*:
-//! selection touches only availability, prices, volumes, and latency
-//! estimates. [`scale_context`] derives all of those directly from
-//! [`ClientColumns`]/[`EpochColumns`] with dense parallel passes and no
-//! per-client structs, producing the same [`EpochContext`] the runner
-//! would (identical latency arithmetic, same never-observed loss prior),
-//! so a policy can be driven — and benchmarked — at population sizes the
-//! training loop cannot reach.
+//! Selection touches only availability, prices, volumes, and latency
+//! estimates, so every driver of the epoch loop builds its contexts here,
+//! from columns, with dense parallel passes and no per-client structs:
+//! the experiment runner, the federation server and the in-process
+//! reference run through [`context_at`] over the [`Population`] they
+//! hold; a `fedl-dist` worker computes its shard's [`ContextPart`] and
+//! the coordinator merges the parts with [`assemble_context`];
+//! [`scale_context`] is the same assembly over explicitly passed
+//! realizations, for callers that hold no population.
 
 use fedl_linalg::par::par_zip_chunks;
-use fedl_net::{rate_bps, ClientRadio, LatencyModel};
-use fedl_sim::{ClientColumns, EpochColumns};
+use fedl_net::LatencyModel;
+use fedl_sim::{nominal_latency, ClientColumns, EpochColumns, Population};
 
 use crate::policy::EpochContext;
 
-/// Per-iteration latency estimate of each listed client from column
-/// data, under a nominal FDMA share of `bandwidth / share_count` — the
-/// columnar equivalent of `EdgeEnvironment::latency_with_share`, same
-/// arithmetic bit-for-bit: `τ = e_k·D_k·bits/π_k + s/rate(B/n)`.
-///
-/// `realized` supplies the epoch's channel gains and data volumes;
-/// `ids` are the clients to estimate (any subset, any order).
-///
-/// # Panics
-/// Panics if `share_count` is zero or an id is out of range.
-pub fn nominal_latency(
-    cols: &ClientColumns,
-    realized: &EpochColumns,
-    latency: &LatencyModel,
-    share_count: usize,
-    ids: &[usize],
-) -> Vec<f64> {
-    assert!(share_count > 0, "share count must be positive");
-    let share_hz = latency.bandwidth_hz / share_count as f64;
-    let n0 = fedl_net::dbm_to_watts(latency.noise_dbm_per_hz);
-    let mut out = vec![0.0f64; ids.len()];
-    par_zip_chunks(&mut out, 1, ids, 1, |_, tau, id| {
-        let k = id[0];
-        let radio = ClientRadio {
-            distance_m: cols.distance_m[k],
-            tx_power_dbm: cols.tx_power_dbm,
-            gain: realized.gain[k],
-        };
-        let data_bits = realized.data_volume[k] as f64 * latency.bits_per_sample;
-        let compute_secs = cols.cycles_per_bit[k] * data_bits / cols.cpu_hz[k];
-        let upload_secs = latency.upload_bits / rate_bps(&radio, share_hz, n0).max(1e-3);
-        tau[0] = compute_secs + upload_secs;
-    });
-    out
+/// Epoch `t`'s decision context from the population's window:
+/// [`Population::advance`] realizes what is missing and lends `(hint,
+/// now)`, and the context is assembled as in [`scale_context`]. With a
+/// `registered` mask (the federation server's live registry) only
+/// clients that are both available and registered count as available —
+/// the mask is read beside the lent availability column, never written
+/// into it, so the window stays a pure realization. Returns `None` when
+/// no such client exists.
+pub fn context_at(
+    population: &mut Population,
+    epoch: usize,
+    registered: Option<&[bool]>,
+    remaining_budget: f64,
+    min_participants: usize,
+) -> Option<EpochContext> {
+    let lent = population.advance(epoch);
+    let part = scale_context_part(
+        lent.cols,
+        lent.hint,
+        lent.now,
+        lent.latency,
+        min_participants,
+        0..lent.cols.len(),
+        registered,
+    );
+    assemble_context(
+        lent.cols.len(),
+        vec![part],
+        remaining_budget,
+        min_participants,
+        lent.config.seed,
+    )
 }
 
 /// Assembles the epoch-`t` decision context straight from columns — no
-/// environment, no datasets. Mirrors the runner's context construction:
-/// availability, costs, and volumes come from the current epoch `now`;
-/// latency estimates use the *hint* epoch's channel state (0-lookahead —
-/// the runner passes epoch `t−1`'s realization, or `t`'s own at `t = 0`);
-/// `true_latency` is the current epoch's realization (oracle-only); the
-/// loss hint is the never-observed prior `ln 10` everywhere, matching a
-/// fresh runner before any training feedback. Returns `None` when no
-/// client is available (the runner skips such epochs).
+/// environment, no datasets: availability, costs, and volumes come from
+/// the current epoch `now`; latency estimates use the *hint* epoch's
+/// channel state (0-lookahead — epoch `t−1`'s realization, or `t`'s own
+/// at `t = 0`, see [`Population::advance`]); `true_latency` is the
+/// current epoch's realization (oracle-only); the loss hint is the
+/// never-observed prior `ln 10` everywhere, matching a fresh runner
+/// before any training feedback. Returns `None` when no client is
+/// available (the runner skips such epochs).
 ///
 /// This is the policy-scoring kernel the `scale/` benches drive:
 ///
@@ -99,7 +95,7 @@ pub fn scale_context(
 ) -> Option<EpochContext> {
     // The whole population is the one-shard case of the distributed
     // split below: one assembly path, one set of bits.
-    let part = scale_context_part(cols, hint, now, latency, min_participants, 0..cols.len());
+    let part = scale_context_part(cols, hint, now, latency, min_participants, 0..cols.len(), None);
     assemble_context(cols.len(), vec![part], remaining_budget, min_participants, seed)
 }
 
@@ -131,10 +127,12 @@ pub struct ContextPart {
 /// [`scale_context`] split.
 ///
 /// `hint` and `now` only need valid rows inside `shard` (see
-/// [`fedl_sim::ClientColumns::epoch_columns_partial`]); ids outside the
-/// shard are never touched. The latency arithmetic is per-client
-/// independent, so each value is bit-identical to the one the
-/// single-process [`scale_context`] would compute for the same client.
+/// [`fedl_sim::ClientColumns::epoch_columns_partial_into`]); ids outside
+/// the shard are never touched. With a `registered` mask, only clients
+/// that are also registered count as available. The latency arithmetic
+/// is per-client independent, so each value is bit-identical to the one
+/// the single-process [`scale_context`] would compute for the same
+/// client.
 pub fn scale_context_part(
     cols: &ClientColumns,
     hint: &EpochColumns,
@@ -142,8 +140,10 @@ pub fn scale_context_part(
     latency: &LatencyModel,
     min_participants: usize,
     shard: std::ops::Range<usize>,
+    registered: Option<&[bool]>,
 ) -> ContextPart {
-    let available: Vec<usize> = shard.filter(|&k| now.available[k]).collect();
+    let available: Vec<usize> =
+        shard.filter(|&k| now.available[k] && registered.is_none_or(|r| r[k])).collect();
     let n = available.len();
     let share = min_participants.max(1);
     let mut costs = vec![0.0f64; n];
@@ -258,29 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn nominal_latency_matches_the_scalar_model() {
-        let (config, channel, cols) = setup(40, 23);
-        let ec = cols.epoch_columns(2, &config, &channel);
-        let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);
-        let ids = ec.available_ids();
-        let fast = nominal_latency(&cols, &ec, &latency, 4, &ids);
-        // Reference: the row-oriented LatencyModel on reconstructed rows.
-        let share_model = LatencyModel { bandwidth_hz: latency.bandwidth_hz / 4.0, ..latency };
-        let views = ec.views(&cols);
-        for (slot, &k) in ids.iter().enumerate() {
-            let radios = [&views[k].radio];
-            let compute = fedl_net::ComputeProfile {
-                cycles_per_bit: cols.cycles_per_bit[k],
-                cpu_hz: cols.cpu_hz[k],
-            };
-            let computes = [&compute];
-            let samples = [views[k].data_volume];
-            let want = share_model.per_iteration_secs(&radios, &computes, &samples)[0];
-            assert_eq!(fast[slot].to_bits(), want.to_bits(), "client {k}");
-        }
-    }
-
-    #[test]
     fn sharded_parts_assemble_to_the_exact_full_context() {
         let (config, channel, cols) = setup(120, 25);
         let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);
@@ -294,17 +271,19 @@ mod tests {
                 let parts: Vec<ContextPart> = bounds
                     .windows(2)
                     .map(|w| {
-                        let shard = w[0]..w[1];
                         // Workers realize only their own rows.
-                        let hint = cols.epoch_columns_partial(
-                            hint_epoch,
-                            &config,
-                            &channel,
-                            shard.clone(),
-                        );
-                        let now =
-                            cols.epoch_columns_partial(epoch, &config, &channel, shard.clone());
-                        scale_context_part(&cols, &hint, &now, &latency, 5, shard)
+                        let mut worker = Population::sharded(config.clone(), latency, w[0]..w[1]);
+                        let lent = worker.advance(epoch);
+                        assert_eq!(lent.hint.epoch, hint_epoch);
+                        scale_context_part(
+                            lent.cols,
+                            lent.hint,
+                            lent.now,
+                            &latency,
+                            5,
+                            w[0]..w[1],
+                            None,
+                        )
                     })
                     .collect();
                 let got = assemble_context(cols.len(), parts, 400.0, 5, config.seed).unwrap();

@@ -167,15 +167,9 @@ impl OneShot {
     /// constraint — the epoch runs `l_t = ⌈ρ⌉` iterations, each moving
     /// the loss by the observed per-iteration impact `g_k = J·d_k`, so
     /// the first-order loss model scales with ρ) and
-    /// `h^k = η̂_k·x_k·ρ − ρ + 1` (local convergence).
-    pub fn h_value(&self, x: &[f64], rho: f64) -> Vec<f64> {
-        let mut h = Vec::with_capacity(self.dim());
-        self.h_value_into(x, rho, &mut h);
-        h
-    }
-
-    /// [`OneShot::h_value`] written into a caller-owned vector (cleared
-    /// first); steady-state reuse performs no allocation.
+    /// `h^k = η̂_k·x_k·ρ − ρ + 1` (local convergence). Written into a
+    /// caller-owned vector (cleared first); steady-state reuse performs
+    /// no allocation.
     pub fn h_value_into(&self, x: &[f64], rho: f64, h: &mut Vec<f64>) {
         self.check();
         assert_eq!(x.len(), self.ids.len(), "x arity");
@@ -236,7 +230,7 @@ impl OneShot {
     /// ∇f_t(z_prev)·(z − z_prev) + μᵀ h_t(z) + ‖z − z_prev‖²/(2β) − bonus·x
     /// ```
     ///
-    /// `mu` is `[μ⁰, μ¹ … μ^K]` aligned with [`OneShot::h_value`].
+    /// `mu` is `[μ⁰, μ¹ … μ^K]` aligned with [`OneShot::h_value_into`].
     pub fn descent_objective(
         &self,
         x_prev: &[f64],
@@ -453,6 +447,12 @@ mod tests {
         FracDecision { x: vec![0.5; 4], rho: 2.0 }
     }
 
+    fn h_value(p: &OneShot, x: &[f64], rho: f64) -> Vec<f64> {
+        let mut h = Vec::new();
+        p.h_value_into(x, rho, &mut h);
+        h
+    }
+
     #[test]
     fn iterations_and_eta_mapping() {
         let d = FracDecision { x: vec![], rho: 3.2 };
@@ -467,13 +467,13 @@ mod tests {
     fn h_value_signs() {
         let p = problem();
         // All x = 0: h0 = loss - theta > 0 (violated); h^k = -rho + 1 <= 0.
-        let h = p.h_value(&[0.0; 4], 2.0);
+        let h = h_value(&p, &[0.0; 4], 2.0);
         assert!(h[0] > 0.0);
         for &v in &h[1..] {
             assert!((v - (-1.0)).abs() < 1e-12);
         }
         // Selecting loss-reducing clients lowers h0.
-        let h_sel = p.h_value(&[1.0; 4], 2.0);
+        let h_sel = h_value(&p, &[1.0; 4], 2.0);
         assert!(h_sel[0] < h[0]);
         // h^k = eta*rho - rho + 1 when x = 1.
         assert!((h_sel[1] - (0.2 * 2.0 - 1.0)).abs() < 1e-12);
@@ -575,6 +575,6 @@ mod tests {
             budget: 10.0,
             rho_max: 5.0,
         };
-        let _ = p.h_value(&[], 1.0);
+        let _ = h_value(&p, &[], 1.0);
     }
 }

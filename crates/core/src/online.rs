@@ -180,16 +180,9 @@ impl OnlineLearner {
     }
 
     /// Assembles the one-shot problem for this epoch from current prices
-    /// and remembered observations, as dense column passes.
-    pub fn build_problem(&mut self, ctx: &EpochContext) -> OneShot {
-        let mut out = OneShot::default();
-        self.build_problem_into(ctx, &mut out);
-        out
-    }
-
-    /// [`OnlineLearner::build_problem`] written into a caller-owned
-    /// problem (all coefficient vectors reshaped in place); steady-state
-    /// reuse of the same `OneShot` performs no allocation.
+    /// and remembered observations, as dense column passes, into a
+    /// caller-owned problem (all coefficient vectors reshaped in place);
+    /// steady-state reuse of the same `OneShot` performs no allocation.
     pub fn build_problem_into(&mut self, ctx: &EpochContext, out: &mut OneShot) {
         ctx.validate();
         let m = self.state.len();
@@ -395,6 +388,12 @@ mod tests {
         OnlineLearner::new(n_clients, StepSizes::fixed(0.5, 0.5), 0.5, 8.0, 0.4)
     }
 
+    fn build_problem(learner: &mut OnlineLearner, ctx: &EpochContext) -> OneShot {
+        let mut problem = OneShot::default();
+        learner.build_problem_into(ctx, &mut problem);
+        problem
+    }
+
     fn fake_report(ctx: &EpochContext, cohort: Vec<usize>, loss: f64) -> EpochReport {
         let k = cohort.len();
         let _ = ctx;
@@ -429,7 +428,7 @@ mod tests {
         let (mu0, mu) = l.multipliers();
         assert_eq!(mu0, 0.0);
         assert!(mu.iter().all(|&m| m == 0.0));
-        let p = l.build_problem(&c);
+        let p = build_problem(&mut l, &c);
         let d = l.decide(&c, &p);
         // Low realized loss: h0 negative, mu0 stays at 0.
         let r = fake_report(
@@ -448,7 +447,7 @@ mod tests {
     fn violated_global_constraint_grows_mu0() {
         let c = ctx(vec![0, 1, 2], vec![1.0, 2.0, 3.0], 50.0, 2);
         let mut l = learner(3);
-        let p = l.build_problem(&c);
+        let p = build_problem(&mut l, &c);
         let d = l.decide(&c, &p);
         let r = fake_report(&c, vec![0, 1], 5.0); // loss 5 >> theta 0.5
         l.observe(&c, &r, &d, &p);
@@ -460,16 +459,16 @@ mod tests {
     fn dual_pressure_changes_decision() {
         let c = ctx(vec![0, 1, 2, 3], vec![1.0; 4], 50.0, 2);
         let mut l = learner(4);
-        let p0 = l.build_problem(&c);
+        let p0 = build_problem(&mut l, &c);
         let before = l.decide(&c, &p0);
         // Several epochs of heavy violation.
         for _ in 0..10 {
-            let p = l.build_problem(&c);
+            let p = build_problem(&mut l, &c);
             let d = l.decide(&c, &p);
             let r = fake_report(&c, vec![0, 1], 5.0);
             l.observe(&c, &r, &d, &p);
         }
-        let p1 = l.build_problem(&c);
+        let p1 = build_problem(&mut l, &c);
         let after = l.decide(&c, &p1);
         // Accumulated μ⁰ pushes toward loss-reducing selections and more
         // iterations; at minimum the decision must have moved.
@@ -486,7 +485,7 @@ mod tests {
         let mut l = learner(2);
         // Observe client 0 as fast/high-quality repeatedly.
         for _ in 0..6 {
-            let p = l.build_problem(&c);
+            let p = build_problem(&mut l, &c);
             let d = l.decide(&c, &p);
             let mut r = fake_report(&c, vec![0], 0.4);
             r.per_client_iter_latency = vec![0.01];
@@ -494,7 +493,7 @@ mod tests {
             r.grad_dot_delta = vec![-1.0];
             l.observe(&c, &r, &d, &p);
         }
-        let p = l.build_problem(&c);
+        let p = build_problem(&mut l, &c);
         // Client 0's remembered latency should now be far below 1's.
         assert!(p.tau[0] < p.tau[1] * 0.5, "tau {:?}", p.tau);
         assert!(p.eta[0] < p.eta[1], "eta {:?}", p.eta);

@@ -8,6 +8,8 @@
 //! `‖[Σ h_t(Φ̃_t)]⁺‖` — the curves whose sub-linear growth Corollary 1
 //! guarantees.
 
+use std::cell::RefCell;
+
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
 use fedl_solver::{minimize, PgdOptions};
 
@@ -150,10 +152,15 @@ pub fn hindsight_optimum(observed: &OneShot) -> FracDecision {
     let k = observed.ids.len();
     let set = observed.feasible_set();
     let avail = k as f64;
+    // PGD evaluates the objective at every backtracking trial of every
+    // start: one constraint buffer serves them all.
+    let h = RefCell::new(Vec::with_capacity(observed.dim()));
     let objective = |z: &[f64]| {
         let (x, rho) = (&z[..k], z[k]);
+        let mut h = h.borrow_mut();
+        observed.h_value_into(x, rho, &mut h);
         let mut v = observed.f_value(x, rho);
-        for hi in observed.h_value(x, rho) {
+        for hi in h.iter() {
             v += H_PENALTY * hi.max(0.0);
         }
         v

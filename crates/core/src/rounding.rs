@@ -2,16 +2,14 @@
 //! RDCS (paper Alg. 2) plus the independent-rounding baseline and the
 //! feasibility repair pass.
 //!
-//! [`rdcs`] tracks the fractional coordinate set in a Fenwick
+//! [`rdcs_with`] tracks the fractional coordinate set in a Fenwick
 //! order-statistics tree, so one rounding pass over `K` candidates is
-//! `O(K log K)` instead of the reference implementation's `O(K²)`
-//! re-scan — the difference between microseconds and minutes at the
-//! 1M-client scale tier (docs/SCALE.md). The original implementation is
-//! retained as [`rdcs_reference`] and the two are held to identical RNG
-//! consumption (same draws, same outputs, bit for bit) by tests here and
-//! in `tests/columnar_parity.rs`.
-
-use std::cell::RefCell;
+//! `O(K log K)` instead of the `O(K²)` re-scan of a direct transcription
+//! of Alg. 2 — the difference between microseconds and minutes at the
+//! 1M-client scale tier (docs/SCALE.md). The transcription lives on as a
+//! test oracle (`tests/oracle/rdcs.rs`), and `tests/columnar_parity.rs`
+//! holds the two to identical RNG consumption: same draws, same
+//! outputs, bit for bit.
 
 use fedl_linalg::rng::Rng;
 
@@ -115,10 +113,6 @@ impl RdcsScratch {
     }
 }
 
-thread_local! {
-    static SCRATCH: RefCell<RdcsScratch> = RefCell::new(RdcsScratch::new());
-}
-
 /// Rounds the fractional selection vector in place with RDCS.
 ///
 /// While at least two coordinates are fractional, pick a pair `(i, j)`
@@ -130,33 +124,23 @@ thread_local! {
 /// probability equal to its value (the classic tail step; preserves the
 /// expectation, moves the sum by less than 1).
 ///
-/// Returns the indices rounded to 1.
+/// `selected` is overwritten with the indices rounded to 1. Working
+/// storage and output are the caller's, so the steady-state form
+/// performs no heap allocation.
 ///
 /// # Examples
 ///
 /// ```
-/// use fedl_core::rounding::rdcs;
+/// use fedl_core::rounding::{rdcs_with, RdcsScratch};
 ///
 /// let mut rng = fedl_linalg::rng::Xoshiro256pp::seed_from_u64(7);
 /// // Fractional mass sums to 2: exactly two clients get selected.
 /// let mut x = vec![0.5, 0.5, 0.5, 0.5];
-/// let selected = rdcs(&mut x, &mut rng);
+/// let mut selected = Vec::new();
+/// rdcs_with(&mut x, &mut rng, &mut RdcsScratch::new(), &mut selected);
 /// assert_eq!(selected.len(), 2);
 /// assert!(x.iter().all(|&v| v == 0.0 || v == 1.0));
 /// ```
-pub fn rdcs(x: &mut [f64], rng: &mut impl Rng) -> Vec<usize> {
-    let mut selected = Vec::new();
-    // Move the thread's scratch out and back (rather than holding the
-    // borrow) so a re-entrant call cannot panic.
-    let mut scratch = SCRATCH.with(|s| s.take());
-    rdcs_with(x, rng, &mut scratch, &mut selected);
-    SCRATCH.with(|s| *s.borrow_mut() = scratch);
-    selected
-}
-
-/// [`rdcs`] with caller-owned working storage and output vector: the
-/// steady-state form performs no heap allocation. Consumes the same RNG
-/// stream and produces the same rounding as [`rdcs`] bit for bit.
 pub fn rdcs_with(
     x: &mut [f64],
     rng: &mut impl Rng,
@@ -170,8 +154,8 @@ pub fn rdcs_with(
         );
     }
     // The fractional set as an order-statistics tree: `select(r)` is
-    // exactly `frac[r]` of the reference's ascending re-scan, so the RNG
-    // stream below is consumed identically to `rdcs_reference`.
+    // exactly `frac[r]` of Alg. 2's ascending re-scan, so the RNG stream
+    // below is consumed identically to the transcription's.
     let active = &mut scratch.active;
     active.rebuild(x.iter().map(|&v| is_fractional(v)));
     while active.count >= 2 {
@@ -213,54 +197,6 @@ pub fn rdcs_with(
     }
     selected.clear();
     selected.extend((0..x.len()).filter(|&i| x[i] == 1.0));
-}
-
-/// The pre-Fenwick RDCS implementation — a direct transcription of
-/// paper Alg. 2 that re-scans the whole vector for fractional
-/// coordinates every round (`O(K²)`). Retained as the determinism
-/// reference: [`rdcs`] must draw the same RNG stream and produce the
-/// same output, bit for bit, for every input (docs/SCALE.md).
-pub fn rdcs_reference(x: &mut [f64], rng: &mut impl Rng) -> Vec<usize> {
-    for (i, &v) in x.iter().enumerate() {
-        assert!(
-            (-INT_TOL..=1.0 + INT_TOL).contains(&v),
-            "selection fraction {v} at {i} outside [0,1]"
-        );
-    }
-    loop {
-        // Collect the currently fractional coordinates.
-        let frac: Vec<usize> = (0..x.len()).filter(|&i| is_fractional(x[i])).collect();
-        if frac.len() < 2 {
-            break;
-        }
-        // Randomly choose the pair (Alg. 2 line 1).
-        let a = frac[rng.gen_range(0..frac.len())];
-        let b = loop {
-            let cand = frac[rng.gen_range(0..frac.len())];
-            if cand != a {
-                break cand;
-            }
-        };
-        let zeta1 = (1.0 - x[a]).min(x[b]);
-        let zeta2 = x[a].min(1.0 - x[b]);
-        debug_assert!(zeta1 > 0.0 && zeta2 > 0.0);
-        if rng.gen::<f64>() < zeta2 / (zeta1 + zeta2) {
-            x[a] += zeta1;
-            x[b] -= zeta1;
-        } else {
-            x[a] -= zeta2;
-            x[b] += zeta2;
-        }
-    }
-    // Tail: at most one fractional coordinate remains.
-    if let Some(i) = (0..x.len()).find(|&i| is_fractional(x[i])) {
-        x[i] = if rng.gen::<f64>() < x[i] { 1.0 } else { 0.0 };
-    }
-    // Snap numerical residue.
-    for v in x.iter_mut() {
-        *v = if *v > 0.5 { 1.0 } else { 0.0 };
-    }
-    (0..x.len()).filter(|&i| x[i] == 1.0).collect()
 }
 
 /// Independent rounding: each coordinate up with its own probability —
@@ -324,6 +260,12 @@ pub fn repair(selected: &mut Vec<usize>, costs: &[f64], n: usize, budget: f64) {
 mod tests {
     use super::*;
     use fedl_linalg::rng::rng_for;
+
+    fn rdcs(x: &mut [f64], rng: &mut impl Rng) -> Vec<usize> {
+        let mut selected = Vec::new();
+        rdcs_with(x, rng, &mut RdcsScratch::new(), &mut selected);
+        selected
+    }
 
     #[test]
     fn output_is_integral() {
@@ -412,28 +354,6 @@ mod tests {
             let mut x = x0.to_vec();
             let sel = rdcs(&mut x, &mut rng);
             assert_eq!(sel.len(), 4, "integral fractional mass must round exactly");
-        }
-    }
-
-    #[test]
-    fn fenwick_rdcs_matches_reference_bit_for_bit() {
-        use fedl_linalg::rng::Rng as _;
-        for n in [1usize, 2, 3, 7, 50, 257] {
-            for seed in 0..20u64 {
-                let mut r = rng_for(seed, 123);
-                let mut x0: Vec<f64> = (0..n).map(|_| r.gen::<f64>()).collect();
-                // Sprinkle in exactly-integral coordinates.
-                if n >= 3 {
-                    x0[0] = 1.0;
-                    x0[n / 2] = 0.0;
-                }
-                let (mut xa, mut xb) = (x0.clone(), x0.clone());
-                let sel_new = rdcs(&mut xa, &mut rng_for(seed, 7));
-                let sel_ref = rdcs_reference(&mut xb, &mut rng_for(seed, 7));
-                assert_eq!(sel_new, sel_ref, "n={n} seed={seed}");
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&xa), bits(&xb), "n={n} seed={seed}");
-            }
         }
     }
 

@@ -17,7 +17,7 @@ use fedl_sim::{BudgetLedger, EdgeEnvironment, EnvConfig, SimError};
 use fedl_store::{content_address, read_envelope, write_envelope, StoreError};
 use fedl_telemetry::Telemetry;
 
-use crate::columnar::scale_context;
+use crate::columnar::context_at;
 use crate::engine::{EngineError, EpochEngine};
 use crate::fedl::FedLConfig;
 use crate::policy::{EpochContext, PolicyKind, SelectionPolicy};
@@ -730,20 +730,16 @@ impl ExperimentRunner {
         self.engine.policy()
     }
 
-    /// The epoch-`t` decision context from the environment's columns:
-    /// latency estimates from the previous epoch's channel state (epoch
-    /// 0 uses its own), loss hints from each client's last report.
-    fn context_for(&self, epoch: usize) -> Option<EpochContext> {
-        let now = self.env.epoch_columns(epoch);
-        let hint = (epoch > 0).then(|| self.env.epoch_columns(epoch - 1));
-        let mut ctx = scale_context(
-            self.env.columns(),
-            hint.as_ref().unwrap_or(&now),
-            &now,
-            self.env.latency_model(),
+    /// The epoch-`t` decision context from the environment's population
+    /// (realized here, once; `run_epoch_in` then trains on the same
+    /// window slot), with loss hints from each client's last report.
+    fn context_for(&mut self, epoch: usize) -> Option<EpochContext> {
+        let mut ctx = context_at(
+            self.env.population_mut(),
+            epoch,
+            None,
             self.engine.remaining(),
             self.scenario.min_participants,
-            self.scenario.env.seed,
         )?;
         for (hint, &k) in ctx.loss_hint.iter_mut().zip(&ctx.available) {
             *hint = self.loss_hints[k];
@@ -811,10 +807,9 @@ impl ExperimentRunner {
         }
         let epoch_span = self.telemetry.span("epoch");
         let select_span = epoch_span.child("select");
-        let selected = self
-            .engine
-            .select(self.context_for(epoch))
-            .expect("the engine is idle and within budget between steps");
+        let ctx = self.context_for(epoch);
+        let selected =
+            self.engine.select(ctx).expect("the engine is idle and within budget between steps");
         if let Some((cohort, iterations)) = selected {
             drop(select_span);
             self.emit_select_event(epoch, &cohort);
@@ -1109,8 +1104,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         for kind in [PolicyKind::FedL, PolicyKind::FedAvg, PolicyKind::PowD] {
             let s = checkpoint_scenario();
-            let full = ExperimentRunner::new(s.clone(), kind).run();
+            let mut whole = ExperimentRunner::new(s.clone(), kind);
+            let full = whole.run();
             assert!(full.epochs.len() > 5, "{kind:?} run too short to interrupt");
+            // Context and training read one window: an epoch is realized
+            // once, however many of its steps ask for it.
+            let walked = whole.engine.next_epoch();
+            assert_eq!(whole.env.population().realizations(), walked, "{kind:?}");
 
             // Interrupt after 5 epochs, snapshot, throw the runner away.
             let path = dir.join(format!("{kind:?}.fedlstore"));
@@ -1125,6 +1125,9 @@ mod tests {
             let mut second = ExperimentRunner::resume_from(s, kind, &path).unwrap();
             let resumed = second.run();
             assert_eq!(full, resumed, "{kind:?} resumed run diverged");
+            // The window is not checkpointed: the resumed runner realizes
+            // the epochs it runs plus its first hint epoch (4), once.
+            assert_eq!(second.env.population().realizations(), walked - 5 + 1, "{kind:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

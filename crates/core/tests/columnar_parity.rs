@@ -4,21 +4,42 @@
 //! (`fedl_sim::ClientColumns`), the epoch realization
 //! (`fedl_sim::EpochColumns`), the learner memory
 //! (`fedl_core::state::ScoreColumns`), and RDCS rounding (Fenwick
-//! order-statistics tree) as dense columnar kernels. Each rewrite
-//! retained its scalar predecessor as a reference path; these tests hold
-//! the two bit-identical on seeded populations at M = 100 and M = 10 000
-//! and drive a full 100 000-client scheduler epoch through the columnar
-//! path end-to-end.
+//! order-statistics tree) as dense columnar kernels. The scalar
+//! realization and the Alg. 2 transcription they replaced live on as
+//! test oracles (`crates/sim/tests/oracle`, `oracle/rdcs.rs`); these
+//! tests hold each pair bit-identical on seeded populations at M = 100
+//! and M = 10 000 and drive a full 100 000-client scheduler epoch through
+//! the columnar path end-to-end.
 
-use fedl_core::columnar::scale_context;
+#[path = "../../sim/tests/oracle/mod.rs"]
+mod oracle;
+#[path = "oracle/rdcs.rs"]
+mod rdcs_oracle;
+
+use fedl_core::columnar::{context_at, scale_context};
+use fedl_core::objective::OneShot;
 use fedl_core::online::{OnlineLearner, StepSizes};
 use fedl_core::policy::EpochContext;
-use fedl_core::rounding;
+use fedl_core::rounding::{self, RdcsScratch};
 use fedl_core::{FedLConfig, PolicyKind};
 use fedl_json::{FromJson, ToJson, Value};
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_net::{ChannelModel, LatencyModel};
-use fedl_sim::{ClientColumns, ClientProfile, EnvConfig, EpochClientView, EpochReport, ScaleTier};
+use fedl_sim::{ClientColumns, EnvConfig, EpochClientView, EpochReport, Population, ScaleTier};
+use oracle::ClientProfile;
+use rdcs_oracle::rdcs_reference;
+
+fn rdcs(x: &mut [f64], rng: &mut impl Rng) -> Vec<usize> {
+    let mut selected = Vec::new();
+    rounding::rdcs_with(x, rng, &mut RdcsScratch::new(), &mut selected);
+    selected
+}
+
+fn build_problem(learner: &mut OnlineLearner, ctx: &EpochContext) -> OneShot {
+    let mut problem = OneShot::default();
+    learner.build_problem_into(ctx, &mut problem);
+    problem
+}
 
 /// Synthetic sample width used by every context in this file; any value
 /// works as long as both construction paths share it.
@@ -115,6 +136,34 @@ fn contexts_bit_identical_to_scalar_reference() {
 }
 
 #[test]
+fn population_contexts_equal_fresh_ones_and_honour_the_mask() {
+    // What every driver calls — `context_at` over the population's window
+    // — against `scale_context` over fresh realizations; masked, against
+    // the mask applied to a copy. A window slot handed out stale, or a
+    // mask written into one, breaks an equality below.
+    let (config, channel, cols, _) = population(100, 0x26);
+    let latency = LatencyModel::paper_defaults(config.upload_bits, BITS_PER_SAMPLE);
+    let mut window = Population::new(config.clone(), latency);
+    let registered: Vec<bool> = (0..100).map(|k| k % 3 != 0).collect();
+    for epoch in 0..4usize {
+        let hint = cols.epoch_columns(epoch.saturating_sub(1), &config, &channel);
+        let now = cols.epoch_columns(epoch, &config, &channel);
+        let want = scale_context(&cols, &hint, &now, &latency, 250.0, 4, config.seed).unwrap();
+        let got = context_at(&mut window, epoch, None, 250.0, 4).unwrap();
+        assert_contexts_bit_identical(&got, &want, &format!("epoch {epoch}"));
+        let mut masked = now.clone();
+        for (avail, &reg) in masked.available.iter_mut().zip(&registered) {
+            *avail &= reg;
+        }
+        let want = scale_context(&cols, &hint, &masked, &latency, 250.0, 4, config.seed).unwrap();
+        let got = context_at(&mut window, epoch, Some(&registered), 250.0, 4).unwrap();
+        assert_contexts_bit_identical(&got, &want, &format!("epoch {epoch}, masked"));
+        assert_eq!(window.advance(epoch).now.available, now.available, "the mask leaked");
+    }
+    assert_eq!(window.realizations(), 4);
+}
+
+#[test]
 fn policies_select_identically_on_columnar_and_reference_contexts() {
     // Identical context bits in, identical cohorts out — across the
     // learned policy (FedL: columnar score store + det_sum objective +
@@ -142,6 +191,27 @@ fn policies_select_identically_on_columnar_and_reference_contexts() {
 }
 
 #[test]
+fn fenwick_rdcs_matches_reference_bit_for_bit() {
+    for n in [1usize, 2, 3, 7, 50, 257] {
+        for seed in 0..20u64 {
+            let mut r = rng_for(seed, 123);
+            let mut x0: Vec<f64> = (0..n).map(|_| r.gen::<f64>()).collect();
+            // Sprinkle in exactly-integral coordinates.
+            if n >= 3 {
+                x0[0] = 1.0;
+                x0[n / 2] = 0.0;
+            }
+            let (mut xa, mut xb) = (x0.clone(), x0.clone());
+            let sel_new = rdcs(&mut xa, &mut rng_for(seed, 7));
+            let sel_ref = rdcs_reference(&mut xb, &mut rng_for(seed, 7));
+            assert_eq!(sel_new, sel_ref, "n={n} seed={seed}");
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&xa), bits(&xb), "n={n} seed={seed}");
+        }
+    }
+}
+
+#[test]
 fn fenwick_rounding_matches_reference_at_10k() {
     let k = 10_000;
     let mut seed_rng = rng_for(0xF31, k as u64);
@@ -150,8 +220,8 @@ fn fenwick_rounding_matches_reference_at_10k() {
     let mut slow_x = x0;
     let mut fast_rng = rng_for(0xF32, k as u64);
     let mut slow_rng = rng_for(0xF32, k as u64);
-    let fast = rounding::rdcs(&mut fast_x, &mut fast_rng);
-    let slow = rounding::rdcs_reference(&mut slow_x, &mut slow_rng);
+    let fast = rdcs(&mut fast_x, &mut fast_rng);
+    let slow = rdcs_reference(&mut slow_x, &mut slow_rng);
     assert_eq!(fast, slow, "selected sets differ");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(bits(&fast_x), bits(&slow_x), "rounded vectors differ");
@@ -181,14 +251,14 @@ fn hundred_k_scheduler_epoch_completes_through_columns() {
     assert!(ctx.available.len() > m / 2, "Bernoulli(0.8) availability collapsed");
 
     let mut learner = OnlineLearner::new(m, StepSizes::fixed(0.3, 0.3), 1.0, 10.0, 0.05);
-    let problem = learner.build_problem(&ctx);
+    let problem = build_problem(&mut learner, &ctx);
     assert_eq!(problem.ids, ctx.available);
 
     // A deterministic fractional decision in place of the descent step.
     let frac_x: Vec<f64> = (0..ctx.available.len()).map(|i| (i % 10) as f64 / 10.0).collect();
     let mut rounded = frac_x.clone();
     let mut rng = rng_for(config.seed, 0x100_000);
-    let mut slots = rounding::rdcs(&mut rounded, &mut rng);
+    let mut slots = rdcs(&mut rounded, &mut rng);
     let mass: f64 = frac_x.iter().sum();
     assert!(
         (slots.len() as f64 - mass).abs() <= 1.0,
@@ -241,7 +311,7 @@ fn learner_snapshot_round_trips_at_10k() {
     let latency = LatencyModel::paper_defaults(config.upload_bits, BITS_PER_SAMPLE);
     let ctx = scale_context(&cols, &e0, &e0, &latency, 1_000.0, 20, config.seed).unwrap();
     let mut learner = OnlineLearner::new(m, StepSizes::fixed(0.3, 0.3), 1.0, 10.0, 0.05);
-    let problem = learner.build_problem(&ctx);
+    let problem = build_problem(&mut learner, &ctx);
     let cohort: Vec<usize> = ctx.available.iter().copied().take(32).collect();
     let nc = cohort.len();
     let report = EpochReport {

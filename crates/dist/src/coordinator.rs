@@ -32,7 +32,7 @@ use fedl_json::Value;
 use fedl_serve::proto::{
     decode_frame, encode_frame, Message, ProtocolError, Trace, PROTOCOL_VERSION,
 };
-use fedl_serve::{combine_feedback, SelectionRecord, ServeConfig};
+use fedl_serve::{combine_feedback, MemberFeedback, SelectionRecord, ServeConfig};
 use fedl_telemetry::{SpanContext, Telemetry};
 
 use crate::shard::members_in;
@@ -65,8 +65,7 @@ pub struct ShardWorker {
 
 /// Zero-socket [`WorkerLink`] driving a [`WorkerState`] in-process
 /// through the full encode → envelope-verify → decode pipeline — the
-/// `dist/epoch_100k` bench kernel's transport and the fastest way to
-/// embed a sharded run in tests.
+/// fastest way to embed a sharded run in tests.
 pub struct LocalWorkerLink {
     state: WorkerState,
     replies: VecDeque<Vec<u8>>,
@@ -414,30 +413,13 @@ impl Coordinator {
                     trace,
                 })?;
             let merge_span = epoch_span.child("dist.merge");
-            let mut latencies = Vec::with_capacity(cohort.len());
-            let mut costs = Vec::with_capacity(cohort.len());
-            let mut eta_hats = Vec::with_capacity(cohort.len());
-            let mut grad_dot_delta = Vec::with_capacity(cohort.len());
-            let mut local_losses = Vec::with_capacity(cohort.len());
+            let mut feedback = MemberFeedback::default();
             for (i, reply) in replies.into_iter().enumerate() {
                 let expected = members_in(&self.workers[i].shard, &cohort);
-                let part = self.bad_reply(parse_train_part(i, epoch, &expected, reply))?;
-                latencies.extend(part.per_client_iter_latency);
-                costs.extend(part.costs);
-                eta_hats.extend(part.eta_hats);
-                grad_dot_delta.extend(part.grad_dot_delta);
-                local_losses.extend(part.local_losses);
+                feedback.extend(self.bad_reply(parse_train_part(i, epoch, &expected, reply))?);
                 self.telemetry.counter("dist.train_parts").incr();
             }
-            let synth = combine_feedback(
-                epoch,
-                iterations,
-                latencies,
-                &costs,
-                eta_hats,
-                grad_dot_delta,
-                local_losses,
-            );
+            let synth = combine_feedback(epoch, iterations, feedback);
             drop(merge_span);
             engine
                 .settle(&synth.to_report(epoch, &cohort, iterations))
@@ -471,15 +453,6 @@ impl Coordinator {
     pub fn shutdown_worker(&mut self, i: usize) {
         let _ = self.rpc(i, &Message::Shutdown);
     }
-}
-
-/// Decoded per-member training feedback columns.
-struct TrainPart {
-    per_client_iter_latency: Vec<f64>,
-    costs: Vec<f64>,
-    eta_hats: Vec<f32>,
-    grad_dot_delta: Vec<f32>,
-    local_losses: Vec<f32>,
 }
 
 fn parse_context_part(
@@ -532,7 +505,7 @@ fn parse_train_part(
     epoch: usize,
     expected_members: &[usize],
     reply: Message,
-) -> Result<TrainPart, String> {
+) -> Result<MemberFeedback, String> {
     match reply {
         Message::ShardTrainPart {
             epoch: got,
@@ -573,7 +546,13 @@ fn parse_train_part(
             if !finite {
                 return Err(format!("worker {i} returned non-finite training feedback"));
             }
-            Ok(TrainPart { per_client_iter_latency, costs, eta_hats, grad_dot_delta, local_losses })
+            Ok(MemberFeedback {
+                per_client_iter_latency,
+                costs,
+                eta_hats,
+                grad_dot_delta,
+                local_losses,
+            })
         }
         Message::Error { code, detail } => {
             Err(format!("worker {i} refused the train request ({code}): {detail}"))

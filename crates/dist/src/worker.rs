@@ -2,11 +2,13 @@
 //! behind the framed protocol.
 //!
 //! A worker owns one contiguous shard of the client population. On
-//! [`Message::ShardAssign`] it builds the columnar population and
+//! [`Message::ShardAssign`] it builds a sharded [`Population`] and
 //! answers every subsequent [`Message::ShardContext`] /
-//! [`Message::ShardTrain`] by realizing only its shard
-//! ([`ClientColumns::epoch_columns_partial`]) — no policy, no ledger,
-//! no epoch cursor. Statelessness is the whole fault-tolerance story:
+//! [`Message::ShardTrain`] from it, realizing only its shard's rows and
+//! each epoch once ([`Population::advance`]: the context frame realizes
+//! epoch `t`, the train frame finds it in the window) — no policy, no
+//! ledger, no epoch cursor. Statelessness is the whole fault-tolerance
+//! story: the window is a cache of a pure function, never state;
 //! a killed worker can be respawned and re-asked for any epoch's
 //! partials and must produce the identical bytes, which is what lets
 //! the coordinator recover mid-epoch without drift (docs/DIST.md).
@@ -20,17 +22,16 @@
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use fedl_core::columnar::{nominal_latency, scale_context_part};
+use fedl_core::columnar::scale_context_part;
 use fedl_core::policy::PolicyKind;
 use fedl_json::{obj, read_field, Value};
-use fedl_net::{ChannelModel, LatencyModel};
 use fedl_serve::proto::{
     answer_hello, decode_frame_traced, encode_frame_traced, Message, ProtocolError, Trace,
     PROTOCOL_VERSION,
 };
 use fedl_serve::transport::FrameTransport;
-use fedl_serve::{serve_frames, synth_learning_signals, Control, ServeConfig, ServeExit};
-use fedl_sim::{ClientColumns, EpochColumns, EpochRealizeScratch};
+use fedl_serve::{member_feedback, serve_frames, Control, ServeConfig, ServeExit};
+use fedl_sim::Population;
 use fedl_store::{read_envelope, write_envelope};
 use fedl_telemetry::Telemetry;
 
@@ -82,22 +83,15 @@ impl ShardCheckpoint {
     }
 }
 
-/// A live shard assignment: the deployment plus the built population.
+/// A live shard assignment: the deployment plus its population, sharded
+/// to the assigned range. The population's realized-epoch window is
+/// runtime-only — the shard checkpoint never records it, and a respawned
+/// worker re-realizes whatever epoch it is asked for.
 struct Assignment {
     config: ServeConfig,
-    channel: ChannelModel,
-    latency: LatencyModel,
-    cols: ClientColumns,
-    shard: Range<usize>,
+    population: Population,
     fingerprint: String,
     epochs_served: usize,
-    /// Reusable epoch-realization buffers: context frames realize two
-    /// epochs and train frames one, so steady state refills these in
-    /// place instead of allocating full-length columns per frame.
-    /// Runtime-only — the shard checkpoint never records them.
-    realize: EpochRealizeScratch,
-    now: EpochColumns,
-    hint: EpochColumns,
 }
 
 /// The worker's event-loop state; [`Self::handle_frame`] is the entire
@@ -150,15 +144,21 @@ impl WorkerState {
 
     /// The assigned shard, if any.
     pub fn shard(&self) -> Option<Range<usize>> {
-        self.assignment.as_ref().map(|a| a.shard.clone())
+        self.assignment.as_ref().map(|a| a.population.shard())
+    }
+
+    /// Epochs the current assignment has realized
+    /// ([`Population::realizations`]); 0 while unassigned.
+    pub fn realizations(&self) -> usize {
+        self.assignment.as_ref().map_or(0, |a| a.population.realizations())
     }
 
     fn save_checkpoint(&self) {
         let (Some(path), Some(a)) = (&self.checkpoint, &self.assignment) else { return };
         let record = ShardCheckpoint {
             fingerprint: a.fingerprint.clone(),
-            shard_start: a.shard.start,
-            shard_end: a.shard.end,
+            shard_start: a.population.shard().start,
+            shard_end: a.population.shard().end,
             epochs_served: a.epochs_served,
         };
         if let Err(e) = write_envelope(path, DIST_SHARD_CHECKPOINT_KIND, &record.to_payload()) {
@@ -347,16 +347,15 @@ impl WorkerState {
         // columns are a pure function of the config, so rebuilding could
         // only waste time, never change bits.
         if let Some(a) = &self.assignment {
-            if a.fingerprint == fingerprint && a.shard == (shard_start..shard_end) {
+            if a.fingerprint == fingerprint && a.population.shard() == (shard_start..shard_end) {
                 return (
                     Message::ShardReady { shard_start, shard_end, fingerprint },
                     Control::Continue,
                 );
             }
         }
-        let channel = ChannelModel::default();
-        let latency = config.latency_model();
-        let cols = ClientColumns::build(&config.env, &channel);
+        let population =
+            Population::sharded(config.env.clone(), config.latency_model(), shard_start..shard_end);
         self.telemetry.emit(
             "dist.worker_assigned",
             vec![
@@ -368,15 +367,9 @@ impl WorkerState {
         );
         self.assignment = Some(Assignment {
             config,
-            channel,
-            latency,
-            cols,
-            shard: shard_start..shard_end,
+            population,
             fingerprint: fingerprint.clone(),
             epochs_served,
-            realize: EpochRealizeScratch::new(),
-            now: EpochColumns::default(),
-            hint: EpochColumns::default(),
         });
         self.save_checkpoint();
         (Message::ShardReady { shard_start, shard_end, fingerprint }, Control::Continue)
@@ -390,32 +383,16 @@ impl WorkerState {
                 detail: format!("ShardContext for epoch {epoch} before any ShardAssign"),
             });
         };
-        a.cols.epoch_columns_partial_into(
-            epoch,
-            &a.config.env,
-            &a.channel,
-            a.shard.clone(),
-            &mut a.realize,
-            &mut a.now,
-        );
-        // 0-lookahead hints from the previous epoch's realization
-        // (epoch 0 hints from its own — re-realized rather than cloned,
-        // identical bits either way), exactly like `context_for_epoch`.
-        a.cols.epoch_columns_partial_into(
-            epoch.saturating_sub(1),
-            &a.config.env,
-            &a.channel,
-            a.shard.clone(),
-            &mut a.realize,
-            &mut a.hint,
-        );
+        let shard = a.population.shard();
+        let lent = a.population.advance(epoch);
         let part = scale_context_part(
-            &a.cols,
-            &a.hint,
-            &a.now,
-            &a.latency,
+            lent.cols,
+            lent.hint,
+            lent.now,
+            lent.latency,
             a.config.min_participants,
-            a.shard.clone(),
+            shard,
+            None,
         );
         a.epochs_served = a.epochs_served.max(epoch + 1);
         drop(span);
@@ -447,8 +424,9 @@ impl WorkerState {
                 detail: format!("ShardTrain for epoch {epoch} before any ShardAssign"),
             });
         };
-        if let Some(&bad) = members.iter().find(|&&k| !a.shard.contains(&k)) {
-            let (start, end) = (a.shard.start, a.shard.end);
+        let shard = a.population.shard();
+        if let Some(&bad) = members.iter().find(|&&k| !shard.contains(&k)) {
+            let (start, end) = (shard.start, shard.end);
             drop(span);
             return self.refuse(ProtocolError::Schema {
                 detail: format!(
@@ -456,27 +434,9 @@ impl WorkerState {
                 ),
             });
         }
-        a.cols.epoch_columns_partial_into(
-            epoch,
-            &a.config.env,
-            &a.channel,
-            a.shard.clone(),
-            &mut a.realize,
-            &mut a.now,
-        );
-        let now = &a.now;
-        let share = a.config.min_participants.max(1);
-        let per_client_iter_latency = nominal_latency(&a.cols, now, &a.latency, share, &members);
-        let costs: Vec<f64> = members.iter().map(|&k| now.cost[k]).collect();
-        let mut eta_hats = Vec::with_capacity(members.len());
-        let mut grad_dot_delta = Vec::with_capacity(members.len());
-        let mut local_losses = Vec::with_capacity(members.len());
-        for &k in &members {
-            let (eta, grad, loss) = synth_learning_signals(a.cols.seed[k], epoch);
-            eta_hats.push(eta);
-            grad_dot_delta.push(grad);
-            local_losses.push(loss);
-        }
+        let lent = a.population.advance(epoch);
+        let feedback =
+            member_feedback(lent.cols, lent.now, lent.latency, a.config.min_participants, &members);
         a.epochs_served = a.epochs_served.max(epoch + 1);
         drop(span);
         self.telemetry.counter("dist.worker_train_parts").incr();
@@ -485,11 +445,11 @@ impl WorkerState {
             Message::ShardTrainPart {
                 epoch,
                 members,
-                per_client_iter_latency,
-                costs,
-                eta_hats,
-                grad_dot_delta,
-                local_losses,
+                per_client_iter_latency: feedback.per_client_iter_latency,
+                costs: feedback.costs,
+                eta_hats: feedback.eta_hats,
+                grad_dot_delta: feedback.grad_dot_delta,
+                local_losses: feedback.local_losses,
             },
             Control::Continue,
         )
@@ -523,6 +483,9 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedl_net::ChannelModel;
+    use fedl_serve::synth_learning_signals;
+    use fedl_sim::{nominal_latency, ClientColumns};
 
     fn assign_msg(clients: usize, seed: u64, shard: Range<usize>) -> Message {
         Message::ShardAssign {
@@ -547,26 +510,35 @@ mod tests {
             }
             other => panic!("expected ShardReady, got {other:?}"),
         }
-        // Context partial == direct columnar computation, bit-for-bit.
+        // Context partial == direct columnar computation on fresh full
+        // realizations, bit-for-bit.
         let channel = ChannelModel::default();
         let latency = config.latency_model();
         let cols = ClientColumns::build(&config.env, &channel);
         let epoch = 4;
-        let now = cols.epoch_columns_partial(epoch, &config.env, &channel, 10..30);
-        let hint = cols.epoch_columns_partial(epoch - 1, &config.env, &channel, 10..30);
-        let want = scale_context_part(&cols, &hint, &now, &latency, 3, 10..30);
+        let now = cols.epoch_columns(epoch, &config.env, &channel);
+        let hint = cols.epoch_columns(epoch - 1, &config.env, &channel);
+        let want = scale_context_part(&cols, &hint, &now, &latency, 3, 10..30, None);
         let (reply, _) = w.handle_message(Message::ShardContext { epoch, trace: Trace::Absent });
         match reply {
-            Message::ShardContextPart { epoch: e, available, costs, true_latency, .. } => {
+            Message::ShardContextPart {
+                epoch: e,
+                available,
+                costs,
+                latency_hint,
+                true_latency,
+                ..
+            } => {
                 assert_eq!(e, epoch);
                 assert_eq!(available, want.available);
                 assert_eq!(costs, want.costs);
+                assert_eq!(latency_hint, want.latency_hint);
                 assert_eq!(true_latency, want.true_latency);
             }
             other => panic!("expected ShardContextPart, got {other:?}"),
         }
         // Train partial == direct latency/cost/signal computation.
-        let members: Vec<usize> = now.available_ids().into_iter().take(4).collect();
+        let members: Vec<usize> = want.available.iter().copied().take(4).collect();
         assert!(!members.is_empty(), "shard 10..30 should have available clients at epoch 4");
         let want_lat = nominal_latency(&cols, &now, &latency, 3, &members);
         let (reply, _) = w.handle_message(Message::ShardTrain {

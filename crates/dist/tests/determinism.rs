@@ -2,10 +2,14 @@
 //! byte-identical to the in-process reference — for 2 and 4 workers,
 //! and through a worker kill + respawn + checkpoint-resume mid-run —
 //! and every transport failure surfaces as a typed error, never a
-//! panic or a hang.
+//! panic or a hang. Along the way each worker realizes each epoch of its
+//! shard exactly once.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::thread::JoinHandle;
 
 use fedl_core::policy::PolicyKind;
@@ -184,7 +188,7 @@ fn two_and_four_worker_runs_are_byte_identical_to_the_reference() {
             "{count}-worker run must byte-match the single-process reference"
         );
     }
-    // And the zero-socket local links the bench kernel uses.
+    // And the zero-socket local links.
     let locals: Vec<ShardWorker> = shard_ranges(config.env.num_clients, 3)
         .into_iter()
         .map(|shard| ShardWorker {
@@ -193,6 +197,53 @@ fn two_and_four_worker_runs_are_byte_identical_to_the_reference() {
         })
         .collect();
     assert_eq!(to_jsonl(&run(&config, locals, epochs).selections), reference);
+}
+
+/// An in-process link whose worker stays inspectable after the run.
+struct SharedWorker {
+    state: Rc<RefCell<WorkerState>>,
+    replies: VecDeque<Vec<u8>>,
+}
+
+impl WorkerLink for SharedWorker {
+    fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
+        let (reply, _) = self.state.borrow_mut().handle_frame(&encode_frame(msg));
+        self.replies.push_back(reply);
+        Ok(())
+    }
+
+    fn recv_reply(&mut self) -> Result<Message, ProtocolError> {
+        decode_frame(&self.replies.pop_front().expect("one reply per request"))
+    }
+
+    fn reset(&mut self) -> Result<(), String> {
+        Err("an in-process worker cannot fail".to_string())
+    }
+}
+
+#[test]
+fn each_worker_realizes_each_epoch_of_its_shard_once() {
+    // Per epoch a worker answers a context frame (epochs t−1 and t) and a
+    // train frame (epoch t again): three uses, one realization.
+    let config = config();
+    let epochs = 10;
+    let states: Vec<Rc<RefCell<WorkerState>>> =
+        (0..2).map(|_| Rc::new(RefCell::new(WorkerState::new(Telemetry::disabled())))).collect();
+    let workers: Vec<ShardWorker> = shard_ranges(config.env.num_clients, 2)
+        .into_iter()
+        .zip(&states)
+        .map(|(shard, state)| ShardWorker {
+            shard,
+            link: Box::new(SharedWorker { state: state.clone(), replies: VecDeque::new() }),
+        })
+        .collect();
+    let report = run(&config, workers, epochs);
+    assert_eq!(report.selections.len(), epochs);
+    assert!(report.selections.iter().all(|r| !r.cohort.is_empty()), "every epoch trained");
+    assert_eq!(to_jsonl(&report.selections), to_jsonl(&reference_run(&config, epochs)));
+    for (i, state) in states.iter().enumerate() {
+        assert_eq!(state.borrow().realizations(), epochs, "worker {i}");
+    }
 }
 
 fn checkpointed_state(path: PathBuf) -> WorkerState {

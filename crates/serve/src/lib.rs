@@ -50,16 +50,16 @@ pub mod transport;
 /// the epoch engine.
 pub use fedl_core::engine::sanitize_decision;
 pub use loadgen::{
-    combine_feedback, reference_run, run_loadgen, synth_learning_signals, synth_train_result,
-    LoadgenOptions, LoadgenReport, SelectionRecord,
+    combine_feedback, member_feedback, reference_run, run_loadgen, synth_learning_signals,
+    synth_train_result, LoadgenOptions, LoadgenReport, MemberFeedback, SelectionRecord,
 };
 pub use proto::{
     answer_hello, decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, Message,
     ProtocolError, Trace, FRAME_KIND, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{
-    context_for_epoch, serve_connection, serve_frames, Control, ServeConfig, ServeError, ServeExit,
-    ServerState, SERVE_CHECKPOINT_KIND, SERVE_SNAPSHOT_SCHEMA_VERSION,
+    serve_connection, serve_frames, Control, ServeConfig, ServeError, ServeExit, ServerState,
+    SERVE_CHECKPOINT_KIND, SERVE_SNAPSHOT_SCHEMA_VERSION,
 };
 pub use transport::{
     read_frame, write_frame, DuplexTransport, FrameTransport, InProcessTransport, TcpTransport,

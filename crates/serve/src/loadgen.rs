@@ -4,9 +4,9 @@
 //! connection, then drives `SelectCohort` → train → `TrainResult`
 //! epochs, timing sustained selections/sec. Training feedback is
 //! *synthesized deterministically* from the scenario seed
-//! ([`synth_train_result`]): latencies and costs come from the same
-//! columnar epoch realizations the server prices with, and the learning
-//! signals from per-client seeded streams — so an in-process run of the
+//! ([`member_feedback`] folded by [`combine_feedback`]): latencies and
+//! costs come from the same columnar epoch realizations the server
+//! prices with, and the learning signals from per-client seeded streams — so an in-process run of the
 //! identical policy over the identical contexts ([`reference_run`])
 //! must reproduce the served selections bit-for-bit. That equality is
 //! the protocol's determinism contract (docs/SERVE.md) and is enforced
@@ -15,16 +15,16 @@
 
 use std::time::Instant;
 
-use fedl_core::columnar::nominal_latency;
+use fedl_core::columnar::context_at;
 use fedl_core::engine::EpochEngine;
 use fedl_json::{obj, Value};
 use fedl_linalg::par::det_sum;
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_net::{ChannelModel, LatencyModel};
-use fedl_sim::{ClientColumns, EpochReport};
+use fedl_sim::{nominal_latency, ClientColumns, EpochColumns, EpochReport, Population};
 
 use crate::proto::{decode_frame, encode_frame, Message, ProtocolError, PROTOCOL_VERSION};
-use crate::server::{context_for_epoch, ServeConfig};
+use crate::server::ServeConfig;
 use crate::transport::FrameTransport;
 
 /// One served (or reference) selection, the unit the determinism
@@ -110,10 +110,67 @@ impl SynthResult {
     }
 }
 
-/// Synthesizes the cohort's training feedback for `epoch`: real
-/// latency/cost columns from the scenario realization, learning signals
-/// from per-client seeded streams (`rng_for(seed_k, tag(epoch))`), so
-/// every driver — loadgen, reference, tests — produces identical bytes.
+/// Per-member training feedback columns for one epoch, aligned with the
+/// member list they were computed for — what a `fedl-dist` worker ships
+/// for its shard's members and what [`combine_feedback`] folds.
+#[derive(Debug, Default)]
+pub struct MemberFeedback {
+    /// Per-iteration latency of each member.
+    pub per_client_iter_latency: Vec<f64>,
+    /// The epoch's realized rent of each member.
+    pub costs: Vec<f64>,
+    /// Seeded local accuracies in `(0, 1)`.
+    pub eta_hats: Vec<f32>,
+    /// Seeded first-order coefficients (negative: descent).
+    pub grad_dot_delta: Vec<f32>,
+    /// Seeded local losses around the decaying global loss.
+    pub local_losses: Vec<f32>,
+}
+
+impl MemberFeedback {
+    /// Appends `next`'s members after this one's (the coordinator's
+    /// shard-order concatenation).
+    pub fn extend(&mut self, next: MemberFeedback) {
+        self.per_client_iter_latency.extend(next.per_client_iter_latency);
+        self.costs.extend(next.costs);
+        self.eta_hats.extend(next.eta_hats);
+        self.grad_dot_delta.extend(next.grad_dot_delta);
+        self.local_losses.extend(next.local_losses);
+    }
+}
+
+/// The feedback of `members` for the epoch realized in `now`: latency
+/// (under the nominal share of `min_participants`) and rent from the
+/// realization, learning signals from per-client seeded streams
+/// ([`synth_learning_signals`]). Every value depends on its own client
+/// only, so a worker computing its shard's members produces exactly the
+/// columns a single process would — every driver (loadgen, reference,
+/// workers, tests) produces identical bytes.
+pub fn member_feedback(
+    cols: &ClientColumns,
+    now: &EpochColumns,
+    latency: &LatencyModel,
+    min_participants: usize,
+    members: &[usize],
+) -> MemberFeedback {
+    let share = min_participants.max(1);
+    let mut feedback = MemberFeedback {
+        per_client_iter_latency: nominal_latency(cols, now, latency, share, members),
+        costs: members.iter().map(|&k| now.cost[k]).collect(),
+        ..Default::default()
+    };
+    for &k in members {
+        let (eta, grad, loss) = synth_learning_signals(cols.seed[k], now.epoch);
+        feedback.eta_hats.push(eta);
+        feedback.grad_dot_delta.push(grad);
+        feedback.local_losses.push(loss);
+    }
+    feedback
+}
+
+/// Synthesizes the cohort's training feedback for `epoch` from a fresh
+/// realization — the one-shot form of what [`run_loadgen`] and
+/// [`reference_run`] compute from the population they hold.
 pub fn synth_train_result(
     cols: &ClientColumns,
     config: &ServeConfig,
@@ -124,34 +181,33 @@ pub fn synth_train_result(
     iterations: usize,
 ) -> SynthResult {
     let now = cols.epoch_columns(epoch, &config.env, channel);
-    let share = config.min_participants.max(1);
-    let per_client_iter_latency = nominal_latency(cols, &now, latency, share, cohort);
-    let member_costs: Vec<f64> = cohort.iter().map(|&k| now.cost[k]).collect();
-    let mut eta_hats = Vec::with_capacity(cohort.len());
-    let mut grad_dot_delta = Vec::with_capacity(cohort.len());
-    let mut local_losses = Vec::with_capacity(cohort.len());
-    for &k in cohort {
-        let (eta, grad, loss) = synth_learning_signals(cols.seed[k], epoch);
-        eta_hats.push(eta);
-        grad_dot_delta.push(grad);
-        local_losses.push(loss);
-    }
     combine_feedback(
         epoch,
         iterations,
-        per_client_iter_latency,
-        &member_costs,
-        eta_hats,
-        grad_dot_delta,
-        local_losses,
+        member_feedback(cols, &now, latency, config.min_participants, cohort),
+    )
+}
+
+/// [`synth_train_result`] from the holder's own window: the epoch the
+/// cohort was just selected for is already realized there.
+fn synth_from(
+    population: &mut Population,
+    min_participants: usize,
+    epoch: usize,
+    cohort: &[usize],
+    iterations: usize,
+) -> SynthResult {
+    let lent = population.advance(epoch);
+    combine_feedback(
+        epoch,
+        iterations,
+        member_feedback(lent.cols, lent.now, lent.latency, min_participants, cohort),
     )
 }
 
 /// One client's synthetic learning signals for `epoch` — `(η̂, J·d_k,
 /// local loss)` drawn from `rng_for(seed_k, 0x5E7E_0000 ^ t)` in stream
-/// order. A pure function of `(seed_k, epoch)`, so a `fedl-dist` worker
-/// computing only its shard's members produces the exact values the
-/// single-process [`synth_train_result`] would.
+/// order. A pure function of `(seed_k, epoch)`.
 pub fn synth_learning_signals(seed_k: u64, epoch: usize) -> (f32, f32, f32) {
     let decay = 0.97f64.powi(epoch as i32);
     let base_loss = (10.0f64).ln();
@@ -164,32 +220,24 @@ pub fn synth_learning_signals(seed_k: u64, epoch: usize) -> (f32, f32, f32) {
 
 /// Folds per-member feedback columns (cohort order) into the epoch's
 /// [`SynthResult`] — the one place the scalar combination lives, shared
-/// by [`synth_train_result`] and the `fedl-dist` coordinator's
+/// by the single-process drivers and the `fedl-dist` coordinator's
 /// shard-order merge so both produce identical bits. The cost fold uses
 /// [`det_sum`]'s fixed-chunk association (bit-identical to the plain
 /// left fold for cohorts up to `DET_CHUNK`, and shard-count-independent
 /// beyond it); the latency fold is a max, associative outright.
-pub fn combine_feedback(
-    epoch: usize,
-    iterations: usize,
-    per_client_iter_latency: Vec<f64>,
-    member_costs: &[f64],
-    eta_hats: Vec<f32>,
-    grad_dot_delta: Vec<f32>,
-    local_losses: Vec<f32>,
-) -> SynthResult {
-    let slowest = per_client_iter_latency.iter().fold(0.0f64, |a, &b| a.max(b));
-    let cost = det_sum(0.0, member_costs.len(), |i| member_costs[i]);
+pub fn combine_feedback(epoch: usize, iterations: usize, members: MemberFeedback) -> SynthResult {
+    let slowest = members.per_client_iter_latency.iter().fold(0.0f64, |a, &b| a.max(b));
+    let cost = det_sum(0.0, members.costs.len(), |i| members.costs[i]);
     let decay = 0.97f64.powi(epoch as i32);
     let base_loss = (10.0f64).ln();
     SynthResult {
         latency_secs: slowest * iterations as f64,
-        per_client_iter_latency,
+        per_client_iter_latency: members.per_client_iter_latency,
         cost,
-        eta_hats,
+        eta_hats: members.eta_hats,
         global_loss: base_loss * decay,
-        grad_dot_delta,
-        local_losses,
+        grad_dot_delta: members.grad_dot_delta,
+        local_losses: members.local_losses,
     }
 }
 
@@ -282,9 +330,7 @@ pub fn run_loadgen(
             })
         }
     }
-    let channel = ChannelModel::default();
-    let latency = config.latency_model();
-    let cols = ClientColumns::build(&config.env, &channel);
+    let mut population = Population::new(config.env.clone(), config.latency_model());
     for client in 0..config.env.num_clients {
         expect_ack(rpc(transport, &Message::ClientJoin { client })?, "join")?;
     }
@@ -311,7 +357,7 @@ pub fn run_loadgen(
             continue;
         }
         let synth =
-            synth_train_result(&cols, config, &channel, &latency, epoch, &cohort, iterations);
+            synth_from(&mut population, config.min_participants, epoch, &cohort, iterations);
         expect_ack(rpc(transport, &synth.to_message(epoch, &cohort, iterations))?, "train")?;
         selections.push(SelectionRecord { epoch, cohort, iterations });
     }
@@ -327,9 +373,7 @@ pub fn run_loadgen(
 /// match bit-for-bit. All clients count as registered, matching a
 /// loadgen that joined the full population.
 pub fn reference_run(config: &ServeConfig, epochs: usize) -> Vec<SelectionRecord> {
-    let channel = ChannelModel::default();
-    let latency = config.latency_model();
-    let cols = ClientColumns::build(&config.env, &channel);
+    let mut population = Population::new(config.env.clone(), config.latency_model());
     // Untracked build: regret accounting never feeds back into
     // selections, and the reference exists only to pin selection bytes.
     let policy = config.policy.build_untracked(
@@ -339,28 +383,20 @@ pub fn reference_run(config: &ServeConfig, epochs: usize) -> Vec<SelectionRecord
         config.fedl,
     );
     let mut engine = EpochEngine::new(policy, config.budget);
-    let registered = vec![true; config.env.num_clients];
     let mut records = Vec::with_capacity(epochs);
     for epoch in 0..epochs {
         if engine.exhausted() {
             break;
         }
-        let ctx = context_for_epoch(
-            &cols,
-            config,
-            &channel,
-            &latency,
-            &registered,
-            engine.remaining(),
-            epoch,
-        );
+        let ctx =
+            context_at(&mut population, epoch, None, engine.remaining(), config.min_participants);
         let selected = engine.select(ctx).expect("the loop settles every epoch it selects");
         let Some((cohort, iterations)) = selected else {
             records.push(SelectionRecord { epoch, cohort: Vec::new(), iterations: 0 });
             continue;
         };
         let synth =
-            synth_train_result(&cols, config, &channel, &latency, epoch, &cohort, iterations);
+            synth_from(&mut population, config.min_participants, epoch, &cohort, iterations);
         engine.settle(&synth.to_report(epoch, &cohort, iterations)).expect("selected just above");
         records.push(SelectionRecord { epoch, cohort, iterations });
     }

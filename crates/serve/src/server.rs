@@ -3,11 +3,11 @@
 //! driven entirely by protocol frames (DESIGN.md row S15,
 //! docs/SERVE.md).
 //!
-//! Epoch flow per selection: `SelectCohort{t}` realizes the columnar
-//! population at epoch `t`, masks availability by the live registry,
-//! builds the same [`EpochContext`] the scale path does
-//! (`fedl_core::columnar::scale_context`), has the engine select, and
-//! answers with the cohort. The matching `TrainResult{t}` is validated
+//! Epoch flow per selection: `SelectCohort{t}` advances the server's
+//! [`Population`] to epoch `t` (one realization per epoch), builds the
+//! context of the clients both available and in the live registry
+//! ([`fedl_core::columnar::context_at`] — the runner's own path), has the
+//! engine select, and answers with the cohort. The matching `TrainResult{t}` is validated
 //! here — where the wire input arrives — and settles the engine,
 //! closing the epoch. Because every input is either a pure function of
 //! `(config, epoch)` or carried in a frame, the whole server is a
@@ -16,13 +16,13 @@
 
 use std::path::{Path, PathBuf};
 
-use fedl_core::columnar::scale_context;
+use fedl_core::columnar::context_at;
 use fedl_core::engine::{EngineError, EpochEngine};
-use fedl_core::policy::{EpochContext, PolicyKind};
+use fedl_core::policy::PolicyKind;
 use fedl_core::FedLConfig;
 use fedl_json::{obj, read_field, ToJson, Value};
-use fedl_net::{ChannelModel, LatencyModel};
-use fedl_sim::{ClientColumns, EnvConfig, EpochColumns, EpochReport};
+use fedl_net::LatencyModel;
+use fedl_sim::{EnvConfig, EpochReport, Population};
 use fedl_store::{content_address, read_envelope, write_envelope, StoreError};
 use fedl_telemetry::Telemetry;
 
@@ -97,39 +97,6 @@ impl ServeConfig {
         );
         content_address(key.as_bytes())
     }
-}
-
-/// Builds epoch `t`'s decision context from columns, masking
-/// availability by the live registry — shared by the server and the
-/// in-process reference driver so "bit-identical to in-process" compares
-/// protocol plumbing, not reimplemented math. Returns `None` when no
-/// registered client is available this epoch.
-pub fn context_for_epoch(
-    cols: &ClientColumns,
-    config: &ServeConfig,
-    channel: &ChannelModel,
-    latency: &LatencyModel,
-    registered: &[bool],
-    remaining_budget: f64,
-    epoch: usize,
-) -> Option<EpochContext> {
-    let mut now = cols.epoch_columns(epoch, &config.env, channel);
-    for (avail, &reg) in now.available.iter_mut().zip(registered) {
-        *avail &= reg;
-    }
-    // 0-lookahead: latency hints come from the previous epoch's channel
-    // realization (epoch 0 hints from its own), exactly like the runner.
-    let hint: EpochColumns =
-        if epoch == 0 { now.clone() } else { cols.epoch_columns(epoch - 1, &config.env, channel) };
-    scale_context(
-        cols,
-        &hint,
-        &now,
-        latency,
-        remaining_budget,
-        config.min_participants,
-        config.env.seed,
-    )
 }
 
 /// What a handled frame asks the connection loop to do next.
@@ -207,15 +174,13 @@ impl From<EngineError> for ServeError {
     }
 }
 
-/// The coordinator's full state: population columns, live registry, and
+/// The coordinator's full state: the population, the live registry, and
 /// the epoch engine (policy, ledger, epoch cursor, pending selection).
 /// One instance serves any number of sequential connections;
 /// [`Self::handle_frame`] is the entire event loop body.
 pub struct ServerState {
     config: ServeConfig,
-    channel: ChannelModel,
-    latency: LatencyModel,
-    cols: ClientColumns,
+    population: Population,
     engine: EpochEngine,
     registered: Vec<bool>,
     selections: usize,
@@ -226,9 +191,7 @@ pub struct ServerState {
 impl ServerState {
     /// A fresh server for `config`; nothing registered, epoch 0.
     pub fn new(config: ServeConfig, telemetry: Telemetry) -> Self {
-        let channel = ChannelModel::default();
-        let latency = config.latency_model();
-        let cols = ClientColumns::build(&config.env, &channel);
+        let population = Population::new(config.env.clone(), config.latency_model());
         let policy = config.policy.build(
             config.env.num_clients,
             config.budget,
@@ -247,17 +210,7 @@ impl ServerState {
                 ("policy", Value::from(config.policy.label())),
             ],
         );
-        Self {
-            config,
-            channel,
-            latency,
-            cols,
-            engine,
-            registered,
-            selections: 0,
-            telemetry,
-            checkpoint: None,
-        }
+        Self { config, population, engine, registered, selections: 0, telemetry, checkpoint: None }
     }
 
     /// Enables checkpointing: the full server state lands in `path`
@@ -350,6 +303,11 @@ impl ServerState {
     /// Cohort selections served so far.
     pub fn selections(&self) -> usize {
         self.selections
+    }
+
+    /// Epochs this server has realized ([`Population::realizations`]).
+    pub fn realizations(&self) -> usize {
+        self.population.realizations()
     }
 
     /// Handles one raw frame: decode, dispatch, encode the reply.
@@ -551,14 +509,12 @@ impl ServerState {
         }
         let mut span = self.telemetry.span_in("serve.select", trace.to_context());
         span.field("epoch", Value::from(epoch));
-        let ctx = context_for_epoch(
-            &self.cols,
-            &self.config,
-            &self.channel,
-            &self.latency,
-            &self.registered,
-            self.engine.remaining(),
+        let ctx = context_at(
+            &mut self.population,
             epoch,
+            Some(&self.registered),
+            self.engine.remaining(),
+            self.config.min_participants,
         );
         let available = ctx.as_ref().map_or(0, |ctx| ctx.available.len());
         let selected =

@@ -176,8 +176,7 @@ impl FrameTransport for DuplexTransport {
 /// Lock-step transport that dispatches every sent frame straight into a
 /// [`ServerState`] and queues the reply for the next `recv` — the full
 /// encode → envelope-verify → decode → handle path with no sockets or
-/// threads. The bench `serve/select_1k` kernel and the determinism
-/// tests run the load generator over this.
+/// threads. The determinism tests run the load generator over this.
 pub struct InProcessTransport<'a> {
     server: &'a mut ServerState,
     replies: VecDeque<Vec<u8>>,

@@ -46,6 +46,7 @@ fn killed_and_restarted_server_is_bit_identical() {
     let full = drive(&mut uninterrupted, &config, 0, 12);
     assert_eq!(full.len(), 12);
     assert!(full.iter().all(|r| !r.cohort.is_empty()), "50 clients: every epoch selects");
+    assert_eq!(uninterrupted.realizations(), 12, "one realization per served epoch");
 
     // Interrupted run: 6 epochs, checkpointing every 2, then the server
     // is dropped (killed) and a new process-equivalent resumes.
@@ -59,6 +60,9 @@ fn killed_and_restarted_server_is_bit_identical() {
         .with_checkpoint(&ckpt, 2);
     assert_eq!(resumed.next_epoch(), 6, "checkpoint-every 2 lands exactly on epoch 6");
     let half2 = drive(&mut resumed, &config, 6, 6);
+    // The window is not checkpointed: a resume re-realizes its hint
+    // epoch (5), once, then one epoch per epoch.
+    assert_eq!(resumed.realizations(), 6 + 1);
 
     let mut stitched = half1;
     stitched.extend(half2);

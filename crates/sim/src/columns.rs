@@ -10,22 +10,19 @@
 //! 10⁶ clients a handful of contiguous passes.
 //!
 //! Determinism contract: [`ClientColumns::build`] consumes the shared
-//! population RNG stream in exactly the order
-//! [`ClientProfile::build_population`](crate::ClientProfile::build_population) does, and
-//! [`ClientColumns::epoch_columns`] replays per-client draws in exactly
-//! the order [`ClientProfile::epoch_view`](crate::ClientProfile::epoch_view) does — the scalar methods are
-//! retained as the reference path, and `tests/columnar_parity.rs` in
-//! `fedl-core` holds the two bit-identical. Within an epoch every
-//! client's draws are seeded independently (`rng_for(seed_k, tag)`), so
-//! realization order — and therefore sharding — cannot change a single
-//! bit of the result.
+//! population RNG stream client by client, and
+//! [`ClientColumns::epoch_columns`] draws each client's epoch from its
+//! own stream (`rng_for(seed_k, tag)`), so realization order — and
+//! therefore sharding — cannot change a single bit of the result. The
+//! scalar per-client realization this replaced lives on as a test oracle
+//! (`tests/oracle`), held bit-identical by `tests/columnar_parity.rs`
+//! here and in `fedl-core`.
 
 use fedl_data::stream::arrival_count;
 use fedl_linalg::par::par_zip_chunks_grained;
 use fedl_linalg::rng::{derive_seed, rng_for, Rng};
 use fedl_net::{ChannelModel, ClientRadio};
 
-use crate::client::EpochClientView;
 use crate::config::{AvailabilityModel, EnvConfig};
 
 /// Realization grain: populations at most this large are realized
@@ -34,9 +31,8 @@ use crate::config::{AvailabilityModel, EnvConfig};
 /// independently seeded, so the split never affects values.
 const REALIZE_CHUNK: usize = 16 * 1024;
 
-/// Reusable staging buffer for the `*_into` epoch-realization paths
-/// ([`ClientColumns::epoch_columns_into`] /
-/// [`ClientColumns::epoch_columns_partial_into`]): one
+/// Reusable staging buffer of
+/// [`ClientColumns::epoch_columns_partial_into`]: one
 /// `(available, cost, gain, data_volume)` row per shard client, written
 /// in parallel and then scattered into the column vectors. Holding it
 /// outside the call lets a steady-state epoch loop realize the time
@@ -95,10 +91,8 @@ impl ClientColumns {
     /// Draws the population columns from the environment config.
     ///
     /// Consumes the shared population RNG (`rng_for(config.seed,
-    /// 0xC11E)`) with exactly the per-client draw order of
-    /// [`ClientProfile::build_population`](crate::ClientProfile::build_population), so a columnar population and
-    /// a profile population built from the same config are the same
-    /// population.
+    /// 0xC11E)`) client by client: placement, base gain, cycles/bit, CPU
+    /// frequency, arrival rate.
     pub fn build(config: &EnvConfig, channel: &ChannelModel) -> Self {
         let m = config.num_clients;
         let mut cols = ClientColumns {
@@ -140,78 +134,46 @@ impl ClientColumns {
 
     /// Realizes epoch `t` for the whole population as columns.
     ///
-    /// Per-client draws replay [`ClientProfile::epoch_view`](crate::ClientProfile::epoch_view)'s stream
-    /// (`rng_for(seed_k, 0xE90C ^ t)`: availability, cost, then gain)
-    /// bit-for-bit; data volumes come from
+    /// Each client draws from `rng_for(seed_k, 0xE90C ^ t)`:
+    /// availability, cost, then gain; data volumes come from
     /// [`fedl_data::stream::arrival_count`], which equals the
-    /// materialized arrival batch length. Clients are realized in
-    /// parallel over contiguous id chunks — each client's stream is
-    /// independently seeded, so the fan-out cannot perturb values.
+    /// materialized arrival batch length. This is the one-shot form of
+    /// [`epoch_columns_partial_into`](Self::epoch_columns_partial_into);
+    /// epoch loops hold a [`Population`](crate::Population) instead.
     pub fn epoch_columns(
         &self,
         epoch: usize,
         config: &EnvConfig,
         channel: &ChannelModel,
     ) -> EpochColumns {
-        self.epoch_columns_partial(epoch, config, channel, 0..self.len())
-    }
-
-    /// [`epoch_columns`](Self::epoch_columns) into caller-owned buffers:
-    /// `out`'s columns are resized and overwritten in place. Once
-    /// `scratch` and `out` are warm (one prior call at this population
-    /// size), a steady-state epoch loop allocates nothing per epoch —
-    /// this is the hot path of the serve/dist planes and the scale-tier
-    /// bench kernels. Bit-identical to the owned variant at any thread
-    /// count.
-    pub fn epoch_columns_into(
-        &self,
-        epoch: usize,
-        config: &EnvConfig,
-        channel: &ChannelModel,
-        scratch: &mut EpochRealizeScratch,
-        out: &mut EpochColumns,
-    ) {
-        self.epoch_columns_partial_into(epoch, config, channel, 0..self.len(), scratch, out);
-    }
-
-    /// Realizes epoch `t` for the contiguous id range `shard` only —
-    /// the per-worker realization path of `fedl-dist`.
-    ///
-    /// Columns come back full-length (so downstream kernels keep global
-    /// indexing), with rows outside `shard` left at their inert defaults
-    /// (`available = false`, zero cost/gain/volume). Because every
-    /// client's draws are independently seeded, the rows inside `shard`
-    /// are bit-identical to the same rows of a full
-    /// [`epoch_columns`](Self::epoch_columns) realization — this is the
-    /// invariant that makes shard boundaries invisible in distributed
-    /// runs, pinned by `partial_realization_matches_full_rows` below.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of bounds or reversed.
-    pub fn epoch_columns_partial(
-        &self,
-        epoch: usize,
-        config: &EnvConfig,
-        channel: &ChannelModel,
-        shard: std::ops::Range<usize>,
-    ) -> EpochColumns {
         let mut out = EpochColumns::default();
         self.epoch_columns_partial_into(
             epoch,
             config,
             channel,
-            shard,
+            0..self.len(),
             &mut EpochRealizeScratch::new(),
             &mut out,
         );
         out
     }
 
-    /// [`epoch_columns_partial`](Self::epoch_columns_partial) into
-    /// caller-owned buffers (see
-    /// [`epoch_columns_into`](Self::epoch_columns_into) for the
-    /// allocation contract). Rows outside `shard` are reset to their
-    /// inert defaults on every call.
+    /// Realizes epoch `t` for the contiguous id range `shard` only, into
+    /// caller-owned buffers: `out`'s columns are resized and overwritten
+    /// in place, so once `scratch` and `out` are warm (one prior call at
+    /// this population size) a steady-state epoch loop allocates nothing.
+    ///
+    /// Columns come back full-length (so downstream kernels keep global
+    /// indexing), with rows outside `shard` reset to their inert defaults
+    /// (`available = false`, zero cost/gain/volume) on every call.
+    /// Clients are realized in parallel over contiguous id chunks;
+    /// because every client's draws are independently seeded, neither the
+    /// fan-out nor the shard boundary can perturb a value: the rows
+    /// inside `shard` are bit-identical to the same rows of a full
+    /// [`epoch_columns`](Self::epoch_columns) realization at any thread
+    /// count — the invariant that makes shard boundaries invisible in
+    /// distributed runs, pinned by `partial_realization_matches_full_rows`
+    /// below.
     ///
     /// # Panics
     /// Panics if `shard` is out of bounds or reversed.
@@ -265,7 +227,7 @@ impl ClientColumns {
     }
 
     /// One client's epoch draws (`rng_for(seed_k, 0xE90C ^ t)`:
-    /// availability, cost, then gain — the `epoch_view` stream order).
+    /// availability, cost, then gain).
     fn realize_client(
         &self,
         k: usize,
@@ -301,6 +263,24 @@ impl ClientColumns {
     }
 }
 
+/// What the time axis does to a client at one epoch, as a row: the
+/// realized availability, rental cost, channel, and data volume
+/// ([`EpochColumns::views`]).
+#[derive(Debug, Clone)]
+pub struct EpochClientView {
+    /// Client id.
+    pub id: usize,
+    /// Whether the client is reachable this epoch (Bernoulli, §6.1).
+    pub available: bool,
+    /// Rental cost `c_{t,k}` (uniform in the configured range).
+    pub cost: f64,
+    /// This epoch's radio state (shadowing re-drawn when the channel is
+    /// time-varying).
+    pub radio: ClientRadio,
+    /// Data volume `D_{t,k}` (number of freshly arrived samples).
+    pub data_volume: usize,
+}
+
 /// One epoch's realization of the time axis for the whole population,
 /// as parallel columns aligned with [`ClientColumns`]. The `Default`
 /// value is an empty realization — a valid `*_into` target whose
@@ -325,19 +305,25 @@ impl EpochColumns {
         (0..self.available.len()).filter(|&k| self.available[k]).collect()
     }
 
-    /// Materializes the row-oriented views (the pre-columnar interface;
-    /// the training loop and latency model still consume rows).
+    /// Client `k`'s radio state this epoch.
+    pub fn radio(&self, cols: &ClientColumns, k: usize) -> ClientRadio {
+        ClientRadio {
+            distance_m: cols.distance_m[k],
+            tx_power_dbm: cols.tx_power_dbm,
+            gain: self.gain[k],
+        }
+    }
+
+    /// Materializes the row-oriented views — for inspection (examples,
+    /// hand-built contexts in tests and the benchmark); no epoch loop
+    /// consumes rows.
     pub fn views(&self, cols: &ClientColumns) -> Vec<EpochClientView> {
         (0..self.available.len())
             .map(|k| EpochClientView {
                 id: k,
                 available: self.available[k],
                 cost: self.cost[k],
-                radio: ClientRadio {
-                    distance_m: cols.distance_m[k],
-                    tx_power_dbm: cols.tx_power_dbm,
-                    gain: self.gain[k],
-                },
+                radio: self.radio(cols, k),
                 data_volume: self.data_volume[k] as usize,
             })
             .collect()
@@ -347,75 +333,105 @@ impl EpochColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientProfile;
 
     fn setup(n: usize, seed: u64) -> (EnvConfig, ChannelModel) {
         (EnvConfig::small(n, seed), ChannelModel::default())
     }
 
     #[test]
-    fn columns_match_profile_population() {
-        let (config, channel) = setup(40, 11);
+    fn clients_are_heterogeneous() {
+        let (config, channel) = setup(20, 2);
         let cols = ClientColumns::build(&config, &channel);
-        let pools = (0..40).map(|k| vec![k]).collect();
-        let profiles = ClientProfile::build_population(&config, &channel, pools);
-        assert_eq!(cols.len(), profiles.len());
-        for (k, p) in profiles.iter().enumerate() {
-            assert_eq!(cols.distance_m[k].to_bits(), p.distance_m.to_bits());
-            assert_eq!(cols.base_gain[k].to_bits(), p.base_gain.to_bits());
-            assert_eq!(cols.cycles_per_bit[k].to_bits(), p.compute.cycles_per_bit.to_bits());
-            assert_eq!(cols.cpu_hz[k].to_bits(), p.compute.cpu_hz.to_bits());
-            assert_eq!(cols.seed[k], p.seed);
-        }
+        assert!(cols.distance_m.iter().any(|d| (d - cols.distance_m[0]).abs() > 1.0));
+        assert!(cols.cycles_per_bit.iter().any(|e| (e - cols.cycles_per_bit[0]).abs() > 1.0));
     }
 
     #[test]
-    fn epoch_columns_match_scalar_views() {
-        let (config, channel) = setup(60, 12);
+    fn realization_is_deterministic_and_time_varying() {
+        let (config, channel) = setup(5, 3);
         let cols = ClientColumns::build(&config, &channel);
-        let pools = (0..60).map(|k| vec![k]).collect();
-        let profiles = ClientProfile::build_population(&config, &channel, pools);
-        for epoch in [0usize, 1, 7, 33] {
-            let ec = cols.epoch_columns(epoch, &config, &channel);
-            let views = ec.views(&cols);
-            for p in &profiles {
-                let v = p.epoch_view(epoch, &config, &channel);
-                let w = &views[p.id];
-                assert_eq!(v.available, w.available);
-                assert_eq!(v.cost.to_bits(), w.cost.to_bits());
-                assert_eq!(v.radio.gain.to_bits(), w.radio.gain.to_bits());
-                assert_eq!(v.data_volume, w.data_volume);
-            }
-        }
+        let a = cols.epoch_columns(7, &config, &channel);
+        let b = cols.epoch_columns(7, &config, &channel);
+        assert_eq!(a.cost, b.cost);
+        assert_eq!(a.available, b.available);
+        assert_eq!(a.gain, b.gain);
+        let c = cols.epoch_columns(8, &config, &channel);
+        assert_ne!(a.cost[0], c.cost[0]);
     }
 
     #[test]
-    fn epoch_columns_match_under_markov_and_frozen_channel() {
-        let (mut config, channel) = setup(25, 13);
-        config.availability =
-            crate::config::AvailabilityModel::Markov { p_stay_on: 0.9, p_stay_off: 0.8 };
+    fn availability_rate_close_to_p() {
+        let (config, channel) = setup(10, 5);
+        let cols = ClientColumns::build(&config, &channel);
+        let avail: usize =
+            (0..200).map(|t| cols.epoch_columns(t, &config, &channel).available_ids().len()).sum();
+        let rate = avail as f64 / (200 * cols.len()) as f64;
+        assert!((rate - config.p_available).abs() < 0.05, "rate {rate}");
+    }
+
+    #[test]
+    fn frozen_channel_when_not_time_varying() {
+        let (mut config, channel) = setup(3, 6);
         config.time_varying_channel = false;
         let cols = ClientColumns::build(&config, &channel);
-        let pools = (0..25).map(|k| vec![k]).collect();
-        let profiles = ClientProfile::build_population(&config, &channel, pools);
-        for epoch in [0usize, 5, 19] {
-            let ec = cols.epoch_columns(epoch, &config, &channel);
-            for p in &profiles {
-                let v = p.epoch_view(epoch, &config, &channel);
-                assert_eq!(v.available, ec.available[p.id], "epoch {epoch} client {}", p.id);
-                assert_eq!(v.radio.gain.to_bits(), ec.gain[p.id].to_bits());
-            }
-        }
+        let a = cols.epoch_columns(0, &config, &channel);
+        let b = cols.epoch_columns(9, &config, &channel);
+        assert_eq!(a.gain, b.gain);
+        assert_eq!(a.gain, cols.base_gain);
+    }
+
+    #[test]
+    fn markov_availability_is_deterministic_and_bursty() {
+        let (mut config, channel) = setup(6, 9);
+        config.availability = AvailabilityModel::Markov { p_stay_on: 0.95, p_stay_off: 0.95 };
+        let cols = ClientColumns::build(&config, &channel);
+        let at = |t: usize| cols.epoch_columns(t, &config, &channel).available;
+        // Deterministic across queries, including out-of-order ones.
+        let (late, early) = (at(30), at(5));
+        assert_eq!(at(30), late);
+        assert_eq!(at(5), early);
+        // Bursty: with sticky transitions, consecutive epochs agree far
+        // more often than independent Bernoulli draws would.
+        let path: Vec<Vec<bool>> = (0..80).map(at).collect();
+        let same: usize = path
+            .windows(2)
+            .map(|w| w[0].iter().zip(&w[1]).filter(|(prev, cur)| prev == cur).count())
+            .sum();
+        let agreement = same as f64 / (79 * cols.len()) as f64;
+        assert!(agreement > 0.85, "Markov chain not sticky: agreement {agreement}");
+    }
+
+    #[test]
+    fn markov_and_bernoulli_share_cost_streams() {
+        // Switching the availability model must not perturb the cost or
+        // channel sample paths (everything else stays comparable).
+        let (mut config, channel) = setup(4, 10);
+        let cols = ClientColumns::build(&config, &channel);
+        let bern = cols.epoch_columns(7, &config, &channel);
+        config.availability = AvailabilityModel::Markov { p_stay_on: 0.9, p_stay_off: 0.7 };
+        let markov = cols.epoch_columns(7, &config, &channel);
+        assert_eq!(bern.cost, markov.cost);
+        assert_eq!(bern.gain, markov.gain);
+        assert_eq!(bern.data_volume, markov.data_volume);
     }
 
     #[test]
     fn partial_realization_matches_full_rows() {
         let (config, channel) = setup(90, 15);
         let cols = ClientColumns::build(&config, &channel);
+        let mut scratch = EpochRealizeScratch::new();
+        let mut part = EpochColumns::default();
         for epoch in [0usize, 4, 21] {
             let full = cols.epoch_columns(epoch, &config, &channel);
             for shard in [0..30usize, 30..61, 61..90, 0..90, 45..45] {
-                let part = cols.epoch_columns_partial(epoch, &config, &channel, shard.clone());
+                cols.epoch_columns_partial_into(
+                    epoch,
+                    &config,
+                    &channel,
+                    shard.clone(),
+                    &mut scratch,
+                    &mut part,
+                );
                 assert_eq!(part.available.len(), 90);
                 for k in 0..90 {
                     if shard.contains(&k) {
@@ -425,37 +441,11 @@ mod tests {
                         assert_eq!(part.data_volume[k], full.data_volume[k]);
                     } else {
                         assert!(!part.available[k], "row {k} outside {shard:?} must be inert");
+                        assert_eq!(part.cost[k], 0.0, "row {k} outside {shard:?} must be reset");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn into_realization_matches_fresh_and_reuses_buffers() {
-        let (config, channel) = setup(70, 16);
-        let cols = ClientColumns::build(&config, &channel);
-        let mut scratch = EpochRealizeScratch::new();
-        let mut out = EpochColumns::default();
-        cols.epoch_columns_into(0, &config, &channel, &mut scratch, &mut out);
-        let ptr = out.cost.as_ptr();
-        for epoch in [1usize, 2, 9] {
-            cols.epoch_columns_into(epoch, &config, &channel, &mut scratch, &mut out);
-            let fresh = cols.epoch_columns(epoch, &config, &channel);
-            assert_eq!(out.epoch, fresh.epoch);
-            assert_eq!(out.available, fresh.available);
-            for k in 0..cols.len() {
-                assert_eq!(out.cost[k].to_bits(), fresh.cost[k].to_bits(), "epoch {epoch} k {k}");
-                assert_eq!(out.gain[k].to_bits(), fresh.gain[k].to_bits());
-                assert_eq!(out.data_volume[k], fresh.data_volume[k]);
-            }
-            assert_eq!(out.cost.as_ptr(), ptr, "steady state must reuse the column buffers");
-        }
-        // A partial refill resets the rows outside the shard.
-        cols.epoch_columns_partial_into(3, &config, &channel, 10..20, &mut scratch, &mut out);
-        let part = cols.epoch_columns_partial(3, &config, &channel, 10..20);
-        assert_eq!(out.available, part.available);
-        assert!(out.cost[..10].iter().chain(&out.cost[20..]).all(|&c| c == 0.0));
     }
 
     #[test]

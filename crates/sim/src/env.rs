@@ -7,17 +7,18 @@
 //! so two policies evaluated on the same seed face *identical* client
 //! availability, costs, data arrivals, and channels.
 
+use fedl_data::stream::OnlineStream;
 use fedl_data::{Dataset, Partition};
 use fedl_json::{ToJson, Value};
 use fedl_ml::dane::DaneConfig;
 use fedl_ml::metrics;
 use fedl_ml::model::Model;
-use fedl_net::{ChannelModel, ClientRadio, ComputeProfile, LatencyModel};
+use fedl_net::{ClientRadio, LatencyModel};
 use fedl_telemetry::Telemetry;
 
-use crate::client::{ClientProfile, EpochClientView};
-use crate::columns::{ClientColumns, EpochColumns};
+use crate::columns::{ClientColumns, EpochClientView, EpochColumns};
 use crate::config::EnvConfig;
+use crate::population::{nominal_latency, nominal_split, Population};
 use crate::server::FederatedServer;
 
 /// Outcome of running one epoch (everything FedL's online update needs,
@@ -59,17 +60,76 @@ pub struct EpochReport {
     pub failed: Vec<usize>,
 }
 
-/// A simulated federated edge-learning deployment.
+/// A simulated federated edge-learning deployment: the [`Population`],
+/// each client's online data stream over the partitioned training set,
+/// and the server holding the global model.
 pub struct EdgeEnvironment {
-    config: EnvConfig,
-    channel: ChannelModel,
-    latency: LatencyModel,
-    columns: ClientColumns,
-    clients: Vec<ClientProfile>,
+    population: Population,
+    /// Client `k`'s data source (partition pool + Poisson arrivals).
+    streams: Vec<OnlineStream>,
     train: Dataset,
     test: Dataset,
     server: FederatedServer,
     telemetry: Telemetry,
+}
+
+/// One online stream per client over its partition pool, arriving at the
+/// client's rate `λ_k` from the client's own seed.
+///
+/// # Panics
+/// Panics if `pools.len()` differs from the population size or any pool
+/// is empty (every paper client owns data).
+fn build_streams(cols: &ClientColumns, pools: Vec<Vec<usize>>) -> Vec<OnlineStream> {
+    assert_eq!(pools.len(), cols.len(), "one partition pool per client");
+    pools
+        .into_iter()
+        .enumerate()
+        .map(|(id, pool)| {
+            assert!(!pool.is_empty(), "client {id} has an empty data pool");
+            OnlineStream::new(pool, cols.lambda[id], cols.seed[id])
+        })
+        .collect()
+}
+
+/// Realized per-iteration latency `τ^loc + τ^cm` of each listed client
+/// in `now`, the FDMA band shared among exactly those clients: equally,
+/// or by the min-makespan allocator under `optimal_bandwidth`.
+fn cohort_latency(
+    config: &EnvConfig,
+    cols: &ClientColumns,
+    now: &EpochColumns,
+    latency: &LatencyModel,
+    ids: &[usize],
+) -> Vec<f64> {
+    if ids.is_empty() {
+        return Vec::new();
+    }
+    if !config.optimal_bandwidth {
+        return nominal_latency(cols, now, latency, ids.len(), ids);
+    }
+    let radios: Vec<ClientRadio> = ids.iter().map(|&k| now.radio(cols, k)).collect();
+    let radios: Vec<&ClientRadio> = radios.iter().collect();
+    // τ^loc from the one arithmetic; its equal-share τ^cm is what the
+    // allocator replaces.
+    let compute_secs: Vec<f64> = nominal_split(cols, now, latency, ids.len(), ids)
+        .iter()
+        .map(|split| split.compute_secs)
+        .collect();
+    let n0 = fedl_net::dbm_to_watts(latency.noise_dbm_per_hz);
+    let alloc = fedl_net::min_makespan(
+        &radios,
+        &compute_secs,
+        latency.upload_bits,
+        latency.bandwidth_hz,
+        n0,
+    )
+    .expect("non-empty cohort");
+    radios
+        .iter()
+        .zip(&compute_secs)
+        .zip(&alloc.bandwidth_hz)
+        .map(|((r, &t), &b)| t + latency.upload_bits / fedl_net::rate_bps(r, b, n0))
+        .collect()
 }
 
 impl EdgeEnvironment {
@@ -86,31 +146,12 @@ impl EdgeEnvironment {
     ) -> Self {
         config.validate();
         assert_eq!(model.input_dim(), train.dim(), "model/dataset dimension mismatch");
-        let channel = ChannelModel::default();
         let pools = partition.split(&train, config.num_clients, config.seed);
-        // The columnar store is the authoritative population; the
-        // row-oriented profiles are materialized from it for the
-        // training loop (docs/SCALE.md).
-        let columns = ClientColumns::build(&config, &channel);
-        let clients = ClientProfile::from_columns(&columns, pools);
-        let latency = LatencyModel {
-            bandwidth_hz: 20e6,
-            noise_dbm_per_hz: -174.0,
-            upload_bits: config.upload_bits,
-            bits_per_sample: train.dim() as f64 * 8.0,
-        };
         let server = FederatedServer::new(model, dane, config.seed);
-        Self {
-            config,
-            channel,
-            latency,
-            columns,
-            clients,
-            train,
-            test,
-            server,
-            telemetry: Telemetry::disabled(),
-        }
+        let latency = LatencyModel::paper_defaults(config.upload_bits, train.dim() as f64 * 8.0);
+        let population = Population::new(config, latency);
+        let streams = build_streams(population.columns(), pools);
+        Self { population, streams, train, test, server, telemetry: Telemetry::disabled() }
     }
 
     /// Routes the environment's (and its server's) observability through
@@ -124,17 +165,12 @@ impl EdgeEnvironment {
 
     /// The environment configuration.
     pub fn config(&self) -> &EnvConfig {
-        &self.config
+        self.population.config()
     }
 
     /// Number of clients `M`.
     pub fn num_clients(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// The client profiles.
-    pub fn clients(&self) -> &[ClientProfile] {
-        &self.clients
+        self.population.num_clients()
     }
 
     /// Read access to the global model.
@@ -154,93 +190,46 @@ impl EdgeEnvironment {
         &mut self.server
     }
 
-    /// The columnar population store (docs/SCALE.md).
-    pub fn columns(&self) -> &ClientColumns {
-        &self.columns
+    /// The client population: static columns, latency model, and the
+    /// realized-epoch window [`Self::run_epoch`] reads.
+    pub fn population(&self) -> &Population {
+        &self.population
     }
 
-    /// The latency model behind every latency this environment reports.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    /// Realizes epoch `t` for the whole population as columns — the
-    /// scale path: dense parallel kernel passes, no per-client structs.
-    /// Deterministic in the environment seed and bit-identical to
-    /// realizing each client through [`ClientProfile::epoch_view`].
-    pub fn epoch_columns(&self, epoch: usize) -> EpochColumns {
-        self.columns.epoch_columns(epoch, &self.config, &self.channel)
+    /// The population, to [`Population::advance`] it — the runner builds
+    /// each epoch's context from the same window the epoch then trains on.
+    pub fn population_mut(&mut self) -> &mut Population {
+        &mut self.population
     }
 
     /// Everything the time axis does to every client at epoch `t`
-    /// (availability, cost, channel, data volume). Deterministic in the
-    /// environment seed. Realized through the columnar path.
+    /// (availability, cost, channel, data volume), as rows. Deterministic
+    /// in the environment seed. A one-shot realization, like the three
+    /// below: inspection through `&self` that leaves the window alone.
     pub fn views(&self, epoch: usize) -> Vec<EpochClientView> {
-        self.epoch_columns(epoch).views(&self.columns)
+        self.population.realize(epoch).views(self.population.columns())
     }
 
     /// Ids of the clients available at epoch `t` (`E_t`).
     pub fn available(&self, epoch: usize) -> Vec<usize> {
-        self.views(epoch).into_iter().filter(|v| v.available).map(|v| v.id).collect()
+        self.population.realize(epoch).available_ids()
     }
 
     /// Realized per-iteration latency `τ^loc + τ^cm` of each listed
-    /// client at epoch `t`, under equal FDMA sharing among exactly those
-    /// clients. Policies use the *previous* epoch's values (0-lookahead);
-    /// the environment also uses this for the current epoch's outcome.
+    /// client at epoch `t`, under FDMA sharing among exactly those
+    /// clients — what [`Self::run_epoch`] reports for its cohort.
     pub fn per_iteration_latency(&self, epoch: usize, ids: &[usize]) -> Vec<f64> {
-        let views = self.views(epoch);
-        let radios: Vec<&ClientRadio> = ids.iter().map(|&k| &views[k].radio).collect();
-        let computes: Vec<&ComputeProfile> =
-            ids.iter().map(|&k| &self.clients[k].compute).collect();
-        let samples: Vec<usize> = ids.iter().map(|&k| views[k].data_volume).collect();
-        if self.config.optimal_bandwidth && !ids.is_empty() {
-            let compute_secs: Vec<f64> = computes
-                .iter()
-                .zip(&samples)
-                .map(|(c, &n)| c.local_update_secs(n as f64 * self.latency.bits_per_sample))
-                .collect();
-            let n0 = fedl_net::dbm_to_watts(self.latency.noise_dbm_per_hz);
-            let alloc = fedl_net::min_makespan(
-                &radios,
-                &compute_secs,
-                self.latency.upload_bits,
-                self.latency.bandwidth_hz,
-                n0,
-            )
-            .expect("non-empty cohort");
-            return radios
-                .iter()
-                .zip(&compute_secs)
-                .zip(&alloc.bandwidth_hz)
-                .map(|((r, &t), &b)| t + self.latency.upload_bits / fedl_net::rate_bps(r, b, n0))
-                .collect();
-        }
-        self.latency.per_iteration_secs(&radios, &computes, &samples)
+        let p = &self.population;
+        cohort_latency(p.config(), p.columns(), &p.realize(epoch), p.latency_model(), ids)
     }
 
     /// Per-iteration latency of each listed client at epoch `t` assuming
-    /// a *nominal* FDMA share of `B / share_count` each, independent of
-    /// how many clients are listed. Policies use this as a comparable
-    /// per-client latency estimate (e.g. "how slow would k be in a
-    /// cohort of n?") without coupling the estimates through the
-    /// cohort-size-dependent bandwidth split.
+    /// a *nominal* FDMA share of `B / share_count` each
+    /// ([`nominal_latency`]). Policies see the *previous* epoch's values
+    /// (0-lookahead).
     pub fn latency_with_share(&self, epoch: usize, ids: &[usize], share_count: usize) -> Vec<f64> {
-        assert!(share_count > 0, "share count must be positive");
-        let views = self.views(epoch);
-        let share_model = LatencyModel {
-            bandwidth_hz: self.latency.bandwidth_hz / share_count as f64,
-            ..self.latency
-        };
-        ids.iter()
-            .map(|&k| {
-                share_model.per_iteration_secs(
-                    &[&views[k].radio],
-                    &[&self.clients[k].compute],
-                    &[views[k].data_volume],
-                )[0]
-            })
-            .collect()
+        let p = &self.population;
+        nominal_latency(p.columns(), &p.realize(epoch), p.latency_model(), share_count, ids)
     }
 
     /// Runs epoch `t` with the given cohort for `iterations` global
@@ -268,12 +257,13 @@ impl EdgeEnvironment {
     ) -> EpochReport {
         assert!(!cohort.is_empty(), "epoch with empty cohort");
         assert!(iterations > 0, "epoch needs at least one iteration");
-        let views = self.views(epoch);
+        let lent = self.population.advance(epoch);
+        let (config, cols, now) = (lent.config, lent.cols, lent.now);
         for &k in cohort {
-            assert!(k < self.clients.len(), "unknown client {k}");
-            assert!(views[k].available, "client {k} is unavailable at epoch {epoch}");
+            assert!(k < cols.len(), "unknown client {k}");
+            assert!(now.available[k], "client {k} is unavailable at epoch {epoch}");
         }
-        let available: Vec<usize> = views.iter().filter(|v| v.available).map(|v| v.id).collect();
+        let available = now.available_ids();
 
         // Mid-epoch failures: each selected client independently drops
         // out with probability p_dropout. At least one client survives
@@ -282,15 +272,15 @@ impl EdgeEnvironment {
         let full_cohort = cohort;
         let mut failed = Vec::new();
         let mut cohort: Vec<usize> = Vec::with_capacity(full_cohort.len());
-        if self.config.p_dropout > 0.0 {
+        if config.p_dropout > 0.0 {
             use fedl_linalg::rng::Rng;
             for &k in full_cohort {
                 let label = (epoch as u64) << 32 | k as u64;
                 let mut rng = fedl_linalg::rng::rng_for(
-                    fedl_linalg::rng::derive_seed(self.config.seed, 0xDEAD),
+                    fedl_linalg::rng::derive_seed(config.seed, 0xDEAD),
                     label,
                 );
-                if rng.gen::<f64>() < self.config.p_dropout {
+                if rng.gen::<f64>() < config.p_dropout {
                     failed.push(k);
                 } else {
                     cohort.push(k);
@@ -308,7 +298,7 @@ impl EdgeEnvironment {
         // Materialize each cohort client's epoch working set once.
         let cohort_data: Vec<(usize, Dataset)> = cohort
             .iter()
-            .map(|&k| (k, self.clients[k].stream.epoch_dataset(&self.train, epoch)))
+            .map(|&k| (k, self.streams[k].epoch_dataset(&self.train, epoch)))
             .collect();
         let cohort_refs: Vec<(usize, &Dataset)> =
             cohort_data.iter().map(|(k, d)| (*k, d)).collect();
@@ -324,7 +314,7 @@ impl EdgeEnvironment {
             let stats = self.server.run_iteration_in(
                 &cohort_refs,
                 available.len(),
-                self.config.aggregation,
+                config.aggregation,
                 epoch,
                 it,
                 Some(&train_span),
@@ -343,21 +333,19 @@ impl EdgeEnvironment {
         let j = self.server.j_agg();
         let grad_dot_delta: Vec<f32> = last_deltas.iter().map(|d| j.dot(d)).collect();
 
-        // Latency and cost are realized from the same epoch views.
+        // Latency and cost are realized from the same epoch columns.
         // Rent is owed for the *full* selection (failures happen after
         // commitment); time is gated by the surviving stragglers.
-        let per_client_iter_latency = self.per_iteration_latency(epoch, cohort);
+        let per_client_iter_latency = cohort_latency(config, cols, now, lent.latency, cohort);
         let latency_secs =
             per_client_iter_latency.iter().copied().fold(0.0f64, f64::max) * iterations as f64;
-        let cost: f64 = full_cohort.iter().map(|&k| views[k].cost).sum();
+        let cost: f64 = full_cohort.iter().map(|&k| now.cost[k]).sum();
 
         // Global losses at the epoch-final model.
         let global_loss_selected =
             weighted_loss(self.server.model(), cohort_data.iter().map(|(_, d)| d));
-        let all_data: Vec<Dataset> = available
-            .iter()
-            .map(|&k| self.clients[k].stream.epoch_dataset(&self.train, epoch))
-            .collect();
+        let all_data: Vec<Dataset> =
+            available.iter().map(|&k| self.streams[k].epoch_dataset(&self.train, epoch)).collect();
         let global_loss_all = weighted_loss(self.server.model(), all_data.iter());
 
         if self.telemetry.enabled() {
@@ -365,17 +353,13 @@ impl EdgeEnvironment {
             // selection (failures happen after commitment), so `charged`
             // lists every rented client, survivor or not.
             let charged: Vec<usize> = full_cohort.to_vec();
-            let per_client_cost: Vec<f64> = full_cohort.iter().map(|&k| views[k].cost).collect();
+            let per_client_cost: Vec<f64> = full_cohort.iter().map(|&k| now.cost[k]).collect();
             // Phase split of the realized latencies (equal-share FDMA
             // only; the min-makespan allocator interleaves the phases).
-            let splits = if self.config.optimal_bandwidth {
+            let splits = if config.optimal_bandwidth {
                 Vec::new()
             } else {
-                let radios: Vec<&ClientRadio> = cohort.iter().map(|&k| &views[k].radio).collect();
-                let computes: Vec<&ComputeProfile> =
-                    cohort.iter().map(|&k| &self.clients[k].compute).collect();
-                let samples: Vec<usize> = cohort.iter().map(|&k| views[k].data_volume).collect();
-                self.latency.per_iteration_split(&radios, &computes, &samples)
+                nominal_split(cols, now, lent.latency, cohort.len(), cohort)
             };
             let compute_split: Vec<f64> = splits.iter().map(|s| s.compute_secs).collect();
             let upload_split: Vec<f64> = splits.iter().map(|s| s.upload_secs).collect();
@@ -483,6 +467,20 @@ mod tests {
         assert_eq!(views.len(), 8);
         let avail = e.available(0);
         assert!(avail.iter().all(|&k| views[k].available));
+    }
+
+    #[test]
+    #[should_panic(expected = "one partition pool per client")]
+    fn pool_count_mismatch_rejected() {
+        let cols = ClientColumns::build(&EnvConfig::small(3, 0), &Default::default());
+        let _ = build_streams(&cols, vec![vec![0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "client 1 has an empty data pool")]
+    fn empty_pool_rejected() {
+        let cols = ClientColumns::build(&EnvConfig::small(2, 0), &Default::default());
+        let _ = build_streams(&cols, vec![vec![0], vec![]]);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!
 //! * [`config`] — [`EnvConfig`], all §6.1 constants in one place, plus
 //!   the [`ScaleTier`] scenario family (10k/100k/1M clients);
-//! * [`client`] — static per-client profiles and per-epoch realizations
-//!   (the retained scalar reference path);
-//! * [`columns`] — the columnar (struct-of-arrays) population store
-//!   behind the million-client scale-out (docs/SCALE.md);
+//! * [`columns`] — the columnar (struct-of-arrays) population store and
+//!   its per-epoch realization (docs/SCALE.md);
+//! * [`population`] — [`Population`], the one holder of columns, channel
+//!   and latency model that every driver of the epoch loop advances, and
+//!   the share-model latency arithmetic;
 //! * [`ledger`] — the long-term budget account of constraint (3a);
 //! * [`server`] — model aggregation (`w ← w + Σ d_k / norm`) and the
 //!   aggregated-gradient state `J`;
@@ -38,18 +39,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod client;
 pub mod columns;
 pub mod config;
 pub mod env;
 pub mod error;
 pub mod ledger;
+pub mod population;
 pub mod server;
 pub mod trace;
 
-pub use client::{ClientProfile, EpochClientView};
-pub use columns::{ClientColumns, EpochColumns, EpochRealizeScratch};
+pub use columns::{ClientColumns, EpochClientView, EpochColumns, EpochRealizeScratch};
 pub use config::{AggregationNorm, EnvConfig, ScaleTier};
 pub use env::{EdgeEnvironment, EpochReport};
 pub use error::SimError;
 pub use ledger::BudgetLedger;
+pub use population::{nominal_latency, nominal_split, Population, Realized};

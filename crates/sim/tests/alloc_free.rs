@@ -2,14 +2,15 @@
 //! realization — the per-epoch front door of the serve/dist planes and
 //! every scale-tier sweep. Once `EpochRealizeScratch` and the target
 //! `EpochColumns` are warmed at a population size, realizing further
-//! epochs (full or sharded) must not touch the heap.
+//! epochs (full or sharded) must not touch the heap; neither must a
+//! `Population` advancing its warm window.
 //!
 //! Kept to a single `#[test]` so no sibling test can allocate
 //! concurrently while the measured region runs.
 
 use fedl_linalg::alloc_counter::CountingAllocator;
-use fedl_net::ChannelModel;
-use fedl_sim::{ClientColumns, EnvConfig, EpochColumns, EpochRealizeScratch};
+use fedl_net::{ChannelModel, LatencyModel};
+use fedl_sim::{ClientColumns, EnvConfig, EpochColumns, EpochRealizeScratch, Population};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -41,11 +42,18 @@ fn epoch_realization_is_allocation_free_once_warm() {
     let mut scratch = EpochRealizeScratch::new();
     let mut out = EpochColumns::default();
     // Warm-up sizes the staging buffer and the four column vectors.
-    cols.epoch_columns_into(0, &config, &channel, &mut scratch, &mut out);
+    cols.epoch_columns_partial_into(0, &config, &channel, 0..128, &mut scratch, &mut out);
 
     assert_allocation_free("full epoch realization", || {
         for epoch in 1..=5usize {
-            cols.epoch_columns_into(epoch, &config, &channel, &mut scratch, &mut out);
+            cols.epoch_columns_partial_into(
+                epoch,
+                &config,
+                &channel,
+                0..128,
+                &mut scratch,
+                &mut out,
+            );
         }
     });
     assert_allocation_free("sharded epoch realization", || {
@@ -64,4 +72,22 @@ fn epoch_realization_is_allocation_free_once_warm() {
     assert_eq!(out.epoch, 10);
     assert_eq!(out.available.len(), 128);
     assert!(out.data_volume[32..96].iter().any(|&d| d > 0));
+
+    // The window: epoch 1 warms both slots and the staging buffer; from
+    // then on each epoch — asked for twice, as a driver does — refills
+    // the older slot in place.
+    let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);
+    let mut population = Population::new(config, latency);
+    let mut epoch = 1usize;
+    population.advance(epoch);
+    let mut paid = 0.0;
+    assert_allocation_free("warm window epochs", || {
+        for _ in 0..5 {
+            epoch += 1;
+            population.advance(epoch);
+            paid += population.advance(epoch).now.cost[0];
+        }
+    });
+    assert!(paid > 0.0);
+    assert_eq!(population.realizations(), epoch + 1, "epochs 0..=epoch, once each");
 }

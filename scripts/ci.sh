@@ -186,7 +186,7 @@ stage_perf() {
     # The one-shot solve's kernels (docs/PERF.md, "the solve") are what
     # the gate above watches for the layer every FedL decision runs.
     require_kernels solve/project_1k solve/descend_64 solve/descend_1k solve/descend_10k \
-        solve/descend_10k_warm solve/descend_tail
+        solve/descend_10k_warm solve/descend_tail core/decide_observe_64
     CI_STAGE_NOTE="results/BENCH.json"
 }
 
@@ -205,15 +205,15 @@ require_kernels() {
 # 10k-tier scheduler kernels — and the 10k solve, which the scale/
 # kernels leave out and which used to cost ~14x everything they time.
 stage_scale() {
-    require_kernels scale/score_update_10k scale/rounding_10k solve/descend_10k
+    require_kernels scale/score_update_10k scale/rounding_10k scale/epoch_realize_10k \
+        solve/descend_10k
 }
 
 # Federation service (docs/SERVE.md): a real loadgen round-trip over
 # localhost TCP, verified bit-for-bit against the in-process reference,
 # then the kill + checkpoint-restart determinism check — the two halves
 # of an interrupted served run concatenated must byte-compare equal to
-# the uninterrupted run's selections. The quick bench snapshot must
-# also carry the serve/select_1k service-path kernel.
+# the uninterrupted run's selections.
 stage_serve() {
     local out=target/ci_serve_stage
     rm -rf "$out"
@@ -256,17 +256,13 @@ stage_serve() {
     wait "$server_pid"
     cat "$out/half1.jsonl" "$out/half2.jsonl" | cmp - "$out/full.jsonl" \
         || { echo "restarted server diverged from the uninterrupted run" >&2; exit 1; }
-
-    # The service-path kernel must be in the quick perf snapshot.
-    require_kernels serve/select_1k
     rm -rf "$out"
 }
 
 # Distributed execution (docs/DIST.md): a real 2-worker run over
 # spawned worker processes must produce selections byte-identical to
 # the single-process reference (--workers 0 writes the reference
-# artifact through the same JSONL path), and the quick perf snapshot
-# must carry the dist/epoch_100k kernel.
+# artifact through the same JSONL path).
 stage_dist() {
     local out=target/ci_dist_stage
     rm -rf "$out"
@@ -278,8 +274,6 @@ stage_dist() {
         --verify-reference
     cmp "$out/dist.jsonl" "$out/reference.jsonl" \
         || { echo "2-worker dist run diverged from the single-process reference" >&2; exit 1; }
-
-    require_kernels dist/epoch_100k
     rm -rf "$out"
 }
 

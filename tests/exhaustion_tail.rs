@@ -15,14 +15,15 @@ mod oracle;
 
 use std::sync::{Arc, Mutex};
 
+use fedl::core::columnar::context_at;
 use fedl::core::engine::{EngineError, EpochEngine};
 use fedl::core::fedl::{FedLPolicy, Posed};
 use fedl::core::objective::{FracDecision, SolveOutcome};
 use fedl::core::policy::{EpochContext, SelectionDecision, SelectionPolicy};
 use fedl::net::ChannelModel;
 use fedl::prelude::*;
-use fedl::serve::{context_for_epoch, reference_run, synth_train_result};
-use fedl::sim::{ClientColumns, EpochReport};
+use fedl::serve::{reference_run, synth_train_result};
+use fedl::sim::{EpochReport, Population};
 
 /// What FedL posed, decided and reported on one epoch.
 struct Seen {
@@ -113,19 +114,11 @@ fn served_reference_ends_by_a_typed_exhausted_and_never_loses_to_the_old_solver(
     // `reference_run`'s loop, around the watched policy.
     let channel = ChannelModel::default();
     let latency = config.latency_model();
-    let cols = ClientColumns::build(&config.env, &channel);
+    let mut population = Population::new(config.env.clone(), latency);
+    let cols = population.columns().clone();
     let mut engine = EpochEngine::new(Box::new(policy), config.budget);
-    let registered = vec![true; config.env.num_clients];
-    let context = |engine: &EpochEngine, epoch| {
-        context_for_epoch(
-            &cols,
-            &config,
-            &channel,
-            &latency,
-            &registered,
-            engine.remaining(),
-            epoch,
-        )
+    let mut context = |engine: &EpochEngine, epoch| {
+        context_at(&mut population, epoch, None, engine.remaining(), config.min_participants)
     };
     let mut selections = Vec::new();
     let mut epoch = 0;

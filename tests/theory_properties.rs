@@ -3,9 +3,10 @@
 //! (multiplier boundedness), and the sub-linearity trend of Corollary 1.
 
 use fedl::core::fedl::{FedLConfig, FedLPolicy};
+use fedl::core::objective::OneShot;
 use fedl::core::online::{OnlineLearner, StepSizes};
 use fedl::core::policy::EpochContext;
-use fedl::core::rounding;
+use fedl::core::rounding::{rdcs_with, RdcsScratch};
 use fedl::prelude::*;
 
 #[test]
@@ -31,15 +32,18 @@ fn rdcs_expectation_on_real_fractional_decisions() {
         min_participants: 3,
         seed: 17,
     };
-    let problem = learner.build_problem(&ctx);
+    let mut problem = OneShot::default();
+    learner.build_problem_into(&ctx, &mut problem);
     let frac = learner.decide(&ctx, &problem);
 
     let trials = 30_000;
     let mut counts = vec![0usize; k];
     let mut rng = fedl::linalg::rng::rng_for(99, 0);
+    let (mut scratch, mut selected) = (RdcsScratch::new(), Vec::new());
     for _ in 0..trials {
         let mut x = frac.x.clone();
-        for i in rounding::rdcs(&mut x, &mut rng) {
+        rdcs_with(&mut x, &mut rng, &mut scratch, &mut selected);
+        for &i in &selected {
             counts[i] += 1;
         }
     }
