@@ -5,8 +5,9 @@
 //! [`run_suite`] times a fixed, seeded set of micro-kernels — GEMM and
 //! softmax (S1), a DANE local solve (S2), RDCS dependent rounding
 //! (S5/S6), one FedL decision (build → decide → observe), the one-shot
-//! solve, and the columnar scheduler at the 10k/100k/1M scale tiers
-//! (docs/SCALE.md) — on the in-tree [`crate::timing`] harness, and
+//! solve, the columnar scheduler at the 10k/100k/1M scale tiers
+//! (docs/SCALE.md), and the dist wire codec over one 40k-row column
+//! frame (docs/DIST.md) — on the in-tree [`crate::timing`] harness, and
 //! packages the per-kernel statistics into a [`BenchSnapshot`]
 //! serialisable to `BENCH.json` via `fedl-json`. End-to-end paths (a
 //! training epoch, a served round, a distributed epoch) are measured by
@@ -39,8 +40,9 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// `serve/select_1k`, `dist/epoch_100k` and `epoch/full_quick_epoch` (the
 /// repo benchmark's workloads measure those paths) and renamed
 /// `core/ucb_score_update_*` to `core/decide_observe_*`, which is what it
-/// times.
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+/// times; v7 added `wire/context_part_40k` (one packed `ShardContextPart`
+/// frame through `encode_frame` + `decode_frame`, docs/DIST.md).
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -522,6 +524,31 @@ fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profil
     }
 }
 
+/// The dist wire codec: one seeded 40 000-row `ShardContextPart` — the
+/// frame each worker of the benchmark's `dist_fedavg_100k` returns every
+/// epoch — through `encode_frame` and `decode_frame`, envelope checksum
+/// and column checks included.
+fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
+    use fedl_linalg::rng::{rng_for, Rng};
+    use fedl_serve::proto::{decode_frame, encode_frame, Message};
+
+    let rows = 40_000;
+    let mut rng = rng_for(0xBED, rows as u64);
+    let mut column = |lo: f64, hi: f64| (0..rows).map(|_| rng.gen_range(lo..hi)).collect();
+    let part = Message::ShardContextPart {
+        epoch: 3,
+        available: (0..rows).map(|k| k + k / 4).collect(),
+        costs: column(0.1, 12.0),
+        latency_hint: column(0.01, 2.0),
+        true_latency: column(0.01, 2.0),
+        data_volumes: (0..rows).map(|k| k % 17).collect(),
+    };
+    measure_kernel(kernels, budget, "wire/context_part_40k", || {
+        let frame = encode_frame(std::hint::black_box(&part));
+        decode_frame(std::hint::black_box(&frame)).expect("the frame was just encoded")
+    });
+}
+
 /// Runs the whole seeded suite and packages the snapshot.
 pub fn run_suite(profile: Profile) -> BenchSnapshot {
     let budget = kernel_budget(profile);
@@ -537,6 +564,7 @@ pub fn run_suite(profile: Profile) -> BenchSnapshot {
     suite_decide_observe(&mut kernels, budget, profile);
     suite_solve(&mut kernels, budget);
     suite_scale(&mut kernels, budget, profile);
+    suite_wire(&mut kernels, budget);
     BenchSnapshot {
         schema_version: BENCH_SCHEMA_VERSION,
         profile: profile_name.to_string(),
@@ -806,6 +834,7 @@ mod tests {
             "core/decide_observe",
             "solve/",
             "scale/",
+            "wire/",
         ] {
             assert!(
                 snap.kernels.iter().any(|k| k.name.starts_with(prefix)),

@@ -30,7 +30,8 @@ use fedl_core::columnar::{assemble_context, ContextPart};
 use fedl_core::engine::EpochEngine;
 use fedl_json::Value;
 use fedl_serve::proto::{
-    decode_frame, encode_frame, Message, ProtocolError, Trace, PROTOCOL_VERSION,
+    check_shard_clients, decode_frame, encode_frame, Message, ProtocolError, Trace,
+    PROTOCOL_VERSION,
 };
 use fedl_serve::{combine_feedback, MemberFeedback, SelectionRecord, ServeConfig};
 use fedl_telemetry::{SpanContext, Telemetry};
@@ -147,7 +148,8 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Validates the shard layout (contiguous, ascending, covering the
-    /// population exactly).
+    /// population exactly) and that every client id fits the wire's
+    /// `u32` id columns.
     pub fn new(
         config: ServeConfig,
         workers: Vec<ShardWorker>,
@@ -156,6 +158,7 @@ impl Coordinator {
         if workers.is_empty() {
             return Err("at least one shard worker is required".to_string());
         }
+        check_shard_clients(config.env.num_clients).map_err(|e| e.to_string())?;
         let mut cursor = 0;
         for (i, w) in workers.iter().enumerate() {
             if w.shard.start != cursor || w.shard.start >= w.shard.end {
@@ -588,15 +591,21 @@ mod tests {
             vec![5..30],
             vec![0..10, 10..29],
         ];
+        let link = || Box::new(LocalWorkerLink::new(WorkerState::new(Telemetry::disabled())));
         for shards in cases {
-            let workers: Vec<ShardWorker> = shards
-                .into_iter()
-                .map(|shard| ShardWorker {
-                    shard,
-                    link: Box::new(LocalWorkerLink::new(WorkerState::new(Telemetry::disabled()))),
-                })
-                .collect();
+            let workers: Vec<ShardWorker> =
+                shards.into_iter().map(|shard| ShardWorker { shard, link: link() }).collect();
             assert!(Coordinator::new(config.clone(), workers, Telemetry::disabled()).is_err());
+        }
+        // Ids ride the wire as u32: a population they cannot name is
+        // refused here, not truncated there.
+        #[cfg(target_pointer_width = "64")]
+        {
+            let clients = fedl_serve::proto::MAX_SHARD_CLIENTS + 1;
+            let config = ServeConfig::new(clients, 7, 100.0, 3, PolicyKind::FedL);
+            let workers = vec![ShardWorker { shard: 0..clients, link: link() }];
+            let err = Coordinator::new(config, workers, Telemetry::disabled()).err().unwrap();
+            assert!(err.contains("u32"), "{err}");
         }
     }
 
@@ -614,26 +623,24 @@ mod tests {
         assert!(report.selections.iter().any(|r| !r.cohort.is_empty()));
     }
 
-    /// Replies with a context part for the wrong epoch — structurally
-    /// valid, semantically mismatched — and refuses resets so the run
-    /// aborts after counting the bad reply.
-    struct WrongEpochLink {
+    /// Tampers with traffic on an otherwise honest link — every frame
+    /// stays structurally valid — and refuses resets, so the run aborts
+    /// after counting the bad reply.
+    struct TamperLink {
         inner: LocalWorkerLink,
+        request: Tamper,
+        reply: Tamper,
     }
 
-    impl WorkerLink for WrongEpochLink {
+    type Tamper = fn(Message) -> Message;
+
+    impl WorkerLink for TamperLink {
         fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
-            let shifted = match msg.clone() {
-                Message::ShardContext { epoch, trace } => {
-                    Message::ShardContext { epoch: epoch + 1, trace }
-                }
-                other => other,
-            };
-            self.inner.send(&shifted)
+            self.inner.send(&(self.request)(msg.clone()))
         }
 
         fn recv_reply(&mut self) -> Result<Message, ProtocolError> {
-            self.inner.recv_reply()
+            self.inner.recv_reply().map(self.reply)
         }
 
         fn reset(&mut self) -> Result<(), String> {
@@ -641,29 +648,74 @@ mod tests {
         }
     }
 
+    /// Asks for the next epoch's context: the reply is well-formed but
+    /// answers the wrong question.
+    fn shift_epoch(msg: Message) -> Message {
+        match msg {
+            Message::ShardContext { epoch, trace } => {
+                Message::ShardContext { epoch: epoch + 1, trace }
+            }
+            other => other,
+        }
+    }
+
+    /// Drops the last cell of one column: each column still decodes (the
+    /// wire checks columns one by one), the rows no longer line up.
+    fn shorten_costs(msg: Message) -> Message {
+        match msg {
+            Message::ShardContextPart {
+                epoch,
+                available,
+                mut costs,
+                latency_hint,
+                true_latency,
+                data_volumes,
+            } => {
+                costs.pop();
+                Message::ShardContextPart {
+                    epoch,
+                    available,
+                    costs,
+                    latency_hint,
+                    true_latency,
+                    data_volumes,
+                }
+            }
+            other => other,
+        }
+    }
+
     #[test]
     fn mismatched_shard_replies_are_counted_and_emitted() {
-        let config = ServeConfig::new(30, 7, 100.0, 3, PolicyKind::FedL);
-        let (telemetry, sink) = Telemetry::in_memory();
-        let mut workers = local_workers(&config, 2);
-        workers[1] = ShardWorker {
-            shard: workers[1].shard.clone(),
-            link: Box::new(WrongEpochLink {
-                inner: LocalWorkerLink::new(WorkerState::new(Telemetry::disabled())),
-            }),
-        };
-        let mut coordinator = Coordinator::new(config, workers, telemetry.clone()).unwrap();
-        let err = coordinator
-            .run(&DistOptions { epochs: 3, max_resets: 1 })
-            .expect_err("a persistently mismatched reply must abort the run");
-        assert!(err.contains("epoch"), "error should describe the mismatch: {err}");
-        assert!(
-            telemetry.registry_snapshot().to_json().contains("\"dist.bad_replies\""),
-            "the counter must appear in the live-stats snapshot"
-        );
-        assert!(
-            sink.lines().iter().any(|l| l.contains("\"dist.bad_reply\"")),
-            "the event must appear in the run log for telemetry-report --require"
-        );
+        let tampers: [(Tamper, Tamper, &str); 2] = [
+            (shift_epoch, std::convert::identity, "epoch"),
+            (std::convert::identity, shorten_costs, "misaligned"),
+        ];
+        for (request, reply, why) in tampers {
+            let config = ServeConfig::new(30, 7, 100.0, 3, PolicyKind::FedL);
+            let (telemetry, sink) = Telemetry::in_memory();
+            let mut workers = local_workers(&config, 2);
+            workers[1] = ShardWorker {
+                shard: workers[1].shard.clone(),
+                link: Box::new(TamperLink {
+                    inner: LocalWorkerLink::new(WorkerState::new(Telemetry::disabled())),
+                    request,
+                    reply,
+                }),
+            };
+            let mut coordinator = Coordinator::new(config, workers, telemetry.clone()).unwrap();
+            let err = coordinator
+                .run(&DistOptions { epochs: 3, max_resets: 1 })
+                .expect_err("a persistently mismatched reply must abort the run");
+            assert!(err.contains(why), "error should describe the mismatch: {err}");
+            assert!(
+                telemetry.registry_snapshot().to_json().contains("\"dist.bad_replies\""),
+                "the counter must appear in the live-stats snapshot"
+            );
+            assert!(
+                sink.lines().iter().any(|l| l.contains("\"dist.bad_reply\"")),
+                "the event must appear in the run log for telemetry-report --require"
+            );
+        }
     }
 }

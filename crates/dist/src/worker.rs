@@ -26,8 +26,8 @@ use fedl_core::columnar::scale_context_part;
 use fedl_core::policy::PolicyKind;
 use fedl_json::{obj, read_field, Value};
 use fedl_serve::proto::{
-    answer_hello, decode_frame_traced, encode_frame_traced, Message, ProtocolError, Trace,
-    PROTOCOL_VERSION,
+    answer_hello, check_shard_clients, decode_frame_traced, encode_frame_traced, Message,
+    ProtocolError, Trace, PROTOCOL_VERSION,
 };
 use fedl_serve::transport::FrameTransport;
 use fedl_serve::{member_feedback, serve_frames, Control, ServeConfig, ServeExit};
@@ -317,6 +317,9 @@ impl WorkerState {
             };
             return self.refuse(err);
         }
+        if let Err(err) = check_shard_clients(clients) {
+            return self.refuse(err);
+        }
         let Some(policy) = PolicyKind::from_label(policy) else {
             return self.refuse(ProtocolError::Schema {
                 detail: format!("unknown policy label {policy:?}"),
@@ -600,6 +603,13 @@ mod tests {
             shard_end: 10,
         });
         expect_code(reply, "schema");
+        // A population whose ids the u32 id columns cannot name.
+        #[cfg(target_pointer_width = "64")]
+        {
+            let (reply, _) =
+                w.handle_message(assign_msg(fedl_serve::proto::MAX_SHARD_CLIENTS + 1, 7, 0..10));
+            expect_code(reply, "schema");
+        }
         // Version skew, either way: no window for older builds.
         for protocol_version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
             let (reply, _) =

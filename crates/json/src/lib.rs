@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 ///
@@ -211,28 +211,32 @@ fn write_f64(out: &mut String, v: f64) {
         return;
     }
     let start = out.len();
-    use fmt::Write as _;
     write!(out, "{v}").expect("write to String cannot fail");
     if !out[start..].bytes().any(|b| b == b'.' || b == b'e' || b == b'E') {
         out.push_str(".0");
     }
 }
 
+/// Writes `s` as a JSON string literal. Clean runs (everything but
+/// `"`, `\` and control bytes, all of which are ASCII and therefore
+/// char boundaries) are copied in one piece, so a megabyte string value
+/// costs one scan and one `memcpy`, not a push per character.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => write!(out, "\\u{b:04x}").expect("write to String cannot fail"),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -240,7 +244,7 @@ impl Value {
     /// Compact serialization (serde_json `to_string` layout: no spaces).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_json(&mut out);
         out
     }
 
@@ -252,11 +256,14 @@ impl Value {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// [`Self::to_json`] appended to `out` — for callers that render a
+    /// document behind a header they already hold (the store envelope)
+    /// without an intermediate copy.
+    pub fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::Int(i) => write!(out, "{i}").expect("write to String cannot fail"),
             Value::Float(f) => write_f64(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Arr(items) => {
@@ -265,7 +272,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_compact(out);
+                    item.write_json(out);
                 }
                 out.push(']');
             }
@@ -277,7 +284,7 @@ impl Value {
                     }
                     write_escaped(out, k);
                     out.push(':');
-                    v.write_compact(out);
+                    v.write_json(out);
                 }
                 out.push('}');
             }
@@ -323,7 +330,7 @@ impl Value {
                 }
                 out.push('}');
             }
-            other => other.write_compact(out),
+            other => other.write_json(out),
         }
     }
 }
@@ -458,77 +465,75 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let code = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|hex| {
+                hex.iter().try_fold(0, |code, &b| Some(code << 4 | (b as char).to_digit(16)?))
+            })
+            .ok_or_else(|| Error::at("bad \\u escape", self.pos))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// A string literal, consumed run by run: everything up to the next
+    /// `"` or `\` is validated and copied in one piece, so the cost is
+    /// linear in the literal's length (a per-character `from_utf8` over
+    /// the rest of the input made a key ahead of a megabyte value
+    /// re-validate that megabyte once per key byte).
     fn string(&mut self) -> Result<String, Error> {
+        let open = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(Error::at("unterminated string", self.pos)),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::at("bad escape", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| Error::at("bad \\u escape", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::at("bad \\u escape", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs: only the BMP subset the
-                            // writer emits is needed, but decode pairs
-                            // anyway for robustness.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if !self.eat_literal("\\u") {
-                                    return Err(Error::at("lone surrogate", self.pos));
-                                }
-                                let hex2 = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or_else(|| Error::at("bad \\u escape", self.pos))?;
-                                let low = u32::from_str_radix(hex2, 16)
-                                    .map_err(|_| Error::at("bad \\u escape", self.pos))?;
-                                self.pos += 4;
-                                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                code
-                            };
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| Error::at("invalid codepoint", self.pos))?,
-                            );
+            let run = &self.bytes[self.pos..];
+            let len = run
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::at("unterminated string", open))?;
+            // `"` and `\` are ASCII, so a run of a `&str` input ends on
+            // a char boundary and this cannot fail; checking costs one
+            // pass and keeps the crate free of `unsafe`.
+            let text = std::str::from_utf8(&run[..len])
+                .map_err(|e| Error::at("invalid utf-8", self.pos + e.valid_up_to()))?;
+            out.push_str(text);
+            self.pos += len + 1;
+            if run[len] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self.bytes.get(self.pos).ok_or_else(|| Error::at("bad escape", self.pos))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let mut code = self.hex4()?;
+                    // Surrogate pairs: only the BMP subset the writer
+                    // emits is needed, but decode pairs anyway.
+                    if (0xD800..0xDC00).contains(&code) {
+                        if !self.eat_literal("\\u") {
+                            return Err(Error::at("lone surrogate", self.pos));
                         }
-                        _ => return Err(Error::at("unknown escape", self.pos)),
+                        let low = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(Error::at("lone surrogate", self.pos));
+                        }
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                     }
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| Error::at("invalid codepoint", self.pos))?,
+                    );
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::at("invalid utf-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(Error::at("unknown escape", self.pos)),
             }
         }
     }
@@ -775,6 +780,51 @@ mod tests {
     fn unicode_escape_parses() {
         let v = Value::parse(r#""A😀""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "A\u{1F600}");
+    }
+
+    #[test]
+    fn string_runs_hold_multibyte_utf8_and_split_at_escapes() {
+        // Two runs of multi-byte text split by one escape; a surrogate
+        // pair between two more runs.
+        let v = Value::parse(r#""héllo wörld ✓\nдалее 日本語\ud83d\ude00tail""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "héllo wörld ✓\nдалее 日本語\u{1F600}tail");
+        // Adjacent escapes leave empty runs between them.
+        let v = Value::parse(r#""\\\"\/\b\f\u0041""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\\\"/\u{8}\u{c}A");
+        // Escapes the writer emits come back as the same text, runs and all.
+        let original = "α\"β\\γ\nδ\u{1}ε\tζ\rη";
+        let text = Value::Str(original.to_string()).to_json();
+        assert_eq!(text, "\"α\\\"β\\\\γ\\nδ\\u0001ε\\tζ\\rη\"");
+        assert_eq!(Value::parse(&text).unwrap().as_str().unwrap(), original);
+    }
+
+    #[test]
+    fn malformed_strings_are_errors_with_offsets() {
+        let offset = |text: &str| Value::parse(text).unwrap_err().offset;
+        // An unterminated run points at the string's opening quote —
+        // also when an escape split it and the second run never ends.
+        assert_eq!(offset(r#"{"key": "never closed"#), Some(8));
+        assert_eq!(offset(r#"["ok", "one\ntwo"#), Some(7));
+        // Surrogates: lone high, high followed by a non-low, lone low.
+        for text in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ud83d\u0041""#, r#""\ude00""#] {
+            assert!(Value::parse(text).is_err(), "{text}");
+        }
+        for text in [r#""\u12""#, r#""\u+123""#, r#""\uzzzz""#, r#""\q""#, "\"\\"] {
+            assert!(Value::parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_16_mb_string_parses_and_rerenders_linearly() {
+        // The regression guard for the quadratic: a `from_utf8` over the
+        // remaining input per character would not finish here; the run
+        // scanner takes milliseconds. A key ahead of the value and a
+        // value behind it make sure neither end re-scans the middle.
+        let big = "QUJD".repeat(4 << 20);
+        let text = format!(r#"{{"head":1,"column":"{big}","tail":[2.5,"é"]}}"#);
+        let v = Value::parse(&text).unwrap();
+        assert_eq!(v.get("column").unwrap().as_str().unwrap().len(), 16 << 20);
+        assert_eq!(v.to_json(), text);
     }
 
     #[test]

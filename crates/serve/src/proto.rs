@@ -11,6 +11,17 @@
 //! ```text
 //! [len: u32 BE] fedl-store v1 kind=serve-msg crc=<16 hex>\n{"type":...}
 //! ```
+//!
+//! The client-facing messages (`Cohort`, `TrainResult`, ...) are small
+//! and stay readable JSON all the way down. The `Shard*` data messages
+//! between a `fedl-dist` coordinator and its workers carry columns of
+//! tens of thousands of rows, and those travel *packed*: each column is
+//! one JSON string holding the column's little-endian bytes (`f64`/`f32`
+//! as their IEEE bits, ids and volumes as `u32`) in canonical unpadded
+//! base64. The frame is still `header\n<one JSON document>` under one
+//! checksum and one length cap — there is no second section and no
+//! length field to distrust — but a float crosses the wire as its bits,
+//! not as text to print and re-parse (docs/DIST.md, "Wire protocol").
 
 use std::fmt;
 
@@ -28,8 +39,31 @@ use fedl_telemetry::{SpanContext, Telemetry};
 /// start remote work and the [`Message::Stats`] /
 /// [`Message::StatsSnapshot`] live-metrics pair. Every node is built
 /// from this repository, so there is no window for older peers; a
-/// request without trace fields is still valid v3 (docs/TELEMETRY.md).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// request without trace fields is still valid (docs/TELEMETRY.md). v4
+/// packed the `Vec` columns of `ShardContextPart`, `ShardTrain` and
+/// `ShardTrainPart` into base64 strings of raw little-endian cells (the
+/// JSON-array form of those columns is gone, not kept beside it), so a v3
+/// peer is refused at the handshake like any other.
+pub const PROTOCOL_VERSION: u32 = 4;
+
+/// Largest population a sharded deployment may have: client ids ride the
+/// packed columns as `u32`.
+pub const MAX_SHARD_CLIENTS: usize = u32::MAX as usize;
+
+/// Refuses a population above [`MAX_SHARD_CLIENTS`]. The coordinator asks
+/// at construction and a worker at `ShardAssign`, so no id is ever
+/// truncated on the wire.
+pub fn check_shard_clients(clients: usize) -> Result<(), ProtocolError> {
+    if clients > MAX_SHARD_CLIENTS {
+        return Err(ProtocolError::Schema {
+            detail: format!(
+                "a population of {clients} exceeds the {MAX_SHARD_CLIENTS} clients whose ids fit \
+                 the wire's u32 id columns"
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// The listening side of the handshake: echoes a [`Message::Hello`]
 /// signed `node` to a peer on our version, refuses any other.
@@ -430,15 +464,15 @@ impl Message {
                 data_volumes,
             } => {
                 fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("available", ids_to_json(available)));
-                fields.push(("costs", f64s_to_json(costs)));
-                fields.push(("latency_hint", f64s_to_json(latency_hint)));
-                fields.push(("true_latency", f64s_to_json(true_latency)));
-                fields.push(("data_volumes", ids_to_json(data_volumes)));
+                fields.push(("available", pack(available)));
+                fields.push(("costs", pack(costs)));
+                fields.push(("latency_hint", pack(latency_hint)));
+                fields.push(("true_latency", pack(true_latency)));
+                fields.push(("data_volumes", pack(data_volumes)));
             }
             Message::ShardTrain { epoch, members, iterations, trace } => {
                 fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("members", ids_to_json(members)));
+                fields.push(("members", pack(members)));
                 fields.push(("iterations", Value::from(*iterations)));
                 trace.encode_into(&mut fields);
             }
@@ -452,12 +486,12 @@ impl Message {
                 local_losses,
             } => {
                 fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("members", ids_to_json(members)));
-                fields.push(("per_client_iter_latency", f64s_to_json(per_client_iter_latency)));
-                fields.push(("costs", f64s_to_json(costs)));
-                fields.push(("eta_hats", f32s_to_json(eta_hats)));
-                fields.push(("grad_dot_delta", f32s_to_json(grad_dot_delta)));
-                fields.push(("local_losses", f32s_to_json(local_losses)));
+                fields.push(("members", pack(members)));
+                fields.push(("per_client_iter_latency", pack(per_client_iter_latency)));
+                fields.push(("costs", pack(costs)));
+                fields.push(("eta_hats", pack(eta_hats)));
+                fields.push(("grad_dot_delta", pack(grad_dot_delta)));
+                fields.push(("local_losses", pack(local_losses)));
             }
             Message::Stats => {}
             Message::StatsSnapshot { registry } => {
@@ -544,27 +578,26 @@ impl Message {
             },
             "shard_context_part" => Message::ShardContextPart {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                available: read_field(v, "available").map_err(schema)?,
-                costs: read_field(v, "costs").map_err(schema)?,
-                latency_hint: read_field(v, "latency_hint").map_err(schema)?,
-                true_latency: read_field(v, "true_latency").map_err(schema)?,
-                data_volumes: read_field(v, "data_volumes").map_err(schema)?,
+                available: unpack(v, "available")?,
+                costs: unpack(v, "costs")?,
+                latency_hint: unpack(v, "latency_hint")?,
+                true_latency: unpack(v, "true_latency")?,
+                data_volumes: unpack(v, "data_volumes")?,
             },
             "shard_train" => Message::ShardTrain {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                members: read_field(v, "members").map_err(schema)?,
+                members: unpack(v, "members")?,
                 iterations: read_field(v, "iterations").map_err(schema)?,
                 trace: Trace::decode_from(v),
             },
             "shard_train_part" => Message::ShardTrainPart {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                members: read_field(v, "members").map_err(schema)?,
-                per_client_iter_latency: read_field(v, "per_client_iter_latency")
-                    .map_err(schema)?,
-                costs: read_field(v, "costs").map_err(schema)?,
-                eta_hats: read_field(v, "eta_hats").map_err(schema)?,
-                grad_dot_delta: read_field(v, "grad_dot_delta").map_err(schema)?,
-                local_losses: read_field(v, "local_losses").map_err(schema)?,
+                members: unpack(v, "members")?,
+                per_client_iter_latency: unpack(v, "per_client_iter_latency")?,
+                costs: unpack(v, "costs")?,
+                eta_hats: unpack(v, "eta_hats")?,
+                grad_dot_delta: unpack(v, "grad_dot_delta")?,
+                local_losses: unpack(v, "local_losses")?,
             },
             "stats" => Message::Stats,
             "stats_snapshot" => Message::StatsSnapshot {
@@ -594,8 +627,139 @@ fn f32s_to_json(xs: &[f32]) -> Value {
     Value::Arr(xs.iter().map(|&x| Value::Float(x as f64)).collect())
 }
 
-fn f64s_to_json(xs: &[f64]) -> Value {
-    Value::Arr(xs.iter().map(|&x| Value::Float(x)).collect())
+// ---------------------------------------------------------------------------
+// Packed columns (the `Shard*` data messages)
+// ---------------------------------------------------------------------------
+
+/// One cell of a packed column: a fixed number of little-endian bytes.
+trait Cell: Copy {
+    const WIDTH: usize;
+    /// Both slices are exactly [`Self::WIDTH`] long.
+    fn put(self, slot: &mut [u8]);
+    fn take(slot: &[u8]) -> Self;
+}
+
+impl Cell for f64 {
+    const WIDTH: usize = 8;
+    fn put(self, slot: &mut [u8]) {
+        slot.copy_from_slice(&self.to_le_bytes());
+    }
+    fn take(slot: &[u8]) -> Self {
+        f64::from_le_bytes(slot.try_into().expect("a cell is WIDTH bytes"))
+    }
+}
+
+impl Cell for f32 {
+    const WIDTH: usize = 4;
+    fn put(self, slot: &mut [u8]) {
+        slot.copy_from_slice(&self.to_le_bytes());
+    }
+    fn take(slot: &[u8]) -> Self {
+        f32::from_le_bytes(slot.try_into().expect("a cell is WIDTH bytes"))
+    }
+}
+
+/// Client ids and data volumes ride as `u32`.
+impl Cell for usize {
+    const WIDTH: usize = 4;
+    fn put(self, slot: &mut [u8]) {
+        // Ids are below the population, which both ends cap at
+        // `MAX_SHARD_CLIENTS` before any shard message exists; volumes
+        // are `u32` where they are realized.
+        let cell = u32::try_from(self).expect("ids and volumes of a sharded run fit u32");
+        slot.copy_from_slice(&cell.to_le_bytes());
+    }
+    fn take(slot: &[u8]) -> Self {
+        u32::from_le_bytes(slot.try_into().expect("a cell is WIDTH bytes")) as usize
+    }
+}
+
+const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Sextet value per byte; `0xFF` for a byte outside the alphabet.
+const B64_SEXTET: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[B64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The column as one JSON string: the cells' little-endian bytes in
+/// canonical unpadded base64 (RFC 4648 alphabet, no `=`).
+fn pack<T: Cell>(column: &[T]) -> Value {
+    let mut raw = vec![0u8; column.len() * T::WIDTH];
+    for (&cell, slot) in column.iter().zip(raw.chunks_exact_mut(T::WIDTH)) {
+        cell.put(slot);
+    }
+    // 3 bytes -> 4 characters; a tail of 1 (2) bytes -> 2 (3).
+    let mut text = vec![0u8; (raw.len() * 4).div_ceil(3)];
+    let quad = |t: &[u8]| {
+        let n = u32::from_be_bytes([0, t[0], t[1], t[2]]);
+        [18, 12, 6, 0].map(|shift| B64_ALPHABET[(n >> shift) as usize & 63])
+    };
+    let mut triples = raw.chunks_exact(3);
+    let mut quads = text.chunks_exact_mut(4);
+    for (t, q) in (&mut triples).zip(&mut quads) {
+        q.copy_from_slice(&quad(t));
+    }
+    let mut last = [0u8; 3];
+    let tail = triples.remainder();
+    last[..tail.len()].copy_from_slice(tail);
+    let out = quads.into_remainder();
+    out.copy_from_slice(&quad(&last)[..out.len()]);
+    Value::Str(String::from_utf8(text).expect("the base64 alphabet is ASCII"))
+}
+
+/// Reads the packed column `key` of message object `v`. Exactly one text
+/// decodes to a given byte string — alphabet only, no padding, no length
+/// of 1 mod 4, zero trailing bits — so a retried reply is byte-identical
+/// or refused; and the bytes must be whole cells. Every allocation is
+/// sized by the string itself, which the frame cap already bounds.
+fn unpack<T: Cell>(v: &Value, key: &str) -> Result<Vec<T>, ProtocolError> {
+    let bad = |why: &str| ProtocolError::Schema { detail: format!("packed column `{key}`: {why}") };
+    let text =
+        v.get(key).and_then(Value::as_str).ok_or_else(|| bad("expected a string"))?.as_bytes();
+    if text.len() % 4 == 1 {
+        return Err(bad("a length of 1 mod 4 is not base64"));
+    }
+    // 4 characters -> 3 bytes; a tail of 2 (3) characters -> 1 (2).
+    let mut raw = vec![0u8; text.len() * 3 / 4];
+    // OR of every sextet looked up: above 63 iff some byte was foreign.
+    let mut seen = 0u8;
+    let mut triple = |q: &[u8; 4]| {
+        let s = q.map(|c| B64_SEXTET[c as usize]);
+        seen |= s[0] | s[1] | s[2] | s[3];
+        let n = (s[0] as u32) << 18 | (s[1] as u32) << 12 | (s[2] as u32) << 6 | s[3] as u32;
+        let [_, a, b, c] = n.to_be_bytes();
+        [a, b, c]
+    };
+    let mut quads = text.chunks_exact(4);
+    let mut triples = raw.chunks_exact_mut(3);
+    for (q, t) in (&mut quads).zip(&mut triples) {
+        t.copy_from_slice(&triple(q.try_into().expect("chunks_exact(4)")));
+    }
+    // The tail reads as if padded with `A` (sextet 0): the bytes it does
+    // not carry must come out zero.
+    let mut last = [b'A'; 4];
+    let tail = quads.remainder();
+    last[..tail.len()].copy_from_slice(tail);
+    let last = triple(&last);
+    let out = triples.into_remainder();
+    out.copy_from_slice(&last[..out.len()]);
+    let trailing = last[out.len()..].iter().any(|&b| b != 0);
+    if seen > 63 {
+        return Err(bad("a byte outside the base64 alphabet"));
+    }
+    if trailing {
+        return Err(bad("non-zero trailing bits"));
+    }
+    if !raw.len().is_multiple_of(T::WIDTH) {
+        return Err(bad(&format!("{} bytes are not whole {}-byte cells", raw.len(), T::WIDTH)));
+    }
+    Ok(raw.chunks_exact(T::WIDTH).map(T::take).collect())
 }
 
 /// Serializes a message into one frame (envelope text bytes; the
@@ -854,9 +1018,6 @@ mod tests {
             epoch: 9,
             trace: Trace::Context { trace_id: 1, span_id: 0x0123_4567_89ab_cdef },
         });
-        // Awkward floats (subnormal, negative zero, many digits) must
-        // survive the JSON trip bit-for-bit — the distributed merge
-        // depends on it.
         roundtrip(Message::ShardContextPart {
             epoch: 9,
             available: vec![51, 53, 99],
@@ -889,6 +1050,144 @@ mod tests {
     }
 
     #[test]
+    fn packed_columns_carry_every_bit_pattern() {
+        // What the JSON-array form lost or bent: `±inf` rendered as
+        // `null` and came back NaN, a NaN lost its payload. Packed cells
+        // are the bits, whatever they spell.
+        let f64s = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            -0.0,
+            5e-324,
+            1.0000000000000002,
+            f64::MAX,
+        ];
+        let f32s = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc1_2345),
+            -0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            0.1,
+        ];
+        let ids = [0usize, 1, 0xFFFF, 0x1_0000, 0x7FFF_FFFF, 0x8000_0000, u32::MAX as usize];
+        let bits64 = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits32 = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Row counts 0..=7 walk every base64 tail (bytes mod 3) at both
+        // cell widths; each column starts at a different awkward value.
+        for rows in 0..=f64s.len() {
+            let f64_col = |skip: usize| -> Vec<f64> {
+                f64s.iter().cycle().skip(skip).take(rows).copied().collect()
+            };
+            let f32_col = |skip: usize| -> Vec<f32> {
+                f32s.iter().cycle().skip(skip).take(rows).copied().collect()
+            };
+            let id_col = |skip: usize| -> Vec<usize> {
+                ids.iter().cycle().skip(skip).take(rows).copied().collect()
+            };
+
+            let sent = (id_col(0), f64_col(0), f64_col(1), f64_col(2), id_col(3));
+            let frame = encode_frame(&Message::ShardContextPart {
+                epoch: rows,
+                available: sent.0.clone(),
+                costs: sent.1.clone(),
+                latency_hint: sent.2.clone(),
+                true_latency: sent.3.clone(),
+                data_volumes: sent.4.clone(),
+            });
+            match decode_frame(&frame).expect("frame should decode") {
+                Message::ShardContextPart {
+                    epoch,
+                    available,
+                    costs,
+                    latency_hint,
+                    true_latency,
+                    data_volumes,
+                } => {
+                    assert_eq!(epoch, rows);
+                    assert_eq!(available, sent.0);
+                    assert_eq!(bits64(&costs), bits64(&sent.1));
+                    assert_eq!(bits64(&latency_hint), bits64(&sent.2));
+                    assert_eq!(bits64(&true_latency), bits64(&sent.3));
+                    assert_eq!(data_volumes, sent.4);
+                }
+                other => panic!("unexpected message {other:?}"),
+            }
+
+            let sent = (id_col(1), f64_col(3), f64_col(4), f32_col(0), f32_col(1), f32_col(2));
+            let frame = encode_frame(&Message::ShardTrainPart {
+                epoch: rows,
+                members: sent.0.clone(),
+                per_client_iter_latency: sent.1.clone(),
+                costs: sent.2.clone(),
+                eta_hats: sent.3.clone(),
+                grad_dot_delta: sent.4.clone(),
+                local_losses: sent.5.clone(),
+            });
+            match decode_frame(&frame).expect("frame should decode") {
+                Message::ShardTrainPart {
+                    members,
+                    per_client_iter_latency,
+                    costs,
+                    eta_hats,
+                    grad_dot_delta,
+                    local_losses,
+                    ..
+                } => {
+                    assert_eq!(members, sent.0);
+                    assert_eq!(bits64(&per_client_iter_latency), bits64(&sent.1));
+                    assert_eq!(bits64(&costs), bits64(&sent.2));
+                    assert_eq!(bits32(&eta_hats), bits32(&sent.3));
+                    assert_eq!(bits32(&grad_dot_delta), bits32(&sent.4));
+                    assert_eq!(bits32(&local_losses), bits32(&sent.5));
+                }
+                other => panic!("unexpected message {other:?}"),
+            }
+            roundtrip(Message::ShardTrain {
+                epoch: rows,
+                members: id_col(2),
+                iterations: 1,
+                trace: Trace::Absent,
+            });
+        }
+    }
+
+    #[test]
+    fn packed_text_is_canonical_base64() {
+        // The RFC 4648 vectors that are whole cells, unpadded: "foob" is
+        // one f32 (tail of 1 byte), "foobar!?" two (tail of 2).
+        let cells = [f32::from_le_bytes(*b"foob"), f32::from_le_bytes(*b"ar!?")];
+        assert_eq!(pack(&cells[..1]), Value::from("Zm9vYg"));
+        assert_eq!(pack(&cells), Value::from("Zm9vYmFyIT8"));
+        assert_eq!(pack::<f64>(&[]), Value::from(""));
+        // One text per byte string: every other spelling is refused.
+        let col = |text: &str| unpack::<f32>(&obj(vec![("c", Value::from(text))]), "c");
+        assert_eq!(col("Zm9vYg").unwrap()[0].to_bits(), cells[0].to_bits());
+        for (text, why) in [
+            ("Zm9vYg==", "alphabet"),
+            ("Zm9vY", "1 mod 4"),
+            ("Zm9vYh", "trailing"),
+            ("Zm9vYmFyIT9", "trailing"),
+            ("Zm9v Yg", "alphabet"),
+            ("Zm9vYmFy", "whole"),
+            ("Zm9v\u{e9}g", "alphabet"),
+        ] {
+            match col(text) {
+                Err(ProtocolError::Schema { detail }) => {
+                    assert!(detail.contains(why), "{text:?}: {detail}")
+                }
+                other => panic!("{text:?} must be a schema error, got {other:?}"),
+            }
+        }
+        // Not a string at all: the deleted array form included.
+        let arr = obj(vec![("c", Value::Arr(vec![Value::Float(0.5)]))]);
+        assert!(matches!(unpack::<f32>(&arr, "c"), Err(ProtocolError::Schema { .. })));
+        assert!(matches!(unpack::<f32>(&obj(vec![]), "c"), Err(ProtocolError::Schema { .. })));
+    }
+
+    #[test]
     fn messages_without_trace_fields_parse_as_absent() {
         // A sender with tracing off encodes select_cohort/shard_context/
         // shard_train with no trace fields at all (`run_loadgen` does) —
@@ -896,7 +1195,7 @@ mod tests {
         for (tag, extra) in [
             ("select_cohort", vec![]),
             ("shard_context", vec![]),
-            ("shard_train", vec![("members", Value::Arr(vec![])), ("iterations", Value::Int(1))]),
+            ("shard_train", vec![("members", Value::from("")), ("iterations", Value::Int(1))]),
         ] {
             let mut fields = vec![("type", Value::from(tag)), ("epoch", Value::Int(5))];
             fields.extend(extra);

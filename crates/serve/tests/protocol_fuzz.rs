@@ -17,7 +17,7 @@ use fedl_telemetry::Telemetry;
 
 /// A rotating set of well-formed messages to mutate.
 fn valid_message(i: usize) -> Message {
-    match i % 6 {
+    match i % 12 {
         0 => Message::Hello { protocol_version: PROTOCOL_VERSION, node: "fuzz".into() },
         1 => Message::ClientJoin { client: i % 40 },
         2 => Message::SelectCohort { epoch: i, trace: fedl_serve::Trace::Absent },
@@ -34,7 +34,51 @@ fn valid_message(i: usize) -> Message {
             grad_dot_delta: vec![-0.125, -0.5],
             local_losses: vec![2.0, 2.5],
         },
+        5 => Message::ShardAssign {
+            clients: 40,
+            seed: 3,
+            budget: 1000.0,
+            min_participants: 3,
+            policy: "fedl".into(),
+            shard_start: i % 20,
+            shard_end: 20 + i % 20,
+        },
+        6 => Message::ShardReady {
+            shard_start: 0,
+            shard_end: 20,
+            fingerprint: "0123456789abcdef".into(),
+        },
+        7 => Message::ShardContext { epoch: i, trace: fedl_serve::Trace::Absent },
+        8 => context_part(i),
+        9 => Message::ShardTrain {
+            epoch: i,
+            members: vec![2, 7, 11],
+            iterations: 3,
+            trace: fedl_serve::Trace::Absent,
+        },
+        10 => Message::ShardTrainPart {
+            epoch: i,
+            members: vec![2, 7, 11],
+            per_client_iter_latency: vec![0.5, 0.25, 0.125],
+            costs: vec![3.5, 4.5, 5.5],
+            eta_hats: vec![0.5, 0.625, 0.75],
+            grad_dot_delta: vec![-0.125, -0.5, -0.25],
+            local_losses: vec![2.0, 2.5, 2.25],
+        },
         _ => Message::Shutdown,
+    }
+}
+
+/// A five-row context part: 20-byte id columns (a base64 tail of two
+/// bytes) beside 40-byte float columns (a tail of one).
+fn context_part(epoch: usize) -> Message {
+    Message::ShardContextPart {
+        epoch,
+        available: vec![1, 3, 4, 8, 9],
+        costs: vec![1.5, 2.5, 0.1, 7.0, 3.25],
+        latency_hint: vec![0.1, 0.2, 0.3, 0.4, 0.5],
+        true_latency: vec![0.15, 0.25, 0.35, 0.45, 0.55],
+        data_volumes: vec![10, 0, 3, 7, 2],
     }
 }
 
@@ -77,6 +121,86 @@ fn mutated_frames_yield_typed_errors_and_count() {
     // The server survived 300 rounds of abuse and still works.
     let (reply, _) = server.handle_message(Message::ClientJoin { client: 0 });
     assert!(matches!(reply, Message::Snapshot { .. }));
+}
+
+/// Damage inside a packed column that a link could only produce together
+/// with a matching checksum (a buggy or hostile peer, not line noise):
+/// the envelope is re-sealed after each edit, so the edit reaches the
+/// column decoder instead of dying at the checksum.
+#[test]
+fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
+    use fedl_json::Value;
+    let frame = fedl_serve::encode_frame(&context_part(4));
+    let text = std::str::from_utf8(&frame).unwrap();
+    let payload = Value::parse(text.split_once('\n').unwrap().1).unwrap();
+    let Value::Obj(pairs) = &payload else { panic!("a message is a JSON object") };
+    let columns = ["available", "costs", "latency_hint", "true_latency", "data_volumes"];
+    // Re-seals the message with column `key` rewritten by `edit`.
+    let resealed = |key: &str, edit: &dyn Fn(&str) -> String| {
+        let pairs = pairs
+            .iter()
+            .map(|(k, v)| match v {
+                Value::Str(text) if k == key => (k.clone(), Value::Str(edit(text))),
+                _ => (k.clone(), v.clone()),
+            })
+            .collect();
+        fedl_store::encode_envelope("serve-msg", &Value::Obj(pairs)).into_bytes()
+    };
+    let expect_schema = |frame: Vec<u8>, why: &str, case: &str| match decode_frame(&frame) {
+        Err(ProtocolError::Schema { detail }) => {
+            assert!(detail.contains(why), "{case}: wrong reason {detail:?}")
+        }
+        other => panic!("{case}: expected a schema error, got {other:?}"),
+    };
+    let mut rng = rng_for(0xC01_0A75, 4);
+    for key in columns {
+        // Untouched, the re-sealed frame is the original frame.
+        assert_eq!(resealed(key, &|t| t.to_string()), frame);
+        for round in 0..40 {
+            let at = rng.next_u64() as usize;
+            // A byte outside the alphabet, anywhere: padding, whitespace,
+            // the url-safe alphabet, control bytes, multi-byte UTF-8 (one
+            // byte longer, which leaves both column lengths off 1 mod 4).
+            let foreign = ["=", " ", "-", "_", "\n", "\u{0}", "\u{7f}", "é"][round % 8];
+            let damaged = resealed(key, &|t| {
+                let i = at % t.len();
+                format!("{}{foreign}{}", &t[..i], &t[i + 1..])
+            });
+            expect_schema(damaged, "alphabet", &format!("{key}: foreign byte {foreign:?}"));
+            // Characters dropped off the end until the length is 1 mod 4.
+            let damaged = resealed(key, &|t| t[..t.len() - (t.len() + 3) % 4].to_string());
+            expect_schema(damaged, "1 mod 4", &format!("{key}: length 1 mod 4"));
+            // The last character's unused low bits set: both column
+            // widths end in a partial quad here, whose canonical last
+            // character has an even sextet, and the next ASCII character
+            // is the next sextet.
+            let damaged = resealed(key, &|t| {
+                let last = t.as_bytes()[t.len() - 1];
+                format!("{}{}", &t[..t.len() - 1], (last + 1) as char)
+            });
+            expect_schema(damaged, "trailing", &format!("{key}: trailing bits"));
+            // Whole characters dropped: still canonical base64, no longer
+            // whole cells.
+            let drop = 1 + at % 4;
+            let damaged = resealed(key, &|t| {
+                let keep = t.len() - drop;
+                // Cut on a quad boundary so no trailing bits are left over.
+                t[..keep - keep % 4].to_string()
+            });
+            expect_schema(damaged, "whole", &format!("{key}: {drop} characters short"));
+        }
+    }
+    // A whole cell cut from one column is well-formed on the wire: the
+    // decoder hands back columns of unequal row counts, and alignment is
+    // the coordinator's check (`dist.bad_replies`, crates/dist).
+    // (3 cells = 24 bytes = 32 characters, a whole number of quads.)
+    let shorter = resealed("costs", &|t| t[..32].to_string());
+    match decode_frame(&shorter).expect("columns of unequal length are still a frame") {
+        Message::ShardContextPart { available, costs, .. } => {
+            assert_eq!((available.len(), costs.len()), (5, 3));
+        }
+        other => panic!("unexpected message {other:?}"),
+    }
 }
 
 #[test]

@@ -37,8 +37,15 @@ pub fn encode_envelope(kind: &str, payload: &Value) -> String {
         !kind.is_empty() && kind.chars().all(|c| c.is_ascii_graphic() && c != '='),
         "envelope kind must be non-empty printable ASCII without '=': {kind:?}"
     );
-    let body = payload.to_json();
-    format!("{MAGIC} v{FORMAT_VERSION} kind={kind} crc={:016x}\n{body}", fnv1a64(body.as_bytes()))
+    // Header with a placeholder checksum, body rendered straight behind
+    // it, then the 16 digits patched in place: the frame is built in
+    // the one buffer the caller receives.
+    let mut text = format!("{MAGIC} v{FORMAT_VERSION} kind={kind} crc={:016x}\n", 0);
+    let body_start = text.len();
+    payload.write_json(&mut text);
+    let crc = fnv1a64(&text.as_bytes()[body_start..]);
+    text.replace_range(body_start - 17..body_start - 1, &format!("{crc:016x}"));
+    text
 }
 
 /// Verifies and parses envelope text produced by [`encode_envelope`].
@@ -151,6 +158,13 @@ mod tests {
         write_atomic(&path, "second\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "second\n");
         assert!(!path.with_extension("tmp").exists());
+    }
+
+    #[test]
+    fn encoded_text_is_header_checksum_newline_body() {
+        let body = payload().to_json();
+        let want = format!("fedl-store v1 kind=test crc={:016x}\n{body}", fnv1a64(body.as_bytes()));
+        assert_eq!(encode_envelope("test", &payload()), want);
     }
 
     #[test]

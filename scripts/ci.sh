@@ -187,6 +187,9 @@ stage_perf() {
     # the gate above watches for the layer every FedL decision runs.
     require_kernels solve/project_1k solve/descend_64 solve/descend_1k solve/descend_10k \
         solve/descend_10k_warm solve/descend_tail core/decide_observe_64
+    # The dist column codec (docs/DIST.md, "Packed columns"): one 40k-row
+    # context part through encode_frame + decode_frame.
+    require_kernels wire/context_part_40k
     CI_STAGE_NOTE="results/BENCH.json"
 }
 
