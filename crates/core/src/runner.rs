@@ -821,8 +821,7 @@ impl ExperimentRunner {
             }
             self.sim_time += report.latency_secs;
             let evaluate_span = epoch_span.child("evaluate");
-            let accuracy = self.env.test_accuracy();
-            let test_loss = self.env.test_loss();
+            let (accuracy, test_loss) = self.env.test_metrics();
             drop(evaluate_span);
             self.emit_epoch_event(&ctx, &report, iterations, accuracy, test_loss);
             self.records.push(EpochRecord {

@@ -87,6 +87,18 @@ impl Dataset {
         Dataset { features, labels, num_classes: self.num_classes }
     }
 
+    /// The feature rows and one-hot labels of [`Self::subset`]`(indices)`
+    /// written into caller-owned matrices (reshaped); steady-state reuse
+    /// performs no allocation.
+    pub fn gather_into(&self, indices: &[usize], x: &mut Matrix, y: &mut Matrix) {
+        x.resize_to(indices.len(), self.dim());
+        y.resize_to(indices.len(), self.num_classes);
+        for (r, &i) in indices.iter().enumerate() {
+            x.row_mut(r).copy_from_slice(self.features.row(i));
+            y.set(r, self.labels[i], 1.0);
+        }
+    }
+
     /// One-hot label matrix (`n_samples x num_classes`), the target format
     /// for the cross-entropy loss.
     pub fn one_hot_labels(&self) -> Matrix {

@@ -68,10 +68,19 @@ impl OnlineStream {
     /// the same arrivals, so selection policies can be compared on
     /// identical inputs.
     pub fn arrivals(&self, epoch: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.arrivals_into(epoch, &mut out);
+        out
+    }
+
+    /// [`Self::arrivals`] written into a caller-owned vector (cleared
+    /// first); steady-state reuse performs no allocation.
+    pub fn arrivals_into(&self, epoch: usize, out: &mut Vec<usize>) {
         let mut rng = rng_for(self.seed, 0x57EA ^ (epoch as u64));
         let poisson = Poisson::new(self.lambda);
         let count = (poisson.sample(&mut rng) as usize).clamp(1, self.max_batch);
-        (0..count).map(|_| self.pool[rng.gen_range(0..self.pool.len())]).collect()
+        out.clear();
+        out.extend((0..count).map(|_| self.pool[rng.gen_range(0..self.pool.len())]));
     }
 
     /// The number of arrivals at `epoch`, without materializing them.
@@ -90,6 +99,7 @@ impl OnlineStream {
 mod tests {
     use super::*;
     use crate::synth::small_fmnist;
+    use fedl_linalg::Matrix;
 
     fn stream() -> OnlineStream {
         OnlineStream::new((0..50).collect(), 12.0, 99)
@@ -150,6 +160,15 @@ mod tests {
             assert_eq!(ds.features.row(r), train.features.row(i));
             assert_eq!(ds.labels[r], train.labels[i]);
         }
+        // The buffer-reusing forms agree with the owned ones, whatever
+        // the buffers held before.
+        let mut idx = vec![99; 40];
+        s.arrivals_into(2, &mut idx);
+        assert_eq!(idx, arr);
+        let (mut x, mut y) = (Matrix::full(3, 2, 7.0), Matrix::full(1, 1, 7.0));
+        train.gather_into(&idx, &mut x, &mut y);
+        assert_eq!(x, ds.features);
+        assert_eq!(y, ds.one_hot_labels());
     }
 
     #[test]

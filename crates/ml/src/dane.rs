@@ -106,7 +106,8 @@ pub struct LocalOutcome {
     /// Full-batch `∇F_{t,k}(w)` at the broadcast model (aggregated by the
     /// server into the next `J`).
     pub grad_at_w: ParamSet,
-    /// Measured local convergence accuracy `η̂ ∈ [0, 1)`.
+    /// Measured local convergence accuracy `η̂ ∈ [0, 1)`; a solve whose
+    /// surrogate gradient went non-finite reports the worst value, 0.999.
     pub eta_hat: f32,
     /// Full-batch local loss at the broadcast model.
     pub loss_at_w: f32,
@@ -122,6 +123,12 @@ pub struct LocalOutcome {
 /// the workload's high-water mark and are then reused, so a steady-state
 /// solve performs zero heap allocation (pinned by
 /// `crates/ml/tests/alloc_free.rs`).
+///
+/// The inner SGD steps need only `∇F(w + dʲ)`, so they call the model's
+/// gradient-only primitive [`Model::ce_and_grad_scratch`]; the regularized
+/// loss is read at exactly two points — `w` (through the caller's model,
+/// whose penalty cell the whole cohort shares) and `w + d_final` (through
+/// the working clone, whose cell every `set_params_from` empties).
 ///
 /// The cached working-model clone is revalidated against the incoming
 /// model by parameter shapes only; hyper-parameters the shapes cannot
@@ -205,6 +212,18 @@ pub fn local_update(
     cfg: &DaneConfig,
     rng: &mut impl Rng,
 ) -> LocalOutcome {
+    local_update_in(model_at_w, data, j_agg, cfg, rng, &Telemetry::disabled())
+}
+
+/// [`local_update`], counting a diverged solve into `telemetry`.
+fn local_update_in(
+    model_at_w: &dyn Model,
+    data: &Dataset,
+    j_agg: &ParamSet,
+    cfg: &DaneConfig,
+    rng: &mut impl Rng,
+    telemetry: &Telemetry,
+) -> LocalOutcome {
     thread_local! {
         static SCRATCH: RefCell<DaneScratch> = RefCell::new(DaneScratch::new());
     }
@@ -222,7 +241,7 @@ pub fn local_update(
         // the same architecture), so the safe entry point re-clones per
         // call — the same clone count as the historical implementation.
         scratch.work = Some(model_at_w.clone_model());
-        local_update_scratch(model_at_w, data, j_agg, cfg, rng, &mut scratch, &mut out);
+        solve(model_at_w, data, j_agg, cfg, rng, &mut scratch, &mut out, telemetry);
     });
     out
 }
@@ -247,6 +266,22 @@ pub fn local_update_scratch(
     rng: &mut impl Rng,
     scratch: &mut DaneScratch,
     out: &mut LocalOutcome,
+) {
+    solve(model_at_w, data, j_agg, cfg, rng, scratch, out, &Telemetry::disabled());
+}
+
+/// The solve behind every entry point. A surrogate gradient that went
+/// non-finite is counted into `telemetry` as `ml.nonfinite_eta`.
+#[allow(clippy::too_many_arguments)]
+fn solve(
+    model_at_w: &dyn Model,
+    data: &Dataset,
+    j_agg: &ParamSet,
+    cfg: &DaneConfig,
+    rng: &mut impl Rng,
+    scratch: &mut DaneScratch,
+    out: &mut LocalOutcome,
+    telemetry: &Telemetry,
 ) {
     assert!(!data.is_empty(), "local update on an empty working set");
     assert!(cfg.lr > 0.0, "non-positive DANE learning rate");
@@ -281,8 +316,8 @@ pub fn local_update_scratch(
         scratch.wd.axpy(1.0, &out.delta);
         work.set_params_from(&scratch.wd);
         sample_batch_into(data, cfg.batch, rng, &mut scratch.bx, &mut scratch.by);
-        let _ =
-            work.loss_and_grad_scratch(&scratch.bx, &scratch.by, &mut scratch.g, &mut scratch.ws);
+        // Gradient only: nobody reads a loss at w + dʲ.
+        work.ce_and_grad_scratch(&scratch.bx, &scratch.by, &mut scratch.g, &mut scratch.ws);
         // ∇G(d) = ∇F(w+d) + σ₁·d − ∇F(w) + σ₂·J.
         scratch.g.axpy(cfg.sigma1, &out.delta);
         scratch.g.axpy(1.0, &scratch.neg_linear);
@@ -302,7 +337,15 @@ pub fn local_update_scratch(
     scratch.g.axpy(cfg.sigma1, &out.delta);
     scratch.g.axpy(1.0, &scratch.neg_linear);
     out.eta_hat = if grad0_norm > 1e-12 {
-        (scratch.g.norm() / grad0_norm).clamp(0.0, 0.999)
+        let ratio = scratch.g.norm() / grad0_norm;
+        if ratio.is_finite() {
+            ratio.clamp(0.0, 0.999)
+        } else {
+            // A diverged solve (NaN would survive `clamp` and then lose
+            // every `max` downstream, reading as η̂ = 0, "exact").
+            telemetry.counter("ml.nonfinite_eta").incr();
+            0.999
+        }
     } else {
         // No aggregated direction yet (first iteration): the surrogate
         // started at its stationary point, so the solve is "exact".
@@ -314,7 +357,9 @@ pub fn local_update_scratch(
 /// `telemetry`: counters `ml.local_updates` / `ml.local_steps` and
 /// histograms `ml.eta_hat` (the measured accuracy η̂, dimensionless),
 /// `ml.local_loss` (loss at the broadcast model), and
-/// `ml.solve_secs` (wall-clock solve time).
+/// `ml.solve_secs` (wall-clock solve time); a solve whose surrogate
+/// gradient went non-finite (reported as the worst accuracy, η̂ = 0.999)
+/// adds to the counter `ml.nonfinite_eta`.
 ///
 /// The workspace simulator calls this from its worker threads — the
 /// [`Telemetry`] handle is `Sync`, and every recording is a few atomic
@@ -329,7 +374,7 @@ pub fn local_update_observed(
     telemetry: &Telemetry,
 ) -> LocalOutcome {
     let start = std::time::Instant::now();
-    let outcome = local_update(model_at_w, data, j_agg, cfg, rng);
+    let outcome = local_update_in(model_at_w, data, j_agg, cfg, rng, telemetry);
     telemetry.counter("ml.local_updates").incr();
     telemetry.counter("ml.local_steps").add(cfg.local_steps as u64);
     telemetry.histogram("ml.eta_hat").record(outcome.eta_hat as f64);
@@ -509,6 +554,35 @@ mod tests {
         assert_eq!(tel.histogram("ml.eta_hat").count(), 1);
         assert_eq!(tel.histogram("ml.local_loss").count(), 1);
         assert_eq!(tel.histogram("ml.solve_secs").count(), 1);
+    }
+
+    #[test]
+    fn diverged_solve_reports_the_worst_accuracy_not_the_best() {
+        let (model, clean) = setup();
+        let (_, j) = model.loss_and_grad(&clean.features, &clean.one_hot_labels());
+        // One NaN feature row poisons every gradient the client computes.
+        let mut data = clean.subset(&(0..20).collect::<Vec<_>>());
+        data.features.row_mut(3).fill(f32::NAN);
+        let cfg = DaneConfig { local_steps: 3, ..Default::default() };
+        let (tel, _handle) = Telemetry::in_memory();
+        let out = local_update_observed(&model, &data, &j, &cfg, &mut rng_for(8, 0), &tel);
+        assert!(out.delta.has_non_finite(), "the solve must actually have diverged");
+        assert_eq!(out.eta_hat, 0.999, "a NaN ratio is the worst accuracy, never 0 (exact)");
+        assert_eq!(tel.counter("ml.nonfinite_eta").value(), 1);
+        // A finite solve does not count.
+        let _ = local_update_observed(&model, &clean, &j, &cfg, &mut rng_for(8, 0), &tel);
+        assert_eq!(tel.counter("ml.nonfinite_eta").value(), 1);
+        // The scratch entry point maps the ratio the same way.
+        let mut out = LocalOutcome {
+            delta: ParamSet::new(Vec::new()),
+            grad_at_w: ParamSet::new(Vec::new()),
+            eta_hat: 0.0,
+            loss_at_w: 0.0,
+            loss_after: 0.0,
+        };
+        let mut scratch = DaneScratch::new();
+        local_update_scratch(&model, &data, &j, &cfg, &mut rng_for(8, 0), &mut scratch, &mut out);
+        assert_eq!(out.eta_hat, 0.999);
     }
 
     #[test]

@@ -1,25 +1,54 @@
 //! Evaluation metrics: accuracy, loss, and per-class breakdowns.
 
 use fedl_data::Dataset;
+use fedl_linalg::Matrix;
 
+use crate::loss::cross_entropy;
 use crate::model::Model;
+
+/// Share of rows whose largest logit is the row's label.
+fn correct_share(logits: &Matrix, labels: &[usize]) -> f64 {
+    let correct = logits.row_argmax().iter().zip(labels).filter(|(p, l)| p == l).count();
+    correct as f64 / labels.len() as f64
+}
+
+/// Cross-entropy of `logits` against one-hot `targets` plus the model's
+/// penalty: the regularized loss, given the forward pass.
+fn regularized_loss(model: &dyn Model, logits: &Matrix, targets: &Matrix) -> f64 {
+    (cross_entropy(logits, targets) + model.penalty()) as f64
+}
 
 /// Classification accuracy of `model` on `data` in `[0, 1]`.
 pub fn accuracy(model: &dyn Model, data: &Dataset) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let preds = model.forward(&data.features).row_argmax();
-    let correct = preds.iter().zip(&data.labels).filter(|(p, l)| p == l).count();
-    correct as f64 / data.len() as f64
+    correct_share(&model.forward(&data.features), &data.labels)
 }
 
 /// Regularized loss of `model` on `data`.
 pub fn loss(model: &dyn Model, data: &Dataset) -> f64 {
+    loss_against(model, data, &data.one_hot_labels())
+}
+
+/// [`loss`] against prebuilt targets: `targets` is
+/// `data.one_hot_labels()`, built once by a caller that evaluates the
+/// same set every epoch.
+pub fn loss_against(model: &dyn Model, data: &Dataset, targets: &Matrix) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    model.loss(&data.features, &data.one_hot_labels()) as f64
+    regularized_loss(model, &model.forward(&data.features), targets)
+}
+
+/// [`accuracy`] and [`loss_against`] from one forward pass — the same
+/// bits as the two calls, which each run their own.
+pub fn accuracy_and_loss(model: &dyn Model, data: &Dataset, targets: &Matrix) -> (f64, f64) {
+    if data.is_empty() {
+        return (0.0, 0.0);
+    }
+    let logits = model.forward(&data.features);
+    (correct_share(&logits, &data.labels), regularized_loss(model, &logits, targets))
 }
 
 /// Per-class recall (diagonal of the row-normalized confusion matrix).

@@ -20,7 +20,8 @@ use fedl_linalg::{ops, Matrix};
 use crate::loss::{cross_entropy, cross_entropy_with_grad};
 use crate::params::ParamSet;
 
-use super::{check_shapes, Model};
+use super::penalized::PenalizedParams;
+use super::{Model, ModelScratch};
 
 /// Spatial shape of a feature map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,14 +183,13 @@ pub struct ConvBlockSpec {
 /// models.
 #[derive(Debug, Clone)]
 pub struct Cnn {
-    params: ParamSet, // [convW, convB]* then [fcW, fcB]
+    params: PenalizedParams, // [convW, convB]* then [fcW, fcB]
     input: MapShape,
     blocks: Vec<ConvBlockSpec>,
     /// Feature-map shape entering each block (cached at construction).
     block_inputs: Vec<MapShape>,
     flat_dim: usize,
     classes: usize,
-    l2: f32,
 }
 
 impl Cnn {
@@ -207,7 +207,6 @@ impl Cnn {
     ) -> Self {
         assert!(!input.is_empty(), "empty input shape");
         assert!(classes >= 2, "need at least two classes");
-        assert!(l2 >= 0.0, "negative regularization");
         let mut tensors = Vec::new();
         let mut shape = input;
         let mut block_inputs = Vec::with_capacity(blocks.len());
@@ -223,7 +222,8 @@ impl Cnn {
         let flat_dim = shape.len();
         tensors.push(Matrix::glorot(flat_dim, classes, rng));
         tensors.push(Matrix::zeros(1, classes));
-        Self { params: ParamSet::new(tensors), input, blocks, block_inputs, flat_dim, classes, l2 }
+        let params = PenalizedParams::new(ParamSet::new(tensors), l2);
+        Self { params, input, blocks, block_inputs, flat_dim, classes }
     }
 
     /// The input map shape.
@@ -237,27 +237,19 @@ impl Cnn {
     }
 
     fn conv_w(&self, b: usize) -> &Matrix {
-        &self.params.tensors()[2 * b]
+        &self.params.get().tensors()[2 * b]
     }
 
     fn conv_b(&self, b: usize) -> &Matrix {
-        &self.params.tensors()[2 * b + 1]
+        &self.params.get().tensors()[2 * b + 1]
     }
 
     fn fc_w(&self) -> &Matrix {
-        &self.params.tensors()[2 * self.blocks.len()]
+        &self.params.get().tensors()[2 * self.blocks.len()]
     }
 
     fn fc_b(&self) -> &Matrix {
-        &self.params.tensors()[2 * self.blocks.len() + 1]
-    }
-
-    fn l2_term(&self) -> f32 {
-        let mut acc = self.fc_w().norm_sq();
-        for b in 0..self.blocks.len() {
-            acc += self.conv_w(b).norm_sq();
-        }
-        0.5 * self.l2 * acc
+        &self.params.get().tensors()[2 * self.blocks.len() + 1]
     }
 
     /// Rearranges conv output from patch-row layout
@@ -325,22 +317,37 @@ impl Model for Cnn {
     }
 
     fn params(&self) -> &ParamSet {
-        &self.params
+        self.params.get()
     }
 
     fn set_params(&mut self, params: ParamSet) {
-        check_shapes(&self.params, &params);
-        self.params = params;
+        self.params.replace(params);
     }
 
-    fn loss_and_grad(&self, x: &Matrix, y: &Matrix) -> (f32, ParamSet) {
+    fn set_params_from(&mut self, params: &ParamSet) {
+        self.params.copy_from(params);
+    }
+
+    fn penalty(&self) -> f32 {
+        // The head first, then the blocks: the order the sum always had.
+        let blocks = self.blocks.len();
+        self.params.penalty(std::iter::once(2 * blocks).chain((0..blocks).map(|b| 2 * b)))
+    }
+
+    fn ce_and_grad_scratch(
+        &self,
+        x: &Matrix,
+        y: &Matrix,
+        grad: &mut ParamSet,
+        _ws: &mut ModelScratch,
+    ) -> f32 {
         let batch = x.rows();
         let (flat, caches, logits) = self.forward_cached(x);
         let (ce, dlogits) = cross_entropy_with_grad(&logits, y);
 
         // FC head.
         let mut dfc_w = flat.t_matmul(&dlogits);
-        dfc_w.axpy(self.l2, self.fc_w());
+        dfc_w.axpy(self.params.l2(), self.fc_w());
         let dfc_b = dlogits.col_sums();
         let mut dcur = dlogits.matmul_t(self.fc_w()); // grad wrt pooled planar
 
@@ -356,7 +363,7 @@ impl Model for Cnn {
             // Back to patch-row layout.
             let dy = Self::from_planar(&dplanar, batch, conv_out); // n·oh·ow × out_c
             let mut dw = dy.t_matmul(patches); // out_c × fan_in
-            dw.axpy(self.l2, self.conv_w(b));
+            dw.axpy(self.params.l2(), self.conv_w(b));
             let db = dy.col_sums();
             conv_grads.push((dw, db));
             if b > 0 {
@@ -365,18 +372,19 @@ impl Model for Cnn {
             }
         }
         conv_grads.reverse();
-        let mut tensors = Vec::with_capacity(self.params.len());
+        let mut tensors = Vec::with_capacity(self.params.get().len());
         for (dw, db) in conv_grads {
             tensors.push(dw);
             tensors.push(db);
         }
         tensors.push(dfc_w);
         tensors.push(dfc_b);
-        (ce + self.l2_term(), ParamSet::new(tensors))
+        *grad = ParamSet::new(tensors);
+        ce
     }
 
-    fn loss(&self, x: &Matrix, y: &Matrix) -> f32 {
-        cross_entropy(&self.forward(x), y) + self.l2_term()
+    fn ce_scratch(&self, x: &Matrix, y: &Matrix, _ws: &mut ModelScratch) -> f32 {
+        cross_entropy(&self.forward(x), y)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {

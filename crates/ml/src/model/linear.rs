@@ -6,7 +6,8 @@ use fedl_linalg::{ops, Matrix};
 use crate::loss::{cross_entropy_scratch, cross_entropy_with_grad_into};
 use crate::params::ParamSet;
 
-use super::{check_shapes, Model, ModelScratch};
+use super::penalized::PenalizedParams;
+use super::{Model, ModelScratch};
 
 /// Linear classifier `logits = x·W + b` with cross-entropy loss and L2
 /// regularization on `W`.
@@ -17,10 +18,9 @@ use super::{check_shapes, Model, ModelScratch};
 /// plays the role of the paper's CNNs in the headline figures.
 #[derive(Debug, Clone)]
 pub struct SoftmaxRegression {
-    params: ParamSet, // [W (dim x classes), b (1 x classes)]
+    params: PenalizedParams, // [W (dim x classes), b (1 x classes)]
     input_dim: usize,
     classes: usize,
-    l2: f32,
 }
 
 impl SoftmaxRegression {
@@ -28,36 +28,33 @@ impl SoftmaxRegression {
     /// a convex loss).
     pub fn new(input_dim: usize, classes: usize, l2: f32) -> Self {
         assert!(input_dim > 0 && classes >= 2, "bad architecture");
-        assert!(l2 >= 0.0, "negative regularization");
         let params =
             ParamSet::new(vec![Matrix::zeros(input_dim, classes), Matrix::zeros(1, classes)]);
-        Self { params, input_dim, classes, l2 }
+        Self { params: PenalizedParams::new(params, l2), input_dim, classes }
     }
 
     /// Creates a randomly initialized model (useful when several clients
     /// should start from distinct points).
     pub fn new_random(input_dim: usize, classes: usize, l2: f32, rng: &mut impl Rng) -> Self {
         let mut model = Self::new(input_dim, classes, l2);
-        model.params =
-            ParamSet::new(vec![Matrix::glorot(input_dim, classes, rng), Matrix::zeros(1, classes)]);
+        model.params.replace(ParamSet::new(vec![
+            Matrix::glorot(input_dim, classes, rng),
+            Matrix::zeros(1, classes),
+        ]));
         model
     }
 
     /// L2 coefficient.
     pub fn l2(&self) -> f32 {
-        self.l2
+        self.params.l2()
     }
 
     fn weights(&self) -> &Matrix {
-        &self.params.tensors()[0]
+        &self.params.get().tensors()[0]
     }
 
     fn bias(&self) -> &Matrix {
-        &self.params.tensors()[1]
-    }
-
-    fn l2_term(&self) -> f32 {
-        0.5 * self.l2 * self.weights().norm_sq()
+        &self.params.get().tensors()[1]
     }
 
     /// Logits into `ws.acts[0]` without allocating.
@@ -79,30 +76,22 @@ impl Model for SoftmaxRegression {
     }
 
     fn params(&self) -> &ParamSet {
-        &self.params
+        self.params.get()
     }
 
     fn set_params(&mut self, params: ParamSet) {
-        check_shapes(&self.params, &params);
-        self.params = params;
+        self.params.replace(params);
     }
 
     fn set_params_from(&mut self, params: &ParamSet) {
-        check_shapes(&self.params, params);
         self.params.copy_from(params);
     }
 
-    fn loss_and_grad(&self, x: &Matrix, y: &Matrix) -> (f32, ParamSet) {
-        let mut grad = ParamSet::new(Vec::new());
-        let loss = self.loss_and_grad_scratch(x, y, &mut grad, &mut ModelScratch::new());
-        (loss, grad)
+    fn penalty(&self) -> f32 {
+        self.params.penalty([0])
     }
 
-    fn loss(&self, x: &Matrix, y: &Matrix) -> f32 {
-        self.loss_scratch(x, y, &mut ModelScratch::new())
-    }
-
-    fn loss_and_grad_scratch(
+    fn ce_and_grad_scratch(
         &self,
         x: &Matrix,
         y: &Matrix,
@@ -112,17 +101,17 @@ impl Model for SoftmaxRegression {
         self.forward_scratch(x, ws);
         let ce = cross_entropy_with_grad_into(&ws.acts[0], y, &mut ws.lse, &mut ws.delta);
         // dW = xᵀ·dlogits + l2·W ; db = column sums of dlogits.
-        grad.set_zeros_like(&self.params);
+        grad.set_zeros_like(self.params.get());
         let tensors = grad.tensors_mut();
         x.t_matmul_into(&ws.delta, &mut tensors[0]);
-        tensors[0].axpy(self.l2, self.weights());
+        tensors[0].axpy(self.params.l2(), self.weights());
         ws.delta.col_sums_into(&mut tensors[1]);
-        ce + self.l2_term()
+        ce
     }
 
-    fn loss_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
+    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
         self.forward_scratch(x, ws);
-        cross_entropy_scratch(&ws.acts[0], y, &mut ws.lse) + self.l2_term()
+        cross_entropy_scratch(&ws.acts[0], y, &mut ws.lse)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {

@@ -6,7 +6,8 @@ use fedl_linalg::{ops, Matrix};
 use crate::loss::{cross_entropy_scratch, cross_entropy_with_grad_into};
 use crate::params::ParamSet;
 
-use super::{check_shapes, Model, ModelScratch};
+use super::penalized::PenalizedParams;
+use super::{Model, ModelScratch};
 
 /// Multi-layer perceptron: `x → [Linear → ReLU]* → Linear → logits`,
 /// cross-entropy loss, L2 regularization on all weight matrices.
@@ -19,9 +20,8 @@ use super::{check_shapes, Model, ModelScratch};
 /// `[W₁, b₁, W₂, b₂, …]`.
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    params: ParamSet,
+    params: PenalizedParams,
     layer_dims: Vec<usize>, // [input, hidden..., classes]
-    l2: f32,
 }
 
 impl Mlp {
@@ -37,7 +37,6 @@ impl Mlp {
     ) -> Self {
         assert!(input_dim > 0 && classes >= 2, "bad architecture");
         assert!(hidden.iter().all(|&h| h > 0), "zero-width hidden layer");
-        assert!(l2 >= 0.0, "negative regularization");
         let mut layer_dims = Vec::with_capacity(hidden.len() + 2);
         layer_dims.push(input_dim);
         layer_dims.extend_from_slice(hidden);
@@ -48,7 +47,7 @@ impl Mlp {
             tensors.push(Matrix::glorot(w[0], w[1], rng));
             tensors.push(Matrix::zeros(1, w[1]));
         }
-        Self { params: ParamSet::new(tensors), layer_dims, l2 }
+        Self { params: PenalizedParams::new(ParamSet::new(tensors), l2), layer_dims }
     }
 
     /// Number of linear layers.
@@ -62,16 +61,11 @@ impl Mlp {
     }
 
     fn weight(&self, layer: usize) -> &Matrix {
-        &self.params.tensors()[2 * layer]
+        &self.params.get().tensors()[2 * layer]
     }
 
     fn bias(&self, layer: usize) -> &Matrix {
-        &self.params.tensors()[2 * layer + 1]
-    }
-
-    fn l2_term(&self) -> f32 {
-        let w_norm: f32 = (0..self.depth()).map(|l| self.weight(l).norm_sq()).sum();
-        0.5 * self.l2 * w_norm
+        &self.params.get().tensors()[2 * layer + 1]
     }
 
     /// Forward pass caching pre-activations (needed by backprop) into the
@@ -100,37 +94,42 @@ impl Mlp {
 }
 
 impl Model for Mlp {
+    /// Inference keeps no backprop cache: one buffer per layer, ReLU in
+    /// place — the values of the training pass's activations, with half
+    /// its footprint on a thousand-row test set.
     fn forward(&self, x: &Matrix) -> Matrix {
-        let mut ws = ModelScratch::new();
-        self.forward_scratch(x, &mut ws);
-        ws.acts.pop().expect("at least one layer")
+        assert_eq!(x.cols(), self.layer_dims[0], "input dimension mismatch");
+        let depth = self.depth();
+        let mut act = Matrix::default();
+        for l in 0..depth {
+            let mut next = Matrix::default();
+            (if l == 0 { x } else { &act }).matmul_into(self.weight(l), &mut next);
+            ops::add_row_broadcast(&mut next, self.bias(l));
+            if l + 1 < depth {
+                next.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+            act = next;
+        }
+        act
     }
 
     fn params(&self) -> &ParamSet {
-        &self.params
+        self.params.get()
     }
 
     fn set_params(&mut self, params: ParamSet) {
-        check_shapes(&self.params, &params);
-        self.params = params;
+        self.params.replace(params);
     }
 
     fn set_params_from(&mut self, params: &ParamSet) {
-        check_shapes(&self.params, params);
         self.params.copy_from(params);
     }
 
-    fn loss_and_grad(&self, x: &Matrix, y: &Matrix) -> (f32, ParamSet) {
-        let mut grad = ParamSet::new(Vec::new());
-        let loss = self.loss_and_grad_scratch(x, y, &mut grad, &mut ModelScratch::new());
-        (loss, grad)
+    fn penalty(&self) -> f32 {
+        self.params.penalty((0..self.depth()).map(|l| 2 * l))
     }
 
-    fn loss(&self, x: &Matrix, y: &Matrix) -> f32 {
-        self.loss_scratch(x, y, &mut ModelScratch::new())
-    }
-
-    fn loss_and_grad_scratch(
+    fn ce_and_grad_scratch(
         &self,
         x: &Matrix,
         y: &Matrix,
@@ -141,14 +140,14 @@ impl Model for Mlp {
         self.forward_scratch(x, ws);
         let ce = cross_entropy_with_grad_into(&ws.acts[depth - 1], y, &mut ws.lse, &mut ws.delta);
 
-        grad.set_zeros_like(&self.params);
+        grad.set_zeros_like(self.params.get());
         for l in (0..depth).rev() {
             // dW_l = a_lᵀ · delta + l2·W_l ; db_l = col sums of delta.
             {
                 let a_l: &Matrix = if l == 0 { x } else { &ws.acts[l - 1] };
                 a_l.t_matmul_into(&ws.delta, &mut grad.tensors_mut()[2 * l]);
             }
-            grad.tensors_mut()[2 * l].axpy(self.l2, self.weight(l));
+            grad.tensors_mut()[2 * l].axpy(self.params.l2(), self.weight(l));
             ws.delta.col_sums_into(&mut grad.tensors_mut()[2 * l + 1]);
             if l > 0 {
                 // delta_{l-1} = (delta · W_lᵀ) ⊙ relu'(z_{l-1}).
@@ -157,13 +156,13 @@ impl Model for Mlp {
                 std::mem::swap(&mut ws.delta, &mut ws.upstream);
             }
         }
-        ce + self.l2_term()
+        ce
     }
 
-    fn loss_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
+    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
         let depth = self.depth();
         self.forward_scratch(x, ws);
-        cross_entropy_scratch(&ws.acts[depth - 1], y, &mut ws.lse) + self.l2_term()
+        cross_entropy_scratch(&ws.acts[depth - 1], y, &mut ws.lse)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {

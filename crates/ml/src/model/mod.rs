@@ -3,6 +3,7 @@
 mod cnn;
 mod linear;
 mod mlp;
+mod penalized;
 
 pub use cnn::{Cnn, ConvBlockSpec, MapShape};
 pub use linear::SoftmaxRegression;
@@ -50,6 +51,19 @@ impl ModelScratch {
 /// the γ-strong convexity the paper assumes for its convergence bounds
 /// (exactly true for [`SoftmaxRegression`], a standard idealization for
 /// the MLP).
+///
+/// A regularized loss is `data term + penalty`, and the two have
+/// different lifetimes: the cross-entropy data term depends on the
+/// batch, the penalty `½·l2·Σ‖W‖²` only on the parameters. A model
+/// therefore implements the two **primitives** — the data-term passes
+/// [`Model::ce_scratch`] / [`Model::ce_and_grad_scratch`] — plus
+/// [`Model::penalty`], which is reduced at most once per parameter
+/// version (a cell emptied by [`Model::set_params`] and
+/// [`Model::set_params_from`], the only ways to change the parameters).
+/// Every `loss*` method is provided here as their sum, so a caller that
+/// wants only the gradient (the inner DANE steps) calls the primitive and
+/// never reduces the weights of a parameter vector nobody reads a loss
+/// from.
 pub trait Model: Send + Sync {
     /// Class logits for a batch (`batch x classes`).
     fn forward(&self, x: &Matrix) -> Matrix;
@@ -57,25 +71,44 @@ pub trait Model: Send + Sync {
     /// Current parameters.
     fn params(&self) -> &ParamSet;
 
-    /// Replaces the parameters.
+    /// Replaces the parameters (and empties the penalty cell).
     ///
     /// # Panics
     /// Implementations panic if the shapes don't match the architecture.
     fn set_params(&mut self, params: ParamSet);
 
+    /// Replaces the parameters by copying from a borrowed set, reusing
+    /// the model's tensor storage (the allocation-free twin of
+    /// [`Model::set_params`]; empties the penalty cell likewise).
+    ///
+    /// # Panics
+    /// Implementations panic if the shapes don't match the architecture.
+    fn set_params_from(&mut self, params: &ParamSet);
+
+    /// The L2 term `½·l2·Σ‖W‖²` of the loss at the current parameters.
+    /// Computed on first use after the parameters last changed and then
+    /// served from the cell; safe to first-touch from several threads.
+    fn penalty(&self) -> f32;
+
+    /// **Primitive.** Mean cross-entropy of the batch — the loss without
+    /// [`Model::penalty`] — using a reusable workspace.
+    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32;
+
+    /// **Primitive.** Forward, cross-entropy, backward: writes the
+    /// gradient of the *regularized* loss (the `l2·W` term included) into
+    /// a caller-owned [`ParamSet`] and returns the cross-entropy data
+    /// term only. [`SoftmaxRegression`] and [`Mlp`] perform zero
+    /// steady-state allocation here; [`Cnn`] ignores the workspace.
+    fn ce_and_grad_scratch(
+        &self,
+        x: &Matrix,
+        y: &Matrix,
+        grad: &mut ParamSet,
+        ws: &mut ModelScratch,
+    ) -> f32;
+
     /// Regularized loss and gradient on a batch of features `x` and
-    /// one-hot targets `y`.
-    fn loss_and_grad(&self, x: &Matrix, y: &Matrix) -> (f32, ParamSet);
-
-    /// Regularized loss only (cheaper: skips the backward pass).
-    fn loss(&self, x: &Matrix, y: &Matrix) -> f32;
-
-    /// [`Model::loss_and_grad`] writing the gradient into a caller-owned
-    /// [`ParamSet`] using a reusable workspace. [`SoftmaxRegression`] and
-    /// [`Mlp`] implement their numerics here (zero steady-state
-    /// allocation) and derive the allocating form from it, so both paths
-    /// are bit-identical by construction. The default delegates the
-    /// other way for models without a scratch path (e.g. [`Cnn`]).
+    /// one-hot targets `y`, written into a caller-owned [`ParamSet`].
     fn loss_and_grad_scratch(
         &self,
         x: &Matrix,
@@ -83,27 +116,25 @@ pub trait Model: Send + Sync {
         grad: &mut ParamSet,
         ws: &mut ModelScratch,
     ) -> f32 {
-        let _ = ws;
-        let (loss, g) = self.loss_and_grad(x, y);
-        *grad = g;
-        loss
+        self.ce_and_grad_scratch(x, y, grad, ws) + self.penalty()
     }
 
-    /// [`Model::loss`] using a reusable workspace (see
-    /// [`Model::loss_and_grad_scratch`]).
+    /// Regularized loss only (cheaper: skips the backward pass).
     fn loss_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
-        let _ = ws;
-        self.loss(x, y)
+        self.ce_scratch(x, y, ws) + self.penalty()
     }
 
-    /// Replaces the parameters by copying from a borrowed set, reusing
-    /// the model's tensor storage (the allocation-free twin of
-    /// [`Model::set_params`]).
-    ///
-    /// # Panics
-    /// Implementations panic if the shapes don't match the architecture.
-    fn set_params_from(&mut self, params: &ParamSet) {
-        self.set_params(params.clone());
+    /// [`Model::loss_and_grad_scratch`] with a fresh workspace and a
+    /// fresh gradient — the same numerics, bit for bit.
+    fn loss_and_grad(&self, x: &Matrix, y: &Matrix) -> (f32, ParamSet) {
+        let mut grad = ParamSet::new(Vec::new());
+        let loss = self.loss_and_grad_scratch(x, y, &mut grad, &mut ModelScratch::new());
+        (loss, grad)
+    }
+
+    /// [`Model::loss_scratch`] with a fresh workspace.
+    fn loss(&self, x: &Matrix, y: &Matrix) -> f32 {
+        self.loss_scratch(x, y, &mut ModelScratch::new())
     }
 
     /// Deep copy behind the trait object.

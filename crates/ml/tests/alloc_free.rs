@@ -2,9 +2,11 @@
 //!
 //! Installs the counting allocator as this binary's global allocator and
 //! asserts that, once the reusable scratch is warmed, repeated local
-//! solves perform no heap allocation at all. A regression here means a
-//! buffer stopped being reused somewhere inside the mini-batch / loss /
-//! gradient / momentum pipeline.
+//! solves perform no heap allocation at all — nor does the solve's inner
+//! step on its own: replace the parameters in place (emptying the penalty
+//! cell), take the gradient-only pass, read the loss once (refilling it).
+//! A regression here means a buffer stopped being reused somewhere inside
+//! the mini-batch / loss / gradient / momentum pipeline.
 //!
 //! Kept to a single `#[test]` so no sibling test can allocate
 //! concurrently while the measured region runs.
@@ -13,7 +15,7 @@ use fedl_data::synth::small_fmnist;
 use fedl_linalg::alloc_counter::CountingAllocator;
 use fedl_linalg::rng::rng_for;
 use fedl_ml::dane::{local_update_scratch, DaneConfig, DaneScratch, LocalOutcome};
-use fedl_ml::model::{Mlp, Model};
+use fedl_ml::model::{Mlp, Model, ModelScratch};
 use fedl_ml::params::ParamSet;
 
 #[global_allocator]
@@ -66,4 +68,20 @@ fn dane_local_solve_is_allocation_free_once_warm() {
     });
     // The solve still did real work.
     assert!(out.loss_at_w.is_finite() && out.eta_hat >= 0.0);
+
+    let mut work = model.clone_model();
+    let targets = train.one_hot_labels();
+    let (mut grad, mut ws) = (ParamSet::new(Vec::new()), ModelScratch::new());
+    let mut step = |work: &mut Box<dyn Model>| {
+        work.set_params_from(model.params());
+        let ce = work.ce_and_grad_scratch(&train.features, &targets, &mut grad, &mut ws);
+        let loss = work.loss_scratch(&train.features, &targets, &mut ws);
+        assert_eq!((ce + work.penalty()).to_bits(), loss.to_bits());
+    };
+    step(&mut work);
+    assert_allocation_free("gradient-only step", || {
+        for _ in 0..5 {
+            step(&mut work);
+        }
+    });
 }

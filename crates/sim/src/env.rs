@@ -7,12 +7,15 @@
 //! so two policies evaluated on the same seed face *identical* client
 //! availability, costs, data arrivals, and channels.
 
+use std::time::Instant;
+
 use fedl_data::stream::OnlineStream;
 use fedl_data::{Dataset, Partition};
 use fedl_json::{ToJson, Value};
+use fedl_linalg::Matrix;
 use fedl_ml::dane::DaneConfig;
 use fedl_ml::metrics;
-use fedl_ml::model::Model;
+use fedl_ml::model::{Model, ModelScratch};
 use fedl_net::{ClientRadio, LatencyModel};
 use fedl_telemetry::Telemetry;
 
@@ -69,8 +72,57 @@ pub struct EdgeEnvironment {
     streams: Vec<OnlineStream>,
     train: Dataset,
     test: Dataset,
+    /// `test.one_hot_labels()`, built once: the test set never changes.
+    test_targets: Matrix,
     server: FederatedServer,
+    eval: ClientEvaluation,
     telemetry: Telemetry,
+}
+
+/// The per-epoch walk that scores the epoch-final model on every
+/// available client's working set (§3.1's `F_t`, constraint (3d)): one
+/// reused index / feature / one-hot / activation workspace, and each
+/// walked client's loss and row count. Warm, the walk allocates nothing.
+#[derive(Default)]
+struct ClientEvaluation {
+    idx: Vec<usize>,
+    x: Matrix,
+    y: Matrix,
+    ws: ModelScratch,
+    /// Indexed by client id; only the entries of the clients walked this
+    /// epoch are current.
+    losses: Vec<f32>,
+    rows: Vec<usize>,
+}
+
+impl ClientEvaluation {
+    /// Scores `model` on client `k`'s epoch working set.
+    fn score(
+        &mut self,
+        model: &dyn Model,
+        k: usize,
+        stream: &OnlineStream,
+        train: &Dataset,
+        epoch: usize,
+    ) {
+        stream.arrivals_into(epoch, &mut self.idx);
+        train.gather_into(&self.idx, &mut self.x, &mut self.y);
+        self.losses[k] = model.loss_scratch(&self.x, &self.y, &mut self.ws);
+        self.rows[k] = self.idx.len();
+    }
+
+    /// Data-volume-weighted loss `Σ θ_k F_k(w)` with `θ_k = D_k / Σ D`
+    /// (paper §3.1, "Loss") over the scored clients `ids`, folded in the
+    /// order given.
+    fn weighted_loss(&self, ids: impl Iterator<Item = usize>) -> f64 {
+        let mut total_samples = 0usize;
+        let mut acc = 0.0f64;
+        for k in ids {
+            total_samples += self.rows[k];
+            acc += self.losses[k] as f64 * self.rows[k] as f64;
+        }
+        acc / total_samples as f64
+    }
 }
 
 /// One online stream per client over its partition pool, arriving at the
@@ -151,11 +203,19 @@ impl EdgeEnvironment {
         let latency = LatencyModel::paper_defaults(config.upload_bits, train.dim() as f64 * 8.0);
         let population = Population::new(config, latency);
         let streams = build_streams(population.columns(), pools);
-        Self { population, streams, train, test, server, telemetry: Telemetry::disabled() }
+        let eval = ClientEvaluation {
+            losses: vec![0.0; streams.len()],
+            rows: vec![0; streams.len()],
+            ..Default::default()
+        };
+        let test_targets = test.one_hot_labels();
+        let telemetry = Telemetry::disabled();
+        Self { population, streams, train, test, test_targets, server, eval, telemetry }
     }
 
     /// Routes the environment's (and its server's) observability through
-    /// `telemetry`: every epoch opens a `train` span, emits a `train`
+    /// `telemetry`: every epoch opens a `run-epoch` span over its
+    /// `materialize` / `train` / `evaluate-clients` phases, emits a `train`
     /// event, and records `sim.*` metrics; the server adds the
     /// iteration-level spans and `ml.*` metrics.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -244,10 +304,13 @@ impl EdgeEnvironment {
         self.run_epoch_in(epoch, cohort, iterations, None)
     }
 
-    /// [`Self::run_epoch`] with an explicit parent span: the `train`
-    /// phase timer (and everything the server nests under it) becomes a
-    /// child of `parent`, so the runner's `epoch` span heads the whole
-    /// phase tree in the run log.
+    /// [`Self::run_epoch`] with an explicit parent span: the `run-epoch`
+    /// timer — and under it `materialize` (the cohort's working sets),
+    /// `train` (everything the server nests under it) and
+    /// `evaluate-clients` (the loss walk over `E_t`) — becomes a child of
+    /// `parent`, so the runner's `epoch` span heads the whole phase tree
+    /// in the run log and `run-epoch` minus its three children is what
+    /// the epoch spent on everything else here.
     pub fn run_epoch_in(
         &mut self,
         epoch: usize,
@@ -257,13 +320,19 @@ impl EdgeEnvironment {
     ) -> EpochReport {
         assert!(!cohort.is_empty(), "epoch with empty cohort");
         assert!(iterations > 0, "epoch needs at least one iteration");
+        let run_span = match parent {
+            Some(p) => p.child("run-epoch"),
+            None => self.telemetry.span("run-epoch"),
+        };
         let lent = self.population.advance(epoch);
         let (config, cols, now) = (lent.config, lent.cols, lent.now);
         for &k in cohort {
             assert!(k < cols.len(), "unknown client {k}");
             assert!(now.available[k], "client {k} is unavailable at epoch {epoch}");
         }
-        let available = now.available_ids();
+        // `E_t`, ascending.
+        let available_ids = || (0..now.available.len()).filter(|&k| now.available[k]);
+        let available_count = available_ids().count();
 
         // Mid-epoch failures: each selected client independently drops
         // out with probability p_dropout. At least one client survives
@@ -296,24 +365,28 @@ impl EdgeEnvironment {
         let cohort = &cohort[..];
 
         // Materialize each cohort client's epoch working set once.
+        let materialize = run_span.child("materialize");
         let cohort_data: Vec<(usize, Dataset)> = cohort
             .iter()
             .map(|&k| (k, self.streams[k].epoch_dataset(&self.train, epoch)))
             .collect();
         let cohort_refs: Vec<(usize, &Dataset)> =
             cohort_data.iter().map(|(k, d)| (*k, d)).collect();
+        drop(materialize);
 
-        let train_span = match parent {
-            Some(p) => p.child("train"),
-            None => self.telemetry.span("train"),
-        };
+        let train_span = run_span.child("train");
+        // Busy share of the solver threads: Σ solve time over the team's
+        // wall-clock inside `local-train`, from the two running sums.
+        let solve_secs = self.telemetry.histogram("ml.solve_secs");
+        let local_train_secs = self.telemetry.histogram("span.local-train");
+        let (solve_before, wall_before) = (solve_secs.sum(), local_train_secs.sum());
         let mut eta_max = vec![0.0f32; cohort.len()];
         let mut last_deltas = Vec::new();
         let mut local_losses = vec![0.0f32; cohort.len()];
         for it in 0..iterations {
             let stats = self.server.run_iteration_in(
                 &cohort_refs,
-                available.len(),
+                available_count,
                 config.aggregation,
                 epoch,
                 it,
@@ -328,6 +401,13 @@ impl EdgeEnvironment {
             }
         }
         drop(train_span);
+        let wall = local_train_secs.sum() - wall_before;
+        if wall > 0.0 {
+            let team = fedl_linalg::par::max_threads().min(cohort.len());
+            self.telemetry
+                .gauge("sim.local_train_efficiency")
+                .set((solve_secs.sum() - solve_before) / (team as f64 * wall));
+        }
 
         // h_t⁰ linearization coefficients: J · d_k on the final iteration.
         let j = self.server.j_agg();
@@ -341,12 +421,20 @@ impl EdgeEnvironment {
             per_client_iter_latency.iter().copied().fold(0.0f64, f64::max) * iterations as f64;
         let cost: f64 = full_cohort.iter().map(|&k| now.cost[k]).sum();
 
-        // Global losses at the epoch-final model.
-        let global_loss_selected =
-            weighted_loss(self.server.model(), cohort_data.iter().map(|(_, d)| d));
-        let all_data: Vec<Dataset> =
-            available.iter().map(|&k| self.streams[k].epoch_dataset(&self.train, epoch)).collect();
-        let global_loss_all = weighted_loss(self.server.model(), all_data.iter());
+        // Global losses at the epoch-final model: every available client
+        // is scored once, in id order; `F_t` folds all of them in that
+        // order and `F̃_t` the cohort's entries in cohort order.
+        let evaluate = run_span.child("evaluate-clients");
+        let evaluate_started = Instant::now();
+        for k in available_ids() {
+            self.eval.score(self.server.model(), k, &self.streams[k], &self.train, epoch);
+        }
+        let global_loss_selected = self.eval.weighted_loss(cohort.iter().copied());
+        let global_loss_all = self.eval.weighted_loss(available_ids());
+        drop(evaluate);
+        self.telemetry
+            .histogram("sim.evaluate_clients_ms")
+            .record(evaluate_started.elapsed().as_secs_f64() * 1e3);
 
         if self.telemetry.enabled() {
             // Per-client payment attribution: rent is owed for the full
@@ -409,33 +497,23 @@ impl EdgeEnvironment {
         }
     }
 
-    /// Test-set accuracy of the current global model.
+    /// Test-set `(accuracy, loss)` of the current global model, from one
+    /// forward pass over the test set.
+    pub fn test_metrics(&self) -> (f64, f64) {
+        metrics::accuracy_and_loss(self.server.model(), &self.test, &self.test_targets)
+    }
+
+    /// Test-set accuracy of the current global model:
+    /// [`Self::test_metrics`]`.0`, for a caller that wants only that (its
+    /// own forward pass, no loss reduction).
     pub fn test_accuracy(&self) -> f64 {
         metrics::accuracy(self.server.model(), &self.test)
     }
 
-    /// Test-set loss of the current global model.
+    /// Test-set loss of the current global model:
+    /// [`Self::test_metrics`]`.1`, for a caller that wants only that.
     pub fn test_loss(&self) -> f64 {
-        metrics::loss(self.server.model(), &self.test)
-    }
-}
-
-/// Data-volume-weighted loss `Σ θ_k F_k(w)` with `θ_k = D_k / Σ D`
-/// (paper §3.1, "Loss").
-fn weighted_loss<'a>(model: &dyn Model, datasets: impl Iterator<Item = &'a Dataset>) -> f64 {
-    let mut total_samples = 0usize;
-    let mut acc = 0.0f64;
-    for d in datasets {
-        if d.is_empty() {
-            continue;
-        }
-        total_samples += d.len();
-        acc += metrics::loss(model, d) * d.len() as f64;
-    }
-    if total_samples == 0 {
-        0.0
-    } else {
-        acc / total_samples as f64
+        metrics::loss_against(self.server.model(), &self.test, &self.test_targets)
     }
 }
 
@@ -657,6 +735,25 @@ mod tests {
         assert_eq!(tel.histogram("span.local-train").count(), 3);
         assert_eq!(tel.histogram("span.aggregate").count(), 3);
         assert_eq!(tel.histogram("span.train").count(), 1);
+        // The epoch's own phases, all under one `run-epoch` span that
+        // they (almost) fill.
+        let secs = |name: &str| {
+            let h = tel.histogram(name);
+            assert_eq!(h.count(), 1, "{name}");
+            h.sum()
+        };
+        let phases = secs("span.materialize") + secs("span.train") + secs("span.evaluate-clients");
+        assert!(phases <= secs("span.run-epoch"));
+        for child in ["materialize", "train", "evaluate-clients"] {
+            let span = events
+                .iter()
+                .find(|ev| ev.get("name").and_then(|n| n.as_str()) == Some(child))
+                .unwrap();
+            assert_eq!(span.get("parent").unwrap().as_str(), Some("run-epoch"), "{child}");
+        }
+        assert_eq!(tel.histogram("sim.evaluate_clients_ms").count(), 1);
+        let efficiency = tel.gauge("sim.local_train_efficiency").value();
+        assert!(efficiency > 0.0 && efficiency <= 1.0, "busy share {efficiency}");
         assert_eq!(tel.counter("sim.iterations").value(), 3);
         // 2 cohort clients x 3 iterations of local solves.
         assert_eq!(tel.counter("ml.local_updates").value(), 6);

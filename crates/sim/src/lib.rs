@@ -29,8 +29,9 @@
 //!
 //! The environment, server, and ledger all accept a
 //! [`fedl_telemetry::Telemetry`] handle (`set_telemetry`): when enabled
-//! it receives `train`/`round`/`local-train`/`aggregate` span timings,
-//! per-epoch `train` and `ledger` events, and `sim.*`/`budget.*`/`net.*`
+//! it receives `run-epoch`/`materialize`/`train`/`round`/`local-train`/
+//! `aggregate`/`evaluate-clients` span timings, per-epoch `train` and
+//! `ledger` events, and `sim.*`/`budget.*`/`net.*`
 //! metrics. The default is the disabled no-op handle, so untelemetered
 //! use pays nothing.
 //!

@@ -77,7 +77,7 @@ pub const RUN_LOG_SCHEMA_VERSION: u32 = 1;
 pub use event::{EventSink, FileSink, MemoryHandle, MemorySink};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use render::Report;
-pub use report::{ClientUsage, PhaseStats, RunLog};
+pub use report::{ClientUsage, PhaseSplit, PhaseStats, RunLog};
 pub use span::{Span, SpanContext};
 pub use trace::{merge_traces, TraceModel};
 

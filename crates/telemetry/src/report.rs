@@ -73,6 +73,48 @@ pub struct PhaseStats {
     pub max: f64,
 }
 
+/// Where one phase's time went: the spans opened directly under it, by
+/// name, and the remainder none of them covers (the phase's self time).
+#[derive(Debug, Clone)]
+pub struct PhaseSplit {
+    /// The parent span name, e.g. `run-epoch`.
+    pub name: String,
+    /// Number of times the parent ran.
+    pub count: usize,
+    /// Total seconds across all runs of the parent.
+    pub total_secs: f64,
+    /// Total seconds per child span name, largest first.
+    pub children: Vec<(String, f64)>,
+}
+
+impl PhaseSplit {
+    /// Parent time no child span covers. Negative when children ran
+    /// concurrently and together outlasted their parent.
+    pub fn unattributed_secs(&self) -> f64 {
+        self.total_secs - self.children.iter().map(|(_, secs)| secs).sum::<f64>()
+    }
+
+    /// The split on one line: the parent's mean duration, then each
+    /// child's share of it, then the unattributed remainder.
+    pub fn line(&self) -> String {
+        let share = |secs: f64| {
+            let mean = secs / self.count as f64;
+            format!("{:.1}% ({})", 100.0 * secs / self.total_secs, fmt_secs(mean))
+        };
+        let mut line = format!(
+            "{} {} ×{}:",
+            self.name,
+            fmt_secs(self.total_secs / self.count as f64),
+            self.count
+        );
+        for (child, secs) in &self.children {
+            line.push_str(&format!(" {child} {} ·", share(*secs)));
+        }
+        line.push_str(&format!(" unattributed {}", share(self.unattributed_secs())));
+        line
+    }
+}
+
 impl RunLog {
     /// Parses JSONL text: one event object per non-blank line.
     ///
@@ -185,6 +227,44 @@ impl RunLog {
         stats
     }
 
+    /// The phase tree, one level at a time: for every span name that has
+    /// spans opened directly under it (their `parent` field), where its
+    /// time went — largest parent first.
+    pub fn phase_splits(&self) -> Vec<PhaseSplit> {
+        let mut children: BTreeMap<&str, BTreeMap<&str, f64>> = BTreeMap::new();
+        for event in &self.events {
+            if event.get("kind").and_then(Value::as_str) != Some("span") {
+                continue;
+            }
+            let (Some(name), Some(parent), Some(secs)) = (
+                event.get("name").and_then(Value::as_str),
+                event.get("parent").and_then(Value::as_str),
+                event.get("secs").and_then(Value::as_f64),
+            ) else {
+                continue;
+            };
+            *children.entry(parent).or_default().entry(name).or_default() += secs;
+        }
+        self.phase_stats()
+            .into_iter()
+            .filter(|stats| stats.total_secs > 0.0)
+            .filter_map(|stats| {
+                let mut under: Vec<(String, f64)> = children
+                    .get(stats.name.as_str())?
+                    .iter()
+                    .map(|(name, secs)| (name.to_string(), *secs))
+                    .collect();
+                under.sort_by(|a, b| b.1.total_cmp(&a.1));
+                Some(PhaseSplit {
+                    name: stats.name,
+                    count: stats.count,
+                    total_secs: stats.total_secs,
+                    children: under,
+                })
+            })
+            .collect()
+    }
+
     /// Per-client aggregation of the `select` / `train` events, sorted
     /// by cumulative payment descending (budget attribution order),
     /// ties by client id. Clients the log never mentions do not appear.
@@ -284,8 +364,9 @@ impl RunLog {
         usage
     }
 
-    /// The `experiments telemetry-report` report: event-kind counts
-    /// followed by the per-phase timing table.
+    /// The `experiments telemetry-report` report: event-kind counts, the
+    /// per-phase timing table, and under it one line per parent phase
+    /// saying where its time went ([`PhaseSplit::line`]).
     pub fn report(&self) -> Report {
         let mut report = Report::new("FedL run log");
         report.note(format!("events: {}", self.events.len()));
@@ -315,6 +396,14 @@ impl RunLog {
         let mut cols = vec![Col::left("phase", 14), Col::right("count", 7)];
         cols.extend(["total", "p50", "p90", "p99", "max"].map(|head| Col::right(head, 12)));
         report.table("Phase timing", cols, rows);
+        let splits = self.phase_splits();
+        if !splits.is_empty() {
+            report.ascii("\n");
+            report.note("where each phase's time went (share of the parent, mean per run):");
+            for split in splits {
+                report.note(format!("  {}", split.line()));
+            }
+        }
         report
     }
 }

@@ -294,6 +294,11 @@ pub fn report(runs: &[(String, RunLog)]) -> Result<Report, String> {
     report.note(model.linkage_line());
     if model.epochs.is_empty() {
         report.note("no dist.epoch spans in the coordinator log — nothing to trace");
+        // A single-process run: its own phase tree is the whole trace
+        // (select / run-epoch / evaluate and what ran under them).
+        for split in runs[0].1.phase_splits() {
+            report.note(format!("  {}", split.line()));
+        }
         return Ok(report);
     }
 
