@@ -41,8 +41,12 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// repo benchmark's workloads measure those paths) and renamed
 /// `core/ucb_score_update_*` to `core/decide_observe_*`, which is what it
 /// times; v7 added `wire/context_part_40k` (one packed `ShardContextPart`
-/// frame through `encode_frame` + `decode_frame`, docs/DIST.md).
-pub const BENCH_SCHEMA_VERSION: u32 = 7;
+/// frame through `encode_frame` + `decode_frame`, docs/DIST.md); v8 added
+/// the two per-epoch stages of the sharded plane that no kernel timed:
+/// `scale/context_part_{10k,100k}` (a worker's `scale_context_part`,
+/// below and above the realize grain) and `core/sanitize_1k_of_80k` (the
+/// coordinator's decision hygiene at the `dist_fedavg_100k` shape).
+pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -524,6 +528,44 @@ fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profil
     }
 }
 
+/// The per-epoch stages of the sharded plane on either side of the wire
+/// (docs/PERF.md, "The 100k dist epoch budget"): a worker's
+/// `scale_context_part` over a 10k population (walked inline) and a 100k
+/// one (cut at the realize grain), and the coordinator's
+/// `sanitize_decision` of an unsorted 1 000-member cohort against the
+/// ≈ 80 000 available ids the 100k context holds.
+fn suite_dist_stages(kernels: &mut Vec<KernelStats>, budget: Duration) {
+    use fedl_core::columnar::{assemble_context, scale_context_part};
+    use fedl_core::engine::sanitize_decision;
+    use fedl_linalg::rng::{rng_for, Rng};
+    use fedl_net::LatencyModel;
+    use fedl_sim::{EnvConfig, Population, ScaleTier};
+
+    for tier in [ScaleTier::Tier10k, ScaleTier::Tier100k] {
+        let m = tier.num_clients();
+        let config = EnvConfig::scale(tier, 0xBEE);
+        let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);
+        let mut population = Population::new(config, latency);
+        // Epoch 1: the hint column is a different realization.
+        let lent = population.advance(1);
+        let n = m / 100;
+        let part = || scale_context_part(lent.cols, lent.hint, lent.now, &latency, n, 0..m, None);
+        measure_kernel(kernels, budget, &format!("scale/context_part_{}", tier.label()), || {
+            std::hint::black_box(part().available.len())
+        });
+        if tier == ScaleTier::Tier100k {
+            let ctx = assemble_context(m, vec![part()], 1e9, n, lent.config.seed)
+                .expect("scale tiers leave someone available");
+            let mut rng = rng_for(0xBEF, m as u64);
+            let cohort: Vec<usize> =
+                (0..n).map(|_| ctx.available[rng.gen_range(0..ctx.available.len())]).collect();
+            measure_kernel(kernels, budget, "core/sanitize_1k_of_80k", || {
+                sanitize_decision(std::hint::black_box(&ctx), cohort.clone(), 3)
+            });
+        }
+    }
+}
+
 /// The dist wire codec: one seeded 40 000-row `ShardContextPart` — the
 /// frame each worker of the benchmark's `dist_fedavg_100k` returns every
 /// epoch — through `encode_frame` and `decode_frame`, envelope checksum
@@ -564,6 +606,7 @@ pub fn run_suite(profile: Profile) -> BenchSnapshot {
     suite_decide_observe(&mut kernels, budget, profile);
     suite_solve(&mut kernels, budget);
     suite_scale(&mut kernels, budget, profile);
+    suite_dist_stages(&mut kernels, budget);
     suite_wire(&mut kernels, budget);
     BenchSnapshot {
         schema_version: BENCH_SCHEMA_VERSION,
@@ -833,7 +876,10 @@ mod tests {
             "core/rdcs",
             "core/decide_observe",
             "solve/",
-            "scale/",
+            "scale/epoch_realize",
+            "scale/context_part_10k",
+            "scale/context_part_100k",
+            "core/sanitize",
             "wire/",
         ] {
             assert!(

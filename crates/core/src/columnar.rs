@@ -11,9 +11,12 @@
 //! [`scale_context`] is the same assembly over explicitly passed
 //! realizations, for callers that hold no population.
 
+use std::ops::Range;
+
 use fedl_linalg::par::par_zip_chunks;
 use fedl_net::LatencyModel;
-use fedl_sim::{nominal_latency, ClientColumns, EpochColumns, Population};
+use fedl_sim::columns::REALIZE_CHUNK;
+use fedl_sim::{ClientColumns, EpochColumns, Population, SharePricing};
 
 use crate::policy::EpochContext;
 
@@ -82,7 +85,7 @@ pub fn context_at(
 /// let mut policy = FedLPolicy::new(FedLConfig::default(), cols.len(), 500.0, 6);
 /// let decision = policy.select(&ctx);
 /// assert!(decision.cohort.len() >= ctx.effective_n());
-/// assert!(decision.cohort.iter().all(|k| ctx.available.contains(k)));
+/// assert!(decision.cohort.iter().all(|k| ctx.available.binary_search(k).is_ok()));
 /// ```
 pub fn scale_context(
     cols: &ClientColumns,
@@ -122,6 +125,16 @@ pub struct ContextPart {
     pub data_volumes: Vec<usize>,
 }
 
+/// The rows of a [`ContextPart`] one cut of the shard fills: the same
+/// stretch of each of its five columns.
+struct Rows<'a> {
+    available: &'a mut [usize],
+    costs: &'a mut [f64],
+    latency_hint: &'a mut [f64],
+    true_latency: &'a mut [f64],
+    data_volumes: &'a mut [usize],
+}
+
 /// Computes one shard's [`ContextPart`] from (possibly shard-partial)
 /// epoch realizations — the worker half of the distributed
 /// [`scale_context`] split.
@@ -133,33 +146,71 @@ pub struct ContextPart {
 /// is per-client independent, so each value is bit-identical to the one
 /// the single-process [`scale_context`] would compute for the same
 /// client.
+///
+/// The shard is cut at the realize grain and each cut's available
+/// clients are counted, so every column is allocated once, at its final
+/// length, and each cut owns its stretch of rows. One walk per cut then
+/// writes all five cells of a client together, priced by one
+/// [`SharePricing`]: inline for a shard of one cut, in parallel across
+/// the cuts of a larger one. Where a row lands depends on the counts
+/// alone, so the thread count cannot move a row or a bit.
 pub fn scale_context_part(
     cols: &ClientColumns,
     hint: &EpochColumns,
     now: &EpochColumns,
     latency: &LatencyModel,
     min_participants: usize,
-    shard: std::ops::Range<usize>,
+    shard: Range<usize>,
     registered: Option<&[bool]>,
 ) -> ContextPart {
-    let available: Vec<usize> =
-        shard.filter(|&k| now.available[k] && registered.is_none_or(|r| r[k])).collect();
-    let n = available.len();
-    let share = min_participants.max(1);
-    let mut costs = vec![0.0f64; n];
-    par_zip_chunks(&mut costs, 1, &available, 1, |_, c, id| c[0] = now.cost[id[0]]);
-    let mut volumes = vec![0usize; n];
-    par_zip_chunks(&mut volumes, 1, &available, 1, |_, d, id| {
-        d[0] = now.data_volume[id[0]] as usize;
-    });
-    ContextPart {
+    let pricing = SharePricing::new(cols, latency, min_participants.max(1));
+    let counts = |k: &usize| now.available[*k] && registered.is_none_or(|r| r[*k]);
+    let cuts: Vec<Range<usize>> = shard
+        .clone()
+        .step_by(REALIZE_CHUNK)
+        .map(|start| start..(start + REALIZE_CHUNK).min(shard.end))
+        .collect();
+    let rows: Vec<usize> = cuts.iter().map(|cut| cut.clone().filter(counts).count()).collect();
+    let total = rows.iter().sum();
+    let mut part = ContextPart {
         epoch: now.epoch,
-        latency_hint: nominal_latency(cols, hint, latency, share, &available),
-        true_latency: nominal_latency(cols, now, latency, share, &available),
-        available,
-        costs,
-        data_volumes: volumes,
+        available: vec![0; total],
+        costs: vec![0.0; total],
+        latency_hint: vec![0.0; total],
+        true_latency: vec![0.0; total],
+        data_volumes: vec![0; total],
+    };
+    let mut rest = Rows {
+        available: &mut part.available,
+        costs: &mut part.costs,
+        latency_hint: &mut part.latency_hint,
+        true_latency: &mut part.true_latency,
+        data_volumes: &mut part.data_volumes,
+    };
+    fn take<'a, T>(rest: &mut &'a mut [T], rows: usize) -> &'a mut [T] {
+        rest.split_off_mut(..rows).expect("the cuts' counts sum to the column length")
     }
+    let mut stretches: Vec<Rows<'_>> = rows
+        .iter()
+        .map(|&n| Rows {
+            available: take(&mut rest.available, n),
+            costs: take(&mut rest.costs, n),
+            latency_hint: take(&mut rest.latency_hint, n),
+            true_latency: take(&mut rest.true_latency, n),
+            data_volumes: take(&mut rest.data_volumes, n),
+        })
+        .collect();
+    par_zip_chunks(&mut stretches, 1, &cuts, 1, |_, stretch, cut| {
+        let into = &mut stretch[0];
+        for (row, k) in cut[0].clone().filter(counts).enumerate() {
+            into.available[row] = k;
+            into.costs[row] = now.cost[k];
+            into.latency_hint[row] = pricing.total_secs(hint, k);
+            into.true_latency[row] = pricing.total_secs(now, k);
+            into.data_volumes[row] = now.data_volume[k] as usize;
+        }
+    });
+    part
 }
 
 /// Merges shard [`ContextPart`]s into the full [`EpochContext`] — the

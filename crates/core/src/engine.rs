@@ -24,6 +24,7 @@ use fedl_json::{obj, read_field, ToJson, Value};
 use fedl_sim::{BudgetLedger, EpochReport};
 use fedl_telemetry::Telemetry;
 
+use crate::objective::locator;
 use crate::policy::{EpochContext, SelectionPolicy};
 
 /// Why the engine refused a call.
@@ -64,19 +65,22 @@ impl From<fedl_json::Error> for EngineError {
     }
 }
 
-/// Post-selection hygiene for a raw policy decision: drop ids outside
-/// the availability set, sort, dedup, fall back to the floor-`n` first
+/// Post-selection hygiene for a raw policy decision: sort, dedup, drop
+/// ids outside the availability set, fall back to the floor-`n` first
 /// available clients when nothing survives, and clamp `l_t` to
 /// `1..=50`. Policy bugs must not crash a driver; the per-policy tests
-/// assert they don't happen.
+/// assert they don't happen. Each id is located by binary search when
+/// `ctx.available` ascends (every driver builds it so), which keeps the
+/// check logarithmic per cohort member at any population size.
 pub fn sanitize_decision(
     ctx: &EpochContext,
     mut cohort: Vec<usize>,
     iterations: usize,
 ) -> (Vec<usize>, usize) {
-    cohort.retain(|id| ctx.available.contains(id));
     cohort.sort_unstable();
     cohort.dedup();
+    let slot_of = locator(&ctx.available);
+    cohort.retain(|&id| slot_of(id).is_some());
     if cohort.is_empty() {
         cohort = ctx.available.iter().copied().take(ctx.effective_n()).collect();
     }
@@ -323,6 +327,48 @@ mod tests {
             let mut engine = scripted(raw.clone(), raw_iters, 100.0);
             let served = engine.select(Some(c)).unwrap().unwrap();
             assert_eq!(served, (want, want_iters), "raw decision {raw:?} × {raw_iters}");
+        }
+    }
+
+    /// The hygiene as it was first written — a linear `contains` per
+    /// cohort member, before sorting: the oracle for the located one.
+    fn sanitize_by_scan(ctx: &EpochContext, mut cohort: Vec<usize>) -> Vec<usize> {
+        cohort.retain(|id| ctx.available.contains(id));
+        cohort.sort_unstable();
+        cohort.dedup();
+        if cohort.is_empty() {
+            cohort = ctx.available.iter().copied().take(ctx.effective_n()).collect();
+        }
+        cohort
+    }
+
+    #[test]
+    fn located_hygiene_equals_the_linear_scan_on_random_cohorts() {
+        use fedl_linalg::rng::{rng_for, Rng};
+        let mut rng = rng_for(0x5A9E, 0);
+        for case in 0..400 {
+            // Every third id of 0..3k is available; odd cases list them
+            // in a shuffled order, which the locator must scan linearly.
+            let k = rng.gen_range(1..40usize);
+            let mut available: Vec<usize> = (0..k).map(|i| 3 * i).collect();
+            let mut c = ctx(available.clone(), vec![1.0; k], 100.0, rng.gen_range(1..=k));
+            if case % 2 == 1 {
+                for i in (1..k).rev() {
+                    available.swap(i, rng.gen_range(0..=i));
+                }
+                c.available = available;
+            }
+            // Unsorted, with duplicates and foreign ids (unavailable
+            // neighbours, ids past the population); sometimes nothing
+            // survives, sometimes nothing was chosen at all.
+            let raw: Vec<usize> = match case % 5 {
+                0 => Vec::new(),
+                1 => (0..rng.gen_range(1..8usize)).map(|_| 3 * rng.gen_range(0..k) + 1).collect(),
+                _ => (0..rng.gen_range(1..60usize)).map(|_| rng.gen_range(0..3 * k + 5)).collect(),
+            };
+            let want = sanitize_by_scan(&c, raw.clone());
+            let (got, iterations) = sanitize_decision(&c, raw.clone(), 7);
+            assert_eq!((got, iterations), (want, 7), "case {case}: {raw:?} over {:?}", c.available);
         }
     }
 

@@ -20,6 +20,7 @@ use fedl_telemetry::Telemetry;
 use crate::columnar::context_at;
 use crate::engine::{EngineError, EpochEngine};
 use crate::fedl::FedLConfig;
+use crate::objective::locator;
 use crate::policy::{EpochContext, PolicyKind, SelectionPolicy};
 
 /// Version of the run-snapshot / cache-key schema. Bumped whenever the
@@ -910,15 +911,11 @@ impl ExperimentRunner {
         // The policy selected using `ctx.latency_hint` (previous-epoch
         // estimates, aligned with `ctx.available`); the report carries
         // what the same clients actually took this epoch.
+        let slot_of = locator(&ctx.available);
         let est_latency: Vec<f64> = report
             .cohort
             .iter()
-            .map(|&k| {
-                ctx.available
-                    .iter()
-                    .position(|&a| a == k)
-                    .map_or(f64::NAN, |slot| ctx.latency_hint[slot])
-            })
+            .map(|&k| slot_of(k).map_or(f64::NAN, |slot| ctx.latency_hint[slot]))
             .collect();
         let tracker = self.engine.policy().regret_tracker();
         let (regret, fit) = tracker.map_or((f64::NAN, f64::NAN), |t| {

@@ -400,7 +400,9 @@ impl Coordinator {
                 self.config.env.seed,
             );
             drop(merge_span);
+            let select_span = epoch_span.child("dist.select");
             let selected = engine.select(ctx).map_err(|e| e.to_string())?;
+            drop(select_span);
             let Some((cohort, iterations)) = selected else {
                 // Nobody available anywhere: the epoch passes untrained,
                 // exactly like the reference run.
@@ -483,8 +485,10 @@ fn parse_context_part(
             {
                 return Err(format!("worker {i} returned misaligned context columns"));
             }
+            // Ascending ids lie inside the shard iff the two ends do.
             let ordered = available.windows(2).all(|w| w[0] < w[1]);
-            let in_shard = available.iter().all(|id| shard.contains(id));
+            let in_shard = available.first().is_none_or(|&id| id >= shard.start)
+                && available.last().is_none_or(|&id| id < shard.end);
             if !ordered || !in_shard {
                 return Err(format!(
                     "worker {i} returned ids outside its shard {}..{} or out of order",

@@ -217,14 +217,38 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Writes `s` as a JSON string literal. Clean runs (everything but
-/// `"`, `\` and control bytes, all of which are ASCII and therefore
-/// char boundaries) are copied in one piece, so a megabyte string value
-/// costs one scan and one `memcpy`, not a push per character.
+/// Bytes a string literal must escape: `"`, `\` and the control range.
+/// All are ASCII, so a match is always a char boundary.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Width of one scan step of [`first_escape`].
+const ESCAPE_BLOCK: usize = 64;
+
+/// Index of the first byte of `bytes` that needs escaping. A block is
+/// tested as a whole — the fold has no early exit, so it compiles to
+/// vector compares — and searched byte by byte only once it is known
+/// to hold a match.
+fn first_escape(bytes: &[u8]) -> Option<usize> {
+    let mut blocks = bytes.chunks_exact(ESCAPE_BLOCK);
+    for (i, block) in (&mut blocks).enumerate() {
+        if block.iter().fold(false, |any, &b| any | needs_escape(b)) {
+            let at = block.iter().position(|&b| needs_escape(b)).expect("the block matched");
+            return Some(i * ESCAPE_BLOCK + at);
+        }
+    }
+    let tail = blocks.remainder();
+    tail.iter().position(|&b| needs_escape(b)).map(|at| bytes.len() - tail.len() + at)
+}
+
+/// Writes `s` as a JSON string literal. Clean runs are copied in one
+/// piece, so a megabyte string value costs one block-wise scan and one
+/// `memcpy`, not a push per character.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     let mut rest = s;
-    while let Some(i) = rest.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+    while let Some(i) = first_escape(rest.as_bytes()) {
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
@@ -243,9 +267,30 @@ fn write_escaped(out: &mut String, s: &str) {
 impl Value {
     /// Compact serialization (serde_json `to_string` layout: no spaces).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.json_len_hint());
         self.write_json(&mut out);
         out
+    }
+
+    /// A lower bound on the length of [`Self::to_json`] — numbers counted
+    /// at their shortest spelling, strings unescaped: what to reserve
+    /// before rendering, so a document that is mostly string (a packed
+    /// column frame) is written into one allocation instead of a
+    /// doubling chain.
+    pub fn json_len_hint(&self) -> usize {
+        // Brackets, then one separator between neighbours.
+        let wrapped = |items: usize, inner: usize| 2 + inner + items.saturating_sub(1);
+        match self {
+            Value::Null | Value::Bool(_) => 4,
+            Value::Int(_) => 1,
+            Value::Float(_) => 3,
+            Value::Str(s) => s.len() + 2,
+            Value::Arr(items) => wrapped(items.len(), items.iter().map(Value::json_len_hint).sum()),
+            Value::Obj(pairs) => wrapped(
+                pairs.len(),
+                pairs.iter().map(|(k, v)| k.len() + 3 + v.json_len_hint()).sum(),
+            ),
+        }
     }
 
     /// Pretty serialization (serde_json `to_string_pretty` layout:
@@ -796,6 +841,77 @@ mod tests {
         let text = Value::Str(original.to_string()).to_json();
         assert_eq!(text, "\"α\\\"β\\\\γ\\nδ\\u0001ε\\tζ\\rη\"");
         assert_eq!(Value::parse(&text).unwrap().as_str().unwrap(), original);
+    }
+
+    /// The string literal one character at a time: what the block-wise
+    /// writer must spell, wherever its blocks fall.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escapes_are_found_wherever_the_scan_blocks_fall() {
+        // Lengths around one and two blocks, with an escape as the first
+        // byte, the last byte, on either side of each block edge, nowhere,
+        // and everywhere; a two-byte character straddling the first edge.
+        for len in [0, 1, 62, 63, 64, 65, 66, 127, 128, 129, 200] {
+            let clean = "a".repeat(len);
+            let mut cases = vec![clean.clone(), "\n".repeat(len)];
+            for at in [0, 1, 62, 63, 64, 65, 126, 127, 128, len.saturating_sub(1)] {
+                if at < len {
+                    for escape in ["\"", "\\", "\t", "\u{1f}"] {
+                        let mut s = clean.clone();
+                        s.replace_range(at..at + 1, escape);
+                        cases.push(s);
+                    }
+                }
+            }
+            if len >= 66 {
+                let mut s = clean.clone();
+                s.replace_range(63..65, "é");
+                s.replace_range(len - 1..len, "\"");
+                cases.push(s);
+            }
+            for s in cases {
+                let rendered = Value::Str(s.clone()).to_json();
+                assert_eq!(rendered, escaped_per_char(&s), "{s:?}");
+                assert_eq!(Value::parse(&rendered).unwrap().as_str().unwrap(), s);
+            }
+        }
+    }
+
+    #[test]
+    fn the_length_hint_never_exceeds_the_rendering() {
+        let doc = obj(vec![
+            ("n", Value::Null),
+            ("t", Value::Bool(true)),
+            ("f", Value::Bool(false)),
+            ("i", Value::Int(-120)),
+            ("x", Value::Float(0.5)),
+            ("nan", Value::Float(f64::NAN)),
+            ("s", Value::from("quote \" and \n newline")),
+            ("empty", Value::Arr(vec![])),
+            ("arr", Value::Arr(vec![Value::Int(1), Value::from("é"), Value::Obj(vec![])])),
+        ]);
+        assert!(doc.json_len_hint() <= doc.to_json().len());
+        // Exact where there is nothing to escape and no number to spell:
+        // a packed column frame reserves its whole body.
+        let frame = obj(vec![("type", Value::from("part")), ("column", Value::from("QUJD"))]);
+        assert_eq!(frame.json_len_hint(), frame.to_json().len());
+        assert_eq!(Value::Arr(vec![]).json_len_hint(), 2);
     }
 
     #[test]

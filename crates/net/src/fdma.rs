@@ -9,9 +9,19 @@ use crate::dbm_to_watts;
 /// # Panics
 /// Panics on non-positive bandwidth or noise density.
 pub fn rate_bps(radio: &ClientRadio, bandwidth_hz: f64, n0_watts_per_hz: f64) -> f64 {
+    shannon_rate_bps(radio.received_power_watts(), bandwidth_hz, n0_watts_per_hz)
+}
+
+/// [`rate_bps`] from the received signal power `h·p` in watts — for
+/// callers pricing a whole population, whose transmit power is one
+/// constant they convert from dBm once instead of per client.
+///
+/// # Panics
+/// Panics on non-positive bandwidth or noise density.
+pub fn shannon_rate_bps(received_watts: f64, bandwidth_hz: f64, n0_watts_per_hz: f64) -> f64 {
     assert!(bandwidth_hz > 0.0, "non-positive bandwidth");
     assert!(n0_watts_per_hz > 0.0, "non-positive noise density");
-    let snr = radio.received_power_watts() / (n0_watts_per_hz * bandwidth_hz);
+    let snr = received_watts / (n0_watts_per_hz * bandwidth_hz);
     bandwidth_hz * (1.0 + snr).log2()
 }
 

@@ -29,7 +29,7 @@ pub mod latency;
 
 pub use allocation::{min_makespan, Allocation};
 pub use channel::{ChannelModel, ClientRadio};
-pub use fdma::{equal_share_rates, rate_bps};
+pub use fdma::{equal_share_rates, rate_bps, shannon_rate_bps};
 pub use latency::{ComputeProfile, LatencyModel, LatencySplit};
 
 /// Converts dBm to watts.

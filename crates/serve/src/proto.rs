@@ -687,29 +687,49 @@ const B64_SEXTET: [u8; 256] = {
     table
 };
 
+/// Cells moved per step of [`pack`]: three cells are a whole number of
+/// base64 triples at every cell width, so a column goes from cells to
+/// text through a stack buffer of one group, never through a byte copy
+/// of the whole column. ([`unpack`] keeps its byte buffer: decoding
+/// group by group measured no faster — docs/PERF.md.)
+const GROUP_CELLS: usize = 3;
+
+/// Stack room for one group at the widest cell.
+const GROUP_BYTES: usize = GROUP_CELLS * 8;
+
 /// The column as one JSON string: the cells' little-endian bytes in
 /// canonical unpadded base64 (RFC 4648 alphabet, no `=`).
 fn pack<T: Cell>(column: &[T]) -> Value {
-    let mut raw = vec![0u8; column.len() * T::WIDTH];
-    for (&cell, slot) in column.iter().zip(raw.chunks_exact_mut(T::WIDTH)) {
-        cell.put(slot);
-    }
     // 3 bytes -> 4 characters; a tail of 1 (2) bytes -> 2 (3).
-    let mut text = vec![0u8; (raw.len() * 4).div_ceil(3)];
+    let mut text = vec![0u8; (column.len() * T::WIDTH * 4).div_ceil(3)];
     let quad = |t: &[u8]| {
         let n = u32::from_be_bytes([0, t[0], t[1], t[2]]);
         [18, 12, 6, 0].map(|shift| B64_ALPHABET[(n >> shift) as usize & 63])
     };
-    let mut triples = raw.chunks_exact(3);
-    let mut quads = text.chunks_exact_mut(4);
-    for (t, q) in (&mut triples).zip(&mut quads) {
-        q.copy_from_slice(&quad(t));
+    // Up to a group of cells into exactly the characters that spell
+    // them; the bytes a short last group does not fill stay zero.
+    let encode = |cells: &[T], out: &mut [u8]| {
+        let mut stage = [0u8; GROUP_BYTES];
+        for (&cell, slot) in cells.iter().zip(stage.chunks_exact_mut(T::WIDTH)) {
+            cell.put(slot);
+        }
+        let mut triples = stage.chunks_exact(3);
+        let mut quads = out.chunks_exact_mut(4);
+        for (q, t) in (&mut quads).zip(&mut triples) {
+            q.copy_from_slice(&quad(t));
+        }
+        let last = quads.into_remainder();
+        if !last.is_empty() {
+            let t = triples.next().expect("a short quad ends a short group");
+            last.copy_from_slice(&quad(t)[..last.len()]);
+        }
+    };
+    let mut groups = column.chunks_exact(GROUP_CELLS);
+    let mut spelled = text.chunks_exact_mut(GROUP_CELLS * T::WIDTH * 4 / 3);
+    for (cells, out) in (&mut groups).zip(&mut spelled) {
+        encode(cells, out);
     }
-    let mut last = [0u8; 3];
-    let tail = triples.remainder();
-    last[..tail.len()].copy_from_slice(tail);
-    let out = quads.into_remainder();
-    out.copy_from_slice(&quad(&last)[..out.len()]);
+    encode(groups.remainder(), spelled.into_remainder());
     Value::Str(String::from_utf8(text).expect("the base64 alphabet is ASCII"))
 }
 
@@ -1151,6 +1171,43 @@ mod tests {
                 iterations: 1,
                 trace: Trace::Absent,
             });
+        }
+    }
+
+    /// Unpadded RFC 4648 base64 the slow way: six bits at a time.
+    fn base64_by_bits(raw: &[u8]) -> String {
+        let bit = |i: usize| raw.get(i / 8).is_some_and(|b| b >> (7 - i % 8) & 1 == 1);
+        (0..(raw.len() * 8).div_ceil(6))
+            .map(|c| {
+                let sextet = (0..6).fold(0usize, |n, j| n << 1 | usize::from(bit(6 * c + j)));
+                B64_ALPHABET[sextet] as char
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grouped_packing_spells_the_whole_column_s_bytes() {
+        // Packing goes three cells at a time; the text must be the base64
+        // of the column's little-endian bytes laid end to end, at every
+        // row count around a group (0..=10) and both cell widths.
+        for rows in 0..=10usize {
+            let f64s: Vec<f64> =
+                (0..rows).map(|i| f64::from_bits(0x0123_4567_89AB_CDEF << i)).collect();
+            let f32s: Vec<f32> = (0..rows).map(|i| f32::from_bits(0xFEDC_BA98 >> i)).collect();
+            let ids: Vec<usize> = (0..rows).map(|i| 0xF00D_BEEF >> (3 * i)).collect();
+            let raw64: Vec<u8> = f64s.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let raw32: Vec<u8> = f32s.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let raw_ids: Vec<u8> = ids.iter().flat_map(|&k| (k as u32).to_le_bytes()).collect();
+            assert_eq!(pack(&f64s), Value::from(base64_by_bits(&raw64)), "{rows} f64 rows");
+            assert_eq!(pack(&f32s), Value::from(base64_by_bits(&raw32)), "{rows} f32 rows");
+            assert_eq!(pack(&ids), Value::from(base64_by_bits(&raw_ids)), "{rows} id rows");
+            let column = obj(vec![("c", pack(&f64s)), ("k", pack(&ids))]);
+            let back: Vec<f64> = unpack(&column, "c").unwrap();
+            assert_eq!(
+                back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                f64s.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(unpack::<usize>(&column, "k").unwrap(), ids);
         }
     }
 

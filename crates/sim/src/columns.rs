@@ -28,8 +28,10 @@ use crate::config::{AvailabilityModel, EnvConfig};
 /// Realization grain: populations at most this large are realized
 /// inline on the caller (zero dispatch); larger ones fan out across the
 /// worker team. Purely a parallel-grain choice — per-client draws are
-/// independently seeded, so the split never affects values.
-const REALIZE_CHUNK: usize = 16 * 1024;
+/// independently seeded, so the split never affects values. The
+/// per-client passes downstream of a realization (`fedl-core`'s context
+/// assembly) split at the same grain.
+pub const REALIZE_CHUNK: usize = 16 * 1024;
 
 /// Reusable staging buffer of
 /// [`ClientColumns::epoch_columns_partial_into`]: one
@@ -186,7 +188,33 @@ impl ClientColumns {
         scratch: &mut EpochRealizeScratch,
         out: &mut EpochColumns,
     ) {
+        self.realize_shard_into(epoch, config, channel, shard, None, scratch, out);
+    }
+
+    /// [`Self::epoch_columns_partial_into`], optionally stepping from
+    /// `before` — the realization of epoch `t − 1` over the same `shard`
+    /// — instead of from epoch 0: a Markov availability chain is one
+    /// transition per epoch, so with `t − 1`'s availability column in
+    /// hand each client's state costs one draw, not `t`. The chain's
+    /// draws are keyed by `(seed_k, epoch)` alone, so the stepped and the
+    /// replayed state are the same bits. Only the availability column of
+    /// `before` is read, and only [`AvailabilityModel::Markov`] uses it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn realize_shard_into(
+        &self,
+        epoch: usize,
+        config: &EnvConfig,
+        channel: &ChannelModel,
+        shard: std::ops::Range<usize>,
+        before: Option<&EpochColumns>,
+        scratch: &mut EpochRealizeScratch,
+        out: &mut EpochColumns,
+    ) {
         let m = self.len();
+        assert!(
+            before.is_none_or(|b| b.epoch + 1 == epoch && b.available.len() == m),
+            "the realization to step from must be epoch {epoch}'s predecessor"
+        );
         assert!(
             shard.start <= shard.end && shard.end <= m,
             "shard {shard:?} out of bounds for population of {m}"
@@ -215,7 +243,10 @@ impl ClientColumns {
             &self.seed[shard],
             1,
             REALIZE_CHUNK,
-            |i, row, _seed| row[0] = self.realize_client(start + i, epoch, config, channel),
+            |i, row, _seed| {
+                let was_on = before.map(|b| b.available[start + i]);
+                row[0] = self.realize_client(start + i, epoch, was_on, config, channel);
+            },
         );
         for (i, &(on, cost, gain, volume)) in scratch.staged.iter().enumerate() {
             let k = start + i;
@@ -227,11 +258,13 @@ impl ClientColumns {
     }
 
     /// One client's epoch draws (`rng_for(seed_k, 0xE90C ^ t)`:
-    /// availability, cost, then gain).
+    /// availability, cost, then gain). `was_on` is the client's
+    /// availability at epoch `t − 1` when the caller holds it.
     fn realize_client(
         &self,
         k: usize,
         epoch: usize,
+        was_on: Option<bool>,
         config: &EnvConfig,
         channel: &ChannelModel,
     ) -> (bool, f64, f64, u32) {
@@ -239,15 +272,26 @@ impl ClientColumns {
         let on = match config.availability {
             AvailabilityModel::Bernoulli => rng.gen::<f64>() < config.p_available,
             AvailabilityModel::Markov { p_stay_on, p_stay_off } => {
-                // Replay the chain from epoch 0 (pure function of
-                // (client seed, epoch)), then consume the
-                // Bernoulli draw so the cost/channel stream is
-                // identical across availability models.
-                let mut on = rng_for(self.seed[k], 0xA40F).gen::<f64>() < config.p_available;
-                for e in 1..=epoch {
+                // One transition of the chain; every step's draw is a
+                // pure function of (client seed, step).
+                let step = |on: bool, e: usize| {
                     let u = rng_for(self.seed[k], 0xA40F ^ (e as u64) << 1).gen::<f64>();
-                    on = if on { u < p_stay_on } else { u >= p_stay_off };
-                }
+                    if on {
+                        u < p_stay_on
+                    } else {
+                        u >= p_stay_off
+                    }
+                };
+                let on = match was_on {
+                    Some(was_on) => step(was_on, epoch),
+                    // Cold start or jump: replay the chain from epoch 0.
+                    None => {
+                        let start = rng_for(self.seed[k], 0xA40F).gen::<f64>() < config.p_available;
+                        (1..=epoch).fold(start, step)
+                    }
+                };
+                // Consume the Bernoulli draw so the cost/channel stream
+                // is identical across availability models.
                 let _ = rng.gen::<f64>();
                 on
             }

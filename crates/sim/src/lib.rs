@@ -54,4 +54,4 @@ pub use config::{AggregationNorm, EnvConfig, ScaleTier};
 pub use env::{EdgeEnvironment, EpochReport};
 pub use error::SimError;
 pub use ledger::BudgetLedger;
-pub use population::{nominal_latency, nominal_split, Population, Realized};
+pub use population::{nominal_latency, nominal_split, Population, Realized, SharePricing};

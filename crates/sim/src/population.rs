@@ -17,7 +17,7 @@
 use std::ops::Range;
 
 use fedl_linalg::par::par_zip_chunks;
-use fedl_net::{dbm_to_watts, rate_bps, ChannelModel, LatencyModel, LatencySplit};
+use fedl_net::{dbm_to_watts, shannon_rate_bps, ChannelModel, LatencyModel, LatencySplit};
 
 use crate::columns::{ClientColumns, EpochColumns, EpochRealizeScratch};
 use crate::config::EnvConfig;
@@ -176,19 +176,25 @@ impl Population {
 
     /// The window slot holding `epoch`; when neither does, it is realized
     /// into the slot that does not hold `keep`, the other epoch of the
-    /// pair being lent.
+    /// pair being lent. A Markov availability chain steps from the other
+    /// slot when that holds `epoch − 1` (a loop walking forward) and is
+    /// replayed from epoch 0 otherwise (a cold start, a jump).
     fn slot_holding(&mut self, epoch: usize, keep: usize) -> usize {
         if let Some(slot) = self.held.iter().position(|&held| held == Some(epoch)) {
             return slot;
         }
         let slot = usize::from(self.held[0] == Some(keep));
-        self.cols.epoch_columns_partial_into(
+        let [first, second] = &mut self.window;
+        let (into, other) = if slot == 0 { (first, second) } else { (second, first) };
+        let steps_from_other = epoch > 0 && self.held[1 - slot] == Some(epoch - 1);
+        self.cols.realize_shard_into(
             epoch,
             &self.config,
             &self.channel,
             self.shard.clone(),
+            steps_from_other.then_some(&*other),
             &mut self.scratch,
-            &mut self.window[slot],
+            into,
         );
         self.held[slot] = Some(epoch);
         self.realizations += 1;
@@ -196,23 +202,56 @@ impl Population {
     }
 }
 
-/// Client `k`'s per-iteration latency `τ^loc + τ^cm` under an FDMA share
-/// of `share_hz`, from column data:
-/// `τ = e_k·D_k·bits/π_k + s/rate(share)`. Every latency the simulator,
-/// the server and the workers report comes from this arithmetic.
-fn split_of(
-    cols: &ClientColumns,
-    realized: &EpochColumns,
-    latency: &LatencyModel,
+/// The share-model pricing of one population: what a client's iteration
+/// costs in seconds when every participant holds a nominal FDMA share of
+/// `bandwidth / share_count`. The population constants — the share
+/// width, the noise density and the transmit power in watts — are
+/// converted once here, and [`Self::split`] is the one statement of
+/// `τ = e_k·D_k·bits/π_k + s/rate(share)`: every latency the simulator,
+/// the server and the workers report comes from it.
+#[derive(Debug, Clone, Copy)]
+pub struct SharePricing<'a> {
+    cols: &'a ClientColumns,
+    latency: &'a LatencyModel,
     share_hz: f64,
     n0: f64,
-    k: usize,
-) -> LatencySplit {
-    let data_bits = realized.data_volume[k] as f64 * latency.bits_per_sample;
-    LatencySplit {
-        compute_secs: cols.cycles_per_bit[k] * data_bits / cols.cpu_hz[k],
-        upload_secs: latency.upload_bits
-            / rate_bps(&realized.radio(cols, k), share_hz, n0).max(1e-3),
+    tx_watts: f64,
+}
+
+impl<'a> SharePricing<'a> {
+    /// Pricing under a share of `bandwidth / share_count` each.
+    ///
+    /// # Panics
+    /// Panics if `share_count` is zero.
+    pub fn new(cols: &'a ClientColumns, latency: &'a LatencyModel, share_count: usize) -> Self {
+        assert!(share_count > 0, "share count must be positive");
+        Self {
+            cols,
+            latency,
+            share_hz: latency.bandwidth_hz / share_count as f64,
+            n0: dbm_to_watts(latency.noise_dbm_per_hz),
+            tx_watts: dbm_to_watts(cols.tx_power_dbm),
+        }
+    }
+
+    /// Client `k`'s per-iteration latency under `realized`'s channel
+    /// gains and data volumes, split into its computation and upload
+    /// phases.
+    ///
+    /// # Panics
+    /// Panics if `k` is out of range.
+    pub fn split(&self, realized: &EpochColumns, k: usize) -> LatencySplit {
+        let data_bits = realized.data_volume[k] as f64 * self.latency.bits_per_sample;
+        let rate = shannon_rate_bps(realized.gain[k] * self.tx_watts, self.share_hz, self.n0);
+        LatencySplit {
+            compute_secs: self.cols.cycles_per_bit[k] * data_bits / self.cols.cpu_hz[k],
+            upload_secs: self.latency.upload_bits / rate.max(1e-3),
+        }
+    }
+
+    /// `τ^loc + τ^cm` of [`Self::split`].
+    pub fn total_secs(&self, realized: &EpochColumns, k: usize) -> f64 {
+        self.split(realized, k).total_secs()
     }
 }
 
@@ -229,10 +268,8 @@ pub fn nominal_split(
     share_count: usize,
     ids: &[usize],
 ) -> Vec<LatencySplit> {
-    assert!(share_count > 0, "share count must be positive");
-    let share_hz = latency.bandwidth_hz / share_count as f64;
-    let n0 = dbm_to_watts(latency.noise_dbm_per_hz);
-    ids.iter().map(|&k| split_of(cols, realized, latency, share_hz, n0, k)).collect()
+    let pricing = SharePricing::new(cols, latency, share_count);
+    ids.iter().map(|&k| pricing.split(realized, k)).collect()
 }
 
 /// Per-iteration latency estimate of each listed client under a nominal
@@ -255,12 +292,8 @@ pub fn nominal_latency(
     share_count: usize,
     ids: &[usize],
 ) -> Vec<f64> {
-    assert!(share_count > 0, "share count must be positive");
-    let share_hz = latency.bandwidth_hz / share_count as f64;
-    let n0 = dbm_to_watts(latency.noise_dbm_per_hz);
+    let pricing = SharePricing::new(cols, latency, share_count);
     let mut out = vec![0.0f64; ids.len()];
-    par_zip_chunks(&mut out, 1, ids, 1, |_, tau, id| {
-        tau[0] = split_of(cols, realized, latency, share_hz, n0, id[0]).total_secs();
-    });
+    par_zip_chunks(&mut out, 1, ids, 1, |_, tau, id| tau[0] = pricing.total_secs(realized, id[0]));
     out
 }

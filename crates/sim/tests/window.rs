@@ -68,6 +68,32 @@ fn memoization_is_invisible_under_any_access_order() {
     }
 }
 
+#[test]
+fn a_markov_chain_stepped_from_the_window_equals_the_replay_from_epoch_zero() {
+    // Above the realize grain, so at two threads the stepped draws fan
+    // out; `epoch_columns` holds no window and always replays the chain.
+    let mut config = EnvConfig::small(20_000, 0x72);
+    config.availability = AvailabilityModel::Markov { p_stay_on: 0.9, p_stay_off: 0.6 };
+    let channel = ChannelModel::default();
+    let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);
+    let cols = ClientColumns::build(&config, &channel);
+    // Forward runs (stepped), a jump ahead and back (replayed), repeats.
+    let walk = [0usize, 1, 2, 3, 9, 10, 11, 4, 5, 5, 6, 2, 3];
+    let replayed: Vec<EpochColumns> =
+        (0..12).map(|epoch| cols.epoch_columns(epoch, &config, &channel)).collect();
+    for threads in [1, 2] {
+        fedl_linalg::par::force_max_threads(threads);
+        for shard in [0..20_000usize, 1_000..18_500] {
+            let mut population = Population::sharded(config.clone(), latency, shard.clone());
+            for epoch in walk {
+                let lent = population.advance(epoch);
+                assert_same_rows(lent.now, &replayed[epoch], &shard);
+                assert_same_rows(lent.hint, &replayed[epoch.saturating_sub(1)], &shard);
+            }
+        }
+    }
+}
+
 fn population(n: usize, seed: u64) -> Population {
     let config = EnvConfig::small(n, seed);
     let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);

@@ -13,6 +13,7 @@
 //! Writes go through a temp file + rename so a crash mid-write leaves
 //! either the old file or no file — never a half-written envelope.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
@@ -39,8 +40,12 @@ pub fn encode_envelope(kind: &str, payload: &Value) -> String {
     );
     // Header with a placeholder checksum, body rendered straight behind
     // it, then the 16 digits patched in place: the frame is built in
-    // the one buffer the caller receives.
-    let mut text = format!("{MAGIC} v{FORMAT_VERSION} kind={kind} crc={:016x}\n", 0);
+    // the one buffer the caller receives, reserved up front so a
+    // megabyte body is not rendered through a chain of doublings.
+    // (The header is 41 bytes around the kind.)
+    let mut text = String::with_capacity(48 + kind.len() + payload.json_len_hint());
+    writeln!(text, "{MAGIC} v{FORMAT_VERSION} kind={kind} crc={:016x}", 0)
+        .expect("write to String cannot fail");
     let body_start = text.len();
     payload.write_json(&mut text);
     let crc = fnv1a64(&text.as_bytes()[body_start..]);
@@ -165,6 +170,34 @@ mod tests {
         let body = payload().to_json();
         let want = format!("fedl-store v1 kind=test crc={:016x}\n{body}", fnv1a64(body.as_bytes()));
         assert_eq!(encode_envelope("test", &payload()), want);
+    }
+
+    #[test]
+    fn reserved_body_is_byte_equal_to_header_plus_to_json() {
+        // The body is rendered behind a reservation taken from a lower
+        // bound: strings that outgrow it (escapes at the first byte, the
+        // last byte, and on both sides of the writer's 64-byte scan
+        // blocks) must still come out as `header + to_json()`.
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let mut strings = vec!["x".repeat(len), "\"".repeat(len)];
+            for at in [0, 62, 63, 64, len.saturating_sub(1)] {
+                if at < len {
+                    let mut s = "x".repeat(len);
+                    s.replace_range(at..at + 1, "\n");
+                    strings.push(s);
+                }
+            }
+            for s in strings {
+                let payload = obj(vec![("column", Value::from(s.as_str())), ("n", Value::Int(3))]);
+                let body = payload.to_json();
+                let want = format!(
+                    "fedl-store v1 kind=test crc={:016x}\n{body}",
+                    fnv1a64(body.as_bytes())
+                );
+                assert_eq!(encode_envelope("test", &payload), want, "{s:?}");
+                assert_eq!(decode_envelope(&want, "test", "test").unwrap(), payload);
+            }
+        }
     }
 
     #[test]

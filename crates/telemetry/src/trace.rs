@@ -21,7 +21,9 @@
 //! own shard **realize** time, its reply **encode** and request
 //! **decode** codec time (from `dist.worker_frame` events), the
 //! residual **wire** time (framing, kernel buffers, scheduling), and
-//! the coordinator's **merge** time (`dist.merge` spans).
+//! beside them the coordinator's own **merge** (`dist.merge` spans) and
+//! **select** (`dist.select`: the policy's decision and its hygiene)
+//! time, so neither is mistaken for time on the wire.
 
 use std::collections::BTreeMap;
 
@@ -31,9 +33,10 @@ use crate::render::{self, Bar, Col, Report};
 use crate::report::{fmt_secs, RunLog};
 use crate::SpanContext;
 
-/// Segment colors: realize, encode, wire, decode, merge.
-const SEGMENT_COLORS: [&str; 5] = ["#2563eb", "#059669", "#9ca3af", "#d97706", "#7c3aed"];
-const SEGMENT_NAMES: [&str; 5] = ["realize", "encode", "wire", "decode", "merge"];
+/// Segment colors: realize, encode, wire, decode, merge, select.
+const SEGMENT_COLORS: [&str; 6] =
+    ["#2563eb", "#059669", "#9ca3af", "#d97706", "#7c3aed", "#dc2626"];
+const SEGMENT_NAMES: [&str; 6] = ["realize", "encode", "wire", "decode", "merge", "select"];
 
 /// One input's parse summary, reported for every input unconditionally
 /// so multi-log output stays line-for-line comparable across runs.
@@ -86,6 +89,8 @@ pub struct EpochTrace {
     pub workers: Vec<WorkerEpoch>,
     /// Coordinator-side merge time (`dist.merge` spans).
     pub merge_secs: f64,
+    /// Coordinator-side decision time (`dist.select` spans).
+    pub select_secs: f64,
 }
 
 impl EpochTrace {
@@ -189,6 +194,7 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
         total_secs: 0.0,
         workers: vec![WorkerEpoch::default(); worker_runs.len()],
         merge_secs: 0.0,
+        select_secs: 0.0,
     };
     for row in &coord_spans {
         let Some(epoch) = row.epoch else { continue };
@@ -212,18 +218,18 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
             _ => {}
         }
     }
-    // Merge spans are children of the epoch span; resolve by parent id
-    // (their own `epoch` field is absent — they carry no custom
-    // fields), falling back to nothing if unlinked.
+    // Merge and select spans are children of the epoch span; resolve by
+    // parent id (their own `epoch` field is absent — they carry no
+    // custom fields), falling back to nothing if unlinked.
     for row in &coord_spans {
-        if row.name != "dist.merge" {
-            continue;
-        }
         let Some((t, p)) = row.trace_id.zip(row.parent_id) else { continue };
-        if let Some(&epoch) = epoch_of.get(&(t, p)) {
-            if let Some(entry) = epochs.get_mut(&epoch) {
-                entry.merge_secs += row.secs;
-            }
+        let Some(entry) = epoch_of.get(&(t, p)).and_then(|epoch| epochs.get_mut(epoch)) else {
+            continue;
+        };
+        match row.name.as_str() {
+            "dist.merge" => entry.merge_secs += row.secs,
+            "dist.select" => entry.select_secs += row.secs,
+            _ => {}
         }
     }
 
@@ -276,8 +282,9 @@ fn ascii_bar(share: f64) -> String {
 /// (always, including zero-skip inputs), the linkage line, the
 /// per-epoch waterfall — ASCII in text, the `trace-waterfall` panel
 /// (per-worker realize share in blue, the rest of its wait grey) on the
-/// page — the `trace-critical-path` panel (the gate's five-way split)
-/// and the critical-path attribution table.
+/// page — the `trace-critical-path` panel (the gate's four-way split
+/// beside the coordinator's merge and select) and the critical-path
+/// attribution table.
 pub fn report(runs: &[(String, RunLog)]) -> Result<Report, String> {
     let model = merge_traces(runs)?;
     let mut report = Report::new(format!("FedL distributed trace — {} log(s)", model.inputs.len()));
@@ -327,6 +334,12 @@ pub fn report(runs: &[(String, RunLog)]) -> Result<Report, String> {
             fmt_secs(e.merge_secs)
         ));
         segments.push((e.merge_secs, SEGMENT_COLORS[4]));
+        waterfall.push_str(&format!(
+            "  select   {} {}\n",
+            ascii_bar(e.select_secs / total),
+            fmt_secs(e.select_secs)
+        ));
+        segments.push((e.select_secs, SEGMENT_COLORS[5]));
         waterfall_bars.push(bar(format!("epoch {}", e.epoch), segments));
     }
     report.ascii(waterfall);
@@ -339,7 +352,14 @@ pub fn report(runs: &[(String, RunLog)]) -> Result<Report, String> {
             Some(i) => (format!("worker-{i}"), format!("w{i}"), e.workers[i].clone()),
             None => ("—".to_string(), "—".to_string(), WorkerEpoch::default()),
         };
-        let split = [w.realize_secs, w.encode_secs, w.wire_secs(), w.decode_secs, e.merge_secs];
+        let split = [
+            w.realize_secs,
+            w.encode_secs,
+            w.wire_secs(),
+            w.decode_secs,
+            e.merge_secs,
+            e.select_secs,
+        ];
         critical_bars.push(bar(
             format!("epoch {} ({short})", e.epoch),
             split.into_iter().zip(SEGMENT_COLORS).collect(),
@@ -403,7 +423,8 @@ mod tests {
                     ],
                 );
             }
-            let _merge = epoch_span.child("dist.merge");
+            drop(epoch_span.child("dist.merge"));
+            drop(epoch_span.child("dist.select"));
         }
         let mut runs = vec![("coord".to_string(), RunLog::parse(&coord_sink.lines().join("\n")))];
         for (i, (_, sink)) in worker_tels.iter().enumerate() {
@@ -430,6 +451,7 @@ mod tests {
                 assert!((w.encode_secs - 2e-5).abs() < 1e-12);
             }
             assert!(e.merge_secs > 0.0, "merge spans must resolve through the epoch parent");
+            assert!(e.select_secs > 0.0, "select spans must resolve through the epoch parent");
             assert!(e.gate().is_some());
         }
     }

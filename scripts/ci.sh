@@ -190,6 +190,10 @@ stage_perf() {
     # The dist column codec (docs/DIST.md, "Packed columns"): one 40k-row
     # context part through encode_frame + decode_frame.
     require_kernels wire/context_part_40k
+    # The sharded plane's per-epoch stages beside the wire (docs/PERF.md,
+    # "The 100k dist epoch budget"): a worker's context walk, below and
+    # above the realize grain, and the coordinator's decision hygiene.
+    require_kernels scale/context_part_10k scale/context_part_100k core/sanitize_1k_of_80k
     CI_STAGE_NOTE="results/BENCH.json"
 }
 
