@@ -369,20 +369,35 @@ mod tests {
             budget: 250.0,
         };
         let first = run_cell(scenario.clone(), cell.clone(), Some(&cache));
-        // Damage the single entry on disk.
         let entry = std::fs::read_dir(cache.dir())
             .unwrap()
             .filter_map(|e| e.ok())
             .find(|e| e.path().extension().is_some_and(|x| x == "fedlstore"))
             .expect("one cache entry written")
             .path();
-        std::fs::write(&entry, "fedl-store v1 kind=cache-entry crc=0000000000000000\n{}").unwrap();
-        let again = run_cell(scenario, cell, Some(&cache));
-        // The damaged entry read as a miss (not a crash), the run
-        // reproduced the outcome, and the entry was repaired.
+        // The entry as a build on envelope v1 wrote it: the same payload
+        // under a v1 header with its FNV-1a checksum — intact in its own
+        // format, and still not read by this one.
+        let text = std::fs::read_to_string(&entry).unwrap();
+        let body = text.split_once('\n').unwrap().1;
+        let crc = fedl_store::fnv1a64(body.as_bytes());
+        std::fs::write(&entry, format!("fedl-store v1 kind=cache-entry crc={crc:016x}\n{body}"))
+            .unwrap();
+        let again = run_cell(scenario.clone(), cell.clone(), Some(&cache));
+        // It read as a miss (not a crash), the run reproduced the
+        // outcome, and `put` repaired the entry: the next call hits.
         assert_eq!(tel.counter("cache.miss").value(), 2);
         assert_eq!(tel.counter("cache.hit").value(), 0);
         assert_eq!(first.outcome, again.outcome);
+        assert!(std::fs::read_to_string(&entry).unwrap().starts_with("fedl-store v2 "));
+        let served = run_cell(scenario.clone(), cell.clone(), Some(&cache));
+        assert_eq!(tel.counter("cache.hit").value(), 1);
+        assert_eq!(first.outcome, served.outcome);
+        // A damaged entry goes the same way.
+        std::fs::write(&entry, &text.as_bytes()[..text.len() / 2]).unwrap();
+        let repaired = run_cell(scenario, cell, Some(&cache));
+        assert_eq!(tel.counter("cache.miss").value(), 3);
+        assert_eq!(first.outcome, repaired.outcome);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! softmax (S1), a DANE local solve (S2), RDCS dependent rounding
 //! (S5/S6), one FedL decision (build → decide → observe), the one-shot
 //! solve, the columnar scheduler at the 10k/100k/1M scale tiers
-//! (docs/SCALE.md), and the dist wire codec over one 40k-row column
-//! frame (docs/DIST.md) — on the in-tree [`crate::timing`] harness, and
-//! packages the per-kernel statistics into a [`BenchSnapshot`]
-//! serialisable to `BENCH.json` via `fedl-json`. End-to-end paths (a
+//! (docs/SCALE.md), and the dist wire codec and the envelope checksum
+//! over one 40k-row column frame (docs/DIST.md) — on the in-tree
+//! [`crate::timing`] harness, and packages the per-kernel statistics
+//! into a [`BenchSnapshot`] serialisable to `BENCH.json` via
+//! `fedl-json`. End-to-end paths (a
 //! training epoch, a served round, a distributed epoch) are measured by
 //! the repo benchmark (`benchmark/`, `BENCHMARK.json`), not here. [`compare`] loads two snapshots and applies a
 //! noise-aware slowdown test so `scripts/ci.sh` can gate on perf
@@ -45,8 +46,12 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// the two per-epoch stages of the sharded plane that no kernel timed:
 /// `scale/context_part_{10k,100k}` (a worker's `scale_context_part`,
 /// below and above the realize grain) and `core/sanitize_1k_of_80k` (the
-/// coordinator's decision hygiene at the `dist_fedavg_100k` shape).
-pub const BENCH_SCHEMA_VERSION: u32 = 8;
+/// coordinator's decision hygiene at the `dist_fedavg_100k` shape); v9
+/// added `store/envelope_checksum_1m7` and `store/fnv1a64_1m7` (the
+/// envelope's body checksum, and the FNV-1a it replaced in envelope v2,
+/// over the body of the `wire/` kernel's 1.7 MB frame) — and envelope v2
+/// moved what `wire/context_part_40k` costs.
+pub const BENCH_SCHEMA_VERSION: u32 = 9;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -569,10 +574,12 @@ fn suite_dist_stages(kernels: &mut Vec<KernelStats>, budget: Duration) {
 /// The dist wire codec: one seeded 40 000-row `ShardContextPart` — the
 /// frame each worker of the benchmark's `dist_fedavg_100k` returns every
 /// epoch — through `encode_frame` and `decode_frame`, envelope checksum
-/// and column checks included.
+/// and column checks included; then the envelope's body checksum on its
+/// own over that frame's 1.7 MB body, beside the FNV-1a/64 it replaced.
 fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
     use fedl_linalg::rng::{rng_for, Rng};
     use fedl_serve::proto::{decode_frame, encode_frame, Message};
+    use fedl_store::{envelope_checksum, fnv1a64};
 
     let rows = 40_000;
     let mut rng = rng_for(0xBED, rows as u64);
@@ -589,6 +596,13 @@ fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
         let frame = encode_frame(std::hint::black_box(&part));
         decode_frame(std::hint::black_box(&frame)).expect("the frame was just encoded")
     });
+    let frame = encode_frame(&part);
+    let header = frame.iter().position(|&b| b == b'\n').expect("an envelope has a header line");
+    let body = &frame[header + 1..];
+    measure_kernel(kernels, budget, "store/envelope_checksum_1m7", || {
+        envelope_checksum(std::hint::black_box(body))
+    });
+    measure_kernel(kernels, budget, "store/fnv1a64_1m7", || fnv1a64(std::hint::black_box(body)));
 }
 
 /// Runs the whole seeded suite and packages the snapshot.
@@ -881,6 +895,8 @@ mod tests {
             "scale/context_part_100k",
             "core/sanitize",
             "wire/",
+            "store/envelope_checksum",
+            "store/fnv1a64",
         ] {
             assert!(
                 snap.kernels.iter().any(|k| k.name.starts_with(prefix)),

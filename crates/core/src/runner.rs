@@ -1163,6 +1163,20 @@ mod tests {
             Some(ResumeError::Fingerprint { .. }) => {}
             other => panic!("expected fingerprint error, got {other:?}"),
         }
+        // The same checkpoint as a build on envelope v1 wrote it (FNV-1a
+        // over the same body) → typed version refusal, by the header.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let body = text.split_once('\n').unwrap().1;
+        let crc = fedl_store::fnv1a64(body.as_bytes());
+        std::fs::write(
+            &stale,
+            format!("fedl-store v1 kind={CHECKPOINT_KIND} crc={crc:016x}\n{body}"),
+        )
+        .unwrap();
+        match ExperimentRunner::resume_from(s.clone(), PolicyKind::FedAvg, &stale).err() {
+            Some(ResumeError::Store(StoreError::Version { found: 1, supported: 2, .. })) => {}
+            other => panic!("expected a v1 refusal, got {other:?}"),
+        }
         // Bit flip in the body → typed checksum error.
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 2;

@@ -650,4 +650,41 @@ mod tests {
         assert!(matches!(reply, Message::Error { ref code, .. } if code == "schema"));
         std::fs::remove_file(&ckpt).ok();
     }
+
+    /// `body` sealed as envelope v1 seals it (FNV-1a), for `kind`.
+    fn sealed_v1(kind: &str, body: &str) -> String {
+        let crc = fedl_store::fnv1a64(body.as_bytes());
+        format!("fedl-store v1 kind={kind} crc={crc:016x}\n{body}")
+    }
+
+    #[test]
+    fn a_v1_hello_and_a_v1_shard_checkpoint_are_refused() {
+        let (tel, _handle) = Telemetry::in_memory();
+        let mut w = WorkerState::new(tel.clone());
+        let hello = Message::Hello { protocol_version: PROTOCOL_VERSION, node: "old".into() };
+        let frame = sealed_v1(fedl_serve::FRAME_KIND, &hello.to_json_value().to_json());
+        let (reply, control) = w.handle_frame(frame.as_bytes());
+        assert_eq!(control, Control::Continue);
+        match fedl_serve::decode_frame(&reply).expect("the refusal is a v2 frame") {
+            Message::Error { code, detail } => {
+                assert_eq!(code, "envelope");
+                assert!(detail.contains("v1") && detail.contains("v2"), "{detail}");
+            }
+            other => panic!("a v1 frame must be refused, got {other:?}"),
+        }
+        assert_eq!(tel.counter("dist.worker_malformed_frames").value(), 1);
+
+        let dir = std::env::temp_dir().join("fedl_dist_worker_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("shard_v1.fedlstore");
+        let mut w = WorkerState::new(Telemetry::disabled()).with_checkpoint(&ckpt);
+        w.handle_message(assign_msg(40, 13, 0..20));
+        w.handle_message(Message::ShardContext { epoch: 0, trace: Trace::Absent });
+        let text = std::fs::read_to_string(&ckpt).unwrap();
+        let body = text.split_once('\n').unwrap().1;
+        std::fs::write(&ckpt, sealed_v1(DIST_SHARD_CHECKPOINT_KIND, body)).unwrap();
+        let err = WorkerState::resume(Telemetry::disabled(), &ckpt).err().expect("refused");
+        assert!(err.contains("format v1") && err.contains("supports v2"), "{err}");
+        std::fs::remove_file(&ckpt).ok();
+    }
 }

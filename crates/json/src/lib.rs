@@ -24,6 +24,13 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts; one
+/// level more is an [`Error`]. The parser recurses once per level, so
+/// without a cap a few tens of kilobytes of `[` — a frame any peer can
+/// checksum correctly — overflow a thread's stack and abort the process.
+/// What this workspace writes nests a handful of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON document.
 ///
 /// Objects are stored as insertion-ordered `(key, value)` pairs rather
@@ -393,6 +400,8 @@ impl fmt::Display for Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -454,11 +463,23 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error::at(format!("unexpected byte `{}`", b as char), self.pos)),
         }
+    }
+
+    /// Parses one array or object one level further down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::at(format!("nesting deeper than {MAX_DEPTH} levels"), self.pos));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -621,7 +642,7 @@ impl<'a> Parser<'a> {
 impl Value {
     /// Parses one JSON document (rejecting trailing garbage).
     pub fn parse(text: &str) -> Result<Value, Error> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -981,16 +1002,36 @@ mod tests {
         assert_eq!(read_field::<usize>(&v, "good").unwrap(), 1);
     }
 
+    /// `depth` levels of `open`, a `1`, then the closers.
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!("{}1{}", open.repeat(depth), close.repeat(depth))
+    }
+
     #[test]
-    fn deep_nesting_parses() {
-        let mut text = String::new();
-        for _ in 0..64 {
-            text.push('[');
+    fn nesting_up_to_the_cap_parses() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(Value::parse(&nested(open, close, 64)).is_ok());
+            assert!(Value::parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            let err = Value::parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
         }
-        text.push('1');
-        for _ in 0..64 {
-            text.push(']');
+        // Depth is nesting, not count: many siblings at depth one are fine.
+        let wide = format!("[{}[]]", "[],".repeat(10 * MAX_DEPTH));
+        assert!(Value::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 20 000 levels on a 2 MB stack (the default for a spawned
+        // thread) aborted the process before the cap; unclosed, closed,
+        // and mixed, each is now an error at the first level past it.
+        let cases = ["[".repeat(20_000), nested("[", "]", 20_000), "{\"a\":[".repeat(10_000)];
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+            cases.iter().map(|text| Value::parse(text).unwrap_err()).collect::<Vec<_>>()
+        });
+        let errors = worker.unwrap().join().expect("the parse must not overflow its stack");
+        for err in errors {
+            assert!(err.to_string().contains("nesting deeper than"), "{err}");
         }
-        assert!(Value::parse(&text).is_ok());
     }
 }

@@ -9,8 +9,13 @@
 //! field is trusted; the decoder never panics on attacker-shaped bytes.
 //!
 //! ```text
-//! [len: u32 BE] fedl-store v1 kind=serve-msg crc=<16 hex>\n{"type":...}
+//! [len: u32 BE] fedl-store v2 kind=serve-msg crc=<16 hex>\n{"type":...}
 //! ```
+//!
+//! The `crc` is `fedl_store::envelope_checksum` of the body. A peer
+//! framing another envelope version is refused by the header before any
+//! checksum runs — a [`ProtocolError::Envelope`] naming both versions —
+//! so an envelope change needs no [`PROTOCOL_VERSION`] bump.
 //!
 //! The client-facing messages (`Cohort`, `TrainResult`, ...) are small
 //! and stay readable JSON all the way down. The `Shard*` data messages
@@ -1383,6 +1388,22 @@ mod tests {
         ]);
         let text = fedl_store::encode_envelope(FRAME_KIND, &payload);
         assert!(matches!(decode_frame(text.as_bytes()), Err(ProtocolError::Schema { .. })));
+    }
+
+    #[test]
+    fn a_v1_frame_is_an_envelope_error_naming_both_versions() {
+        // A frame as a v1 build sends it: FNV-1a over the same body.
+        let body = Message::Hello { protocol_version: PROTOCOL_VERSION, node: "old".into() }
+            .to_json_value()
+            .to_json();
+        let crc = fedl_store::fnv1a64(body.as_bytes());
+        let frame = format!("fedl-store v1 kind={FRAME_KIND} crc={crc:016x}\n{body}");
+        match decode_frame(frame.as_bytes()) {
+            Err(ProtocolError::Envelope { detail }) => {
+                assert!(detail.contains("v1") && detail.contains("v2"), "{detail}")
+            }
+            other => panic!("expected an envelope error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@ use std::path::PathBuf;
 use fedl_core::policy::PolicyKind;
 use fedl_serve::{
     reference_run, run_loadgen, InProcessTransport, LoadgenOptions, SelectionRecord, ServeConfig,
-    ServeError, ServerState,
+    ServeError, ServerState, SERVE_CHECKPOINT_KIND,
 };
+use fedl_store::StoreError;
 use fedl_telemetry::Telemetry;
 
 fn tmp(name: &str) -> PathBuf {
@@ -113,5 +114,27 @@ fn resume_refuses_a_foreign_deployment() {
         ServerState::resume(config, Telemetry::disabled(), &ckpt),
         Err(ServeError::Store(_))
     ));
+    fs::remove_file(&ckpt).ok();
+}
+
+#[test]
+fn resume_refuses_a_v1_checkpoint() {
+    let config = config();
+    let ckpt = tmp("v1.fedlstore");
+    fs::remove_file(&ckpt).ok();
+    let mut server =
+        ServerState::new(config.clone(), Telemetry::disabled()).with_checkpoint(&ckpt, 1);
+    let _ = drive(&mut server, &config, 0, 2);
+    drop(server);
+    // The same checkpoint as a build on envelope v1 (FNV-1a) wrote it.
+    let text = fs::read_to_string(&ckpt).unwrap();
+    let body = text.split_once('\n').unwrap().1;
+    let crc = fedl_store::fnv1a64(body.as_bytes());
+    fs::write(&ckpt, format!("fedl-store v1 kind={SERVE_CHECKPOINT_KIND} crc={crc:016x}\n{body}"))
+        .unwrap();
+    match ServerState::resume(config, Telemetry::disabled(), &ckpt) {
+        Err(ServeError::Store(StoreError::Version { found: 1, supported: 2, .. })) => {}
+        other => panic!("expected a v1 refusal, got {:?}", other.err().map(|e| e.to_string())),
+    }
     fs::remove_file(&ckpt).ok();
 }

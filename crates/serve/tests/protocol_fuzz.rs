@@ -3,17 +3,30 @@
 //! and the server. Every case must come back as a typed
 //! [`ProtocolError`] (or a wire `error` message) — never a panic — and
 //! must bump the malformed-frame counter, mirroring the run log's
-//! lenient line parsing.
+//! lenient line parsing. So must what a checksum cannot catch: a frame
+//! from a peer on the previous envelope version, and a hostile payload
+//! sealed with the right checksum.
 
 use std::io::Cursor;
 
 use fedl_core::policy::PolicyKind;
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_serve::{
-    decode_frame, read_frame, write_frame, Message, ProtocolError, ServeConfig, ServerState,
+    decode_frame, encode_frame, read_frame, serve_connection, write_frame, DuplexTransport,
+    FrameTransport, Message, ProtocolError, ServeConfig, ServeExit, ServerState, FRAME_KIND,
     MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use fedl_telemetry::Telemetry;
+
+/// `body` sealed as a `serve-msg` frame of envelope `version`, with the
+/// checksum that version uses (v1: FNV-1a).
+fn sealed(version: u32, body: &str) -> Vec<u8> {
+    let crc = match version {
+        1 => fedl_store::fnv1a64(body.as_bytes()),
+        _ => fedl_store::envelope_checksum(body.as_bytes()),
+    };
+    format!("fedl-store v{version} kind={FRAME_KIND} crc={crc:016x}\n{body}").into_bytes()
+}
 
 /// A rotating set of well-formed messages to mutate.
 fn valid_message(i: usize) -> Message {
@@ -264,6 +277,62 @@ fn fuzzed_trace_ids_never_panic_and_are_counted() {
     }
     assert!(invalid > 0, "the generator should produce garbage ids");
     assert_eq!(tel.counter("proto.bad_trace_ids").value(), invalid);
+}
+
+#[test]
+fn a_v1_hello_over_a_connection_is_refused_and_the_connection_lives() {
+    let config = ServeConfig::new(40, 3, 1000.0, 3, PolicyKind::FedL);
+    let (mut client, mut server_end) = DuplexTransport::pair();
+    let server = std::thread::spawn(move || {
+        let mut state = ServerState::new(config, Telemetry::in_memory().0);
+        let exit = serve_connection(&mut server_end, &mut state);
+        (exit, state.malformed_frames())
+    });
+    let hello = Message::Hello { protocol_version: PROTOCOL_VERSION, node: "old".into() };
+    client.send(&sealed(1, &hello.to_json_value().to_json())).unwrap();
+    let reply = decode_frame(&client.recv().unwrap().expect("a reply")).unwrap();
+    match reply {
+        Message::Error { code, detail } => {
+            assert_eq!(code, "envelope");
+            assert!(detail.contains("v1") && detail.contains("v2"), "{detail}");
+        }
+        other => panic!("a v1 frame must be refused, got {other:?}"),
+    }
+    // The same hello in a v2 envelope is answered on the same connection.
+    client.send(&encode_frame(&hello)).unwrap();
+    let reply = decode_frame(&client.recv().unwrap().expect("a reply")).unwrap();
+    assert!(matches!(reply, Message::Hello { .. }), "{reply:?}");
+    drop(client);
+    let (exit, malformed) = server.join().expect("the server thread must not panic");
+    assert_eq!(exit, Ok(ServeExit::PeerClosed));
+    assert_eq!(malformed, 1);
+}
+
+#[test]
+fn deep_nesting_behind_a_valid_checksum_is_a_typed_error_not_an_abort() {
+    // The checksum catches accidents, not peers: 40 KB of `[` sealed
+    // with its correct checksum reaches the JSON parser, on a thread with
+    // the 2 MB stack a connection thread gets.
+    let frame = sealed(fedl_store::FORMAT_VERSION, &"[".repeat(40_000));
+    let config = ServeConfig::new(40, 3, 1000.0, 3, PolicyKind::FedL);
+    let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+        let direct = decode_frame(&frame);
+        let mut server = ServerState::new(config, Telemetry::in_memory().0);
+        let (reply, _) = server.handle_frame(&frame);
+        (direct, decode_frame(&reply), server.malformed_frames())
+    });
+    let (direct, reply, malformed) = worker.unwrap().join().expect("no stack overflow");
+    match direct {
+        Err(ProtocolError::Envelope { detail }) => {
+            assert!(detail.contains("nesting deeper than"), "{detail}")
+        }
+        other => panic!("expected an envelope error, got {other:?}"),
+    }
+    assert!(
+        matches!(reply, Ok(Message::Error { ref code, .. }) if code == "envelope"),
+        "{reply:?}"
+    );
+    assert_eq!(malformed, 1);
 }
 
 #[test]

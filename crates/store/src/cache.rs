@@ -146,6 +146,22 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_entry_is_a_version_error_and_put_repairs_it() {
+        let c = cache("v1-entry");
+        c.put("k", &Value::Int(5)).unwrap();
+        // Re-seal the same entry the way a v1 build wrote it.
+        let path = c.entry_path("k");
+        let text = fs::read_to_string(&path).unwrap();
+        let body = text.split_once('\n').unwrap().1;
+        let crc = crate::checksum::fnv1a64(body.as_bytes());
+        fs::write(&path, format!("fedl-store v1 kind={ENTRY_KIND} crc={crc:016x}\n{body}"))
+            .unwrap();
+        assert!(matches!(c.get("k"), Err(StoreError::Version { found: 1, supported: 2, .. })));
+        c.put("k", &Value::Int(6)).unwrap();
+        assert_eq!(c.get("k").unwrap().unwrap().as_i64(), Some(6));
+    }
+
+    #[test]
     fn colliding_address_with_different_key_is_a_miss() {
         let c = cache("collision");
         c.put("k-one", &Value::Int(1)).unwrap();

@@ -3,13 +3,16 @@
 //! Layout (text, two sections):
 //!
 //! ```text
-//! fedl-store v1 kind=<kind> crc=<16 hex digits>\n
+//! fedl-store v2 kind=<kind> crc=<16 hex digits>\n
 //! <payload: one compact JSON document>
 //! ```
 //!
 //! The first line is the header; everything after the first newline is
-//! the payload. The checksum is FNV-1a/64 over the raw payload bytes as
-//! stored, so verification never depends on JSON canonicalization.
+//! the payload. The checksum is [`envelope_checksum`] over the raw
+//! payload bytes as stored, so verification never depends on JSON
+//! canonicalization. An envelope of another version — v1, checksummed
+//! with FNV-1a/64, included — is refused by its header with
+//! [`StoreError::Version`]; there is no reader for it.
 //! Writes go through a temp file + rename so a crash mid-write leaves
 //! either the old file or no file — never a half-written envelope.
 
@@ -19,13 +22,14 @@ use std::path::Path;
 
 use fedl_json::Value;
 
-use crate::checksum::fnv1a64;
+use crate::checksum::envelope_checksum;
 use crate::error::StoreError;
 
 /// The envelope format version this build reads and writes. Bump on any
-/// incompatible header or payload-layout change; readers reject foreign
-/// versions with [`StoreError::Version`].
-pub const FORMAT_VERSION: u32 = 1;
+/// incompatible header, checksum or payload-layout change; readers reject
+/// foreign versions with [`StoreError::Version`]. v2 replaced the FNV-1a
+/// body checksum with [`envelope_checksum`].
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &str = "fedl-store";
 
@@ -48,7 +52,7 @@ pub fn encode_envelope(kind: &str, payload: &Value) -> String {
         .expect("write to String cannot fail");
     let body_start = text.len();
     payload.write_json(&mut text);
-    let crc = fnv1a64(&text.as_bytes()[body_start..]);
+    let crc = envelope_checksum(&text.as_bytes()[body_start..]);
     text.replace_range(body_start - 17..body_start - 1, &format!("{crc:016x}"));
     text
 }
@@ -98,7 +102,7 @@ pub fn decode_envelope(text: &str, kind: &str, source: &str) -> Result<Value, St
     if body.is_empty() {
         return Err(StoreError::Truncated { path: display });
     }
-    let actual = fnv1a64(body.as_bytes());
+    let actual = envelope_checksum(body.as_bytes());
     if actual != expected {
         return Err(StoreError::ChecksumMismatch { path: display, expected, actual });
     }
@@ -168,7 +172,8 @@ mod tests {
     #[test]
     fn encoded_text_is_header_checksum_newline_body() {
         let body = payload().to_json();
-        let want = format!("fedl-store v1 kind=test crc={:016x}\n{body}", fnv1a64(body.as_bytes()));
+        let crc = envelope_checksum(body.as_bytes());
+        let want = format!("fedl-store v2 kind=test crc={crc:016x}\n{body}");
         assert_eq!(encode_envelope("test", &payload()), want);
     }
 
@@ -190,10 +195,8 @@ mod tests {
             for s in strings {
                 let payload = obj(vec![("column", Value::from(s.as_str())), ("n", Value::Int(3))]);
                 let body = payload.to_json();
-                let want = format!(
-                    "fedl-store v1 kind=test crc={:016x}\n{body}",
-                    fnv1a64(body.as_bytes())
-                );
+                let crc = envelope_checksum(body.as_bytes());
+                let want = format!("fedl-store v2 kind=test crc={crc:016x}\n{body}");
                 assert_eq!(encode_envelope("test", &payload), want, "{s:?}");
                 assert_eq!(decode_envelope(&want, "test", "test").unwrap(), payload);
             }
@@ -222,7 +225,7 @@ mod tests {
         }
         // A file cut inside the header (no newline at all) is also
         // truncation, not garbage.
-        fs::write(&path, "fedl-store v1").unwrap();
+        fs::write(&path, "fedl-store v2").unwrap();
         assert!(matches!(read_envelope(&path, "test"), Err(StoreError::Truncated { .. })));
     }
 
@@ -248,7 +251,7 @@ mod tests {
     fn foreign_version_and_kind_rejected() {
         let path = tmp("version.fedlstore");
         write_envelope(&path, "test", &payload()).unwrap();
-        let text = fs::read_to_string(&path).unwrap().replacen("v1", "v99", 1);
+        let text = fs::read_to_string(&path).unwrap().replacen("v2", "v99", 1);
         fs::write(&path, text).unwrap();
         match read_envelope(&path, "test") {
             Err(StoreError::Version { found: 99, supported: FORMAT_VERSION, .. }) => {}
@@ -256,6 +259,23 @@ mod tests {
         }
         write_envelope(&path, "test", &payload()).unwrap();
         assert!(matches!(read_envelope(&path, "other-kind"), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn a_v1_envelope_is_refused_by_its_version() {
+        // What a v1 build wrote: the same header shape with an FNV-1a
+        // checksum. Its checksum is right for v1, and it is still refused
+        // by the version field before any checksum is computed.
+        let body = payload().to_json();
+        let crc = crate::checksum::fnv1a64(body.as_bytes());
+        let v1 = format!("fedl-store v1 kind=test crc={crc:016x}\n{body}");
+        let err = decode_envelope(&v1, "test", "old.fedlstore").unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Version { path: "old.fedlstore".into(), found: 1, supported: 2 }
+        );
+        let message = err.to_string();
+        assert!(message.contains("v1") && message.contains("v2"), "{message}");
     }
 
     #[test]

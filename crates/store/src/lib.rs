@@ -31,7 +31,7 @@ pub mod envelope;
 pub mod error;
 
 pub use cache::ResultCache;
-pub use checksum::{content_address, fnv1a64};
+pub use checksum::{content_address, envelope_checksum, fnv1a64};
 pub use envelope::{
     decode_envelope, encode_envelope, read_envelope, write_atomic, write_envelope, FORMAT_VERSION,
 };

@@ -190,6 +190,9 @@ stage_perf() {
     # The dist column codec (docs/DIST.md, "Packed columns"): one 40k-row
     # context part through encode_frame + decode_frame.
     require_kernels wire/context_part_40k
+    # The envelope's body checksum over that frame's 1.7 MB body, beside
+    # the FNV-1a/64 envelope v1 used (docs/CHECKPOINT.md).
+    require_kernels store/envelope_checksum_1m7 store/fnv1a64_1m7
     # The sharded plane's per-epoch stages beside the wire (docs/PERF.md,
     # "The 100k dist epoch budget"): a worker's context walk, below and
     # above the realize grain, and the coordinator's decision hygiene.
