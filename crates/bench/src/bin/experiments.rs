@@ -1,17 +1,18 @@
 //! The `experiments` binary: the command table and its handlers.
-//! [`fedl_bench::cli`] derives parsing, per-command flag rejection and
-//! the usage text from the table.
+//! [`fedl_serve::cli`] derives parsing, per-command flag rejection and
+//! the usage text from the table; the service rows come from
+//! `fedl_serve::cli` and `fedl_dist::cli`, next to their handlers.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fedl_bench::cli::{self, Args, Command, Flag};
 use fedl_bench::experiments;
 use fedl_bench::harness::RunCache;
 use fedl_bench::history::{self, BenchHistory, HistoryEntry};
 use fedl_bench::perf::{self, BenchSnapshot};
 use fedl_bench::profile::Profile;
 use fedl_data::synth::TaskKind::{CifarLike, FmnistLike};
+use fedl_serve::cli::{self, Args, Command, Flag};
 use fedl_telemetry::{dashboard, log_line, trace, Report, RunLog, Telemetry};
 
 const QUICK: Flag = Flag { name: "--quick", value: None };
@@ -29,12 +30,7 @@ type Runs = [(String, RunLog)];
 /// A paper figure, headline table or study: one row of the table.
 const fn figure(names: &'static [&'static str], run: Handler) -> Command {
     let flags: &[&Flag] = &[&QUICK, &OUT, &CACHE_DIR, &RESUME];
-    Command { names, positionals: &[], flags: Some(flags), note: "", run }
-}
-
-/// A subcommand of `fedl-serve` / `fedl-dist`, which parse their own flags.
-const fn service(name: &'static [&'static str], note: &'static str, run: Handler) -> Command {
-    Command { names: name, positionals: &[], flags: None, note, run }
+    Command { names, positionals: &[], flags, note: "", run }
 }
 
 static COMMANDS: &[Command] = &[
@@ -60,14 +56,14 @@ static COMMANDS: &[Command] = &[
     Command {
         names: &["telemetry-report"],
         positionals: &["FILE"],
-        flags: Some(&[&REQUIRE]),
+        flags: &[&REQUIRE],
         note: "",
         run: telemetry_report,
     },
     Command {
         names: &["bench"],
         positionals: &[],
-        flags: Some(&[&QUICK, &OUT]),
+        flags: &[&QUICK, &OUT],
         note: "--out FILE.json names the snapshot itself; \
                incl. scale/ kernels: 10k tier quick, +100k/1m paper",
         run: bench,
@@ -75,28 +71,28 @@ static COMMANDS: &[Command] = &[
     Command {
         names: &["bench-history append"],
         positionals: &["SNAP.json"],
-        flags: Some(&[&HISTORY]),
+        flags: &[&HISTORY],
         note: "",
         run: history_append,
     },
     Command {
         names: &["bench-history report"],
         positionals: &[],
-        flags: Some(&[&HISTORY, &HTML]),
+        flags: &[&HISTORY, &HTML],
         note: "",
         run: history_report,
     },
     Command {
         names: &["bench-history gate"],
         positionals: &["NEW.json"],
-        flags: Some(&[&HISTORY]),
+        flags: &[&HISTORY],
         note: "",
         run: history_gate,
     },
     Command {
         names: &["dashboard"],
         positionals: &["RUN.jsonl", "[RUN2.jsonl ...]"],
-        flags: Some(&[&HTML]),
+        flags: &[&HTML],
         note: "two or more logs: per-policy overlay",
         run: |a| {
             observe(a, "dashboard", |runs| match runs {
@@ -108,31 +104,16 @@ static COMMANDS: &[Command] = &[
     Command {
         names: &["trace-report"],
         positionals: &["COORD.jsonl", "[WORKER.jsonl ...]"],
-        flags: Some(&[&HTML]),
+        flags: &[&HTML],
         note: "",
         run: |a| observe(a, "trace report", trace::report),
     },
-    service(&["stats"], "live registry snapshot from a coordinator: --addr HOST:PORT", |a| {
-        serve(fedl_serve::cli::run_stats, a)
-    }),
-    service(&["serve"], "federation service: --addr HOST:PORT; see docs/SERVE.md", |a| {
-        serve(fedl_serve::cli::run_serve, a)
-    }),
-    service(&["loadgen"], "replay clients against a server: --addr HOST:PORT", |a| {
-        serve(fedl_serve::cli::run_loadgen_cli, a)
-    }),
-    service(&["dist"], "sharded federation over worker processes; see docs/DIST.md", |a| {
-        serve(fedl_dist::cli::run_dist, a)
-    }),
-    service(&["dist-worker"], "serve one population shard: --addr HOST:PORT", |a| {
-        serve(fedl_dist::cli::run_dist_worker, a)
-    }),
+    cli::STATS,
+    cli::SERVE,
+    cli::LOADGEN,
+    fedl_dist::cli::DIST,
+    fedl_dist::cli::DIST_WORKER,
 ];
-
-/// Runs a service subcommand on the rest of the command line.
-fn serve(run: fn(&[String]) -> Result<(), String>, args: &Args) -> Result<(), String> {
-    run(&args.positionals)
-}
 
 /// Runs a figure/study entry point at the profile, output directory
 /// and result cache the flags select.
@@ -330,8 +311,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn line(words: &[&str]) -> Vec<String> {
-        words.iter().map(|w| w.to_string()).collect()
+    fn words(text: &str) -> Vec<String> {
+        text.split_whitespace().map(String::from).collect()
+    }
+
+    /// Every flag any row lists (a shared spelling once per row).
+    fn every_flag() -> impl Iterator<Item = &'static &'static Flag> {
+        COMMANDS.iter().flat_map(|c| c.flags)
     }
 
     #[test]
@@ -341,19 +327,18 @@ mod tests {
             for name in command.names {
                 assert!(usage.contains(name), "{name} missing from:\n{usage}");
             }
-            let Some(accepted) = command.flags else { continue };
             // The shortest valid line: the name and its required positionals.
-            let mut minimal = line(&command.names[0].split(' ').collect::<Vec<_>>());
+            let mut minimal = words(command.names[0]);
             minimal.extend(
                 command.positionals.iter().filter(|p| !p.starts_with('[')).map(|p| p.to_string()),
             );
             let name = command.names[0];
             assert!(cli::parse(COMMANDS, &minimal).is_ok(), "{name}");
-            for flag in [&QUICK, &OUT, &CACHE_DIR, &RESUME, &REQUIRE, &HTML, &HISTORY] {
+            for flag in every_flag() {
                 let mut with = minimal.clone();
                 with.push(flag.name.to_string());
                 with.extend(flag.value.map(|_| "value".to_string()));
-                let listed = accepted.iter().any(|a| a.name == flag.name);
+                let listed = command.flags.iter().any(|a| a.name == flag.name);
                 match cli::parse(COMMANDS, &with) {
                     Ok((_, args)) => assert!(listed && args.has(flag), "{name} took {}", flag.name),
                     Err(e) => {
@@ -374,16 +359,70 @@ mod tests {
         }
     }
 
+    /// `parse` takes a flag's value before it knows the command, so a
+    /// spelling shared between rows (`--out` is a directory to a figure
+    /// and a file to `loadgen`; `--resume` a cache or a checkpoint) must
+    /// take a value on all of them or on none.
+    #[test]
+    fn each_spelling_has_one_arity_across_the_table() {
+        for a in every_flag() {
+            for b in every_flag().filter(|b| b.name == a.name) {
+                assert_eq!(a.value.is_some(), b.value.is_some(), "{} has two arities", a.name);
+            }
+        }
+    }
+
+    /// The service command lines `scripts/ci.sh` runs (its `scenario`
+    /// array expanded) and the line `dist` spawns each worker with
+    /// parse; a flag a service handler never reads is refused.
+    #[test]
+    fn the_service_lines_ci_runs_parse_and_unread_flags_do_not() {
+        let scenario = "--clients 40 --seed 11 --budget 1000000 --min-participants 3 --policy fedl";
+        for text in [
+            "serve --addr 127.0.0.1:0 --port-file o/port {S}",
+            "loadgen --addr 127.0.0.1:1 {S} --epochs 12 --out o/full.jsonl --verify-reference \
+             --shutdown",
+            "serve --addr 127.0.0.1:0 --port-file o/port {S} --checkpoint o/ckpt.fedlstore \
+             --checkpoint-every 2",
+            "loadgen --addr 127.0.0.1:1 {S} --epochs 6 --out o/half1.jsonl --shutdown",
+            "serve --addr 127.0.0.1:0 --port-file o/port {S} --checkpoint o/ckpt.fedlstore --resume",
+            "loadgen --addr 127.0.0.1:1 {S} --epochs 6 --start-epoch 6 --out o/half2.jsonl \
+             --shutdown",
+            "dist --workers 0 {S} --epochs 10 --out o/reference.jsonl",
+            "dist --workers 2 {S} --epochs 10 --out o/dist.jsonl --verify-reference",
+            "dist --workers 2 {S} --epochs 10 --out o/dist.jsonl --telemetry o/trace.jsonl \
+             --stats-addr 127.0.0.1:0 --stats-port-file o/stats.port",
+            "serve --addr 127.0.0.1:0 --port-file o/port {S} --telemetry o/serve.jsonl",
+            "stats --addr 127.0.0.1:1",
+            "loadgen --addr 127.0.0.1:1 {S} --epochs 4 --shutdown",
+            "dist-worker --addr 127.0.0.1:0 --port-file w/worker-0.port \
+             --checkpoint w/worker-0.fedlstore --telemetry o/trace.worker-0.jsonl --resume",
+        ] {
+            if let Err(e) = cli::parse(COMMANDS, &words(&text.replace("{S}", scenario))) {
+                panic!("{text}: {e}");
+            }
+        }
+        for (text, stray) in [
+            ("dist --workers 0 --clients 20 --epochs 2 --checkpoint x", "--checkpoint"),
+            ("dist-worker --addr 127.0.0.1:0 --clients 20", "--clients"),
+            ("serve --addr 127.0.0.1:0 --epochs 3", "--epochs"),
+            ("loadgen --addr 127.0.0.1:1 --checkpoint x", "--checkpoint"),
+            ("stats --addr 127.0.0.1:1 --policy fedl", "--policy"),
+        ] {
+            let command = text.split(' ').next().unwrap();
+            let err = cli::parse(COMMANDS, &words(text)).err().unwrap_or_default();
+            assert!(err.starts_with(&format!("{stray} is not an option of {command}\n")), "{err}");
+        }
+    }
+
     #[test]
     fn cache_is_on_only_when_asked_for() {
-        let parsed = |words: &[&str]| cli::parse(COMMANDS, &line(words)).unwrap().1;
+        let parsed = |text: &str| cli::parse(COMMANDS, &words(text)).unwrap().1;
         let out = Path::new("/tmp/r");
-        assert_eq!(cache_dir(&parsed(&["fig2"]), out), None);
-        assert_eq!(cache_dir(&parsed(&["--resume", "fig6"]), out), Some(out.join("cache")));
-        for words in
-            [&["--cache-dir", "/tmp/c", "fig6"][..], &["--resume", "--cache-dir", "/tmp/c", "all"]]
-        {
-            assert_eq!(cache_dir(&parsed(words), out), Some(PathBuf::from("/tmp/c")), "{words:?}");
+        assert_eq!(cache_dir(&parsed("fig2"), out), None);
+        assert_eq!(cache_dir(&parsed("--resume fig6"), out), Some(out.join("cache")));
+        for text in ["--cache-dir /tmp/c fig6", "--resume --cache-dir /tmp/c all"] {
+            assert_eq!(cache_dir(&parsed(text), out), Some(PathBuf::from("/tmp/c")), "{text}");
         }
     }
 

@@ -13,8 +13,6 @@
 //!   latency oracle, fairness, bandwidth allocation, dropout,
 //!   multi-seed replication);
 //! * [`plot`] — terminal (ASCII) curve rendering of the figure panels;
-//! * [`cli`] — the `experiments` binary's argument grammar, including
-//!   the `telemetry-report` run-log analysis subcommand;
 //! * [`timing`] — the measured-iterations micro-benchmark harness used
 //!   by the `benches/` targets (offline replacement for criterion);
 //! * [`perf`] — the `experiments bench` perf-snapshot suite
@@ -25,7 +23,8 @@
 //!   (median-of-last-K) CI gate, and per-kernel trend reports with
 //!   ±2σ bands (ASCII + self-contained HTML).
 //!
-//! The `experiments` binary is a thin CLI over [`experiments`]. All
+//! The `experiments` binary is a thin CLI over [`experiments`]: its
+//! command table is parsed by the one grammar in `fedl_serve::cli`. All
 //! console tables go through `fedl_telemetry::log_line!`, so
 //! `FEDL_QUIET=1` silences them.
 //!
@@ -34,7 +33,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cli;
 pub mod experiments;
 pub mod harness;
 pub mod history;

@@ -850,13 +850,11 @@ impl ExperimentRunner {
     /// counter hits it. A failed save is reported through telemetry but
     /// never interrupts the run — losing a checkpoint only costs resume
     /// granularity, while aborting would lose the run itself.
-    // `is_multiple_of` needs Rust 1.87; the workspace MSRV is 1.85.
-    #[allow(clippy::manual_is_multiple_of)]
     fn maybe_checkpoint(&mut self) {
         let Some((every, path)) = self.checkpoint.clone() else {
             return;
         };
-        if self.engine.next_epoch() % every != 0 {
+        if !self.engine.next_epoch().is_multiple_of(every) {
             return;
         }
         if let Err(e) = self.save_checkpoint(&path) {

@@ -19,8 +19,9 @@
 //!   shard servant with S12-style shard checkpoints.
 //! * [`coordinator`] — [`Coordinator`], the [`WorkerLink`] trait, and
 //!   the in-process [`LocalWorkerLink`].
-//! * [`cli`] — the `experiments dist` / `experiments dist-worker`
-//!   subcommands.
+//! * [`cli`] — the `experiments dist` / `experiments dist-worker` rows
+//!   of the command table (parsed by `fedl_serve::cli`'s grammar) and
+//!   the TCP worker links `dist` drives.
 //!
 //! ```
 //! use fedl_core::policy::PolicyKind;

@@ -32,7 +32,7 @@ use fedl_serve::proto::{
 use fedl_serve::transport::FrameTransport;
 use fedl_serve::{member_feedback, serve_frames, Control, ServeConfig, ServeExit};
 use fedl_sim::Population;
-use fedl_store::{read_envelope, write_envelope};
+use fedl_store::{read_envelope, write_envelope, StoreError};
 use fedl_telemetry::Telemetry;
 
 /// Envelope kind of a worker's shard checkpoint file.
@@ -66,19 +66,23 @@ impl ShardCheckpoint {
         ])
     }
 
-    fn from_payload(payload: &Value) -> Result<Self, String> {
-        let version: usize = read_field(payload, "schema_version").map_err(|e| e.to_string())?;
+    /// Reads a checkpoint payload; `path` names the file in the errors.
+    fn from_payload(payload: &Value, path: &Path) -> Result<Self, StoreError> {
+        let schema =
+            |reason: String| StoreError::Schema { path: path.display().to_string(), reason };
+        let field = |e: fedl_json::Error| schema(e.to_string());
+        let version: usize = read_field(payload, "schema_version").map_err(field)?;
         if version != DIST_SHARD_SCHEMA_VERSION as usize {
-            return Err(format!(
+            return Err(schema(format!(
                 "shard checkpoint schema v{version} unsupported \
                  (this build reads v{DIST_SHARD_SCHEMA_VERSION})"
-            ));
+            )));
         }
         Ok(Self {
-            fingerprint: read_field(payload, "fingerprint").map_err(|e| e.to_string())?,
-            shard_start: read_field(payload, "shard_start").map_err(|e| e.to_string())?,
-            shard_end: read_field(payload, "shard_end").map_err(|e| e.to_string())?,
-            epochs_served: read_field(payload, "epochs_served").map_err(|e| e.to_string())?,
+            fingerprint: read_field(payload, "fingerprint").map_err(field)?,
+            shard_start: read_field(payload, "shard_start").map_err(field)?,
+            shard_end: read_field(payload, "shard_end").map_err(field)?,
+            epochs_served: read_field(payload, "epochs_served").map_err(field)?,
         })
     }
 }
@@ -121,10 +125,9 @@ impl WorkerState {
     /// fingerprint or shard is refused with a typed error instead of
     /// silently serving the wrong deployment. Checkpointing continues
     /// into the same path.
-    pub fn resume(telemetry: Telemetry, path: &Path) -> Result<Self, String> {
-        let payload = read_envelope(path, DIST_SHARD_CHECKPOINT_KIND)
-            .map_err(|e| format!("cannot read shard checkpoint {}: {e}", path.display()))?;
-        let expected = ShardCheckpoint::from_payload(&payload)?;
+    pub fn resume(telemetry: Telemetry, path: &Path) -> Result<Self, StoreError> {
+        let payload = read_envelope(path, DIST_SHARD_CHECKPOINT_KIND)?;
+        let expected = ShardCheckpoint::from_payload(&payload, path)?;
         telemetry.emit(
             "dist.worker_resumed",
             vec![
@@ -684,7 +687,29 @@ mod tests {
         let body = text.split_once('\n').unwrap().1;
         std::fs::write(&ckpt, sealed_v1(DIST_SHARD_CHECKPOINT_KIND, body)).unwrap();
         let err = WorkerState::resume(Telemetry::disabled(), &ckpt).err().expect("refused");
-        assert!(err.contains("format v1") && err.contains("supports v2"), "{err}");
+        assert!(matches!(err, StoreError::Version { found: 1, supported: 2, .. }), "{err}");
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
+    fn a_shard_checkpoint_of_another_schema_is_a_schema_error() {
+        let ckpt = std::env::temp_dir().join("fedl_dist_worker_tests/shard_schema.fedlstore");
+        let ours = DIST_SHARD_SCHEMA_VERSION as usize;
+        let future = ours + 1;
+        // Another schema's version, then this schema without its fields.
+        for (payload, want) in [
+            (obj(vec![("schema_version", Value::from(future))]), format!("v{future} unsupported")),
+            (obj(vec![("schema_version", Value::from(ours))]), "fingerprint".to_string()),
+        ] {
+            write_envelope(&ckpt, DIST_SHARD_CHECKPOINT_KIND, &payload).unwrap();
+            match WorkerState::resume(Telemetry::disabled(), &ckpt).err().expect("refused") {
+                StoreError::Schema { path, reason } => {
+                    assert_eq!(path, ckpt.display().to_string());
+                    assert!(reason.contains(&want), "{reason}");
+                }
+                other => panic!("a foreign payload must be StoreError::Schema, got {other}"),
+            }
+        }
         std::fs::remove_file(&ckpt).ok();
     }
 }

@@ -818,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn floats_parse_with_exponents() {
+    fn floats_with_exponents_parse() {
         let v = Value::parse("[1e3, -2.5E-2, 0.0]").unwrap();
         let items = v.as_arr().unwrap();
         assert_eq!(items[0].as_f64().unwrap(), 1000.0);

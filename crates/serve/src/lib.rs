@@ -20,8 +20,11 @@
 //! * [`loadgen`] — the seeded replay client ([`run_loadgen`]) and the
 //!   in-process reference ([`reference_run`]) every served run must
 //!   match bit-for-bit.
-//! * [`cli`] — the `experiments serve` / `experiments loadgen`
-//!   subcommands.
+//! * [`cli`] — the one `experiments` command grammar (a table of
+//!   [`cli::Command`] rows from which parsing, per-command flag
+//!   refusal and the usage text are derived), and the `serve`,
+//!   `loadgen` and `stats` rows, each listing exactly the flags its
+//!   handler reads.
 //!
 //! ```
 //! use fedl_core::policy::PolicyKind;
