@@ -3,6 +3,7 @@
 
 use fedl_bench::timing::{bench, group};
 use fedl_core::objective::{FracDecision, OneShot};
+use fedl_core::regret::{hindsight_optimum, HindsightScratch};
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_solver::SelectionPolytope;
 
@@ -51,8 +52,10 @@ fn bench_descent() {
         let anchor = FracDecision { x: vec![0.2; k], rho: 2.0 };
         let mu = vec![0.5; k + 1];
         bench(&format!("descend/{k}"), || std::hint::black_box(p.descend(&anchor, &mu, 0.3)));
+        let mut scratch = HindsightScratch::default();
+        let mut star = FracDecision { x: Vec::new(), rho: 1.0 };
         bench(&format!("hindsight/{k}"), || {
-            std::hint::black_box(fedl_core::regret::hindsight_optimum(&p))
+            std::hint::black_box(hindsight_optimum(&p, &mut scratch, &mut star))
         });
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! [`run_suite`] times a fixed, seeded set of micro-kernels — GEMM and
 //! softmax (S1), a DANE local solve (S2), RDCS dependent rounding
-//! (S5/S6), one FedL decision (build → decide → observe), the one-shot
-//! solve, the columnar scheduler at the 10k/100k/1M scale tiers
-//! (docs/SCALE.md), and the dist wire codec and the envelope checksum
+//! (S5/S6), one FedL decision (build → decide → observe), one regret
+//! record (the hindsight comparator), the one-shot solve, the columnar
+//! scheduler at the 10k/100k/1M scale tiers (docs/SCALE.md), and the
+//! dist wire codec and the envelope checksum
 //! over one 40k-row column frame (docs/DIST.md) — on the in-tree
 //! [`crate::timing`] harness, and packages the per-kernel statistics
 //! into a [`BenchSnapshot`] serialisable to `BENCH.json` via
@@ -50,8 +51,10 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// added `store/envelope_checksum_1m7` and `store/fnv1a64_1m7` (the
 /// envelope's body checksum, and the FNV-1a it replaced in envelope v2,
 /// over the body of the `wire/` kernel's 1.7 MB frame) — and envelope v2
-/// moved what `wire/context_part_40k` costs.
-pub const BENCH_SCHEMA_VERSION: u32 = 9;
+/// moved what `wire/context_part_40k` costs; v10 added
+/// `core/regret_record_80` (one warm `RegretTracker::record` on a seeded
+/// K = 80 instance, docs/PERF.md "The hindsight comparator").
+pub const BENCH_SCHEMA_VERSION: u32 = 10;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -445,13 +448,66 @@ fn exhaustion_tail() -> Vec<fedl_core::Posed> {
     posed.split_off(posed.len() - 3)
 }
 
+/// One warm `RegretTracker::record` on a seeded K = 80 instance shaped
+/// like those `serve_fedl_m100`'s tracker solves mid-run: ten clients
+/// required, a budget that does not bind, latencies spread over two
+/// decades, and the loss just above θ, so the comparator balances the
+/// loss row with its multiplier at an interior ρ with kinks met — the
+/// regime where it costs most. With an empty cohort the realized problem
+/// is the posed one, so each iteration is one copy of it, one hindsight
+/// solve and the curve updates (docs/PERF.md, "The hindsight comparator").
+fn suite_regret(kernels: &mut Vec<KernelStats>, budget: Duration) {
+    use fedl_core::objective::{FracDecision, OneShot};
+    use fedl_core::regret::RegretTracker;
+    use fedl_linalg::rng::{rng_for, Rng};
+    use fedl_sim::EpochReport;
+
+    let (k, n) = (80, 10);
+    let mut rng = rng_for(0xBED, k as u64);
+    let problem = OneShot {
+        ids: (0..k).collect(),
+        tau: (0..k).map(|_| 0.025 * rng.gen_range(0.0f64..5.0).exp()).collect(),
+        costs: (0..k).map(|_| rng.gen_range(0.1..12.0)).collect(),
+        eta: (0..k).map(|_| rng.gen_range(0.1..0.95)).collect(),
+        g: (0..k)
+            .map(|_| if rng.gen_range(0usize..4) == 0 { 0.0 } else { rng.gen_range(-0.3..0.0) })
+            .collect(),
+        bonus: vec![0.0; k],
+        loss_all: 1.075,
+        theta: 1.0,
+        min_participants: n,
+        budget: 28_000.0,
+        rho_max: 10.0,
+    };
+    let frac = FracDecision { x: vec![n as f64 / k as f64; k], rho: 2.0 };
+    let report = EpochReport {
+        epoch: 0,
+        cohort: Vec::new(),
+        iterations: 2,
+        latency_secs: 0.0,
+        per_client_iter_latency: Vec::new(),
+        cost: 0.0,
+        eta_hats: Vec::new(),
+        global_loss_all: problem.loss_all,
+        global_loss_selected: problem.loss_all,
+        grad_dot_delta: Vec::new(),
+        local_losses: Vec::new(),
+        failed: Vec::new(),
+    };
+    let mut tracker = RegretTracker::new(k);
+    tracker.record(&problem, &frac, &report); // warm
+    measure_kernel(kernels, budget, "core/regret_record_80", || {
+        tracker.record(std::hint::black_box(&problem), &frac, &report);
+        tracker.epochs()
+    });
+}
+
 /// The columnar scheduler at scale-tier populations (docs/SCALE.md):
 /// one full FedL score update — dense problem assembly from the
 /// population/epoch columns plus the realized-epoch fold-back,
-/// everything except the PGD descent, whose iteration count does not
-/// grow with the population — and RDCS rounding over a tier-sized
-/// fractional vector. The quick profile measures the 10k tier; paper
-/// adds 100k and 1M.
+/// everything except the one-shot solve (the `solve/` kernels time it) —
+/// and RDCS rounding over a tier-sized fractional vector. The quick
+/// profile measures the 10k tier; paper adds 100k and 1M.
 fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile) {
     use fedl_core::columnar::scale_context;
     use fedl_core::objective::FracDecision;
@@ -618,6 +674,7 @@ pub fn run_suite(profile: Profile) -> BenchSnapshot {
     suite_dane(&mut kernels, budget, profile);
     suite_rounding(&mut kernels, budget, profile);
     suite_decide_observe(&mut kernels, budget, profile);
+    suite_regret(&mut kernels, budget);
     suite_solve(&mut kernels, budget);
     suite_scale(&mut kernels, budget, profile);
     suite_dist_stages(&mut kernels, budget);
@@ -889,6 +946,7 @@ mod tests {
             "ml/dane",
             "core/rdcs",
             "core/decide_observe",
+            "core/regret_record",
             "solve/",
             "scale/epoch_realize",
             "scale/context_part_10k",

@@ -218,7 +218,7 @@ impl OneShot {
         self.feasible_set_with(&mut Vec::new())
     }
 
-    fn feasible_set_with(&self, sorted: &mut Vec<f64>) -> SelectionPolytope<'_> {
+    pub(crate) fn feasible_set_with(&self, sorted: &mut Vec<f64>) -> SelectionPolytope<'_> {
         self.check();
         SelectionPolytope::new(&self.costs, self.effective_n(), self.budget, self.rho_max, sorted)
     }

@@ -8,13 +8,14 @@
 //! `‖[Σ h_t(Φ̃_t)]⁺‖` — the curves whose sub-linear growth Corollary 1
 //! guarantees.
 
-use std::cell::RefCell;
-
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
-use fedl_solver::{minimize, PgdOptions};
 
 use crate::objective::{locator, FracDecision, OneShot};
 use fedl_sim::EpochReport;
+
+mod hindsight;
+
+pub use hindsight::{hindsight_optimum, HindsightScratch};
 
 /// Penalty weight used when the hindsight comparator must respect the
 /// convergence constraints `h_t ≤ 0` (exact-penalty formulation, large
@@ -32,9 +33,11 @@ pub struct RegretTracker {
     fit_curve: Vec<f64>,
     regret_curve: Vec<f64>,
     /// The epoch's problem with realized values in place of estimates,
-    /// and its constraint vector: buffers reused across epochs (never
-    /// serialized).
+    /// the comparator's answer to it and its buffers, and the constraint
+    /// vector: reused across epochs (never serialized).
     observed: OneShot,
+    optimum: FracDecision,
+    hindsight: HindsightScratch,
     h: Vec<f64>,
 }
 
@@ -48,6 +51,8 @@ impl RegretTracker {
             fit_curve: Vec::new(),
             regret_curve: Vec::new(),
             observed: OneShot::default(),
+            optimum: FracDecision { x: Vec::new(), rho: f64::NAN },
+            hindsight: HindsightScratch::default(),
             h: Vec::new(),
         }
     }
@@ -74,7 +79,8 @@ impl RegretTracker {
         }
 
         let f_t = observed.f_value(&frac.x, frac.rho);
-        let star = hindsight_optimum(observed);
+        let star = &mut self.optimum;
+        hindsight_optimum(observed, &mut self.hindsight, star);
         let f_star = observed.f_value(&star.x, star.rho);
         self.f_online.push(f_t);
         self.f_hindsight.push(f_star);
@@ -116,6 +122,14 @@ impl RegretTracker {
     pub fn f_hindsight(&self) -> &[f64] {
         &self.f_hindsight
     }
+
+    /// The last recorded epoch's problem with its realized coefficients:
+    /// what the comparator solved. Empty before the first
+    /// [`RegretTracker::record`] of this process (a restored tracker
+    /// starts empty too).
+    pub fn observed(&self) -> &OneShot {
+        &self.observed
+    }
 }
 
 impl ToJson for RegretTracker {
@@ -138,77 +152,9 @@ impl FromJson for RegretTracker {
             h_cum: read_field(v, "h_cum")?,
             fit_curve: read_field(v, "fit_curve")?,
             regret_curve: read_field(v, "regret_curve")?,
-            observed: OneShot::default(),
-            h: Vec::new(),
+            ..Self::new(0)
         })
     }
-}
-
-/// The per-epoch hindsight comparator `Φ̃_t*`: minimizes the *realized*
-/// `f_t` over the epoch's feasible set, with the convergence constraints
-/// enforced through an exact penalty (they are bilinear, so we fold them
-/// into the objective rather than the projection).
-pub fn hindsight_optimum(observed: &OneShot) -> FracDecision {
-    let k = observed.ids.len();
-    let set = observed.feasible_set();
-    let avail = k as f64;
-    // PGD evaluates the objective at every backtracking trial of every
-    // start: one constraint buffer serves them all.
-    let h = RefCell::new(Vec::with_capacity(observed.dim()));
-    let objective = |z: &[f64]| {
-        let (x, rho) = (&z[..k], z[k]);
-        let mut h = h.borrow_mut();
-        observed.h_value_into(x, rho, &mut h);
-        let mut v = observed.f_value(x, rho);
-        for hi in h.iter() {
-            v += H_PENALTY * hi.max(0.0);
-        }
-        v
-    };
-    let gradient = |z: &[f64], out: &mut [f64]| {
-        let rho = z[k];
-        let mix: f64 = z[..k].iter().zip(&observed.g).map(|(xi, gi)| xi * gi).sum();
-        let h0 = observed.loss_all + rho * mix / avail - observed.theta;
-        let pen0 = if h0 > 0.0 { H_PENALTY } else { 0.0 };
-        let mut drho: f64 = z[..k].iter().zip(&observed.tau).map(|(xi, ti)| xi * ti).sum::<f64>()
-            + pen0 * mix / avail;
-        for i in 0..k {
-            let hi = observed.eta[i] * z[i] * rho - rho + 1.0;
-            let pen = if hi > 0.0 { H_PENALTY } else { 0.0 };
-            out[i] = rho * observed.tau[i]
-                + pen0 * rho * observed.g[i] / avail
-                + pen * observed.eta[i] * rho;
-            drho += pen * (observed.eta[i] * z[i] - 1.0);
-        }
-        out[k] = drho;
-    };
-    // The penalty landscape is multi-modal (h⁰ couples x and ρ
-    // bilinearly), so run PGD from several starts and keep the best:
-    // the interior point, the latency-greedy low-ρ corner, and the
-    // constraint-friendly high-ρ corner.
-    let mut starts: Vec<Vec<f64>> = Vec::with_capacity(3);
-    let mut interior = vec![0.5; k];
-    interior.push(1.5);
-    starts.push(interior);
-    let mut by_tau: Vec<usize> = (0..k).collect();
-    by_tau.sort_by(|&a, &b| observed.tau[a].partial_cmp(&observed.tau[b]).expect("finite tau"));
-    let mut greedy = vec![0.0; k + 1];
-    for &i in by_tau.iter().take(observed.effective_n()) {
-        greedy[i] = 1.0;
-    }
-    greedy[k] = 1.0;
-    starts.push(greedy);
-    let mut high = vec![1.0; k];
-    high.push(observed.rho_max);
-    starts.push(high);
-
-    let opts = PgdOptions { max_iters: 400, tol: 1e-9, ..Default::default() };
-    let res = starts
-        .into_iter()
-        .map(|z0| minimize(objective, gradient, &set, &z0, &opts))
-        .min_by(|a, b| a.objective.partial_cmp(&b.objective).expect("finite objectives"))
-        .expect("at least one start");
-    FracDecision { x: res.x[..k].to_vec(), rho: res.x[k] }
 }
 
 #[cfg(test)]
@@ -252,7 +198,8 @@ mod tests {
     #[test]
     fn hindsight_picks_cheap_fast_clients() {
         let p = problem();
-        let star = hindsight_optimum(&p);
+        let mut star = FracDecision { x: Vec::new(), rho: 1.0 };
+        hindsight_optimum(&p, &mut HindsightScratch::default(), &mut star);
         // n = 1, loss satisfied (0.4 < 0.6): minimal f selects mostly the
         // fastest client (tau = 0.2, id 0) at rho = 1.
         assert!(star.rho < 1.5, "rho {}", star.rho);

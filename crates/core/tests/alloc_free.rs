@@ -1,7 +1,8 @@
 //! Zero-steady-state-allocation regression tests for the scheduler hot
 //! loops: RDCS dependent rounding, the columnar UCB score-update
-//! assembly (`build_problem_into` + `h_value_into`) and the one-shot
-//! solve behind `decide`. Installs the
+//! assembly (`build_problem_into` + `h_value_into`), the one-shot
+//! solve behind `decide` and the regret tracker's hindsight comparator.
+//! Installs the
 //! counting allocator as this binary's global allocator; once the
 //! reusable scratch structures are warm, the measured regions must not
 //! touch the heap.
@@ -9,9 +10,10 @@
 //! Kept to a single `#[test]` so no sibling test can allocate
 //! concurrently while the measured regions run.
 
-use fedl_core::objective::OneShot;
+use fedl_core::objective::{FracDecision, OneShot};
 use fedl_core::online::{OnlineLearner, StepSizes};
 use fedl_core::policy::EpochContext;
+use fedl_core::regret::{hindsight_optimum, HindsightScratch};
 use fedl_core::rounding::{rdcs_with, RdcsScratch};
 use fedl_linalg::alloc_counter::CountingAllocator;
 use fedl_linalg::rng::{rng_for, Rng};
@@ -109,4 +111,29 @@ fn scheduler_hot_loops_are_allocation_free_once_warm() {
         }
     });
     assert!(learner.last_solve().budget_relaxed, "budget 1 cannot cover the cheapest 8");
+
+    // --- The hindsight comparator ---------------------------------------
+    // The same three budgets, with the loss row slack, violated beyond
+    // repair and balanced by its multiplier.
+    let mut scratch = HindsightScratch::default();
+    let mut star = FracDecision { x: Vec::new(), rho: 1.0 };
+    let mut cases = Vec::new();
+    for budget in [10_000.0, 30.0, 1.0] {
+        for (loss, pull) in [(0.5, -0.1), (40.0, -0.1), (1.2, -0.3)] {
+            ctx.remaining_budget = budget;
+            learner.build_problem_into(&ctx, &mut problem);
+            problem.loss_all = loss;
+            problem.g.iter_mut().enumerate().for_each(|(i, g)| *g = pull * (1 + i % 5) as f64);
+            cases.push(problem.clone());
+        }
+    }
+    for p in &cases {
+        hindsight_optimum(p, &mut scratch, &mut star); // warm
+    }
+    assert_allocation_free("hindsight comparator", || {
+        for p in &cases {
+            hindsight_optimum(p, &mut scratch, &mut star);
+        }
+    });
+    assert!(star.x.iter().all(|x| (0.0..=1.0).contains(x)));
 }

@@ -1,16 +1,25 @@
-//! The solver FedL used before the structured solve of eq. (8): projected
-//! gradient descent over all `K + 1` variables, every trial point
-//! projected by Dykstra's alternating projections over box, participation
-//! halfspace and budget halfspace. It lives on only as the reference the
-//! tests compare the exact solve against (never worse than this, wherever
-//! this one's point is feasible); nothing under `src/` uses it.
+//! The solvers FedL used before its exact ones, kept as the references
+//! the tests compare those against; nothing under `src/` uses them.
 //!
-//! Shared by `crates/core/tests/solve.rs` and, through `#[path]`, by the
-//! root `tests/exhaustion_tail.rs`.
+//! * [`descend_pgd`] — eq. (8) by projected gradient descent over all
+//!   `K + 1` variables, every trial point projected by Dykstra's
+//!   alternating projections over box, participation halfspace and budget
+//!   halfspace. The structured solve must never be worse than this
+//!   wherever this one's point is feasible.
+//! * [`hindsight_pgd`] — the regret tracker's hindsight comparator as a
+//!   three-start penalty PGD over the exact polytope. The exact comparator
+//!   must never be above it.
+//!
+//! Shared by `crates/core/tests/{solve,hindsight}.rs` and, through
+//! `#[path]`, by the root `tests/exhaustion_tail.rs`; each uses a part.
+#![allow(dead_code)]
+
+pub mod pgd;
 
 use fedl_core::objective::{FracDecision, OneShot};
 use fedl_linalg::dvec;
-use fedl_solver::{minimize, BoxSet, PgdOptions, Project};
+use fedl_solver::Project;
+use pgd::{minimize, BoxSet, PgdOptions};
 
 /// Halfspace `{ v : a·v ≤ b }`.
 struct Halfspace {
@@ -167,6 +176,65 @@ pub fn descend_pgd(
     let opts = PgdOptions { max_iters: 300, tol: 1e-8, ..Default::default() };
     let res = minimize(objective, gradient, &set, &z_prev, &opts);
     (FracDecision { x: res.x[..k].to_vec(), rho: res.x[k] }, res.converged)
+}
+
+/// Penalty weight of the hindsight comparator's exact-penalty objective.
+const H_PENALTY: f64 = 1e3;
+
+/// `Ψ = f_t + 10³·Σᵢ [hᵢ]⁺` at `(x, rho)`: what the hindsight comparator
+/// minimises.
+pub fn penalised(observed: &OneShot, x: &[f64], rho: f64) -> f64 {
+    let mut h = Vec::new();
+    observed.h_value_into(x, rho, &mut h);
+    h.iter().fold(observed.f_value(x, rho), |v, hi| v + H_PENALTY * hi.max(0.0))
+}
+
+/// The hindsight comparator as `regret::hindsight_optimum` computed it
+/// before the exact solve: Ψ descended by PGD (cap 400 iterations,
+/// tolerance 1e-9) over the polytope × `[1, ρ_max]` from three starts —
+/// the interior point, the latency-greedy low-ρ corner and the
+/// constraint-friendly high-ρ corner — keeping the lowest.
+pub fn hindsight_pgd(observed: &OneShot) -> FracDecision {
+    let k = observed.ids.len();
+    let set = observed.feasible_set();
+    let avail = k as f64;
+    let objective = |z: &[f64]| penalised(observed, &z[..k], z[k]);
+    let gradient = |z: &[f64], out: &mut [f64]| {
+        let rho = z[k];
+        let mix: f64 = z[..k].iter().zip(&observed.g).map(|(xi, gi)| xi * gi).sum();
+        let h0 = observed.loss_all + rho * mix / avail - observed.theta;
+        let pen0 = if h0 > 0.0 { H_PENALTY } else { 0.0 };
+        let mut drho: f64 = z[..k].iter().zip(&observed.tau).map(|(xi, ti)| xi * ti).sum::<f64>()
+            + pen0 * mix / avail;
+        for i in 0..k {
+            let hi = observed.eta[i] * z[i] * rho - rho + 1.0;
+            let pen = if hi > 0.0 { H_PENALTY } else { 0.0 };
+            out[i] = rho * observed.tau[i]
+                + pen0 * rho * observed.g[i] / avail
+                + pen * observed.eta[i] * rho;
+            drho += pen * (observed.eta[i] * z[i] - 1.0);
+        }
+        out[k] = drho;
+    };
+    let mut interior = vec![0.5; k];
+    interior.push(1.5);
+    let mut by_tau: Vec<usize> = (0..k).collect();
+    by_tau.sort_by(|&a, &b| observed.tau[a].total_cmp(&observed.tau[b]));
+    let mut greedy = vec![0.0; k + 1];
+    for &i in by_tau.iter().take(observed.effective_n()) {
+        greedy[i] = 1.0;
+    }
+    greedy[k] = 1.0;
+    let mut high = vec![1.0; k];
+    high.push(observed.rho_max);
+
+    let opts = PgdOptions { max_iters: 400, tol: 1e-9, ..Default::default() };
+    let res = [interior, greedy, high]
+        .into_iter()
+        .map(|z0| minimize(objective, gradient, &set, &z0, &opts))
+        .min_by(|a, b| a.objective.total_cmp(&b.objective))
+        .expect("three starts");
+    FracDecision { x: res.x[..k].to_vec(), rho: res.x[k] }
 }
 
 /// `true` when `(x, rho)` is in `problem`'s feasible set to within `tol`.

@@ -1,8 +1,7 @@
 //! Zero-allocation regression test for the selection-polytope projection
-//! — the inner loop of every one-shot solve and of every PGD step of the
-//! hindsight comparator. Building the set over a reused scratch vector and
-//! projecting onto it, with either row or both active, must not touch the
-//! heap.
+//! — the inner loop of every one-shot solve. Building the set over a
+//! reused scratch vector and projecting onto it, with either row or both
+//! active, must not touch the heap.
 //!
 //! Kept to a single `#[test]` so no sibling test can allocate
 //! concurrently while the measured region runs.

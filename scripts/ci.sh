@@ -187,6 +187,10 @@ stage_perf() {
     # the gate above watches for the layer every FedL decision runs.
     require_kernels solve/project_1k solve/descend_64 solve/descend_1k solve/descend_10k \
         solve/descend_10k_warm solve/descend_tail core/decide_observe_64
+    # The regret tracker's hindsight comparator on a K = 80 instance
+    # shaped like the served ones (docs/PERF.md, "The hindsight
+    # comparator"): the largest layer of a tracked served epoch.
+    require_kernels core/regret_record_80
     # The dist column codec (docs/DIST.md, "Packed columns"): one 40k-row
     # context part through encode_frame + decode_frame.
     require_kernels wire/context_part_40k
