@@ -397,6 +397,8 @@ mod tests {
             "loadgen --addr 127.0.0.1:1 {S} --epochs 4 --shutdown",
             "dist-worker --addr 127.0.0.1:0 --port-file w/worker-0.port \
              --checkpoint w/worker-0.fedlstore --telemetry o/trace.worker-0.jsonl --resume",
+            "serve --addr 127.0.0.1:0 --checkpoint o/runner.fedlstore --resume",
+            "dist-worker --addr 127.0.0.1:0 --checkpoint o/runner.fedlstore --resume",
         ] {
             if let Err(e) = cli::parse(COMMANDS, &words(&text.replace("{S}", scenario))) {
                 panic!("{text}: {e}");

@@ -40,8 +40,6 @@ pub enum EngineError {
     },
     /// `select` after the budget ran out (Alg. 1's `while C ≥ 0` ended).
     Exhausted,
-    /// A checkpoint payload does not hold valid engine fields.
-    Schema(fedl_json::Error),
 }
 
 impl fmt::Display for EngineError {
@@ -52,18 +50,11 @@ impl fmt::Display for EngineError {
                 write!(f, "epoch {epoch} is selected and awaiting its outcome")
             }
             EngineError::Exhausted => write!(f, "the budget is exhausted"),
-            EngineError::Schema(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<fedl_json::Error> for EngineError {
-    fn from(e: fedl_json::Error) -> Self {
-        EngineError::Schema(e)
-    }
-}
 
 /// Post-selection hygiene for a raw policy decision: sort, dedup, drop
 /// ids outside the availability set, fall back to the floor-`n` first
@@ -217,9 +208,11 @@ impl EpochEngine {
 
     /// Restores the fields [`Self::snapshot`] wrote from a checkpoint
     /// `payload` holding them, into an engine built with the same policy
-    /// kind and configuration (the drivers' fingerprints guarantee it).
-    /// After an error the engine may be half-restored: discard it.
-    pub fn restore(&mut self, payload: &Value) -> Result<(), EngineError> {
+    /// kind and configuration (each caller's checkpoint stamp guarantees
+    /// it). A field that does not fit is the caller's to wrap with the
+    /// file it came from; after an error the engine may be half-restored:
+    /// discard it.
+    pub fn restore(&mut self, payload: &Value) -> Result<(), fedl_json::Error> {
         let next_epoch = read_field(payload, "next_epoch")?;
         let saved = payload.field("ledger")?;
         let mut ledger =
@@ -457,10 +450,10 @@ mod tests {
             // is a typed refusal.
             let fields = second.snapshot().unwrap();
             let partial = obj(fields[..2].to_vec());
-            assert!(matches!(second.restore(&partial), Err(EngineError::Schema(_))));
+            assert!(second.restore(&partial).is_err());
             let bad = obj(vec![("initial", Value::Float(BUDGET)), ("charges", vec![-1.0].into())]);
             let poisoned = obj([fields[0].clone(), ("ledger", bad), fields[2].clone()]);
-            assert!(matches!(second.restore(&poisoned), Err(EngineError::Schema(_))));
+            assert!(second.restore(&poisoned).is_err());
             // So is a FedL state of the wrong arity or sign, which would
             // otherwise restore cleanly and panic an epoch later.
             if kind != PolicyKind::FedL {
@@ -480,7 +473,7 @@ mod tests {
                 *field_mut(field_mut(&mut state, path[0]), path[1]) = value;
                 let skewed = obj([fields[0].clone(), fields[1].clone(), ("policy_state", state)]);
                 let refused = second.restore(&skewed);
-                assert!(matches!(refused, Err(EngineError::Schema(_))), "{path:?}: {refused:?}");
+                assert!(refused.is_err(), "{path:?}: {refused:?}");
             }
             second.restore(&obj(fields)).expect("the untouched payload still restores");
         }

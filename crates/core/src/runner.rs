@@ -12,13 +12,13 @@ use fedl_linalg::rng::rng_for;
 use fedl_ml::dane::DaneConfig;
 use fedl_ml::model::{Cnn, ConvBlockSpec, MapShape, Mlp, Model, SoftmaxRegression};
 use fedl_ml::params::ParamSet;
-use fedl_sim::trace::{EpochEvent, RunTrace};
+use fedl_sim::trace::RunTrace;
 use fedl_sim::{BudgetLedger, EdgeEnvironment, EnvConfig, SimError};
-use fedl_store::{content_address, read_envelope, write_envelope, StoreError};
+use fedl_store::{content_address, read_checkpoint, write_checkpoint, StoreError};
 use fedl_telemetry::Telemetry;
 
 use crate::columnar::context_at;
-use crate::engine::{EngineError, EpochEngine};
+use crate::engine::EpochEngine;
 use crate::fedl::FedLConfig;
 use crate::objective::locator;
 use crate::policy::{EpochContext, PolicyKind, SelectionPolicy};
@@ -92,22 +92,13 @@ impl From<SimError> for ScenarioError {
 /// fall back to a fresh run.
 #[derive(Debug)]
 pub enum ResumeError {
-    /// The snapshot file was unreadable, truncated, corrupt, or of a
-    /// foreign format version.
+    /// The snapshot was unreadable, damaged, stamped for another schema
+    /// version or another scenario/policy, or its payload does not fit
+    /// the run being resumed.
     Store(StoreError),
     /// The scenario itself cannot be executed (same failures as
     /// [`ExperimentRunner::try_new`]).
     Scenario(ScenarioError),
-    /// The payload parsed but did not match the snapshot schema.
-    Schema(fedl_json::Error),
-    /// The snapshot was taken under a different scenario, policy, or
-    /// schema version than the one being resumed.
-    Fingerprint {
-        /// Fingerprint of the scenario/policy being resumed.
-        expected: String,
-        /// Fingerprint recorded in the snapshot.
-        found: String,
-    },
 }
 
 impl fmt::Display for ResumeError {
@@ -115,11 +106,6 @@ impl fmt::Display for ResumeError {
         match self {
             ResumeError::Store(e) => write!(f, "{e}"),
             ResumeError::Scenario(e) => write!(f, "{e}"),
-            ResumeError::Schema(e) => write!(f, "snapshot schema mismatch: {e}"),
-            ResumeError::Fingerprint { expected, found } => write!(
-                f,
-                "snapshot fingerprint {found} does not match the scenario/policy being resumed ({expected})"
-            ),
         }
     }
 }
@@ -129,7 +115,6 @@ impl std::error::Error for ResumeError {
         match self {
             ResumeError::Store(e) => Some(e),
             ResumeError::Scenario(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -143,18 +128,6 @@ impl From<StoreError> for ResumeError {
 impl From<ScenarioError> for ResumeError {
     fn from(e: ScenarioError) -> Self {
         ResumeError::Scenario(e)
-    }
-}
-
-impl From<fedl_json::Error> for ResumeError {
-    fn from(e: fedl_json::Error) -> Self {
-        ResumeError::Schema(e)
-    }
-}
-
-impl From<EngineError> for ResumeError {
-    fn from(e: EngineError) -> Self {
-        ResumeError::Schema(fedl_json::Error::msg(e.to_string()))
     }
 }
 
@@ -634,25 +607,30 @@ impl ExperimentRunner {
         let policy_name = self.engine.policy().name();
         let [next_epoch, ledger, policy_state] =
             self.engine.snapshot().expect("`step` settles every epoch it selects");
-        let payload = obj(vec![
-            ("fingerprint", Value::Str(Self::fingerprint(&self.scenario, policy_name))),
-            ("policy", Value::from(policy_name)),
-            next_epoch,
-            ("sim_time", self.sim_time.to_json_value()),
-            ("records", self.records.to_json_value()),
-            ("loss_hints", self.loss_hints.to_json_value()),
-            ledger,
-            (
-                "server",
-                obj(vec![
-                    ("model", self.env.server().model().params().to_json_value()),
-                    ("j_agg", self.env.server().j_agg().to_json_value()),
-                ]),
-            ),
-            policy_state,
-            ("trace", trace_events),
-        ]);
-        write_envelope(path, CHECKPOINT_KIND, &payload)?;
+        let fingerprint = Self::fingerprint(&self.scenario, policy_name);
+        write_checkpoint(
+            path,
+            CHECKPOINT_KIND,
+            SNAPSHOT_SCHEMA_VERSION,
+            &fingerprint,
+            [
+                ("policy", Value::from(policy_name)),
+                next_epoch,
+                ("sim_time", self.sim_time.to_json_value()),
+                ("records", self.records.to_json_value()),
+                ("loss_hints", self.loss_hints.to_json_value()),
+                ledger,
+                (
+                    "server",
+                    obj(vec![
+                        ("model", self.env.server().model().params().to_json_value()),
+                        ("j_agg", self.env.server().j_agg().to_json_value()),
+                    ]),
+                ),
+                policy_state,
+                ("trace", trace_events),
+            ],
+        )?;
         self.telemetry.emit(
             "checkpoint.saved",
             vec![
@@ -666,40 +644,45 @@ impl ExperimentRunner {
 
     /// Rebuilds a runner mid-run from a [`Self::save_checkpoint`]
     /// snapshot. The scenario and policy kind must be exactly the ones
-    /// the snapshot was taken under (verified via the fingerprint);
-    /// calling [`Self::run`] on the result continues from the next
-    /// unexecuted epoch and returns the same [`RunOutcome`] the
-    /// uninterrupted run would have.
+    /// the snapshot was taken under (its stamp's fingerprint); calling
+    /// [`Self::run`] on the result continues from the next unexecuted
+    /// epoch and returns the same [`RunOutcome`] the uninterrupted run
+    /// would have.
     pub fn resume_from(
         scenario: ScenarioConfig,
         kind: PolicyKind,
         path: &Path,
     ) -> Result<Self, ResumeError> {
-        let payload = read_envelope(path, CHECKPOINT_KIND)?;
         let mut runner = Self::try_new(scenario, kind)?;
-        let expected = Self::fingerprint(&runner.scenario, runner.engine.policy().name());
-        let found: String = read_field(&payload, "fingerprint")?;
-        if found != expected {
-            return Err(ResumeError::Fingerprint { expected, found });
+        let fingerprint = Self::fingerprint(&runner.scenario, runner.engine.policy().name());
+        let ckpt =
+            read_checkpoint(path, CHECKPOINT_KIND, SNAPSHOT_SCHEMA_VERSION, Some(&fingerprint))?;
+        let _bound_by_the_fingerprint: String = ckpt.field("policy")?;
+        runner.engine.restore(&ckpt.payload).map_err(|e| ckpt.schema(e))?;
+        runner.sim_time = ckpt.field("sim_time")?;
+        runner.records = ckpt.field("records")?;
+        runner.loss_hints = ckpt.field("loss_hints")?;
+        let server_v = ckpt.payload.field("server").map_err(|e| ckpt.schema(e))?;
+        let params = |key| read_field::<ParamSet>(server_v, key).map_err(|e| ckpt.schema(e));
+        let (model, j_agg) = (params("model")?, params("j_agg")?);
+        // Refused here, as values: a non-finite time would poison every
+        // later record, and a mis-shaped model or `J` would panic in the
+        // model's shape assert (or the first epoch) instead.
+        let shapes = |p: &ParamSet| p.tensors().iter().map(|t| t.shape()).collect::<Vec<_>>();
+        let want = shapes(runner.env.server().model().params());
+        let (hints, clients) = (runner.loss_hints.len(), runner.scenario.env.num_clients);
+        if !(runner.sim_time.is_finite() && runner.sim_time >= 0.0) {
+            return Err(ckpt.schema(format!("sim_time {} is not a time", runner.sim_time)).into());
         }
-        runner.engine.restore(&payload)?;
-        runner.sim_time = read_field(&payload, "sim_time")?;
-        runner.records = read_field(&payload, "records")?;
-        runner.loss_hints = read_field(&payload, "loss_hints")?;
-        if runner.loss_hints.len() != runner.scenario.env.num_clients {
-            return Err(ResumeError::Schema(fedl_json::Error::msg(format!(
-                "snapshot carries {} loss hints for {} clients",
-                runner.loss_hints.len(),
-                runner.scenario.env.num_clients
-            ))));
+        if hints != clients {
+            return Err(ckpt.schema(format!("{hints} loss hints for {clients} clients")).into());
         }
-        let server_v = payload.field("server")?;
-        let model: ParamSet = read_field(server_v, "model")?;
-        let j_agg: ParamSet = read_field(server_v, "j_agg")?;
+        if shapes(&model) != want || shapes(&j_agg) != want {
+            return Err(ckpt.schema("server.model / server.j_agg do not fit the model").into());
+        }
         runner.env.server_mut().set_model_params(model);
         runner.env.server_mut().set_j_agg(j_agg);
-        let events: Vec<EpochEvent> = read_field(&payload, "trace")?;
-        runner.trace = RunTrace::from_events(events);
+        runner.trace = RunTrace::from_events(ckpt.field("trace")?);
         runner.restored_from_epoch = Some(runner.engine.next_epoch());
         Ok(runner)
     }
@@ -951,6 +934,7 @@ impl ExperimentRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedl_store::{read_envelope, write_envelope};
 
     fn scenario() -> ScenarioConfig {
         let mut s = ScenarioConfig::small_fmnist(8, 200.0, 2).with_seed(7);
@@ -1138,13 +1122,13 @@ mod tests {
 
         // Different policy → fingerprint mismatch.
         match ExperimentRunner::resume_from(s.clone(), PolicyKind::FedL, &path).err() {
-            Some(ResumeError::Fingerprint { .. }) => {}
+            Some(ResumeError::Store(StoreError::Fingerprint { .. })) => {}
             other => panic!("expected fingerprint error, got {other:?}"),
         }
         // Different scenario (seed) → fingerprint mismatch.
         let reseeded = checkpoint_scenario().with_seed(99);
         match ExperimentRunner::resume_from(reseeded, PolicyKind::FedAvg, &path).err() {
-            Some(ResumeError::Fingerprint { .. }) => {}
+            Some(ResumeError::Store(StoreError::Fingerprint { .. })) => {}
             other => panic!("expected fingerprint error, got {other:?}"),
         }
         // The same run checkpointed by the previous schema version (same
@@ -1155,10 +1139,11 @@ mod tests {
         let mut payload = read_envelope(&path, CHECKPOINT_KIND).unwrap();
         let Value::Obj(fields) = &mut payload else { panic!("checkpoint payload is an object") };
         let text = format!("fedl-snapshot v1\npolicy=FedAvg\n{}", s.canonical_json());
-        fields[0] = ("fingerprint".to_string(), Value::Str(content_address(text.as_bytes())));
+        assert_eq!(fields[1].0, "fingerprint", "the stamp heads the payload");
+        fields[1].1 = Value::Str(content_address(text.as_bytes()));
         write_envelope(&stale, CHECKPOINT_KIND, &payload).unwrap();
         match ExperimentRunner::resume_from(s.clone(), PolicyKind::FedAvg, &stale).err() {
-            Some(ResumeError::Fingerprint { .. }) => {}
+            Some(ResumeError::Store(StoreError::Fingerprint { .. })) => {}
             other => panic!("expected fingerprint error, got {other:?}"),
         }
         // The same checkpoint as a build on envelope v1 wrote it (FNV-1a

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 use fedl_core::columnar::scale_context_part;
 use fedl_core::policy::PolicyKind;
-use fedl_json::{obj, read_field, Value};
+use fedl_json::Value;
 use fedl_serve::proto::{
     answer_hello, check_shard_clients, decode_frame_traced, encode_frame_traced, Message,
     ProtocolError, Trace, PROTOCOL_VERSION,
@@ -32,7 +32,7 @@ use fedl_serve::proto::{
 use fedl_serve::transport::FrameTransport;
 use fedl_serve::{member_feedback, serve_frames, Control, ServeConfig, ServeExit};
 use fedl_sim::Population;
-use fedl_store::{read_envelope, write_envelope, StoreError};
+use fedl_store::{read_checkpoint, write_checkpoint, StoreError};
 use fedl_telemetry::Telemetry;
 
 /// Envelope kind of a worker's shard checkpoint file.
@@ -56,33 +56,31 @@ pub struct ShardCheckpoint {
 }
 
 impl ShardCheckpoint {
-    fn to_payload(&self) -> Value {
-        obj(vec![
-            ("schema_version", Value::from(DIST_SHARD_SCHEMA_VERSION as usize)),
-            ("fingerprint", Value::from(self.fingerprint.as_str())),
-            ("shard_start", Value::from(self.shard_start)),
-            ("shard_end", Value::from(self.shard_end)),
-            ("epochs_served", Value::from(self.epochs_served)),
-        ])
+    fn write(&self, path: &Path) -> Result<(), StoreError> {
+        write_checkpoint(
+            path,
+            DIST_SHARD_CHECKPOINT_KIND,
+            DIST_SHARD_SCHEMA_VERSION,
+            &self.fingerprint,
+            [
+                ("shard_start", Value::from(self.shard_start)),
+                ("shard_end", Value::from(self.shard_end)),
+                ("epochs_served", Value::from(self.epochs_served)),
+            ],
+        )
     }
 
-    /// Reads a checkpoint payload; `path` names the file in the errors.
-    fn from_payload(payload: &Value, path: &Path) -> Result<Self, StoreError> {
-        let schema =
-            |reason: String| StoreError::Schema { path: path.display().to_string(), reason };
-        let field = |e: fedl_json::Error| schema(e.to_string());
-        let version: usize = read_field(payload, "schema_version").map_err(field)?;
-        if version != DIST_SHARD_SCHEMA_VERSION as usize {
-            return Err(schema(format!(
-                "shard checkpoint schema v{version} unsupported \
-                 (this build reads v{DIST_SHARD_SCHEMA_VERSION})"
-            )));
-        }
+    /// The worker learns its deployment from the file: the stamp's
+    /// fingerprint is read, not checked — a `ShardAssign` is checked
+    /// against it.
+    fn read(path: &Path) -> Result<Self, StoreError> {
+        let ckpt =
+            read_checkpoint(path, DIST_SHARD_CHECKPOINT_KIND, DIST_SHARD_SCHEMA_VERSION, None)?;
         Ok(Self {
-            fingerprint: read_field(payload, "fingerprint").map_err(field)?,
-            shard_start: read_field(payload, "shard_start").map_err(field)?,
-            shard_end: read_field(payload, "shard_end").map_err(field)?,
-            epochs_served: read_field(payload, "epochs_served").map_err(field)?,
+            fingerprint: ckpt.field("fingerprint")?,
+            shard_start: ckpt.field("shard_start")?,
+            shard_end: ckpt.field("shard_end")?,
+            epochs_served: ckpt.field("epochs_served")?,
         })
     }
 }
@@ -94,8 +92,8 @@ impl ShardCheckpoint {
 struct Assignment {
     config: ServeConfig,
     population: Population,
-    fingerprint: String,
-    epochs_served: usize,
+    /// What the shard checkpoint records of it.
+    record: ShardCheckpoint,
 }
 
 /// The worker's event-loop state; [`Self::handle_frame`] is the entire
@@ -126,8 +124,7 @@ impl WorkerState {
     /// silently serving the wrong deployment. Checkpointing continues
     /// into the same path.
     pub fn resume(telemetry: Telemetry, path: &Path) -> Result<Self, StoreError> {
-        let payload = read_envelope(path, DIST_SHARD_CHECKPOINT_KIND)?;
-        let expected = ShardCheckpoint::from_payload(&payload, path)?;
+        let expected = ShardCheckpoint::read(path)?;
         telemetry.emit(
             "dist.worker_resumed",
             vec![
@@ -158,14 +155,15 @@ impl WorkerState {
 
     fn save_checkpoint(&self) {
         let (Some(path), Some(a)) = (&self.checkpoint, &self.assignment) else { return };
-        let record = ShardCheckpoint {
-            fingerprint: a.fingerprint.clone(),
-            shard_start: a.population.shard().start,
-            shard_end: a.population.shard().end,
-            epochs_served: a.epochs_served,
-        };
-        if let Err(e) = write_envelope(path, DIST_SHARD_CHECKPOINT_KIND, &record.to_payload()) {
+        if let Err(e) = a.record.write(path) {
             eprintln!("fedl-dist worker: shard checkpoint failed: {e}");
+            self.telemetry.emit(
+                "checkpoint.save_failed",
+                vec![
+                    ("path", Value::from(path.display().to_string())),
+                    ("error", Value::from(e.to_string())),
+                ],
+            );
         }
     }
 
@@ -274,7 +272,7 @@ impl WorkerState {
                     "dist.worker_shutdown",
                     vec![(
                         "epochs_served",
-                        Value::from(self.assignment.as_ref().map_or(0, |a| a.epochs_served)),
+                        Value::from(self.assignment.as_ref().map_or(0, |a| a.record.epochs_served)),
                     )],
                 );
                 self.telemetry.emit_metrics();
@@ -330,30 +328,27 @@ impl WorkerState {
         };
         let config = ServeConfig::new(clients, seed, budget, min_participants, policy);
         let fingerprint = config.fingerprint();
-        let mut epochs_served = 0;
+        let mut record = ShardCheckpoint { fingerprint, shard_start, shard_end, epochs_served: 0 };
         if let Some(expected) = &self.expected {
-            if expected.fingerprint != fingerprint
-                || expected.shard_start != shard_start
-                || expected.shard_end != shard_end
-            {
-                let err = ProtocolError::Schema {
+            record.epochs_served = expected.epochs_served;
+            if record != *expected {
+                return self.refuse(ProtocolError::Schema {
                     detail: format!(
-                        "assignment does not match the resumed shard checkpoint \
-                         (expected shard {}..{} of deployment {}, got {shard_start}..{shard_end} \
-                         of {fingerprint})",
-                        expected.shard_start, expected.shard_end, expected.fingerprint
+                        "assignment {record:?} does not match the resumed shard checkpoint \
+                         {expected:?}"
                     ),
-                };
-                return self.refuse(err);
+                });
             }
-            epochs_served = expected.epochs_served;
         }
         // A re-handshake for the assignment we already hold (coordinator
         // reconnect, recovery retry) reuses the built population — the
         // columns are a pure function of the config, so rebuilding could
         // only waste time, never change bits.
+        let fingerprint = record.fingerprint.clone();
         if let Some(a) = &self.assignment {
-            if a.fingerprint == fingerprint && a.population.shard() == (shard_start..shard_end) {
+            if a.record.fingerprint == fingerprint
+                && a.population.shard() == (shard_start..shard_end)
+            {
                 return (
                     Message::ShardReady { shard_start, shard_end, fingerprint },
                     Control::Continue,
@@ -371,12 +366,7 @@ impl WorkerState {
                 ("policy", Value::from(config.policy.label())),
             ],
         );
-        self.assignment = Some(Assignment {
-            config,
-            population,
-            fingerprint: fingerprint.clone(),
-            epochs_served,
-        });
+        self.assignment = Some(Assignment { config, population, record });
         self.save_checkpoint();
         (Message::ShardReady { shard_start, shard_end, fingerprint }, Control::Continue)
     }
@@ -400,7 +390,7 @@ impl WorkerState {
             shard,
             None,
         );
-        a.epochs_served = a.epochs_served.max(epoch + 1);
+        a.record.epochs_served = a.record.epochs_served.max(epoch + 1);
         drop(span);
         self.telemetry.counter("dist.worker_context_parts").incr();
         self.save_checkpoint();
@@ -443,7 +433,7 @@ impl WorkerState {
         let lent = a.population.advance(epoch);
         let feedback =
             member_feedback(lent.cols, lent.now, lent.latency, a.config.min_participants, &members);
-        a.epochs_served = a.epochs_served.max(epoch + 1);
+        a.record.epochs_served = a.record.epochs_served.max(epoch + 1);
         drop(span);
         self.telemetry.counter("dist.worker_train_parts").incr();
         self.save_checkpoint();
@@ -692,23 +682,25 @@ mod tests {
     }
 
     #[test]
-    fn a_shard_checkpoint_of_another_schema_is_a_schema_error() {
-        let ckpt = std::env::temp_dir().join("fedl_dist_worker_tests/shard_schema.fedlstore");
-        let ours = DIST_SHARD_SCHEMA_VERSION as usize;
-        let future = ours + 1;
-        // Another schema's version, then this schema without its fields.
-        for (payload, want) in [
-            (obj(vec![("schema_version", Value::from(future))]), format!("v{future} unsupported")),
-            (obj(vec![("schema_version", Value::from(ours))]), "fingerprint".to_string()),
-        ] {
-            write_envelope(&ckpt, DIST_SHARD_CHECKPOINT_KIND, &payload).unwrap();
-            match WorkerState::resume(Telemetry::disabled(), &ckpt).err().expect("refused") {
-                StoreError::Schema { path, reason } => {
-                    assert_eq!(path, ckpt.display().to_string());
-                    assert!(reason.contains(&want), "{reason}");
-                }
-                other => panic!("a foreign payload must be StoreError::Schema, got {other}"),
+    fn a_shard_checkpoint_of_another_schema_is_refused_by_its_stamp() {
+        let dir = std::env::temp_dir().join("fedl_dist_worker_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("shard_schema.fedlstore");
+        let path = ckpt.display().to_string();
+        let ours = DIST_SHARD_SCHEMA_VERSION;
+        // Another schema's version is the shared stamp refusal...
+        write_checkpoint(&ckpt, DIST_SHARD_CHECKPOINT_KIND, ours + 1, "f", []).unwrap();
+        let err = WorkerState::resume(Telemetry::disabled(), &ckpt).err().expect("refused");
+        let (found, supported) = (ours as usize + 1, ours as usize);
+        assert_eq!(err, StoreError::SchemaVersion { path: path.clone(), found, supported });
+        // ...and this schema without its fields is a schema error.
+        write_checkpoint(&ckpt, DIST_SHARD_CHECKPOINT_KIND, ours, "f", []).unwrap();
+        match WorkerState::resume(Telemetry::disabled(), &ckpt).err().expect("refused") {
+            StoreError::Schema { path: p, reason } => {
+                assert_eq!(p, path);
+                assert!(reason.contains("shard_start"), "{reason}");
             }
+            other => panic!("a payload without its fields must be StoreError::Schema, got {other}"),
         }
         std::fs::remove_file(&ckpt).ok();
     }

@@ -176,7 +176,7 @@ impl FromJson for ParamSet {
                 let rows: usize = read_field(t, "rows")?;
                 let cols: usize = read_field(t, "cols")?;
                 let data: Vec<f32> = read_field(t, "data")?;
-                if data.len() != rows * cols {
+                if Some(data.len()) != rows.checked_mul(cols) {
                     return Err(fedl_json::Error::msg(format!(
                         "tensor data length {} does not match shape {rows}x{cols}",
                         data.len()
@@ -258,8 +258,12 @@ mod tests {
 
     #[test]
     fn json_rejects_shape_mismatch() {
-        let v = Value::parse(r#"{"tensors":[{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}]}"#).unwrap();
-        assert!(ParamSet::from_json_value(&v).is_err());
+        // The second shape's element count overflows `usize`: a refusal,
+        // not an arithmetic panic.
+        for shape in [r#""rows":2,"cols":2"#, r#""rows":4611686018427387904,"cols":4"#] {
+            let text = format!(r#"{{"tensors":[{{{shape},"data":[1.0,2.0,3.0]}}]}}"#);
+            assert!(ParamSet::from_json_value(&Value::parse(&text).unwrap()).is_err(), "{shape}");
+        }
     }
 
     #[test]

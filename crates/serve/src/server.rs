@@ -20,10 +20,10 @@ use fedl_core::columnar::context_at;
 use fedl_core::engine::{EngineError, EpochEngine};
 use fedl_core::policy::PolicyKind;
 use fedl_core::FedLConfig;
-use fedl_json::{obj, read_field, ToJson, Value};
+use fedl_json::{ToJson, Value};
 use fedl_net::LatencyModel;
 use fedl_sim::{EnvConfig, EpochReport, Population};
-use fedl_store::{content_address, read_envelope, write_envelope, StoreError};
+use fedl_store::{content_address, read_checkpoint, write_checkpoint, StoreError};
 use fedl_telemetry::Telemetry;
 
 use crate::proto::{
@@ -121,24 +121,12 @@ pub enum ServeExit {
 /// [`ProtocolError`]; this covers the checkpoint file path).
 #[derive(Debug)]
 pub enum ServeError {
-    /// Reading or writing the checkpoint envelope failed.
+    /// Reading or writing the checkpoint failed: the envelope, its stamp
+    /// (another schema version or deployment), or a payload that does not
+    /// fit this server.
     Store(StoreError),
-    /// The checkpoint parsed but its payload is malformed.
-    Schema(String),
-    /// The checkpoint belongs to a different deployment.
-    Fingerprint {
-        /// Fingerprint of the server's own config.
-        expected: String,
-        /// Fingerprint recorded in the file.
-        found: String,
-    },
-    /// The checkpoint's schema version is not ours.
-    Version {
-        /// Version found in the payload.
-        found: u32,
-    },
-    /// The epoch engine refused: malformed checkpoint fields, or a
-    /// snapshot asked for while a selection awaits its `TrainResult`.
+    /// The epoch engine refused a snapshot while a selection awaits its
+    /// `TrainResult`.
     Engine(EngineError),
 }
 
@@ -146,15 +134,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Store(e) => write!(f, "checkpoint store error: {e}"),
-            ServeError::Schema(detail) => write!(f, "checkpoint schema error: {detail}"),
-            ServeError::Fingerprint { expected, found } => write!(
-                f,
-                "checkpoint belongs to a different deployment (expected {expected}, found {found})"
-            ),
-            ServeError::Version { found } => write!(
-                f,
-                "checkpoint schema v{found} unsupported (this build reads v{SERVE_SNAPSHOT_SCHEMA_VERSION})"
-            ),
             ServeError::Engine(e) => write!(f, "checkpoint refused by the epoch engine: {e}"),
         }
     }
@@ -229,28 +208,19 @@ impl ServerState {
         telemetry: Telemetry,
         path: &Path,
     ) -> Result<Self, ServeError> {
-        let payload = read_envelope(path, SERVE_CHECKPOINT_KIND)?;
-        let schema = |e: fedl_json::Error| ServeError::Schema(e.to_string());
-        let version: usize = read_field(&payload, "schema_version").map_err(schema)?;
-        let version = u32::try_from(version)
-            .map_err(|_| ServeError::Schema(format!("schema_version {version} out of range")))?;
-        if version != SERVE_SNAPSHOT_SCHEMA_VERSION {
-            return Err(ServeError::Version { found: version });
-        }
-        let found: String = read_field(&payload, "fingerprint").map_err(schema)?;
-        let expected = config.fingerprint();
-        if found != expected {
-            return Err(ServeError::Fingerprint { expected, found });
-        }
+        let fingerprint = config.fingerprint();
+        let ckpt = read_checkpoint(
+            path,
+            SERVE_CHECKPOINT_KIND,
+            SERVE_SNAPSHOT_SCHEMA_VERSION,
+            Some(&fingerprint),
+        )?;
         let mut server = Self::new(config, telemetry);
-        server.engine.restore(&payload)?;
-        server.selections = read_field(&payload, "selections").map_err(schema)?;
-        let joined: Vec<usize> = read_field(&payload, "registered").map_err(schema)?;
-        for id in joined {
-            if id >= server.registered.len() {
-                return Err(ServeError::Schema(format!("registered id {id} out of range")));
-            }
-            server.registered[id] = true;
+        server.engine.restore(&ckpt.payload).map_err(|e| ckpt.schema(e))?;
+        server.selections = ckpt.field("selections")?;
+        for id in ckpt.field::<Vec<usize>>("registered")? {
+            let slot = server.registered.get_mut(id);
+            *slot.ok_or_else(|| ckpt.schema(format!("registered id {id} out of range")))? = true;
         }
         server.telemetry.emit(
             "serve.checkpoint_restored",
@@ -270,16 +240,19 @@ impl ServerState {
         let [next_epoch, ledger, policy_state] = self.engine.snapshot()?;
         let joined: Vec<usize> =
             self.registered.iter().enumerate().filter(|(_, &r)| r).map(|(k, _)| k).collect();
-        let payload = obj(vec![
-            ("schema_version", Value::from(SERVE_SNAPSHOT_SCHEMA_VERSION as usize)),
-            ("fingerprint", Value::from(self.config.fingerprint())),
-            next_epoch,
-            ("selections", Value::from(self.selections)),
-            ("registered", Value::Arr(joined.into_iter().map(Value::from).collect())),
-            ledger,
-            policy_state,
-        ]);
-        write_envelope(path, SERVE_CHECKPOINT_KIND, &payload)?;
+        write_checkpoint(
+            path,
+            SERVE_CHECKPOINT_KIND,
+            SERVE_SNAPSHOT_SCHEMA_VERSION,
+            &self.config.fingerprint(),
+            [
+                next_epoch,
+                ("selections", Value::from(self.selections)),
+                ("registered", Value::Arr(joined.into_iter().map(Value::from).collect())),
+                ledger,
+                policy_state,
+            ],
+        )?;
         self.telemetry.emit(
             "serve.checkpoint_saved",
             vec![
@@ -352,10 +325,23 @@ impl ServerState {
     fn checkpoint_at_boundary(&mut self) {
         if let Some((path, every)) = self.checkpoint.clone() {
             if self.next_epoch().is_multiple_of(every) {
-                if let Err(e) = self.save_checkpoint(&path) {
-                    eprintln!("fedl-serve: checkpoint failed: {e}");
-                }
+                self.save_or_report(&path, "checkpoint");
             }
+        }
+    }
+
+    /// Saves to `path`; a failure is reported on stderr and as a
+    /// `checkpoint.save_failed` event, and never stops the server.
+    fn save_or_report(&self, path: &Path, what: &str) {
+        if let Err(e) = self.save_checkpoint(path) {
+            eprintln!("fedl-serve: {what} failed: {e}");
+            self.telemetry.emit(
+                "checkpoint.save_failed",
+                vec![
+                    ("path", Value::from(path.display().to_string())),
+                    ("error", Value::from(e.to_string())),
+                ],
+            );
         }
     }
 
@@ -417,9 +403,7 @@ impl ServerState {
             Message::Shutdown => {
                 if let Some((path, _)) = self.checkpoint.clone() {
                     if self.engine.pending().is_none() {
-                        if let Err(e) = self.save_checkpoint(&path) {
-                            eprintln!("fedl-serve: shutdown checkpoint failed: {e}");
-                        }
+                        self.save_or_report(&path, "shutdown checkpoint");
                     } else {
                         // The server only checkpoints at epoch
                         // boundaries; make the skip loud so an operator

@@ -104,7 +104,7 @@ fn resume_refuses_a_foreign_deployment() {
     // Same file, different seed: the fingerprint must not match.
     let other = ServeConfig::new(50, 14, 100_000.0, 3, PolicyKind::FedL);
     match ServerState::resume(other, Telemetry::disabled(), &ckpt) {
-        Err(ServeError::Fingerprint { .. }) => {}
+        Err(ServeError::Store(StoreError::Fingerprint { .. })) => {}
         other => panic!("expected Fingerprint error, got {:?}", other.err().map(|e| e.to_string())),
     }
     // And a damaged checkpoint is a typed store error, not a panic.

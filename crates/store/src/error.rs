@@ -55,6 +55,25 @@ pub enum StoreError {
         /// The decode error.
         reason: String,
     },
+    /// A checkpoint's stamp names a payload layout this build does not
+    /// read (the payload's `schema_version`, not the envelope's).
+    SchemaVersion {
+        /// File with the foreign layout.
+        path: String,
+        /// Version found in the stamp.
+        found: usize,
+        /// Version this build reads and writes.
+        supported: usize,
+    },
+    /// A checkpoint's stamp belongs to another deployment.
+    Fingerprint {
+        /// File with the foreign stamp.
+        path: String,
+        /// Fingerprint of the deployment being resumed.
+        expected: String,
+        /// Fingerprint found in the stamp.
+        found: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -78,6 +97,13 @@ impl fmt::Display for StoreError {
             ),
             StoreError::Schema { path, reason } => {
                 write!(f, "store file {path} does not match the expected schema: {reason}")
+            }
+            StoreError::SchemaVersion { path, found, supported } => write!(
+                f,
+                "checkpoint {path} has payload schema v{found}; this build reads v{supported}"
+            ),
+            StoreError::Fingerprint { path, expected, found } => {
+                write!(f, "checkpoint {path} belongs to deployment {found}, not {expected}")
             }
         }
     }

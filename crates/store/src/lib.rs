@@ -1,6 +1,6 @@
 //! Durable run state for the FedL reproduction (DESIGN.md row **S12**).
 //!
-//! Two layers, both built on the same file envelope:
+//! Three layers, all built on the same file envelope:
 //!
 //! * [`envelope`] — a versioned, checksummed container for one JSON
 //!   payload. `fedl-core` serializes mid-run experiment snapshots into
@@ -8,6 +8,8 @@
 //!   `docs/CHECKPOINT.md`), giving deterministic interrupt/resume: a
 //!   resumed run produces a `RunOutcome` identical to the uninterrupted
 //!   one.
+//! * [`checkpoint`] — the `(schema_version, fingerprint)` stamp every
+//!   checkpoint payload opens with, written and checked by one pair.
 //! * [`cache`] — a content-addressed result cache keyed by a canonical
 //!   key text (scenario config + policy + schema version). The bench
 //!   harness consults it so re-invoking `experiments` skips
@@ -26,11 +28,13 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod checkpoint;
 pub mod checksum;
 pub mod envelope;
 pub mod error;
 
 pub use cache::ResultCache;
+pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 pub use checksum::{content_address, envelope_checksum, fnv1a64};
 pub use envelope::{
     decode_envelope, encode_envelope, read_envelope, write_atomic, write_envelope, FORMAT_VERSION,

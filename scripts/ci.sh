@@ -118,10 +118,37 @@ stage_telemetry() {
 # the process, resume from the snapshot, and demand a bit-identical
 # RunOutcome. The example exits non-zero on any divergence; the report
 # then proves the save/restore events actually flowed through telemetry.
+# Last, the runner's checkpoint is handed to `serve --resume` and
+# `dist-worker --resume`: each must refuse it by a typed error (exit 1,
+# `resume failed:`), not accept it (0, or hang serving: the timeout) or
+# panic (101).
 stage_checkpoint() {
     cargo run --release --offline --example checkpoint_resume > /dev/null
     run_exp telemetry-report results/checkpoint_run.jsonl \
         --require checkpoint.saved,checkpoint.restored,epoch,run_start,run_end
+    local out=target/ci_checkpoint_stage
+    rm -rf "$out"
+    mkdir -p "$out"
+    cp results/checkpoint_demo.fedlstore "$out/runner.fedlstore"
+    cargo build --release --offline -p fedl-bench
+    expect_resume_refused "$out" serve --addr 127.0.0.1:0 \
+        --checkpoint "$out/runner.fedlstore" --resume
+    expect_resume_refused "$out" dist-worker --addr 127.0.0.1:0 \
+        --checkpoint "$out/runner.fedlstore" --resume
+    rm -rf "$out"
+}
+
+# `experiments ARGS…` must exit 1 with `resume failed:` on stderr
+# (kept in DIR/stderr) within 60 s.
+expect_resume_refused() {
+    local dir=$1 code=0
+    shift
+    timeout 60 target/release/experiments "$@" 2> "$dir/stderr" || code=$?
+    if [ "$code" -ne 1 ] || ! grep -q 'resume failed:' "$dir/stderr"; then
+        echo "experiments $1 took a foreign checkpoint: exit $code" >&2
+        cat "$dir/stderr" >&2
+        exit 1
+    fi
 }
 
 # Warm result cache: a repeat figure invocation must be served from the

@@ -1,11 +1,26 @@
-//! Integration test of policy-state checkpointing: a freshly built FedL
-//! policy restored from another's `snapshot_state` must continue from
-//! exactly the learned estimates and multipliers of the original.
+//! Integration tests of checkpointing: a freshly built FedL policy
+//! restored from another's `snapshot_state` must continue from exactly
+//! the learned estimates and multipliers of the original; the three
+//! checkpoint readers (runner, served coordinator, shard worker) refuse
+//! every damaged payload with a typed error and a foreign stamp with the
+//! same one; and the runner, the server and the worker each report a
+//! save that failed.
+
+use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 use fedl::core::fedl::{FedLConfig, FedLPolicy};
 use fedl::core::policy::{EpochContext, SelectionPolicy};
+use fedl::core::runner::{ModelArch, ResumeError};
+use fedl::dist::{WorkerState, DIST_SHARD_CHECKPOINT_KIND};
 use fedl::prelude::*;
+use fedl::serve::proto::{Message, Trace};
+use fedl::serve::{run_loadgen, InProcessTransport, ServeError, SERVE_CHECKPOINT_KIND};
 use fedl::sim::EdgeEnvironment;
+use fedl::store::{read_envelope, write_envelope, StoreError};
+use fedl::telemetry::Telemetry;
+use fedl_json::Value;
 
 /// A fresh policy for `num_clients` clients restored from `original`.
 fn restored_from(original: &FedLPolicy, num_clients: usize) -> Result<FedLPolicy, String> {
@@ -131,5 +146,263 @@ fn restore_rejects_garbage() {
     for foreign in [PolicyKind::FedAvg, PolicyKind::PowD] {
         let state = foreign.build(4, 100.0, 2, FedLConfig::default()).snapshot_state();
         assert!(policy.restore_state(&state).is_err(), "{foreign:?} state must be rejected");
+    }
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("fedl_checkpoint_tests").join(name);
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn runner_scenario() -> ScenarioConfig {
+    let mut s = ScenarioConfig::small_fmnist(8, 200.0, 2).with_seed(7);
+    (s.train_size, s.test_size, s.max_epochs) = (300, 100, 12);
+    s.model = ModelArch::Linear { l2: 0.001 };
+    s
+}
+
+fn serve_config() -> ServeConfig {
+    ServeConfig::new(30, 13, 100_000.0, 3, PolicyKind::FedL)
+}
+
+/// The assignment that made the shard checkpoint below.
+fn assign() -> Message {
+    Message::ShardAssign {
+        clients: 30,
+        seed: 13,
+        budget: 100_000.0,
+        min_participants: 3,
+        policy: "fedl".to_string(),
+        shard_start: 0,
+        shard_end: 15,
+    }
+}
+
+/// Serves `epochs` epochs on `server` through the in-process loadgen.
+fn serve(server: &mut ServerState, epochs: usize) {
+    let opts = LoadgenOptions { epochs, start_epoch: 0, shutdown: false };
+    run_loadgen(&mut InProcessTransport::new(server), &serve_config(), &opts).unwrap();
+}
+
+/// One checkpoint reader: the envelope kind it reads, a checkpoint its
+/// own process wrote, and its resume entry point with every refusal as the
+/// `StoreError` it carries.
+struct Decoder {
+    name: &'static str,
+    kind: &'static str,
+    real: PathBuf,
+    resume: fn(&Path) -> Result<(), StoreError>,
+}
+
+fn decoders(dir: &Path) -> [Decoder; 3] {
+    let runner = dir.join("runner.fedlstore");
+    let mut first = ExperimentRunner::new(runner_scenario(), PolicyKind::FedL);
+    for _ in 0..3 {
+        assert!(first.step());
+    }
+    first.save_checkpoint(&runner).unwrap();
+
+    let served = dir.join("serve.fedlstore");
+    let mut server =
+        ServerState::new(serve_config(), Telemetry::disabled()).with_checkpoint(&served, 1);
+    serve(&mut server, 2);
+
+    let shard = dir.join("shard.fedlstore");
+    let mut worker = WorkerState::new(Telemetry::disabled()).with_checkpoint(&shard);
+    worker.handle_message(assign());
+    worker.handle_message(Message::ShardContext { epoch: 0, trace: Trace::Absent });
+
+    [
+        Decoder {
+            name: "runner",
+            kind: "checkpoint",
+            real: runner,
+            resume: |path| match ExperimentRunner::resume_from(
+                runner_scenario(),
+                PolicyKind::FedL,
+                path,
+            ) {
+                Ok(_) => Ok(()),
+                Err(ResumeError::Store(e)) => Err(e),
+                Err(other) => panic!("the scenario is valid: {other}"),
+            },
+        },
+        Decoder {
+            name: "serve",
+            kind: SERVE_CHECKPOINT_KIND,
+            real: served,
+            resume: |path| match ServerState::resume(serve_config(), Telemetry::disabled(), path) {
+                Ok(_) => Ok(()),
+                Err(ServeError::Store(e)) => Err(e),
+                Err(other) => panic!("a resume is refused by the store: {other}"),
+            },
+        },
+        Decoder {
+            name: "shard",
+            kind: DIST_SHARD_CHECKPOINT_KIND,
+            real: shard,
+            resume: |path| WorkerState::resume(Telemetry::disabled(), path).map(drop),
+        },
+    ]
+}
+
+fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Obj(pairs) = value else { panic!("`{key}`'s parent is not an object") };
+    &mut pairs.iter_mut().find(|(k, _)| k == key).expect("field present").1
+}
+
+/// The tensors of the runner payload's `server.<key>` parameter set.
+fn tensors<'a>(payload: &'a mut Value, key: &str) -> &'a mut Vec<Value> {
+    let server = field_mut(field_mut(payload, "server"), key);
+    let Value::Arr(tensors) = field_mut(server, "tensors") else { panic!("not an array") };
+    tensors
+}
+
+/// Every top-level field dropped, set to `null`, and set to a value of
+/// the wrong type.
+fn field_mutants(payload: &Value) -> Vec<(String, Value)> {
+    let Value::Obj(fields) = payload else { panic!("a checkpoint payload is an object") };
+    let mut mutants = Vec::new();
+    for (i, (key, value)) in fields.iter().enumerate() {
+        let mut dropped = fields.clone();
+        dropped.remove(i);
+        mutants.push((format!("`{key}` dropped"), Value::Obj(dropped)));
+        let wrong = match value {
+            Value::Str(_) => Value::Int(7),
+            _ => Value::from("a string"),
+        };
+        for (what, replacement) in [("null", Value::Null), ("of the wrong type", wrong)] {
+            let mut changed = fields.clone();
+            changed[i].1 = replacement;
+            mutants.push((format!("`{key}` {what}"), Value::Obj(changed)));
+        }
+    }
+    mutants
+}
+
+/// The runner's model and aggregated gradient `J`, each with its first
+/// tensor transposed and with its last tensor missing: well-formed
+/// parameter sets that do not fit the scenario's model.
+fn shape_mutants(payload: &Value) -> Vec<(String, Value)> {
+    let mut mutants = Vec::new();
+    for key in ["model", "j_agg"] {
+        let mut transposed = payload.clone();
+        let first = &mut tensors(&mut transposed, key)[0];
+        let (rows, cols) = (first.get("rows").cloned(), first.get("cols").cloned());
+        assert_ne!(rows, cols, "a transposed square tensor would still fit");
+        *field_mut(first, "rows") = cols.unwrap();
+        *field_mut(first, "cols") = rows.unwrap();
+        mutants.push((format!("`server.{key}` transposed"), transposed));
+
+        let mut short = payload.clone();
+        tensors(&mut short, key).pop();
+        mutants.push((format!("`server.{key}` without its last tensor"), short));
+    }
+    mutants
+}
+
+/// Re-seals `payload` under `kind` and resumes it, turning a panic into
+/// a test failure that names the mutant.
+fn resume_sealed(d: &Decoder, path: &Path, label: &str, payload: &Value) -> Result<(), StoreError> {
+    write_envelope(path, d.kind, payload).unwrap();
+    catch_unwind(AssertUnwindSafe(|| (d.resume)(path)))
+        .unwrap_or_else(|_| panic!("{}: {label} panicked the resume", d.name))
+}
+
+#[test]
+fn every_mutated_checkpoint_is_refused_and_a_foreign_stamp_alike() {
+    let dir = scratch("mutants");
+    for d in decoders(&dir) {
+        let mutant = dir.join(format!("{}-mutant.fedlstore", d.name));
+        let path = mutant.display().to_string();
+        let payload = read_envelope(&d.real, d.kind).unwrap();
+        assert_eq!(resume_sealed(&d, &mutant, "the untouched payload", &payload), Ok(()));
+
+        let mut mutants = field_mutants(&payload);
+        if d.name == "runner" {
+            mutants.extend(shape_mutants(&payload));
+        }
+        for (label, mutated) in mutants {
+            match resume_sealed(&d, &mutant, &label, &mutated) {
+                Err(StoreError::Schema { path: p, .. }) if p == path => {}
+                other => panic!("{}: {label} must be a schema refusal, got {other:?}", d.name),
+            }
+        }
+
+        // The stamp: another payload schema version is one refusal at
+        // every reader...
+        let supported = payload.get("schema_version").and_then(Value::as_usize).unwrap();
+        let mut foreign = payload.clone();
+        *field_mut(&mut foreign, "schema_version") = Value::from(supported + 1);
+        let refusal = resume_sealed(&d, &mutant, "a foreign schema version", &foreign);
+        let found = supported + 1;
+        assert_eq!(
+            refusal,
+            Err(StoreError::SchemaVersion { path: path.clone(), found, supported })
+        );
+
+        // ...and another deployment's fingerprint is one refusal at every
+        // reader that knows its deployment. The worker learns its own
+        // from the file, so it resumes and refuses the assignment that
+        // does not match it instead.
+        let mut foreign = payload.clone();
+        *field_mut(&mut foreign, "fingerprint") = Value::from("0".repeat(32));
+        let refusal = resume_sealed(&d, &mutant, "a foreign fingerprint", &foreign);
+        if d.name == "shard" {
+            assert_eq!(refusal, Ok(()));
+            let mut worker = WorkerState::resume(Telemetry::disabled(), &mutant).unwrap();
+            let (reply, _) = worker.handle_message(assign());
+            assert!(
+                matches!(reply, Message::Error { ref code, .. } if code == "schema"),
+                "{reply:?}"
+            );
+        } else {
+            assert!(
+                matches!(refusal, Err(StoreError::Fingerprint { path: ref p, .. }) if *p == path),
+                "{}: a foreign fingerprint must be refused by it, got {refusal:?}",
+                d.name
+            );
+        }
+    }
+}
+
+#[test]
+fn runner_server_and_worker_report_a_failed_save_as_an_event() {
+    // A checkpoint path under a regular file: its directory can never be
+    // created, so every save fails.
+    let dir = scratch("save_failed");
+    fs::write(dir.join("file"), "").unwrap();
+    let path = dir.join("file").join("ckpt.fedlstore");
+
+    let (runner_tel, runner_log) = Telemetry::in_memory();
+    let mut runner = ExperimentRunner::new(runner_scenario(), PolicyKind::FedL)
+        .checkpoint_every(1, &path)
+        .with_telemetry(runner_tel);
+    assert!(runner.step());
+
+    let (server_tel, server_log) = Telemetry::in_memory();
+    let mut server = ServerState::new(serve_config(), server_tel).with_checkpoint(&path, 1);
+    serve(&mut server, 1);
+
+    let (worker_tel, worker_log) = Telemetry::in_memory();
+    let mut worker = WorkerState::new(worker_tel).with_checkpoint(&path);
+    worker.handle_message(assign());
+
+    for (who, log) in [("runner", runner_log), ("serve", server_log), ("shard", worker_log)] {
+        let events = log.events().unwrap();
+        let failed =
+            |e: &&Value| e.get("kind").and_then(Value::as_str) == Some("checkpoint.save_failed");
+        let failures: Vec<&Value> = events.iter().filter(failed).collect();
+        assert!(!failures.is_empty(), "{who}: a failed save left no event");
+        for event in failures {
+            assert_eq!(
+                event.get("path").and_then(Value::as_str),
+                Some(&*path.display().to_string())
+            );
+            let error = event.get("error").and_then(Value::as_str).unwrap_or_default();
+            assert!(error.contains("I/O error"), "{who}: {error}");
+        }
     }
 }
