@@ -514,9 +514,7 @@ fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profil
     use fedl_core::online::{OnlineLearner, StepSizes};
     use fedl_linalg::rng::{rng_for, Rng};
     use fedl_net::{ChannelModel, LatencyModel};
-    use fedl_sim::{
-        ClientColumns, EnvConfig, EpochColumns, EpochRealizeScratch, EpochReport, ScaleTier,
-    };
+    use fedl_sim::{ClientColumns, EnvConfig, EpochColumns, EpochReport, ScaleTier};
 
     let tiers: &[ScaleTier] = match profile {
         Profile::Paper => &ScaleTier::ALL,
@@ -568,22 +566,14 @@ fn suite_scale(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profil
         });
 
         // The allocation-free time-axis realization (what a
-        // `Population` does once per epoch); the warm scratch keeps
+        // `Population` does once per epoch); the warm columns keep
         // steady-state iterations heap-free, so this measures draws,
         // not malloc.
-        let mut scratch = EpochRealizeScratch::new();
         let mut realized = EpochColumns::default();
         let mut epoch = 0usize;
         measure_kernel(kernels, budget, &format!("scale/epoch_realize_{label}"), || {
             epoch += 1;
-            cols.epoch_columns_partial_into(
-                epoch,
-                &config,
-                &channel,
-                0..m,
-                &mut scratch,
-                &mut realized,
-            );
+            cols.epoch_columns_partial_into(epoch, &config, &channel, 0..m, &mut realized);
             std::hint::black_box(realized.cost[m - 1])
         });
     }

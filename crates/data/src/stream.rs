@@ -6,9 +6,16 @@
 //! makes the data volumes `D_{t,k}` — and hence the computation latencies
 //! — time-varying and unpredictable for the selector.
 
-use fedl_linalg::rng::{rng_for, Distribution, Poisson, Rng};
+use fedl_linalg::rng::{rng_for, Distribution, Poisson, Rng, XoshiroLanes, LANES};
 
 use crate::Dataset;
+
+/// The largest batch a stream with rate `lambda` hands out in one epoch:
+/// arrivals are clamped to `[1, max_batch(λ)]` so a selected client is
+/// never idle and memory stays bounded.
+pub fn max_batch(lambda: f64) -> usize {
+    (lambda * 4.0).ceil() as usize + 8
+}
 
 /// Clamped Poisson arrival count for epoch `epoch` of a client stream
 /// with rate `lambda` and root seed `seed`.
@@ -20,9 +27,21 @@ use crate::Dataset;
 /// `ClientColumns`) realize million-client data volumes without
 /// materializing per-client index pools (docs/SCALE.md).
 pub fn arrival_count(seed: u64, lambda: f64, epoch: usize) -> usize {
-    let max_batch = (lambda * 4.0).ceil() as usize + 8;
     let mut rng = rng_for(seed, 0x57EA ^ (epoch as u64));
-    (Poisson::new(lambda).sample(&mut rng) as usize).clamp(1, max_batch)
+    (Poisson::new(lambda).sample(&mut rng) as usize).clamp(1, max_batch(lambda))
+}
+
+/// [`arrival_count`] for [`LANES`] streams at once: lane `i` is
+/// `arrival_count(seeds[i], lambdas[i], epoch)`, drawn by
+/// [`Poisson::sample_lanes`] in lockstep.
+pub fn arrival_count_lanes(
+    seeds: &[u64; LANES],
+    lambdas: &[f64; LANES],
+    epoch: usize,
+) -> [usize; LANES] {
+    let mut rng = XoshiroLanes::new(seeds, 0x57EA ^ (epoch as u64));
+    let counts = Poisson::sample_lanes(lambdas, &mut rng);
+    std::array::from_fn(|i| (counts[i] as usize).clamp(1, max_batch(lambdas[i])))
 }
 
 /// Per-client online data source: each epoch yields a Poisson-sized
@@ -35,9 +54,6 @@ pub struct OnlineStream {
     lambda: f64,
     /// Root seed (per-client).
     seed: u64,
-    /// Arrivals are clamped to `[1, max_batch]` so a selected client is
-    /// never idle and memory stays bounded.
-    max_batch: usize,
 }
 
 impl OnlineStream {
@@ -48,8 +64,7 @@ impl OnlineStream {
     pub fn new(pool: Vec<usize>, lambda: f64, seed: u64) -> Self {
         assert!(!pool.is_empty(), "online stream needs a non-empty pool");
         assert!(lambda > 0.0, "Poisson rate must be positive, got {lambda}");
-        let max_batch = (lambda * 4.0).ceil() as usize + 8;
-        Self { pool, lambda, seed, max_batch }
+        Self { pool, lambda, seed }
     }
 
     /// Mean arrival rate.
@@ -78,7 +93,7 @@ impl OnlineStream {
     pub fn arrivals_into(&self, epoch: usize, out: &mut Vec<usize>) {
         let mut rng = rng_for(self.seed, 0x57EA ^ (epoch as u64));
         let poisson = Poisson::new(self.lambda);
-        let count = (poisson.sample(&mut rng) as usize).clamp(1, self.max_batch);
+        let count = (poisson.sample(&mut rng) as usize).clamp(1, max_batch(self.lambda));
         out.clear();
         out.extend((0..count).map(|_| self.pool[rng.gen_range(0..self.pool.len())]));
     }
@@ -118,7 +133,7 @@ mod tests {
         for epoch in 0..50 {
             let a = s.arrivals(epoch);
             assert!(!a.is_empty());
-            assert!(a.len() <= s.max_batch);
+            assert!(a.len() <= max_batch(s.lambda));
             assert!(a.iter().all(|&i| i < 50));
         }
     }

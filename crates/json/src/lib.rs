@@ -225,7 +225,9 @@ fn write_f64(out: &mut String, v: f64) {
 }
 
 /// Bytes a string literal must escape: `"`, `\` and the control range.
-/// All are ASCII, so a match is always a char boundary.
+/// All are ASCII, so a match is always a char boundary. The writer
+/// escapes exactly these; the reader ends a run at them and refuses the
+/// control range raw.
 fn needs_escape(b: u8) -> bool {
     b < 0x20 || b == b'"' || b == b'\\'
 }
@@ -545,23 +547,27 @@ impl<'a> Parser<'a> {
     }
 
     /// A string literal, consumed run by run: everything up to the next
-    /// `"` or `\` is validated and copied in one piece, so the cost is
-    /// linear in the literal's length (a per-character `from_utf8` over
-    /// the rest of the input made a key ahead of a megabyte value
-    /// re-validate that megabyte once per key byte).
+    /// byte the writer would have escaped is found by the writer's own
+    /// block scan ([`first_escape`]), validated and copied in one piece,
+    /// so the cost is linear in the literal's length (a per-character
+    /// `from_utf8` over the rest of the input made a key ahead of a
+    /// megabyte value re-validate that megabyte once per key byte). A raw
+    /// control character (0x00–0x1F) inside the literal is an error at
+    /// its offset: RFC 8259 §7 requires those escaped.
     fn string(&mut self) -> Result<String, Error> {
         let open = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             let run = &self.bytes[self.pos..];
-            let len = run
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .ok_or_else(|| Error::at("unterminated string", open))?;
-            // `"` and `\` are ASCII, so a run of a `&str` input ends on
-            // a char boundary and this cannot fail; checking costs one
-            // pass and keeps the crate free of `unsafe`.
+            let len = first_escape(run).ok_or_else(|| Error::at("unterminated string", open))?;
+            if run[len] < 0x20 {
+                return Err(Error::at("unescaped control character in string", self.pos + len));
+            }
+            // The bytes that end a run are ASCII, so a run of a `&str`
+            // input ends on a char boundary and this cannot fail;
+            // checking costs one pass and keeps the crate free of
+            // `unsafe`.
             let text = std::str::from_utf8(&run[..len])
                 .map_err(|e| Error::at("invalid utf-8", self.pos + e.valid_up_to()))?;
             out.push_str(text);
@@ -948,6 +954,47 @@ mod tests {
         }
         for text in [r#""\u12""#, r#""\u+123""#, r#""\uzzzz""#, r#""\q""#, "\"\\"] {
             assert!(Value::parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_are_refused_and_escaped_ones_round_trip() {
+        for b in 0u8..0x20 {
+            let c = char::from(b);
+            // Raw, alone and behind a run that crosses a scan block: an
+            // error at the byte itself, in a value and in a key.
+            for (text, at) in [
+                (format!("\"{c}\""), 1),
+                (format!("[\"{}{c}tail\"]", "a".repeat(70)), 72),
+                (format!("{{\"k{c}\":1}}"), 3),
+            ] {
+                let err = Value::parse(&text).unwrap_err();
+                assert_eq!(err.offset, Some(at), "byte {b:#04x} in {text:?}");
+                assert!(err.to_string().contains("control character"), "{err}");
+            }
+            // Escaped as the writer spells it, and as `\u00XX`.
+            let s = format!("x{c}y");
+            assert_eq!(
+                Value::parse(&Value::from(s.as_str()).to_json()).unwrap().as_str(),
+                Some(&*s)
+            );
+            let spelled = format!("\"x\\u{:04X}y\"", b);
+            assert_eq!(Value::parse(&spelled).unwrap().as_str(), Some(&*s));
+        }
+        // 0x7F and everything above it are not control characters here.
+        assert_eq!(Value::parse("\"\u{7f}é\"").unwrap().as_str(), Some("\u{7f}é"));
+    }
+
+    #[test]
+    fn escapes_at_a_megabyte_strings_block_edges_parse_equal() {
+        for at in [63usize, 64, 65] {
+            for escape in ["\"", "\\", "\n", "\u{1f}"] {
+                let mut s = "QUJD".repeat(1 << 18);
+                s.replace_range(at..at + 1, escape);
+                s.replace_range(s.len() - at..s.len() - at + 1, escape);
+                let text = Value::Str(s.clone()).to_json();
+                assert_eq!(Value::parse(&text).unwrap().as_str(), Some(&*s), "{escape:?} at {at}");
+            }
         }
     }
 

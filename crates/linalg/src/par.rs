@@ -175,6 +175,87 @@ pub fn par_zip_chunks_grained<T, S, F>(
     pool::run_batch(tasks);
 }
 
+/// Output rows [`par_chunks_grained`] can cut into disjoint pieces: a
+/// mutable slice, or a pair of outputs with the same number of rows cut
+/// at the same row (nest pairs for more columns).
+pub trait Rows: Sized + Send {
+    /// Number of rows.
+    fn rows(&self) -> usize;
+    /// The first `mid` rows, and the rest.
+    fn split_rows(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> Rows for &mut [T] {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    fn split_rows(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: Rows, B: Rows> Rows for (A, B) {
+    /// # Panics
+    /// Panics if the two outputs hold different numbers of rows.
+    fn rows(&self) -> usize {
+        let rows = self.0.rows();
+        assert_eq!(rows, self.1.rows(), "paired outputs must have the same rows");
+        rows
+    }
+
+    fn split_rows(self, mid: usize) -> (Self, Self) {
+        let (a, rest_a) = self.0.split_rows(mid);
+        let (b, rest_b) = self.1.split_rows(mid);
+        ((a, b), (rest_a, rest_b))
+    }
+}
+
+/// Runs `f(i, chunk)` for every `chunk`-row piece of `out` — the last one
+/// shorter when `chunk` does not divide the rows — in parallel once
+/// there are more than `grain` pieces, inline on the caller otherwise
+/// (see [`par_zip_chunks_grained`]). The pieces are split into one
+/// contiguous run per thread, so every thread gets the same number of
+/// pieces, give or take one. Each piece costs a split of every column,
+/// so pieces should be a few rows or more; per-element passes over one
+/// column are [`par_zip_chunks_grained`]'s.
+///
+/// # Panics
+/// Panics if `chunk` is zero.
+pub fn par_chunks_grained<R, F>(out: R, chunk: usize, grain: usize, f: F)
+where
+    R: Rows,
+    F: Fn(usize, R) + Sync,
+{
+    assert!(chunk > 0, "chunk sizes must be positive");
+    let run = |first: usize, mut rest: R| {
+        let mut i = first;
+        while rest.rows() > 0 {
+            let mid = chunk.min(rest.rows());
+            let (piece, tail) = rest.split_rows(mid);
+            f(i, piece);
+            rest = tail;
+            i += 1;
+        }
+    };
+    let pieces = out.rows().div_ceil(chunk);
+    let threads = max_threads();
+    if threads <= 1 || pieces <= grain.max(1) {
+        run(0, out);
+        return;
+    }
+    let run = &run;
+    let mut tasks: Vec<pool::Task<'_>> = Vec::with_capacity(threads);
+    let mut rest = out;
+    for range in split_ranges(pieces, threads) {
+        let mid = (range.len() * chunk).min(rest.rows());
+        let (mine, tail) = rest.split_rows(mid);
+        rest = tail;
+        tasks.push(Box::new(move || run(range.start, mine)));
+    }
+    pool::run_batch(tasks);
+}
+
 /// Fixed reduction-chunk width for [`det_sum`] / [`det_dot`].
 ///
 /// Deliberately a constant (never a function of the thread count): the

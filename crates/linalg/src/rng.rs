@@ -11,11 +11,13 @@
 //! dependencies. It provides:
 //!
 //! * [`Xoshiro256pp`] — the xoshiro256++ generator (Blackman & Vigna),
-//!   seeded through a SplitMix64 expansion of a single `u64`;
+//!   seeded through a SplitMix64 expansion of a single `u64`, and
+//!   [`XoshiroLanes`], [`LANES`] of them stepped in lockstep;
 //! * the [`Rng`] trait — `next_u64`, [`Rng::gen`], [`Rng::gen_range`],
 //!   [`Rng::gen_bool`] — plus [`SliceRandom`] for `shuffle`/`choose`;
 //! * [`Distribution`] samplers: [`Normal`] (Box–Muller), [`Poisson`]
-//!   (Knuth product method with splitting for large rates),
+//!   (Knuth product method with splitting for large rates; also
+//!   [`Poisson::sample_lanes`], one chain per lane),
 //!   [`Bernoulli`], [`Exponential`] (inversion), and [`Gamma`]
 //!   (Marsaglia–Tsang squeeze) for Dirichlet partitioning.
 //!
@@ -128,6 +130,63 @@ impl Rng for Xoshiro256pp {
     }
 }
 
+/// Width of [`XoshiroLanes`]: how many independent streams step together.
+pub const LANES: usize = 16;
+
+/// [`LANES`] xoshiro256++ generators stepped in lockstep: lane `i` of
+/// `XoshiroLanes::new(roots, label)` produces exactly the stream of
+/// `rng_for(roots[i], label)`.
+///
+/// The state is stored structure-of-arrays — word `w` of every lane sits
+/// in `s[w]` — so seeding and each step are a few lane-wide integer
+/// operations that compile to vector code, instead of sixteen serial
+/// dependency chains. What it is for: realizing many clients' epoch
+/// draws at once, where every client owns a stream and the streams only
+/// need to agree with their scalar definition, not with each other.
+#[derive(Debug, Clone)]
+pub struct XoshiroLanes {
+    s: [[u64; LANES]; 4],
+}
+
+impl XoshiroLanes {
+    /// Lane `i` seeded as `rng_for(roots[i], label)`.
+    #[inline]
+    pub fn new(roots: &[u64; LANES], label: u64) -> Self {
+        let mut sm = roots.map(|root| derive_seed(root, label));
+        let mut s = [[0; LANES]; 4];
+        for word in &mut s {
+            for (w, sm) in word.iter_mut().zip(&mut sm) {
+                *w = splitmix64_next(sm);
+            }
+        }
+        Self { s }
+    }
+
+    /// Next raw output of every lane ([`Xoshiro256pp::next_raw`] lane-wise).
+    #[inline]
+    pub fn next_raw(&mut self) -> [u64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0; LANES];
+        for i in 0..LANES {
+            out[i] = s0[i].wrapping_add(s3[i]).rotate_left(23).wrapping_add(s0[i]);
+            let t = s1[i] << 17;
+            s2[i] ^= s0[i];
+            s3[i] ^= s1[i];
+            s1[i] ^= s2[i];
+            s0[i] ^= s3[i];
+            s2[i] ^= t;
+            s3[i] = s3[i].rotate_left(45);
+        }
+        out
+    }
+
+    /// Next uniform `[0, 1)` of every lane ([`Rng::next_f64`] lane-wise).
+    #[inline]
+    pub fn next_f64(&mut self) -> [f64; LANES] {
+        self.next_raw().map(unit_f64)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The Rng trait
 // ---------------------------------------------------------------------------
@@ -141,7 +200,7 @@ pub trait Rng {
     /// Uniform `f64` in `[0, 1)` with 53 random mantissa bits.
     #[inline]
     fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform `f32` in `[0, 1)` with 24 random mantissa bits.
@@ -178,6 +237,12 @@ pub trait Rng {
     fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
+}
+
+/// The top 53 bits of a raw output as a uniform `f64` in `[0, 1)`.
+#[inline]
+fn unit_f64(raw: u64) -> f64 {
+    (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl<R: Rng + ?Sized> Rng for &mut R {
@@ -392,18 +457,35 @@ impl Normal {
         Self::new(0.0, 1.0)
     }
 
+    /// The Box–Muller radius and angle of two uniforms `[0, 1)` drawn in
+    /// the order `a`, `b`.
+    #[inline]
+    fn polar(a: f64, b: f64) -> (f64, f64) {
+        // Box–Muller on (0,1] × [0,1) to avoid ln(0).
+        let u1 = 1.0 - a;
+        let r = (-2.0 * u1.ln()).sqrt();
+        (r, 2.0 * core::f64::consts::PI * b)
+    }
+
     /// One standard-normal variate.
     fn sample_standard<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if let Some(z) = self.spare.take() {
             return z;
         }
-        // Box–Muller on (0,1] × [0,1) to avoid ln(0).
-        let u1 = 1.0 - rng.next_f64();
-        let u2 = rng.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * core::f64::consts::PI * u2;
+        let a = rng.next_f64();
+        let (r, theta) = Self::polar(a, rng.next_f64());
         self.spare.set(Some(r * theta.sin()));
         r * theta.cos()
+    }
+
+    /// What [`Distribution::sample`] returns on a fresh `Normal` whose
+    /// generator yields the uniforms `a` then `b` — for callers that draw
+    /// the uniforms themselves, many streams at a time
+    /// ([`XoshiroLanes`]).
+    #[inline]
+    pub fn from_uniforms(&self, a: f64, b: f64) -> f64 {
+        let (r, theta) = Self::polar(a, b);
+        self.mean + self.std * (r * theta.cos())
     }
 }
 
@@ -439,27 +521,102 @@ impl Poisson {
         Self { lambda }
     }
 
-    fn sample_chunk<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
-        let limit = (-lambda).exp();
-        let mut product = rng.next_f64();
-        let mut count = 0u64;
-        while product > limit {
-            product *= rng.next_f64();
-            count += 1;
+    /// How a rate is drawn: `full` chunks of [`POISSON_CHUNK`], then one
+    /// chunk of the `rest` (≤ [`POISSON_CHUNK`]).
+    #[inline]
+    fn chunks(lambda: f64) -> (u64, f64) {
+        let (mut full, mut rest) = (0, lambda);
+        while rest > POISSON_CHUNK {
+            rest -= POISSON_CHUNK;
+            full += 1;
         }
-        count
+        (full, rest)
+    }
+
+    /// `Poisson::new(lambdas[i]).sample(..)` on lane `i`'s stream, for
+    /// every lane at once: the Knuth chains run in lockstep, one
+    /// [`XoshiroLanes`] step per link, and a lane whose chunk ends starts
+    /// its next chunk on the following step — exactly where the scalar
+    /// sampler draws its next uniform. A lane that has finished keeps
+    /// stepping until the longest chain ends, so the generator's state
+    /// afterwards is not the scalar one; only the counts are.
+    ///
+    /// # Panics
+    /// Panics if any rate is not finite and positive.
+    pub fn sample_lanes(lambdas: &[f64; LANES], rng: &mut XoshiroLanes) -> [u64; LANES] {
+        let mut full = [0u64; LANES];
+        let mut rest_limit = [0.0; LANES];
+        for i in 0..LANES {
+            let rest;
+            (full[i], rest) = Self::chunks(Poisson::new(lambdas[i]).lambda);
+            rest_limit[i] = (-rest).exp();
+        }
+        let mut product = [1.0f64; LANES];
+        let mut count = [0u64; LANES];
+        // `1.0 · u` is `u`: a chunk opened with a product of one reads its
+        // first uniform as the scalar sampler does.
+        if full == [0; LANES] {
+            // One chunk per lane. A product only falls, so a lane that is
+            // at or under its limit stays there and never counts again:
+            // no lane needs to be told it has finished.
+            loop {
+                let u = rng.next_f64();
+                let mut live = false;
+                for i in 0..LANES {
+                    product[i] *= u[i];
+                    let more = product[i] > rest_limit[i];
+                    count[i] += u64::from(more);
+                    live |= more;
+                }
+                if !live {
+                    return count;
+                }
+            }
+        }
+        // Lane `i` is in chunk `chunk[i]`; past its last chunk its limit is
+        // infinite, so it never counts again.
+        let full_limit = (-POISSON_CHUNK).exp();
+        let limit_of = |chunk: u64, full: u64, rest_limit: f64| {
+            let last = if chunk == full { rest_limit } else { f64::INFINITY };
+            if chunk < full {
+                full_limit
+            } else {
+                last
+            }
+        };
+        let mut chunk = [0u64; LANES];
+        let mut limit: [f64; LANES] = std::array::from_fn(|i| limit_of(0, full[i], rest_limit[i]));
+        loop {
+            let u = rng.next_f64();
+            let mut live = false;
+            for i in 0..LANES {
+                let p = product[i] * u[i];
+                let more = p > limit[i];
+                product[i] = if more { p } else { 1.0 };
+                count[i] += u64::from(more);
+                chunk[i] += u64::from(!more);
+                limit[i] = limit_of(chunk[i], full[i], rest_limit[i]);
+                live |= chunk[i] <= full[i];
+            }
+            if !live {
+                return count;
+            }
+        }
     }
 }
 
 impl Distribution<f64> for Poisson {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let mut remaining = self.lambda;
+        let (full, rest) = Self::chunks(self.lambda);
         let mut total = 0u64;
-        while remaining > POISSON_CHUNK {
-            total += Self::sample_chunk(POISSON_CHUNK, rng);
-            remaining -= POISSON_CHUNK;
+        for chunk in 0..=full {
+            let limit = if chunk < full { (-POISSON_CHUNK).exp() } else { (-rest).exp() };
+            let mut product = rng.next_f64();
+            while product > limit {
+                product *= rng.next_f64();
+                total += 1;
+            }
         }
-        total += Self::sample_chunk(remaining, rng);
         total as f64
     }
 }

@@ -54,8 +54,19 @@ impl ChannelModel {
     /// Samples a channel gain at `distance_m`, combining path loss with a
     /// fresh log-normal shadowing draw.
     pub fn sample_gain(&self, distance_m: f64, rng: &mut impl Rng) -> f64 {
-        let shadow = Normal::new(0.0, self.shadowing_std_db).sample(rng);
-        let loss_db = self.path_loss_db(distance_m) + shadow;
+        self.gain_from_shadow(distance_m, self.shadowing().sample(rng))
+    }
+
+    /// The shadow-fading distribution `N(0, σ²)` in dB.
+    pub fn shadowing(&self) -> Normal {
+        Normal::new(0.0, self.shadowing_std_db)
+    }
+
+    /// The linear gain at `distance_m` under a shadowing draw of
+    /// `shadow_db`: what [`Self::sample_gain`] returns for that draw.
+    #[inline]
+    pub fn gain_from_shadow(&self, distance_m: f64, shadow_db: f64) -> f64 {
+        let loss_db = self.path_loss_db(distance_m) + shadow_db;
         10f64.powf(-loss_db / 10.0)
     }
 

@@ -12,15 +12,16 @@
 //! Determinism contract: [`ClientColumns::build`] consumes the shared
 //! population RNG stream client by client, and
 //! [`ClientColumns::epoch_columns`] draws each client's epoch from its
-//! own stream (`rng_for(seed_k, tag)`), so realization order — and
-//! therefore sharding — cannot change a single bit of the result. The
-//! scalar per-client realization this replaced lives on as a test oracle
-//! (`tests/oracle`), held bit-identical by `tests/columnar_parity.rs`
-//! here and in `fedl-core`.
+//! own streams (`rng_for(seed_k, tag)`), sixteen clients' streams stepped
+//! in lockstep ([`XoshiroLanes`]), so realization order — and therefore
+//! grouping and sharding — cannot change a single bit of the result. The
+//! scalar per-client realization lives on as a test oracle
+//! (`tests/oracle`), held bit-identical by `tests/lane_parity.rs` and
+//! `tests/columnar_parity.rs` here and in `fedl-core`.
 
-use fedl_data::stream::arrival_count;
-use fedl_linalg::par::par_zip_chunks_grained;
-use fedl_linalg::rng::{derive_seed, rng_for, Rng};
+use fedl_data::stream::arrival_count_lanes;
+use fedl_linalg::par::par_chunks_grained;
+use fedl_linalg::rng::{derive_seed, rng_for, Rng, XoshiroLanes, LANES};
 use fedl_net::{ChannelModel, ClientRadio};
 
 use crate::config::{AvailabilityModel, EnvConfig};
@@ -32,24 +33,6 @@ use crate::config::{AvailabilityModel, EnvConfig};
 /// per-client passes downstream of a realization (`fedl-core`'s context
 /// assembly) split at the same grain.
 pub const REALIZE_CHUNK: usize = 16 * 1024;
-
-/// Reusable staging buffer of
-/// [`ClientColumns::epoch_columns_partial_into`]: one
-/// `(available, cost, gain, data_volume)` row per shard client, written
-/// in parallel and then scattered into the column vectors. Holding it
-/// outside the call lets a steady-state epoch loop realize the time
-/// axis with zero heap allocation once the buffer is warm.
-#[derive(Debug, Default)]
-pub struct EpochRealizeScratch {
-    staged: Vec<(bool, f64, f64, u32)>,
-}
-
-impl EpochRealizeScratch {
-    /// An empty scratch; the buffer is sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// The static client population as parallel columns (struct-of-arrays).
 ///
@@ -137,9 +120,10 @@ impl ClientColumns {
     /// Realizes epoch `t` for the whole population as columns.
     ///
     /// Each client draws from `rng_for(seed_k, 0xE90C ^ t)`:
-    /// availability, cost, then gain; data volumes come from
-    /// [`fedl_data::stream::arrival_count`], which equals the
-    /// materialized arrival batch length. This is the one-shot form of
+    /// availability, cost, then gain; data volumes are
+    /// [`fedl_data::stream::arrival_count`] (drawn sixteen at a time by
+    /// its lane form), which equals the materialized arrival batch
+    /// length. This is the one-shot form of
     /// [`epoch_columns_partial_into`](Self::epoch_columns_partial_into);
     /// epoch loops hold a [`Population`](crate::Population) instead.
     pub fn epoch_columns(
@@ -149,28 +133,22 @@ impl ClientColumns {
         channel: &ChannelModel,
     ) -> EpochColumns {
         let mut out = EpochColumns::default();
-        self.epoch_columns_partial_into(
-            epoch,
-            config,
-            channel,
-            0..self.len(),
-            &mut EpochRealizeScratch::new(),
-            &mut out,
-        );
+        self.epoch_columns_partial_into(epoch, config, channel, 0..self.len(), &mut out);
         out
     }
 
     /// Realizes epoch `t` for the contiguous id range `shard` only, into
-    /// caller-owned buffers: `out`'s columns are resized and overwritten
-    /// in place, so once `scratch` and `out` are warm (one prior call at
-    /// this population size) a steady-state epoch loop allocates nothing.
+    /// a caller-owned buffer: `out`'s columns are resized and overwritten
+    /// in place, so once `out` is warm (one prior call at this population
+    /// size) a steady-state epoch loop allocates nothing.
     ///
     /// Columns come back full-length (so downstream kernels keep global
     /// indexing), with rows outside `shard` reset to their inert defaults
     /// (`available = false`, zero cost/gain/volume) on every call.
-    /// Clients are realized in parallel over contiguous id chunks;
-    /// because every client's draws are independently seeded, neither the
-    /// fan-out nor the shard boundary can perturb a value: the rows
+    /// Clients are realized [`LANES`] at a time, groups in parallel over
+    /// contiguous runs above [`REALIZE_CHUNK`] clients; because every
+    /// client's draws are independently seeded, neither the grouping,
+    /// the fan-out nor the shard boundary can perturb a value: the rows
     /// inside `shard` are bit-identical to the same rows of a full
     /// [`epoch_columns`](Self::epoch_columns) realization at any thread
     /// count — the invariant that makes shard boundaries invisible in
@@ -185,10 +163,9 @@ impl ClientColumns {
         config: &EnvConfig,
         channel: &ChannelModel,
         shard: std::ops::Range<usize>,
-        scratch: &mut EpochRealizeScratch,
         out: &mut EpochColumns,
     ) {
-        self.realize_shard_into(epoch, config, channel, shard, None, scratch, out);
+        self.realize_shard_into(epoch, config, channel, shard, None, out);
     }
 
     /// [`Self::epoch_columns_partial_into`], optionally stepping from
@@ -199,7 +176,6 @@ impl ClientColumns {
     /// draws are keyed by `(seed_k, epoch)` alone, so the stepped and the
     /// replayed state are the same bits. Only the availability column of
     /// `before` is read, and only [`AvailabilityModel::Markov`] uses it.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn realize_shard_into(
         &self,
         epoch: usize,
@@ -207,7 +183,6 @@ impl ClientColumns {
         channel: &ChannelModel,
         shard: std::ops::Range<usize>,
         before: Option<&EpochColumns>,
-        scratch: &mut EpochRealizeScratch,
         out: &mut EpochColumns,
     ) {
         let m = self.len();
@@ -231,79 +206,86 @@ impl ClientColumns {
         if shard.is_empty() {
             return;
         }
-        let start = shard.start;
-        scratch.staged.clear();
-        scratch.staged.resize(shard.len(), (false, 0.0, 0.0, 0));
-        // Stage rows keyed off the shard's seed column so each worker
-        // owns a disjoint `&mut` slice; the scatter below is a straight
-        // sequential unzip into the four columns.
-        par_zip_chunks_grained(
-            &mut scratch.staged,
-            1,
-            &self.seed[shard],
-            1,
-            REALIZE_CHUNK,
-            |i, row, _seed| {
-                let was_on = before.map(|b| b.available[start + i]);
-                row[0] = self.realize_client(start + i, epoch, was_on, config, channel);
+        // Each piece is one lane group of the shard's rows, written in
+        // place; the shard's short last group is padded with its last
+        // client, whose extra draws are dropped.
+        let rows = (
+            (&mut out.available[shard.clone()], &mut out.cost[shard.clone()]),
+            (&mut out.gain[shard.clone()], &mut out.data_volume[shard.clone()]),
+        );
+        par_chunks_grained(
+            rows,
+            LANES,
+            REALIZE_CHUNK / LANES,
+            |group, ((on, cost), (gain, volume))| {
+                let first = shard.start + group * LANES;
+                let ids = std::array::from_fn(|i| (first + i).min(shard.end - 1));
+                let drawn = self.realize_lanes(&ids, epoch, before, config, channel);
+                let n = on.len();
+                on.copy_from_slice(&drawn.0[..n]);
+                cost.copy_from_slice(&drawn.1[..n]);
+                gain.copy_from_slice(&drawn.2[..n]);
+                volume.copy_from_slice(&drawn.3[..n]);
             },
         );
-        for (i, &(on, cost, gain, volume)) in scratch.staged.iter().enumerate() {
-            let k = start + i;
-            out.available[k] = on;
-            out.cost[k] = cost;
-            out.gain[k] = gain;
-            out.data_volume[k] = volume;
-        }
     }
 
-    /// One client's epoch draws (`rng_for(seed_k, 0xE90C ^ t)`:
-    /// availability, cost, then gain). `was_on` is the client's
-    /// availability at epoch `t − 1` when the caller holds it.
-    fn realize_client(
+    /// Clients `ids`' epoch draws, one per lane — availability, cost,
+    /// gain, data volume: the `rng_for(seed_k, 0xE90C ^ t)` lanes give
+    /// availability, cost, then the two shadowing uniforms; the
+    /// `0x57EA ^ t` lanes the arrivals. `before` holds epoch `t − 1` when
+    /// the caller has it.
+    #[allow(clippy::type_complexity)]
+    fn realize_lanes(
         &self,
-        k: usize,
+        ids: &[usize; LANES],
         epoch: usize,
-        was_on: Option<bool>,
+        before: Option<&EpochColumns>,
         config: &EnvConfig,
         channel: &ChannelModel,
-    ) -> (bool, f64, f64, u32) {
-        let mut rng = rng_for(self.seed[k], 0xE90C ^ (epoch as u64));
+    ) -> ([bool; LANES], [f64; LANES], [f64; LANES], [u32; LANES]) {
+        let seeds = ids.map(|k| self.seed[k]);
+        let mut rng = XoshiroLanes::new(&seeds, 0xE90C ^ (epoch as u64));
+        // Markov availability consumes this draw too, so the cost and
+        // channel streams are identical across availability models.
+        let u_on = rng.next_f64();
         let on = match config.availability {
-            AvailabilityModel::Bernoulli => rng.gen::<f64>() < config.p_available,
+            AvailabilityModel::Bernoulli => u_on.map(|u| u < config.p_available),
             AvailabilityModel::Markov { p_stay_on, p_stay_off } => {
-                // One transition of the chain; every step's draw is a
+                // One transition of each chain; every step's draw is a
                 // pure function of (client seed, step).
-                let step = |on: bool, e: usize| {
-                    let u = rng_for(self.seed[k], 0xA40F ^ (e as u64) << 1).gen::<f64>();
-                    if on {
-                        u < p_stay_on
-                    } else {
-                        u >= p_stay_off
-                    }
+                let step = |on: [bool; LANES], e: usize| {
+                    let u = XoshiroLanes::new(&seeds, 0xA40F ^ (e as u64) << 1).next_f64();
+                    std::array::from_fn(
+                        |i| if on[i] { u[i] < p_stay_on } else { u[i] >= p_stay_off },
+                    )
                 };
-                let on = match was_on {
-                    Some(was_on) => step(was_on, epoch),
-                    // Cold start or jump: replay the chain from epoch 0.
+                match before {
+                    Some(b) => step(ids.map(|k| b.available[k]), epoch),
+                    // Cold start or jump: replay the chains from epoch 0.
                     None => {
-                        let start = rng_for(self.seed[k], 0xA40F).gen::<f64>() < config.p_available;
-                        (1..=epoch).fold(start, step)
+                        let start = XoshiroLanes::new(&seeds, 0xA40F).next_f64();
+                        (1..=epoch).fold(start.map(|u| u < config.p_available), step)
                     }
-                };
-                // Consume the Bernoulli draw so the cost/channel stream
-                // is identical across availability models.
-                let _ = rng.gen::<f64>();
-                on
+                }
             }
         };
-        let cost = rng.gen_range(config.cost_range.0..=config.cost_range.1);
+        // `gen_range(lo..=hi)`, refusals included: `lo + u·(hi − lo)`.
+        let (lo, hi) = config.cost_range;
+        assert!(lo <= hi, "empty range {lo}..={hi}");
+        let cost = rng.next_f64().map(|u| lo + u * (hi - lo));
         let gain = if config.time_varying_channel {
-            channel.sample_gain(self.distance_m[k], &mut rng)
+            let shadowing = channel.shadowing();
+            let (a, b) = (rng.next_f64(), rng.next_f64());
+            std::array::from_fn(|i| {
+                let shadow = shadowing.from_uniforms(a[i], b[i]);
+                channel.gain_from_shadow(self.distance_m[ids[i]], shadow)
+            })
         } else {
-            self.base_gain[k]
+            ids.map(|k| self.base_gain[k])
         };
-        let data_volume = arrival_count(self.seed[k], self.lambda[k], epoch) as u32;
-        (on, cost, gain, data_volume)
+        let volume = arrival_count_lanes(&seeds, &ids.map(|k| self.lambda[k]), epoch);
+        (on, cost, gain, volume.map(|v| v as u32))
     }
 }
 
@@ -463,19 +445,11 @@ mod tests {
     fn partial_realization_matches_full_rows() {
         let (config, channel) = setup(90, 15);
         let cols = ClientColumns::build(&config, &channel);
-        let mut scratch = EpochRealizeScratch::new();
         let mut part = EpochColumns::default();
         for epoch in [0usize, 4, 21] {
             let full = cols.epoch_columns(epoch, &config, &channel);
             for shard in [0..30usize, 30..61, 61..90, 0..90, 45..45] {
-                cols.epoch_columns_partial_into(
-                    epoch,
-                    &config,
-                    &channel,
-                    shard.clone(),
-                    &mut scratch,
-                    &mut part,
-                );
+                cols.epoch_columns_partial_into(epoch, &config, &channel, shard.clone(), &mut part);
                 assert_eq!(part.available.len(), 90);
                 for k in 0..90 {
                     if shard.contains(&k) {

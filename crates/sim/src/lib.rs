@@ -49,7 +49,7 @@ pub mod population;
 pub mod server;
 pub mod trace;
 
-pub use columns::{ClientColumns, EpochClientView, EpochColumns, EpochRealizeScratch};
+pub use columns::{ClientColumns, EpochClientView, EpochColumns};
 pub use config::{AggregationNorm, EnvConfig, ScaleTier};
 pub use env::{EdgeEnvironment, EpochReport};
 pub use error::SimError;

@@ -19,7 +19,7 @@ use std::ops::Range;
 use fedl_linalg::par::par_zip_chunks;
 use fedl_net::{dbm_to_watts, shannon_rate_bps, ChannelModel, LatencyModel, LatencySplit};
 
-use crate::columns::{ClientColumns, EpochColumns, EpochRealizeScratch};
+use crate::columns::{ClientColumns, EpochColumns};
 use crate::config::EnvConfig;
 
 /// A client population (or one contiguous shard of it) and its two most
@@ -51,7 +51,6 @@ pub struct Population {
     /// before its first use.
     window: [EpochColumns; 2],
     held: [Option<usize>; 2],
-    scratch: EpochRealizeScratch,
     realizations: usize,
 }
 
@@ -103,7 +102,6 @@ impl Population {
             shard,
             window: Default::default(),
             held: [None; 2],
-            scratch: EpochRealizeScratch::new(),
             realizations: 0,
         }
     }
@@ -168,7 +166,6 @@ impl Population {
             &self.config,
             &self.channel,
             self.shard.clone(),
-            &mut EpochRealizeScratch::new(),
             &mut out,
         );
         out
@@ -193,7 +190,6 @@ impl Population {
             &self.channel,
             self.shard.clone(),
             steps_from_other.then_some(&*other),
-            &mut self.scratch,
             into,
         );
         self.held[slot] = Some(epoch);

@@ -1,7 +1,7 @@
 //! Zero-steady-state-allocation regression test for the columnar epoch
 //! realization — the per-epoch front door of the serve/dist planes and
-//! every scale-tier sweep. Once `EpochRealizeScratch` and the target
-//! `EpochColumns` are warmed at a population size, realizing further
+//! every scale-tier sweep. Once the target `EpochColumns` is warmed at a
+//! population size, realizing further
 //! epochs (full or sharded) must not touch the heap; neither must a
 //! `Population` advancing its warm window. A warm `run_epoch` does
 //! allocate — the cohort's working sets, the outcomes and aggregates of
@@ -18,9 +18,7 @@ use fedl_linalg::rng::rng_for;
 use fedl_ml::dane::DaneConfig;
 use fedl_ml::model::Mlp;
 use fedl_net::{ChannelModel, LatencyModel};
-use fedl_sim::{
-    ClientColumns, EdgeEnvironment, EnvConfig, EpochColumns, EpochRealizeScratch, Population,
-};
+use fedl_sim::{ClientColumns, EdgeEnvironment, EnvConfig, EpochColumns, Population};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -84,33 +82,21 @@ fn epoch_realization_is_allocation_free_once_warm() {
     let channel = ChannelModel::default();
     let cols = ClientColumns::build(&config, &channel);
 
-    let mut scratch = EpochRealizeScratch::new();
     let mut out = EpochColumns::default();
-    // Warm-up sizes the staging buffer and the four column vectors.
-    cols.epoch_columns_partial_into(0, &config, &channel, 0..128, &mut scratch, &mut out);
+    // Warm-up sizes the four column vectors.
+    cols.epoch_columns_partial_into(0, &config, &channel, 0..128, &mut out);
 
     assert_allocation_free("full epoch realization", || {
         for epoch in 1..=5usize {
-            cols.epoch_columns_partial_into(
-                epoch,
-                &config,
-                &channel,
-                0..128,
-                &mut scratch,
-                &mut out,
-            );
+            cols.epoch_columns_partial_into(epoch, &config, &channel, 0..128, &mut out);
         }
     });
     assert_allocation_free("sharded epoch realization", || {
         for epoch in 6..=10usize {
-            cols.epoch_columns_partial_into(
-                epoch,
-                &config,
-                &channel,
-                32..96,
-                &mut scratch,
-                &mut out,
-            );
+            // A whole number of lane groups, then a padded short one.
+            for shard in [32..96, 5..66] {
+                cols.epoch_columns_partial_into(epoch, &config, &channel, shard, &mut out);
+            }
         }
     });
     // The realization still did real work.
@@ -118,7 +104,7 @@ fn epoch_realization_is_allocation_free_once_warm() {
     assert_eq!(out.available.len(), 128);
     assert!(out.data_volume[32..96].iter().any(|&d| d > 0));
 
-    // The window: epoch 1 warms both slots and the staging buffer; from
+    // The window: epoch 1 warms both slots; from
     // then on each epoch — asked for twice, as a driver does — refills
     // the older slot in place.
     let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);

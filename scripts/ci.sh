@@ -245,9 +245,19 @@ require_kernels() {
 # Columnar scale tier (docs/SCALE.md): the quick suite must measure the
 # 10k-tier scheduler kernels — and the 10k solve, which the scale/
 # kernels leave out and which used to cost ~14x everything they time.
+# The lane-group realization is then held to the scalar oracle over the
+# release-mode sweep (over a million client-epochs; a debug build of the
+# same test runs a small one), and the count it prints is the stage note.
 stage_scale() {
     require_kernels scale/score_update_10k scale/rounding_10k scale/epoch_realize_10k \
         solve/descend_10k
+    local log=target/ci_scale_lane_parity.txt
+    cargo test --release --offline -p fedl-sim --test lane_parity -- --nocapture 2>&1 \
+        | tee "$log"
+    local compared
+    compared=$(grep -o '^[0-9]* client-epochs' "$log") \
+        || { echo "lane parity sweep printed no client-epoch count" >&2; exit 1; }
+    CI_STAGE_NOTE="lane parity: $compared"
 }
 
 # Federation service (docs/SERVE.md): a real loadgen round-trip over
