@@ -16,7 +16,7 @@
 use std::io;
 use std::path::Path;
 
-use fedl_json::{obj, read_field, FromJson, ToJson, Value};
+use fedl_json::{obj, parse_lines, read_field, FromJson, ToJson, Value};
 use fedl_telemetry::render::{self, Block, Col, Report, Series};
 
 use crate::perf::{self, BenchSnapshot, CompareReport, KernelStats};
@@ -154,19 +154,13 @@ impl BenchHistory {
 
     /// Parses JSONL text: one [`HistoryEntry`] per non-blank line.
     /// Malformed lines — a truncated tail, a hand-edited typo — are
-    /// skipped and counted, never fatal, exactly like `RunLog`.
+    /// skipped and counted by the same reader as `RunLog`'s.
     pub fn parse(text: &str) -> Self {
         let mut entries = Vec::new();
-        let mut skipped = 0usize;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Value::parse(line).and_then(|v| HistoryEntry::from_json_value(&v)) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => skipped += 1,
-            }
-        }
+        let skipped = parse_lines(text, |v| {
+            entries.push(HistoryEntry::from_json_value(v)?);
+            Ok(())
+        });
         Self { entries, skipped }
     }
 

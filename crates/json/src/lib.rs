@@ -658,6 +658,17 @@ impl Value {
     }
 }
 
+/// Reads JSON Lines leniently: each non-blank line is parsed as one
+/// document and handed to `row`. A line that does not parse, or that
+/// `row` refuses — a torn tail from a killed writer, a hand-edited
+/// typo — is skipped, never fatal; returns how many were.
+pub fn parse_lines(text: &str, mut row: impl FnMut(&Value) -> Result<(), Error>) -> usize {
+    text.lines()
+        .filter(|line| !line.trim().is_empty())
+        .filter(|line| Value::parse(line).and_then(|v| row(&v)).is_err())
+        .count()
+}
+
 // ---------------------------------------------------------------------------
 // Conversion traits
 // ---------------------------------------------------------------------------
@@ -780,6 +791,18 @@ mod tests {
         let text = r#"{"a":1,"b":[true,null,-2.5],"c":"x\"y","d":{"e":0.1}}"#;
         let v = Value::parse(text).unwrap();
         assert_eq!(v.to_json(), text);
+    }
+
+    #[test]
+    fn parse_lines_skips_and_counts_what_it_cannot_read() {
+        let text = "{\"n\":1}\n\n  \nnot json\n{\"n\":\"two\"}\n{\"n\":3}\n{\"n\":4";
+        let mut seen = Vec::new();
+        let skipped = parse_lines(text, |v| {
+            seen.push(read_field::<usize>(v, "n")?);
+            Ok(())
+        });
+        assert_eq!(seen, vec![1, 3], "good lines around the bad ones survive");
+        assert_eq!(skipped, 3, "unparseable, refused by the row, torn tail; blanks are not lines");
     }
 
     #[test]

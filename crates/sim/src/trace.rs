@@ -2,12 +2,8 @@
 //!
 //! Long simulations are hard to debug from aggregate curves alone; this
 //! module records a per-epoch event log (selection, payments, latency,
-//! convergence measurements) that can be exported as JSON lines or CSV
-//! and diffed across policy variants.
-
-use std::fs;
-use std::io;
-use std::path::Path;
+//! convergence measurements) that checkpoints carry and that can be
+//! diffed across policy variants.
 
 use fedl_json::{obj, read_field, FromJson, ToJson, Value};
 
@@ -77,7 +73,7 @@ impl RunTrace {
     }
 
     /// Rebuilds a trace from already-recorded events (checkpoint
-    /// restore; the in-memory twin of [`RunTrace::from_jsonl`]).
+    /// restore).
     pub fn from_events(events: Vec<EpochEvent>) -> Self {
         Self { events }
     }
@@ -138,29 +134,6 @@ impl RunTrace {
         }
         sum * sum / (num_clients as f64 * sum_sq)
     }
-
-    /// Serializes as JSON lines (one event per line).
-    pub fn to_jsonl(&self) -> String {
-        self.events.iter().map(|e| e.to_json_value().to_json()).collect::<Vec<_>>().join("\n")
-    }
-
-    /// Parses a JSON-lines trace (inverse of [`RunTrace::to_jsonl`]).
-    pub fn from_jsonl(text: &str) -> Result<Self, fedl_json::Error> {
-        let events = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| EpochEvent::from_json_value(&Value::parse(l)?))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { events })
-    }
-
-    /// Writes the trace to disk as JSON lines.
-    pub fn write_jsonl(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        fs::write(path, self.to_jsonl())
-    }
 }
 
 #[cfg(test)]
@@ -216,35 +189,5 @@ mod tests {
     #[test]
     fn empty_trace_fairness_is_one() {
         assert_eq!(RunTrace::new().jain_fairness(5), 1.0);
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let mut tr = RunTrace::new();
-        tr.record(&report(0, vec![0]), 5.0);
-        tr.record(&report(1, vec![1, 2]), 2.5);
-        let text = tr.to_jsonl();
-        assert_eq!(text.lines().count(), 2);
-        let back = RunTrace::from_jsonl(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.events()[1].cohort, vec![1, 2]);
-        assert_eq!(back.events()[1].remaining_budget, 2.5);
-    }
-
-    #[test]
-    fn jsonl_rejects_garbage() {
-        assert!(RunTrace::from_jsonl("not json").is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("fedl_trace_test");
-        let path = dir.join("trace.jsonl");
-        let mut tr = RunTrace::new();
-        tr.record(&report(0, vec![0]), 1.0);
-        tr.write_jsonl(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(RunTrace::from_jsonl(&text).unwrap().len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -22,30 +22,33 @@
 //! Both only walk the log and fill the model; [`crate::render`] lays
 //! the text and the page out.
 
-use fedl_json::Value;
-
 use crate::render::{self, fmt_tick, Bar, Col, Report, Series, SERIES_COLORS};
-use crate::report::{fmt_secs, ClientUsage, RunLog};
+use crate::report::{fmt_secs, ClientUsage};
+use crate::runlog::{EpochRow, RunLog};
 
 /// Heatmap caps: more rows/columns than this are bucketed so the SVG
 /// stays small no matter how long the campaign ran.
 const HEAT_MAX_ROWS: usize = 64;
 const HEAT_MAX_COLS: usize = 120;
 
-/// The `epoch` events of a log.
-fn epochs(log: &RunLog) -> impl DoubleEndedIterator<Item = &Value> {
-    log.events().iter().filter(|e| e.get("kind").and_then(Value::as_str) == Some("epoch"))
+/// The two per-epoch curves: (title, single-run panel id and color,
+/// overlay panel id, the plotted column).
+#[allow(clippy::type_complexity)]
+const CURVES: [(&str, &str, &str, &str, fn(&EpochRow) -> f64); 2] = [
+    ("Cumulative regret", "regret-curve", "#dc2626", "regret-overlay", |e| e.regret),
+    ("Budget burn-down", "budget-burndown", "#7c3aed", "budget-overlay", |e| e.budget_remaining),
+];
+
+/// One run's `(epoch, y)` curve from its `epoch` rows.
+fn epoch_series(log: &RunLog, y: fn(&EpochRow) -> f64, label: &str, color: &'static str) -> Series {
+    let points = log.epochs.iter().map(|e| (e.epoch as f64, y(e), 0.0)).collect();
+    Series { label: label.to_string(), color, points, markers: false }
 }
 
-/// One run's `(epoch, field)` curve from its `epoch` events.
-fn epoch_series(log: &RunLog, field: &str, label: &str, color: &'static str) -> Series {
-    let points = epochs(log)
-        .filter_map(|e| {
-            let y = e.get(field).and_then(Value::as_f64).unwrap_or(f64::NAN);
-            Some((e.get("epoch")?.as_f64()?, y, 0.0))
-        })
-        .collect();
-    Series { label: label.to_string(), color, points, markers: false }
+/// Rent paid across `usage`; `0.0`, not `f64`'s empty-sum `-0.0`, for a
+/// run that rented nobody.
+fn total_paid(usage: &[ClientUsage]) -> f64 {
+    usage.iter().fold(0.0, |paid, u| paid + u.payment)
 }
 
 /// Refuses to overlay logs whose `run_start.schema_version` stamps
@@ -54,24 +57,21 @@ fn epoch_series(log: &RunLog, field: &str, label: &str, color: &'static str) -> 
 fn check_overlay_schemas(runs: &[(String, RunLog)]) -> Result<(), String> {
     let versions: Vec<u64> =
         runs.iter().map(|(_, log)| log.schema_version().unwrap_or(0)).collect();
-    if versions.windows(2).any(|w| w[0] != w[1]) {
-        let detail: Vec<String> = runs
-            .iter()
-            .zip(&versions)
-            .map(|((name, _), v)| {
-                if *v == 0 {
-                    format!("{name}: legacy (no stamp)")
-                } else {
-                    format!("{name}: v{v}")
-                }
-            })
-            .collect();
-        return Err(format!(
-            "refusing to overlay run logs with mismatched schema versions — {}",
-            detail.join(", ")
-        ));
+    if versions.windows(2).all(|w| w[0] == w[1]) {
+        return Ok(());
     }
-    Ok(())
+    let detail: Vec<String> = runs
+        .iter()
+        .zip(&versions)
+        .map(|((name, _), v)| match v {
+            0 => format!("{name}: legacy (no stamp)"),
+            v => format!("{name}: v{v}"),
+        })
+        .collect();
+    Err(format!(
+        "refusing to overlay run logs with mismatched schema versions — {}",
+        detail.join(", ")
+    ))
 }
 
 /// Display label per run: the recorded policy name when available
@@ -103,34 +103,25 @@ pub fn overlay(runs: &[(String, RunLog)]) -> Result<Report, String> {
     for (log, label) in logs().filter(|(log, _)| log.skipped_lines() > 0) {
         report.warn(format!("{label}: skipped {} malformed line(s)", log.skipped_lines()));
     }
-    for (title, id, field) in [
-        ("Cumulative regret (overlay)", "regret-overlay", "regret"),
-        ("Budget burn-down (overlay)", "budget-overlay", "budget_remaining"),
-    ] {
+    for (title, _, _, id, y) in CURVES {
         let series: Vec<Series> = logs()
             .zip(SERIES_COLORS.into_iter().cycle())
-            .map(|((log, label), color)| epoch_series(log, field, label, color))
+            .map(|((log, label), color)| epoch_series(log, y, label, color))
             .collect();
-        report.panel(title, render::lines(id, &series, fmt_tick, fmt_tick));
+        report.panel(format!("{title} (overlay)"), render::lines(id, &series, fmt_tick, fmt_tick));
     }
     let dash = || "—".to_string();
     let rows = logs()
         .map(|(log, label)| {
-            let final_loss = epochs(log)
-                .filter_map(|e| {
-                    e.get("global_loss")
-                        .and_then(Value::as_f64)
-                        .or_else(|| e.get("test_loss").and_then(Value::as_f64))
-                })
-                .next_back();
+            let final_loss = log.epochs.iter().filter_map(|e| e.global_loss).next_back();
             let usage = log.client_usage();
             let selections: usize = usage.iter().map(|u| u.selections).sum();
             let failures: usize = usage.iter().map(|u| u.failures).sum();
             vec![
                 label.clone(),
-                epochs(log).count().to_string(),
+                log.epochs.len().to_string(),
                 final_loss.map_or_else(dash, |l| format!("{l:.4}")),
-                format!("{:.2}", usage.iter().map(|u| u.payment).sum::<f64>()),
+                format!("{:.2}", total_paid(&usage)),
                 selections.to_string(),
                 failures.to_string(),
                 if selections > 0 {
@@ -162,25 +153,15 @@ pub fn overlay(runs: &[(String, RunLog)]) -> Result<Report, String> {
 /// cell intensity is the fraction of the bucket's epochs in which the
 /// client was selected.
 fn selection_heatmap(log: &RunLog, usage: &[ClientUsage]) -> String {
-    let selections: Vec<(usize, Vec<usize>)> = log
-        .events()
-        .iter()
-        .filter(|e| e.get("kind").and_then(Value::as_str) == Some("select"))
-        .filter_map(|e| {
-            let epoch = e.get("epoch")?.as_usize()?;
-            let cohort = e.get("cohort")?.as_arr()?.iter().filter_map(Value::as_usize).collect();
-            Some((epoch, cohort))
-        })
-        .collect();
-    let max_epoch = selections.iter().map(|(e, _)| *e).max().unwrap_or(0);
+    let max_epoch = log.selects.iter().map(|s| s.epoch).max().unwrap_or(0);
     let n_cols = (max_epoch + 1).min(HEAT_MAX_COLS);
     let epochs_per_col = (max_epoch + 1).div_ceil(n_cols);
     let rows: Vec<usize> = usage.iter().map(|u| u.client).take(HEAT_MAX_ROWS).collect();
     // cells[row][col] = selections in the bucket / the bucket's epochs.
     let mut cells = vec![vec![0.0; n_cols]; rows.len()];
-    for (epoch, cohort) in &selections {
-        let col = (epoch / epochs_per_col).min(n_cols - 1);
-        for row in cohort.iter().filter_map(|k| rows.iter().position(|r| r == k)) {
+    for select in &log.selects {
+        let col = (select.epoch / epochs_per_col).min(n_cols - 1);
+        for row in select.cohort.iter().filter_map(|k| rows.iter().position(|r| r == k)) {
             cells[row][col] += 1.0 / epochs_per_col as f64;
         }
     }
@@ -209,11 +190,8 @@ pub fn single(log: &RunLog) -> Report {
     } else {
         report.note(skipped);
     }
-    for (title, id, color, field) in [
-        ("Cumulative regret", "regret-curve", "#dc2626", "regret"),
-        ("Budget burn-down", "budget-burndown", "#7c3aed", "budget_remaining"),
-    ] {
-        let series = [epoch_series(log, field, "", color)];
+    for (title, id, color, _, y) in CURVES {
+        let series = [epoch_series(log, y, "", color)];
         report.panel(title, render::lines(id, &series, fmt_tick, fmt_tick));
     }
     let usage = log.client_usage();
@@ -237,7 +215,7 @@ pub fn single(log: &RunLog) -> Report {
     report.note(format!(
         "per-client attribution: {} clients, {:.2} paid",
         usage.len(),
-        usage.iter().map(|u| u.payment).sum::<f64>()
+        total_paid(&usage)
     ));
     let rows = usage
         .iter()
@@ -342,7 +320,7 @@ mod tests {
     }
 
     /// A minimal run log for one policy: a `run_start` stamp plus a
-    /// few epoch/train events, with per-policy regret slopes so the
+    /// few select/train/epoch events, with per-policy regret slopes so the
     /// overlaid polylines differ.
     fn policy_log(policy: &str, schema: Option<u32>, slope: f64) -> RunLog {
         let mut text = String::new();
@@ -352,6 +330,10 @@ mod tests {
         ));
         text.push('\n');
         for epoch in 0..5 {
+            text.push_str(&format!(
+                r#"{{"kind":"select","epoch":{epoch},"cohort":[0],"estimates":[null]}}"#
+            ));
+            text.push('\n');
             text.push_str(&format!(
                 concat!(
                     r#"{{"kind":"train","epoch":{},"cohort":[0],"failed":[],"iterations":1,"#,

@@ -56,6 +56,7 @@ pub mod logging;
 pub mod metrics;
 pub mod render;
 pub mod report;
+pub mod runlog;
 mod span;
 pub mod trace;
 
@@ -77,7 +78,8 @@ pub const RUN_LOG_SCHEMA_VERSION: u32 = 1;
 pub use event::{EventSink, FileSink, MemoryHandle, MemorySink};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use render::Report;
-pub use report::{ClientUsage, PhaseSplit, PhaseStats, RunLog};
+pub use report::{ClientUsage, PhaseSplit, PhaseStats};
+pub use runlog::RunLog;
 pub use span::{Span, SpanContext};
 pub use trace::{merge_traces, TraceModel};
 

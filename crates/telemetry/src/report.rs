@@ -1,40 +1,25 @@
-//! Offline analysis of a telemetry run log.
-//!
-//! [`RunLog`] parses a JSONL event stream (from [`crate::FileSink`] or
-//! a [`crate::MemoryHandle`]) back into `fedl-json` values and answers
-//! the questions the `experiments telemetry-report` subcommand asks:
-//! which event kinds appeared, and how long each phase took. Phase
-//! quantiles here are exact (computed from the raw per-span durations
-//! in the log), unlike the ~6% bucketed estimates the live
-//! [`crate::Histogram`] gives.
+//! Offline analysis of a parsed [`RunLog`]: how long each phase took
+//! and what each client was paid, and the `experiments
+//! telemetry-report` report. Phase quantiles here are exact (computed
+//! from the raw per-span durations in the log), unlike the ~6% bucketed
+//! estimates the live [`crate::Histogram`] gives.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
-
-use fedl_json::Value;
 
 use crate::render::{Col, Report};
-
-/// A parsed telemetry event stream.
-#[derive(Debug, Clone)]
-pub struct RunLog {
-    events: Vec<Value>,
-    skipped: usize,
-}
+use crate::RunLog;
 
 /// Everything the log attributes to one client: how often it was
 /// rented, what it was paid, where its time went, and the policy's
 /// latest quality estimate for it. Aggregated by
-/// [`RunLog::client_usage`] from the `select` and `train` events
+/// [`RunLog::client_usage`] from the `select` and `train` rows
 /// (see docs/TELEMETRY.md).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClientUsage {
     /// Client id `k`.
     pub client: usize,
     /// Epochs in which the policy committed to renting this client
-    /// (pre-dropout, from `select.cohort`, falling back to
-    /// `train.charged` for logs predating the `select` event).
+    /// (pre-dropout, from `select.cohort`).
     pub selections: usize,
     /// Epochs in which the client was rented but dropped out mid-epoch.
     pub failures: usize,
@@ -116,104 +101,19 @@ impl PhaseSplit {
 }
 
 impl RunLog {
-    /// Parses JSONL text: one event object per non-blank line.
-    ///
-    /// Malformed lines — a truncated tail from a killed run, an
-    /// interleaved write — are skipped and counted
-    /// ([`RunLog::skipped_lines`]), never fatal: a crash report is
-    /// exactly when the rest of the log matters most.
-    pub fn parse(text: &str) -> Self {
-        let mut events = Vec::new();
-        let mut skipped = 0usize;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Value::parse(line) {
-                Ok(event) => events.push(event),
-                Err(_) => skipped += 1,
-            }
-        }
-        Self { events, skipped }
-    }
-
-    /// Reads and parses a JSONL log file.
-    pub fn read(path: impl AsRef<Path>) -> io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(Self::parse(&text))
-    }
-
-    /// The parsed events, in log order.
-    pub fn events(&self) -> &[Value] {
-        &self.events
-    }
-
-    /// Number of malformed (unparseable) lines [`RunLog::parse`]
-    /// skipped.
-    pub fn skipped_lines(&self) -> usize {
-        self.skipped
-    }
-
-    /// The first `run_start` event, if the log holds one.
-    fn run_start(&self) -> Option<&Value> {
-        self.events.iter().find(|e| e.get("kind").and_then(Value::as_str) == Some("run_start"))
-    }
-
-    /// The run-log schema version stamped into `run_start`
-    /// (`crate::RUN_LOG_SCHEMA_VERSION` at emit time); `None` for
-    /// legacy logs that predate the stamp (or hold no `run_start`).
-    pub fn schema_version(&self) -> Option<u64> {
-        self.run_start()?.get("schema_version")?.as_i64().map(|v| v as u64)
-    }
-
-    /// The policy that produced this run (`run_start.policy`), if
-    /// recorded.
-    pub fn policy_name(&self) -> Option<&str> {
-        self.run_start()?.get("policy")?.as_str()
-    }
-
-    /// How many events of each `kind` the log holds, sorted by kind.
-    pub fn kind_counts(&self) -> Vec<(String, usize)> {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for event in &self.events {
-            let kind = event.get("kind").and_then(Value::as_str).unwrap_or("<missing kind>");
-            *counts.entry(kind.to_string()).or_default() += 1;
-        }
-        counts.into_iter().collect()
-    }
-
-    /// The subset of `required` kinds absent from the log.
-    pub fn missing_kinds(&self, required: &[&str]) -> Vec<String> {
-        let present: Vec<_> = self.kind_counts().into_iter().map(|(kind, _)| kind).collect();
-        required
-            .iter()
-            .filter(|kind| !present.iter().any(|p| p == *kind))
-            .map(|kind| kind.to_string())
-            .collect()
-    }
-
-    /// Per-phase timing statistics from the `span` events, with exact
+    /// Per-phase timing statistics from the span rows, with exact
     /// quantiles, sorted by total time descending.
     pub fn phase_stats(&self) -> Vec<PhaseStats> {
-        let mut durations: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        for event in &self.events {
-            if event.get("kind").and_then(Value::as_str) != Some("span") {
-                continue;
-            }
-            let (Some(name), Some(secs)) = (
-                event.get("name").and_then(Value::as_str),
-                event.get("secs").and_then(Value::as_f64),
-            ) else {
-                continue;
-            };
-            durations.entry(name.to_string()).or_default().push(secs);
+        let mut durations: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+        for span in &self.spans {
+            durations.entry(&span.name).or_default().push(span.secs);
         }
         let mut stats: Vec<PhaseStats> = durations
             .into_iter()
             .map(|(name, mut secs)| {
                 secs.sort_by(|a, b| a.total_cmp(b));
                 PhaseStats {
-                    name,
+                    name: name.to_string(),
                     count: secs.len(),
                     total_secs: secs.iter().sum(),
                     p50: exact_quantile(&secs, 0.50),
@@ -228,22 +128,13 @@ impl RunLog {
     }
 
     /// The phase tree, one level at a time: for every span name that has
-    /// spans opened directly under it (their `parent` field), where its
+    /// spans opened directly under it (their `parent` name), where its
     /// time went — largest parent first.
     pub fn phase_splits(&self) -> Vec<PhaseSplit> {
         let mut children: BTreeMap<&str, BTreeMap<&str, f64>> = BTreeMap::new();
-        for event in &self.events {
-            if event.get("kind").and_then(Value::as_str) != Some("span") {
-                continue;
-            }
-            let (Some(name), Some(parent), Some(secs)) = (
-                event.get("name").and_then(Value::as_str),
-                event.get("parent").and_then(Value::as_str),
-                event.get("secs").and_then(Value::as_f64),
-            ) else {
-                continue;
-            };
-            *children.entry(parent).or_default().entry(name).or_default() += secs;
+        for span in &self.spans {
+            let Some(parent) = &span.parent else { continue };
+            *children.entry(parent).or_default().entry(&span.name).or_default() += span.secs;
         }
         self.phase_stats()
             .into_iter()
@@ -265,98 +156,43 @@ impl RunLog {
             .collect()
     }
 
-    /// Per-client aggregation of the `select` / `train` events, sorted
-    /// by cumulative payment descending (budget attribution order),
-    /// ties by client id. Clients the log never mentions do not appear.
+    /// Per-client aggregation of the `select` / `train` rows, sorted by
+    /// cumulative payment descending (budget attribution order), ties
+    /// by client id. Clients the log never mentions do not appear.
     pub fn client_usage(&self) -> Vec<ClientUsage> {
         let mut usage: BTreeMap<usize, ClientUsage> = BTreeMap::new();
         fn entry(usage: &mut BTreeMap<usize, ClientUsage>, k: usize) -> &mut ClientUsage {
-            usage.entry(k).or_insert(ClientUsage {
-                client: k,
-                selections: 0,
-                failures: 0,
-                payment: 0.0,
-                total_secs: 0.0,
-                compute_secs: 0.0,
-                upload_secs: 0.0,
-                last_estimate: None,
-            })
+            usage.entry(k).or_insert_with(|| ClientUsage { client: k, ..ClientUsage::default() })
         }
-        let ids = |event: &Value, field: &str| -> Vec<usize> {
-            event
-                .get(field)
-                .and_then(Value::as_arr)
-                .map(|arr| arr.iter().filter_map(Value::as_usize).collect())
-                .unwrap_or_default()
-        };
-        let floats = |event: &Value, field: &str| -> Vec<f64> {
-            event
-                .get(field)
-                .and_then(Value::as_arr)
-                .map(|arr| arr.iter().map(|v| v.as_f64().unwrap_or(f64::NAN)).collect())
-                .unwrap_or_default()
-        };
-        let has_select_events =
-            self.events.iter().any(|e| e.get("kind").and_then(Value::as_str) == Some("select"));
-        for event in &self.events {
-            match event.get("kind").and_then(Value::as_str) {
-                Some("select") => {
-                    let cohort = ids(event, "cohort");
-                    let estimates = floats(event, "estimates");
-                    for (slot, &k) in cohort.iter().enumerate() {
-                        let u = entry(&mut usage, k);
-                        u.selections += 1;
-                        if let Some(&est) = estimates.get(slot) {
-                            if est.is_finite() {
-                                u.last_estimate = Some(est);
-                            }
-                        }
-                    }
+        for select in &self.selects {
+            for (slot, &k) in select.cohort.iter().enumerate() {
+                let u = entry(&mut usage, k);
+                u.selections += 1;
+                if let Some(&est) = select.estimates.get(slot).filter(|e| e.is_finite()) {
+                    u.last_estimate = Some(est);
                 }
-                Some("train") => {
-                    // Rent: owed for the full commitment (`charged`),
-                    // survivor or not.
-                    let charged = ids(event, "charged");
-                    let costs = floats(event, "per_client_cost");
-                    for (slot, &k) in charged.iter().enumerate() {
-                        let u = entry(&mut usage, k);
-                        u.payment += costs.get(slot).copied().unwrap_or(0.0);
-                        // Older logs have no `select` events; count the
-                        // rental itself as the selection then.
-                        if !has_select_events {
-                            u.selections += 1;
-                        }
-                    }
-                    for k in ids(event, "failed") {
-                        entry(&mut usage, k).failures += 1;
-                    }
-                    // Time: survivors only (`cohort`), per-iteration
-                    // latencies × iterations.
-                    let iters = event.get("iterations").and_then(Value::as_f64).unwrap_or(1.0);
-                    let cohort = ids(event, "cohort");
-                    let latency = floats(event, "per_client_iter_latency");
-                    let compute = floats(event, "per_client_compute_secs");
-                    let upload = floats(event, "per_client_upload_secs");
-                    for (slot, &k) in cohort.iter().enumerate() {
-                        let u = entry(&mut usage, k);
-                        if let Some(&l) = latency.get(slot) {
-                            if l.is_finite() {
-                                u.total_secs += l * iters;
-                            }
-                        }
-                        if let Some(&c) = compute.get(slot) {
-                            if c.is_finite() {
-                                u.compute_secs += c * iters;
-                            }
-                        }
-                        if let Some(&up) = upload.get(slot) {
-                            if up.is_finite() {
-                                u.upload_secs += up * iters;
-                            }
-                        }
-                    }
-                }
-                _ => {}
+            }
+        }
+        for train in &self.trains {
+            // Rent: owed for the full commitment (`charged`), survivor
+            // or not.
+            for (slot, &k) in train.charged.iter().enumerate() {
+                entry(&mut usage, k).payment +=
+                    train.per_client_cost.get(slot).copied().unwrap_or(0.0);
+            }
+            for &k in &train.failed {
+                entry(&mut usage, k).failures += 1;
+            }
+            // Time: survivors only (`cohort`), per-iteration latencies ×
+            // iterations.
+            for (slot, &k) in train.cohort.iter().enumerate() {
+                let u = entry(&mut usage, k);
+                let busy = |column: &[f64]| {
+                    column.get(slot).filter(|s| s.is_finite()).map_or(0.0, |s| s * train.iterations)
+                };
+                u.total_secs += busy(&train.per_client_iter_latency);
+                u.compute_secs += busy(&train.per_client_compute_secs);
+                u.upload_secs += busy(&train.per_client_upload_secs);
             }
         }
         let mut usage: Vec<ClientUsage> = usage.into_values().collect();
@@ -369,10 +205,10 @@ impl RunLog {
     /// saying where its time went ([`PhaseSplit::line`]).
     pub fn report(&self) -> Report {
         let mut report = Report::new("FedL run log");
-        report.note(format!("events: {}", self.events.len()));
+        report.note(format!("events: {}", self.event_count()));
         // Always present, even at zero, so multi-log output lines up
         // with `experiments trace-report`'s per-input summaries.
-        report.note(format!("skipped {} malformed line(s)", self.skipped));
+        report.note(format!("skipped {} malformed line(s)", self.skipped_lines()));
         let kinds = self.kind_counts();
         report.table(
             "Event kinds",
@@ -443,24 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_and_counts_kinds() {
-        let text = format!(
-            "{}\n{}\n\n{}\n",
-            r#"{"kind":"run_start","seed":7}"#,
-            span_line("epoch", 0.5),
-            r#"{"kind":"run_end","epochs":1}"#
-        );
-        let log = RunLog::parse(&text);
-        assert_eq!(log.events().len(), 3);
-        assert_eq!(log.skipped_lines(), 0);
-        assert_eq!(
-            log.kind_counts(),
-            vec![("run_end".to_string(), 1), ("run_start".to_string(), 1), ("span".to_string(), 1)]
-        );
-        assert_eq!(log.missing_kinds(&["run_start", "ledger"]), vec!["ledger".to_string()]);
-    }
-
-    #[test]
     fn phase_stats_are_exact_and_sorted_by_total() {
         let mut text = String::new();
         for i in 1..=100 {
@@ -494,10 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn skips_and_counts_malformed_lines() {
+    fn reports_surface_skipped_lines() {
         let log = RunLog::parse("{\"kind\":\"x\"}\nnot json\n{\"kind\":\"y\"}\n");
-        assert_eq!(log.events().len(), 2, "good lines around the bad one survive");
-        assert_eq!(log.skipped_lines(), 1);
+        assert_eq!((log.event_count(), log.skipped_lines()), (2, 1), "good lines survive");
         assert!(log.report().text().contains("skipped 1 malformed line"));
         assert!(crate::dashboard::single(&log).text().contains("skipped 1 malformed line"));
     }
@@ -507,8 +324,7 @@ mod tests {
         // A run killed mid-write leaves a partial final line.
         let text = format!("{}\n{}", span_line("epoch", 0.5), r#"{"kind":"epoch","coh"#);
         let log = RunLog::parse(&text);
-        assert_eq!(log.events().len(), 1);
-        assert_eq!(log.skipped_lines(), 1);
+        assert_eq!((log.event_count(), log.skipped_lines()), (1, 1));
         assert_eq!(log.phase_stats().len(), 1, "analysis still works on the rest");
     }
 
@@ -563,25 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn client_usage_falls_back_to_charged_without_select_events() {
+    fn client_usage_counts_selections_from_select_events_only() {
         let log = RunLog::parse(&format!("{}\n", train_line(0)));
         let usage = log.client_usage();
-        assert_eq!(usage.len(), 2);
-        assert!(usage.iter().all(|u| u.selections == 1));
-        assert!(usage.iter().all(|u| u.last_estimate.is_none()));
-    }
-
-    #[test]
-    fn run_start_surfaces_policy_and_schema_version() {
-        let log =
-            RunLog::parse(r#"{"kind":"run_start","policy":"FedL","schema_version":1,"seed":7}"#);
-        assert_eq!(log.policy_name(), Some("FedL"));
-        assert_eq!(log.schema_version(), Some(1));
-        // Legacy logs (no stamp / no run_start) report None.
-        let legacy = RunLog::parse(r#"{"kind":"run_start","policy":"FedAvg"}"#);
-        assert_eq!(legacy.policy_name(), Some("FedAvg"));
-        assert_eq!(legacy.schema_version(), None);
-        assert_eq!(RunLog::parse("").policy_name(), None);
+        assert_eq!(usage.len(), 2, "rent is still attributed");
+        assert!(usage.iter().all(|u| u.selections == 0 && u.last_estimate.is_none()));
     }
 
     #[test]

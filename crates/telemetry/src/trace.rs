@@ -27,11 +27,9 @@
 
 use std::collections::BTreeMap;
 
-use fedl_json::Value;
-
 use crate::render::{self, Bar, Col, Report};
-use crate::report::{fmt_secs, RunLog};
-use crate::SpanContext;
+use crate::report::fmt_secs;
+use crate::RunLog;
 
 /// Segment colors: realize, encode, wire, decode, merge, select.
 const SEGMENT_COLORS: [&str; 6] =
@@ -79,7 +77,7 @@ impl WorkerEpoch {
 }
 
 /// One epoch of the merged cross-process timeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EpochTrace {
     /// Epoch index.
     pub epoch: usize,
@@ -135,39 +133,6 @@ impl TraceModel {
     }
 }
 
-/// A span event lifted out of a run log.
-struct SpanRow {
-    name: String,
-    trace_id: Option<u64>,
-    parent_id: Option<u64>,
-    span_id: Option<u64>,
-    secs: f64,
-    epoch: Option<usize>,
-    worker: Option<usize>,
-}
-
-fn hex_id(event: &Value, key: &str) -> Option<u64> {
-    event.get(key).and_then(Value::as_str).and_then(SpanContext::parse_id)
-}
-
-fn span_rows(log: &RunLog) -> Vec<SpanRow> {
-    log.events()
-        .iter()
-        .filter(|e| e.get("kind").and_then(Value::as_str) == Some("span"))
-        .filter_map(|e| {
-            Some(SpanRow {
-                name: e.get("name")?.as_str()?.to_string(),
-                trace_id: hex_id(e, "trace_id"),
-                parent_id: hex_id(e, "parent_id"),
-                span_id: hex_id(e, "span_id"),
-                secs: e.get("secs").and_then(Value::as_f64).unwrap_or(0.0),
-                epoch: e.get("epoch").and_then(Value::as_usize),
-                worker: e.get("worker").and_then(Value::as_usize),
-            })
-        })
-        .collect()
-}
-
 /// Merges one coordinator log plus any number of worker logs into the
 /// per-epoch cross-process timeline. The first input is the
 /// coordinator; worker inputs follow in shard order (worker `N` of a
@@ -180,23 +145,20 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
         .iter()
         .map(|(label, log)| InputSummary {
             label: label.clone(),
-            events: log.events().len(),
+            events: log.event_count(),
             skipped: log.skipped_lines(),
         })
         .collect();
 
-    let coord_spans = span_rows(coord);
     // (trace_id, span_id) of every coordinator epoch span → its epoch.
     let mut epoch_of: BTreeMap<(u64, u64), usize> = BTreeMap::new();
     let mut epochs: BTreeMap<usize, EpochTrace> = BTreeMap::new();
-    let blank = |epoch: usize| EpochTrace {
+    let blank = |epoch| EpochTrace {
         epoch,
-        total_secs: 0.0,
         workers: vec![WorkerEpoch::default(); worker_runs.len()],
-        merge_secs: 0.0,
-        select_secs: 0.0,
+        ..EpochTrace::default()
     };
-    for row in &coord_spans {
+    for row in &coord.spans {
         let Some(epoch) = row.epoch else { continue };
         match row.name.as_str() {
             "dist.epoch" => {
@@ -221,7 +183,7 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
     // Merge and select spans are children of the epoch span; resolve by
     // parent id (their own `epoch` field is absent — they carry no
     // custom fields), falling back to nothing if unlinked.
-    for row in &coord_spans {
+    for row in &coord.spans {
         let Some((t, p)) = row.trace_id.zip(row.parent_id) else { continue };
         let Some(entry) = epoch_of.get(&(t, p)).and_then(|epoch| epochs.get_mut(epoch)) else {
             continue;
@@ -236,35 +198,24 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
     let mut resolved_spans = 0usize;
     let mut worker_spans = 0usize;
     for (w, (_, log)) in worker_runs.iter().enumerate() {
-        for row in span_rows(log) {
+        for row in &log.spans {
             if !row.name.starts_with("dist.worker_") {
                 continue;
             }
             worker_spans += 1;
-            let resolved = row
-                .trace_id
-                .zip(row.parent_id)
-                .and_then(|key| epoch_of.get(&key))
-                .copied()
-                .or(row.epoch.filter(|_| false)); // ids only — never guess from fields
-            let Some(epoch) = resolved else { continue };
-            resolved_spans += 1;
-            if let Some(entry) = epochs.get_mut(&epoch) {
+            // Ids only — never guess the epoch from the span's fields.
+            let key = row.trace_id.zip(row.parent_id);
+            if let Some(entry) = key.and_then(|key| epochs.get_mut(epoch_of.get(&key)?)) {
+                resolved_spans += 1;
                 entry.workers[w].realize_secs += row.secs;
             }
         }
         // Codec time from the per-frame wire events, charged to the
         // epoch the frame was about.
-        for event in log.events() {
-            if event.get("kind").and_then(Value::as_str) != Some("dist.worker_frame") {
-                continue;
-            }
-            let Some(epoch) = event.get("epoch").and_then(Value::as_usize) else { continue };
-            let ns =
-                |key: &str| event.get(key).and_then(Value::as_f64).unwrap_or(0.0).max(0.0) / 1e9;
-            if let Some(entry) = epochs.get_mut(&epoch) {
-                entry.workers[w].decode_secs += ns("decode_ns");
-                entry.workers[w].encode_secs += ns("encode_ns");
+        for frame in &log.frames {
+            if let Some(entry) = epochs.get_mut(&frame.epoch) {
+                entry.workers[w].decode_secs += frame.decode_secs;
+                entry.workers[w].encode_secs += frame.encode_secs;
             }
         }
     }
@@ -390,6 +341,7 @@ fn bar(label: String, segments: Vec<(f64, &'static str)>) -> Bar {
 mod tests {
     use super::*;
     use crate::Telemetry;
+    use fedl_json::Value;
 
     /// Simulates a 2-worker distributed epoch with the real span API:
     /// the coordinator opens `dist.epoch` + per-worker wait spans and

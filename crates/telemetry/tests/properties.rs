@@ -123,13 +123,16 @@ fn span_tree_and_events_round_trip_as_jsonl() {
     tel.emit_metrics();
     tel.emit("run_end", vec![("epochs", fedl_json::Value::Int(3))]);
 
-    // Round trip: serialised lines parse back through RunLog, and the
-    // report layer sees the same structure the live handles saw.
+    // Round trip: serialised lines parse back through `fedl-json` and
+    // RunLog, and the report layer sees the same structure the live
+    // handles saw.
+    let events = handle.events().unwrap();
     let log = RunLog::parse(&handle.lines().join("\n"));
     assert!(log.missing_kinds(&["run_start", "span", "metrics", "run_end"]).is_empty());
 
     let spans: Vec<&fedl_json::Value> =
-        log.events().iter().filter(|e| e.get("kind").unwrap().as_str() == Some("span")).collect();
+        events.iter().filter(|e| e.get("kind").unwrap().as_str() == Some("span")).collect();
+    assert_eq!(log.spans.len(), spans.len());
     assert_eq!(spans.len(), 12, "3 epochs x (select + round + train + epoch)");
     for span in &spans {
         let name = span.get("name").unwrap().as_str().unwrap();
@@ -178,7 +181,7 @@ fn span_tree_and_events_round_trip_as_jsonl() {
 
     // The metrics snapshot in the log matches the live registry.
     let metrics =
-        log.events().iter().find(|e| e.get("kind").unwrap().as_str() == Some("metrics")).unwrap();
+        events.iter().find(|e| e.get("kind").unwrap().as_str() == Some("metrics")).unwrap();
     let registry = metrics.get("registry").unwrap();
     assert_eq!(registry.get("counters").unwrap().get("epochs").unwrap().as_i64(), Some(3));
     assert_eq!(

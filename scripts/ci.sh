@@ -111,7 +111,7 @@ stage_clippy() {
 stage_telemetry() {
     cargo run --release --offline --example regret_and_trace > /dev/null
     run_exp telemetry-report results/regret_trace_run.jsonl \
-        --require run_start,epoch,train,ledger,span,metrics,run_end
+        --require run_start,select,epoch,train,ledger,span,metrics,run_end
 }
 
 # Checkpoint round-trip (docs/CHECKPOINT.md): run a few epochs, "kill"
