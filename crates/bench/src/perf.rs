@@ -53,8 +53,11 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// over the body of the `wire/` kernel's 1.7 MB frame) — and envelope v2
 /// moved what `wire/context_part_40k` costs; v10 added
 /// `core/regret_record_80` (one warm `RegretTracker::record` on a seeded
-/// K = 80 instance, docs/PERF.md "The hindsight comparator").
-pub const BENCH_SCHEMA_VERSION: u32 = 10;
+/// K = 80 instance, docs/PERF.md "The hindsight comparator"); v11 added the
+/// kernels at the shapes `train_fedavg_cifar_m100` runs: the 16-row
+/// products `gemm/forward_16x128x96`, `gemm/weight_grad_128x16x96` and
+/// `gemm/head_16x96x10`, and the 16-row `ml/dane_local_solve_16`.
+pub const BENCH_SCHEMA_VERSION: u32 = 11;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -220,6 +223,29 @@ fn suite_linalg(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profi
         std::hint::black_box(a.matmul(&b))
     });
 
+    // The products of one 16-row training pass of the 128-96-10 MLP
+    // `train_fedavg_cifar_m100` runs, into a reused output as the model
+    // writes them: the forward `x·W₁`, the weight gradient `xᵀ·δ₁`, and
+    // the head `a₁·W₂`.
+    let x = Matrix::uniform(16, 128, 1.0, &mut rng);
+    let w1 = Matrix::uniform(128, 96, 1.0, &mut rng);
+    let delta1 = Matrix::uniform(16, 96, 1.0, &mut rng);
+    let a1 = Matrix::uniform(16, 96, 1.0, &mut rng);
+    let w2 = Matrix::uniform(96, 10, 1.0, &mut rng);
+    let mut out = Matrix::default();
+    measure_kernel(kernels, budget, "gemm/forward_16x128x96", || {
+        x.matmul_into(&w1, &mut out);
+        std::hint::black_box(&out);
+    });
+    measure_kernel(kernels, budget, "gemm/weight_grad_128x16x96", || {
+        x.t_matmul_into(&delta1, &mut out);
+        std::hint::black_box(&out);
+    });
+    measure_kernel(kernels, budget, "gemm/head_16x96x10", || {
+        a1.matmul_into(&w2, &mut out);
+        std::hint::black_box(&out);
+    });
+
     let (rows, cols) = match profile {
         Profile::Paper => (256, 96),
         Profile::Quick => (128, 64),
@@ -232,10 +258,13 @@ fn suite_linalg(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profi
 
 /// One DANE local solve on a seeded synthetic client shard (S2).
 fn suite_dane(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile) {
-    use fedl_data::synth::small_fmnist;
+    use fedl_data::synth::{small_fmnist, SyntheticSpec, TaskKind};
     use fedl_linalg::rng::rng_for;
-    use fedl_ml::dane::{local_update, DaneConfig};
+    use fedl_ml::dane::{
+        local_update, local_update_scratch, DaneConfig, DaneScratch, LocalOutcome,
+    };
     use fedl_ml::model::{Mlp, Model};
+    use fedl_ml::ParamSet;
 
     let samples = match profile {
         Profile::Paper => 400,
@@ -250,6 +279,26 @@ fn suite_dane(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile
     let mut rng = rng_for(0xBE4, 0);
     measure_kernel(kernels, budget, &format!("ml/dane_local_solve_{samples}"), || {
         std::hint::black_box(local_update(&model, &train, &j, &cfg, &mut rng))
+    });
+
+    // The solve `train_fedavg_cifar_m100` runs per client and iteration:
+    // 16 arrived samples, the 128-96-10 MLP, six steps, into a reused
+    // workspace.
+    let (shard, _) = SyntheticSpec::new(TaskKind::CifarLike, 16, 1, 0xBE5).with_dim(128).generate();
+    let model = Mlp::new(shard.dim(), &[96], shard.num_classes, 0.0005, &mut rng);
+    let (_, j) = model.loss_and_grad(&shard.features, &shard.one_hot_labels());
+    let cfg = DaneConfig { local_steps: 6, lr: 0.12, ..Default::default() };
+    let mut scratch = DaneScratch::new();
+    let mut out = LocalOutcome {
+        delta: ParamSet::new(Vec::new()),
+        grad_at_w: ParamSet::new(Vec::new()),
+        eta_hat: 0.0,
+        loss_at_w: 0.0,
+        loss_after: 0.0,
+    };
+    measure_kernel(kernels, budget, "ml/dane_local_solve_16", || {
+        local_update_scratch(&model, &shard, &j, &cfg, &mut rng, &mut scratch, &mut out);
+        std::hint::black_box(&out);
     });
 }
 
@@ -951,6 +1000,15 @@ mod tests {
                 "suite is missing a {prefix} kernel: {:?}",
                 snap.kernels.iter().map(|k| &k.name).collect::<Vec<_>>()
             );
+        }
+        // The kernels at the shapes the CIFAR training workload runs.
+        for name in [
+            "gemm/forward_16x128x96",
+            "gemm/weight_grad_128x16x96",
+            "gemm/head_16x96x10",
+            "ml/dane_local_solve_16",
+        ] {
+            assert!(snap.kernels.iter().any(|k| k.name == name), "suite is missing {name}");
         }
         for k in &snap.kernels {
             assert!(k.mean_ns > 0.0 && k.min_ns > 0.0, "{} timed nothing", k.name);

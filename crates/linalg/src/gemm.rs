@@ -1,30 +1,27 @@
-//! Cache-blocked, SIMD-friendly GEMM kernels (docs/PERF.md).
+//! One unpacked GEMM micro-kernel (docs/PERF.md, "The GEMM").
 //!
-//! All three products (`A·B`, `Aᵀ·B`, `A·Bᵀ`) share one blocked driver:
-//! the k dimension is split into [`KC`]-deep slabs, `B` is packed once
-//! per slab into [`NR`]-wide column panels, and the output rows are
-//! split into [`MC`]-high blocks whose `A` strips are packed into
-//! [`MR`]-high row panels, feeding an `MR×NR` register micro-kernel.
-//! Packing turns every inner-loop access into a unit-stride streaming
-//! read, which is what lets the compiler vectorize the micro-kernel.
+//! All three products (`A·B`, `Aᵀ·B`, `A·Bᵀ`) run one driver that cuts
+//! the output into `MR×NR` register tiles; each tile folds all of `k` in
+//! registers and is stored once. Both operands are read in place: a
+//! `Normal` `A` tile broadcasts from its eight row slices, a `Transposed`
+//! one from the contiguous `MR` strip at each `k` (the orientation is a
+//! const generic, so each gets its own loop), and a row-major `B` is read
+//! `NR` columns at a time. Only a transposed `B`, a `B` narrower than one
+//! panel, or an `A` shorter than one tile is copied — once per product,
+//! zero-padded, into a thread-local buffer reused across calls, so a
+//! steady-state product performs zero heap allocation. A short last tile
+//! starts early instead of padding: it recomputes the rows (columns)
+//! just before it to the same bits and stores only its own.
 //!
-//! Determinism: each output element is accumulated strictly in
-//! ascending-`k` order — the micro-kernel seeds its accumulator tile
-//! from `C` and the `KC` slabs are walked in order — so the
-//! floating-point association is a pure function of the operand shapes.
-//! Parallelism only ever distributes whole [`MC`] row blocks (disjoint
-//! output rows, no cross-task reduction), so the result is bit-identical
-//! for any thread count, any `FEDL_THREADS` setting, and across
-//! repeated calls; `tests/gemm_parity.rs` pins this. The ascending-`k`
-//! fold also matches the pre-blocking kernels bit-for-bit on finite
-//! inputs, so historical results stay valid.
-//!
-//! Packing buffers are thread-local and reused across calls: a
-//! steady-state product performs zero heap allocation once each
-//! thread's buffers have grown to the workload's high-water mark.
+//! Determinism: every output element is one strictly ascending-`k` fold
+//! `((0 + a₀b₀) + a₁b₁) + …` — what the scalar triple loop and every
+//! earlier kernel here computed — so the result is a pure function of the
+//! operands; `tests/gemm_parity.rs` holds it to that scalar fold bit for
+//! bit. Parallelism only ever distributes whole [`MC`] row blocks
+//! (disjoint output rows, no cross-task reduction), so the result is also
+//! bit-identical for any thread count.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 use crate::par;
 use crate::pool;
@@ -34,43 +31,22 @@ use crate::Matrix;
 const MR: usize = 8;
 /// Micro-kernel tile width: columns of `C` updated per register tile.
 const NR: usize = 16;
-/// k-depth of one packed slab (`B` panel reuse distance).
-const KC: usize = 256;
-/// Rows per parallel work unit; a multiple of [`MR`]. One `A` block is
-/// `MC×KC×4 B = 64 KiB`, sized to live in L2 while its packed `B` slab
-/// streams through.
+/// Rows per parallel work unit; a multiple of [`MR`].
 const MC: usize = 64;
 
-/// Default sequential/parallel cutover in multiply-adds.
-///
-/// Derivation (docs/PERF.md has the full procedure): dispatching a
-/// batch through the worker pool costs on the order of 10 µs, and one
-/// core sustains roughly 10 Gflop/s in the blocked kernel, i.e. ~100 k
-/// multiply-adds per 10 µs. Requiring the kernel body to outweigh the
-/// dispatch by ~2.5× gives 256 k flops (≈ a 64³ product). Override
-/// with `FEDL_GEMM_PAR_FLOPS` (read once per process) when tuning for
-/// different hardware.
-const DEFAULT_PAR_THRESHOLD_FLOPS: usize = 256 * 1024;
-
-/// The active sequential/parallel cutover in multiply-adds:
-/// `FEDL_GEMM_PAR_FLOPS` when set to a positive integer, otherwise the
-/// built-in default (256 Ki flops). Cached on first use.
-pub fn gemm_par_threshold_flops() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("FEDL_GEMM_PAR_FLOPS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_PAR_THRESHOLD_FLOPS)
-    })
-}
+/// Products of at least this many multiply-adds (`m·k·n`; a 64³ product
+/// is exactly at it) hand their [`MC`] row blocks to the worker pool;
+/// smaller ones run on the caller. Dispatching a batch costs on the order
+/// of 10 µs, which is what one core spends on about this many
+/// multiply-adds. A scheduling choice only: the bits are the same on
+/// either side of it.
+const PAR_MIN_MACS: usize = 256 * 1024;
 
 thread_local! {
-    /// Per-thread packed `A` block (`MC×KC` high-water mark).
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed `B` slab (`KC×n` high-water mark).
-    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// A zero-padded copy of an `A` shorter than one tile.
+    static A_COPY: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// A row-major, zero-padded copy of a transposed or narrow `B`.
+    static B_COPY: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Whether an operand participates transposed (without materializing).
@@ -82,86 +58,38 @@ enum Orient {
     Transposed,
 }
 
-/// Packs the `kc`-deep, `mrows`-high block of `A` starting at
-/// `(i0, k0)` into `MR`-high panels: panel `ip`, depth `kk` holds the
-/// `MR` values `A[i0 + ip·MR .. ][k0 + kk]`, zero-padded past the last
-/// row. Padded lanes only ever feed discarded accumulator rows.
-#[allow(clippy::too_many_arguments)] // blocking geometry is the signature
-fn pack_a(
-    a: &[f32],
-    lda: usize,
+/// Writes the `rows × cols` operand `(src, ld, orient)` into `buf`
+/// row-major as `rows_to × cols_to`, zero-padded; returns the copy's
+/// leading dimension.
+#[allow(clippy::too_many_arguments)] // one operand and its padded shape
+fn copy_padded(
+    src: &[f32],
+    ld: usize,
     orient: Orient,
-    i0: usize,
-    mrows: usize,
-    k0: usize,
-    kc: usize,
+    rows: usize,
+    cols: usize,
+    rows_to: usize,
+    cols_to: usize,
     buf: &mut Vec<f32>,
-) {
-    let panels = mrows.div_ceil(MR);
+) -> usize {
     buf.clear();
-    buf.resize(panels * kc * MR, 0.0);
-    for ip in 0..panels {
-        let rows = MR.min(mrows - ip * MR);
-        let panel = &mut buf[ip * kc * MR..(ip + 1) * kc * MR];
+    buf.resize(rows_to * cols_to, 0.0);
+    for (i, row) in buf.chunks_exact_mut(cols_to).take(rows).enumerate() {
         match orient {
-            Orient::Normal => {
-                for ir in 0..rows {
-                    let src = &a[(i0 + ip * MR + ir) * lda + k0..][..kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * MR + ir] = v;
-                    }
-                }
-            }
+            Orient::Normal => row[..cols].copy_from_slice(&src[i * ld..][..cols]),
             Orient::Transposed => {
-                for kk in 0..kc {
-                    let src = &a[(k0 + kk) * lda + i0 + ip * MR..][..rows];
-                    panel[kk * MR..kk * MR + rows].copy_from_slice(src);
+                for (j, v) in row[..cols].iter_mut().enumerate() {
+                    *v = src[j * ld + i];
                 }
             }
         }
     }
-}
-
-/// Packs the `kc`-deep slab of `B` starting at row `k0` into `NR`-wide
-/// column panels: panel `jp`, depth `kk` holds the `NR` values
-/// `B[k0 + kk][jp·NR ..]`, zero-padded past the last column.
-fn pack_b(
-    b: &[f32],
-    ldb: usize,
-    orient: Orient,
-    k0: usize,
-    kc: usize,
-    n: usize,
-    buf: &mut Vec<f32>,
-) {
-    let panels = n.div_ceil(NR);
-    buf.clear();
-    buf.resize(panels * kc * NR, 0.0);
-    for jp in 0..panels {
-        let cols = NR.min(n - jp * NR);
-        let panel = &mut buf[jp * kc * NR..(jp + 1) * kc * NR];
-        match orient {
-            Orient::Normal => {
-                for kk in 0..kc {
-                    let src = &b[(k0 + kk) * ldb + jp * NR..][..cols];
-                    panel[kk * NR..kk * NR + cols].copy_from_slice(src);
-                }
-            }
-            Orient::Transposed => {
-                for jr in 0..cols {
-                    let src = &b[(jp * NR + jr) * ldb + k0..][..kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * NR + jr] = v;
-                    }
-                }
-            }
-        }
-    }
+    cols_to
 }
 
 // The unrolled micro-kernel below spells out one accumulator row per
 // MR line; keep the constant honest.
-const _: () = assert!(MR == 8, "micro_kernel is unrolled for MR == 8");
+const _: () = assert!(MR == 8, "tile is unrolled for MR == 8");
 
 /// One fused row update `acc + a·b` over an `NR`-wide lane group.
 /// By-value arrays keep the accumulator rows SSA values, which is what
@@ -177,75 +105,81 @@ fn fma_row(mut acc: [f32; NR], a: f32, b: &[f32; NR]) -> [f32; NR] {
     acc
 }
 
-/// The register micro-kernel: folds one `kc`-deep `MR×NR` tile into
-/// `acc` in ascending-`k` order. Both panels are read at unit stride;
-/// the fixed-size row updates unroll and vectorize.
+/// The register micro-kernel: the `MR×NR` tile of `A·B` at `A` rows
+/// `i0..i0 + MR` and `B` columns `j0..j0 + NR`, each element folded over
+/// all of `k` in ascending order from zero. `TA` selects `A`'s
+/// orientation; `B` is row-major with leading dimension `ldb`.
 #[inline(always)]
-fn micro_kernel(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let [mut r0, mut r1, mut r2, mut r3, mut r4, mut r5, mut r6, mut r7] = *acc;
-    for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        let b: &[f32; NR] = bv.try_into().expect("NR-wide chunk");
-        r0 = fma_row(r0, av[0], b);
-        r1 = fma_row(r1, av[1], b);
-        r2 = fma_row(r2, av[2], b);
-        r3 = fma_row(r3, av[3], b);
-        r4 = fma_row(r4, av[4], b);
-        r5 = fma_row(r5, av[5], b);
-        r6 = fma_row(r6, av[6], b);
-        r7 = fma_row(r7, av[7], b);
-    }
-    *acc = [r0, r1, r2, r3, r4, r5, r6, r7];
-}
-
-/// Computes one `MC`-block's contribution for one `KC` slab:
-/// `C[rows i0..i0+mrows] += A_slab · B_slab`, with the accumulator tile
-/// seeded from `C` so the per-element fold stays ascending in `k`
-/// across slabs. `c_block` is the block's `mrows × n` row window.
-#[allow(clippy::too_many_arguments)] // blocking geometry is the signature
-fn compute_block(
+fn tile<const TA: bool>(
     a: &[f32],
     lda: usize,
-    orient_a: Orient,
     i0: usize,
-    mrows: usize,
-    k0: usize,
-    kc: usize,
-    packed_b: &[f32],
+    b: &[f32],
+    ldb: usize,
+    j0: usize,
+    k: usize,
+) -> [[f32; NR]; MR] {
+    let rows: [&[f32]; MR] =
+        std::array::from_fn(|r| if TA { &[] } else { &a[(i0 + r) * lda..][..k] });
+    let [mut r0, mut r1, mut r2, mut r3, mut r4, mut r5, mut r6, mut r7] = [[0.0f32; NR]; MR];
+    for kk in 0..k {
+        let strip: &[f32] = if TA { &a[kk * lda + i0..][..MR] } else { &[] };
+        // Read at the use, so each value is one broadcast from memory.
+        let av = |r: usize| if TA { strip[r] } else { rows[r][kk] };
+        let bv: &[f32; NR] = b[kk * ldb + j0..][..NR].try_into().expect("NR-wide row");
+        r0 = fma_row(r0, av(0), bv);
+        r1 = fma_row(r1, av(1), bv);
+        r2 = fma_row(r2, av(2), bv);
+        r3 = fma_row(r3, av(3), bv);
+        r4 = fma_row(r4, av(4), bv);
+        r5 = fma_row(r5, av(5), bv);
+        r6 = fma_row(r6, av(6), bv);
+        r7 = fma_row(r7, av(7), bv);
+    }
+    [r0, r1, r2, r3, r4, r5, r6, r7]
+}
+
+/// Output rows `lo..hi` of `A·B` into `c`, their `(hi - lo) × n` window.
+/// `A` has `ma ≥ MR` readable rows and `B` at least `max(n, NR)` readable
+/// columns, so a tile that would run past either end starts early.
+#[allow(clippy::too_many_arguments)] // two operands and the row window
+fn row_block<const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    ma: usize,
+    b: &[f32],
+    ldb: usize,
+    k: usize,
     n: usize,
-    c_block: &mut [f32],
+    lo: usize,
+    hi: usize,
+    c: &mut [f32],
 ) {
-    PACK_A.with(|cell| {
-        let abuf = &mut *cell.borrow_mut();
-        pack_a(a, lda, orient_a, i0, mrows, k0, kc, abuf);
-        let mpanels = mrows.div_ceil(MR);
-        for (jp, b_panel) in packed_b.chunks_exact(kc * NR).enumerate() {
-            let j0 = jp * NR;
-            let cols = NR.min(n - j0);
-            for ip in 0..mpanels {
-                let a_panel = &abuf[ip * kc * MR..(ip + 1) * kc * MR];
-                let r0 = ip * MR;
-                let rows = MR.min(mrows - r0);
-                let mut acc = [[0.0f32; NR]; MR];
-                for (i, accrow) in acc.iter_mut().enumerate().take(rows) {
-                    let c_row = &c_block[(r0 + i) * n + j0..][..cols];
-                    accrow[..cols].copy_from_slice(c_row);
-                }
-                micro_kernel(a_panel, b_panel, &mut acc);
-                for (i, accrow) in acc.iter().enumerate().take(rows) {
-                    let c_row = &mut c_block[(r0 + i) * n + j0..][..cols];
-                    c_row.copy_from_slice(&accrow[..cols]);
+    let width = n.min(NR);
+    for i0 in (lo..hi).step_by(MR) {
+        let at = i0.min(ma - MR);
+        for j0 in (0..n).step_by(NR) {
+            let j0 = j0.min(n - width);
+            let acc = tile::<TA>(a, lda, at, b, ldb, j0, k);
+            for (i, accrow) in (i0..hi.min(i0 + MR)).zip(&acc[i0 - at..]) {
+                // A whole panel row is one fixed-size store, not a memcpy call.
+                let row = &mut c[(i - lo) * n + j0..][..width];
+                match <&mut [f32; NR]>::try_from(&mut *row) {
+                    Ok(row) => *row = *accrow,
+                    Err(_) => row.copy_from_slice(&accrow[..width]),
                 }
             }
         }
-    });
+    }
 }
 
-/// The blocked driver shared by all three products. `out` must be the
-/// zero-initialized (or seed-value) `m × n` destination; `threads`
-/// bounds how many contiguous groups the `MC` row blocks are split
-/// into (the grouping never affects bits — see the module docs).
-#[allow(clippy::too_many_arguments)] // blocking geometry is the signature
-fn gemm_blocked(
+/// The driver shared by all three products: `out = A·B` for the `m × k`
+/// operand `A` and the `k × n` operand `B`. `out` must be zeroed (it is
+/// left so when `k = 0`); `threads` bounds how many contiguous groups the
+/// `MC` row blocks are split into (the grouping never affects bits — see
+/// the module docs).
+#[allow(clippy::too_many_arguments)] // two operands and the shape
+fn gemm(
     a: &[f32],
     lda: usize,
     orient_a: Orient,
@@ -253,59 +187,49 @@ fn gemm_blocked(
     ldb: usize,
     orient_b: Orient,
     m: usize,
-    kdim: usize,
+    k: usize,
     n: usize,
     out: &mut [f32],
     threads: usize,
 ) {
-    if m == 0 || n == 0 || kdim == 0 {
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || n == 0 || k == 0 {
         return;
     }
-    debug_assert_eq!(out.len(), m * n);
-    let nblocks = m.div_ceil(MC);
-    let teams =
-        if m * kdim * n >= gemm_par_threshold_flops() { threads.min(nblocks).max(1) } else { 1 };
-    let mut k0 = 0;
-    while k0 < kdim {
-        let kc = KC.min(kdim - k0);
-        PACK_B.with(|cell| {
-            let bbuf = &mut *cell.borrow_mut();
-            pack_b(b, ldb, orient_b, k0, kc, n, bbuf);
-            if teams <= 1 {
-                for blk in 0..nblocks {
-                    let i0 = blk * MC;
-                    let mrows = MC.min(m - i0);
-                    let c_block = &mut out[i0 * n..(i0 + mrows) * n];
-                    compute_block(a, lda, orient_a, i0, mrows, k0, kc, bbuf, n, c_block);
-                }
+    A_COPY.with_borrow_mut(|a_copy| {
+        B_COPY.with_borrow_mut(|b_copy| {
+            let (b, ldb) = if orient_b == Orient::Transposed || n < NR {
+                let ldb = copy_padded(b, ldb, orient_b, k, n, k, n.max(NR), b_copy);
+                (&b_copy[..], ldb)
             } else {
-                let ranges = par::split_ranges(nblocks, teams);
-                let bbuf = &*bbuf;
-                let mut rest = &mut *out;
-                let mut consumed_rows = 0usize;
-                let mut tasks: Vec<pool::Task<'_>> = Vec::with_capacity(ranges.len());
-                for range in ranges {
-                    let first_row = range.start * MC;
-                    let last_row = (range.end * MC).min(m);
-                    debug_assert_eq!(consumed_rows, first_row);
-                    let (mine, tail) = rest.split_at_mut((last_row - first_row) * n);
-                    rest = tail;
-                    consumed_rows = last_row;
-                    tasks.push(Box::new(move || {
-                        for blk in range {
-                            let i0 = blk * MC;
-                            let mrows = MC.min(m - i0);
-                            let local = (i0 - first_row) * n;
-                            let c_block = &mut mine[local..local + mrows * n];
-                            compute_block(a, lda, orient_a, i0, mrows, k0, kc, bbuf, n, c_block);
-                        }
-                    }));
-                }
-                pool::run_batch(tasks);
+                (b, ldb)
+            };
+            let (a, lda, orient_a, ma) = if m < MR {
+                let lda = copy_padded(a, lda, orient_a, m, k, MR, k, a_copy);
+                (&a_copy[..], lda, Orient::Normal, MR)
+            } else {
+                (a, lda, orient_a, m)
+            };
+            let run = move |lo: usize, hi: usize, c: &mut [f32]| match orient_a {
+                Orient::Normal => row_block::<false>(a, lda, ma, b, ldb, k, n, lo, hi, c),
+                Orient::Transposed => row_block::<true>(a, lda, ma, b, ldb, k, n, lo, hi, c),
+            };
+            let nblocks = m.div_ceil(MC);
+            let teams = if m * k * n >= PAR_MIN_MACS { threads.min(nblocks) } else { 1 };
+            if teams <= 1 {
+                return run(0, m, out);
             }
-        });
-        k0 += kc;
-    }
+            let mut rest = &mut *out;
+            let mut tasks: Vec<pool::Task<'_>> = Vec::with_capacity(teams);
+            for range in par::split_ranges(nblocks, teams) {
+                let (lo, hi) = (range.start * MC, (range.end * MC).min(m));
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * n);
+                rest = tail;
+                tasks.push(Box::new(move || run(lo, hi, mine)));
+            }
+            pool::run_batch(tasks);
+        })
+    });
 }
 
 impl Matrix {
@@ -334,7 +258,7 @@ impl Matrix {
             rhs.shape()
         );
         out.resize_to(self.rows(), rhs.cols());
-        gemm_blocked(
+        gemm(
             self.as_slice(),
             self.cols().max(1),
             Orient::Normal,
@@ -365,7 +289,7 @@ impl Matrix {
             rhs.shape()
         );
         let mut out = Matrix::zeros(self.rows(), rhs.cols());
-        gemm_blocked(
+        gemm(
             self.as_slice(),
             self.cols().max(1),
             Orient::Normal,
@@ -404,7 +328,7 @@ impl Matrix {
             rhs.shape()
         );
         out.resize_to(self.cols(), rhs.cols());
-        gemm_blocked(
+        gemm(
             self.as_slice(),
             self.cols().max(1),
             Orient::Transposed,
@@ -441,7 +365,7 @@ impl Matrix {
             rhs.shape()
         );
         out.resize_to(self.rows(), rhs.rows());
-        gemm_blocked(
+        gemm(
             self.as_slice(),
             self.cols().max(1),
             Orient::Normal,
@@ -499,10 +423,11 @@ mod tests {
 
     #[test]
     fn matmul_matches_naive_across_blocking_boundaries() {
-        // Shapes straddling every blocking parameter: MR/NR tails,
-        // multiple MC row blocks, and multiple KC slabs. Values are
-        // small integers, so any summation order is exact and the
-        // blocked result must equal the naive one bit-for-bit.
+        // Shapes straddling every tiling parameter: operands shorter
+        // than a tile, MR/NR tails, several MC row blocks, and a deep k.
+        // Values are small integers, so any summation order is exact and
+        // the tiled result must equal the naive one bit-for-bit
+        // (tests/gemm_parity.rs holds random inputs to the fold order).
         for (m, k, n) in [(1, 1, 1), (7, 9, 5), (8, 256, 8), (65, 300, 17), (130, 520, 11)] {
             let a = test_mat(m, k, 1.0);
             let b = test_mat(k, n, 2.0);
@@ -559,13 +484,6 @@ mod tests {
         let mut tt_out = Matrix::zeros(0, 0);
         a.matmul_t_into(&a, &mut tt_out);
         assert_eq!(tt_out, a.matmul_t(&a));
-    }
-
-    #[test]
-    fn default_par_threshold_is_active_without_override() {
-        if std::env::var("FEDL_GEMM_PAR_FLOPS").is_err() {
-            assert_eq!(gemm_par_threshold_flops(), DEFAULT_PAR_THRESHOLD_FLOPS);
-        }
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod par;
 mod pool;
 pub mod rng;
 
-pub use gemm::gemm_par_threshold_flops;
 pub use matrix::Matrix;
 
 /// Absolute tolerance used by the crate's approximate float comparisons.

@@ -1,25 +1,33 @@
-//! Thread-count bit-parity for the blocked GEMM.
+//! The GEMM against the scalar ascending-`k` fold, bit for bit, and
+//! against itself across thread counts.
 //!
-//! The cache-blocked kernel partitions work by row panels; every panel is
-//! computed by the same sequential micro-kernel in the same order no
-//! matter which worker runs it, so the product must be byte-identical
-//! for any thread count. These tests pin that contract: a future change
-//! that makes the split point (and therefore the reduction order) depend
-//! on thread count would show up here as a bit diff.
+//! Every output element of every product is the fold
+//! `((0 + a₀b₀) + a₁b₁) + …` in ascending `k` — what the scalar triple
+//! loop computes, and what every earlier kernel here computed. On
+//! uniform-random inputs any other association (a split of `k`, a tree
+//! sum, a fused multiply-add) changes low bits somewhere, so these tests
+//! pin the fold order itself, not just the value: in all three
+//! orientations, at the shapes the training workloads run, at every row
+//! and column tail of the register tile, and at depths on either side of
+//! 256 (the slab depth of the kernel before this one).
+//!
+//! The kernel partitions work by whole row blocks; every block is
+//! computed by the same sequential tile loop no matter which worker runs
+//! it, so the product must also be byte-identical for any thread count.
 
 use fedl_linalg::rng::rng_for;
 use fedl_linalg::Matrix;
 
-/// Shapes chosen to straddle the parallel-dispatch threshold: the small
-/// ones stay on the sequential path for every thread count, the large
-/// ones cross `gemm_par_threshold_flops()` (default 256 Ki flops, i.e.
-/// any product with `2*m*k*n >= 262144`) and exercise the panel split.
+/// Shapes on either side of the parallel cut (`m·k·n ≥ 256 Ki`
+/// multiply-adds): the first two stay on the calling thread at every
+/// thread count, 64³ sits exactly at the cut, and the last three cross it
+/// and exercise the row-block split.
 const SHAPES: [(usize, usize, usize); 6] = [
     (3, 5, 4),      // tiny, sequential everywhere
-    (17, 33, 9),    // odd remainders in every blocking dimension
-    (64, 64, 64),   // exactly at the MC boundary
-    (96, 96, 96),   // crosses the parallel threshold
-    (128, 300, 65), // wide K remainder, crosses threshold
+    (17, 33, 9),    // odd remainders in every tiling dimension
+    (64, 64, 64),   // exactly one row block, at the parallel cut
+    (96, 96, 96),   // two row blocks
+    (128, 300, 65), // deep k, a column tail
     (257, 48, 130), // row count not a multiple of any block size
 ];
 
@@ -28,28 +36,112 @@ fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
     Matrix::uniform(rows, cols, 2.0, &mut rng)
 }
 
-/// The product must be byte-identical for sequential, 2-thread, and
-/// 8-thread dispatch, and identical to the public `matmul` entry point.
+/// `op(A)·op(B)` by the scalar triple loop: each element one fold from
+/// zero, ascending in `k`, one rounded multiply and one rounded add a step.
+fn scalar_fold(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a(i, kk) * b(kk, j);
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+fn assert_bits(got: &Matrix, want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: size");
+    for (i, (x, y)) in got.as_slice().iter().zip(want).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}, element {i}: {x:?} vs the fold's {y:?}");
+    }
+}
+
+/// `A·B`, `Aᵀ·B` and `A·Bᵀ` at `m × k × n` against the scalar fold.
+fn check_all_orientations(m: usize, k: usize, n: usize, salt: u64) {
+    let what = |op: &str| format!("{op} at {m}x{k}x{n}");
+    let (a, b) = (filled(m, k, salt), filled(k, n, salt + 1));
+    let want = scalar_fold(m, k, n, |i, kk| a.get(i, kk), |kk, j| b.get(kk, j));
+    assert_bits(&a.matmul(&b), &want, &what("A·B"));
+
+    let at = filled(k, m, salt + 2);
+    let want = scalar_fold(m, k, n, |i, kk| at.get(kk, i), |kk, j| b.get(kk, j));
+    assert_bits(&at.t_matmul(&b), &want, &what("Aᵀ·B"));
+
+    let bt = filled(n, k, salt + 3);
+    let want = scalar_fold(m, k, n, |i, kk| a.get(i, kk), |kk, j| bt.get(j, kk));
+    assert_bits(&a.matmul_t(&bt), &want, &what("A·Bᵀ"));
+}
+
+/// The five products of a training pass of the `d-h-10` MLPs the two
+/// training workloads run (64-64-10 and 128-96-10), at a client's ≈ 15
+/// samples and at 16 and 32 rows: `x·W₁`, `a₁·W₂`, `a₁ᵀ·δ`, `δ·W₂ᵀ`,
+/// `xᵀ·δ₁`.
 #[test]
-fn matmul_is_bit_identical_across_thread_counts() {
+fn training_products_are_the_scalar_fold() {
+    for (d, h) in [(64, 64), (128, 96)] {
+        for rows in [15, 16, 32] {
+            let salt = (d * 1000 + h * 10 + rows) as u64;
+            let (x, w1, w2) =
+                (filled(rows, d, salt), filled(d, h, salt + 1), filled(h, 10, salt + 2));
+            let (a1, delta, delta1) =
+                (filled(rows, h, salt + 3), filled(rows, 10, salt + 4), filled(rows, h, salt + 5));
+            let case = |op: &str| format!("{op}, {d}-{h}-10 at {rows} rows");
+            let fold = |l: &Matrix, r: &Matrix| {
+                scalar_fold(l.rows(), l.cols(), r.cols(), |i, k| l.get(i, k), |k, j| r.get(k, j))
+            };
+            assert_bits(&x.matmul(&w1), &fold(&x, &w1), &case("x·W₁"));
+            assert_bits(&a1.matmul(&w2), &fold(&a1, &w2), &case("a₁·W₂"));
+            assert_bits(&a1.t_matmul(&delta), &fold(&a1.transpose(), &delta), &case("a₁ᵀ·δ"));
+            assert_bits(&delta.matmul_t(&w2), &fold(&delta, &w2.transpose()), &case("δ·W₂ᵀ"));
+            assert_bits(&x.t_matmul(&delta1), &fold(&x.transpose(), &delta1), &case("xᵀ·δ₁"));
+        }
+    }
+}
+
+/// Row tails `m % 8 ∈ {1, 7}` (and an `A` shorter than one tile), column
+/// tails `n % 16 ∈ {1, 10, 15}` (and a `B` narrower than one panel), in
+/// all three orientations.
+#[test]
+fn tile_tails_are_the_scalar_fold() {
+    for m in [1, 7, 9, 15, 17, 23] {
+        for n in [1, 10, 15, 17, 26, 31] {
+            check_all_orientations(m, 37, n, (m * 100 + n) as u64);
+        }
+    }
+}
+
+/// Depths on either side of 256, in all three orientations.
+#[test]
+fn deep_k_is_the_scalar_fold() {
+    for k in [1, 255, 256, 257, 600] {
+        check_all_orientations(17, k, 26, k as u64);
+    }
+}
+
+/// The product must be the scalar fold's bytes for sequential, 2-thread
+/// and 8-thread dispatch, and identical to the public `matmul` entry
+/// point.
+#[test]
+fn matmul_is_the_scalar_fold_at_every_thread_count() {
     for (idx, &(m, k, n)) in SHAPES.iter().enumerate() {
         let a = filled(m, k, idx as u64);
         let b = filled(k, n, idx as u64 + 100);
-        let reference = a.matmul_with_threads(&b, 1);
-        for threads in [2usize, 8] {
+        let want = scalar_fold(m, k, n, |i, kk| a.get(i, kk), |kk, j| b.get(kk, j));
+        for threads in [1usize, 2, 8] {
             let got = a.matmul_with_threads(&b, threads);
-            assert_eq!(reference.shape(), got.shape());
-            for (i, (x, y)) in reference.as_slice().iter().zip(got.as_slice()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "shape {m}x{k}x{n}, {threads} threads, element {i}: \
-                     {x:?} vs {y:?}"
-                );
-            }
+            assert_eq!(got.shape(), (m, n));
+            assert_bits(&got, &want, &format!("shape {m}x{k}x{n}, {threads} threads"));
         }
-        let public = a.matmul(&b);
-        assert_eq!(reference.as_slice(), public.as_slice());
+        assert_bits(&a.matmul(&b), &want, &format!("shape {m}x{k}x{n}, matmul"));
     }
 }
 

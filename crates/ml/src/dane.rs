@@ -311,26 +311,24 @@ fn solve(
     let work = scratch.work.as_mut().expect("work model ensured above");
     out.delta.set_zeros_like(w);
     scratch.velocity.set_zeros_like(w);
+    scratch.wd.set_zeros_like(w);
     for _ in 0..cfg.local_steps {
-        scratch.wd.copy_from(w);
-        scratch.wd.axpy(1.0, &out.delta);
+        shift_into(&mut scratch.wd, w, &out.delta);
         work.set_params_from(&scratch.wd);
         sample_batch_into(data, cfg.batch, rng, &mut scratch.bx, &mut scratch.by);
         // Gradient only: nobody reads a loss at w + dʲ.
         work.ce_and_grad_scratch(&scratch.bx, &scratch.by, &mut scratch.g, &mut scratch.ws);
-        // ∇G(d) = ∇F(w+d) + σ₁·d − ∇F(w) + σ₂·J.
-        scratch.g.axpy(cfg.sigma1, &out.delta);
-        scratch.g.axpy(1.0, &scratch.neg_linear);
-        scratch.g.clip(cfg.clip);
-        // Heavy-ball update: v ← γ·v − α·∇G, d ← d + v.
-        scratch.velocity.scale(cfg.momentum);
-        scratch.velocity.axpy(-cfg.lr, &scratch.g);
-        out.delta.axpy(1.0, &scratch.velocity);
+        heavy_ball_step(
+            &scratch.g,
+            &scratch.neg_linear,
+            cfg,
+            &mut scratch.velocity,
+            &mut out.delta,
+        );
     }
 
     // Final full-batch surrogate gradient for η̂ and the post-solve loss.
-    scratch.wd.copy_from(w);
-    scratch.wd.axpy(1.0, &out.delta);
+    shift_into(&mut scratch.wd, w, &out.delta);
     work.set_params_from(&scratch.wd);
     out.loss_after =
         work.loss_and_grad_scratch(x_full, &scratch.y_full, &mut scratch.g, &mut scratch.ws);
@@ -351,6 +349,56 @@ fn solve(
         // started at its stationary point, so the solve is "exact".
         0.0
     };
+}
+
+/// `wd ← w + 1·d` in one pass (`wd` already shaped like `w`): the values
+/// of a copy of `w` followed by `axpy(1, d)`.
+fn shift_into(wd: &mut ParamSet, w: &ParamSet, d: &ParamSet) {
+    for ((wd, w), d) in wd.tensors_mut().iter_mut().zip(w.tensors()).zip(d.tensors()) {
+        assert!(wd.shape() == w.shape() && w.shape() == d.shape(), "DANE shape mismatch");
+        for ((o, &w), &d) in wd.as_mut_slice().iter_mut().zip(w.as_slice()).zip(d.as_slice()) {
+            *o = w + 1.0 * d;
+        }
+    }
+}
+
+/// One local step after the gradient `g = ∇F(w + d)`, in one pass: per
+/// element, in the order the whole-vector passes it replaces ran them,
+/// the surrogate gradient `∇G(d) = g + σ₁·d + 1·(−∇F(w) + σ₂·J)`, clipped
+/// into `[−clip, clip]`, then the heavy-ball update `v ← v·γ + (−α)·∇G`,
+/// `d ← d + 1·v`. The clipped `∇G` itself is not kept: the next gradient
+/// overwrites `g`.
+fn heavy_ball_step(
+    g: &ParamSet,
+    neg_linear: &ParamSet,
+    cfg: &DaneConfig,
+    velocity: &mut ParamSet,
+    delta: &mut ParamSet,
+) {
+    assert!(cfg.clip > 0.0, "clip limit must be positive");
+    let (sigma1, clip, momentum, neg_lr) = (cfg.sigma1, cfg.clip, cfg.momentum, -cfg.lr);
+    let tensors = g.tensors().iter().zip(neg_linear.tensors());
+    for ((g, nl), (v, d)) in tensors.zip(velocity.tensors_mut().iter_mut().zip(delta.tensors_mut()))
+    {
+        let shape = g.shape();
+        assert!(
+            nl.shape() == shape && v.shape() == shape && d.shape() == shape,
+            "DANE shape mismatch"
+        );
+        let lanes = g.as_slice().iter().zip(nl.as_slice());
+        for ((&g, &nl), (v, d)) in lanes.zip(v.as_mut_slice().iter_mut().zip(d.as_mut_slice())) {
+            let mut grad = g + sigma1 * *d;
+            grad += 1.0 * nl;
+            if grad > clip {
+                grad = clip;
+            } else if grad < -clip {
+                grad = -clip;
+            }
+            *v *= momentum;
+            *v += neg_lr * grad;
+            *d += 1.0 * *v;
+        }
+    }
 }
 
 /// [`local_update`] with the solve's observables recorded into

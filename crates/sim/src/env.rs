@@ -80,35 +80,81 @@ pub struct EdgeEnvironment {
 }
 
 /// The per-epoch walk that scores the epoch-final model on every
-/// available client's working set (§3.1's `F_t`, constraint (3d)): one
-/// reused index / feature / one-hot / activation workspace, and each
-/// walked client's loss and row count. Warm, the walk allocates nothing.
+/// available client's working set (§3.1's `F_t`, constraint (3d)): the
+/// available clients cut into one contiguous run per thread of the team,
+/// each run scored through that thread's own reused workspace, and each
+/// walked client's loss and row count recorded by id. Warm, a one-thread
+/// walk allocates nothing.
 #[derive(Default)]
 struct ClientEvaluation {
-    idx: Vec<usize>,
-    x: Matrix,
-    y: Matrix,
-    ws: ModelScratch,
+    /// The clients walked this epoch, ascending.
+    ids: Vec<usize>,
+    /// One workspace per thread of the team.
+    teams: Vec<EvalWorkspace>,
     /// Indexed by client id; only the entries of the clients walked this
     /// epoch are current.
     losses: Vec<f32>,
     rows: Vec<usize>,
 }
 
-impl ClientEvaluation {
-    /// Scores `model` on client `k`'s epoch working set.
+/// One thread's share of the walk: a reused index / feature / one-hot /
+/// activation workspace, and the `(client, loss, rows)` it scored.
+#[derive(Default)]
+struct EvalWorkspace {
+    idx: Vec<usize>,
+    x: Matrix,
+    y: Matrix,
+    ws: ModelScratch,
+    scored: Vec<(usize, f32, usize)>,
+}
+
+impl EvalWorkspace {
+    /// `model`'s loss on a client's epoch working set, and its rows.
     fn score(
         &mut self,
         model: &dyn Model,
-        k: usize,
         stream: &OnlineStream,
         train: &Dataset,
         epoch: usize,
-    ) {
+    ) -> (f32, usize) {
         stream.arrivals_into(epoch, &mut self.idx);
         train.gather_into(&self.idx, &mut self.x, &mut self.y);
-        self.losses[k] = model.loss_scratch(&self.x, &self.y, &mut self.ws);
-        self.rows[k] = self.idx.len();
+        (model.loss_scratch(&self.x, &self.y, &mut self.ws), self.idx.len())
+    }
+}
+
+impl ClientEvaluation {
+    /// Scores `model` on the epoch working set of each client in `ids`
+    /// across the team. Each client's loss is a pure function of the
+    /// model and its working set, so the recorded values are the same at
+    /// any thread count.
+    fn walk(
+        &mut self,
+        model: &dyn Model,
+        streams: &[OnlineStream],
+        train: &Dataset,
+        epoch: usize,
+        ids: impl Iterator<Item = usize>,
+    ) {
+        self.ids.clear();
+        self.ids.extend(ids);
+        let team = fedl_linalg::par::max_threads().min(self.ids.len()).max(1);
+        if self.teams.len() < team {
+            self.teams.resize_with(team, EvalWorkspace::default);
+        }
+        // One workspace per piece; a team of one runs inline on the caller.
+        let (ids, run) = (&self.ids[..], self.ids.len().div_ceil(team));
+        fedl_linalg::par::par_chunks_grained(&mut self.teams[..team], 1, 1, |t, ws| {
+            let ws = &mut ws[0];
+            ws.scored.clear();
+            for &k in ids.iter().skip(t * run).take(run) {
+                let (loss, rows) = ws.score(model, &streams[k], train, epoch);
+                ws.scored.push((k, loss, rows));
+            }
+        });
+        for &(k, loss, rows) in self.teams[..team].iter().flat_map(|ws| &ws.scored) {
+            (self.losses[k], self.rows[k]) = (loss, rows);
+        }
     }
 
     /// Data-volume-weighted loss `Σ θ_k F_k(w)` with `θ_k = D_k / Σ D`
@@ -422,13 +468,12 @@ impl EdgeEnvironment {
         let cost: f64 = full_cohort.iter().map(|&k| now.cost[k]).sum();
 
         // Global losses at the epoch-final model: every available client
-        // is scored once, in id order; `F_t` folds all of them in that
+        // is scored once, across the team; `F_t` folds all of them in id
         // order and `F̃_t` the cohort's entries in cohort order.
         let evaluate = run_span.child("evaluate-clients");
         let evaluate_started = Instant::now();
-        for k in available_ids() {
-            self.eval.score(self.server.model(), k, &self.streams[k], &self.train, epoch);
-        }
+        let model = self.server.model();
+        self.eval.walk(model, &self.streams, &self.train, epoch, available_ids());
         let global_loss_selected = self.eval.weighted_loss(cohort.iter().copied());
         let global_loss_all = self.eval.weighted_loss(available_ids());
         drop(evaluate);

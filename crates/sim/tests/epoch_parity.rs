@@ -2,7 +2,8 @@
 //! what they replaced (`tests/oracle/epoch.rs`, `fedl_ml::metrics`'s two
 //! separate passes): every model-dependent field of `EpochReport` equal
 //! bit for bit, over seeds × dropout × cohort order × aggregation rule ×
-//! model family.
+//! model family — with the team forced to 1, 2 and 8 threads, so the
+//! walk's split across the team never shows in a bit either.
 
 #[path = "../../ml/tests/oracle/mod.rs"]
 mod ml_oracle;
@@ -52,13 +53,22 @@ fn bits32(v: &[f32]) -> Vec<u32> {
 
 #[test]
 fn the_walk_reports_what_the_two_materialized_passes_reported() {
+    for threads in [1, 2, 8] {
+        fedl_linalg::par::force_max_threads(threads);
+        sweep(threads);
+    }
+}
+
+fn sweep(threads: usize) {
     let dane = DaneConfig { local_steps: 2, batch: 8, ..Default::default() };
     let mut dropped = 0usize;
     for seed in 0..SEEDS {
         for p_dropout in [0.0, 0.5] {
             for aggregation in [AggregationNorm::Available, AggregationNorm::Cohort] {
                 for family in [Family::Softmax, Family::Mlp, Family::Cnn] {
-                    let case = format!("seed {seed} p {p_dropout} {aggregation:?} {family:?}");
+                    let case = format!(
+                        "{threads} threads, seed {seed} p {p_dropout} {aggregation:?} {family:?}"
+                    );
                     let mut config = EnvConfig::small(CLIENTS, seed);
                     config.p_dropout = p_dropout;
                     config.aggregation = aggregation;

@@ -210,6 +210,11 @@ stage_perf() {
     run_exp bench --quick --out results/BENCH.json > /dev/null
     run_exp bench-history gate results/BENCH.json --history results/BENCH_HISTORY.jsonl
     run_exp bench-history append results/BENCH.json --history results/BENCH_HISTORY.jsonl
+    # One 16-row training pass's products and one 16-row local solve, at
+    # the 128-96-10 shape train_fedavg_cifar_m100 runs (docs/PERF.md,
+    # "The GEMM"): the layer that workload's epoch spends most of its time in.
+    require_kernels gemm/forward_16x128x96 gemm/weight_grad_128x16x96 gemm/head_16x96x10 \
+        ml/dane_local_solve_16
     # The one-shot solve's kernels (docs/PERF.md, "the solve") are what
     # the gate above watches for the layer every FedL decision runs.
     require_kernels solve/project_1k solve/descend_64 solve/descend_1k solve/descend_10k \
