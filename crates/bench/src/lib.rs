@@ -13,10 +13,10 @@
 //!   latency oracle, fairness, bandwidth allocation, dropout,
 //!   multi-seed replication);
 //! * [`plot`] — terminal (ASCII) curve rendering of the figure panels;
-//! * [`timing`] — the measured-iterations micro-benchmark harness used
-//!   by the `benches/` targets (offline replacement for criterion);
+//! * [`timing`] — the measured-iterations timer (offline replacement for
+//!   criterion);
 //! * [`perf`] — the `experiments bench` perf-snapshot suite
-//!   (`BENCH.json`) and the noise-aware snapshot comparison the
+//!   (`BENCH.json`), the one way to time a kernel, and the noise-aware snapshot comparison the
 //!   history gate applies (DESIGN.md row **S13**, docs/OBSERVATORY.md);
 //! * [`history`] — the `experiments bench-history` longitudinal layer:
 //!   `BENCH_HISTORY.jsonl` snapshot storage, the rolling-baseline

@@ -220,7 +220,9 @@ fn suite_linalg(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profi
     let a = Matrix::uniform(n, n, 1.0, &mut rng);
     let b = Matrix::uniform(n, n, 1.0, &mut rng);
     measure_kernel(kernels, budget, &format!("gemm/square_{n}"), || {
-        std::hint::black_box(a.matmul(&b))
+        let mut out = Matrix::default();
+        a.matmul_into(&b, &mut out);
+        std::hint::black_box(out)
     });
 
     // The products of one 16-row training pass of the 128-96-10 MLP
@@ -252,7 +254,9 @@ fn suite_linalg(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profi
     };
     let logits = Matrix::uniform(rows, cols, 1.0, &mut rng);
     measure_kernel(kernels, budget, &format!("linalg/softmax_rows_{rows}x{cols}"), || {
-        std::hint::black_box(fedl_linalg::ops::softmax_rows(&logits))
+        let mut probs = Matrix::default();
+        fedl_linalg::ops::softmax_rows_into(&logits, &mut probs);
+        std::hint::black_box(probs)
     });
 }
 
@@ -265,6 +269,7 @@ fn suite_dane(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile
     };
     use fedl_ml::model::{Mlp, Model};
     use fedl_ml::ParamSet;
+    use fedl_telemetry::Telemetry;
 
     let samples = match profile {
         Profile::Paper => 400,
@@ -276,9 +281,9 @@ fn suite_dane(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile
     let (x, y) = (train.features.clone(), train.one_hot_labels());
     let (_, j) = model.loss_and_grad(&x, &y);
     let cfg = DaneConfig::default();
-    let mut rng = rng_for(0xBE4, 0);
+    let (mut rng, off) = (rng_for(0xBE4, 0), Telemetry::disabled());
     measure_kernel(kernels, budget, &format!("ml/dane_local_solve_{samples}"), || {
-        std::hint::black_box(local_update(&model, &train, &j, &cfg, &mut rng))
+        std::hint::black_box(local_update(&model, &train, &j, &cfg, &mut rng, &off))
     });
 
     // The solve `train_fedavg_cifar_m100` runs per client and iteration:
@@ -973,8 +978,8 @@ mod tests {
 
     #[test]
     fn quick_suite_covers_every_kernel_family() {
-        // FEDL_BENCH_FAST-equivalent: the quick suite itself is the
-        // smallest configuration; just run it once end-to-end.
+        // The quick suite is the smallest configuration; run it once
+        // end-to-end.
         let snap = run_suite(Profile::Quick);
         assert_eq!(snap.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(snap.profile, "quick");

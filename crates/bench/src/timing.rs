@@ -1,41 +1,14 @@
-//! A minimal measured-iterations benchmark harness — the offline,
-//! zero-dependency replacement for criterion.
+//! The measured-iterations timer behind `experiments bench` — the
+//! offline, zero-dependency replacement for criterion.
 //!
-//! Each benchmark closure is warmed up, calibrated to a fixed wall-clock
-//! budget, then timed over several samples of many iterations; the
-//! median per-iteration time (and the best sample, as a noise floor) is
-//! printed in a fixed-width table. Usage from a `harness = false` bench
-//! target:
-//!
-//! ```no_run
-//! use fedl_bench::timing::{bench, group};
-//!
-//! group("gemm");
-//! bench("square/32", || 2 + 2);
-//! ```
-//!
-//! Set `FEDL_BENCH_FAST=1` to shrink the measurement budget (useful for
-//! smoke-testing that every bench target still runs).
+//! A closure is warmed up, calibrated to a fixed wall-clock budget, then
+//! timed over several samples of many iterations; [`crate::perf`] turns
+//! the samples into the `BENCH.json` kernel statistics.
 
 use std::time::{Duration, Instant};
 
-use fedl_telemetry::log_line;
-
 /// Number of timed samples per benchmark.
 const SAMPLES: usize = 5;
-
-fn target_budget() -> Duration {
-    if std::env::var_os("FEDL_BENCH_FAST").is_some() {
-        Duration::from_millis(50)
-    } else {
-        Duration::from_millis(400)
-    }
-}
-
-/// Prints a group header (visual separator between benchmark families).
-pub fn group(name: &str) {
-    log_line!("\n── {name} ──");
-}
 
 pub(crate) fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
@@ -50,9 +23,9 @@ pub(crate) fn fmt_ns(ns: f64) -> String {
 }
 
 /// One benchmark's raw timings: per-iteration nanoseconds for each
-/// measured sample (ascending), plus the calibrated batch size. This is
-/// what [`bench()`] prints and what the `experiments bench` perf-snapshot
-/// suite serialises into `BENCH.json` (see [`crate::perf`]).
+/// measured sample (ascending), plus the calibrated batch size — what
+/// the `experiments bench` perf-snapshot suite serialises into
+/// `BENCH.json` (see [`crate::perf`]).
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Per-iteration time of each sample, nanoseconds, sorted ascending.
@@ -122,33 +95,6 @@ pub fn measure_with_budget<R>(budget: Duration, mut f: impl FnMut() -> R) -> Mea
     Measurement { per_iter_ns: times, iters }
 }
 
-/// [`measure_with_budget`] under the default (env-tunable) budget.
-pub fn measure<R>(f: impl FnMut() -> R) -> Measurement {
-    measure_with_budget(target_budget(), f)
-}
-
-/// Times `f` and prints one table row: median per-iteration time over
-/// a handful of samples, plus the fastest sample as the noise floor.
-pub fn bench<R>(label: &str, f: impl FnMut() -> R) {
-    let m = measure(f);
-    log_line!(
-        "{label:<44} {:>12}/iter   (best {:>12}, {}×{SAMPLES} iters)",
-        fmt_ns(m.median_ns()),
-        fmt_ns(m.min_ns()),
-        m.iters
-    );
-}
-
-/// Times `f` with a per-iteration element count and prints throughput
-/// next to the latency (the criterion `Throughput::Elements` analogue).
-pub fn bench_throughput<R>(label: &str, elements: u64, mut f: impl FnMut() -> R) {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let one = start.elapsed().as_nanos().max(1) as f64;
-    let rate = elements as f64 / (one / 1e9);
-    bench(&format!("{label} [{:.2} Melem/s]", rate / 1e6), f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,18 +105,6 @@ mod tests {
         assert_eq!(fmt_ns(12_300.0), "12.30 µs");
         assert_eq!(fmt_ns(12_300_000.0), "12.30 ms");
         assert_eq!(fmt_ns(2_000_000_000.0), "2.000 s");
-    }
-
-    #[test]
-    fn bench_runs_closure() {
-        // Smoke: the harness itself must not panic on a trivial closure.
-        std::env::set_var("FEDL_BENCH_FAST", "1");
-        let mut count = 0u64;
-        bench("unit/trivial", || {
-            count += 1;
-            count
-        });
-        assert!(count > 0);
     }
 
     #[test]

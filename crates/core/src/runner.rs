@@ -48,13 +48,17 @@ pub enum ScenarioError {
         /// The dataset's actual feature dimension.
         dim: usize,
     },
-    /// The participation floor `n` exceeds the population size `M`.
+    /// The participation floor `n` is zero or exceeds the population
+    /// size `M`.
     ParticipationFloor {
         /// Configured floor.
         min_participants: usize,
         /// Number of clients.
         num_clients: usize,
     },
+    /// The model cannot be built: a zero-width MLP hidden layer, or CNN
+    /// blocks that do not fit the input map (see [`Cnn::check`]).
+    Architecture(String),
 }
 
 impl fmt::Display for ScenarioError {
@@ -64,10 +68,14 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ModelShape { shape, dim } => {
                 write!(f, "CNN shape {shape:?} does not match the dataset dimension {dim}")
             }
+            ScenarioError::ParticipationFloor { min_participants: 0, .. } => {
+                write!(f, "participation floor must be positive")
+            }
             ScenarioError::ParticipationFloor { min_participants, num_clients } => write!(
                 f,
                 "participation floor {min_participants} exceeds the {num_clients}-client population"
             ),
+            ScenarioError::Architecture(why) => write!(f, "bad model architecture: {why}"),
         }
     }
 }
@@ -330,11 +338,7 @@ impl ScenarioConfig {
                 if map.len() != input_dim {
                     return Err(ScenarioError::ModelShape { shape: *shape, dim: input_dim });
                 }
-                let specs = blocks
-                    .iter()
-                    .map(|&(out_channels, kernel)| ConvBlockSpec { out_channels, kernel })
-                    .collect();
-                Box::new(Cnn::new(map, specs, classes, *l2, &mut rng))
+                Box::new(Cnn::new(map, conv_blocks(blocks), classes, *l2, &mut rng))
             }
         })
     }
@@ -344,11 +348,23 @@ impl ScenarioConfig {
     /// panicking.
     pub fn try_build_env(&self) -> Result<EdgeEnvironment, ScenarioError> {
         self.env.try_validate()?;
-        if self.min_participants > self.env.num_clients {
+        if !(1..=self.env.num_clients).contains(&self.min_participants) {
             return Err(ScenarioError::ParticipationFloor {
                 min_participants: self.min_participants,
                 num_clients: self.env.num_clients,
             });
+        }
+        match &self.model {
+            ModelArch::Linear { .. } => {}
+            ModelArch::Mlp { hidden, .. } => {
+                if hidden.contains(&0) {
+                    return Err(ScenarioError::Architecture("zero-width hidden layer".into()));
+                }
+            }
+            ModelArch::Cnn { shape, blocks, .. } => {
+                let map = MapShape { c: shape.0, h: shape.1, w: shape.2 };
+                Cnn::check(map, &conv_blocks(blocks)).map_err(ScenarioError::Architecture)?;
+            }
         }
         let mut spec =
             SyntheticSpec::new(self.task, self.train_size, self.test_size, self.env.seed);
@@ -368,6 +384,11 @@ impl ScenarioConfig {
     pub fn build_env(&self) -> EdgeEnvironment {
         self.try_build_env().unwrap_or_else(|e| panic!("{e}"))
     }
+}
+
+/// The `(out_channels, kernel)` pairs of a [`ModelArch::Cnn`] as blocks.
+fn conv_blocks(blocks: &[(usize, usize)]) -> Vec<ConvBlockSpec> {
+    blocks.iter().map(|&(out_channels, kernel)| ConvBlockSpec { out_channels, kernel }).collect()
 }
 
 /// One epoch's recorded outcome.
@@ -1059,6 +1080,39 @@ mod tests {
                 assert!(e.to_string().contains("does not match the dataset dimension"))
             }
             other => panic!("expected shape error, got {other:?}"),
+        }
+    }
+
+    /// Each degenerate scenario is refused by `try_new` under every
+    /// policy with a typed error — before a policy or a model is built,
+    /// so nothing downstream panics on it.
+    #[test]
+    fn degenerate_scenarios_are_typed_errors_under_every_policy() {
+        let cnn = |blocks: Vec<(usize, usize)>| {
+            let mut s = ScenarioConfig::small_fmnist_cnn(4, 50.0, 2);
+            s.model = ModelArch::Cnn { shape: (1, 16, 16), blocks, l2: 0.0 };
+            s
+        };
+        let mut zero_floor = scenario();
+        zero_floor.min_participants = 0;
+        let mut zero_width = scenario();
+        zero_width.model = ModelArch::Mlp { hidden: vec![8, 0], l2: 0.0 };
+        let cases = [
+            ("zero floor", zero_floor, "participation floor must be positive"),
+            ("oversized kernel", cnn(vec![(6, 17)]), "kernel 17 exceeds map 16x16"),
+            ("second block too big", cnn(vec![(6, 5), (4, 7)]), "kernel 7 exceeds map 6x6"),
+            ("pooled away", cnn(vec![(6, 16)]), "feature map vanished"),
+            ("zero channels", cnn(vec![(0, 5)]), "degenerate block"),
+            ("zero kernel", cnn(vec![(6, 0)]), "degenerate block"),
+            ("zero-width MLP", zero_width, "zero-width hidden layer"),
+        ];
+        for (name, s, want) in cases {
+            for kind in PolicyKind::ALL {
+                let err = ExperimentRunner::try_new(s.clone(), kind)
+                    .err()
+                    .unwrap_or_else(|| panic!("{name} under {kind:?} was accepted"));
+                assert!(err.to_string().contains(want), "{name} under {kind:?}: {err}");
+            }
         }
     }
 

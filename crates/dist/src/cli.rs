@@ -418,6 +418,11 @@ mod tests {
     fn bad_values_are_refused_before_a_worker_spawns_or_a_socket_binds() {
         for (line, want) in [
             ("dist --clients 0", "--clients must be positive"),
+            (
+                "dist --min-participants 0",
+                "--min-participants must be between 1 and --clients (100)",
+            ),
+            ("dist --budget 0", "--budget must be a positive finite number"),
             ("dist --io-timeout -1", "--io-timeout must be a positive number of seconds"),
             ("dist-worker --resume", "--resume requires --checkpoint FILE"),
             ("dist-worker", "--addr is required"),

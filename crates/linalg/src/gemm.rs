@@ -233,19 +233,9 @@ fn gemm(
 }
 
 impl Matrix {
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] into a caller-owned destination, reusing its
-    /// storage (zero allocation once `out`'s capacity has grown to
-    /// `self.rows() * rhs.cols()`).
+    /// Matrix product `self * rhs` into a caller-owned destination,
+    /// reusing its storage (zero allocation once `out`'s capacity has
+    /// grown to `self.rows() * rhs.cols()`).
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.rows()`.
@@ -273,49 +263,11 @@ impl Matrix {
         );
     }
 
-    /// `self * rhs` computed with an explicit row-block grouping width.
-    ///
-    /// Exists so the thread-count bit-parity suite can exercise the
-    /// exact task partitions a `FEDL_THREADS=n` run would produce
-    /// without re-launching the process; production code should call
-    /// [`Matrix::matmul`].
-    #[doc(hidden)]
-    pub fn matmul_with_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul shape mismatch: {:?} * {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        let mut out = Matrix::zeros(self.rows(), rhs.cols());
-        gemm(
-            self.as_slice(),
-            self.cols().max(1),
-            Orient::Normal,
-            rhs.as_slice(),
-            rhs.cols().max(1),
-            Orient::Normal,
-            self.rows(),
-            self.cols(),
-            rhs.cols(),
-            out.as_mut_slice(),
-            threads.max(1),
-        );
-        out
-    }
-
-    /// `selfᵀ * rhs` without materializing the transpose.
+    /// `selfᵀ * rhs` into a caller-owned destination, without
+    /// materializing the transpose.
     ///
     /// This is the shape that appears in backprop (`activationsᵀ × delta`),
     /// where `self` and `rhs` share the batch dimension as their rows.
-    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::t_matmul`] into a caller-owned destination.
     ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
@@ -343,16 +295,9 @@ impl Matrix {
         );
     }
 
-    /// `self * rhsᵀ` without materializing the transpose.
-    ///
-    /// Appears in backprop as `delta × weightsᵀ`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_t`] into a caller-owned destination.
+    /// `self * rhsᵀ` into a caller-owned destination, without
+    /// materializing the transpose. Appears in backprop as
+    /// `delta × weightsᵀ`.
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.cols()`.
@@ -399,6 +344,25 @@ mod tests {
         out
     }
 
+    /// `a·b`, `aᵀ·b` and `a·bᵀ` into fresh destinations.
+    fn mm(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_into(b, &mut out);
+        out
+    }
+
+    fn tmm(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.t_matmul_into(b, &mut out);
+        out
+    }
+
+    fn mmt(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_t_into(b, &mut out);
+        out
+    }
+
     fn test_mat(rows: usize, cols: usize, seed: f32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| ((r as f32 * 31.0 + c as f32 * 17.0 + seed) % 7.0) - 3.0)
     }
@@ -407,14 +371,14 @@ mod tests {
     fn matmul_matches_naive_small() {
         let a = test_mat(3, 4, 1.0);
         let b = test_mat(4, 5, 2.0);
-        assert_eq!(a.matmul(&b), naive(&a, &b));
+        assert_eq!(mm(&a, &b), naive(&a, &b));
     }
 
     #[test]
     fn matmul_matches_naive_above_parallel_threshold() {
         let a = test_mat(70, 70, 1.0);
         let b = test_mat(70, 70, 2.0);
-        let fast = a.matmul(&b);
+        let fast = mm(&a, &b);
         let slow = naive(&a, &b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!(crate::approx_eq(*x, *y, 1e-3), "{x} vs {y}");
@@ -431,7 +395,7 @@ mod tests {
         for (m, k, n) in [(1, 1, 1), (7, 9, 5), (8, 256, 8), (65, 300, 17), (130, 520, 11)] {
             let a = test_mat(m, k, 1.0);
             let b = test_mat(k, n, 2.0);
-            assert_eq!(a.matmul(&b), naive(&a, &b), "shape {m}x{k}x{n}");
+            assert_eq!(mm(&a, &b), naive(&a, &b), "shape {m}x{k}x{n}");
         }
     }
 
@@ -439,51 +403,49 @@ mod tests {
     fn identity_is_neutral() {
         let a = test_mat(4, 4, 3.0);
         let i = Matrix::identity(4);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
+        assert_eq!(mm(&a, &i), a);
+        assert_eq!(mm(&i, &a), a);
     }
 
     #[test]
     fn t_matmul_matches_explicit_transpose() {
         let a = test_mat(6, 3, 1.0);
         let b = test_mat(6, 4, 2.0);
-        assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
+        assert_eq!(tmm(&a, &b), mm(&a.transpose(), &b));
     }
 
     #[test]
     fn matmul_t_matches_explicit_transpose() {
         let a = test_mat(5, 3, 1.0);
         let b = test_mat(7, 3, 2.0);
-        assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
+        assert_eq!(mmt(&a, &b), mm(&a, &b.transpose()));
     }
 
     #[test]
     fn transposed_variants_match_across_blocking_boundaries() {
         let a = test_mat(300, 70, 1.0);
         let b = test_mat(300, 33, 2.0);
-        assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
+        assert_eq!(tmm(&a, &b), mm(&a.transpose(), &b));
         let c = test_mat(70, 300, 1.0);
         let d = test_mat(33, 300, 2.0);
-        assert_eq!(c.matmul_t(&d), c.matmul(&d.transpose()));
+        assert_eq!(mmt(&c, &d), mm(&c, &d.transpose()));
     }
 
     #[test]
-    fn into_variants_reuse_storage_and_match() {
+    fn a_reused_destination_matches_a_fresh_one() {
         let a = test_mat(20, 30, 1.0);
         let b = test_mat(30, 10, 2.0);
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
-        // A second product of a different shape reuses the buffer.
         let c = test_mat(5, 30, 3.0);
+        // Each product lands in a buffer a product of another shape left.
+        let mut out = mm(&c, &b);
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, mm(&a, &b));
         c.matmul_into(&b, &mut out);
-        assert_eq!(out, c.matmul(&b));
-        let mut t_out = Matrix::zeros(0, 0);
-        a.t_matmul_into(&a, &mut t_out);
-        assert_eq!(t_out, a.t_matmul(&a));
-        let mut tt_out = Matrix::zeros(0, 0);
-        a.matmul_t_into(&a, &mut tt_out);
-        assert_eq!(tt_out, a.matmul_t(&a));
+        assert_eq!(out, mm(&c, &b));
+        a.t_matmul_into(&a, &mut out);
+        assert_eq!(out, tmm(&a, &a));
+        a.matmul_t_into(&a, &mut out);
+        assert_eq!(out, mmt(&a, &a));
     }
 
     #[test]
@@ -491,18 +453,18 @@ mod tests {
     fn matmul_rejects_bad_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 2);
-        let _ = a.matmul(&b);
+        let _ = mm(&a, &b);
     }
 
     #[test]
     fn empty_edge_cases() {
         let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(3, 2);
-        let out = a.matmul(&b);
+        let out = mm(&a, &b);
         assert_eq!(out.shape(), (0, 2));
         let c = Matrix::zeros(2, 0);
         let d = Matrix::zeros(0, 3);
-        let out = c.matmul(&d);
+        let out = mm(&c, &d);
         assert_eq!(out.shape(), (2, 3));
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
     }

@@ -20,8 +20,9 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// use fedl_linalg::Matrix;
 ///
 /// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-/// let i = Matrix::identity(2);
-/// assert_eq!(a.matmul(&i), a);
+/// let mut product = Matrix::default();
+/// a.matmul_into(&Matrix::identity(2), &mut product);
+/// assert_eq!(product, a);
 /// assert_eq!(a.transpose().get(0, 1), 3.0);
 /// assert_eq!(a.row(1), &[3.0, 4.0]);
 /// ```
@@ -250,13 +251,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
     /// Frobenius inner product `<self, other>` (sum of element products).
     pub fn dot(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape(), "dot shape mismatch");
@@ -285,17 +279,6 @@ impl Matrix {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Column sums as a `1 x cols` matrix.
-    pub fn col_sums(&self) -> Matrix {
-        let mut out = vec![0.0f32; self.cols];
-        for row in self.row_iter() {
-            for (o, v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        Matrix::from_vec(1, self.cols, out)
     }
 
     /// Index of the maximum element in each row (ties go to the first).
@@ -452,18 +435,15 @@ mod tests {
     }
 
     #[test]
-    fn col_sums_and_mean() {
+    fn col_sums_mean_and_dot() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.col_sums().as_slice(), &[4.0, 6.0]);
+        let mut sums = Matrix::from_vec(1, 3, vec![9.0; 3]); // stale shape and contents
+        m.col_sums_into(&mut sums);
+        assert_eq!(sums.as_slice(), &[4.0, 6.0]);
         assert_eq!(m.mean(), 2.5);
         assert_eq!(m.sum(), 10.0);
-    }
-
-    #[test]
-    fn hadamard_and_dot_agree() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.hadamard(&b).sum(), a.dot(&b));
+        let (a, b) =
+            (Matrix::row_vector(vec![1.0, 2.0, 3.0]), Matrix::row_vector(vec![4.0, 5.0, 6.0]));
         assert_eq!(a.dot(&b), 32.0);
     }
 
@@ -494,14 +474,11 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_col_sums_into_match_owned_forms() {
+    fn copy_from_copies() {
         let a = Matrix::from_fn(3, 4, |r, c| (r * 7 + c) as f32);
-        let mut b = Matrix::default();
+        let mut b = Matrix::zeros(1, 1);
         b.copy_from(&a);
         assert_eq!(a, b);
-        let mut sums = Matrix::default();
-        a.col_sums_into(&mut sums);
-        assert_eq!(sums, a.col_sums());
     }
 
     #[test]

@@ -34,19 +34,13 @@ fn row_max(row: &[f32]) -> f32 {
     m
 }
 
-/// Row-wise softmax with the max-subtraction trick.
+/// Row-wise softmax with the max-subtraction trick, written into a
+/// caller-owned matrix (reshaped to match `logits`); steady-state reuse
+/// performs no allocation.
 ///
 /// Each row of the result is a probability distribution; rows of all
 /// `-inf`/huge magnitudes stay finite because the row maximum is
 /// subtracted before exponentiation.
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::default();
-    softmax_rows_into(logits, &mut out);
-    out
-}
-
-/// [`softmax_rows`] writing into a caller-owned matrix (reshaped to match
-/// `logits`); steady-state reuse performs no allocation.
 pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
     out.copy_from(logits);
     for row in out.as_mut_slice().chunks_exact_mut(logits.cols().max(1)) {
@@ -71,15 +65,9 @@ pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Row-wise `log(sum(exp(row)))`, stabilized by max subtraction.
-pub fn log_sum_exp_rows(logits: &Matrix) -> Vec<f32> {
-    let mut out = Vec::new();
-    log_sum_exp_rows_into(logits, &mut out);
-    out
-}
-
-/// [`log_sum_exp_rows`] writing into a caller-owned vector (cleared and
-/// refilled); steady-state reuse performs no allocation.
+/// Row-wise `log(sum(exp(row)))`, stabilized by max subtraction, written
+/// into a caller-owned vector (cleared and refilled); steady-state reuse
+/// performs no allocation.
 pub fn log_sum_exp_rows_into(logits: &Matrix, out: &mut Vec<f32>) {
     out.clear();
     out.extend(logits.row_iter().map(|row| {
@@ -106,11 +94,6 @@ pub fn log_sum_exp_rows_into(logits: &Matrix, out: &mut Vec<f32>) {
     }));
 }
 
-/// ReLU applied element-wise, returning a new matrix.
-pub fn relu(m: &Matrix) -> Matrix {
-    m.map(|v| v.max(0.0))
-}
-
 /// ReLU written into a caller-owned matrix (reshaped to match `m`).
 pub fn relu_into(m: &Matrix, out: &mut Matrix) {
     out.copy_from(m);
@@ -119,16 +102,10 @@ pub fn relu_into(m: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Derivative mask of ReLU at the *pre-activation* values: 1 where
-/// `pre > 0`, else 0.
-pub fn relu_grad_mask(pre: &Matrix) -> Matrix {
-    pre.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
-}
-
 /// Backward ReLU in place: multiplies each element of `delta` by the
-/// ReLU derivative at the matching pre-activation. Bit-identical to
-/// `delta.hadamard(&relu_grad_mask(pre))` (same `*` by `1.0`/`0.0`)
-/// without the two temporaries.
+/// ReLU derivative at the matching pre-activation — `1.0` where
+/// `pre > 0`, else `0.0` (a multiply, not a select, so a NaN or infinite
+/// `delta` reads NaN where the derivative is zero).
 ///
 /// # Panics
 /// Panics on shape mismatch.
@@ -178,10 +155,16 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
+    fn softmax(logits: &Matrix) -> Matrix {
+        let mut out = Matrix::from_vec(1, 2, vec![7.0, 7.0]); // stale contents
+        softmax_rows_into(logits, &mut out);
+        out
+    }
+
     #[test]
     fn softmax_rows_are_distributions() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let s = softmax_rows(&m);
+        let s = softmax(&m);
         for row in s.row_iter() {
             let sum: f32 = row.iter().sum();
             assert!(approx_eq(sum, 1.0, 1e-6), "row sums to {sum}");
@@ -194,7 +177,7 @@ mod tests {
     #[test]
     fn softmax_stable_for_huge_logits() {
         let m = Matrix::from_vec(1, 3, vec![1000.0, 1000.0, 999.0]);
-        let s = softmax_rows(&m);
+        let s = softmax(&m);
         assert!(!s.has_non_finite());
         assert!(approx_eq(s.sum(), 1.0, 1e-6));
     }
@@ -203,8 +186,8 @@ mod tests {
     fn softmax_shift_invariant() {
         let a = Matrix::from_vec(1, 3, vec![0.0, 1.0, 2.0]);
         let b = Matrix::from_vec(1, 3, vec![10.0, 11.0, 12.0]);
-        let sa = softmax_rows(&a);
-        let sb = softmax_rows(&b);
+        let sa = softmax(&a);
+        let sb = softmax(&b);
         for (x, y) in sa.as_slice().iter().zip(sb.as_slice()) {
             assert!(approx_eq(*x, *y, 1e-6));
         }
@@ -213,18 +196,24 @@ mod tests {
     #[test]
     fn log_sum_exp_matches_naive_in_safe_range() {
         let m = Matrix::from_vec(1, 3, vec![0.1, 0.2, 0.3]);
-        let lse = log_sum_exp_rows(&m)[0];
+        let mut lse = vec![99.0; 7]; // stale contents must be discarded
+        log_sum_exp_rows_into(&m, &mut lse);
+        assert_eq!(lse.len(), 1);
+        let lse = lse[0];
         let naive: f32 = m.as_slice().iter().map(|v| v.exp()).sum::<f32>().ln();
         assert!(approx_eq(lse, naive, 1e-6));
     }
 
     #[test]
-    fn relu_and_mask_agree() {
+    fn relu_forward_and_backward() {
         let m = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        let r = relu(&m);
+        let mut r = Matrix::default();
+        relu_into(&m, &mut r);
         assert_eq!(r.as_slice(), &[0.0, 0.0, 0.5, 2.0]);
-        let g = relu_grad_mask(&m);
-        assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 1.0]);
+        let mut d = Matrix::from_vec(1, 4, vec![3.0, 4.0, -5.0, f32::NAN]);
+        relu_backward_inplace(&mut d, &m);
+        assert_eq!(&d.as_slice()[..3], &[0.0, 0.0, -5.0]);
+        assert!(d.as_slice()[3].is_nan());
     }
 
     #[test]
@@ -234,24 +223,6 @@ mod tests {
         add_row_broadcast(&mut m, &b);
         assert_eq!(m.row(0), &[1.0, -2.0]);
         assert_eq!(m.row(1), &[1.0, -2.0]);
-    }
-
-    #[test]
-    fn into_variants_match_owned_forms() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, -2.0, 3.0, 0.5, 0.0, -1.5]);
-        let mut s = Matrix::default();
-        softmax_rows_into(&m, &mut s);
-        assert_eq!(s.as_slice(), softmax_rows(&m).as_slice());
-        let mut lse = vec![99.0; 7]; // stale contents must be discarded
-        log_sum_exp_rows_into(&m, &mut lse);
-        assert_eq!(lse, log_sum_exp_rows(&m));
-        let mut r = Matrix::default();
-        relu_into(&m, &mut r);
-        assert_eq!(r.as_slice(), relu(&m).as_slice());
-        let mut d = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, -5.0, 6.0]);
-        let expected = d.hadamard(&relu_grad_mask(&m));
-        relu_backward_inplace(&mut d, &m);
-        assert_eq!(d.as_slice(), expected.as_slice());
     }
 
     #[test]

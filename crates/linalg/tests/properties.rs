@@ -8,6 +8,25 @@ use fedl_linalg::{approx_eq, ops, Matrix};
 
 const CASES: u64 = 64;
 
+/// `a·b`, `aᵀ·b` and `a·bᵀ` into fresh destinations.
+fn mm(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    a.matmul_into(b, &mut out);
+    out
+}
+
+fn tmm(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    a.t_matmul_into(b, &mut out);
+    out
+}
+
+fn mmt(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    a.matmul_t_into(b, &mut out);
+    out
+}
+
 /// Random shape triple for chained products, kept small so the naive
 /// reference stays fast.
 fn dims(rng: &mut Xoshiro256pp) -> (usize, usize, usize) {
@@ -29,8 +48,8 @@ fn matmul_distributes_over_addition() {
         let a = Matrix::uniform(m, k, 2.0, &mut rng);
         let b = Matrix::uniform(k, n, 2.0, &mut rng);
         let c = Matrix::uniform(k, n, 2.0, &mut rng);
-        let lhs = a.matmul(&(&b + &c));
-        let rhs = &a.matmul(&b) + &a.matmul(&c);
+        let lhs = mm(&a, &(&b + &c));
+        let rhs = &mm(&a, &b) + &mm(&a, &c);
         assert_mat_close(&lhs, &rhs, 1e-3);
     }
 }
@@ -42,8 +61,8 @@ fn transpose_of_product_is_reversed_product() {
         let (m, k, n) = dims(&mut rng);
         let a = Matrix::uniform(m, k, 2.0, &mut rng);
         let b = Matrix::uniform(k, n, 2.0, &mut rng);
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
+        let lhs = mm(&a, &b).transpose();
+        let rhs = mm(&b.transpose(), &a.transpose());
         assert_mat_close(&lhs, &rhs, 1e-3);
     }
 }
@@ -55,9 +74,9 @@ fn fused_transpose_kernels_match() {
         let (m, k, n) = dims(&mut rng);
         let a = Matrix::uniform(m, k, 2.0, &mut rng);
         let b = Matrix::uniform(m, n, 2.0, &mut rng);
-        assert_mat_close(&a.t_matmul(&b), &a.transpose().matmul(&b), 1e-3);
+        assert_mat_close(&tmm(&a, &b), &mm(&a.transpose(), &b), 1e-3);
         let c = Matrix::uniform(n, k, 2.0, &mut rng);
-        assert_mat_close(&a.matmul_t(&c), &a.matmul(&c.transpose()), 1e-3);
+        assert_mat_close(&mmt(&a, &c), &mm(&a, &c.transpose()), 1e-3);
     }
 }
 
@@ -66,7 +85,8 @@ fn softmax_rows_sum_to_one() {
     for seed in 0..CASES {
         let mut rng = rng_for(seed, 3);
         let m = Matrix::uniform(4, 6, 10.0, &mut rng);
-        let s = ops::softmax_rows(&m);
+        let mut s = Matrix::default();
+        ops::softmax_rows_into(&m, &mut s);
         for row in s.row_iter() {
             let sum: f32 = row.iter().sum();
             assert!(approx_eq(sum, 1.0, 1e-5));

@@ -203,20 +203,20 @@ fn full_batch(data: &Dataset) -> (Matrix, Matrix) {
 /// previous iteration (zeros on the very first iteration, making the
 /// first local step a pure proximal solve, as in the FEDL bootstrap).
 ///
+/// The solve's observables are recorded into `telemetry`: counters
+/// `ml.local_updates` / `ml.local_steps` and histograms `ml.eta_hat` (the
+/// measured accuracy η̂, dimensionless), `ml.local_loss` (loss at the
+/// broadcast model), and `ml.solve_secs` (wall-clock solve time); a solve
+/// whose surrogate gradient went non-finite (reported as the worst
+/// accuracy, η̂ = 0.999) adds to the counter `ml.nonfinite_eta`. The
+/// workspace simulator calls this from its worker threads — the
+/// [`Telemetry`] handle is `Sync`, and every recording is a few atomic
+/// operations, so instrumentation does not serialise the parallel
+/// solves. A disabled handle records nothing and changes no bit.
+///
 /// # Panics
 /// Panics on an empty working set or a non-positive learning rate.
 pub fn local_update(
-    model_at_w: &dyn Model,
-    data: &Dataset,
-    j_agg: &ParamSet,
-    cfg: &DaneConfig,
-    rng: &mut impl Rng,
-) -> LocalOutcome {
-    local_update_in(model_at_w, data, j_agg, cfg, rng, &Telemetry::disabled())
-}
-
-/// [`local_update`], counting a diverged solve into `telemetry`.
-fn local_update_in(
     model_at_w: &dyn Model,
     data: &Dataset,
     j_agg: &ParamSet,
@@ -227,6 +227,7 @@ fn local_update_in(
     thread_local! {
         static SCRATCH: RefCell<DaneScratch> = RefCell::new(DaneScratch::new());
     }
+    let start = std::time::Instant::now();
     let mut out = LocalOutcome {
         delta: ParamSet::new(Vec::new()),
         grad_at_w: ParamSet::new(Vec::new()),
@@ -238,11 +239,15 @@ fn local_update_in(
         let mut scratch = s.borrow_mut();
         // The cached work clone can go stale in hyper-parameters that
         // parameter shapes cannot distinguish (e.g. a different L2 on
-        // the same architecture), so the safe entry point re-clones per
-        // call — the same clone count as the historical implementation.
+        // the same architecture), so this entry point re-clones per call.
         scratch.work = Some(model_at_w.clone_model());
         solve(model_at_w, data, j_agg, cfg, rng, &mut scratch, &mut out, telemetry);
     });
+    telemetry.counter("ml.local_updates").incr();
+    telemetry.counter("ml.local_steps").add(cfg.local_steps as u64);
+    telemetry.histogram("ml.eta_hat").record(out.eta_hat as f64);
+    telemetry.histogram("ml.local_loss").record(out.loss_at_w as f64);
+    telemetry.histogram("ml.solve_secs").record(start.elapsed().as_secs_f64());
     out
 }
 
@@ -251,7 +256,8 @@ fn same_shapes(a: &ParamSet, b: &ParamSet) -> bool {
     a.len() == b.len() && a.tensors().iter().zip(b.tensors()).all(|(x, y)| x.shape() == y.shape())
 }
 
-/// [`local_update`] with caller-owned workspace and outcome buffers.
+/// [`local_update`] with caller-owned workspace and outcome buffers and
+/// no telemetry.
 ///
 /// Bit-identical to [`local_update`] (same operations in the same order,
 /// same draws from `rng`), but a warmed `scratch`/`out` pair makes the
@@ -270,7 +276,7 @@ pub fn local_update_scratch(
     solve(model_at_w, data, j_agg, cfg, rng, scratch, out, &Telemetry::disabled());
 }
 
-/// The solve behind every entry point. A surrogate gradient that went
+/// The solve behind both entry points. A surrogate gradient that went
 /// non-finite is counted into `telemetry` as `ml.nonfinite_eta`.
 #[allow(clippy::too_many_arguments)]
 fn solve(
@@ -401,36 +407,6 @@ fn heavy_ball_step(
     }
 }
 
-/// [`local_update`] with the solve's observables recorded into
-/// `telemetry`: counters `ml.local_updates` / `ml.local_steps` and
-/// histograms `ml.eta_hat` (the measured accuracy η̂, dimensionless),
-/// `ml.local_loss` (loss at the broadcast model), and
-/// `ml.solve_secs` (wall-clock solve time); a solve whose surrogate
-/// gradient went non-finite (reported as the worst accuracy, η̂ = 0.999)
-/// adds to the counter `ml.nonfinite_eta`.
-///
-/// The workspace simulator calls this from its worker threads — the
-/// [`Telemetry`] handle is `Sync`, and every recording is a few atomic
-/// operations, so instrumentation does not serialise the parallel
-/// solves. A disabled handle makes this exactly [`local_update`].
-pub fn local_update_observed(
-    model_at_w: &dyn Model,
-    data: &Dataset,
-    j_agg: &ParamSet,
-    cfg: &DaneConfig,
-    rng: &mut impl Rng,
-    telemetry: &Telemetry,
-) -> LocalOutcome {
-    let start = std::time::Instant::now();
-    let outcome = local_update_in(model_at_w, data, j_agg, cfg, rng, telemetry);
-    telemetry.counter("ml.local_updates").incr();
-    telemetry.counter("ml.local_steps").add(cfg.local_steps as u64);
-    telemetry.histogram("ml.eta_hat").record(outcome.eta_hat as f64);
-    telemetry.histogram("ml.local_loss").record(outcome.loss_at_w as f64);
-    telemetry.histogram("ml.solve_secs").record(start.elapsed().as_secs_f64());
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,7 +430,7 @@ mod tests {
         let (_, j) = model.loss_and_grad(&x, &y);
         let cfg = DaneConfig { local_steps: 20, ..Default::default() };
         let mut rng = rng_for(1, 0);
-        let out = local_update(&model, &data, &j, &cfg, &mut rng);
+        let out = local_update(&model, &data, &j, &cfg, &mut rng, &Telemetry::disabled());
         let g0 = surrogate_value(&model, &data, &j, &cfg, &out.delta.zeros_like());
         let g_end = surrogate_value(&model, &data, &j, &cfg, &out.delta);
         assert!(g_end < g0, "surrogate did not decrease: {g0} -> {g_end}");
@@ -468,7 +444,7 @@ mod tests {
         let eta_for = |steps: usize| {
             let cfg = DaneConfig { local_steps: steps, lr: 0.2, ..Default::default() };
             let mut rng = rng_for(2, steps as u64);
-            local_update(&model, &data, &j, &cfg, &mut rng).eta_hat
+            local_update(&model, &data, &j, &cfg, &mut rng, &Telemetry::disabled()).eta_hat
         };
         let few = eta_for(1);
         let many = eta_for(40);
@@ -482,7 +458,14 @@ mod tests {
         let (model, data) = setup();
         let j = model.params().zeros_like();
         let mut rng = rng_for(3, 0);
-        let out = local_update(&model, &data, &j, &DaneConfig::default(), &mut rng);
+        let out = local_update(
+            &model,
+            &data,
+            &j,
+            &DaneConfig::default(),
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         assert_eq!(out.eta_hat, 0.0);
         assert!(out.delta.norm().is_finite());
     }
@@ -498,7 +481,7 @@ mod tests {
         let before = model.loss(&x, &y);
         let mut rng = rng_for(4, 0);
         for it in 0..5 {
-            let out = local_update(&model, &data, &j, &cfg, &mut rng);
+            let out = local_update(&model, &data, &j, &cfg, &mut rng, &Telemetry::disabled());
             let updated = model.params().added(1.0, &out.delta);
             model.set_params(updated);
             j = out.grad_at_w;
@@ -515,7 +498,14 @@ mod tests {
         let (_, direct) = model.loss_and_grad(&x, &y);
         let j = model.params().zeros_like();
         let mut rng = rng_for(5, 0);
-        let out = local_update(&model, &data, &j, &DaneConfig::default(), &mut rng);
+        let out = local_update(
+            &model,
+            &data,
+            &j,
+            &DaneConfig::default(),
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         assert_eq!(out.grad_at_w, direct);
         assert!((out.loss_at_w - model.loss(&x, &y)).abs() < 1e-6);
     }
@@ -530,7 +520,7 @@ mod tests {
         let solve = |momentum: f32| {
             let cfg = DaneConfig { local_steps: 12, lr: 0.1, momentum, ..Default::default() };
             let mut rng = rng_for(6, 0);
-            let out = local_update(&model, &data, &j, &cfg, &mut rng);
+            let out = local_update(&model, &data, &j, &cfg, &mut rng, &Telemetry::disabled());
             surrogate_value(&model, &data, &j, &cfg, &out.delta)
         };
         let plain = solve(0.0);
@@ -547,7 +537,7 @@ mod tests {
         let (model, data) = setup();
         let j = model.params().zeros_like();
         let cfg = DaneConfig { momentum: 1.0, ..Default::default() };
-        let _ = local_update(&model, &data, &j, &cfg, &mut rng_for(0, 0));
+        let _ = local_update(&model, &data, &j, &cfg, &mut rng_for(0, 0), &Telemetry::disabled());
     }
 
     #[test]
@@ -556,7 +546,8 @@ mod tests {
         let (x, y) = (data.features.clone(), data.one_hot_labels());
         let (_, j) = model.loss_and_grad(&x, &y);
         let cfg = DaneConfig { local_steps: 6, momentum: 0.3, ..Default::default() };
-        let plain = local_update(&model, &data, &j, &cfg, &mut rng_for(21, 0));
+        let plain =
+            local_update(&model, &data, &j, &cfg, &mut rng_for(21, 0), &Telemetry::disabled());
         let mut scratch = DaneScratch::new();
         let mut out = LocalOutcome {
             delta: ParamSet::new(Vec::new()),
@@ -586,14 +577,15 @@ mod tests {
     }
 
     #[test]
-    fn observed_update_matches_plain_and_records_metrics() {
+    fn telemetry_records_the_solve_and_moves_no_bit() {
         let (model, data) = setup();
         let (x, y) = (data.features.clone(), data.one_hot_labels());
         let (_, j) = model.loss_and_grad(&x, &y);
         let cfg = DaneConfig { local_steps: 4, ..Default::default() };
-        let plain = local_update(&model, &data, &j, &cfg, &mut rng_for(9, 0));
+        let plain =
+            local_update(&model, &data, &j, &cfg, &mut rng_for(9, 0), &Telemetry::disabled());
         let (tel, _handle) = Telemetry::in_memory();
-        let observed = local_update_observed(&model, &data, &j, &cfg, &mut rng_for(9, 0), &tel);
+        let observed = local_update(&model, &data, &j, &cfg, &mut rng_for(9, 0), &tel);
         // Instrumentation must not change the numerics.
         assert_eq!(observed.delta, plain.delta);
         assert_eq!(observed.eta_hat, plain.eta_hat);
@@ -613,12 +605,12 @@ mod tests {
         data.features.row_mut(3).fill(f32::NAN);
         let cfg = DaneConfig { local_steps: 3, ..Default::default() };
         let (tel, _handle) = Telemetry::in_memory();
-        let out = local_update_observed(&model, &data, &j, &cfg, &mut rng_for(8, 0), &tel);
+        let out = local_update(&model, &data, &j, &cfg, &mut rng_for(8, 0), &tel);
         assert!(out.delta.has_non_finite(), "the solve must actually have diverged");
         assert_eq!(out.eta_hat, 0.999, "a NaN ratio is the worst accuracy, never 0 (exact)");
         assert_eq!(tel.counter("ml.nonfinite_eta").value(), 1);
         // A finite solve does not count.
-        let _ = local_update_observed(&model, &clean, &j, &cfg, &mut rng_for(8, 0), &tel);
+        let _ = local_update(&model, &clean, &j, &cfg, &mut rng_for(8, 0), &tel);
         assert_eq!(tel.counter("ml.nonfinite_eta").value(), 1);
         // The scratch entry point maps the ratio the same way.
         let mut out = LocalOutcome {
@@ -639,6 +631,13 @@ mod tests {
         let (model, data) = setup();
         let empty = data.subset(&[]);
         let j = model.params().zeros_like();
-        let _ = local_update(&model, &empty, &j, &DaneConfig::default(), &mut rng_for(0, 0));
+        let _ = local_update(
+            &model,
+            &empty,
+            &j,
+            &DaneConfig::default(),
+            &mut rng_for(0, 0),
+            &Telemetry::disabled(),
+        );
     }
 }

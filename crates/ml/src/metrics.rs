@@ -1,9 +1,9 @@
-//! Evaluation metrics: accuracy, loss, and per-class breakdowns.
+//! Evaluation metrics: accuracy and loss on held-out data.
 
 use fedl_data::Dataset;
 use fedl_linalg::Matrix;
 
-use crate::loss::cross_entropy;
+use crate::loss::cross_entropy_scratch;
 use crate::model::Model;
 
 /// Share of rows whose largest logit is the row's label.
@@ -15,7 +15,7 @@ fn correct_share(logits: &Matrix, labels: &[usize]) -> f64 {
 /// Cross-entropy of `logits` against one-hot `targets` plus the model's
 /// penalty: the regularized loss, given the forward pass.
 fn regularized_loss(model: &dyn Model, logits: &Matrix, targets: &Matrix) -> f64 {
-    (cross_entropy(logits, targets) + model.penalty()) as f64
+    (cross_entropy_scratch(logits, targets, &mut Vec::new()) + model.penalty()) as f64
 }
 
 /// Classification accuracy of `model` on `data` in `[0, 1]`.
@@ -26,14 +26,9 @@ pub fn accuracy(model: &dyn Model, data: &Dataset) -> f64 {
     correct_share(&model.forward(&data.features), &data.labels)
 }
 
-/// Regularized loss of `model` on `data`.
-pub fn loss(model: &dyn Model, data: &Dataset) -> f64 {
-    loss_against(model, data, &data.one_hot_labels())
-}
-
-/// [`loss`] against prebuilt targets: `targets` is
-/// `data.one_hot_labels()`, built once by a caller that evaluates the
-/// same set every epoch.
+/// Regularized loss of `model` on `data` against prebuilt targets:
+/// `targets` is `data.one_hot_labels()`, built once by a caller that
+/// evaluates the same set every epoch.
 pub fn loss_against(model: &dyn Model, data: &Dataset, targets: &Matrix) -> f64 {
     if data.is_empty() {
         return 0.0;
@@ -49,27 +44,6 @@ pub fn accuracy_and_loss(model: &dyn Model, data: &Dataset, targets: &Matrix) ->
     }
     let logits = model.forward(&data.features);
     (correct_share(&logits, &data.labels), regularized_loss(model, &logits, targets))
-}
-
-/// Per-class recall (diagonal of the row-normalized confusion matrix).
-/// Classes absent from `data` report recall 0.
-pub fn per_class_recall(model: &dyn Model, data: &Dataset) -> Vec<f64> {
-    let mut correct = vec![0usize; data.num_classes];
-    let mut total = vec![0usize; data.num_classes];
-    if !data.is_empty() {
-        let preds = model.forward(&data.features).row_argmax();
-        for (p, &l) in preds.iter().zip(&data.labels) {
-            total[l] += 1;
-            if *p == l {
-                correct[l] += 1;
-            }
-        }
-    }
-    correct
-        .iter()
-        .zip(&total)
-        .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
-        .collect()
 }
 
 #[cfg(test)]
@@ -98,16 +72,7 @@ mod tests {
         run(&mut model, &train, &cfg, &mut rng_for(1, 0));
         let acc = accuracy(&model, &test);
         assert!(acc > 0.6, "trained accuracy only {acc}");
-        assert!(loss(&model, &test) < (10.0f64).ln());
-    }
-
-    #[test]
-    fn per_class_recall_shape_and_range() {
-        let (train, test) = small_fmnist(200, 100, 3);
-        let model = SoftmaxRegression::new(train.dim(), train.num_classes, 0.0);
-        let recall = per_class_recall(&model, &test);
-        assert_eq!(recall.len(), 10);
-        assert!(recall.iter().all(|r| (0.0..=1.0).contains(r)));
+        assert!(loss_against(&model, &test, &test.one_hot_labels()) < (10.0f64).ln());
     }
 
     #[test]
@@ -116,6 +81,7 @@ mod tests {
         let model = SoftmaxRegression::new(train.dim(), train.num_classes, 0.0);
         let empty = train.subset(&[]);
         assert_eq!(accuracy(&model, &empty), 0.0);
-        assert_eq!(loss(&model, &empty), 0.0);
+        assert_eq!(loss_against(&model, &empty, &empty.one_hot_labels()), 0.0);
+        assert_eq!(accuracy_and_loss(&model, &empty, &empty.one_hot_labels()), (0.0, 0.0));
     }
 }

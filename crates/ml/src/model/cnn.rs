@@ -17,7 +17,7 @@
 use fedl_linalg::rng::Rng;
 use fedl_linalg::{ops, Matrix};
 
-use crate::loss::{cross_entropy, cross_entropy_with_grad};
+use crate::loss::{cross_entropy_scratch, cross_entropy_with_grad_into};
 use crate::params::ParamSet;
 
 use super::penalized::PenalizedParams;
@@ -61,14 +61,14 @@ impl MapShape {
 }
 
 /// Unfolds a batch of channel-planar images into the im2col patch
-/// matrix: one row per (sample, output position), one column per
-/// (input channel, kernel row, kernel col). Valid convolution, stride 1.
-pub fn im2col(x: &Matrix, shape: MapShape, kernel: usize) -> Matrix {
+/// matrix `patches`: one row per (sample, output position), one column
+/// per (input channel, kernel row, kernel col). Valid convolution,
+/// stride 1.
+fn im2col(x: &Matrix, shape: MapShape, kernel: usize, patches: &mut Matrix) {
     assert_eq!(x.cols(), shape.len(), "image width mismatch");
     let out = shape.after_conv(kernel, 1);
     let (oh, ow) = (out.h, out.w);
-    let cols = shape.c * kernel * kernel;
-    let mut patches = Matrix::zeros(x.rows() * oh * ow, cols);
+    patches.resize_to(x.rows() * oh * ow, shape.c * kernel * kernel);
     for s in 0..x.rows() {
         let img = x.row(s);
         for oy in 0..oh {
@@ -86,17 +86,16 @@ pub fn im2col(x: &Matrix, shape: MapShape, kernel: usize) -> Matrix {
             }
         }
     }
-    patches
 }
 
-/// Folds patch-matrix gradients back into image gradients — the adjoint
-/// of [`im2col`] (overlapping patches accumulate).
-pub fn col2im(dpatches: &Matrix, shape: MapShape, kernel: usize, batch: usize) -> Matrix {
+/// Folds patch-matrix gradients back into image gradients `dx` — the
+/// adjoint of [`im2col`] (overlapping patches accumulate).
+fn col2im(dpatches: &Matrix, shape: MapShape, kernel: usize, batch: usize, dx: &mut Matrix) {
     let out = shape.after_conv(kernel, 1);
     let (oh, ow) = (out.h, out.w);
     assert_eq!(dpatches.rows(), batch * oh * ow, "patch row mismatch");
     assert_eq!(dpatches.cols(), shape.c * kernel * kernel, "patch col mismatch");
-    let mut dx = Matrix::zeros(batch, shape.len());
+    dx.resize_to(batch, shape.len());
     for s in 0..batch {
         let img = dx.row_mut(s);
         for oy in 0..oh {
@@ -116,17 +115,17 @@ pub fn col2im(dpatches: &Matrix, shape: MapShape, kernel: usize, batch: usize) -
             }
         }
     }
-    dx
 }
 
-/// 2×2 max-pool (stride 2) over channel-planar rows. Returns the pooled
-/// batch and the flat argmax index (into each input row) per pooled
-/// element.
-pub fn maxpool2(x: &Matrix, shape: MapShape) -> (Matrix, Vec<usize>) {
+/// 2×2 max-pool (stride 2) over channel-planar rows into `pooled`,
+/// recording in `argmax` the flat index (into each input row) of every
+/// pooled element.
+fn maxpool2(x: &Matrix, shape: MapShape, pooled: &mut Matrix, argmax: &mut Vec<usize>) {
     assert_eq!(x.cols(), shape.len(), "image width mismatch");
     let out = shape.after_pool();
-    let mut pooled = Matrix::zeros(x.rows(), out.len());
-    let mut argmax = vec![0usize; x.rows() * out.len()];
+    pooled.resize_to(x.rows(), out.len());
+    argmax.clear();
+    argmax.resize(x.rows() * out.len(), 0);
     for s in 0..x.rows() {
         let img = x.row(s);
         for c in 0..shape.c {
@@ -149,16 +148,15 @@ pub fn maxpool2(x: &Matrix, shape: MapShape) -> (Matrix, Vec<usize>) {
             }
         }
     }
-    (pooled, argmax)
 }
 
-/// Scatters pooled-gradient rows back through the recorded argmaxes —
-/// the adjoint of [`maxpool2`].
-pub fn maxpool2_backward(dpooled: &Matrix, argmax: &[usize], shape: MapShape) -> Matrix {
+/// Scatters pooled-gradient rows back through the recorded argmaxes into
+/// `dx` — the adjoint of [`maxpool2`].
+fn maxpool2_backward(dpooled: &Matrix, argmax: &[usize], shape: MapShape, dx: &mut Matrix) {
     let out = shape.after_pool();
     assert_eq!(dpooled.cols(), out.len(), "pooled width mismatch");
     assert_eq!(argmax.len(), dpooled.rows() * out.len(), "argmax length mismatch");
-    let mut dx = Matrix::zeros(dpooled.rows(), shape.len());
+    dx.resize_to(dpooled.rows(), shape.len());
     for s in 0..dpooled.rows() {
         let drow = dpooled.row(s);
         let dst = dx.row_mut(s);
@@ -166,7 +164,6 @@ pub fn maxpool2_backward(dpooled: &Matrix, argmax: &[usize], shape: MapShape) ->
             dst[argmax[s * out.len() + o]] += g;
         }
     }
-    dx
 }
 
 /// One convolution block: `conv(k×k) → ReLU → maxpool(2×2)`.
@@ -193,11 +190,35 @@ pub struct Cnn {
 }
 
 impl Cnn {
+    /// Why `blocks` cannot be stacked on `input`-shaped samples, if they
+    /// cannot: an empty input, a block with no output channels or a
+    /// zero-size kernel, a kernel larger than its incoming map, or a map
+    /// that pooling empties.
+    pub fn check(input: MapShape, blocks: &[ConvBlockSpec]) -> Result<(), String> {
+        if input.is_empty() {
+            return Err("empty input shape".into());
+        }
+        let mut shape = input;
+        for b in blocks {
+            if b.out_channels == 0 || b.kernel == 0 {
+                return Err(format!("degenerate block {b:?}"));
+            }
+            if b.kernel > shape.h || b.kernel > shape.w {
+                return Err(format!("kernel {} exceeds map {}x{}", b.kernel, shape.h, shape.w));
+            }
+            shape = shape.after_conv(b.kernel, b.out_channels).after_pool();
+            if shape.is_empty() {
+                return Err("feature map vanished after block".into());
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the network for `input`-shaped samples.
     ///
     /// # Panics
-    /// Panics if any block's kernel exceeds its incoming map or a pooled
-    /// map vanishes.
+    /// Panics with the [`Cnn::check`] message if the blocks do not fit
+    /// the input, or on fewer than two classes.
     pub fn new(
         input: MapShape,
         blocks: Vec<ConvBlockSpec>,
@@ -205,19 +226,17 @@ impl Cnn {
         l2: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(!input.is_empty(), "empty input shape");
+        Self::check(input, &blocks).unwrap_or_else(|e| panic!("{e}"));
         assert!(classes >= 2, "need at least two classes");
         let mut tensors = Vec::new();
         let mut shape = input;
         let mut block_inputs = Vec::with_capacity(blocks.len());
         for b in &blocks {
-            assert!(b.out_channels > 0 && b.kernel > 0, "degenerate block");
             block_inputs.push(shape);
             let fan_in = shape.c * b.kernel * b.kernel;
             tensors.push(Matrix::glorot(b.out_channels, fan_in, rng));
             tensors.push(Matrix::zeros(1, b.out_channels));
             shape = shape.after_conv(b.kernel, b.out_channels).after_pool();
-            assert!(!shape.is_empty(), "feature map vanished after block");
         }
         let flat_dim = shape.len();
         tensors.push(Matrix::glorot(flat_dim, classes, rng));
@@ -254,9 +273,9 @@ impl Cnn {
 
     /// Rearranges conv output from patch-row layout
     /// (`n·oh·ow × out_c`) into channel-planar rows (`n × out_c·oh·ow`).
-    fn to_planar(y: &Matrix, batch: usize, out: MapShape) -> Matrix {
+    fn to_planar(y: &Matrix, batch: usize, out: MapShape, planar: &mut Matrix) {
         let spatial = out.h * out.w;
-        let mut planar = Matrix::zeros(batch, out.len());
+        planar.resize_to(batch, out.len());
         for s in 0..batch {
             let dst = planar.row_mut(s);
             for p in 0..spatial {
@@ -266,13 +285,12 @@ impl Cnn {
                 }
             }
         }
-        planar
     }
 
     /// Adjoint of [`Cnn::to_planar`].
-    fn from_planar(dplanar: &Matrix, batch: usize, out: MapShape) -> Matrix {
+    fn from_planar(dplanar: &Matrix, batch: usize, out: MapShape, y: &mut Matrix) {
         let spatial = out.h * out.w;
-        let mut y = Matrix::zeros(batch * spatial, out.c);
+        y.resize_to(batch * spatial, out.c);
         for s in 0..batch {
             let src = dplanar.row(s);
             for p in 0..spatial {
@@ -282,38 +300,54 @@ impl Cnn {
                 }
             }
         }
-        y
     }
 
-    /// Full forward pass with everything backprop needs.
-    #[allow(clippy::type_complexity)]
-    fn forward_cached(&self, x: &Matrix) -> (Matrix, Vec<(Matrix, Matrix, Vec<usize>)>, Matrix) {
+    /// Forward pass caching what backprop needs into the workspace,
+    /// allocation-free once it is warm. For block `b`, `ws.patches[b]` is
+    /// the im2col of its input, `ws.pres[b]` its channel-planar
+    /// pre-activation, `ws.argmax[b]` its pool argmax and `ws.acts[b]` its
+    /// pooled output; `ws.acts[blocks]` is the logits. `ws.upstream`
+    /// holds each block's conv output in passing.
+    fn forward_scratch(&self, x: &Matrix, ws: &mut ModelScratch) {
         assert_eq!(x.cols(), self.input.len(), "input dimension mismatch");
-        let batch = x.rows();
-        // Per block: (patches, pre-activation planar, pool argmax).
-        let mut caches = Vec::with_capacity(self.blocks.len());
-        let mut cur = x.clone();
+        let (batch, blocks) = (x.rows(), self.blocks.len());
+        ws.acts.resize_with(blocks + 1, Matrix::default);
+        ws.pres.resize_with(blocks, Matrix::default);
+        ws.patches.resize_with(blocks, Matrix::default);
+        ws.argmax.resize_with(blocks, Vec::new);
+        let ModelScratch { acts, pres, patches, argmax, upstream: conv, .. } = ws;
         for (b, spec) in self.blocks.iter().enumerate() {
             let shape = self.block_inputs[b];
-            let patches = im2col(&cur, shape, spec.kernel);
-            let mut y = patches.matmul_t(self.conv_w(b)); // n·oh·ow × out_c
-            ops::add_row_broadcast(&mut y, self.conv_b(b));
             let conv_out = shape.after_conv(spec.kernel, spec.out_channels);
-            let planar = Self::to_planar(&y, batch, conv_out);
-            let activated = ops::relu(&planar);
-            let (pooled, argmax) = maxpool2(&activated, conv_out);
-            caches.push((patches, planar, argmax));
-            cur = pooled;
+            let (done, rest) = acts.split_at_mut(b);
+            im2col(block_input(x, done, b), shape, spec.kernel, &mut patches[b]);
+            patches[b].matmul_t_into(self.conv_w(b), conv); // n·oh·ow × out_c
+            ops::add_row_broadcast(conv, self.conv_b(b));
+            Self::to_planar(conv, batch, conv_out, &mut pres[b]);
+            ops::relu_into(&pres[b], conv);
+            maxpool2(conv, conv_out, &mut rest[0], &mut argmax[b]);
         }
-        let mut logits = cur.matmul(self.fc_w());
-        ops::add_row_broadcast(&mut logits, self.fc_b());
-        (cur, caches, logits)
+        let (done, logits) = acts.split_at_mut(blocks);
+        block_input(x, done, blocks).matmul_into(self.fc_w(), &mut logits[0]);
+        ops::add_row_broadcast(&mut logits[0], self.fc_b());
+    }
+}
+
+/// The input of block `b` (`b == blocks` is the head): `x` for the first,
+/// the previous block's pooled map otherwise.
+fn block_input<'a>(x: &'a Matrix, pooled: &'a [Matrix], b: usize) -> &'a Matrix {
+    if b == 0 {
+        x
+    } else {
+        &pooled[b - 1]
     }
 }
 
 impl Model for Cnn {
     fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_cached(x).2
+        let mut ws = ModelScratch::new();
+        self.forward_scratch(x, &mut ws);
+        ws.acts.pop().expect("the logits are the last activation")
     }
 
     fn params(&self) -> &ParamSet {
@@ -339,52 +373,43 @@ impl Model for Cnn {
         x: &Matrix,
         y: &Matrix,
         grad: &mut ParamSet,
-        _ws: &mut ModelScratch,
+        ws: &mut ModelScratch,
     ) -> f32 {
-        let batch = x.rows();
-        let (flat, caches, logits) = self.forward_cached(x);
-        let (ce, dlogits) = cross_entropy_with_grad(&logits, y);
+        let (batch, blocks) = (x.rows(), self.blocks.len());
+        self.forward_scratch(x, ws);
+        let ce = cross_entropy_with_grad_into(&ws.acts[blocks], y, &mut ws.lse, &mut ws.delta);
 
-        // FC head.
-        let mut dfc_w = flat.t_matmul(&dlogits);
-        dfc_w.axpy(self.params.l2(), self.fc_w());
-        let dfc_b = dlogits.col_sums();
-        let mut dcur = dlogits.matmul_t(self.fc_w()); // grad wrt pooled planar
+        grad.set_zeros_like(self.params.get());
+        let (l2, g) = (self.params.l2(), grad.tensors_mut());
+        // FC head; then `upstream` is the gradient wrt the pooled map.
+        block_input(x, &ws.acts, blocks).t_matmul_into(&ws.delta, &mut g[2 * blocks]);
+        g[2 * blocks].axpy(l2, self.fc_w());
+        ws.delta.col_sums_into(&mut g[2 * blocks + 1]);
+        ws.delta.matmul_t_into(self.fc_w(), &mut ws.upstream);
 
         // Blocks in reverse.
-        let mut conv_grads: Vec<(Matrix, Matrix)> = Vec::with_capacity(self.blocks.len());
         for (b, spec) in self.blocks.iter().enumerate().rev() {
             let shape = self.block_inputs[b];
             let conv_out = shape.after_conv(spec.kernel, spec.out_channels);
-            let (patches, pre_planar, argmax) = &caches[b];
-            // Through the pool, then the ReLU.
-            let dact = maxpool2_backward(&dcur, argmax, conv_out);
-            let dplanar = dact.hadamard(&ops::relu_grad_mask(pre_planar));
-            // Back to patch-row layout.
-            let dy = Self::from_planar(&dplanar, batch, conv_out); // n·oh·ow × out_c
-            let mut dw = dy.t_matmul(patches); // out_c × fan_in
-            dw.axpy(self.params.l2(), self.conv_w(b));
-            let db = dy.col_sums();
-            conv_grads.push((dw, db));
+            // Through the pool, then the ReLU, then back to patch-row
+            // layout (`n·oh·ow × out_c`).
+            maxpool2_backward(&ws.upstream, &ws.argmax[b], conv_out, &mut ws.delta);
+            ops::relu_backward_inplace(&mut ws.delta, &ws.pres[b]);
+            Self::from_planar(&ws.delta, batch, conv_out, &mut ws.upstream);
+            ws.upstream.t_matmul_into(&ws.patches[b], &mut g[2 * b]); // out_c × fan_in
+            g[2 * b].axpy(l2, self.conv_w(b));
+            ws.upstream.col_sums_into(&mut g[2 * b + 1]);
             if b > 0 {
-                let dpatches = dy.matmul(self.conv_w(b)); // n·oh·ow × fan_in
-                dcur = col2im(&dpatches, shape, spec.kernel, batch);
+                ws.upstream.matmul_into(self.conv_w(b), &mut ws.delta); // n·oh·ow × fan_in
+                col2im(&ws.delta, shape, spec.kernel, batch, &mut ws.upstream);
             }
         }
-        conv_grads.reverse();
-        let mut tensors = Vec::with_capacity(self.params.get().len());
-        for (dw, db) in conv_grads {
-            tensors.push(dw);
-            tensors.push(db);
-        }
-        tensors.push(dfc_w);
-        tensors.push(dfc_b);
-        *grad = ParamSet::new(tensors);
         ce
     }
 
-    fn ce_scratch(&self, x: &Matrix, y: &Matrix, _ws: &mut ModelScratch) -> f32 {
-        cross_entropy(&self.forward(x), y)
+    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
+        self.forward_scratch(x, ws);
+        cross_entropy_scratch(&ws.acts[self.blocks.len()], y, &mut ws.lse)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -425,7 +450,8 @@ mod tests {
         // 1x3x3 image, k=2: four 2x2 patches.
         let shape = MapShape { c: 1, h: 3, w: 3 };
         let x = Matrix::from_vec(1, 9, (1..=9).map(|v| v as f32).collect());
-        let p = im2col(&x, shape, 2);
+        let mut p = Matrix::default();
+        im2col(&x, shape, 2, &mut p);
         assert_eq!(p.shape(), (4, 4));
         assert_eq!(p.row(0), &[1.0, 2.0, 4.0, 5.0]);
         assert_eq!(p.row(1), &[2.0, 3.0, 5.0, 6.0]);
@@ -439,10 +465,12 @@ mod tests {
         let shape = MapShape { c: 2, h: 5, w: 4 };
         let mut rng = rng_for(2, 0);
         let x = Matrix::uniform(3, shape.len(), 1.0, &mut rng);
-        let patches = im2col(&x, shape, 3);
+        let mut patches = Matrix::default();
+        im2col(&x, shape, 3, &mut patches);
         let p = Matrix::uniform(patches.rows(), patches.cols(), 1.0, &mut rng);
         let lhs = patches.dot(&p);
-        let folded = col2im(&p, shape, 3, 3);
+        let mut folded = Matrix::default();
+        col2im(&p, shape, 3, 3, &mut folded);
         let rhs = x.dot(&folded);
         assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
     }
@@ -451,10 +479,12 @@ mod tests {
     fn maxpool_picks_maxima_and_routes_gradients() {
         let shape = MapShape { c: 1, h: 2, w: 4 };
         let x = Matrix::from_vec(1, 8, vec![1.0, 5.0, 2.0, 1.0, 3.0, 0.0, 8.0, 1.0]);
-        let (pooled, argmax) = maxpool2(&x, shape);
+        let (mut pooled, mut argmax) = (Matrix::default(), Vec::new());
+        maxpool2(&x, shape, &mut pooled, &mut argmax);
         assert_eq!(pooled.as_slice(), &[5.0, 8.0]);
         let dp = Matrix::from_vec(1, 2, vec![10.0, 20.0]);
-        let dx = maxpool2_backward(&dp, &argmax, shape);
+        let mut dx = Matrix::default();
+        maxpool2_backward(&dp, &argmax, shape, &mut dx);
         assert_eq!(dx.as_slice(), &[0.0, 10.0, 0.0, 0.0, 0.0, 0.0, 20.0, 0.0]);
     }
 

@@ -70,7 +70,8 @@ impl SoftmaxRegression {
 impl Model for SoftmaxRegression {
     fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_dim, "input dimension mismatch");
-        let mut logits = x.matmul(self.weights());
+        let mut logits = Matrix::default();
+        x.matmul_into(self.weights(), &mut logits);
         ops::add_row_broadcast(&mut logits, self.bias());
         logits
     }

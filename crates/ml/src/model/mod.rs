@@ -17,9 +17,10 @@ use crate::params::ParamSet;
 ///
 /// Holds every intermediate a model's loss/gradient computation needs
 /// (logits, per-layer activations and pre-activations, the backprop
-/// delta, the log-sum-exp buffer). All buffers grow to the workload's
-/// high-water mark and are then reused, so a steady-state training step
-/// performs zero heap allocation. One scratch serves any model and any
+/// delta, the log-sum-exp buffer, the CNN's patch matrices and pool
+/// argmaxes). All buffers grow to the workload's high-water mark and are
+/// then reused, so a steady-state training step performs zero heap
+/// allocation. One scratch serves any model and any
 /// batch size; buffers reshape on use.
 #[derive(Debug, Default)]
 pub struct ModelScratch {
@@ -33,6 +34,10 @@ pub struct ModelScratch {
     pub(crate) acts: Vec<Matrix>,
     /// `pres[l]`: layer `l`'s linear output before the nonlinearity.
     pub(crate) pres: Vec<Matrix>,
+    /// `patches[b]`: the im2col patch matrix of CNN block `b`'s input.
+    pub(crate) patches: Vec<Matrix>,
+    /// `argmax[b]`: CNN block `b`'s max-pool argmax indices.
+    pub(crate) argmax: Vec<Vec<usize>>,
 }
 
 impl ModelScratch {
@@ -97,8 +102,7 @@ pub trait Model: Send + Sync {
     /// **Primitive.** Forward, cross-entropy, backward: writes the
     /// gradient of the *regularized* loss (the `l2·W` term included) into
     /// a caller-owned [`ParamSet`] and returns the cross-entropy data
-    /// term only. [`SoftmaxRegression`] and [`Mlp`] perform zero
-    /// steady-state allocation here; [`Cnn`] ignores the workspace.
+    /// term only, with zero steady-state allocation.
     fn ce_and_grad_scratch(
         &self,
         x: &Matrix,

@@ -15,6 +15,7 @@ use fedl_linalg::rng::rng_for;
 use fedl_ml::dane::{local_update, local_update_scratch, DaneConfig, DaneScratch, LocalOutcome};
 use fedl_ml::model::{Mlp, Model, SoftmaxRegression};
 use fedl_ml::params::ParamSet;
+use fedl_telemetry::Telemetry;
 
 /// `x`'s bits, every NaN as the one canonical NaN.
 fn bits(x: f32) -> u32 {
@@ -56,7 +57,8 @@ fn check(
     case: &str,
 ) {
     let want = oracle::local_update(model, data, j, cfg, &mut rng_for(0xDB, 2));
-    assert_same(&local_update(model, data, j, cfg, &mut rng_for(0xDB, 2)), &want, case);
+    let got = local_update(model, data, j, cfg, &mut rng_for(0xDB, 2), &Telemetry::disabled());
+    assert_same(&got, &want, case);
     let mut out = LocalOutcome {
         delta: ParamSet::new(Vec::new()),
         grad_at_w: ParamSet::new(Vec::new()),
@@ -107,7 +109,14 @@ fn a_diverged_solve_still_reports_the_worst_accuracy() {
             let cfg = DaneConfig { momentum, local_steps: 3, ..Default::default() };
             let want =
                 oracle::local_update(model.as_ref(), &poisoned, &j, &cfg, &mut rng_for(8, 0));
-            let got = local_update(model.as_ref(), &poisoned, &j, &cfg, &mut rng_for(8, 0));
+            let got = local_update(
+                model.as_ref(),
+                &poisoned,
+                &j,
+                &cfg,
+                &mut rng_for(8, 0),
+                &Telemetry::disabled(),
+            );
             assert!(got.delta.has_non_finite(), "{name}: the solve must actually have diverged");
             assert_eq!(got.eta_hat, 0.999, "{name}: a NaN ratio is the worst accuracy, never 0");
             assert_same(&got, &want, &format!("{name}, momentum {momentum}, NaN client"));

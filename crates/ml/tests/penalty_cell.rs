@@ -154,7 +154,7 @@ fn any_interleaving_reads_what_a_fresh_model_reads() {
 
 #[test]
 fn two_threads_first_touch_one_cell() {
-    // What `run_iteration` does at `FEDL_THREADS=2`: the cohort's solves
+    // What `run_iteration_in` does at `FEDL_THREADS=2`: the cohort's solves
     // all read the broadcast model's loss, the first of them on two
     // threads at once.
     fedl_linalg::par::force_max_threads(2);

@@ -291,11 +291,19 @@ pub fn scenario(args: &Args) -> Result<ServeConfig, String> {
             .ok_or_else(|| format!("unknown policy {label:?} (fedl|fedavg|fedcs|powd|oracle)"))?,
         None => PolicyKind::FedL,
     };
+    let budget: f64 = args.parsed(&BUDGET)?.unwrap_or(500.0);
+    if !(budget.is_finite() && budget > 0.0) {
+        return Err("--budget must be a positive finite number".into());
+    }
+    let min_participants = args.parsed(&MIN_PARTICIPANTS)?.unwrap_or(3);
+    if !(1..=clients).contains(&min_participants) {
+        return Err(format!("--min-participants must be between 1 and --clients ({clients})"));
+    }
     Ok(ServeConfig::new(
         clients,
         args.parsed(&SEED)?.unwrap_or(7),
-        args.parsed(&BUDGET)?.unwrap_or(500.0),
-        args.parsed(&MIN_PARTICIPANTS)?.unwrap_or(3),
+        budget,
+        min_participants,
         policy,
     ))
 }
@@ -719,6 +727,12 @@ mod tests {
             ("serve --checkpoint x --checkpoint-every 0", "--checkpoint-every must be positive"),
             ("serve --clients 0", "--clients must be positive"),
             ("loadgen --clients 0", "--clients must be positive"),
+            ("serve --min-participants 0", "--min-participants must be between 1 and --clients"),
+            ("loadgen --clients 5 --min-participants 6", "between 1 and --clients (5)"),
+            ("serve --budget 0", "--budget must be a positive finite number"),
+            ("loadgen --budget -2", "--budget must be a positive finite number"),
+            ("serve --budget inf", "--budget must be a positive finite number"),
+            ("loadgen --budget NaN", "--budget must be a positive finite number"),
             ("serve --io-timeout 0", timeout),
             ("loadgen --io-timeout -3", timeout),
             ("stats --io-timeout inf", timeout),

@@ -3,7 +3,7 @@
 
 use fedl_data::Dataset;
 use fedl_linalg::rng::{derive_seed, rng_for};
-use fedl_ml::dane::{local_update_observed, DaneConfig};
+use fedl_ml::dane::{local_update, DaneConfig};
 use fedl_ml::model::Model;
 use fedl_ml::params::ParamSet;
 use fedl_telemetry::Telemetry;
@@ -83,24 +83,13 @@ impl FederatedServer {
     /// `w ← w + (1/norm)·Σ d_k` and `J ← (1/|cohort|)·Σ ∇F_k(w)`.
     ///
     /// `available_count` feeds the paper's `1/|E_t|` normalization when
-    /// [`AggregationNorm::Available`] is configured.
+    /// [`AggregationNorm::Available`] is configured. The `round` timer
+    /// (and its `local-train`/`aggregate` children) nests under `parent`
+    /// — normally the environment's `train` span — or opens at the top
+    /// level without one.
     ///
     /// # Panics
     /// Panics on an empty cohort.
-    pub fn run_iteration(
-        &mut self,
-        cohort: &[(usize, &Dataset)],
-        available_count: usize,
-        aggregation: AggregationNorm,
-        epoch: usize,
-        iteration: usize,
-    ) -> IterationStats {
-        self.run_iteration_in(cohort, available_count, aggregation, epoch, iteration, None)
-    }
-
-    /// [`Self::run_iteration`] with an explicit parent span: the
-    /// `round` timer (and its `local-train`/`aggregate` children) nests
-    /// under `parent` — normally the environment's `train` span.
     pub fn run_iteration_in(
         &mut self,
         cohort: &[(usize, &Dataset)],
@@ -126,7 +115,7 @@ impl FederatedServer {
         let outcomes: Vec<_> = fedl_linalg::par::par_map(cohort, |(id, data)| {
             let label = (epoch as u64) << 32 | (iteration as u64) << 16 | (*id as u64);
             let mut rng = rng_for(derive_seed(seed, 0x10CA1), label);
-            local_update_observed(model.as_ref(), data, j_agg, dane, &mut rng, telemetry)
+            local_update(model.as_ref(), data, j_agg, dane, &mut rng, telemetry)
         });
         drop(local_train);
 
@@ -176,7 +165,14 @@ mod tests {
         let y = train.one_hot_labels();
         let before = server.model().loss(&x, &y);
         for it in 0..12 {
-            server.run_iteration(&[(0, &half_a), (1, &half_b)], 2, AggregationNorm::Cohort, 0, it);
+            server.run_iteration_in(
+                &[(0, &half_a), (1, &half_b)],
+                2,
+                AggregationNorm::Cohort,
+                0,
+                it,
+                None,
+            );
         }
         let after = server.model().loss(&x, &y);
         assert!(after < before * 0.85, "loss {before} -> {after}");
@@ -188,12 +184,13 @@ mod tests {
         let d0 = train.subset(&(0..50).collect::<Vec<_>>());
         let d1 = train.subset(&(50..100).collect::<Vec<_>>());
         let d2 = train.subset(&(100..150).collect::<Vec<_>>());
-        let stats = server.run_iteration(
+        let stats = server.run_iteration_in(
             &[(0, &d0), (1, &d1), (2, &d2)],
             5,
             AggregationNorm::Available,
             0,
             0,
+            None,
         );
         assert_eq!(stats.eta_hats.len(), 3);
         assert_eq!(stats.losses_at_w.len(), 3);
@@ -209,8 +206,8 @@ mod tests {
         let (mut s2, _, _) = setup();
         let data = train.subset(&(0..100).collect::<Vec<_>>());
         let w0 = s1.model().params().clone();
-        s1.run_iteration(&[(0, &data)], 10, AggregationNorm::Available, 0, 0);
-        s2.run_iteration(&[(0, &data)], 10, AggregationNorm::Cohort, 0, 0);
+        s1.run_iteration_in(&[(0, &data)], 10, AggregationNorm::Available, 0, 0, None);
+        s2.run_iteration_in(&[(0, &data)], 10, AggregationNorm::Cohort, 0, 0, None);
         let moved_avail = s1.model().params().added(-1.0, &w0).norm();
         let moved_cohort = s2.model().params().added(-1.0, &w0).norm();
         assert!(
@@ -224,7 +221,7 @@ mod tests {
         let (mut server, train, _) = setup();
         assert_eq!(server.j_agg().norm(), 0.0);
         let data = train.subset(&(0..80).collect::<Vec<_>>());
-        server.run_iteration(&[(0, &data)], 1, AggregationNorm::Cohort, 0, 0);
+        server.run_iteration_in(&[(0, &data)], 1, AggregationNorm::Cohort, 0, 0, None);
         assert!(server.j_agg().norm() > 0.0);
     }
 
@@ -233,7 +230,7 @@ mod tests {
         let run = || {
             let (mut server, train, _) = setup();
             let data = train.subset(&(0..60).collect::<Vec<_>>());
-            server.run_iteration(&[(0, &data)], 1, AggregationNorm::Cohort, 3, 2);
+            server.run_iteration_in(&[(0, &data)], 1, AggregationNorm::Cohort, 3, 2, None);
             server.model().params().clone()
         };
         assert_eq!(run(), run());
@@ -243,6 +240,6 @@ mod tests {
     #[should_panic(expected = "empty cohort")]
     fn empty_cohort_rejected() {
         let (mut server, _, _) = setup();
-        server.run_iteration(&[], 1, AggregationNorm::Cohort, 0, 0);
+        server.run_iteration_in(&[], 1, AggregationNorm::Cohort, 0, 0, None);
     }
 }

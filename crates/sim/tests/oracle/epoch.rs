@@ -72,7 +72,8 @@ pub fn run_epoch(
     let mut last_deltas = Vec::new();
     let mut local_losses = vec![0.0f32; cohort.len()];
     for it in 0..iterations {
-        let stats = server.run_iteration(&cohort_refs, available.len(), aggregation, epoch, it);
+        let stats =
+            server.run_iteration_in(&cohort_refs, available.len(), aggregation, epoch, it, None);
         for (m, &e) in eta_max.iter_mut().zip(&stats.eta_hats) {
             *m = m.max(e);
         }

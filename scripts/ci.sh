@@ -98,7 +98,7 @@ stage_fmt() {
 
 stage_clippy() {
     if cargo clippy --version > /dev/null 2>&1; then
-        cargo clippy --offline --workspace -- -D warnings
+        cargo clippy --offline --workspace --all-targets -- -D warnings
     else
         echo "SKIPPED (tool missing): clippy is not installed"
         CI_STAGE_STATUS=skip
