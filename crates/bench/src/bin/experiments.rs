@@ -24,35 +24,66 @@ const HTML: Flag = Flag { name: "--html", value: Some("FILE.html") };
 const HISTORY: Flag = Flag { name: "--history", value: Some("FILE") };
 
 type Handler = fn(&Args) -> Result<(), String>;
+type Flags = &'static [&'static Flag];
 /// Run logs labelled by file stem.
 type Runs = [(String, RunLog)];
+/// A figure, the headline or a study at a profile: writes its series
+/// under the output directory, serves its cells from the result cache
+/// when one is attached, and returns its report.
+type Section = fn(Profile, &Path, Option<&RunCache>) -> Report;
+
+/// The flags of a row whose cells all run through the result cache.
+const CACHED: Flags = &[&QUICK, &OUT, &CACHE_DIR, &RESUME];
 
 /// A paper figure, headline table or study: one row of the table.
-const fn figure(names: &'static [&'static str], run: Handler) -> Command {
-    let flags: &[&Flag] = &[&QUICK, &OUT, &CACHE_DIR, &RESUME];
+const fn figure(names: &'static [&'static str], flags: Flags, run: Handler) -> Command {
     Command { names, positionals: &[], flags, note: "", run }
 }
 
+const FIG2: Section = |p, out, cache| experiments::fig_time_and_round(p, FmnistLike, out, cache).0;
+const FIG3: Section = |p, out, cache| experiments::fig_time_and_round(p, CifarLike, out, cache).0;
+/// Figs 2–5, then the headline over the same runs.
+const FIGS_2_5: Section = |p, out, cache| {
+    let (mut report, mut results) = experiments::fig_time_and_round(p, FmnistLike, out, cache);
+    let (cifar, cifar_results) = experiments::fig_time_and_round(p, CifarLike, out, cache);
+    results.extend(cifar_results);
+    report.blocks.extend(cifar.blocks);
+    report.blocks.extend(experiments::headline_from(&results, out).blocks);
+    report
+};
+const FIG6: Section = |p, out, cache| experiments::fig_budget(p, FmnistLike, out, cache);
+const FIG7: Section = |p, out, cache| experiments::fig_budget(p, CifarLike, out, cache);
+const REGRET: Section = |p, out, _| experiments::regret(p, out);
+const ROUNDING: Section = |p, _, cache| experiments::ROUNDING.run(p, cache);
+const STEPSIZE: Section = |p, _, cache| experiments::STEPSIZE.run(p, cache);
+const AGGREGATE: Section = |p, _, cache| experiments::AGGREGATION.run(p, cache);
+const ORACLE: Section = |p, _, cache| experiments::ORACLE.run(p, cache);
+const FAIRNESS: Section = |p, _, _| experiments::fairness_study(p);
+const BANDWIDTH: Section = |p, _, cache| experiments::BANDWIDTH.run(p, cache);
+const DROPOUT: Section = |p, _, cache| experiments::DROPOUT.run(p, cache);
+const REPLICATE: Section = |p, _, cache| experiments::replication_study(p, cache);
+/// Every figure and study, in paper order.
+const ALL: &[Section] = &[
+    FIGS_2_5, FIG6, FIG7, REGRET, ROUNDING, STEPSIZE, AGGREGATE, ORACLE, FAIRNESS, BANDWIDTH,
+    DROPOUT, REPLICATE,
+];
+
 static COMMANDS: &[Command] = &[
-    figure(&["fig2", "fig4"], |a| {
-        figures(a, |p, out, cache| experiments::fig_time_and_round(p, FmnistLike, out, cache))
-    }),
-    figure(&["fig3", "fig5"], |a| {
-        figures(a, |p, out, cache| experiments::fig_time_and_round(p, CifarLike, out, cache))
-    }),
-    figure(&["fig6"], |a| figures(a, |p, o, c| experiments::fig_budget(p, FmnistLike, o, c))),
-    figure(&["fig7"], |a| figures(a, |p, o, c| experiments::fig_budget(p, CifarLike, o, c))),
-    figure(&["headline"], |a| figures(a, experiments::headline)),
-    figure(&["regret"], |a| figures(a, |profile, out, _| experiments::regret(profile, out))),
-    figure(&["rounding"], |a| figures(a, |p, _, _| experiments::rounding_ablation(p))),
-    figure(&["stepsize"], |a| figures(a, |p, _, _| experiments::stepsize_ablation(p))),
-    figure(&["aggregation"], |a| figures(a, |p, _, _| experiments::aggregation_ablation(p))),
-    figure(&["oracle"], |a| figures(a, |p, _, _| experiments::oracle_comparison(p))),
-    figure(&["fairness"], |a| figures(a, |p, _, _| experiments::fairness_study(p))),
-    figure(&["bandwidth"], |a| figures(a, |p, _, _| experiments::bandwidth_study(p))),
-    figure(&["dropout"], |a| figures(a, |p, _, _| experiments::dropout_study(p))),
-    figure(&["replicate"], |a| figures(a, |p, _, _| experiments::replication_study(p))),
-    figure(&["all"], |a| figures(a, everything)),
+    figure(&["fig2", "fig4"], CACHED, |a| figures(a, &[FIG2])),
+    figure(&["fig3", "fig5"], CACHED, |a| figures(a, &[FIG3])),
+    figure(&["fig6"], CACHED, |a| figures(a, &[FIG6])),
+    figure(&["fig7"], CACHED, |a| figures(a, &[FIG7])),
+    figure(&["headline"], CACHED, |a| figures(a, &[experiments::headline])),
+    figure(&["regret"], &[&QUICK, &OUT], |a| figures(a, &[REGRET])),
+    figure(&["rounding"], CACHED, |a| figures(a, &[ROUNDING])),
+    figure(&["stepsize"], CACHED, |a| figures(a, &[STEPSIZE])),
+    figure(&["aggregation"], CACHED, |a| figures(a, &[AGGREGATE])),
+    figure(&["oracle"], CACHED, |a| figures(a, &[ORACLE])),
+    figure(&["fairness"], &[&QUICK], |a| figures(a, &[FAIRNESS])),
+    figure(&["bandwidth"], CACHED, |a| figures(a, &[BANDWIDTH])),
+    figure(&["dropout"], CACHED, |a| figures(a, &[DROPOUT])),
+    figure(&["replicate"], CACHED, |a| figures(a, &[REPLICATE])),
+    figure(&["all"], CACHED, |a| figures(a, ALL)),
     Command {
         names: &["telemetry-report"],
         positionals: &["FILE"],
@@ -115,9 +146,10 @@ static COMMANDS: &[Command] = &[
     fedl_dist::cli::DIST_WORKER,
 ];
 
-/// Runs a figure/study entry point at the profile, output directory
-/// and result cache the flags select.
-fn figures<R>(args: &Args, run: fn(Profile, &Path, Option<&RunCache>) -> R) -> Result<(), String> {
+/// Runs figure/study sections at the profile, output directory and
+/// result cache the flags select, printing each one's report as it
+/// completes.
+fn figures(args: &Args, sections: &[Section]) -> Result<(), String> {
     let profile = if args.has(&QUICK) { Profile::Quick } else { Profile::Paper };
     let out_dir = PathBuf::from(args.value(&OUT).unwrap_or("results"));
     std::fs::create_dir_all(&out_dir).expect("create output directory");
@@ -128,7 +160,7 @@ fn figures<R>(args: &Args, run: fn(Profile, &Path, Option<&RunCache>) -> R) -> R
         profile.min_participants(),
         out_dir.display()
     );
-    // Completed figure cells are served from the result cache, with
+    // Completed cells are served from the result cache, with
     // cache.hit/cache.miss telemetry streamed to <out>/cache_run.jsonl
     // for telemetry-report.
     let cache_telemetry = cache_dir(args, &out_dir).map(|dir| {
@@ -138,7 +170,12 @@ fn figures<R>(args: &Args, run: fn(Profile, &Path, Option<&RunCache>) -> R) -> R
         log_line!("result cache: {}", cache.dir().display());
         (cache, tel)
     });
-    run(profile, &out_dir, cache_telemetry.as_ref().map(|(c, _)| c));
+    for section in sections {
+        let report = section(profile, &out_dir, cache_telemetry.as_ref().map(|(c, _)| c));
+        for line in report.text().lines() {
+            log_line!("{line}");
+        }
+    }
     if let Some((_, tel)) = &cache_telemetry {
         tel.emit_metrics();
         tel.flush();
@@ -153,24 +190,6 @@ fn cache_dir(args: &Args, out_dir: &Path) -> Option<PathBuf> {
         Some(dir) => Some(PathBuf::from(dir)),
         None => args.has(&RESUME).then(|| out_dir.join("cache")),
     }
-}
-
-/// Every figure and study, reusing figs 2–5's runs for the headline.
-fn everything(profile: Profile, out_dir: &Path, cache: Option<&RunCache>) {
-    let mut results = experiments::fig_time_and_round(profile, FmnistLike, out_dir, cache);
-    results.extend(experiments::fig_time_and_round(profile, CifarLike, out_dir, cache));
-    experiments::headline_from(&results, out_dir);
-    experiments::fig_budget(profile, FmnistLike, out_dir, cache);
-    experiments::fig_budget(profile, CifarLike, out_dir, cache);
-    experiments::regret(profile, out_dir);
-    experiments::rounding_ablation(profile);
-    experiments::stepsize_ablation(profile);
-    experiments::aggregation_ablation(profile);
-    experiments::oracle_comparison(profile);
-    experiments::fairness_study(profile);
-    experiments::bandwidth_study(profile);
-    experiments::dropout_study(profile);
-    experiments::replication_study(profile);
 }
 
 /// Loads every run log the command line names, labelled by file stem.

@@ -12,8 +12,8 @@ use fedl_telemetry::{log_line, Telemetry};
 
 use crate::profile::Profile;
 
-/// A content-addressed cache of completed figure cells, so re-invoking
-/// `experiments` skips runs it has already produced.
+/// A content-addressed cache of completed figure and study cells, so
+/// re-invoking `experiments` skips runs it has already produced.
 ///
 /// Wraps [`fedl_store::ResultCache`]: the key text is the cell's full
 /// identity (snapshot schema version + policy label + canonical
@@ -137,50 +137,39 @@ pub struct CellResult {
 /// Runs one scenario/policy pair, consulting `cache` first when given.
 /// A hit returns the stored [`RunOutcome`] without building the
 /// environment; a miss runs fresh and stores the result.
-pub fn run_cell(scenario: ScenarioConfig, cell: Cell, cache: Option<&RunCache>) -> CellResult {
-    if let Some(cache) = cache {
-        if let Some(outcome) = cache.get(&scenario, cell.policy.label()) {
-            return CellResult { cell, outcome };
-        }
+pub fn run_cell(
+    scenario: ScenarioConfig,
+    policy: PolicyKind,
+    cache: Option<&RunCache>,
+) -> RunOutcome {
+    if let Some(outcome) = cache.and_then(|cache| cache.get(&scenario, policy.label())) {
+        return outcome;
     }
-    let mut runner = ExperimentRunner::new(scenario.clone(), cell.policy);
-    let outcome = runner.run();
+    let outcome = ExperimentRunner::new(scenario.clone(), policy).run();
     if let Some(cache) = cache {
         cache.put(&scenario, &outcome);
     }
-    CellResult { cell, outcome }
+    outcome
 }
 
-/// Runs all four policies for `(task, iid)` at `budget`, in parallel,
-/// on the *same* environment sample path (same seed).
+/// Runs all four policies for `(task, iid)` at each of `budgets`, in
+/// parallel, on the *same* environment sample path (same seed).
 pub fn run_policy_matrix(
     profile: Profile,
     task: TaskKind,
     iid: bool,
-    budget: f64,
+    budgets: &[f64],
     seed: u64,
     cache: Option<&RunCache>,
 ) -> Vec<CellResult> {
-    par_map(&PolicyKind::ALL, |&policy| {
-        let scenario = profile.scenario(task, iid, budget, seed);
-        run_cell(scenario, Cell { task, iid, policy, budget }, cache)
-    })
-}
-
-/// Runs the full budget grid for `(task, iid)` across all policies.
-pub fn run_budget_sweep(
-    profile: Profile,
-    task: TaskKind,
-    iid: bool,
-    seed: u64,
-    cache: Option<&RunCache>,
-) -> Vec<CellResult> {
-    let grid = profile.budget_grid();
     let cells: Vec<(f64, PolicyKind)> =
-        grid.iter().flat_map(|&b| PolicyKind::ALL.iter().map(move |&p| (b, p))).collect();
+        budgets.iter().flat_map(|&b| PolicyKind::ALL.map(|p| (b, p))).collect();
     par_map(&cells, |&(budget, policy)| {
         let scenario = profile.scenario(task, iid, budget, seed);
-        run_cell(scenario, Cell { task, iid, policy, budget }, cache)
+        CellResult {
+            cell: Cell { task, iid, policy, budget },
+            outcome: run_cell(scenario, policy, cache),
+        }
     })
 }
 
@@ -210,58 +199,6 @@ impl MeanStd {
         };
         MeanStd { mean, std: var.sqrt() }
     }
-}
-
-/// Per-policy replication summary.
-#[derive(Debug, Clone)]
-pub struct ReplicationSummary {
-    /// Policy legend name.
-    pub policy: String,
-    /// Final accuracy across seeds.
-    pub final_accuracy: MeanStd,
-    /// Total simulated time across seeds.
-    pub total_time: MeanStd,
-    /// Time to the accuracy target across seeds (seeds that miss the
-    /// target are excluded; `None` when all miss).
-    pub time_to_target: Option<MeanStd>,
-    /// Number of replications.
-    pub seeds: usize,
-}
-
-/// Runs the four-policy matrix at each seed and summarizes per policy —
-/// the mean ± std presentation a rigorous evaluation reports.
-pub fn run_replicated(
-    profile: Profile,
-    task: TaskKind,
-    iid: bool,
-    budget: f64,
-    seeds: &[u64],
-    accuracy_target: f64,
-) -> Vec<ReplicationSummary> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let all: Vec<Vec<CellResult>> =
-        par_map(seeds, |&seed| run_policy_matrix(profile, task, iid, budget, seed, None));
-    PolicyKind::ALL
-        .iter()
-        .map(|&policy| {
-            let name = policy.label().to_string();
-            let runs: Vec<&CellResult> = all
-                .iter()
-                .flat_map(|cells| cells.iter().filter(|c| c.outcome.policy == name))
-                .collect();
-            let acc: Vec<f64> = runs.iter().map(|r| r.outcome.final_accuracy()).collect();
-            let time: Vec<f64> = runs.iter().map(|r| r.outcome.total_sim_time()).collect();
-            let hits: Vec<f64> =
-                runs.iter().filter_map(|r| r.outcome.time_to_accuracy(accuracy_target)).collect();
-            ReplicationSummary {
-                policy: name,
-                final_accuracy: MeanStd::of(&acc),
-                total_time: MeanStd::of(&time),
-                time_to_target: (!hits.is_empty()).then(|| MeanStd::of(&hits)),
-                seeds: seeds.len(),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -304,26 +241,13 @@ mod tests {
     }
 
     #[test]
-    fn replication_summarizes_all_policies() {
-        let summaries =
-            run_replicated(Profile::Quick, TaskKind::FmnistLike, true, 200.0, &[1, 2], 0.2);
-        assert_eq!(summaries.len(), 4);
-        for s in &summaries {
-            assert_eq!(s.seeds, 2);
-            assert!(s.final_accuracy.mean > 0.0);
-            assert!(s.total_time.mean > 0.0);
-            assert!(s.final_accuracy.std >= 0.0);
-        }
-    }
-
-    #[test]
     fn same_seed_reruns_are_identical() {
         // Pins the cache-key contract: everything a run depends on is
         // in (profile scenario, policy, seed), so re-running the same
         // cell must reproduce the outcome bit-for-bit — which is what
         // makes serving it from the result cache sound.
-        let a = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 11, None);
-        let b = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 11, None);
+        let a = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, &[250.0], 11, None);
+        let b = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, &[250.0], 11, None);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.outcome, y.outcome, "{:?} diverged across reruns", x.cell.policy);
@@ -336,23 +260,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let (tel, _handle) = Telemetry::in_memory();
         let cache = RunCache::open(&dir).unwrap().with_telemetry(tel.clone());
-        let cold =
-            run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 5, Some(&cache));
+        let cold = run_policy_matrix(
+            Profile::Quick,
+            TaskKind::FmnistLike,
+            true,
+            &[250.0],
+            5,
+            Some(&cache),
+        );
         assert_eq!(tel.counter("cache.miss").value(), 4);
         assert_eq!(tel.counter("cache.hit").value(), 0);
-        let warm =
-            run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 5, Some(&cache));
+        let warm = run_policy_matrix(
+            Profile::Quick,
+            TaskKind::FmnistLike,
+            true,
+            &[250.0],
+            5,
+            Some(&cache),
+        );
         assert_eq!(tel.counter("cache.hit").value(), 4);
         for (x, y) in cold.iter().zip(&warm) {
             assert_eq!(x.outcome, y.outcome);
         }
         // A different seed is a different key: all misses again.
-        run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 250.0, 6, Some(&cache));
+        run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, &[250.0], 6, Some(&cache));
         assert_eq!(tel.counter("cache.miss").value(), 8);
         // So is a different snapshot schema version: an entry written
         // before a bit-changing solver rewrite must miss, not stand in.
         let key = RunCache::cell_key(&ScenarioConfig::small_fmnist(4, 10.0, 2), "FedL");
         assert!(key.starts_with(&format!("fedl-cell v{SNAPSHOT_SCHEMA_VERSION}\n")), "{key}");
+    }
+
+    #[test]
+    fn a_study_run_twice_on_one_cache_is_served_whole_and_reports_the_same() {
+        let dir = std::env::temp_dir().join("fedl_bench_cache_tests").join("study");
+        std::fs::remove_dir_all(&dir).ok();
+        let (tel, _handle) = Telemetry::in_memory();
+        let cache = RunCache::open(&dir).unwrap().with_telemetry(tel.clone());
+        let study = &crate::experiments::ORACLE;
+        let cold = study.run(Profile::Quick, Some(&cache)).text();
+        assert_eq!((tel.counter("cache.hit").value(), tel.counter("cache.miss").value()), (0, 2));
+        let warm = study.run(Profile::Quick, Some(&cache)).text();
+        assert_eq!((tel.counter("cache.hit").value(), tel.counter("cache.miss").value()), (2, 2));
+        assert_eq!(cold, warm);
+        assert!(cold.contains("Oracle"), "{cold}");
     }
 
     #[test]
@@ -362,13 +313,8 @@ mod tests {
         let (tel, _handle) = Telemetry::in_memory();
         let cache = RunCache::open(&dir).unwrap().with_telemetry(tel.clone());
         let scenario = Profile::Quick.scenario(TaskKind::FmnistLike, true, 250.0, 9);
-        let cell = Cell {
-            task: TaskKind::FmnistLike,
-            iid: true,
-            policy: PolicyKind::FedAvg,
-            budget: 250.0,
-        };
-        let first = run_cell(scenario.clone(), cell.clone(), Some(&cache));
+        let policy = PolicyKind::FedAvg;
+        let first = run_cell(scenario.clone(), policy, Some(&cache));
         let entry = std::fs::read_dir(cache.dir())
             .unwrap()
             .filter_map(|e| e.ok())
@@ -383,26 +329,27 @@ mod tests {
         let crc = fedl_store::fnv1a64(body.as_bytes());
         std::fs::write(&entry, format!("fedl-store v1 kind=cache-entry crc={crc:016x}\n{body}"))
             .unwrap();
-        let again = run_cell(scenario.clone(), cell.clone(), Some(&cache));
+        let again = run_cell(scenario.clone(), policy, Some(&cache));
         // It read as a miss (not a crash), the run reproduced the
         // outcome, and `put` repaired the entry: the next call hits.
         assert_eq!(tel.counter("cache.miss").value(), 2);
         assert_eq!(tel.counter("cache.hit").value(), 0);
-        assert_eq!(first.outcome, again.outcome);
+        assert_eq!(first, again);
         assert!(std::fs::read_to_string(&entry).unwrap().starts_with("fedl-store v2 "));
-        let served = run_cell(scenario.clone(), cell.clone(), Some(&cache));
+        let served = run_cell(scenario.clone(), policy, Some(&cache));
         assert_eq!(tel.counter("cache.hit").value(), 1);
-        assert_eq!(first.outcome, served.outcome);
+        assert_eq!(first, served);
         // A damaged entry goes the same way.
         std::fs::write(&entry, &text.as_bytes()[..text.len() / 2]).unwrap();
-        let repaired = run_cell(scenario, cell, Some(&cache));
+        let repaired = run_cell(scenario, policy, Some(&cache));
         assert_eq!(tel.counter("cache.miss").value(), 3);
-        assert_eq!(first.outcome, repaired.outcome);
+        assert_eq!(first, repaired);
     }
 
     #[test]
     fn quick_matrix_runs_all_policies() {
-        let results = run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, 300.0, 3, None);
+        let results =
+            run_policy_matrix(Profile::Quick, TaskKind::FmnistLike, true, &[300.0], 3, None);
         assert_eq!(results.len(), 4);
         for r in &results {
             assert!(!r.outcome.epochs.is_empty(), "{:?} ran nothing", r.cell.policy);

@@ -5,13 +5,16 @@
 //! * [`profile`] — paper-scale vs quick-scale experiment sizing;
 //! * [`harness`] — running the (task × distribution × policy) matrix and
 //!   collecting [`fedl_core::runner::RunOutcome`] series;
-//! * [`report`] — CSV/JSON emission and the human-readable summaries
-//!   (accuracy-at-time, time-to-accuracy, rounds-to-accuracy);
+//! * [`report`] — CSV/JSON emission and the figure, replication and
+//!   study-metric content of the reports (accuracy-at-time,
+//!   time-to-accuracy, rounds-to-accuracy), as pure functions of
+//!   completed cells;
 //! * [`experiments`] — one entry point per paper figure (2–7), the
 //!   headline table, and the ablation/extension studies (regret & fit,
-//!   RDCS vs independent rounding, step sizes, aggregation norm,
-//!   latency oracle, fairness, bandwidth allocation, dropout,
-//!   multi-seed replication);
+//!   fairness, multi-seed replication, and the table-driven
+//!   [`experiments::Study`] rows: RDCS vs independent rounding, step
+//!   sizes, aggregation norm, latency oracle, bandwidth allocation,
+//!   dropout), each returning one `fedl_telemetry::render::Report`;
 //! * [`plot`] — terminal (ASCII) curve rendering of the figure panels;
 //! * [`timing`] — the measured-iterations timer (offline replacement for
 //!   criterion);
@@ -24,9 +27,10 @@
 //!   ±2σ bands (ASCII + self-contained HTML).
 //!
 //! The `experiments` binary is a thin CLI over [`experiments`]: its
-//! command table is parsed by the one grammar in `fedl_serve::cli`. All
-//! console tables go through `fedl_telemetry::log_line!`, so
-//! `FEDL_QUIET=1` silences them.
+//! command table is parsed by the one grammar in `fedl_serve::cli`.
+//! Every figure and study builds one `Report`, whose text the binary
+//! prints line by line through `fedl_telemetry::log_line!`, so
+//! `FEDL_QUIET=1` silences it; no table is formatted by hand.
 //!
 //! System-inventory row **S9** in DESIGN.md §1.
 

@@ -1,14 +1,19 @@
 //! Result emission: CSV series for plotting, JSON for machines, and the
-//! human-readable tables the paper reports in §6.2 prose.
+//! [`Report`] content of the figures, the §6.2 headline and the studies
+//! — pure functions of completed cells, which `experiments` runs.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use fedl_telemetry::log_line;
+use fedl_core::policy::PolicyKind;
+use fedl_core::runner::RunOutcome;
+use fedl_data::synth::TaskKind;
+use fedl_telemetry::render::{Col, Report};
 
-use crate::harness::CellResult;
+use crate::harness::{CellResult, MeanStd};
+use crate::plot;
+use crate::profile::accuracy_targets;
 
 /// Writes the per-epoch series of every cell as one tidy CSV
 /// (`policy,task,dist,budget,epoch,round,sim_time,spent,accuracy,test_loss,global_loss`).
@@ -81,97 +86,210 @@ pub fn accuracy_at_time(result: &CellResult, time: f64) -> f64 {
         .map_or(0.0, |e| e.accuracy)
 }
 
-/// Prints the accuracy-vs-time table for one figure panel.
-pub fn print_time_table(title: &str, results: &[CellResult], times: &[f64], targets: &[f64]) {
-    log_line!("\n── {title} ──");
-    let mut header = format!("{:<8}", "policy");
-    for t in times {
-        let _ = write!(header, "{:>12}", format!("acc@{t:.0}s"));
-    }
-    for a in targets {
-        let _ = write!(header, "{:>14}", format!("t→{:.0}% (s)", a * 100.0));
-    }
-    log_line!("{header}");
-    for r in results {
-        let mut row = format!("{:<8}", r.outcome.policy);
-        for &t in times {
-            let _ = write!(row, "{:>12.3}", accuracy_at_time(r, t));
-        }
-        for &a in targets {
-            match r.outcome.time_to_accuracy(a) {
-                Some(t) => {
-                    let _ = write!(row, "{:>14.1}", t);
-                }
-                None => {
-                    let _ = write!(row, "{:>14}", "—");
-                }
-            }
-        }
-        log_line!("{row}");
+/// The paper's name of a task.
+pub fn task_name(task: TaskKind) -> &'static str {
+    match task {
+        TaskKind::FmnistLike => "FMNIST",
+        TaskKind::CifarLike => "CIFAR-10",
     }
 }
 
-/// Prints the accuracy-vs-round table for one figure panel.
-pub fn print_round_table(title: &str, results: &[CellResult], rounds: &[usize], targets: &[f64]) {
-    log_line!("\n── {title} ──");
-    let mut header = format!("{:<8}", "policy");
-    for r in rounds {
-        let _ = write!(header, "{:>12}", format!("acc@r{r}"));
-    }
-    for a in targets {
-        let _ = write!(header, "{:>14}", format!("r→{:.0}%", a * 100.0));
-    }
-    log_line!("{header}");
-    for res in results {
-        let by_round = res.outcome.accuracy_by_round();
-        let mut row = format!("{:<8}", res.outcome.policy);
-        for &target_round in rounds {
-            let acc = by_round
-                .iter()
-                .take_while(|(r, _)| *r <= target_round)
-                .last()
-                .map_or(0.0, |(_, a)| *a);
-            let _ = write!(row, "{:>12.3}", acc);
-        }
-        for &a in targets {
-            match res.outcome.rounds_to_accuracy(a) {
-                Some(r) => {
-                    let _ = write!(row, "{:>14}", r);
-                }
-                None => {
-                    let _ = write!(row, "{:>14}", "—");
-                }
-            }
-        }
-        log_line!("{row}");
+/// A task's figure numbers: accuracy vs time, accuracy vs round, loss
+/// vs budget.
+pub fn figure_numbers(task: TaskKind) -> [u32; 3] {
+    match task {
+        TaskKind::FmnistLike => [2, 4, 6],
+        TaskKind::CifarLike => [3, 5, 7],
     }
 }
 
-/// Prints the budget-impact table (final global loss per budget).
-pub fn print_budget_table(title: &str, results: &[CellResult], budgets: &[f64]) {
-    log_line!("\n── {title} ──");
-    let mut header = format!("{:<8}", "policy");
-    for b in budgets {
-        let _ = write!(header, "{:>12}", format!("C={b:.0}"));
+/// `FMNIST IID`, `CIFAR-10 Non-IID`, …: the name of one figure panel.
+pub fn panel_name(task: TaskKind, iid: bool) -> String {
+    format!("{} {}", task_name(task), if iid { "IID" } else { "Non-IID" })
+}
+
+/// The `(task, iid)` panels of the figures, in figure order.
+pub const PANELS: [(TaskKind, bool); 4] = [
+    (TaskKind::FmnistLike, true),
+    (TaskKind::FmnistLike, false),
+    (TaskKind::CifarLike, true),
+    (TaskKind::CifarLike, false),
+];
+
+/// The cell of a target a run never reached.
+const NEVER: &str = "—";
+
+/// Appends a table under its `── caption ──` line, which only the text
+/// rendering prints; the page heads the table with the caption instead.
+pub fn captioned(report: &mut Report, caption: &str, cols: Vec<Col>, rows: Vec<Vec<String>>) {
+    report.ascii(format!("\n── {caption} ──\n"));
+    report.table(caption, cols, rows);
+}
+
+/// Figs 2/4 (FMNIST) or 3/5 (CIFAR-10) for one distribution: each
+/// policy's accuracy at a quarter, half and all of the longest run's
+/// simulated time and federated rounds, its time and rounds to each
+/// accuracy target, and the accuracy-vs-time curves drawn in ASCII.
+pub fn time_and_round(report: &mut Report, task: TaskKind, iid: bool, results: &[CellResult]) {
+    let [fig_t, fig_r, _] = figure_numbers(task);
+    let panel = panel_name(task, iid);
+    let targets = accuracy_targets(task);
+
+    let max_t = results.iter().map(|r| r.outcome.total_sim_time()).fold(0.0f64, f64::max);
+    let times = [max_t * 0.25, max_t * 0.5, max_t];
+    let mut cols = vec![Col::left("policy", 8)];
+    cols.extend(times.map(|t| Col::right(format!("acc@{t:.0}s"), 11)));
+    cols.extend(targets.iter().map(|a| Col::right(format!("t→{:.0}% (s)", a * 100.0), 13)));
+    let rows = results.iter().map(|r| {
+        let mut row = vec![r.outcome.policy.clone()];
+        row.extend(times.map(|t| format!("{:.3}", accuracy_at_time(r, t))));
+        let to = |a| r.outcome.time_to_accuracy(a).map_or(NEVER.into(), |t| format!("{t:.1}"));
+        row.extend(targets.iter().map(|&a| to(a)));
+        row
+    });
+    captioned(report, &format!("Fig {fig_t} — {panel}: accuracy vs time"), cols, rows.collect());
+
+    let by_round: Vec<Vec<(usize, f64)>> =
+        results.iter().map(|r| r.outcome.accuracy_by_round()).collect();
+    let max_round = by_round.iter().filter_map(|c| c.last()).map(|(r, _)| *r).max().unwrap_or(0);
+    let rounds = [max_round / 4, max_round / 2, max_round];
+    let mut cols = vec![Col::left("policy", 8)];
+    cols.extend(rounds.map(|r| Col::right(format!("acc@r{r}"), 11)));
+    cols.extend(targets.iter().map(|a| Col::right(format!("r→{:.0}%", a * 100.0), 13)));
+    let rows = results.iter().zip(&by_round).map(|(r, curve)| {
+        let mut row = vec![r.outcome.policy.clone()];
+        row.extend(rounds.map(|round| {
+            let reached = curve.iter().take_while(|(at, _)| *at <= round).last();
+            format!("{:.3}", reached.map_or(0.0, |(_, acc)| *acc))
+        }));
+        let to = |a| r.outcome.rounds_to_accuracy(a).map_or(NEVER.into(), |n| n.to_string());
+        row.extend(targets.iter().map(|&a| to(a)));
+        row
+    });
+    captioned(report, &format!("Fig {fig_r} — {panel}: accuracy vs round"), cols, rows.collect());
+
+    let curves: Vec<plot::Series> = results
+        .iter()
+        .map(|r| plot::Series {
+            name: r.outcome.policy.clone(),
+            points: r.outcome.epochs.iter().map(|e| (e.sim_time, e.accuracy)).collect(),
+        })
+        .collect();
+    report.ascii(plot::render(&curves, 72, 16) + "\n");
+}
+
+/// Fig 6 (FMNIST) or 7 (CIFAR-10) for one distribution: each policy's
+/// final global loss at each budget of the grid.
+pub fn budget(
+    report: &mut Report,
+    task: TaskKind,
+    iid: bool,
+    results: &[CellResult],
+    budgets: &[f64],
+) {
+    let mut cols = vec![Col::left("policy", 8)];
+    cols.extend(budgets.iter().map(|b| Col::right(format!("C={b:.0}"), 11)));
+    let rows = PolicyKind::ALL.iter().map(|&policy| {
+        let loss = budgets.iter().map(|&b| {
+            let run = results.iter().find(|r| r.cell.policy == policy && r.cell.budget == b);
+            run.map_or(NEVER.into(), |r| format!("{:.3}", r.outcome.final_loss()))
+        });
+        std::iter::once(policy.label().to_string()).chain(loss).collect()
+    });
+    let caption = format!(
+        "Fig {} — {}: final global loss vs budget",
+        figure_numbers(task)[2],
+        panel_name(task, iid)
+    );
+    captioned(report, &caption, cols, rows.collect());
+}
+
+/// One metric column of a study table: its header, its width and its
+/// cell for a run.
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    /// Header cell.
+    pub head: &'static str,
+    /// Column width (right-aligned).
+    pub width: usize,
+    /// The cell of one run.
+    pub cell: fn(&RunOutcome) -> String,
+}
+
+impl Metric {
+    /// The metric's column.
+    pub fn col(&self) -> Col {
+        Col::right(self.head, self.width)
     }
-    log_line!("{header}   (final global loss)");
-    for policy in ["FedL", "FedCS", "FedAvg", "Pow-d"] {
-        let mut row = format!("{:<8}", policy);
-        for &b in budgets {
-            let cell = results
-                .iter()
-                .find(|r| r.outcome.policy == policy && (r.cell.budget - b).abs() < 1e-9);
-            match cell {
-                Some(c) => {
-                    let _ = write!(row, "{:>12.3}", c.outcome.final_loss());
-                }
-                None => {
-                    let _ = write!(row, "{:>12}", "—");
-                }
-            }
-        }
-        log_line!("{row}");
-    }
+}
+
+/// Epochs the run lasted.
+pub const EPOCHS: Metric =
+    Metric { head: "epochs", width: 9, cell: |o| o.epochs.len().to_string() };
+/// Test accuracy after the last epoch.
+pub const FINAL_ACC: Metric =
+    Metric { head: "final acc", width: 11, cell: |o| format!("{:.3}", o.final_accuracy()) };
+/// Global training loss after the last epoch.
+pub const FINAL_LOSS: Metric =
+    Metric { head: "final loss", width: 13, cell: |o| format!("{:.3}", o.final_loss()) };
+/// Simulated seconds the run lasted.
+pub const SIM_TIME: Metric =
+    Metric { head: "sim time", width: 13, cell: |o| format!("{:.1}", o.total_sim_time()) };
+/// Simulated seconds per epoch.
+pub const SECS_PER_EPOCH: Metric = Metric {
+    head: "s/epoch",
+    width: 13,
+    cell: |o| format!("{:.3}", o.total_sim_time() / o.epochs.len().max(1) as f64),
+};
+/// Rent charged beyond the budget.
+pub const OVERSPEND: Metric = Metric {
+    head: "overspend",
+    width: 13,
+    cell: |o| format!("{:.2}", (o.epochs.last().map_or(0.0, |e| e.spent) - o.budget).max(0.0)),
+};
+/// Population standard deviation of the cohort size over the epochs.
+pub const COHORT_SIGMA: Metric = Metric {
+    head: "cohort σ",
+    width: 13,
+    cell: |o| {
+        let sizes: Vec<f64> = o.epochs.iter().map(|e| e.cohort_size as f64).collect();
+        let n = sizes.len().max(1) as f64;
+        let mean = sizes.iter().sum::<f64>() / n;
+        let var = sizes.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
+        format!("{:.2}", var.sqrt())
+    },
+};
+
+/// The multi-seed replication table: each policy's final accuracy,
+/// simulated time and time to `target` as mean ± std over its runs in
+/// `cells`, one per seed. Runs that miss the target are left out of
+/// its mean; `never` means every run missed it.
+pub fn replication(report: &mut Report, seeds: usize, target: f64, cells: &[CellResult]) {
+    let caption =
+        format!("Replication: FMNIST IID over {seeds} seeds (target {:.0}%)", target * 100.0);
+    let cols = vec![
+        Col::left("policy", 8),
+        Col::right("final acc (μ±σ)", 21),
+        Col::right("sim time (μ±σ)", 23),
+        Col::right("time→target (μ±σ)", 25),
+    ];
+    let stat = |values: &[f64], digits: usize| {
+        let MeanStd { mean, std } = MeanStd::of(values);
+        format!("{mean:.digits$} ± {std:.digits$}")
+    };
+    let rows = PolicyKind::ALL.iter().map(|&policy| {
+        let runs: Vec<&RunOutcome> =
+            cells.iter().filter(|c| c.cell.policy == policy).map(|c| &c.outcome).collect();
+        let metric = |f: fn(&RunOutcome) -> f64| runs.iter().map(|r| f(r)).collect::<Vec<_>>();
+        let hits: Vec<f64> = runs.iter().filter_map(|r| r.time_to_accuracy(target)).collect();
+        vec![
+            policy.label().to_string(),
+            stat(&metric(RunOutcome::final_accuracy), 3),
+            stat(&metric(RunOutcome::total_sim_time), 1),
+            if hits.is_empty() { "never".to_string() } else { stat(&hits, 1) },
+        ]
+    });
+    captioned(report, &caption, cols, rows.collect());
 }
 
 /// The paper's headline metric: FedL's completion-time saving relative
@@ -250,6 +368,29 @@ mod tests {
     fn saving_none_when_target_missed() {
         let results = vec![fake("FedL", &[(1.0, 0.2)]), fake("FedAvg", &[(1.0, 0.9)])];
         assert!(fedl_time_saving(&results, 0.8).is_none());
+    }
+
+    #[test]
+    fn replication_reports_mean_and_std_over_the_seeds() {
+        let cells: Vec<CellResult> = [0.6, 0.8]
+            .into_iter()
+            .flat_map(|acc| {
+                PolicyKind::ALL.map(|policy| {
+                    let mut cell = fake(policy.label(), &[(1.0, acc / 2.0), (acc * 10.0, acc)]);
+                    cell.cell.policy = policy;
+                    cell
+                })
+            })
+            .collect();
+        let mut report = Report::new("replication");
+        replication(&mut report, 2, 0.7, &cells);
+        let table = report.tables().next().unwrap();
+        assert_eq!(table.rows.len(), 4);
+        // Only the seed that ends at 0.8 reaches 0.7 (at t = 8): one hit.
+        assert_eq!(table.rows[0], ["FedL", "0.700 ± 0.141", "7.0 ± 1.4", "8.0 ± 0.0"]);
+        let mut report = Report::new("replication");
+        replication(&mut report, 2, 0.9, &cells);
+        assert_eq!(report.tables().next().unwrap().rows[3][3], "never");
     }
 
     #[test]

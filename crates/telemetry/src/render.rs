@@ -2,9 +2,10 @@
 //!
 //! Every offline report — `telemetry-report`, the dashboard (single run
 //! and overlay), `trace-report`, the bench-history trend report and
-//! gate, `stats` — is built **once** as a [`Report`]: prose notes,
-//! [`Table`]s and chart panels, in reading order. Exactly two functions
-//! turn it into output: [`Report::text`] for the terminal and
+//! gate, `stats`, and every paper figure, headline table and study that
+//! `experiments` prints — is built **once** as a [`Report`]: prose
+//! notes, [`Table`]s and chart panels, in reading order. Exactly two
+//! functions turn it into output: [`Report::text`] for the terminal and
 //! [`Report::html`] for a self-contained page (inline stylesheet,
 //! inline SVG, no script, no external asset). A table therefore shows
 //! the same cells in both, and a column added to one appears in both.
@@ -12,8 +13,9 @@
 //! This module also owns what every panel shares: the page scaffold,
 //! the plot geometry, the empty-panel placeholder and the three chart
 //! primitives [`lines`], [`bars`] and [`heatmap`]. The modules that
-//! build reports (`report`, `dashboard`, `trace`, `fedl-bench`'s
-//! `history`) only walk their input and fill the model.
+//! build reports (`report`, `dashboard`, `trace`, and `fedl-bench`'s
+//! `history`, `report` and `experiments`) only walk their input and
+//! fill the model.
 
 /// Plot-area geometry (pixels) of every panel.
 const PLOT_W: f64 = 560.0;
@@ -37,7 +39,7 @@ pub const SERIES_COLORS: [&str; 6] =
 #[derive(Debug, Clone)]
 pub struct Col {
     /// Header cell; a table whose headers are all empty prints none.
-    pub head: &'static str,
+    pub head: String,
     /// Minimum cell width in characters (longer cells overflow).
     pub width: usize,
     /// Pad on the right (left-aligned) instead of on the left.
@@ -49,13 +51,13 @@ pub struct Col {
 
 impl Col {
     /// A left-aligned column.
-    pub fn left(head: &'static str, width: usize) -> Self {
-        Self { head, width, left: true, pad: 0 }
+    pub fn left(head: impl Into<String>, width: usize) -> Self {
+        Self { head: head.into(), width, left: true, pad: 0 }
     }
 
     /// A right-aligned column.
-    pub fn right(head: &'static str, width: usize) -> Self {
-        Self { head, width, left: false, pad: 0 }
+    pub fn right(head: impl Into<String>, width: usize) -> Self {
+        Self { head: head.into(), width, left: false, pad: 0 }
     }
 
     /// The same column behind `pad` extra spaces.
@@ -90,7 +92,7 @@ impl Table {
     pub fn text(&self) -> String {
         let mut out = String::new();
         if self.cols.iter().any(|c| !c.head.is_empty()) {
-            self.text_row(self.cols.iter().map(|c| c.head), &mut out);
+            self.text_row(self.cols.iter().map(|c| &c.head), &mut out);
         }
         for row in &self.rows {
             self.text_row(row.iter(), &mut out);
@@ -103,7 +105,7 @@ impl Table {
         fn cells<'a>(tag: &str, cells: impl Iterator<Item = &'a str>) -> String {
             cells.map(|c| format!("<{tag}>{}</{tag}>", escape(c))).collect()
         }
-        let head = cells("th", self.cols.iter().map(|c| c.head));
+        let head = cells("th", self.cols.iter().map(|c| c.head.as_str()));
         let body: String = self
             .rows
             .iter()

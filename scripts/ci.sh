@@ -151,9 +151,10 @@ expect_resume_refused() {
     fi
 }
 
-# Warm result cache: a repeat figure invocation must be served from the
-# content-addressed cache (cache.hit required in the run log) and must
-# regenerate byte-identical CSVs.
+# Warm result cache: a repeat figure or study invocation must be served
+# from the content-addressed cache (cache.hit required in the run log;
+# for the study, no cache.miss either) and must regenerate byte-identical
+# CSVs and print the same report.
 stage_cache() {
     local out=target/ci_cache_stage
     rm -rf "$out"
@@ -164,6 +165,14 @@ stage_cache() {
     cmp "$out"/fig6_iid.cold.csv "$out"/fig6_iid.csv
     cmp "$out"/fig6_noniid.cold.csv "$out"/fig6_noniid.csv
     run_exp telemetry-report "$out"/cache_run.jsonl --require cache.hit
+    run_exp --quick --out "$out" --resume dropout > "$out"/dropout.cold.txt
+    run_exp --quick --out "$out" --resume dropout > "$out"/dropout.warm.txt
+    cmp "$out"/dropout.cold.txt "$out"/dropout.warm.txt
+    run_exp telemetry-report "$out"/cache_run.jsonl --require cache.hit
+    if grep -q '"kind":"cache.miss"' "$out"/cache_run.jsonl; then
+        echo "a repeat dropout study missed the result cache" >&2
+        exit 1
+    fi
     rm -rf "$out"
 }
 
