@@ -3,7 +3,7 @@
 //! DESIGN.md row **S13**, schema in docs/OBSERVATORY.md).
 //!
 //! [`run_suite`] times a fixed, seeded set of micro-kernels — GEMM and
-//! softmax (S1), a DANE local solve (S2), RDCS dependent rounding
+//! the fused cross-entropy (S1), a DANE local solve (S2), RDCS dependent rounding
 //! (S5/S6), one FedL decision (build → decide → observe), one regret
 //! record (the hindsight comparator), the one-shot solve, the columnar
 //! scheduler at the 10k/100k/1M scale tiers (docs/SCALE.md), and the
@@ -56,8 +56,12 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// K = 80 instance, docs/PERF.md "The hindsight comparator"); v11 added the
 /// kernels at the shapes `train_fedavg_cifar_m100` runs: the 16-row
 /// products `gemm/forward_16x128x96`, `gemm/weight_grad_128x16x96` and
-/// `gemm/head_16x96x10`, and the 16-row `ml/dane_local_solve_16`.
-pub const BENCH_SCHEMA_VERSION: u32 = 11;
+/// `gemm/head_16x96x10`, and the 16-row `ml/dane_local_solve_16`; v12
+/// replaced `linalg/softmax_rows_{128x64,256x96}` (rows that fill the exp
+/// batch, a shape no workload runs) with the fused cross-entropy kernel
+/// at the training pass's 16×10, `ml/cross_entropy_grad_16x10`, and one
+/// chunk of the evaluation walk, `ml/eval_chunk_256x64`.
+pub const BENCH_SCHEMA_VERSION: u32 = 12;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -207,7 +211,7 @@ fn measure_kernel<R>(
     kernels.push(KernelStats::from_measurement(name, &m));
 }
 
-/// GEMM + softmax kernels (linear-algebra substrate, S1).
+/// GEMM and cross-entropy kernels (linear-algebra substrate, S1).
 fn suite_linalg(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profile) {
     use fedl_linalg::rng::rng_for;
     use fedl_linalg::Matrix;
@@ -248,15 +252,30 @@ fn suite_linalg(kernels: &mut Vec<KernelStats>, budget: Duration, profile: Profi
         std::hint::black_box(&out);
     });
 
-    let (rows, cols) = match profile {
-        Profile::Paper => (256, 96),
-        Profile::Quick => (128, 64),
-    };
-    let logits = Matrix::uniform(rows, cols, 1.0, &mut rng);
-    measure_kernel(kernels, budget, &format!("linalg/softmax_rows_{rows}x{cols}"), || {
-        let mut probs = Matrix::default();
-        fedl_linalg::ops::softmax_rows_into(&logits, &mut probs);
-        std::hint::black_box(probs)
+    // The fused cross-entropy kernel at the shape every training pass
+    // runs it: 16 rows of 10 classes (docs/PERF.md, "The exp kernel").
+    let logits = Matrix::uniform(16, 10, 4.0, &mut rng);
+    let targets = Matrix::from_fn(16, 10, |r, c| if c == (r * 7) % 10 { 1.0 } else { 0.0 });
+    let (mut lse, mut grad) = (Vec::new(), Matrix::default());
+    measure_kernel(kernels, budget, "ml/cross_entropy_grad_16x10", || {
+        let loss =
+            fedl_ml::loss::cross_entropy_with_grad_into(&logits, &targets, &mut lse, &mut grad);
+        std::hint::black_box((loss, &grad));
+    });
+
+    // One evaluation chunk of the client walk on the 64-64-10 model
+    // `train_fedl_m100` scores with: a 256-row forward into a reused
+    // workspace and the cross-entropy fold over its rows.
+    use fedl_ml::model::{Mlp, Model, ModelScratch};
+    let model = Mlp::new(64, &[64], 10, 0.0005, &mut rng);
+    let x = Matrix::uniform(256, 64, 1.0, &mut rng);
+    let y = Matrix::from_fn(256, 10, |r, c| if c == (r * 3) % 10 { 1.0 } else { 0.0 });
+    let (mut ws, mut block) = (ModelScratch::new(), Matrix::default());
+    measure_kernel(kernels, budget, "ml/eval_chunk_256x64", || {
+        model.forward_scratch(&x, &mut ws);
+        let (logits, targets) = (ws.logits().as_slice(), y.as_slice());
+        let sum = fedl_ml::loss::cross_entropy_fold(0.0, logits, targets, 10, &mut lse, &mut block);
+        std::hint::black_box(sum);
     });
 }
 
@@ -986,7 +1005,8 @@ mod tests {
         assert!(snap.threads >= 1);
         for prefix in [
             "gemm/",
-            "linalg/softmax",
+            "ml/cross_entropy_grad",
+            "ml/eval_chunk",
             "ml/dane",
             "core/rdcs",
             "core/decide_observe",

@@ -36,10 +36,15 @@ const MC: usize = 64;
 
 /// Products of at least this many multiply-adds (`m·k·n`; a 64³ product
 /// is exactly at it) hand their [`MC`] row blocks to the worker pool;
-/// smaller ones run on the caller. Dispatching a batch costs on the order
-/// of 10 µs, which is what one core spends on about this many
-/// multiply-adds. A scheduling choice only: the bits are the same on
-/// either side of it.
+/// smaller ones run on the caller, and so does every product inside
+/// another parallel call's task (`par::team`), where the rest of the team
+/// is busy. Waking a parked worker and joining it costs more than the
+/// ≈ 10 µs this cut was once priced at: on a 2-core x86-64 host the
+/// 128×24·96 weight gradient (≈ 295 k multiply-adds) took 12.1 µs on
+/// the caller and 25.4 µs split in two on an idle pool (docs/PERF.md,
+/// "The parallel cut"); inside the cohort's solves such products now run
+/// inline. A scheduling choice only: the bits are the same on either
+/// side of it.
 const PAR_MIN_MACS: usize = 256 * 1024;
 
 thread_local! {
@@ -174,10 +179,10 @@ fn row_block<const TA: bool>(
 }
 
 /// The driver shared by all three products: `out = A·B` for the `m × k`
-/// operand `A` and the `k × n` operand `B`. `out` must be zeroed (it is
-/// left so when `k = 0`); `threads` bounds how many contiguous groups the
-/// `MC` row blocks are split into (the grouping never affects bits — see
-/// the module docs).
+/// operand `A` and the `k × n` operand `B`. Every element of `out` is
+/// written (zeros when `k = 0`), so it may hold stale values on entry;
+/// `threads` bounds how many contiguous groups the `MC` row blocks are
+/// split into (the grouping never affects bits — see the module docs).
 #[allow(clippy::too_many_arguments)] // two operands and the shape
 fn gemm(
     a: &[f32],
@@ -193,6 +198,9 @@ fn gemm(
     threads: usize,
 ) {
     debug_assert_eq!(out.len(), m * n);
+    if k == 0 {
+        out.fill(0.0);
+    }
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -247,7 +255,7 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        out.resize_to(self.rows(), rhs.cols());
+        out.resize_for_overwrite(self.rows(), rhs.cols());
         gemm(
             self.as_slice(),
             self.cols().max(1),
@@ -259,7 +267,7 @@ impl Matrix {
             self.cols(),
             rhs.cols(),
             out.as_mut_slice(),
-            par::max_threads(),
+            par::team(),
         );
     }
 
@@ -279,7 +287,7 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        out.resize_to(self.cols(), rhs.cols());
+        out.resize_for_overwrite(self.cols(), rhs.cols());
         gemm(
             self.as_slice(),
             self.cols().max(1),
@@ -291,7 +299,7 @@ impl Matrix {
             self.rows(),
             rhs.cols(),
             out.as_mut_slice(),
-            par::max_threads(),
+            par::team(),
         );
     }
 
@@ -309,7 +317,7 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        out.resize_to(self.rows(), rhs.rows());
+        out.resize_for_overwrite(self.rows(), rhs.rows());
         gemm(
             self.as_slice(),
             self.cols().max(1),
@@ -321,7 +329,7 @@ impl Matrix {
             self.cols(),
             rhs.rows(),
             out.as_mut_slice(),
-            par::max_threads(),
+            par::team(),
         );
     }
 }

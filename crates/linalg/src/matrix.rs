@@ -144,6 +144,16 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes to `rows x cols` for a kernel that writes every element
+    /// before it reads one: the elements the storage already held keep
+    /// their stale values (grown ones read zero), so nothing is cleared
+    /// twice. Reuses the backing allocation like [`Self::resize_to`].
+    pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Makes `self` an exact copy of `other`, reusing the backing
     /// allocation when capacity allows.
     pub fn copy_from(&mut self, other: &Matrix) {
@@ -285,17 +295,7 @@ impl Matrix {
     ///
     /// This is the arg-max used to turn class scores into predictions.
     pub fn row_argmax(&self) -> Vec<usize> {
-        self.row_iter()
-            .map(|row| {
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate().skip(1) {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
+        self.row_iter().map(crate::ops::argmax).collect()
     }
 
     /// `true` if any element is NaN or infinite.

@@ -1,7 +1,7 @@
-//! Numerically careful element-wise and row-wise kernels shared by the
-//! training substrate: softmax, log-sum-exp, ReLU, and broadcast helpers.
+//! Element-wise and row-wise kernels shared by the training substrate:
+//! the row maximum the cross-entropy kernel shifts by, ReLU, and
+//! broadcast helpers.
 
-use crate::fastexp;
 use crate::Matrix;
 
 /// Row maximum as a 16-lane tree reduction (vectorizable, unlike the
@@ -15,7 +15,7 @@ use crate::Matrix;
 /// only subtracted before `exp`, where `exp(±0.0) == 1.0` exactly, or
 /// added to a `ln` that never returns `-0.0`).
 #[inline]
-fn row_max(row: &[f32]) -> f32 {
+pub fn row_max(row: &[f32]) -> f32 {
     const LANES: usize = 16;
     let mut chunks = row.chunks_exact(LANES);
     let mut lanes = [f32::NEG_INFINITY; LANES];
@@ -34,64 +34,16 @@ fn row_max(row: &[f32]) -> f32 {
     m
 }
 
-/// Row-wise softmax with the max-subtraction trick, written into a
-/// caller-owned matrix (reshaped to match `logits`); steady-state reuse
-/// performs no allocation.
-///
-/// Each row of the result is a probability distribution; rows of all
-/// `-inf`/huge magnitudes stay finite because the row maximum is
-/// subtracted before exponentiation.
-pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
-    out.copy_from(logits);
-    for row in out.as_mut_slice().chunks_exact_mut(logits.cols().max(1)) {
-        let max = row_max(row);
-        // Three vectorizable passes (subtract, exp, normalize) with a
-        // sequential in-order sum between them: same values and same
-        // accumulation order as the fused scalar loop, so the result is
-        // bit-identical — `fastexp` matches libm bit for bit.
-        for v in row.iter_mut() {
-            *v -= max;
-        }
-        fastexp::exp_inplace(row);
-        let mut sum = 0.0;
-        for &v in row.iter() {
-            sum += v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
+/// Index of the largest element of `row`, the first on a tie (`0` for
+/// an empty row), by `>` as it orders `f32`s.
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate().skip(1) {
+        if v > row[best] {
+            best = i;
         }
     }
-}
-
-/// Row-wise `log(sum(exp(row)))`, stabilized by max subtraction, written
-/// into a caller-owned vector (cleared and refilled); steady-state reuse
-/// performs no allocation.
-pub fn log_sum_exp_rows_into(logits: &Matrix, out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(logits.row_iter().map(|row| {
-        let max = row_max(row);
-        if !max.is_finite() {
-            return max;
-        }
-        // Exponentiate through a stack tile so `fastexp` can batch; the
-        // sum still accumulates in row order, so the bits match the
-        // scalar `map(exp).sum()` form exactly.
-        let mut sum = 0.0f32;
-        let mut tile = [0.0f32; 64];
-        for chunk in row.chunks(tile.len()) {
-            let t = &mut tile[..chunk.len()];
-            for (d, &v) in t.iter_mut().zip(chunk) {
-                *d = v - max;
-            }
-            fastexp::exp_inplace(t);
-            for &v in t.iter() {
-                sum += v;
-            }
-        }
-        max + sum.ln()
-    }));
+    best
 }
 
 /// ReLU written into a caller-owned matrix (reshaped to match `m`).
@@ -153,56 +105,6 @@ pub fn clip_inplace(m: &mut Matrix, limit: f32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
-
-    fn softmax(logits: &Matrix) -> Matrix {
-        let mut out = Matrix::from_vec(1, 2, vec![7.0, 7.0]); // stale contents
-        softmax_rows_into(logits, &mut out);
-        out
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let s = softmax(&m);
-        for row in s.row_iter() {
-            let sum: f32 = row.iter().sum();
-            assert!(approx_eq(sum, 1.0, 1e-6), "row sums to {sum}");
-            assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        }
-        // Monotone: larger logit, larger probability.
-        assert!(s.get(0, 2) > s.get(0, 1));
-    }
-
-    #[test]
-    fn softmax_stable_for_huge_logits() {
-        let m = Matrix::from_vec(1, 3, vec![1000.0, 1000.0, 999.0]);
-        let s = softmax(&m);
-        assert!(!s.has_non_finite());
-        assert!(approx_eq(s.sum(), 1.0, 1e-6));
-    }
-
-    #[test]
-    fn softmax_shift_invariant() {
-        let a = Matrix::from_vec(1, 3, vec![0.0, 1.0, 2.0]);
-        let b = Matrix::from_vec(1, 3, vec![10.0, 11.0, 12.0]);
-        let sa = softmax(&a);
-        let sb = softmax(&b);
-        for (x, y) in sa.as_slice().iter().zip(sb.as_slice()) {
-            assert!(approx_eq(*x, *y, 1e-6));
-        }
-    }
-
-    #[test]
-    fn log_sum_exp_matches_naive_in_safe_range() {
-        let m = Matrix::from_vec(1, 3, vec![0.1, 0.2, 0.3]);
-        let mut lse = vec![99.0; 7]; // stale contents must be discarded
-        log_sum_exp_rows_into(&m, &mut lse);
-        assert_eq!(lse.len(), 1);
-        let lse = lse[0];
-        let naive: f32 = m.as_slice().iter().map(|v| v.exp()).sum::<f32>().ln();
-        assert!(approx_eq(lse, naive, 1e-6));
-    }
 
     #[test]
     fn relu_forward_and_backward() {

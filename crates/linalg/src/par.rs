@@ -2,25 +2,26 @@
 //!
 //! A from-scratch replacement for the rayon call sites in this workspace
 //! (GEMM row loops, per-client local solves, replication fan-out). The
-//! work shapes here are coarse and regular — a few dozen to a few
-//! thousand equally sized items — so static contiguous splitting across
-//! a fixed thread team matches work stealing in practice while keeping
-//! the substrate dependency-free.
+//! row and column passes are regular, so they split statically into one
+//! contiguous run per thread; [`par_map`]'s items are not (a cohort's
+//! working sets differ in size several-fold), so it hands them out one at
+//! a time.
 //!
 //! Work is dispatched through the private `pool` module: a lazily initialized,
 //! process-lifetime worker pool (sized by [`max_threads`]) that replaces
 //! the original per-call `std::thread::scope` spawning, so a hot kernel
 //! calling `par_map` in a loop pays a queue push per call instead of a
 //! thread spawn per team member. Task panics still propagate to the
-//! caller, and nested parallel calls (GEMM inside a `par_map` task) are
-//! deadlock-free because the calling thread always drains its own batch
-//! before waiting.
+//! caller. A parallel call made inside another's task (a GEMM inside a
+//! `par_map` task) runs inline on that thread ([`team`]): the rest of
+//! the team is busy with the outer call's other tasks.
 //!
 //! All entry points fall back to the serial path when the input is small
 //! or only one hardware thread is available, so callers never pay
 //! fork-join overhead on tiny inputs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::pool;
 
@@ -55,6 +56,18 @@ pub fn force_max_threads(n: usize) {
     CACHED_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
+/// The team a parallel call made on this thread may use: [`max_threads`],
+/// or one inside a task of another parallel call, whose team is busy with
+/// that call's other tasks — so a nested call runs inline. Every entry
+/// point here gives the same bits at any team size.
+pub fn team() -> usize {
+    if pool::in_task() {
+        1
+    } else {
+        max_threads()
+    }
+}
+
 /// Splits `len` items into at most `teams` contiguous index ranges of
 /// near-equal size (first ranges get the remainder).
 pub(crate) fn split_ranges(len: usize, teams: usize) -> Vec<std::ops::Range<usize>> {
@@ -73,28 +86,31 @@ pub(crate) fn split_ranges(len: usize, teams: usize) -> Vec<std::ops::Range<usiz
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
-/// Equivalent to `items.iter().map(f).collect()` but with the items
-/// statically split across the worker pool's thread team. `f` runs
-/// exactly once per item; panics propagate to the caller.
+/// Equivalent to `items.iter().map(f).collect()`. The team draws the
+/// items one at a time from a shared cursor, so a member that drew cheap
+/// items takes the next one instead of idling behind a static split, and
+/// each result lands in its item's slot. `f` runs exactly once per item;
+/// a panic propagates to the caller once the other members have drained
+/// the rest.
 pub fn par_map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(items: &[T], f: F) -> Vec<U> {
-    let threads = max_threads();
-    if threads <= 1 || items.len() <= 1 {
+    let team = team().min(items.len());
+    if team <= 1 {
         return items.iter().map(f).collect();
     }
-    let ranges = split_ranges(items.len(), threads);
-    let f = &f;
-    let mut slots: Vec<Option<Vec<U>>> =
-        std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    let tasks: Vec<pool::Task<'_>> = slots
-        .iter_mut()
-        .zip(ranges)
-        .map(|(slot, range)| {
-            Box::new(move || *slot = Some(items[range].iter().map(f).collect::<Vec<U>>()))
-                as pool::Task<'_>
-        })
-        .collect();
-    pool::run_batch(tasks);
-    slots.into_iter().flat_map(|s| s.expect("batch ran every task")).collect()
+    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let draw = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { return };
+        let out = f(item);
+        *slots[i].lock().expect("slot poisoned") = Some(out);
+    };
+    let draw = &draw;
+    pool::run_batch((0..team).map(|_| Box::new(draw) as pool::Task<'_>).collect());
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("slot poisoned").expect("batch ran every item"))
+        .collect()
 }
 
 /// Runs `f(i, out_chunk, in_chunk)` for every aligned pair of the `i`-th
@@ -143,7 +159,7 @@ pub fn par_zip_chunks_grained<T, S, F>(
 {
     assert!(out_chunk > 0 && in_chunk > 0, "chunk sizes must be positive");
     let pairs = (out.len() / out_chunk).min(input.len() / in_chunk);
-    let threads = max_threads();
+    let threads = team();
     if threads <= 1 || pairs <= grain.max(1) {
         for (i, (o, inp)) in
             out.chunks_exact_mut(out_chunk).zip(input.chunks_exact(in_chunk)).enumerate()
@@ -239,7 +255,7 @@ where
         }
     };
     let pieces = out.rows().div_ceil(chunk);
-    let threads = max_threads();
+    let threads = team();
     if threads <= 1 || pieces <= grain.max(1) {
         run(0, out);
         return;

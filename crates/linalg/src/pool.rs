@@ -10,10 +10,10 @@
 //! [`Batch`], enqueues up to `helpers` "come help this batch" jobs on the
 //! shared queue, then drains the batch itself before blocking on the
 //! batch's completion latch. Because the caller always helps first, a
-//! batch completes even when every pool worker is busy — which makes
-//! nested parallelism (GEMM inside a `par_map` task) deadlock-free: any
-//! task still unfinished when a thread starts waiting is actively running
-//! on some other thread.
+//! batch completes even when every pool worker is busy, and no thread
+//! waits on a task nobody runs. A thread running a batch's task is marked
+//! ([`in_task`]), and `par::team` sizes a parallel call made there at
+//! one: a nested call (a GEMM inside a `par_map` task) runs inline.
 //!
 //! Panics inside a task are caught, the first payload is stashed on the
 //! batch, and [`run_batch`] re-raises it with `resume_unwind` after the
@@ -31,11 +31,24 @@
 //! borrowed data in it.
 #![allow(unsafe_code)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::par::max_threads;
+
+thread_local! {
+    /// Set while this thread runs a task of some batch.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is running a task of a batch — where the
+/// rest of the team is busy with the batch's other tasks, so a nested
+/// parallel call gains nothing by forking (see `par::team`).
+pub(crate) fn in_task() -> bool {
+    IN_TASK.get()
+}
 
 /// A unit of borrowed work dispatched by `par_map` / `par_zip_chunks`.
 pub(crate) type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
@@ -106,7 +119,9 @@ fn help(batch: &Batch) {
     loop {
         let task = batch.tasks.lock().expect("batch task list poisoned").pop();
         let Some(task) = task else { return };
+        let outer = IN_TASK.replace(true);
         let outcome = catch_unwind(AssertUnwindSafe(task));
+        IN_TASK.set(outer);
         let mut status = batch.status.lock().expect("batch status poisoned");
         if let Err(payload) = outcome {
             status.panic.get_or_insert(payload);

@@ -115,6 +115,53 @@ pub struct LocalOutcome {
     pub loss_after: f32,
 }
 
+/// The server's aggregated gradient `J` as a solve reads it: the tensors,
+/// and their norm `‖J‖` (times σ₂, the denominator of η̂). A bare
+/// [`ParamSet`] folds the norm in every solve; a [`FoldedJ`] carries it
+/// folded once, when `J` was set — what the server hands every solve of
+/// a round. Both give the same bits.
+pub trait Aggregate: Sync {
+    /// `J` itself.
+    fn j(&self) -> &ParamSet;
+    /// `‖J‖`, the fold [`ParamSet::norm`] computes.
+    fn j_norm(&self) -> f32;
+}
+
+impl Aggregate for ParamSet {
+    fn j(&self) -> &ParamSet {
+        self
+    }
+
+    fn j_norm(&self) -> f32 {
+        self.norm()
+    }
+}
+
+/// `J` with its norm folded once, when it is set.
+#[derive(Debug, Clone)]
+pub struct FoldedJ {
+    j: ParamSet,
+    norm: f32,
+}
+
+impl FoldedJ {
+    /// Wraps `j`, folding its norm.
+    pub fn new(j: ParamSet) -> Self {
+        let norm = j.norm();
+        Self { j, norm }
+    }
+}
+
+impl Aggregate for FoldedJ {
+    fn j(&self) -> &ParamSet {
+        &self.j
+    }
+
+    fn j_norm(&self) -> f32 {
+        self.norm
+    }
+}
+
 /// Reusable workspace for [`local_update_scratch`].
 ///
 /// Holds every intermediate the local solve needs — the working model
@@ -128,7 +175,7 @@ pub struct LocalOutcome {
 /// gradient-only primitive [`Model::ce_and_grad_scratch`]; the regularized
 /// loss is read at exactly two points — `w` (through the caller's model,
 /// whose penalty cell the whole cohort shares) and `w + d_final` (through
-/// the working clone, whose cell every `set_params_from` empties).
+/// the working clone, whose cell every `params_mut` empties).
 ///
 /// The cached working-model clone is revalidated against the incoming
 /// model by parameter shapes only; hyper-parameters the shapes cannot
@@ -137,7 +184,6 @@ pub struct LocalOutcome {
 /// through [`local_update`], which refreshes the clone on every call.
 pub struct DaneScratch {
     work: Option<Box<dyn Model>>,
-    wd: ParamSet,
     velocity: ParamSet,
     neg_linear: ParamSet,
     g: ParamSet,
@@ -152,7 +198,6 @@ impl DaneScratch {
     pub fn new() -> Self {
         Self {
             work: None,
-            wd: ParamSet::new(Vec::new()),
             velocity: ParamSet::new(Vec::new()),
             neg_linear: ParamSet::new(Vec::new()),
             g: ParamSet::new(Vec::new()),
@@ -219,7 +264,7 @@ fn full_batch(data: &Dataset) -> (Matrix, Matrix) {
 pub fn local_update(
     model_at_w: &dyn Model,
     data: &Dataset,
-    j_agg: &ParamSet,
+    j_agg: &impl Aggregate,
     cfg: &DaneConfig,
     rng: &mut impl Rng,
     telemetry: &Telemetry,
@@ -267,7 +312,7 @@ fn same_shapes(a: &ParamSet, b: &ParamSet) -> bool {
 pub fn local_update_scratch(
     model_at_w: &dyn Model,
     data: &Dataset,
-    j_agg: &ParamSet,
+    j_agg: &impl Aggregate,
     cfg: &DaneConfig,
     rng: &mut impl Rng,
     scratch: &mut DaneScratch,
@@ -282,7 +327,7 @@ pub fn local_update_scratch(
 fn solve(
     model_at_w: &dyn Model,
     data: &Dataset,
-    j_agg: &ParamSet,
+    j_agg: &impl Aggregate,
     cfg: &DaneConfig,
     rng: &mut impl Rng,
     scratch: &mut DaneScratch,
@@ -306,10 +351,10 @@ fn solve(
     // Constant linear term of ∇G: −∇F(w) + σ₂·J.
     scratch.neg_linear.copy_from(&out.grad_at_w);
     scratch.neg_linear.scale(-1.0);
-    scratch.neg_linear.axpy(cfg.sigma2, j_agg);
+    scratch.neg_linear.axpy(cfg.sigma2, j_agg.j());
 
     // ‖∇G(0)‖ on the full batch = ‖σ₂·J‖ (denominator of η̂).
-    let grad0_norm = cfg.sigma2 * j_agg.norm();
+    let grad0_norm = cfg.sigma2 * j_agg.j_norm();
 
     if scratch.work.as_ref().is_none_or(|m| !same_shapes(m.params(), w)) {
         scratch.work = Some(model_at_w.clone_model());
@@ -317,10 +362,9 @@ fn solve(
     let work = scratch.work.as_mut().expect("work model ensured above");
     out.delta.set_zeros_like(w);
     scratch.velocity.set_zeros_like(w);
-    scratch.wd.set_zeros_like(w);
     for _ in 0..cfg.local_steps {
-        shift_into(&mut scratch.wd, w, &out.delta);
-        work.set_params_from(&scratch.wd);
+        // `w + 1·dʲ`, written where the gradient pass reads it.
+        shift_into(work.params_mut(), w, &out.delta);
         sample_batch_into(data, cfg.batch, rng, &mut scratch.bx, &mut scratch.by);
         // Gradient only: nobody reads a loss at w + dʲ.
         work.ce_and_grad_scratch(&scratch.bx, &scratch.by, &mut scratch.g, &mut scratch.ws);
@@ -334,8 +378,7 @@ fn solve(
     }
 
     // Final full-batch surrogate gradient for η̂ and the post-solve loss.
-    shift_into(&mut scratch.wd, w, &out.delta);
-    work.set_params_from(&scratch.wd);
+    shift_into(work.params_mut(), w, &out.delta);
     out.loss_after =
         work.loss_and_grad_scratch(x_full, &scratch.y_full, &mut scratch.g, &mut scratch.ws);
     scratch.g.axpy(cfg.sigma1, &out.delta);
@@ -373,7 +416,8 @@ fn shift_into(wd: &mut ParamSet, w: &ParamSet, d: &ParamSet) {
 /// the surrogate gradient `∇G(d) = g + σ₁·d + 1·(−∇F(w) + σ₂·J)`, clipped
 /// into `[−clip, clip]`, then the heavy-ball update `v ← v·γ + (−α)·∇G`,
 /// `d ← d + 1·v`. The clipped `∇G` itself is not kept: the next gradient
-/// overwrites `g`.
+/// overwrites `g`. (Writing the next `w + 1·d` in this pass too measured
+/// slower than the separate [`shift_into`]: docs/PERF.md.)
 fn heavy_ball_step(
     g: &ParamSet,
     neg_linear: &ParamSet,

@@ -15,7 +15,8 @@ fn correct_share(logits: &Matrix, labels: &[usize]) -> f64 {
 /// Cross-entropy of `logits` against one-hot `targets` plus the model's
 /// penalty: the regularized loss, given the forward pass.
 fn regularized_loss(model: &dyn Model, logits: &Matrix, targets: &Matrix) -> f64 {
-    (cross_entropy_scratch(logits, targets, &mut Vec::new()) + model.penalty()) as f64
+    (cross_entropy_scratch(logits, targets, &mut Vec::new(), &mut Matrix::default())
+        + model.penalty()) as f64
 }
 
 /// Classification accuracy of `model` on `data` in `[0, 1]`.
@@ -34,16 +35,6 @@ pub fn loss_against(model: &dyn Model, data: &Dataset, targets: &Matrix) -> f64 
         return 0.0;
     }
     regularized_loss(model, &model.forward(&data.features), targets)
-}
-
-/// [`accuracy`] and [`loss_against`] from one forward pass — the same
-/// bits as the two calls, which each run their own.
-pub fn accuracy_and_loss(model: &dyn Model, data: &Dataset, targets: &Matrix) -> (f64, f64) {
-    if data.is_empty() {
-        return (0.0, 0.0);
-    }
-    let logits = model.forward(&data.features);
-    (correct_share(&logits, &data.labels), regularized_loss(model, &logits, targets))
 }
 
 #[cfg(test)]
@@ -82,6 +73,5 @@ mod tests {
         let empty = train.subset(&[]);
         assert_eq!(accuracy(&model, &empty), 0.0);
         assert_eq!(loss_against(&model, &empty, &empty.one_hot_labels()), 0.0);
-        assert_eq!(accuracy_and_loss(&model, &empty, &empty.one_hot_labels()), (0.0, 0.0));
     }
 }

@@ -17,7 +17,7 @@
 use fedl_linalg::rng::Rng;
 use fedl_linalg::{ops, Matrix};
 
-use crate::loss::{cross_entropy_scratch, cross_entropy_with_grad_into};
+use crate::loss::cross_entropy_with_grad_into;
 use crate::params::ParamSet;
 
 use super::penalized::PenalizedParams;
@@ -301,7 +301,19 @@ impl Cnn {
             }
         }
     }
+}
 
+/// The input of block `b` (`b == blocks` is the head): `x` for the first,
+/// the previous block's pooled map otherwise.
+fn block_input<'a>(x: &'a Matrix, pooled: &'a [Matrix], b: usize) -> &'a Matrix {
+    if b == 0 {
+        x
+    } else {
+        &pooled[b - 1]
+    }
+}
+
+impl Model for Cnn {
     /// Forward pass caching what backprop needs into the workspace,
     /// allocation-free once it is warm. For block `b`, `ws.patches[b]` is
     /// the im2col of its input, `ws.pres[b]` its channel-planar
@@ -331,19 +343,7 @@ impl Cnn {
         block_input(x, done, blocks).matmul_into(self.fc_w(), &mut logits[0]);
         ops::add_row_broadcast(&mut logits[0], self.fc_b());
     }
-}
 
-/// The input of block `b` (`b == blocks` is the head): `x` for the first,
-/// the previous block's pooled map otherwise.
-fn block_input<'a>(x: &'a Matrix, pooled: &'a [Matrix], b: usize) -> &'a Matrix {
-    if b == 0 {
-        x
-    } else {
-        &pooled[b - 1]
-    }
-}
-
-impl Model for Cnn {
     fn forward(&self, x: &Matrix) -> Matrix {
         let mut ws = ModelScratch::new();
         self.forward_scratch(x, &mut ws);
@@ -358,8 +358,8 @@ impl Model for Cnn {
         self.params.replace(params);
     }
 
-    fn set_params_from(&mut self, params: &ParamSet) {
-        self.params.copy_from(params);
+    fn params_mut(&mut self) -> &mut ParamSet {
+        self.params.get_mut()
     }
 
     fn penalty(&self) -> f32 {
@@ -379,7 +379,8 @@ impl Model for Cnn {
         self.forward_scratch(x, ws);
         let ce = cross_entropy_with_grad_into(&ws.acts[blocks], y, &mut ws.lse, &mut ws.delta);
 
-        grad.set_zeros_like(self.params.get());
+        // Every tensor is reshaped and overwritten below.
+        grad.set_arity(self.params.get().len());
         let (l2, g) = (self.params.l2(), grad.tensors_mut());
         // FC head; then `upstream` is the gradient wrt the pooled map.
         block_input(x, &ws.acts, blocks).t_matmul_into(&ws.delta, &mut g[2 * blocks]);
@@ -405,11 +406,6 @@ impl Model for Cnn {
             }
         }
         ce
-    }
-
-    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
-        self.forward_scratch(x, ws);
-        cross_entropy_scratch(&ws.acts[self.blocks.len()], y, &mut ws.lse)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {

@@ -3,7 +3,7 @@
 use fedl_linalg::rng::Rng;
 use fedl_linalg::{ops, Matrix};
 
-use crate::loss::{cross_entropy_scratch, cross_entropy_with_grad_into};
+use crate::loss::cross_entropy_with_grad_into;
 use crate::params::ParamSet;
 
 use super::penalized::PenalizedParams;
@@ -56,7 +56,9 @@ impl SoftmaxRegression {
     fn bias(&self) -> &Matrix {
         &self.params.get().tensors()[1]
     }
+}
 
+impl Model for SoftmaxRegression {
     /// Logits into `ws.acts[0]` without allocating.
     fn forward_scratch(&self, x: &Matrix, ws: &mut ModelScratch) {
         assert_eq!(x.cols(), self.input_dim, "input dimension mismatch");
@@ -65,9 +67,7 @@ impl SoftmaxRegression {
         x.matmul_into(self.weights(), logits);
         ops::add_row_broadcast(logits, self.bias());
     }
-}
 
-impl Model for SoftmaxRegression {
     fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_dim, "input dimension mismatch");
         let mut logits = Matrix::default();
@@ -84,8 +84,8 @@ impl Model for SoftmaxRegression {
         self.params.replace(params);
     }
 
-    fn set_params_from(&mut self, params: &ParamSet) {
-        self.params.copy_from(params);
+    fn params_mut(&mut self) -> &mut ParamSet {
+        self.params.get_mut()
     }
 
     fn penalty(&self) -> f32 {
@@ -102,17 +102,13 @@ impl Model for SoftmaxRegression {
         self.forward_scratch(x, ws);
         let ce = cross_entropy_with_grad_into(&ws.acts[0], y, &mut ws.lse, &mut ws.delta);
         // dW = xᵀ·dlogits + l2·W ; db = column sums of dlogits.
-        grad.set_zeros_like(self.params.get());
+        // Both tensors are reshaped and overwritten below.
+        grad.set_arity(2);
         let tensors = grad.tensors_mut();
         x.t_matmul_into(&ws.delta, &mut tensors[0]);
         tensors[0].axpy(self.params.l2(), self.weights());
         ws.delta.col_sums_into(&mut tensors[1]);
         ce
-    }
-
-    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
-        self.forward_scratch(x, ws);
-        cross_entropy_scratch(&ws.acts[0], y, &mut ws.lse)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {

@@ -3,7 +3,7 @@
 use fedl_linalg::rng::Rng;
 use fedl_linalg::{ops, Matrix};
 
-use crate::loss::{cross_entropy_scratch, cross_entropy_with_grad_into};
+use crate::loss::cross_entropy_with_grad_into;
 use crate::params::ParamSet;
 
 use super::penalized::PenalizedParams;
@@ -67,7 +67,9 @@ impl Mlp {
     fn bias(&self, layer: usize) -> &Matrix {
         &self.params.get().tensors()[2 * layer + 1]
     }
+}
 
+impl Model for Mlp {
     /// Forward pass caching pre-activations (needed by backprop) into the
     /// workspace without allocating: `ws.pres[l]` is layer `l`'s linear
     /// output and `ws.acts[l]` its activation (`ws.acts[depth-1]` is the
@@ -91,9 +93,7 @@ impl Mlp {
             }
         }
     }
-}
 
-impl Model for Mlp {
     /// Inference keeps no backprop cache: one buffer per layer, ReLU in
     /// place — the values of the training pass's activations, with half
     /// its footprint on a thousand-row test set.
@@ -121,8 +121,8 @@ impl Model for Mlp {
         self.params.replace(params);
     }
 
-    fn set_params_from(&mut self, params: &ParamSet) {
-        self.params.copy_from(params);
+    fn params_mut(&mut self) -> &mut ParamSet {
+        self.params.get_mut()
     }
 
     fn penalty(&self) -> f32 {
@@ -140,7 +140,8 @@ impl Model for Mlp {
         self.forward_scratch(x, ws);
         let ce = cross_entropy_with_grad_into(&ws.acts[depth - 1], y, &mut ws.lse, &mut ws.delta);
 
-        grad.set_zeros_like(self.params.get());
+        // Every tensor is reshaped and overwritten below.
+        grad.set_arity(self.params.get().len());
         for l in (0..depth).rev() {
             // dW_l = a_lᵀ · delta + l2·W_l ; db_l = col sums of delta.
             {
@@ -157,12 +158,6 @@ impl Model for Mlp {
             }
         }
         ce
-    }
-
-    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
-        let depth = self.depth();
-        self.forward_scratch(x, ws);
-        cross_entropy_scratch(&ws.acts[depth - 1], y, &mut ws.lse)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {

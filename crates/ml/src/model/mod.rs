@@ -11,6 +11,7 @@ pub use mlp::Mlp;
 
 use fedl_linalg::Matrix;
 
+use crate::loss::cross_entropy_scratch;
 use crate::params::ParamSet;
 
 /// Reusable forward/backward workspace for the `_scratch` model methods.
@@ -26,7 +27,8 @@ use crate::params::ParamSet;
 pub struct ModelScratch {
     /// Log-sum-exp per row (cross-entropy).
     pub(crate) lse: Vec<f32>,
-    /// Loss gradient w.r.t. the current layer's output during backprop.
+    /// Loss gradient w.r.t. the current layer's output during backprop;
+    /// the cross-entropy kernel's exp block in a loss-only pass.
     pub(crate) delta: Matrix,
     /// Ping-pong buffer for the next backprop delta.
     pub(crate) upstream: Matrix,
@@ -45,6 +47,14 @@ impl ModelScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The logits of the last [`Model::forward_scratch`].
+    ///
+    /// # Panics
+    /// Panics before the first forward pass.
+    pub fn logits(&self) -> &Matrix {
+        self.acts.last().expect("a forward pass leaves the logits last")
+    }
 }
 
 /// An object-safe trainable classifier.
@@ -60,11 +70,12 @@ impl ModelScratch {
 /// A regularized loss is `data term + penalty`, and the two have
 /// different lifetimes: the cross-entropy data term depends on the
 /// batch, the penalty `½·l2·Σ‖W‖²` only on the parameters. A model
-/// therefore implements the two **primitives** — the data-term passes
-/// [`Model::ce_scratch`] / [`Model::ce_and_grad_scratch`] — plus
+/// therefore implements the two **primitives** — the forward pass
+/// [`Model::forward_scratch`] and the training pass
+/// [`Model::ce_and_grad_scratch`] — plus
 /// [`Model::penalty`], which is reduced at most once per parameter
 /// version (a cell emptied by [`Model::set_params`] and
-/// [`Model::set_params_from`], the only ways to change the parameters).
+/// [`Model::params_mut`], the only ways to change the parameters).
 /// Every `loss*` method is provided here as their sum, so a caller that
 /// wants only the gradient (the inner DANE steps) calls the primitive and
 /// never reduces the weights of a parameter vector nobody reads a loss
@@ -72,6 +83,11 @@ impl ModelScratch {
 pub trait Model: Send + Sync {
     /// Class logits for a batch (`batch x classes`).
     fn forward(&self, x: &Matrix) -> Matrix;
+
+    /// **Primitive.** The forward pass into a reusable workspace, keeping
+    /// what backprop needs; the logits are [`ModelScratch::logits`], with
+    /// the values of [`Model::forward`], bit for bit.
+    fn forward_scratch(&self, x: &Matrix, ws: &mut ModelScratch);
 
     /// Current parameters.
     fn params(&self) -> &ParamSet;
@@ -82,22 +98,34 @@ pub trait Model: Send + Sync {
     /// Implementations panic if the shapes don't match the architecture.
     fn set_params(&mut self, params: ParamSet);
 
+    /// The parameters, to write in place (empties the penalty cell). The
+    /// caller keeps every tensor's shape; the DANE solve writes each
+    /// step's `w + d` here directly.
+    fn params_mut(&mut self) -> &mut ParamSet;
+
     /// Replaces the parameters by copying from a borrowed set, reusing
     /// the model's tensor storage (the allocation-free twin of
     /// [`Model::set_params`]; empties the penalty cell likewise).
     ///
     /// # Panics
-    /// Implementations panic if the shapes don't match the architecture.
-    fn set_params_from(&mut self, params: &ParamSet);
+    /// Panics if the shapes don't match the architecture.
+    fn set_params_from(&mut self, params: &ParamSet) {
+        check_shapes(self.params(), params);
+        self.params_mut().copy_from(params);
+    }
 
     /// The L2 term `½·l2·Σ‖W‖²` of the loss at the current parameters.
     /// Computed on first use after the parameters last changed and then
     /// served from the cell; safe to first-touch from several threads.
     fn penalty(&self) -> f32;
 
-    /// **Primitive.** Mean cross-entropy of the batch — the loss without
+    /// Mean cross-entropy of the batch — the loss without
     /// [`Model::penalty`] — using a reusable workspace.
-    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32;
+    fn ce_scratch(&self, x: &Matrix, y: &Matrix, ws: &mut ModelScratch) -> f32 {
+        self.forward_scratch(x, ws);
+        let logits = ws.acts.last().expect("a forward pass leaves the logits last");
+        cross_entropy_scratch(logits, y, &mut ws.lse, &mut ws.delta)
+    }
 
     /// **Primitive.** Forward, cross-entropy, backward: writes the
     /// gradient of the *regularized* loss (the `l2·W` term included) into

@@ -12,7 +12,7 @@ use super::check_shapes;
 /// however many batches are scored at that version.
 ///
 /// The fields are private to this module: [`Self::replace`] and
-/// [`Self::copy_from`] are the only `&mut` paths to the parameters and
+/// [`Self::get_mut`] are the only `&mut` paths to the parameters and
 /// both empty the cell, so a stale penalty can never be served. The cell
 /// is a [`OnceLock`], so two `par_map` threads scoring the same broadcast
 /// model may first-touch it concurrently (one computes, both read the
@@ -49,15 +49,11 @@ impl PenalizedParams {
         self.penalty.take();
     }
 
-    /// Copies the parameters from a borrowed set into the existing tensor
-    /// storage (no allocation).
-    ///
-    /// # Panics
-    /// Panics if the shapes don't match the current ones.
-    pub(crate) fn copy_from(&mut self, params: &ParamSet) {
-        check_shapes(&self.params, params);
-        self.params.copy_from(params);
+    /// The parameters to write in place; empties the cell first, so the
+    /// penalty is reduced again from whatever the caller leaves there.
+    pub(crate) fn get_mut(&mut self) -> &mut ParamSet {
         self.penalty.take();
+        &mut self.params
     }
 
     /// `½·l2·Σ‖W‖²`, the squared norms of the tensors at `weights` added

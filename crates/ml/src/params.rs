@@ -55,6 +55,14 @@ impl ParamSet {
         }
     }
 
+    /// Grows or truncates to `n` tensors (new ones empty), leaving the
+    /// kept tensors as they are: for a kernel that reshapes and
+    /// overwrites every tensor, which [`Self::set_zeros_like`] would
+    /// first clear for nothing.
+    pub fn set_arity(&mut self, n: usize) {
+        self.0.resize_with(n, Matrix::default);
+    }
+
     /// Tensor views.
     pub fn tensors(&self) -> &[Matrix] {
         &self.0

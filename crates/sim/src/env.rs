@@ -12,10 +12,10 @@ use std::time::Instant;
 use fedl_data::stream::OnlineStream;
 use fedl_data::{Dataset, Partition};
 use fedl_json::{ToJson, Value};
-use fedl_linalg::Matrix;
+use fedl_linalg::{ops, Matrix};
 use fedl_ml::dane::DaneConfig;
-use fedl_ml::metrics;
 use fedl_ml::model::{Model, ModelScratch};
+use fedl_ml::{loss, metrics};
 use fedl_net::{ClientRadio, LatencyModel};
 use fedl_telemetry::Telemetry;
 
@@ -79,12 +79,19 @@ pub struct EdgeEnvironment {
     telemetry: Telemetry,
 }
 
+/// Rows per evaluation forward. The walk gathers consecutive clients'
+/// working sets into chunks of at most this many rows and runs one
+/// forward per chunk instead of one per client (each row's logits are
+/// the same bits in a batch of any size); the test set is scored in
+/// chunks of it too, so no forward workspace outgrows it.
+const EVAL_CHUNK_ROWS: usize = 256;
+
 /// The per-epoch walk that scores the epoch-final model on every
 /// available client's working set (§3.1's `F_t`, constraint (3d)): the
 /// available clients cut into one contiguous run per thread of the team,
-/// each run scored through that thread's own reused workspace, and each
-/// walked client's loss and row count recorded by id. Warm, a one-thread
-/// walk allocates nothing.
+/// each run scored in [`EVAL_CHUNK_ROWS`]-row forwards through that
+/// thread's own reused workspace, and each walked client's loss and row
+/// count recorded by id. Warm, a one-thread walk allocates nothing.
 #[derive(Default)]
 struct ClientEvaluation {
     /// The clients walked this epoch, ascending.
@@ -95,31 +102,91 @@ struct ClientEvaluation {
     /// epoch are current.
     losses: Vec<f32>,
     rows: Vec<usize>,
+    /// `0..|test|`, the test set's rows as one entry.
+    test_rows: Vec<usize>,
 }
 
-/// One thread's share of the walk: a reused index / feature / one-hot /
-/// activation workspace, and the `(client, loss, rows)` it scored.
+/// One thread's share of the walk: a client's working set, and the
+/// chunk its rows are scored in.
 #[derive(Default)]
 struct EvalWorkspace {
+    arrivals: Vec<usize>,
+    chunk: Chunk,
+}
+
+/// Rows gathered for one forward, the workspaces it runs in, and the
+/// entries scored so far: `(key, cross-entropy sum, rows, correct)` —
+/// each entry's rows folded in order across the chunks they fall in.
+#[derive(Default)]
+struct Chunk {
+    /// The chunk's rows, entry after entry.
     idx: Vec<usize>,
+    /// `(entry, rows)` of each entry's piece of the chunk.
+    pieces: Vec<(usize, usize)>,
     x: Matrix,
     y: Matrix,
     ws: ModelScratch,
-    scored: Vec<(usize, f32, usize)>,
+    lse: Vec<f32>,
+    block: Matrix,
+    scored: Vec<(usize, f32, usize, usize)>,
 }
 
-impl EvalWorkspace {
-    /// `model`'s loss on a client's epoch working set, and its rows.
-    fn score(
-        &mut self,
-        model: &dyn Model,
-        stream: &OnlineStream,
-        train: &Dataset,
-        epoch: usize,
-    ) -> (f32, usize) {
-        stream.arrivals_into(epoch, &mut self.idx);
-        train.gather_into(&self.idx, &mut self.x, &mut self.y);
-        (model.loss_scratch(&self.x, &self.y, &mut self.ws), self.idx.len())
+impl Chunk {
+    /// Scores `rows` of `source` as the entry `key`, running a forward
+    /// whenever the chunk fills.
+    fn push(&mut self, model: &dyn Model, source: &Dataset, key: usize, rows: &[usize]) {
+        self.scored.push((key, 0.0, rows.len(), 0));
+        let mut rest = rows;
+        while !rest.is_empty() {
+            let take = (EVAL_CHUNK_ROWS - self.idx.len()).min(rest.len());
+            self.idx.extend_from_slice(&rest[..take]);
+            self.pieces.push((self.scored.len() - 1, take));
+            rest = &rest[take..];
+            if self.idx.len() == EVAL_CHUNK_ROWS {
+                self.flush(model, source);
+            }
+        }
+    }
+
+    /// One forward over the chunk; each piece's cross-entropy folded onto
+    /// its entry's sum and its correct predictions counted. Empties the
+    /// chunk.
+    fn flush(&mut self, model: &dyn Model, source: &Dataset) {
+        if self.idx.is_empty() {
+            return;
+        }
+        source.gather_into(&self.idx, &mut self.x, &mut self.y);
+        model.forward_scratch(&self.x, &mut self.ws);
+        let (logits, cols) = (self.ws.logits(), self.y.cols());
+        let mut at = 0;
+        for &(entry, rows) in &self.pieces {
+            let (_, sum, _, correct) = &mut self.scored[entry];
+            let span = at * cols..(at + rows) * cols;
+            let (x, t) = (&logits.as_slice()[span.clone()], &self.y.as_slice()[span]);
+            *sum = loss::cross_entropy_fold(*sum, x, t, cols, &mut self.lse, &mut self.block);
+            let labels = self.idx[at..at + rows].iter().map(|&i| source.labels[i]);
+            *correct += logits
+                .row_iter()
+                .skip(at)
+                .zip(labels)
+                .filter(|&(l, y)| ops::argmax(l) == y)
+                .count();
+            at += rows;
+        }
+        self.idx.clear();
+        self.pieces.clear();
+    }
+
+    /// Flushes the last chunk and returns the entries as `(key, loss,
+    /// rows, correct)`: the sum over the rows plus the penalty, the bits
+    /// of [`Model::loss_scratch`] on the entry's rows alone.
+    fn finish(&mut self, model: &dyn Model, source: &Dataset) -> &[(usize, f32, usize, usize)] {
+        self.flush(model, source);
+        let penalty = model.penalty();
+        for (_, loss, rows, _) in &mut self.scored {
+            *loss = *loss / *rows as f32 + penalty;
+        }
+        &self.scored
     }
 }
 
@@ -138,23 +205,45 @@ impl ClientEvaluation {
     ) {
         self.ids.clear();
         self.ids.extend(ids);
-        let team = fedl_linalg::par::max_threads().min(self.ids.len()).max(1);
-        if self.teams.len() < team {
-            self.teams.resize_with(team, EvalWorkspace::default);
-        }
+        let team = self.grow_team(fedl_linalg::par::team().min(self.ids.len()));
         // One workspace per piece; a team of one runs inline on the caller.
         let (ids, run) = (&self.ids[..], self.ids.len().div_ceil(team));
         fedl_linalg::par::par_chunks_grained(&mut self.teams[..team], 1, 1, |t, ws| {
-            let ws = &mut ws[0];
-            ws.scored.clear();
+            let EvalWorkspace { arrivals, chunk } = &mut ws[0];
+            chunk.scored.clear();
             for &k in ids.iter().skip(t * run).take(run) {
-                let (loss, rows) = ws.score(model, &streams[k], train, epoch);
-                ws.scored.push((k, loss, rows));
+                streams[k].arrivals_into(epoch, arrivals);
+                chunk.push(model, train, k, arrivals);
             }
+            chunk.finish(model, train);
         });
-        for &(k, loss, rows) in self.teams[..team].iter().flat_map(|ws| &ws.scored) {
+        for &(k, loss, rows, _) in self.teams[..team].iter().flat_map(|ws| &ws.chunk.scored) {
             (self.losses[k], self.rows[k]) = (loss, rows);
         }
+    }
+
+    /// Test-set `(accuracy, loss)` of `model`: the whole set as one entry
+    /// of a chunk — the values of one forward over the set.
+    fn test_metrics(&mut self, model: &dyn Model, test: &Dataset) -> (f64, f64) {
+        if test.is_empty() {
+            return (0.0, 0.0);
+        }
+        self.grow_team(1);
+        let chunk = &mut self.teams[0].chunk;
+        chunk.scored.clear();
+        chunk.push(model, test, 0, &self.test_rows);
+        let (_, loss, rows, correct) = chunk.finish(model, test)[0];
+        (correct as f64 / rows as f64, loss as f64)
+    }
+
+    /// Grows the team's workspaces to `size` (at least one); returns the
+    /// size.
+    fn grow_team(&mut self, size: usize) -> usize {
+        let size = size.max(1);
+        if self.teams.len() < size {
+            self.teams.resize_with(size, EvalWorkspace::default);
+        }
+        size
     }
 
     /// Data-volume-weighted loss `Σ θ_k F_k(w)` with `θ_k = D_k / Σ D`
@@ -252,6 +341,7 @@ impl EdgeEnvironment {
         let eval = ClientEvaluation {
             losses: vec![0.0; streams.len()],
             rows: vec![0; streams.len()],
+            test_rows: (0..test.len()).collect(),
             ..Default::default()
         };
         let test_targets = test.one_hot_labels();
@@ -449,7 +539,7 @@ impl EdgeEnvironment {
         drop(train_span);
         let wall = local_train_secs.sum() - wall_before;
         if wall > 0.0 {
-            let team = fedl_linalg::par::max_threads().min(cohort.len());
+            let team = fedl_linalg::par::team().min(cohort.len());
             self.telemetry
                 .gauge("sim.local_train_efficiency")
                 .set((solve_secs.sum() - solve_before) / (team as f64 * wall));
@@ -542,10 +632,11 @@ impl EdgeEnvironment {
         }
     }
 
-    /// Test-set `(accuracy, loss)` of the current global model, from one
-    /// forward pass over the test set.
-    pub fn test_metrics(&self) -> (f64, f64) {
-        metrics::accuracy_and_loss(self.server.model(), &self.test, &self.test_targets)
+    /// Test-set `(accuracy, loss)` of the current global model: the
+    /// values of one forward pass over the test set, from bounded chunks
+    /// through a reused workspace.
+    pub fn test_metrics(&mut self) -> (f64, f64) {
+        self.eval.test_metrics(self.server.model(), &self.test)
     }
 
     /// Test-set accuracy of the current global model:

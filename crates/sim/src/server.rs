@@ -3,7 +3,7 @@
 
 use fedl_data::Dataset;
 use fedl_linalg::rng::{derive_seed, rng_for};
-use fedl_ml::dane::{local_update, DaneConfig};
+use fedl_ml::dane::{local_update, Aggregate, DaneConfig, FoldedJ};
 use fedl_ml::model::Model;
 use fedl_ml::params::ParamSet;
 use fedl_telemetry::Telemetry;
@@ -26,7 +26,8 @@ pub struct IterationStats {
 /// gradient state `J` that the DANE surrogates consume.
 pub struct FederatedServer {
     model: Box<dyn Model>,
-    j_agg: ParamSet,
+    /// `J` with `‖J‖` folded once per round, not once per solve.
+    j_agg: FoldedJ,
     dane: DaneConfig,
     seed: u64,
     telemetry: Telemetry,
@@ -35,7 +36,7 @@ pub struct FederatedServer {
 impl FederatedServer {
     /// Creates a server around an initial global model.
     pub fn new(model: Box<dyn Model>, dane: DaneConfig, seed: u64) -> Self {
-        let j_agg = model.params().zeros_like();
+        let j_agg = FoldedJ::new(model.params().zeros_like());
         Self { model, j_agg, dane, seed, telemetry: Telemetry::disabled() }
     }
 
@@ -53,7 +54,7 @@ impl FederatedServer {
 
     /// The current aggregated gradient `J`.
     pub fn j_agg(&self) -> &ParamSet {
-        &self.j_agg
+        self.j_agg.j()
     }
 
     /// The local-solver configuration.
@@ -69,9 +70,10 @@ impl FederatedServer {
 
     /// Replaces the aggregated gradient `J` (checkpoint restore: `J` is
     /// the one piece of DANE solver state that persists across epochs,
-    /// so resuming a run must reinstate it alongside the model).
+    /// so resuming a run must reinstate it alongside the model; its norm
+    /// is folded again here).
     pub fn set_j_agg(&mut self, j_agg: ParamSet) {
-        self.j_agg = j_agg;
+        self.j_agg = FoldedJ::new(j_agg);
     }
 
     /// Runs one federated iteration over the cohort's working sets.
@@ -131,7 +133,7 @@ impl FederatedServer {
         self.model.set_params(w);
 
         let grads: Vec<&ParamSet> = outcomes.iter().map(|o| &o.grad_at_w).collect();
-        self.j_agg = ParamSet::average(&grads);
+        self.j_agg = FoldedJ::new(ParamSet::average(&grads));
         drop(aggregate);
         self.telemetry.counter("sim.iterations").incr();
 

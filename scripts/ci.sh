@@ -224,6 +224,9 @@ stage_perf() {
     # "The GEMM"): the layer that workload's epoch spends most of its time in.
     require_kernels gemm/forward_16x128x96 gemm/weight_grad_128x16x96 gemm/head_16x96x10 \
         ml/dane_local_solve_16
+    # The fused cross-entropy kernel at the training pass's 16x10 and one
+    # 256-row chunk of the evaluation walk (docs/PERF.md, "The exp kernel").
+    require_kernels ml/cross_entropy_grad_16x10 ml/eval_chunk_256x64
     # The one-shot solve's kernels (docs/PERF.md, "the solve") are what
     # the gate above watches for the layer every FedL decision runs.
     require_kernels solve/project_1k solve/descend_64 solve/descend_1k solve/descend_10k \
