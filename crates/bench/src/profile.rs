@@ -129,7 +129,7 @@ mod tests {
                     let s = profile.scenario(task, iid, 500.0, 1);
                     assert_eq!(s.env.num_clients, profile.num_clients());
                     assert_eq!(s.budget, 500.0);
-                    assert_eq!(s.partition.is_non_iid(), !iid);
+                    assert_eq!(s.partition == fedl_data::Partition::Iid, iid);
                 }
             }
         }

@@ -52,11 +52,6 @@ impl Measurement {
     pub fn min_ns(&self) -> f64 {
         self.per_iter_ns.first().copied().unwrap_or(f64::NAN)
     }
-
-    /// Median sample.
-    pub fn median_ns(&self) -> f64 {
-        self.per_iter_ns.get(self.per_iter_ns.len() / 2).copied().unwrap_or(f64::NAN)
-    }
 }
 
 /// Warms up, calibrates, and times `f` over a fixed number of samples
@@ -112,7 +107,6 @@ mod tests {
         let m = Measurement { per_iter_ns: vec![1.0, 2.0, 3.0, 4.0, 10.0], iters: 7 };
         assert!((m.mean_ns() - 4.0).abs() < 1e-12);
         assert_eq!(m.min_ns(), 1.0);
-        assert_eq!(m.median_ns(), 3.0);
         // population std of [1,2,3,4,10] around 4: sqrt((9+4+1+0+36)/5)
         assert!((m.std_ns() - (50.0f64 / 5.0).sqrt()).abs() < 1e-12);
     }

@@ -11,11 +11,10 @@
 //! stores this memory as parallel columns ([`ScoreColumns`]) rather
 //! than a `Vec<Option<ClientStats>>`: the per-epoch UCB score update is
 //! then a handful of dense kernel passes over the columns instead of a
-//! per-client pointer chase. [`ClientStats`] is retained as the scalar
-//! reference — its `prior`/`observe`/`observe_latency` arithmetic is
-//! what every column kernel replicates, held bit-identical by the
-//! parity tests — and as the row view [`LearnerState::stats`]
-//! materializes. The JSON snapshot layout (a `clients` array of
+//! per-client pointer chase. [`ClientStats`] is retained as the row
+//! view [`LearnerState::stats`] materializes, and its
+//! [`ClientStats::prior`] is the first-touch row every column kernel
+//! writes. The JSON snapshot layout (a `clients` array of
 //! per-client objects or nulls) is unchanged from the row-oriented
 //! representation, so existing fedl-store checkpoints load unmodified.
 
@@ -60,20 +59,6 @@ impl ClientStats {
             last_x: x0.clamp(0.0, 1.0),
             observations: 0,
         }
-    }
-
-    /// Folds in a cohort observation.
-    pub fn observe(&mut self, tau: f64, eta: f64, g: f64) {
-        self.tau = ema(self.tau, tau);
-        self.eta = ema(self.eta, eta.clamp(0.0, 0.999));
-        self.g = ema(self.g, g);
-        self.observations += 1;
-    }
-
-    /// Updates only the latency estimate (available for all listed
-    /// clients each epoch, selected or not, from the channel model).
-    pub fn observe_latency(&mut self, tau: f64) {
-        self.tau = ema(self.tau, tau);
     }
 }
 
@@ -203,8 +188,8 @@ impl LearnerState {
 
     /// The per-epoch UCB score-update kernel (docs/SCALE.md): for every
     /// client with `mask[k]` set, create the prior row on first touch
-    /// and fold the dense latency hint into τ by EMA — exactly
-    /// `stats_mut(k, hint).observe_latency(hint)` of the scalar path,
+    /// and fold the dense latency hint into τ by EMA — per client, the
+    /// prior row at `hint[k]` on first touch, then `τ ← ema(τ, hint[k])`;
     /// for all masked clients at once, as sharded column passes.
     ///
     /// # Panics
@@ -244,10 +229,9 @@ impl LearnerState {
         });
     }
 
-    /// Folds a realized cohort observation into client `k`'s row —
-    /// exactly `stats_mut(k, tau_hint).observe(tau, eta, g)` of the
-    /// scalar path (prior on first touch, then EMA folds and an
-    /// observation-count bump).
+    /// Folds a realized cohort observation into client `k`'s row: the
+    /// prior on first touch, then EMA folds of τ, η̂ (clamped below 1)
+    /// and g, and an observation-count bump.
     pub fn observe_cohort(&mut self, k: usize, tau_hint: f64, tau: f64, eta: f64, g: f64) {
         self.ensure_touched(k, tau_hint);
         self.cols.tau[k] = ema(self.cols.tau[k], tau);
@@ -331,16 +315,18 @@ mod tests {
 
     #[test]
     fn observe_moves_toward_new_values() {
-        let mut s = ClientStats::prior(1.0, 0.5);
-        s.observe(3.0, 0.9, -2.0);
+        let mut st = LearnerState::new(1, 0.5);
+        st.observe_cohort(0, 1.0, 3.0, 0.9, -2.0);
+        let s = st.stats(0).unwrap();
         assert!(s.tau > 1.0 && s.tau < 3.0);
         assert!(s.eta > 0.5 && s.eta < 0.9);
         assert!(s.g < 0.0 && s.g > -2.0);
         assert_eq!(s.observations, 1);
         // Repeated observation converges.
         for _ in 0..50 {
-            s.observe(3.0, 0.9, -2.0);
+            st.observe_cohort(0, 1.0, 3.0, 0.9, -2.0);
         }
+        let s = st.stats(0).unwrap();
         assert!((s.tau - 3.0).abs() < 1e-6);
         assert!((s.eta - 0.9).abs() < 1e-6);
         assert!((s.g + 2.0).abs() < 1e-6);
@@ -348,11 +334,11 @@ mod tests {
 
     #[test]
     fn eta_clamped_below_one() {
-        let mut s = ClientStats::prior(1.0, 0.5);
+        let mut st = LearnerState::new(1, 0.5);
         for _ in 0..100 {
-            s.observe(1.0, 5.0, 0.0);
+            st.observe_cohort(0, 1.0, 1.0, 5.0, 0.0);
         }
-        assert!(s.eta < 1.0);
+        assert!(st.stats(0).unwrap().eta < 1.0);
     }
 
     #[test]
@@ -372,9 +358,8 @@ mod tests {
         st.observe_cohort(5, 0.1, 1.0, 0.5, 0.0);
     }
 
-    /// The columnar latency fold must replicate the scalar
-    /// `stats_mut(k, hint).observe_latency(hint)` loop bit-for-bit,
-    /// including prior creation on first touch.
+    /// The columnar latency fold must replicate the scalar loop (prior
+    /// row on first touch, then `τ ← ema(τ, hint)`) bit-for-bit.
     #[test]
     fn fold_latency_matches_scalar_shadow() {
         let m = 50;
@@ -387,8 +372,8 @@ mod tests {
             st.fold_latency(&mask, &hint);
             for (k, slot) in shadow.iter_mut().enumerate() {
                 if mask[k] {
-                    slot.get_or_insert_with(|| ClientStats::prior(hint[k], 0.2))
-                        .observe_latency(hint[k]);
+                    let s = slot.get_or_insert_with(|| ClientStats::prior(hint[k], 0.2));
+                    s.tau = ema(s.tau, hint[k]);
                 }
             }
         }

@@ -81,7 +81,7 @@ where
     while iters < opts.max_iters {
         iters += 1;
         grad(&x, &mut g);
-        debug_assert!(dvec::all_finite(&g), "non-finite gradient");
+        debug_assert!(g.iter().all(|v| v.is_finite()), "non-finite gradient");
 
         let mut eta = opts.step0;
         let mut accepted = false;

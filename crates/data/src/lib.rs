@@ -29,7 +29,6 @@
 pub mod cifar;
 pub mod idx;
 pub mod partition;
-pub mod stats;
 pub mod stream;
 pub mod synth;
 

@@ -167,11 +167,6 @@ impl Partition {
             }
         }
     }
-
-    /// `true` for schemes that skew each client's label distribution.
-    pub fn is_non_iid(&self) -> bool {
-        !matches!(self, Partition::Iid)
-    }
 }
 
 /// Measures how non-IID a split is: mean total-variation distance between
@@ -280,14 +275,6 @@ mod tests {
     fn bad_principal_frac_rejected() {
         let (train, _) = small_fmnist(10, 5, 1);
         let _ = Partition::PrincipalMix { principal_frac: 1.5 }.split(&train, 2, 0);
-    }
-
-    #[test]
-    fn is_non_iid_flags() {
-        assert!(!Partition::Iid.is_non_iid());
-        assert!(Partition::Shards.is_non_iid());
-        assert!(Partition::PrincipalMix { principal_frac: 0.5 }.is_non_iid());
-        assert!(Partition::Dirichlet { alpha: 0.5 }.is_non_iid());
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl OnlineStream {
         self.lambda
     }
 
-    /// Number of distinct samples the client can ever draw.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
     /// The sample indices available to this client at `epoch`.
     ///
     /// Deterministic in `(seed, epoch)`: re-querying the same epoch gives

@@ -35,24 +35,9 @@ pub fn dist(a: &[f64], b: &[f64]) -> f64 {
     dist_sq(a, b).sqrt()
 }
 
-/// Element-wise `max(v, 0)` in place — the `[·]⁺` operator used by the
-/// dual ascent step (paper eq. (9)) and the dynamic-fit definition.
-pub fn relu_inplace(v: &mut [f64]) {
-    for x in v.iter_mut() {
-        if *x < 0.0 {
-            *x = 0.0;
-        }
-    }
-}
-
 /// Sum of elements.
 pub fn sum(a: &[f64]) -> f64 {
     a.iter().sum()
-}
-
-/// `true` when every element is finite.
-pub fn all_finite(a: &[f64]) -> bool {
-    a.iter().all(|v| v.is_finite())
 }
 
 /// Clamps each element into `[lo[i], hi[i]]` in place (box projection).
@@ -85,23 +70,9 @@ mod tests {
     }
 
     #[test]
-    fn relu_zeroes_negatives_only() {
-        let mut v = vec![-1.0, 0.0, 2.5];
-        relu_inplace(&mut v);
-        assert_eq!(v, vec![0.0, 0.0, 2.5]);
-    }
-
-    #[test]
     fn clamp_box_respects_bounds() {
         let mut v = vec![-1.0, 0.5, 2.0];
         clamp_box(&mut v, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
         assert_eq!(v, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn finiteness_check() {
-        assert!(all_finite(&[1.0, 2.0]));
-        assert!(!all_finite(&[1.0, f64::NAN]));
-        assert!(!all_finite(&[f64::INFINITY]));
     }
 }

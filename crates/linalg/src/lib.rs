@@ -44,9 +44,6 @@ pub mod rng;
 
 pub use matrix::Matrix;
 
-/// Absolute tolerance used by the crate's approximate float comparisons.
-pub const DEFAULT_TOL: f32 = 1e-5;
-
 /// Returns `true` when `a` and `b` agree to within `tol` absolutely or
 /// `tol` relative to the larger magnitude, whichever is looser.
 ///

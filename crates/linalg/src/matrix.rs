@@ -1,7 +1,7 @@
 //! Row-major dense `f32` matrix.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
+use std::ops::{Add, Sub};
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -74,18 +74,6 @@ impl Matrix {
         Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
-    /// A `1 x n` row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let n = data.len();
-        Self::from_vec(1, n, data)
-    }
-
-    /// An `n x 1` column vector.
-    pub fn col_vector(data: Vec<f32>) -> Self {
-        let n = data.len();
-        Self::from_vec(n, 1, data)
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -126,11 +114,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reshapes to `rows x cols` with every element zeroed, reusing the
@@ -353,27 +336,6 @@ impl Sub<&Matrix> for &Matrix {
     }
 }
 
-impl AddAssign<&Matrix> for Matrix {
-    fn add_assign(&mut self, rhs: &Matrix) {
-        self.axpy(1.0, rhs);
-    }
-}
-
-impl SubAssign<&Matrix> for Matrix {
-    fn sub_assign(&mut self, rhs: &Matrix) {
-        self.axpy(-1.0, rhs);
-    }
-}
-
-impl Mul<f32> for &Matrix {
-    type Output = Matrix;
-    fn mul(self, rhs: f32) -> Matrix {
-        let mut out = self.clone();
-        out.scale(rhs);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,8 +404,10 @@ mod tests {
         assert_eq!(sums.as_slice(), &[4.0, 6.0]);
         assert_eq!(m.mean(), 2.5);
         assert_eq!(m.sum(), 10.0);
-        let (a, b) =
-            (Matrix::row_vector(vec![1.0, 2.0, 3.0]), Matrix::row_vector(vec![4.0, 5.0, 6.0]));
+        let (a, b) = (
+            Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]),
+            Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]),
+        );
         assert_eq!(a.dot(&b), 32.0);
     }
 
@@ -495,10 +459,5 @@ mod tests {
         let b = Matrix::from_vec(1, 2, vec![3.0, 5.0]);
         assert_eq!((&a + &b).as_slice(), &[4.0, 7.0]);
         assert_eq!((&b - &a).as_slice(), &[2.0, 3.0]);
-        let mut c = a.clone();
-        c += &b;
-        assert_eq!(c.as_slice(), &[4.0, 7.0]);
-        c -= &b;
-        assert_eq!(c.as_slice(), &[1.0, 2.0]);
     }
 }

@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn broadcast_adds_bias_to_each_row() {
         let mut m = Matrix::zeros(2, 2);
-        let b = Matrix::row_vector(vec![1.0, -2.0]);
+        let b = Matrix::from_vec(1, 2, vec![1.0, -2.0]);
         add_row_broadcast(&mut m, &b);
         assert_eq!(m.row(0), &[1.0, -2.0]);
         assert_eq!(m.row(1), &[1.0, -2.0]);

@@ -741,12 +741,6 @@ impl Matrix {
         Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
     }
 
-    /// Matrix with i.i.d. `N(0, std²)` entries (Box–Muller).
-    pub fn gaussian(rows: usize, cols: usize, std: f32, rng: &mut impl Rng) -> Matrix {
-        let normal = Normal::new(0.0, std as f64);
-        Matrix::from_fn(rows, cols, |_, _| normal.sample(rng) as f32)
-    }
-
     /// Glorot/Xavier-uniform initialization for a `fan_in x fan_out` layer.
     ///
     /// Scale `sqrt(6 / (fan_in + fan_out))` keeps activation variance flat
@@ -899,17 +893,6 @@ mod tests {
         let mut rng = rng_for(1, 1);
         let m = Matrix::uniform(10, 10, 0.5, &mut rng);
         assert!(m.as_slice().iter().all(|v| v.abs() <= 0.5));
-    }
-
-    #[test]
-    fn gaussian_has_reasonable_moments() {
-        let mut rng = rng_for(1, 2);
-        let m = Matrix::gaussian(100, 100, 2.0, &mut rng);
-        let mean = m.mean();
-        let var = m.as_slice().iter().map(|v| (v - mean) * (v - mean)).sum::<f32>()
-            / (m.len() - 1) as f32;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
     }
 
     #[test]

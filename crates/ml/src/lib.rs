@@ -8,7 +8,7 @@
 //! G_{t,k}(d) = F_{t,k}(w + d) + (σ₁/2)·‖d‖² − (∇F_{t,k}(w) − σ₂·J_t(w))ᵀ (w + d)
 //! ```
 //!
-//! over its local data by SGD and uploads the resulting direction `d` for
+//! over its local data by mini-batch SGD and uploads the resulting direction `d` for
 //! the server to average. This crate builds that whole stack from scratch:
 //!
 //! * [`params`] — [`ParamSet`], the flat view of a model's parameter
@@ -19,7 +19,6 @@
 //!   and a ReLU MLP of arbitrary depth (the reproduction's substitute for
 //!   the paper's small CNNs — see DESIGN.md §2);
 //! * [`loss`] — numerically stable cross-entropy on logits;
-//! * [`sgd`] — mini-batch SGD used inside local solves;
 //! * [`dane`] — the local surrogate solve itself, including the measured
 //!   local convergence accuracy `η̂_{t,k}` that FedL's constraint (3c)
 //!   consumes;
@@ -35,7 +34,6 @@ pub mod loss;
 pub mod metrics;
 pub mod model;
 pub mod params;
-pub mod sgd;
 
 pub use dane::{DaneConfig, DaneScratch, LocalOutcome};
 pub use model::{Model, ModelScratch};

@@ -40,10 +40,9 @@ pub fn loss_against(model: &dyn Model, data: &Dataset, targets: &Matrix) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SoftmaxRegression;
-    use crate::sgd::{run, SgdConfig};
+    use crate::model::{ModelScratch, SoftmaxRegression};
+    use crate::params::ParamSet;
     use fedl_data::synth::small_fmnist;
-    use fedl_linalg::rng::rng_for;
 
     #[test]
     fn untrained_model_near_chance() {
@@ -59,8 +58,12 @@ mod tests {
     fn trained_model_beats_chance_substantially() {
         let (train, test) = small_fmnist(1500, 400, 2);
         let mut model = SoftmaxRegression::new(train.dim(), train.num_classes, 0.001);
-        let cfg = SgdConfig { lr: 0.5, batch: 32, steps: 600, clip: Some(10.0) };
-        run(&mut model, &train, &cfg, &mut rng_for(1, 0));
+        let y = train.one_hot_labels();
+        let (mut grad, mut ws) = (ParamSet::new(Vec::new()), ModelScratch::new());
+        for _ in 0..100 {
+            model.loss_and_grad_scratch(&train.features, &y, &mut grad, &mut ws);
+            model.params_mut().axpy(-0.5, &grad);
+        }
         let acc = accuracy(&model, &test);
         assert!(acc > 0.6, "trained accuracy only {acc}");
         assert!(loss_against(&model, &test, &test.one_hot_labels()) < (10.0f64).ln());

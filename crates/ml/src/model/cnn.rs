@@ -245,11 +245,6 @@ impl Cnn {
         Self { params, input, blocks, block_inputs, flat_dim, classes }
     }
 
-    /// The input map shape.
-    pub fn input_shape(&self) -> MapShape {
-        self.input
-    }
-
     /// Flattened feature dimension entering the FC head.
     pub fn flat_dim(&self) -> usize {
         self.flat_dim

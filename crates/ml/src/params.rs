@@ -83,11 +83,6 @@ impl ParamSet {
         self.0.is_empty()
     }
 
-    /// Total scalar parameter count.
-    pub fn num_scalars(&self) -> usize {
-        self.0.iter().map(Matrix::len).sum()
-    }
-
     /// `self += alpha * other`, tensor by tensor.
     ///
     /// # Panics
@@ -225,7 +220,6 @@ mod tests {
         assert_eq!(a.norm_sq(), 9.0);
         assert_eq!(a.norm(), 3.0);
         assert_eq!(a.dot(&a), 9.0);
-        assert_eq!(a.num_scalars(), 3);
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! The DANE local solve as it ran before its step became one pass: each
-//! local step as nine whole-vector passes (`w + d` as a copy and an
-//! `axpy`; `∇G` as two `axpy`s and a clip; the heavy-ball update as a
-//! scale and two `axpy`s). It lives on only as the reference the fused
-//! step is compared against, bit for bit; nothing under `src/` uses it.
+//! References for the DANE local solve; nothing under `src/` uses them.
 //!
-//! Used by `crates/ml/tests/dane_step.rs`.
+//! * [`local_update`] — the solve as it ran before its step became one
+//!   pass: each local step as nine whole-vector passes (`w + d` as a copy
+//!   and an `axpy`; `∇G` as two `axpy`s and a clip; the heavy-ball update
+//!   as a scale and two `axpy`s). The fused step is compared against it,
+//!   bit for bit.
+//! * [`surrogate_value`] — the surrogate `G(d)` itself on the full
+//!   working set, the objective the solve must descend.
+//!
+//! Shared by `crates/ml/tests/{dane_step,surrogate_descent}.rs`; each uses
+//! a part.
+#![allow(dead_code)]
 
 use fedl_data::Dataset;
 use fedl_linalg::rng::Rng;
 use fedl_linalg::Matrix;
-use fedl_ml::dane::{DaneConfig, LocalOutcome};
+use fedl_ml::dane::{sample_batch_into, DaneConfig, LocalOutcome};
 use fedl_ml::model::{Model, ModelScratch};
 use fedl_ml::params::ParamSet;
-use fedl_ml::sgd::sample_batch_into;
 
 /// `fedl_ml::dane::local_update` with the nine-pass step.
 pub fn local_update(
@@ -69,4 +74,24 @@ pub fn local_update(
         0.0
     };
     LocalOutcome { delta, grad_at_w, eta_hat, loss_at_w, loss_after }
+}
+
+/// `G(d) = F(w + d) + (σ₁/2)·‖d‖² − (∇F(w) − σ₂·J)ᵀ(w + d)` on the
+/// client's full working set.
+pub fn surrogate_value(
+    model_at_w: &dyn Model,
+    data: &Dataset,
+    j_agg: &ParamSet,
+    cfg: &DaneConfig,
+    delta: &ParamSet,
+) -> f32 {
+    let (x, y) = (data.features.clone(), data.one_hot_labels());
+    let w = model_at_w.params().clone();
+    let (_, grad_w) = model_at_w.loss_and_grad(&x, &y);
+    let mut shifted = model_at_w.clone_model();
+    shifted.set_params(w.added(1.0, delta));
+    let f_wd = shifted.loss(&x, &y);
+    let linear = grad_w.added(-cfg.sigma2, j_agg);
+    let wd = w.added(1.0, delta);
+    f_wd + 0.5 * cfg.sigma1 * delta.norm_sq() - linear.dot(&wd)
 }

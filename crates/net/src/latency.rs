@@ -108,20 +108,6 @@ impl LatencyModel {
             .map(|s| s.total_secs())
             .collect()
     }
-
-    /// Epoch latency of the cohort (paper eq. (2)): the slowest client's
-    /// per-iteration latency times the iteration count `l_t`.
-    pub fn epoch_secs(
-        &self,
-        radios: &[&ClientRadio],
-        computes: &[&ComputeProfile],
-        samples: &[usize],
-        iterations: usize,
-    ) -> f64 {
-        let per_iter = self.per_iteration_secs(radios, computes, samples);
-        let slowest = per_iter.into_iter().fold(0.0f64, f64::max);
-        slowest * iterations as f64
-    }
 }
 
 #[cfg(test)]
@@ -147,27 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn epoch_latency_scales_with_iterations() {
-        let (radios, computes) = cohort(3);
-        let model = LatencyModel::paper_defaults(1e5, 6272.0);
-        let r: Vec<&ClientRadio> = radios.iter().collect();
-        let c: Vec<&ComputeProfile> = computes.iter().collect();
-        let one = model.epoch_secs(&r, &c, &[50, 50, 50], 1);
-        let five = model.epoch_secs(&r, &c, &[50, 50, 50], 5);
-        assert!((five - 5.0 * one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn epoch_latency_is_max_of_clients() {
+    fn the_data_heavy_client_is_the_slowest() {
         let (radios, computes) = cohort(3);
         let model = LatencyModel::paper_defaults(1e5, 6272.0);
         let r: Vec<&ClientRadio> = radios.iter().collect();
         let c: Vec<&ComputeProfile> = computes.iter().collect();
         let per = model.per_iteration_secs(&r, &c, &[10, 500, 10]);
-        let epoch = model.epoch_secs(&r, &c, &[10, 500, 10], 1);
-        let max = per.iter().copied().fold(0.0f64, f64::max);
-        assert_eq!(epoch, max);
-        // The data-heavy client dominates.
         assert!(per[1] > per[0]);
     }
 
@@ -189,12 +160,6 @@ mod tests {
         let c: Vec<&ComputeProfile> = computes.iter().collect();
         let crowded = model.per_iteration_secs(&r, &c, &[1; 8])[0];
         assert!(crowded > solo, "FDMA sharing must slow the upload");
-    }
-
-    #[test]
-    fn empty_cohort_zero_latency() {
-        let model = LatencyModel::paper_defaults(1e5, 6272.0);
-        assert_eq!(model.epoch_secs(&[], &[], &[], 7), 0.0);
     }
 
     #[test]

@@ -38,12 +38,6 @@ pub fn dbm_to_watts(dbm: f64) -> f64 {
     10f64.powf((dbm - 30.0) / 10.0)
 }
 
-/// Converts a dB power *ratio* to linear scale.
-#[inline]
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,12 +49,5 @@ mod tests {
         // The paper's noise density: -174 dBm/Hz ≈ 3.98e-21 W/Hz.
         let n0 = dbm_to_watts(-174.0);
         assert!((n0 - 3.981e-21).abs() < 1e-23, "{n0}");
-    }
-
-    #[test]
-    fn db_ratio_conversions() {
-        assert!((db_to_linear(0.0) - 1.0).abs() < 1e-12);
-        assert!((db_to_linear(10.0) - 10.0).abs() < 1e-12);
-        assert!((db_to_linear(-3.0) - 0.501187).abs() < 1e-5);
     }
 }

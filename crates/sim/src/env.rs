@@ -400,7 +400,7 @@ impl EdgeEnvironment {
 
     /// Everything the time axis does to every client at epoch `t`
     /// (availability, cost, channel, data volume), as rows. Deterministic
-    /// in the environment seed. A one-shot realization, like the three
+    /// in the environment seed. A one-shot realization, like the two
     /// below: inspection through `&self` that leaves the window alone.
     pub fn views(&self, epoch: usize) -> Vec<EpochClientView> {
         self.population.realize(epoch).views(self.population.columns())
@@ -409,14 +409,6 @@ impl EdgeEnvironment {
     /// Ids of the clients available at epoch `t` (`E_t`).
     pub fn available(&self, epoch: usize) -> Vec<usize> {
         self.population.realize(epoch).available_ids()
-    }
-
-    /// Realized per-iteration latency `τ^loc + τ^cm` of each listed
-    /// client at epoch `t`, under FDMA sharing among exactly those
-    /// clients — what [`Self::run_epoch`] reports for its cohort.
-    pub fn per_iteration_latency(&self, epoch: usize, ids: &[usize]) -> Vec<f64> {
-        let p = &self.population;
-        cohort_latency(p.config(), p.columns(), &p.realize(epoch), p.latency_model(), ids)
     }
 
     /// Per-iteration latency of each listed client at epoch `t` assuming
@@ -817,16 +809,16 @@ mod tests {
                 DaneConfig::default(),
             )
         };
-        let equal = build(false);
-        let optimal = build(true);
+        let mut equal = build(false);
+        let mut optimal = build(true);
         for t in 0..5 {
             let avail = equal.available(t);
             if avail.len() < 3 {
                 continue;
             }
             let ids = &avail[..3];
-            let slow_eq = equal.per_iteration_latency(t, ids).into_iter().fold(0.0f64, f64::max);
-            let slow_opt = optimal.per_iteration_latency(t, ids).into_iter().fold(0.0f64, f64::max);
+            let slow_eq = equal.run_epoch(t, ids, 1).latency_secs;
+            let slow_opt = optimal.run_epoch(t, ids, 1).latency_secs;
             assert!(
                 slow_opt <= slow_eq * (1.0 + 1e-6),
                 "epoch {t}: optimal {slow_opt} > equal {slow_eq}"
@@ -914,11 +906,10 @@ mod tests {
 
     #[test]
     fn latency_reflects_cohort_size_effects() {
-        let e = env(6);
-        let avail = e.available(0);
+        let avail = env(6).available(0);
         assert!(avail.len() >= 3);
-        let solo = e.per_iteration_latency(0, &avail[..1]);
-        let many = e.per_iteration_latency(0, &avail.clone());
+        let solo = env(6).run_epoch(0, &avail[..1], 1).per_client_iter_latency;
+        let many = env(6).run_epoch(0, &avail, 1).per_client_iter_latency;
         // Same client in a bigger FDMA cohort is never faster.
         assert!(many[0] >= solo[0]);
     }

@@ -129,20 +129,6 @@ impl BudgetLedger {
     pub fn history(&self) -> &[f64] {
         &self.charges
     }
-
-    /// The paper's bounds on the stopping epoch for budget `C` with at
-    /// least `n` participants per epoch and per-client costs in
-    /// `[min_cost, max_cost]`:
-    /// `C/(n·max_cost) ≤ T_C ≤ C/(n·min_cost)`.
-    pub fn stopping_epoch_bounds(
-        budget: f64,
-        n: usize,
-        min_cost: f64,
-        max_cost: f64,
-    ) -> (f64, f64) {
-        assert!(n > 0 && min_cost > 0.0 && max_cost >= min_cost, "bad bound inputs");
-        (budget / (n as f64 * max_cost), budget / (n as f64 * min_cost))
-    }
 }
 
 #[cfg(test)]
@@ -225,13 +211,5 @@ mod tests {
         assert_eq!(tel.gauge("budget.remaining").value(), 25.0);
         assert_eq!(tel.counter("budget.epochs_charged").value(), 2);
         assert_eq!(tel.histogram("budget.epoch_charge").count(), 2);
-    }
-
-    #[test]
-    fn stopping_bounds_match_paper_formula() {
-        let (lo, hi) = BudgetLedger::stopping_epoch_bounds(1200.0, 10, 0.1, 12.0);
-        assert!((lo - 10.0).abs() < 1e-12);
-        assert!((hi - 1200.0).abs() < 1e-12);
-        assert!(lo <= hi);
     }
 }

@@ -72,25 +72,6 @@ fn ledger_arithmetic_is_exact() {
 }
 
 #[test]
-fn stopping_bounds_ordered() {
-    for case in 0..CASES {
-        let mut rng = rng_for(case, 0x51D);
-        let budget = rng.gen_range(10.0f64..10_000.0);
-        let n = rng.gen_range(1usize..50);
-        let min_cost = rng.gen_range(0.1f64..5.0);
-        let spread = rng.gen_range(1.0f64..10.0);
-        let max_cost = min_cost * spread;
-        let (lo, hi) = BudgetLedger::stopping_epoch_bounds(budget, n, min_cost, max_cost);
-        assert!(lo <= hi);
-        assert!(lo > 0.0);
-        // The bounds bracket the uniform-cost case.
-        let mid_cost = 0.5 * (min_cost + max_cost);
-        let t_mid = budget / (n as f64 * mid_cost);
-        assert!(lo <= t_mid + 1e-9 && t_mid <= hi + 1e-9);
-    }
-}
-
-#[test]
 fn clients_stay_inside_the_cell() {
     for case in 0..CASES {
         let mut rng = rng_for(case, 0x51E);

@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(build test benchmark-api doc fmt clippy telemetry checkpoint cache bench-history perf scale serve dist trace dashboard overlay)
+STAGES=(build test benchmark-api doc fmt clippy dead-code telemetry checkpoint cache bench-history perf scale serve dist trace dashboard overlay)
 
 run_exp() {
     cargo run --release --offline -p fedl-bench --bin experiments -- "$@"
@@ -103,6 +103,81 @@ stage_clippy() {
         echo "SKIPPED (tool missing): clippy is not installed"
         CI_STAGE_STATUS=skip
     fi
+}
+
+# Public functions and constants that no binary, example or benchmark
+# probe calls, kept on purpose; the dead-code stage leaves them out of
+# its report. One `name: reason` per entry.
+DEAD_CODE_ALLOW=(
+    "approx_eq: float comparison the crates' tests share"
+    "approx_eq_f64: float comparison the crates' tests share"
+    "force_max_threads: test hook that pins the fan-out team size"
+    "identity: GEMM test fixture and the Matrix doc example"
+    "new_random: random-init softmax model for the crates' tests"
+    "make_radio: a radio at a fixed distance for the latency tests"
+    "tables: the golden tests read a report's tables"
+    "added: w + alpha * d as a new set, the tests' descent steps"
+    "load_pair: real FMNIST loader (DESIGN.md S3, tests/real_data_path.rs)"
+    "write_file: IDX writer the real-data round trip uses"
+    "load_train_batches: real CIFAR-10 loader (DESIGN.md S3)"
+    "small_fmnist_cnn: the paper's CNN scenario (DESIGN.md section 2)"
+)
+
+# Report-only dead-code scan: every `pub fn` / `pub const` under
+# crates/*/src whose name appears nowhere else in non-test code
+# (crates/*/src, src, examples, benchmark/src; `//` comments and
+# `#[cfg(test)]` items stripped, tests/ directories not read). The scan
+# is by name, so a name shared with another item hides both; confirm a
+# hit by deleting it and building the workspace and benchmark/. Never
+# fails the build: the count is the stage note.
+stage_dead_code() {
+    local out=target/ci_dead_code
+    rm -rf "$out"
+    mkdir -p "$out"
+    find crates/*/src src examples benchmark/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { pending = 0; skipping = 0 }
+        {
+            line = $0
+            sub(/\/\/.*/, "", line)
+            if (skipping || pending) {
+                s = line
+                gsub(/"([^"\\]|\\.)*"/, "", s)
+                gsub(/'\''(\\.|[^\\'\''])'\''/, "", s)
+                opens = gsub(/\{/, "{", s)
+                closes = gsub(/\}/, "}", s)
+                if (skipping) {
+                    depth += opens - closes
+                    if (depth <= 0) skipping = 0
+                } else if (opens > 0) {
+                    pending = 0
+                    depth = opens - closes
+                    skipping = depth > 0
+                } else if (s ~ /;/) {
+                    pending = 0
+                }
+                next
+            }
+            if (line ~ /^[ \t]*#\[cfg\(test\)\]/) { pending = 1; next }
+            print FILENAME ":" FNR ":" line
+        }' > "$out/corpus.txt"
+    sed -nE 's/^(crates\/[^:]*:[0-9]+):[ \t]*pub (const )?(fn|const) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \3 \4/p' \
+        "$out/corpus.txt" > "$out/defs.txt"
+    sed -E 's/^[^:]*:[0-9]+://' "$out/corpus.txt" | grep -oE '[A-Za-z_][A-Za-z0-9_]*' \
+        | sort | uniq -c > "$out/words.txt" || true
+    printf '%s\n' "${DEAD_CODE_ALLOW[@]}" | sed 's/:.*//' > "$out/allow.txt"
+    # A name is referenced when it occurs more often than it is defined.
+    awk '
+        FILENAME == ARGV[1] { allowed[$1] = 1; next }
+        FILENAME == ARGV[2] { uses[$2] = $1; next }
+        { defs[$3]++; row[NR] = $0; name[NR] = $3 }
+        END {
+            for (i in row) if (!(name[i] in allowed) && uses[name[i]] <= defs[name[i]]) print row[i]
+        }' "$out/allow.txt" "$out/words.txt" "$out/defs.txt" | sort > "$out/report.txt"
+    local count
+    count=$(wc -l < "$out/report.txt")
+    echo "public items with no non-test reference: $count (allow-listed: ${#DEAD_CODE_ALLOW[@]})"
+    sed 's/^/    /' "$out/report.txt"
+    CI_STAGE_NOTE="$count unreferenced public items"
 }
 
 # Telemetry smoke: a real run must emit a parseable JSONL log holding
