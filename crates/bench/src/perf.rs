@@ -678,7 +678,7 @@ fn suite_dist_stages(kernels: &mut Vec<KernelStats>, budget: Duration) {
             std::hint::black_box(part().available.len())
         });
         if tier == ScaleTier::Tier100k {
-            let ctx = assemble_context(m, vec![part()], 1e9, n, lent.config.seed)
+            let ctx = assemble_context(1, m, vec![part()], 1e9, n, lent.config.seed)
                 .expect("scale tiers leave someone available");
             let mut rng = rng_for(0xBEF, m as u64);
             let cohort: Vec<usize> =
@@ -696,6 +696,7 @@ fn suite_dist_stages(kernels: &mut Vec<KernelStats>, budget: Duration) {
 /// and column checks included; then the envelope's body checksum on its
 /// own over that frame's 1.7 MB body, beside the FNV-1a/64 it replaced.
 fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
+    use fedl_core::columnar::ContextPart;
     use fedl_linalg::rng::{rng_for, Rng};
     use fedl_serve::proto::{decode_frame, encode_frame, Message};
     use fedl_store::{envelope_checksum, fnv1a64};
@@ -705,11 +706,13 @@ fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
     let mut column = |lo: f64, hi: f64| (0..rows).map(|_| rng.gen_range(lo..hi)).collect();
     let part = Message::ShardContextPart {
         epoch: 3,
-        available: (0..rows).map(|k| k + k / 4).collect(),
-        costs: column(0.1, 12.0),
-        latency_hint: column(0.01, 2.0),
-        true_latency: column(0.01, 2.0),
-        data_volumes: (0..rows).map(|k| k % 17).collect(),
+        part: ContextPart {
+            available: (0..rows).map(|k| k + k / 4).collect(),
+            costs: column(0.1, 12.0),
+            latency_hint: column(0.01, 2.0),
+            true_latency: column(0.01, 2.0),
+            data_volumes: (0..rows).map(|k| k % 17).collect(),
+        },
     };
     measure_kernel(kernels, budget, "wire/context_part_40k", || {
         let frame = encode_frame(std::hint::black_box(&part));

@@ -46,6 +46,7 @@ pub fn context_at(
         registered,
     );
     assemble_context(
+        epoch,
         lent.cols.len(),
         vec![part],
         remaining_budget,
@@ -99,7 +100,7 @@ pub fn scale_context(
     // The whole population is the one-shard case of the distributed
     // split below: one assembly path, one set of bits.
     let part = scale_context_part(cols, hint, now, latency, min_participants, 0..cols.len(), None);
-    assemble_context(cols.len(), vec![part], remaining_budget, min_participants, seed)
+    assemble_context(now.epoch, cols.len(), vec![part], remaining_budget, min_participants, seed)
 }
 
 /// One shard's contribution to an [`EpochContext`] — the unit a
@@ -108,11 +109,10 @@ pub fn scale_context(
 /// All vectors are aligned to `available` (the shard's available clients
 /// as *global* ids, ascending). Because shards are contiguous id ranges,
 /// concatenating parts in shard order reproduces the full context's
-/// ascending `available` ordering exactly.
+/// ascending `available` ordering exactly. The part names no epoch: the
+/// caller that asked for it knows which one it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContextPart {
-    /// The realized epoch index.
-    pub epoch: usize,
     /// Available clients of this shard (global ids, ascending).
     pub available: Vec<usize>,
     /// Rental cost per available client.
@@ -173,7 +173,6 @@ pub fn scale_context_part(
     let rows: Vec<usize> = cuts.iter().map(|cut| cut.clone().filter(counts).count()).collect();
     let total = rows.iter().sum();
     let mut part = ContextPart {
-        epoch: now.epoch,
         available: vec![0; total],
         costs: vec![0.0; total],
         latency_hint: vec![0.0; total],
@@ -213,8 +212,9 @@ pub fn scale_context_part(
     part
 }
 
-/// Merges shard [`ContextPart`]s into the full [`EpochContext`] — the
-/// coordinator half of the distributed [`scale_context`] split.
+/// Merges shard [`ContextPart`]s of `epoch` into the full
+/// [`EpochContext`] — the coordinator half of the distributed
+/// [`scale_context`] split.
 ///
 /// `parts` must arrive in shard order (ascending id ranges); simple
 /// concatenation then reproduces the single-process context column for
@@ -224,9 +224,10 @@ pub fn scale_context_part(
 /// [`scale_context`].
 ///
 /// # Panics
-/// Panics if the parts disagree on the epoch or break ascending-id
-/// order (shards delivered out of order).
+/// Panics if the parts break ascending-id order (shards delivered out
+/// of order).
 pub fn assemble_context(
+    epoch: usize,
     num_clients: usize,
     parts: Vec<ContextPart>,
     remaining_budget: f64,
@@ -236,7 +237,6 @@ pub fn assemble_context(
     let mut parts = parts.into_iter();
     let mut all = parts.next()?;
     for part in parts {
-        assert_eq!(part.epoch, all.epoch, "context parts span different epochs");
         if let (Some(&last), Some(&first)) = (all.available.last(), part.available.first()) {
             assert!(last < first, "context parts delivered out of shard order");
         }
@@ -250,7 +250,7 @@ pub fn assemble_context(
         return None;
     }
     Some(EpochContext {
-        epoch: all.epoch,
+        epoch,
         num_clients,
         loss_hint: vec![(10.0f64).ln(); all.available.len()],
         available: all.available,
@@ -337,7 +337,8 @@ mod tests {
                         )
                     })
                     .collect();
-                let got = assemble_context(cols.len(), parts, 400.0, 5, config.seed).unwrap();
+                let got =
+                    assemble_context(epoch, cols.len(), parts, 400.0, 5, config.seed).unwrap();
                 assert_eq!(got.available, want.available);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got.costs), bits(&want.costs));

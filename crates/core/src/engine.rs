@@ -15,8 +15,11 @@
 //!    └─ select(None): nobody available, the epoch passes, cursor += 1
 //! ```
 //!
-//! Out-of-order calls are typed [`EngineError`]s, never panics, so a
-//! long-running service can refuse a bad request and carry on.
+//! Out-of-order calls and outcomes that do not fit the pending selection
+//! are typed [`EngineError`]s, never panics, so a long-running service
+//! can refuse a bad request and carry on. [`EpochEngine::settle`] is the
+//! one check of an outcome: every driver hands it the report as it
+//! arrived, and a refused report leaves the engine exactly as it was.
 
 use std::fmt;
 
@@ -40,6 +43,28 @@ pub enum EngineError {
     },
     /// `select` after the budget ran out (Alg. 1's `while C ≥ 0` ended).
     Exhausted,
+    /// `settle` of an outcome for another epoch than the pending one.
+    WrongEpoch {
+        /// The pending epoch.
+        expected: usize,
+        /// The epoch the outcome names.
+        got: usize,
+    },
+    /// `settle` of an outcome whose iteration count differs from the
+    /// selected one, or whose survivors (`cohort`) and dropouts
+    /// (`failed`) together are not exactly the selected cohort.
+    WrongSelection {
+        /// The pending epoch.
+        epoch: usize,
+    },
+    /// `settle` of feedback that is not cohort-aligned or carries a
+    /// non-finite or negative number.
+    BadFeedback {
+        /// The pending epoch.
+        epoch: usize,
+        /// Which rule the feedback broke.
+        detail: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -50,6 +75,16 @@ impl fmt::Display for EngineError {
                 write!(f, "epoch {epoch} is selected and awaiting its outcome")
             }
             EngineError::Exhausted => write!(f, "the budget is exhausted"),
+            EngineError::WrongEpoch { expected, got } => {
+                write!(f, "the outcome is for epoch {got}, but epoch {expected} is pending")
+            }
+            EngineError::WrongSelection { epoch } => write!(
+                f,
+                "the outcome's cohort or iteration count does not match epoch {epoch}'s selection"
+            ),
+            EngineError::BadFeedback { epoch, detail } => {
+                write!(f, "epoch {epoch}'s feedback is refused: {detail}")
+            }
         }
     }
 }
@@ -76,6 +111,55 @@ pub fn sanitize_decision(
         cohort = ctx.available.iter().copied().take(ctx.effective_n()).collect();
     }
     (cohort, iterations.clamp(1, 50))
+}
+
+/// The outcome rules of [`EpochEngine::settle`]. The ledger refuses a
+/// negative or NaN charge by panicking and the policies fold every
+/// column into their state, so no report reaches either unless each
+/// number in it is usable.
+fn check_outcome(pending: &PendingEpoch, report: &EpochReport) -> Result<(), EngineError> {
+    let epoch = pending.ctx.epoch;
+    if report.epoch != epoch {
+        return Err(EngineError::WrongEpoch { expected: epoch, got: report.epoch });
+    }
+    if report.iterations != pending.iterations
+        || !splits(&pending.cohort, &report.cohort, &report.failed)
+    {
+        return Err(EngineError::WrongSelection { epoch });
+    }
+    let bad = |detail| Err(EngineError::BadFeedback { epoch, detail });
+    let columns = [
+        report.per_client_iter_latency.len(),
+        report.eta_hats.len(),
+        report.grad_dot_delta.len(),
+        report.local_losses.len(),
+    ];
+    if columns.iter().any(|&n| n != report.cohort.len()) {
+        return bad("a per-client column is not aligned with the cohort");
+    }
+    let paid = |x: f64| x.is_finite() && x >= 0.0;
+    if !paid(report.cost)
+        || !paid(report.latency_secs)
+        || !report.per_client_iter_latency.iter().all(|&t| paid(t))
+    {
+        return bad("a cost or latency is non-finite or negative");
+    }
+    let signals = [&report.eta_hats, &report.grad_dot_delta, &report.local_losses];
+    if !report.global_loss_all.is_finite()
+        || !signals.iter().all(|column| column.iter().all(|x| x.is_finite()))
+    {
+        return bad("a loss, η̂ or J·d is non-finite");
+    }
+    Ok(())
+}
+
+/// `true` when `survivors` and `failed` interleave to exactly
+/// `selected`: each keeps the selection's order, they share no id, and
+/// together they cover it. With nobody failed, `survivors == selected`.
+fn splits(selected: &[usize], survivors: &[usize], failed: &[usize]) -> bool {
+    let (mut s, mut f) = (survivors.iter().peekable(), failed.iter().peekable());
+    survivors.len() + failed.len() == selected.len()
+        && selected.iter().all(|id| s.next_if_eq(&id).is_some() || f.next_if_eq(&id).is_some())
 }
 
 /// What [`EpochEngine::select`] committed to, held until
@@ -178,8 +262,17 @@ impl EpochEngine {
     /// ledger, feed the policy, advance the cursor. Returns the context
     /// the epoch was selected under (for drivers that log estimated
     /// against realized columns).
+    ///
+    /// The outcome is checked before anything moves, in this order:
+    /// [`EngineError::NothingPending`], [`EngineError::WrongEpoch`],
+    /// [`EngineError::WrongSelection`], [`EngineError::BadFeedback`]. A
+    /// refused outcome leaves the pending selection, ledger, cursor and
+    /// policy as they were, so the right report can still close the
+    /// epoch.
     pub fn settle(&mut self, report: &EpochReport) -> Result<EpochContext, EngineError> {
-        let pending = self.pending.take().ok_or(EngineError::NothingPending)?;
+        let pending = self.pending.as_ref().ok_or(EngineError::NothingPending)?;
+        check_outcome(pending, report)?;
+        let pending = self.pending.take().expect("checked above");
         self.ledger.charge(report.cost);
         self.policy.observe(&pending.ctx, report);
         self.next_epoch += 1;
@@ -418,6 +511,94 @@ mod tests {
             for (cohort, iterations) in selections.iter().flatten() {
                 assert!(!cohort.is_empty() && (1..=50).contains(iterations), "{kind:?}");
             }
+        }
+    }
+
+    /// A pending engine's whole state, as the refusal table compares it:
+    /// the pending selection, the ledger's charges, the cursor and the
+    /// policy's snapshot.
+    type EngineState = (Option<(usize, Vec<usize>, usize)>, Vec<f64>, usize, String);
+
+    fn state_of(engine: &EpochEngine) -> EngineState {
+        let pending = engine.pending().map(|p| (p.ctx.epoch, p.cohort.clone(), p.iterations));
+        let history = engine.ledger().history().to_vec();
+        (pending, history, engine.next_epoch(), engine.policy().snapshot_state().to_json())
+    }
+
+    #[test]
+    fn refused_outcomes_change_nothing_and_the_right_one_still_settles() {
+        type Spoil = fn(&mut EpochReport);
+        type Refusal = fn(EngineError) -> bool;
+        fn shorten<T>(column: &mut Vec<T>) {
+            column.pop();
+        }
+        let wrong_epoch = |e: EngineError| matches!(e, EngineError::WrongEpoch { .. });
+        let wrong_selection = |e: EngineError| matches!(e, EngineError::WrongSelection { .. });
+        let bad_feedback = |e: EngineError| matches!(e, EngineError::BadFeedback { .. });
+        let table: Vec<(&str, Spoil, Refusal)> = vec![
+            ("next epoch", |r| r.epoch += 1, wrong_epoch),
+            ("previous epoch", |r| r.epoch -= 1, wrong_epoch),
+            ("one more iteration", |r| r.iterations += 1, wrong_selection),
+            ("a foreign survivor", |r| r.cohort[0] = CLIENTS + 1, wrong_selection),
+            ("a foreign dropout", |r| r.failed.push(CLIENTS + 1), wrong_selection),
+            ("a survivor twice", |r| r.failed.push(r.cohort[0]), wrong_selection),
+            ("a missing survivor", |r| shorten(&mut r.cohort), wrong_selection),
+            ("short latencies", |r| shorten(&mut r.per_client_iter_latency), bad_feedback),
+            ("short η̂", |r| shorten(&mut r.eta_hats), bad_feedback),
+            ("short J·d", |r| shorten(&mut r.grad_dot_delta), bad_feedback),
+            ("short losses", |r| shorten(&mut r.local_losses), bad_feedback),
+            ("NaN cost", |r| r.cost = f64::NAN, bad_feedback),
+            ("+∞ cost", |r| r.cost = f64::INFINITY, bad_feedback),
+            ("−∞ cost", |r| r.cost = f64::NEG_INFINITY, bad_feedback),
+            ("negative cost", |r| r.cost = -1.0, bad_feedback),
+            ("NaN latency", |r| r.latency_secs = f64::NAN, bad_feedback),
+            ("+∞ latency", |r| r.latency_secs = f64::INFINITY, bad_feedback),
+            ("negative latency", |r| r.latency_secs = -0.5, bad_feedback),
+            ("NaN client latency", |r| r.per_client_iter_latency[0] = f64::NAN, bad_feedback),
+            ("∞ client latency", |r| r.per_client_iter_latency[0] = f64::INFINITY, bad_feedback),
+            ("negative client latency", |r| r.per_client_iter_latency[0] = -1.0, bad_feedback),
+            ("NaN η̂", |r| r.eta_hats[0] = f32::NAN, bad_feedback),
+            ("NaN J·d", |r| r.grad_dot_delta[0] = f32::NAN, bad_feedback),
+            ("−∞ J·d", |r| r.grad_dot_delta[0] = f32::NEG_INFINITY, bad_feedback),
+            ("NaN local loss", |r| r.local_losses[0] = f32::NAN, bad_feedback),
+            ("NaN global loss", |r| r.global_loss_all = f64::NAN, bad_feedback),
+            ("∞ global loss", |r| r.global_loss_all = f64::INFINITY, bad_feedback),
+        ];
+        for kind in kinds() {
+            let (mut engine, mut twin) = (engine_for(kind), engine_for(kind));
+            drive(&mut engine, 4);
+            drive(&mut twin, 4);
+            let picked = |e: &mut EpochEngine| {
+                let epoch = e.next_epoch();
+                let mut c = ctx((0..CLIENTS).collect(), vec![2.0; CLIENTS], e.remaining(), FLOOR);
+                c.epoch = epoch;
+                c.num_clients = CLIENTS;
+                e.select(Some(c)).unwrap().expect("everyone is available")
+            };
+            assert_eq!(picked(&mut engine), picked(&mut twin), "{kind:?}");
+            let p = engine.pending().unwrap().clone();
+            let good = report_for(&p.ctx, &p.cohort, p.iterations);
+            let before = state_of(&engine);
+            for (what, spoil, expected) in &table {
+                let mut bad = good.clone();
+                spoil(&mut bad);
+                let refused = engine.settle(&bad).expect_err(what);
+                assert!(expected(refused.clone()), "{kind:?} {what}: {refused}");
+                assert_eq!(state_of(&engine), before, "{kind:?} {what}: the refusal moved state");
+            }
+            engine.settle(&good).unwrap();
+            twin.settle(&good).unwrap();
+            assert_eq!(state_of(&engine), state_of(&twin), "{kind:?}");
+            let (resumed, whole) = (obj(engine.snapshot().unwrap()), obj(twin.snapshot().unwrap()));
+            assert_eq!(resumed.to_json(), whole.to_json(), "{kind:?}");
+
+            // Dropouts: the survivors plus `failed` are the selection.
+            let (cohort, iterations) = picked(&mut engine);
+            let p = engine.pending().unwrap().clone();
+            let mut report = report_for(&p.ctx, &cohort[1..], iterations);
+            report.failed = vec![cohort[0]];
+            engine.settle(&report).expect("a report with a dropout is the selection");
+            assert_eq!(engine.next_epoch(), 6, "{kind:?}");
         }
     }
 

@@ -255,19 +255,8 @@ impl OneShot {
     /// `prev` under multipliers `mu` and step size `beta`; see
     /// [`OneShot::solve`].
     pub fn descend(&self, prev: &FracDecision, mu: &[f64], beta: f64) -> FracDecision {
-        self.descend_from(&prev.x, prev.rho, mu, beta)
-    }
-
-    /// [`OneShot::descend`] with the anchor passed as bare slices.
-    pub fn descend_from(
-        &self,
-        x_prev: &[f64],
-        rho_prev: f64,
-        mu: &[f64],
-        beta: f64,
-    ) -> FracDecision {
         let mut out = FracDecision { x: Vec::new(), rho: 1.0 };
-        self.solve(x_prev, rho_prev, mu, beta, &mut SolveScratch::default(), &mut out);
+        self.solve(&prev.x, prev.rho, mu, beta, &mut SolveScratch::default(), &mut out);
         out
     }
 

@@ -819,7 +819,8 @@ impl ExperimentRunner {
             drop(select_span);
             self.emit_select_event(epoch, &cohort);
             let report = self.env.run_epoch_in(epoch, &cohort, iterations, Some(&epoch_span));
-            let ctx = self.engine.settle(&report).expect("selected above");
+            let ctx =
+                self.engine.settle(&report).expect("the simulator reports the selected epoch");
             self.trace.record(&report, self.engine.remaining());
             for (slot, &k) in report.cohort.iter().enumerate() {
                 self.loss_hints[k] = report.local_losses[slot] as f64;

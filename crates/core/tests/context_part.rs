@@ -18,7 +18,6 @@ use oracle::scale_context_part_reference;
 
 fn assert_same_bits(got: &ContextPart, want: &ContextPart, what: &str) {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(got.epoch, want.epoch, "{what}");
     assert_eq!(got.available, want.available, "{what}");
     assert_eq!(bits(&got.costs), bits(&want.costs), "{what}: costs");
     assert_eq!(bits(&got.latency_hint), bits(&want.latency_hint), "{what}: latency hint");

@@ -56,7 +56,6 @@ pub fn scale_context_part_reference(
         d[0] = now.data_volume[id[0]] as usize;
     });
     ContextPart {
-        epoch: now.epoch,
         latency_hint: latency_pass(cols, hint, latency, share, &available),
         true_latency: latency_pass(cols, now, latency, share, &available),
         available,

@@ -142,7 +142,7 @@ fn feasible_set(problem: &OneShot) -> Dykstra {
 }
 
 /// Eq. (8) by backtracking PGD (cap 300 iterations, tolerance 1e-8) over
-/// the Dykstra set, as `OneShot::descend_from` did it. Returns the point
+/// the Dykstra set, as `OneShot::descend` once did it. Returns the point
 /// and whether PGD reported convergence before its cap.
 pub fn descend_pgd(
     problem: &OneShot,

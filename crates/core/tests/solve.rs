@@ -201,6 +201,4 @@ fn descend_is_the_solve_without_its_outcome() {
     let inst = Instance::random(&mut rng_for(7, 0xD3), 12);
     let (frac, _) = inst.solve();
     assert_eq!(inst.problem.descend(&inst.anchor, &inst.mu, inst.beta), frac);
-    let a = &inst.anchor;
-    assert_eq!(inst.problem.descend_from(&a.x, a.rho, &inst.mu, inst.beta), frac);
 }

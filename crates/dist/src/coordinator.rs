@@ -261,7 +261,8 @@ impl Coordinator {
     }
 
     /// Resets worker `i`'s link (respawn/reconnect) and re-handshakes,
-    /// up to `max_resets` attempts.
+    /// up to `max_resets` attempts; with none allowed, the failure that
+    /// called for recovery is the run's error.
     fn recover(&mut self, i: usize, why: &ProtocolError) -> Result<(), String> {
         self.recoveries += 1;
         self.telemetry.counter("dist.recoveries").incr();
@@ -270,7 +271,7 @@ impl Coordinator {
             vec![("worker", Value::from(i)), ("code", Value::from(why.code()))],
         );
         let mut last = why.to_string();
-        for _ in 0..self.max_resets.max(1) {
+        for _ in 0..self.max_resets {
             match self.workers[i].link.reset() {
                 Ok(()) => match self.handshake(i) {
                     Ok(()) => return Ok(()),
@@ -279,7 +280,7 @@ impl Coordinator {
                 Err(e) => last = e,
             }
         }
-        Err(format!("worker {i} unrecoverable after {} resets: {last}", self.max_resets.max(1)))
+        Err(format!("worker {i} unrecoverable after {} resets: {last}", self.max_resets))
     }
 
     /// Recovers worker `i` and replays one request/reply.
@@ -393,6 +394,7 @@ impl Coordinator {
             }
             let merge_span = epoch_span.child("dist.merge");
             let ctx = assemble_context(
+                epoch,
                 num_clients,
                 parts,
                 engine.remaining(),
@@ -426,9 +428,10 @@ impl Coordinator {
             }
             let synth = combine_feedback(epoch, iterations, feedback);
             drop(merge_span);
-            engine
-                .settle(&synth.to_report(epoch, &cohort, iterations))
-                .map_err(|e| e.to_string())?;
+            // The engine refuses feedback it cannot use; that is a bad
+            // reply like any other the workers sent.
+            let settled = engine.settle(&synth.to_report(epoch, &cohort, iterations));
+            self.bad_reply(settled.map_err(|e| e.to_string()))?;
             self.telemetry.counter("dist.selections").incr();
             self.telemetry.emit(
                 "dist.epoch",
@@ -467,17 +470,11 @@ fn parse_context_part(
     reply: Message,
 ) -> Result<ContextPart, String> {
     match reply {
-        Message::ShardContextPart {
-            epoch: got,
-            available,
-            costs,
-            latency_hint,
-            true_latency,
-            data_volumes,
-        } => {
+        Message::ShardContextPart { epoch: got, part } => {
             if got != epoch {
                 return Err(format!("worker {i} answered epoch {got}, asked for {epoch}"));
             }
+            let ContextPart { available, costs, latency_hint, true_latency, data_volumes } = &part;
             let k = available.len();
             if [costs.len(), latency_hint.len(), true_latency.len(), data_volumes.len()]
                 .iter()
@@ -495,10 +492,10 @@ fn parse_context_part(
                     shard.start, shard.end
                 ));
             }
-            if !costs.iter().chain(&latency_hint).chain(&true_latency).all(|v| v.is_finite()) {
+            if !costs.iter().chain(latency_hint).chain(true_latency).all(|v| v.is_finite()) {
                 return Err(format!("worker {i} returned non-finite context columns"));
             }
-            Ok(ContextPart { epoch, available, costs, latency_hint, true_latency, data_volumes })
+            Ok(part)
         }
         Message::Error { code, detail } => {
             Err(format!("worker {i} refused the context request ({code}): {detail}"))
@@ -514,52 +511,31 @@ fn parse_train_part(
     reply: Message,
 ) -> Result<MemberFeedback, String> {
     match reply {
-        Message::ShardTrainPart {
-            epoch: got,
-            members,
-            per_client_iter_latency,
-            costs,
-            eta_hats,
-            grad_dot_delta,
-            local_losses,
-        } => {
+        Message::ShardTrainPart { epoch: got, members, feedback } => {
             if got != epoch {
                 return Err(format!("worker {i} answered epoch {got}, asked for {epoch}"));
             }
             if members != expected_members {
                 return Err(format!("worker {i} echoed a different member list"));
             }
-            let k = members.len();
+            // Checked per worker: concatenation could hide one worker's
+            // short column behind another's long one. Whether the
+            // numbers are usable is the engine's check of the merged
+            // outcome.
+            let f = &feedback;
             if [
-                per_client_iter_latency.len(),
-                costs.len(),
-                eta_hats.len(),
-                grad_dot_delta.len(),
-                local_losses.len(),
+                f.per_client_iter_latency.len(),
+                f.costs.len(),
+                f.eta_hats.len(),
+                f.grad_dot_delta.len(),
+                f.local_losses.len(),
             ]
             .iter()
-            .any(|&n| n != k)
+            .any(|&n| n != members.len())
             {
                 return Err(format!("worker {i} returned misaligned feedback columns"));
             }
-            // The merged columns flow straight into the ledger (panics
-            // on NaN charges) and the policy; refuse poisoned feedback
-            // with an error instead.
-            let finite = per_client_iter_latency.iter().all(|v| v.is_finite() && *v >= 0.0)
-                && costs.iter().all(|v| v.is_finite() && *v >= 0.0)
-                && eta_hats.iter().all(|v| v.is_finite())
-                && grad_dot_delta.iter().all(|v| v.is_finite())
-                && local_losses.iter().all(|v| v.is_finite());
-            if !finite {
-                return Err(format!("worker {i} returned non-finite training feedback"));
-            }
-            Ok(MemberFeedback {
-                per_client_iter_latency,
-                costs,
-                eta_hats,
-                grad_dot_delta,
-                local_losses,
-            })
+            Ok(feedback)
         }
         Message::Error { code, detail } => {
             Err(format!("worker {i} refused the train request ({code}): {detail}"))
@@ -665,35 +641,30 @@ mod tests {
 
     /// Drops the last cell of one column: each column still decodes (the
     /// wire checks columns one by one), the rows no longer line up.
-    fn shorten_costs(msg: Message) -> Message {
-        match msg {
-            Message::ShardContextPart {
-                epoch,
-                available,
-                mut costs,
-                latency_hint,
-                true_latency,
-                data_volumes,
-            } => {
-                costs.pop();
-                Message::ShardContextPart {
-                    epoch,
-                    available,
-                    costs,
-                    latency_hint,
-                    true_latency,
-                    data_volumes,
-                }
-            }
-            other => other,
+    fn shorten_costs(mut msg: Message) -> Message {
+        if let Message::ShardContextPart { part, .. } = &mut msg {
+            part.costs.pop();
         }
+        msg
+    }
+
+    /// Poisons one member's η̂: every column still lines up, and only the
+    /// engine's check of the merged outcome can tell.
+    fn nan_eta(mut msg: Message) -> Message {
+        if let Message::ShardTrainPart { feedback, .. } = &mut msg {
+            if let Some(eta) = feedback.eta_hats.first_mut() {
+                *eta = f32::NAN;
+            }
+        }
+        msg
     }
 
     #[test]
     fn mismatched_shard_replies_are_counted_and_emitted() {
-        let tampers: [(Tamper, Tamper, &str); 2] = [
+        let tampers: [(Tamper, Tamper, &str); 3] = [
             (shift_epoch, std::convert::identity, "epoch"),
             (std::convert::identity, shorten_costs, "misaligned"),
+            (std::convert::identity, nan_eta, "non-finite"),
         ];
         for (request, reply, why) in tampers {
             let config = ServeConfig::new(30, 7, 100.0, 3, PolicyKind::FedL);
@@ -720,6 +691,63 @@ mod tests {
                 sink.lines().iter().any(|l| l.contains("\"dist.bad_reply\"")),
                 "the event must appear in the run log for telemetry-report --require"
             );
+        }
+    }
+
+    /// Drops the reply to the first context request once, then behaves;
+    /// counts the resets it is asked for.
+    struct DropsOnce {
+        inner: LocalWorkerLink,
+        dropped: bool,
+        resets: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl WorkerLink for DropsOnce {
+        fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
+            self.inner.send(msg)
+        }
+
+        fn recv_reply(&mut self) -> Result<Message, ProtocolError> {
+            match self.inner.recv_reply()? {
+                Message::ShardContextPart { .. } if !self.dropped => {
+                    self.dropped = true;
+                    Err(ProtocolError::Io { detail: "link dropped once".to_string() })
+                }
+                reply => Ok(reply),
+            }
+        }
+
+        fn reset(&mut self) -> Result<(), String> {
+            self.resets.set(self.resets.get() + 1);
+            self.inner.reset()
+        }
+    }
+
+    #[test]
+    fn max_resets_counts_the_resets_a_failure_may_use() {
+        let config = ServeConfig::new(30, 7, 100.0, 3, PolicyKind::FedL);
+        for max_resets in [0, 1] {
+            let resets = std::rc::Rc::new(std::cell::Cell::new(0));
+            let mut workers = local_workers(&config, 2);
+            workers[1].link = Box::new(DropsOnce {
+                inner: LocalWorkerLink::new(WorkerState::new(Telemetry::disabled())),
+                dropped: false,
+                resets: resets.clone(),
+            });
+            let mut coordinator =
+                Coordinator::new(config.clone(), workers, Telemetry::disabled()).unwrap();
+            let run = coordinator.run(&DistOptions { epochs: 3, max_resets });
+            assert_eq!(resets.get(), max_resets, "one failure, {max_resets} reset(s) allowed");
+            match run {
+                Err(err) => {
+                    assert_eq!(max_resets, 0, "{err}");
+                    assert!(err.contains("transport error: link dropped once"), "{err}");
+                }
+                Ok(report) => {
+                    assert_eq!(report.recoveries, 1);
+                    assert_eq!(report.selections, reference_run(&config, 3));
+                }
+            }
         }
     }
 }

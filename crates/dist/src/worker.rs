@@ -394,17 +394,7 @@ impl WorkerState {
         drop(span);
         self.telemetry.counter("dist.worker_context_parts").incr();
         self.save_checkpoint();
-        (
-            Message::ShardContextPart {
-                epoch: part.epoch,
-                available: part.available,
-                costs: part.costs,
-                latency_hint: part.latency_hint,
-                true_latency: part.true_latency,
-                data_volumes: part.data_volumes,
-            },
-            Control::Continue,
-        )
+        (Message::ShardContextPart { epoch, part }, Control::Continue)
     }
 
     fn handle_train(
@@ -437,18 +427,7 @@ impl WorkerState {
         drop(span);
         self.telemetry.counter("dist.worker_train_parts").incr();
         self.save_checkpoint();
-        (
-            Message::ShardTrainPart {
-                epoch,
-                members,
-                per_client_iter_latency: feedback.per_client_iter_latency,
-                costs: feedback.costs,
-                eta_hats: feedback.eta_hats,
-                grad_dot_delta: feedback.grad_dot_delta,
-                local_losses: feedback.local_losses,
-            },
-            Control::Continue,
-        )
+        (Message::ShardTrainPart { epoch, members, feedback }, Control::Continue)
     }
 }
 
@@ -517,19 +496,9 @@ mod tests {
         let want = scale_context_part(&cols, &hint, &now, &latency, 3, 10..30, None);
         let (reply, _) = w.handle_message(Message::ShardContext { epoch, trace: Trace::Absent });
         match reply {
-            Message::ShardContextPart {
-                epoch: e,
-                available,
-                costs,
-                latency_hint,
-                true_latency,
-                ..
-            } => {
+            Message::ShardContextPart { epoch: e, part } => {
                 assert_eq!(e, epoch);
-                assert_eq!(available, want.available);
-                assert_eq!(costs, want.costs);
-                assert_eq!(latency_hint, want.latency_hint);
-                assert_eq!(true_latency, want.true_latency);
+                assert_eq!(part, want);
             }
             other => panic!("expected ShardContextPart, got {other:?}"),
         }
@@ -544,19 +513,13 @@ mod tests {
             trace: Trace::Absent,
         });
         match reply {
-            Message::ShardTrainPart {
-                members: got,
-                per_client_iter_latency,
-                costs,
-                eta_hats,
-                ..
-            } => {
+            Message::ShardTrainPart { members: got, feedback, .. } => {
                 assert_eq!(got, members);
-                assert_eq!(per_client_iter_latency, want_lat);
+                assert_eq!(feedback.per_client_iter_latency, want_lat);
                 for (slot, &k) in members.iter().enumerate() {
-                    assert_eq!(costs[slot].to_bits(), now.cost[k].to_bits());
+                    assert_eq!(feedback.costs[slot].to_bits(), now.cost[k].to_bits());
                     let (eta, _, _) = synth_learning_signals(cols.seed[k], epoch);
-                    assert_eq!(eta_hats[slot], eta);
+                    assert_eq!(feedback.eta_hats[slot], eta);
                 }
             }
             other => panic!("expected ShardTrainPart, got {other:?}"),

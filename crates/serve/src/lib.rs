@@ -55,6 +55,7 @@ pub use fedl_core::engine::sanitize_decision;
 pub use loadgen::{
     combine_feedback, member_feedback, reference_run, run_loadgen, synth_learning_signals,
     synth_train_result, LoadgenOptions, LoadgenReport, MemberFeedback, SelectionRecord,
+    SynthResult,
 };
 pub use proto::{
     answer_hello, decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, Message,

@@ -54,7 +54,9 @@ impl SelectionRecord {
     }
 }
 
-/// Deterministic synthetic training feedback for one epoch.
+/// Deterministic synthetic training feedback for one epoch — what a
+/// [`Message::TrainResult`] carries.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthResult {
     /// Per-iteration latency of each cohort client (cohort order).
     pub per_client_iter_latency: Vec<f64>,
@@ -73,25 +75,9 @@ pub struct SynthResult {
 }
 
 impl SynthResult {
-    /// The wire message carrying this feedback.
-    pub fn to_message(&self, epoch: usize, cohort: &[usize], iterations: usize) -> Message {
-        Message::TrainResult {
-            epoch,
-            cohort: cohort.to_vec(),
-            iterations,
-            latency_secs: self.latency_secs,
-            per_client_iter_latency: self.per_client_iter_latency.clone(),
-            cost: self.cost,
-            eta_hats: self.eta_hats.clone(),
-            global_loss: self.global_loss,
-            grad_dot_delta: self.grad_dot_delta.clone(),
-            local_losses: self.local_losses.clone(),
-        }
-    }
-
-    /// The [`EpochReport`] the server reconstructs from
-    /// [`Self::to_message`] — the reference driver feeds this to
-    /// `observe` directly.
+    /// The [`EpochReport`] of this feedback for `cohort` — what the
+    /// server settles a [`Message::TrainResult`] with, and what the
+    /// reference driver settles directly.
     pub fn to_report(&self, epoch: usize, cohort: &[usize], iterations: usize) -> EpochReport {
         EpochReport {
             epoch,
@@ -112,8 +98,9 @@ impl SynthResult {
 
 /// Per-member training feedback columns for one epoch, aligned with the
 /// member list they were computed for — what a `fedl-dist` worker ships
-/// for its shard's members and what [`combine_feedback`] folds.
-#[derive(Debug, Default)]
+/// for its shard's members (in a [`Message::ShardTrainPart`]) and what
+/// [`combine_feedback`] folds.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MemberFeedback {
     /// Per-iteration latency of each member.
     pub per_client_iter_latency: Vec<f64>,
@@ -358,7 +345,9 @@ pub fn run_loadgen(
         }
         let synth =
             synth_from(&mut population, config.min_participants, epoch, &cohort, iterations);
-        expect_ack(rpc(transport, &synth.to_message(epoch, &cohort, iterations))?, "train")?;
+        let result =
+            Message::TrainResult { epoch, cohort: cohort.clone(), iterations, feedback: synth };
+        expect_ack(rpc(transport, &result)?, "train")?;
         selections.push(SelectionRecord { epoch, cohort, iterations });
     }
     let elapsed_secs = started.elapsed().as_secs_f64();

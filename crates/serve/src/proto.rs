@@ -30,9 +30,12 @@
 
 use std::fmt;
 
+use fedl_core::columnar::ContextPart;
 use fedl_json::{obj, read_field, Value};
 use fedl_store::{decode_envelope, encode_envelope, StoreError};
 use fedl_telemetry::{SpanContext, Telemetry};
+
+use crate::loadgen::{MemberFeedback, SynthResult};
 
 /// Version of the message schema; both sides send it in [`Message::Hello`]
 /// and refuse a peer that advertises any other with
@@ -198,8 +201,12 @@ pub enum Message {
         /// no [`Message::TrainResult`] is expected.
         done: bool,
     },
-    /// The cohort's training feedback for an epoch; mirrors the fields
-    /// of `fedl_sim::EpochReport` that feed `SelectionPolicy::observe`.
+    /// The cohort's training feedback for an epoch. On the wire the
+    /// feedback's fields sit beside `epoch`, `cohort` and `iterations`
+    /// (`latency_secs`, `per_client_iter_latency`, `cost`, `eta_hats`,
+    /// `global_loss`, `grad_dot_delta`, `local_losses`); the server reads
+    /// it as the report [`SynthResult::to_report`] builds, and
+    /// `EpochEngine::settle` decides whether it fits the selection.
     TrainResult {
         /// Epoch index `t`.
         epoch: usize,
@@ -207,20 +214,8 @@ pub enum Message {
         cohort: Vec<usize>,
         /// Iterations executed.
         iterations: usize,
-        /// Epoch wall-clock latency in seconds.
-        latency_secs: f64,
-        /// Per-iteration latency of each cohort client, cohort order.
-        per_client_iter_latency: Vec<f64>,
-        /// Total rental cost charged this epoch.
-        cost: f64,
-        /// Measured local accuracy per cohort client.
-        eta_hats: Vec<f32>,
-        /// Global loss after the epoch.
-        global_loss: f64,
-        /// First-order `J·d_k` coefficients per cohort client.
-        grad_dot_delta: Vec<f32>,
-        /// Local loss per cohort client.
-        local_losses: Vec<f32>,
+        /// The cohort's feedback, cohort order.
+        feedback: SynthResult,
     },
     /// Server state report: the acknowledgement for joins, leaves,
     /// train results, and shutdown, and the reply to a client-sent
@@ -282,21 +277,14 @@ pub enum Message {
         trace: Trace,
     },
     /// Worker → coordinator: the shard's slice of the epoch decision
-    /// context (`fedl_core::columnar::ContextPart` on the wire). All
-    /// vectors are aligned to `available`.
+    /// context. On the wire the part's five packed columns (`available`,
+    /// `costs`, `latency_hint`, `true_latency`, `data_volumes`) sit
+    /// beside `epoch`.
     ShardContextPart {
         /// Epoch index `t`.
         epoch: usize,
-        /// Available clients of the shard (global ids, ascending).
-        available: Vec<usize>,
-        /// Rental cost per available client.
-        costs: Vec<f64>,
-        /// 0-lookahead latency estimates (hint epoch channel state).
-        latency_hint: Vec<f64>,
-        /// Current-epoch realized latency (oracle column).
-        true_latency: Vec<f64>,
-        /// Fresh data volume per available client.
-        data_volumes: Vec<usize>,
+        /// The shard's columns, aligned to its available clients.
+        part: ContextPart,
     },
     /// Coordinator → worker: run `iterations` local iterations on the
     /// cohort members that fall in the worker's shard and return their
@@ -312,24 +300,19 @@ pub enum Message {
         trace: Trace,
     },
     /// Worker → coordinator: per-member training feedback columns,
-    /// aligned to `members`. The coordinator concatenates these in
-    /// fixed shard order and applies the same scalar combination as the
-    /// single-process path, so distributed feedback is bit-identical.
+    /// aligned to `members`. On the wire the five packed columns
+    /// (`per_client_iter_latency`, `costs`, `eta_hats`, `grad_dot_delta`,
+    /// `local_losses`) sit beside `epoch` and `members`. The coordinator
+    /// concatenates these in fixed shard order and applies the same
+    /// scalar combination as the single-process path, so distributed
+    /// feedback is bit-identical.
     ShardTrainPart {
         /// Epoch index `t`.
         epoch: usize,
         /// Echoed shard cohort members.
         members: Vec<usize>,
-        /// Per-iteration latency of each member.
-        per_client_iter_latency: Vec<f64>,
-        /// Rental cost of each member this epoch.
-        costs: Vec<f64>,
-        /// Measured local accuracy per member.
-        eta_hats: Vec<f32>,
-        /// First-order `J·d_k` coefficients per member.
-        grad_dot_delta: Vec<f32>,
-        /// Local loss per member.
-        local_losses: Vec<f32>,
+        /// The members' feedback columns.
+        feedback: MemberFeedback,
     },
     /// Asks a running service (serve server, dist coordinator, dist
     /// worker) for a live snapshot of its telemetry registry, without
@@ -398,31 +381,22 @@ impl Message {
                 fields.push(("iterations", Value::from(*iterations)));
                 fields.push(("done", Value::Bool(*done)));
             }
-            Message::TrainResult {
-                epoch,
-                cohort,
-                iterations,
-                latency_secs,
-                per_client_iter_latency,
-                cost,
-                eta_hats,
-                global_loss,
-                grad_dot_delta,
-                local_losses,
-            } => {
+            Message::TrainResult { epoch, cohort, iterations, feedback: f } => {
                 fields.push(("epoch", Value::from(*epoch)));
                 fields.push(("cohort", ids_to_json(cohort)));
                 fields.push(("iterations", Value::from(*iterations)));
-                fields.push(("latency_secs", Value::Float(*latency_secs)));
+                fields.push(("latency_secs", Value::Float(f.latency_secs)));
                 fields.push((
                     "per_client_iter_latency",
-                    Value::Arr(per_client_iter_latency.iter().map(|&t| Value::Float(t)).collect()),
+                    Value::Arr(
+                        f.per_client_iter_latency.iter().map(|&t| Value::Float(t)).collect(),
+                    ),
                 ));
-                fields.push(("cost", Value::Float(*cost)));
-                fields.push(("eta_hats", f32s_to_json(eta_hats)));
-                fields.push(("global_loss", Value::Float(*global_loss)));
-                fields.push(("grad_dot_delta", f32s_to_json(grad_dot_delta)));
-                fields.push(("local_losses", f32s_to_json(local_losses)));
+                fields.push(("cost", Value::Float(f.cost)));
+                fields.push(("eta_hats", f32s_to_json(&f.eta_hats)));
+                fields.push(("global_loss", Value::Float(f.global_loss)));
+                fields.push(("grad_dot_delta", f32s_to_json(&f.grad_dot_delta)));
+                fields.push(("local_losses", f32s_to_json(&f.local_losses)));
             }
             Message::Snapshot { epoch, registered, selections, budget_remaining, policy } => {
                 fields.push(("epoch", Value::from(*epoch)));
@@ -460,20 +434,13 @@ impl Message {
                 fields.push(("epoch", Value::from(*epoch)));
                 trace.encode_into(&mut fields);
             }
-            Message::ShardContextPart {
-                epoch,
-                available,
-                costs,
-                latency_hint,
-                true_latency,
-                data_volumes,
-            } => {
+            Message::ShardContextPart { epoch, part } => {
                 fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("available", pack(available)));
-                fields.push(("costs", pack(costs)));
-                fields.push(("latency_hint", pack(latency_hint)));
-                fields.push(("true_latency", pack(true_latency)));
-                fields.push(("data_volumes", pack(data_volumes)));
+                fields.push(("available", pack(&part.available)));
+                fields.push(("costs", pack(&part.costs)));
+                fields.push(("latency_hint", pack(&part.latency_hint)));
+                fields.push(("true_latency", pack(&part.true_latency)));
+                fields.push(("data_volumes", pack(&part.data_volumes)));
             }
             Message::ShardTrain { epoch, members, iterations, trace } => {
                 fields.push(("epoch", Value::from(*epoch)));
@@ -481,22 +448,14 @@ impl Message {
                 fields.push(("iterations", Value::from(*iterations)));
                 trace.encode_into(&mut fields);
             }
-            Message::ShardTrainPart {
-                epoch,
-                members,
-                per_client_iter_latency,
-                costs,
-                eta_hats,
-                grad_dot_delta,
-                local_losses,
-            } => {
+            Message::ShardTrainPart { epoch, members, feedback: f } => {
                 fields.push(("epoch", Value::from(*epoch)));
                 fields.push(("members", pack(members)));
-                fields.push(("per_client_iter_latency", pack(per_client_iter_latency)));
-                fields.push(("costs", pack(costs)));
-                fields.push(("eta_hats", pack(eta_hats)));
-                fields.push(("grad_dot_delta", pack(grad_dot_delta)));
-                fields.push(("local_losses", pack(local_losses)));
+                fields.push(("per_client_iter_latency", pack(&f.per_client_iter_latency)));
+                fields.push(("costs", pack(&f.costs)));
+                fields.push(("eta_hats", pack(&f.eta_hats)));
+                fields.push(("grad_dot_delta", pack(&f.grad_dot_delta)));
+                fields.push(("local_losses", pack(&f.local_losses)));
             }
             Message::Stats => {}
             Message::StatsSnapshot { registry } => {
@@ -543,14 +502,16 @@ impl Message {
                 epoch: read_field(v, "epoch").map_err(schema)?,
                 cohort: read_field(v, "cohort").map_err(schema)?,
                 iterations: read_field(v, "iterations").map_err(schema)?,
-                latency_secs: read_field(v, "latency_secs").map_err(schema)?,
-                per_client_iter_latency: read_field(v, "per_client_iter_latency")
-                    .map_err(schema)?,
-                cost: read_field(v, "cost").map_err(schema)?,
-                eta_hats: read_field(v, "eta_hats").map_err(schema)?,
-                global_loss: read_field(v, "global_loss").map_err(schema)?,
-                grad_dot_delta: read_field(v, "grad_dot_delta").map_err(schema)?,
-                local_losses: read_field(v, "local_losses").map_err(schema)?,
+                feedback: SynthResult {
+                    latency_secs: read_field(v, "latency_secs").map_err(schema)?,
+                    per_client_iter_latency: read_field(v, "per_client_iter_latency")
+                        .map_err(schema)?,
+                    cost: read_field(v, "cost").map_err(schema)?,
+                    eta_hats: read_field(v, "eta_hats").map_err(schema)?,
+                    global_loss: read_field(v, "global_loss").map_err(schema)?,
+                    grad_dot_delta: read_field(v, "grad_dot_delta").map_err(schema)?,
+                    local_losses: read_field(v, "local_losses").map_err(schema)?,
+                },
             },
             "snapshot" => Message::Snapshot {
                 epoch: read_field(v, "epoch").map_err(schema)?,
@@ -583,11 +544,13 @@ impl Message {
             },
             "shard_context_part" => Message::ShardContextPart {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                available: unpack(v, "available")?,
-                costs: unpack(v, "costs")?,
-                latency_hint: unpack(v, "latency_hint")?,
-                true_latency: unpack(v, "true_latency")?,
-                data_volumes: unpack(v, "data_volumes")?,
+                part: ContextPart {
+                    available: unpack(v, "available")?,
+                    costs: unpack(v, "costs")?,
+                    latency_hint: unpack(v, "latency_hint")?,
+                    true_latency: unpack(v, "true_latency")?,
+                    data_volumes: unpack(v, "data_volumes")?,
+                },
             },
             "shard_train" => Message::ShardTrain {
                 epoch: read_field(v, "epoch").map_err(schema)?,
@@ -598,11 +561,13 @@ impl Message {
             "shard_train_part" => Message::ShardTrainPart {
                 epoch: read_field(v, "epoch").map_err(schema)?,
                 members: unpack(v, "members")?,
-                per_client_iter_latency: unpack(v, "per_client_iter_latency")?,
-                costs: unpack(v, "costs")?,
-                eta_hats: unpack(v, "eta_hats")?,
-                grad_dot_delta: unpack(v, "grad_dot_delta")?,
-                local_losses: unpack(v, "local_losses")?,
+                feedback: MemberFeedback {
+                    per_client_iter_latency: unpack(v, "per_client_iter_latency")?,
+                    costs: unpack(v, "costs")?,
+                    eta_hats: unpack(v, "eta_hats")?,
+                    grad_dot_delta: unpack(v, "grad_dot_delta")?,
+                    local_losses: unpack(v, "local_losses")?,
+                },
             },
             "stats" => Message::Stats,
             "stats_snapshot" => Message::StatsSnapshot {
@@ -995,13 +960,15 @@ mod tests {
             epoch: 3,
             cohort: vec![1, 4],
             iterations: 5,
-            latency_secs: 1.25,
-            per_client_iter_latency: vec![0.2, 0.25],
-            cost: 11.5,
-            eta_hats: vec![0.5, 0.75],
-            global_loss: 2.302,
-            grad_dot_delta: vec![-0.25, -0.5],
-            local_losses: vec![2.0, 2.25],
+            feedback: SynthResult {
+                latency_secs: 1.25,
+                per_client_iter_latency: vec![0.2, 0.25],
+                cost: 11.5,
+                eta_hats: vec![0.5, 0.75],
+                global_loss: 2.302,
+                grad_dot_delta: vec![-0.25, -0.5],
+                local_losses: vec![2.0, 2.25],
+            },
         });
         roundtrip(Message::Snapshot {
             epoch: 4,
@@ -1045,11 +1012,13 @@ mod tests {
         });
         roundtrip(Message::ShardContextPart {
             epoch: 9,
-            available: vec![51, 53, 99],
-            costs: vec![1.0000000000000002, -0.0, 5e-324],
-            latency_hint: vec![0.1, 0.2, 0.30000000000000004],
-            true_latency: vec![1.5, 2.5, f64::MIN_POSITIVE],
-            data_volumes: vec![10, 0, 3],
+            part: ContextPart {
+                available: vec![51, 53, 99],
+                costs: vec![1.0000000000000002, -0.0, 5e-324],
+                latency_hint: vec![0.1, 0.2, 0.30000000000000004],
+                true_latency: vec![1.5, 2.5, f64::MIN_POSITIVE],
+                data_volumes: vec![10, 0, 3],
+            },
         });
         roundtrip(Message::ShardTrain {
             epoch: 9,
@@ -1066,11 +1035,13 @@ mod tests {
         roundtrip(Message::ShardTrainPart {
             epoch: 9,
             members: vec![51, 99],
-            per_client_iter_latency: vec![0.25, 0.125],
-            costs: vec![3.5, 4.5],
-            eta_hats: vec![0.5, 0.9],
-            grad_dot_delta: vec![-0.25, -0.125],
-            local_losses: vec![2.0, 1.75],
+            feedback: MemberFeedback {
+                per_client_iter_latency: vec![0.25, 0.125],
+                costs: vec![3.5, 4.5],
+                eta_hats: vec![0.5, 0.9],
+                grad_dot_delta: vec![-0.25, -0.125],
+                local_losses: vec![2.0, 1.75],
+            },
         });
     }
 
@@ -1113,60 +1084,48 @@ mod tests {
                 ids.iter().cycle().skip(skip).take(rows).copied().collect()
             };
 
-            let sent = (id_col(0), f64_col(0), f64_col(1), f64_col(2), id_col(3));
-            let frame = encode_frame(&Message::ShardContextPart {
-                epoch: rows,
-                available: sent.0.clone(),
-                costs: sent.1.clone(),
-                latency_hint: sent.2.clone(),
-                true_latency: sent.3.clone(),
-                data_volumes: sent.4.clone(),
-            });
+            let sent = ContextPart {
+                available: id_col(0),
+                costs: f64_col(0),
+                latency_hint: f64_col(1),
+                true_latency: f64_col(2),
+                data_volumes: id_col(3),
+            };
+            let frame =
+                encode_frame(&Message::ShardContextPart { epoch: rows, part: sent.clone() });
             match decode_frame(&frame).expect("frame should decode") {
-                Message::ShardContextPart {
-                    epoch,
-                    available,
-                    costs,
-                    latency_hint,
-                    true_latency,
-                    data_volumes,
-                } => {
+                Message::ShardContextPart { epoch, part } => {
                     assert_eq!(epoch, rows);
-                    assert_eq!(available, sent.0);
-                    assert_eq!(bits64(&costs), bits64(&sent.1));
-                    assert_eq!(bits64(&latency_hint), bits64(&sent.2));
-                    assert_eq!(bits64(&true_latency), bits64(&sent.3));
-                    assert_eq!(data_volumes, sent.4);
+                    assert_eq!(part.available, sent.available);
+                    assert_eq!(bits64(&part.costs), bits64(&sent.costs));
+                    assert_eq!(bits64(&part.latency_hint), bits64(&sent.latency_hint));
+                    assert_eq!(bits64(&part.true_latency), bits64(&sent.true_latency));
+                    assert_eq!(part.data_volumes, sent.data_volumes);
                 }
                 other => panic!("unexpected message {other:?}"),
             }
 
-            let sent = (id_col(1), f64_col(3), f64_col(4), f32_col(0), f32_col(1), f32_col(2));
+            let sent = MemberFeedback {
+                per_client_iter_latency: f64_col(3),
+                costs: f64_col(4),
+                eta_hats: f32_col(0),
+                grad_dot_delta: f32_col(1),
+                local_losses: f32_col(2),
+            };
             let frame = encode_frame(&Message::ShardTrainPart {
                 epoch: rows,
-                members: sent.0.clone(),
-                per_client_iter_latency: sent.1.clone(),
-                costs: sent.2.clone(),
-                eta_hats: sent.3.clone(),
-                grad_dot_delta: sent.4.clone(),
-                local_losses: sent.5.clone(),
+                members: id_col(1),
+                feedback: sent.clone(),
             });
             match decode_frame(&frame).expect("frame should decode") {
-                Message::ShardTrainPart {
-                    members,
-                    per_client_iter_latency,
-                    costs,
-                    eta_hats,
-                    grad_dot_delta,
-                    local_losses,
-                    ..
-                } => {
-                    assert_eq!(members, sent.0);
-                    assert_eq!(bits64(&per_client_iter_latency), bits64(&sent.1));
-                    assert_eq!(bits64(&costs), bits64(&sent.2));
-                    assert_eq!(bits32(&eta_hats), bits32(&sent.3));
-                    assert_eq!(bits32(&grad_dot_delta), bits32(&sent.4));
-                    assert_eq!(bits32(&local_losses), bits32(&sent.5));
+                Message::ShardTrainPart { members, feedback: got, .. } => {
+                    assert_eq!(members, id_col(1));
+                    let (a, b) = (&got.per_client_iter_latency, &sent.per_client_iter_latency);
+                    assert_eq!(bits64(a), bits64(b));
+                    assert_eq!(bits64(&got.costs), bits64(&sent.costs));
+                    assert_eq!(bits32(&got.eta_hats), bits32(&sent.eta_hats));
+                    assert_eq!(bits32(&got.grad_dot_delta), bits32(&sent.grad_dot_delta));
+                    assert_eq!(bits32(&got.local_losses), bits32(&sent.local_losses));
                 }
                 other => panic!("unexpected message {other:?}"),
             }

@@ -367,31 +367,9 @@ impl ServerState {
             Message::ClientJoin { client } => self.set_registered(client, true),
             Message::ClientLeave { client } => self.set_registered(client, false),
             Message::SelectCohort { epoch, trace } => self.handle_select(epoch, trace),
-            Message::TrainResult {
-                epoch,
-                cohort,
-                iterations,
-                latency_secs,
-                per_client_iter_latency,
-                cost,
-                eta_hats,
-                global_loss,
-                grad_dot_delta,
-                local_losses,
-            } => self.handle_train_result(EpochReport {
-                epoch,
-                cohort,
-                iterations,
-                latency_secs,
-                per_client_iter_latency,
-                cost,
-                eta_hats,
-                global_loss_all: global_loss,
-                global_loss_selected: global_loss,
-                grad_dot_delta,
-                local_losses,
-                failed: Vec::new(),
-            }),
+            Message::TrainResult { epoch, cohort, iterations, feedback } => {
+                self.handle_train_result(feedback.to_report(epoch, &cohort, iterations))
+            }
             Message::Snapshot { .. } => (self.snapshot_reply(), Control::Continue),
             Message::Stats => {
                 self.telemetry.counter("serve.stats_requests").incr();
@@ -526,55 +504,22 @@ impl ServerState {
         (Message::Cohort { epoch, cohort, iterations, done: false }, Control::Continue)
     }
 
-    /// Validates a `TrainResult` (as the report it describes) against the
-    /// pending selection, then settles the engine with it.
+    /// Settles the engine with a `TrainResult`'s report. The engine
+    /// decides whether it fits the pending selection; a refusal goes back
+    /// as `bad-epoch` for the wrong epoch, `unexpected-message` otherwise,
+    /// and leaves the epoch open.
     fn handle_train_result(&mut self, report: EpochReport) -> (Message, Control) {
         let epoch = report.epoch;
-        let Some(pending) = self.engine.pending() else {
-            return self.refuse(ProtocolError::UnexpectedMessage {
-                detail: format!("TrainResult for epoch {epoch} with no selection pending"),
-            });
-        };
-        if epoch != pending.ctx.epoch {
-            return self
-                .refuse(ProtocolError::BadEpoch { expected: pending.ctx.epoch, got: epoch });
-        }
-        let aligned = [
-            report.per_client_iter_latency.len(),
-            report.eta_hats.len(),
-            report.grad_dot_delta.len(),
-            report.local_losses.len(),
-        ]
-        .iter()
-        .all(|&n| n == report.cohort.len());
-        if report.cohort != pending.cohort || report.iterations != pending.iterations || !aligned {
-            return self.refuse(ProtocolError::UnexpectedMessage {
-                detail: format!(
-                    "TrainResult cohort does not match the served selection for epoch {epoch}"
-                ),
+        if let Err(refused) = self.engine.settle(&report) {
+            return self.refuse(match refused {
+                EngineError::WrongEpoch { expected, got } => {
+                    ProtocolError::BadEpoch { expected, got }
+                }
+                other => ProtocolError::UnexpectedMessage {
+                    detail: format!("TrainResult for epoch {epoch} refused: {other}"),
+                },
             });
         }
-        // Feedback flows straight into the ledger (which refuses
-        // negative/NaN charges by panicking) and the policy's internal
-        // state; a frame must never be able to reach either with
-        // non-finite numbers, so refuse them here with a typed error.
-        let finite = report.cost.is_finite()
-            && report.cost >= 0.0
-            && report.latency_secs.is_finite()
-            && report.latency_secs >= 0.0
-            && report.global_loss_all.is_finite()
-            && report.per_client_iter_latency.iter().all(|t| t.is_finite() && *t >= 0.0)
-            && report.eta_hats.iter().all(|x| x.is_finite())
-            && report.grad_dot_delta.iter().all(|x| x.is_finite())
-            && report.local_losses.iter().all(|x| x.is_finite());
-        if !finite {
-            return self.refuse(ProtocolError::UnexpectedMessage {
-                detail: format!(
-                    "TrainResult for epoch {epoch} carries non-finite or negative feedback"
-                ),
-            });
-        }
-        self.engine.settle(&report).expect("a selection for this epoch is pending: checked above");
         self.selections += 1;
         self.telemetry.counter("serve.train_results").incr();
         self.telemetry.emit(
@@ -630,10 +575,25 @@ pub fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadgen::SynthResult;
 
     fn server(clients: usize, budget: f64) -> ServerState {
         let config = ServeConfig::new(clients, 11, budget, 3, PolicyKind::FedL);
         ServerState::new(config, Telemetry::in_memory().0)
+    }
+
+    /// Well-formed feedback for a cohort of `n`, as the load generator
+    /// would send it with these three numbers.
+    fn feedback(n: usize, cost: f64, latency_secs: f64, eta: f32) -> SynthResult {
+        SynthResult {
+            latency_secs,
+            per_client_iter_latency: vec![0.1; n],
+            cost,
+            eta_hats: vec![eta; n],
+            global_loss: 2.3,
+            grad_dot_delta: vec![-0.1; n],
+            local_losses: vec![2.3; n],
+        }
     }
 
     fn expect_cohort(reply: Message) -> (Vec<usize>, usize, bool) {
@@ -656,18 +616,9 @@ mod tests {
         assert!(!done && !cohort.is_empty() && iterations >= 1);
         // Feed a train result for the served cohort.
         let n = cohort.len();
-        let (reply, _) = s.handle_message(Message::TrainResult {
-            epoch: 0,
-            cohort,
-            iterations,
-            latency_secs: 1.0,
-            per_client_iter_latency: vec![0.1; n],
-            cost: 5.0,
-            eta_hats: vec![0.5; n],
-            global_loss: 2.3,
-            grad_dot_delta: vec![-0.1; n],
-            local_losses: vec![2.3; n],
-        });
+        let feedback = feedback(n, 5.0, 1.0, 0.5);
+        let (reply, _) =
+            s.handle_message(Message::TrainResult { epoch: 0, cohort, iterations, feedback });
         assert!(matches!(reply, Message::Snapshot { epoch: 1, .. }));
         assert_eq!(s.next_epoch(), 1);
         assert_eq!(s.selections(), 1);
@@ -694,13 +645,7 @@ mod tests {
             epoch: 0,
             cohort: vec![0],
             iterations: 1,
-            latency_secs: 0.1,
-            per_client_iter_latency: vec![0.1],
-            cost: 1.0,
-            eta_hats: vec![0.5],
-            global_loss: 2.3,
-            grad_dot_delta: vec![-0.1],
-            local_losses: vec![2.3],
+            feedback: feedback(1, 1.0, 0.1, 0.5),
         });
         assert!(matches!(reply, Message::Error { ref code, .. } if code == "unexpected-message"));
         assert_eq!(s.malformed_frames(), before + 3);
@@ -719,13 +664,7 @@ mod tests {
             epoch: 0,
             cohort: cohort.clone(),
             iterations,
-            latency_secs: latency,
-            per_client_iter_latency: vec![0.1; n],
-            cost,
-            eta_hats: vec![eta; n],
-            global_loss: 2.3,
-            grad_dot_delta: vec![-0.1; n],
-            local_losses: vec![2.3; n],
+            feedback: feedback(n, cost, latency, eta),
         };
         // A negative or NaN cost must come back as a typed error — not
         // reach `BudgetLedger::charge` (which would panic) — and leave
@@ -744,6 +683,17 @@ mod tests {
             );
             assert_eq!(control, Control::Continue);
         }
+        // The engine's wrong-epoch refusal keeps its own wire code.
+        let (reply, _) = s.handle_message(Message::TrainResult {
+            epoch: 1,
+            cohort: cohort.clone(),
+            iterations,
+            feedback: feedback(n, 5.0, 1.0, 0.5),
+        });
+        assert!(
+            matches!(reply, Message::Error { ref code, .. } if code == "bad-epoch"),
+            "{reply:?}"
+        );
         let query = Message::Snapshot {
             epoch: 0,
             registered: 0,
@@ -794,18 +744,8 @@ mod tests {
         let (cohort, iterations, done) = expect_cohort(reply);
         assert!(!done);
         let n = cohort.len();
-        s.handle_message(Message::TrainResult {
-            epoch: 0,
-            cohort,
-            iterations,
-            latency_secs: 1.0,
-            per_client_iter_latency: vec![0.1; n],
-            cost: 10.0,
-            eta_hats: vec![0.5; n],
-            global_loss: 2.3,
-            grad_dot_delta: vec![-0.1; n],
-            local_losses: vec![2.3; n],
-        });
+        let feedback = feedback(n, 10.0, 1.0, 0.5);
+        s.handle_message(Message::TrainResult { epoch: 0, cohort, iterations, feedback });
         let (reply, _) = s.handle_message(Message::SelectCohort { epoch: 1, trace: Trace::Absent });
         let (_, _, done) = expect_cohort(reply);
         assert!(done);

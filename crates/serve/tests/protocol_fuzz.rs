@@ -9,12 +9,13 @@
 
 use std::io::Cursor;
 
+use fedl_core::columnar::ContextPart;
 use fedl_core::policy::PolicyKind;
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_serve::{
     decode_frame, encode_frame, read_frame, serve_connection, write_frame, DuplexTransport,
-    FrameTransport, Message, ProtocolError, ServeConfig, ServeExit, ServerState, FRAME_KIND,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    FrameTransport, MemberFeedback, Message, ProtocolError, ServeConfig, ServeExit, ServerState,
+    SynthResult, FRAME_KIND, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use fedl_telemetry::Telemetry;
 
@@ -39,13 +40,15 @@ fn valid_message(i: usize) -> Message {
             epoch: i,
             cohort: vec![0, 5],
             iterations: 3,
-            latency_secs: 1.5,
-            per_client_iter_latency: vec![0.5, 0.25],
-            cost: 7.5,
-            eta_hats: vec![0.5, 0.625],
-            global_loss: 2.25,
-            grad_dot_delta: vec![-0.125, -0.5],
-            local_losses: vec![2.0, 2.5],
+            feedback: SynthResult {
+                latency_secs: 1.5,
+                per_client_iter_latency: vec![0.5, 0.25],
+                cost: 7.5,
+                eta_hats: vec![0.5, 0.625],
+                global_loss: 2.25,
+                grad_dot_delta: vec![-0.125, -0.5],
+                local_losses: vec![2.0, 2.5],
+            },
         },
         5 => Message::ShardAssign {
             clients: 40,
@@ -72,11 +75,13 @@ fn valid_message(i: usize) -> Message {
         10 => Message::ShardTrainPart {
             epoch: i,
             members: vec![2, 7, 11],
-            per_client_iter_latency: vec![0.5, 0.25, 0.125],
-            costs: vec![3.5, 4.5, 5.5],
-            eta_hats: vec![0.5, 0.625, 0.75],
-            grad_dot_delta: vec![-0.125, -0.5, -0.25],
-            local_losses: vec![2.0, 2.5, 2.25],
+            feedback: MemberFeedback {
+                per_client_iter_latency: vec![0.5, 0.25, 0.125],
+                costs: vec![3.5, 4.5, 5.5],
+                eta_hats: vec![0.5, 0.625, 0.75],
+                grad_dot_delta: vec![-0.125, -0.5, -0.25],
+                local_losses: vec![2.0, 2.5, 2.25],
+            },
         },
         _ => Message::Shutdown,
     }
@@ -87,11 +92,13 @@ fn valid_message(i: usize) -> Message {
 fn context_part(epoch: usize) -> Message {
     Message::ShardContextPart {
         epoch,
-        available: vec![1, 3, 4, 8, 9],
-        costs: vec![1.5, 2.5, 0.1, 7.0, 3.25],
-        latency_hint: vec![0.1, 0.2, 0.3, 0.4, 0.5],
-        true_latency: vec![0.15, 0.25, 0.35, 0.45, 0.55],
-        data_volumes: vec![10, 0, 3, 7, 2],
+        part: ContextPart {
+            available: vec![1, 3, 4, 8, 9],
+            costs: vec![1.5, 2.5, 0.1, 7.0, 3.25],
+            latency_hint: vec![0.1, 0.2, 0.3, 0.4, 0.5],
+            true_latency: vec![0.15, 0.25, 0.35, 0.45, 0.55],
+            data_volumes: vec![10, 0, 3, 7, 2],
+        },
     }
 }
 
@@ -209,8 +216,8 @@ fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
     // (3 cells = 24 bytes = 32 characters, a whole number of quads.)
     let shorter = resealed("costs", &|t| t[..32].to_string());
     match decode_frame(&shorter).expect("columns of unequal length are still a frame") {
-        Message::ShardContextPart { available, costs, .. } => {
-            assert_eq!((available.len(), costs.len()), (5, 3));
+        Message::ShardContextPart { part, .. } => {
+            assert_eq!((part.available.len(), part.costs.len()), (5, 3));
         }
         other => panic!("unexpected message {other:?}"),
     }

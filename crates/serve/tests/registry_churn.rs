@@ -72,7 +72,12 @@ fn a_client_that_leaves_and_rejoins_is_absent_from_exactly_the_epochs_between() 
         let synth =
             synth_train_result(&cols, &config, &channel, &latency, epoch, &cohort, iterations);
         reference.settle(&synth.to_report(epoch, &cohort, iterations)).expect("selected above");
-        let (ack, _) = server.handle_message(synth.to_message(epoch, &cohort, iterations));
+        let (ack, _) = server.handle_message(Message::TrainResult {
+            epoch,
+            cohort,
+            iterations,
+            feedback: synth,
+        });
         assert!(matches!(ack, Message::Snapshot { .. }), "epoch {epoch}: {ack:?}");
     }
 

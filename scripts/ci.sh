@@ -21,14 +21,16 @@ run_exp() {
 # Machine-readable stage ledger (stage name -> wall seconds + status),
 # written to results/ci_stages.json on every exit — including failures,
 # so the artifact always shows which stage died and how long the ones
-# before it took. Stages may set CI_STAGE_STATUS=skip (tool missing) or
-# CI_STAGE_NOTE=<path> (surfaced in the summary and the ledger).
+# before it took. Stages may set CI_STAGE_STATUS=skip (tool missing),
+# CI_STAGE_NOTE=<path> (surfaced in the summary and the ledger) or
+# CI_STAGE_FIELDS (more `"key": value` pairs for the stage's ledger row).
 STAGE_JSON=results/ci_stages.json
 STAGE_RECORDS=()
 CURRENT_STAGE=""
 CURRENT_START=0
 CI_STAGE_STATUS=pass
 CI_STAGE_NOTE=""
+CI_STAGE_FIELDS=""
 
 write_stage_json() {
     mkdir -p results
@@ -47,16 +49,18 @@ write_stage_json() {
 }
 
 record_stage() {
-    local name=$1 seconds=$2 status=$3 note=$4
+    local name=$1 seconds=$2 status=$3 note=$4 fields=$5
     local json="{\"stage\": \"$name\", \"seconds\": $seconds, \"status\": \"$status\""
     [ -n "$note" ] && json+=", \"note\": \"$note\""
+    [ -n "$fields" ] && json+=", $fields"
     STAGE_RECORDS+=("$json}")
 }
 
 on_exit() {
     local code=$?
     if [ -n "$CURRENT_STAGE" ]; then
-        record_stage "$CURRENT_STAGE" "$(( $(date +%s) - CURRENT_START ))" fail "$CI_STAGE_NOTE"
+        record_stage "$CURRENT_STAGE" "$(( $(date +%s) - CURRENT_START ))" fail "$CI_STAGE_NOTE" \
+            "$CI_STAGE_FIELDS"
     fi
     [ ${#STAGE_RECORDS[@]} -gt 0 ] && write_stage_json
     exit "$code"
@@ -67,8 +71,55 @@ stage_build() {
     cargo build --release --offline --workspace
 }
 
+# The per-binary ledger: the stage's row lists every test binary with its
+# wall seconds ("binaries") and the note names the slowest, so the next
+# slow test shows up. A binary runs from the line cargo prints when it
+# starts it (`Running …` or `Doc-tests …`) to the next such line or the
+# last line of the run; `-- --quiet` keeps the harness as terse as `-q`
+# does while leaving cargo's start lines in. Nothing is skipped.
 stage_test() {
-    cargo test -q --offline --workspace
+    local log=target/ci_test_binaries.txt
+    mkdir -p target
+    : > "$log"
+    cargo test --offline --workspace -- --quiet 2>&1 | while IFS= read -r line; do
+        echo "$line"
+        echo "${EPOCHREALTIME/[^0-9]/} $line" >> "$log"
+    done
+    local ledger
+    ledger=$(awk '
+        function finish() {
+            if (name == "") return
+            secs = (now - start) / 1e6
+            rows = rows sep sprintf("{\"binary\": \"%s\", \"seconds\": %.2f}", name, secs)
+            sep = ", "
+            count++
+            if (secs >= worst) { worst = secs; slowest = name }
+        }
+        { now = $1 }
+        $2 == "Running" || $2 == "Doc-tests" {
+            finish()
+            if ($2 == "Doc-tests") {
+                name = $3 " doc-tests"
+            } else {
+                src = ($3 == "unittests") ? $4 : $3
+                bin = $NF
+                sub(/^\(.*\//, "", bin)
+                sub(/-[0-9a-f]+\)$/, "", bin)
+                if (src == "src/lib.rs") crate = bin
+                name = crate " " src
+            }
+            start = now
+        }
+        END {
+            finish()
+            printf "%d\t%s\t%.2f\t%s\n", count, slowest, worst, rows
+        }
+    ' "$log")
+    local count slowest worst rows
+    IFS=$'\t' read -r count slowest worst rows <<< "$ledger"
+    [ "$count" -gt 0 ] || { echo "cargo test announced no test binary" >&2; exit 1; }
+    CI_STAGE_NOTE="slowest of $count binaries: $slowest ($worst s)"
+    CI_STAGE_FIELDS="\"binaries\": [$rows]"
 }
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a package of its
@@ -548,9 +599,11 @@ for name in "${SELECTED[@]}"; do
     CURRENT_START=$(date +%s)
     CI_STAGE_STATUS=pass
     CI_STAGE_NOTE=""
+    CI_STAGE_FIELDS=""
     "stage_${name//-/_}"
     end=$(date +%s)
-    record_stage "$name" "$((end - CURRENT_START))" "$CI_STAGE_STATUS" "$CI_STAGE_NOTE"
+    record_stage "$name" "$((end - CURRENT_START))" "$CI_STAGE_STATUS" "$CI_STAGE_NOTE" \
+        "$CI_STAGE_FIELDS"
     SUMMARY+=("$(printf '%-14s %4ds  %-4s %s' "$name" "$((end - CURRENT_START))" \
         "$CI_STAGE_STATUS" "$CI_STAGE_NOTE")")
     CURRENT_STAGE=""
