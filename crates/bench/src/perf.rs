@@ -60,8 +60,12 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// replaced `linalg/softmax_rows_{128x64,256x96}` (rows that fill the exp
 /// batch, a shape no workload runs) with the fused cross-entropy kernel
 /// at the training pass's 16×10, `ml/cross_entropy_grad_16x10`, and one
-/// chunk of the evaluation walk, `ml/eval_chunk_256x64`.
-pub const BENCH_SCHEMA_VERSION: u32 = 12;
+/// chunk of the evaluation walk, `ml/eval_chunk_256x64`; v13 added the
+/// two halves of `wire/context_part_40k` on their own,
+/// `wire/encode_context_part_40k` and `wire/decode_context_part_40k`
+/// (the worker's reply encode and the coordinator's decode), and the
+/// block kernels of the packed codec moved what all three cost.
+pub const BENCH_SCHEMA_VERSION: u32 = 13;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -693,8 +697,9 @@ fn suite_dist_stages(kernels: &mut Vec<KernelStats>, budget: Duration) {
 /// The dist wire codec: one seeded 40 000-row `ShardContextPart` — the
 /// frame each worker of the benchmark's `dist_fedavg_100k` returns every
 /// epoch — through `encode_frame` and `decode_frame`, envelope checksum
-/// and column checks included; then the envelope's body checksum on its
-/// own over that frame's 1.7 MB body, beside the FNV-1a/64 it replaced.
+/// and column checks included, together and each on its own; then the
+/// envelope's body checksum on its own over that frame's 1.7 MB body,
+/// beside the FNV-1a/64 it replaced.
 fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
     use fedl_core::columnar::ContextPart;
     use fedl_linalg::rng::{rng_for, Rng};
@@ -718,7 +723,13 @@ fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
         let frame = encode_frame(std::hint::black_box(&part));
         decode_frame(std::hint::black_box(&frame)).expect("the frame was just encoded")
     });
+    measure_kernel(kernels, budget, "wire/encode_context_part_40k", || {
+        encode_frame(std::hint::black_box(&part))
+    });
     let frame = encode_frame(&part);
+    measure_kernel(kernels, budget, "wire/decode_context_part_40k", || {
+        decode_frame(std::hint::black_box(&frame)).expect("the frame was just encoded")
+    });
     let header = frame.iter().position(|&b| b == b'\n').expect("an envelope has a header line");
     let body = &frame[header + 1..];
     measure_kernel(kernels, budget, "store/envelope_checksum_1m7", || {
@@ -1019,7 +1030,9 @@ mod tests {
             "scale/context_part_10k",
             "scale/context_part_100k",
             "core/sanitize",
-            "wire/",
+            "wire/context_part_40k",
+            "wire/encode_context_part_40k",
+            "wire/decode_context_part_40k",
             "store/envelope_checksum",
             "store/fnv1a64",
         ] {

@@ -618,7 +618,9 @@ mod tests {
         let (tel, _handle) = Telemetry::in_memory();
         let mut w = WorkerState::new(tel.clone());
         let hello = Message::Hello { protocol_version: PROTOCOL_VERSION, node: "old".into() };
-        let frame = sealed_v1(fedl_serve::FRAME_KIND, &hello.to_json_value().to_json());
+        let v2 = fedl_serve::encode_frame(&hello);
+        let body = std::str::from_utf8(&v2).unwrap().split_once('\n').unwrap().1;
+        let frame = sealed_v1(fedl_serve::FRAME_KIND, body);
         let (reply, control) = w.handle_frame(frame.as_bytes());
         assert_eq!(control, Control::Continue);
         match fedl_serve::decode_frame(&reply).expect("the refusal is a v2 frame") {

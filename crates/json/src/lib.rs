@@ -97,7 +97,9 @@ impl Value {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Member of an object by key (first match), or `None`.
+    /// Member of an object by key, or `None`. A parsed object keeps a
+    /// duplicate key's every pair, in order; `get` returns the first, and
+    /// the later ones are never read.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -210,16 +212,56 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 // Writer
 // ---------------------------------------------------------------------------
 
+/// A buffer [`Value::write_json`] appends to: a `String`, or the bytes
+/// of a frame that carries the document behind a header it already
+/// holds (`fedl_store`'s envelope writer), where the document is rendered
+/// in place and never re-validated as UTF-8.
+pub trait JsonSink {
+    /// Appends `s`.
+    fn push_str(&mut self, s: &str);
+}
+
+impl JsonSink for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+impl JsonSink for Vec<u8> {
+    fn push_str(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// [`fmt::Write`] into a sink, noting whether what went through spelled
+/// a fraction or an exponent.
+struct Spelled<'a, S> {
+    out: &'a mut S,
+    fraction: bool,
+}
+
+impl<S: JsonSink> fmt::Write for Spelled<'_, S> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.fraction |= s.bytes().any(|b| b == b'.' || b == b'e' || b == b'E');
+        self.out.push_str(s);
+        Ok(())
+    }
+}
+
+/// `value`'s `Display` form appended to `out`; `true` when it spelled a
+/// fraction or an exponent.
+fn write_display(out: &mut impl JsonSink, value: impl fmt::Display) -> bool {
+    let mut spelled = Spelled { out, fraction: false };
+    write!(spelled, "{value}").expect("a sink cannot fail");
+    spelled.fraction
+}
+
 /// Writes a float the way serde_json does: shortest-roundtrip digits,
 /// a trailing `.0` for integral finite values, `null` for NaN/inf.
-fn write_f64(out: &mut String, v: f64) {
+fn write_f64(out: &mut impl JsonSink, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
-        return;
-    }
-    let start = out.len();
-    write!(out, "{v}").expect("write to String cannot fail");
-    if !out[start..].bytes().any(|b| b == b'.' || b == b'e' || b == b'E') {
+    } else if !write_display(out, v) {
         out.push_str(".0");
     }
 }
@@ -254,8 +296,8 @@ fn first_escape(bytes: &[u8]) -> Option<usize> {
 /// Writes `s` as a JSON string literal. Clean runs are copied in one
 /// piece, so a megabyte string value costs one block-wise scan and one
 /// `memcpy`, not a push per character.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+fn write_escaped(out: &mut impl JsonSink, s: &str) {
+    out.push_str("\"");
     let mut rest = s;
     while let Some(i) = first_escape(rest.as_bytes()) {
         out.push_str(&rest[..i]);
@@ -265,12 +307,14 @@ fn write_escaped(out: &mut String, s: &str) {
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            b => write!(out, "\\u{b:04x}").expect("write to String cannot fail"),
+            b => {
+                write_display(out, format_args!("\\u{b:04x}"));
+            }
         }
         rest = &rest[i + 1..];
     }
     out.push_str(rest);
-    out.push('"');
+    out.push_str("\"");
 }
 
 impl Value {
@@ -311,36 +355,38 @@ impl Value {
     }
 
     /// [`Self::to_json`] appended to `out` — for callers that render a
-    /// document behind a header they already hold (the store envelope)
-    /// without an intermediate copy.
-    pub fn write_json(&self, out: &mut String) {
+    /// document behind a header they already hold (the store envelope,
+    /// a wire frame) without an intermediate copy.
+    pub fn write_json(&self, out: &mut impl JsonSink) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => write!(out, "{i}").expect("write to String cannot fail"),
+            Value::Int(i) => {
+                write_display(out, i);
+            }
             Value::Float(f) => write_f64(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Arr(items) => {
-                out.push('[');
+                out.push_str("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(",");
                     }
                     item.write_json(out);
                 }
-                out.push(']');
+                out.push_str("]");
             }
             Value::Obj(pairs) => {
-                out.push('{');
+                out.push_str("{");
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(",");
                     }
                     write_escaped(out, k);
-                    out.push(':');
+                    out.push_str(":");
                     v.write_json(out);
                 }
-                out.push('}');
+                out.push_str("}");
             }
         }
     }

@@ -351,7 +351,7 @@ pub fn bind(who: &str, addr: &str, port_file: Option<&Path>) -> Result<TcpListen
     let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     if let Some(port_file) = port_file {
-        fedl_store::write_atomic(port_file, &local.port().to_string())
+        fedl_store::write_atomic(port_file, local.port().to_string())
             .map_err(|e| format!("cannot write {}: {e}", port_file.display()))?;
     }
     eprintln!("{who}: listening on {local}");

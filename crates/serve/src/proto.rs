@@ -31,8 +31,8 @@
 use std::fmt;
 
 use fedl_core::columnar::ContextPart;
-use fedl_json::{obj, read_field, Value};
-use fedl_store::{decode_envelope, encode_envelope, StoreError};
+use fedl_json::{read_field, Value};
+use fedl_store::{decode_envelope, encode_envelope_with, StoreError};
 use fedl_telemetry::{SpanContext, Telemetry};
 
 use crate::loadgen::{MemberFeedback, SynthResult};
@@ -134,10 +134,10 @@ impl Trace {
         }
     }
 
-    fn encode_into(self, fields: &mut Vec<(&'static str, Value)>) {
+    fn encode_into(self, fields: &mut Vec<(&'static str, Field<'_>)>) {
         if let Trace::Context { trace_id, span_id } = self {
-            fields.push(("trace_id", Value::from(SpanContext::fmt_id(trace_id))));
-            fields.push(("span_id", Value::from(SpanContext::fmt_id(span_id))));
+            fields.push(("trace_id", Field::json(SpanContext::fmt_id(trace_id))));
+            fields.push(("span_id", Field::json(SpanContext::fmt_id(span_id))));
         }
     }
 
@@ -360,50 +360,48 @@ impl Message {
         }
     }
 
-    /// The message as a JSON object (`type` field first).
-    pub fn to_json_value(&self) -> Value {
-        let mut fields: Vec<(&'static str, Value)> = vec![("type", Value::from(self.type_tag()))];
+    /// The message's fields in wire order (`type` first), as
+    /// [`encode_frame`] renders them.
+    fn fields(&self) -> Vec<(&'static str, Field<'_>)> {
+        let mut fields = vec![("type", Field::json(self.type_tag()))];
         match self {
             Message::Hello { protocol_version, node } => {
-                fields.push(("protocol_version", Value::from(*protocol_version as usize)));
-                fields.push(("node", Value::from(node.as_str())));
+                fields.push(("protocol_version", Field::json(*protocol_version as usize)));
+                fields.push(("node", Field::json(node.as_str())));
             }
             Message::ClientJoin { client } | Message::ClientLeave { client } => {
-                fields.push(("client", Value::from(*client)));
+                fields.push(("client", Field::json(*client)));
             }
             Message::SelectCohort { epoch, trace } => {
-                fields.push(("epoch", Value::from(*epoch)));
+                fields.push(("epoch", Field::json(*epoch)));
                 trace.encode_into(&mut fields);
             }
             Message::Cohort { epoch, cohort, iterations, done } => {
-                fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("cohort", ids_to_json(cohort)));
-                fields.push(("iterations", Value::from(*iterations)));
-                fields.push(("done", Value::Bool(*done)));
+                fields.push(("epoch", Field::json(*epoch)));
+                fields.push(("cohort", Field::Json(ids_to_json(cohort))));
+                fields.push(("iterations", Field::json(*iterations)));
+                fields.push(("done", Field::json(*done)));
             }
             Message::TrainResult { epoch, cohort, iterations, feedback: f } => {
-                fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("cohort", ids_to_json(cohort)));
-                fields.push(("iterations", Value::from(*iterations)));
-                fields.push(("latency_secs", Value::Float(f.latency_secs)));
-                fields.push((
-                    "per_client_iter_latency",
-                    Value::Arr(
-                        f.per_client_iter_latency.iter().map(|&t| Value::Float(t)).collect(),
-                    ),
-                ));
-                fields.push(("cost", Value::Float(f.cost)));
-                fields.push(("eta_hats", f32s_to_json(&f.eta_hats)));
-                fields.push(("global_loss", Value::Float(f.global_loss)));
-                fields.push(("grad_dot_delta", f32s_to_json(&f.grad_dot_delta)));
-                fields.push(("local_losses", f32s_to_json(&f.local_losses)));
+                fields.push(("epoch", Field::json(*epoch)));
+                fields.push(("cohort", Field::Json(ids_to_json(cohort))));
+                fields.push(("iterations", Field::json(*iterations)));
+                fields.push(("latency_secs", Field::json(f.latency_secs)));
+                let latencies =
+                    f.per_client_iter_latency.iter().map(|&t| Value::Float(t)).collect();
+                fields.push(("per_client_iter_latency", Field::Json(Value::Arr(latencies))));
+                fields.push(("cost", Field::json(f.cost)));
+                fields.push(("eta_hats", Field::Json(f32s_to_json(&f.eta_hats))));
+                fields.push(("global_loss", Field::json(f.global_loss)));
+                fields.push(("grad_dot_delta", Field::Json(f32s_to_json(&f.grad_dot_delta))));
+                fields.push(("local_losses", Field::Json(f32s_to_json(&f.local_losses))));
             }
             Message::Snapshot { epoch, registered, selections, budget_remaining, policy } => {
-                fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("registered", Value::from(*registered)));
-                fields.push(("selections", Value::from(*selections)));
-                fields.push(("budget_remaining", Value::Float(*budget_remaining)));
-                fields.push(("policy", Value::from(policy.as_str())));
+                fields.push(("epoch", Field::json(*epoch)));
+                fields.push(("registered", Field::json(*registered)));
+                fields.push(("selections", Field::json(*selections)));
+                fields.push(("budget_remaining", Field::json(*budget_remaining)));
+                fields.push(("policy", Field::json(policy.as_str())));
             }
             Message::Shutdown => {}
             Message::ShardAssign {
@@ -415,58 +413,58 @@ impl Message {
                 shard_start,
                 shard_end,
             } => {
-                fields.push(("clients", Value::from(*clients)));
+                fields.push(("clients", Field::json(*clients)));
                 // Seeds ride as JSON ints; the CLI's seed grammar keeps
                 // them inside i64 range.
-                fields.push(("seed", Value::from(*seed as usize)));
-                fields.push(("budget", Value::Float(*budget)));
-                fields.push(("min_participants", Value::from(*min_participants)));
-                fields.push(("policy", Value::from(policy.as_str())));
-                fields.push(("shard_start", Value::from(*shard_start)));
-                fields.push(("shard_end", Value::from(*shard_end)));
+                fields.push(("seed", Field::json(*seed as usize)));
+                fields.push(("budget", Field::json(*budget)));
+                fields.push(("min_participants", Field::json(*min_participants)));
+                fields.push(("policy", Field::json(policy.as_str())));
+                fields.push(("shard_start", Field::json(*shard_start)));
+                fields.push(("shard_end", Field::json(*shard_end)));
             }
             Message::ShardReady { shard_start, shard_end, fingerprint } => {
-                fields.push(("shard_start", Value::from(*shard_start)));
-                fields.push(("shard_end", Value::from(*shard_end)));
-                fields.push(("fingerprint", Value::from(fingerprint.as_str())));
+                fields.push(("shard_start", Field::json(*shard_start)));
+                fields.push(("shard_end", Field::json(*shard_end)));
+                fields.push(("fingerprint", Field::json(fingerprint.as_str())));
             }
             Message::ShardContext { epoch, trace } => {
-                fields.push(("epoch", Value::from(*epoch)));
+                fields.push(("epoch", Field::json(*epoch)));
                 trace.encode_into(&mut fields);
             }
             Message::ShardContextPart { epoch, part } => {
-                fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("available", pack(&part.available)));
-                fields.push(("costs", pack(&part.costs)));
-                fields.push(("latency_hint", pack(&part.latency_hint)));
-                fields.push(("true_latency", pack(&part.true_latency)));
-                fields.push(("data_volumes", pack(&part.data_volumes)));
+                fields.push(("epoch", Field::json(*epoch)));
+                fields.push(("available", Field::Ids(&part.available)));
+                fields.push(("costs", Field::F64s(&part.costs)));
+                fields.push(("latency_hint", Field::F64s(&part.latency_hint)));
+                fields.push(("true_latency", Field::F64s(&part.true_latency)));
+                fields.push(("data_volumes", Field::Ids(&part.data_volumes)));
             }
             Message::ShardTrain { epoch, members, iterations, trace } => {
-                fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("members", pack(members)));
-                fields.push(("iterations", Value::from(*iterations)));
+                fields.push(("epoch", Field::json(*epoch)));
+                fields.push(("members", Field::Ids(members)));
+                fields.push(("iterations", Field::json(*iterations)));
                 trace.encode_into(&mut fields);
             }
             Message::ShardTrainPart { epoch, members, feedback: f } => {
-                fields.push(("epoch", Value::from(*epoch)));
-                fields.push(("members", pack(members)));
-                fields.push(("per_client_iter_latency", pack(&f.per_client_iter_latency)));
-                fields.push(("costs", pack(&f.costs)));
-                fields.push(("eta_hats", pack(&f.eta_hats)));
-                fields.push(("grad_dot_delta", pack(&f.grad_dot_delta)));
-                fields.push(("local_losses", pack(&f.local_losses)));
+                fields.push(("epoch", Field::json(*epoch)));
+                fields.push(("members", Field::Ids(members)));
+                fields.push(("per_client_iter_latency", Field::F64s(&f.per_client_iter_latency)));
+                fields.push(("costs", Field::F64s(&f.costs)));
+                fields.push(("eta_hats", Field::F32s(&f.eta_hats)));
+                fields.push(("grad_dot_delta", Field::F32s(&f.grad_dot_delta)));
+                fields.push(("local_losses", Field::F32s(&f.local_losses)));
             }
             Message::Stats => {}
             Message::StatsSnapshot { registry } => {
-                fields.push(("registry", registry.clone()));
+                fields.push(("registry", Field::Json(registry.clone())));
             }
             Message::Error { code, detail } => {
-                fields.push(("code", Value::from(code.as_str())));
-                fields.push(("detail", Value::from(detail.as_str())));
+                fields.push(("code", Field::json(code.as_str())));
+                fields.push(("detail", Field::json(detail.as_str())));
             }
         }
-        obj(fields)
+        fields
     }
 
     /// Parses a message object; any shape mismatch is a
@@ -644,63 +642,108 @@ impl Cell for usize {
     }
 }
 
-const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+/// Raw bytes per step of the base64 kernels: 16 triples, spelled as
+/// [`BLOCK_CHARS`] characters. It is a whole number of cells at every
+/// width (6 `f64`, 12 `f32` or `u32`), so [`pack_into`] stages a block of
+/// cells on the stack and writes its text straight into the frame, and
+/// [`unpack`] decodes each block straight into cells: no byte copy of a
+/// column is made either way.
+const BLOCK_BYTES: usize = 48;
 
-/// Sextet value per byte; `0xFF` for a byte outside the alphabet.
-const B64_SEXTET: [u8; 256] = {
-    let mut table = [0xFF; 256];
-    let mut i = 0;
-    while i < 64 {
-        table[B64_ALPHABET[i] as usize] = i as u8;
-        i += 1;
+/// Characters per block: [`BLOCK_BYTES`] spelled in base64.
+const BLOCK_CHARS: usize = 64;
+
+/// Sextet `s` (below 64) as its RFC 4648 base64 character — `A`–`Z`,
+/// `a`–`z`, `0`–`9`, `+`, `/` — by adding the offset of its range: no
+/// table and no branch, so a block of them vectorizes.
+fn base64_char(s: u8) -> u8 {
+    let from = |at: u8, step: u8| if s >= at { step } else { 0 };
+    s.wrapping_add(b'A')
+        .wrapping_add(from(26, b'a' - b'A' - 26))
+        .wrapping_sub(from(52, b'a' - 26 + 52 - b'0'))
+        .wrapping_sub(from(62, b'0' + 10 - b'+'))
+        .wrapping_add(from(63, b'/' - b'+' - 1))
+}
+
+/// The sextet base64 character `c` spells, or `0xFF` for a byte outside
+/// the alphabet: every range's offset is non-zero, so no offset means no
+/// range matched. Branch-free, like [`base64_char`].
+fn base64_sextet(c: u8) -> u8 {
+    let within = |lo: u8, len: u8, offset: u8| if c.wrapping_sub(lo) < len { offset } else { 0 };
+    let offset = within(b'A', 26, b'A'.wrapping_neg())
+        | within(b'a', 26, (b'a' - 26).wrapping_neg())
+        | within(b'0', 10, 52 - b'0')
+        | within(b'+', 1, 62 - b'+')
+        | within(b'/', 1, 63 - b'/');
+    c.wrapping_add(offset) | if offset == 0 { 0xFF } else { 0 }
+}
+
+/// One block of raw bytes as its 64 base64 characters. Each output
+/// byte is written by its own expression, a lane pattern the compiler
+/// vectorizes.
+fn encode_block(raw: &[u8; BLOCK_BYTES]) -> [u8; BLOCK_CHARS] {
+    let mut text = [0u8; BLOCK_CHARS];
+    for (t, q) in raw.chunks_exact(3).zip(text.chunks_exact_mut(4)) {
+        q[0] = t[0] >> 2;
+        q[1] = (t[0] << 4 | t[1] >> 4) & 63;
+        q[2] = (t[1] << 2 | t[2] >> 6) & 63;
+        q[3] = t[2] & 63;
     }
-    table
-};
-
-/// Cells moved per step of [`pack`]: three cells are a whole number of
-/// base64 triples at every cell width, so a column goes from cells to
-/// text through a stack buffer of one group, never through a byte copy
-/// of the whole column. ([`unpack`] keeps its byte buffer: decoding
-/// group by group measured no faster — docs/PERF.md.)
-const GROUP_CELLS: usize = 3;
-
-/// Stack room for one group at the widest cell.
-const GROUP_BYTES: usize = GROUP_CELLS * 8;
-
-/// The column as one JSON string: the cells' little-endian bytes in
-/// canonical unpadded base64 (RFC 4648 alphabet, no `=`).
-fn pack<T: Cell>(column: &[T]) -> Value {
-    // 3 bytes -> 4 characters; a tail of 1 (2) bytes -> 2 (3).
-    let mut text = vec![0u8; (column.len() * T::WIDTH * 4).div_ceil(3)];
-    let quad = |t: &[u8]| {
-        let n = u32::from_be_bytes([0, t[0], t[1], t[2]]);
-        [18, 12, 6, 0].map(|shift| B64_ALPHABET[(n >> shift) as usize & 63])
-    };
-    // Up to a group of cells into exactly the characters that spell
-    // them; the bytes a short last group does not fill stay zero.
-    let encode = |cells: &[T], out: &mut [u8]| {
-        let mut stage = [0u8; GROUP_BYTES];
-        for (&cell, slot) in cells.iter().zip(stage.chunks_exact_mut(T::WIDTH)) {
-            cell.put(slot);
-        }
-        let mut triples = stage.chunks_exact(3);
-        let mut quads = out.chunks_exact_mut(4);
-        for (q, t) in (&mut quads).zip(&mut triples) {
-            q.copy_from_slice(&quad(t));
-        }
-        let last = quads.into_remainder();
-        if !last.is_empty() {
-            let t = triples.next().expect("a short quad ends a short group");
-            last.copy_from_slice(&quad(t)[..last.len()]);
-        }
-    };
-    let mut groups = column.chunks_exact(GROUP_CELLS);
-    let mut spelled = text.chunks_exact_mut(GROUP_CELLS * T::WIDTH * 4 / 3);
-    for (cells, out) in (&mut groups).zip(&mut spelled) {
-        encode(cells, out);
+    for c in &mut text {
+        *c = base64_char(*c);
     }
-    encode(groups.remainder(), spelled.into_remainder());
-    Value::Str(String::from_utf8(text).expect("the base64 alphabet is ASCII"))
+    text
+}
+
+/// One block of 64 base64 characters as its raw bytes, with the OR of
+/// every sextet looked up: above 63 iff some character was foreign (the
+/// bytes are then meaningless).
+fn decode_block(text: &[u8; BLOCK_CHARS]) -> ([u8; BLOCK_BYTES], u8) {
+    let mut sextets = [0u8; BLOCK_CHARS];
+    for (s, &c) in sextets.iter_mut().zip(text) {
+        *s = base64_sextet(c);
+    }
+    let seen = sextets.iter().fold(0, |seen, &s| seen | s);
+    let mut raw = [0u8; BLOCK_BYTES];
+    for (q, t) in sextets.chunks_exact(4).zip(raw.chunks_exact_mut(3)) {
+        t[0] = q[0] << 2 | q[1] >> 4;
+        t[1] = q[1] << 4 | q[2] >> 2;
+        t[2] = q[2] << 6 | q[3];
+    }
+    (raw, seen)
+}
+
+/// Up to a block of cells as their little-endian bytes; the bytes they
+/// do not fill stay zero.
+fn stage<T: Cell>(cells: &[T]) -> [u8; BLOCK_BYTES] {
+    let mut raw = [0u8; BLOCK_BYTES];
+    for (&cell, slot) in cells.iter().zip(raw.chunks_exact_mut(T::WIDTH)) {
+        cell.put(slot);
+    }
+    raw
+}
+
+/// Appends the column to `out` as one JSON string: the cells'
+/// little-endian bytes in canonical unpadded base64 (RFC 4648 alphabet,
+/// no `=`), a block at a time.
+fn pack_into<T: Cell>(column: &[T], out: &mut Vec<u8>) {
+    out.push(b'"');
+    let mut blocks = column.chunks_exact(BLOCK_BYTES / T::WIDTH);
+    for cells in &mut blocks {
+        out.extend_from_slice(&encode_block(&stage(cells)));
+    }
+    // The tail is spelled as a block padded with zero bytes, cut to the
+    // characters its bytes need: 3 bytes -> 4 characters, a last 1 (2)
+    // -> 2 (3).
+    let tail = blocks.remainder();
+    let text = encode_block(&stage(tail));
+    out.extend_from_slice(&text[..(tail.len() * T::WIDTH * 4).div_ceil(3)]);
+    out.push(b'"');
+}
+
+/// The length of what [`pack_into`] appends for `rows` cells.
+fn packed_len<T: Cell>(rows: usize) -> usize {
+    2 + (rows * T::WIDTH * 4).div_ceil(3)
 }
 
 /// Reads the packed column `key` of message object `v`. Exactly one text
@@ -716,46 +759,98 @@ fn unpack<T: Cell>(v: &Value, key: &str) -> Result<Vec<T>, ProtocolError> {
         return Err(bad("a length of 1 mod 4 is not base64"));
     }
     // 4 characters -> 3 bytes; a tail of 2 (3) characters -> 1 (2).
-    let mut raw = vec![0u8; text.len() * 3 / 4];
-    // OR of every sextet looked up: above 63 iff some byte was foreign.
+    let bytes = text.len() * 3 / 4;
+    let mut column = Vec::with_capacity(bytes / T::WIDTH);
     let mut seen = 0u8;
-    let mut triple = |q: &[u8; 4]| {
-        let s = q.map(|c| B64_SEXTET[c as usize]);
-        seen |= s[0] | s[1] | s[2] | s[3];
-        let n = (s[0] as u32) << 18 | (s[1] as u32) << 12 | (s[2] as u32) << 6 | s[3] as u32;
-        let [_, a, b, c] = n.to_be_bytes();
-        [a, b, c]
-    };
-    let mut quads = text.chunks_exact(4);
-    let mut triples = raw.chunks_exact_mut(3);
-    for (q, t) in (&mut quads).zip(&mut triples) {
-        t.copy_from_slice(&triple(q.try_into().expect("chunks_exact(4)")));
+    let mut blocks = text.chunks_exact(BLOCK_CHARS);
+    for block in &mut blocks {
+        let (raw, sextets) = decode_block(block.try_into().expect("chunks_exact(BLOCK_CHARS)"));
+        seen |= sextets;
+        column.extend(raw.chunks_exact(T::WIDTH).map(T::take));
     }
     // The tail reads as if padded with `A` (sextet 0): the bytes it does
     // not carry must come out zero.
-    let mut last = [b'A'; 4];
-    let tail = quads.remainder();
+    let tail = blocks.remainder();
+    let mut last = [b'A'; BLOCK_CHARS];
     last[..tail.len()].copy_from_slice(tail);
-    let last = triple(&last);
-    let out = triples.into_remainder();
-    out.copy_from_slice(&last[..out.len()]);
-    let trailing = last[out.len()..].iter().any(|&b| b != 0);
+    let (raw, sextets) = decode_block(&last);
+    seen |= sextets;
+    let (carried, trailing) = raw.split_at(tail.len() * 3 / 4);
     if seen > 63 {
         return Err(bad("a byte outside the base64 alphabet"));
     }
-    if trailing {
+    if trailing.iter().any(|&b| b != 0) {
         return Err(bad("non-zero trailing bits"));
     }
-    if !raw.len().is_multiple_of(T::WIDTH) {
-        return Err(bad(&format!("{} bytes are not whole {}-byte cells", raw.len(), T::WIDTH)));
+    if !bytes.is_multiple_of(T::WIDTH) {
+        return Err(bad(&format!("{bytes} bytes are not whole {}-byte cells", T::WIDTH)));
     }
-    Ok(raw.chunks_exact(T::WIDTH).map(T::take).collect())
+    column.extend(carried.chunks_exact(T::WIDTH).map(T::take));
+    Ok(column)
+}
+
+/// One field of a message body as [`encode_frame`] writes it.
+enum Field<'a> {
+    /// Readable JSON, rendered by `Value::write_json`.
+    Json(Value),
+    /// A packed column of `f64` cells.
+    F64s(&'a [f64]),
+    /// A packed column of `f32` cells.
+    F32s(&'a [f32]),
+    /// A packed column of ids or volumes (`u32` cells).
+    Ids(&'a [usize]),
+}
+
+impl Field<'_> {
+    fn json(value: impl Into<Value>) -> Self {
+        Field::Json(value.into())
+    }
+
+    /// A lower bound on the field's rendered length, exact for a packed
+    /// column.
+    fn len_hint(&self) -> usize {
+        match self {
+            Field::Json(value) => value.json_len_hint(),
+            Field::F64s(column) => packed_len::<f64>(column.len()),
+            Field::F32s(column) => packed_len::<f32>(column.len()),
+            Field::Ids(column) => packed_len::<usize>(column.len()),
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Field::Json(value) => value.write_json(out),
+            Field::F64s(column) => pack_into(column, out),
+            Field::F32s(column) => pack_into(column, out),
+            Field::Ids(column) => pack_into(column, out),
+        }
+    }
 }
 
 /// Serializes a message into one frame (envelope text bytes; the
-/// transport adds the length prefix).
+/// transport adds the length prefix). The body is written in place
+/// behind the header: readable fields through `Value::write_json`,
+/// packed columns as base64 a block at a time — ASCII by construction,
+/// so the frame is never re-validated as UTF-8.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    encode_envelope(FRAME_KIND, &msg.to_json_value()).into_bytes()
+    let fields = msg.fields();
+    // `{}`, and per field `"key":` and a separator.
+    let body_len =
+        2 + fields.iter().map(|(key, field)| key.len() + 4 + field.len_hint()).sum::<usize>();
+    encode_envelope_with(FRAME_KIND, body_len, |out| {
+        out.push(b'{');
+        for (i, (key, field)) in fields.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            // Keys are fixed identifiers: nothing in them needs escaping.
+            out.push(b'"');
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":");
+            field.write(out);
+        }
+        out.push(b'}');
+    })
 }
 
 /// Verifies and parses one frame. Non-UTF-8 bytes, header damage,
@@ -938,6 +1033,32 @@ impl From<StoreError> for ProtocolError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedl_json::obj;
+    use fedl_linalg::rng::{rng_for, Rng};
+
+    /// The RFC 4648 alphabet: sextet `i` is spelled `B64_ALPHABET[i]`.
+    const B64_ALPHABET: &[u8; 64] =
+        b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+    /// Sextet value per byte; `0xFF` for a byte outside the alphabet.
+    const B64_SEXTET: [u8; 256] = {
+        let mut table = [0xFF; 256];
+        let mut i = 0;
+        while i < 64 {
+            table[B64_ALPHABET[i] as usize] = i as u8;
+            i += 1;
+        }
+        table
+    };
+
+    /// The column's packed text, without the quotes [`pack_into`]
+    /// writes around it.
+    fn pack<T: Cell>(column: &[T]) -> String {
+        let mut text = Vec::new();
+        pack_into(column, &mut text);
+        assert_eq!(text.len(), packed_len::<T>(column.len()));
+        String::from_utf8(text[1..text.len() - 1].to_vec()).expect("base64 is ASCII")
+    }
 
     fn roundtrip(msg: Message) {
         let frame = encode_frame(&msg);
@@ -1149,29 +1270,64 @@ mod tests {
             .collect()
     }
 
+    /// `column` packed, then read back from a message object.
+    fn repacked<T: Cell>(column: &[T]) -> Vec<T> {
+        unpack(&obj(vec![("c", Value::from(pack(column)))]), "c").expect("packed text unpacks")
+    }
+
     #[test]
     fn grouped_packing_spells_the_whole_column_s_bytes() {
-        // Packing goes three cells at a time; the text must be the base64
-        // of the column's little-endian bytes laid end to end, at every
-        // row count around a group (0..=10) and both cell widths.
-        for rows in 0..=10usize {
-            let f64s: Vec<f64> =
-                (0..rows).map(|i| f64::from_bits(0x0123_4567_89AB_CDEF << i)).collect();
-            let f32s: Vec<f32> = (0..rows).map(|i| f32::from_bits(0xFEDC_BA98 >> i)).collect();
-            let ids: Vec<usize> = (0..rows).map(|i| 0xF00D_BEEF >> (3 * i)).collect();
-            let raw64: Vec<u8> = f64s.iter().flat_map(|x| x.to_le_bytes()).collect();
-            let raw32: Vec<u8> = f32s.iter().flat_map(|x| x.to_le_bytes()).collect();
-            let raw_ids: Vec<u8> = ids.iter().flat_map(|&k| (k as u32).to_le_bytes()).collect();
-            assert_eq!(pack(&f64s), Value::from(base64_by_bits(&raw64)), "{rows} f64 rows");
-            assert_eq!(pack(&f32s), Value::from(base64_by_bits(&raw32)), "{rows} f32 rows");
-            assert_eq!(pack(&ids), Value::from(base64_by_bits(&raw_ids)), "{rows} id rows");
-            let column = obj(vec![("c", pack(&f64s)), ("k", pack(&ids))]);
-            let back: Vec<f64> = unpack(&column, "c").unwrap();
+        // Packing goes a 48-byte block of cells at a time; the text must
+        // be the base64 of the column's little-endian bytes laid end to
+        // end, at every row count from none through three blocks and
+        // seven rows, at each cell width, over random bits.
+        let mut rng = rng_for(0xB10C, 48);
+        for rows in 0..=3 * BLOCK_BYTES / 8 + 7 {
+            let f64s: Vec<f64> = (0..rows).map(|_| f64::from_bits(rng.next_u64())).collect();
+            let raw: Vec<u8> = f64s.iter().flat_map(|x| x.to_le_bytes()).collect();
+            assert_eq!(pack(&f64s), base64_by_bits(&raw), "{rows} f64 rows");
+            let back = repacked(&f64s);
+            assert!(back.iter().map(|x| x.to_bits()).eq(f64s.iter().map(|x| x.to_bits())));
+        }
+        for rows in 0..=3 * BLOCK_BYTES / 4 + 7 {
+            let f32s: Vec<f32> = (0..rows).map(|_| f32::from_bits(rng.next_u64() as u32)).collect();
+            let raw: Vec<u8> = f32s.iter().flat_map(|x| x.to_le_bytes()).collect();
+            assert_eq!(pack(&f32s), base64_by_bits(&raw), "{rows} f32 rows");
+            let back = repacked(&f32s);
+            assert!(back.iter().map(|x| x.to_bits()).eq(f32s.iter().map(|x| x.to_bits())));
+
+            let ids: Vec<usize> = (0..rows).map(|_| rng.next_u64() as u32 as usize).collect();
+            let raw: Vec<u8> = ids.iter().flat_map(|&k| (k as u32).to_le_bytes()).collect();
+            assert_eq!(pack(&ids), base64_by_bits(&raw), "{rows} id rows");
+            assert_eq!(repacked(&ids), ids);
+        }
+    }
+
+    #[test]
+    fn the_sextet_maps_are_the_alphabet() {
+        for (s, &c) in B64_ALPHABET.iter().enumerate() {
+            assert_eq!(base64_char(s as u8), c, "sextet {s}");
+        }
+        for c in 0..=255u8 {
+            assert_eq!(base64_sextet(c), B64_SEXTET[c as usize], "byte {c:#04x}");
+        }
+    }
+
+    #[test]
+    fn block_kernels_agree_with_the_tables() {
+        let mut rng = rng_for(0xB10C, 64);
+        for _ in 0..200 {
+            let raw: [u8; BLOCK_BYTES] = std::array::from_fn(|_| rng.next_u64() as u8);
+            let text = encode_block(&raw);
+            assert_eq!(text.as_slice(), base64_by_bits(&raw).as_bytes());
             assert_eq!(
-                back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                f64s.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                decode_block(&text),
+                (raw, text.iter().fold(0, |s, &c| s | B64_SEXTET[c as usize]))
             );
-            assert_eq!(unpack::<usize>(&column, "k").unwrap(), ids);
+            // Any byte, anywhere: foreign bytes set the high bits of the OR.
+            let text: [u8; BLOCK_CHARS] = std::array::from_fn(|_| rng.next_u64() as u8);
+            let seen = text.iter().fold(0, |s, &c| s | B64_SEXTET[c as usize]);
+            assert_eq!(decode_block(&text).1 > 63, seen > 63);
         }
     }
 
@@ -1180,9 +1336,9 @@ mod tests {
         // The RFC 4648 vectors that are whole cells, unpadded: "foob" is
         // one f32 (tail of 1 byte), "foobar!?" two (tail of 2).
         let cells = [f32::from_le_bytes(*b"foob"), f32::from_le_bytes(*b"ar!?")];
-        assert_eq!(pack(&cells[..1]), Value::from("Zm9vYg"));
-        assert_eq!(pack(&cells), Value::from("Zm9vYmFyIT8"));
-        assert_eq!(pack::<f64>(&[]), Value::from(""));
+        assert_eq!(pack(&cells[..1]), "Zm9vYg");
+        assert_eq!(pack(&cells), "Zm9vYmFyIT8");
+        assert_eq!(pack::<f64>(&[]), "");
         // One text per byte string: every other spelling is refused.
         let col = |text: &str| unpack::<f32>(&obj(vec![("c", Value::from(text))]), "c");
         assert_eq!(col("Zm9vYg").unwrap()[0].to_bits(), cells[0].to_bits());
@@ -1220,8 +1376,8 @@ mod tests {
         ] {
             let mut fields = vec![("type", Value::from(tag)), ("epoch", Value::Int(5))];
             fields.extend(extra);
-            let text = fedl_store::encode_envelope(FRAME_KIND, &obj(fields));
-            let msg = decode_frame(text.as_bytes()).expect("untraced shape should decode");
+            let frame = fedl_store::encode_envelope(FRAME_KIND, &obj(fields));
+            let msg = decode_frame(&frame).expect("untraced shape should decode");
             let trace = match msg {
                 Message::SelectCohort { trace, .. }
                 | Message::ShardContext { trace, .. }
@@ -1249,8 +1405,8 @@ mod tests {
                 ("trace_id", trace_id.clone()),
                 ("span_id", span_id.clone()),
             ]);
-            let text = fedl_store::encode_envelope(FRAME_KIND, &payload);
-            let msg = decode_frame(text.as_bytes()).expect("garbage trace must not fail parse");
+            let frame = fedl_store::encode_envelope(FRAME_KIND, &payload);
+            let msg = decode_frame(&frame).expect("garbage trace must not fail parse");
             assert_eq!(
                 msg,
                 Message::SelectCohort { epoch: 0, trace: Trace::Invalid },
@@ -1263,9 +1419,9 @@ mod tests {
             ("epoch", Value::Int(0)),
             ("trace_id", Value::from("abc")),
         ]);
-        let text = fedl_store::encode_envelope(FRAME_KIND, &payload);
+        let frame = fedl_store::encode_envelope(FRAME_KIND, &payload);
         assert_eq!(
-            decode_frame(text.as_bytes()).unwrap(),
+            decode_frame(&frame).unwrap(),
             Message::SelectCohort { epoch: 0, trace: Trace::Invalid }
         );
         // An invalid context is never re-encoded: it goes out absent.
@@ -1345,16 +1501,18 @@ mod tests {
             ("protocol_version", Value::Int(4_294_967_297)),
             ("node", Value::from("peer")),
         ]);
-        let text = fedl_store::encode_envelope(FRAME_KIND, &payload);
-        assert!(matches!(decode_frame(text.as_bytes()), Err(ProtocolError::Schema { .. })));
+        let frame = fedl_store::encode_envelope(FRAME_KIND, &payload);
+        assert!(matches!(decode_frame(&frame), Err(ProtocolError::Schema { .. })));
     }
 
     #[test]
     fn a_v1_frame_is_an_envelope_error_naming_both_versions() {
         // A frame as a v1 build sends it: FNV-1a over the same body.
-        let body = Message::Hello { protocol_version: PROTOCOL_VERSION, node: "old".into() }
-            .to_json_value()
-            .to_json();
+        let hello = encode_frame(&Message::Hello {
+            protocol_version: PROTOCOL_VERSION,
+            node: "old".into(),
+        });
+        let body = std::str::from_utf8(&hello).unwrap().split_once('\n').unwrap().1;
         let crc = fedl_store::fnv1a64(body.as_bytes());
         let frame = format!("fedl-store v1 kind={FRAME_KIND} crc={crc:016x}\n{body}");
         match decode_frame(frame.as_bytes()) {
@@ -1373,8 +1531,8 @@ mod tests {
         ));
         assert!(matches!(decode_frame(&[0xFF, 0xFE, 0x00]), Err(ProtocolError::Envelope { .. })));
         // Valid envelope, wrong payload shape.
-        let text = fedl_store::encode_envelope(FRAME_KIND, &obj(vec![("x", Value::Int(1))]));
-        assert!(matches!(decode_frame(text.as_bytes()), Err(ProtocolError::Schema { .. })));
+        let frame = fedl_store::encode_envelope(FRAME_KIND, &obj(vec![("x", Value::Int(1))]));
+        assert!(matches!(decode_frame(&frame), Err(ProtocolError::Schema { .. })));
         // Flipping one payload byte breaks the checksum.
         let mut frame = encode_frame(&Message::SelectCohort { epoch: 1, trace: Trace::Absent });
         let n = frame.len();

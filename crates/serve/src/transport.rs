@@ -5,7 +5,7 @@
 //! pipeline).
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -21,16 +21,24 @@ pub trait FrameTransport {
     fn recv(&mut self) -> Result<Option<Vec<u8>>, ProtocolError>;
 }
 
-/// Writes `frame` with its 4-byte big-endian length prefix as a single
-/// buffered write.
+/// Writes `frame` behind its 4-byte big-endian length prefix in one
+/// vectored write (one `writev` on a socket), so the frame is never
+/// copied next to its prefix; a short write continues where it stopped.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), ProtocolError> {
     if frame.len() > MAX_FRAME_BYTES {
         return Err(ProtocolError::FrameTooLarge { len: frame.len(), max: MAX_FRAME_BYTES });
     }
-    let mut buf = Vec::with_capacity(4 + frame.len());
-    buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-    buf.extend_from_slice(frame);
-    w.write_all(&buf).map_err(io_err)?;
+    let prefix = (frame.len() as u32).to_be_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(frame)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io_err(ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(io_err(e)),
+        }
+    }
     w.flush().map_err(io_err)
 }
 
@@ -217,6 +225,52 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"bravo charlie"[..]));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// A writer that takes at most 3 bytes a call, refuses every other
+    /// call as interrupted, and has no vectored write of its own.
+    struct Trickle {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(3);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_write_the_whole_frame() {
+        for frame in [&b""[..], b"ab", b"some longer payload"] {
+            let mut wire = Trickle { bytes: Vec::new(), calls: 0 };
+            write_frame(&mut wire, frame).unwrap();
+            let mut whole = Vec::new();
+            write_frame(&mut whole, frame).unwrap();
+            assert_eq!(wire.bytes, whole);
+            assert_eq!(read_frame(&mut Cursor::new(wire.bytes)).unwrap().as_deref(), Some(frame));
+        }
+        // A writer that takes nothing is an error, not a spin.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        assert!(matches!(write_frame(&mut Full, b"x"), Err(ProtocolError::Io { .. })));
     }
 
     #[test]

@@ -143,14 +143,35 @@ fn mutated_frames_yield_typed_errors_and_count() {
     assert!(matches!(reply, Message::Snapshot { .. }));
 }
 
+/// A 41-row context part: 164-byte id columns (three 48-byte blocks of
+/// the packed codec and a 20-byte tail) beside 328-byte float columns
+/// (six blocks and a 40-byte tail).
+fn long_context_part(epoch: usize) -> Message {
+    let rows = 41;
+    let mut rng = rng_for(0x10_C0DE, epoch as u64);
+    let mut column = |lo: f64, hi: f64| (0..rows).map(|_| rng.gen_range(lo..hi)).collect();
+    Message::ShardContextPart {
+        epoch,
+        part: ContextPart {
+            available: (0..rows).map(|k| 2 * k + 1).collect(),
+            costs: column(0.1, 12.0),
+            latency_hint: column(0.01, 2.0),
+            true_latency: column(0.01, 2.0),
+            data_volumes: (0..rows).map(|k| k % 17).collect(),
+        },
+    }
+}
+
 /// Damage inside a packed column that a link could only produce together
 /// with a matching checksum (a buggy or hostile peer, not line noise):
 /// the envelope is re-sealed after each edit, so the edit reaches the
-/// column decoder instead of dying at the checksum.
+/// column decoder instead of dying at the checksum. Every column is
+/// several of the codec's 64-character blocks and a tail, and a foreign
+/// byte lands in each.
 #[test]
 fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
     use fedl_json::Value;
-    let frame = fedl_serve::encode_frame(&context_part(4));
+    let frame = fedl_serve::encode_frame(&long_context_part(4));
     let text = std::str::from_utf8(&frame).unwrap();
     let payload = Value::parse(text.split_once('\n').unwrap().1).unwrap();
     let Value::Obj(pairs) = &payload else { panic!("a message is a JSON object") };
@@ -164,50 +185,62 @@ fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
                 _ => (k.clone(), v.clone()),
             })
             .collect();
-        fedl_store::encode_envelope("serve-msg", &Value::Obj(pairs)).into_bytes()
+        fedl_store::encode_envelope("serve-msg", &Value::Obj(pairs))
     };
-    let expect_schema = |frame: Vec<u8>, why: &str, case: &str| match decode_frame(&frame) {
-        Err(ProtocolError::Schema { detail }) => {
-            assert!(detail.contains(why), "{case}: wrong reason {detail:?}")
-        }
+    let text_of = |key: &str| payload.get(key).and_then(Value::as_str).expect("a packed column");
+    // The refusal texts, word for word as the codec has always given them.
+    let expect_schema = |frame: Vec<u8>, why: String, case: &str| match decode_frame(&frame) {
+        Err(ProtocolError::Schema { detail }) => assert_eq!(detail, why, "{case}"),
         other => panic!("{case}: expected a schema error, got {other:?}"),
     };
     let mut rng = rng_for(0xC01_0A75, 4);
     for key in columns {
         // Untouched, the re-sealed frame is the original frame.
         assert_eq!(resealed(key, &|t| t.to_string()), frame);
+        let why = |reason: &str| format!("packed column `{key}`: {reason}");
         for round in 0..40 {
             let at = rng.next_u64() as usize;
-            // A byte outside the alphabet, anywhere: padding, whitespace,
-            // the url-safe alphabet, control bytes, multi-byte UTF-8 (one
-            // byte longer, which leaves both column lengths off 1 mod 4).
-            let foreign = ["=", " ", "-", "_", "\n", "\u{0}", "\u{7f}", "é"][round % 8];
-            let damaged = resealed(key, &|t| {
-                let i = at % t.len();
-                format!("{}{foreign}{}", &t[..i], &t[i + 1..])
-            });
-            expect_schema(damaged, "alphabet", &format!("{key}: foreign byte {foreign:?}"));
+            // A byte outside the alphabet, inside a whole block and in
+            // the tail: padding, whitespace, the url-safe alphabet,
+            // control bytes, multi-byte UTF-8 (one byte longer, which
+            // leaves both column lengths off 1 mod 4).
+            let foreign = ["=", " ", "-", "_", "\n", "\u{0}", "\u{7f}", "é", "\u{80}"][round % 9];
+            for (place, pick) in [
+                ("a block", &(|len: usize| at % (len - len % 64)) as &dyn Fn(usize) -> usize),
+                ("the tail", &|len: usize| len - len % 64 + at % (len % 64)),
+            ] {
+                let damaged = resealed(key, &|t| {
+                    let i = pick(t.len());
+                    format!("{}{foreign}{}", &t[..i], &t[i + 1..])
+                });
+                let case = format!("{key}: foreign byte {foreign:?} in {place}");
+                expect_schema(damaged, why("a byte outside the base64 alphabet"), &case);
+            }
             // Characters dropped off the end until the length is 1 mod 4.
             let damaged = resealed(key, &|t| t[..t.len() - (t.len() + 3) % 4].to_string());
-            expect_schema(damaged, "1 mod 4", &format!("{key}: length 1 mod 4"));
-            // The last character's unused low bits set: both column
-            // widths end in a partial quad here, whose canonical last
-            // character has an even sextet, and the next ASCII character
-            // is the next sextet.
+            let case = format!("{key}: length 1 mod 4");
+            expect_schema(damaged, why("a length of 1 mod 4 is not base64"), &case);
+            // The last character's unused low bits set (only the tail has
+            // any): both column widths end in a partial quad here, whose
+            // canonical last character has an even sextet, and the next
+            // ASCII character is the next sextet.
             let damaged = resealed(key, &|t| {
                 let last = t.as_bytes()[t.len() - 1];
                 format!("{}{}", &t[..t.len() - 1], (last + 1) as char)
             });
-            expect_schema(damaged, "trailing", &format!("{key}: trailing bits"));
+            let case = format!("{key}: trailing bits");
+            expect_schema(damaged, why("non-zero trailing bits"), &case);
             // Whole characters dropped: still canonical base64, no longer
             // whole cells.
             let drop = 1 + at % 4;
-            let damaged = resealed(key, &|t| {
-                let keep = t.len() - drop;
-                // Cut on a quad boundary so no trailing bits are left over.
-                t[..keep - keep % 4].to_string()
-            });
-            expect_schema(damaged, "whole", &format!("{key}: {drop} characters short"));
+            // Cut on a quad boundary so no trailing bits are left over.
+            let cut = |t: &str| (t.len() - drop) / 4 * 4;
+            let damaged = resealed(key, &|t| t[..cut(t)].to_string());
+            let bytes = cut(text_of(key)) * 3 / 4;
+            let width = if key == "available" || key == "data_volumes" { 4 } else { 8 };
+            let case = format!("{key}: {drop} characters short");
+            let reason = format!("{bytes} bytes are not whole {width}-byte cells");
+            expect_schema(damaged, why(&reason), &case);
         }
     }
     // A whole cell cut from one column is well-formed on the wire: the
@@ -217,7 +250,7 @@ fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
     let shorter = resealed("costs", &|t| t[..32].to_string());
     match decode_frame(&shorter).expect("columns of unequal length are still a frame") {
         Message::ShardContextPart { part, .. } => {
-            assert_eq!((part.available.len(), part.costs.len()), (5, 3));
+            assert_eq!((part.available.len(), part.costs.len()), (41, 3));
         }
         other => panic!("unexpected message {other:?}"),
     }
@@ -277,7 +310,7 @@ fn fuzzed_trace_ids_never_panic_and_are_counted() {
             ("trace_id", Value::from(trace_id)),
             ("span_id", Value::from(span_id)),
         ]);
-        let frame = fedl_store::encode_envelope("serve-msg", &payload).into_bytes();
+        let frame = fedl_store::encode_envelope("serve-msg", &payload);
         // Must never panic; the reply is always a well-formed frame.
         let (reply, _) = server.handle_frame(&frame);
         decode_frame(&reply).expect("server replies are always well-formed");
@@ -296,7 +329,8 @@ fn a_v1_hello_over_a_connection_is_refused_and_the_connection_lives() {
         (exit, state.malformed_frames())
     });
     let hello = Message::Hello { protocol_version: PROTOCOL_VERSION, node: "old".into() };
-    client.send(&sealed(1, &hello.to_json_value().to_json())).unwrap();
+    let v2 = encode_frame(&hello);
+    client.send(&sealed(1, std::str::from_utf8(&v2).unwrap().split_once('\n').unwrap().1)).unwrap();
     let reply = decode_frame(&client.recv().unwrap().expect("a reply")).unwrap();
     match reply {
         Message::Error { code, detail } => {

@@ -16,8 +16,8 @@
 //! Writes go through a temp file + rename so a crash mid-write leaves
 //! either the old file or no file — never a half-written envelope.
 
-use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::path::Path;
 
 use fedl_json::Value;
@@ -33,28 +33,38 @@ pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &str = "fedl-store";
 
-/// Serializes `payload` into the envelope text — header line plus
-/// compact JSON body — without touching the filesystem. This is the
-/// unit `fedl-serve` frames over the wire; [`write_envelope`] is the
-/// same text landed atomically in a file.
-pub fn encode_envelope(kind: &str, payload: &Value) -> String {
+/// The one envelope writer: the header with a placeholder checksum,
+/// the body `write_body` renders straight behind it in the same buffer,
+/// then the 16 checksum digits patched in place. The buffer is the one
+/// the caller receives, reserved up front for `body_len` bytes (a lower
+/// bound will do), so a megabyte body is not rendered through a chain of
+/// doublings. The body must be UTF-8 JSON; a wire frame's packed columns
+/// are written into it as base64 (`fedl-serve`), which is ASCII.
+pub fn encode_envelope_with(
+    kind: &str,
+    body_len: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
     assert!(
         !kind.is_empty() && kind.chars().all(|c| c.is_ascii_graphic() && c != '='),
         "envelope kind must be non-empty printable ASCII without '=': {kind:?}"
     );
-    // Header with a placeholder checksum, body rendered straight behind
-    // it, then the 16 digits patched in place: the frame is built in
-    // the one buffer the caller receives, reserved up front so a
-    // megabyte body is not rendered through a chain of doublings.
-    // (The header is 41 bytes around the kind.)
-    let mut text = String::with_capacity(48 + kind.len() + payload.json_len_hint());
+    // The header is 41 bytes around the kind.
+    let mut text = Vec::with_capacity(48 + kind.len() + body_len);
     writeln!(text, "{MAGIC} v{FORMAT_VERSION} kind={kind} crc={:016x}", 0)
-        .expect("write to String cannot fail");
+        .expect("write to a Vec cannot fail");
     let body_start = text.len();
-    payload.write_json(&mut text);
-    let crc = envelope_checksum(&text.as_bytes()[body_start..]);
-    text.replace_range(body_start - 17..body_start - 1, &format!("{crc:016x}"));
+    write_body(&mut text);
+    let crc = envelope_checksum(&text[body_start..]);
+    text[body_start - 17..body_start - 1].copy_from_slice(format!("{crc:016x}").as_bytes());
     text
+}
+
+/// Serializes `payload` into the envelope text — header line plus
+/// compact JSON body — without touching the filesystem: the bytes
+/// [`write_envelope`] lands atomically in a file.
+pub fn encode_envelope(kind: &str, payload: &Value) -> Vec<u8> {
+    encode_envelope_with(kind, payload.json_len_hint(), |out| payload.write_json(out))
 }
 
 /// Verifies and parses envelope text produced by [`encode_envelope`].
@@ -115,21 +125,21 @@ pub fn decode_envelope(text: &str, kind: &str, source: &str) -> Result<Value, St
 /// never observe a partially written `path`. This is the primitive under
 /// [`write_envelope`], exported for small non-envelope artifacts that
 /// need the same guarantee (e.g. `experiments serve --port-file`).
-pub fn write_atomic(path: &Path, text: &str) -> Result<(), StoreError> {
+pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), StoreError> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, &e))?;
         }
     }
     let tmp = path.with_extension("tmp");
-    fs::write(&tmp, text).map_err(|e| StoreError::io(&tmp, &e))?;
+    fs::write(&tmp, contents).map_err(|e| StoreError::io(&tmp, &e))?;
     fs::rename(&tmp, path).map_err(|e| StoreError::io(path, &e))
 }
 
 /// Serializes `payload` under a `kind`-tagged, checksummed header and
 /// writes it atomically (temp file + rename) to `path`.
 pub fn write_envelope(path: &Path, kind: &str, payload: &Value) -> Result<(), StoreError> {
-    write_atomic(path, &encode_envelope(kind, payload))
+    write_atomic(path, encode_envelope(kind, payload))
 }
 
 /// Reads, verifies, and parses an envelope written by
@@ -174,7 +184,7 @@ mod tests {
         let body = payload().to_json();
         let crc = envelope_checksum(body.as_bytes());
         let want = format!("fedl-store v2 kind=test crc={crc:016x}\n{body}");
-        assert_eq!(encode_envelope("test", &payload()), want);
+        assert_eq!(encode_envelope("test", &payload()), want.into_bytes());
     }
 
     #[test]
@@ -197,7 +207,7 @@ mod tests {
                 let body = payload.to_json();
                 let crc = envelope_checksum(body.as_bytes());
                 let want = format!("fedl-store v2 kind=test crc={crc:016x}\n{body}");
-                assert_eq!(encode_envelope("test", &payload), want, "{s:?}");
+                assert_eq!(encode_envelope("test", &payload), want.as_bytes(), "{s:?}");
                 assert_eq!(decode_envelope(&want, "test", "test").unwrap(), payload);
             }
         }

@@ -37,6 +37,7 @@ pub use cache::ResultCache;
 pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 pub use checksum::{content_address, envelope_checksum, fnv1a64};
 pub use envelope::{
-    decode_envelope, encode_envelope, read_envelope, write_atomic, write_envelope, FORMAT_VERSION,
+    decode_envelope, encode_envelope, encode_envelope_with, read_envelope, write_atomic,
+    write_envelope, FORMAT_VERSION,
 };
 pub use error::StoreError;

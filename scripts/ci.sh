@@ -362,8 +362,10 @@ stage_perf() {
     # comparator"): the largest layer of a tracked served epoch.
     require_kernels core/regret_record_80
     # The dist column codec (docs/DIST.md, "Packed columns"): one 40k-row
-    # context part through encode_frame + decode_frame.
-    require_kernels wire/context_part_40k
+    # context part through encode_frame + decode_frame, and each half on
+    # its own (the worker's reply encode, the coordinator's decode).
+    require_kernels wire/context_part_40k wire/encode_context_part_40k \
+        wire/decode_context_part_40k
     # The envelope's body checksum over that frame's 1.7 MB body, beside
     # the FNV-1a/64 envelope v1 used (docs/CHECKPOINT.md).
     require_kernels store/envelope_checksum_1m7 store/fnv1a64_1m7
