@@ -33,14 +33,17 @@ pub fn arrival_count(seed: u64, lambda: f64, epoch: usize) -> usize {
 
 /// [`arrival_count`] for [`LANES`] streams at once: lane `i` is
 /// `arrival_count(seeds[i], lambdas[i], epoch)`, drawn by
-/// [`Poisson::sample_lanes`] in lockstep.
+/// [`Poisson::sample_lanes`] in lockstep. `limits[i]` is
+/// [`Poisson::last_chunk_limit`] of `lambdas[i]`, computed once per
+/// client by the caller.
 pub fn arrival_count_lanes(
     seeds: &[u64; LANES],
     lambdas: &[f64; LANES],
+    limits: &[f64; LANES],
     epoch: usize,
 ) -> [usize; LANES] {
     let mut rng = XoshiroLanes::new(seeds, 0x57EA ^ (epoch as u64));
-    let counts = Poisson::sample_lanes(lambdas, &mut rng);
+    let counts = Poisson::sample_lanes(lambdas, limits, &mut rng);
     std::array::from_fn(|i| (counts[i] as usize).clamp(1, max_batch(lambdas[i])))
 }
 

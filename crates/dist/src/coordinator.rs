@@ -213,50 +213,66 @@ impl Coordinator {
         self.workers[i].link.recv_reply()
     }
 
-    /// Hello + ShardAssign + ShardReady against worker `i`, verifying
-    /// the protocol version, the echoed shard bounds, and that the
-    /// worker's deployment fingerprint matches ours.
-    fn handshake(&mut self, i: usize) -> Result<(), String> {
+    /// Hello + ShardAssign + ShardReady against the workers `ids`,
+    /// verifying the protocol version, the echoed shard bounds, and that
+    /// each worker's deployment fingerprint matches ours. Each step is
+    /// broadcast — sent to every worker before any reply is read, the
+    /// replies then checked in shard order — so the workers build their
+    /// shards concurrently.
+    fn handshake(&mut self, ids: Range<usize>) -> Result<(), String> {
         let hello =
             Message::Hello { protocol_version: PROTOCOL_VERSION, node: "fedl-dist".to_string() };
-        match self.rpc(i, &hello).map_err(|e| format!("worker {i} handshake: {e}"))? {
-            Message::Hello { protocol_version: PROTOCOL_VERSION, .. } => {}
-            Message::Hello { protocol_version, .. } => {
-                return Err(format!(
-                    "worker {i} speaks protocol v{protocol_version}, this coordinator v{PROTOCOL_VERSION}"
-                ))
-            }
-            other => return Err(format!("worker {i} answered the hello with {other:?}")),
+        let fail = |i: usize, step: &'static str| {
+            move |e: ProtocolError| format!("worker {i} {step}: {e}")
+        };
+        for i in ids.clone() {
+            self.workers[i].link.send(&hello).map_err(fail(i, "handshake"))?;
         }
-        let assign = self.assign_msg(i);
-        let want = self.workers[i].shard.clone();
-        match self.rpc(i, &assign).map_err(|e| format!("worker {i} assignment: {e}"))? {
-            Message::ShardReady { shard_start, shard_end, fingerprint } => {
-                if shard_start != want.start || shard_end != want.end {
+        for i in ids.clone() {
+            match self.workers[i].link.recv_reply().map_err(fail(i, "handshake"))? {
+                Message::Hello { protocol_version: PROTOCOL_VERSION, .. } => {}
+                Message::Hello { protocol_version, .. } => {
                     return Err(format!(
-                        "worker {i} acknowledged shard {shard_start}..{shard_end}, expected \
-                         {}..{}",
-                        want.start, want.end
-                    ));
+                        "worker {i} speaks protocol v{protocol_version}, this coordinator v{PROTOCOL_VERSION}"
+                    ))
                 }
-                let ours = self.config.fingerprint();
-                if fingerprint != ours {
-                    return Err(format!(
-                        "worker {i} runs a different deployment (fingerprint {fingerprint}, \
-                         coordinator {ours})"
-                    ));
-                }
+                other => return Err(format!("worker {i} answered the hello with {other:?}")),
             }
-            other => return Err(format!("worker {i} refused its assignment: {other:?}")),
         }
-        self.telemetry.emit(
-            "dist.assign",
-            vec![
-                ("worker", Value::from(i)),
-                ("shard_start", Value::from(want.start)),
-                ("shard_end", Value::from(want.end)),
-            ],
-        );
+        for i in ids.clone() {
+            let assign = self.assign_msg(i);
+            self.workers[i].link.send(&assign).map_err(fail(i, "assignment"))?;
+        }
+        let ours = self.config.fingerprint();
+        for i in ids {
+            let want = self.workers[i].shard.clone();
+            match self.workers[i].link.recv_reply().map_err(fail(i, "assignment"))? {
+                Message::ShardReady { shard_start, shard_end, fingerprint } => {
+                    if shard_start != want.start || shard_end != want.end {
+                        return Err(format!(
+                            "worker {i} acknowledged shard {shard_start}..{shard_end}, expected \
+                             {}..{}",
+                            want.start, want.end
+                        ));
+                    }
+                    if fingerprint != ours {
+                        return Err(format!(
+                            "worker {i} runs a different deployment (fingerprint {fingerprint}, \
+                             coordinator {ours})"
+                        ));
+                    }
+                }
+                other => return Err(format!("worker {i} refused its assignment: {other:?}")),
+            }
+            self.telemetry.emit(
+                "dist.assign",
+                vec![
+                    ("worker", Value::from(i)),
+                    ("shard_start", Value::from(want.start)),
+                    ("shard_end", Value::from(want.end)),
+                ],
+            );
+        }
         Ok(())
     }
 
@@ -273,7 +289,7 @@ impl Coordinator {
         let mut last = why.to_string();
         for _ in 0..self.max_resets {
             match self.workers[i].link.reset() {
-                Ok(()) => match self.handshake(i) {
+                Ok(()) => match self.handshake(i..i + 1) {
                     Ok(()) => return Ok(()),
                     Err(e) => last = e,
                 },
@@ -354,9 +370,7 @@ impl Coordinator {
     /// the crate's determinism tests and the `dist` CI stage.
     pub fn run(&mut self, opts: &DistOptions) -> Result<DistReport, String> {
         self.max_resets = opts.max_resets;
-        for i in 0..self.workers.len() {
-            self.handshake(i)?;
-        }
+        self.handshake(0..self.workers.len())?;
         // `build_untracked`: the regret tracker's hindsight solve costs
         // more than the epoch itself at 100k+ clients, and the dist
         // layer never plots regret curves. Selections are bit-identical

@@ -533,6 +533,14 @@ impl Poisson {
         (full, rest)
     }
 
+    /// `exp(−rest)` of this rate's chunk split: the product its last
+    /// chunk's Knuth chain runs down to. It depends on λ alone, so a
+    /// caller that draws one rate epoch after epoch computes it once and
+    /// hands it to [`Self::sample_lanes`].
+    pub fn last_chunk_limit(&self) -> f64 {
+        (-Self::chunks(self.lambda).1).exp()
+    }
+
     /// `Poisson::new(lambdas[i]).sample(..)` on lane `i`'s stream, for
     /// every lane at once: the Knuth chains run in lockstep, one
     /// [`XoshiroLanes`] step per link, and a lane whose chunk ends starts
@@ -541,16 +549,24 @@ impl Poisson {
     /// stepping until the longest chain ends, so the generator's state
     /// afterwards is not the scalar one; only the counts are.
     ///
+    /// `rest_limit[i]` is lane `i`'s
+    /// [`last_chunk_limit`](Self::last_chunk_limit); the number of full
+    /// chunks before it is split off `lambdas[i]` here, with no libm call.
+    ///
     /// # Panics
     /// Panics if any rate is not finite and positive.
-    pub fn sample_lanes(lambdas: &[f64; LANES], rng: &mut XoshiroLanes) -> [u64; LANES] {
-        let mut full = [0u64; LANES];
-        let mut rest_limit = [0.0; LANES];
-        for i in 0..LANES {
-            let rest;
-            (full[i], rest) = Self::chunks(Poisson::new(lambdas[i]).lambda);
-            rest_limit[i] = (-rest).exp();
-        }
+    pub fn sample_lanes(
+        lambdas: &[f64; LANES],
+        rest_limit: &[f64; LANES],
+        rng: &mut XoshiroLanes,
+    ) -> [u64; LANES] {
+        let full = lambdas.map(|lambda| Self::chunks(Poisson::new(lambda).lambda).0);
+        debug_assert!(
+            (0..LANES).all(|i| {
+                rest_limit[i].to_bits() == Poisson::new(lambdas[i]).last_chunk_limit().to_bits()
+            }),
+            "a lane's limit is not its rate's last_chunk_limit"
+        );
         let mut product = [1.0f64; LANES];
         let mut count = [0u64; LANES];
         // `1.0 · u` is `u`: a chunk opened with a product of one reads its

@@ -35,10 +35,17 @@ fn every_lane_is_the_scalar_stream_of_its_root() {
     }
 }
 
+/// Each rate's `last_chunk_limit`: what `sample_lanes` takes beside the
+/// rates.
+fn limits(lambdas: &[f64; LANES]) -> [f64; LANES] {
+    lambdas.map(|lambda| Poisson::new(lambda).last_chunk_limit())
+}
+
 /// `sample_lanes` on sixteen roots at rates `lambdas` against sixteen
 /// scalar samples of the same streams.
 fn assert_lanes_sample_as_scalar(roots: &[u64; LANES], lambdas: &[f64; LANES], label: u64) {
-    let got = Poisson::sample_lanes(lambdas, &mut XoshiroLanes::new(roots, label));
+    let got =
+        Poisson::sample_lanes(lambdas, &limits(lambdas), &mut XoshiroLanes::new(roots, label));
     for i in 0..LANES {
         let want = Poisson::new(lambdas[i]).sample(&mut rng_for(roots[i], label));
         assert_eq!(got[i] as f64, want, "lane {i}: λ = {} root {:#x}", lambdas[i], roots[i]);
@@ -87,9 +94,24 @@ fn lockstep_poisson_equals_the_scalar_sampler_lane_by_lane() {
 }
 
 #[test]
+fn lockstep_poisson_with_hoisted_limits_equals_the_scalar_sampler() {
+    // Whole groups at one and at three chunks' worth, each lane its own
+    // stream, each limit the value a population's `arrival_limit`
+    // column holds for that rate.
+    let mut pick = rng_for(0x1C, 0);
+    for lambda in [30.0, 90.0] {
+        for group in 0..400u64 {
+            let roots: [u64; LANES] = std::array::from_fn(|_| pick.next_u64());
+            assert_lanes_sample_as_scalar(&roots, &[lambda; LANES], 0x57EA ^ group);
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "Poisson requires")]
 fn lockstep_poisson_refuses_a_bad_rate_like_the_scalar_one() {
     let mut lambdas = [4.0; LANES];
     lambdas[9] = 0.0;
-    Poisson::sample_lanes(&lambdas, &mut XoshiroLanes::new(&[1; LANES], 2));
+    let limits = [Poisson::new(4.0).last_chunk_limit(); LANES];
+    Poisson::sample_lanes(&lambdas, &limits, &mut XoshiroLanes::new(&[1; LANES], 2));
 }

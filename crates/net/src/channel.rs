@@ -66,7 +66,16 @@ impl ChannelModel {
     /// `shadow_db`: what [`Self::sample_gain`] returns for that draw.
     #[inline]
     pub fn gain_from_shadow(&self, distance_m: f64, shadow_db: f64) -> f64 {
-        let loss_db = self.path_loss_db(distance_m) + shadow_db;
+        self.gain_from_loss(self.path_loss_db(distance_m), shadow_db)
+    }
+
+    /// The linear gain `10^(−(L + s)/10)` under a path loss of
+    /// `path_loss_db` (a [`Self::path_loss_db`] value) and a shadowing
+    /// draw of `shadow_db` — for callers that hold the path loss of a
+    /// fixed distance instead of recomputing it per draw.
+    #[inline]
+    pub fn gain_from_loss(&self, path_loss_db: f64, shadow_db: f64) -> f64 {
+        let loss_db = path_loss_db + shadow_db;
         10f64.powf(-loss_db / 10.0)
     }
 

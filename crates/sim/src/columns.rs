@@ -19,9 +19,11 @@
 //! (`tests/oracle`), held bit-identical by `tests/lane_parity.rs` and
 //! `tests/columnar_parity.rs` here and in `fedl-core`.
 
+use std::ops::Range;
+
 use fedl_data::stream::arrival_count_lanes;
 use fedl_linalg::par::par_chunks_grained;
-use fedl_linalg::rng::{derive_seed, rng_for, Rng, XoshiroLanes, LANES};
+use fedl_linalg::rng::{derive_seed, rng_for, Distribution, Poisson, Rng, XoshiroLanes, LANES};
 use fedl_net::{ChannelModel, ClientRadio};
 
 use crate::config::{AvailabilityModel, EnvConfig};
@@ -37,9 +39,11 @@ pub const REALIZE_CHUNK: usize = 16 * 1024;
 /// The static client population as parallel columns (struct-of-arrays).
 ///
 /// Row `k` across all columns describes client `k`; every column has
-/// length [`ClientColumns::len`]. At one million clients the store costs
-/// 48 bytes/client ≈ 48 MB (see docs/SCALE.md for the full memory
-/// budget).
+/// length [`ClientColumns::len`]. Two columns are per-client constants of
+/// the realization, computed here once instead of every epoch: the path
+/// loss of the fixed distance and the Poisson limit of the fixed rate.
+/// At one million clients the store costs 64 bytes/client ≈ 64 MB (see
+/// docs/SCALE.md for the full memory budget).
 ///
 /// ```
 /// use fedl_sim::{ClientColumns, EnvConfig};
@@ -57,6 +61,9 @@ pub const REALIZE_CHUNK: usize = 16 * 1024;
 pub struct ClientColumns {
     /// Distance from the server in metres.
     pub distance_m: Vec<f64>,
+    /// Path loss at that distance in dB,
+    /// [`ChannelModel::path_loss_db`]`(distance_m)`.
+    pub path_loss_db: Vec<f64>,
     /// Base channel gain drawn at creation (used when the channel is not
     /// time-varying).
     pub base_gain: Vec<f64>,
@@ -66,6 +73,9 @@ pub struct ClientColumns {
     pub cpu_hz: Vec<f64>,
     /// Mean Poisson data-arrival rate λ.
     pub lambda: Vec<f64>,
+    /// The limit of λ's last Poisson chunk,
+    /// [`Poisson::last_chunk_limit`] (`exp(−rest)`).
+    pub arrival_limit: Vec<f64>,
     /// Per-client root seed for epoch draws and the data stream.
     pub seed: Vec<u64>,
     /// Transmit power in dBm (constant across the population, §6.1).
@@ -78,14 +88,19 @@ impl ClientColumns {
     /// Consumes the shared population RNG (`rng_for(config.seed,
     /// 0xC11E)`) client by client: placement, base gain, cycles/bit, CPU
     /// frequency, arrival rate.
+    ///
+    /// # Panics
+    /// Panics if a drawn arrival rate is not finite and positive.
     pub fn build(config: &EnvConfig, channel: &ChannelModel) -> Self {
         let m = config.num_clients;
         let mut cols = ClientColumns {
             distance_m: Vec::with_capacity(m),
+            path_loss_db: Vec::with_capacity(m),
             base_gain: Vec::with_capacity(m),
             cycles_per_bit: Vec::with_capacity(m),
             cpu_hz: Vec::with_capacity(m),
             lambda: Vec::with_capacity(m),
+            arrival_limit: Vec::with_capacity(m),
             seed: Vec::with_capacity(m),
             tx_power_dbm: config.tx_power_dbm,
         };
@@ -96,12 +111,19 @@ impl ClientColumns {
             // Uniform placement over the disk: sqrt for area uniformity.
             let r = config.cell_radius_m * rng.gen::<f64>().sqrt();
             let distance_m = r.max(channel.min_distance_m);
+            // `sample_gain(distance_m, ..)`, keeping the path loss it
+            // computes.
+            let path_loss_db = channel.path_loss_db(distance_m);
+            let shadow_db = channel.shadowing().sample(&mut rng);
             cols.distance_m.push(distance_m);
-            cols.base_gain.push(channel.sample_gain(distance_m, &mut rng));
+            cols.path_loss_db.push(path_loss_db);
+            cols.base_gain.push(channel.gain_from_loss(path_loss_db, shadow_db));
             cols.cycles_per_bit
                 .push(rng.gen_range(config.cycles_per_bit_range.0..=config.cycles_per_bit_range.1));
             cols.cpu_hz.push(rng.gen_range(config.cpu_hz_range.0..=config.cpu_hz_range.1));
-            cols.lambda.push(rng.gen_range(config.lambda_range.0..=config.lambda_range.1));
+            let lambda = rng.gen_range(config.lambda_range.0..=config.lambda_range.1);
+            cols.lambda.push(lambda);
+            cols.arrival_limit.push(Poisson::new(lambda).last_chunk_limit());
             cols.seed.push(derive_seed(config.seed, 0xC11E_0000 + id as u64));
         }
         cols
@@ -138,13 +160,17 @@ impl ClientColumns {
     }
 
     /// Realizes epoch `t` for the contiguous id range `shard` only, into
-    /// a caller-owned buffer: `out`'s columns are resized and overwritten
-    /// in place, so once `out` is warm (one prior call at this population
-    /// size) a steady-state epoch loop allocates nothing.
+    /// a caller-owned buffer: `out`'s columns are allocated zeroed once
+    /// per population size and overwritten in place, so once `out` is
+    /// warm (one prior call at this population size) a steady-state epoch
+    /// loop allocates nothing.
     ///
     /// Columns come back full-length (so downstream kernels keep global
-    /// indexing), with rows outside `shard` reset to their inert defaults
-    /// (`available = false`, zero cost/gain/volume) on every call.
+    /// indexing), with rows outside `shard` at their inert defaults
+    /// (`available = false`, zero cost/gain/volume) on every call. Only
+    /// the shard's rows and the rows the previous call wrote outside it
+    /// are touched, so a window that realizes one shard of a large
+    /// population keeps only that shard's rows resident.
     /// Clients are realized [`LANES`] at a time, groups in parallel over
     /// contiguous runs above [`REALIZE_CHUNK`] clients; because every
     /// client's draws are independently seeded, neither the grouping,
@@ -195,14 +221,7 @@ impl ClientColumns {
             "shard {shard:?} out of bounds for population of {m}"
         );
         out.epoch = epoch;
-        out.available.clear();
-        out.available.resize(m, false);
-        out.cost.clear();
-        out.cost.resize(m, 0.0);
-        out.gain.clear();
-        out.gain.resize(m, 0.0);
-        out.data_volume.clear();
-        out.data_volume.resize(m, 0);
+        out.keep_only(m, &shard);
         if shard.is_empty() {
             return;
         }
@@ -279,12 +298,17 @@ impl ClientColumns {
             let (a, b) = (rng.next_f64(), rng.next_f64());
             std::array::from_fn(|i| {
                 let shadow = shadowing.from_uniforms(a[i], b[i]);
-                channel.gain_from_shadow(self.distance_m[ids[i]], shadow)
+                channel.gain_from_loss(self.path_loss_db[ids[i]], shadow)
             })
         } else {
             ids.map(|k| self.base_gain[k])
         };
-        let volume = arrival_count_lanes(&seeds, &ids.map(|k| self.lambda[k]), epoch);
+        let volume = arrival_count_lanes(
+            &seeds,
+            &ids.map(|k| self.lambda[k]),
+            &ids.map(|k| self.arrival_limit[k]),
+            epoch,
+        );
         (on, cost, gain, volume.map(|v| v as u32))
     }
 }
@@ -310,7 +334,9 @@ pub struct EpochClientView {
 /// One epoch's realization of the time axis for the whole population,
 /// as parallel columns aligned with [`ClientColumns`]. The `Default`
 /// value is an empty realization — a valid `*_into` target whose
-/// buffers are sized on first use.
+/// buffers are sized on first use. A realization into these columns
+/// resets only the rows the previous one wrote, so rows outside those
+/// are expected to stay inert between the two.
 #[derive(Debug, Clone, Default)]
 pub struct EpochColumns {
     /// The realized epoch index `t`.
@@ -323,9 +349,42 @@ pub struct EpochColumns {
     pub gain: Vec<f64>,
     /// Data volume `D_{t,k}` (freshly arrived samples).
     pub data_volume: Vec<u32>,
+    /// The rows the last realization into these columns wrote; `None`
+    /// when that is not known (a value not built by a realization), so
+    /// any row may be live.
+    written: Option<Range<usize>>,
 }
 
 impl EpochColumns {
+    /// Readies the columns for a realization of `shard` out of `m` rows:
+    /// every row outside `shard` inert, touching only rows the last
+    /// realization wrote. Columns of another length are replaced by
+    /// zeroed ones, whose untouched pages stay unmapped; of the rows
+    /// written last time, those outside `shard` are reset. The caller
+    /// then writes every row of `shard`.
+    fn keep_only(&mut self, m: usize, shard: &Range<usize>) {
+        let lengths =
+            [self.available.len(), self.cost.len(), self.gain.len(), self.data_volume.len()];
+        if lengths != [m; 4] {
+            self.available = vec![false; m];
+            self.cost = vec![0.0; m];
+            self.gain = vec![0.0; m];
+            self.data_volume = vec![0; m];
+            self.written = Some(0..0);
+        }
+        let written = self.written.replace(shard.clone()).unwrap_or(0..m);
+        let stale = [
+            written.start..written.end.min(shard.start),
+            written.start.max(shard.end)..written.end,
+        ];
+        for rows in stale.into_iter().filter(|rows| rows.start < rows.end) {
+            self.available[rows.clone()].fill(false);
+            self.cost[rows.clone()].fill(0.0);
+            self.gain[rows.clone()].fill(0.0);
+            self.data_volume[rows].fill(0);
+        }
+    }
+
     /// Ids of the available clients, ascending (`E_t`).
     pub fn available_ids(&self) -> Vec<usize> {
         (0..self.available.len()).filter(|&k| self.available[k]).collect()
@@ -464,6 +523,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn path_loss_column_is_the_channel_path_loss_of_each_distance() {
+        // A 20 m cell puts about a quarter of the clients inside the
+        // 10 m near field, where the distance is clamped.
+        let (mut config, channel) = setup(400, 16);
+        config.cell_radius_m = 20.0;
+        let cols = ClientColumns::build(&config, &channel);
+        let clamped = cols.distance_m.iter().filter(|&&d| d == channel.min_distance_m).count();
+        assert!((50..200).contains(&clamped), "{clamped} of 400 clamped");
+        for k in 0..cols.len() {
+            let want = channel.path_loss_db(cols.distance_m[k]);
+            assert_eq!(cols.path_loss_db[k].to_bits(), want.to_bits(), "client {k}");
+        }
+    }
+
+    #[test]
+    fn arrival_limit_column_is_the_last_chunk_of_each_rate() {
+        let channel = ChannelModel::default();
+        // λ and the rest its 30-wide chunk split leaves, at the edges.
+        for (lambda, rest) in
+            [(29.5f64, 29.5f64), (30.0, 30.0), (30.5, 0.5), (60.0, 30.0), (61.0, 1.0)]
+        {
+            let mut config = EnvConfig::small(20, 17);
+            config.lambda_range = (lambda, lambda);
+            let cols = ClientColumns::build(&config, &channel);
+            for k in 0..cols.len() {
+                assert_eq!(cols.lambda[k], lambda);
+                assert_eq!(
+                    cols.arrival_limit[k].to_bits(),
+                    (-rest).exp().to_bits(),
+                    "λ = {lambda}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_reused_across_shards_matches_fresh_realizations() {
+        let (config, channel) = setup(100, 18);
+        let cols = ClientColumns::build(&config, &channel);
+        // Disjoint both ways, nested both ways, overlapping, empty.
+        let pairs = [
+            (0..40usize, 60..100usize),
+            (60..100, 0..40),
+            (0..100, 30..70),
+            (30..70, 0..100),
+            (10..50, 35..90),
+            (35..90, 10..50),
+            (20..80, 50..50),
+            (50..50, 20..80),
+        ];
+        for (epoch, (a, b)) in pairs.into_iter().enumerate() {
+            let mut reused = EpochColumns::default();
+            cols.epoch_columns_partial_into(epoch, &config, &channel, a.clone(), &mut reused);
+            cols.epoch_columns_partial_into(epoch + 1, &config, &channel, b.clone(), &mut reused);
+            let mut fresh = EpochColumns::default();
+            cols.epoch_columns_partial_into(epoch + 1, &config, &channel, b.clone(), &mut fresh);
+            assert_eq!(reused.epoch, epoch + 1);
+            assert_eq!(reused.available, fresh.available, "{a:?} then {b:?}");
+            assert_eq!(reused.data_volume, fresh.data_volume, "{a:?} then {b:?}");
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused.cost), bits(&fresh.cost), "{a:?} then {b:?}");
+            assert_eq!(bits(&reused.gain), bits(&fresh.gain), "{a:?} then {b:?}");
+            for k in (0..100).filter(|k| !b.contains(k)) {
+                assert!(!reused.available[k] && reused.data_volume[k] == 0, "row {k} live");
+                assert!(reused.cost[k] == 0.0 && reused.gain[k] == 0.0, "row {k} live");
+            }
+        }
+        // Columns not written by a realization: every row may be live.
+        let mut handmade = EpochColumns {
+            available: vec![true; 100],
+            cost: vec![1.0; 100],
+            gain: vec![1.0; 100],
+            data_volume: vec![1; 100],
+            ..EpochColumns::default()
+        };
+        cols.epoch_columns_partial_into(3, &config, &channel, 40..60, &mut handmade);
+        let mut fresh = EpochColumns::default();
+        cols.epoch_columns_partial_into(3, &config, &channel, 40..60, &mut fresh);
+        assert_eq!(handmade.available, fresh.available);
+        assert_eq!(handmade.cost, fresh.cost);
+        assert_eq!(handmade.gain, fresh.gain);
+        assert_eq!(handmade.data_volume, fresh.data_volume);
     }
 
     #[test]

@@ -392,17 +392,29 @@ require_kernels() {
 # kernels leave out and which used to cost ~14x everything they time.
 # The lane-group realization is then held to the scalar oracle over the
 # release-mode sweep (over a million client-epochs; a debug build of the
-# same test runs a small one), and the count it prints is the stage note.
+# same test runs a small one), and the tests that pin the realization
+# window and the lockstep Poisson sampler run in release beside it: the
+# sweep's count and each binary's pass count are the stage note.
 stage_scale() {
     require_kernels scale/score_update_10k scale/rounding_10k scale/epoch_realize_10k \
         solve/descend_10k
     local log=target/ci_scale_lane_parity.txt
-    cargo test --release --offline -p fedl-sim --test lane_parity -- --nocapture 2>&1 \
-        | tee "$log"
-    local compared
+    cargo test --release --offline -p fedl-sim --test lane_parity --test columnar_parity \
+        --test window --test alloc_free -- --nocapture 2>&1 | tee "$log"
+    cargo test --release --offline -p fedl-linalg --test lanes 2>&1 | tee -a "$log"
+    local compared passes
     compared=$(grep -o '^[0-9]* client-epochs' "$log") \
         || { echo "lane parity sweep printed no client-epoch count" >&2; exit 1; }
-    CI_STAGE_NOTE="lane parity: $compared"
+    # `Running tests/window.rs (…)` names the binary the next
+    # `test result:` line belongs to.
+    passes=$(awk '
+        $1 == "Running" { bin = $2; sub(/^.*\//, "", bin); sub(/\.rs$/, "", bin) }
+        $1 == "test" && $2 == "result:" { out = out sep bin " " $4; sep = ", " }
+        END { print out }
+    ' "$log")
+    [ "$(grep -c '^test result: ok' "$log")" -eq 5 ] \
+        || { echo "expected five passing test binaries in $log" >&2; exit 1; }
+    CI_STAGE_NOTE="lane parity: $compared; passed: $passes"
 }
 
 # Federation service (docs/SERVE.md): a real loadgen round-trip over
