@@ -298,7 +298,6 @@ mod tests {
     #[test]
     fn hint_and_truth_differ_when_the_channel_moves() {
         let (config, channel, cols) = setup(60, 22);
-        assert!(config.time_varying_channel, "small config should vary the channel");
         let e0 = cols.epoch_columns(0, &config, &channel);
         let e1 = cols.epoch_columns(1, &config, &channel);
         let latency = LatencyModel::paper_defaults(config.upload_bits, 64.0);

@@ -269,10 +269,6 @@ impl ScenarioConfig {
                 ("kind", Value::from("principal-mix")),
                 ("principal_frac", Value::Float(principal_frac)),
             ]),
-            Partition::Shards => obj(vec![("kind", Value::from("shards"))]),
-            Partition::Dirichlet { alpha } => {
-                obj(vec![("kind", Value::from("dirichlet")), ("alpha", Value::Float(alpha))])
-            }
         };
         let model = match &self.model {
             ModelArch::Linear { l2 } => {

@@ -30,25 +30,13 @@ pub enum Partition {
         /// in `(0, 1]`.
         principal_frac: f64,
     },
-    /// Classic shard-based split (McMahan et al.): sort by label, cut into
-    /// `2M` shards, give each client two — every client sees ~2 classes.
-    Shards,
-    /// Dirichlet label skew (Hsu et al.): each client's label
-    /// distribution is drawn from `Dir(α·1)`; small `α` is extremely
-    /// non-IID, large `α` approaches IID. The de-facto standard non-IID
-    /// benchmark knob in the FL literature, provided as an extension
-    /// beyond the paper's principal-mix scheme.
-    Dirichlet {
-        /// Concentration parameter α > 0.
-        alpha: f64,
-    },
 }
 
 impl Partition {
     /// Splits `dataset` into `num_clients` index pools.
     ///
-    /// Every sample index appears in exactly one pool for [`Partition::Iid`]
-    /// and [`Partition::Shards`]; `PrincipalMix` samples with replacement
+    /// Every sample index appears in exactly one pool for
+    /// [`Partition::Iid`]; `PrincipalMix` samples with replacement
     /// (clients may share samples), matching "randomly select the
     /// remaining data from another \[dataset\]".
     ///
@@ -101,69 +89,6 @@ impl Partition {
                         pool
                     })
                     .collect()
-            }
-            Partition::Shards => {
-                let mut idx: Vec<usize> = (0..dataset.len()).collect();
-                idx.sort_by_key(|&i| dataset.labels[i]);
-                let num_shards = 2 * num_clients;
-                let shard_len = (dataset.len() / num_shards).max(1);
-                let mut shards: Vec<Vec<usize>> =
-                    idx.chunks(shard_len).map(|c| c.to_vec()).collect();
-                shards.shuffle(&mut rng);
-                let mut pools = vec![Vec::new(); num_clients];
-                for (i, shard) in shards.into_iter().enumerate() {
-                    pools[i % num_clients].extend(shard);
-                }
-                pools
-            }
-            Partition::Dirichlet { alpha } => {
-                assert!(alpha > 0.0, "Dirichlet alpha must be positive, got {alpha}");
-                // For each class, split its samples across clients with
-                // proportions ~ Dir(alpha): draw Gamma(alpha, 1) per
-                // client and normalize.
-                use fedl_linalg::rng::{Distribution, Gamma};
-                let gamma = Gamma::new(alpha, 1.0);
-                let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); dataset.num_classes];
-                for (i, &l) in dataset.labels.iter().enumerate() {
-                    by_class[l].push(i);
-                }
-                let mut pools = vec![Vec::new(); num_clients];
-                for mut class_idx in by_class {
-                    class_idx.shuffle(&mut rng);
-                    let mut weights: Vec<f64> =
-                        (0..num_clients).map(|_| gamma.sample(&mut rng).max(1e-12)).collect();
-                    let total: f64 = weights.iter().sum();
-                    for w in &mut weights {
-                        *w /= total;
-                    }
-                    // Convert proportions to cumulative cut points.
-                    let n = class_idx.len();
-                    let mut start = 0usize;
-                    let mut acc = 0.0;
-                    for (client, &w) in weights.iter().enumerate() {
-                        acc += w;
-                        let end = if client + 1 == num_clients {
-                            n
-                        } else {
-                            ((acc * n as f64).round() as usize).clamp(start, n)
-                        };
-                        pools[client].extend_from_slice(&class_idx[start..end]);
-                        start = end;
-                    }
-                }
-                // Guarantee no client is left empty (the simulator
-                // requires every client to own data): give empty pools
-                // one sample from the largest pool.
-                for k in 0..num_clients {
-                    if pools[k].is_empty() {
-                        let donor = (0..num_clients)
-                            .max_by_key(|&j| pools[j].len())
-                            .expect("at least one pool");
-                        let sample = pools[donor].pop().expect("donor non-empty");
-                        pools[k].push(sample);
-                    }
-                }
-                pools
             }
         }
     }
@@ -225,14 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_split_covers_everything() {
-        let (train, _) = small_fmnist(200, 10, 2);
-        let pools = Partition::Shards.split(&train, 10, 7);
-        let total: usize = pools.iter().map(Vec::len).sum();
-        assert_eq!(total, train.len());
-    }
-
-    #[test]
     fn principal_mix_is_skewed() {
         let (train, _) = small_fmnist(1000, 10, 3);
         let iid = Partition::Iid.split(&train, 10, 5);
@@ -246,20 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn shards_more_skewed_than_iid() {
-        let (train, _) = small_fmnist(1000, 10, 4);
-        let iid = Partition::Iid.split(&train, 20, 6);
-        let shards = Partition::Shards.split(&train, 20, 6);
-        assert!(label_skew(&train, &shards) > label_skew(&train, &iid));
-    }
-
-    #[test]
     fn deterministic_in_seed() {
         let (train, _) = small_fmnist(100, 10, 5);
-        let a = Partition::Shards.split(&train, 5, 9);
-        let b = Partition::Shards.split(&train, 5, 9);
+        let mix = Partition::PrincipalMix { principal_frac: 0.8 };
+        let a = mix.split(&train, 5, 9);
+        let b = mix.split(&train, 5, 9);
         assert_eq!(a, b);
-        let c = Partition::Shards.split(&train, 5, 10);
+        let c = mix.split(&train, 5, 10);
         assert_ne!(a, c);
     }
 
@@ -275,40 +185,5 @@ mod tests {
     fn bad_principal_frac_rejected() {
         let (train, _) = small_fmnist(10, 5, 1);
         let _ = Partition::PrincipalMix { principal_frac: 1.5 }.split(&train, 2, 0);
-    }
-
-    #[test]
-    fn dirichlet_covers_everything_once() {
-        let (train, _) = small_fmnist(600, 10, 7);
-        let pools = Partition::Dirichlet { alpha: 0.5 }.split(&train, 12, 9);
-        let mut seen = vec![false; train.len()];
-        for pool in &pools {
-            assert!(!pool.is_empty(), "no client may be empty");
-            for &i in pool {
-                assert!(!seen[i], "sample {i} assigned twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn dirichlet_alpha_controls_skew() {
-        let (train, _) = small_fmnist(2000, 10, 8);
-        let skew_at = |alpha: f64| {
-            let pools = Partition::Dirichlet { alpha }.split(&train, 15, 11);
-            label_skew(&train, &pools)
-        };
-        let very_skewed = skew_at(0.05);
-        let mild = skew_at(100.0);
-        assert!(very_skewed > mild + 0.2, "alpha must control skew: {very_skewed} vs {mild}");
-        assert!(mild < 0.25, "alpha=100 should be near IID, skew {mild}");
-    }
-
-    #[test]
-    #[should_panic(expected = "Dirichlet alpha")]
-    fn dirichlet_rejects_bad_alpha() {
-        let (train, _) = small_fmnist(20, 5, 1);
-        let _ = Partition::Dirichlet { alpha: 0.0 }.split(&train, 2, 0);
     }
 }

@@ -15,11 +15,9 @@
 //!   [`XoshiroLanes`], [`LANES`] of them stepped in lockstep;
 //! * the [`Rng`] trait — `next_u64`, [`Rng::gen`], [`Rng::gen_range`],
 //!   [`Rng::gen_bool`] — plus [`SliceRandom`] for `shuffle`/`choose`;
-//! * [`Distribution`] samplers: [`Normal`] (Box–Muller), [`Poisson`]
+//! * [`Distribution`] samplers: [`Normal`] (Box–Muller) and [`Poisson`]
 //!   (Knuth product method with splitting for large rates; also
-//!   [`Poisson::sample_lanes`], one chain per lane),
-//!   [`Bernoulli`], [`Exponential`] (inversion), and [`Gamma`]
-//!   (Marsaglia–Tsang squeeze) for Dirichlet partitioning.
+//!   [`Poisson::sample_lanes`], one chain per lane).
 //!
 //! Determinism contract: for a fixed crate version, a fixed seed produces
 //! the same stream on every platform (only integer ops and IEEE-754
@@ -452,11 +450,6 @@ impl Normal {
         Self { mean, std, spare: core::cell::Cell::new(None) }
     }
 
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self::new(0.0, 1.0)
-    }
-
     /// The Box–Muller radius and angle of two uniforms `[0, 1)` drawn in
     /// the order `a`, `b`.
     #[inline]
@@ -634,116 +627,6 @@ impl Distribution<f64> for Poisson {
             }
         }
         total as f64
-    }
-}
-
-/// Bernoulli with success probability `p`.
-#[derive(Debug, Clone, Copy)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Bernoulli(`p`) with `p ∈ [0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]` or NaN.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "Bernoulli requires p in [0,1] (got {p})");
-        Self { p }
-    }
-}
-
-impl Distribution<bool> for Bernoulli {
-    #[inline]
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.next_f64() < self.p
-    }
-}
-
-/// Exponential with rate `λ` (mean `1/λ`), sampled by inversion.
-#[derive(Debug, Clone, Copy)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Exponential with the given positive rate.
-    ///
-    /// # Panics
-    /// Panics if `lambda` is not finite and positive.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda.is_finite() && lambda > 0.0, "Exponential requires λ > 0 (got {lambda})");
-        Self { lambda }
-    }
-}
-
-impl Distribution<f64> for Exponential {
-    #[inline]
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // 1 − U ∈ (0, 1] keeps ln away from zero.
-        -(1.0 - rng.next_f64()).ln() / self.lambda
-    }
-}
-
-/// Gamma with shape `k` and scale `θ`, sampled by the Marsaglia–Tsang
-/// squeeze method (with the `U^{1/k}` boost for shape below one).
-///
-/// Used to draw Dirichlet weights for the non-IID partitioner: a
-/// normalized vector of `Gamma(α, 1)` draws is `Dirichlet(α)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Gamma {
-    shape: f64,
-    scale: f64,
-}
-
-impl Gamma {
-    /// Gamma with positive shape and scale.
-    ///
-    /// # Panics
-    /// Panics if either parameter is not finite and positive.
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(
-            shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0,
-            "Gamma requires positive shape and scale (got {shape}, {scale})"
-        );
-        Self { shape, scale }
-    }
-
-    /// Marsaglia–Tsang for shape ≥ 1.
-    fn sample_large<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
-        let d = shape - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        let normal = Normal::standard();
-        loop {
-            let x = normal.sample(rng);
-            let v = 1.0 + c * x;
-            if v <= 0.0 {
-                continue;
-            }
-            let v3 = v * v * v;
-            let u = 1.0 - rng.next_f64(); // (0, 1]
-                                          // Squeeze, then full acceptance check.
-            if u < 1.0 - 0.0331 * (x * x) * (x * x) {
-                return d * v3;
-            }
-            if u.ln() < 0.5 * x * x + d * (1.0 - v3 + v3.ln()) {
-                return d * v3;
-            }
-        }
-    }
-}
-
-impl Distribution<f64> for Gamma {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let draw = if self.shape >= 1.0 {
-            Self::sample_large(self.shape, rng)
-        } else {
-            // Gamma(k) = Gamma(k + 1) · U^{1/k} for k < 1.
-            let boost = (1.0 - rng.next_f64()).powf(1.0 / self.shape);
-            Self::sample_large(self.shape + 1.0, rng) * boost
-        };
-        draw * self.scale
     }
 }
 
@@ -945,43 +828,6 @@ mod tests {
             assert!((mean - lambda).abs() < tol, "λ={lambda}: mean {mean}");
             assert!((var - lambda).abs() < 20.0 * tol, "λ={lambda}: var {var}");
             assert!(draws.iter().all(|&d| d >= 0.0 && d.fract() == 0.0));
-        }
-    }
-
-    #[test]
-    fn exponential_mean_is_inverse_rate() {
-        let mut rng = rng_for(2, 3);
-        let dist = Exponential::new(2.0);
-        let n = 60_000;
-        let mean = (0..n).map(|_| dist.sample(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches_p() {
-        let mut rng = rng_for(2, 4);
-        let dist = Bernoulli::new(0.3);
-        let n = 60_000;
-        let hits = (0..n).filter(|_| dist.sample(&mut rng)).count();
-        let freq = hits as f64 / n as f64;
-        assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn gamma_moments_match_parameters() {
-        let mut rng = rng_for(2, 5);
-        // Gamma(k, θ): mean kθ, variance kθ².
-        for &(shape, scale) in &[(0.5, 1.0), (2.0, 3.0), (9.0, 0.5)] {
-            let dist = Gamma::new(shape, scale);
-            let n = 60_000;
-            let draws: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
-            let mean = draws.iter().sum::<f64>() / n as f64;
-            let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / (n - 1) as f64;
-            let want_mean = shape * scale;
-            let want_var = shape * scale * scale;
-            assert!((mean - want_mean).abs() < 0.05 * want_mean.max(1.0), "mean {mean}");
-            assert!((var - want_var).abs() < 0.15 * want_var.max(1.0), "var {var}");
-            assert!(draws.iter().all(|&d| d > 0.0));
         }
     }
 }

@@ -26,7 +26,7 @@ use fedl_linalg::par::par_chunks_grained;
 use fedl_linalg::rng::{derive_seed, rng_for, Distribution, Poisson, Rng, XoshiroLanes, LANES};
 use fedl_net::{ChannelModel, ClientRadio};
 
-use crate::config::{AvailabilityModel, EnvConfig};
+use crate::config::EnvConfig;
 
 /// Realization grain: populations at most this large are realized
 /// inline on the caller (zero dispatch); larger ones fan out across the
@@ -64,8 +64,9 @@ pub struct ClientColumns {
     /// Path loss at that distance in dB,
     /// [`ChannelModel::path_loss_db`]`(distance_m)`.
     pub path_loss_db: Vec<f64>,
-    /// Base channel gain drawn at creation (used when the channel is not
-    /// time-varying).
+    /// Channel gain under the shadowing drawn at creation. No realization
+    /// reads it (every epoch re-draws the shadowing); it is kept for the
+    /// benchmark's probes, which read it.
     pub base_gain: Vec<f64>,
     /// Computation cost in cycles per bit.
     pub cycles_per_bit: Vec<f64>,
@@ -191,31 +192,7 @@ impl ClientColumns {
         shard: std::ops::Range<usize>,
         out: &mut EpochColumns,
     ) {
-        self.realize_shard_into(epoch, config, channel, shard, None, out);
-    }
-
-    /// [`Self::epoch_columns_partial_into`], optionally stepping from
-    /// `before` — the realization of epoch `t − 1` over the same `shard`
-    /// — instead of from epoch 0: a Markov availability chain is one
-    /// transition per epoch, so with `t − 1`'s availability column in
-    /// hand each client's state costs one draw, not `t`. The chain's
-    /// draws are keyed by `(seed_k, epoch)` alone, so the stepped and the
-    /// replayed state are the same bits. Only the availability column of
-    /// `before` is read, and only [`AvailabilityModel::Markov`] uses it.
-    pub(crate) fn realize_shard_into(
-        &self,
-        epoch: usize,
-        config: &EnvConfig,
-        channel: &ChannelModel,
-        shard: std::ops::Range<usize>,
-        before: Option<&EpochColumns>,
-        out: &mut EpochColumns,
-    ) {
         let m = self.len();
-        assert!(
-            before.is_none_or(|b| b.epoch + 1 == epoch && b.available.len() == m),
-            "the realization to step from must be epoch {epoch}'s predecessor"
-        );
         assert!(
             shard.start <= shard.end && shard.end <= m,
             "shard {shard:?} out of bounds for population of {m}"
@@ -239,7 +216,7 @@ impl ClientColumns {
             |group, ((on, cost), (gain, volume))| {
                 let first = shard.start + group * LANES;
                 let ids = std::array::from_fn(|i| (first + i).min(shard.end - 1));
-                let drawn = self.realize_lanes(&ids, epoch, before, config, channel);
+                let drawn = self.realize_lanes(&ids, epoch, config, channel);
                 let n = on.len();
                 on.copy_from_slice(&drawn.0[..n]);
                 cost.copy_from_slice(&drawn.1[..n]);
@@ -252,57 +229,28 @@ impl ClientColumns {
     /// Clients `ids`' epoch draws, one per lane — availability, cost,
     /// gain, data volume: the `rng_for(seed_k, 0xE90C ^ t)` lanes give
     /// availability, cost, then the two shadowing uniforms; the
-    /// `0x57EA ^ t` lanes the arrivals. `before` holds epoch `t − 1` when
-    /// the caller has it.
+    /// `0x57EA ^ t` lanes the arrivals.
     #[allow(clippy::type_complexity)]
     fn realize_lanes(
         &self,
         ids: &[usize; LANES],
         epoch: usize,
-        before: Option<&EpochColumns>,
         config: &EnvConfig,
         channel: &ChannelModel,
     ) -> ([bool; LANES], [f64; LANES], [f64; LANES], [u32; LANES]) {
         let seeds = ids.map(|k| self.seed[k]);
         let mut rng = XoshiroLanes::new(&seeds, 0xE90C ^ (epoch as u64));
-        // Markov availability consumes this draw too, so the cost and
-        // channel streams are identical across availability models.
-        let u_on = rng.next_f64();
-        let on = match config.availability {
-            AvailabilityModel::Bernoulli => u_on.map(|u| u < config.p_available),
-            AvailabilityModel::Markov { p_stay_on, p_stay_off } => {
-                // One transition of each chain; every step's draw is a
-                // pure function of (client seed, step).
-                let step = |on: [bool; LANES], e: usize| {
-                    let u = XoshiroLanes::new(&seeds, 0xA40F ^ (e as u64) << 1).next_f64();
-                    std::array::from_fn(
-                        |i| if on[i] { u[i] < p_stay_on } else { u[i] >= p_stay_off },
-                    )
-                };
-                match before {
-                    Some(b) => step(ids.map(|k| b.available[k]), epoch),
-                    // Cold start or jump: replay the chains from epoch 0.
-                    None => {
-                        let start = XoshiroLanes::new(&seeds, 0xA40F).next_f64();
-                        (1..=epoch).fold(start.map(|u| u < config.p_available), step)
-                    }
-                }
-            }
-        };
+        let on = rng.next_f64().map(|u| u < config.p_available);
         // `gen_range(lo..=hi)`, refusals included: `lo + u·(hi − lo)`.
         let (lo, hi) = config.cost_range;
         assert!(lo <= hi, "empty range {lo}..={hi}");
         let cost = rng.next_f64().map(|u| lo + u * (hi - lo));
-        let gain = if config.time_varying_channel {
-            let shadowing = channel.shadowing();
-            let (a, b) = (rng.next_f64(), rng.next_f64());
-            std::array::from_fn(|i| {
-                let shadow = shadowing.from_uniforms(a[i], b[i]);
-                channel.gain_from_loss(self.path_loss_db[ids[i]], shadow)
-            })
-        } else {
-            ids.map(|k| self.base_gain[k])
-        };
+        let shadowing = channel.shadowing();
+        let (a, b) = (rng.next_f64(), rng.next_f64());
+        let gain = std::array::from_fn(|i| {
+            let shadow = shadowing.from_uniforms(a[i], b[i]);
+            channel.gain_from_loss(self.path_loss_db[ids[i]], shadow)
+        });
         let volume = arrival_count_lanes(
             &seeds,
             &ids.map(|k| self.lambda[k]),
@@ -324,8 +272,7 @@ pub struct EpochClientView {
     pub available: bool,
     /// Rental cost `c_{t,k}` (uniform in the configured range).
     pub cost: f64,
-    /// This epoch's radio state (shadowing re-drawn when the channel is
-    /// time-varying).
+    /// This epoch's radio state (shadowing re-drawn every epoch).
     pub radio: ClientRadio,
     /// Data volume `D_{t,k}` (number of freshly arrived samples).
     pub data_volume: usize,
@@ -452,52 +399,6 @@ mod tests {
             (0..200).map(|t| cols.epoch_columns(t, &config, &channel).available_ids().len()).sum();
         let rate = avail as f64 / (200 * cols.len()) as f64;
         assert!((rate - config.p_available).abs() < 0.05, "rate {rate}");
-    }
-
-    #[test]
-    fn frozen_channel_when_not_time_varying() {
-        let (mut config, channel) = setup(3, 6);
-        config.time_varying_channel = false;
-        let cols = ClientColumns::build(&config, &channel);
-        let a = cols.epoch_columns(0, &config, &channel);
-        let b = cols.epoch_columns(9, &config, &channel);
-        assert_eq!(a.gain, b.gain);
-        assert_eq!(a.gain, cols.base_gain);
-    }
-
-    #[test]
-    fn markov_availability_is_deterministic_and_bursty() {
-        let (mut config, channel) = setup(6, 9);
-        config.availability = AvailabilityModel::Markov { p_stay_on: 0.95, p_stay_off: 0.95 };
-        let cols = ClientColumns::build(&config, &channel);
-        let at = |t: usize| cols.epoch_columns(t, &config, &channel).available;
-        // Deterministic across queries, including out-of-order ones.
-        let (late, early) = (at(30), at(5));
-        assert_eq!(at(30), late);
-        assert_eq!(at(5), early);
-        // Bursty: with sticky transitions, consecutive epochs agree far
-        // more often than independent Bernoulli draws would.
-        let path: Vec<Vec<bool>> = (0..80).map(at).collect();
-        let same: usize = path
-            .windows(2)
-            .map(|w| w[0].iter().zip(&w[1]).filter(|(prev, cur)| prev == cur).count())
-            .sum();
-        let agreement = same as f64 / (79 * cols.len()) as f64;
-        assert!(agreement > 0.85, "Markov chain not sticky: agreement {agreement}");
-    }
-
-    #[test]
-    fn markov_and_bernoulli_share_cost_streams() {
-        // Switching the availability model must not perturb the cost or
-        // channel sample paths (everything else stays comparable).
-        let (mut config, channel) = setup(4, 10);
-        let cols = ClientColumns::build(&config, &channel);
-        let bern = cols.epoch_columns(7, &config, &channel);
-        config.availability = AvailabilityModel::Markov { p_stay_on: 0.9, p_stay_off: 0.7 };
-        let markov = cols.epoch_columns(7, &config, &channel);
-        assert_eq!(bern.cost, markov.cost);
-        assert_eq!(bern.gain, markov.gain);
-        assert_eq!(bern.data_volume, markov.data_volume);
     }
 
     #[test]

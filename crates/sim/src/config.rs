@@ -18,47 +18,6 @@ pub enum AggregationNorm {
     Cohort,
 }
 
-/// How client availability evolves over epochs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AvailabilityModel {
-    /// Independent Bernoulli draw each epoch with probability
-    /// `p_available` — the paper's §6.1 setting.
-    Bernoulli,
-    /// Two-state Markov chain (bursty availability: a device that just
-    /// dropped off tends to stay off — battery charging, night time).
-    /// The initial state is Bernoulli(`p_available`).
-    Markov {
-        /// P(on at t+1 | on at t).
-        p_stay_on: f64,
-        /// P(off at t+1 | off at t).
-        p_stay_off: f64,
-    },
-}
-
-impl AvailabilityModel {
-    /// Checks probability ranges, returning the violation as a value.
-    pub fn try_validate(&self) -> Result<(), SimError> {
-        if let AvailabilityModel::Markov { p_stay_on, p_stay_off } = *self {
-            if !(0.0..=1.0).contains(&p_stay_on) || !(0.0..=1.0).contains(&p_stay_off) {
-                return Err(SimError::InvalidConfig(format!(
-                    "Markov probabilities must be in [0, 1]: {p_stay_on}, {p_stay_off}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates probability ranges.
-    ///
-    /// # Panics
-    /// Panics with the [`Self::try_validate`] error message.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-}
-
 /// Client-population tiers of the `scale` scenario family
 /// ([`EnvConfig::scale`], docs/SCALE.md). The tier sets only the
 /// population size; every per-client distribution keeps the paper's
@@ -106,11 +65,9 @@ pub struct EnvConfig {
     pub num_clients: usize,
     /// Cell radius in metres (paper: 500, server at the centre).
     pub cell_radius_m: f64,
-    /// Availability probability per client per epoch (Bernoulli model)
-    /// or the initial on-probability (Markov model).
+    /// Availability probability per client per epoch: each epoch's
+    /// availability is an independent Bernoulli draw (§6.1).
     pub p_available: f64,
-    /// Availability dynamics.
-    pub availability: AvailabilityModel,
     /// Probability that a *selected* client fails mid-epoch (battery
     /// death, connection drop — the paper's §1 motivating uncertainty).
     /// The server aggregates without the casualty; its rent is still
@@ -129,9 +86,6 @@ pub struct EnvConfig {
     pub cycles_per_bit_range: (f64, f64),
     /// Upload payload in bits (model size `s`, constant across clients).
     pub upload_bits: f64,
-    /// Whether shadow fading is re-drawn each epoch (time-varying
-    /// channels) or frozen at client creation.
-    pub time_varying_channel: bool,
     /// Aggregation normalization.
     pub aggregation: AggregationNorm,
     /// Use the min-makespan FDMA bandwidth split
@@ -150,7 +104,6 @@ impl EnvConfig {
             num_clients: 100,
             cell_radius_m: 500.0,
             p_available: 0.8,
-            availability: AvailabilityModel::Bernoulli,
             p_dropout: 0.0,
             cost_range: (0.1, 12.0),
             lambda_range: (20.0, 60.0),
@@ -162,7 +115,6 @@ impl EnvConfig {
             // milliseconds — the stable heterogeneity a latency-aware
             // selector can exploit.
             upload_bits: 1e6,
-            time_varying_channel: true,
             aggregation: AggregationNorm::Available,
             optimal_bandwidth: false,
             seed,
@@ -204,7 +156,6 @@ impl EnvConfig {
                 self.p_available
             ));
         }
-        self.availability.try_validate()?;
         if !(0.0..1.0).contains(&self.p_dropout) {
             return fail(format!("dropout probability must be in [0, 1), got {}", self.p_dropout));
         }
@@ -250,21 +201,10 @@ impl ToJson for AggregationNorm {
     }
 }
 
-impl ToJson for AvailabilityModel {
-    fn to_json_value(&self) -> Value {
-        match *self {
-            AvailabilityModel::Bernoulli => obj(vec![("kind", Value::from("bernoulli"))]),
-            AvailabilityModel::Markov { p_stay_on, p_stay_off } => obj(vec![
-                ("kind", Value::from("markov")),
-                ("p_stay_on", p_stay_on.to_json_value()),
-                ("p_stay_off", p_stay_off.to_json_value()),
-            ]),
-        }
-    }
-}
-
 impl ToJson for EnvConfig {
-    /// Canonical serialization: every field, in declaration order. This
+    /// Canonical serialization: every field, in declaration order, with
+    /// two retired fields (Bernoulli `availability`, a moving channel)
+    /// at their old places as the literals they always held. This
     /// is part of the result-cache key contract (docs/CHECKPOINT.md) —
     /// two configs produce the same JSON iff a run under one is
     /// interchangeable with a run under the other, so adding a field
@@ -275,7 +215,8 @@ impl ToJson for EnvConfig {
             ("num_clients", self.num_clients.to_json_value()),
             ("cell_radius_m", self.cell_radius_m.to_json_value()),
             ("p_available", self.p_available.to_json_value()),
-            ("availability", self.availability.to_json_value()),
+            // A retired field, kept as a literal: every fingerprint and cache key stays.
+            ("availability", obj(vec![("kind", Value::from("bernoulli"))])),
             ("p_dropout", self.p_dropout.to_json_value()),
             ("cost_range", pair(self.cost_range)),
             ("lambda_range", pair(self.lambda_range)),
@@ -283,7 +224,8 @@ impl ToJson for EnvConfig {
             ("cpu_hz_range", pair(self.cpu_hz_range)),
             ("cycles_per_bit_range", pair(self.cycles_per_bit_range)),
             ("upload_bits", self.upload_bits.to_json_value()),
-            ("time_varying_channel", self.time_varying_channel.to_json_value()),
+            // A retired field, kept as a literal: every fingerprint and cache key stays.
+            ("time_varying_channel", Value::Bool(true)),
             ("aggregation", self.aggregation.to_json_value()),
             ("optimal_bandwidth", self.optimal_bandwidth.to_json_value()),
             ("seed", Value::Int(self.seed as i64)),
@@ -315,11 +257,6 @@ mod tests {
         let mut c = EnvConfig::small(5, 7);
         c.aggregation = AggregationNorm::Cohort;
         assert_ne!(a, c.to_json_value().to_json());
-        let mut c = EnvConfig::small(5, 7);
-        c.availability = AvailabilityModel::Markov { p_stay_on: 0.9, p_stay_off: 0.6 };
-        let markov = c.to_json_value().to_json();
-        assert_ne!(a, markov);
-        assert!(markov.contains("p_stay_on"));
     }
 
     #[test]
@@ -368,9 +305,6 @@ mod tests {
         let mut c = EnvConfig::small(3, 0);
         c.lambda_range = (0.0, 5.0);
         assert!(c.try_validate().unwrap_err().to_string().contains("bad lambda range"));
-        let mut c = EnvConfig::small(3, 0);
-        c.availability = AvailabilityModel::Markov { p_stay_on: 1.5, p_stay_off: 0.5 };
-        assert!(c.try_validate().unwrap_err().to_string().contains("Markov probabilities"));
     }
 
     #[test]

@@ -173,24 +173,18 @@ impl Population {
 
     /// The window slot holding `epoch`; when neither does, it is realized
     /// into the slot that does not hold `keep`, the other epoch of the
-    /// pair being lent. A Markov availability chain steps from the other
-    /// slot when that holds `epoch − 1` (a loop walking forward) and is
-    /// replayed from epoch 0 otherwise (a cold start, a jump).
+    /// pair being lent.
     fn slot_holding(&mut self, epoch: usize, keep: usize) -> usize {
         if let Some(slot) = self.held.iter().position(|&held| held == Some(epoch)) {
             return slot;
         }
         let slot = usize::from(self.held[0] == Some(keep));
-        let [first, second] = &mut self.window;
-        let (into, other) = if slot == 0 { (first, second) } else { (second, first) };
-        let steps_from_other = epoch > 0 && self.held[1 - slot] == Some(epoch - 1);
-        self.cols.realize_shard_into(
+        self.cols.epoch_columns_partial_into(
             epoch,
             &self.config,
             &self.channel,
             self.shard.clone(),
-            steps_from_other.then_some(&*other),
-            into,
+            &mut self.window[slot],
         );
         self.held[slot] = Some(epoch);
         self.realizations += 1;

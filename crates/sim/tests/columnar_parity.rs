@@ -1,13 +1,11 @@
 //! The columnar population and realization against the scalar oracle
 //! they replaced (`oracle/mod.rs`): same population, same draws, bit
-//! for bit — under Bernoulli and Markov availability, with a moving and
-//! a frozen channel. And the columnar latency arithmetic against the
+//! for bit. And the columnar latency arithmetic against the
 //! row-oriented statement of §3.2 in `fedl_net::LatencyModel`.
 
 mod oracle;
 
 use fedl_net::{ChannelModel, ComputeProfile, LatencyModel};
-use fedl_sim::config::AvailabilityModel;
 use fedl_sim::{nominal_latency, nominal_split, ClientColumns, EnvConfig};
 use oracle::ClientProfile;
 
@@ -28,7 +26,6 @@ fn columns_match_profile_population() {
     assert_eq!(cols.len(), profiles.len());
     for (k, p) in profiles.iter().enumerate() {
         assert_eq!(cols.distance_m[k].to_bits(), p.distance_m.to_bits());
-        assert_eq!(cols.base_gain[k].to_bits(), p.base_gain.to_bits());
         assert_eq!(cols.cycles_per_bit[k].to_bits(), p.compute.cycles_per_bit.to_bits());
         assert_eq!(cols.cpu_hz[k].to_bits(), p.compute.cpu_hz.to_bits());
         assert_eq!(cols.seed[k], p.seed);
@@ -50,23 +47,6 @@ fn epoch_columns_match_scalar_views() {
             assert_eq!(v.cost.to_bits(), w.cost.to_bits());
             assert_eq!(v.radio.gain.to_bits(), w.radio.gain.to_bits());
             assert_eq!(v.data_volume, w.data_volume);
-        }
-    }
-}
-
-#[test]
-fn epoch_columns_match_under_markov_and_frozen_channel() {
-    let (mut config, channel) = setup(25, 13);
-    config.availability = AvailabilityModel::Markov { p_stay_on: 0.9, p_stay_off: 0.8 };
-    config.time_varying_channel = false;
-    let cols = ClientColumns::build(&config, &channel);
-    let profiles = profiles(&config, &channel);
-    for epoch in [0usize, 5, 19] {
-        let ec = cols.epoch_columns(epoch, &config, &channel);
-        for p in &profiles {
-            let v = p.epoch_view(epoch, &config, &channel);
-            assert_eq!(v.available, ec.available[p.id], "epoch {epoch} client {}", p.id);
-            assert_eq!(v.radio.gain.to_bits(), ec.gain[p.id].to_bits());
         }
     }
 }

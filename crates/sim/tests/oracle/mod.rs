@@ -11,7 +11,6 @@
 use fedl_data::stream::OnlineStream;
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_net::{ChannelModel, ClientRadio, ComputeProfile};
-use fedl_sim::config::AvailabilityModel;
 use fedl_sim::{ClientColumns, EnvConfig, EpochClientView};
 
 /// Everything about a client that does not change over time.
@@ -23,9 +22,6 @@ pub struct ClientProfile {
     pub distance_m: f64,
     /// Transmit power in dBm.
     pub tx_power_dbm: f64,
-    /// Base channel gain drawn at creation (used when the channel is not
-    /// time-varying).
-    pub base_gain: f64,
     /// Computation capability.
     pub compute: ComputeProfile,
     /// Online data source (partition pool + Poisson arrival process).
@@ -52,7 +48,6 @@ impl ClientProfile {
                 id,
                 distance_m: columns.distance_m[id],
                 tx_power_dbm: columns.tx_power_dbm,
-                base_gain: columns.base_gain[id],
                 compute: ComputeProfile {
                     cycles_per_bit: columns.cycles_per_bit[id],
                     cpu_hz: columns.cpu_hz[id],
@@ -73,30 +68,9 @@ impl ClientProfile {
         channel: &ChannelModel,
     ) -> EpochClientView {
         let mut rng = rng_for(self.seed, 0xE90C ^ (epoch as u64));
-        let available = match config.availability {
-            AvailabilityModel::Bernoulli => rng.gen::<f64>() < config.p_available,
-            AvailabilityModel::Markov { p_stay_on, p_stay_off } => {
-                // Replay the chain from epoch 0 so the answer is the same
-                // whichever epoch is queried first. Each step's draw is
-                // seeded independently, keeping the whole path a pure
-                // function of (client seed, epoch).
-                let mut on = rng_for(self.seed, 0xA40F).gen::<f64>() < config.p_available;
-                for e in 1..=epoch {
-                    let u = rng_for(self.seed, 0xA40F ^ (e as u64) << 1).gen::<f64>();
-                    on = if on { u < p_stay_on } else { u >= p_stay_off };
-                }
-                // Consume the Bernoulli draw anyway so the cost/channel
-                // stream is identical across availability models.
-                let _ = rng.gen::<f64>();
-                on
-            }
-        };
+        let available = rng.gen::<f64>() < config.p_available;
         let cost = rng.gen_range(config.cost_range.0..=config.cost_range.1);
-        let gain = if config.time_varying_channel {
-            channel.sample_gain(self.distance_m, &mut rng)
-        } else {
-            self.base_gain
-        };
+        let gain = channel.sample_gain(self.distance_m, &mut rng);
         let radio =
             ClientRadio { distance_m: self.distance_m, tx_power_dbm: self.tx_power_dbm, gain };
         let data_volume = self.stream.arrivals(epoch).len();

@@ -156,9 +156,9 @@ stage_clippy() {
     fi
 }
 
-# Public functions and constants that no binary, example or benchmark
-# probe calls, kept on purpose; the dead-code stage leaves them out of
-# its report. One `name: reason` per entry.
+# Public items that no binary, example or benchmark probe uses, kept on
+# purpose; the dead-code stage leaves them out of its report. One
+# `name: reason` per entry; a variant is named `Enum::Variant`.
 DEAD_CODE_ALLOW=(
     "approx_eq: float comparison the crates' tests share"
     "approx_eq_f64: float comparison the crates' tests share"
@@ -172,15 +172,25 @@ DEAD_CODE_ALLOW=(
     "write_file: IDX writer the real-data round trip uses"
     "load_train_batches: real CIFAR-10 loader (DESIGN.md S3)"
     "small_fmnist_cnn: the paper's CNN scenario (DESIGN.md section 2)"
+    "ModelArch::Linear: the convex reference model the runner's tests run on"
 )
 
-# Report-only dead-code scan: every `pub fn` / `pub const` under
-# crates/*/src whose name appears nowhere else in non-test code
-# (crates/*/src, src, examples, benchmark/src; `//` comments and
-# `#[cfg(test)]` items stripped, tests/ directories not read). The scan
-# is by name, so a name shared with another item hides both; confirm a
-# hit by deleting it and building the workspace and benchmark/. Never
-# fails the build: the count is the stage note.
+# Report-only dead-code scan over non-test code (crates/*/src, src,
+# examples, benchmark/src; `//` comments and `#[cfg(test)]` items
+# stripped, tests/ directories not read). Three rules, each by name:
+#   - a `pub fn` / `pub const` whose name appears nowhere else;
+#   - a `pub trait` likewise; a `pub struct` / `pub enum` whose name
+#     appears, outside string literals, only on `use` lines and `impl`
+#     headers besides its definition;
+#   - a variant of a `pub enum` that nothing constructs: no
+#     `Enum::Variant` (or `Self::Variant` inside `impl Enum`) outside a
+#     pattern. A pattern is what lies left of a match arm's `=>`, an
+#     `if let` / `while let` / `let … else` left of its `=`, or a
+#     `matches!`. Patterns spread over several lines read as
+#     constructions, so they can hide a variant, never report one.
+# A name shared with another item hides both; confirm a hit by deleting
+# it and building the workspace and benchmark/. Never fails the build:
+# the counts are the stage note.
 stage_dead_code() {
     local out=target/ci_dead_code
     rm -rf "$out"
@@ -211,24 +221,93 @@ stage_dead_code() {
             if (line ~ /^[ \t]*#\[cfg\(test\)\]/) { pending = 1; next }
             print FILENAME ":" FNR ":" line
         }' > "$out/corpus.txt"
-    sed -nE 's/^(crates\/[^:]*:[0-9]+):[ \t]*pub (const )?(fn|const) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \3 \4/p' \
+    sed -nE 's/^(crates\/[^:]*:[0-9]+):[ \t]*pub (const )?(fn|const|struct|enum|trait) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \3 \4/p' \
         "$out/corpus.txt" > "$out/defs.txt"
     sed -E 's/^[^:]*:[0-9]+://' "$out/corpus.txt" | grep -oE '[A-Za-z_][A-Za-z0-9_]*' \
         | sort | uniq -c > "$out/words.txt" || true
-    printf '%s\n' "${DEAD_CODE_ALLOW[@]}" | sed 's/:.*//' > "$out/allow.txt"
+    sed -E 's/^[^:]*:[0-9]+://; s/"([^"\\]|\\.)*"//g' "$out/corpus.txt" \
+        | grep -vE '^[ \t]*((pub(\([a-z]+\))? )?use |impl[ <])' \
+        | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c > "$out/type_words.txt" || true
+    # Variant definitions (`def LOC Enum::Variant`) and constructions
+    # (`use Enum::Variant`).
+    awk '
+        {
+            match($0, /^[^:]*:[0-9]+:/)
+            loc = substr($0, 1, RLENGTH - 1)
+            line = substr($0, RLENGTH + 1)
+            gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+            if (enum_name != "") {
+                if (depth == 1 && line ~ /^[ \t]*[A-Z][A-Za-z0-9_]*[ \t]*([,({=]|$)/) {
+                    match(line, /[A-Z][A-Za-z0-9_]*/)
+                    print "def " loc " " enum_name "::" substr(line, RSTART, RLENGTH)
+                }
+                s = line
+                depth += gsub(/\{/, "{", s) - gsub(/\}/, "}", s)
+                if (depth <= 0) enum_name = ""
+                next
+            }
+            if (match(line, /^[ \t]*pub enum [A-Za-z_][A-Za-z0-9_]*/)) {
+                name = substr(line, RSTART, RLENGTH)
+                sub(/.*pub enum /, "", name)
+                s = line
+                depth = gsub(/\{/, "{", s) - gsub(/\}/, "}", s)
+                if (depth > 0) enum_name = name
+                next
+            }
+            if (line ~ /^impl[ <]/) {
+                head = line
+                sub(/[ \t]*(\{|where).*$/, "", head)
+                if (head ~ / for /) sub(/.* for /, "", head)
+                else { sub(/^impl/, "", head); sub(/^<[^>]*>/, "", head) }
+                sub(/<.*/, "", head)
+                sub(/.*::/, "", head)
+                gsub(/[ \t&]/, "", head)
+                impl_type = head
+            }
+            expr = line
+            if (index(expr, "=>")) {
+                expr = substr(expr, index(expr, "=>") + 2)
+            } else if (expr ~ /(^|[^A-Za-z0-9_])(if|while)[ \t]+let[ \t]/ \
+                       || expr ~ /^[ \t]*let[ \t].*[ \t]else([ \t]|$)/) {
+                eq = index(expr, " = ")
+                expr = eq ? substr(expr, eq + 3) : ""
+            }
+            sub(/matches!\(.*$/, "", expr)
+            while (match(expr, /[A-Z][A-Za-z0-9_]*::[A-Z][A-Za-z0-9_]*/)) {
+                path = substr(expr, RSTART, RLENGTH)
+                expr = substr(expr, RSTART + RLENGTH)
+                if (path ~ /^Self::/) sub(/^Self/, impl_type, path)
+                print "use " path
+            }
+        }' "$out/corpus.txt" > "$out/variants.txt"
+    printf '%s\n' "${DEAD_CODE_ALLOW[@]}" | sed 's/: .*//' > "$out/allow.txt"
     # A name is referenced when it occurs more often than it is defined.
     awk '
         FILENAME == ARGV[1] { allowed[$1] = 1; next }
         FILENAME == ARGV[2] { uses[$2] = $1; next }
-        { defs[$3]++; row[NR] = $0; name[NR] = $3 }
+        FILENAME == ARGV[3] { type_uses[$2] = $1; next }
+        { defs[$3]++; row[NR] = $0; name[NR] = $3; kind[NR] = $2 }
         END {
-            for (i in row) if (!(name[i] in allowed) && uses[name[i]] <= defs[name[i]]) print row[i]
-        }' "$out/allow.txt" "$out/words.txt" "$out/defs.txt" | sort > "$out/report.txt"
-    local count
+            for (i in row) {
+                n = kind[i] ~ /^(struct|enum)$/ ? type_uses[name[i]] : uses[name[i]]
+                if (!(name[i] in allowed) && n <= defs[name[i]]) print row[i]
+            }
+        }' "$out/allow.txt" "$out/words.txt" "$out/type_words.txt" "$out/defs.txt" \
+        | sort > "$out/report.txt"
+    awk '
+        FILENAME == ARGV[1] { allowed[$1] = 1; next }
+        $1 == "use" { built[$2] = 1; next }
+        { row[NR] = $2 " variant " $3; name[NR] = $3 }
+        END { for (i in row) if (!(name[i] in allowed || name[i] in built)) print row[i] }
+    ' "$out/allow.txt" "$out/variants.txt" | sort > "$out/variant_report.txt"
+    local count variants
     count=$(wc -l < "$out/report.txt")
+    variants=$(wc -l < "$out/variant_report.txt")
     echo "public items with no non-test reference: $count (allow-listed: ${#DEAD_CODE_ALLOW[@]})"
     sed 's/^/    /' "$out/report.txt"
-    CI_STAGE_NOTE="$count unreferenced public items"
+    echo "enum variants no non-test code constructs: $variants"
+    sed 's/^/    /' "$out/variant_report.txt"
+    CI_STAGE_NOTE="$count unreferenced public items, $variants unconstructed variants"
 }
 
 # Telemetry smoke: a real run must emit a parseable JSONL log holding
