@@ -219,11 +219,29 @@ pub fn independent(x: &mut [f64], rng: &mut impl Rng) -> Vec<usize> {
 /// A residual overshoot with exactly `n` members is allowed — it is the
 /// violation dynamic fit charges, and the runner's `while C ≥ 0` loop
 /// ends the run.
+///
+/// `selected` must be strictly ascending, as [`rdcs_with`] and
+/// [`independent`] return it. A cohort that already has exactly `n`
+/// members, or more and within budget, is what both steps would leave:
+/// it is returned before the candidates are sorted by cost. Its cost is
+/// summed in the same ascending order as step 2's, so the decision at
+/// the budget boundary is the same bits.
 pub fn repair(selected: &mut Vec<usize>, costs: &[f64], n: usize, budget: f64) {
     let k = costs.len();
     assert!(selected.iter().all(|&i| i < k), "selection index out of range");
+    debug_assert!(selected.is_sorted_by(|a, b| a < b), "selection must be strictly ascending");
     let n = n.min(k).max(1);
+    let count = selected.len();
+    if count == n || (count > n && selected.iter().map(|&i| costs[i]).sum::<f64>() <= budget) {
+        return;
+    }
+    repair_by_cost(selected, costs, n, budget);
+}
 
+/// Both steps of [`repair`] over the candidates sorted by cost; `n` is
+/// already clamped to `1..=k`.
+fn repair_by_cost(selected: &mut Vec<usize>, costs: &[f64], n: usize, budget: f64) {
+    let k = costs.len();
     let mut chosen = vec![false; k];
     for &i in selected.iter() {
         chosen[i] = true;
@@ -395,6 +413,32 @@ mod tests {
         repair(&mut sel, &costs, 2, 5.0);
         // Cannot shed below n=2; overshoot stands.
         assert_eq!(sel.len(), 2);
+    }
+
+    #[test]
+    fn repair_early_out_agrees_with_the_full_path() {
+        let mut early = 0;
+        for case in 0..2000u64 {
+            let mut r = rng_for(case, 0x4E9A);
+            let k = r.gen_range(1usize..16);
+            let costs: Vec<f64> = (0..k).map(|_| r.gen_range(0.1f64..10.0)).collect();
+            let sel: Vec<usize> = (0..k).filter(|_| r.gen_bool(0.6)).collect();
+            let n = r.gen_range(0usize..k + 2);
+            let cost: f64 = sel.iter().map(|&i| costs[i]).sum();
+            // A third of the budgets sit exactly on the cohort's cost.
+            let budget = match r.gen_range(0u32..3) {
+                0 => cost,
+                1 => cost * r.gen_range(0.5f64..1.5),
+                _ => r.gen_range(0.0f64..40.0),
+            };
+            let mut fast = sel.clone();
+            repair(&mut fast, &costs, n, budget);
+            let mut full = sel.clone();
+            repair_by_cost(&mut full, &costs, n.min(k).max(1), budget);
+            assert_eq!(fast, full, "case {case}: costs {costs:?}, n {n}, budget {budget}");
+            early += usize::from(fast == sel);
+        }
+        assert!(early > 500, "the early-out must be exercised, took it {early} times");
     }
 
     #[test]

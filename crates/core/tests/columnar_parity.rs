@@ -11,6 +11,8 @@
 //! and M = 10 000 and drive a full 100 000-client scheduler epoch through
 //! the columnar path end-to-end.
 
+// The oracle's base gains and path losses are checked in fedl-sim.
+#[allow(dead_code)]
 #[path = "../../sim/tests/oracle/mod.rs"]
 mod oracle;
 #[path = "oracle/rdcs.rs"]

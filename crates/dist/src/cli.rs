@@ -377,8 +377,7 @@ fn run_dist_worker(args: &Args) -> Result<(), String> {
     let listener = bind(WORKER, addr, args.value(&PORT_FILE).map(Path::new))?;
     // The worker is stateless per request: a desynced connection is
     // dropped and the coordinator reconnects.
-    let (handle, malformed) = (WorkerState::handle_frame, WorkerState::note_malformed);
-    serve_listener(WORKER, &listener, io_timeout, &mut state, handle, malformed)?;
+    serve_listener(WORKER, &listener, io_timeout, &mut state)?;
     eprintln!("{WORKER}: shutdown");
     Ok(())
 }

@@ -33,7 +33,7 @@ use fedl_serve::proto::{
     check_shard_clients, decode_frame, encode_frame, Message, ProtocolError, Trace,
     PROTOCOL_VERSION,
 };
-use fedl_serve::{combine_feedback, MemberFeedback, SelectionRecord, ServeConfig};
+use fedl_serve::{combine_feedback, FrameHandler, MemberFeedback, SelectionRecord, ServeConfig};
 use fedl_telemetry::{SpanContext, Telemetry};
 
 use crate::shard::members_in;

@@ -7,7 +7,11 @@
 //! [`Message::ShardTrain`] from it, realizing only its shard's rows and
 //! each epoch once ([`Population::advance`]: the context frame realizes
 //! epoch `t`, the train frame finds it in the window) — no policy, no
-//! ledger, no epoch cursor. Statelessness is the whole fault-tolerance
+//! ledger, no epoch cursor. Behind [`run_worker`] it also works ahead:
+//! once the `ShardContextPart` for `t` is on the wire, it computes
+//! `t+1`'s part while the coordinator decides epoch `t`, and
+//! `ShardContext(t+1)` answers from it (docs/DIST.md, "Prefetch").
+//! Statelessness is the whole fault-tolerance
 //! story: the window is a cache of a pure function, never state;
 //! a killed worker can be respawned and re-asked for any epoch's
 //! partials and must produce the identical bytes, which is what lets
@@ -22,7 +26,7 @@
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use fedl_core::columnar::scale_context_part;
+use fedl_core::columnar::{scale_context_part, ContextPart};
 use fedl_core::policy::PolicyKind;
 use fedl_json::Value;
 use fedl_serve::proto::{
@@ -30,7 +34,7 @@ use fedl_serve::proto::{
     ProtocolError, Trace, PROTOCOL_VERSION,
 };
 use fedl_serve::transport::FrameTransport;
-use fedl_serve::{member_feedback, serve_frames, Control, ServeConfig, ServeExit};
+use fedl_serve::{member_feedback, serve_frames, Control, FrameHandler, ServeConfig, ServeExit};
 use fedl_sim::Population;
 use fedl_store::{read_checkpoint, write_checkpoint, StoreError};
 use fedl_telemetry::Telemetry;
@@ -94,6 +98,28 @@ struct Assignment {
     population: Population,
     /// What the shard checkpoint records of it.
     record: ShardCheckpoint,
+    /// At most one context part computed ahead of its request, with its
+    /// epoch — runtime-only, like the window.
+    prepared: Option<(usize, ContextPart)>,
+    /// The epoch [`FrameHandler::idle`] should prepare next.
+    ahead: Option<usize>,
+}
+
+impl Assignment {
+    /// This shard's context part of `epoch`, computed now.
+    fn context_part(&mut self, epoch: usize) -> ContextPart {
+        let shard = self.population.shard();
+        let lent = self.population.advance(epoch);
+        scale_context_part(
+            lent.cols,
+            lent.hint,
+            lent.now,
+            lent.latency,
+            self.config.min_participants,
+            shard,
+            None,
+        )
+    }
 }
 
 /// The worker's event-loop state; [`Self::handle_frame`] is the entire
@@ -181,52 +207,9 @@ impl WorkerState {
         span
     }
 
-    pub(crate) fn note_malformed(&mut self, err: &ProtocolError) {
-        self.telemetry.counter("dist.worker_malformed_frames").incr();
-        self.telemetry.emit(
-            "dist.worker_malformed_frame",
-            vec![("code", Value::from(err.code())), ("detail", Value::from(err.to_string()))],
-        );
-    }
-
     fn refuse(&mut self, err: ProtocolError) -> (Message, Control) {
         self.note_malformed(&err);
         (err.to_wire(), Control::Continue)
-    }
-
-    /// Handles one raw frame: decode, dispatch, encode the reply.
-    ///
-    /// Besides the `proto.*` wire histograms recorded by the traced
-    /// codec, every frame leaves a `dist.worker_frame` event carrying
-    /// its wire type tag, sizes, and per-direction codec nanoseconds —
-    /// the raw material for the trace report's wire-time attribution.
-    pub fn handle_frame(&mut self, frame: &[u8]) -> (Vec<u8>, Control) {
-        let (decoded, decode_ns) = decode_frame_traced(frame, &self.telemetry);
-        let (reply, control, kind, epoch) = match decoded {
-            Ok(msg) => {
-                let kind = msg.type_tag();
-                let epoch = frame_epoch(&msg);
-                let (reply, control) = self.handle_message(msg);
-                (reply, control, kind, epoch)
-            }
-            Err(err) => {
-                self.note_malformed(&err);
-                (err.to_wire(), Control::Continue, "malformed", None)
-            }
-        };
-        let (bytes, encode_ns) = encode_frame_traced(&reply, &self.telemetry);
-        let mut fields = vec![
-            ("type", Value::from(kind)),
-            ("bytes_in", Value::from(frame.len())),
-            ("bytes_out", Value::from(bytes.len())),
-            ("decode_ns", Value::Int(decode_ns as i64)),
-            ("encode_ns", Value::Int(encode_ns as i64)),
-        ];
-        if let Some(epoch) = epoch {
-            fields.push(("epoch", Value::from(epoch)));
-        }
-        self.telemetry.emit("dist.worker_frame", fields);
-        (bytes, control)
     }
 
     /// Applies one decoded message; the returned message is the reply.
@@ -366,7 +349,10 @@ impl WorkerState {
                 ("policy", Value::from(config.policy.label())),
             ],
         );
-        self.assignment = Some(Assignment { config, population, record });
+        // The first part to prepare is the epoch after the last one served:
+        // epoch 0, or where a resumed worker's checkpoint left off.
+        let ahead = Some(record.epochs_served);
+        self.assignment = Some(Assignment { config, population, record, prepared: None, ahead });
         self.save_checkpoint();
         (Message::ShardReady { shard_start, shard_end, fingerprint }, Control::Continue)
     }
@@ -379,17 +365,18 @@ impl WorkerState {
                 detail: format!("ShardContext for epoch {epoch} before any ShardAssign"),
             });
         };
-        let shard = a.population.shard();
-        let lent = a.population.advance(epoch);
-        let part = scale_context_part(
-            lent.cols,
-            lent.hint,
-            lent.now,
-            lent.latency,
-            a.config.min_participants,
-            shard,
-            None,
-        );
+        let part = match a.prepared.take_if(|(prepared, _)| *prepared == epoch) {
+            Some((_, part)) => {
+                self.telemetry.counter("dist.worker_prefetch_hits").incr();
+                part
+            }
+            None => {
+                self.telemetry.counter("dist.worker_prefetch_misses").incr();
+                a.context_part(epoch)
+            }
+        };
+        let next = epoch + 1;
+        a.ahead = (a.prepared.as_ref().map(|p| p.0) != Some(next)).then_some(next);
         a.record.epochs_served = a.record.epochs_served.max(epoch + 1);
         drop(span);
         self.telemetry.counter("dist.worker_context_parts").incr();
@@ -420,14 +407,72 @@ impl WorkerState {
                 ),
             });
         }
-        let lent = a.population.advance(epoch);
-        let feedback =
-            member_feedback(lent.cols, lent.now, lent.latency, a.config.min_participants, &members);
+        // Epoch t alone: `t+1` may already be realized for its context part.
+        let (cols, now, latency) = a.population.lend(epoch);
+        let feedback = member_feedback(cols, now, latency, a.config.min_participants, &members);
         a.record.epochs_served = a.record.epochs_served.max(epoch + 1);
         drop(span);
         self.telemetry.counter("dist.worker_train_parts").incr();
         self.save_checkpoint();
         (Message::ShardTrainPart { epoch, members, feedback }, Control::Continue)
+    }
+}
+
+impl FrameHandler for WorkerState {
+    /// Handles one raw frame: decode, dispatch, encode the reply.
+    ///
+    /// Besides the `proto.*` wire histograms recorded by the traced
+    /// codec, every frame leaves a `dist.worker_frame` event carrying
+    /// its wire type tag, sizes, and per-direction codec nanoseconds —
+    /// the raw material for the trace report's wire-time attribution.
+    fn handle_frame(&mut self, frame: &[u8]) -> (Vec<u8>, Control) {
+        let (decoded, decode_ns) = decode_frame_traced(frame, &self.telemetry);
+        let (reply, control, kind, epoch) = match decoded {
+            Ok(msg) => {
+                let kind = msg.type_tag();
+                let epoch = frame_epoch(&msg);
+                let (reply, control) = self.handle_message(msg);
+                (reply, control, kind, epoch)
+            }
+            Err(err) => {
+                self.note_malformed(&err);
+                (err.to_wire(), Control::Continue, "malformed", None)
+            }
+        };
+        let (bytes, encode_ns) = encode_frame_traced(&reply, &self.telemetry);
+        let mut fields = vec![
+            ("type", Value::from(kind)),
+            ("bytes_in", Value::from(frame.len())),
+            ("bytes_out", Value::from(bytes.len())),
+            ("decode_ns", Value::Int(decode_ns as i64)),
+            ("encode_ns", Value::Int(encode_ns as i64)),
+        ];
+        if let Some(epoch) = epoch {
+            fields.push(("epoch", Value::from(epoch)));
+        }
+        self.telemetry.emit("dist.worker_frame", fields);
+        (bytes, control)
+    }
+
+    fn note_malformed(&mut self, err: &ProtocolError) {
+        self.telemetry.counter("dist.worker_malformed_frames").incr();
+        self.telemetry.emit(
+            "dist.worker_malformed_frame",
+            vec![("code", Value::from(err.code())), ("detail", Value::from(err.to_string()))],
+        );
+    }
+
+    /// Computes the context part of the epoch after the last one answered,
+    /// unless it is already prepared. Its draws are a pure function of
+    /// `(seed, epoch)`, so a part made early is the part made on request;
+    /// the previous prepared part is dropped first, so at most one is held.
+    fn idle(&mut self) {
+        let Some(a) = self.assignment.as_mut() else { return };
+        let Some(epoch) = a.ahead.take() else { return };
+        a.prepared = None;
+        let mut span = self.telemetry.span("dist.worker_prefetch");
+        span.field("epoch", Value::from(epoch));
+        a.prepared = Some((epoch, a.context_part(epoch)));
     }
 }
 
@@ -447,12 +492,13 @@ fn frame_epoch(msg: &Message) -> Option<usize> {
 }
 
 /// Serves one coordinator connection against `state`
-/// ([`fedl_serve::serve_frames`], the server's own connection loop).
+/// ([`fedl_serve::serve_frames`], the server's own connection loop),
+/// preparing the next epoch's context part between requests.
 pub fn run_worker(
     transport: &mut dyn FrameTransport,
     state: &mut WorkerState,
 ) -> Result<ServeExit, ProtocolError> {
-    serve_frames(transport, state, WorkerState::handle_frame, WorkerState::note_malformed)
+    serve_frames(transport, state)
 }
 
 #[cfg(test)]

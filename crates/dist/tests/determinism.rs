@@ -19,7 +19,7 @@ use fedl_dist::{
 };
 use fedl_serve::proto::{decode_frame, encode_frame, Message, ProtocolError};
 use fedl_serve::transport::{DuplexTransport, FrameTransport};
-use fedl_serve::{reference_run, SelectionRecord, ServeConfig};
+use fedl_serve::{reference_run, FrameHandler, SelectionRecord, ServeConfig};
 use fedl_telemetry::Telemetry;
 
 fn to_jsonl(records: &[SelectionRecord]) -> Vec<u8> {
@@ -399,4 +399,188 @@ fn dropped_duplex_sender_surfaces_as_a_typed_error_at_the_coordinator() {
     // ...and receiving reports clean end-of-stream, which the link
     // layer turns into a typed error rather than blocking forever.
     assert!(matches!(coordinator_end.recv(), Ok(None)));
+}
+
+/// `state`'s reply to `msg`, as the raw frame bytes it would send.
+fn reply_frame(state: &mut WorkerState, msg: &Message) -> Vec<u8> {
+    let (reply, _) = state.handle_frame(&encode_frame(msg));
+    reply
+}
+
+fn assign(config: &ServeConfig, shard: &Range<usize>) -> Message {
+    Message::ShardAssign {
+        clients: config.env.num_clients,
+        seed: config.env.seed,
+        budget: config.budget,
+        min_participants: config.min_participants,
+        policy: config.policy.label().to_string(),
+        shard_start: shard.start,
+        shard_end: shard.end,
+    }
+}
+
+fn context(epoch: usize) -> Message {
+    Message::ShardContext { epoch, trace: fedl_serve::Trace::Absent }
+}
+
+/// The context and train frames a fresh worker computes on request for
+/// `epoch` of `shard` — what a prefetching worker must send byte for byte.
+fn on_demand(config: &ServeConfig, shard: &Range<usize>, epoch: usize) -> (Vec<u8>, Vec<u8>) {
+    let mut fresh = WorkerState::new(Telemetry::disabled());
+    reply_frame(&mut fresh, &assign(config, shard));
+    let part = reply_frame(&mut fresh, &context(epoch));
+    let train = reply_frame(&mut fresh, &train(config, shard, epoch));
+    (part, train)
+}
+
+/// A train request for the first three available clients of `shard`.
+fn train(config: &ServeConfig, shard: &Range<usize>, epoch: usize) -> Message {
+    let mut population =
+        fedl_sim::Population::sharded(config.env.clone(), config.latency_model(), shard.clone());
+    let now = population.advance(epoch).now;
+    let members: Vec<usize> = shard.clone().filter(|&k| now.available[k]).take(3).collect();
+    Message::ShardTrain { epoch, members, iterations: 2, trace: fedl_serve::Trace::Absent }
+}
+
+#[test]
+fn a_prefetched_context_part_is_the_on_demand_frame() {
+    let config = config();
+    let shards = shard_ranges(config.env.num_clients, 2);
+    let (tel, _sink) = Telemetry::in_memory();
+    let hits = || tel.counter("dist.worker_prefetch_hits").value();
+    let mut worker = WorkerState::new(tel.clone());
+    reply_frame(&mut worker, &assign(&config, &shards[0]));
+    // Each step: (epoch asked, answered from the prepared part?). Context,
+    // idle (the loop's prefetch), then the train request of that epoch.
+    // No idle ran after the assignment, so epoch 0 is computed on request.
+    let walk = [
+        (0, false),
+        (1, true),
+        (2, true),
+        (1, false), // re-asked for t−1; epoch 2 is prepared again after it
+        (2, true),
+        (4, false), // re-asked for t+2: epoch 3 was prepared, 5 is next
+        (5, true),
+    ];
+    for (epoch, hit) in walk {
+        let before = hits();
+        let (want_part, want_train) = on_demand(&config, &shards[0], epoch);
+        assert_eq!(reply_frame(&mut worker, &context(epoch)), want_part, "epoch {epoch}");
+        assert_eq!(hits() - before, u64::from(hit), "epoch {epoch}: hit {hit}");
+        worker.idle();
+        assert_eq!(
+            reply_frame(&mut worker, &train(&config, &shards[0], epoch)),
+            want_train,
+            "epoch {epoch}: the train part after a prefetch"
+        );
+    }
+    // A recovery re-handshakes the same assignment: the prepared part
+    // (epoch 6) survives it and is still the on-demand frame.
+    reply_frame(&mut worker, &assign(&config, &shards[0]));
+    let before = hits();
+    assert_eq!(reply_frame(&mut worker, &context(6)), on_demand(&config, &shards[0], 6).0);
+    assert_eq!(hits() - before, 1);
+    worker.idle();
+    // A new assignment clears it: epoch 7 of the other shard is computed.
+    reply_frame(&mut worker, &assign(&config, &shards[1]));
+    let before = hits();
+    assert_eq!(reply_frame(&mut worker, &context(7)), on_demand(&config, &shards[1], 7).0);
+    assert_eq!(hits(), before, "a part prepared for another shard must not be served");
+    // A fresh worker prepares epoch 0 in the idle time after `ShardReady`.
+    let mut fresh = WorkerState::new(tel.clone());
+    reply_frame(&mut fresh, &assign(&config, &shards[1]));
+    fresh.idle();
+    let before = hits();
+    assert_eq!(reply_frame(&mut fresh, &context(0)), on_demand(&config, &shards[1], 0).0);
+    assert_eq!(hits() - before, 1);
+    // A respawned worker asked mid-run misses the epoch 0 it prepared,
+    // answers on request and prefetches from there.
+    let mut respawned = WorkerState::new(tel.clone());
+    reply_frame(&mut respawned, &assign(&config, &shards[1]));
+    respawned.idle();
+    let before = hits();
+    assert_eq!(reply_frame(&mut respawned, &context(3)), on_demand(&config, &shards[1], 3).0);
+    assert_eq!(hits(), before);
+    respawned.idle();
+    assert_eq!(reply_frame(&mut respawned, &context(4)), on_demand(&config, &shards[1], 4).0);
+    assert_eq!(hits() - before, 1);
+}
+
+#[test]
+fn a_resumed_worker_prepares_the_epoch_after_its_checkpoint() {
+    let config = config();
+    let shard = shard_ranges(config.env.num_clients, 2).remove(0);
+    let dir = std::env::temp_dir().join(format!("fedl_dist_prefetch_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("worker.fedlstore");
+    let mut first = WorkerState::new(Telemetry::disabled()).with_checkpoint(&ckpt);
+    reply_frame(&mut first, &assign(&config, &shard));
+    for epoch in 0..3 {
+        reply_frame(&mut first, &context(epoch));
+    }
+    drop(first);
+    let (tel, _sink) = Telemetry::in_memory();
+    let mut resumed = WorkerState::resume(tel.clone(), &ckpt).expect("checkpoint is readable");
+    reply_frame(&mut resumed, &assign(&config, &shard));
+    resumed.idle();
+    assert_eq!(resumed.realizations(), 2, "epoch 3 and its hint epoch 2");
+    assert_eq!(reply_frame(&mut resumed, &context(3)), on_demand(&config, &shard, 3).0);
+    assert_eq!(tel.counter("dist.worker_prefetch_hits").value(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The coordinator's end of a [`run_worker`] thread, with no recovery.
+struct EndpointLink(DuplexTransport);
+
+impl WorkerLink for EndpointLink {
+    fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
+        self.0.send(&encode_frame(msg))
+    }
+
+    fn recv_reply(&mut self) -> Result<Message, ProtocolError> {
+        let frame = self
+            .0
+            .recv()?
+            .ok_or_else(|| ProtocolError::Io { detail: "worker closed the stream".to_string() })?;
+        decode_frame(&frame)
+    }
+
+    fn reset(&mut self) -> Result<(), String> {
+        Err("no recovery in this test".to_string())
+    }
+}
+
+#[test]
+fn a_served_worker_realizes_each_epoch_once_plus_one_ahead() {
+    // Behind `run_worker` epoch 0 is realized in the idle time after
+    // `ShardReady`, and each later epoch in the idle time after the context
+    // part before it: every part is a prefetch hit, and the only extra
+    // realization is the epoch after the last.
+    let config = config();
+    let epochs = 10;
+    let mut threads = Vec::new();
+    let mut telemetry = Vec::new();
+    let workers: Vec<ShardWorker> = shard_ranges(config.env.num_clients, 2)
+        .into_iter()
+        .map(|shard| {
+            let (coordinator_end, mut worker_end) = DuplexTransport::pair();
+            let tel = Telemetry::in_memory().0;
+            let mut state = WorkerState::new(tel.clone());
+            telemetry.push(tel);
+            threads.push(std::thread::spawn(move || {
+                run_worker(&mut worker_end, &mut state).expect("the run is error-free");
+                state
+            }));
+            ShardWorker { shard, link: Box::new(EndpointLink(coordinator_end)) }
+        })
+        .collect();
+    let report = run(&config, workers, epochs);
+    assert_eq!(to_jsonl(&report.selections), to_jsonl(&reference_run(&config, epochs)));
+    for (i, (thread, tel)) in threads.into_iter().zip(&telemetry).enumerate() {
+        let state = thread.join().expect("the worker thread exits when its link closes");
+        assert_eq!(state.realizations(), epochs + 1, "worker {i}");
+        let hits = tel.counter("dist.worker_prefetch_hits").value();
+        let misses = tel.counter("dist.worker_prefetch_misses").value();
+        assert_eq!((hits, misses), (epochs as u64, 0), "worker {i}");
+    }
 }

@@ -23,8 +23,8 @@ use fedl_json::Value;
 use fedl_telemetry::{Report, Telemetry};
 
 use crate::loadgen::{reference_run, run_loadgen, LoadgenOptions, SelectionRecord};
-use crate::proto::{decode_frame, encode_frame, Message, ProtocolError};
-use crate::server::{serve_frames, Control, ServeConfig, ServeExit, ServerState};
+use crate::proto::{decode_frame, encode_frame, Message};
+use crate::server::{serve_frames, FrameHandler, ServeConfig, ServeExit, ServerState};
 use crate::transport::{FrameTransport, TcpTransport};
 
 /// A flag: its spelling and, when it takes a value, the value's name in
@@ -361,18 +361,16 @@ pub fn bind(who: &str, addr: &str, port_file: Option<&Path>) -> Result<TcpListen
 /// Serves `listener`'s connections one after another until one asks for
 /// shutdown. A connection that desyncs is dropped and the next accepted:
 /// the frame-driven state is still consistent, and the peer reconnects.
-pub fn serve_listener<S>(
+pub fn serve_listener(
     who: &str,
     listener: &TcpListener,
     io_timeout: Option<Duration>,
-    state: &mut S,
-    handle: fn(&mut S, &[u8]) -> (Vec<u8>, Control),
-    malformed: fn(&mut S, &ProtocolError),
+    state: &mut impl FrameHandler,
 ) -> Result<(), String> {
     for incoming in listener.incoming() {
         let stream = incoming.map_err(|e| format!("accept failed: {e}"))?;
         let mut transport = TcpTransport::with_timeout(stream, io_timeout);
-        match serve_frames(&mut transport, state, handle, malformed) {
+        match serve_frames(&mut transport, state) {
             Ok(ServeExit::Shutdown) => break,
             Ok(ServeExit::PeerClosed) => {}
             Err(err) => eprintln!("{who}: connection dropped: {err}"),
@@ -409,8 +407,7 @@ fn run_serve(args: &Args) -> Result<(), String> {
         config.policy.label(),
         state.next_epoch(),
     );
-    let (handle, malformed) = (ServerState::handle_frame, ServerState::note_malformed);
-    serve_listener("fedl-serve", &listener, io_timeout, &mut state, handle, malformed)?;
+    serve_listener("fedl-serve", &listener, io_timeout, &mut state)?;
     eprintln!(
         "fedl-serve: shutdown at epoch {} after {} selections",
         state.next_epoch(),

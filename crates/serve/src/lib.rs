@@ -62,8 +62,8 @@ pub use proto::{
     ProtocolError, Trace, FRAME_KIND, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{
-    serve_connection, serve_frames, Control, ServeConfig, ServeError, ServeExit, ServerState,
-    SERVE_CHECKPOINT_KIND, SERVE_SNAPSHOT_SCHEMA_VERSION,
+    serve_connection, serve_frames, Control, FrameHandler, ServeConfig, ServeError, ServeExit,
+    ServerState, SERVE_CHECKPOINT_KIND, SERVE_SNAPSHOT_SCHEMA_VERSION,
 };
 pub use transport::{
     read_frame, write_frame, DuplexTransport, FrameTransport, InProcessTransport, TcpTransport,

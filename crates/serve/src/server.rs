@@ -283,31 +283,6 @@ impl ServerState {
         self.population.realizations()
     }
 
-    /// Handles one raw frame: decode, dispatch, encode the reply.
-    /// Malformed frames never panic — they produce a wire
-    /// [`Message::Error`] and bump the `serve.malformed_frames`
-    /// counter, mirroring the run log's lenient parsing.
-    pub fn handle_frame(&mut self, frame: &[u8]) -> (Vec<u8>, Control) {
-        self.telemetry.counter("serve.frames_in").incr();
-        let (decoded, _decode_ns) = decode_frame_traced(frame, &self.telemetry);
-        let (reply, control) = match decoded {
-            Ok(msg) => self.handle_message(msg),
-            Err(err) => self.refuse(err),
-        };
-        self.telemetry.counter("serve.frames_out").incr();
-        let (bytes, _encode_ns) = encode_frame_traced(&reply, &self.telemetry);
-        (bytes, control)
-    }
-
-    /// Records a frame that failed decoding or framing.
-    pub fn note_malformed(&mut self, err: &ProtocolError) {
-        self.telemetry.counter("serve.malformed_frames").incr();
-        self.telemetry.emit(
-            "serve.malformed_frame",
-            vec![("code", Value::from(err.code())), ("detail", Value::from(err.to_string()))],
-        );
-    }
-
     /// Records `err` and answers it on the wire; the connection stays up.
     fn refuse(&mut self, err: ProtocolError) -> (Message, Control) {
         self.note_malformed(&err);
@@ -535,28 +510,71 @@ impl ServerState {
     }
 }
 
-/// The connection loop of every frame-driven state machine (this server,
-/// the `fedl-dist` shard worker): answer frames through `handle` until
+/// A frame-driven state machine behind [`serve_frames`]: this server and
+/// the `fedl-dist` shard worker.
+pub trait FrameHandler {
+    /// Handles one raw frame: the encoded reply and whether to go on.
+    fn handle_frame(&mut self, frame: &[u8]) -> (Vec<u8>, Control);
+
+    /// Records a framing error that ends the connection.
+    fn note_malformed(&mut self, err: &ProtocolError);
+
+    /// Runs after each reply has been sent and its buffer dropped, before
+    /// the next blocking receive: work done here overlaps the peer's own.
+    /// Nothing by default.
+    fn idle(&mut self) {}
+}
+
+impl FrameHandler for ServerState {
+    /// Handles one raw frame: decode, dispatch, encode the reply.
+    /// Malformed frames never panic — they produce a wire
+    /// [`Message::Error`] and bump the `serve.malformed_frames`
+    /// counter, mirroring the run log's lenient parsing.
+    fn handle_frame(&mut self, frame: &[u8]) -> (Vec<u8>, Control) {
+        self.telemetry.counter("serve.frames_in").incr();
+        let (decoded, _decode_ns) = decode_frame_traced(frame, &self.telemetry);
+        let (reply, control) = match decoded {
+            Ok(msg) => self.handle_message(msg),
+            Err(err) => self.refuse(err),
+        };
+        self.telemetry.counter("serve.frames_out").incr();
+        let (bytes, _encode_ns) = encode_frame_traced(&reply, &self.telemetry);
+        (bytes, control)
+    }
+
+    /// Records a frame that failed decoding or framing.
+    fn note_malformed(&mut self, err: &ProtocolError) {
+        self.telemetry.counter("serve.malformed_frames").incr();
+        self.telemetry.emit(
+            "serve.malformed_frame",
+            vec![("code", Value::from(err.code())), ("detail", Value::from(err.to_string()))],
+        );
+    }
+}
+
+/// The connection loop of every [`FrameHandler`]: answer frames until
 /// shutdown, clean close, or a framing error that desynchronizes the
 /// stream (counted, reported to the peer best-effort, then surfaced).
-pub fn serve_frames<S>(
+/// Between a reply and the next receive the handler may work ahead
+/// ([`FrameHandler::idle`]).
+pub fn serve_frames(
     transport: &mut dyn FrameTransport,
-    state: &mut S,
-    handle: fn(&mut S, &[u8]) -> (Vec<u8>, Control),
-    malformed: fn(&mut S, &ProtocolError),
+    state: &mut impl FrameHandler,
 ) -> Result<ServeExit, ProtocolError> {
     loop {
         match transport.recv() {
             Ok(Some(frame)) => {
-                let (reply, control) = handle(state, &frame);
+                let (reply, control) = state.handle_frame(&frame);
                 transport.send(&reply)?;
                 if control == Control::Shutdown {
                     return Ok(ServeExit::Shutdown);
                 }
+                drop((frame, reply));
+                state.idle();
             }
             Ok(None) => return Ok(ServeExit::PeerClosed),
             Err(err) => {
-                malformed(state, &err);
+                state.note_malformed(&err);
                 let _ = transport.send(&encode_frame(&err.to_wire()));
                 return Err(err);
             }
@@ -569,7 +587,7 @@ pub fn serve_connection(
     transport: &mut dyn FrameTransport,
     state: &mut ServerState,
 ) -> Result<ServeExit, ProtocolError> {
-    serve_frames(transport, state, ServerState::handle_frame, ServerState::note_malformed)
+    serve_frames(transport, state)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::proto::{ProtocolError, MAX_FRAME_BYTES};
-use crate::server::ServerState;
+use crate::server::{FrameHandler, ServerState};
 
 /// A reliable, ordered frame pipe. `recv` returning `Ok(None)` means
 /// the peer closed cleanly at a frame boundary.

@@ -14,8 +14,8 @@ use fedl_core::policy::PolicyKind;
 use fedl_linalg::rng::{rng_for, Rng};
 use fedl_serve::{
     decode_frame, encode_frame, read_frame, serve_connection, write_frame, DuplexTransport,
-    FrameTransport, MemberFeedback, Message, ProtocolError, ServeConfig, ServeExit, ServerState,
-    SynthResult, FRAME_KIND, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    FrameHandler, FrameTransport, MemberFeedback, Message, ProtocolError, ServeConfig, ServeExit,
+    ServerState, SynthResult, FRAME_KIND, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use fedl_telemetry::Telemetry;
 

@@ -157,6 +157,17 @@ impl Population {
         }
     }
 
+    /// Lends epoch `t` alone, with the static columns and the latency
+    /// model that price it — for pricing what epoch `t` chose after the
+    /// window may have moved on to `t+1`. Unlike [`Self::advance`] it does
+    /// not ask for the hint epoch `t−1`, so it never evicts a realized
+    /// `t+1`: `t` is realized only when neither slot holds it, and then
+    /// into the slot that does not hold `t+1`.
+    pub fn lend(&mut self, epoch: usize) -> (&ClientColumns, &EpochColumns, &LatencyModel) {
+        let slot = self.slot_holding(epoch, epoch + 1);
+        (&self.cols, &self.window[slot], &self.latency)
+    }
+
     /// One-shot realization of `epoch` that leaves the window alone — for
     /// inspection through `&self`; epoch loops call [`Self::advance`].
     pub fn realize(&self, epoch: usize) -> EpochColumns {

@@ -20,15 +20,25 @@ fn profiles(config: &EnvConfig, channel: &ChannelModel) -> Vec<ClientProfile> {
 
 #[test]
 fn columns_match_profile_population() {
-    let (config, channel) = setup(40, 11);
-    let cols = ClientColumns::build(&config, &channel);
-    let profiles = profiles(&config, &channel);
-    assert_eq!(cols.len(), profiles.len());
-    for (k, p) in profiles.iter().enumerate() {
-        assert_eq!(cols.distance_m[k].to_bits(), p.distance_m.to_bits());
-        assert_eq!(cols.cycles_per_bit[k].to_bits(), p.compute.cycles_per_bit.to_bits());
-        assert_eq!(cols.cpu_hz[k].to_bits(), p.compute.cpu_hz.to_bits());
-        assert_eq!(cols.seed[k], p.seed);
+    for clients in [1, 100, 10_000] {
+        for seed in [11, 12, 0x5EED] {
+            let (config, channel) = setup(clients, seed);
+            let cols = ClientColumns::build(&config, &channel);
+            let profiles = profiles(&config, &channel);
+            assert_eq!(cols.len(), profiles.len());
+            for (k, p) in profiles.iter().enumerate() {
+                let at = format!("M = {clients}, seed {seed}, client {k}");
+                assert_eq!(cols.distance_m[k].to_bits(), p.distance_m.to_bits(), "{at}");
+                assert_eq!(cols.path_loss_db[k].to_bits(), p.path_loss_db.to_bits(), "{at}");
+                assert_eq!(cols.base_gain[k].to_bits(), p.base_gain.to_bits(), "{at}");
+                let cycles = p.compute.cycles_per_bit;
+                assert_eq!(cols.cycles_per_bit[k].to_bits(), cycles.to_bits(), "{at}");
+                assert_eq!(cols.cpu_hz[k].to_bits(), p.compute.cpu_hz.to_bits(), "{at}");
+                assert_eq!(cols.lambda[k].to_bits(), p.stream.lambda().to_bits(), "{at}");
+                assert_eq!(cols.seed[k], p.seed, "{at}");
+            }
+            assert_eq!(cols.tx_power_dbm.to_bits(), profiles[0].tx_power_dbm.to_bits());
+        }
     }
 }
 

@@ -1,17 +1,17 @@
-//! The scalar, one-client-at-a-time realization the simulator used
-//! before the columnar population (`fedl_sim::ClientColumns`): a
-//! row-oriented profile per client and `epoch_view`, which draws one
-//! client's epoch. It lives on only as the reference the parity tests
-//! compare the columnar realization against, bit for bit; nothing under
-//! `src/` uses it.
+//! The scalar, one-client-at-a-time population and realization the
+//! simulator used before the columnar one (`fedl_sim::ClientColumns`): a
+//! row-oriented profile per client, drawn here from §6.1's definitions,
+//! and `epoch_view`, which draws one client's epoch. It lives on only as
+//! the reference the parity tests compare the columnar population and
+//! realization against, bit for bit; nothing under `src/` uses it.
 //!
 //! Shared by `crates/sim/tests/columnar_parity.rs` and, through `#[path]`,
 //! by `crates/core/tests/columnar_parity.rs`.
 
 use fedl_data::stream::OnlineStream;
-use fedl_linalg::rng::{rng_for, Rng};
+use fedl_linalg::rng::{derive_seed, rng_for, Distribution, Normal, Rng};
 use fedl_net::{ChannelModel, ClientRadio, ComputeProfile};
-use fedl_sim::{ClientColumns, EnvConfig, EpochClientView};
+use fedl_sim::{EnvConfig, EpochClientView};
 
 /// Everything about a client that does not change over time.
 #[derive(Debug, Clone)]
@@ -20,6 +20,10 @@ pub struct ClientProfile {
     pub id: usize,
     /// Distance from the server in metres.
     pub distance_m: f64,
+    /// Path loss at that distance in dB.
+    pub path_loss_db: f64,
+    /// Channel gain under the shadowing drawn with the population.
+    pub base_gain: f64,
     /// Transmit power in dBm.
     pub tx_power_dbm: f64,
     /// Computation capability.
@@ -31,29 +35,55 @@ pub struct ClientProfile {
 }
 
 impl ClientProfile {
-    /// Builds the full population from the environment config and the
-    /// per-client partition pools: every static attribute comes from the
-    /// columnar store, the pools add the per-client data stream.
+    /// Draws the full population from the environment config, one client
+    /// at a time from the population stream `rng_for(seed, 0xC11E)`, and
+    /// gives each its partition pool as a data stream. Client `k`:
+    ///
+    /// * placed uniformly over the disk of `cell_radius_m` (the radius
+    ///   scales with `sqrt` of a uniform draw), no closer than the
+    ///   channel's `min_distance_m`;
+    /// * path loss `128.1 + 37.6·log10(d km)` and a base gain under one
+    ///   `N(0, σ²)` shadowing draw in dB (σ = 8 dB), which takes a whole
+    ///   Box–Muller pair;
+    /// * cycles/bit, CPU frequency and arrival rate λ uniform over their
+    ///   ranges, in that order;
+    /// * its own root seed `derive_seed(seed, 0xC11E_0000 + k)`.
     pub fn build_population(
         config: &EnvConfig,
         channel: &ChannelModel,
         pools: Vec<Vec<usize>>,
     ) -> Vec<ClientProfile> {
-        let columns = ClientColumns::build(config, channel);
-        assert_eq!(pools.len(), columns.len(), "one partition pool per client");
+        assert_eq!(pools.len(), config.num_clients, "one partition pool per client");
+        let mut rng = rng_for(config.seed, 0xC11E);
         pools
             .into_iter()
             .enumerate()
-            .map(|(id, pool)| ClientProfile {
-                id,
-                distance_m: columns.distance_m[id],
-                tx_power_dbm: columns.tx_power_dbm,
-                compute: ComputeProfile {
-                    cycles_per_bit: columns.cycles_per_bit[id],
-                    cpu_hz: columns.cpu_hz[id],
-                },
-                stream: OnlineStream::new(pool, columns.lambda[id], columns.seed[id]),
-                seed: columns.seed[id],
+            .map(|(id, pool)| {
+                let radius = config.cell_radius_m * rng.gen::<f64>().sqrt();
+                let distance_m = radius.max(channel.min_distance_m);
+                let path_loss_db = 128.1 + 37.6 * (distance_m / 1000.0).log10();
+                // A fresh sampler per client: its Box–Muller pair's
+                // second variate is never used.
+                let shadow_db = Normal::new(0.0, channel.shadowing_std_db).sample(&mut rng);
+                let base_gain = 10f64.powf(-(path_loss_db + shadow_db) / 10.0);
+                let (cycles, cpu, lambda) =
+                    (config.cycles_per_bit_range, config.cpu_hz_range, config.lambda_range);
+                let compute = ComputeProfile {
+                    cycles_per_bit: rng.gen_range(cycles.0..=cycles.1),
+                    cpu_hz: rng.gen_range(cpu.0..=cpu.1),
+                };
+                let lambda = rng.gen_range(lambda.0..=lambda.1);
+                let seed = derive_seed(config.seed, 0xC11E_0000 + id as u64);
+                ClientProfile {
+                    id,
+                    distance_m,
+                    path_loss_db,
+                    base_gain,
+                    tx_power_dbm: config.tx_power_dbm,
+                    compute,
+                    stream: OnlineStream::new(pool, lambda, seed),
+                    seed,
+                }
             })
             .collect()
     }

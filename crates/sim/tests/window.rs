@@ -85,6 +85,31 @@ fn walking_forward_realizes_each_epoch_once() {
 }
 
 #[test]
+fn lending_an_epoch_alone_keeps_the_epoch_after_it() {
+    // A worker that prices epoch t+1 before t's training outcome: context
+    // t, then context t+1, then the outcome of t alone — one realization
+    // per epoch, and what is lent equals a fresh realization.
+    let channel = ChannelModel::default();
+    let config = EnvConfig::small(24, 34);
+    let cols = ClientColumns::build(&config, &channel);
+    let mut p = population(24, 34);
+    p.advance(0);
+    for epoch in 0..6 {
+        p.advance(epoch + 1);
+        let (_, now, _) = p.lend(epoch);
+        assert_same_rows(now, &cols.epoch_columns(epoch, &config, &channel), &(0..24));
+    }
+    assert_eq!(p.realizations(), 7);
+    // Cold, it realizes the epoch alone and keeps the next one.
+    let mut p = population(24, 34);
+    p.advance(4);
+    assert_eq!(p.lend(2).1.epoch, 2);
+    assert_eq!(p.realizations(), 3, "epoch 2 alone, into epoch 4's slot");
+    assert_eq!(p.advance(4).now.epoch, 4);
+    assert_eq!(p.realizations(), 4, "epoch 3 was kept; only epoch 4 is realized again");
+}
+
+#[test]
 fn a_cold_start_past_epoch_zero_costs_two() {
     let mut p = population(24, 32);
     p.advance(9);

@@ -199,7 +199,9 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
     let mut worker_spans = 0usize;
     for (w, (_, log)) in worker_runs.iter().enumerate() {
         for row in &log.spans {
-            if !row.name.starts_with("dist.worker_") {
+            // The shard-request spans only: a `dist.worker_prefetch` span
+            // runs between requests, under no coordinator span.
+            if !matches!(row.name.as_str(), "dist.worker_context" | "dist.worker_train") {
                 continue;
             }
             worker_spans += 1;
@@ -424,6 +426,20 @@ mod tests {
         assert_eq!(model.resolved_spans, 8);
         assert!(model.linkage_line().contains("8/9"), "{}", model.linkage_line());
         assert!(!model.linkage_line().contains("(100%)"));
+    }
+
+    #[test]
+    fn a_prefetch_span_is_not_a_shard_request_span() {
+        let mut runs = simulated_logs(2);
+        let (worker, sink) = Telemetry::in_memory();
+        {
+            let mut s = worker.span("dist.worker_prefetch");
+            s.field("epoch", Value::from(1usize));
+        }
+        let prefetch = RunLog::parse(&sink.lines().join("\n"));
+        runs[1].1.spans.extend(prefetch.spans);
+        let model = merge_traces(&runs).unwrap();
+        assert_eq!(model.linkage_line(), "worker span linkage: 8/8 resolved (100%)");
     }
 
     #[test]

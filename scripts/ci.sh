@@ -549,12 +549,15 @@ stage_serve() {
 # Distributed execution (docs/DIST.md): a real 2-worker run over
 # spawned worker processes must produce selections byte-identical to
 # the single-process reference (--workers 0 writes the reference
-# artifact through the same JSONL path).
+# artifact through the same JSONL path). The spawned workers prepare
+# each next context part between requests; the determinism tests pin
+# those parts to the on-demand frames, in release as the workers run.
 stage_dist() {
     local out=target/ci_dist_stage
     rm -rf "$out"
     mkdir -p "$out"
     local scenario=(--clients 40 --seed 11 --budget 1000000 --min-participants 3 --policy fedl)
+    cargo test --release --offline -p fedl-dist --test determinism
     cargo build --release --offline -p fedl-bench
     run_exp dist --workers 0 "${scenario[@]}" --epochs 10 --out "$out/reference.jsonl"
     run_exp dist --workers 2 "${scenario[@]}" --epochs 10 --out "$out/dist.jsonl" \
