@@ -36,6 +36,7 @@ pub mod alloc_counter;
 pub mod dvec;
 pub mod fastexp;
 mod gemm;
+pub mod lanemath;
 mod matrix;
 pub mod ops;
 pub mod par;

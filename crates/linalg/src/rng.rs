@@ -25,6 +25,7 @@
 //! regression test and must never change — it is the root of every
 //! experiment's reproducibility story.
 
+use crate::lanemath;
 use crate::Matrix;
 
 // ---------------------------------------------------------------------------
@@ -479,6 +480,25 @@ impl Normal {
     pub fn from_uniforms(&self, a: f64, b: f64) -> f64 {
         let (r, theta) = Self::polar(a, b);
         self.mean + self.std * (r * theta.cos())
+    }
+
+    /// [`Self::from_uniforms`] of each lane's `(a[i], b[i])`, bit for bit:
+    /// the `ln` and `cos` run [`LANES`] at a time ([`crate::lanemath`]).
+    #[inline]
+    pub fn from_uniforms_lanes(&self, a: &[f64; LANES], b: &[f64; LANES]) -> [f64; LANES] {
+        let mut u1 = [0.0; LANES];
+        let mut theta = [0.0; LANES];
+        for i in 0..LANES {
+            u1[i] = 1.0 - a[i];
+            theta[i] = 2.0 * core::f64::consts::PI * b[i];
+        }
+        let (ln_u1, cos) = (lanemath::ln(u1), lanemath::cos(theta));
+        let mut z = [0.0; LANES];
+        for i in 0..LANES {
+            let r = (-2.0 * ln_u1[i]).sqrt();
+            z[i] = self.mean + self.std * (r * cos[i]);
+        }
+        z
     }
 }
 

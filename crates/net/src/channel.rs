@@ -1,6 +1,7 @@
 //! Path loss, shadow fading, and per-client channel gains.
 
-use fedl_linalg::rng::{Distribution, Normal, Rng};
+use fedl_linalg::lanemath;
+use fedl_linalg::rng::{Distribution, Normal, Rng, LANES};
 
 use crate::dbm_to_watts;
 
@@ -77,6 +78,23 @@ impl ChannelModel {
     pub fn gain_from_loss(&self, path_loss_db: f64, shadow_db: f64) -> f64 {
         let loss_db = path_loss_db + shadow_db;
         10f64.powf(-loss_db / 10.0)
+    }
+
+    /// [`Self::gain_from_loss`] of each lane's `(path_loss_db[i],
+    /// shadow_db[i])`, bit for bit: the `10^x` runs [`LANES`] at a time
+    /// ([`lanemath::exp10`]).
+    #[inline]
+    pub fn gain_from_loss_lanes(
+        &self,
+        path_loss_db: &[f64; LANES],
+        shadow_db: &[f64; LANES],
+    ) -> [f64; LANES] {
+        let mut exponent = [0.0; LANES];
+        for i in 0..LANES {
+            let loss_db = path_loss_db[i] + shadow_db[i];
+            exponent[i] = -loss_db / 10.0;
+        }
+        lanemath::exp10(exponent)
     }
 
     /// Builds a client radio at `distance_m` with the given power.

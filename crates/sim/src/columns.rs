@@ -23,7 +23,7 @@ use std::ops::Range;
 
 use fedl_data::stream::arrival_count_lanes;
 use fedl_linalg::par::par_chunks_grained;
-use fedl_linalg::rng::{derive_seed, rng_for, Distribution, Poisson, Rng, XoshiroLanes, LANES};
+use fedl_linalg::rng::{derive_seed, rng_for, Poisson, Rng, XoshiroLanes, LANES};
 use fedl_net::{ChannelModel, ClientRadio};
 
 use crate::config::EnvConfig;
@@ -108,14 +108,16 @@ impl ClientColumns {
         // The draws share one sequential stream, so this loop is serial
         // by construction; it runs once per environment.
         let mut rng = rng_for(config.seed, 0xC11E);
+        let shadowing = channel.shadowing();
         for id in 0..m {
             // Uniform placement over the disk: sqrt for area uniformity.
             let r = config.cell_radius_m * rng.gen::<f64>().sqrt();
             let distance_m = r.max(channel.min_distance_m);
             // `sample_gain(distance_m, ..)`, keeping the path loss it
-            // computes.
+            // computes; a fresh `Normal`'s first draw, without the
+            // Box–Muller spare it would compute and drop.
             let path_loss_db = channel.path_loss_db(distance_m);
-            let shadow_db = channel.shadowing().sample(&mut rng);
+            let shadow_db = shadowing.from_uniforms(rng.next_f64(), rng.next_f64());
             cols.distance_m.push(distance_m);
             cols.path_loss_db.push(path_loss_db);
             cols.base_gain.push(channel.gain_from_loss(path_loss_db, shadow_db));
@@ -245,12 +247,9 @@ impl ClientColumns {
         let (lo, hi) = config.cost_range;
         assert!(lo <= hi, "empty range {lo}..={hi}");
         let cost = rng.next_f64().map(|u| lo + u * (hi - lo));
-        let shadowing = channel.shadowing();
         let (a, b) = (rng.next_f64(), rng.next_f64());
-        let gain = std::array::from_fn(|i| {
-            let shadow = shadowing.from_uniforms(a[i], b[i]);
-            channel.gain_from_loss(self.path_loss_db[ids[i]], shadow)
-        });
+        let shadow_db = channel.shadowing().from_uniforms_lanes(&a, &b);
+        let gain = channel.gain_from_loss_lanes(&ids.map(|k| self.path_loss_db[k]), &shadow_db);
         let volume = arrival_count_lanes(
             &seeds,
             &ids.map(|k| self.lambda[k]),

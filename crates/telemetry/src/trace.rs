@@ -18,12 +18,14 @@
 //! The critical-path split answers "which worker gated this epoch, and
 //! where did the wait go": per epoch the coordinator's per-worker wait
 //! spans (`dist.context` / `dist.train`) are charged to the worker's
-//! own shard **realize** time, its reply **encode** and request
-//! **decode** codec time (from `dist.worker_frame` events), the
-//! residual **wire** time (framing, kernel buffers, scheduling), and
-//! beside them the coordinator's own **merge** (`dist.merge` spans) and
-//! **select** (`dist.select`: the policy's decision and its hygiene)
-//! time, so neither is mistaken for time on the wire.
+//! own shard **realize** time, its **prefetch** of the next epoch
+//! (`dist.worker_prefetch` spans, which a `dist.train` request waits
+//! behind), its reply **encode** and request **decode** codec time (from
+//! `dist.worker_frame` events), the residual **wire** time (framing,
+//! kernel buffers, scheduling), and beside them the coordinator's own
+//! **merge** (`dist.merge` spans) and **select** (`dist.select`: the
+//! policy's decision and its hygiene) time, so neither is mistaken for
+//! time on the wire.
 
 use std::collections::BTreeMap;
 
@@ -31,10 +33,11 @@ use crate::render::{self, Bar, Col, Report};
 use crate::report::fmt_secs;
 use crate::RunLog;
 
-/// Segment colors: realize, encode, wire, decode, merge, select.
-const SEGMENT_COLORS: [&str; 6] =
-    ["#2563eb", "#059669", "#9ca3af", "#d97706", "#7c3aed", "#dc2626"];
-const SEGMENT_NAMES: [&str; 6] = ["realize", "encode", "wire", "decode", "merge", "select"];
+/// Segment colors: realize, prefetch, encode, wire, decode, merge, select.
+const SEGMENT_COLORS: [&str; 7] =
+    ["#2563eb", "#0891b2", "#059669", "#9ca3af", "#d97706", "#7c3aed", "#dc2626"];
+const SEGMENT_NAMES: [&str; 7] =
+    ["realize", "prefetch", "encode", "wire", "decode", "merge", "select"];
 
 /// One input's parse summary, reported for every input unconditionally
 /// so multi-log output stays line-for-line comparable across runs.
@@ -57,6 +60,11 @@ pub struct WorkerEpoch {
     pub train_wait: f64,
     /// Worker-side shard realize time (resolved `dist.worker_*` spans).
     pub realize_secs: f64,
+    /// Worker-side prefetch of the next epoch that this epoch's train
+    /// wait sat behind: the `dist.worker_prefetch` spans of epoch `t + 1`
+    /// (prepared after answering epoch `t`'s context request), capped at
+    /// the train wait.
+    pub prefetch_secs: f64,
     /// Worker-side reply encode time (from `dist.worker_frame`).
     pub encode_secs: f64,
     /// Worker-side request decode time (from `dist.worker_frame`).
@@ -69,10 +77,12 @@ impl WorkerEpoch {
         self.context_wait + self.train_wait
     }
 
-    /// Residual wait not explained by realize or codec time: framing,
-    /// kernel buffers, scheduling — the wire share.
+    /// Residual wait not explained by realize, prefetch or codec time:
+    /// framing, kernel buffers, scheduling — the wire share.
     pub fn wire_secs(&self) -> f64 {
-        (self.wait() - self.realize_secs - self.encode_secs - self.decode_secs).max(0.0)
+        let explained =
+            self.realize_secs + self.prefetch_secs + self.encode_secs + self.decode_secs;
+        (self.wait() - explained).max(0.0)
     }
 }
 
@@ -198,9 +208,18 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
     let mut resolved_spans = 0usize;
     let mut worker_spans = 0usize;
     for (w, (_, log)) in worker_runs.iter().enumerate() {
+        // A prefetch of epoch t + 1 runs between requests, under no
+        // coordinator span, right after the worker answered epoch t's
+        // context request: the train request of epoch t waits behind it.
+        let mut prefetch: BTreeMap<usize, f64> = BTreeMap::new();
         for row in &log.spans {
-            // The shard-request spans only: a `dist.worker_prefetch` span
-            // runs between requests, under no coordinator span.
+            if row.name == "dist.worker_prefetch" {
+                if let Some(t) = row.epoch.and_then(|e| e.checked_sub(1)) {
+                    *prefetch.entry(t).or_default() += row.secs;
+                }
+                continue;
+            }
+            // Otherwise the shard-request spans only.
             if !matches!(row.name.as_str(), "dist.worker_context" | "dist.worker_train") {
                 continue;
             }
@@ -210,6 +229,12 @@ pub fn merge_traces(runs: &[(String, RunLog)]) -> Result<TraceModel, String> {
             if let Some(entry) = key.and_then(|key| epochs.get_mut(epoch_of.get(&key)?)) {
                 resolved_spans += 1;
                 entry.workers[w].realize_secs += row.secs;
+            }
+        }
+        for (t, secs) in prefetch {
+            if let Some(entry) = epochs.get_mut(&t) {
+                let we = &mut entry.workers[w];
+                we.prefetch_secs = secs.min(we.train_wait);
             }
         }
         // Codec time from the per-frame wire events, charged to the
@@ -271,28 +296,30 @@ pub fn report(runs: &[(String, RunLog)]) -> Result<Report, String> {
         let mut segments = Vec::new();
         for (w, we) in e.workers.iter().enumerate() {
             waterfall.push_str(&format!(
-                "  worker {w} {} wait {} (realize {}, codec {}, wire {})\n",
+                "  worker {w} {} wait {} (realize {}, prefetch {}, codec {}, wire {})\n",
                 ascii_bar(we.wait() / total),
                 fmt_secs(we.wait()),
                 fmt_secs(we.realize_secs),
+                fmt_secs(we.prefetch_secs),
                 fmt_secs(we.encode_secs + we.decode_secs),
                 fmt_secs(we.wire_secs()),
             ));
             segments.push((we.realize_secs, SEGMENT_COLORS[0]));
-            segments.push((we.wire_secs() + we.encode_secs + we.decode_secs, SEGMENT_COLORS[2]));
+            segments.push((we.prefetch_secs, SEGMENT_COLORS[1]));
+            segments.push((we.wire_secs() + we.encode_secs + we.decode_secs, SEGMENT_COLORS[3]));
         }
         waterfall.push_str(&format!(
             "  merge    {} {}\n",
             ascii_bar(e.merge_secs / total),
             fmt_secs(e.merge_secs)
         ));
-        segments.push((e.merge_secs, SEGMENT_COLORS[4]));
+        segments.push((e.merge_secs, SEGMENT_COLORS[5]));
         waterfall.push_str(&format!(
             "  select   {} {}\n",
             ascii_bar(e.select_secs / total),
             fmt_secs(e.select_secs)
         ));
-        segments.push((e.select_secs, SEGMENT_COLORS[5]));
+        segments.push((e.select_secs, SEGMENT_COLORS[6]));
         waterfall_bars.push(bar(format!("epoch {}", e.epoch), segments));
     }
     report.ascii(waterfall);
@@ -307,6 +334,7 @@ pub fn report(runs: &[(String, RunLog)]) -> Result<Report, String> {
         };
         let split = [
             w.realize_secs,
+            w.prefetch_secs,
             w.encode_secs,
             w.wire_secs(),
             w.decode_secs,
@@ -431,15 +459,34 @@ mod tests {
     #[test]
     fn a_prefetch_span_is_not_a_shard_request_span() {
         let mut runs = simulated_logs(2);
+        let before = merge_traces(&runs).unwrap();
+        let wire_before =
+            before.epochs.iter().map(|e| e.workers[0].wire_secs()).collect::<Vec<_>>();
+        let wire_before_1 = before.epochs[1].workers[1].wire_secs();
+        // Worker 0 prefetches epoch 1 (after answering epoch 0's context
+        // request) and epoch 2 (after epoch 1's), the second for longer
+        // than epoch 1's train wait.
         let (worker, sink) = Telemetry::in_memory();
-        {
-            let mut s = worker.span("dist.worker_prefetch");
-            s.field("epoch", Value::from(1usize));
+        for epoch in [1usize, 2] {
+            worker.span("dist.worker_prefetch").field("epoch", Value::from(epoch));
         }
-        let prefetch = RunLog::parse(&sink.lines().join("\n"));
-        runs[1].1.spans.extend(prefetch.spans);
+        let mut prefetch = RunLog::parse(&sink.lines().join("\n")).spans;
+        prefetch[0].secs = 1e-9;
+        prefetch[1].secs = 1e3;
+        runs[1].1.spans.extend(prefetch);
         let model = merge_traces(&runs).unwrap();
         assert_eq!(model.linkage_line(), "worker span linkage: 8/8 resolved (100%)");
+        let [e0, e1] = &model.epochs[..] else { panic!("{:?}", model.epochs) };
+        let (w0, w1) = (&e0.workers[0], &e1.workers[0]);
+        assert_eq!(w0.prefetch_secs, 1e-9);
+        assert_eq!(w1.prefetch_secs, w1.train_wait, "capped at the train wait it overlapped");
+        assert_eq!(e0.workers[1].prefetch_secs + e1.workers[1].prefetch_secs, 0.0);
+        // The prefetch leaves the wire share.
+        assert!((w0.wire_secs() - (wire_before[0] - 1e-9).max(0.0)).abs() < 1e-15);
+        assert_eq!(w1.wire_secs(), 0.0);
+        assert_eq!(e1.workers[1].wire_secs(), wire_before_1);
+        let text = report(&runs).unwrap().text();
+        assert!(text.contains(" prefetch "), "{text}");
     }
 
     #[test]

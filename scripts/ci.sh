@@ -472,8 +472,11 @@ require_kernels() {
 # The lane-group realization is then held to the scalar oracle over the
 # release-mode sweep (over a million client-epochs; a debug build of the
 # same test runs a small one), and the tests that pin the realization
-# window and the lockstep Poisson sampler run in release beside it: the
-# sweep's count and each binary's pass count are the stage note.
+# window and the lockstep Poisson sampler run in release beside it. The
+# lane ports of libm's ln, cos and pow(10, ·) (fedl_linalg::lanemath)
+# run their ignored release sweeps: at least 10^8 inputs per function,
+# each against libm by to_bits. The sweeps' counts and each binary's pass
+# count are the stage note.
 stage_scale() {
     require_kernels scale/score_update_10k scale/rounding_10k scale/epoch_realize_10k \
         solve/descend_10k
@@ -481,9 +484,18 @@ stage_scale() {
     cargo test --release --offline -p fedl-sim --test lane_parity --test columnar_parity \
         --test window --test alloc_free -- --nocapture 2>&1 | tee "$log"
     cargo test --release --offline -p fedl-linalg --test lanes 2>&1 | tee -a "$log"
-    local compared passes
+    cargo test --release --offline -p fedl-linalg --test lanemath -- --include-ignored \
+        --nocapture 2>&1 | tee -a "$log"
+    local compared passes libm="" function count
     compared=$(grep -o '^[0-9]* client-epochs' "$log") \
         || { echo "lane parity sweep printed no client-epoch count" >&2; exit 1; }
+    for function in ln cos exp10; do
+        count=$(grep -o "^[0-9]* $function inputs" "$log" | grep -o '^[0-9]*') \
+            || { echo "the $function sweep printed no input count" >&2; exit 1; }
+        [ "$count" -ge 100000000 ] \
+            || { echo "the $function sweep compared $count inputs, under 10^8" >&2; exit 1; }
+        libm="$libm${libm:+, }$function $count"
+    done
     # `Running tests/window.rs (…)` names the binary the next
     # `test result:` line belongs to.
     passes=$(awk '
@@ -491,9 +503,9 @@ stage_scale() {
         $1 == "test" && $2 == "result:" { out = out sep bin " " $4; sep = ", " }
         END { print out }
     ' "$log")
-    [ "$(grep -c '^test result: ok' "$log")" -eq 5 ] \
-        || { echo "expected five passing test binaries in $log" >&2; exit 1; }
-    CI_STAGE_NOTE="lane parity: $compared; passed: $passes"
+    [ "$(grep -c '^test result: ok' "$log")" -eq 6 ] \
+        || { echo "expected six passing test binaries in $log" >&2; exit 1; }
+    CI_STAGE_NOTE="lane parity: $compared; libm sweeps: $libm inputs; passed: $passes"
 }
 
 # Federation service (docs/SERVE.md): a real loadgen round-trip over
