@@ -618,15 +618,18 @@ mod tests {
                 w.handle_message(Message::Hello { protocol_version, node: "skewed".to_string() });
             expect_code(reply, "version");
         }
-        // Out-of-shard cohort members.
-        w.handle_message(assign_msg(20, 7, 0..10));
-        let (reply, _) = w.handle_message(Message::ShardTrain {
-            epoch: 0,
-            members: vec![15],
-            iterations: 1,
-            trace: Trace::Absent,
-        });
-        expect_code(reply, "schema");
+        // Out-of-shard cohort members, the ids either side of the shard
+        // included: their static rows are zeros, never a client to price.
+        w.handle_message(assign_msg(20, 7, 5..15));
+        for outside in [4, 15, 0, 19] {
+            let (reply, _) = w.handle_message(Message::ShardTrain {
+                epoch: 0,
+                members: vec![5, outside],
+                iterations: 1,
+                trace: Trace::Absent,
+            });
+            expect_code(reply, "schema");
+        }
     }
 
     #[test]

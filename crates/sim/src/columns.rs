@@ -9,8 +9,10 @@
 //! per-client structs, which is what makes one scheduler epoch over
 //! 10⁶ clients a handful of contiguous passes.
 //!
-//! Determinism contract: [`ClientColumns::build`] consumes the shared
-//! population RNG stream client by client, and
+//! Determinism contract: [`ClientColumns::build_shard`] walks the shared
+//! population RNG stream in client order, six uniforms a client, so a
+//! shard's rows equal the same rows of the full [`ClientColumns::build`];
+//! and
 //! [`ClientColumns::epoch_columns`] draws each client's epoch from its
 //! own streams (`rng_for(seed_k, tag)`), sixteen clients' streams stepped
 //! in lockstep ([`XoshiroLanes`]), so realization order — and therefore
@@ -23,7 +25,7 @@ use std::ops::Range;
 
 use fedl_data::stream::arrival_count_lanes;
 use fedl_linalg::par::par_chunks_grained;
-use fedl_linalg::rng::{derive_seed, rng_for, Poisson, Rng, XoshiroLanes, LANES};
+use fedl_linalg::rng::{derive_seed, rng_for, Poisson, Rng, Xoshiro256pp, XoshiroLanes, LANES};
 use fedl_net::{ChannelModel, ClientRadio};
 
 use crate::config::EnvConfig;
@@ -36,6 +38,10 @@ use crate::config::EnvConfig;
 /// assembly) split at the same grain.
 pub const REALIZE_CHUNK: usize = 16 * 1024;
 
+/// Uniforms each client takes from the shared population stream
+/// ([`ClientColumns::build_shard`]).
+const DRAWS_PER_CLIENT: usize = 6;
+
 /// The static client population as parallel columns (struct-of-arrays).
 ///
 /// Row `k` across all columns describes client `k`; every column has
@@ -44,6 +50,12 @@ pub const REALIZE_CHUNK: usize = 16 * 1024;
 /// loss of the fixed distance and the Poisson limit of the fixed rate.
 /// At one million clients the store costs 64 bytes/client ≈ 64 MB (see
 /// docs/SCALE.md for the full memory budget).
+///
+/// Columns built for a shard ([`ClientColumns::build_shard`]) keep
+/// full length, but only the shard's rows are drawn: every row outside
+/// it is zero in every column (seed included) and stays unmapped, so
+/// such a store costs 64 bytes per shard row. A zero row is no client;
+/// whoever holds shard columns prices only the shard's ids.
 ///
 /// ```
 /// use fedl_sim::{ClientColumns, EnvConfig};
@@ -84,50 +96,94 @@ pub struct ClientColumns {
 }
 
 impl ClientColumns {
-    /// Draws the population columns from the environment config.
-    ///
-    /// Consumes the shared population RNG (`rng_for(config.seed,
-    /// 0xC11E)`) client by client: placement, base gain, cycles/bit, CPU
-    /// frequency, arrival rate.
+    /// Draws the population columns from the environment config:
+    /// [`Self::build_shard`] over every row.
     ///
     /// # Panics
     /// Panics if a drawn arrival rate is not finite and positive.
     pub fn build(config: &EnvConfig, channel: &ChannelModel) -> Self {
+        Self::build_shard(config, channel, 0..config.num_clients)
+    }
+
+    /// Draws the population columns of the contiguous id range `rows`
+    /// only. Columns come back full-length (so downstream kernels keep
+    /// global indexing), allocated zeroed: every row outside `rows` is
+    /// exactly zero and its pages are never touched, so a shard of a
+    /// large population keeps only its own rows resident. The rows
+    /// inside are bit-identical to the same rows of [`Self::build`].
+    ///
+    /// The population shares one sequential RNG stream (`rng_for(
+    /// config.seed, 0xC11E)`), six uniforms per client in id order:
+    /// placement, the two shadowing uniforms, cycles/bit, CPU frequency,
+    /// arrival rate. Clients before `rows` are stepped over. The owned
+    /// ones are drawn [`LANES`] at a time: the group's uniforms serially,
+    /// then its placement, shadowing (`ln`, `cos`) and base gain (`10^x`)
+    /// lane by lane; the path loss's `log10` and the Poisson limit's
+    /// `exp` stay per row. A short last group is padded with copies of
+    /// its last client, so every lane stays in the lane functions' fast
+    /// domain.
+    ///
+    /// # Panics
+    /// Panics if `rows` is reversed or reaches past the population, if a
+    /// configured range is empty, or if a drawn arrival rate is not
+    /// finite and positive.
+    pub fn build_shard(config: &EnvConfig, channel: &ChannelModel, rows: Range<usize>) -> Self {
         let m = config.num_clients;
+        assert!(
+            rows.start <= rows.end && rows.end <= m,
+            "rows {rows:?} out of bounds for population of {m}"
+        );
         let mut cols = ClientColumns {
-            distance_m: Vec::with_capacity(m),
-            path_loss_db: Vec::with_capacity(m),
-            base_gain: Vec::with_capacity(m),
-            cycles_per_bit: Vec::with_capacity(m),
-            cpu_hz: Vec::with_capacity(m),
-            lambda: Vec::with_capacity(m),
-            arrival_limit: Vec::with_capacity(m),
-            seed: Vec::with_capacity(m),
+            distance_m: vec![0.0; m],
+            path_loss_db: vec![0.0; m],
+            base_gain: vec![0.0; m],
+            cycles_per_bit: vec![0.0; m],
+            cpu_hz: vec![0.0; m],
+            lambda: vec![0.0; m],
+            arrival_limit: vec![0.0; m],
+            seed: vec![0; m],
             tx_power_dbm: config.tx_power_dbm,
         };
-        // The draws share one sequential stream, so this loop is serial
-        // by construction; it runs once per environment.
-        let mut rng = rng_for(config.seed, 0xC11E);
+        // `gen_range(lo..=hi)` of a uniform `u`, its empty-range refusal
+        // included: `lo + u·(hi − lo)`, no rejection.
+        let ranges = [config.cycles_per_bit_range, config.cpu_hz_range, config.lambda_range];
+        for (lo, hi) in ranges {
+            assert!(lo <= hi, "empty range {lo}..={hi}");
+        }
+        let affine = |(lo, hi): (f64, f64), u: &[f64; LANES]| u.map(|u| lo + u * (hi - lo));
+        let mut rng = stepped(rng_for(config.seed, 0xC11E), rows.start * DRAWS_PER_CLIENT);
         let shadowing = channel.shadowing();
-        for id in 0..m {
+        for first in rows.clone().step_by(LANES) {
+            let n = LANES.min(rows.end - first);
+            let mut u = [[0.0; LANES]; DRAWS_PER_CLIENT];
+            for i in 0..LANES {
+                for draw in &mut u {
+                    draw[i] = if i < n { rng.next_f64() } else { draw[n - 1] };
+                }
+            }
             // Uniform placement over the disk: sqrt for area uniformity.
-            let r = config.cell_radius_m * rng.gen::<f64>().sqrt();
-            let distance_m = r.max(channel.min_distance_m);
-            // `sample_gain(distance_m, ..)`, keeping the path loss it
-            // computes; a fresh `Normal`'s first draw, without the
-            // Box–Muller spare it would compute and drop.
-            let path_loss_db = channel.path_loss_db(distance_m);
-            let shadow_db = shadowing.from_uniforms(rng.next_f64(), rng.next_f64());
-            cols.distance_m.push(distance_m);
-            cols.path_loss_db.push(path_loss_db);
-            cols.base_gain.push(channel.gain_from_loss(path_loss_db, shadow_db));
-            cols.cycles_per_bit
-                .push(rng.gen_range(config.cycles_per_bit_range.0..=config.cycles_per_bit_range.1));
-            cols.cpu_hz.push(rng.gen_range(config.cpu_hz_range.0..=config.cpu_hz_range.1));
-            let lambda = rng.gen_range(config.lambda_range.0..=config.lambda_range.1);
-            cols.lambda.push(lambda);
-            cols.arrival_limit.push(Poisson::new(lambda).last_chunk_limit());
-            cols.seed.push(derive_seed(config.seed, 0xC11E_0000 + id as u64));
+            let distance_m =
+                u[0].map(|u| (config.cell_radius_m * u.sqrt()).max(channel.min_distance_m));
+            let path_loss_db = distance_m.map(|d| channel.path_loss_db(d));
+            // A fresh `Normal`'s first draw, without the Box–Muller spare.
+            let shadow_db = shadowing.from_uniforms_lanes(&u[1], &u[2]);
+            let base_gain = channel.gain_from_loss_lanes(&path_loss_db, &shadow_db);
+            let lambda = affine(config.lambda_range, &u[5]);
+            let drawn = [
+                (&mut cols.distance_m, distance_m),
+                (&mut cols.path_loss_db, path_loss_db),
+                (&mut cols.base_gain, base_gain),
+                (&mut cols.cycles_per_bit, affine(config.cycles_per_bit_range, &u[3])),
+                (&mut cols.cpu_hz, affine(config.cpu_hz_range, &u[4])),
+                (&mut cols.lambda, lambda),
+                (&mut cols.arrival_limit, lambda.map(|l| Poisson::new(l).last_chunk_limit())),
+            ];
+            for (column, lanes) in drawn {
+                column[first..first + n].copy_from_slice(&lanes[..n]);
+            }
+            for (id, seed) in (first..).zip(&mut cols.seed[first..first + n]) {
+                *seed = derive_seed(config.seed, 0xC11E_0000 + id as u64);
+            }
         }
         cols
     }
@@ -258,6 +314,17 @@ impl ClientColumns {
         );
         (on, cost, gain, volume.map(|v| v as u32))
     }
+}
+
+/// `rng` after `n` steps. Out of line on purpose: inlined into the
+/// build, the generator's state stayed in memory and a step cost about
+/// three times as much.
+#[inline(never)]
+fn stepped(mut rng: Xoshiro256pp, n: usize) -> Xoshiro256pp {
+    for _ in 0..n {
+        rng.next_raw();
+    }
+    rng
 }
 
 /// What the time axis does to a client at one epoch, as a row: the

@@ -80,9 +80,11 @@ impl Population {
     }
 
     /// [`Self::new`] restricted to the contiguous id range `shard`: the
-    /// static columns cover everyone (they are one sequential RNG
-    /// stream), realizations only the shard's rows — rows outside it
-    /// stay inert, see [`ClientColumns::epoch_columns_partial_into`].
+    /// static columns ([`ClientColumns::build_shard`]) and every
+    /// realization ([`ClientColumns::epoch_columns_partial_into`]) hold
+    /// only the shard's rows. Rows outside it are exactly zero in the
+    /// static columns and inert in the realized ones, so nothing may
+    /// price a client outside the shard.
     ///
     /// # Panics
     /// Panics if `shard` is reversed or reaches past the population.
@@ -93,7 +95,7 @@ impl Population {
             config.num_clients
         );
         let channel = ChannelModel::default();
-        let cols = ClientColumns::build(&config, &channel);
+        let cols = ClientColumns::build_shard(&config, &channel, shard.clone());
         Self {
             config,
             channel,

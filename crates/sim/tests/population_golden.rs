@@ -1,6 +1,8 @@
 //! The seed-7 100k population and its first twelve epochs, pinned by
 //! digest: every static column of `ClientColumns::build` and every
 //! column of `epoch_columns` for epochs 0–11, each value by `to_bits`.
+//! A shard's columns (`ClientColumns::build_shard`) are held to the full
+//! build row for row, and to zero outside the shard.
 //!
 //! The oracle tests (`columnar_parity.rs`, `lane_parity.rs`) hold the
 //! columnar code to a second statement of §6.1; this file holds both to
@@ -8,6 +10,8 @@
 //! that moves the population stream or the realization together with
 //! its oracle still fails here. A change that means to move them
 //! recomputes the constants and says why.
+
+use std::ops::Range;
 
 use fedl_net::ChannelModel;
 use fedl_sim::{ClientColumns, EnvConfig, ScaleTier};
@@ -75,4 +79,51 @@ fn the_seed_7_100k_population_and_twelve_epochs_keep_their_bits() {
     assert_eq!(statics, want_statics);
     assert_eq!(realized, want_realized);
     assert_eq!(available, 959_368);
+}
+
+/// The eight per-client columns, by `to_bits`.
+fn rows(cols: &ClientColumns) -> [Vec<u64>; 8] {
+    let bits = |column: &[f64]| column.iter().map(|x| x.to_bits()).collect();
+    [
+        bits(&cols.distance_m),
+        bits(&cols.path_loss_db),
+        bits(&cols.base_gain),
+        bits(&cols.cycles_per_bit),
+        bits(&cols.cpu_hz),
+        bits(&cols.lambda),
+        bits(&cols.arrival_limit),
+        cols.seed.clone(),
+    ]
+}
+
+#[test]
+fn a_shard_build_is_the_full_build_on_its_rows_and_zero_elsewhere() {
+    let channel = ChannelModel::default();
+    for seed in [7, 11, 0x5EED] {
+        for m in [1usize, 17, 100, 100_000] {
+            let config = EnvConfig::small(m, seed);
+            let full = rows(&ClientColumns::build(&config, &channel));
+            // `fedl_dist::shard_ranges(m, 2)`: the first half takes the odd row.
+            let half = m.div_ceil(2);
+            // 5..M−3, off the lane grid at both ends (empty below M = 8).
+            let five = 5.min(m);
+            let unaligned = five..m.saturating_sub(3).max(five);
+            let shards: [Range<usize>; 7] =
+                [0..m, half..half, 0..1, m - 1..m, unaligned, 0..half, half..m];
+            for shard in shards {
+                let cols = ClientColumns::build_shard(&config, &channel, shard.clone());
+                assert_eq!(cols.len(), m);
+                assert_eq!(cols.tx_power_dbm.to_bits(), config.tx_power_dbm.to_bits());
+                for (c, (got, want)) in rows(&cols).iter().zip(&full).enumerate() {
+                    for k in 0..m {
+                        let want = if shard.contains(&k) { want[k] } else { 0 };
+                        assert_eq!(
+                            got[k], want,
+                            "seed {seed} M {m} rows {shard:?}: column {c}, row {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -472,7 +472,9 @@ require_kernels() {
 # The lane-group realization is then held to the scalar oracle over the
 # release-mode sweep (over a million client-epochs; a debug build of the
 # same test runs a small one), and the tests that pin the realization
-# window and the lockstep Poisson sampler run in release beside it. The
+# window and the lockstep Poisson sampler run in release beside it, with
+# population_golden (the pinned 100k population, and a shard's static
+# columns == the full build's rows, zero elsewhere). The
 # lane ports of libm's ln, cos and pow(10, ·) (fedl_linalg::lanemath)
 # run their ignored release sweeps: at least 10^8 inputs per function,
 # each against libm by to_bits. The sweeps' counts and each binary's pass
@@ -482,7 +484,7 @@ stage_scale() {
         solve/descend_10k
     local log=target/ci_scale_lane_parity.txt
     cargo test --release --offline -p fedl-sim --test lane_parity --test columnar_parity \
-        --test window --test alloc_free -- --nocapture 2>&1 | tee "$log"
+        --test window --test alloc_free --test population_golden -- --nocapture 2>&1 | tee "$log"
     cargo test --release --offline -p fedl-linalg --test lanes 2>&1 | tee -a "$log"
     cargo test --release --offline -p fedl-linalg --test lanemath -- --include-ignored \
         --nocapture 2>&1 | tee -a "$log"
@@ -503,8 +505,8 @@ stage_scale() {
         $1 == "test" && $2 == "result:" { out = out sep bin " " $4; sep = ", " }
         END { print out }
     ' "$log")
-    [ "$(grep -c '^test result: ok' "$log")" -eq 6 ] \
-        || { echo "expected six passing test binaries in $log" >&2; exit 1; }
+    [ "$(grep -c '^test result: ok' "$log")" -eq 7 ] \
+        || { echo "expected seven passing test binaries in $log" >&2; exit 1; }
     CI_STAGE_NOTE="lane parity: $compared; libm sweeps: $libm inputs; passed: $passes"
 }
 
