@@ -3,8 +3,10 @@
 //! the learned estimates and multipliers of the original; the three
 //! checkpoint readers (runner, served coordinator, shard worker) refuse
 //! every damaged payload with a typed error and a foreign stamp with the
-//! same one; and the runner, the server and the worker each report a
-//! save that failed.
+//! same one; the runner, the server and the worker each report a
+//! save that failed; and every checkpointed or cached record keeps its
+//! exact bytes, so files written before a change to how records are
+//! declared still load.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,9 +20,11 @@ use fedl::prelude::*;
 use fedl::serve::proto::{Message, Trace};
 use fedl::serve::{run_loadgen, InProcessTransport, ServeError, SERVE_CHECKPOINT_KIND};
 use fedl::sim::EdgeEnvironment;
-use fedl::store::{read_envelope, write_envelope, StoreError};
+use fedl::store::{envelope_checksum, read_envelope, write_envelope, StoreError};
 use fedl::telemetry::Telemetry;
-use fedl_json::Value;
+use fedl_bench::history::HistoryEntry;
+use fedl_bench::perf::{BenchSnapshot, KernelStats};
+use fedl_json::{ToJson, Value};
 
 /// A fresh policy for `num_clients` clients restored from `original`.
 fn restored_from(original: &FedLPolicy, num_clients: usize) -> Result<FedLPolicy, String> {
@@ -405,4 +409,90 @@ fn runner_server_and_worker_report_a_failed_save_as_an_event() {
             assert!(error.contains("I/O error"), "{who}: {error}");
         }
     }
+}
+
+/// `(byte length, envelope_checksum)` of a record's rendering.
+fn pin(bytes: impl AsRef<[u8]>) -> (usize, u64) {
+    (bytes.as_ref().len(), envelope_checksum(bytes.as_ref()))
+}
+
+#[test]
+fn every_checkpointed_and_cached_record_keeps_its_bytes() {
+    // A FedL snapshot after six hand-driven epochs.
+    let mut env = ScenarioConfig::small_fmnist(10, 350.0, 3).with_seed(51).build_env();
+    let mut policy = FedLPolicy::new(FedLConfig::default(), 10, 350.0, 3);
+    drive(&mut policy, &mut env, 6);
+    let snapshot = policy.snapshot_state().to_json();
+
+    // The three checkpoint files and the runner's payload.
+    let dir = scratch("bytes");
+    let [runner, served, shard] = decoders(&dir).map(|d| d.real);
+    let runner_payload = read_envelope(&runner, "checkpoint").unwrap().to_json();
+
+    // A finished run, its first trace event, and a perf history line.
+    let mut run = ExperimentRunner::new(runner_scenario(), PolicyKind::FedL);
+    let outcome = run.run().to_json_value().to_json();
+    let event = run.trace().events()[0].to_json_value().to_json();
+    let kernel = KernelStats {
+        name: "solve/descend_10k".into(),
+        mean_ns: 512_000.5,
+        std_ns: 1_250.25,
+        min_ns: 498_000.0,
+        iters: 3,
+        samples: 12,
+    };
+    let snap = BenchSnapshot {
+        schema_version: 13,
+        profile: "quick".into(),
+        threads: 2,
+        kernels: vec![kernel],
+    };
+    let line = HistoryEntry {
+        schema_version: 1,
+        fingerprint: "linux-x86_64/t2/quick/bench-v13".into(),
+        commit: "0123456789ab".into(),
+        snapshot: snap,
+    }
+    .to_json_value()
+    .to_json();
+
+    let fixed = FedLConfig { fixed_steps: Some((0.25, 1.5)), ..FedLConfig::default() };
+
+    let pinned = [
+        ("snapshot", pin(&snapshot)),
+        ("runner payload", pin(&runner_payload)),
+        ("runner file", pin(fs::read(&runner).unwrap())),
+        ("serve file", pin(fs::read(&served).unwrap())),
+        ("shard file", pin(fs::read(&shard).unwrap())),
+        ("outcome", pin(&outcome)),
+    ];
+    let want = [
+        ("snapshot", (2190, 0xcf78a39ddd974a74)),
+        ("runner payload", (31154, 0x8d1a6574d6527fef)),
+        ("runner file", (31205, 0x9aac7ef264b7e510)),
+        ("serve file", (4623, 0x3623df8e63c4a3c7)),
+        ("shard file", (180, 0x333cee44d93205a2)),
+        ("outcome", (2184, 0xedeab1a1689793d0)),
+    ];
+    assert_eq!(pinned, want);
+    assert_eq!(
+        event,
+        r#"{"epoch":0,"cohort":[2,6],"iterations":2,"latency_secs":0.06714934862607891,"cost":18.027058066392232,"remaining_budget":181.97294193360776,"eta_hats":[0.6143767833709717,0.5173143744468689],"global_loss":2.2718338528904347}"#
+    );
+    assert_eq!(
+        line,
+        r#"{"schema_version":1,"fingerprint":"linux-x86_64/t2/quick/bench-v13","commit":"0123456789ab","snapshot":{"schema_version":13,"profile":"quick","threads":2,"kernels":[{"name":"solve/descend_10k","mean_ns":512000.5,"std_ns":1250.25,"min_ns":498000.0,"iters":3,"samples":12}]}}"#
+    );
+    assert_eq!(
+        FedLConfig::default().to_json_value().to_json(),
+        r#"{"theta":1.0,"rho_max":10.0,"step_scale":1.0,"dual_scale":10.0,"fixed_steps":null,"mean_cost_estimate":6.05,"independent_rounding":false,"fairness_weight":0.0}"#
+    );
+    assert_eq!(
+        fixed.to_json_value().to_json(),
+        r#"{"theta":1.0,"rho_max":10.0,"step_scale":1.0,"dual_scale":10.0,"fixed_steps":[0.25,1.5],"mean_cost_estimate":6.05,"independent_rounding":false,"fairness_weight":0.0}"#
+    );
+    assert_eq!(
+        fedl::ml::DaneConfig::default().to_json_value().to_json(),
+        r#"{"sigma1":0.10000000149011612,"sigma2":1.0,"lr":0.20000000298023224,"local_steps":8,"batch":32,"clip":10.0,"momentum":0.0}"#
+    );
 }
