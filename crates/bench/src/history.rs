@@ -16,7 +16,7 @@
 use std::io;
 use std::path::Path;
 
-use fedl_json::{obj, parse_lines, read_field, FromJson, ToJson, Value};
+use fedl_json::{parse_lines, FromJson, ToJson};
 use fedl_telemetry::render::{self, Block, Col, Report, Series};
 
 use crate::perf::{self, BenchSnapshot, CompareReport, KernelStats};
@@ -68,28 +68,7 @@ impl HistoryEntry {
     }
 }
 
-impl ToJson for HistoryEntry {
-    fn to_json_value(&self) -> Value {
-        obj(vec![
-            ("schema_version", (self.schema_version as usize).to_json_value()),
-            ("fingerprint", self.fingerprint.to_json_value()),
-            ("commit", self.commit.to_json_value()),
-            ("snapshot", self.snapshot.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for HistoryEntry {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        let schema_version: usize = read_field(v, "schema_version")?;
-        Ok(Self {
-            schema_version: schema_version as u32,
-            fingerprint: read_field(v, "fingerprint")?,
-            commit: read_field(v, "commit")?,
-            snapshot: BenchSnapshot::from_json_value(v.field("snapshot")?)?,
-        })
-    }
-}
+fedl_json::record!(HistoryEntry { schema_version, fingerprint, commit, snapshot });
 
 /// The comparability fingerprint of a snapshot: OS, architecture,
 /// hardware parallelism, suite profile, and the `BENCH.json` schema
@@ -464,6 +443,7 @@ pub fn trend(history: &BenchHistory, window: usize) -> Report {
 mod tests {
     use super::*;
     use crate::perf::BENCH_SCHEMA_VERSION;
+    use fedl_json::Value;
 
     fn stats(name: &str, mean: f64, std: f64) -> KernelStats {
         KernelStats {
@@ -506,6 +486,31 @@ mod tests {
         assert!(e.fingerprint.contains("quick"));
         let back = HistoryEntry::from_json_value(&e.to_json_value()).unwrap();
         assert_eq!(e, back);
+    }
+
+    #[test]
+    fn a_schema_version_past_u32_is_skipped_not_wrapped_into_the_baseline() {
+        // 2^32 + v once read as v: a line from no writer of this schema
+        // joined the gate's baseline. Outer and inner versions alike.
+        let good = entry(1000.0, 10.0);
+        let wrapped = |mut line: Value, path: &[&str]| {
+            let mut at = &mut line;
+            for key in path {
+                let Value::Obj(pairs) = at else { panic!("{key}'s parent is an object") };
+                at = &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1;
+            }
+            let version = at.as_i64().unwrap();
+            *at = Value::Int((1 << 32) + version);
+            line.to_json() + "\n"
+        };
+        let bad = entry(9_000_000.0, 10.0).to_json_value();
+        let text = wrapped(bad.clone(), &["schema_version"])
+            + &wrapped(bad, &["snapshot", "schema_version"])
+            + &good.to_json_value().to_json();
+        let history = BenchHistory::parse(&text);
+        assert_eq!((history.entries(), history.skipped_lines()), (&[good.clone()][..], 2));
+        let baseline = history.rolling_baseline(&good.fingerprint, 5).unwrap();
+        assert_eq!((baseline.entries, baseline.snapshot.kernels[0].mean_ns), (1, 1000.0));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use fedl_json::{obj, read_field, FromJson, ToJson, Value};
+use fedl_json::{FromJson, ToJson, Value};
 use fedl_telemetry::log_line;
 use fedl_telemetry::render::{Col, Table};
 
@@ -101,32 +101,7 @@ impl KernelStats {
     }
 }
 
-impl ToJson for KernelStats {
-    fn to_json_value(&self) -> Value {
-        obj(vec![
-            ("name", self.name.to_json_value()),
-            ("mean_ns", self.mean_ns.to_json_value()),
-            ("std_ns", self.std_ns.to_json_value()),
-            ("min_ns", self.min_ns.to_json_value()),
-            ("iters", (self.iters as usize).to_json_value()),
-            ("samples", self.samples.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for KernelStats {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        let iters: usize = read_field(v, "iters")?;
-        Ok(Self {
-            name: read_field(v, "name")?,
-            mean_ns: read_field(v, "mean_ns")?,
-            std_ns: read_field(v, "std_ns")?,
-            min_ns: read_field(v, "min_ns")?,
-            iters: iters as u64,
-            samples: read_field(v, "samples")?,
-        })
-    }
-}
+fedl_json::record!(KernelStats { name, mean_ns, std_ns, min_ns, iters, samples });
 
 /// One machine-readable perf snapshot (`BENCH.json`).
 #[derive(Debug, Clone, PartialEq)]
@@ -141,28 +116,7 @@ pub struct BenchSnapshot {
     pub kernels: Vec<KernelStats>,
 }
 
-impl ToJson for BenchSnapshot {
-    fn to_json_value(&self) -> Value {
-        obj(vec![
-            ("schema_version", (self.schema_version as usize).to_json_value()),
-            ("profile", self.profile.to_json_value()),
-            ("threads", self.threads.to_json_value()),
-            ("kernels", self.kernels.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for BenchSnapshot {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        let schema_version: usize = read_field(v, "schema_version")?;
-        Ok(Self {
-            schema_version: schema_version as u32,
-            profile: read_field(v, "profile")?,
-            threads: read_field(v, "threads")?,
-            kernels: read_field(v, "kernels")?,
-        })
-    }
-}
+fedl_json::record!(BenchSnapshot { schema_version, profile, threads, kernels });
 
 impl BenchSnapshot {
     /// Serialises the snapshot to `path` (creating parent directories).

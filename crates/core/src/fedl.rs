@@ -60,27 +60,19 @@ impl Default for FedLConfig {
     }
 }
 
-impl ToJson for FedLConfig {
-    /// Canonical field order — part of the result-cache key contract
-    /// (docs/CHECKPOINT.md), so reordering or renaming fields
-    /// invalidates existing caches.
-    fn to_json_value(&self) -> Value {
-        let fixed_steps = match self.fixed_steps {
-            Some((beta, delta)) => Value::Arr(vec![Value::Float(beta), Value::Float(delta)]),
-            None => Value::Null,
-        };
-        obj(vec![
-            ("theta", self.theta.to_json_value()),
-            ("rho_max", self.rho_max.to_json_value()),
-            ("step_scale", self.step_scale.to_json_value()),
-            ("dual_scale", self.dual_scale.to_json_value()),
-            ("fixed_steps", fixed_steps),
-            ("mean_cost_estimate", self.mean_cost_estimate.to_json_value()),
-            ("independent_rounding", self.independent_rounding.to_json_value()),
-            ("fairness_weight", self.fairness_weight.to_json_value()),
-        ])
-    }
-}
+// Canonical field order — part of the result-cache key contract
+// (docs/CHECKPOINT.md), so reordering or renaming fields invalidates
+// existing caches.
+fedl_json::record!(encode FedLConfig {
+    theta,
+    rho_max,
+    step_scale,
+    dual_scale,
+    fixed_steps,
+    mean_cost_estimate,
+    independent_rounding,
+    fairness_weight,
+});
 
 /// The FedL selection policy (paper Alg. 1 + Alg. 2).
 pub struct FedLPolicy {

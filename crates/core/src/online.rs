@@ -13,7 +13,6 @@
 use crate::objective::{locator, FracDecision, OneShot, SolveOutcome, SolveScratch};
 use crate::policy::EpochContext;
 use crate::state::LearnerState;
-use fedl_json::{obj, read_field, FromJson, ToJson, Value};
 use fedl_linalg::par::{det_sum, par_zip_chunks_grained};
 use fedl_sim::EpochReport;
 
@@ -78,17 +77,7 @@ impl StepSizes {
     }
 }
 
-impl ToJson for StepSizes {
-    fn to_json_value(&self) -> Value {
-        obj(vec![("beta", self.beta.to_json_value()), ("delta", self.delta.to_json_value())])
-    }
-}
-
-impl FromJson for StepSizes {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        Ok(Self { beta: read_field(v, "beta")?, delta: read_field(v, "delta")? })
-    }
-}
+fedl_json::record!(StepSizes { beta, delta });
 
 /// State of the online learner: per-client observation memory plus the
 /// Lagrange multipliers `μ = [μ⁰, μ¹ … μ^M]` (μ⁰ for the global
@@ -349,35 +338,11 @@ impl OnlineLearner {
     }
 }
 
-impl ToJson for OnlineLearner {
-    fn to_json_value(&self) -> Value {
-        obj(vec![
-            ("state", self.state.to_json_value()),
-            ("mu0", self.mu0.to_json_value()),
-            ("mu", self.mu.to_json_value()),
-            ("steps", self.steps.to_json_value()),
-            ("theta", self.theta.to_json_value()),
-            ("rho_max", self.rho_max.to_json_value()),
-            ("fairness_weight", self.fairness_weight.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for OnlineLearner {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        Ok(Self {
-            state: read_field(v, "state")?,
-            mu0: read_field(v, "mu0")?,
-            mu: read_field(v, "mu")?,
-            steps: read_field(v, "steps")?,
-            theta: read_field(v, "theta")?,
-            rho_max: read_field(v, "rho_max")?,
-            fairness_weight: read_field(v, "fairness_weight")?,
-            last_solve: SolveOutcome::default(),
-            scratch: LearnerScratch::default(),
-        })
-    }
-}
+fedl_json::record!(OnlineLearner {
+    state, mu0, mu, steps, theta, rho_max, fairness_weight;
+    last_solve: SolveOutcome::default(),
+    scratch: LearnerScratch::default(),
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,8 +8,6 @@
 //! `‖[Σ h_t(Φ̃_t)]⁺‖` — the curves whose sub-linear growth Corollary 1
 //! guarantees.
 
-use fedl_json::{obj, read_field, FromJson, ToJson, Value};
-
 use crate::objective::{locator, FracDecision, OneShot};
 use fedl_sim::EpochReport;
 
@@ -132,30 +130,10 @@ impl RegretTracker {
     }
 }
 
-impl ToJson for RegretTracker {
-    fn to_json_value(&self) -> Value {
-        obj(vec![
-            ("f_online", self.f_online.to_json_value()),
-            ("f_hindsight", self.f_hindsight.to_json_value()),
-            ("h_cum", self.h_cum.to_json_value()),
-            ("fit_curve", self.fit_curve.to_json_value()),
-            ("regret_curve", self.regret_curve.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for RegretTracker {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        Ok(Self {
-            f_online: read_field(v, "f_online")?,
-            f_hindsight: read_field(v, "f_hindsight")?,
-            h_cum: read_field(v, "h_cum")?,
-            fit_curve: read_field(v, "fit_curve")?,
-            regret_curve: read_field(v, "regret_curve")?,
-            ..Self::new(0)
-        })
-    }
-}
+fedl_json::record!(RegretTracker {
+    f_online, f_hindsight, h_cum, fit_curve, regret_curve;
+    ..Self::new(0)
+});
 
 #[cfg(test)]
 mod tests {

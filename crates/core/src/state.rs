@@ -62,29 +62,7 @@ impl ClientStats {
     }
 }
 
-impl ToJson for ClientStats {
-    fn to_json_value(&self) -> Value {
-        obj(vec![
-            ("tau", self.tau.to_json_value()),
-            ("eta", self.eta.to_json_value()),
-            ("g", self.g.to_json_value()),
-            ("last_x", self.last_x.to_json_value()),
-            ("observations", self.observations.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for ClientStats {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        Ok(Self {
-            tau: read_field(v, "tau")?,
-            eta: read_field(v, "eta")?,
-            g: read_field(v, "g")?,
-            last_x: read_field(v, "last_x")?,
-            observations: read_field(v, "observations")?,
-        })
-    }
-}
+fedl_json::record!(ClientStats { tau, eta, g, last_x, observations });
 
 #[inline]
 fn ema(old: f64, new: f64) -> f64 {
@@ -263,6 +241,7 @@ impl LearnerState {
     }
 }
 
+// By hand: the columns are written as rows, not as the struct's fields.
 impl ToJson for LearnerState {
     /// Serializes the columns as the original row-oriented layout (a
     /// `clients` array of per-client objects, `null` for never-touched
@@ -279,11 +258,11 @@ impl ToJson for LearnerState {
     }
 }
 
+// By hand: the rows are read back into the columns.
 impl FromJson for LearnerState {
     fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
         let clients: Vec<Option<ClientStats>> = read_field(v, "clients")?;
         let mut state = LearnerState::new(clients.len(), read_field(v, "prior_x")?);
-        state.prior_x = read_field(v, "prior_x")?;
         state.last_global_loss = read_field(v, "last_global_loss")?;
         state.last_rho = read_field(v, "last_rho")?;
         for (k, row) in clients.into_iter().enumerate() {

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 use fedl_core::columnar::{scale_context_part, ContextPart};
 use fedl_core::policy::PolicyKind;
-use fedl_json::Value;
+use fedl_json::{FromJson, Record, Value};
 use fedl_serve::proto::{
     answer_hello, check_shard_clients, decode_frame_traced, encode_frame_traced, Message,
     ProtocolError, Trace, PROTOCOL_VERSION,
@@ -59,19 +59,17 @@ pub struct ShardCheckpoint {
     pub epochs_served: usize,
 }
 
+fedl_json::record!(ShardCheckpoint { fingerprint, shard_start, shard_end, epochs_served });
+
 impl ShardCheckpoint {
+    /// The record after its fingerprint, which the stamp writes.
+    fn shard_fields(&self) -> impl Iterator<Item = (&'static str, Value)> {
+        self.fields().into_iter().skip(1)
+    }
+
     fn write(&self, path: &Path) -> Result<(), StoreError> {
-        write_checkpoint(
-            path,
-            DIST_SHARD_CHECKPOINT_KIND,
-            DIST_SHARD_SCHEMA_VERSION,
-            &self.fingerprint,
-            [
-                ("shard_start", Value::from(self.shard_start)),
-                ("shard_end", Value::from(self.shard_end)),
-                ("epochs_served", Value::from(self.epochs_served)),
-            ],
-        )
+        let (kind, version) = (DIST_SHARD_CHECKPOINT_KIND, DIST_SHARD_SCHEMA_VERSION);
+        write_checkpoint(path, kind, version, &self.fingerprint, self.shard_fields())
     }
 
     /// The worker learns its deployment from the file: the stamp's
@@ -80,12 +78,7 @@ impl ShardCheckpoint {
     fn read(path: &Path) -> Result<Self, StoreError> {
         let ckpt =
             read_checkpoint(path, DIST_SHARD_CHECKPOINT_KIND, DIST_SHARD_SCHEMA_VERSION, None)?;
-        Ok(Self {
-            fingerprint: ckpt.field("fingerprint")?,
-            shard_start: ckpt.field("shard_start")?,
-            shard_end: ckpt.field("shard_end")?,
-            epochs_served: ckpt.field("epochs_served")?,
-        })
+        Self::from_json_value(&ckpt.payload).map_err(|e| ckpt.schema(e))
     }
 }
 
@@ -151,15 +144,9 @@ impl WorkerState {
     /// into the same path.
     pub fn resume(telemetry: Telemetry, path: &Path) -> Result<Self, StoreError> {
         let expected = ShardCheckpoint::read(path)?;
-        telemetry.emit(
-            "dist.worker_resumed",
-            vec![
-                ("path", Value::from(path.display().to_string())),
-                ("shard_start", Value::from(expected.shard_start)),
-                ("shard_end", Value::from(expected.shard_end)),
-                ("epochs_served", Value::from(expected.epochs_served)),
-            ],
-        );
+        let at = ("path", Value::from(path.display().to_string()));
+        telemetry
+            .emit("dist.worker_resumed", [at].into_iter().chain(expected.shard_fields()).collect());
         Ok(Self {
             assignment: None,
             checkpoint: Some(path.to_path_buf()),

@@ -81,21 +81,9 @@ impl Default for DaneConfig {
     }
 }
 
-impl fedl_json::ToJson for DaneConfig {
-    fn to_json_value(&self) -> fedl_json::Value {
-        // Canonical field order — part of the result-cache key contract
-        // (docs/CHECKPOINT.md), so reordering fields invalidates caches.
-        fedl_json::obj(vec![
-            ("sigma1", self.sigma1.to_json_value()),
-            ("sigma2", self.sigma2.to_json_value()),
-            ("lr", self.lr.to_json_value()),
-            ("local_steps", self.local_steps.to_json_value()),
-            ("batch", self.batch.to_json_value()),
-            ("clip", self.clip.to_json_value()),
-            ("momentum", self.momentum.to_json_value()),
-        ])
-    }
-}
+// Canonical field order — part of the result-cache key contract
+// (docs/CHECKPOINT.md), so reordering fields invalidates caches.
+fedl_json::record!(encode DaneConfig { sigma1, sigma2, lr, local_steps, batch, clip, momentum });
 
 /// What a client uploads after its local solve.
 #[derive(Debug, Clone)]

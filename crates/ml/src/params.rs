@@ -146,6 +146,7 @@ impl ParamSet {
     }
 }
 
+// By hand: a tensor is its shape and data, and reading one checks they agree.
 impl ToJson for ParamSet {
     fn to_json_value(&self) -> Value {
         // Shape + flat data per tensor. f32 scalars survive the JSON
@@ -167,6 +168,7 @@ impl ToJson for ParamSet {
     }
 }
 
+// By hand: a tensor's data must fit the shape it names.
 impl FromJson for ParamSet {
     fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
         let arr = v

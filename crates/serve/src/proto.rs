@@ -31,7 +31,7 @@
 use std::fmt;
 
 use fedl_core::columnar::ContextPart;
-use fedl_json::{read_field, Value};
+use fedl_json::{read_field, FromJson, ToJson, Value};
 use fedl_store::{decode_envelope, encode_envelope_with, StoreError};
 use fedl_telemetry::{SpanContext, Telemetry};
 
@@ -131,29 +131,6 @@ impl Trace {
         match self {
             Trace::Context { trace_id, span_id } => Some(SpanContext { trace_id, span_id }),
             Trace::Absent | Trace::Invalid => None,
-        }
-    }
-
-    fn encode_into(self, fields: &mut Vec<(&'static str, Field<'_>)>) {
-        if let Trace::Context { trace_id, span_id } = self {
-            fields.push(("trace_id", Field::json(SpanContext::fmt_id(trace_id))));
-            fields.push(("span_id", Field::json(SpanContext::fmt_id(span_id))));
-        }
-    }
-
-    /// Lenient parse: absence is normal (tracing off), garbage is
-    /// [`Trace::Invalid`], never an error — a bad trace id must not
-    /// fail the request it rides on.
-    fn decode_from(v: &Value) -> Trace {
-        let (t, s) = (v.get("trace_id"), v.get("span_id"));
-        if t.is_none() && s.is_none() {
-            return Trace::Absent;
-        }
-        let parse =
-            |field: Option<&Value>| field.and_then(Value::as_str).and_then(SpanContext::parse_id);
-        match (parse(t), parse(s)) {
-            (Some(trace_id), Some(span_id)) => Trace::Context { trace_id, span_id },
-            _ => Trace::Invalid,
         }
     }
 }
@@ -334,265 +311,6 @@ pub enum Message {
         /// Human-readable description.
         detail: String,
     },
-}
-
-impl Message {
-    /// The wire `type` tag of this message kind.
-    pub fn type_tag(&self) -> &'static str {
-        match self {
-            Message::Hello { .. } => "hello",
-            Message::ClientJoin { .. } => "client_join",
-            Message::ClientLeave { .. } => "client_leave",
-            Message::SelectCohort { .. } => "select_cohort",
-            Message::Cohort { .. } => "cohort",
-            Message::TrainResult { .. } => "train_result",
-            Message::Snapshot { .. } => "snapshot",
-            Message::Shutdown => "shutdown",
-            Message::ShardAssign { .. } => "shard_assign",
-            Message::ShardReady { .. } => "shard_ready",
-            Message::ShardContext { .. } => "shard_context",
-            Message::ShardContextPart { .. } => "shard_context_part",
-            Message::ShardTrain { .. } => "shard_train",
-            Message::ShardTrainPart { .. } => "shard_train_part",
-            Message::Stats => "stats",
-            Message::StatsSnapshot { .. } => "stats_snapshot",
-            Message::Error { .. } => "error",
-        }
-    }
-
-    /// The message's fields in wire order (`type` first), as
-    /// [`encode_frame`] renders them.
-    fn fields(&self) -> Vec<(&'static str, Field<'_>)> {
-        let mut fields = vec![("type", Field::json(self.type_tag()))];
-        match self {
-            Message::Hello { protocol_version, node } => {
-                fields.push(("protocol_version", Field::json(*protocol_version as usize)));
-                fields.push(("node", Field::json(node.as_str())));
-            }
-            Message::ClientJoin { client } | Message::ClientLeave { client } => {
-                fields.push(("client", Field::json(*client)));
-            }
-            Message::SelectCohort { epoch, trace } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                trace.encode_into(&mut fields);
-            }
-            Message::Cohort { epoch, cohort, iterations, done } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                fields.push(("cohort", Field::Json(ids_to_json(cohort))));
-                fields.push(("iterations", Field::json(*iterations)));
-                fields.push(("done", Field::json(*done)));
-            }
-            Message::TrainResult { epoch, cohort, iterations, feedback: f } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                fields.push(("cohort", Field::Json(ids_to_json(cohort))));
-                fields.push(("iterations", Field::json(*iterations)));
-                fields.push(("latency_secs", Field::json(f.latency_secs)));
-                let latencies =
-                    f.per_client_iter_latency.iter().map(|&t| Value::Float(t)).collect();
-                fields.push(("per_client_iter_latency", Field::Json(Value::Arr(latencies))));
-                fields.push(("cost", Field::json(f.cost)));
-                fields.push(("eta_hats", Field::Json(f32s_to_json(&f.eta_hats))));
-                fields.push(("global_loss", Field::json(f.global_loss)));
-                fields.push(("grad_dot_delta", Field::Json(f32s_to_json(&f.grad_dot_delta))));
-                fields.push(("local_losses", Field::Json(f32s_to_json(&f.local_losses))));
-            }
-            Message::Snapshot { epoch, registered, selections, budget_remaining, policy } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                fields.push(("registered", Field::json(*registered)));
-                fields.push(("selections", Field::json(*selections)));
-                fields.push(("budget_remaining", Field::json(*budget_remaining)));
-                fields.push(("policy", Field::json(policy.as_str())));
-            }
-            Message::Shutdown => {}
-            Message::ShardAssign {
-                clients,
-                seed,
-                budget,
-                min_participants,
-                policy,
-                shard_start,
-                shard_end,
-            } => {
-                fields.push(("clients", Field::json(*clients)));
-                // Seeds ride as JSON ints; the CLI's seed grammar keeps
-                // them inside i64 range.
-                fields.push(("seed", Field::json(*seed as usize)));
-                fields.push(("budget", Field::json(*budget)));
-                fields.push(("min_participants", Field::json(*min_participants)));
-                fields.push(("policy", Field::json(policy.as_str())));
-                fields.push(("shard_start", Field::json(*shard_start)));
-                fields.push(("shard_end", Field::json(*shard_end)));
-            }
-            Message::ShardReady { shard_start, shard_end, fingerprint } => {
-                fields.push(("shard_start", Field::json(*shard_start)));
-                fields.push(("shard_end", Field::json(*shard_end)));
-                fields.push(("fingerprint", Field::json(fingerprint.as_str())));
-            }
-            Message::ShardContext { epoch, trace } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                trace.encode_into(&mut fields);
-            }
-            Message::ShardContextPart { epoch, part } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                fields.push(("available", Field::Ids(&part.available)));
-                fields.push(("costs", Field::F64s(&part.costs)));
-                fields.push(("latency_hint", Field::F64s(&part.latency_hint)));
-                fields.push(("true_latency", Field::F64s(&part.true_latency)));
-                fields.push(("data_volumes", Field::Ids(&part.data_volumes)));
-            }
-            Message::ShardTrain { epoch, members, iterations, trace } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                fields.push(("members", Field::Ids(members)));
-                fields.push(("iterations", Field::json(*iterations)));
-                trace.encode_into(&mut fields);
-            }
-            Message::ShardTrainPart { epoch, members, feedback: f } => {
-                fields.push(("epoch", Field::json(*epoch)));
-                fields.push(("members", Field::Ids(members)));
-                fields.push(("per_client_iter_latency", Field::F64s(&f.per_client_iter_latency)));
-                fields.push(("costs", Field::F64s(&f.costs)));
-                fields.push(("eta_hats", Field::F32s(&f.eta_hats)));
-                fields.push(("grad_dot_delta", Field::F32s(&f.grad_dot_delta)));
-                fields.push(("local_losses", Field::F32s(&f.local_losses)));
-            }
-            Message::Stats => {}
-            Message::StatsSnapshot { registry } => {
-                fields.push(("registry", Field::Json(registry.clone())));
-            }
-            Message::Error { code, detail } => {
-                fields.push(("code", Field::json(code.as_str())));
-                fields.push(("detail", Field::json(detail.as_str())));
-            }
-        }
-        fields
-    }
-
-    /// Parses a message object; any shape mismatch is a
-    /// [`ProtocolError::Schema`].
-    pub fn from_json_value(v: &Value) -> Result<Message, ProtocolError> {
-        let schema = |e: fedl_json::Error| ProtocolError::Schema { detail: e.to_string() };
-        let tag: String = read_field(v, "type").map_err(schema)?;
-        let msg = match tag.as_str() {
-            "hello" => {
-                let raw: usize = read_field(v, "protocol_version").map_err(schema)?;
-                let protocol_version = u32::try_from(raw).map_err(|_| ProtocolError::Schema {
-                    detail: format!("protocol_version {raw} out of range"),
-                })?;
-                Message::Hello { protocol_version, node: read_field(v, "node").map_err(schema)? }
-            }
-            "client_join" => {
-                Message::ClientJoin { client: read_field(v, "client").map_err(schema)? }
-            }
-            "client_leave" => {
-                Message::ClientLeave { client: read_field(v, "client").map_err(schema)? }
-            }
-            "select_cohort" => Message::SelectCohort {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                trace: Trace::decode_from(v),
-            },
-            "cohort" => Message::Cohort {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                cohort: read_field(v, "cohort").map_err(schema)?,
-                iterations: read_field(v, "iterations").map_err(schema)?,
-                done: read_field(v, "done").map_err(schema)?,
-            },
-            "train_result" => Message::TrainResult {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                cohort: read_field(v, "cohort").map_err(schema)?,
-                iterations: read_field(v, "iterations").map_err(schema)?,
-                feedback: SynthResult {
-                    latency_secs: read_field(v, "latency_secs").map_err(schema)?,
-                    per_client_iter_latency: read_field(v, "per_client_iter_latency")
-                        .map_err(schema)?,
-                    cost: read_field(v, "cost").map_err(schema)?,
-                    eta_hats: read_field(v, "eta_hats").map_err(schema)?,
-                    global_loss: read_field(v, "global_loss").map_err(schema)?,
-                    grad_dot_delta: read_field(v, "grad_dot_delta").map_err(schema)?,
-                    local_losses: read_field(v, "local_losses").map_err(schema)?,
-                },
-            },
-            "snapshot" => Message::Snapshot {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                registered: read_field(v, "registered").map_err(schema)?,
-                selections: read_field(v, "selections").map_err(schema)?,
-                budget_remaining: read_field(v, "budget_remaining").map_err(schema)?,
-                policy: read_field(v, "policy").map_err(schema)?,
-            },
-            "shutdown" => Message::Shutdown,
-            "shard_assign" => {
-                let seed: usize = read_field(v, "seed").map_err(schema)?;
-                Message::ShardAssign {
-                    clients: read_field(v, "clients").map_err(schema)?,
-                    seed: seed as u64,
-                    budget: read_field(v, "budget").map_err(schema)?,
-                    min_participants: read_field(v, "min_participants").map_err(schema)?,
-                    policy: read_field(v, "policy").map_err(schema)?,
-                    shard_start: read_field(v, "shard_start").map_err(schema)?,
-                    shard_end: read_field(v, "shard_end").map_err(schema)?,
-                }
-            }
-            "shard_ready" => Message::ShardReady {
-                shard_start: read_field(v, "shard_start").map_err(schema)?,
-                shard_end: read_field(v, "shard_end").map_err(schema)?,
-                fingerprint: read_field(v, "fingerprint").map_err(schema)?,
-            },
-            "shard_context" => Message::ShardContext {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                trace: Trace::decode_from(v),
-            },
-            "shard_context_part" => Message::ShardContextPart {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                part: ContextPart {
-                    available: unpack(v, "available")?,
-                    costs: unpack(v, "costs")?,
-                    latency_hint: unpack(v, "latency_hint")?,
-                    true_latency: unpack(v, "true_latency")?,
-                    data_volumes: unpack(v, "data_volumes")?,
-                },
-            },
-            "shard_train" => Message::ShardTrain {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                members: unpack(v, "members")?,
-                iterations: read_field(v, "iterations").map_err(schema)?,
-                trace: Trace::decode_from(v),
-            },
-            "shard_train_part" => Message::ShardTrainPart {
-                epoch: read_field(v, "epoch").map_err(schema)?,
-                members: unpack(v, "members")?,
-                feedback: MemberFeedback {
-                    per_client_iter_latency: unpack(v, "per_client_iter_latency")?,
-                    costs: unpack(v, "costs")?,
-                    eta_hats: unpack(v, "eta_hats")?,
-                    grad_dot_delta: unpack(v, "grad_dot_delta")?,
-                    local_losses: unpack(v, "local_losses")?,
-                },
-            },
-            "stats" => Message::Stats,
-            "stats_snapshot" => Message::StatsSnapshot {
-                registry: v.get("registry").cloned().ok_or_else(|| ProtocolError::Schema {
-                    detail: "stats_snapshot is missing the registry field".to_string(),
-                })?,
-            },
-            "error" => Message::Error {
-                code: read_field(v, "code").map_err(schema)?,
-                detail: read_field(v, "detail").map_err(schema)?,
-            },
-            other => {
-                return Err(ProtocolError::Schema {
-                    detail: format!("unknown message type {other:?}"),
-                })
-            }
-        };
-        Ok(msg)
-    }
-}
-
-fn ids_to_json(ids: &[usize]) -> Value {
-    Value::Arr(ids.iter().map(|&k| Value::from(k)).collect())
-}
-
-fn f32s_to_json(xs: &[f32]) -> Value {
-    Value::Arr(xs.iter().map(|&x| Value::Float(x as f64)).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -802,10 +520,6 @@ enum Field<'a> {
 }
 
 impl Field<'_> {
-    fn json(value: impl Into<Value>) -> Self {
-        Field::Json(value.into())
-    }
-
     /// A lower bound on the field's rendered length, exact for a packed
     /// column.
     fn len_hint(&self) -> usize {
@@ -825,6 +539,217 @@ impl Field<'_> {
             Field::Ids(column) => pack_into(column, out),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The message table
+// ---------------------------------------------------------------------------
+
+/// A message body's fields in wire order, as [`encode_frame`] writes them.
+type Fields<'a> = Vec<(&'static str, Field<'a>)>;
+
+/// How a field of type `T` rides the wire under its key: what
+/// [`encode_frame`] writes for it, and how [`decode_frame`] reads it back
+/// from the message object — a missing or malformed key is a
+/// [`ProtocolError::Schema`] that names it.
+trait Kind<T> {
+    fn encode<'a>(key: &'static str, value: &'a T, out: &mut Fields<'a>);
+    fn decode(v: &Value, key: &str) -> Result<T, ProtocolError>;
+}
+
+/// Readable JSON, through the type's `ToJson` / `FromJson`.
+struct Json;
+/// A packed column of `f64` cells.
+struct F64s;
+/// A packed column of `f32` cells.
+struct F32s;
+/// A packed column of ids or volumes (`u32` cells).
+struct Ids;
+/// `protocol_version`: read wide, so that a version past `u32` is refused
+/// with its value rather than passing for another.
+struct Version;
+/// A struct whose keys sit beside the message's own (see `flat!`); a
+/// [`Trace`] is its two optional keys.
+struct Flat;
+
+fn schema(detail: impl fmt::Display) -> ProtocolError {
+    ProtocolError::Schema { detail: detail.to_string() }
+}
+
+impl<T: ToJson + FromJson> Kind<T> for Json {
+    fn encode<'a>(key: &'static str, value: &'a T, out: &mut Fields<'a>) {
+        out.push((key, Field::Json(value.to_json_value())));
+    }
+    fn decode(v: &Value, key: &str) -> Result<T, ProtocolError> {
+        read_field(v, key).map_err(schema)
+    }
+}
+
+macro_rules! packed {
+    ($($kind:ident($cell:ty)),*) => {$(
+        impl Kind<Vec<$cell>> for $kind {
+            fn encode<'a>(key: &'static str, column: &'a Vec<$cell>, out: &mut Fields<'a>) {
+                out.push((key, Field::$kind(column)));
+            }
+            fn decode(v: &Value, key: &str) -> Result<Vec<$cell>, ProtocolError> {
+                unpack(v, key)
+            }
+        }
+    )*};
+}
+packed!(F64s(f64), F32s(f32), Ids(usize));
+
+impl Kind<u32> for Version {
+    fn encode<'a>(key: &'static str, version: &'a u32, out: &mut Fields<'a>) {
+        Json::encode(key, version, out);
+    }
+    fn decode(v: &Value, key: &str) -> Result<u32, ProtocolError> {
+        let raw: u64 = Json::decode(v, key)?;
+        u32::try_from(raw).map_err(|_| schema(format!("{key} {raw} out of range")))
+    }
+}
+
+impl Kind<Trace> for Flat {
+    fn encode<'a>(_: &'static str, trace: &'a Trace, out: &mut Fields<'a>) {
+        if let Trace::Context { trace_id, span_id } = *trace {
+            out.push(("trace_id", Field::Json(SpanContext::fmt_id(trace_id).into())));
+            out.push(("span_id", Field::Json(SpanContext::fmt_id(span_id).into())));
+        }
+    }
+
+    /// Lenient parse: absence is normal (tracing off), garbage is
+    /// [`Trace::Invalid`], never an error — a bad trace id must not
+    /// fail the request it rides on.
+    fn decode(v: &Value, _: &str) -> Result<Trace, ProtocolError> {
+        let (t, s) = (v.get("trace_id"), v.get("span_id"));
+        if t.is_none() && s.is_none() {
+            return Ok(Trace::Absent);
+        }
+        let parse =
+            |field: Option<&Value>| field.and_then(Value::as_str).and_then(SpanContext::parse_id);
+        Ok(match (parse(t), parse(s)) {
+            (Some(trace_id), Some(span_id)) => Trace::Context { trace_id, span_id },
+            _ => Trace::Invalid,
+        })
+    }
+}
+
+/// The structs a message carries flattened: each key, in wire order,
+/// with its kind.
+macro_rules! flat {
+    ($($ty:ident { $($key:ident: $kind:ident),+ $(,)? })*) => {$(
+        impl Kind<$ty> for Flat {
+            fn encode<'a>(_: &'static str, value: &'a $ty, out: &mut Fields<'a>) {
+                $(<$kind as Kind<_>>::encode(stringify!($key), &value.$key, out);)+
+            }
+            fn decode(v: &Value, _: &str) -> Result<$ty, ProtocolError> {
+                Ok($ty { $($key: <$kind as Kind<_>>::decode(v, stringify!($key))?),+ })
+            }
+        }
+    )*};
+}
+
+flat! {
+    SynthResult {
+        latency_secs: Json,
+        per_client_iter_latency: Json,
+        cost: Json,
+        eta_hats: Json,
+        global_loss: Json,
+        grad_dot_delta: Json,
+        local_losses: Json,
+    }
+    ContextPart {
+        available: Ids,
+        costs: F64s,
+        latency_hint: F64s,
+        true_latency: F64s,
+        data_volumes: Ids,
+    }
+    MemberFeedback {
+        per_client_iter_latency: F64s,
+        costs: F64s,
+        eta_hats: F32s,
+        grad_dot_delta: F32s,
+        local_losses: F32s,
+    }
+}
+
+/// The message table: per variant, its `type` tag, then its keys in
+/// wire order with their kinds. [`encode_frame`] and [`decode_frame`]
+/// both walk it, so a key is added, renamed or moved here and nowhere
+/// else.
+macro_rules! messages {
+    ($($variant:ident $tag:literal { $($key:ident: $kind:ident),* $(,)? })*) => {
+        impl Message {
+            /// The wire `type` tag of this message kind.
+            pub fn type_tag(&self) -> &'static str {
+                match self {
+                    $(Message::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// The message's fields in wire order (`type` first), as
+            /// [`encode_frame`] renders them.
+            fn fields(&self) -> Fields<'_> {
+                let mut out = vec![("type", Field::Json(self.type_tag().into()))];
+                match self {
+                    $(Message::$variant { $($key),* } => {
+                        $(<$kind as Kind<_>>::encode(stringify!($key), $key, &mut out);)*
+                    })*
+                }
+                out
+            }
+
+            /// Parses a message object; any shape mismatch is a
+            /// [`ProtocolError::Schema`].
+            pub fn from_json_value(v: &Value) -> Result<Message, ProtocolError> {
+                let tag: String = read_field(v, "type").map_err(schema)?;
+                match tag.as_str() {
+                    $($tag => Ok(Message::$variant {
+                        $($key: <$kind as Kind<_>>::decode(v, stringify!($key))?),*
+                    }),)*
+                    other => Err(schema(format!("unknown message type {other:?}"))),
+                }
+            }
+        }
+    };
+}
+
+messages! {
+    Hello "hello" { protocol_version: Version, node: Json }
+    ClientJoin "client_join" { client: Json }
+    ClientLeave "client_leave" { client: Json }
+    SelectCohort "select_cohort" { epoch: Json, trace: Flat }
+    Cohort "cohort" { epoch: Json, cohort: Json, iterations: Json, done: Json }
+    TrainResult "train_result" { epoch: Json, cohort: Json, iterations: Json, feedback: Flat }
+    Snapshot "snapshot" {
+        epoch: Json,
+        registered: Json,
+        selections: Json,
+        budget_remaining: Json,
+        policy: Json,
+    }
+    Shutdown "shutdown" {}
+    // Seeds ride as JSON ints; the CLI's seed grammar keeps them inside
+    // i64 range.
+    ShardAssign "shard_assign" {
+        clients: Json,
+        seed: Json,
+        budget: Json,
+        min_participants: Json,
+        policy: Json,
+        shard_start: Json,
+        shard_end: Json,
+    }
+    ShardReady "shard_ready" { shard_start: Json, shard_end: Json, fingerprint: Json }
+    ShardContext "shard_context" { epoch: Json, trace: Flat }
+    ShardContextPart "shard_context_part" { epoch: Json, part: Flat }
+    ShardTrain "shard_train" { epoch: Json, members: Ids, iterations: Json, trace: Flat }
+    ShardTrainPart "shard_train_part" { epoch: Json, members: Ids, feedback: Flat }
+    Stats "stats" {}
+    StatsSnapshot "stats_snapshot" { registry: Json }
+    Error "error" { code: Json, detail: Json }
 }
 
 /// Serializes a message into one frame (envelope text bytes; the

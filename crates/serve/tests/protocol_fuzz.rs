@@ -256,6 +256,59 @@ fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
     }
 }
 
+/// Every required key of every message, dropped and then given a value
+/// of the wrong kind, re-sealed each time so the edit reaches the message
+/// decoder: each is a schema error that names the key. The fuzz loop's
+/// rotation plus the kinds it leaves out cover every `type`; the trace
+/// keys are optional by design, and a stats registry may hold any value,
+/// so only its absence is wrong.
+#[test]
+fn every_key_dropped_or_of_the_wrong_kind_is_a_schema_error_naming_it() {
+    use fedl_json::Value;
+    let rest = [
+        Message::ClientLeave { client: 3 },
+        Message::Snapshot {
+            epoch: 2,
+            registered: 5,
+            selections: 1,
+            budget_remaining: 12.5,
+            policy: "fedl".into(),
+        },
+        Message::Stats,
+        Message::StatsSnapshot { registry: Value::Obj(vec![]) },
+        Message::Error { code: "schema".into(), detail: "why".into() },
+    ];
+    for message in (0..12).map(valid_message).chain(rest) {
+        let frame = encode_frame(&message);
+        let body = std::str::from_utf8(&frame).unwrap().split_once('\n').unwrap().1;
+        let Value::Obj(pairs) = Value::parse(body).unwrap() else { panic!("not an object") };
+        for (at, (key, value)) in pairs.iter().enumerate() {
+            if key == "trace_id" || key == "span_id" {
+                continue;
+            }
+            let mut dropped = pairs.clone();
+            dropped.remove(at);
+            let mut mutants = vec![("dropped", dropped)];
+            if key != "registry" {
+                let wrong = match value {
+                    Value::Str(_) => Value::Int(7),
+                    _ => Value::from("a string"),
+                };
+                let mut changed = pairs.clone();
+                changed[at].1 = wrong;
+                mutants.push(("of the wrong kind", changed));
+            }
+            for (what, mutant) in mutants {
+                let frame = fedl_store::encode_envelope(FRAME_KIND, &Value::Obj(mutant));
+                match decode_frame(&frame) {
+                    Err(ProtocolError::Schema { detail }) if detail.contains(key.as_str()) => {}
+                    other => panic!("{message:?}: `{key}` {what} gave {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn stream_level_damage_is_typed() {
     // Oversized length prefix: desync, not an allocation attempt.

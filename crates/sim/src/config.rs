@@ -192,6 +192,7 @@ impl EnvConfig {
     }
 }
 
+// By hand: an enum is written as its name.
 impl ToJson for AggregationNorm {
     fn to_json_value(&self) -> Value {
         Value::from(match self {
@@ -201,6 +202,7 @@ impl ToJson for AggregationNorm {
     }
 }
 
+// By hand: ranges are pairs and two retired fields are written as literals.
 impl ToJson for EnvConfig {
     /// Canonical serialization: every field, in declaration order, with
     /// two retired fields (Bernoulli `availability`, a moving channel)
@@ -210,7 +212,6 @@ impl ToJson for EnvConfig {
     /// interchangeable with a run under the other, so adding a field
     /// here (or reordering) deliberately invalidates cached results.
     fn to_json_value(&self) -> Value {
-        let pair = |(a, b): (f64, f64)| Value::Arr(vec![Value::Float(a), Value::Float(b)]);
         obj(vec![
             ("num_clients", self.num_clients.to_json_value()),
             ("cell_radius_m", self.cell_radius_m.to_json_value()),
@@ -218,17 +219,17 @@ impl ToJson for EnvConfig {
             // A retired field, kept as a literal: every fingerprint and cache key stays.
             ("availability", obj(vec![("kind", Value::from("bernoulli"))])),
             ("p_dropout", self.p_dropout.to_json_value()),
-            ("cost_range", pair(self.cost_range)),
-            ("lambda_range", pair(self.lambda_range)),
+            ("cost_range", self.cost_range.to_json_value()),
+            ("lambda_range", self.lambda_range.to_json_value()),
             ("tx_power_dbm", self.tx_power_dbm.to_json_value()),
-            ("cpu_hz_range", pair(self.cpu_hz_range)),
-            ("cycles_per_bit_range", pair(self.cycles_per_bit_range)),
+            ("cpu_hz_range", self.cpu_hz_range.to_json_value()),
+            ("cycles_per_bit_range", self.cycles_per_bit_range.to_json_value()),
             ("upload_bits", self.upload_bits.to_json_value()),
             // A retired field, kept as a literal: every fingerprint and cache key stays.
             ("time_varying_channel", Value::Bool(true)),
             ("aggregation", self.aggregation.to_json_value()),
             ("optimal_bandwidth", self.optimal_bandwidth.to_json_value()),
-            ("seed", Value::Int(self.seed as i64)),
+            ("seed", self.seed.to_json_value()),
         ])
     }
 }

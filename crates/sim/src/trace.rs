@@ -5,8 +5,6 @@
 //! convergence measurements) that checkpoints carry and that can be
 //! diffed across policy variants.
 
-use fedl_json::{obj, read_field, FromJson, ToJson, Value};
-
 use crate::env::EpochReport;
 
 /// One epoch's trace entry.
@@ -30,35 +28,16 @@ pub struct EpochEvent {
     pub global_loss: f64,
 }
 
-impl ToJson for EpochEvent {
-    fn to_json_value(&self) -> Value {
-        obj(vec![
-            ("epoch", self.epoch.to_json_value()),
-            ("cohort", self.cohort.to_json_value()),
-            ("iterations", self.iterations.to_json_value()),
-            ("latency_secs", self.latency_secs.to_json_value()),
-            ("cost", self.cost.to_json_value()),
-            ("remaining_budget", self.remaining_budget.to_json_value()),
-            ("eta_hats", self.eta_hats.to_json_value()),
-            ("global_loss", self.global_loss.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for EpochEvent {
-    fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        Ok(Self {
-            epoch: read_field(v, "epoch")?,
-            cohort: read_field(v, "cohort")?,
-            iterations: read_field(v, "iterations")?,
-            latency_secs: read_field(v, "latency_secs")?,
-            cost: read_field(v, "cost")?,
-            remaining_budget: read_field(v, "remaining_budget")?,
-            eta_hats: read_field(v, "eta_hats")?,
-            global_loss: read_field(v, "global_loss")?,
-        })
-    }
-}
+fedl_json::record!(EpochEvent {
+    epoch,
+    cohort,
+    iterations,
+    latency_secs,
+    cost,
+    remaining_budget,
+    eta_hats,
+    global_loss
+});
 
 /// Append-only run trace.
 #[derive(Debug, Clone, Default)]

@@ -190,7 +190,9 @@ DEAD_CODE_ALLOW=(
 #     constructions, so they can hide a variant, never report one.
 # A name shared with another item hides both; confirm a hit by deleting
 # it and building the workspace and benchmark/. Never fails the build:
-# the counts are the stage note.
+# the counts are the stage note, with the non-test line count under
+# crates/*/src: each file up to its first `#[cfg(test)]`, blank and
+# `//`-only lines left out, one number per crate and the total.
 stage_dead_code() {
     local out=target/ci_dead_code
     rm -rf "$out"
@@ -307,7 +309,15 @@ stage_dead_code() {
     sed 's/^/    /' "$out/report.txt"
     echo "enum variants no non-test code constructs: $variants"
     sed 's/^/    /' "$out/variant_report.txt"
-    CI_STAGE_NOTE="$count unreferenced public items, $variants unconstructed variants"
+    local lines
+    lines=$(find crates/*/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { split(FILENAME, path, "/"); live = 1 }
+        /^[ \t]*#\[cfg\(test\)\]/ { live = 0 }
+        live && !/^[ \t]*(\/\/.*)?$/ { n[path[2]]++; total++ }
+        END { for (c in n) print c " " n[c]; print "~total " total }' \
+        | sort | sed 's/^~//' | paste -sd, - | sed 's/,/, /g')
+    echo "non-test lines under crates/*/src: $lines"
+    CI_STAGE_NOTE="$count unreferenced public items, $variants unconstructed variants; non-test lines: $lines"
 }
 
 # Telemetry smoke: a real run must emit a parseable JSONL log holding
