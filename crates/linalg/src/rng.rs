@@ -473,17 +473,10 @@ impl Normal {
     }
 
     /// What [`Distribution::sample`] returns on a fresh `Normal` whose
-    /// generator yields the uniforms `a` then `b` — for callers that draw
-    /// the uniforms themselves, many streams at a time
-    /// ([`XoshiroLanes`]).
-    #[inline]
-    pub fn from_uniforms(&self, a: f64, b: f64) -> f64 {
-        let (r, theta) = Self::polar(a, b);
-        self.mean + self.std * (r * theta.cos())
-    }
-
-    /// [`Self::from_uniforms`] of each lane's `(a[i], b[i])`, bit for bit:
-    /// the `ln` and `cos` run [`LANES`] at a time ([`crate::lanemath`]).
+    /// generator yields the uniforms `a[i]` then `b[i]`, for each lane,
+    /// bit for bit — for callers that draw the uniforms themselves, many
+    /// streams at a time ([`XoshiroLanes`]). The `ln` and `cos` run
+    /// [`LANES`] at a time ([`crate::lanemath`]).
     #[inline]
     pub fn from_uniforms_lanes(&self, a: &[f64; LANES], b: &[f64; LANES]) -> [f64; LANES] {
         let mut u1 = [0.0; LANES];

@@ -270,10 +270,17 @@ impl LoadgenReport {
     }
 }
 
-/// Sends one request and decodes the reply; a wire [`Message::Error`]
-/// comes back as the matching [`ProtocolError`] text.
-fn rpc(transport: &mut dyn FrameTransport, msg: &Message) -> Result<Message, ProtocolError> {
-    transport.send(&encode_frame(msg))?;
+/// `ClientJoin`s sent before their replies are read. A join frame is
+/// ≈ 90 bytes and its `Snapshot` reply ≈ 160, so a window of either is
+/// at most ≈ 11 KB: each fits the smallest default socket buffer
+/// (Linux starts a connection's send buffer at 16 KB) on its own, so
+/// neither end can block on a write while the other is not reading.
+/// 64 already spreads one loopback wake-up over many joins.
+const JOIN_WINDOW: usize = 64;
+
+/// Receives and decodes the next reply; a wire [`Message::Error`] comes
+/// back as the matching [`ProtocolError`] text.
+fn read_reply(transport: &mut dyn FrameTransport) -> Result<Message, ProtocolError> {
     match transport.recv()? {
         Some(frame) => match decode_frame(&frame)? {
             Message::Error { code, detail } => Err(ProtocolError::UnexpectedMessage {
@@ -283,6 +290,12 @@ fn rpc(transport: &mut dyn FrameTransport, msg: &Message) -> Result<Message, Pro
         },
         None => Err(ProtocolError::Io { detail: "server closed mid-request".into() }),
     }
+}
+
+/// Sends one request and reads its reply ([`read_reply`]).
+fn rpc(transport: &mut dyn FrameTransport, msg: &Message) -> Result<Message, ProtocolError> {
+    transport.send(&encode_frame(msg))?;
+    read_reply(transport)
 }
 
 /// The server's `Snapshot` acknowledgement of a `what` request.
@@ -296,8 +309,9 @@ fn expect_ack(reply: Message, what: &str) -> Result<(), ProtocolError> {
 }
 
 /// Replays the scenario's client population against a server:
-/// handshake, join everyone, then drive `opts.epochs` selection epochs
-/// with deterministic synthetic training feedback.
+/// handshake, join everyone (pipelined, a fixed window of joins at a
+/// time), then drive `opts.epochs` selection epochs with deterministic
+/// synthetic training feedback.
 pub fn run_loadgen(
     transport: &mut dyn FrameTransport,
     config: &ServeConfig,
@@ -318,8 +332,17 @@ pub fn run_loadgen(
         }
     }
     let mut population = Population::new(config.env.clone(), config.latency_model());
-    for client in 0..config.env.num_clients {
-        expect_ack(rpc(transport, &Message::ClientJoin { client })?, "join")?;
+    // Joins go out a window at a time, their replies read in order after
+    // it: one wake-up per window, not one round trip per client.
+    let clients = config.env.num_clients;
+    for first in (0..clients).step_by(JOIN_WINDOW) {
+        let window = first..clients.min(first + JOIN_WINDOW);
+        for client in window.clone() {
+            transport.send(&encode_frame(&Message::ClientJoin { client }))?;
+        }
+        for _ in window {
+            expect_ack(read_reply(transport)?, "join")?;
+        }
     }
     let mut selections = Vec::with_capacity(opts.epochs);
     let mut done = false;

@@ -162,6 +162,8 @@ pub struct ServerState {
     population: Population,
     engine: EpochEngine,
     registered: Vec<bool>,
+    /// How many of `registered` are `true`, kept by every write to it.
+    registered_count: usize,
     selections: usize,
     telemetry: Telemetry,
     checkpoint: Option<(PathBuf, usize)>,
@@ -189,7 +191,16 @@ impl ServerState {
                 ("policy", Value::from(config.policy.label())),
             ],
         );
-        Self { config, population, engine, registered, selections: 0, telemetry, checkpoint: None }
+        Self {
+            config,
+            population,
+            engine,
+            registered,
+            registered_count: 0,
+            selections: 0,
+            telemetry,
+            checkpoint: None,
+        }
     }
 
     /// Enables checkpointing: the full server state lands in `path`
@@ -220,7 +231,12 @@ impl ServerState {
         server.selections = ckpt.field("selections")?;
         for id in ckpt.field::<Vec<usize>>("registered")? {
             let slot = server.registered.get_mut(id);
-            *slot.ok_or_else(|| ckpt.schema(format!("registered id {id} out of range")))? = true;
+            let slot =
+                slot.ok_or_else(|| ckpt.schema(format!("registered id {id} out of range")))?;
+            // A repeated id registers its client once.
+            if !std::mem::replace(slot, true) {
+                server.registered_count += 1;
+            }
         }
         server.telemetry.emit(
             "serve.checkpoint_restored",
@@ -270,7 +286,7 @@ impl ServerState {
 
     /// Number of currently registered clients.
     pub fn registered_count(&self) -> usize {
-        self.registered.iter().filter(|&&r| r).count()
+        self.registered_count
     }
 
     /// Cohort selections served so far.
@@ -414,8 +430,14 @@ impl ServerState {
         if self.registered[client] != present {
             self.registered[client] = present;
             let (counter, event) = match present {
-                true => ("serve.joins", "serve.client_join"),
-                false => ("serve.leaves", "serve.client_leave"),
+                true => {
+                    self.registered_count += 1;
+                    ("serve.joins", "serve.client_join")
+                }
+                false => {
+                    self.registered_count -= 1;
+                    ("serve.leaves", "serve.client_leave")
+                }
             };
             self.telemetry.counter(counter).incr();
             self.telemetry.emit(event, vec![("client", Value::from(client))]);

@@ -5,7 +5,7 @@
 //! pipeline).
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::io::{BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -92,9 +92,17 @@ fn io_err(e: std::io::Error) -> ProtocolError {
     }
 }
 
-/// [`FrameTransport`] over a connected [`TcpStream`].
+/// Capacity of [`TcpTransport`]'s read buffer. `BufReader` hands a read
+/// at least this large straight to the socket when it holds nothing, so
+/// a frame body of 8 KB or more lands in the frame, not in the buffer.
+const READ_BUFFER_BYTES: usize = 8 * 1024;
+
+/// [`FrameTransport`] over a connected [`TcpStream`]. Reads go through
+/// one buffer, so frames that arrive back to back (a pipelined window,
+/// or a prefix and its body) cost one `read` between them; writes go to
+/// the stream underneath it.
 pub struct TcpTransport {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
     timeout: Option<std::time::Duration>,
 }
 
@@ -122,7 +130,7 @@ impl TcpTransport {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(timeout).ok();
         stream.set_write_timeout(timeout).ok();
-        Self { stream, timeout }
+        Self { reader: BufReader::with_capacity(READ_BUFFER_BYTES, stream), timeout }
     }
 
     fn classify(&self, err: ProtocolError) -> ProtocolError {
@@ -139,11 +147,11 @@ impl TcpTransport {
 
 impl FrameTransport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), ProtocolError> {
-        write_frame(&mut self.stream, frame).map_err(|e| self.classify(e))
+        write_frame(self.reader.get_mut(), frame).map_err(|e| self.classify(e))
     }
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>, ProtocolError> {
-        read_frame(&mut self.stream).map_err(|e| self.classify(e))
+        read_frame(&mut self.reader).map_err(|e| self.classify(e))
     }
 }
 
@@ -329,6 +337,63 @@ mod tests {
         };
         assert_eq!(late, b"late frame");
         server.join().unwrap();
+    }
+
+    /// `frames`, each behind its length prefix, in one buffer.
+    fn wire_of(frames: &[&[u8]]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for frame in frames {
+            write_frame(&mut wire, frame).unwrap();
+        }
+        wire
+    }
+
+    /// A [`TcpTransport`] whose peer sends each of `writes` in one
+    /// `write_all`, then closes. The pause after each write makes it
+    /// likely to arrive in a read of its own; the frames read must be the
+    /// same however the bytes arrive.
+    fn tcp_fed_by(writes: Vec<Vec<u8>>) -> (TcpTransport, std::thread::JoinHandle<()>) {
+        use std::net::TcpListener;
+        use std::time::Duration;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            peer.set_nodelay(true).unwrap();
+            for bytes in writes {
+                peer.write_all(&bytes).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        (TcpTransport::with_timeout(stream, Some(Duration::from_secs(10))), peer)
+    }
+
+    #[test]
+    fn tcp_recv_parts_one_write_into_frames_and_joins_a_split_one() {
+        // Larger than the read buffer: its body bypasses it once drained.
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let back_to_back = wire_of(&[b"alpha", b"", &big, b"bravo"]);
+        let split = wire_of(&[b"charlie delta"]);
+        let (body_head, body_tail) = split.split_at(7);
+        let big_alone = wire_of(&[&big]);
+        let (prefix_head, prefix_tail) = big_alone.split_at(2);
+        let writes = [back_to_back.as_slice(), body_head, body_tail, prefix_head, prefix_tail];
+        let (mut t, peer) = tcp_fed_by(writes.iter().map(|w| w.to_vec()).collect());
+        for want in [&b"alpha"[..], b"", &big, b"bravo", b"charlie delta", &big] {
+            assert_eq!(t.recv().unwrap().as_deref(), Some(want));
+        }
+        assert_eq!(t.recv().unwrap(), None, "a close at a frame boundary is a clean end");
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_eof_inside_a_frame_is_truncated() {
+        let wire = wire_of(&[b"alpha", b"some payload"]);
+        let (mut t, peer) = tcp_fed_by(vec![wire[..wire.len() - 3].to_vec()]);
+        assert_eq!(t.recv().unwrap().as_deref(), Some(&b"alpha"[..]));
+        assert!(matches!(t.recv(), Err(ProtocolError::TruncatedFrame { expected: 12, got: 9 })));
+        peer.join().unwrap();
     }
 
     #[test]

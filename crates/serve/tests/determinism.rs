@@ -2,15 +2,21 @@
 //! root `tests/checkpoint.rs`): replay half the load, kill the server,
 //! restart from its checkpoint, replay the rest — the selection
 //! sequence must be bit-identical to an uninterrupted served run, which
-//! itself must match the in-process reference driver.
+//! itself must match the in-process reference driver. Over real TCP,
+//! the loadgen's pipelined joins register the whole population and a
+//! refused join ends the run with the server's own text.
 
 use std::fs;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::thread;
+use std::time::Duration;
 
 use fedl_core::policy::PolicyKind;
 use fedl_serve::{
-    reference_run, run_loadgen, InProcessTransport, LoadgenOptions, SelectionRecord, ServeConfig,
-    ServeError, ServerState, SERVE_CHECKPOINT_KIND,
+    reference_run, run_loadgen, serve_connection, InProcessTransport, LoadgenOptions,
+    LoadgenReport, ProtocolError, SelectionRecord, ServeConfig, ServeError, ServeExit, ServerState,
+    TcpTransport, SERVE_CHECKPOINT_KIND,
 };
 use fedl_store::StoreError;
 use fedl_telemetry::Telemetry;
@@ -34,6 +40,62 @@ fn drive(
     let mut conn = InProcessTransport::new(server);
     let opts = LoadgenOptions { epochs, start_epoch: start, shutdown: false };
     run_loadgen(&mut conn, config, &opts).expect("loadgen should succeed").selections
+}
+
+/// A server for `served` on its own thread behind loopback TCP, driven
+/// for `epochs` (then shut down) by a loadgen that believes in `replayed`;
+/// both ends run under a deadline, so a stuck pipeline fails instead of
+/// hanging. Returns the loadgen's result, the server's exit and state.
+fn over_tcp(
+    served: ServeConfig,
+    replayed: &ServeConfig,
+    epochs: usize,
+) -> (Result<LoadgenReport, ProtocolError>, Result<ServeExit, ProtocolError>, ServerState) {
+    let deadline = Some(Duration::from_secs(20));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        let mut state = ServerState::new(served, Telemetry::disabled());
+        let (stream, _) = listener.accept().unwrap();
+        let exit = serve_connection(&mut TcpTransport::with_timeout(stream, deadline), &mut state);
+        (exit, state)
+    });
+    let mut transport = TcpTransport::with_timeout(TcpStream::connect(addr).unwrap(), deadline);
+    let opts = LoadgenOptions { epochs, start_epoch: 0, shutdown: true };
+    let report = run_loadgen(&mut transport, replayed, &opts);
+    drop(transport);
+    let (exit, state) = server.join().expect("the server thread does not panic");
+    (report, exit, state)
+}
+
+#[test]
+fn pipelined_joins_over_tcp_register_everyone_and_match_the_reference() {
+    // Sixteen windows of joins, the last one short.
+    let config = ServeConfig::new(1_000, 5, 1_000_000.0, 10, PolicyKind::FedAvg);
+    let (report, exit, server) = over_tcp(config.clone(), &config, 4);
+    let report = report.expect("the served run is error-free");
+    assert!(matches!(exit, Ok(ServeExit::Shutdown)), "{exit:?}");
+    assert_eq!(server.registered_count(), 1_000);
+    assert_eq!(report.selections.len(), 4);
+    assert!(report.selections.iter().all(|r| !r.cohort.is_empty()));
+    assert_eq!(report.selections, reference_run(&config, 4));
+}
+
+#[test]
+fn a_join_outside_the_served_population_ends_the_loadgen_with_the_refusal() {
+    let served = ServeConfig::new(100, 5, 1_000_000.0, 3, PolicyKind::FedAvg);
+    let replayed = ServeConfig::new(150, 5, 1_000_000.0, 3, PolicyKind::FedAvg);
+    let (report, _exit, server) = over_tcp(served, &replayed, 2);
+    let err = report.expect_err("client 100 is outside the served population");
+    assert_eq!(
+        err.to_string(),
+        "unexpected message: server refused (unknown-client): \
+         client 100 outside the population of 100"
+    );
+    // The second window (64..128) was sent whole before the refusal was
+    // read; its ids up to 99 had joined by then, in order.
+    assert_eq!(server.registered_count(), 100);
+    assert_eq!(server.next_epoch(), 0, "no epoch was asked for");
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //! `cos` and `10^y` (`fedl_linalg::lanemath`) over its first twelve
 //! epochs, each function against libm by `to_bits`, and the realized
 //! gain column against the scalar libm composition it replaced
-//! (`Normal::from_uniforms`, `ChannelModel::gain_from_loss`).
+//! (`Distribution::sample` on a fresh `Normal` fed the same two
+//! uniforms, then `ChannelModel::gain_from_loss`).
 
 use fedl_linalg::lanemath;
-use fedl_linalg::rng::{rng_for, Rng, LANES};
+use fedl_linalg::rng::{rng_for, Distribution, Rng, LANES};
 use fedl_net::ChannelModel;
 use fedl_sim::{ClientColumns, EnvConfig, ScaleTier};
 
@@ -25,11 +26,24 @@ fn assert_lane_bits(
     }
 }
 
+/// A generator that yields two scripted uniforms, then nothing.
+struct Scripted([f64; 2], usize);
+
+impl Rng for Scripted {
+    fn next_u64(&mut self) -> u64 {
+        unreachable!("a Normal draws its uniforms through next_f64")
+    }
+
+    fn next_f64(&mut self) -> f64 {
+        self.1 += 1;
+        self.0[self.1 - 1]
+    }
+}
+
 #[test]
 fn every_input_of_twelve_seed_7_100k_epochs_matches_libm() {
     let config = EnvConfig::scale(ScaleTier::Tier100k, 7);
     let channel = ChannelModel::default();
-    let shadowing = channel.shadowing();
     let cols = ClientColumns::build(&config, &channel);
     let m = cols.len();
     let (mut u1, mut theta, mut exponent) = (Vec::new(), Vec::new(), Vec::new());
@@ -41,7 +55,8 @@ fn every_input_of_twelve_seed_7_100k_epochs_matches_libm() {
             let mut rng = rng_for(cols.seed[k], 0xE90C ^ t as u64);
             let (_, _) = (rng.next_f64(), rng.next_f64());
             let (a, b) = (rng.next_f64(), rng.next_f64());
-            let shadow_db = shadowing.from_uniforms(a, b);
+            // The scalar libm path: a fresh sampler holds no spare.
+            let shadow_db = channel.shadowing().sample(&mut Scripted([a, b], 0));
             u1.push(1.0 - a);
             theta.push(2.0 * std::f64::consts::PI * b);
             exponent.push(-(cols.path_loss_db[k] + shadow_db) / 10.0);
