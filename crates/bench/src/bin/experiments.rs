@@ -406,6 +406,11 @@ mod tests {
             "loadgen --addr 127.0.0.1:1 --clients 2000 --seed 11 --budget 1000000 \
              --min-participants 10 --policy fedavg --io-timeout 30 --epochs 3 \
              --verify-reference --shutdown",
+            "serve --addr 127.0.0.1:0 --port-file o/port --clients 20000 --seed 11 \
+             --budget 1000000 --min-participants 10 --policy fedavg --io-timeout 30",
+            "loadgen --addr 127.0.0.1:1 --clients 20000 --seed 11 --budget 1000000 \
+             --min-participants 10 --policy fedavg --io-timeout 30 --epochs 3 \
+             --verify-reference --shutdown",
             "serve --addr 127.0.0.1:0 --port-file o/port {S} --checkpoint o/ckpt.fedlstore \
              --checkpoint-every 2",
             "loadgen --addr 127.0.0.1:1 {S} --epochs 6 --out o/half1.jsonl --shutdown",

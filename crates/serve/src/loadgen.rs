@@ -270,12 +270,13 @@ impl LoadgenReport {
     }
 }
 
-/// `ClientJoin`s sent before their replies are read. A join frame is
-/// ≈ 90 bytes and its `Snapshot` reply ≈ 160, so a window of either is
-/// at most ≈ 11 KB: each fits the smallest default socket buffer
-/// (Linux starts a connection's send buffer at 16 KB) on its own, so
-/// neither end can block on a write while the other is not reading.
-/// 64 already spreads one loopback wake-up over many joins.
+/// `ClientJoin`s sent before their replies are read. Only the requests
+/// of a window must fit the smallest socket send buffer (Linux starts a
+/// connection's at 16 KB): the loadgen reads every reply after its
+/// writes, so while those writes cannot block, the server's replies,
+/// however far they back up, are always drained. 64 joins of ≈ 90 bytes
+/// are ≈ 6 KB. 128 (≈ 12 KB) would fit too, but read no lower once
+/// `TcpTransport` groups a window's frames into a few writes.
 const JOIN_WINDOW: usize = 64;
 
 /// Receives and decodes the next reply; a wire [`Message::Error`] comes

@@ -543,6 +543,12 @@ pub trait FrameHandler {
 
     /// Runs after each reply has been sent and its buffer dropped, before
     /// the next blocking receive: work done here overlaps the peer's own.
+    /// Over a [`TcpTransport`](crate::transport::TcpTransport) the reply
+    /// is on the wire by then unless the peer's next frame is already
+    /// buffered (a pipelined window): such a reply waits, with the rest
+    /// of the window's answers, until the last of them is sent, and
+    /// work done here delays it. A lock-step peer, like the `fedl-dist`
+    /// coordinator, never leaves a frame buffered behind its request.
     /// Nothing by default.
     fn idle(&mut self) {}
 }
@@ -789,5 +795,42 @@ mod tests {
         let (reply, _) = s.handle_message(Message::SelectCohort { epoch: 1, trace: Trace::Absent });
         let (_, _, done) = expect_cohort(reply);
         assert!(done);
+    }
+
+    /// Echoes each frame back, then works for 300 ms before it reads
+    /// again, like a shard worker preparing its next context part.
+    struct SlowIdle;
+
+    impl FrameHandler for SlowIdle {
+        fn handle_frame(&mut self, frame: &[u8]) -> (Vec<u8>, Control) {
+            (frame.to_vec(), Control::Continue)
+        }
+
+        fn note_malformed(&mut self, _: &ProtocolError) {}
+
+        fn idle(&mut self) {
+            std::thread::sleep(std::time::Duration::from_millis(300));
+        }
+    }
+
+    #[test]
+    fn a_reply_is_on_the_wire_before_idle_starts() {
+        use crate::transport::TcpTransport;
+        use std::net::{TcpListener, TcpStream};
+        use std::time::Duration;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut transport = TcpTransport::with_timeout(far, Some(Duration::from_secs(5)));
+            serve_frames(&mut transport, &mut SlowIdle)
+        });
+        // Well inside the 300 ms `idle`: a reply held until the server's
+        // next `recv` would surface here as a timeout.
+        let mut client = TcpTransport::with_timeout(stream, Some(Duration::from_millis(150)));
+        client.send(b"ping").unwrap();
+        assert_eq!(client.recv().unwrap().as_deref(), Some(&b"ping"[..]));
+        drop(client);
+        assert!(matches!(server.join().unwrap(), Ok(ServeExit::PeerClosed)));
     }
 }

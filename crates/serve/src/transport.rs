@@ -25,12 +25,26 @@ pub trait FrameTransport {
 /// vectored write (one `writev` on a socket), so the frame is never
 /// copied next to its prefix; a short write continues where it stopped.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), ProtocolError> {
+    check_frame_len(frame)?;
+    let prefix = (frame.len() as u32).to_be_bytes();
+    write_all_vectored(w, &mut [IoSlice::new(&prefix), IoSlice::new(frame)])?;
+    w.flush().map_err(io_err)
+}
+
+fn check_frame_len(frame: &[u8]) -> Result<(), ProtocolError> {
     if frame.len() > MAX_FRAME_BYTES {
         return Err(ProtocolError::FrameTooLarge { len: frame.len(), max: MAX_FRAME_BYTES });
     }
-    let prefix = (frame.len() as u32).to_be_bytes();
-    let mut parts = [IoSlice::new(&prefix), IoSlice::new(frame)];
-    let mut parts = &mut parts[..];
+    Ok(())
+}
+
+/// The one vectored write loop: writes every byte of `parts`, in one
+/// `writev` when the stream takes them all, continuing a short or
+/// interrupted write where it stopped.
+fn write_all_vectored(
+    w: &mut impl Write,
+    mut parts: &mut [IoSlice<'_>],
+) -> Result<(), ProtocolError> {
     while !parts.is_empty() {
         match w.write_vectored(parts) {
             Ok(0) => return Err(io_err(ErrorKind::WriteZero.into())),
@@ -39,7 +53,7 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), ProtocolError
             Err(e) => return Err(io_err(e)),
         }
     }
-    w.flush().map_err(io_err)
+    Ok(())
 }
 
 /// Reads the next length-prefixed frame. Clean EOF before a prefix is
@@ -92,17 +106,40 @@ fn io_err(e: std::io::Error) -> ProtocolError {
     }
 }
 
-/// Capacity of [`TcpTransport`]'s read buffer. `BufReader` hands a read
-/// at least this large straight to the socket when it holds nothing, so
-/// a frame body of 8 KB or more lands in the frame, not in the buffer.
+/// Capacity of [`TcpTransport`]'s read buffer, and the most it holds
+/// back to write as one group: a group is what the peer's one read
+/// takes. `BufReader` hands a read at least this large straight to the
+/// socket when it holds nothing, so a frame body of 8 KB or more lands
+/// in the frame, not in the buffer; for the same reason a frame that
+/// large is never copied into the write queue.
 const READ_BUFFER_BYTES: usize = 8 * 1024;
 
 /// [`FrameTransport`] over a connected [`TcpStream`]. Reads go through
 /// one buffer, so frames that arrive back to back (a pipelined window,
-/// or a prefix and its body) cost one `read` between them; writes go to
-/// the stream underneath it.
+/// or a prefix and its body) cost one `read` between them.
+///
+/// Writes are grouped the same way. A `send` writes at once — one
+/// `writev` of whatever is queued, the prefix and the frame — unless
+/// the peer is known to be busy (this end has a request out with no
+/// reply yet, or a whole next frame from the peer is already buffered)
+/// and the queue, this frame included, stays within 8 KB, the size of
+/// the read buffer (a group is what the peer's one read takes). Then it
+/// is queued, and goes out with the next frame that is written, or
+/// before `recv` reads from the socket, or when the transport drops
+/// (best-effort). A pipelined window of requests, or the answers to a
+/// window that arrived in one read, thus leaves in a few writes, while
+/// a lock-step request or reply is on the wire when `send` returns.
+/// A queued write that fails surfaces from the call that performs it;
+/// the queue is dropped with it, as the stream is then in an unknown
+/// state.
 pub struct TcpTransport {
     reader: BufReader<TcpStream>,
+    /// Frames held back, each behind its length prefix.
+    queued: Vec<u8>,
+    /// Frames sent and received so far: more sent than received means
+    /// a request of ours is still unanswered.
+    sent: u64,
+    received: u64,
     timeout: Option<std::time::Duration>,
 }
 
@@ -125,12 +162,38 @@ impl TcpTransport {
     /// timeout fired with no bytes of the next frame consumed (a peer
     /// that stalled between frames). A deadline that expires *inside* a
     /// frame leaves the stream mid-frame; robust callers — the dist
-    /// coordinator — treat any timeout as grounds to reconnect.
+    /// coordinator — treat any timeout as grounds to reconnect. A
+    /// queued frame's write is under the same deadline, and its
+    /// `Timeout` comes back from the `send` or `recv` that performs it.
     pub fn with_timeout(stream: TcpStream, timeout: Option<std::time::Duration>) -> Self {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(timeout).ok();
         stream.set_write_timeout(timeout).ok();
-        Self { reader: BufReader::with_capacity(READ_BUFFER_BYTES, stream), timeout }
+        Self {
+            reader: BufReader::with_capacity(READ_BUFFER_BYTES, stream),
+            queued: Vec::new(),
+            sent: 0,
+            received: 0,
+            timeout,
+        }
+    }
+
+    /// Whether the read buffer already holds the peer's next frame whole.
+    fn frame_buffered(&self) -> bool {
+        match self.reader.buffer() {
+            [a, b, c, d, rest @ ..] => rest.len() >= u32::from_be_bytes([*a, *b, *c, *d]) as usize,
+            _ => false,
+        }
+    }
+
+    /// Writes the queue, then `prefix` and `frame` (empty to write the
+    /// queue alone), in one vectored write; the queue is empty
+    /// afterwards, written or not.
+    fn write_behind_queue(&mut self, prefix: &[u8], frame: &[u8]) -> Result<(), ProtocolError> {
+        let mut parts = [IoSlice::new(&self.queued), IoSlice::new(prefix), IoSlice::new(frame)];
+        let written = write_all_vectored(self.reader.get_mut(), &mut parts);
+        self.queued.clear();
+        written.map_err(|e| self.classify(e))
     }
 
     fn classify(&self, err: ProtocolError) -> ProtocolError {
@@ -147,11 +210,33 @@ impl TcpTransport {
 
 impl FrameTransport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), ProtocolError> {
-        write_frame(self.reader.get_mut(), frame).map_err(|e| self.classify(e))
+        check_frame_len(frame)?;
+        let prefix = (frame.len() as u32).to_be_bytes();
+        let busy = self.sent > self.received || self.frame_buffered();
+        self.sent += 1;
+        if busy && self.queued.len() + prefix.len() + frame.len() <= READ_BUFFER_BYTES {
+            self.queued.extend_from_slice(&prefix);
+            self.queued.extend_from_slice(frame);
+            return Ok(());
+        }
+        self.write_behind_queue(&prefix, frame)
     }
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>, ProtocolError> {
-        read_frame(&mut self.reader).map_err(|e| self.classify(e))
+        if !self.queued.is_empty() && !self.frame_buffered() {
+            self.write_behind_queue(&[], &[])?;
+        }
+        let frame = read_frame(&mut self.reader).map_err(|e| self.classify(e))?;
+        self.received += u64::from(frame.is_some());
+        Ok(frame)
+    }
+}
+
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        if !self.queued.is_empty() {
+            let _ = self.write_behind_queue(&[], &[]);
+        }
     }
 }
 
@@ -394,6 +479,124 @@ mod tests {
         assert_eq!(t.recv().unwrap().as_deref(), Some(&b"alpha"[..]));
         assert!(matches!(t.recv(), Err(ProtocolError::TruncatedFrame { expected: 12, got: 9 })));
         peer.join().unwrap();
+    }
+
+    /// Both ends of one loopback connection.
+    fn loopback_streams() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (near, listener.accept().unwrap().0)
+    }
+
+    /// A connected pair of transports whose every `recv` gives up after
+    /// `deadline`, so a frame that is never written fails the test
+    /// instead of hanging it.
+    fn tcp_pair(deadline: std::time::Duration) -> (TcpTransport, TcpTransport) {
+        let (near, far) = loopback_streams();
+        (
+            TcpTransport::with_timeout(near, Some(deadline)),
+            TcpTransport::with_timeout(far, Some(deadline)),
+        )
+    }
+
+    /// The deadline of a transport that checks that nothing arrived.
+    const QUIET: std::time::Duration = std::time::Duration::from_millis(100);
+
+    /// The next frame `t` reads within two seconds.
+    fn next_frame(t: &mut TcpTransport) -> Vec<u8> {
+        for _ in 0..20 {
+            match t.recv() {
+                Ok(Some(frame)) => return frame,
+                Err(ProtocolError::Timeout { .. }) => continue,
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        panic!("no frame arrived within two seconds");
+    }
+
+    /// That no frame reaches `t` within its deadline: a timeout with
+    /// nothing consumed, after which `t` reads on as before.
+    fn nothing_arrives(t: &mut TcpTransport) {
+        match t.recv() {
+            Err(ProtocolError::Timeout { .. }) => {}
+            other => panic!("expected nothing on the wire, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lone_request_is_on_the_wire_when_send_returns() {
+        let (mut client, mut server) = tcp_pair(QUIET);
+        client.send(b"lone request").unwrap();
+        // The client never calls `recv`: the frame left with the `send`.
+        assert_eq!(next_frame(&mut server), b"lone request");
+    }
+
+    #[test]
+    fn requests_behind_an_unanswered_one_arrive_whole_and_in_order() {
+        let (mut client, mut server) = tcp_pair(QUIET);
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        client.send(b"first").unwrap();
+        assert_eq!(next_frame(&mut server), b"first");
+        // "first" is unanswered, so these wait in the queue...
+        client.send(b"second").unwrap();
+        client.send(b"").unwrap();
+        nothing_arrives(&mut server);
+        // ...until a frame too large for it goes out and takes them along.
+        client.send(&big).unwrap();
+        client.send(b"last").unwrap();
+        for want in [&b"second"[..], b"", &big] {
+            assert_eq!(next_frame(&mut server), want);
+        }
+        nothing_arrives(&mut server);
+        // The client's next `recv` writes "last" before it reads.
+        server.send(b"reply").unwrap();
+        assert_eq!(client.recv().unwrap().as_deref(), Some(&b"reply"[..]));
+        assert_eq!(next_frame(&mut server), b"last");
+    }
+
+    #[test]
+    fn answers_to_a_buffered_window_leave_together_before_the_server_blocks() {
+        let (mut near, far) = loopback_streams();
+        // The window is one write, so the server's first read takes it whole.
+        near.write_all(&wire_of(&[b"one", b"two", b"three"])).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let mut client = TcpTransport::with_timeout(near, Some(QUIET));
+        let mut server = TcpTransport::with_timeout(far, Some(QUIET));
+        for request in [&b"one"[..], b"two"] {
+            assert_eq!(server.recv().unwrap().as_deref(), Some(request));
+            server.send(&[b"re:", request].concat()).unwrap();
+        }
+        // The next request is already buffered: both answers are held.
+        nothing_arrives(&mut client);
+        assert_eq!(server.recv().unwrap().as_deref(), Some(&b"three"[..]));
+        server.send(b"re:three").unwrap();
+        // Nothing is buffered behind the last one: the group is written
+        // with it, and the server never reads again.
+        for want in [&b"re:one"[..], b"re:two", b"re:three"] {
+            assert_eq!(next_frame(&mut client), want);
+        }
+    }
+
+    #[test]
+    fn dropping_a_transport_delivers_its_queue() {
+        let (mut client, mut server) = tcp_pair(QUIET);
+        client.send(b"asked").unwrap();
+        client.send(b"queued behind it").unwrap();
+        drop(client);
+        assert_eq!(next_frame(&mut server), b"asked");
+        assert_eq!(next_frame(&mut server), b"queued behind it");
+        assert_eq!(server.recv().unwrap(), None);
+    }
+
+    #[test]
+    fn a_queued_write_to_a_closed_peer_fails_typed_at_recv() {
+        let (mut client, server) = tcp_pair(QUIET);
+        client.send(b"never read").unwrap();
+        // Closing with unread bytes resets the connection.
+        drop(server);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        client.send(b"queued").unwrap();
+        assert!(matches!(client.recv(), Err(ProtocolError::Io { .. })));
     }
 
     #[test]

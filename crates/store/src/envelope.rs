@@ -74,49 +74,53 @@ pub fn encode_envelope(kind: &str, payload: &Value) -> Vec<u8> {
 /// payload is parsed; every failure is a typed [`StoreError`], never a
 /// panic.
 pub fn decode_envelope(text: &str, kind: &str, source: &str) -> Result<Value, StoreError> {
-    let display = source.to_string();
-    let corrupt = |reason: String| StoreError::Corrupt { path: display.clone(), reason };
+    // The label is built only on a refusal: a verified frame or
+    // checkpoint allocates nothing for it.
+    let corrupt = |reason: String| StoreError::Corrupt { path: source.to_string(), reason };
     let Some((header, body)) = text.split_once('\n') else {
         // No newline: either an empty/partial envelope or something that
         // was never an envelope.
         if text.starts_with(MAGIC) || text.is_empty() || MAGIC.starts_with(text) {
-            return Err(StoreError::Truncated { path: display });
+            return Err(StoreError::Truncated { path: source.to_string() });
         }
         return Err(corrupt("missing envelope header".into()));
     };
-    let fields: Vec<&str> = header.split(' ').collect();
-    if fields.len() != 4 || fields[0] != MAGIC {
-        return Err(corrupt(format!("bad header {header:?}")));
-    }
-    let version: u32 = fields[1]
+    let mut words = header.split(' ');
+    let (version_field, kind_field, crc_field) =
+        match (words.next(), words.next(), words.next(), words.next(), words.next()) {
+            (Some(MAGIC), Some(v), Some(k), Some(c), None) => (v, k, c),
+            _ => return Err(corrupt(format!("bad header {header:?}"))),
+        };
+    let version: u32 = version_field
         .strip_prefix('v')
         .and_then(|v| v.parse().ok())
-        .ok_or_else(|| corrupt(format!("bad version field {:?}", fields[1])))?;
+        .ok_or_else(|| corrupt(format!("bad version field {version_field:?}")))?;
     if version != FORMAT_VERSION {
         return Err(StoreError::Version {
-            path: display,
+            path: source.to_string(),
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let found_kind = fields[2]
+    let found_kind = kind_field
         .strip_prefix("kind=")
-        .ok_or_else(|| corrupt(format!("bad kind field {:?}", fields[2])))?;
+        .ok_or_else(|| corrupt(format!("bad kind field {kind_field:?}")))?;
     if found_kind != kind {
         return Err(corrupt(format!("expected kind {kind:?}, found {found_kind:?}")));
     }
-    let expected = fields[3]
+    let expected = crc_field
         .strip_prefix("crc=")
         .and_then(|v| u64::from_str_radix(v, 16).ok())
-        .ok_or_else(|| corrupt(format!("bad checksum field {:?}", fields[3])))?;
+        .ok_or_else(|| corrupt(format!("bad checksum field {crc_field:?}")))?;
     if body.is_empty() {
-        return Err(StoreError::Truncated { path: display });
+        return Err(StoreError::Truncated { path: source.to_string() });
     }
     let actual = envelope_checksum(body.as_bytes());
     if actual != expected {
-        return Err(StoreError::ChecksumMismatch { path: display, expected, actual });
+        return Err(StoreError::ChecksumMismatch { path: source.to_string(), expected, actual });
     }
-    Value::parse(body).map_err(|e| StoreError::Schema { path: display, reason: e.to_string() })
+    Value::parse(body)
+        .map_err(|e| StoreError::Schema { path: source.to_string(), reason: e.to_string() })
 }
 
 /// Writes `text` to `path` atomically: parent directories are created,

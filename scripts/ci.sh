@@ -522,11 +522,12 @@ stage_scale() {
 
 # Federation service (docs/SERVE.md): a real loadgen round-trip over
 # localhost TCP, verified bit-for-bit against the in-process reference;
-# the same over a population of many join windows (both ends under an
-# I/O deadline, so a pipeline that stalls fails the stage instead of
-# hanging it); then the kill + checkpoint-restart determinism check —
-# the two halves of an interrupted served run concatenated must
-# byte-compare equal to the uninterrupted run's selections.
+# the same over populations of many join windows, 2 000 and 20 000
+# clients (both ends under an I/O deadline, so a pipeline that stalls
+# fails the stage instead of hanging it); then the kill +
+# checkpoint-restart determinism check — the two halves of an
+# interrupted served run concatenated must byte-compare equal to the
+# uninterrupted run's selections.
 stage_serve() {
     local out=target/ci_serve_stage
     rm -rf "$out"
@@ -558,6 +559,20 @@ stage_serve() {
     [ -s "$out/port" ] || { echo "server never wrote its port file" >&2; exit 1; }
     addr="127.0.0.1:$(cat "$out/port")"
     run_exp loadgen --addr "$addr" "${crowd[@]}" --epochs 3 --verify-reference --shutdown
+    wait "$server_pid"
+
+    # 313 windows, each leaving in grouped writes (docs/SERVE.md
+    # "Ordering"): a held frame that is never written stalls the
+    # pipeline, and the deadline turns that into a failure.
+    local multitude=(--clients 20000 --seed 11 --budget 1000000 --min-participants 10
+        --policy fedavg --io-timeout 30)
+    rm -f "$out/port"
+    run_exp serve --addr 127.0.0.1:0 --port-file "$out/port" "${multitude[@]}" &
+    server_pid=$!
+    for _ in $(seq 300); do [ -s "$out/port" ] && break; sleep 0.1; done
+    [ -s "$out/port" ] || { echo "server never wrote its port file" >&2; exit 1; }
+    addr="127.0.0.1:$(cat "$out/port")"
+    run_exp loadgen --addr "$addr" "${multitude[@]}" --epochs 3 --verify-reference --shutdown
     wait "$server_pid"
 
     # Kill + restart: 6 epochs with checkpoints, shutdown, resume, 6 more.
