@@ -14,7 +14,7 @@
 //! task, mirroring CIFAR-10's difficulty in the paper (Figs. 3/5
 //! plateau lower than Figs. 2/4).
 
-use fedl_linalg::rng::{rng_for, Distribution, Normal, Rng};
+use fedl_linalg::rng::{rng_for, Normal, Rng};
 use fedl_linalg::Matrix;
 
 use crate::Dataset;
@@ -133,6 +133,11 @@ impl SyntheticSpec {
 
         let mut features = Matrix::zeros(n, dim);
         let mut labels = Vec::with_capacity(n);
+        // One row's noise at a time (a whole split's would be 8 bytes a
+        // feature): `fill` draws it sixteen pairs at a time, and an odd
+        // `dim` leaves the Box–Muller spare in `noise` for the next row,
+        // as sampling value by value does.
+        let mut row_noise = vec![0.0; dim];
         for r in 0..n {
             let c = rng.gen_range(0..classes);
             let v = rng.gen_range(0..modes);
@@ -147,11 +152,10 @@ impl SyntheticSpec {
                 c
             };
             let ov = rng.gen_range(0..modes);
-            let row = features.row_mut(r);
-            for (j, val) in row.iter_mut().enumerate() {
-                let raw = (1.0 - leak) * templates[c][v][j]
-                    + leak * templates[other][ov][j]
-                    + noise.sample(&mut rng) as f32;
+            noise.fill(&mut rng, &mut row_noise);
+            let blend = templates[c][v].iter().zip(&templates[other][ov]).zip(&row_noise);
+            for (val, ((&own, &leaked), &z)) in features.row_mut(r).iter_mut().zip(blend) {
+                let raw = (1.0 - leak) * own + leak * leaked + z as f32;
                 *val = raw.clamp(0.0, 1.0);
             }
             labels.push(c);

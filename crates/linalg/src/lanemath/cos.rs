@@ -1,17 +1,23 @@
-//! `cos`: glibc 2.36's `cos` (`sysdeps/ieee754/dbl-64/s_sin.c`, IBM's
-//! Accurate Mathematical Library) as its FMA build `__cos_fma` computes
-//! it.
+//! `cos` and `sincos`: glibc 2.36's `cos` and `sincos`
+//! (`sysdeps/ieee754/dbl-64/s_sin.c` and `s_sincos.c`, IBM's Accurate
+//! Mathematical Library) as their FMA builds `__cos_fma` and
+//! `__sincos_fma` compute them.
 //!
-//! `__cos` picks one of four paths by `|x|`: 1 below 2⁻²⁷; `do_cos(x, 0)`
-//! below 0.855469; `do_sin` of `π/2 − |x|` (in two parts) below
-//! 2.426265; otherwise `reduce_sincos` to `x − n·π/2 = a + da` with `|a|
-//! ≤ π/4`, then `do_cos` or `do_sin` by the quadrant and a sign. `do_sin`
-//! itself switches to a Taylor polynomial below 0.126. Both kernels look
-//! up `(sin, sin tail, cos, cos tail)` of the nearest multiple of 1/128
-//! in `__sincostab` and correct by a short series in the remainder. Here
-//! every lane computes every candidate and selects; `|x| ≥ 105414350`
-//! (the multi-word reduction), ∞ and NaN are outside [`fast`] and go to
-//! libm.
+//! Both pick one of four paths by `|x|`: 1 (and `x` for the sine) below
+//! 2⁻²⁷; `(a, da) = (x, 0)` below 0.855469; `π/2 − |x|` in two parts
+//! below 2.426265; otherwise `reduce_sincos` to `x − n·π/2 = a + da` with
+//! `|a| ≤ π/4`. Two kernels finish: `do_sin` and `do_cos` of `(a, da)`,
+//! both from the row of `(sin, sin tail, cos, cos tail)` of the nearest
+//! multiple of 1/128 in `__sincostab`, corrected by a short series in the
+//! remainder; `do_sin` switches to a Taylor polynomial below 0.126.
+//! `__cos` takes one kernel by the path and the quadrant. `__sincos`
+//! negates the remainder in quadrants 1 and 2, takes both kernels and
+//! assigns them by the path and the quadrant. Its sine on the middle path
+//! is `do_cos(a, da)`, not `__sin`'s `do_cos(π/2 − |x|, tail)`: another
+//! rounding of the same value, which agreed with `sin`'s on all of 10⁸
+//! Box–Muller angles sampled, but is the one a merged call returns. Here
+//! every lane computes every candidate and selects; `|x| ≥ 105414350` (the multi-word reduction), ∞ and NaN are
+//! outside [`fast`] and go to libm.
 
 /// 1.5·2⁴⁵: adding it leaves `round(|a|·128)` in the low mantissa bits.
 const BIG: f64 = f64::from_bits(0x42c8000000000000);
@@ -39,31 +45,36 @@ const MP1: f64 = f64::from_bits(0x3ff921fb58000000);
 const MP2: f64 = f64::from_bits(0xbe4dde973c000000);
 const PP3: f64 = f64::from_bits(0xbc8cb3b398000000);
 const PP4: f64 = f64::from_bits(0xbacd747f23e32ed7);
+/// Top words of 2⁻²⁷, 0.855469 and 2.426265: where the tiny path, the
+/// `(x, 0)` path and the `π/2 − |x|` path end.
+const TINY: u32 = 0x3e400000;
+const SMALL: u32 = 0x3feb6000;
+const MIDDLE: u32 = 0x400368fd;
 
-/// The top word of `|x|`, by which `__cos` picks its path.
+/// The top word of `|x|`, by which `__cos` and `__sincos` pick a path.
 #[inline(always)]
 fn top(x: f64) -> u32 {
     (x.to_bits() >> 32) as u32 & 0x7fff_ffff
 }
 
-/// Whether [`core`] is `x.cos()` for `x`: `|x| < 105414350`.
+/// Whether [`core`] is `x.cos()` and [`sin_cos`] is libm's `sincos` for
+/// `x`: `|x| < 105414350`.
 #[inline(always)]
 pub(super) fn fast(x: f64) -> bool {
     top(x) < 0x419921fb
 }
 
-/// `cos x` for `x` in [`fast`]'s domain; any other input gives a value
-/// that the caller discards.
+/// `(a, da)` with `a + da = π/2 − |x|`: the middle path's remainder.
 #[inline(always)]
-pub(super) fn core(x: f64) -> f64 {
-    let k = top(x);
-
-    // 0.855469 ≤ |x| < 2.426265: sin(a + da), a + da = π/2 − |x|.
+fn from_half_pi(x: f64) -> (f64, f64) {
     let y = HP0 - x.abs();
-    let near_a = y + HP1;
-    let near_da = (y - near_a) + HP1;
+    let a = y + HP1;
+    (a, (y - a) + HP1)
+}
 
-    // Otherwise x = n·π/2 + a + da (reduce_sincos).
+/// `reduce_sincos`: `(a, da, n mod 4)` with `x = n·π/2 + a + da`.
+#[inline(always)]
+fn reduce_sincos(x: f64) -> (f64, f64, u32) {
     let t = x.mul_add(HPINV, TOINT);
     let n = t.to_bits() as u32 & 3;
     let xn = t - TOINT;
@@ -72,57 +83,111 @@ pub(super) fn core(x: f64) -> f64 {
     let db = (-xn).mul_add(PP3, y - t2);
     let b = (-xn).mul_add(PP4, t2);
     let db = db + (-xn).mul_add(PP4, t2 - b);
+    (b, db, n)
+}
+
+/// `(do_sin(a, da), do_cos(a, da))`, both from one table row. A macro
+/// rather than an `#[inline(always)]` function: behind a function
+/// boundary the compiler scheduled the sixteen-lane loops worse (`cos`
+/// ≈ 1.6×, `sin_cos` ≈ 1.3× the time per value on a 2-vCPU AVX-512
+/// x86-64 guest).
+macro_rules! do_sin_cos {
+    ($a:expr, $da:expr) => {{
+        let (a, da): (f64, f64) = ($a, $da);
+
+        // The table row of |a| rounded to a multiple of 1/128.
+        let abs_a = a.abs();
+        let u = BIG + abs_a;
+        let [sn, ssn, cs, ccs] = SINCOS[u.to_bits() as usize % 128].map(f64::from_bits);
+        let rest = abs_a - (u - BIG);
+
+        // do_cos(a, da).
+        let dx = if a < 0.0 { -da } else { da };
+        let x1 = rest + dx;
+        let xx = x1 * x1;
+        let s = (x1 * xx).mul_add(xx.mul_add(SN5, SN3), x1);
+        let c = xx * xx.mul_add(xx.mul_add(CS6, CS4), CS2);
+        let cor = (-s).mul_add(sn, (-c).mul_add(cs, (-s).mul_add(ssn, ccs)));
+        let by_cos = cs + cor;
+
+        // do_sin(a, da), the table form.
+        let dx = if a <= 0.0 { -da } else { da };
+        let xx = rest * rest;
+        let s = rest + (rest * xx).mul_add(xx.mul_add(SN5, SN3), dx);
+        let c = rest.mul_add(dx, xx * xx.mul_add(xx.mul_add(CS6, CS4), CS2));
+        let cor = s.mul_add(cs, (-c).mul_add(sn, s.mul_add(ccs, ssn)));
+        let by_sin = (sn + cor).copysign(a);
+
+        // do_sin(a, da) below 0.126: TAYLOR_SIN.
+        let xx = a * a;
+        let poly = S5.mul_add(xx, S4).mul_add(xx, S3).mul_add(xx, S2).mul_add(xx, S1);
+        let by_taylor = a + xx.mul_add(poly.mul_add(a, -(0.5 * da)), da);
+
+        (if abs_a < TAYLOR_BELOW { by_taylor } else { by_sin }, by_cos)
+    }};
+}
+
+/// `cos x` for `x` in [`fast`]'s domain; any other input gives a value
+/// that the caller discards.
+#[inline(always)]
+pub(super) fn core(x: f64) -> f64 {
+    let k = top(x);
+    let (near_a, near_da) = from_half_pi(x);
+    let (b, db, n) = reduce_sincos(x);
 
     // (a, da), whether cos (else sin) of it, whether negated.
-    let (a, da, cos, neg) = if k < 0x3feb6000 {
+    let (a, da, cos, neg) = if k < SMALL {
         (x, 0.0, true, false)
-    } else if k < 0x400368fd {
+    } else if k < MIDDLE {
         (near_a, near_da, false, false)
     } else {
         (b, db, n & 1 == 0, (n + 1) & 2 != 0)
     };
-
-    // The table row of |a| rounded to a multiple of 1/128.
-    let abs_a = a.abs();
-    let u = BIG + abs_a;
-    let [sn, ssn, cs, ccs] = SINCOS[u.to_bits() as usize % 128].map(f64::from_bits);
-    let rest = abs_a - (u - BIG);
-
-    // do_cos(a, da).
-    let dx = if a < 0.0 { -da } else { da };
-    let x1 = rest + dx;
-    let xx = x1 * x1;
-    let s = (x1 * xx).mul_add(xx.mul_add(SN5, SN3), x1);
-    let c = xx * xx.mul_add(xx.mul_add(CS6, CS4), CS2);
-    let cor = (-s).mul_add(sn, (-c).mul_add(cs, (-s).mul_add(ssn, ccs)));
-    let by_cos = cs + cor;
-
-    // do_sin(a, da), the table form.
-    let dx = if a <= 0.0 { -da } else { da };
-    let xx = rest * rest;
-    let s = rest + (rest * xx).mul_add(xx.mul_add(SN5, SN3), dx);
-    let c = rest.mul_add(dx, xx * xx.mul_add(xx.mul_add(CS6, CS4), CS2));
-    let cor = s.mul_add(cs, (-c).mul_add(sn, s.mul_add(ccs, ssn)));
-    let by_sin = (sn + cor).copysign(a);
-
-    // do_sin(a, da) below 0.126: TAYLOR_SIN.
-    let xx = a * a;
-    let poly = S5.mul_add(xx, S4).mul_add(xx, S3).mul_add(xx, S2).mul_add(xx, S1);
-    let by_taylor = a + xx.mul_add(poly.mul_add(a, -(0.5 * da)), da);
-
-    let v = if cos {
-        by_cos
-    } else if abs_a < TAYLOR_BELOW {
-        by_taylor
-    } else {
-        by_sin
-    };
-    if k < 0x3e400000 {
+    let (by_sin, by_cos) = do_sin_cos!(a, da);
+    let v = if cos { by_cos } else { by_sin };
+    if k < TINY {
         1.0
     } else if neg {
         -v
     } else {
         v
+    }
+}
+
+/// `(sin x, cos x)` as `sincos` computes them, for `x` in [`fast`]'s
+/// domain; any other input gives values that the caller discards.
+#[inline(always)]
+pub(super) fn sin_cos(x: f64) -> (f64, f64) {
+    let k = top(x);
+    let (near_a, near_da) = from_half_pi(x);
+    let (b, db, n) = reduce_sincos(x);
+
+    // Quadrants 1 and 2 negate the remainder before both kernels.
+    let (a, da) = if k < SMALL {
+        (x, 0.0)
+    } else if k < MIDDLE {
+        (near_a, near_da)
+    } else if n == 1 || n == 2 {
+        (-b, -db)
+    } else {
+        (b, db)
+    };
+    let (s, c) = do_sin_cos!(a, da);
+    if k < TINY {
+        (x, 1.0)
+    } else if k < SMALL {
+        (s, c)
+    } else if k < MIDDLE {
+        (c.copysign(x), s)
+    } else {
+        // Quadrants 2 and 3 negate the cosine kernel; odd quadrants
+        // swap the two outputs.
+        let c = if n & 2 != 0 { -c } else { c };
+        if n & 1 != 0 {
+            (c, s)
+        } else {
+            (s, c)
+        }
     }
 }
 

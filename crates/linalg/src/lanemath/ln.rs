@@ -1,12 +1,17 @@
-//! `ln`: glibc 2.36's `log` (`sysdeps/ieee754/dbl-64/e_log.c`, from
-//! ARM's optimized-routines) as its FMA build `__log_fma` computes it.
+//! `ln` and `log10`: glibc 2.36's `log` (`sysdeps/ieee754/dbl-64/e_log.c`,
+//! from ARM's optimized-routines) as its FMA build `__log_fma` computes
+//! it, and its `log10` (`e_log10.c`, Sun's fdlibm), which has no FMA
+//! build and composes over that `log`.
 //!
-//! Two paths, both computed for every lane and one selected: inputs in
-//! `[1 − 2⁻⁴, 1 + 0x1.09p−4)` take the degree-11 polynomial in `x − 1`
-//! (with the Dekker-style split of `r²/2`), all other positive normal
-//! inputs `x = 2^k·z` the 128-entry `(1/c, ln c)` table and a degree-5
-//! polynomial in `z/c − 1`. Zero, negatives, subnormals, ∞ and NaN are
-//! outside [`fast`] and go to libm.
+//! `log` takes two paths, both computed for every lane and one selected:
+//! inputs in `[1 − 2⁻⁴, 1 + 0x1.09p−4)` take the degree-11 polynomial in
+//! `x − 1` (with the Dekker-style split of `r²/2`), all other positive
+//! normal inputs `x = 2^k·z` the 128-entry `(1/c, ln c)` table and a
+//! degree-5 polynomial in `z/c − 1`. `log10` writes `x = 2^n·m` with `m`
+//! in `[1, 2)`, or in `[1/2, 1)` when `n < 0`, and returns `log10(2)·n +
+//! log10(e)·ln m` with `log10(2)` in two parts, in plain (unfused)
+//! operations. Zero, negatives, subnormals, ∞ and NaN are outside
+//! [`fast`] and go to libm.
 
 /// `ln(2)`, high part (the low 11 mantissa bits zero) and the rest.
 const LN2_HI: f64 = f64::from_bits(0x3fe62e42fefa3800);
@@ -88,6 +93,25 @@ pub(super) fn core(x: f64) -> f64 {
     } else {
         table
     }
+}
+
+/// `log10(e)` and `log10(2)` in two parts (the high part's low 13
+/// mantissa bits zero).
+const INV_LN10: f64 = f64::from_bits(0x3fdbcb7b1526e50e);
+const LOG10_2_HI: f64 = f64::from_bits(0x3fd34413509f6000);
+const LOG10_2_LO: f64 = f64::from_bits(0x3d59fef311f12b36);
+
+/// `log10 x` for `x` in [`fast`]'s domain; any other input gives a value
+/// that the caller discards.
+#[inline(always)]
+pub(super) fn log10_core(x: f64) -> f64 {
+    let ix = x.to_bits();
+    // n, less one when negative: m = x/2^n then lies in [1/2, 1).
+    let k = (ix >> 52) as i64 - 0x3ff;
+    let i = (k as u64 >> 63) as i64;
+    let n = (k + i) as f64;
+    let m = f64::from_bits((ix & 0x000f_ffff_ffff_ffff) | (((0x3ff - i) as u64) << 52));
+    (n * LOG10_2_LO + INV_LN10 * core(m)) + n * LOG10_2_HI
 }
 
 /// `(1/c, ln c)` for the 128 subintervals of `[OFF, 2·OFF)`, from glibc's

@@ -493,6 +493,47 @@ impl Normal {
         }
         z
     }
+
+    /// `for z in out { *z = self.sample(rng) }`, bit for bit, with the
+    /// Box–Muller spare taken on entry and left on exit the same way. The
+    /// uniforms are drawn serially in the scalar order; the `ln` and the
+    /// `sin`/`cos` of the pairs run [`LANES`] at a time
+    /// ([`crate::lanemath`]), so no libm call is made. A short last group
+    /// is padded with a valid pair, which keeps every lane in the lane
+    /// functions' fast domain.
+    pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+        let out = match (self.spare.take(), out) {
+            (Some(z), [first, rest @ ..]) => {
+                *first = self.mean + self.std * z;
+                rest
+            }
+            (spare, out) => {
+                self.spare.set(spare);
+                out
+            }
+        };
+        for group in out.chunks_mut(2 * LANES) {
+            let pairs = group.len().div_ceil(2);
+            let (mut u1, mut theta) = ([1.0; LANES], [0.0; LANES]);
+            for i in 0..pairs {
+                u1[i] = 1.0 - rng.next_f64();
+                theta[i] = 2.0 * core::f64::consts::PI * rng.next_f64();
+            }
+            let (ln_u1, (sin, cos)) = (lanemath::ln(u1), lanemath::sin_cos(theta));
+            let mut z = [[0.0; 2]; LANES];
+            for i in 0..LANES {
+                let r = (-2.0 * ln_u1[i]).sqrt();
+                z[i] = [r * cos[i], r * sin[i]];
+            }
+            let z = z.as_flattened();
+            for (out, &z) in group.iter_mut().zip(z) {
+                *out = self.mean + self.std * z;
+            }
+            if group.len() % 2 == 1 {
+                self.spare.set(Some(z[group.len()]));
+            }
+        }
+    }
 }
 
 impl Distribution<f64> for Normal {
@@ -545,6 +586,15 @@ impl Poisson {
     /// hands it to [`Self::sample_lanes`].
     pub fn last_chunk_limit(&self) -> f64 {
         (-Self::chunks(self.lambda).1).exp()
+    }
+
+    /// [`Self::last_chunk_limit`] of each lane's rate, bit for bit: the
+    /// `exp` runs [`LANES`] at a time ([`lanemath::exp`]).
+    ///
+    /// # Panics
+    /// Panics if any rate is not finite and positive.
+    pub fn last_chunk_limit_lanes(lambdas: &[f64; LANES]) -> [f64; LANES] {
+        lanemath::exp(lambdas.map(|lambda| -Self::chunks(Poisson::new(lambda).lambda).1))
     }
 
     /// `Poisson::new(lambdas[i]).sample(..)` on lane `i`'s stream, for

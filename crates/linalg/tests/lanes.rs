@@ -2,9 +2,10 @@
 //! `XoshiroLanes::new(roots, label)` is the stream of
 //! `rng_for(roots[i], label)`, and `Poisson::sample_lanes` is
 //! `Poisson::sample` on each lane's stream — whatever the other lanes
-//! hold, at every rate the chunking treats differently.
+//! hold, at every rate the chunking treats differently — and
+//! `Normal::fill` is `Normal::sample` repeated.
 
-use fedl_linalg::rng::{rng_for, Distribution, Poisson, Rng, XoshiroLanes, LANES};
+use fedl_linalg::rng::{rng_for, Distribution, Normal, Poisson, Rng, XoshiroLanes, LANES};
 
 #[test]
 fn every_lane_is_the_scalar_stream_of_its_root() {
@@ -114,4 +115,54 @@ fn lockstep_poisson_refuses_a_bad_rate_like_the_scalar_one() {
     lambdas[9] = 0.0;
     let limits = [Poisson::new(4.0).last_chunk_limit(); LANES];
     Poisson::sample_lanes(&lambdas, &limits, &mut XoshiroLanes::new(&[1; LANES], 2));
+}
+
+/// Fills `len` values on one `Normal` and samples them one by one on a
+/// twin; both must agree by `to_bits` and leave their generators at the
+/// same place.
+fn assert_fill_is_sample(
+    fill: &Normal,
+    scalar: &Normal,
+    rngs: (&mut impl Rng, &mut impl Rng),
+    len: usize,
+) {
+    let mut got = vec![f64::NAN; len];
+    fill.fill(rngs.0, &mut got);
+    for (i, got) in got.iter().enumerate() {
+        let want = scalar.sample(rngs.1);
+        assert_eq!(got.to_bits(), want.to_bits(), "value {i} of {len}: {got} vs {want}");
+    }
+    assert_eq!(rngs.0.next_u64(), rngs.1.next_u64(), "generators apart after {len}");
+}
+
+#[test]
+fn normal_fill_is_repeated_sample_bit_for_bit() {
+    for (case, (mean, std)) in [(0.0, 1.0), (0.0, 0.35), (-3.5, 2.0e3)].into_iter().enumerate() {
+        for spare_on_entry in [false, true] {
+            let (fill, scalar) = (Normal::new(mean, std), Normal::new(mean, std));
+            let mut a = rng_for(case as u64, 0xF111);
+            let mut b = a.clone();
+            if spare_on_entry {
+                // One sample leaves the pair's second variate behind.
+                assert_eq!(fill.sample(&mut a).to_bits(), scalar.sample(&mut b).to_bits());
+            }
+            // Every length up to two lane groups and a half, each call
+            // followed by a few other draws, as a caller's would be.
+            for len in 0..=40 {
+                assert_fill_is_sample(&fill, &scalar, (&mut a, &mut b), len);
+                for _ in 0..len % 3 {
+                    assert_eq!(a.gen_range(0..10usize), b.gen_range(0..10usize));
+                }
+            }
+            // Longer calls of random lengths, odd ones carrying the spare.
+            let mut lengths = rng_for(case as u64, 0x1E9);
+            for _ in 0..200 {
+                let len = lengths.gen_range(0..300usize);
+                assert_fill_is_sample(&fill, &scalar, (&mut a, &mut b), len);
+            }
+            // The spare left on exit is the scalar one's.
+            assert_eq!(fill.sample(&mut a).to_bits(), scalar.sample(&mut b).to_bits());
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
 }

@@ -52,6 +52,14 @@ impl ChannelModel {
         128.1 + 37.6 * d_km.log10()
     }
 
+    /// [`Self::path_loss_db`] of each lane's distance, bit for bit: the
+    /// `log10` runs [`LANES`] at a time ([`lanemath::log10`]).
+    #[inline]
+    pub fn path_loss_db_lanes(&self, distance_m: &[f64; LANES]) -> [f64; LANES] {
+        let log = lanemath::log10(distance_m.map(|d| d.max(self.min_distance_m) / 1000.0));
+        log.map(|log| 128.1 + 37.6 * log)
+    }
+
     /// Samples a channel gain at `distance_m`, combining path loss with a
     /// fresh log-normal shadowing draw.
     pub fn sample_gain(&self, distance_m: f64, rng: &mut impl Rng) -> f64 {

@@ -117,9 +117,9 @@ impl ClientColumns {
     /// placement, the two shadowing uniforms, cycles/bit, CPU frequency,
     /// arrival rate. Clients before `rows` are stepped over. The owned
     /// ones are drawn [`LANES`] at a time: the group's uniforms serially,
-    /// then its placement, shadowing (`ln`, `cos`) and base gain (`10^x`)
-    /// lane by lane; the path loss's `log10` and the Poisson limit's
-    /// `exp` stay per row. A short last group is padded with copies of
+    /// then its placement, path loss (`log10`), shadowing (`ln`, `cos`),
+    /// base gain (`10^x`) and Poisson limit (`exp`) lane by lane, none of
+    /// them through libm. A short last group is padded with copies of
     /// its last client, so every lane stays in the lane functions' fast
     /// domain.
     ///
@@ -164,7 +164,7 @@ impl ClientColumns {
             // Uniform placement over the disk: sqrt for area uniformity.
             let distance_m =
                 u[0].map(|u| (config.cell_radius_m * u.sqrt()).max(channel.min_distance_m));
-            let path_loss_db = distance_m.map(|d| channel.path_loss_db(d));
+            let path_loss_db = channel.path_loss_db_lanes(&distance_m);
             // A fresh `Normal`'s first draw, without the Box–Muller spare.
             let shadow_db = shadowing.from_uniforms_lanes(&u[1], &u[2]);
             let base_gain = channel.gain_from_loss_lanes(&path_loss_db, &shadow_db);
@@ -176,7 +176,7 @@ impl ClientColumns {
                 (&mut cols.cycles_per_bit, affine(config.cycles_per_bit_range, &u[3])),
                 (&mut cols.cpu_hz, affine(config.cpu_hz_range, &u[4])),
                 (&mut cols.lambda, lambda),
-                (&mut cols.arrival_limit, lambda.map(|l| Poisson::new(l).last_chunk_limit())),
+                (&mut cols.arrival_limit, Poisson::last_chunk_limit_lanes(&lambda)),
             ];
             for (column, lanes) in drawn {
                 column[first..first + n].copy_from_slice(&lanes[..n]);

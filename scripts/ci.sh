@@ -484,11 +484,11 @@ require_kernels() {
 # same test runs a small one), and the tests that pin the realization
 # window and the lockstep Poisson sampler run in release beside it, with
 # population_golden (the pinned 100k population, and a shard's static
-# columns == the full build's rows, zero elsewhere). The
-# lane ports of libm's ln, cos and pow(10, ·) (fedl_linalg::lanemath)
-# run their ignored release sweeps: at least 10^8 inputs per function,
-# each against libm by to_bits. The sweeps' counts and each binary's pass
-# count are the stage note.
+# columns == the full build's rows, zero elsewhere). The lane ports of
+# libm's ln, cos, pow(10, ·), sincos, log10 and exp
+# (fedl_linalg::lanemath) run their ignored release sweeps: at least
+# 10^8 inputs per function, each against libm by to_bits. The sweeps'
+# counts and each binary's pass count are the stage note.
 stage_scale() {
     require_kernels scale/score_update_10k scale/rounding_10k scale/epoch_realize_10k \
         solve/descend_10k
@@ -501,7 +501,7 @@ stage_scale() {
     local compared passes libm="" function count
     compared=$(grep -o '^[0-9]* client-epochs' "$log") \
         || { echo "lane parity sweep printed no client-epoch count" >&2; exit 1; }
-    for function in ln cos exp10; do
+    for function in ln cos exp10 sin_cos log10 exp; do
         count=$(grep -o "^[0-9]* $function inputs" "$log" | grep -o '^[0-9]*') \
             || { echo "the $function sweep printed no input count" >&2; exit 1; }
         [ "$count" -ge 100000000 ] \
