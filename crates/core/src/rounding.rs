@@ -2,14 +2,16 @@
 //! RDCS (paper Alg. 2) plus the independent-rounding baseline and the
 //! feasibility repair pass.
 //!
-//! [`rdcs_with`] tracks the fractional coordinate set in a Fenwick
-//! order-statistics tree, so one rounding pass over `K` candidates is
-//! `O(K log K)` instead of the `O(K²)` re-scan of a direct transcription
-//! of Alg. 2 — the difference between microseconds and minutes at the
-//! 1M-client scale tier (docs/SCALE.md). The transcription lives on as a
-//! test oracle (`tests/oracle/rdcs.rs`), and `tests/columnar_parity.rs`
-//! holds the two to identical RNG consumption: same draws, same
-//! outputs, bit for bit.
+//! [`rdcs_with`] keeps the fractional coordinate set in a membership
+//! bitmap with a popcount per block of words, so finding the rank-`r`
+//! member is a short scan of counts plus one in-word select, and one
+//! rounding pass over `K` candidates is `O(K√K / 64)` word operations
+//! instead of the `O(K²)` re-scan of a direct transcription of Alg. 2 —
+//! the difference between microseconds and minutes at the 1M-client
+//! scale tier (docs/SCALE.md). The transcription lives on as a test
+//! oracle (`tests/oracle/rdcs.rs`), and `tests/columnar_parity.rs` holds
+//! the two to identical RNG consumption: same draws, same outputs, bit
+//! for bit.
 
 use fedl_linalg::rng::Rng;
 
@@ -20,20 +22,20 @@ fn is_fractional(v: f64) -> bool {
     v > INT_TOL && v < 1.0 - INT_TOL
 }
 
-/// Fenwick (binary-indexed) tree over a 0/1 membership vector,
-/// supporting `O(log n)` rank-`k` selection and removal. Ranks and
-/// returned indices are 0-based.
+/// A set of indices `0..len` as a membership bitmap plus the number of
+/// members in each block of `1 << shift` words, supporting rank-`r`
+/// selection and removal. Ranks and returned indices are 0-based.
 #[derive(Default)]
 struct ActiveSet {
-    tree: Vec<u32>,
-    len: usize,
+    words: Vec<u64>,
+    blocks: Vec<u32>,
+    /// log₂ of the words per block, about half of log₂ of the words, so
+    /// the block scan and the word scan of `select` stay equally short.
+    shift: u32,
     count: usize,
-    /// `len.next_power_of_two()`, the starting stride of `select`.
-    top: usize,
 }
 
 impl ActiveSet {
-    /// Builds the tree in `O(n)` from a membership iterator.
     #[cfg(test)]
     fn new(members: impl ExactSizeIterator<Item = bool>) -> Self {
         let mut set = ActiveSet::default();
@@ -41,64 +43,76 @@ impl ActiveSet {
         set
     }
 
-    /// Builds the tree into this instance's existing storage; reusing
-    /// an `ActiveSet` across calls performs no allocation once the tree
-    /// capacity has grown to the largest vector seen.
+    /// Fills the set from a membership iterator in `O(len)`, into this
+    /// instance's storage: reuse allocates nothing once it has held the
+    /// longest vector seen.
     fn rebuild(&mut self, members: impl ExactSizeIterator<Item = bool>) {
-        let len = members.len();
-        let tree = &mut self.tree;
-        tree.clear();
-        tree.resize(len + 1, 0);
-        let mut count = 0usize;
+        self.words.clear();
+        self.words.resize(members.len().div_ceil(64), 0);
         for (i, m) in members.enumerate() {
-            if m {
-                tree[i + 1] = 1;
-                count += 1;
-            }
+            self.words[i / 64] |= u64::from(m) << (i % 64);
         }
-        for i in 1..=len {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= len {
-                tree[parent] += tree[i];
-            }
-        }
-        self.len = len;
-        self.count = count;
-        self.top = len.next_power_of_two();
+        self.shift = self.words.len().max(1).ilog2().div_ceil(2).max(4);
+        self.blocks.clear();
+        self.blocks.extend(
+            self.words
+                .chunks(1 << self.shift)
+                .map(|c| c.iter().map(|w| w.count_ones()).sum::<u32>()),
+        );
+        self.count = self.blocks.iter().map(|&c| c as usize).sum();
     }
 
-    /// Index of the rank-`k` member (the `k`-th smallest active index).
+    /// Index of the rank-`r` member (the `r`-th smallest member).
     ///
-    /// Requires `k < self.count`.
-    fn select(&self, k: usize) -> usize {
-        let mut pos = 0usize;
-        let mut remaining = k + 1;
-        let mut step = self.top;
-        while step > 0 {
-            let next = pos + step;
-            if next <= self.len && (self.tree[next] as usize) < remaining {
-                remaining -= self.tree[next] as usize;
-                pos = next;
-            }
-            step >>= 1;
+    /// Requires `r < self.count`.
+    fn select(&self, mut r: usize) -> usize {
+        let mut block = 0;
+        while r >= self.blocks[block] as usize {
+            r -= self.blocks[block] as usize;
+            block += 1;
         }
-        // `pos` 1-based is the predecessor of the answer, so 0-based the
-        // answer is exactly `pos`.
-        pos
+        let mut w = block << self.shift;
+        while r >= self.words[w].count_ones() as usize {
+            r -= self.words[w].count_ones() as usize;
+            w += 1;
+        }
+        debug_assert!(w >> self.shift == block, "rank {r} ran past block {block}");
+        64 * w + select_in_word(self.words[w], r as u32) as usize
     }
 
     /// Removes index `i` from the set (must currently be a member).
     fn remove(&mut self, i: usize) {
-        let mut j = i + 1;
-        while j <= self.len {
-            self.tree[j] -= 1;
-            j += j & j.wrapping_neg();
-        }
+        debug_assert!((self.words[i / 64] >> (i % 64)) & 1 == 1, "{i} is not a member");
+        self.words[i / 64] &= !(1 << (i % 64));
+        self.blocks[(i / 64) >> self.shift] -= 1;
         self.count -= 1;
     }
 }
 
-/// Reusable working storage for [`rdcs_with`]: the Fenwick tree over the
+/// Position of the rank-`r` set bit of `w` (`r < w.count_ones()`),
+/// branch-free: the byte holding it is the number of bytes whose
+/// inclusive prefix popcount is at most `r`, compared eight at a time;
+/// the bit inside that byte, the same comparison over its bits spread
+/// one to a byte.
+fn select_in_word(w: u64, r: u32) -> u32 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // How many bytes of `prefix` (each at most 64) are at most `r`:
+    // `r` in every byte with its high bit set, less `prefix`, keeps the
+    // high bit exactly there.
+    let at_most = |prefix: u64, r: u32| (((r as u64 * ONES) | HIGHS) - prefix) & HIGHS;
+    let pairs = w - ((w >> 1) & 0x5555_5555_5555_5555);
+    let nibbles = (pairs & 0x3333_3333_3333_3333) + ((pairs >> 2) & 0x3333_3333_3333_3333);
+    let bytes = (nibbles + (nibbles >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    let prefix = bytes.wrapping_mul(ONES);
+    let byte = at_most(prefix, r).count_ones();
+    let r = r - (((prefix << 8) >> (8 * byte)) & 0xFF) as u32;
+    let spread = (((w >> (8 * byte)) & 0xFF) * ONES) & 0x8040_2010_0804_0201;
+    let bits = ((spread + 0x7F7F_7F7F_7F7F_7F7F) >> 7) & ONES;
+    8 * byte + at_most(bits.wrapping_mul(ONES), r).count_ones()
+}
+
+/// Reusable working storage for [`rdcs_with`]: the bitmap over the
 /// fractional coordinate set. Reusing one of these across rounding calls
 /// makes the steady-state pass allocation-free.
 #[derive(Default)]
@@ -153,7 +167,7 @@ pub fn rdcs_with(
             "selection fraction {v} at {i} outside [0,1]"
         );
     }
-    // The fractional set as an order-statistics tree: `select(r)` is
+    // The fractional set as a rank-select bitmap: `select(r)` is
     // exactly `frac[r]` of Alg. 2's ascending re-scan, so the RNG stream
     // below is consumed identically to the transcription's.
     let active = &mut scratch.active;
@@ -278,6 +292,7 @@ fn repair_by_cost(selected: &mut Vec<usize>, costs: &[f64], n: usize, budget: f6
 mod tests {
     use super::*;
     use fedl_linalg::rng::rng_for;
+    use std::collections::BTreeSet;
 
     fn rdcs(x: &mut [f64], rng: &mut impl Rng) -> Vec<usize> {
         let mut selected = Vec::new();
@@ -384,6 +399,59 @@ mod tests {
         let mut set = set;
         set.remove(3);
         assert_eq!((0..3).map(|k| set.select(k)).collect::<Vec<_>>(), vec![0, 2, 6]);
+    }
+
+    #[test]
+    fn select_in_word_matches_clearing_low_bits() {
+        let mut r = rng_for(8, 0);
+        let edges = [1, 1 << 63, u64::MAX, 0x8000_0000_0000_0001, 0x00FF_0000_0000_FF00];
+        let random = (0..20_000).map(|i| match i % 3 {
+            0 => r.next_u64(),
+            1 => r.next_u64() & r.next_u64() & r.next_u64(),
+            _ => r.next_u64() | r.next_u64(),
+        });
+        for w in edges.into_iter().chain(random).filter(|&w| w != 0) {
+            let mut rest = w;
+            for rank in 0..w.count_ones() {
+                assert_eq!(select_in_word(w, rank), rest.trailing_zeros(), "{w:#x} rank {rank}");
+                rest &= rest - 1;
+            }
+        }
+    }
+
+    /// The bitmap against a `BTreeSet` oracle under seeded rebuilds,
+    /// selects and removals, at lengths on either side of word and
+    /// block edges; one instance is reused throughout, growing and
+    /// shrinking.
+    #[test]
+    fn active_set_matches_a_btreeset_oracle() {
+        const LENGTHS: [usize; 11] = [0, 1, 63, 64, 65, 511, 512, 513, 4095, 4096, 4097];
+        let mut set = ActiveSet::default();
+        for (case, &len) in LENGTHS.iter().chain(LENGTHS.iter().rev()).enumerate() {
+            let mut r = rng_for(case as u64, 0xB17);
+            for density in [0.03, 0.5, 1.0] {
+                let members: Vec<bool> = (0..len).map(|_| r.gen_bool(density)).collect();
+                set.rebuild(members.iter().copied());
+                let mut oracle: BTreeSet<usize> = (0..len).filter(|&i| members[i]).collect();
+                let whole = |set: &ActiveSet, oracle: &BTreeSet<usize>| {
+                    let got: Vec<usize> = (0..set.count).map(|k| set.select(k)).collect();
+                    assert!(got.iter().eq(oracle), "len {len}, density {density}");
+                };
+                whole(&set, &oracle);
+                while !oracle.is_empty() {
+                    assert_eq!(set.count, oracle.len(), "len {len}, density {density}");
+                    let rank = r.gen_range(0..oracle.len());
+                    let i = set.select(rank);
+                    assert_eq!(Some(&i), oracle.iter().nth(rank), "len {len} rank {rank}");
+                    set.remove(i);
+                    oracle.remove(&i);
+                    if oracle.len().is_multiple_of(97) {
+                        whole(&set, &oracle);
+                    }
+                }
+                assert_eq!(set.count, 0);
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The million-client scale-out rebuilt the population store
 //! (`fedl_sim::ClientColumns`), the epoch realization
 //! (`fedl_sim::EpochColumns`), the learner memory
-//! (`fedl_core::state::ScoreColumns`), and RDCS rounding (Fenwick
-//! order-statistics tree) as dense columnar kernels. The scalar
+//! (`fedl_core::state::ScoreColumns`), and RDCS rounding (a rank-select
+//! bitmap) as dense columnar kernels. The scalar
 //! realization and the Alg. 2 transcription they replaced live on as
 //! test oracles (`crates/sim/tests/oracle`, `oracle/rdcs.rs`); these
 //! tests hold each pair bit-identical on seeded populations at M = 100
@@ -169,7 +169,7 @@ fn population_contexts_equal_fresh_ones_and_honour_the_mask() {
 fn policies_select_identically_on_columnar_and_reference_contexts() {
     // Identical context bits in, identical cohorts out — across the
     // learned policy (FedL: columnar score store + det_sum objective +
-    // Fenwick RDCS) and the two memoryless baselines, at both tiers.
+    // bitmap RDCS) and the two memoryless baselines, at both tiers.
     for &m in &[100usize, 10_000] {
         let (config, channel, cols, profiles) = population(m, 0xD1FF);
         let latency = LatencyModel::paper_defaults(config.upload_bits, BITS_PER_SAMPLE);
@@ -192,9 +192,22 @@ fn policies_select_identically_on_columnar_and_reference_contexts() {
     }
 }
 
+/// The two roundings draw the same values from the generator: after
+/// each call, both streams' next outputs agree.
+fn assert_same_rounding(x0: &[f64], seed: u64, stream: u64, what: &str) {
+    let (mut xa, mut xb) = (x0.to_vec(), x0.to_vec());
+    let (mut rng_a, mut rng_b) = (rng_for(seed, stream), rng_for(seed, stream));
+    let sel_new = rdcs(&mut xa, &mut rng_a);
+    let sel_ref = rdcs_reference(&mut xb, &mut rng_b);
+    assert_eq!(sel_new, sel_ref, "{what}: selected sets differ");
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&xa), bits(&xb), "{what}: rounded vectors differ");
+    assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{what}: generator consumption differs");
+}
+
 #[test]
-fn fenwick_rdcs_matches_reference_bit_for_bit() {
-    for n in [1usize, 2, 3, 7, 50, 257] {
+fn rdcs_matches_reference_bit_for_bit() {
+    for n in [1usize, 2, 3, 7, 50, 63, 64, 65, 257, 4096, 4097] {
         for seed in 0..20u64 {
             let mut r = rng_for(seed, 123);
             let mut x0: Vec<f64> = (0..n).map(|_| r.gen::<f64>()).collect();
@@ -203,30 +216,17 @@ fn fenwick_rdcs_matches_reference_bit_for_bit() {
                 x0[0] = 1.0;
                 x0[n / 2] = 0.0;
             }
-            let (mut xa, mut xb) = (x0.clone(), x0.clone());
-            let sel_new = rdcs(&mut xa, &mut rng_for(seed, 7));
-            let sel_ref = rdcs_reference(&mut xb, &mut rng_for(seed, 7));
-            assert_eq!(sel_new, sel_ref, "n={n} seed={seed}");
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&xa), bits(&xb), "n={n} seed={seed}");
+            assert_same_rounding(&x0, seed, 7, &format!("n={n} seed={seed}"));
         }
     }
 }
 
 #[test]
-fn fenwick_rounding_matches_reference_at_10k() {
+fn rounding_matches_reference_at_10k() {
     let k = 10_000;
     let mut seed_rng = rng_for(0xF31, k as u64);
     let x0: Vec<f64> = (0..k).map(|_| seed_rng.next_f64()).collect();
-    let mut fast_x = x0.clone();
-    let mut slow_x = x0;
-    let mut fast_rng = rng_for(0xF32, k as u64);
-    let mut slow_rng = rng_for(0xF32, k as u64);
-    let fast = rdcs(&mut fast_x, &mut fast_rng);
-    let slow = rdcs_reference(&mut slow_x, &mut slow_rng);
-    assert_eq!(fast, slow, "selected sets differ");
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(&fast_x), bits(&slow_x), "rounded vectors differ");
+    assert_same_rounding(&x0, 0xF32, k as u64, "k=10000");
 }
 
 #[test]

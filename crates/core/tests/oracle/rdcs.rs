@@ -1,9 +1,10 @@
 //! RDCS as a direct transcription of paper Alg. 2: re-scan the whole
 //! vector for fractional coordinates every round (`O(K²)`). The rounding
-//! FedL ran before the Fenwick-tree `fedl_core::rounding::rdcs_with`,
-//! which must draw the same RNG stream and produce the same output, bit
-//! for bit, for every input (docs/SCALE.md). It lives on only as that
-//! reference; nothing under `src/` uses it.
+//! FedL ran before the rank-select bitmap of
+//! `fedl_core::rounding::rdcs_with`, which must draw the same RNG stream
+//! and produce the same output, bit for bit, for every input
+//! (docs/SCALE.md). It lives on only as that reference; nothing under
+//! `src/` uses it.
 
 use fedl_linalg::rng::Rng;
 

@@ -447,6 +447,9 @@ impl fmt::Display for Value {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The document; runs of a string literal are sliced from it as
+    /// `&str`, so its UTF-8 is never checked twice.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -611,12 +614,13 @@ impl<'a> Parser<'a> {
             if run[len] < 0x20 {
                 return Err(Error::at("unescaped control character in string", self.pos + len));
             }
-            // The bytes that end a run are ASCII, so a run of a `&str`
-            // input ends on a char boundary and this cannot fail;
-            // checking costs one pass and keeps the crate free of
-            // `unsafe`.
-            let text = std::str::from_utf8(&run[..len])
-                .map_err(|e| Error::at("invalid utf-8", self.pos + e.valid_up_to()))?;
+            // The bytes that end a run are ASCII, so a run ends on a char
+            // boundary and this `get` cannot fail; it slices in O(1)
+            // where `from_utf8` would re-validate the run.
+            let text = self
+                .text
+                .get(self.pos..self.pos + len)
+                .ok_or_else(|| Error::at("string run off a char boundary", self.pos))?;
             out.push_str(text);
             self.pos += len + 1;
             if run[len] == b'"' {
@@ -673,7 +677,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -695,7 +699,7 @@ impl<'a> Parser<'a> {
 impl Value {
     /// Parses one JSON document (rejecting trailing garbage).
     pub fn parse(text: &str) -> Result<Value, Error> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {

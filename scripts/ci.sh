@@ -477,8 +477,11 @@ require_kernels() {
 }
 
 # Columnar scale tier (docs/SCALE.md): the quick suite must measure the
-# 10k-tier scheduler kernels — and the 10k solve, which the scale/
-# kernels leave out and which used to cost ~14x everything they time.
+# 10k-tier scheduler kernels and the K = 256 rounding — and the 10k
+# solve, which the scale/ kernels leave out and which used to cost ~14x
+# everything they time. fedl-core's columnar_parity holds the bitmap
+# RDCS to the Alg. 2 transcription (same cohorts, same RNG consumption)
+# in release.
 # The lane-group realization is then held to the scalar oracle over the
 # release-mode sweep (over a million client-epochs; a debug build of the
 # same test runs a small one), and the tests that pin the realization
@@ -490,11 +493,12 @@ require_kernels() {
 # 10^8 inputs per function, each against libm by to_bits. The sweeps'
 # counts and each binary's pass count are the stage note.
 stage_scale() {
-    require_kernels scale/score_update_10k scale/rounding_10k scale/epoch_realize_10k \
-        solve/descend_10k
+    require_kernels scale/score_update_10k scale/rounding_10k core/rdcs_round_256 \
+        scale/epoch_realize_10k solve/descend_10k
     local log=target/ci_scale_lane_parity.txt
     cargo test --release --offline -p fedl-sim --test lane_parity --test columnar_parity \
         --test window --test alloc_free --test population_golden -- --nocapture 2>&1 | tee "$log"
+    cargo test --release --offline -p fedl-core --test columnar_parity 2>&1 | tee -a "$log"
     cargo test --release --offline -p fedl-linalg --test lanes 2>&1 | tee -a "$log"
     cargo test --release --offline -p fedl-linalg --test lanemath -- --include-ignored \
         --nocapture 2>&1 | tee -a "$log"
@@ -515,8 +519,8 @@ stage_scale() {
         $1 == "test" && $2 == "result:" { out = out sep bin " " $4; sep = ", " }
         END { print out }
     ' "$log")
-    [ "$(grep -c '^test result: ok' "$log")" -eq 7 ] \
-        || { echo "expected seven passing test binaries in $log" >&2; exit 1; }
+    [ "$(grep -c '^test result: ok' "$log")" -eq 8 ] \
+        || { echo "expected eight passing test binaries in $log" >&2; exit 1; }
     CI_STAGE_NOTE="lane parity: $compared; libm sweeps: $libm inputs; passed: $passes"
 }
 
