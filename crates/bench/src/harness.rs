@@ -256,8 +256,7 @@ mod tests {
 
     #[test]
     fn warm_cache_serves_identical_outcomes_and_reports_hits() {
-        let dir = std::env::temp_dir().join("fedl_bench_cache_tests").join("warm");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::scratch_dir("cache_warm");
         let (tel, _handle) = Telemetry::in_memory();
         let cache = RunCache::open(&dir).unwrap().with_telemetry(tel.clone());
         let cold = run_policy_matrix(
@@ -289,12 +288,12 @@ mod tests {
         // before a bit-changing solver rewrite must miss, not stand in.
         let key = RunCache::cell_key(&ScenarioConfig::small_fmnist(4, 10.0, 2), "FedL");
         assert!(key.starts_with(&format!("fedl-cell v{SNAPSHOT_SCHEMA_VERSION}\n")), "{key}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_study_run_twice_on_one_cache_is_served_whole_and_reports_the_same() {
-        let dir = std::env::temp_dir().join("fedl_bench_cache_tests").join("study");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::scratch_dir("cache_study");
         let (tel, _handle) = Telemetry::in_memory();
         let cache = RunCache::open(&dir).unwrap().with_telemetry(tel.clone());
         let study = &crate::experiments::ORACLE;
@@ -304,12 +303,12 @@ mod tests {
         assert_eq!((tel.counter("cache.hit").value(), tel.counter("cache.miss").value()), (2, 2));
         assert_eq!(cold, warm);
         assert!(cold.contains("Oracle"), "{cold}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_cache_entries_fall_back_to_a_fresh_run() {
-        let dir = std::env::temp_dir().join("fedl_bench_cache_tests").join("corrupt");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::scratch_dir("cache_corrupt");
         let (tel, _handle) = Telemetry::in_memory();
         let cache = RunCache::open(&dir).unwrap().with_telemetry(tel.clone());
         let scenario = Profile::Quick.scenario(TaskKind::FmnistLike, true, 250.0, 9);
@@ -344,6 +343,7 @@ mod tests {
         let repaired = run_cell(scenario, policy, Some(&cache));
         assert_eq!(tel.counter("cache.miss").value(), 3);
         assert_eq!(first, repaired);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

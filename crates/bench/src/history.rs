@@ -515,10 +515,8 @@ mod tests {
 
     #[test]
     fn append_and_load_round_trip_with_lenient_parsing() {
-        let dir = std::env::temp_dir().join("fedl_history_test_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("history_round_trip");
         let path = dir.join("BENCH_HISTORY.jsonl");
-        std::fs::remove_file(&path).ok();
         // Missing file loads as empty.
         let empty = BenchHistory::load(&path).unwrap();
         assert!(empty.entries().is_empty());

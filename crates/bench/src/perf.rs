@@ -1010,8 +1010,7 @@ mod tests {
             assert!(k.samples >= 3, "{} has too few samples", k.name);
         }
         // And the snapshot must survive a disk round-trip.
-        let dir = std::env::temp_dir().join("fedl_perf_suite_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("perf_suite");
         let path = dir.join("BENCH.json");
         snap.write(&path).unwrap();
         let back = BenchSnapshot::read(&path).unwrap();

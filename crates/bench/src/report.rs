@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn csv_writes_header_and_rows() {
-        let dir = std::env::temp_dir().join("fedl_report_test");
+        let dir = crate::scratch_dir("report_csv");
         let path = dir.join("series.csv");
         let results = vec![fake("FedL", &[(1.0, 0.2), (2.0, 0.3)])];
         write_series_csv(&path, &results).unwrap();

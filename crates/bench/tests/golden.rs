@@ -15,6 +15,8 @@ use fedl_core::policy::PolicyKind;
 use fedl_core::runner::{EpochRecord, RunOutcome};
 use fedl_data::synth::TaskKind;
 use fedl_telemetry::{dashboard, trace, Report, RunLog};
+use std::fs;
+use std::path::PathBuf;
 
 const HISTORY: &str = include_str!("golden/history.jsonl");
 
@@ -110,7 +112,7 @@ fn experiment_reports() -> Vec<Report> {
             .collect();
         report::budget(&mut figures, task, iid, &swept[1..], &[100.0, 200.0]);
     }
-    let out = std::env::temp_dir().join("fedl_bench_golden_headline");
+    let out = scratch_dir("headline");
     figures.blocks.extend(experiments::headline_from(&cells, &out).blocks);
     std::fs::remove_dir_all(&out).ok();
     report::replication(&mut figures, 1, 0.6, &cells[..4]);
@@ -195,4 +197,16 @@ fn every_table_carries_the_same_cells_as_text_and_as_html() {
         "kinds + phases, clients, overlay, critical path, 2 trend groups, gate; \
          time, round and budget per figure panel, replication, six studies"
     );
+}
+
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    dir
 }

@@ -57,3 +57,16 @@ pub use engine::{EngineError, EpochEngine};
 pub use fedl::{FedLConfig, FedLPolicy, Posed};
 pub use policy::{EpochContext, PolicyKind, SelectionDecision, SelectionPolicy};
 pub use runner::{ExperimentRunner, ResumeError, RunOutcome, ScenarioConfig, ScenarioError};
+
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+#[cfg(test)]
+pub(crate) fn scratch_dir(test: &str) -> std::path::PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}

@@ -1082,8 +1082,7 @@ mod tests {
 
     #[test]
     fn resume_reproduces_the_uninterrupted_run_exactly() {
-        let dir = std::env::temp_dir().join("fedl_runner_resume_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("resume");
         for kind in [PolicyKind::FedL, PolicyKind::FedAvg, PolicyKind::PowD] {
             let s = checkpoint_scenario();
             let mut whole = ExperimentRunner::new(s.clone(), kind);
@@ -1116,8 +1115,7 @@ mod tests {
 
     #[test]
     fn resume_rejects_foreign_fingerprints_and_corruption() {
-        let dir = std::env::temp_dir().join("fedl_runner_resume_err_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("resume_err");
         let path = dir.join("snap.fedlstore");
         let s = checkpoint_scenario();
         let mut runner = ExperimentRunner::new(s.clone(), PolicyKind::FedAvg);
@@ -1184,8 +1182,7 @@ mod tests {
 
     #[test]
     fn checkpoint_every_writes_and_telemetry_reports() {
-        let dir = std::env::temp_dir().join("fedl_runner_ckpt_interval_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("checkpoint_every");
         let path = dir.join("auto.fedlstore");
         let (tel, handle) = Telemetry::in_memory();
         let mut runner = ExperimentRunner::new(checkpoint_scenario(), PolicyKind::FedAvg)

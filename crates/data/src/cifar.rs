@@ -161,8 +161,7 @@ mod tests {
 
     #[test]
     fn train_batches_concatenate() {
-        let dir = std::env::temp_dir().join("fedl_cifar_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("cifar");
         for i in 1..=5 {
             let bytes = serialize(&[record(i as u8 - 1, i as u8)]).unwrap();
             std::fs::write(dir.join(format!("data_batch_{i}.bin")), bytes).unwrap();

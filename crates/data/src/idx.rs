@@ -237,19 +237,17 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("fedl_idx_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("idx_file");
         let path = dir.join("tensor.idx");
         let t = sample_tensor();
         write_file(&path, &t).unwrap();
         assert_eq!(read_file(&path).unwrap(), t);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_pair_round_trip() {
-        let dir = std::env::temp_dir().join("fedl_idx_pair_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("idx_pair");
         let images = IdxTensor { dims: vec![3, 2, 2], data: (0..12).map(|v| v * 20).collect() };
         let labels = IdxTensor { dims: vec![3], data: vec![1, 0, 9] };
         write_file(&dir.join("t10k-images-idx3-ubyte"), &images).unwrap();

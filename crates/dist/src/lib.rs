@@ -59,3 +59,16 @@ pub use shard::{members_in, shard_ranges};
 pub use worker::{
     run_worker, ShardCheckpoint, WorkerState, DIST_SHARD_CHECKPOINT_KIND, DIST_SHARD_SCHEMA_VERSION,
 };
+
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+#[cfg(test)]
+pub(crate) fn scratch_dir(test: &str) -> std::path::PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}

@@ -621,10 +621,8 @@ mod tests {
 
     #[test]
     fn resumed_worker_pins_the_assignment_to_its_checkpoint() {
-        let dir = std::env::temp_dir().join("fedl_dist_worker_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("shard_guard.fedlstore");
-        std::fs::remove_file(&ckpt).ok();
+        let dir = crate::scratch_dir("shard_guard");
+        let ckpt = dir.join("shard.fedlstore");
         let mut w = WorkerState::new(Telemetry::disabled()).with_checkpoint(&ckpt);
         let (reply, _) = w.handle_message(assign_msg(40, 13, 0..20));
         assert!(matches!(reply, Message::ShardReady { .. }));
@@ -640,7 +638,7 @@ mod tests {
         assert!(matches!(reply, Message::Error { ref code, .. } if code == "schema"));
         let (reply, _) = respawned.handle_message(assign_msg(40, 13, 0..21));
         assert!(matches!(reply, Message::Error { ref code, .. } if code == "schema"));
-        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `body` sealed as envelope v1 seals it (FNV-1a), for `kind`.
@@ -668,9 +666,8 @@ mod tests {
         }
         assert_eq!(tel.counter("dist.worker_malformed_frames").value(), 1);
 
-        let dir = std::env::temp_dir().join("fedl_dist_worker_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("shard_v1.fedlstore");
+        let dir = crate::scratch_dir("shard_v1");
+        let ckpt = dir.join("shard.fedlstore");
         let mut w = WorkerState::new(Telemetry::disabled()).with_checkpoint(&ckpt);
         w.handle_message(assign_msg(40, 13, 0..20));
         w.handle_message(Message::ShardContext { epoch: 0, trace: Trace::Absent });
@@ -679,14 +676,13 @@ mod tests {
         std::fs::write(&ckpt, sealed_v1(DIST_SHARD_CHECKPOINT_KIND, body)).unwrap();
         let err = WorkerState::resume(Telemetry::disabled(), &ckpt).err().expect("refused");
         assert!(matches!(err, StoreError::Version { found: 1, supported: 2, .. }), "{err}");
-        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_shard_checkpoint_of_another_schema_is_refused_by_its_stamp() {
-        let dir = std::env::temp_dir().join("fedl_dist_worker_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("shard_schema.fedlstore");
+        let dir = crate::scratch_dir("shard_schema");
+        let ckpt = dir.join("shard.fedlstore");
         let path = ckpt.display().to_string();
         let ours = DIST_SHARD_SCHEMA_VERSION;
         // Another schema's version is the shared stamp refusal...
@@ -703,6 +699,6 @@ mod tests {
             }
             other => panic!("a payload without its fields must be StoreError::Schema, got {other}"),
         }
-        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,6 +7,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fs;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -261,8 +262,7 @@ fn killed_worker_respawns_from_its_shard_checkpoint_and_the_run_still_matches() 
     let config = config();
     let epochs = 8;
     let reference = to_jsonl(&reference_run(&config, epochs));
-    let dir = std::env::temp_dir().join(format!("fedl_dist_respawn_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("respawn");
     let shards: Vec<Range<usize>> = shard_ranges(config.env.num_clients, 3);
     let workers: Vec<ShardWorker> = shards
         .into_iter()
@@ -510,8 +510,7 @@ fn a_prefetched_context_part_is_the_on_demand_frame() {
 fn a_resumed_worker_prepares_the_epoch_after_its_checkpoint() {
     let config = config();
     let shard = shard_ranges(config.env.num_clients, 2).remove(0);
-    let dir = std::env::temp_dir().join(format!("fedl_dist_prefetch_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("prefetch");
     let ckpt = dir.join("worker.fedlstore");
     let mut first = WorkerState::new(Telemetry::disabled()).with_checkpoint(&ckpt);
     reply_frame(&mut first, &assign(&config, &shard));
@@ -583,4 +582,16 @@ fn a_served_worker_realizes_each_epoch_once_plus_one_ahead() {
         let misses = tel.counter("dist.worker_prefetch_misses").value();
         assert_eq!((hits, misses), (epochs as u64, 0), "worker {i}");
     }
+}
+
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    dir
 }

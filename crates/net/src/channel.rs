@@ -105,8 +105,10 @@ impl ChannelModel {
         lanemath::exp10(exponent)
     }
 
-    /// Builds a client radio at `distance_m` with the given power.
-    pub fn make_radio(
+    /// Builds a client radio at `distance_m` with the given power; the
+    /// crate's latency and allocation tests place their clients with it.
+    #[cfg(test)]
+    pub(crate) fn make_radio(
         &self,
         distance_m: f64,
         tx_power_dbm: f64,

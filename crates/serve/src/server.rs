@@ -760,10 +760,8 @@ mod tests {
 
     #[test]
     fn skipped_epochs_still_hit_checkpoint_boundaries() {
-        let dir = std::env::temp_dir().join("fedl_serve_server_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("skip_boundary.fedlstore");
-        std::fs::remove_file(&ckpt).ok();
+        let dir = crate::scratch_dir("skip_boundary");
+        let ckpt = dir.join("server.fedlstore");
         let config = ServeConfig::new(10, 11, 100.0, 3, PolicyKind::FedL);
         // Nobody registered: every epoch skips, yet `--checkpoint-every 2`
         // boundaries crossed by skips must still land on disk.
@@ -775,7 +773,7 @@ mod tests {
         assert!(ckpt.exists(), "the skip that reaches epoch 2 must checkpoint");
         let resumed = ServerState::resume(config, Telemetry::in_memory().0, &ckpt).expect("resume");
         assert_eq!(resumed.next_epoch(), 2);
-        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,10 +21,16 @@ use fedl_serve::{
 use fedl_store::StoreError;
 use fedl_telemetry::Telemetry;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("fedl_serve_determinism_tests");
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
     fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    dir
 }
 
 fn config() -> ServeConfig {
@@ -101,8 +107,8 @@ fn a_join_outside_the_served_population_ends_the_loadgen_with_the_refusal() {
 #[test]
 fn killed_and_restarted_server_is_bit_identical() {
     let config = config();
-    let ckpt = tmp("kill_restart.fedlstore");
-    fs::remove_file(&ckpt).ok();
+    let dir = scratch_dir("kill_restart");
+    let ckpt = dir.join("server.fedlstore");
 
     // Uninterrupted served run: 12 epochs on one server.
     let mut uninterrupted = ServerState::new(config.clone(), Telemetry::disabled());
@@ -133,14 +139,14 @@ fn killed_and_restarted_server_is_bit_identical() {
 
     // And the protocol path itself must match the in-process reference.
     assert_eq!(full, reference_run(&config, 12));
-    fs::remove_file(&ckpt).ok();
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn registry_survives_the_checkpoint() {
     let config = ServeConfig::new(20, 9, 5_000.0, 2, PolicyKind::FedAvg);
-    let ckpt = tmp("registry.fedlstore");
-    fs::remove_file(&ckpt).ok();
+    let dir = scratch_dir("registry");
+    let ckpt = dir.join("server.fedlstore");
     let mut server =
         ServerState::new(config.clone(), Telemetry::disabled()).with_checkpoint(&ckpt, 1);
     // Join a strict subset, run one epoch so a checkpoint lands.
@@ -151,14 +157,14 @@ fn registry_survives_the_checkpoint() {
     assert_eq!(resumed.registered_count(), 20, "registry must be restored");
     assert_eq!(resumed.next_epoch(), 1);
     assert_eq!(resumed.selections(), 1);
-    fs::remove_file(&ckpt).ok();
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resume_refuses_a_foreign_deployment() {
     let config = config();
-    let ckpt = tmp("foreign.fedlstore");
-    fs::remove_file(&ckpt).ok();
+    let dir = scratch_dir("foreign");
+    let ckpt = dir.join("server.fedlstore");
     let mut server =
         ServerState::new(config.clone(), Telemetry::disabled()).with_checkpoint(&ckpt, 1);
     let _ = drive(&mut server, &config, 0, 2);
@@ -176,14 +182,14 @@ fn resume_refuses_a_foreign_deployment() {
         ServerState::resume(config, Telemetry::disabled(), &ckpt),
         Err(ServeError::Store(_))
     ));
-    fs::remove_file(&ckpt).ok();
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resume_refuses_a_v1_checkpoint() {
     let config = config();
-    let ckpt = tmp("v1.fedlstore");
-    fs::remove_file(&ckpt).ok();
+    let dir = scratch_dir("v1");
+    let ckpt = dir.join("server.fedlstore");
     let mut server =
         ServerState::new(config.clone(), Telemetry::disabled()).with_checkpoint(&ckpt, 1);
     let _ = drive(&mut server, &config, 0, 2);
@@ -198,5 +204,5 @@ fn resume_refuses_a_v1_checkpoint() {
         Err(ServeError::Store(StoreError::Version { found: 1, supported: 2, .. })) => {}
         other => panic!("expected a v1 refusal, got {:?}", other.err().map(|e| e.to_string())),
     }
-    fs::remove_file(&ckpt).ok();
+    fs::remove_dir_all(&dir).ok();
 }

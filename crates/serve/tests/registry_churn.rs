@@ -19,6 +19,8 @@ use fedl_serve::{
 use fedl_sim::ClientColumns;
 use fedl_store::{read_envelope, write_envelope};
 use fedl_telemetry::Telemetry;
+use std::fs;
+use std::path::PathBuf;
 
 const EPOCHS: usize = 8;
 const LEAVES_BEFORE: usize = 3;
@@ -122,8 +124,7 @@ fn saved_registry(path: &std::path::Path) -> Vec<Value> {
 fn the_held_registry_count_equals_a_scan_after_every_step() {
     const CLIENTS: usize = 24;
     let config = ServeConfig::new(CLIENTS, 3, 10_000.0, 2, PolicyKind::FedAvg);
-    let dir = std::env::temp_dir().join("fedl_serve_registry_churn_tests");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("held_count");
     let ckpt = dir.join("held_count.fedlstore");
     let (telemetry, _sink) = Telemetry::in_memory();
     let mut server = ServerState::new(config.clone(), telemetry.clone());
@@ -185,5 +186,17 @@ fn the_held_registry_count_equals_a_scan_after_every_step() {
     assert_eq!(saved_registry(&ckpt).len(), present + 2);
     let resumed = ServerState::resume(config, Telemetry::disabled(), &ckpt).unwrap();
     assert_eq!(resumed.registered_count(), present, "a repeated id counts once");
-    std::fs::remove_file(&ckpt).ok();
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    dir
 }

@@ -103,9 +103,7 @@ mod tests {
     use super::*;
 
     fn cache(name: &str) -> ResultCache {
-        let dir = std::env::temp_dir().join("fedl_store_cache_tests").join(name);
-        fs::remove_dir_all(&dir).ok();
-        ResultCache::open(dir).unwrap()
+        ResultCache::open(crate::scratch_dir(name)).unwrap()
     }
 
     #[test]
@@ -120,6 +118,7 @@ mod tests {
         assert_eq!(c.len(), 1);
         // A different key text misses even though the cache is warm.
         assert!(c.get("key-b").unwrap().is_none());
+        fs::remove_dir_all(c.dir()).ok();
     }
 
     #[test]
@@ -129,6 +128,7 @@ mod tests {
         c.put("k", &Value::Int(2)).unwrap();
         assert_eq!(c.get("k").unwrap().unwrap().as_i64(), Some(2));
         assert_eq!(c.len(), 1);
+        fs::remove_dir_all(c.dir()).ok();
     }
 
     #[test]
@@ -143,11 +143,12 @@ mod tests {
         // Re-putting atomically replaces the damaged file.
         c.put("k", &Value::Int(6)).unwrap();
         assert_eq!(c.get("k").unwrap().unwrap().as_i64(), Some(6));
+        fs::remove_dir_all(c.dir()).ok();
     }
 
     #[test]
     fn a_v1_entry_is_a_version_error_and_put_repairs_it() {
-        let c = cache("v1-entry");
+        let c = cache("v1_entry");
         c.put("k", &Value::Int(5)).unwrap();
         // Re-seal the same entry the way a v1 build wrote it.
         let path = c.entry_path("k");
@@ -159,6 +160,7 @@ mod tests {
         assert!(matches!(c.get("k"), Err(StoreError::Version { found: 1, supported: 2, .. })));
         c.put("k", &Value::Int(6)).unwrap();
         assert_eq!(c.get("k").unwrap().unwrap().as_i64(), Some(6));
+        fs::remove_dir_all(c.dir()).ok();
     }
 
     #[test]
@@ -172,6 +174,7 @@ mod tests {
         let entry = obj(vec![("key", Value::from("something-else")), ("payload", Value::Int(9))]);
         write_envelope(&c.entry_path("k-one"), ENTRY_KIND, &entry).unwrap();
         assert!(c.get("k-one").unwrap().is_none(), "key mismatch must read as a miss");
+        fs::remove_dir_all(c.dir()).ok();
     }
 
     #[test]

@@ -73,17 +73,11 @@ pub fn read_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("fedl_store_checkpoint_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     #[test]
     fn the_stamp_heads_the_payload_and_round_trips() {
-        let path = tmp("stamped.fedlstore");
+        let dir = crate::scratch_dir("stamped");
+        let path = dir.join("stamped.fedlstore");
         write_checkpoint(&path, "test-checkpoint", 3, "abc", [("epoch", Value::from(7usize))])
             .unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
@@ -92,11 +86,13 @@ mod tests {
         assert_eq!(ckpt.field::<usize>("epoch"), Ok(7));
         let learned = read_checkpoint(&path, "test-checkpoint", 3, None).unwrap();
         assert_eq!(learned.field::<String>("fingerprint"), Ok("abc".to_string()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_foreign_stamp_is_one_typed_refusal_naming_the_file() {
-        let path = tmp("foreign.fedlstore");
+        let dir = crate::scratch_dir("foreign");
+        let path = dir.join("foreign.fedlstore");
         let name = path.display().to_string();
         write_checkpoint(&path, "test-checkpoint", 3, "abc", []).unwrap();
         assert_eq!(
@@ -124,11 +120,13 @@ mod tests {
             read_checkpoint(&path, "other-checkpoint", 3, Some("abc")),
             Err(StoreError::Corrupt { .. })
         ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_missing_or_mistyped_stamp_is_a_schema_error() {
-        let path = tmp("unstamped.fedlstore");
+        let dir = crate::scratch_dir("unstamped");
+        let path = dir.join("unstamped.fedlstore");
         for payload in [
             Value::obj([("fingerprint", Value::from("abc"))]),
             Value::obj([("schema_version", Value::from("3")), ("fingerprint", Value::from("abc"))]),
@@ -145,5 +143,6 @@ mod tests {
                 other => panic!("{payload:?}: expected a schema error, got {other:?}"),
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

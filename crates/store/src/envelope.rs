@@ -158,13 +158,6 @@ pub fn read_envelope(path: &Path, kind: &str) -> Result<Value, StoreError> {
 mod tests {
     use super::*;
     use fedl_json::obj;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("fedl_store_envelope_tests");
-        fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn payload() -> Value {
         obj(vec![
@@ -176,11 +169,13 @@ mod tests {
 
     #[test]
     fn write_atomic_replaces_contents_and_leaves_no_temp() {
-        let path = tmp("atomic.txt");
+        let dir = crate::scratch_dir("atomic");
+        let path = dir.join("atomic.txt");
         write_atomic(&path, "first\n").unwrap();
         write_atomic(&path, "second\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "second\n");
         assert!(!path.with_extension("tmp").exists());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -219,16 +214,19 @@ mod tests {
 
     #[test]
     fn round_trips_payload() {
-        let path = tmp("roundtrip.fedlstore");
+        let dir = crate::scratch_dir("roundtrip");
+        let path = dir.join("roundtrip.fedlstore");
         write_envelope(&path, "test", &payload()).unwrap();
         let back = read_envelope(&path, "test").unwrap();
         assert_eq!(back.get("epoch").unwrap().as_i64(), Some(7));
         assert_eq!(back.get("spent").unwrap().as_f64(), Some(12.5));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncated_file_is_a_typed_error() {
-        let path = tmp("truncated.fedlstore");
+        let dir = crate::scratch_dir("truncated");
+        let path = dir.join("truncated.fedlstore");
         write_envelope(&path, "test", &payload()).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let header_only = &text[..text.find('\n').unwrap() + 1];
@@ -241,11 +239,13 @@ mod tests {
         // truncation, not garbage.
         fs::write(&path, "fedl-store v2").unwrap();
         assert!(matches!(read_envelope(&path, "test"), Err(StoreError::Truncated { .. })));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn flipped_payload_byte_fails_checksum() {
-        let path = tmp("bitflip.fedlstore");
+        let dir = crate::scratch_dir("bitflip");
+        let path = dir.join("bitflip.fedlstore");
         write_envelope(&path, "test", &payload()).unwrap();
         let mut text = fs::read_to_string(&path).unwrap();
         // Corrupt the payload (change 7 -> 8) without touching the header.
@@ -259,11 +259,13 @@ mod tests {
             }
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn foreign_version_and_kind_rejected() {
-        let path = tmp("version.fedlstore");
+        let dir = crate::scratch_dir("version");
+        let path = dir.join("version.fedlstore");
         write_envelope(&path, "test", &payload()).unwrap();
         let text = fs::read_to_string(&path).unwrap().replacen("v2", "v99", 1);
         fs::write(&path, text).unwrap();
@@ -273,6 +275,7 @@ mod tests {
         }
         write_envelope(&path, "test", &payload()).unwrap();
         assert!(matches!(read_envelope(&path, "other-kind"), Err(StoreError::Corrupt { .. })));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -294,11 +297,13 @@ mod tests {
 
     #[test]
     fn non_envelope_file_is_corrupt_and_missing_file_is_io() {
-        let path = tmp("garbage.fedlstore");
+        let dir = crate::scratch_dir("garbage");
+        let path = dir.join("garbage.fedlstore");
         fs::write(&path, "{\"just\":\"json\"}\nmore").unwrap();
         assert!(matches!(read_envelope(&path, "test"), Err(StoreError::Corrupt { .. })));
-        let missing = tmp("never-written.fedlstore");
+        let missing = dir.join("never-written.fedlstore");
         fs::remove_file(&missing).ok();
         assert!(matches!(read_envelope(&missing, "test"), Err(StoreError::Io { .. })));
+        fs::remove_dir_all(&dir).ok();
     }
 }

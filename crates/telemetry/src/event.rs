@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn file_sink_writes_lines() {
-        let dir = std::env::temp_dir().join("fedl_telemetry_sink_test");
+        let dir = crate::scratch_dir("file_sink");
         let path = dir.join("log.jsonl");
         {
             let mut sink = FileSink::create(&path).unwrap();

@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(build test benchmark-api doc fmt clippy dead-code telemetry checkpoint cache bench-history perf scale serve dist trace dashboard overlay)
+STAGES=(build test benchmark-api doc docs fmt clippy dead-code telemetry checkpoint cache bench-history perf scale serve dist trace dashboard overlay)
 
 run_exp() {
     cargo run --release --offline -p fedl-bench --bin experiments -- "$@"
@@ -76,11 +76,19 @@ stage_build() {
 # slow test shows up. A binary runs from the line cargo prints when it
 # starts it (`Running …` or `Doc-tests …`) to the next such line or the
 # last line of the run; `-- --quiet` keeps the harness as terse as `-q`
-# does while leaving cargo's start lines in. Nothing is skipped.
+# does while leaving cargo's start lines in. Nothing is skipped. Each
+# binary is labelled with its own package, read from the executable the
+# `Running` line names (the build step's JSON maps executables to
+# packages), so a package whose library runs no unit tests still files
+# its integration tests under its own name.
 stage_test() {
     local log=target/ci_test_binaries.txt
+    local packages=target/ci_test_packages.txt
     mkdir -p target
     : > "$log"
+    cargo test --offline --workspace --no-run --message-format=json \
+        | sed -nE 's/.*"package_id":"[^"]*#([^"@]+)@[^"]*".*"executable":"[^"]*\/([^"\/]+)".*/\2 \1/p' \
+        > "$packages"
     cargo test --offline --workspace -- --quiet 2>&1 | while IFS= read -r line; do
         echo "$line"
         echo "${EPOCHREALTIME/[^0-9]/} $line" >> "$log"
@@ -95,6 +103,7 @@ stage_test() {
             count++
             if (secs >= worst) { worst = secs; slowest = name }
         }
+        FILENAME == ARGV[1] { package[$1] = $2; next }
         { now = $1 }
         $2 == "Running" || $2 == "Doc-tests" {
             finish()
@@ -102,11 +111,11 @@ stage_test() {
                 name = $3 " doc-tests"
             } else {
                 src = ($3 == "unittests") ? $4 : $3
-                bin = $NF
-                sub(/^\(.*\//, "", bin)
-                sub(/-[0-9a-f]+\)$/, "", bin)
-                if (src == "src/lib.rs") crate = bin
-                name = crate " " src
+                exe = $NF
+                sub(/^\(.*\//, "", exe)
+                sub(/\)$/, "", exe)
+                if (!(exe in package)) { print "no package builds " exe > "/dev/stderr"; exit 1 }
+                name = package[exe] " " src
             }
             start = now
         }
@@ -114,7 +123,7 @@ stage_test() {
             finish()
             printf "%d\t%s\t%.2f\t%s\n", count, slowest, worst, rows
         }
-    ' "$log")
+    ' "$packages" "$log")
     local count slowest worst rows
     IFS=$'\t' read -r count slowest worst rows <<< "$ledger"
     [ "$count" -gt 0 ] || { echo "cargo test announced no test binary" >&2; exit 1; }
@@ -133,6 +142,57 @@ stage_benchmark_api() {
 
 stage_doc() {
     RUSTDOCFLAGS="${RUSTDOCFLAGS:--D warnings}" cargo doc --no-deps --offline --workspace
+}
+
+# File references in the docs: every backticked `*.rs` path in a tracked
+# Markdown file, bare or as `path:LINE` / `path:FROM-TO`, must name a
+# tracked file and its lines must lie inside that file. A path matches
+# by suffix at a `/`, so `render.rs`, `src/render.rs` and
+# `crates/telemetry/src/render.rs` all resolve; a line range passes when
+# it fits any file the path matches. Globs (`tests/*.rs`) and brace lists
+# are not references. CHANGES.md and ISSUE.md describe earlier trees and
+# are not read.
+stage_docs() {
+    local lengths=target/ci_docs_lengths.txt
+    mkdir -p target
+    git ls-files -z '*.rs' | xargs -0 wc -l | awk '$2 != "total"' > "$lengths"
+    local docs report
+    mapfile -t docs < <(git ls-files '*.md' | grep -vx -e CHANGES.md -e ISSUE.md)
+    report=$(awk '
+        FILENAME == ARGV[1] { len[$2] = $1; next }
+        {
+            n = split($0, part, "`")
+            for (i = 2; i <= n; i += 2) {
+                s = part[i]
+                while (match(s, /[A-Za-z0-9_.\/-]+\.rs(:[0-9]+(-[0-9]+)?)?/)) {
+                    ref = substr(s, RSTART, RLENGTH)
+                    before = RSTART > 1 ? substr(s, RSTART - 1, 1) : ""
+                    s = substr(s, RSTART + RLENGTH)
+                    if (before ~ /[*{},]/ || s ~ /^[A-Za-z0-9_]/) continue
+                    path = ref
+                    from = to = 0
+                    if (match(ref, /:[0-9]+(-[0-9]+)?$/)) {
+                        path = substr(ref, 1, RSTART - 1)
+                        span = substr(ref, RSTART + 1)
+                        split(span, bound, "-")
+                        from = bound[1] + 0
+                        to = (2 in bound) ? bound[2] + 0 : from
+                    }
+                    checked++
+                    ok = 0
+                    for (f in len) {
+                        if (f != path && substr(f, length(f) - length(path)) != "/" path) continue
+                        if (from == 0 || (from >= 1 && from <= to && to <= len[f])) { ok = 1; break }
+                    }
+                    if (!ok) { print FILENAME ":" FNR ": `" ref "`"; dangling++ }
+                }
+            }
+        }
+        END { print "checked " checked + 0 " file references, " dangling + 0 " dangling" }
+    ' "$lengths" "${docs[@]}")
+    echo "$report"
+    CI_STAGE_NOTE=$(tail -n 1 <<< "$report")
+    [ "$(wc -l <<< "$report")" -eq 1 ] || { echo "dangling file references in the docs" >&2; exit 1; }
 }
 
 # Lint stages are guarded: the hermetic container may lack the rustfmt /
@@ -165,7 +225,7 @@ DEAD_CODE_ALLOW=(
     "force_max_threads: test hook that pins the fan-out team size"
     "identity: GEMM test fixture and the Matrix doc example"
     "new_random: random-init softmax model for the crates' tests"
-    "make_radio: a radio at a fixed distance for the latency tests"
+    "sample_gain: the scalar channel draw fedl-sim's population oracle repeats"
     "tables: the golden tests read a report's tables"
     "added: w + alpha * d as a new set, the tests' descent steps"
     "load_pair: real FMNIST loader (DESIGN.md S3, tests/real_data_path.rs)"

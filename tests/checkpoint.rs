@@ -153,8 +153,13 @@ fn restore_rejects_garbage() {
     }
 }
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("fedl_checkpoint_tests").join(name);
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
     fs::remove_dir_all(&dir).ok();
     fs::create_dir_all(&dir).unwrap();
     dir
@@ -317,7 +322,7 @@ fn resume_sealed(d: &Decoder, path: &Path, label: &str, payload: &Value) -> Resu
 
 #[test]
 fn every_mutated_checkpoint_is_refused_and_a_foreign_stamp_alike() {
-    let dir = scratch("mutants");
+    let dir = scratch_dir("mutants");
     for d in decoders(&dir) {
         let mutant = dir.join(format!("{}-mutant.fedlstore", d.name));
         let path = mutant.display().to_string();
@@ -370,13 +375,14 @@ fn every_mutated_checkpoint_is_refused_and_a_foreign_stamp_alike() {
             );
         }
     }
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn runner_server_and_worker_report_a_failed_save_as_an_event() {
     // A checkpoint path under a regular file: its directory can never be
     // created, so every save fails.
-    let dir = scratch("save_failed");
+    let dir = scratch_dir("save_failed");
     fs::write(dir.join("file"), "").unwrap();
     let path = dir.join("file").join("ckpt.fedlstore");
 
@@ -409,6 +415,7 @@ fn runner_server_and_worker_report_a_failed_save_as_an_event() {
             assert!(error.contains("I/O error"), "{who}: {error}");
         }
     }
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// `(byte length, envelope_checksum)` of a record's rendering.
@@ -425,7 +432,7 @@ fn every_checkpointed_and_cached_record_keeps_its_bytes() {
     let snapshot = policy.snapshot_state().to_json();
 
     // The three checkpoint files and the runner's payload.
-    let dir = scratch("bytes");
+    let dir = scratch_dir("bytes");
     let [runner, served, shard] = decoders(&dir).map(|d| d.real);
     let runner_payload = read_envelope(&runner, "checkpoint").unwrap().to_json();
 
@@ -495,4 +502,5 @@ fn every_checkpointed_and_cached_record_keeps_its_bytes() {
         fedl::ml::DaneConfig::default().to_json_value().to_json(),
         r#"{"sigma1":0.10000000149011612,"sigma2":1.0,"lr":0.20000000298023224,"local_steps":8,"batch":32,"clip":10.0,"momentum":0.0}"#
     );
+    fs::remove_dir_all(&dir).ok();
 }

@@ -10,13 +10,26 @@ use fedl::ml::dane::DaneConfig;
 use fedl::ml::model::SoftmaxRegression;
 use fedl::prelude::*;
 use fedl::sim::{EdgeEnvironment, EnvConfig};
+use std::fs;
+use std::path::PathBuf;
+
+/// A fresh scratch directory for one test,
+/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
+/// done. The process id keeps two concurrent runs of these tests out of
+/// each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let binary = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
 /// Quantizes a synthetic dataset into IDX files, reloads it, and checks
 /// the round trip is faithful to u8 precision.
 #[test]
 fn idx_disk_round_trip_preserves_data() {
-    let dir = std::env::temp_dir().join("fedl_idx_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("idx_round_trip");
     let (train, _) = SyntheticSpec::new(TaskKind::FmnistLike, 40, 5, 3)
         .with_dim(49) // 7x7 "images"
         .generate();
@@ -45,8 +58,7 @@ fn idx_disk_round_trip_preserves_data() {
 /// format on disk.
 #[test]
 fn federated_run_on_cifar_binary_files() {
-    let dir = std::env::temp_dir().join("fedl_cifar_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("cifar_run");
 
     // Synthesize a CIFAR-shaped dataset and write it as one batch file.
     let (train, test) = SyntheticSpec::new(TaskKind::CifarLike, 240, 60, 5).generate();
