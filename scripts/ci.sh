@@ -150,14 +150,14 @@ stage_doc() {
 # by suffix at a `/`, so `render.rs`, `src/render.rs` and
 # `crates/telemetry/src/render.rs` all resolve; a line range passes when
 # it fits any file the path matches. Globs (`tests/*.rs`) and brace lists
-# are not references. CHANGES.md and ISSUE.md describe earlier trees and
-# are not read.
+# are not references. The Markdown files listed in
+# scripts/docs_unchecked.txt describe earlier trees and are not read.
 stage_docs() {
     local lengths=target/ci_docs_lengths.txt
     mkdir -p target
     git ls-files -z '*.rs' | xargs -0 wc -l | awk '$2 != "total"' > "$lengths"
     local docs report
-    mapfile -t docs < <(git ls-files '*.md' | grep -vx -e CHANGES.md -e ISSUE.md)
+    mapfile -t docs < <(git ls-files '*.md' | grep -vxF -f scripts/docs_unchecked.txt)
     report=$(awk '
         FILENAME == ARGV[1] { len[$2] = $1; next }
         {
