@@ -584,10 +584,7 @@ fn a_served_worker_realizes_each_epoch_once_plus_one_ahead() {
     }
 }
 
-/// A fresh scratch directory for one test,
-/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
-/// done. The process id keeps two concurrent runs of these tests out of
-/// each other's files.
+/// See docs/BUILD.md "Where tests live".
 fn scratch_dir(test: &str) -> PathBuf {
     let binary = env!("CARGO_CRATE_NAME");
     let dir = std::env::temp_dir().join(format!("fedl-{binary}-{}-{test}", std::process::id()));

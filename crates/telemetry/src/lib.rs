@@ -314,10 +314,7 @@ impl fmt::Debug for Telemetry {
     }
 }
 
-/// A fresh scratch directory for one test,
-/// `temp_dir()/fedl-<binary>-<pid>-<test>`, which the test deletes when
-/// done. The process id keeps two concurrent runs of these tests out of
-/// each other's files.
+/// See docs/BUILD.md "Where tests live".
 #[cfg(test)]
 pub(crate) fn scratch_dir(test: &str) -> std::path::PathBuf {
     let binary = env!("CARGO_CRATE_NAME");

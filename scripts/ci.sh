@@ -80,14 +80,18 @@ stage_build() {
 # binary is labelled with its own package, read from the executable the
 # `Running` line names (the build step's JSON maps executables to
 # packages), so a package whose library runs no unit tests still files
-# its integration tests under its own name.
+# its integration tests under its own name. Cargo writes a package id as
+# `path+file:///…/dir#name@version`, or `…/name#version` when the
+# directory is named like the package (a checkout into `fedl/`).
 stage_test() {
     local log=target/ci_test_binaries.txt
     local packages=target/ci_test_packages.txt
     mkdir -p target
     : > "$log"
     cargo test --offline --workspace --no-run --message-format=json \
-        | sed -nE 's/.*"package_id":"[^"]*#([^"@]+)@[^"]*".*"executable":"[^"]*\/([^"\/]+)".*/\2 \1/p' \
+        | sed -nE \
+            -e 's/.*"package_id":"[^"]*#([^"@]+)@[^"]*".*"executable":"[^"]*\/([^"\/]+)".*/\2 \1/p' \
+            -e 's/.*"package_id":"[^"#]*\/([^"\/#]+)#[0-9][^"]*".*"executable":"[^"]*\/([^"\/]+)".*/\2 \1/p' \
         > "$packages"
     cargo test --offline --workspace -- --quiet 2>&1 | while IFS= read -r line; do
         echo "$line"
@@ -150,14 +154,14 @@ stage_doc() {
 # by suffix at a `/`, so `render.rs`, `src/render.rs` and
 # `crates/telemetry/src/render.rs` all resolve; a line range passes when
 # it fits any file the path matches. Globs (`tests/*.rs`) and brace lists
-# are not references. The Markdown files listed in
-# scripts/docs_unchecked.txt describe earlier trees and are not read.
+# are not references. CHANGES.md and ISSUE.md describe earlier trees and
+# are not read.
 stage_docs() {
     local lengths=target/ci_docs_lengths.txt
     mkdir -p target
     git ls-files -z '*.rs' | xargs -0 wc -l | awk '$2 != "total"' > "$lengths"
     local docs report
-    mapfile -t docs < <(git ls-files '*.md' | grep -vxF -f scripts/docs_unchecked.txt)
+    mapfile -t docs < <(git ls-files '*.md' | grep -vxE 'CHANGES\.md|ISSUE\.md')
     report=$(awk '
         FILENAME == ARGV[1] { len[$2] = $1; next }
         {
@@ -556,9 +560,12 @@ stage_scale() {
     require_kernels scale/score_update_10k scale/rounding_10k core/rdcs_round_256 \
         scale/epoch_realize_10k solve/descend_10k
     local log=target/ci_scale_lane_parity.txt
+    echo "package fedl-sim" | tee "$log"
     cargo test --release --offline -p fedl-sim --test lane_parity --test columnar_parity \
-        --test window --test alloc_free --test population_golden -- --nocapture 2>&1 | tee "$log"
+        --test window --test alloc_free --test population_golden -- --nocapture 2>&1 | tee -a "$log"
+    echo "package fedl-core" | tee -a "$log"
     cargo test --release --offline -p fedl-core --test columnar_parity 2>&1 | tee -a "$log"
+    echo "package fedl-linalg" | tee -a "$log"
     cargo test --release --offline -p fedl-linalg --test lanes 2>&1 | tee -a "$log"
     cargo test --release --offline -p fedl-linalg --test lanemath -- --include-ignored \
         --nocapture 2>&1 | tee -a "$log"
@@ -573,9 +580,12 @@ stage_scale() {
         libm="$libm${libm:+, }$function $count"
     done
     # `Running tests/window.rs (…)` names the binary the next
-    # `test result:` line belongs to.
+    # `test result:` line belongs to, and the `package` line before its
+    # command names its crate (fedl-sim and fedl-core both have a
+    # `columnar_parity`).
     passes=$(awk '
-        $1 == "Running" { bin = $2; sub(/^.*\//, "", bin); sub(/\.rs$/, "", bin) }
+        $1 == "package" { pkg = $2; sub(/^fedl-/, "", pkg) }
+        $1 == "Running" { bin = $2; sub(/^.*\//, "", bin); sub(/\.rs$/, "", bin); bin = pkg "/" bin }
         $1 == "test" && $2 == "result:" { out = out sep bin " " $4; sep = ", " }
         END { print out }
     ' "$log")
