@@ -64,8 +64,11 @@ use crate::timing::{self, measure_with_budget, Measurement};
 /// two halves of `wire/context_part_40k` on their own,
 /// `wire/encode_context_part_40k` and `wire/decode_context_part_40k`
 /// (the worker's reply encode and the coordinator's decode), and the
-/// block kernels of the packed codec moved what all three cost.
-pub const BENCH_SCHEMA_VERSION: u32 = 13;
+/// block kernels of the packed codec moved what all three cost; v14 added
+/// `wire/join_ack` (one served join's codec work: a `ClientJoin` encoded
+/// and decoded, its `Snapshot` reply encoded and decoded), and the frame
+/// codec's table walks moved what the `wire/` kernels cost.
+pub const BENCH_SCHEMA_VERSION: u32 = 14;
 
 /// Half-width multiplier of the noise band `mean ± K·std` used by the
 /// regression test.
@@ -673,6 +676,22 @@ fn suite_wire(kernels: &mut Vec<KernelStats>, budget: Duration) {
             data_volumes: (0..rows).map(|k| k % 17).collect(),
         },
     };
+    // One join as the serve set-up runs it: the loadgen encodes it, the
+    // server decodes it and encodes its `Snapshot` acknowledgement, which
+    // the loadgen decodes.
+    let reply = Message::Snapshot {
+        epoch: 0,
+        registered: 100,
+        selections: 0,
+        budget_remaining: 30_000.0,
+        policy: "FedL".into(),
+    };
+    measure_kernel(kernels, budget, "wire/join_ack", || {
+        let join = encode_frame(&Message::ClientJoin { client: std::hint::black_box(73) });
+        let joined = decode_frame(&join).expect("the frame was just encoded");
+        let ack = encode_frame(std::hint::black_box(&reply));
+        (joined, decode_frame(&ack).expect("the frame was just encoded"))
+    });
     measure_kernel(kernels, budget, "wire/context_part_40k", || {
         let frame = encode_frame(std::hint::black_box(&part));
         decode_frame(std::hint::black_box(&frame)).expect("the frame was just encoded")

@@ -257,6 +257,27 @@ fn write_display(out: &mut impl JsonSink, value: impl fmt::Display) -> bool {
     spelled.fraction
 }
 
+/// Writes an integer's decimal digits (what `Display` spells), without
+/// the formatting machinery: an integer is the most common thing a frame
+/// or a checkpoint holds.
+fn write_int(out: &mut impl JsonSink, i: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push_str("-");
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
 /// Writes a float the way serde_json does: shortest-roundtrip digits,
 /// a trailing `.0` for integral finite values, `null` for NaN/inf.
 fn write_f64(out: &mut impl JsonSink, v: f64) {
@@ -362,9 +383,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => {
-                write_display(out, i);
-            }
+            Value::Int(i) => write_int(out, *i),
             Value::Float(f) => write_f64(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Arr(items) => {
@@ -447,9 +466,11 @@ impl fmt::Display for Value {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
-    /// The document; runs of a string literal are sliced from it as
-    /// `&str`, so its UTF-8 is never checked twice.
-    text: &'a str,
+    /// The document when it is known to be UTF-8 ([`Value::parse`]): runs
+    /// of a string literal are sliced from it as `&str`, so its UTF-8 is
+    /// never checked twice. `None` for a [`Cursor`], which checks each run
+    /// it reads on its own.
+    text: Option<&'a str>,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -457,6 +478,14 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// `bytes[start..end]` as text, or `None` where that is not UTF-8.
+    fn slice(&self, start: usize, end: usize) -> Option<&'a str> {
+        match self.text {
+            Some(text) => text.get(start..end),
+            None => std::str::from_utf8(&self.bytes[start..end]).ok(),
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -615,12 +644,11 @@ impl<'a> Parser<'a> {
                 return Err(Error::at("unescaped control character in string", self.pos + len));
             }
             // The bytes that end a run are ASCII, so a run ends on a char
-            // boundary and this `get` cannot fail; it slices in O(1)
+            // boundary: in a document known to be UTF-8 this slices in O(1)
             // where `from_utf8` would re-validate the run.
             let text = self
-                .text
-                .get(self.pos..self.pos + len)
-                .ok_or_else(|| Error::at("string run off a char boundary", self.pos))?;
+                .slice(self.pos, self.pos + len)
+                .ok_or_else(|| Error::at("invalid UTF-8 in string", self.pos))?;
             out.push_str(text);
             self.pos += len + 1;
             if run[len] == b'"' {
@@ -677,7 +705,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = &self.text[start..self.pos];
+        // Every byte scanned is ASCII.
+        let text = self.slice(start, self.pos).ok_or_else(|| Error::at("bad number", start))?;
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -699,13 +728,75 @@ impl<'a> Parser<'a> {
 impl Value {
     /// Parses one JSON document (rejecting trailing garbage).
     pub fn parse(text: &str) -> Result<Value, Error> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text: Some(text), bytes: text.as_bytes(), pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(Error::at("trailing characters", p.pos));
         }
         Ok(v)
+    }
+}
+
+/// A forward reader over the bytes of one compact JSON document, for a
+/// caller that knows the document's shape and reads it token by token
+/// straight into its own types (`fedl-serve`'s wire frames) instead of
+/// building a [`Value`] tree. Values are read by the parser
+/// [`Value::parse`] runs, so a number or string read here is the one
+/// `Value::parse` would have produced at the same offset. The bytes are
+/// not checked as UTF-8 up front: a string read checks the runs it copies.
+pub struct Cursor<'a> {
+    parser: Parser<'a>,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the first byte of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { parser: Parser { text: None, bytes, pos: 0, depth: 0 } }
+    }
+
+    /// Consumes `token` if the unread bytes begin with it.
+    pub fn eat(&mut self, token: &[u8]) -> bool {
+        let p = &mut self.parser;
+        let found = p.bytes[p.pos..].starts_with(token);
+        if found {
+            p.pos += token.len();
+        }
+        found
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.parser.bytes[self.parser.pos..]
+    }
+
+    /// `true` once every byte is read.
+    pub fn at_end(&self) -> bool {
+        self.rest().is_empty()
+    }
+
+    /// One value, as [`Value::parse`] reads it here (leading whitespace
+    /// included).
+    pub fn value(&mut self) -> Result<Value, Error> {
+        self.parser.value()
+    }
+
+    /// One string literal, escapes decoded, as [`Value::parse`] reads it.
+    pub fn string(&mut self) -> Result<String, Error> {
+        self.parser.string()
+    }
+
+    /// The bytes between the quotes of a string literal that holds no
+    /// escape, consumed; `None`, with nothing consumed, for anything else.
+    /// The bytes are not checked as UTF-8.
+    pub fn raw_str(&mut self) -> Option<&'a [u8]> {
+        let inner = self.rest().strip_prefix(b"\"")?;
+        let len = first_escape(inner)?;
+        if inner[len] != b'"' {
+            return None;
+        }
+        self.parser.pos += len + 2;
+        Some(&inner[..len])
     }
 }
 
@@ -851,6 +942,163 @@ impl FromJson for Value {
 impl<K: Ord + ToString, V: ToJson> ToJson for BTreeMap<K, V> {
     fn to_json_value(&self) -> Value {
         Value::Obj(self.iter().map(|(k, v)| (k.to_string(), v.to_json_value())).collect())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed writing and reading without a tree
+// ---------------------------------------------------------------------------
+
+/// A value that writes its compact JSON straight into a sink: the bytes
+/// `to_json_value().write_json(out)` spells, without building the
+/// [`Value`] (`fedl-serve` writes every wire field this way).
+pub trait WriteJson {
+    /// An upper bound on the bytes [`Self::write_json`] appends: what to
+    /// reserve so the write never grows its buffer.
+    fn json_len(&self) -> usize;
+    /// Appends the value's compact JSON.
+    fn write_json(&self, out: &mut impl JsonSink);
+}
+
+/// A value read straight off a [`Cursor`]: what [`FromJson`] makes of the
+/// value there, without building the [`Value`] for a string or an array.
+/// `None` — any refusal, and any shape this forward read does not take —
+/// means "read the document through [`Value::parse`] instead", which
+/// then gives the refusal its error.
+pub trait ReadJson: Sized {
+    /// Reads the value at the cursor, or declines.
+    fn read_json(cursor: &mut Cursor<'_>) -> Option<Self>;
+}
+
+/// Bytes [`write_int`] spells for `i`.
+fn int_len(i: i64) -> usize {
+    usize::from(i < 0) + i.unsigned_abs().checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// An upper bound on the bytes [`write_f64`] spells for `v`. `Display`
+/// prints the shortest digits that round-trip (17 at most) without an
+/// exponent, so besides those digits, a sign, a point and a `.0` there
+/// are only the zeros that place them: at most one per factor of ten in
+/// the magnitude, which the binary exponent bounds (log10 2 < 0.30103).
+fn f64_len_bound(v: f64) -> usize {
+    if !v.is_finite() || v == 0.0 {
+        return 4;
+    }
+    let biased = (v.to_bits() >> 52 & 0x7ff) as i64;
+    // A subnormal's magnitude goes down to 2^-1074.
+    let exp2 = if biased == 0 { 1074 } else { (biased - 1023).unsigned_abs() as usize };
+    22 + (exp2 * 30_103).div_ceil(100_000)
+}
+
+impl WriteJson for f64 {
+    fn json_len(&self) -> usize {
+        f64_len_bound(*self)
+    }
+    fn write_json(&self, out: &mut impl JsonSink) {
+        write_f64(out, *self);
+    }
+}
+
+impl WriteJson for f32 {
+    fn json_len(&self) -> usize {
+        f64_len_bound(*self as f64)
+    }
+    fn write_json(&self, out: &mut impl JsonSink) {
+        write_f64(out, *self as f64);
+    }
+}
+
+/// As [`ToJson`] writes them: the value as an `i64`.
+macro_rules! write_int {
+    ($($t:ty),*) => {$(
+        impl WriteJson for $t {
+            fn json_len(&self) -> usize {
+                int_len(*self as i64)
+            }
+            fn write_json(&self, out: &mut impl JsonSink) {
+                write_int(out, *self as i64);
+            }
+        }
+    )*};
+}
+write_int!(usize, u32, u64);
+
+impl WriteJson for bool {
+    fn json_len(&self) -> usize {
+        5
+    }
+    fn write_json(&self, out: &mut impl JsonSink) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl WriteJson for String {
+    /// An escape is two bytes or six (`\u00XX`).
+    fn json_len(&self) -> usize {
+        2 + self.len() + 5 * self.bytes().filter(|&b| needs_escape(b)).count()
+    }
+    fn write_json(&self, out: &mut impl JsonSink) {
+        write_escaped(out, self);
+    }
+}
+
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn json_len(&self) -> usize {
+        2 + self.len().saturating_sub(1) + self.iter().map(T::json_len).sum::<usize>()
+    }
+    fn write_json(&self, out: &mut impl JsonSink) {
+        out.push_str("[");
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push_str(",");
+            }
+            item.write_json(out);
+        }
+        out.push_str("]");
+    }
+}
+
+/// Scalars: the parser's value, converted by the type's [`FromJson`].
+macro_rules! read_scalar {
+    ($($t:ty),*) => {$(
+        impl ReadJson for $t {
+            fn read_json(cursor: &mut Cursor<'_>) -> Option<Self> {
+                <$t>::from_json_value(&cursor.value().ok()?).ok()
+            }
+        }
+    )*};
+}
+read_scalar!(f64, f32, usize, u32, u64, bool);
+
+impl ReadJson for String {
+    fn read_json(cursor: &mut Cursor<'_>) -> Option<Self> {
+        cursor.string().ok()
+    }
+}
+
+impl<T: ReadJson> ReadJson for Vec<T> {
+    /// Compact arrays only (no whitespace around `[`, `,` or `]`), sized
+    /// by the commas ahead of the first `]`: exact for an array of
+    /// numbers, so the vector is allocated once.
+    fn read_json(cursor: &mut Cursor<'_>) -> Option<Self> {
+        if !cursor.eat(b"[") {
+            return None;
+        }
+        if cursor.eat(b"]") {
+            return Some(Vec::new());
+        }
+        let rest = cursor.rest();
+        let end = rest.iter().position(|&b| b == b']').unwrap_or(rest.len());
+        let mut items = Vec::with_capacity(1 + rest[..end].iter().filter(|&&b| b == b',').count());
+        loop {
+            items.push(T::read_json(cursor)?);
+            if cursor.eat(b"]") {
+                return Some(items);
+            }
+            if !cursor.eat(b",") {
+                return None;
+            }
+        }
     }
 }
 
@@ -1208,6 +1456,136 @@ mod tests {
         let err = read_field::<f64>(&v, "bad").unwrap_err();
         assert!(err.to_string().contains("bad"));
         assert_eq!(read_field::<usize>(&v, "good").unwrap(), 1);
+    }
+
+    /// `value` written by [`WriteJson`]: the bytes its tree spells, within
+    /// the bound it reserves.
+    fn typed_write<T: WriteJson + ToJson>(value: &T) {
+        let mut typed = String::new();
+        value.write_json(&mut typed);
+        assert_eq!(typed, value.to_json_value().to_json());
+        assert!(typed.len() <= value.json_len(), "{typed} over its bound {}", value.json_len());
+    }
+
+    #[test]
+    fn typed_writes_spell_what_the_tree_spells_within_their_bound() {
+        // Random bits, and the floats whose spelling is longest: the
+        // largest and smallest magnitudes, with and without the `.0`.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut floats = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE * 0.999,
+            f64::MAX,
+            f64::MIN,
+            1e16,
+            1e17,
+            -123_456_789_012_345_680.0,
+            1.0 / 3.0,
+            -1e-7,
+            f64::NAN,
+            f64::NEG_INFINITY,
+        ];
+        floats.extend((0..50_000).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            f64::from_bits(state)
+        }));
+        for x in floats {
+            typed_write(&x);
+            typed_write(&(x as f32));
+            typed_write(&(x.to_bits() >> (x.to_bits() % 64)));
+        }
+        for i in [0u64, 9, 10, 99, 100, u32::MAX as u64, i64::MAX as u64, u64::MAX] {
+            typed_write(&i);
+            typed_write(&(i as usize));
+            typed_write(&(i as u32));
+        }
+        typed_write(&true);
+        typed_write(&false);
+        for s in ["", "FedL", "quote \" backslash \\ newline \n \u{1} \u{1f}", "é✓\t"] {
+            typed_write(&s.to_string());
+        }
+        typed_write(&vec![1.5f64, -0.0, 1e300, f64::NAN]);
+        typed_write(&Vec::<usize>::new());
+        typed_write(&vec![vec![1usize, 20], vec![]]);
+    }
+
+    /// `text` read by [`ReadJson`] matches what [`FromJson`] makes of
+    /// `Value::parse(text)` (compared by `Debug`: `NaN` reads as itself),
+    /// or the read declines. Returns whether it read.
+    fn typed_read<T: ReadJson + FromJson + fmt::Debug>(text: &str) -> bool {
+        let mut cursor = Cursor::new(text.as_bytes());
+        let Some(read) = T::read_json(&mut cursor).filter(|_| cursor.at_end()) else {
+            return false;
+        };
+        let tree = Value::parse(text).ok().and_then(|v| T::from_json_value(&v).ok());
+        assert_eq!(format!("{:?}", Some(read)), format!("{tree:?}"), "{text}");
+        true
+    }
+
+    #[test]
+    fn typed_reads_match_the_tree_or_decline() {
+        let texts = [
+            "0",
+            "-7",
+            "7.0",
+            "1.5",
+            "-1e3",
+            "1e400",
+            "null",
+            "true",
+            "false",
+            "9223372036854775808",
+            "4294967296",
+            "\"x\"",
+            "\"a\\u0041\\n\u{e9}\"",
+            "[1,2,3]",
+            "[]",
+            "[1, 2]",
+            "[1.5,-0.0,null]",
+            "[\"a\"]",
+            "[1,2",
+            "",
+        ];
+        for text in texts {
+            typed_read::<f64>(text);
+            typed_read::<f32>(text);
+            typed_read::<usize>(text);
+            typed_read::<u32>(text);
+            typed_read::<u64>(text);
+            typed_read::<bool>(text);
+            typed_read::<String>(text);
+            typed_read::<Vec<f64>>(text);
+            typed_read::<Vec<usize>>(text);
+        }
+        // What a frame holds is read, not declined.
+        assert!(typed_read::<usize>("73"));
+        assert!(typed_read::<f64>("30000.0"));
+        assert!(typed_read::<String>("\"quote \\\" and \\u0041\""));
+        assert!(typed_read::<Vec<usize>>("[3,17,40]"));
+        assert!(typed_read::<Vec<f32>>("[0.30000001192092896,-0.125]"));
+    }
+
+    #[test]
+    fn raw_strings_are_escape_free_literals() {
+        let mut cursor = Cursor::new(b"\"abc\",\"a\\nb\"");
+        assert_eq!(cursor.raw_str(), Some(&b"abc"[..]));
+        assert!(cursor.eat(b","));
+        // An escape: declined, nothing consumed; the parser reads it.
+        assert_eq!(cursor.raw_str(), None);
+        assert_eq!(cursor.string().unwrap(), "a\nb");
+        assert!(cursor.at_end());
+        for text in ["\"open", "x\"", "", "\"\u{1}\""] {
+            assert_eq!(Cursor::new(text.as_bytes()).raw_str(), None, "{text:?}");
+        }
+        // Bytes that are not UTF-8 are the caller's to check.
+        assert_eq!(Cursor::new(b"\"\xff\"").raw_str(), Some(&b"\xff"[..]));
+        assert!(Cursor::new(b"\"\xff\"").string().is_err());
     }
 
     /// `depth` levels of `open`, a `1`, then the closers.

@@ -31,8 +31,8 @@
 use std::fmt;
 
 use fedl_core::columnar::ContextPart;
-use fedl_json::{read_field, FromJson, ToJson, Value};
-use fedl_store::{decode_envelope, encode_envelope_with, StoreError};
+use fedl_json::{read_field, Cursor, FromJson, ReadJson, Value, WriteJson};
+use fedl_store::{decode_envelope, encode_envelope_with, verify_envelope, StoreError};
 use fedl_telemetry::{SpanContext, Telemetry};
 
 use crate::loadgen::{MemberFeedback, SynthResult};
@@ -464,15 +464,14 @@ fn packed_len<T: Cell>(rows: usize) -> usize {
     2 + (rows * T::WIDTH * 4).div_ceil(3)
 }
 
-/// Reads the packed column `key` of message object `v`. Exactly one text
-/// decodes to a given byte string — alphabet only, no padding, no length
-/// of 1 mod 4, zero trailing bits — so a retried reply is byte-identical
-/// or refused; and the bytes must be whole cells. Every allocation is
-/// sized by the string itself, which the frame cap already bounds.
-fn unpack<T: Cell>(v: &Value, key: &str) -> Result<Vec<T>, ProtocolError> {
+/// Reads packed column `key` from its text (the string's contents).
+/// Exactly one text decodes to a given byte string — alphabet only, no
+/// padding, no length of 1 mod 4, zero trailing bits — so a retried reply
+/// is byte-identical or refused; and the bytes must be whole cells. Every
+/// allocation is sized by the text itself, which the frame cap already
+/// bounds.
+fn unpack<T: Cell>(text: &[u8], key: &str) -> Result<Vec<T>, ProtocolError> {
     let bad = |why: &str| ProtocolError::Schema { detail: format!("packed column `{key}`: {why}") };
-    let text =
-        v.get(key).and_then(Value::as_str).ok_or_else(|| bad("expected a string"))?.as_bytes();
     if text.len() % 4 == 1 {
         return Err(bad("a length of 1 mod 4 is not base64"));
     }
@@ -507,57 +506,37 @@ fn unpack<T: Cell>(v: &Value, key: &str) -> Result<Vec<T>, ProtocolError> {
     Ok(column)
 }
 
-/// One field of a message body as [`encode_frame`] writes it.
-enum Field<'a> {
-    /// Readable JSON, rendered by `Value::write_json`.
-    Json(Value),
-    /// A packed column of `f64` cells.
-    F64s(&'a [f64]),
-    /// A packed column of `f32` cells.
-    F32s(&'a [f32]),
-    /// A packed column of ids or volumes (`u32` cells).
-    Ids(&'a [usize]),
-}
-
-impl Field<'_> {
-    /// A lower bound on the field's rendered length, exact for a packed
-    /// column.
-    fn len_hint(&self) -> usize {
-        match self {
-            Field::Json(value) => value.json_len_hint(),
-            Field::F64s(column) => packed_len::<f64>(column.len()),
-            Field::F32s(column) => packed_len::<f32>(column.len()),
-            Field::Ids(column) => packed_len::<usize>(column.len()),
-        }
-    }
-
-    fn write(&self, out: &mut Vec<u8>) {
-        match self {
-            Field::Json(value) => value.write_json(out),
-            Field::F64s(column) => pack_into(column, out),
-            Field::F32s(column) => pack_into(column, out),
-            Field::Ids(column) => pack_into(column, out),
-        }
-    }
+/// Reads packed column `key` of message object `v`, which must be a
+/// string.
+fn unpack_field<T: Cell>(v: &Value, key: &str) -> Result<Vec<T>, ProtocolError> {
+    let text = v.get(key).and_then(Value::as_str).ok_or_else(|| ProtocolError::Schema {
+        detail: format!("packed column `{key}`: expected a string"),
+    })?;
+    unpack(text.as_bytes(), key)
 }
 
 // ---------------------------------------------------------------------------
 // The message table
 // ---------------------------------------------------------------------------
 
-/// A message body's fields in wire order, as [`encode_frame`] writes them.
-type Fields<'a> = Vec<(&'static str, Field<'a>)>;
-
-/// How a field of type `T` rides the wire under its key: what
-/// [`encode_frame`] writes for it, and how [`decode_frame`] reads it back
-/// from the message object — a missing or malformed key is a
-/// [`ProtocolError::Schema`] that names it.
+/// How a field of type `T` rides the wire, in both directions. `key` is
+/// the field's key as the wire spells it after the field before it,
+/// `,"name":`; `name` is the bare name.
 trait Kind<T> {
-    fn encode<'a>(key: &'static str, value: &'a T, out: &mut Fields<'a>);
-    fn decode(v: &Value, key: &str) -> Result<T, ProtocolError>;
+    /// An upper bound on what [`Kind::write`] appends ([`Tree`]: a lower
+    /// bound).
+    fn len(key: &str, value: &T) -> usize;
+    /// Appends `key` and the value.
+    fn write(key: &str, value: &T, out: &mut Vec<u8>);
+    /// Reads `key` and the value off the cursor; `None` declines the frame
+    /// to [`Kind::decode`].
+    fn read(key: &str, cursor: &mut Cursor<'_>) -> Option<T>;
+    /// Reads field `name` of the message object `v`: a missing or malformed
+    /// key is a [`ProtocolError::Schema`] that names it.
+    fn decode(v: &Value, name: &str) -> Result<T, ProtocolError>;
 }
 
-/// Readable JSON, through the type's `ToJson` / `FromJson`.
+/// Readable JSON, through `fedl-json`'s typed writer and reader.
 struct Json;
 /// A packed column of `f64` cells.
 struct F64s;
@@ -571,28 +550,54 @@ struct Version;
 /// A struct whose keys sit beside the message's own (see `flat!`); a
 /// [`Trace`] is its two optional keys.
 struct Flat;
+/// A JSON tree (a stats registry), written by `Value::write_json`. The
+/// forward reader declines it: a stats snapshot is read by
+/// `Value::parse`.
+struct Tree;
 
 fn schema(detail: impl fmt::Display) -> ProtocolError {
     ProtocolError::Schema { detail: detail.to_string() }
 }
 
-impl<T: ToJson + FromJson> Kind<T> for Json {
-    fn encode<'a>(key: &'static str, value: &'a T, out: &mut Fields<'a>) {
-        out.push((key, Field::Json(value.to_json_value())));
+impl<T: WriteJson + ReadJson + FromJson> Kind<T> for Json {
+    fn len(key: &str, value: &T) -> usize {
+        key.len() + value.json_len()
     }
-    fn decode(v: &Value, key: &str) -> Result<T, ProtocolError> {
-        read_field(v, key).map_err(schema)
+    fn write(key: &str, value: &T, out: &mut Vec<u8>) {
+        out.extend_from_slice(key.as_bytes());
+        value.write_json(out);
+    }
+    fn read(key: &str, cursor: &mut Cursor<'_>) -> Option<T> {
+        if !cursor.eat(key.as_bytes()) {
+            return None;
+        }
+        T::read_json(cursor)
+    }
+    fn decode(v: &Value, name: &str) -> Result<T, ProtocolError> {
+        read_field(v, name).map_err(schema)
     }
 }
 
 macro_rules! packed {
     ($($kind:ident($cell:ty)),*) => {$(
         impl Kind<Vec<$cell>> for $kind {
-            fn encode<'a>(key: &'static str, column: &'a Vec<$cell>, out: &mut Fields<'a>) {
-                out.push((key, Field::$kind(column)));
+            fn len(key: &str, column: &Vec<$cell>) -> usize {
+                key.len() + packed_len::<$cell>(column.len())
             }
-            fn decode(v: &Value, key: &str) -> Result<Vec<$cell>, ProtocolError> {
-                unpack(v, key)
+            fn write(key: &str, column: &Vec<$cell>, out: &mut Vec<u8>) {
+                out.extend_from_slice(key.as_bytes());
+                pack_into(column, out);
+            }
+            fn read(key: &str, cursor: &mut Cursor<'_>) -> Option<Vec<$cell>> {
+                if !cursor.eat(key.as_bytes()) {
+                    return None;
+                }
+                // Base64 straight from the frame: the alphabet check is the
+                // text's only check, and it refuses every non-ASCII byte.
+                unpack(cursor.raw_str()?, key).ok()
+            }
+            fn decode(v: &Value, name: &str) -> Result<Vec<$cell>, ProtocolError> {
+                unpack_field(v, name)
             }
         }
     )*};
@@ -600,21 +605,77 @@ macro_rules! packed {
 packed!(F64s(f64), F32s(f32), Ids(usize));
 
 impl Kind<u32> for Version {
-    fn encode<'a>(key: &'static str, version: &'a u32, out: &mut Fields<'a>) {
-        Json::encode(key, version, out);
+    fn len(key: &str, version: &u32) -> usize {
+        Json::len(key, version)
     }
-    fn decode(v: &Value, key: &str) -> Result<u32, ProtocolError> {
-        let raw: u64 = Json::decode(v, key)?;
-        u32::try_from(raw).map_err(|_| schema(format!("{key} {raw} out of range")))
+    fn write(key: &str, version: &u32, out: &mut Vec<u8>) {
+        Json::write(key, version, out);
+    }
+    fn read(key: &str, cursor: &mut Cursor<'_>) -> Option<u32> {
+        let raw: u64 = Json::read(key, cursor)?;
+        u32::try_from(raw).ok()
+    }
+    fn decode(v: &Value, name: &str) -> Result<u32, ProtocolError> {
+        let raw: u64 = Json::decode(v, name)?;
+        u32::try_from(raw).map_err(|_| schema(format!("{name} {raw} out of range")))
     }
 }
 
+impl Kind<Value> for Tree {
+    fn len(key: &str, tree: &Value) -> usize {
+        key.len() + tree.json_len_hint()
+    }
+    fn write(key: &str, tree: &Value, out: &mut Vec<u8>) {
+        out.extend_from_slice(key.as_bytes());
+        tree.write_json(out);
+    }
+    fn read(_: &str, _: &mut Cursor<'_>) -> Option<Value> {
+        None
+    }
+    fn decode(v: &Value, name: &str) -> Result<Value, ProtocolError> {
+        read_field(v, name).map_err(schema)
+    }
+}
+
+const TRACE_ID: &str = ",\"trace_id\":";
+const SPAN_ID: &str = ",\"span_id\":";
+
+/// `id` as [`SpanContext::fmt_id`] spells it, quoted.
+fn write_id(id: u64, out: &mut Vec<u8>) {
+    out.push(b'"');
+    out.extend((0..16).rev().map(|i| b"0123456789abcdef"[(id >> (4 * i) & 0xf) as usize]));
+    out.push(b'"');
+}
+
 impl Kind<Trace> for Flat {
-    fn encode<'a>(_: &'static str, trace: &'a Trace, out: &mut Fields<'a>) {
-        if let Trace::Context { trace_id, span_id } = *trace {
-            out.push(("trace_id", Field::Json(SpanContext::fmt_id(trace_id).into())));
-            out.push(("span_id", Field::Json(SpanContext::fmt_id(span_id).into())));
+    fn len(_: &str, trace: &Trace) -> usize {
+        match trace {
+            Trace::Context { .. } => TRACE_ID.len() + SPAN_ID.len() + 2 * 18,
+            Trace::Absent | Trace::Invalid => 0,
         }
+    }
+    fn write(_: &str, trace: &Trace, out: &mut Vec<u8>) {
+        if let Trace::Context { trace_id, span_id } = *trace {
+            out.extend_from_slice(TRACE_ID.as_bytes());
+            write_id(trace_id, out);
+            out.extend_from_slice(SPAN_ID.as_bytes());
+            write_id(span_id, out);
+        }
+    }
+    /// Both keys, each a valid id, or neither; anything else is declined
+    /// (the lenient parse below makes it [`Trace::Invalid`]).
+    fn read(_: &str, cursor: &mut Cursor<'_>) -> Option<Trace> {
+        if !cursor.eat(TRACE_ID.as_bytes()) {
+            return Some(Trace::Absent);
+        }
+        let id = |cursor: &mut Cursor<'_>| {
+            std::str::from_utf8(cursor.raw_str()?).ok().and_then(SpanContext::parse_id)
+        };
+        let trace_id = id(cursor)?;
+        if !cursor.eat(SPAN_ID.as_bytes()) {
+            return None;
+        }
+        Some(Trace::Context { trace_id, span_id: id(cursor)? })
     }
 
     /// Lenient parse: absence is normal (tracing off), garbage is
@@ -634,13 +695,26 @@ impl Kind<Trace> for Flat {
     }
 }
 
+/// A field's key as the wire spells it after the field before it.
+macro_rules! key {
+    ($key:ident) => {
+        concat!(",\"", stringify!($key), "\":")
+    };
+}
+
 /// The structs a message carries flattened: each key, in wire order,
 /// with its kind.
 macro_rules! flat {
     ($($ty:ident { $($key:ident: $kind:ident),+ $(,)? })*) => {$(
         impl Kind<$ty> for Flat {
-            fn encode<'a>(_: &'static str, value: &'a $ty, out: &mut Fields<'a>) {
-                $(<$kind as Kind<_>>::encode(stringify!($key), &value.$key, out);)+
+            fn len(_: &str, value: &$ty) -> usize {
+                0 $(+ <$kind as Kind<_>>::len(key!($key), &value.$key))+
+            }
+            fn write(_: &str, value: &$ty, out: &mut Vec<u8>) {
+                $(<$kind as Kind<_>>::write(key!($key), &value.$key, out);)+
+            }
+            fn read(_: &str, cursor: &mut Cursor<'_>) -> Option<$ty> {
+                Some($ty { $($key: <$kind as Kind<_>>::read(key!($key), cursor)?),+ })
             }
             fn decode(v: &Value, _: &str) -> Result<$ty, ProtocolError> {
                 Ok($ty { $($key: <$kind as Kind<_>>::decode(v, stringify!($key))?),+ })
@@ -689,20 +763,51 @@ macro_rules! messages {
                 }
             }
 
-            /// The message's fields in wire order (`type` first), as
-            /// [`encode_frame`] renders them.
-            fn fields(&self) -> Fields<'_> {
-                let mut out = vec![("type", Field::Json(self.type_tag().into()))];
+            /// An upper bound on the body [`Message::write_body`] writes
+            /// (a stats registry's is a lower bound).
+            fn body_len(&self) -> usize {
                 match self {
                     $(Message::$variant { $($key),* } => {
-                        $(<$kind as Kind<_>>::encode(stringify!($key), $key, &mut out);)*
+                        concat!("{\"type\":\"", $tag, "\"}").len()
+                            $(+ <$kind as Kind<_>>::len(key!($key), $key))*
                     })*
                 }
-                out
+            }
+
+            /// The message object: the `type` tag and each key as static
+            /// bytes, each value by its kind.
+            fn write_body(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Message::$variant { $($key),* } => {
+                        out.extend_from_slice(concat!("{\"type\":\"", $tag, "\"").as_bytes());
+                        $(<$kind as Kind<_>>::write(key!($key), $key, out);)*
+                    })*
+                }
+                out.push(b'}');
+            }
+
+            /// Reads a message object spelled exactly as
+            /// [`Message::write_body`] spells one — keys in table order,
+            /// none missing, repeated or unknown, no whitespace between
+            /// them — and nothing after it. `None` for anything else.
+            fn read_body(cursor: &mut Cursor<'_>) -> Option<Message> {
+                if !cursor.eat(b"{\"type\":") {
+                    return None;
+                }
+                let tag = cursor.raw_str()?;
+                let message = match tag {
+                    $(tag if tag == $tag.as_bytes() => Message::$variant {
+                        $($key: <$kind as Kind<_>>::read(key!($key), cursor)?),*
+                    },)*
+                    _ => return None,
+                };
+                (cursor.eat(b"}") && cursor.at_end()).then_some(message)
             }
 
             /// Parses a message object; any shape mismatch is a
-            /// [`ProtocolError::Schema`].
+            /// [`ProtocolError::Schema`]. Keys may come in any order, a
+            /// repeated key's first value counts, and unknown keys are
+            /// ignored.
             pub fn from_json_value(v: &Value) -> Result<Message, ProtocolError> {
                 let tag: String = read_field(v, "type").map_err(schema)?;
                 match tag.as_str() {
@@ -748,40 +853,44 @@ messages! {
     ShardTrain "shard_train" { epoch: Json, members: Ids, iterations: Json, trace: Flat }
     ShardTrainPart "shard_train_part" { epoch: Json, members: Ids, feedback: Flat }
     Stats "stats" {}
-    StatsSnapshot "stats_snapshot" { registry: Json }
+    StatsSnapshot "stats_snapshot" { registry: Tree }
     Error "error" { code: Json, detail: Json }
 }
 
 /// Serializes a message into one frame (envelope text bytes; the
 /// transport adds the length prefix). The body is written in place
-/// behind the header: readable fields through `Value::write_json`,
-/// packed columns as base64 a block at a time — ASCII by construction,
-/// so the frame is never re-validated as UTF-8.
+/// behind the header by walking the message table: the tag and keys as
+/// static bytes, numbers, bools and strings through `fedl-json`'s
+/// formatters, packed columns as base64 a block at a time. The buffer is
+/// reserved for an upper bound on the frame, so it is allocated once, and
+/// the frame is never re-validated as UTF-8.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let fields = msg.fields();
-    // `{}`, and per field `"key":` and a separator.
-    let body_len =
-        2 + fields.iter().map(|(key, field)| key.len() + 4 + field.len_hint()).sum::<usize>();
-    encode_envelope_with(FRAME_KIND, body_len, |out| {
-        out.push(b'{');
-        for (i, (key, field)) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            // Keys are fixed identifiers: nothing in them needs escaping.
-            out.push(b'"');
-            out.extend_from_slice(key.as_bytes());
-            out.extend_from_slice(b"\":");
-            field.write(out);
-        }
-        out.push(b'}');
-    })
+    encode_envelope_with(FRAME_KIND, msg.body_len(), |out| msg.write_body(out))
 }
 
 /// Verifies and parses one frame. Non-UTF-8 bytes, header damage,
 /// checksum mismatches, and unknown message shapes all come back as
 /// typed errors.
+///
+/// The header and checksum are checked on the raw bytes, and a body
+/// spelled the way [`encode_frame`] spells one is read straight into the
+/// message, key by key in table order. Any other body — keys in another
+/// order, a key repeated or unknown, whitespace, an escape where the
+/// reader takes none, any refusal — is decoded the general way: the
+/// frame checked as UTF-8, `decode_envelope`, [`Message::from_json_value`].
+/// So every frame decodes to the message, or fails with the error, that
+/// way gives.
 pub fn decode_frame(frame: &[u8]) -> Result<Message, ProtocolError> {
+    let read = || {
+        let mut cursor = Cursor::new(verify_envelope(frame, FRAME_KIND, "frame").ok()?);
+        Message::read_body(&mut cursor)
+    };
+    read().map_or_else(|| decode_frame_by_value(frame), Ok)
+}
+
+/// The general decode: the frame checked as UTF-8, its envelope verified
+/// and its body parsed into a `Value` tree, the message read from that.
+fn decode_frame_by_value(frame: &[u8]) -> Result<Message, ProtocolError> {
     let text = std::str::from_utf8(frame)
         .map_err(|e| ProtocolError::Envelope { detail: format!("frame is not UTF-8: {e}") })?;
     let payload = decode_envelope(text, FRAME_KIND, "frame").map_err(ProtocolError::from)?;
@@ -1195,9 +1304,9 @@ mod tests {
             .collect()
     }
 
-    /// `column` packed, then read back from a message object.
+    /// `column` packed, then read back.
     fn repacked<T: Cell>(column: &[T]) -> Vec<T> {
-        unpack(&obj(vec![("c", Value::from(pack(column)))]), "c").expect("packed text unpacks")
+        unpack(pack(column).as_bytes(), "c").expect("packed text unpacks")
     }
 
     #[test]
@@ -1265,7 +1374,7 @@ mod tests {
         assert_eq!(pack(&cells), "Zm9vYmFyIT8");
         assert_eq!(pack::<f64>(&[]), "");
         // One text per byte string: every other spelling is refused.
-        let col = |text: &str| unpack::<f32>(&obj(vec![("c", Value::from(text))]), "c");
+        let col = |text: &str| unpack_field::<f32>(&obj(vec![("c", Value::from(text))]), "c");
         assert_eq!(col("Zm9vYg").unwrap()[0].to_bits(), cells[0].to_bits());
         for (text, why) in [
             ("Zm9vYg==", "alphabet"),
@@ -1285,8 +1394,9 @@ mod tests {
         }
         // Not a string at all: the deleted array form included.
         let arr = obj(vec![("c", Value::Arr(vec![Value::Float(0.5)]))]);
-        assert!(matches!(unpack::<f32>(&arr, "c"), Err(ProtocolError::Schema { .. })));
-        assert!(matches!(unpack::<f32>(&obj(vec![]), "c"), Err(ProtocolError::Schema { .. })));
+        assert!(matches!(unpack_field::<f32>(&arr, "c"), Err(ProtocolError::Schema { .. })));
+        let absent = unpack_field::<f32>(&obj(vec![]), "c");
+        assert!(matches!(absent, Err(ProtocolError::Schema { .. })));
     }
 
     #[test]

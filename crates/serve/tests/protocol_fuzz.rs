@@ -6,6 +6,11 @@
 //! lenient line parsing. So must what a checksum cannot catch: a frame
 //! from a peer on the previous envelope version, and a hostile payload
 //! sealed with the right checksum.
+//!
+//! Every frame a sweep decodes is decoded twice, through `decode_frame`
+//! and through the general path built here from public items (UTF-8
+//! check, `decode_envelope`, `Message::from_json_value`): the two must
+//! give the same message, or the same error code and text.
 
 use std::io::Cursor;
 
@@ -27,6 +32,30 @@ fn sealed(version: u32, body: &str) -> Vec<u8> {
         _ => fedl_store::envelope_checksum(body.as_bytes()),
     };
     format!("fedl-store v{version} kind={FRAME_KIND} crc={crc:016x}\n{body}").into_bytes()
+}
+
+/// `frame` decoded the general way: checked as UTF-8, its envelope
+/// verified, its body parsed into a `Value` tree, the message read from
+/// that — the oracle for `decode_frame`'s forward reader.
+fn decode_by_value(frame: &[u8]) -> Result<Message, ProtocolError> {
+    let text = std::str::from_utf8(frame)
+        .map_err(|e| ProtocolError::Envelope { detail: format!("frame is not UTF-8: {e}") })?;
+    Message::from_json_value(&fedl_store::decode_envelope(text, FRAME_KIND, "frame")?)
+}
+
+/// `decode_frame(frame)`, checked against [`decode_by_value`]: the same
+/// message (compared by `Debug`, which tells `-0.0` from `0.0` and reads
+/// `NaN` as itself), or the same error code and text.
+fn decoded(frame: &[u8]) -> Result<Message, ProtocolError> {
+    let (fast, oracle) = (decode_frame(frame), decode_by_value(frame));
+    match (&fast, &oracle) {
+        (Ok(a), Ok(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{frame:?}"),
+        (Err(a), Err(b)) => {
+            assert_eq!((a.code(), a.to_string()), (b.code(), b.to_string()), "{frame:?}")
+        }
+        _ => panic!("the two decodes disagree on {frame:?}: {fast:?} vs {oracle:?}"),
+    }
+    fast
 }
 
 /// A rotating set of well-formed messages to mutate.
@@ -128,9 +157,10 @@ fn mutated_frames_yield_typed_errors_and_count() {
                 frame = (0..len).map(|_| rng.next_u64() as u8).collect();
             }
         }
+        assert!(decoded(&frame).is_err(), "round {i}: a mutated frame must not decode");
         let before = server.malformed_frames();
         let (reply, _control) = server.handle_frame(&frame);
-        let decoded = decode_frame(&reply).expect("server replies are always well-formed");
+        let decoded = decoded(&reply).expect("server replies are always well-formed");
         assert!(
             matches!(decoded, Message::Error { .. }),
             "round {i}: mutated frame must be refused, got {decoded:?}"
@@ -189,7 +219,7 @@ fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
     };
     let text_of = |key: &str| payload.get(key).and_then(Value::as_str).expect("a packed column");
     // The refusal texts, word for word as the codec has always given them.
-    let expect_schema = |frame: Vec<u8>, why: String, case: &str| match decode_frame(&frame) {
+    let expect_schema = |frame: Vec<u8>, why: String, case: &str| match decoded(&frame) {
         Err(ProtocolError::Schema { detail }) => assert_eq!(detail, why, "{case}"),
         other => panic!("{case}: expected a schema error, got {other:?}"),
     };
@@ -248,7 +278,7 @@ fn damaged_packed_columns_are_schema_errors_behind_a_valid_checksum() {
     // the coordinator's check (`dist.bad_replies`, crates/dist).
     // (3 cells = 24 bytes = 32 characters, a whole number of quads.)
     let shorter = resealed("costs", &|t| t[..32].to_string());
-    match decode_frame(&shorter).expect("columns of unequal length are still a frame") {
+    match decoded(&shorter).expect("columns of unequal length are still a frame") {
         Message::ShardContextPart { part, .. } => {
             assert_eq!((part.available.len(), part.costs.len()), (41, 3));
         }
@@ -300,6 +330,7 @@ fn every_key_dropped_or_of_the_wrong_kind_is_a_schema_error_naming_it() {
             }
             for (what, mutant) in mutants {
                 let frame = fedl_store::encode_envelope(FRAME_KIND, &Value::Obj(mutant));
+                decoded(&frame).expect_err("a dropped or mistyped key is refused");
                 match decode_frame(&frame) {
                     Err(ProtocolError::Schema { detail }) if detail.contains(key.as_str()) => {}
                     other => panic!("{message:?}: `{key}` {what} gave {other:?}"),
@@ -365,8 +396,9 @@ fn fuzzed_trace_ids_never_panic_and_are_counted() {
         ]);
         let frame = fedl_store::encode_envelope("serve-msg", &payload);
         // Must never panic; the reply is always a well-formed frame.
+        decoded(&frame).expect("a garbage trace id never fails the request");
         let (reply, _) = server.handle_frame(&frame);
-        decode_frame(&reply).expect("server replies are always well-formed");
+        decoded(&reply).expect("server replies are always well-formed");
     }
     assert!(invalid > 0, "the generator should produce garbage ids");
     assert_eq!(tel.counter("proto.bad_trace_ids").value(), invalid);
@@ -383,8 +415,10 @@ fn a_v1_hello_over_a_connection_is_refused_and_the_connection_lives() {
     });
     let hello = Message::Hello { protocol_version: PROTOCOL_VERSION, node: "old".into() };
     let v2 = encode_frame(&hello);
-    client.send(&sealed(1, std::str::from_utf8(&v2).unwrap().split_once('\n').unwrap().1)).unwrap();
-    let reply = decode_frame(&client.recv().unwrap().expect("a reply")).unwrap();
+    let v1 = sealed(1, std::str::from_utf8(&v2).unwrap().split_once('\n').unwrap().1);
+    decoded(&v1).expect_err("a v1 frame is refused");
+    client.send(&v1).unwrap();
+    let reply = decoded(&client.recv().unwrap().expect("a reply")).unwrap();
     match reply {
         Message::Error { code, detail } => {
             assert_eq!(code, "envelope");
@@ -394,7 +428,7 @@ fn a_v1_hello_over_a_connection_is_refused_and_the_connection_lives() {
     }
     // The same hello in a v2 envelope is answered on the same connection.
     client.send(&encode_frame(&hello)).unwrap();
-    let reply = decode_frame(&client.recv().unwrap().expect("a reply")).unwrap();
+    let reply = decoded(&client.recv().unwrap().expect("a reply")).unwrap();
     assert!(matches!(reply, Message::Hello { .. }), "{reply:?}");
     drop(client);
     let (exit, malformed) = server.join().expect("the server thread must not panic");
@@ -410,10 +444,10 @@ fn deep_nesting_behind_a_valid_checksum_is_a_typed_error_not_an_abort() {
     let frame = sealed(fedl_store::FORMAT_VERSION, &"[".repeat(40_000));
     let config = ServeConfig::new(40, 3, 1000.0, 3, PolicyKind::FedL);
     let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
-        let direct = decode_frame(&frame);
+        let direct = decoded(&frame);
         let mut server = ServerState::new(config, Telemetry::in_memory().0);
         let (reply, _) = server.handle_frame(&frame);
-        (direct, decode_frame(&reply), server.malformed_frames())
+        (direct, decoded(&reply), server.malformed_frames())
     });
     let (direct, reply, malformed) = worker.unwrap().join().expect("no stack overflow");
     match direct {
@@ -436,6 +470,77 @@ fn decoder_never_panics_on_seeded_garbage() {
         let len = (rng.next_u64() as usize) % 256;
         let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         // Must be an Err, and must not panic.
-        assert!(decode_frame(&bytes).is_err());
+        assert!(decoded(&bytes).is_err());
+    }
+}
+
+/// The one message spelled other ways than `encode_frame` spells it, each
+/// re-sealed with its checksum: keys permuted, a key repeated with another
+/// value after it (the first counts), an unknown key, whitespace between
+/// every token, and a `\u` escape in a string. The forward reader takes
+/// none of these; each decodes, both ways, to the message itself.
+#[test]
+fn bodies_only_the_general_path_reads_decode_to_the_same_message() {
+    use fedl_json::Value;
+    let traced = fedl_serve::Trace::Context { trace_id: 0xfeed_beef, span_id: 42 };
+    let messages = (0..12).map(valid_message).chain([
+        Message::SelectCohort { epoch: 5, trace: traced },
+        Message::ShardTrain { epoch: 6, members: vec![4, 9], iterations: 2, trace: traced },
+        Message::Snapshot {
+            epoch: 2,
+            registered: 5,
+            selections: 1,
+            budget_remaining: 12.5,
+            policy: "fedl".into(),
+        },
+        Message::Error { code: "schema".into(), detail: "why \"this\"".into() },
+        long_context_part(3),
+    ]);
+    let seal = |body: &str| sealed(fedl_store::FORMAT_VERSION, body);
+    for message in messages {
+        let frame = encode_frame(&message);
+        let body = std::str::from_utf8(&frame).unwrap().split_once('\n').unwrap().1.to_string();
+        let Value::Obj(pairs) = Value::parse(&body).unwrap() else { panic!("not an object") };
+        let resealed = |pairs: Vec<(String, Value)>| seal(&Value::Obj(pairs).to_json());
+        let mut variants = Vec::new();
+        let mut reversed = pairs.clone();
+        reversed.reverse();
+        variants.push(("keys reversed".to_string(), resealed(reversed)));
+        let mut rotated = pairs.clone();
+        rotated.rotate_left(1);
+        variants.push(("keys rotated".to_string(), resealed(rotated)));
+        for (at, (key, value)) in pairs.iter().enumerate() {
+            let other = match value {
+                Value::Int(i) => Value::Int(i + 1),
+                Value::Str(s) if key == "type" => {
+                    Value::from(if s == "stats" { "hello" } else { "stats" })
+                }
+                Value::Str(s) => Value::Str(format!("{s}AAAA")),
+                Value::Bool(b) => Value::Bool(!b),
+                _ => Value::Null,
+            };
+            let mut repeated = pairs.clone();
+            repeated.insert(at + 1, (key.clone(), other));
+            variants.push((format!("`{key}` repeated"), resealed(repeated)));
+            let mut unknown = pairs.clone();
+            unknown.insert(at + 1, ("unknown".into(), Value::Int(1)));
+            variants.push((format!("an unknown key after `{key}`"), resealed(unknown)));
+            // The string's first character as a `\u` escape.
+            if let Value::Str(s) = value {
+                if let Some(first) = s.chars().next() {
+                    let quoted = format!("\"{key}\":\"");
+                    let escaped = format!("{quoted}\\u{:04x}", first as u32);
+                    let body = body.replacen(&format!("{quoted}{first}"), &escaped, 1);
+                    variants.push((format!("`{key}` escaped"), seal(&body)));
+                }
+            }
+        }
+        variants.push(("whitespace".to_string(), seal(&Value::Obj(pairs).to_json_pretty())));
+        for (what, frame) in variants {
+            match decoded(&frame) {
+                Ok(back) => assert_eq!(back, message, "{what}"),
+                Err(err) => panic!("{message:?} with {what}: {err}"),
+            }
+        }
     }
 }

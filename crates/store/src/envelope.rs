@@ -17,7 +17,6 @@
 //! either the old file or no file — never a half-written envelope.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use fedl_json::Value;
@@ -33,12 +32,17 @@ pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &str = "fedl-store";
 
+/// The header up to the kind as this build writes it: [`MAGIC`], then `v`
+/// and [`FORMAT_VERSION`] (a test pins the three together).
+const HEAD: &str = "fedl-store v2 kind=";
+
 /// The one envelope writer: the header with a placeholder checksum,
 /// the body `write_body` renders straight behind it in the same buffer,
 /// then the 16 checksum digits patched in place. The buffer is the one
-/// the caller receives, reserved up front for `body_len` bytes (a lower
-/// bound will do), so a megabyte body is not rendered through a chain of
-/// doublings. The body must be UTF-8 JSON; a wire frame's packed columns
+/// the caller receives, reserved up front for `body_len` bytes, so a
+/// megabyte body is not rendered through a chain of doublings; with an
+/// upper bound (what `fedl-serve`'s frame writer passes) the frame is one
+/// allocation. The body must be UTF-8 JSON; a wire frame's packed columns
 /// are written into it as base64 (`fedl-serve`), which is ASCII.
 pub fn encode_envelope_with(
     kind: &str,
@@ -51,12 +55,15 @@ pub fn encode_envelope_with(
     );
     // The header is 41 bytes around the kind.
     let mut text = Vec::with_capacity(48 + kind.len() + body_len);
-    writeln!(text, "{MAGIC} v{FORMAT_VERSION} kind={kind} crc={:016x}", 0)
-        .expect("write to a Vec cannot fail");
+    for part in [HEAD, kind, " crc=0000000000000000\n"] {
+        text.extend_from_slice(part.as_bytes());
+    }
     let body_start = text.len();
     write_body(&mut text);
     let crc = envelope_checksum(&text[body_start..]);
-    text[body_start - 17..body_start - 1].copy_from_slice(format!("{crc:016x}").as_bytes());
+    for (i, digit) in text[body_start - 17..body_start - 1].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(crc >> (60 - 4 * i) & 0xf) as usize];
+    }
     text
 }
 
@@ -67,34 +74,45 @@ pub fn encode_envelope(kind: &str, payload: &Value) -> Vec<u8> {
     encode_envelope_with(kind, payload.json_len_hint(), |out| payload.write_json(out))
 }
 
-/// Verifies and parses envelope text produced by [`encode_envelope`].
-/// `source` labels the origin in error values — a file path for stored
-/// envelopes, a peer address or `"frame"` for wire frames. The header's
-/// magic, version, `kind`, and checksum are all checked before the
-/// payload is parsed; every failure is a typed [`StoreError`], never a
-/// panic.
-pub fn decode_envelope(text: &str, kind: &str, source: &str) -> Result<Value, StoreError> {
+/// Checks an envelope's header and body checksum on its bytes and
+/// returns the body: the check behind [`decode_envelope`], for a reader
+/// that parses the body itself (`fedl-serve` reads a frame's body
+/// straight into its message, without checking the frame as UTF-8 first).
+/// The magic, version, `kind`, and checksum are checked in that order;
+/// every failure is a typed [`StoreError`] — one `decode_envelope` gives
+/// for the same bytes as text — never a panic.
+pub fn verify_envelope<'a>(
+    bytes: &'a [u8],
+    kind: &str,
+    source: &str,
+) -> Result<&'a [u8], StoreError> {
     // The label is built only on a refusal: a verified frame or
     // checkpoint allocates nothing for it.
     let corrupt = |reason: String| StoreError::Corrupt { path: source.to_string(), reason };
-    let Some((header, body)) = text.split_once('\n') else {
+    let shown = |field: &[u8]| String::from_utf8_lossy(field).into_owned();
+    let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
         // No newline: either an empty/partial envelope or something that
         // was never an envelope.
-        if text.starts_with(MAGIC) || text.is_empty() || MAGIC.starts_with(text) {
+        let magic = MAGIC.as_bytes();
+        if bytes.starts_with(magic) || bytes.is_empty() || magic.starts_with(bytes) {
             return Err(StoreError::Truncated { path: source.to_string() });
         }
         return Err(corrupt("missing envelope header".into()));
     };
-    let mut words = header.split(' ');
+    let (header, body) = (&bytes[..newline], &bytes[newline + 1..]);
+    let mut words = header.split(|&b| b == b' ');
     let (version_field, kind_field, crc_field) =
         match (words.next(), words.next(), words.next(), words.next(), words.next()) {
-            (Some(MAGIC), Some(v), Some(k), Some(c), None) => (v, k, c),
-            _ => return Err(corrupt(format!("bad header {header:?}"))),
+            (Some(magic), Some(v), Some(k), Some(c), None) if magic == MAGIC.as_bytes() => {
+                (v, k, c)
+            }
+            _ => return Err(corrupt(format!("bad header {:?}", shown(header)))),
         };
-    let version: u32 = version_field
-        .strip_prefix('v')
+    let text = |field| std::str::from_utf8(field).ok();
+    let version: u32 = text(version_field)
+        .and_then(|v| v.strip_prefix('v'))
         .and_then(|v| v.parse().ok())
-        .ok_or_else(|| corrupt(format!("bad version field {version_field:?}")))?;
+        .ok_or_else(|| corrupt(format!("bad version field {:?}", shown(version_field))))?;
     if version != FORMAT_VERSION {
         return Err(StoreError::Version {
             path: source.to_string(),
@@ -103,23 +121,35 @@ pub fn decode_envelope(text: &str, kind: &str, source: &str) -> Result<Value, St
         });
     }
     let found_kind = kind_field
-        .strip_prefix("kind=")
-        .ok_or_else(|| corrupt(format!("bad kind field {kind_field:?}")))?;
-    if found_kind != kind {
-        return Err(corrupt(format!("expected kind {kind:?}, found {found_kind:?}")));
+        .strip_prefix(b"kind=")
+        .ok_or_else(|| corrupt(format!("bad kind field {:?}", shown(kind_field))))?;
+    if found_kind != kind.as_bytes() {
+        return Err(corrupt(format!("expected kind {kind:?}, found {:?}", shown(found_kind))));
     }
-    let expected = crc_field
-        .strip_prefix("crc=")
+    let expected = text(crc_field)
+        .and_then(|c| c.strip_prefix("crc="))
         .and_then(|v| u64::from_str_radix(v, 16).ok())
-        .ok_or_else(|| corrupt(format!("bad checksum field {crc_field:?}")))?;
+        .ok_or_else(|| corrupt(format!("bad checksum field {:?}", shown(crc_field))))?;
     if body.is_empty() {
         return Err(StoreError::Truncated { path: source.to_string() });
     }
-    let actual = envelope_checksum(body.as_bytes());
+    let actual = envelope_checksum(body);
     if actual != expected {
         return Err(StoreError::ChecksumMismatch { path: source.to_string(), expected, actual });
     }
-    Value::parse(body)
+    Ok(body)
+}
+
+/// Verifies and parses envelope text produced by [`encode_envelope`].
+/// `source` labels the origin in error values — a file path for stored
+/// envelopes, a peer address or `"frame"` for wire frames. The header's
+/// magic, version, `kind`, and checksum are all checked
+/// ([`verify_envelope`]) before the payload is parsed; every failure is a
+/// typed [`StoreError`], never a panic.
+pub fn decode_envelope(text: &str, kind: &str, source: &str) -> Result<Value, StoreError> {
+    let body = verify_envelope(text.as_bytes(), kind, source)?;
+    // The body follows an ASCII newline, so it starts on a char boundary.
+    Value::parse(&text[text.len() - body.len()..])
         .map_err(|e| StoreError::Schema { path: source.to_string(), reason: e.to_string() })
 }
 
@@ -176,6 +206,11 @@ mod tests {
         assert_eq!(fs::read_to_string(&path).unwrap(), "second\n");
         assert!(!path.with_extension("tmp").exists());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_written_head_is_the_magic_and_the_version() {
+        assert_eq!(HEAD, format!("{MAGIC} v{FORMAT_VERSION} kind="));
     }
 
     #[test]
