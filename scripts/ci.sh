@@ -156,8 +156,8 @@ stage_doc() {
 # line range passes when it fits any file the path matches. Globs
 # (`tests/*.rs`) and brace lists are not references, and neither is a
 # path git ignores (`results/BENCH.json`: what a run writes, never
-# tracked). CHANGES.md and ISSUE.md describe earlier trees and are not
-# read.
+# tracked). The change notes (CHANGES.md and the next change's plan)
+# describe other trees and are not read.
 stage_docs() {
     local lengths=target/ci_docs_lengths.txt
     mkdir -p target
