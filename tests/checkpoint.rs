@@ -58,7 +58,7 @@ fn context_for(env: &EdgeEnvironment, epoch: usize, budget: f64) -> Option<Epoch
 
 /// Drives `policy` for `epochs` federated epochs by hand (keeping
 /// ownership, unlike `ExperimentRunner`, so the state stays inspectable).
-fn drive(policy: &mut FedLPolicy, env: &mut EdgeEnvironment, epochs: usize) {
+fn drive(policy: &mut dyn SelectionPolicy, env: &mut EdgeEnvironment, epochs: usize) {
     let mut budget = 350.0;
     for t in 0..epochs {
         let Some(ctx) = context_for(env, t, budget) else { continue };
@@ -427,11 +427,27 @@ fn every_checkpointed_and_cached_record_keeps_its_bytes() {
     let mut policy = FedLPolicy::new(FedLConfig::default(), 10, 350.0, 3);
     drive(&mut policy, &mut env, 6);
     let snapshot = policy.snapshot_state().to_json();
+    // The baselines' snapshots after the same six epochs.
+    let baseline = |kind: PolicyKind| {
+        let mut env = ScenarioConfig::small_fmnist(10, 350.0, 3).with_seed(51).build_env();
+        let mut policy = kind.build(10, 350.0, 3, FedLConfig::default());
+        drive(policy.as_mut(), &mut env, 6);
+        policy.snapshot_state().to_json()
+    };
+    let (powd, fedavg) = (baseline(PolicyKind::PowD), baseline(PolicyKind::FedAvg));
+    assert!(powd.contains("null") && powd.contains('.'), "seen and unseen clients: {powd}");
 
     // The three checkpoint files and the runner's payload.
     let dir = scratch_dir("bytes");
     let [runner, served, shard] = decoders(&dir).map(|d| d.real);
     let runner_payload = read_envelope(&runner, "checkpoint").unwrap().to_json();
+    // A Pow-d runner's checkpoint after three epochs.
+    let powd_runner = dir.join("powd-runner.fedlstore");
+    let mut run = ExperimentRunner::new(runner_scenario(), PolicyKind::PowD);
+    for _ in 0..3 {
+        assert!(run.step());
+    }
+    run.save_checkpoint(&powd_runner).unwrap();
 
     // A finished run, its first trace event, and a perf history line.
     let mut run = ExperimentRunner::new(runner_scenario(), PolicyKind::FedL);
@@ -464,18 +480,24 @@ fn every_checkpointed_and_cached_record_keeps_its_bytes() {
 
     let pinned = [
         ("snapshot", pin(&snapshot)),
+        ("Pow-d snapshot", pin(&powd)),
+        ("FedAvg snapshot", pin(&fedavg)),
         ("runner payload", pin(&runner_payload)),
         ("runner file", pin(fs::read(&runner).unwrap())),
         ("serve file", pin(fs::read(&served).unwrap())),
         ("shard file", pin(fs::read(&shard).unwrap())),
+        ("Pow-d runner file", pin(fs::read(&powd_runner).unwrap())),
         ("outcome", pin(&outcome)),
     ];
     let want = [
         ("snapshot", (2190, 0xcf78a39ddd974a74)),
+        ("Pow-d snapshot", (270, 0x134eebb6e414c3d6)),
+        ("FedAvg snapshot", (85, 0xe84f17b0c7b6a003)),
         ("runner payload", (31154, 0x8d1a6574d6527fef)),
         ("runner file", (31205, 0x9aac7ef264b7e510)),
         ("serve file", (4623, 0x3623df8e63c4a3c7)),
         ("shard file", (180, 0x333cee44d93205a2)),
+        ("Pow-d runner file", (29426, 0xd8a5ab317f4978a9)),
         ("outcome", (2184, 0xedeab1a1689793d0)),
     ];
     assert_eq!(pinned, want);
