@@ -266,23 +266,40 @@ fn tensors<'a>(payload: &'a mut Value, key: &str) -> &'a mut Vec<Value> {
     tensors
 }
 
-/// Every top-level field dropped, set to `null`, and set to a value of
-/// the wrong type.
-fn field_mutants(payload: &Value) -> Vec<(String, Value)> {
-    let Value::Obj(fields) = payload else { panic!("a checkpoint payload is an object") };
+/// Every field of `fields` dropped, set to `null`, and set to a value of
+/// the wrong type, each labelled under `prefix`.
+fn key_mutants(fields: &[(String, Value)], prefix: &str) -> Vec<(String, Vec<(String, Value)>)> {
     let mut mutants = Vec::new();
     for (i, (key, value)) in fields.iter().enumerate() {
-        let mut dropped = fields.clone();
+        let mut dropped = fields.to_vec();
         dropped.remove(i);
-        mutants.push((format!("`{key}` dropped"), Value::Obj(dropped)));
+        mutants.push((format!("`{prefix}{key}` dropped"), dropped));
         let wrong = match value {
             Value::Str(_) => Value::Int(7),
             _ => Value::from("a string"),
         };
         for (what, replacement) in [("null", Value::Null), ("of the wrong type", wrong)] {
-            let mut changed = fields.clone();
+            let mut changed = fields.to_vec();
             changed[i].1 = replacement;
-            mutants.push((format!("`{key}` {what}"), Value::Obj(changed)));
+            mutants.push((format!("`{prefix}{key}` {what}"), changed));
+        }
+    }
+    mutants
+}
+
+/// Every top-level field, and every field of an object-valued one
+/// (`ledger.*`, `server.*`, `policy_state.*`), dropped, set to `null`,
+/// and set to a value of the wrong type.
+fn field_mutants(payload: &Value) -> Vec<(String, Value)> {
+    let Value::Obj(fields) = payload else { panic!("a checkpoint payload is an object") };
+    let mut mutants: Vec<(String, Value)> =
+        key_mutants(fields, "").into_iter().map(|(label, m)| (label, Value::Obj(m))).collect();
+    for (i, (key, value)) in fields.iter().enumerate() {
+        let Value::Obj(inner) = value else { continue };
+        for (label, m) in key_mutants(inner, &format!("{key}.")) {
+            let mut changed = fields.clone();
+            changed[i].1 = Value::Obj(m);
+            mutants.push((label, Value::Obj(changed)));
         }
     }
     mutants
@@ -327,6 +344,15 @@ fn every_mutated_checkpoint_is_refused_and_a_foreign_stamp_alike() {
         assert_eq!(resume_sealed(&d, &mutant, "the untouched payload", &payload), Ok(()));
 
         let mut mutants = field_mutants(&payload);
+        let nested: &[&str] = match d.name {
+            "runner" => &["ledger.charges", "server.j_agg", "policy_state.rng"],
+            "serve" => &["ledger.initial", "policy_state.learner"],
+            _ => &[],
+        };
+        for key in nested {
+            let label = format!("`{key}` dropped");
+            assert!(mutants.iter().any(|(l, _)| *l == label), "{}: no {label}", d.name);
+        }
         if d.name == "runner" {
             mutants.extend(shape_mutants(&payload));
         }
