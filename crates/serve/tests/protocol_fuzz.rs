@@ -173,6 +173,27 @@ fn mutated_frames_yield_typed_errors_and_count() {
     assert!(matches!(reply, Message::Snapshot { .. }));
 }
 
+#[test]
+fn an_upper_cased_checksum_letter_is_refused_and_counted() {
+    // Bit 5 turns a hex letter of the header's `crc=` into its capital,
+    // which spells the same value: every such flip must still be refused.
+    let frame = encode_frame(&Message::ClientJoin { client: 7 });
+    let at = 4 + frame.windows(4).position(|w| w == b"crc=").expect("a sealed frame");
+    let letters: Vec<usize> = (at..at + 16).filter(|&i| frame[i].is_ascii_lowercase()).collect();
+    assert!(!letters.is_empty(), "the checksum has a letter to upper-case");
+    let config = ServeConfig::new(40, 3, 1000.0, 3, PolicyKind::FedL);
+    let mut server = ServerState::new(config, Telemetry::in_memory().0);
+    for i in letters {
+        let mut flipped = frame.clone();
+        flipped[i] ^= 1 << 5;
+        assert!(decoded(&flipped).is_err(), "crc letter {} upper-cased", i - at);
+        let before = server.malformed_frames();
+        let (reply, _) = server.handle_frame(&flipped);
+        assert!(matches!(decoded(&reply), Ok(Message::Error { .. })), "{reply:?}");
+        assert_eq!(server.malformed_frames(), before + 1);
+    }
+}
+
 /// A 41-row context part: 164-byte id columns (three 48-byte blocks of
 /// the packed codec and a 20-byte tail) beside 328-byte float columns
 /// (six blocks and a 40-byte tail).

@@ -126,9 +126,15 @@ pub fn verify_envelope<'a>(
     if found_kind != kind.as_bytes() {
         return Err(corrupt(format!("expected kind {kind:?}, found {:?}", shown(found_kind))));
     }
-    let expected = text(crc_field)
-        .and_then(|c| c.strip_prefix("crc="))
-        .and_then(|v| u64::from_str_radix(v, 16).ok())
+    // Exactly the 16 lower-case digits the writer spells: a reader that
+    // also took `A`-`F`, a sign or another width would let a flipped bit
+    // in the header through with the checksum's value unchanged.
+    let digits =
+        |d: &&[u8]| d.len() == 16 && d.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    let expected = crc_field
+        .strip_prefix(b"crc=")
+        .filter(digits)
+        .and_then(|v| u64::from_str_radix(text(v)?, 16).ok())
         .ok_or_else(|| corrupt(format!("bad checksum field {:?}", shown(crc_field))))?;
     if body.is_empty() {
         return Err(StoreError::Truncated { path: source.to_string() });
@@ -295,6 +301,27 @@ mod tests {
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checksum_field_not_spelled_as_written_is_corrupt() {
+        let body = payload().to_json();
+        let crc = format!("{:016x}", envelope_checksum(body.as_bytes()));
+        let letter =
+            crc.find(|c: char| c.is_ascii_alphabetic()).expect("a hex letter to upper-case");
+        let mut upper = crc.clone();
+        upper.replace_range(letter..letter + 1, &crc[letter..letter + 1].to_uppercase());
+        for field in [upper, format!("+{}", &crc[1..]), crc[1..].to_string(), format!("0{crc}")] {
+            let text = format!("fedl-store v2 kind=test crc={field}\n{body}");
+            match decode_envelope(&text, "test", "test") {
+                Err(StoreError::Corrupt { reason, .. }) => {
+                    assert!(reason.contains("bad checksum field"), "{field}: {reason}")
+                }
+                other => panic!("crc={field}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let written = format!("fedl-store v2 kind=test crc={crc}\n{body}");
+        assert_eq!(decode_envelope(&written, "test", "test"), Ok(payload()));
     }
 
     #[test]
