@@ -204,9 +204,43 @@ stage_docs() {
         | awk -F'\t' 'NR == FNR { skip[$0] = 1; next } !($2 in skip) { print $1 }' \
             <(printf '%s\n' "$ignored") - || true)
     [ -z "$dangling" ] || echo "$dangling"
+    # Backticked crate paths (`fedl_<crate>::…::Name`, one line each as
+    # `where<TAB>path`) must name something declared under that crate's
+    # src/: an item or module at the top of a file when the segment before
+    # `Name` is a crate or module (so a method of the same name does not
+    # stand in for a deleted module), and also a method, an associated
+    # item or an enum variant when that segment is a type.
+    local paths stale
+    paths=$(awk '
+        {
+            n = split($0, part, "`")
+            for (i = 2; i <= n; i += 2) {
+                s = part[i]
+                while (match(s, /fedl_[a-z]+(::[A-Za-z0-9_]+)+/)) {
+                    print FILENAME ":" FNR "\t" substr(s, RSTART, RLENGTH)
+                    s = substr(s, RSTART + RLENGTH)
+                }
+            }
+        }' "${docs[@]}")
+    stale=$(while IFS=$'\t' read -r where path; do
+        [ -n "$path" ] || continue
+        local crate=${path%%::*} name=${path##*::} parent=${path%::*}
+        local item="(pub(\([a-z]+\))? )?(const |unsafe )*"
+        item+="(fn|struct|enum|trait|const|type|mod|static) $name\b|macro_rules! $name\b"
+        if [[ ${parent##*::} == [A-Z]* ]]; then
+            item="^[[:space:]]*($item|$name[[:space:]]*([,({]|$))"
+        else
+            item="^($item)"
+        fi
+        grep -rqE "$item" "crates/${crate#fedl_}/src" 2> /dev/null || echo "$where: \`$path\`"
+    done <<< "$paths")
+    [ -z "$stale" ] || echo "$stale"
     CI_STAGE_NOTE="$(tail -n 1 <<< "$found"), $(grep -c . <<< "$dangling" || true) dangling"
+    CI_STAGE_NOTE+="; checked $(grep -c . <<< "$paths" || true) crate paths"
+    CI_STAGE_NOTE+=", $(grep -c . <<< "$stale" || true) stale"
     echo "$CI_STAGE_NOTE"
     [ -z "$dangling" ] || { echo "dangling file references in the docs" >&2; exit 1; }
+    [ -z "$stale" ] || { echo "crate paths in the docs name no declared item" >&2; exit 1; }
 }
 
 # Lint stages are guarded: the hermetic container may lack the rustfmt /
