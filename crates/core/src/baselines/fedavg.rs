@@ -1,23 +1,25 @@
 //! FedAvg-style random selection (McMahan et al. [19]).
 
-use fedl_json::{obj, Value};
+use fedl_json::{FromJson, ToJson, Value};
 use fedl_linalg::rng::{derive_seed, SliceRandom, Xoshiro256pp};
 
-use crate::policy::{EpochContext, SelectionDecision, SelectionPolicy};
-use crate::snapshot;
+use crate::policy::{EpochContext, PolicyRng, SelectionDecision, SelectionPolicy};
 
 use super::BASELINE_ITERATIONS;
 
 /// Uniformly random cohort of size `n` per epoch, constant iteration
-/// count — the original FL selection rule.
+/// count — the original FL selection rule. The shuffle RNG is its only
+/// cross-epoch state, so the policy is its own checkpoint record.
 pub struct FedAvgPolicy {
-    rng: Xoshiro256pp,
+    rng: PolicyRng,
 }
+
+fedl_json::record!(FedAvgPolicy { rng });
 
 impl FedAvgPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self { rng: Xoshiro256pp::seed_from_u64(derive_seed(0xFEDA, 0)) }
+        Self { rng: PolicyRng(Xoshiro256pp::seed_from_u64(derive_seed(0xFEDA, 0))) }
     }
 }
 
@@ -36,19 +38,18 @@ impl SelectionPolicy for FedAvgPolicy {
         ctx.validate();
         let n = ctx.effective_n();
         let mut pool = ctx.available.clone();
-        pool.shuffle(&mut self.rng);
+        pool.shuffle(&mut self.rng.0);
         pool.truncate(n);
         pool.sort_unstable();
         SelectionDecision { cohort: pool, iterations: BASELINE_ITERATIONS }
     }
 
-    /// The shuffle RNG is the policy's only cross-epoch state.
     fn snapshot_state(&self) -> Value {
-        obj(vec![("rng", snapshot::rng_to_json(&self.rng))])
+        self.to_json_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), fedl_json::Error> {
-        self.rng = snapshot::rng_from_json(state.field("rng")?)?;
+        *self = Self::from_json_value(state)?;
         Ok(())
     }
 }

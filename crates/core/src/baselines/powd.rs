@@ -4,37 +4,42 @@
 //! `n` candidates with the largest (last known) local losses — biasing
 //! toward clients whose data the current model fits worst.
 
-use fedl_json::{obj, Error, Value};
+use fedl_json::{Error, FromJson, ToJson, Value};
 use fedl_linalg::rng::{derive_seed, SliceRandom, Xoshiro256pp};
 use fedl_sim::EpochReport;
 
-use crate::policy::{EpochContext, SelectionDecision, SelectionPolicy};
-use crate::snapshot;
+use crate::policy::{EpochContext, PolicyRng, SelectionDecision, SelectionPolicy};
 
 use super::BASELINE_ITERATIONS;
+
+/// Pow-d's cross-epoch state, what its checkpoint holds: the
+/// candidate-sampling RNG and the per-client loss memory.
+struct PowDState {
+    rng: PolicyRng,
+    /// Last observed local loss per client id (`None` = never seen,
+    /// saved as `null`).
+    last_loss: Vec<Option<f64>>,
+}
+
+fedl_json::record!(PowDState { rng, last_loss });
 
 /// Power-of-choice selection.
 pub struct PowDPolicy {
     /// Candidate multiplier: `d = factor·n` candidates are sampled.
     factor: usize,
-    rng: Xoshiro256pp,
-    /// Last observed local loss per client id (None = never seen).
-    last_loss: Vec<Option<f64>>,
+    state: PowDState,
 }
 
 impl PowDPolicy {
     /// Creates the policy with candidate factor `factor ≥ 1`.
     pub fn new(factor: usize) -> Self {
         assert!(factor >= 1, "candidate factor must be at least 1");
-        Self {
-            factor,
-            rng: Xoshiro256pp::seed_from_u64(derive_seed(0x90D, 0)),
-            last_loss: Vec::new(),
-        }
+        let rng = Xoshiro256pp::seed_from_u64(derive_seed(0x90D, 0));
+        Self { factor, state: PowDState { rng: PolicyRng(rng), last_loss: Vec::new() } }
     }
 
     fn loss_for(&self, id: usize, hint: f64) -> f64 {
-        self.last_loss.get(id).copied().flatten().unwrap_or(hint)
+        self.state.last_loss.get(id).copied().flatten().unwrap_or(hint)
     }
 }
 
@@ -45,14 +50,14 @@ impl SelectionPolicy for PowDPolicy {
 
     fn select(&mut self, ctx: &EpochContext) -> SelectionDecision {
         ctx.validate();
-        if self.last_loss.len() < ctx.num_clients {
-            self.last_loss.resize(ctx.num_clients, None);
+        if self.state.last_loss.len() < ctx.num_clients {
+            self.state.last_loss.resize(ctx.num_clients, None);
         }
         let n = ctx.effective_n();
         let d = (self.factor * n).min(ctx.available.len());
         // Candidate set: d uniform picks.
         let mut positions: Vec<usize> = (0..ctx.available.len()).collect();
-        positions.shuffle(&mut self.rng);
+        positions.shuffle(&mut self.state.rng.0);
         positions.truncate(d);
         // Keep the n largest-loss candidates.
         positions.sort_by(|&a, &b| {
@@ -67,40 +72,21 @@ impl SelectionPolicy for PowDPolicy {
     }
 
     fn observe(&mut self, _ctx: &EpochContext, report: &EpochReport) {
+        let last_loss = &mut self.state.last_loss;
         for (slot, &id) in report.cohort.iter().enumerate() {
-            if self.last_loss.len() <= id {
-                self.last_loss.resize(id + 1, None);
+            if last_loss.len() <= id {
+                last_loss.resize(id + 1, None);
             }
-            self.last_loss[id] = Some(report.local_losses[slot] as f64);
+            last_loss[id] = Some(report.local_losses[slot] as f64);
         }
     }
 
-    /// Cross-epoch state: the candidate-sampling RNG and the per-client
-    /// loss memory (never-observed clients stored as `null`).
     fn snapshot_state(&self) -> Value {
-        let losses = self.last_loss.iter().map(|l| l.map_or(Value::Null, Value::Float)).collect();
-        obj(vec![("rng", snapshot::rng_to_json(&self.rng)), ("last_loss", Value::Arr(losses))])
+        self.state.to_json_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), Error> {
-        let rng = snapshot::rng_from_json(state.field("rng")?)?;
-        let losses = state
-            .field("last_loss")?
-            .as_arr()
-            .ok_or_else(|| Error::msg("last_loss must be an array"))?;
-        let mut last_loss = Vec::with_capacity(losses.len());
-        for v in losses {
-            last_loss.push(match v {
-                Value::Null => None,
-                other => Some(
-                    other
-                        .as_f64()
-                        .ok_or_else(|| Error::msg("last_loss entries must be numbers or null"))?,
-                ),
-            });
-        }
-        self.rng = rng;
-        self.last_loss = last_loss;
+        self.state = PowDState::from_json_value(state)?;
         Ok(())
     }
 }

@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use fedl_json::{obj, read_field, ToJson, Value};
+use fedl_json::Value;
 use fedl_sim::{BudgetLedger, EpochReport};
 use fedl_telemetry::Telemetry;
 
@@ -174,6 +174,30 @@ pub struct PendingEpoch {
     pub iterations: usize,
 }
 
+/// The budget ledger as a checkpoint holds it: the initial budget `C`
+/// and each epoch's charge, replayed by [`BudgetLedger::restore`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LedgerState {
+    /// The initial budget.
+    pub initial: f64,
+    /// Per-epoch charges, oldest first.
+    pub charges: Vec<f64>,
+}
+
+fedl_json::record!(LedgerState { initial, charges });
+
+/// The checkpoint fields the engine owns, which each driver's record
+/// places among its own (docs/CHECKPOINT.md).
+#[derive(Debug, Clone)]
+pub struct EngineSnapshot {
+    /// The epoch the restored engine decides next.
+    pub next_epoch: usize,
+    /// The budget ledger.
+    pub ledger: LedgerState,
+    /// [`SelectionPolicy::snapshot_state`].
+    pub policy_state: Value,
+}
+
 /// Policy + budget ledger + epoch cursor + pending selection: the state
 /// Alg. 1 threads through its loop, and the only code that charges the
 /// ledger or calls the policy.
@@ -279,42 +303,32 @@ impl EpochEngine {
         Ok(pending.ctx)
     }
 
-    /// The three checkpoint fields the engine owns — `next_epoch`,
-    /// `ledger{initial,charges}`, `policy_state` — for the driver to
-    /// place in its payload (docs/CHECKPOINT.md). Refused mid-epoch: a
-    /// pending selection's fractional decision is in no snapshot, so
-    /// only epoch boundaries restore bit-identically.
-    pub fn snapshot(&self) -> Result<[(&'static str, Value); 3], EngineError> {
+    /// The engine's part of a checkpoint. Refused mid-epoch: a pending
+    /// selection's fractional decision is in no snapshot, so only epoch
+    /// boundaries restore bit-identically.
+    pub fn snapshot(&self) -> Result<EngineSnapshot, EngineError> {
         if let Some(pending) = &self.pending {
             return Err(EngineError::SelectionPending { epoch: pending.ctx.epoch });
         }
-        let ledger = obj(vec![
-            ("initial", self.ledger.initial().to_json_value()),
-            ("charges", self.ledger.history().to_vec().to_json_value()),
-        ]);
-        Ok([
-            ("next_epoch", self.next_epoch.to_json_value()),
-            ("ledger", ledger),
-            ("policy_state", self.policy.snapshot_state()),
-        ])
+        let (initial, charges) = (self.ledger.initial(), self.ledger.history().to_vec());
+        let ledger = LedgerState { initial, charges };
+        let policy_state = self.policy.snapshot_state();
+        Ok(EngineSnapshot { next_epoch: self.next_epoch, ledger, policy_state })
     }
 
-    /// Restores the fields [`Self::snapshot`] wrote from a checkpoint
-    /// `payload` holding them, into an engine built with the same policy
-    /// kind and configuration (each caller's checkpoint stamp guarantees
-    /// it). A field that does not fit is the caller's to wrap with the
-    /// file it came from; after an error the engine may be half-restored:
-    /// discard it.
-    pub fn restore(&mut self, payload: &Value) -> Result<(), fedl_json::Error> {
-        let next_epoch = read_field(payload, "next_epoch")?;
-        let saved = payload.field("ledger")?;
-        let mut ledger =
-            BudgetLedger::restore(read_field(saved, "initial")?, read_field(saved, "charges")?)
-                .map_err(|e| fedl_json::Error::msg(e.to_string()))?;
+    /// Restores what [`Self::snapshot`] took into an engine built with
+    /// the same policy kind and configuration (each caller's checkpoint
+    /// stamp guarantees it). A snapshot that does not fit is the caller's
+    /// to wrap with the file it came from; after an error the engine may
+    /// be half-restored: discard it.
+    pub fn restore(&mut self, saved: EngineSnapshot) -> Result<(), fedl_json::Error> {
+        let LedgerState { initial, charges } = saved.ledger;
+        let mut ledger = BudgetLedger::restore(initial, charges)
+            .map_err(|e| fedl_json::Error::msg(e.to_string()))?;
         ledger.set_telemetry(self.telemetry.clone());
-        self.policy.restore_state(payload.field("policy_state")?)?;
+        self.policy.restore_state(&saved.policy_state)?;
         self.ledger = ledger;
-        self.next_epoch = next_epoch;
+        self.next_epoch = saved.next_epoch;
         self.pending = None;
         Ok(())
     }
@@ -326,6 +340,7 @@ mod tests {
     use crate::policy::test_util::ctx;
     use crate::policy::{PolicyKind, SelectionDecision};
     use crate::FedLConfig;
+    use fedl_json::{obj, ToJson};
 
     /// Answers every epoch with one fixed, possibly broken decision.
     struct Scripted(SelectionDecision);
@@ -589,8 +604,7 @@ mod tests {
             engine.settle(&good).unwrap();
             twin.settle(&good).unwrap();
             assert_eq!(state_of(&engine), state_of(&twin), "{kind:?}");
-            let (resumed, whole) = (obj(engine.snapshot().unwrap()), obj(twin.snapshot().unwrap()));
-            assert_eq!(resumed.to_json(), whole.to_json(), "{kind:?}");
+            assert_eq!(rendered(&engine), rendered(&twin), "{kind:?}");
 
             // Dropouts: the survivors plus `failed` are the selection.
             let (cohort, iterations) = picked(&mut engine);
@@ -602,6 +616,18 @@ mod tests {
         }
     }
 
+    /// The engine's snapshot as one JSON text, to compare two engines by.
+    fn rendered(engine: &EpochEngine) -> String {
+        let s = engine.snapshot().unwrap();
+        let ledger = s.ledger.to_json_value();
+        obj([
+            ("next_epoch", s.next_epoch.into()),
+            ("ledger", ledger),
+            ("policy_state", s.policy_state),
+        ])
+        .to_json()
+    }
+
     fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
         let Value::Obj(pairs) = v else { panic!("not an object") };
         &mut pairs.iter_mut().find(|(k, _)| k == key).expect("field present").1
@@ -609,32 +635,31 @@ mod tests {
 
     #[test]
     fn snapshot_restore_continues_bit_for_bit() {
-        let payload = |engine: &EpochEngine| obj(engine.snapshot().unwrap());
         for kind in kinds() {
             let mut uninterrupted = engine_for(kind);
             let full = drive(&mut uninterrupted, 10);
 
             let mut first = engine_for(kind);
             let mut halves = drive(&mut first, 5);
-            let checkpoint = payload(&first);
+            let checkpoint = first.snapshot().unwrap();
             drop(first);
             let mut second = engine_for(kind);
-            second.restore(&checkpoint).unwrap();
+            second.restore(checkpoint).unwrap();
             assert_eq!(second.next_epoch(), 5);
             halves.extend(drive(&mut second, 5));
 
             assert_eq!(halves, full, "{kind:?}: resumed selections diverged");
-            let (resumed, whole) = (payload(&second).to_json(), payload(&uninterrupted).to_json());
+            let (resumed, whole) = (rendered(&second), rendered(&uninterrupted));
             assert_eq!(resumed, whole, "{kind:?}: resumed engine state diverged");
 
-            // A payload missing a field, or carrying a poisoned ledger,
-            // is a typed refusal.
-            let fields = second.snapshot().unwrap();
-            let partial = obj(fields[..2].to_vec());
-            assert!(second.restore(&partial).is_err());
-            let bad = obj(vec![("initial", Value::Float(BUDGET)), ("charges", vec![-1.0].into())]);
-            let poisoned = obj([fields[0].clone(), ("ledger", bad), fields[2].clone()]);
-            assert!(second.restore(&poisoned).is_err());
+            // A policy state missing its fields, or a poisoned ledger, is
+            // a typed refusal.
+            let saved = second.snapshot().unwrap();
+            let partial = EngineSnapshot { policy_state: Value::Obj(vec![]), ..saved.clone() };
+            assert!(second.restore(partial).is_err());
+            let bad = LedgerState { initial: BUDGET, charges: vec![-1.0] };
+            let poisoned = EngineSnapshot { ledger: bad, ..saved.clone() };
+            assert!(second.restore(poisoned).is_err());
             // So is a FedL state of the wrong arity or sign, which would
             // otherwise restore cleanly and panic an epoch later.
             if kind != PolicyKind::FedL {
@@ -650,13 +675,12 @@ mod tests {
                 (["tracker", "h_cum"], vec![0.0; CLIENTS].into()),
                 (["tracker", "h_cum"], vec![f64::INFINITY; CLIENTS + 1].into()),
             ] {
-                let mut state = fields[2].1.clone();
-                *field_mut(field_mut(&mut state, path[0]), path[1]) = value;
-                let skewed = obj([fields[0].clone(), fields[1].clone(), ("policy_state", state)]);
-                let refused = second.restore(&skewed);
+                let mut skewed = saved.clone();
+                *field_mut(field_mut(&mut skewed.policy_state, path[0]), path[1]) = value;
+                let refused = second.restore(skewed);
                 assert!(refused.is_err(), "{path:?}: {refused:?}");
             }
-            second.restore(&obj(fields)).expect("the untouched payload still restores");
+            second.restore(saved).expect("the untouched snapshot still restores");
         }
     }
 }

@@ -2,17 +2,16 @@
 //! (Alg. 2) + feasibility repair, behind the common
 //! [`crate::policy::SelectionPolicy`] interface.
 
-use fedl_json::{obj, read_field, ToJson, Value};
+use fedl_json::{FromJson, ToJson, Value};
 use fedl_linalg::rng::{derive_seed, Xoshiro256pp};
 use fedl_sim::EpochReport;
 use fedl_telemetry::Telemetry;
 
 use crate::objective::{FracDecision, OneShot};
 use crate::online::{OnlineLearner, StepSizes};
-use crate::policy::{EpochContext, SelectionDecision, SelectionPolicy};
+use crate::policy::{EpochContext, PolicyRng, SelectionDecision, SelectionPolicy};
 use crate::regret::RegretTracker;
 use crate::rounding::{self, RdcsScratch};
-use crate::snapshot;
 
 /// FedL hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -74,13 +73,24 @@ fedl_json::record!(encode FedLConfig {
     fairness_weight,
 });
 
-/// The FedL selection policy (paper Alg. 1 + Alg. 2).
-pub struct FedLPolicy {
+/// Everything that feeds FedL's future decisions — learner, regret
+/// tracker, the RDCS rounding RNG's exact stream position, and the
+/// rounding mode: what its checkpoint holds, so a restored run is
+/// bit-identical to an uninterrupted one.
+struct FedLState {
     learner: OnlineLearner,
     tracker: RegretTracker,
-    track_regret: bool,
-    rng: Xoshiro256pp,
+    rng: PolicyRng,
     independent_rounding: bool,
+}
+
+fedl_json::record!(FedLState { learner, tracker, rng, independent_rounding });
+
+/// The FedL selection policy (paper Alg. 1 + Alg. 2).
+pub struct FedLPolicy {
+    /// The checkpointed state, saved in place.
+    state: FedLState,
+    track_regret: bool,
     /// The epoch's problem, rebuilt in place by `select`, read by `observe`.
     problem: OneShot,
     /// Rounding scratch and output, reused across epochs (never serialized).
@@ -120,12 +130,15 @@ impl FedLPolicy {
         let prior_x = (min_participants as f64 / num_clients.max(1) as f64).clamp(0.02, 0.5);
         let learner = OnlineLearner::new(num_clients, steps, config.theta, config.rho_max, prior_x)
             .with_fairness(config.fairness_weight);
+        let rng = Xoshiro256pp::seed_from_u64(derive_seed(0xFED1, num_clients as u64));
         Self {
-            learner,
-            tracker: RegretTracker::new(num_clients),
+            state: FedLState {
+                learner,
+                tracker: RegretTracker::new(num_clients),
+                rng: PolicyRng(rng),
+                independent_rounding: config.independent_rounding,
+            },
             track_regret: true,
-            rng: Xoshiro256pp::seed_from_u64(derive_seed(0xFED1, num_clients as u64)),
-            independent_rounding: config.independent_rounding,
             problem: OneShot::default(),
             rdcs: RdcsScratch::new(),
             selected: Vec::new(),
@@ -148,20 +161,21 @@ impl FedLPolicy {
 
     /// The regret/fit tracker accumulated so far.
     pub fn tracker(&self) -> &RegretTracker {
-        &self.tracker
+        &self.state.tracker
     }
 
     /// The online learner (exposed for theory-validation benches).
     pub fn learner(&self) -> &OnlineLearner {
-        &self.learner
+        &self.state.learner
     }
 
     /// The instance of eq. (8) the last `select` solved. Valid until the
     /// epoch's `observe` moves the anchor and the multipliers.
     pub fn posed(&self) -> Posed {
         let ids = &self.problem.ids;
-        let (mu0, mu_all) = self.learner.multipliers();
-        let state = self.learner.state();
+        let learner = &self.state.learner;
+        let (mu0, mu_all) = learner.multipliers();
+        let state = learner.state();
         Posed {
             problem: self.problem.clone(),
             anchor: FracDecision {
@@ -169,7 +183,7 @@ impl FedLPolicy {
                 rho: state.last_rho,
             },
             mu: std::iter::once(mu0).chain(ids.iter().map(|&k| mu_all[k])).collect(),
-            beta: self.learner.steps().beta,
+            beta: learner.steps().beta,
         }
     }
 
@@ -199,10 +213,11 @@ impl SelectionPolicy for FedLPolicy {
     }
 
     fn select(&mut self, ctx: &EpochContext) -> SelectionDecision {
-        self.learner.build_problem_into(ctx, &mut self.problem);
-        let frac = self.learner.decide(ctx, &self.problem);
+        let learner = &mut self.state.learner;
+        learner.build_problem_into(ctx, &mut self.problem);
+        let frac = learner.decide(ctx, &self.problem);
         if self.telemetry.enabled() {
-            let solve = self.learner.last_solve();
+            let solve = learner.last_solve();
             self.telemetry.histogram("core.solve.projections").record(solve.projections as f64);
             if solve.budget_relaxed {
                 self.telemetry.counter("core.solve.budget_relaxed").incr();
@@ -215,10 +230,11 @@ impl SelectionPolicy for FedLPolicy {
         // Round the fractional selection (Alg. 2), then repair the
         // constraints rounding cannot preserve (budget heterogeneity).
         let mut x = frac.x.clone();
-        if self.independent_rounding {
-            self.selected = rounding::independent(&mut x, &mut self.rng);
+        let rng = &mut self.state.rng.0;
+        if self.state.independent_rounding {
+            self.selected = rounding::independent(&mut x, rng);
         } else {
-            rounding::rdcs_with(&mut x, &mut self.rng, &mut self.rdcs, &mut self.selected);
+            rounding::rdcs_with(&mut x, rng, &mut self.rdcs, &mut self.selected);
         }
         rounding::repair(
             &mut self.selected,
@@ -235,10 +251,10 @@ impl SelectionPolicy for FedLPolicy {
     fn observe(&mut self, ctx: &EpochContext, report: &EpochReport) {
         let frac = self.pending.take().expect("observe without a preceding select");
         if self.track_regret {
-            self.tracker.record(&self.problem, &frac, report);
+            self.state.tracker.record(&self.problem, &frac, report);
         }
-        self.learner.observe(ctx, report, &frac, &self.problem);
-        self.learner.recycle(frac);
+        self.state.learner.observe(ctx, report, &frac, &self.problem);
+        self.state.learner.recycle(frac);
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -246,26 +262,18 @@ impl SelectionPolicy for FedLPolicy {
     }
 
     fn regret_tracker(&self) -> Option<&RegretTracker> {
-        Some(&self.tracker)
+        Some(&self.state.tracker)
     }
 
     fn client_estimate(&self, client: usize) -> Option<f64> {
-        self.learner.state().stats(client).map(|s| s.eta)
+        self.state.learner.state().stats(client).map(|s| s.eta)
     }
 
-    /// Captures *everything* that feeds future decisions — learner,
-    /// regret tracker, the RDCS rounding RNG's exact stream position,
-    /// and the rounding mode — so a restored run is bit-identical to an
-    /// uninterrupted one. The decision held between
-    /// `select` and `observe` is not captured, which is why
+    /// The [`FedLState`] record. The decision held between `select` and
+    /// `observe` is not captured, which is why
     /// [`crate::engine::EpochEngine::snapshot`] refuses mid-epoch.
     fn snapshot_state(&self) -> Value {
-        obj(vec![
-            ("learner", self.learner.to_json_value()),
-            ("tracker", self.tracker.to_json_value()),
-            ("rng", snapshot::rng_to_json(&self.rng)),
-            ("independent_rounding", self.independent_rounding.to_json_value()),
-        ])
+        self.state.to_json_value()
     }
 
     /// Refuses a snapshot that does not fit this federation — a learner,
@@ -273,15 +281,14 @@ impl SelectionPolicy for FedLPolicy {
     /// negative or non-finite multiplier — before it can index out of
     /// bounds or trip the solver's asserts epochs later.
     fn restore_state(&mut self, state: &Value) -> Result<(), fedl_json::Error> {
-        let m = self.learner.state().len();
-        let learner: OnlineLearner = read_field(state, "learner")?;
-        let tracker: RegretTracker = read_field(state, "tracker")?;
-        let (mu0, mu) = learner.multipliers();
-        let sums = tracker.constraint_sums();
-        if learner.state().len() != m || mu.len() != m || sums.len() != m + 1 {
+        let m = self.state.learner.state().len();
+        let saved = FedLState::from_json_value(state)?;
+        let (mu0, mu) = saved.learner.multipliers();
+        let sums = saved.tracker.constraint_sums();
+        if saved.learner.state().len() != m || mu.len() != m || sums.len() != m + 1 {
             return Err(fedl_json::Error::msg(format!(
                 "checkpoint is for {} clients ({} multipliers, {} constraint sums), not {m}",
-                learner.state().len(),
+                saved.learner.state().len(),
                 mu.len(),
                 sums.len()
             )));
@@ -292,10 +299,7 @@ impl SelectionPolicy for FedLPolicy {
         if !sums.iter().all(|v| v.is_finite()) {
             return Err(fedl_json::Error::msg("checkpoint carries a non-finite constraint sum"));
         }
-        self.learner = learner;
-        self.tracker = tracker;
-        self.rng = snapshot::rng_from_json(state.field("rng")?)?;
-        self.independent_rounding = read_field(state, "independent_rounding")?;
+        self.state = saved;
         self.pending = None;
         Ok(())
     }

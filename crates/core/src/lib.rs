@@ -50,7 +50,6 @@ pub mod policy;
 pub mod regret;
 pub mod rounding;
 pub mod runner;
-pub mod snapshot;
 pub mod state;
 
 pub use engine::{EngineError, EpochEngine};

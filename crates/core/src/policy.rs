@@ -2,6 +2,8 @@
 //! baselines) implements, and the observable context the runner hands to
 //! a 0-lookahead policy each epoch.
 
+use fedl_json::{Error, FromJson, ToJson, Value};
+use fedl_linalg::rng::Xoshiro256pp;
 use fedl_sim::EpochReport;
 
 use crate::baselines::{FedAvgPolicy, FedCsPolicy, PowDPolicy};
@@ -131,6 +133,30 @@ pub trait SelectionPolicy: Send {
     }
 }
 
+/// A policy's RNG as its checkpoint holds it: the full state as four
+/// 16-hex-digit words, so a restored policy continues the exact stream.
+///
+/// The state words are full-range `u64`s, but [`Value::Int`] carries an
+/// `i64` — values at or above `2^63` would not survive an integer
+/// encoding, so each word is written as fixed-width hex text instead.
+pub(crate) struct PolicyRng(pub(crate) Xoshiro256pp);
+
+impl ToJson for PolicyRng {
+    fn to_json_value(&self) -> Value {
+        self.0.state().map(|w| format!("{w:016x}")).to_vec().to_json_value()
+    }
+}
+
+impl FromJson for PolicyRng {
+    fn from_json_value(v: &Value) -> Result<Self, Error> {
+        let words = Vec::<String>::from_json_value(v)?;
+        let state: Result<Vec<u64>, _> = words.iter().map(|w| u64::from_str_radix(w, 16)).collect();
+        let state = state.ok().and_then(|s| <[u64; 4]>::try_from(s).ok());
+        let bad = || Error::msg(format!("rng state must be four hex words, found {words:?}"));
+        Ok(Self(Xoshiro256pp::from_state(state.ok_or_else(bad)?)))
+    }
+}
+
 /// The schemes evaluated in the paper's §6, plus a 1-lookahead oracle
 /// reference used in regret analyses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,6 +276,37 @@ pub(crate) mod test_util {
 mod tests {
     use super::*;
     use test_util::ctx;
+
+    #[test]
+    fn rng_state_round_trips_exactly() {
+        use fedl_linalg::rng::Rng;
+        let mut rng = Xoshiro256pp::seed_from_u64(42);
+        for _ in 0..7 {
+            rng.next_f64();
+        }
+        let mut restored =
+            PolicyRng::from_json_value(&PolicyRng(rng.clone()).to_json_value()).unwrap().0;
+        for _ in 0..16 {
+            assert_eq!(rng.next_f64().to_bits(), restored.next_f64().to_bits());
+        }
+    }
+
+    #[test]
+    fn high_bit_words_survive_the_text_encoding() {
+        let rng = PolicyRng(Xoshiro256pp::from_state([u64::MAX, 1 << 63, 0, 42]));
+        let restored = PolicyRng::from_json_value(&rng.to_json_value()).unwrap();
+        assert_eq!(restored.0.state(), [u64::MAX, 1 << 63, 0, 42]);
+    }
+
+    #[test]
+    fn malformed_rng_states_are_rejected() {
+        let read = |v: Value| PolicyRng::from_json_value(&v).map(|_| ());
+        assert!(read(Value::Null).is_err());
+        assert!(read(Value::Arr(vec![Value::Str("ff".into()); 3])).is_err());
+        assert!(read(Value::Arr(vec![Value::Int(3); 4])).is_err());
+        let words = ["zz", "0", "0", "0"].map(|w| Value::Str(w.into()));
+        assert!(read(Value::Arr(words.to_vec())).is_err());
+    }
 
     #[test]
     fn context_validation_catches_misalignment() {

@@ -7,18 +7,18 @@ use std::path::{Path, PathBuf};
 
 use fedl_data::synth::{SyntheticSpec, TaskKind};
 use fedl_data::Partition;
-use fedl_json::{obj, read_field, ToJson, Value};
+use fedl_json::{obj, FromJson, Record, ToJson, Value};
 use fedl_linalg::rng::rng_for;
 use fedl_ml::dane::DaneConfig;
 use fedl_ml::model::{Cnn, ConvBlockSpec, MapShape, Mlp, Model, SoftmaxRegression};
 use fedl_ml::params::ParamSet;
-use fedl_sim::trace::RunTrace;
+use fedl_sim::trace::{EpochEvent, RunTrace};
 use fedl_sim::{BudgetLedger, EdgeEnvironment, EnvConfig, SimError};
 use fedl_store::{content_address, read_checkpoint, write_checkpoint, StoreError};
 use fedl_telemetry::Telemetry;
 
 use crate::columnar::context_at;
-use crate::engine::EpochEngine;
+use crate::engine::{EngineSnapshot, EpochEngine, LedgerState};
 use crate::fedl::FedLConfig;
 use crate::objective::locator;
 use crate::policy::{EpochContext, PolicyKind, SelectionPolicy};
@@ -470,6 +470,42 @@ impl RunOutcome {
     }
 }
 
+/// A run checkpoint's payload after its stamp: the one list of its keys
+/// (docs/CHECKPOINT.md). The engine's three fields sit in their own
+/// slots among the runner's.
+struct RunCheckpoint {
+    /// The policy's name; the stamp's fingerprint already binds it.
+    policy: String,
+    next_epoch: usize,
+    sim_time: f64,
+    records: Vec<EpochRecord>,
+    loss_hints: Vec<f64>,
+    ledger: LedgerState,
+    server: ServerModel,
+    policy_state: Value,
+    trace: Vec<EpochEvent>,
+}
+
+fedl_json::record!(RunCheckpoint {
+    policy,
+    next_epoch,
+    sim_time,
+    records,
+    loss_hints,
+    ledger,
+    server,
+    policy_state,
+    trace,
+});
+
+/// The server's global model and aggregated gradient `J`.
+struct ServerModel {
+    model: ParamSet,
+    j_agg: ParamSet,
+}
+
+fedl_json::record!(ServerModel { model, j_agg });
+
 /// Drives one policy through one scenario.
 pub struct ExperimentRunner {
     scenario: ScenarioConfig,
@@ -571,35 +607,25 @@ impl ExperimentRunner {
     /// (including exact RNG stream positions), and the event trace —
     /// into a checksummed envelope at `path`.
     pub fn save_checkpoint(&self, path: &Path) -> Result<(), StoreError> {
-        let trace_events =
-            Value::Arr(self.trace.events().iter().map(ToJson::to_json_value).collect());
-        let policy_name = self.engine.policy().name();
-        let [next_epoch, ledger, policy_state] =
+        let EngineSnapshot { next_epoch, ledger, policy_state } =
             self.engine.snapshot().expect("`step` settles every epoch it selects");
-        let fingerprint = Self::fingerprint(&self.scenario, policy_name);
-        write_checkpoint(
-            path,
-            CHECKPOINT_KIND,
-            SNAPSHOT_SCHEMA_VERSION,
-            &fingerprint,
-            [
-                ("policy", Value::from(policy_name)),
-                next_epoch,
-                ("sim_time", self.sim_time.to_json_value()),
-                ("records", self.records.to_json_value()),
-                ("loss_hints", self.loss_hints.to_json_value()),
-                ledger,
-                (
-                    "server",
-                    obj(vec![
-                        ("model", self.env.server().model().params().to_json_value()),
-                        ("j_agg", self.env.server().j_agg().to_json_value()),
-                    ]),
-                ),
-                policy_state,
-                ("trace", trace_events),
-            ],
-        )?;
+        let policy = self.engine.policy().name();
+        let server = self.env.server();
+        let (model, j_agg) = (server.model().params().clone(), server.j_agg().clone());
+        let saved = RunCheckpoint {
+            policy: policy.to_string(),
+            next_epoch,
+            sim_time: self.sim_time,
+            records: self.records.clone(),
+            loss_hints: self.loss_hints.clone(),
+            ledger,
+            server: ServerModel { model, j_agg },
+            policy_state,
+            trace: self.trace.events().to_vec(),
+        };
+        let (kind, version) = (CHECKPOINT_KIND, SNAPSHOT_SCHEMA_VERSION);
+        let fingerprint = Self::fingerprint(&self.scenario, policy);
+        write_checkpoint(path, kind, version, &fingerprint, saved.fields())?;
         self.telemetry.emit(
             "checkpoint.saved",
             vec![
@@ -626,32 +652,30 @@ impl ExperimentRunner {
         let fingerprint = Self::fingerprint(&runner.scenario, runner.engine.policy().name());
         let ckpt =
             read_checkpoint(path, CHECKPOINT_KIND, SNAPSHOT_SCHEMA_VERSION, Some(&fingerprint))?;
-        let _bound_by_the_fingerprint: String = ckpt.field("policy")?;
-        runner.engine.restore(&ckpt.payload).map_err(|e| ckpt.schema(e))?;
-        runner.sim_time = ckpt.field("sim_time")?;
-        runner.records = ckpt.field("records")?;
-        runner.loss_hints = ckpt.field("loss_hints")?;
-        let server_v = ckpt.payload.field("server").map_err(|e| ckpt.schema(e))?;
-        let params = |key| read_field::<ParamSet>(server_v, key).map_err(|e| ckpt.schema(e));
-        let (model, j_agg) = (params("model")?, params("j_agg")?);
+        let saved = RunCheckpoint::from_json_value(&ckpt.payload).map_err(|e| ckpt.schema(e))?;
+        let RunCheckpoint { next_epoch, ledger, policy_state, server, sim_time, .. } = saved;
+        let engine = EngineSnapshot { next_epoch, ledger, policy_state };
+        runner.engine.restore(engine).map_err(|e| ckpt.schema(e))?;
         // Refused here, as values: a non-finite time would poison every
         // later record, and a mis-shaped model or `J` would panic in the
         // model's shape assert (or the first epoch) instead.
         let shapes = |p: &ParamSet| p.tensors().iter().map(|t| t.shape()).collect::<Vec<_>>();
         let want = shapes(runner.env.server().model().params());
-        let (hints, clients) = (runner.loss_hints.len(), runner.scenario.env.num_clients);
-        if !(runner.sim_time.is_finite() && runner.sim_time >= 0.0) {
-            return Err(ckpt.schema(format!("sim_time {} is not a time", runner.sim_time)).into());
+        let (hints, clients) = (saved.loss_hints.len(), runner.scenario.env.num_clients);
+        if !(sim_time.is_finite() && sim_time >= 0.0) {
+            return Err(ckpt.schema(format!("sim_time {sim_time} is not a time")).into());
         }
         if hints != clients {
             return Err(ckpt.schema(format!("{hints} loss hints for {clients} clients")).into());
         }
-        if shapes(&model) != want || shapes(&j_agg) != want {
+        if shapes(&server.model) != want || shapes(&server.j_agg) != want {
             return Err(ckpt.schema("server.model / server.j_agg do not fit the model").into());
         }
-        runner.env.server_mut().set_model_params(model);
-        runner.env.server_mut().set_j_agg(j_agg);
-        runner.trace = RunTrace::from_events(ckpt.field("trace")?);
+        runner.env.server_mut().set_model_params(server.model);
+        runner.env.server_mut().set_j_agg(server.j_agg);
+        (runner.sim_time, runner.records, runner.loss_hints) =
+            (sim_time, saved.records, saved.loss_hints);
+        runner.trace = RunTrace::from_events(saved.trace);
         runner.restored_from_epoch = Some(runner.engine.next_epoch());
         Ok(runner)
     }

@@ -18,7 +18,7 @@
 //! per-client objects or nulls) is unchanged from the row-oriented
 //! representation, so existing fedl-store checkpoints load unmodified.
 
-use fedl_json::{obj, read_field, FromJson, ToJson, Value};
+use fedl_json::{FromJson, ToJson, Value};
 use fedl_linalg::par::par_zip_chunks_grained;
 
 /// EMA smoothing factor: weight of the newest observation.
@@ -241,31 +241,35 @@ impl LearnerState {
     }
 }
 
-// By hand: the columns are written as rows, not as the struct's fields.
+/// The learner state as a checkpoint holds it: the original row-oriented
+/// layout (a `clients` array of per-client objects, `null` for
+/// never-touched rows), so checkpoints predating the columnar store stay
+/// loadable and the snapshot schema version is unchanged
+/// (docs/CHECKPOINT.md).
+struct LearnerRows {
+    clients: Vec<Option<ClientStats>>,
+    prior_x: f64,
+    last_global_loss: f64,
+    last_rho: f64,
+}
+
+fedl_json::record!(LearnerRows { clients, prior_x, last_global_loss, last_rho });
+
 impl ToJson for LearnerState {
-    /// Serializes the columns as the original row-oriented layout (a
-    /// `clients` array of per-client objects, `null` for never-touched
-    /// rows) so checkpoints predating the columnar store stay loadable
-    /// and the snapshot schema version is unchanged (docs/CHECKPOINT.md).
     fn to_json_value(&self) -> Value {
-        let clients: Vec<Option<ClientStats>> = (0..self.len()).map(|k| self.stats(k)).collect();
-        obj(vec![
-            ("clients", clients.to_json_value()),
-            ("prior_x", self.prior_x.to_json_value()),
-            ("last_global_loss", self.last_global_loss.to_json_value()),
-            ("last_rho", self.last_rho.to_json_value()),
-        ])
+        let clients = (0..self.len()).map(|k| self.stats(k)).collect();
+        let Self { prior_x, last_global_loss, last_rho, .. } = *self;
+        LearnerRows { clients, prior_x, last_global_loss, last_rho }.to_json_value()
     }
 }
 
-// By hand: the rows are read back into the columns.
+/// The rows are read back into the columns.
 impl FromJson for LearnerState {
     fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        let clients: Vec<Option<ClientStats>> = read_field(v, "clients")?;
-        let mut state = LearnerState::new(clients.len(), read_field(v, "prior_x")?);
-        state.last_global_loss = read_field(v, "last_global_loss")?;
-        state.last_rho = read_field(v, "last_rho")?;
-        for (k, row) in clients.into_iter().enumerate() {
+        let rows = LearnerRows::from_json_value(v)?;
+        let mut state = LearnerState::new(rows.clients.len(), rows.prior_x);
+        (state.last_global_loss, state.last_rho) = (rows.last_global_loss, rows.last_rho);
+        for (k, row) in rows.clients.into_iter().enumerate() {
             if let Some(s) = row {
                 state.cols.tau[k] = s.tau;
                 state.cols.eta[k] = s.eta;

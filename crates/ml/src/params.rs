@@ -1,6 +1,6 @@
 //! Flat vector-space view over a model's parameter tensors.
 
-use fedl_json::{obj, read_field, FromJson, ToJson, Value};
+use fedl_json::{FromJson, ToJson, Value};
 use fedl_linalg::Matrix;
 
 /// An ordered collection of parameter tensors treated as one big vector.
@@ -146,51 +146,48 @@ impl ParamSet {
     }
 }
 
-// By hand: a tensor is its shape and data, and reading one checks they agree.
+/// One tensor as a checkpoint holds it: its shape and its row-major
+/// data. f32 scalars survive the JSON round trip exactly: the f32→f64
+/// widening is exact and the writer prints shortest-round-trip digits,
+/// so checkpointed model parameters restore bit-for-bit.
+struct SavedTensor {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+fedl_json::record!(SavedTensor { rows, cols, data });
+
+/// A parameter set as a checkpoint holds it.
+struct SavedParams {
+    tensors: Vec<SavedTensor>,
+}
+
+fedl_json::record!(SavedParams { tensors });
+
 impl ToJson for ParamSet {
     fn to_json_value(&self) -> Value {
-        // Shape + flat data per tensor. f32 scalars survive the JSON
-        // round trip exactly: the f32→f64 widening is exact and the
-        // writer prints shortest-round-trip digits, so checkpointed
-        // model parameters restore bit-for-bit.
-        let tensors: Vec<Value> = self
-            .0
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("rows", m.rows().to_json_value()),
-                    ("cols", m.cols().to_json_value()),
-                    ("data", m.as_slice().to_vec().to_json_value()),
-                ])
-            })
-            .collect();
-        obj(vec![("tensors", Value::Arr(tensors))])
+        let saved = |m: &Matrix| SavedTensor {
+            rows: m.rows(),
+            cols: m.cols(),
+            data: m.as_slice().to_vec(),
+        };
+        SavedParams { tensors: self.0.iter().map(saved).collect() }.to_json_value()
     }
 }
 
-// By hand: a tensor's data must fit the shape it names.
+/// Reading a tensor checks that its data fits the shape it names.
 impl FromJson for ParamSet {
     fn from_json_value(v: &Value) -> Result<Self, fedl_json::Error> {
-        let arr = v
-            .field("tensors")?
-            .as_arr()
-            .ok_or_else(|| fedl_json::Error::msg("tensors must be an array"))?;
-        let tensors = arr
-            .iter()
-            .map(|t| {
-                let rows: usize = read_field(t, "rows")?;
-                let cols: usize = read_field(t, "cols")?;
-                let data: Vec<f32> = read_field(t, "data")?;
-                if Some(data.len()) != rows.checked_mul(cols) {
-                    return Err(fedl_json::Error::msg(format!(
-                        "tensor data length {} does not match shape {rows}x{cols}",
-                        data.len()
-                    )));
-                }
-                Ok(Matrix::from_vec(rows, cols, data))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ParamSet::new(tensors))
+        let tensors = SavedParams::from_json_value(v)?.tensors.into_iter().map(|t| {
+            let (rows, cols, len) = (t.rows, t.cols, t.data.len());
+            if Some(len) != rows.checked_mul(cols) {
+                let why = format!("tensor data length {len} does not match shape {rows}x{cols}");
+                return Err(fedl_json::Error::msg(why));
+            }
+            Ok(Matrix::from_vec(rows, cols, t.data))
+        });
+        Ok(ParamSet::new(tensors.collect::<Result<_, _>>()?))
     }
 }
 

@@ -17,10 +17,10 @@
 use std::path::{Path, PathBuf};
 
 use fedl_core::columnar::context_at;
-use fedl_core::engine::{EngineError, EpochEngine};
+use fedl_core::engine::{EngineError, EngineSnapshot, EpochEngine, LedgerState};
 use fedl_core::policy::PolicyKind;
 use fedl_core::FedLConfig;
-use fedl_json::{ToJson, Value};
+use fedl_json::{FromJson, Record, ToJson, Value};
 use fedl_net::LatencyModel;
 use fedl_sim::{EnvConfig, EpochReport, Population};
 use fedl_store::{content_address, read_checkpoint, write_checkpoint, StoreError};
@@ -98,6 +98,20 @@ impl ServeConfig {
         content_address(key.as_bytes())
     }
 }
+
+/// A server checkpoint's payload after its stamp: the one list of its
+/// keys (docs/CHECKPOINT.md). The engine's three fields sit in their own
+/// slots among the server's.
+struct ServeCheckpoint {
+    next_epoch: usize,
+    selections: usize,
+    /// The registered client ids, ascending.
+    registered: Vec<usize>,
+    ledger: LedgerState,
+    policy_state: Value,
+}
+
+fedl_json::record!(ServeCheckpoint { next_epoch, selections, registered, ledger, policy_state });
 
 /// What a handled frame asks the connection loop to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,10 +240,13 @@ impl ServerState {
             SERVE_SNAPSHOT_SCHEMA_VERSION,
             Some(&fingerprint),
         )?;
+        let saved = ServeCheckpoint::from_json_value(&ckpt.payload).map_err(|e| ckpt.schema(e))?;
+        let ServeCheckpoint { next_epoch, ledger, policy_state, .. } = saved;
         let mut server = Self::new(config, telemetry);
-        server.engine.restore(&ckpt.payload).map_err(|e| ckpt.schema(e))?;
-        server.selections = ckpt.field("selections")?;
-        for id in ckpt.field::<Vec<usize>>("registered")? {
+        let engine = EngineSnapshot { next_epoch, ledger, policy_state };
+        server.engine.restore(engine).map_err(|e| ckpt.schema(e))?;
+        server.selections = saved.selections;
+        for id in saved.registered {
             let slot = server.registered.get_mut(id);
             let slot =
                 slot.ok_or_else(|| ckpt.schema(format!("registered id {id} out of range")))?;
@@ -253,22 +270,13 @@ impl ServerState {
     /// [`ServeError::Engine`] while a selection is awaiting its
     /// `TrainResult`: the server only checkpoints at epoch boundaries.
     pub fn save_checkpoint(&self, path: &Path) -> Result<(), ServeError> {
-        let [next_epoch, ledger, policy_state] = self.engine.snapshot()?;
-        let joined: Vec<usize> =
+        let EngineSnapshot { next_epoch, ledger, policy_state } = self.engine.snapshot()?;
+        let registered =
             self.registered.iter().enumerate().filter(|(_, &r)| r).map(|(k, _)| k).collect();
-        write_checkpoint(
-            path,
-            SERVE_CHECKPOINT_KIND,
-            SERVE_SNAPSHOT_SCHEMA_VERSION,
-            &self.config.fingerprint(),
-            [
-                next_epoch,
-                ("selections", Value::from(self.selections)),
-                ("registered", Value::Arr(joined.into_iter().map(Value::from).collect())),
-                ledger,
-                policy_state,
-            ],
-        )?;
+        let selections = self.selections;
+        let saved = ServeCheckpoint { next_epoch, selections, registered, ledger, policy_state };
+        let (kind, version) = (SERVE_CHECKPOINT_KIND, SERVE_SNAPSHOT_SCHEMA_VERSION);
+        write_checkpoint(path, kind, version, &self.config.fingerprint(), saved.fields())?;
         self.telemetry.emit(
             "serve.checkpoint_saved",
             vec![

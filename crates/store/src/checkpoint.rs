@@ -22,7 +22,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Top-level field `key`; missing or mistyped is [`StoreError::Schema`].
-    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, StoreError> {
+    fn field<T: FromJson>(&self, key: &str) -> Result<T, StoreError> {
         read_field(&self.payload, key).map_err(|e| self.schema(e))
     }
 
