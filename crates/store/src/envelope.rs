@@ -126,14 +126,12 @@ pub fn verify_envelope<'a>(
     if found_kind != kind.as_bytes() {
         return Err(corrupt(format!("expected kind {kind:?}, found {:?}", shown(found_kind))));
     }
-    // Exactly the 16 lower-case digits the writer spells: a reader that
-    // also took `A`-`F`, a sign or another width would let a flipped bit
-    // in the header through with the checksum's value unchanged.
-    let digits =
-        |d: &&[u8]| d.len() == 16 && d.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    // Exactly the 16 lower-case hex digits the writer spells: a reader
+    // that also took `A`-`F`, a sign or another width would let a flipped
+    // bit in the header through with the checksum's value unchanged.
     let expected = crc_field
         .strip_prefix(b"crc=")
-        .filter(digits)
+        .filter(|v| v.len() == 16 && v.iter().all(|b| b.is_ascii_digit() || b.is_ascii_lowercase()))
         .and_then(|v| u64::from_str_radix(text(v)?, 16).ok())
         .ok_or_else(|| corrupt(format!("bad checksum field {:?}", shown(crc_field))))?;
     if body.is_empty() {
@@ -311,7 +309,8 @@ mod tests {
             crc.find(|c: char| c.is_ascii_alphabetic()).expect("a hex letter to upper-case");
         let mut upper = crc.clone();
         upper.replace_range(letter..letter + 1, &crc[letter..letter + 1].to_uppercase());
-        for field in [upper, format!("+{}", &crc[1..]), crc[1..].to_string(), format!("0{crc}")] {
+        let (tail, short) = (&crc[1..], crc[1..].to_string());
+        for field in [upper, format!("+{tail}"), format!("g{tail}"), short, format!("0{crc}")] {
             let text = format!("fedl-store v2 kind=test crc={field}\n{body}");
             match decode_envelope(&text, "test", "test") {
                 Err(StoreError::Corrupt { reason, .. }) => {
