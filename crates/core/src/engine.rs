@@ -176,7 +176,7 @@ pub struct PendingEpoch {
 
 /// The budget ledger as a checkpoint holds it: the initial budget `C`
 /// and each epoch's charge, replayed by [`BudgetLedger::restore`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LedgerState {
     /// The initial budget.
     pub initial: f64,
@@ -340,7 +340,6 @@ mod tests {
     use crate::policy::test_util::ctx;
     use crate::policy::{PolicyKind, SelectionDecision};
     use crate::FedLConfig;
-    use fedl_json::{obj, ToJson};
 
     /// Answers every epoch with one fixed, possibly broken decision.
     struct Scripted(SelectionDecision);
@@ -616,16 +615,10 @@ mod tests {
         }
     }
 
-    /// The engine's snapshot as one JSON text, to compare two engines by.
+    /// The engine's snapshot as text, to compare two engines by (`Debug`
+    /// spells every float so that it reads back to the same bits).
     fn rendered(engine: &EpochEngine) -> String {
-        let s = engine.snapshot().unwrap();
-        let ledger = s.ledger.to_json_value();
-        obj([
-            ("next_epoch", s.next_epoch.into()),
-            ("ledger", ledger),
-            ("policy_state", s.policy_state),
-        ])
-        .to_json()
+        format!("{:?}", engine.snapshot().unwrap())
     }
 
     fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {

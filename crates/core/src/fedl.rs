@@ -88,7 +88,7 @@ fedl_json::record!(FedLState { learner, tracker, rng, independent_rounding });
 
 /// The FedL selection policy (paper Alg. 1 + Alg. 2).
 pub struct FedLPolicy {
-    /// The checkpointed state, saved in place.
+    /// What a checkpoint holds, written from here: a save clones no learner.
     state: FedLState,
     track_regret: bool,
     /// The epoch's problem, rebuilt in place by `select`, read by `observe`.
